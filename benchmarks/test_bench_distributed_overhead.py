@@ -1,18 +1,12 @@
 """Overhead of the distributed TCP backend versus multiprocess.
 
-Two figures frame the cost of going over the network:
-
-* **Framing throughput** — encode+decode cycles of a paper-sized
-  (1000x2, §3.6 "about 120 Kbytes") cumulative ``MomentMessage`` frame
-  through ``runtime/wire.py``: length-prefixed header, JSON body,
-  CRC-32 verify.  This bounds the per-pass serialization tax a pool
-  link pays that a multiprocessing queue does not.
-* **End-to-end dispatch overhead** — the same trivial-realization run
-  (the regime of the paper's Fig. 2 where overhead dominates because
-  tau is tiny) on the multiprocess backend and on the distributed
-  backend against one local ``parmonc-pool``.  The estimates must stay
-  bit-identical; the wall-clock delta is the price of TCP framing,
-  heartbeats and the asyncio hop.
+**End-to-end dispatch overhead** — the same trivial-realization run
+(the regime of the paper's Fig. 2 where overhead dominates because tau
+is tiny) on the multiprocess backend and on the distributed backend
+against one local ``parmonc-pool``.  The estimates must stay
+bit-identical; the wall-clock delta is the price of TCP framing,
+heartbeats and the asyncio hop.  (Framing throughput itself is
+``runtime.wire.mb_per_s`` of ``benchmarks/perf/run.py --trace 1``.)
 
 Wall-clock ratios of separate runs on a shared container are noisy, so
 the assertions are correctness (parity, volumes) plus a deliberately
@@ -24,23 +18,11 @@ from __future__ import annotations
 import os
 import time
 
-import numpy as np
-
 from repro.core.parmonc import parmonc
-from repro.runtime.messages import MomentMessage
 from repro.runtime.pool import PoolServer
-from repro.runtime.wire import (
-    FrameKind,
-    decode_frame,
-    encode_frame,
-    message_from_payload,
-    message_to_payload,
-)
-from repro.stats.statistic import StatisticSet
 
 SMOKE = bool(os.environ.get("PARMONC_BENCH_SMOKE"))
 
-FRAME_CYCLES = 100 if SMOKE else 1_000
 MAXSV = 2_000 if SMOKE else 20_000
 REPEATS = 2 if SMOKE else 3
 #: Gross-regression ceiling on distributed/multiprocess wall time for
@@ -51,44 +33,6 @@ END_TO_END_CEILING = 20.0
 
 def trivial(rng):
     return rng.random()
-
-
-def paper_sized_message() -> MomentMessage:
-    """A cumulative snapshot of the paper's default 1000x2 matrix."""
-    stats = StatisticSet.for_run(("moments",), 1000, 2)
-    rng = np.random.default_rng(11)
-    for _ in range(3):
-        stats.update(rng.random((1000, 2)), compute_time=0.01)
-    return MomentMessage(rank=1, snapshot=stats.moments.snapshot(),
-                         sent_at=3.5, final=False)
-
-
-def test_framing_throughput(benchmark, reporter):
-    message = paper_sized_message()
-    frame = encode_frame(FrameKind.DATA, message_to_payload(message))
-
-    def cycle():
-        kind, payload = decode_frame(
-            encode_frame(FrameKind.DATA, message_to_payload(message)))
-        assert kind is FrameKind.DATA
-        return message_from_payload(payload)
-
-    began = time.perf_counter()
-    for _ in range(FRAME_CYCLES):
-        cycle()
-    elapsed = time.perf_counter() - began
-    per_frame = elapsed / FRAME_CYCLES
-    benchmark.pedantic(cycle, rounds=3, iterations=10)
-    reporter.metric("frame_bytes", len(frame))
-    reporter.metric("cycles", FRAME_CYCLES)
-    reporter.metric("seconds_per_cycle", per_frame)
-    reporter.metric("frames_per_second", 1.0 / per_frame)
-    reporter.line(f"DATA frame: {len(frame)} bytes for the 1000x2 "
-                  f"cumulative snapshot (paper: ~120 Kbytes)")
-    reporter.line(f"encode+decode+rebuild: {per_frame * 1e3:.2f} ms "
-                  f"per pass ({1.0 / per_frame:,.0f} frames/s)")
-    reporter.line("one data pass per perpass seconds per worker -> "
-                  "framing is negligible for the paper's tau >= seconds")
 
 
 def test_distributed_matches_multiprocess_end_to_end(reporter, tmp_path):

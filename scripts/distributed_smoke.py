@@ -91,15 +91,20 @@ def free_port() -> int:
         return probe.getsockname()[1]
 
 
-def launch_pool(port: int) -> tuple[subprocess.Popen, str]:
-    """Start a one-slot parmonc-pool daemon; return (process, address)."""
+def launch_pool(port: int, verbose: bool = False
+                ) -> tuple[subprocess.Popen, str]:
+    """Start a one-slot parmonc-pool daemon; return (process, address).
+
+    ``verbose`` makes the daemon log its sessions, which
+    :func:`await_session` reads.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [REPO_SRC, str(SCRIPTS_DIR)]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     child = subprocess.Popen(
         [sys.executable, "-m", "repro.cli.pool", "--port", str(port),
-         "--workers", "1"],
+         "--workers", "1"] + (["--verbose"] if verbose else []),
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         env=env)
     banner: list[str] = []
@@ -118,6 +123,23 @@ def launch_pool(port: int) -> tuple[subprocess.Popen, str]:
     address = banner[0].rsplit(" ", 1)[-1].strip()
     print(f"smoke: pool up at {address} (pid {child.pid})")
     return child, address
+
+
+def await_session(pool: subprocess.Popen, timeout: float) -> bool:
+    """Block until a verbose pool logs a run's handshake.
+
+    The reader keeps draining the pool's output afterwards, so the
+    daemon never stalls on a full pipe.
+    """
+    seen = threading.Event()
+
+    def scan():
+        for line in pool.stdout:
+            if "workers offered" in line:
+                seen.set()
+
+    threading.Thread(target=scan, daemon=True).start()
+    return seen.wait(timeout)
 
 
 def check(condition: bool, what: str) -> None:
@@ -174,11 +196,14 @@ def main() -> int:
                     return
                 time.sleep(0.05)
             try:
-                pools.append(launch_pool(late_port)[0])
+                pools.append(launch_pool(late_port, verbose=True)[0])
             except RuntimeError as error:
                 chaos_errors.append(str(error))
                 return
-            time.sleep(0.3)
+            # Kill only once the run's retry loop has found the late
+            # pool: a sleep here raced the (now much faster) recovery.
+            if not await_session(pools[-1], CHAOS_TIMEOUT):
+                chaos_errors.append("the run never reached the late pool")
             os.kill(int(pid_path.read_text()), signal.SIGKILL)
             print("smoke: SIGKILLed the hung worker; late pool serving")
 

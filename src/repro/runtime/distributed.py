@@ -120,6 +120,8 @@ class _PoolLink:
     #: Job ids this pool already has context for — seeded from the
     #: HELLO snapshot, extended by SUBMIT frames (streaming mode).
     announced: set = field(default_factory=set)
+    #: Monotonic time of the pool's last frame (the silence watchdog).
+    last_seen: float = field(default_factory=time.monotonic)
 
 
 def _sorted_keys(keys) -> list[tuple[str | None, int]]:
@@ -292,8 +294,17 @@ class DistributedBackend(EngineBackend):
         dead: list[WorkerDeath] = []
         waiting: list[_ExitRecord] = []
         for record in self._exit_backlog:
-            context = self._job_context(record.job)
             key = (record.job, record.rank)
+            try:
+                context = self._job_context(record.job)
+            except BackendError:
+                if self.routine is not None:
+                    raise  # a classic run has no jobs to prune
+                # The scheduler pruned the job after DONE; its workers'
+                # late EXIT frames are stray traffic, like late DATA.
+                self._suspects.pop(key, None)
+                self.engine.stray_messages += 1
+                continue
             if record.rank in context.collector.final_ranks:
                 self._suspects.pop(key, None)
                 continue  # finished before exiting: a normal completion
@@ -487,9 +498,9 @@ class DistributedBackend(EngineBackend):
                  for address in self._addresses]
         tasks.append(self._loop.create_task(self._dispatch()))
         await self._stop_event.wait()
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
+        # BYE and close first: every read loop then ends on its own
+        # (stop flag, or end of stream), so teardown never depends on
+        # a cancellation landing at the right await.
         for link in list(self._links.values()):
             try:
                 write_frame(link.writer, FrameKind.BYE, {})
@@ -497,6 +508,9 @@ class DistributedBackend(EngineBackend):
             except (ConnectionError, RuntimeError):
                 pass
             link.writer.close()
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
         self._links.clear()
         self._connected_pools = 0
 
@@ -531,12 +545,10 @@ class DistributedBackend(EngineBackend):
             heartbeats = self._loop.create_task(self._send_heartbeats(link))
             try:
                 await self._read_loop(link)
-            except (WireError, ConnectionError,
+            except (WireError, OSError,
                     asyncio.IncompleteReadError) as exc:
-                _logger.warning("pool %s lost: %s", link.label, exc)
-            except asyncio.TimeoutError:
-                _logger.warning("pool %s silent for %.1fs, dropping it",
-                                link.label, self._heartbeat_timeout)
+                if not self._stop_event.is_set():
+                    _logger.warning("pool %s lost: %s", link.label, exc)
             finally:
                 heartbeats.cancel()
                 self._links.pop(address, None)
@@ -566,10 +578,9 @@ class DistributedBackend(EngineBackend):
                          or "%s:%d" % link.address)
 
     async def _read_loop(self, link: _PoolLink) -> None:
-        while True:
-            kind, payload = await asyncio.wait_for(
-                read_frame(link.reader), timeout=self._heartbeat_timeout)
-            self._last_pool_seen = time.monotonic()
+        while not self._stop_event.is_set():
+            kind, payload = await read_frame(link.reader)
+            self._last_pool_seen = link.last_seen = time.monotonic()
             if kind is FrameKind.DATA:
                 self._inbox.put(message_from_payload(payload))
             elif kind is FrameKind.EXIT:
@@ -590,8 +601,15 @@ class DistributedBackend(EngineBackend):
                     f"unexpected {kind.name} frame from pool {link.label}")
 
     async def _send_heartbeats(self, link: _PoolLink) -> None:
+        """Beat towards the pool; hang up on one that has gone silent."""
         while True:
             await asyncio.sleep(self._heartbeat_interval)
+            silent = time.monotonic() - link.last_seen
+            if silent > self._heartbeat_timeout:
+                _logger.warning("pool %s silent for %.1fs, dropping it",
+                                link.label, silent)
+                link.writer.close()  # ends the read loop: pool lost
+                return
             try:
                 write_frame(link.writer, FrameKind.HEARTBEAT, {})
                 await link.writer.drain()
@@ -616,10 +634,8 @@ class DistributedBackend(EngineBackend):
                     entry = self._hello["jobs"].get(job)
                     if entry is None:
                         # The announce callback has not landed yet;
-                        # requeue and retry shortly.
+                        # requeue — landing sets the dispatch event.
                         self._pending.appendleft(assignment)
-                        self._loop.call_later(
-                            0.05, self._dispatch_event.set)
                         break
                     try:
                         write_frame(link.writer, FrameKind.SUBMIT,

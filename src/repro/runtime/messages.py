@@ -15,22 +15,54 @@ header.  For the default moments-only configuration this reproduces
 the paper's Fig. 2 accounting exactly (eight 8-byte words per matrix
 entry; 128,064 bytes for the 1000 x 2 performance test — the reported
 "approximately 120 Kbytes" per pass).
+
+The codec lives beside the message: :func:`message_to_payload` and
+:func:`message_from_payload` are the one binary layout of a data pass
+— a fixed little-endian header, ``sum1`` and ``sum2`` as raw float64,
+and a JSON tail only for the rare fields.  It is the body of every
+DATA frame of :mod:`repro.runtime.wire` (32,048 bytes for a 1000 x 2
+pass, where the cost model above counts the derived matrices too).
 """
 
 from __future__ import annotations
 
+import json
+import math
+import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from repro.exceptions import ConfigurationError
-from repro.stats.accumulator import MOMENT_WORDS_PER_ENTRY, MomentSnapshot
-from repro.stats.statistic import Statistic
+import numpy as np
 
-__all__ = ["CombinedMessage", "MomentMessage", "message_bytes"]
+from repro.exceptions import ConfigurationError, WireError
+from repro.stats.accumulator import MOMENT_WORDS_PER_ENTRY, MomentSnapshot
+from repro.stats.statistic import (
+    Statistic,
+    payload_map,
+    statistics_from_payload_map,
+)
+
+__all__ = [
+    "CombinedMessage",
+    "MomentMessage",
+    "message_bytes",
+    "message_from_payload",
+    "message_to_payload",
+]
 
 #: Fixed per-message framing overhead assumed by the cost model (rank,
 #: volume, timestamps, envelope).
 _HEADER_BYTES = 64
+
+#: Binary body header: flags, nrow, ncol, rank, volume, sent_at,
+#: compute_time, tail length — the fields of ``shm._SLOT`` (minus its
+#: ring sequence word) plus the shape, little-endian, 48 bytes.
+_BODY = struct.Struct("<4IQ2dQ")
+
+_FLAG_FINAL = 1
+
+#: The rare fields, carried as a JSON object after the moment arrays.
+_TAIL_KEYS = frozenset(("job", "metrics", "statistics"))
 
 
 @dataclass(frozen=True)
@@ -179,3 +211,107 @@ def message_bytes(nrow: int, ncol: int,
             f"matrix dimensions must be >= 1, got {nrow}x{ncol}")
     return (8 * MOMENT_WORDS_PER_ENTRY * nrow * ncol + _HEADER_BYTES
             + sum(statistic.nbytes for statistic in statistics))
+
+
+def message_to_payload(message: MomentMessage,
+                       job: str | None = None) -> bytes:
+    """Serialize a data pass to its one binary layout.
+
+    ``_BODY`` header, then ``sum1`` and ``sum2`` as raw little-endian
+    float64 in C order — every bit pattern survives — then, only when
+    the message carries a job tag, worker telemetry or extra
+    statistics, a UTF-8 JSON object holding them (statistics in the
+    versioned :func:`~repro.stats.statistic.payload_map` form the
+    save-points use).  ``job`` overrides the message's own tag, so a
+    pool worker stamps its passes without rebuilding the message.
+    """
+    snapshot = message.snapshot
+    if snapshot.sum1.ndim != 2:
+        raise WireError(
+            f"a data pass carries nrow x ncol moments, got shape "
+            f"{snapshot.sum1.shape}")
+    tail = {}
+    job = message.job if job is None else job
+    if job is not None:
+        tail["job"] = job
+    if message.metrics is not None:
+        tail["metrics"] = message.metrics
+    if message.statistics is not None:
+        tail["statistics"] = payload_map(message.statistics)
+    tail_bytes = (json.dumps(tail, separators=(",", ":")).encode("utf-8")
+                  if tail else b"")
+    nrow, ncol = snapshot.sum1.shape
+    return b"".join((
+        _BODY.pack(_FLAG_FINAL if message.final else 0, nrow, ncol,
+                   message.rank, snapshot.volume, message.sent_at,
+                   snapshot.compute_time, len(tail_bytes)),
+        np.ascontiguousarray(snapshot.sum1, dtype="<f8").tobytes(),
+        np.ascontiguousarray(snapshot.sum2, dtype="<f8").tobytes(),
+        tail_bytes))
+
+
+def message_from_payload(body: bytes) -> MomentMessage:
+    """Rebuild a :class:`MomentMessage` from its binary layout.
+
+    The body comes from another host: its length is checked against
+    the announced shape and tail length before anything is allocated,
+    and every way it can be malformed raises :class:`WireError`.
+    """
+    if len(body) < _BODY.size:
+        raise WireError(
+            f"data pass of {len(body)} bytes is shorter than its "
+            f"{_BODY.size}-byte header")
+    (flags, nrow, ncol, rank, volume, sent_at, compute_time,
+     tail_len) = _BODY.unpack_from(body)
+    if flags & ~_FLAG_FINAL:
+        raise WireError(f"data pass carries unknown flags {flags:#x}")
+    if nrow < 1 or ncol < 1:
+        raise WireError(f"data pass announces a {nrow}x{ncol} matrix")
+    entries = nrow * ncol
+    tail_at = _BODY.size + 16 * entries
+    if len(body) != tail_at + tail_len:
+        raise WireError(
+            f"data pass announces {nrow}x{ncol} moments and a "
+            f"{tail_len}-byte tail ({tail_at + tail_len} bytes) but "
+            f"carries {len(body)}")
+    if not (math.isfinite(sent_at) and math.isfinite(compute_time)):
+        raise WireError("data pass carries a non-finite timestamp")
+    try:
+        tail = json.loads(bytes(body[tail_at:])) if tail_len else {}
+        if not isinstance(tail, dict) or not _TAIL_KEYS.issuperset(tail):
+            raise WireError("data pass tail is not an object of "
+                            "job/metrics/statistics")
+        job, metrics = tail.get("job"), tail.get("metrics")
+        if not isinstance(job, (str, type(None))) \
+                or not isinstance(metrics, (dict, type(None))):
+            raise WireError("data pass tail has a mistyped job or metrics")
+        statistics = None
+        if "statistics" in tail:
+            for kind, entry in tail["statistics"].items():
+                # A statistic allocates what its shape announces; only
+                # the pass's own, length-checked shape is believed.
+                if entry.get("shape") != [nrow, ncol]:
+                    raise WireError(
+                        f"statistic {kind!r} does not share the pass's "
+                        f"{nrow}x{ncol} shape")
+            statistics, unknown = statistics_from_payload_map(
+                tail["statistics"])
+            if unknown:
+                raise WireError(
+                    f"data frame carries unregistered statistic kinds "
+                    f"{unknown}; register them on the collector side")
+        moments = np.frombuffer(body, dtype="<f8", count=2 * entries,
+                                offset=_BODY.size).astype(np.float64)
+        return MomentMessage(
+            rank=rank,
+            snapshot=MomentSnapshot(
+                sum1=moments[:entries].reshape(nrow, ncol),
+                sum2=moments[entries:].reshape(nrow, ncol),
+                volume=volume, compute_time=compute_time),
+            sent_at=sent_at, final=bool(flags & _FLAG_FINAL),
+            metrics=metrics, statistics=statistics, job=job)
+    except WireError:
+        raise
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError,
+            OverflowError, RecursionError, ConfigurationError) as exc:
+        raise WireError(f"malformed data pass: {exc}") from exc

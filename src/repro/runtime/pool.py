@@ -25,13 +25,14 @@ passes and echoes the job on EXIT, so the run can route messages and
 deaths back to the right experiment.
 
 Every ASSIGN runs in its own OS process (so a stuck or ``kill -9``-ed
-realization routine never takes the daemon down) with a private queue
-back to the daemon; a watcher thread forwards each
-:class:`~repro.runtime.messages.MomentMessage` as a DATA frame and —
-only after the queue is fully drained — reports the process's exit.
-The run side therefore never sees an EXIT overtake the data that
-preceded it, which is what lets the engine's reassignment keep
-estimates bit-identical.
+realization routine never takes the daemon down) with a private pipe
+back to the daemon.  The worker encodes each
+:class:`~repro.runtime.messages.MomentMessage` once, to the binary
+DATA body; a watcher thread frames those bytes as they are — the
+daemon never unpickles or re-encodes a pass — and, only after the pipe
+is fully drained, reports the process's exit.  The run side therefore
+never sees an EXIT overtake the data that preceded it, which is what
+lets the engine's reassignment keep estimates bit-identical.
 
 A pool whose run stops heartbeating (crashed, unplugged) terminates
 the session's workers and returns to listening; a run whose pool
@@ -44,14 +45,14 @@ import asyncio
 import logging
 import multiprocessing
 import os
-import queue as queue_module
 import threading
 import time
-from dataclasses import replace
+from multiprocessing.connection import wait
 
 from repro.exceptions import WireError
 from repro.obs.telemetry import WorkerTelemetry
 from repro.runtime.config import RunConfig
+from repro.runtime.messages import message_to_payload
 from repro.runtime.wire import (
     FrameKind,
     config_from_payload,
@@ -76,23 +77,22 @@ _TERMINATE_SECONDS = 2.0
 def _pool_worker_entry(routine, config: RunConfig, rank: int, quota: int,
                        outbox, deadline_in: float | None,
                        job: str | None = None) -> None:
-    """Worker process body: the standard loop, queueing messages home.
+    """Worker process body: the standard loop, piping DATA bodies home.
 
     ``deadline_in`` is the run's remaining time budget in seconds —
     shipped as a duration because absolute monotonic clocks do not
-    travel between hosts.  ``job`` tags every message with the owning
-    job id (multi-job scheduler sessions); tagging here, in the child,
-    keeps the daemon's forwarding path a pure byte relay.
+    travel between hosts.  ``job`` tags every pass with the owning job
+    id (multi-job scheduler sessions).  Each message is encoded here,
+    once, straight to the bytes a DATA frame carries, so the daemon's
+    forwarding path is a pure byte relay; ``outbox`` is the write end
+    of the pipe the daemon's watcher reads.
     """
     deadline = (time.monotonic() + deadline_in
                 if deadline_in is not None else None)
     telemetry = WorkerTelemetry(rank) if config.telemetry else None
-    if job is None:
-        send = outbox.put
-    else:
-        send = (lambda message, _put=outbox.put, _job=job:
-                _put(replace(message, job=_job)))
-    run_worker(routine, config, rank, quota, send=send,
+    run_worker(routine, config, rank, quota,
+               send=lambda message: outbox.send_bytes(
+                   message_to_payload(message, job=job)),
                deadline=deadline, telemetry=telemetry)
 
 
@@ -103,13 +103,13 @@ def _import_routine(spec: str):
 
 
 class _Worker:
-    """One running assignment: process + queue + forwarding thread."""
+    """One running assignment: process + pipe + forwarding thread."""
 
-    def __init__(self, rank: int, process, outbox,
+    def __init__(self, rank: int, process, inbox,
                  job: str | None = None) -> None:
         self.rank = rank
         self.process = process
-        self.outbox = outbox
+        self.inbox = inbox
         self.job = job
 
 
@@ -277,14 +277,15 @@ class _Session:
                 f"assign frame names job {job!r}, which the session's "
                 f"hello did not declare") from None
         context = self._server.context
-        outbox = context.Queue()
+        inbox, outbox = context.Pipe(duplex=False)
         process = context.Process(
             target=_pool_worker_entry,
             args=(routine, config, rank, quota, outbox,
                   payload.get("deadline_in"), job),
             daemon=True)
         process.start()
-        worker = _Worker(rank, process, outbox, job=job)
+        outbox.close()  # the child holds the only write end now
+        worker = _Worker(rank, process, inbox, job=job)
         self._workers[(job, rank)] = worker
         _logger.info("session from %s: %s started (quota=%d, pid=%s)",
                      self._peer, label, quota, process.pid)
@@ -292,52 +293,36 @@ class _Session:
                          daemon=True).start()
 
     def _watch(self, worker: _Worker) -> None:
-        """Forward a worker's messages; report its exit only once drained.
+        """Forward a worker's passes; report its exit only once drained.
 
-        Runs in a plain thread (queue reads block).  The EXIT frame is
-        sent strictly after every message the worker managed to queue,
-        so the run's drain-before-verdict logic sees all delivered data
-        before judging the death.
+        Runs in a plain thread (pipe reads block).  The wait wakes on a
+        pass or on the process's exit, and a readable pipe always goes
+        first, so the EXIT frame is sent strictly after every pass the
+        worker managed to write and the run's drain-before-verdict
+        logic sees all delivered data before judging the death.
         """
-        process, outbox = worker.process, worker.outbox
-        while not self._closed:
-            try:
-                message = outbox.get(timeout=0.1)
-            except queue_module.Empty:
-                if process.exitcode is None:
-                    continue
-                while True:  # the process is gone; flush its leftovers
-                    try:
-                        self._forward(worker.rank, outbox.get_nowait())
-                    except queue_module.Empty:
-                        break
-                    except Exception:  # torn pickle from a kill -9
-                        break
-                exit_payload = {
-                    "rank": worker.rank,
-                    "exitcode": process.exitcode,
-                }
-                if worker.job is not None:
-                    exit_payload["job"] = worker.job
-                self._send_threadsafe(FrameKind.EXIT, exit_payload)
+        process, inbox = worker.process, worker.inbox
+        with inbox:
+            while inbox in wait([inbox, process.sentinel]):
                 try:
-                    self._loop.call_soon_threadsafe(
-                        self._workers.pop, (worker.job, worker.rank),
-                        None)
-                except RuntimeError:  # pool already shut down
-                    pass
-                return
-            except Exception:
-                return
-            self._forward(worker.rank, message)
-
-    def _forward(self, rank: int, message) -> None:
-        from repro.runtime.wire import message_to_payload
-        self._send_threadsafe(FrameKind.DATA, message_to_payload(message))
+                    body = inbox.recv_bytes()
+                except (EOFError, OSError):  # closed, or torn by kill -9
+                    break
+                self._send_threadsafe(FrameKind.DATA, body)
+        process.join()
+        exit_payload = {"rank": worker.rank, "exitcode": process.exitcode}
+        if worker.job is not None:
+            exit_payload["job"] = worker.job
+        self._send_threadsafe(FrameKind.EXIT, exit_payload)
+        try:
+            self._loop.call_soon_threadsafe(
+                self._workers.pop, (worker.job, worker.rank), None)
+        except RuntimeError:  # pool already shut down
+            pass
 
     # -- frame plumbing ----------------------------------------------------
 
-    def _send(self, kind: FrameKind, payload: dict) -> None:
+    def _send(self, kind: FrameKind, payload: dict | bytes) -> None:
         if self._closed or self._writer.is_closing():
             return
         try:
@@ -345,7 +330,8 @@ class _Session:
         except (ConnectionError, RuntimeError):
             pass
 
-    def _send_threadsafe(self, kind: FrameKind, payload: dict) -> None:
+    def _send_threadsafe(self, kind: FrameKind,
+                         payload: dict | bytes) -> None:
         try:
             self._loop.call_soon_threadsafe(self._send, kind, payload)
         except RuntimeError:  # loop already closed at teardown

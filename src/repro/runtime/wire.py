@@ -4,35 +4,36 @@ Everything that crosses a TCP connection between a run (the
 ``distributed`` backend) and a ``parmonc-pool`` worker daemon is a
 *frame*::
 
-    +-------+---------+------+--------+-------+=============+
-    | magic | version | kind | length | crc32 | JSON payload|
-    | 4s    | u16     | u16  | u32    | u32   | length bytes|
-    +-------+---------+------+--------+-------+=============+
+    +-------+---------+------+--------+-------+==============+
+    | magic | version | kind | length | crc32 | body         |
+    | 4s    | u16     | u16  | u32    | u32   | length bytes |
+    +-------+---------+------+--------+-------+==============+
 
 * **magic** (``b"PMNC"``) rejects foreign traffic on the port early;
 * **version** lets an old pool refuse a newer run (and vice versa)
-  with a clear error instead of a JSON parse failure;
-* **length** is the payload size in bytes (bounded, so a corrupt
+  with a clear error instead of a parse failure;
+* **length** is the body size in bytes (bounded, so a corrupt
   header cannot make a peer allocate gigabytes);
-* **crc32** covers the payload, so truncated or bit-flipped frames
+* **crc32** covers the body, so truncated or bit-flipped frames
   are detected before anything is deserialized.
 
-The payload is UTF-8 JSON.  Data frames carry the *existing*
-:class:`~repro.runtime.messages.MomentMessage` payloads — the moment
-snapshot via :meth:`~repro.stats.accumulator.MomentSnapshot.to_dict`
-and the extra statistics via the same versioned
-:meth:`~repro.stats.statistic.Statistic.to_payload` maps the
-save-points use.  Python's JSON encoder emits shortest-round-trip
-``repr`` floats, so every ``float64`` survives the wire bit-for-bit
-and distributed estimates stay bit-identical to the other backends'.
+Control frames and save-points are JSON, moment payloads are raw: the
+body of every frame kind but ``DATA`` is a UTF-8 JSON object, and a
+``DATA`` body is always the binary layout of
+:func:`~repro.runtime.messages.message_to_payload` — a fixed header,
+``sum1`` and ``sum2`` as raw little-endian float64, and a JSON tail
+only for the rare fields.  This module frames that body and never
+looks inside it; there is no format flag and no second encoding, so
+every ``float64`` crosses bit-for-bit and distributed estimates stay
+bit-identical to the other backends'.
 
-Control frames (:class:`FrameKind`):
+Frame kinds (:class:`FrameKind`):
 
 ==============  =======================================================
 ``HELLO``       run -> pool: run configuration + realization routine
 ``WELCOME``     pool -> run: worker capacity, pool identity
 ``ASSIGN``      run -> pool: one :class:`WorkerAssignment` (rank/quota)
-``DATA``        pool -> run: one ``MomentMessage`` data pass
+``DATA``        pool -> run: one ``MomentMessage`` data pass (binary)
 ``EXIT``        pool -> run: a worker process exited (after its queued
                 data frames were flushed — drain-before-verdict)
 ``HEARTBEAT``   both ways: liveness + pool occupancy
@@ -44,10 +45,10 @@ Control frames (:class:`FrameKind`):
                 streaming-scheduler sessions only
 ==============  =======================================================
 
-``SUBMIT`` and ``CANCEL`` extend wire version 1 *additively*: a classic
-single-job or sealed-batch session never emits them (its jobs all
-travel in the HELLO), so those sessions stay byte-identical on the
-wire.  Only a streaming scheduler (``parmonc-sched --serve``) opens a
+Version 2 replaced version 1's JSON ``DATA`` body with the binary one;
+nothing else changed.  A classic single-job or sealed-batch session
+never emits ``SUBMIT`` or ``CANCEL`` (its jobs all travel in the
+HELLO); only a streaming scheduler (``parmonc-sched --serve``) opens a
 session that declares ``"streaming": true`` in its HELLO and then
 announces jobs as they are admitted.
 """
@@ -66,9 +67,7 @@ from typing import Callable, Iterator
 from repro.exceptions import ConfigurationError, WireError
 from repro.rng.multiplier import LeapSet
 from repro.runtime.config import RunConfig
-from repro.runtime.messages import MomentMessage
-from repro.stats.accumulator import MomentSnapshot
-from repro.stats.statistic import payload_map, statistics_from_payload_map
+from repro.runtime.messages import message_from_payload, message_to_payload
 
 __all__ = [
     "FrameKind",
@@ -91,8 +90,8 @@ __all__ = [
 MAGIC = b"PMNC"
 
 #: Current protocol version.  Bump on any incompatible change to the
-#: header, the frame kinds or the payload schemas.
-WIRE_VERSION = 1
+#: header, the frame kinds or the payload schemas.  2: binary DATA body.
+WIRE_VERSION = 2
 
 #: Upper bound on a single frame's payload, so a corrupt length field
 #: can never make a peer buffer an absurd allocation.
@@ -113,16 +112,26 @@ class FrameKind(enum.IntEnum):
     BYE = 7
     ERROR = 8
     #: Mid-session job declaration (streaming sessions only; a sealed
-    #: session's jobs all travel in the HELLO, keeping it byte-
-    #: identical to historical version-1 traffic).
+    #: session's jobs all travel in the HELLO).
     SUBMIT = 9
     #: Mid-session job withdrawal (streaming sessions only).
     CANCEL = 10
 
 
-def encode_frame(kind: FrameKind, payload: dict) -> bytes:
-    """Serialize one frame: header (magic/version/kind/length/crc) + JSON."""
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+def encode_frame(kind: FrameKind, payload: dict | bytes) -> bytes:
+    """Serialize one frame: header (magic/version/kind/length/crc) + body.
+
+    A ``DATA`` payload is the binary body ``message_to_payload`` built,
+    framed as it is; every other kind takes a dict and travels as JSON.
+    """
+    if kind is not FrameKind.DATA:
+        body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    elif isinstance(payload, bytes):
+        body = payload
+    else:
+        raise WireError(
+            f"DATA frames carry the binary body message_to_payload "
+            f"builds, got {type(payload).__name__}")
     if len(body) > MAX_FRAME_BYTES:
         raise WireError(
             f"frame payload of {len(body)} bytes exceeds the "
@@ -153,14 +162,17 @@ def _parse_header(header: bytes) -> tuple[FrameKind, int, int]:
         raise WireError(f"unknown frame kind {kind}") from None
 
 
-def _parse_body(kind: FrameKind, body: bytes, crc: int) -> dict:
+def _parse_body(kind: FrameKind, body: bytes, crc: int) -> dict | bytes:
     if zlib.crc32(body) != crc:
         raise WireError(
             f"{kind.name} frame failed its checksum "
             f"({len(body)} payload bytes)")
+    if kind is FrameKind.DATA:
+        return body  # message_from_payload's to validate and decode
     try:
         payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError,
+            RecursionError) as exc:
         raise WireError(
             f"{kind.name} frame carries malformed JSON: {exc}") from exc
     if not isinstance(payload, dict):
@@ -170,7 +182,7 @@ def _parse_body(kind: FrameKind, body: bytes, crc: int) -> dict:
     return payload
 
 
-def decode_frame(data: bytes) -> tuple[FrameKind, dict]:
+def decode_frame(data: bytes) -> tuple[FrameKind, dict | bytes]:
     """Decode exactly one complete frame from ``data``."""
     frames = list(FrameDecoder().feed(data))
     if len(frames) != 1:
@@ -195,7 +207,8 @@ class FrameDecoder:
         """Bytes buffered but not yet decodable into a full frame."""
         return len(self._buffer)
 
-    def feed(self, data: bytes) -> Iterator[tuple[FrameKind, dict]]:
+    def feed(self, data: bytes
+             ) -> Iterator[tuple[FrameKind, dict | bytes]]:
         """Absorb ``data``; yield every frame it completes, in order."""
         self._buffer.extend(data)
         while len(self._buffer) >= _HEADER.size:
@@ -209,7 +222,8 @@ class FrameDecoder:
             yield kind, _parse_body(kind, body, crc)
 
 
-async def read_frame(reader: asyncio.StreamReader) -> tuple[FrameKind, dict]:
+async def read_frame(reader: asyncio.StreamReader
+                     ) -> tuple[FrameKind, dict | bytes]:
     """Read one complete frame from an asyncio stream.
 
     Raises:
@@ -224,64 +238,14 @@ async def read_frame(reader: asyncio.StreamReader) -> tuple[FrameKind, dict]:
 
 
 def write_frame(writer: asyncio.StreamWriter, kind: FrameKind,
-                payload: dict) -> None:
+                payload: dict | bytes) -> None:
     """Queue one frame on an asyncio stream (transport-buffered)."""
     writer.write(encode_frame(kind, payload))
 
 
 # ---------------------------------------------------------------------------
-# Payload codecs
-
-
-def message_to_payload(message: MomentMessage) -> dict:
-    """Serialize a worker data pass for a DATA frame.
-
-    The moment snapshot and every extra statistic use exactly the JSON
-    forms the save-points persist, so the wire carries the same bytes
-    the storage layer would — one schema, everywhere.
-    """
-    payload: dict = {
-        "rank": message.rank,
-        "sent_at": message.sent_at,
-        "final": message.final,
-        "snapshot": message.snapshot.to_dict(),
-    }
-    if message.metrics is not None:
-        payload["metrics"] = message.metrics
-    if message.statistics is not None:
-        payload["statistics"] = payload_map(message.statistics)
-    if message.job is not None:
-        # Only multi-job (scheduler) sessions tag their passes; classic
-        # single-run frames stay byte-identical to wire version 1 peers.
-        payload["job"] = message.job
-    return payload
-
-
-def message_from_payload(payload: dict) -> MomentMessage:
-    """Rebuild a :class:`MomentMessage` from a DATA frame payload."""
-    try:
-        snapshot = MomentSnapshot.from_dict(payload["snapshot"])
-        statistics = None
-        if "statistics" in payload:
-            statistics, unknown = statistics_from_payload_map(
-                payload["statistics"])
-            if unknown:
-                raise WireError(
-                    f"data frame carries unregistered statistic kinds "
-                    f"{unknown}; register them on the collector side")
-        job = payload.get("job")
-        return MomentMessage(
-            rank=int(payload["rank"]),
-            snapshot=snapshot,
-            sent_at=float(payload["sent_at"]),
-            final=bool(payload["final"]),
-            metrics=payload.get("metrics"),
-            statistics=statistics,
-            job=None if job is None else str(job))
-    except WireError:
-        raise
-    except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
-        raise WireError(f"malformed data frame payload: {exc}") from exc
+# Control-frame payload codecs (the DATA body codec lives beside
+# MomentMessage and is re-exported here, where its users look for it)
 
 
 def config_to_payload(config: RunConfig) -> dict:

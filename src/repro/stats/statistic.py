@@ -669,12 +669,11 @@ class Histogram(Statistic):
 
     def _restore(self, payload: dict) -> None:
         bins = int(payload["bins"])
-        rebuilt = type(self)(self._shape[0], self._shape[1], bins=bins,
-                             lo=float(payload["lo"]),
-                             hi=float(payload["hi"]))
         counts = np.asarray(payload["counts"], dtype=np.int64)
         underflow = np.asarray(payload["underflow"], dtype=np.int64)
         overflow = np.asarray(payload["overflow"], dtype=np.int64)
+        # Shapes first: ``bins`` is only believed (and allocated for)
+        # once the counts actually present bear it out.
         if counts.shape != (self._size, bins) \
                 or underflow.shape != (self._size,) \
                 or overflow.shape != (self._size,):
@@ -682,6 +681,9 @@ class Histogram(Statistic):
         if (counts < 0).any() or (underflow < 0).any() \
                 or (overflow < 0).any():
             raise ValueError("histogram counts must be >= 0")
+        rebuilt = type(self)(self._shape[0], self._shape[1], bins=bins,
+                             lo=float(payload["lo"]),
+                             hi=float(payload["hi"]))
         rebuilt._counts[:, 1:-1] = counts
         rebuilt._counts[:, 0] = underflow
         rebuilt._counts[:, -1] = overflow

@@ -11,20 +11,28 @@ in ``test_runtime_engine.py::TestBackendParity``.)
 
 from __future__ import annotations
 
+import asyncio
 import os
 import signal
 import socket
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.parmonc import parmonc
 from repro.exceptions import ConfigurationError
 from repro.obs.events import read_events
 from repro.runtime.config import RunConfig
-from repro.runtime.distributed import parse_connect
+from repro.runtime.distributed import (
+    DistributedBackend,
+    _ExitRecord,
+    parse_connect,
+)
+from repro.runtime.job import JobSpec, JobStatus
 from repro.runtime.pool import PoolServer
+from repro.runtime.scheduler import Scheduler
 from repro.runtime.worker import run_worker
 from repro.stats.merging import merge_snapshots
 from repro.stats.statistic import payload_map
@@ -64,6 +72,15 @@ def hang_on_sixth(rng):
                 while True:
                     time.sleep(3600)
     return rng.random() ** 2
+
+
+_WIDE = np.linspace(0.5, 1.5, 2000).reshape(1000, 2)
+
+
+def wide(rng):
+    """The Fig. 2 overhead shape: one draw, a 32 KB moment pass."""
+    rng.random()
+    return _WIDE
 
 
 def free_port() -> int:
@@ -140,7 +157,8 @@ class TestDistributedRuns:
             while not pid_path.exists() or not pid_path.read_text():
                 time.sleep(0.05)
             late.start()  # the late joiner picks up pending rank 1
-            time.sleep(0.3)
+            while not late.sessions_served:  # ... once the run's retry
+                time.sleep(0.05)             # loop has found it
             os.kill(int(pid_path.read_text()), signal.SIGKILL)
 
         agitator = threading.Thread(target=chaos, daemon=True)
@@ -260,6 +278,140 @@ class TestPoolReuse:
                     == reference.estimates.mean.tobytes())
             assert (job.result.estimates.abs_error.tobytes()
                     == reference.estimates.abs_error.tobytes())
+
+
+def _drive(scheduler, predicate, seconds=60.0):
+    """Step a synchronously driven service until ``predicate()`` holds."""
+    deadline = time.monotonic() + seconds
+    while not predicate():
+        assert time.monotonic() < deadline, "service made no progress"
+        scheduler.step(poll_timeout=0.05)
+
+
+def _streaming_spec(name, tmp_path, seqnum=0):
+    return JobSpec(
+        routine=square, name=name, use_files=False,
+        config=RunConfig(maxsv=16, processors=2, perpass=0.0, peraver=0.0,
+                         seqnum=seqnum, workdir=tmp_path / name))
+
+
+class TestTeardownAndLateTraffic:
+    """Shutdown, pruning and dispatch are event-driven: none of them
+    may wait out a timer or trip over traffic that arrives late."""
+
+    def test_sealed_runs_shut_down_promptly(self, monkeypatch):
+        """Twenty back-to-back sealed runs, 32 KB frames still arriving
+        as each one tears down: ``shutdown()`` used to sit out its 10 s
+        join because a cancellation landing inside ``wait_for`` was
+        swallowed and the read loop never looked at the stop flag."""
+        shutdowns = []
+        original = DistributedBackend.shutdown
+
+        def timed(backend):
+            started = time.monotonic()
+            original(backend)
+            shutdowns.append(time.monotonic() - started)
+
+        monkeypatch.setattr(DistributedBackend, "shutdown", timed)
+        server = PoolServer(port=0, workers=2, start_method="fork")
+        host, port = server.start()
+        try:
+            for _ in range(20):
+                result = parmonc(wide, nrow=1000, ncol=2, maxsv=128,
+                                 perpass=0.0, peraver=0.0, processors=2,
+                                 backend="distributed",
+                                 connect=f"{host}:{port}", use_files=False)
+                assert result.total_volume == 128
+        finally:
+            server.stop()
+        assert len(shutdowns) == 20
+        assert max(shutdowns) < 2.0
+
+    def test_exit_of_a_pruned_job_is_stray_not_fatal(self, tmp_path):
+        """A pool's EXIT frames trail the final DATA, so they can land
+        after the job is DONE and pruned; the reap that meets one must
+        drop and count it, not fail the service on an unknown job."""
+        server = PoolServer(port=0, workers=2, start_method="fork")
+        host, port = server.start()
+        backend = DistributedBackend(connect=f"{host}:{port}")
+        scheduler = Scheduler(backend, workers=2)
+        scheduler.streaming = True
+        try:
+            first = scheduler.submit(_streaming_spec("first", tmp_path))
+            _drive(scheduler, lambda: first.status is JobStatus.DONE)
+            assert scheduler.prune() == 1
+            second = scheduler.submit(
+                _streaming_spec("second", tmp_path, seqnum=1))
+            backend._exits.put(_ExitRecord(
+                rank=0, exitcode=0, detail="delivered late", job="first"))
+            # Admits and dispatches ``second``; its workers cannot have
+            # answered yet, so the empty poll falls through to the reap.
+            scheduler.step(poll_timeout=0.0)
+            assert scheduler.stray_messages >= 1
+            _drive(scheduler, lambda: second.status is JobStatus.DONE)
+        finally:
+            scheduler.shutdown()
+            server.stop()
+        assert second.result.total_volume == 16
+
+    def test_assign_ahead_of_its_announcement_waits_for_it(self, tmp_path,
+                                                           monkeypatch):
+        """An ASSIGN whose job the pools have not heard of is requeued
+        until ``announce_job`` lands — which itself wakes the
+        dispatcher; no wall-clock retry is armed in between."""
+        server = PoolServer(port=0, workers=2, start_method="fork")
+        host, port = server.start()
+        backend = DistributedBackend(connect=f"{host}:{port}")
+        scheduler = Scheduler(backend, workers=2)
+        scheduler.streaming = True
+
+        def settle():
+            """Let every ready callback and task on the loop run."""
+            async def turns():
+                for _ in range(10):
+                    await asyncio.sleep(0)
+            asyncio.run_coroutine_threadsafe(
+                turns(), backend._loop).result(timeout=10.0)
+
+        try:
+            # The first job binds the backend and rides in the HELLO;
+            # only later admissions depend on announcements.
+            early = scheduler.submit(_streaming_spec("early", tmp_path))
+            _drive(scheduler, lambda: early.status is JobStatus.DONE)
+
+            def busy():
+                return [key for link in list(backend._links.values())
+                        for key in link.active]
+
+            _drive(scheduler, lambda: not busy())  # early's EXITs are in
+            held, retries = [], []
+            announce, call_later = (backend.announce_job,
+                                    backend._loop.call_later)
+
+            def spy(delay, callback, *args, **kwargs):
+                if callback == backend._dispatch_event.set:
+                    retries.append(delay)
+                return call_later(delay, callback, *args, **kwargs)
+
+            monkeypatch.setattr(backend, "announce_job", held.append)
+            monkeypatch.setattr(backend._loop, "call_later", spy)
+            late = scheduler.submit(
+                _streaming_spec("late", tmp_path, seqnum=1))
+            scheduler.step(poll_timeout=0.0)  # admit, spawn: ASSIGNs queued
+            assert held == [late]
+            settle()
+            # The dispatcher ran, found no announcement and parked.
+            assert len(backend._pending) == 2
+            assert not busy()
+            announce(late)
+            settle()
+            assert not backend._pending  # dispatched by the announcement
+            _drive(scheduler, lambda: late.status is JobStatus.DONE)
+        finally:
+            scheduler.shutdown()
+            server.stop()
+        assert retries == []
+        assert late.result.total_volume == 16
 
 
 class TestCli:
