@@ -14,12 +14,13 @@ tree buys back:
   magnitude (the asserted floor is 10x).  A full-hierarchy tree point
   at M = 10**5 simulated workers certifies the cost model at the
   paper's "practically infinite" processor count.
-* **Same-host transport** — wall-clock of the real multiprocess
+* **Same-host transport** — realizations/s of the real multiprocess
   backend shipping paper-sized (1000x2) per-realization passes over
-  pickle-on-``mp.Queue`` versus the zero-copy shared-memory ring.
-  Wall-clock on a shared container is noisy, so the assertions are
-  correctness (bit-identical estimates, full volume) plus a loose
-  regression ceiling; the JSON artifact records the raw seconds.
+  pickle-on-``mp.Queue`` versus the shared-memory ring, at M = 1, 2
+  and 4 workers with repeats.  Which transport wins depends on M (the
+  ring loses below the core count: ROADMAP item 2), so the assertions
+  are correctness only — bit-identical estimates, full volume — and
+  the JSON artifact records every repeat.
 """
 
 from __future__ import annotations
@@ -55,11 +56,9 @@ FULL_TREE_M = 20_000 if SMOKE else 100_000
 #: accounting amortizes over more compute.
 FULL_TREE_QUOTA = 4 if SMOKE else 8
 
-MP_MAXSV = 120 if SMOKE else 400
-MP_PROCESSORS = 4
-#: Loose ceiling on shm/queue wall-time ratio for the same workload —
-#: the ring must never be a regression, noise margin included.
-TRANSPORT_CEILING = 3.0
+MP_MAXSV = 512 if SMOKE else 8192
+MP_PROCESSORS = (1, 2, 4)
+MP_REPEATS = 3
 
 
 def _spec() -> ClusterSpec:
@@ -179,27 +178,35 @@ def paper_sized(rng):
 
 
 def test_multiprocess_transport_queue_vs_shm(reporter):
-    timings = {}
-    estimates = {}
-    for transport in ("queue", "shm"):
-        config = RunConfig(maxsv=MP_MAXSV, processors=MP_PROCESSORS,
-                           nrow=1000, ncol=2, perpass=0.0, peraver=0.0,
-                           transport=transport)
-        started = time.perf_counter()
-        result = run_multiprocess(paper_sized, config, use_files=False)
-        timings[transport] = time.perf_counter() - started
-        estimates[transport] = (result.estimates.mean.tobytes(),
-                                result.estimates.variance.tobytes())
-        assert result.total_volume == MP_MAXSV
-        reporter.line(
-            f"{transport:5s}: {timings[transport]:6.2f}s for {MP_MAXSV} "
-            f"paper-sized (1000x2) per-realization passes on "
-            f"{MP_PROCESSORS} workers "
-            f"({MP_MAXSV / timings[transport]:.0f} msg/s)")
-        reporter.metric(f"{transport}_seconds", timings[transport])
-    assert estimates["shm"] == estimates["queue"]
-    ratio = timings["shm"] / timings["queue"]
-    reporter.line(f"shm/queue wall-time ratio: {ratio:.2f} "
-                  f"(ceiling {TRANSPORT_CEILING})")
-    reporter.metric("shm_over_queue_ratio", ratio)
-    assert ratio < TRANSPORT_CEILING
+    reporter.line(f"{MP_MAXSV} paper-sized (1000x2) per-realization "
+                  f"passes, {MP_REPEATS} repeats, realizations/s "
+                  f"(median [min .. max])")
+    for processors in MP_PROCESSORS:
+        estimates = {}
+        medians = {}
+        for transport in ("queue", "shm"):
+            config = RunConfig(maxsv=MP_MAXSV, processors=processors,
+                               nrow=1000, ncol=2, perpass=0.0,
+                               peraver=0.0, transport=transport)
+            rates = []
+            for _ in range(MP_REPEATS):
+                started = time.perf_counter()
+                result = run_multiprocess(paper_sized, config,
+                                          use_files=False)
+                rates.append(MP_MAXSV / (time.perf_counter() - started))
+                assert result.total_volume == MP_MAXSV
+                estimates.setdefault(transport, set()).add(
+                    (result.estimates.mean.tobytes(),
+                     result.estimates.variance.tobytes()))
+                reporter.metric(f"m{processors}_{transport}_per_s",
+                                rates[-1])
+            rates.sort()
+            medians[transport] = rates[len(rates) // 2]
+            reporter.line(f"M={processors} {transport:5s}: "
+                          f"{medians[transport]:8.0f} "
+                          f"[{rates[0]:.0f} .. {rates[-1]:.0f}]")
+        reporter.line(f"M={processors} shm/queue rate ratio: "
+                      f"{medians['shm'] / medians['queue']:.2f}")
+        # One value per transport across repeats, and the same one.
+        assert estimates["shm"] == estimates["queue"]
+        assert len(estimates["queue"]) == 1

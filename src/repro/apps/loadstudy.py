@@ -134,7 +134,6 @@ def run_load_study(queue: GGcKQueue, rng: Lcg128, *,
     backend = LoadStudyBackend(queue.service, rng)
     scheduler = Scheduler(backend, workers=queue.servers,
                           max_jobs=queue.capacity)
-    scheduler.streaming = True
     config = RunConfig(maxsv=1, processors=1, perpass=0.0, peraver=0.0)
     rejected = 0
     now = 0.0

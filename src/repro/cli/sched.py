@@ -331,6 +331,49 @@ def _load_queue(path: Path) -> list[dict]:
     return entries
 
 
+def _make_scheduler(args) -> Scheduler:
+    return Scheduler(
+        create_backend(args.backend, start_method=args.start_method,
+                       connect=args.connect),
+        workers=args.workers, max_jobs=args.max_jobs)
+
+
+def _admit(scheduler: Scheduler, queue: Path, entry: dict, position: int):
+    """Submit one queue entry; returns ``(name, job, reason)``.
+
+    ``job`` is None when the entry was rejected — no routine, one that
+    does not import, a spec the scheduler refuses, or admission
+    back-pressure — and ``reason`` says why (also reported on stderr).
+    Routines travel by name; a missing ``workdir`` defaults to a
+    directory named after the job, next to the queue file.
+    """
+    entry = dict(entry)
+    name = str(entry.get("name") or f"job-{position}")
+    try:
+        spec = entry.pop("routine", None)
+        if not isinstance(spec, str):
+            raise ConfigurationError(
+                "entry misses its module:function routine")
+        entry["routine"] = load_routine(spec)
+        entry.setdefault("name", name)
+        entry.setdefault("workdir", str(queue.parent / name))
+        return name, scheduler.submit(build_job_spec(entry, position)), None
+    except ReproError as exc:
+        print(f"parmonc-sched: rejected {name}: {exc}", file=sys.stderr)
+        return name, None, str(exc)
+
+
+def _finish_report(scheduler: Scheduler, args, headline: str,
+                   **extra) -> None:
+    """Print the closing summary and write the SLA report, if asked."""
+    report = dict(scheduler.sla_report(), **extra)
+    print(f"{headline}, {report['deadline_misses']} deadline misses")
+    if args.sla_report is not None:
+        args.sla_report.parent.mkdir(parents=True, exist_ok=True)
+        args.sla_report.write_text(json.dumps(report, indent=2) + "\n")
+        print(f"SLA report written to {args.sla_report}")
+
+
 def _write_status(path: Path, payload: dict,
                   last: str | None) -> str | None:
     """Atomically mirror the service state; skip unchanged rewrites."""
@@ -355,32 +398,15 @@ def _serve_queue(args) -> int:
     queue.touch(exist_ok=True)
     sys.path.insert(0, str(queue.parent.resolve()))
     status_file = status_path(queue)
-    scheduler = Scheduler(
-        create_backend(args.backend, start_method=args.start_method,
-                       connect=args.connect),
-        workers=args.workers, max_jobs=args.max_jobs)
+    scheduler = _make_scheduler(args)
     records: dict[str, dict] = {}
     jobs: dict[str, object] = {}
     state = {"offset": 0, "count": 0, "stop": False, "written": None}
 
     def admit(entry: dict, position: int) -> None:
-        name = str(entry.get("name") or f"job-{position}")
-        spec = entry.pop("routine", None)
-        if not isinstance(spec, str):
-            records[name] = {"status": "rejected", "error":
-                             "entry misses its module:function routine"}
-            print(f"parmonc-sched: rejected {name}: no routine",
-                  file=sys.stderr)
-            return
-        try:
-            entry["routine"] = load_routine(spec)
-            entry.setdefault("name", name)
-            entry.setdefault("workdir", str(queue.parent / name))
-            job = scheduler.submit(build_job_spec(entry, position))
-        except ReproError as exc:
-            records[name] = {"status": "rejected", "error": str(exc)}
-            print(f"parmonc-sched: rejected {name}: {exc}",
-                  file=sys.stderr)
+        name, job, reason = _admit(scheduler, queue, entry, position)
+        if job is None:
+            records[name] = {"status": "rejected", "error": reason}
             return
         jobs[job.id] = job
         print(f"parmonc-sched: admitted {job.id}", flush=True)
@@ -467,17 +493,12 @@ def _serve_queue(args) -> int:
             signal.signal(signum, handler)
         state["written"] = _write_status(status_file, snapshot(False),
                                          state["written"])
-    report = scheduler.sla_report()
     failed = sum(1 for job in jobs.values() if job.error is not None)
     cancelled = sum(1 for job in jobs.values()
                     if job.status is JobStatus.CANCELLED)
-    print(f"service: {len(jobs)} jobs admitted, {failed} failed, "
-          f"{cancelled} cancelled, {report['deadline_misses']} "
-          f"deadline misses")
-    if args.sla_report is not None:
-        args.sla_report.parent.mkdir(parents=True, exist_ok=True)
-        args.sla_report.write_text(json.dumps(report, indent=2) + "\n")
-        print(f"SLA report written to {args.sla_report}")
+    _finish_report(scheduler, args,
+                   f"service: {len(jobs)} jobs admitted, {failed} failed, "
+                   f"{cancelled} cancelled")
     return 1 if failed else 0
 
 
@@ -498,32 +519,12 @@ def sched_main(argv: list[str] | None = None) -> int:
     # Routines travel by name; import relative to the queue directory,
     # the way parmonc-run resolves specs next to the model file.
     sys.path.insert(0, str(args.queue.parent.resolve()))
-    rejected: list[str] = []
     try:
-        scheduler = Scheduler(
-            create_backend(args.backend, start_method=args.start_method,
-                           connect=args.connect),
-            workers=args.workers, max_jobs=args.max_jobs)
-        submitted = []
-        for index, entry in enumerate(entries):
-            entry = dict(entry)
-            spec = entry.pop("routine", None)
-            if not isinstance(spec, str):
-                print(f"parmonc-sched: error: job #{index} misses its "
-                      f"module:function routine", file=sys.stderr)
-                return 2
-            entry["routine"] = load_routine(spec)
-            entry.setdefault(
-                "workdir",
-                str(args.queue.parent / entry.get("name", f"job-{index}")))
-            try:
-                submitted.append(
-                    scheduler.submit(build_job_spec(entry, index)))
-            except ReproError as exc:
-                rejected.append(entry.get("name", f"job-{index}"))
-                print(f"parmonc-sched: rejected "
-                      f"{entry.get('name', f'job-{index}')}: {exc}",
-                      file=sys.stderr)
+        scheduler = _make_scheduler(args)
+        admitted = [_admit(scheduler, args.queue, entry, index)
+                    for index, entry in enumerate(entries)]
+        submitted = [job for _, job, _ in admitted if job is not None]
+        rejected = [name for name, job, _ in admitted if job is None]
         if not submitted:
             print("parmonc-sched: error: every job was rejected",
                   file=sys.stderr)
@@ -547,15 +548,9 @@ def sched_main(argv: list[str] | None = None) -> int:
                  else ""))
         if result.data_dir is not None:
             print(f"  results under {result.data_dir}")
-    report = scheduler.sla_report()
-    report["rejected_jobs"] = rejected
-    print(f"batch: {len(submitted)} jobs, {failed} failed, "
-          f"{len(rejected)} rejected, "
-          f"{report['deadline_misses']} deadline misses")
-    if args.sla_report is not None:
-        args.sla_report.parent.mkdir(parents=True, exist_ok=True)
-        args.sla_report.write_text(json.dumps(report, indent=2) + "\n")
-        print(f"SLA report written to {args.sla_report}")
+    _finish_report(scheduler, args,
+                   f"batch: {len(submitted)} jobs, {failed} failed, "
+                   f"{len(rejected)} rejected", rejected_jobs=rejected)
     incomplete = sum(1 for job in submitted
                      if job.error is None and job.status
                      is not JobStatus.DONE)

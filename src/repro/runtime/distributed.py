@@ -106,8 +106,8 @@ def parse_connect(connect) -> tuple[tuple[str, int], ...]:
 class _PoolLink:
     """One live pool connection (asyncio-thread state only).
 
-    ``active`` holds ``(job, rank)`` keys — ``job`` is None on the
-    classic single-run path — so two jobs of one scheduler can both
+    ``active`` holds ``(job, rank)`` keys — ``job`` is None for a
+    single run's anonymous job — so two jobs of one scheduler can both
     run a rank 0 on the same pool without colliding.
     """
 
@@ -118,7 +118,7 @@ class _PoolLink:
     label: str = ""
     active: set = field(default_factory=set)
     #: Job ids this pool already has context for — seeded from the
-    #: HELLO snapshot, extended by SUBMIT frames (streaming mode).
+    #: HELLO snapshot, extended by SUBMIT frames.
     announced: set = field(default_factory=set)
     #: Monotonic time of the pool's last frame (the silence watchdog).
     last_seen: float = field(default_factory=time.monotonic)
@@ -183,8 +183,7 @@ class DistributedBackend(EngineBackend):
         self._exits: queue_module.Queue = queue_module.Queue()
         self._notices: queue_module.Queue = queue_module.Queue()
         self._drainbuf = DrainBuffer(self._inbox.get_nowait)
-        # Suspect timers keyed ``(job, rank)``; job is None on the
-        # classic single-run path.
+        # Suspect timers keyed ``(job, rank)``.
         self._suspects: dict[tuple[str | None, int], float] = {}
         self._exit_backlog: list[_ExitRecord] = []
         # Engine-thread -> network-thread work queue.
@@ -207,7 +206,7 @@ class DistributedBackend(EngineBackend):
     def bind(self, engine) -> None:
         super().bind(engine)
         if self.routine is not None:
-            # Classic single-run path: the historical HELLO shape.
+            # A single run's anonymous job: the classic HELLO shape.
             self._hello = {
                 "config": config_to_payload(self.config),
                 "routine": routine_to_payload(self.routine,
@@ -220,11 +219,13 @@ class DistributedBackend(EngineBackend):
                 # runs.
                 self._hello["batch_size"] = batch_size
         else:
-            # Shared scheduler mode: ship every job's context up front,
-            # so a pool that joins mid-run (or late) can start a worker
-            # for any job straight from the handshake.  Routines travel
-            # as pickles — a per-job ``module:function`` spec has no CLI
-            # path yet.
+            # Named jobs: a live session.  Ship the context of every
+            # job submitted so far, so a pool can start a worker for
+            # any of them straight from the handshake; later admissions
+            # reach connected pools as SUBMIT frames and late-joining
+            # pools through the (mutated) HELLO snapshot.  Routines
+            # travel as pickles — a per-job ``module:function`` spec
+            # has no CLI path yet.
             self._hello = {
                 "jobs": {
                     job.id: {
@@ -233,13 +234,8 @@ class DistributedBackend(EngineBackend):
                     }
                     for job in engine.jobs
                 },
+                "streaming": True,
             }
-            if getattr(engine, "streaming", False):
-                # Live admission: the handshake may carry no jobs at
-                # all; later admissions reach connected pools as
-                # SUBMIT frames and late-joining pools through the
-                # (mutated) HELLO snapshot.
-                self._hello["streaming"] = True
         self._last_pool_seen = time.monotonic()
         self._thread = threading.Thread(
             target=self._network_main, daemon=True,
@@ -296,10 +292,10 @@ class DistributedBackend(EngineBackend):
         for record in self._exit_backlog:
             key = (record.job, record.rank)
             try:
-                context = self._job_context(record.job)
+                context = self.engine.job_context(record.job)
             except BackendError:
                 if self.routine is not None:
-                    raise  # a classic run has no jobs to prune
+                    raise  # a single run has no jobs to prune
                 # The scheduler pruned the job after DONE; its workers'
                 # late EXIT frames are stray traffic, like late DATA.
                 self._suspects.pop(key, None)
@@ -406,28 +402,6 @@ class DistributedBackend(EngineBackend):
 
     # -- engine-thread helpers ---------------------------------------------
 
-    def _job_context(self, job: str | None):
-        """Per-job context (config/collector/deadline), self for legacy.
-
-        Mirrors the multiprocess backend: an assignment, exit or
-        message tagged with a job id resolves its routine, config and
-        collector through the scheduler; untagged (classic single-run)
-        traffic keeps using the engine-wide context bound on this
-        backend.
-        """
-        if job is None or self.engine is None:
-            return self
-        return self.engine.job_context(job)
-
-    def _all_work_complete(self) -> bool:
-        """Every lane of every job has delivered its final message."""
-        engine = self.engine
-        if engine is not None:
-            complete = getattr(engine, "all_complete", None)
-            if complete is not None:
-                return complete
-        return self.collector.complete
-
     def _flush_notices(self) -> None:
         """Replay network-thread observability into run telemetry.
 
@@ -454,7 +428,7 @@ class DistributedBackend(EngineBackend):
         if self._connected_pools > 0:
             return
         outstanding = bool(self._pending) or bool(self._exit_backlog) \
-            or not self._all_work_complete()
+            or not self.engine.all_complete
         if not outstanding:
             return
         silent = time.monotonic() - self._last_pool_seen
@@ -627,10 +601,9 @@ class DistributedBackend(EngineBackend):
                     break  # every slot busy; an EXIT will wake us
                 assignment = self._pending.popleft()
                 job = assignment.job
-                if job is not None and self._hello.get("streaming") \
-                        and job not in link.announced:
-                    # Streaming admission: ship the job's context
-                    # ahead of its first ASSIGN on this link.
+                if job is not None and job not in link.announced:
+                    # Ship the job's context ahead of its first ASSIGN
+                    # on this link.
                     entry = self._hello["jobs"].get(job)
                     if entry is None:
                         # The announce callback has not landed yet;
@@ -649,7 +622,7 @@ class DistributedBackend(EngineBackend):
                            "quota": assignment.quota}
                 if assignment.job is not None:
                     payload["job"] = assignment.job
-                deadline = self._job_context(assignment.job).deadline
+                deadline = self.engine.job_context(assignment.job).deadline
                 if deadline is not None:
                     payload["deadline_in"] = max(
                         deadline - time.monotonic(), 0.0)

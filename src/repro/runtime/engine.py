@@ -1,42 +1,40 @@
-"""The unified engine: one session lifecycle, pluggable backends.
+"""Backends, their registry, and the single-run facade.
 
 Every PARMONC run follows the same master-worker script — resume the
 previous session, dispatch a work plan to ``M`` workers, drain moment
 messages into the collector, average and save periodically, finalize —
 and only the *execution strategy* differs between running workers
-inline, as OS processes, or inside the discrete-event cluster
-simulation.  This module separates the two concerns:
+inline, as OS processes, over TCP, or inside the discrete-event cluster
+simulation.  The script itself lives in two places: per-run state in
+:class:`~repro.runtime.job.Job`, and the one run loop in
+:meth:`Scheduler.step() <repro.runtime.scheduler.Scheduler.step>`.
+This module holds what the loop drives:
 
-* :class:`Engine` owns the classic single-run entry point.  The
-  lifecycle itself now lives one layer down — per-run state in
-  :class:`~repro.runtime.job.Job`, the drain loop in
-  :class:`~repro.runtime.scheduler.Scheduler` — and the engine submits
-  one anonymous job, reproducing the historical behaviour bit for bit.
-  Collector wiring, telemetry, resume semantics, save-points and
-  result assembly still exist exactly once, instead of being
-  re-implemented per backend.
 * :class:`Backend` is the strategy protocol — ``spawn(plan)`` /
   ``poll(timeout)`` / ``reap()`` / ``shutdown()`` — implemented by
   :class:`~repro.runtime.sequential.SequentialBackend`,
-  :class:`~repro.runtime.multiprocess.MultiprocessBackend` and
+  :class:`~repro.runtime.multiprocess.MultiprocessBackend`,
+  :class:`~repro.runtime.distributed.DistributedBackend` and
   :class:`~repro.runtime.simcluster.SimclusterBackend`.
 * The **registry** (:func:`register_backend`) is the single source of
   backend names: ``parmonc()`` and ``parmonc-run`` both resolve names
   through it, and new backends plug in without touching the core.
+* :class:`Engine` is the single-run facade: submit one anonymous job to
+  a scheduler, drain it on the calling thread, re-raise its error or
+  return its result.
 
-On top of the unified lifecycle the engine adds **fault-tolerant quota
-reassignment**.  When a backend reports a dead worker
-(:meth:`Backend.reap`) and the run's
+**Fault-tolerant quota reassignment.**  When a backend reports a dead
+worker (:meth:`Backend.reap`) and the run's
 :attr:`~repro.runtime.config.RunConfig.on_worker_death` policy is
-``"reassign"``, the engine keeps the dead worker's moments at its last
+``"reassign"``, the job keeps the dead worker's moments at its last
 collected watermark, retires its rank, and reissues the undelivered
 remainder of its quota to a replacement worker on a *fresh* processor
 subsequence of the RNG hierarchy (an index beyond ``M``), so the
 recovered estimate stays uncorrelated with everything the dead worker
-consumed.  The default policy, ``"fail"``, preserves each backend's
-historical behaviour (the multiprocess backend raises
-:class:`~repro.exceptions.BackendError`; the simulated cluster loses
-the tail of the failed node's work, as §2.2 models).
+consumed.  The default policy, ``"fail"``, fails the job with a
+:class:`~repro.exceptions.BackendError` on the multiprocess and
+distributed backends; the simulated cluster loses the tail of the
+failed node's work, as §2.2 models.
 """
 
 from __future__ import annotations
@@ -91,11 +89,10 @@ class WorkerAssignment:
             mode); reassignment needs a known quota.
         recovery: True when this assignment re-issues a dead worker's
             remaining quota on a fresh subsequence.
-        job: Identifier of the owning :class:`~repro.runtime.job.Job`
-            when the assignment is dispatched by a multi-job
-            :class:`~repro.runtime.scheduler.Scheduler`; ``None`` on
-            the classic single-run path.  Backends route the worker's
-            messages (and its death) back to this job.
+        job: Identifier of the owning :class:`~repro.runtime.job.Job`;
+            ``None`` for the anonymous job of a single run.  Backends
+            route the worker's messages (and its death) back to this
+            job.
     """
 
     rank: int
@@ -121,7 +118,7 @@ class WorkerDeath:
         exitcode: OS exit code when known (None for simulated nodes).
         detail: Human-readable cause, e.g. the injected failure time.
         job: Identifier of the job the dead worker was running for
-            (``None`` on the classic single-run path); the scheduler
+            (``None`` for a single run's anonymous job); the scheduler
             routes the death to that job's recovery bookkeeping.
     """
 
@@ -140,19 +137,20 @@ class WorkerDeath:
 
 @runtime_checkable
 class Backend(Protocol):
-    """Execution strategy driven by the :class:`Engine`.
+    """Execution strategy driven by the scheduler's run loop.
 
     A backend never touches the session lifecycle: it only starts
     workers, surfaces their messages, and reports their deaths.  The
-    engine binds itself before the first ``spawn`` via :meth:`bind`,
-    giving the backend access to the routine, config, collector and
-    telemetry it may need.
+    :class:`~repro.runtime.scheduler.Scheduler` binds itself before the
+    first ``spawn`` via :meth:`bind`, giving the backend access to
+    ``ingest``, ``job_context`` and — on a single run — the anonymous
+    job's routine, config, collector and telemetry.
     """
 
     name: str
 
-    def bind(self, engine: "Engine") -> None:
-        """Receive the engine context before any other call."""
+    def bind(self, engine) -> None:
+        """Receive the scheduler context before any other call."""
         ...
 
     def spawn(self, plan: Sequence[WorkerAssignment]
@@ -169,9 +167,9 @@ class Backend(Protocol):
              ) -> MomentMessage | CombinedMessage | None:
         """Return the next worker or reducer message, or None.
 
-        Backends that deliver messages out-of-band (directly into the
-        collector via :meth:`Engine.ingest`) always return None and make
-        progress inside the call instead.  A backend running a
+        Backends that deliver messages out-of-band (straight into the
+        scheduler's ``ingest``, or into the collector itself) always
+        return None and make progress inside the call instead.  A backend running a
         reduction tree (see :mod:`repro.runtime.reduction`) surfaces
         the interior nodes' :class:`~repro.runtime.messages
         .CombinedMessage` forwards through the same channel.
@@ -228,14 +226,15 @@ class EngineBackend:
     #: asynchronously; the sequential loop and the virtual cluster opt out.
     monitors_staleness = False
     #: Whether the backend can interleave assignments from different jobs
-    #: of one :class:`~repro.runtime.scheduler.Scheduler` run.  Backends
-    #: that opt in must route each assignment's job context (routine,
-    #: config, deadline, telemetry) through ``engine.job_context(job)``
-    #: and tag every message and death with the owning job id.
+    #: of one :class:`~repro.runtime.scheduler.Scheduler`.  Every backend
+    #: reads an assignment's context (routine, config, deadline,
+    #: telemetry) through ``engine.job_context(job)``; one that opts in
+    #: also tags every message and death with the owning job id.
     supports_shared_jobs = False
 
     def __init__(self) -> None:
-        self.engine: Engine | None = None
+        #: The bound scheduler (None until :meth:`bind`).
+        self.engine = None
         self.routine = None
         self.config: RunConfig | None = None
         self.collector: Collector | None = None
@@ -244,8 +243,8 @@ class EngineBackend:
 
     # -- context ---------------------------------------------------------
 
-    def bind(self, engine: "Engine") -> None:
-        """Adopt the engine context (routine, config, collector, ...)."""
+    def bind(self, engine) -> None:
+        """Adopt the scheduler context (routine, config, collector, ...)."""
         self.engine = engine
         self.routine = engine.routine
         self.config = engine.config
@@ -263,10 +262,11 @@ class EngineBackend:
 
     # -- work plan and results -------------------------------------------
 
-    def plan(self) -> list[WorkerAssignment]:
-        """The initial work plan: the config's even static split."""
-        config = self.config
-        return [WorkerAssignment(rank, config.worker_quota(rank))
+    def plan(self, job) -> list[WorkerAssignment]:
+        """A job's initial work plan: its config's even static split."""
+        config = job.config
+        return [WorkerAssignment(rank, config.worker_quota(rank),
+                                 job=job.id)
                 for rank in range(config.processors)]
 
     def per_rank_volumes(self, collector: Collector,
@@ -485,18 +485,14 @@ def create_backend(name: str, **options) -> Backend:
 # The engine
 
 class Engine:
-    """Classic single-session driver — a one-job scheduler underneath.
+    """Single-session facade over the scheduler's run loop.
 
-    The per-run state that used to live here (collector, telemetry,
-    quota plan, recovery bookkeeping, result assembly) moved to
-    :class:`~repro.runtime.job.Job`, and the drain loop to
-    :class:`~repro.runtime.scheduler.Scheduler`; this class submits one
-    *anonymous* job (its messages and assignments carry ``job=None``
-    and stay byte-identical to the historical format) and exposes the
-    surface backends have always bound against — ``routine``,
-    ``config``, ``collector``, ``telemetry``, ``started`` and
-    :meth:`ingest`.  Worker deaths raise exactly as before; nothing is
-    contained per job on this path.
+    Submits one *anonymous* job (its messages and assignments carry
+    ``job=None``, so a single run's traffic and artifacts stay
+    byte-identical whatever else the scheduler learns to do), drains it
+    on the calling thread and hands back its result.  The scheduler
+    contains failures per job; this facade re-raises the job's error,
+    so a single run fails exactly where its caller stands.
 
     Args:
         backend: The execution strategy (an object satisfying
@@ -511,13 +507,6 @@ class Engine:
         self._backend = backend
         self.config = config
         self._use_files = use_files
-        self.routine = None
-        self.collector: Collector | None = None
-        self.telemetry = None
-        self.started = 0.0
-        self._scheduler = None
-
-    # -- lifecycle ---------------------------------------------------------
 
     def run(self, routine) -> RunResult:
         """Run one session; return its :class:`RunResult`.
@@ -528,37 +517,14 @@ class Engine:
         """
         # Imported here: scheduler/job import this module for the
         # assignment and registry types.
-        from repro.runtime.job import JobSpec
+        from repro.runtime.job import Job, JobSpec
         from repro.runtime.scheduler import Scheduler
 
-        self.routine = routine
-        scheduler = Scheduler(self._backend, _engine=self)
-        self._scheduler = scheduler
-        job = scheduler.submit(JobSpec(routine=routine, config=self.config,
-                                       use_files=self._use_files))
+        scheduler = Scheduler(self._backend)
+        job = scheduler._enqueue(Job(
+            JobSpec(routine=routine, config=self.config,
+                    use_files=self._use_files), None, 0))
         scheduler.run()
+        if job.error is not None:
+            raise job.error
         return job.result
-
-    # -- backend-facing context --------------------------------------------
-
-    def ingest(self, message: MomentMessage | CombinedMessage,
-               now: float) -> None:
-        """Deliver one worker or reducer message to the collector.
-
-        Backends that bypass :meth:`Backend.poll` (the sequential loop,
-        the cluster simulation's internal delivery) call this directly.
-        A :class:`CombinedMessage` — an interior reducer's coalesced
-        forward — lands through
-        :meth:`~repro.runtime.collector.Collector.receive_combined`,
-        paying one collector cycle for its whole batch of entries.
-        """
-        self._scheduler.ingest(message, now)
-
-    def job_context(self, job_id: str | None = None):
-        """The job owning ``job_id`` (the anonymous job for ``None``)."""
-        return self._scheduler.job_context(job_id)
-
-    @property
-    def all_complete(self) -> bool:
-        """True once the (single) job has left the drain loop."""
-        return self._scheduler.all_complete

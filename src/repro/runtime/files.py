@@ -177,10 +177,6 @@ class SavepointMeta:
         return int(value) if value is not None else None
 
 
-# Backwards-compatible alias for the pre-PR-4 private name.
-_SavepointMeta = SavepointMeta
-
-
 @dataclass(frozen=True)
 class ProcessorSubtotal:
     """One processor's persisted subtotal (the ``manaver`` input).

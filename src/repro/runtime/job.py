@@ -1,12 +1,11 @@
 """Per-experiment job state: the unit the scheduler multiplexes.
 
-Historically :class:`~repro.runtime.engine.Engine` owned one session's
-entire lifecycle — collector, telemetry, save-points, quota plan,
-recovery bookkeeping, result assembly — which welded the runtime to
-"one experiment at a time".  This module extracts that per-run state
-into :class:`Job`, so a :class:`~repro.runtime.scheduler.Scheduler` can
-drive N of them concurrently over one shared backend worker pool while
-the single-job path stays bit-identical to the historical engine.
+A :class:`Job` is one session's entire lifecycle — collector,
+telemetry, save-points, quota plan, recovery bookkeeping, result
+assembly — so a :class:`~repro.runtime.scheduler.Scheduler` can drive
+N of them concurrently over one shared backend worker pool, or exactly
+one (the anonymous job :class:`~repro.runtime.engine.Engine` submits)
+with the same statements in the same order.
 
 A job owns:
 
@@ -54,26 +53,21 @@ class JobStatus:
     """The job lifecycle states (plain strings, stable for reporting).
 
     ``QUEUED -> RUNNING -> DRAINING -> DONE`` on the happy path;
-    ``FAILED`` when the job's death policy raised and the scheduler
-    contained the error (shared mode only — the classic single-job
-    path propagates instead); ``CANCELLED`` when the caller withdrew
-    the job through the streaming service.  Every transition records a
-    per-state SLA timestamp in :attr:`Job.state_times`.
+    ``FAILED`` when the job's death policy (or its prologue/epilogue)
+    raised and the scheduler contained the error; ``CANCELLED`` when
+    the caller withdrew the job.  Every transition records a per-state
+    SLA timestamp in :attr:`Job.state_times`.
     """
 
     QUEUED = "queued"
     RUNNING = "running"
-    #: Drain loop finished for this job; finalization still owed.
+    #: Every message is in; finalization still owed.
     DRAINING = "draining"
     DONE = "done"
     FAILED = "failed"
     CANCELLED = "cancelled"
 
-    #: Pre-streaming aliases (PR 8 names), kept for compatibility.
-    PENDING = QUEUED
-    COMPLETE = DRAINING
-
-    #: States that have left the drain loop.
+    #: States that take no further worker messages.
     TERMINAL = (DRAINING, DONE, FAILED, CANCELLED)
     #: States that need no further scheduler attention at all.
     FINISHED = (DONE, FAILED, CANCELLED)
@@ -137,16 +131,12 @@ class JobSpec:
 class Job:
     """One experiment's live state while a scheduler drives it.
 
-    Everything here used to be attributes of the monolithic engine;
-    the semantics (recovery budget, fresh replacement ranks, telemetry
-    events, finalization order) are preserved verbatim so a single
-    anonymous job reproduces the historical run bit-for-bit.
-
     Args:
         spec: The submitted :class:`JobSpec`.
-        job_id: Stable identifier, or None for the anonymous job of the
-            classic single-run path (its messages and assignments then
-            stay byte-identical to the historical format).
+        job_id: Stable identifier, or None for the anonymous job of a
+            single run (its messages and assignments then carry no job
+            tag, keeping a solo run's traffic byte-identical whether or
+            not the backend can multiplex jobs).
         index: Submission order, used for deterministic tie-breaking.
     """
 
@@ -184,7 +174,7 @@ class Job:
         self.deadline: float | None = None
         self.run_started = 0.0
         self.drain_started: float | None = None
-        # -- recovery bookkeeping (formerly Engine attributes) ---------
+        # -- recovery bookkeeping --------------------------------------
         self._quotas: dict[int, int | None] = {}
         self._assigned: list[int] = []
         self._recovered: list[int] = []
@@ -210,7 +200,7 @@ class Job:
             if self.on_terminal is not None:
                 self.on_terminal(self)
 
-    # -- context the backends read (mirrors the engine surface) --------
+    # -- context the backends read --------------------------------------
 
     @property
     def routine(self):
@@ -232,9 +222,8 @@ class Job:
     def open(self, backend, run_started: float) -> None:
         """Resume the session and wire collector + telemetry.
 
-        Mirrors the historical engine prologue exactly: session resume,
-        telemetry epoch, collector construction, deadline and staleness
-        thresholds.
+        In order: session resume, telemetry epoch, collector
+        construction, deadline and staleness thresholds.
         """
         config = self.spec.config
         self.run_started = run_started
@@ -261,13 +250,6 @@ class Job:
         self._flag_stale_enabled = (
             telemetry is not None and self._stale_after is not None
             and getattr(backend, "monitors_staleness", False))
-
-    def initial_plan(self) -> list[WorkerAssignment]:
-        """The even static split, tagged with this job's identifier."""
-        config = self.spec.config
-        return [WorkerAssignment(rank, config.worker_quota(rank),
-                                 job=self.id)
-                for rank in range(config.processors)]
 
     # -- message path ---------------------------------------------------
 
@@ -342,8 +324,7 @@ class Job:
             now: Backend clock at the reap.
             spawn: ``spawn(job, assignments)`` callback that starts
                 replacement workers immediately (the scheduler's
-                dispatch path, bypassing the fair-share queue exactly
-                like the historical engine respawned inline).
+                dispatch path, bypassing the fair-share queue).
         """
         deaths = sorted(deaths, key=lambda death: death.rank)
         for death in deaths:
@@ -411,15 +392,15 @@ class Job:
     # -- completion -----------------------------------------------------
 
     def mark_complete(self, completed: bool) -> None:
-        """Leave the drain loop; finalization happens after shutdown."""
-        self.status = JobStatus.COMPLETE
+        """Stop taking messages; the loop's next turn finalizes the job."""
+        self.status = JobStatus.DRAINING
         self.completed = completed
         self.finished_wall = time.monotonic()
         self.pending.clear()
         self.in_flight.clear()
 
     def fail(self, error: BaseException) -> None:
-        """Contain a per-job failure (shared mode): drop its work.
+        """Contain a per-job failure: drop its work.
 
         ``error`` lands before the FAILED transition so a waiter woken
         by :attr:`finished` always observes it.
@@ -451,9 +432,8 @@ class Job:
     def finalize(self, backend, scheduler_started: float) -> RunResult:
         """Save, merge and assemble this job's :class:`RunResult`.
 
-        Mirrors the historical engine epilogue statement for statement
-        (same clock samples, same event order) so single-job artifacts
-        stay byte-identical.
+        The statement order (clock samples, event order) is what the
+        byte-identity pins on single-job artifacts hold fixed.
         """
         collector = self.collector
         elapsed = time.monotonic() - scheduler_started

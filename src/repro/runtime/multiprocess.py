@@ -134,16 +134,13 @@ class MultiprocessBackend(EngineBackend):
         self._start_method = start_method
         self._context = None
         self._outbox = None
-        self._bootstrapped = False
         self._processes: list = []
-        # Keyed by rank on the classic path, by (job, rank) for
-        # scheduler-dispatched assignments.
+        # Keyed (job, rank); job is None for a single run's anonymous job.
         self._live: dict = {}
         self._suspects: dict = {}
-        # Reduction topology, one entry per tree owner: the classic
-        # run-wide tree lives under the key None, each job-scoped tree
-        # under its job id.  Reducer inboxes/processes are keyed
-        # (owner, node_id).
+        # Reduction topology, one entry per job that runs a tree, under
+        # its job id (None for a single run's anonymous job).  Reducer
+        # inboxes/processes are keyed (owner, node_id).
         self._plans: dict = {}
         self._leaf_parents: dict = {}
         self._rings: dict[int, ShmRing] = {}
@@ -179,25 +176,6 @@ class MultiprocessBackend(EngineBackend):
             # Reclaim segments a SIGKILLed earlier run left behind.
             sweep_orphans()
 
-    def _bootstrap(self, assignments) -> None:
-        """First spawn: context, queues, rings and reducer processes."""
-        self._ensure_context()
-        ranks = [assignment.rank for assignment in assignments]
-        plan = plan_reduction(ranks, self.config.reduction_fanout)
-        self._plans[None] = plan
-        self._leaf_parents[None] = dict(plan.leaf_parents)
-        self._respawn_budget += (_REDUCER_RESPAWN_FACTOR
-                                 * max(len(plan.nodes), 1))
-        if self._shm:
-            for rank in ranks:
-                self._rings[rank] = ShmRing.create(
-                    segment_name(f"r{rank}"), self.config.shape)
-        for node in plan.nodes:
-            self._reducer_inboxes[(None, node.node_id)] = \
-                self._context.Queue()
-        for node in plan.nodes:
-            self._start_reducer(None, node)
-
     def _upstream_of(self, owner, node: ReducerNode):
         """Where a reducer forwards to: its parent's inbox or rank 0."""
         if node.parent is not None:
@@ -207,7 +185,7 @@ class MultiprocessBackend(EngineBackend):
     def _start_reducer(self, owner, node: ReducerNode) -> int:
         ring_names = (tuple(self._rings[rank].name
                             for rank in node.worker_ranks)
-                      if self._shm and owner is None else ())
+                      if self._shm else ())
         process = self._context.Process(
             target=_reducer_entry,
             args=(node, self._reducer_inboxes[(owner, node.node_id)],
@@ -220,19 +198,22 @@ class MultiprocessBackend(EngineBackend):
     # -- job-scoped trees -------------------------------------------------
 
     def prepare_job(self, job) -> None:
-        """Plan and start a private reduction tree for one job.
+        """Set up one job's exchange: its rings and its reduction tree.
 
-        Called by the scheduler at admission.  A job whose
-        ``reduction_fanout`` is None — or already covers its worker
-        count — keeps the flat exchange and costs nothing.
+        Called by the scheduler at admission.  Rings exist only under
+        ``transport="shm"`` (a single run; shared-pool jobs are
+        queue-only).  A job whose ``reduction_fanout`` is None — or
+        already covers its worker count — keeps the flat exchange.
         """
-        fanout = job.config.reduction_fanout
-        if fanout is None:
-            return
-        plan = plan_reduction(range(job.config.processors), fanout)
+        self._ensure_context()
+        ranks = range(job.config.processors)
+        if self._shm:
+            for rank in ranks:
+                self._rings[rank] = ShmRing.create(
+                    segment_name(f"r{rank}"), self.config.shape)
+        plan = plan_reduction(ranks, job.config.reduction_fanout)
         if plan.flat:
             return
-        self._ensure_context()
         self._plans[job.id] = plan
         self._leaf_parents[job.id] = dict(plan.leaf_parents)
         self._respawn_budget += _REDUCER_RESPAWN_FACTOR * len(plan.nodes)
@@ -275,27 +256,17 @@ class MultiprocessBackend(EngineBackend):
     def cancel_job(self, job: str | None) -> None:
         """Terminate a cancelled job's live workers immediately."""
         for key, process in list(self._live.items()):
-            if isinstance(key, tuple) and key[0] == job:
+            if key[0] == job:
                 process.terminate()
                 self._live.pop(key, None)
                 self._suspects.pop(key, None)
 
-    def _job_context(self, job: str | None):
-        """Per-assignment context: this backend for the classic path
-        (``job=None``), the owning job's view otherwise."""
-        if job is None or self.engine is None:
-            return self
-        return self.engine.job_context(job)
-
     def spawn(self, assignments) -> list[dict]:
-        if not self._bootstrapped:
-            self._bootstrapped = True
-            self._bootstrap(assignments)
         extras = []
         for assignment in assignments:
             rank = assignment.rank
             job = assignment.job
-            context = self._job_context(job)
+            context = self.engine.job_context(job)
             if self._shm and rank not in self._rings:
                 # A recovery rank beyond the planned tree: it reports
                 # straight to rank 0 on a fresh ring.
@@ -317,7 +288,7 @@ class MultiprocessBackend(EngineBackend):
                 daemon=True)
             process.start()
             self._processes.append(process)
-            self._live[rank if job is None else (job, rank)] = process
+            self._live[(job, rank)] = process
             extras.append({"pid": process.pid})
         return extras
 
@@ -363,7 +334,7 @@ class MultiprocessBackend(EngineBackend):
             plan = self._plans.get(owner)
             if plan is None:
                 continue  # the owning job's tree was already released
-            context = self._job_context(owner)
+            context = self.engine.job_context(owner)
             if context.config.on_worker_death != "reassign":
                 raise BackendError(
                     f"reducer {node_id} died (exitcode {exitcode}) "
@@ -375,9 +346,7 @@ class MultiprocessBackend(EngineBackend):
             self._respawn_budget -= 1
             self._reducer_respawns += 1
             pid = self._start_reducer(owner, plan.node(node_id))
-            telemetry = (context.telemetry if owner is not None
-                         else (self.engine.telemetry
-                               if self.engine is not None else None))
+            telemetry = context.telemetry
             if telemetry is not None:
                 telemetry.registry.counter("reduction.respawns").inc()
                 telemetry.events.append(
@@ -428,8 +397,8 @@ class MultiprocessBackend(EngineBackend):
         dead: list[WorkerDeath] = []
         dead_keys: list = []
         for key, process in list(self._live.items()):
-            job, rank = key if isinstance(key, tuple) else (None, key)
-            context = self._job_context(job)
+            job, rank = key
+            context = self.engine.job_context(job)
             if process.exitcode is None \
                     or rank in context.collector.final_ranks:
                 self._suspects.pop(key, None)

@@ -1,17 +1,30 @@
-"""Multi-job scheduler: N experiments multiplexed over one backend.
+"""The run loop: N experiments multiplexed over one backend.
 
 PARMONC's RNG hierarchy carves out 2**10 independent *experiments*
-(``seqnum`` subsequences), but the historical engine ran exactly one
-per process.  The :class:`Scheduler` drives N concurrent
+(``seqnum`` subsequences).  The :class:`Scheduler` drives any number of
 :class:`~repro.runtime.job.Job` instances over one shared backend
-worker pool:
+worker pool, and :meth:`Scheduler.step` is the only loop body in the
+runtime: admit queued jobs, apply cancellations, dispatch, expire
+deadlines, poll and ingest one message, reap deaths, finalize whatever
+drained.  Its three clients differ only in who calls it and when they
+stop:
+
+* ``parmonc()`` / :class:`~repro.runtime.engine.Engine` — one anonymous
+  job, :meth:`Scheduler.run` on the calling thread, error re-raised;
+* :meth:`Scheduler.run` / ``parmonc(jobs=...)`` / ``parmonc-sched`` — a
+  batch: stop admitting, drain on the calling thread, shut down;
+* :meth:`Scheduler.start` / :meth:`Scheduler.serve` /
+  ``parmonc-sched --serve`` — a live service that keeps admitting
+  until :meth:`Scheduler.shutdown`.
+
+Policies the loop applies:
 
 * **Fair share.**  Worker slots are handed out by per-job deficit
   counters: every dispatch charges the job ``1 / priority``, and the
   job with the highest deficit (ties broken by submission order) wins
   the next free slot, so long-run dispatch rates are proportional to
-  priorities.  With unbounded slots (the classic path) every pending
-  assignment is dispatched at once, exactly like the old engine.
+  priorities.  With unbounded slots every pending assignment is
+  dispatched at once.
 * **Quotas.**  ``JobSpec.max_workers`` caps a job's concurrent
   workers; ``workers=`` caps the whole pool.
 * **Admission control.**  ``max_jobs=`` bounds the queue;
@@ -21,17 +34,14 @@ worker pool:
   and advisory deadline misses; :meth:`sla_report` returns the whole
   picture and each job's record also lands in its own telemetry and
   on its :class:`~repro.runtime.result.RunResult`.
-
-The drain loop, death handling and finalization preserve the
-historical engine's statement order, so a single anonymous job (what
-:class:`~repro.runtime.engine.Engine` now submits under the hood) is
-bit-identical to the pre-split engine — same messages, same telemetry
-events, same save-point bytes.
+* **Fault containment.**  A job whose prologue, death policy or
+  epilogue raises is marked FAILED and the loop carries on; backend
+  and programming errors propagate to whoever drives the loop.
 
 Backends that can interleave assignments from different jobs declare
 ``supports_shared_jobs = True`` (sequential, multiprocess,
-distributed); the discrete-event cluster simulation keeps its
-single-job contract and is rejected at submit time.
+distributed); the discrete-event cluster simulation runs one job at a
+time and is rejected at :meth:`submit` (``Engine`` still runs it).
 """
 
 from __future__ import annotations
@@ -59,12 +69,12 @@ __all__ = ["Scheduler"]
 
 
 class Scheduler:
-    """Run a batch of jobs over one shared backend.
+    """Run jobs over one shared backend.
 
     Args:
         backend: The execution strategy all jobs share.
         workers: Global cap on concurrently running workers across all
-            jobs (None = unbounded, the classic behaviour).
+            jobs (None = unbounded).
         max_jobs: Admission bound on the job queue; further
             :meth:`submit` calls raise
             :class:`~repro.exceptions.AdmissionError`.
@@ -78,7 +88,7 @@ class Scheduler:
     """
 
     def __init__(self, backend: Backend, *, workers: int | None = None,
-                 max_jobs: int | None = None, _engine=None) -> None:
+                 max_jobs: int | None = None) -> None:
         if workers is not None and workers < 1:
             raise ConfigurationError(
                 f"scheduler workers must be >= 1, got {workers}")
@@ -88,25 +98,17 @@ class Scheduler:
         self._backend = backend
         self._workers = workers
         self._max_jobs = max_jobs
-        #: Classic single-run mode: the engine wrapper passes itself so
-        #: the backend binds the engine (the historical surface) and
-        #: errors propagate instead of being contained per job.
-        self._engine = _engine
         self._jobs: list[Job] = []
         self._by_id: dict[str | None, Job] = {}
-        self._ran = False
         self.started = 0.0
         self.rejected = 0
         self.stray_messages = 0
-        # -- streaming-service state -----------------------------------
         self._lock = threading.RLock()
         self._state_cond = threading.Condition(self._lock)
-        #: True while the event-driven service accepts live submissions
-        #: (set by :meth:`start`/:meth:`serve`; backends read it at bind
-        #: time to switch to the streaming handshake).
-        self.streaming = False
-        self._serving = False
+        #: Open (False) or stopping (True): once set, nothing further
+        #: is admitted and the loop ends when its jobs have finished.
         self._stop = False
+        #: The thread inside :meth:`serve`, while there is one.
         self._thread: threading.Thread | None = None
         self._bound = False
         #: Jobs admitted by submit() but not yet opened by the loop.
@@ -118,9 +120,10 @@ class Scheduler:
         #: Monotonic submission counter; unlike ``len(self._jobs)`` it
         #: survives :meth:`prune`, keeping ids and indices unique.
         self._submitted = 0
-        # Backend-facing surface when the scheduler itself is bound
-        # (shared mode).  ``config`` becomes a representative config at
-        # run(); per-job context flows through job_context() instead.
+        # What backends read off their bind target.  ``config`` carries
+        # the backend-level knobs; a single run's anonymous job also
+        # lends its routine, collector and telemetry (see
+        # _ensure_bound).  Per-job context flows through job_context().
         self.routine = None
         self.config = None
         self.collector = None
@@ -131,23 +134,20 @@ class Scheduler:
     def submit(self, spec: JobSpec) -> Job:
         """Queue one job; returns its live :class:`Job` handle.
 
-        In the sealed batch mode all submissions must precede
-        :meth:`run`.  Once the streaming service is live
-        (:meth:`start`/:meth:`serve`) this is callable at any time,
-        from any thread: the job is admitted by the service loop and
-        starts competing for workers mid-run.
+        Callable at any time, from any thread, until the scheduler
+        starts stopping (:meth:`run` or :meth:`shutdown`): the loop
+        admits the job on its next turn and it starts competing for
+        workers, mid-run if others are already running.
 
         Raises:
             AdmissionError: The scheduler is at its ``max_jobs`` bound
                 of active (not yet finished) jobs.
-            ConfigurationError: The spec cannot run on this backend or
-                collides with an already-submitted job.
+            ConfigurationError: The spec cannot run on this backend,
+                collides with an already-submitted job, or the
+                scheduler no longer admits jobs.
         """
         with self._state_cond:
-            if self._ran and not self.streaming:
-                raise ConfigurationError(
-                    "jobs must be submitted before the scheduler runs")
-            if self.streaming and self._stop:
+            if self._stop:
                 raise ConfigurationError(
                     "the scheduler service is shutting down and no "
                     "longer admits jobs")
@@ -156,28 +156,24 @@ class Scheduler:
                 raise AdmissionError(
                     f"job queue is at capacity ({self._max_jobs} jobs); "
                     f"retry after a job finishes or raise max_jobs")
-            anonymous = self._engine is not None
-            if anonymous:
-                if self._jobs:
-                    raise ConfigurationError(
-                        "the classic engine path runs exactly one job")
-                job_id = None
-            else:
-                self._validate_shared(spec)
-                job_id = spec.name or f"job-{self._submitted}"
-                if job_id in self._by_id:
-                    raise ConfigurationError(
-                        f"duplicate job name {job_id!r}")
-            job = Job(spec, job_id, self._submitted)
+            self._validate_shared(spec)
+            job_id = spec.name or f"job-{self._submitted}"
+            if job_id in self._by_id:
+                raise ConfigurationError(
+                    f"duplicate job name {job_id!r}")
+            return self._enqueue(Job(spec, job_id, self._submitted))
+
+    def _enqueue(self, job: Job) -> Job:
+        """Register a job and hand it to the loop for admission."""
+        with self._state_cond:
             job.on_terminal = self._on_job_terminal
             job.submitted_wall = time.monotonic()
             self._jobs.append(job)
-            self._by_id[job_id] = job
+            self._by_id[job.id] = job
             self._submitted += 1
             self._active += 1
-            if self.streaming:
-                self._admissions.append(job)
-                self._state_cond.notify_all()
+            self._admissions.append(job)
+            self._state_cond.notify_all()
             return job
 
     def _validate_shared(self, spec: JobSpec) -> None:
@@ -222,7 +218,7 @@ class Scheduler:
 
     @property
     def all_complete(self) -> bool:
-        """True once every job has left the drain loop."""
+        """True once no job expects further worker messages."""
         return all(job.status in JobStatus.TERMINAL
                    for job in self._jobs)
 
@@ -246,125 +242,19 @@ class Scheduler:
             if job.collector.complete:
                 job.mark_complete(completed=True)
 
-    # -- the run --------------------------------------------------------
-
-    def run(self) -> list[Job]:
-        """Drive every submitted job to completion; returns the jobs.
-
-        Raises:
-            BackendError: In classic mode, exactly when the historical
-                engine would have raised (worker death under the
-                ``"fail"`` policy, impossible recovery).  In shared
-                mode those errors fail only the owning job; backend
-                and programming errors still propagate.
-        """
-        if self._ran:
-            raise ConfigurationError("a scheduler can only run once")
-        if not self._jobs:
-            raise ConfigurationError("no jobs were submitted")
-        self._ran = True
-        backend = self._backend
-        engine = self._engine
-        self.started = time.monotonic()
-        if engine is not None:
-            engine.started = self.started
-        for job in self._jobs:
-            job.open(backend, self.started)
-        if engine is not None:
-            only = self._jobs[0]
-            engine.collector = only.collector
-            engine.telemetry = only.telemetry
-            bind_target = engine
-        else:
-            # A representative config for backend-level knobs (start
-            # method, processors for pool sizing); per-job settings are
-            # read through job_context() at spawn time.
-            self.config = self._jobs[0].spec.config.with_updates(
-                time_limit=None, reduction_fanout=None,
-                transport="queue")
-            bind_target = self
-        backend.bind(bind_target)
-        self._bound = True
-        epoch = backend.clock()
-        for job in self._jobs:
-            job.collector.mark_epoch(epoch)
-        if engine is None:
-            prepare = getattr(backend, "prepare_job", None)
-            if prepare is not None:
-                for job in self._jobs:
-                    prepare(job)
-        for job in self._jobs:
-            job.status = JobStatus.RUNNING
-            if engine is not None:
-                job.pending.extend(backend.plan())
-            else:
-                job.pending.extend(job.initial_plan())
-        self._dispatch()
-        drain_clock = backend.clock()
-        for job in self._jobs:
-            job.drain_started = drain_clock
-        try:
-            self._drain()
-        finally:
-            backend.shutdown()
-        for job in self._jobs:
-            if job.telemetry is not None and job.drain_started is not None:
-                job.telemetry.tracer.record(
-                    "collector.drain", job.drain_started, backend.clock(),
-                    messages=job.collector.receive_count)
-        backend.finish()
-        for job in self._jobs:
-            if job.status is JobStatus.FAILED:
-                continue
-            job.finalize(backend, self.started)
-        return list(self._jobs)
-
-    def _drain(self) -> None:
-        backend = self._backend
-        while True:
-            running = [job for job in self._jobs
-                       if job.status is JobStatus.RUNNING]
-            if not running:
-                break
-            self._dispatch()
-            self._expire_deadlines(running)
-            if backend.done:
-                # The backend can produce nothing further (e.g. the
-                # sequential loop ran out of assignments under a time
-                # limit); whatever is incomplete stays incomplete.
-                for job in running:
-                    if job.status is JobStatus.RUNNING:
-                        job.mark_complete(
-                            completed=job.collector.complete)
-                break
-            message = backend.poll(_POLL_SECONDS)
-            if message is not None:
-                self.ingest(message, backend.clock())
-                continue
-            now = backend.clock()
-            deaths = backend.reap()
-            if deaths:
-                self._handle_deaths(deaths, now)
-            for job in self._jobs:
-                if job.status is JobStatus.RUNNING:
-                    job.flag_stale(now)
+    # -- deadlines ------------------------------------------------------
 
     def _expire_deadlines(self, running: Sequence[Job]) -> None:
-        """Cancel undispatched work of jobs past their time limit.
+        """Drop undispatched work of jobs past their time limit.
 
         Dispatched workers honour the same deadline themselves (it is
         passed to ``run_worker``), ship a final pass and complete the
-        job; only never-started assignments need dropping here.  The
-        classic path keeps its historical backend-side handling
-        (``backend.deadline``), so this only acts on shared-mode jobs.
+        job; only never-dispatched assignments need dropping here.
         """
-        if self._engine is not None:
-            return
-        now = self._backend.clock()
         for job in running:
-            if job.status is not JobStatus.RUNNING:
+            if job.deadline is None or job.status is not JobStatus.RUNNING:
                 continue
-            if job.deadline is None or now < job.deadline:
+            if time.monotonic() < job.deadline:
                 continue
             job.pending.clear()
             if not job.in_flight:
@@ -375,10 +265,10 @@ class Scheduler:
     def _dispatch(self) -> None:
         """Hand free worker slots to pending assignments, fairly.
 
-        Unbounded slots (the classic path) dispatch everything at once
-        — a single ``backend.spawn`` with the full plan, exactly like
-        the old engine.  Bounded slots run the deficit auction: highest
-        deficit wins, each dispatch charges ``1 / priority``.
+        Unbounded slots dispatch everything at once — a single
+        ``backend.spawn`` with a job's full plan.  Bounded slots run
+        the deficit auction: highest deficit wins, each dispatch
+        charges ``1 / priority``.
         """
         contenders = [job for job in self._jobs
                       if job.status is JobStatus.RUNNING and job.pending]
@@ -444,18 +334,24 @@ class Scheduler:
             try:
                 job.handle_deaths(by_job[job_id], now, self._spawn_for)
             except BackendError as error:
-                if self._engine is not None:
-                    raise
                 job.fail(error)
 
-    # -- streaming service ----------------------------------------------
-    #
-    # The sealed run() above is the historical batch path and is kept
-    # statement-for-statement identical.  The service below is a second
-    # driver over the same dispatch/ingest/death machinery: jobs are
-    # admitted, cancelled and finalized *while the loop runs*, so the
-    # scheduler behaves like the long-lived G/G/c/K station the
-    # queueing model in apps/queueing.py describes.
+    # -- the loop -------------------------------------------------------
+
+    def run(self) -> list[Job]:
+        """Drive every submitted job to completion; returns the jobs.
+
+        A batch: nothing further is admitted, the loop runs on the
+        calling thread until the jobs have finished, and the backend is
+        shut down — error or not.  Per-job failures land on
+        ``job.error``; backend and programming errors propagate.
+        """
+        if not self._jobs:
+            raise ConfigurationError("no jobs were submitted")
+        with self._state_cond:
+            self._stop = True
+        self.serve()
+        return list(self._jobs)
 
     def start(self, on_idle: Callable[[], object] | None = None
               ) -> threading.Thread:
@@ -465,19 +361,19 @@ class Scheduler:
         from the caller's thread while the service loop owns the
         backend.
         """
-        with self._lock:
-            if self._ran:
-                raise ConfigurationError("a scheduler can only run once")
-            self.streaming = True
         thread = threading.Thread(
             target=self.serve, kwargs={"on_idle": on_idle},
             name="parmonc-scheduler", daemon=True)
-        self._thread = thread
+        with self._state_cond:
+            if self._thread is not None:
+                raise ConfigurationError(
+                    "the scheduler service is already running")
+            self._thread = thread
         thread.start()
         return thread
 
     def serve(self, on_idle: Callable[[], object] | None = None) -> None:
-        """The live admission loop: block until :meth:`shutdown`.
+        """Run the loop on this thread until the scheduler stops.
 
         Args:
             on_idle: Optional tick callback invoked once per loop
@@ -487,59 +383,67 @@ class Scheduler:
                 admits nothing further and returns.
         """
         with self._state_cond:
-            if self._ran and not self.streaming:
-                raise ConfigurationError("a scheduler can only run once")
-            if self._serving:
+            if self._driven_elsewhere():
                 raise ConfigurationError(
                     "the scheduler service is already running")
-            self._ran = True
-            self.streaming = True
-            self._serving = True
+            self._thread = threading.current_thread()
             if not self.started:
                 self.started = time.monotonic()
-            self._state_cond.notify_all()
         try:
             while True:
                 busy = self.step()
                 if on_idle is not None and on_idle() is False:
                     with self._state_cond:
                         self._stop = True
-                        self._state_cond.notify_all()
+                if busy:
+                    continue
                 with self._state_cond:
-                    idle = (not busy and not self._admissions
-                            and not self._cancels)
-                    if idle and self._stop:
+                    if self._admissions or self._cancels:
+                        continue
+                    if self._stop:
                         break
-                    if idle:
-                        # Park until a submit/cancel/shutdown wakes us
-                        # (bounded so the on_idle watcher keeps ticking).
-                        self._state_cond.wait(_POLL_SECONDS)
+                    # Park until a submit/cancel/shutdown wakes us
+                    # (bounded so the on_idle watcher keeps ticking).
+                    self._state_cond.wait(_POLL_SECONDS)
         finally:
-            with self._state_cond:
-                self._serving = False
-                self._state_cond.notify_all()
-            if self._bound:
-                self._backend.shutdown()
+            try:
+                self._close()
+            finally:
+                with self._state_cond:
+                    self._thread = None
+                    self._state_cond.notify_all()
 
     def step(self, poll_timeout: float = _POLL_SECONDS) -> bool:
-        """One service-loop iteration; returns True while work remains.
+        """One turn of the run loop; returns True while work remains.
 
-        Order mirrors one turn of the sealed drain loop: admit, apply
-        cancellations, dispatch, expire deadlines, poll/ingest, reap
-        deaths, flag stale workers, finalize whatever drained.  Public
-        so synchronous harnesses (the load study, tests) can drive the
-        service without a thread.
+        In order: admit, apply cancellations, dispatch, expire
+        deadlines, poll/ingest, reap deaths, flag stale workers,
+        finalize whatever drained.  Public so synchronous harnesses
+        (the load study, tests) can drive the loop without a thread.
         """
         backend = self._backend
         with self._lock:
-            self._admit_pending()
-            self._apply_cancels()
+            if self._admissions:
+                self._admit_pending()
+            if self._cancels:
+                self._apply_cancels()
             running = [job for job in self._jobs
                        if job.status is JobStatus.RUNNING]
+            exhausted = False
             if running:
                 self._dispatch()
                 self._expire_deadlines(running)
-        if running:
+                exhausted = backend.done
+                if exhausted:
+                    # The backend can produce nothing further (the
+                    # cluster simulation ran its event queue dry);
+                    # whatever is incomplete stays incomplete.
+                    for job in running:
+                        if job.status is JobStatus.RUNNING \
+                                and not job.pending:
+                            job.mark_complete(
+                                completed=job.collector.complete)
+        if running and not exhausted:
             message = backend.poll(poll_timeout)
             if message is not None:
                 self.ingest(message, backend.clock())
@@ -552,22 +456,29 @@ class Scheduler:
                     for job in self._jobs:
                         if job.status is JobStatus.RUNNING:
                             job.flag_stale(now)
-        self._finalize_ready()
-        with self._lock:
-            return any(job.status not in JobStatus.FINISHED
-                       for job in self._jobs)
+        for job in running:
+            if job.status is JobStatus.DRAINING:
+                self._finalize(job)
+        return self._active > 0
 
     def _ensure_bound(self, job: Job) -> None:
         """Bind the backend lazily, at the first admission.
 
-        The service can start with an empty queue, so the
-        representative config the backend reads at bind time comes
-        from the first admitted job.
+        The loop can start with an empty queue, so what the backend
+        reads at bind time comes from the first admitted job.  A single
+        run's anonymous job lends its whole context; a named job only a
+        representative config for backend-level knobs (start method,
+        processors for pool sizing) — its own settings are read through
+        job_context() at spawn time.
         """
         if self._bound:
             return
-        self.config = job.spec.config.with_updates(
-            time_limit=None, reduction_fanout=None, transport="queue")
+        if job.id is None:
+            self.routine, self.config = job.routine, job.config
+            self.collector, self.telemetry = job.collector, job.telemetry
+        else:
+            self.config = job.config.with_updates(
+                time_limit=None, reduction_fanout=None, transport="queue")
         self._backend.bind(self)
         self._bound = True
 
@@ -578,12 +489,13 @@ class Scheduler:
             job = self._admissions.popleft()
             if job.status is not JobStatus.QUEUED:
                 continue  # cancelled while queued
-            self._ensure_bound(job)
             try:
                 job.open(backend, time.monotonic())
+                self._ensure_bound(job)
                 job.collector.mark_epoch(backend.clock())
                 announce = getattr(backend, "announce_job", None)
-                if announce is not None:
+                if announce is not None and job.id is not None:
+                    # The anonymous job rides in the classic HELLO.
                     announce(job)
                 prepare = getattr(backend, "prepare_job", None)
                 if prepare is not None:
@@ -599,7 +511,7 @@ class Scheduler:
                 (other.deficit for other in self._jobs
                  if other.status is JobStatus.RUNNING), default=0.0)
             job.status = JobStatus.RUNNING
-            job.pending.extend(job.initial_plan())
+            job.pending.extend(backend.plan(job))
             job.drain_started = backend.clock()
 
     def _apply_cancels(self) -> None:
@@ -617,39 +529,36 @@ class Scheduler:
                 release(job.id)
             job.cancel()
 
-    def _finalize_ready(self) -> None:
-        """Finalize jobs whose drain finished, inside the live loop.
+    def _finalize(self, job: Job) -> None:
+        """Run the epilogue of a job whose messages are all in.
 
-        The sealed path finalizes after backend shutdown; a service
-        never shuts the pool down between jobs, so each job's epilogue
-        (save, merge, result assembly) runs as soon as it drains.
-        ``backend.finish()`` is a no-op for every shared-capable
-        backend, which is what makes the early epilogue safe.
+        A service never shuts the pool down between jobs, so each job's
+        epilogue (save, merge, result assembly) runs in the turn it
+        drains.  ``backend.finish()`` closes the cluster simulation's
+        books before its one job's final save and is a no-op on every
+        backend that shares its pool.
         """
         backend = self._backend
-        with self._lock:
-            ready = [job for job in self._jobs
-                     if job.status is JobStatus.DRAINING]
-        for job in ready:
-            if job.telemetry is not None and job.drain_started is not None:
-                job.telemetry.tracer.record(
-                    "collector.drain", job.drain_started, backend.clock(),
-                    messages=job.collector.receive_count)
-            release = getattr(backend, "release_job", None)
-            if release is not None:
-                release(job.id)
-            try:
-                job.finalize(backend, self.started)
-            except ReproError as error:
-                job.fail(error)
+        if job.telemetry is not None and job.drain_started is not None:
+            job.telemetry.tracer.record(
+                "collector.drain", job.drain_started, backend.clock(),
+                messages=job.collector.receive_count)
+        release = getattr(backend, "release_job", None)
+        if release is not None:
+            release(job.id)
+        try:
+            backend.finish()
+            job.finalize(backend, self.started)
+        except ReproError as error:
+            job.fail(error)
 
     def cancel(self, job: Job | str) -> bool:
         """Cancel a job by handle or id; returns True if it will stop.
 
         A QUEUED job is withdrawn immediately; a RUNNING job is torn
-        down by the service loop (workers terminated, late messages
-        counted as stray).  Jobs already draining or finished are left
-        alone and ``False`` is returned.
+        down by the loop (workers terminated, late messages counted as
+        stray).  Jobs already draining or finished are left alone and
+        ``False`` is returned.
         """
         with self._state_cond:
             if isinstance(job, str):
@@ -675,9 +584,8 @@ class Scheduler:
         """Block until every submitted job has finished.
 
         Returns True when the queue is fully drained (immediately so
-        when it already is), False on timeout.  With the service on a
-        background thread this waits; driven synchronously it steps the
-        loop itself.
+        when it already is), False on timeout.  While another thread
+        runs the loop this waits; otherwise it steps the loop itself.
         """
 
         def drained() -> bool:
@@ -686,8 +594,7 @@ class Scheduler:
                             for job in self._jobs))
 
         with self._state_cond:
-            if self._serving or (self._thread is not None
-                                 and self._thread.is_alive()):
+            if self._driven_elsewhere():
                 return self._state_cond.wait_for(drained, timeout)
         deadline = (time.monotonic() + timeout
                     if timeout is not None else None)
@@ -699,21 +606,39 @@ class Scheduler:
                 return False
             self.step()
 
-    def shutdown(self, timeout: float | None = None) -> None:
-        """Finish the admitted jobs, stop the loop, free the backend."""
-        self.drain(timeout)
+    def shutdown(self, timeout: float | None = None) -> bool:
+        """Finish the admitted jobs, stop the loop, free the backend.
+
+        Returns False when the drain or the join of the service thread
+        timed out: the loop then still owns the backend, and a later
+        ``shutdown()`` finishes the job.
+        """
+        drained = self.drain(timeout)
         with self._state_cond:
             self._stop = True
+            thread = self._thread
+            elsewhere = self._driven_elsewhere()
             self._state_cond.notify_all()
-        thread = self._thread
-        if thread is not None:
+        if not elsewhere:
+            # Nobody else runs the loop, so nobody else will close it.
+            if drained:
+                self._close()
+            return drained
+        if drained:
             thread.join(timeout)
-            self._thread = None
-        elif not self._serving:
-            # Synchronously driven service: nobody else will run the
-            # loop's epilogue.
-            if self._bound:
-                self._backend.shutdown()
+        return drained and not thread.is_alive()
+
+    def _driven_elsewhere(self) -> bool:
+        """True while a thread other than the caller's runs the loop."""
+        return self._thread not in (None, threading.current_thread())
+
+    def _close(self) -> None:
+        """Stop admitting and free the backend; safe to repeat."""
+        with self._state_cond:
+            self._stop = True
+            bound, self._bound = self._bound, False
+        if bound:
+            self._backend.shutdown()
 
     def prune(self) -> int:
         """Drop finished jobs from the live tables; returns the count.

@@ -33,8 +33,9 @@ class SequentialBackend(EngineBackend):
     """Run every worker inline, one after another, on this thread.
 
     Messages bypass :meth:`poll` entirely: the worker's ``send`` feeds
-    :meth:`Engine.ingest` directly, so the collector sees each data
-    pass the instant it is shipped and the hot loop pays no queueing.
+    the scheduler's ``ingest`` directly, so the collector sees each
+    data pass the instant it is shipped and the hot loop pays no
+    queueing.
     """
 
     name = "sequential"
@@ -46,8 +47,6 @@ class SequentialBackend(EngineBackend):
 
     def spawn(self, assignments) -> None:
         self._pending.extend(assignments)
-        # A scheduler may hand out more work after the queue ran dry.
-        self._done = False
         return None
 
     def cancel_job(self, job: str | None) -> None:
@@ -58,42 +57,33 @@ class SequentialBackend(EngineBackend):
     def poll(self, timeout: float) -> MomentMessage | None:
         """Run the next queued worker to completion; always returns None."""
         if not self._pending:
-            self._done = True
             return None
         assignment = self._pending.popleft()
         engine = self.engine
         job = assignment.job
-        if job is None:
-            routine, config = self.routine, self.config
-            deadline = self.deadline
-            telemetry = engine.telemetry
-            send = (lambda message:
-                    engine.ingest(message, time.monotonic()))
-        else:
-            context = engine.job_context(job)
-            routine, config = context.routine, context.config
-            deadline = context.deadline
-            telemetry = context.telemetry
-            send = (lambda message:
-                    engine.ingest(replace(message, job=job),
-                                  time.monotonic()))
+        context = engine.job_context(job)
+        telemetry = context.telemetry
+        # A worker whose turn comes after its job's time limit honours
+        # the limit like any dispatched worker does: it simulates
+        # nothing and ships its final pass, which releases its slot.
+        expired = (context.deadline is not None
+                   and time.monotonic() >= context.deadline)
+
+        def send(message: MomentMessage) -> None:
+            engine.ingest(message if job is None
+                          else replace(message, job=job), time.monotonic())
+
         worker_telemetry = (WorkerTelemetry(assignment.rank)
                             if telemetry is not None else None)
         worker_started = time.monotonic()
         accumulator = run_worker(
-            routine, config, assignment.rank, assignment.quota,
-            send=send, deadline=deadline, telemetry=worker_telemetry)
+            context.routine, context.config, assignment.rank,
+            0 if expired else assignment.quota, send=send,
+            deadline=context.deadline, telemetry=worker_telemetry)
         if telemetry is not None:
             telemetry.tracer.record("worker.run", worker_started,
                                     time.monotonic(), rank=assignment.rank,
                                     volume=accumulator.volume)
-        if job is None and self.deadline is not None \
-                and time.monotonic() >= self.deadline:
-            # Job time limit: drop the not-yet-started workers, exactly
-            # like the batch system would cancel the remaining ranks.
-            # (Shared-mode jobs are expired by the scheduler instead.)
-            self._pending.clear()
-            self._done = True
         return None
 
 

@@ -1,9 +1,9 @@
 """Simulated-cluster backend: the full protocol in virtual time.
 
 Wraps :class:`repro.cluster.simulation.ClusterSimulation` in the same
-engine-driven session lifecycle as the other backends (resume, result
-files, save-points), so a run "on 512 processors" is one function call
-on a laptop.  The returned :class:`RunResult` carries the virtual
+session lifecycle as the other backends (resume, result files,
+save-points), so a run "on 512 processors" is one function call on a
+laptop.  The returned :class:`RunResult` carries the virtual
 ``T_comp`` in :attr:`~repro.runtime.result.RunResult.virtual_time`.
 
 With telemetry enabled the whole record — spans, events, metrics — is
@@ -39,7 +39,7 @@ __all__ = ["SimclusterBackend", "run_simcluster"]
 
 @register_backend("simcluster")
 class SimclusterBackend(EngineBackend):
-    """Drive one :class:`ClusterSimulation` through the shared engine.
+    """Drive one :class:`ClusterSimulation` through the run loop.
 
     Args:
         cluster_spec: Cluster hardware model; defaults to the paper's
@@ -82,15 +82,15 @@ class SimclusterBackend(EngineBackend):
     def telemetry_epoch(self, started: float) -> float:
         return 0.0
 
-    def plan(self) -> list[WorkerAssignment]:
+    def plan(self, job) -> list[WorkerAssignment]:
         if self._scheduling == "dynamic":
             # Self-scheduling: no per-rank quota exists to reassign.
-            return [WorkerAssignment(rank, None)
-                    for rank in range(self.config.processors)]
+            return [WorkerAssignment(rank, None, job=job.id)
+                    for rank in range(job.config.processors)]
         if self._quotas is not None:
-            return [WorkerAssignment(rank, quota)
+            return [WorkerAssignment(rank, quota, job=job.id)
                     for rank, quota in enumerate(self._quotas)]
-        return super().plan()
+        return super().plan(job)
 
     def spawn(self, assignments) -> None:
         if self._simulation is None:

@@ -95,3 +95,31 @@ class TestDynamicScheduling:
                              routine=lambda rng: rng.random(),
                              execute=True)
         assert np.array_equal(first.estimates.mean, second.estimates.mean)
+
+
+class TestDynamicUnderTimeLimit:
+    """Self-scheduled quotas and a virtual-seconds job limit both live
+    in the backend (``plan(job)``, ``done``); the run loop must carry
+    them through untouched.  Values pinned at the commit that folded
+    the single-run driver into ``Scheduler.step()``."""
+
+    def test_run_is_pinned(self, tmp_path):
+        import json
+
+        config = RunConfig(maxsv=200, processors=3, perpass=0.0,
+                           peraver=0.0, time_limit=25.0, workdir=tmp_path)
+        spec = ClusterSpec(duration_model=DurationModel(mean=1.0),
+                           speed_factors=(3.0, 1.0, 1.0))
+        result = run_simcluster(lambda rng: rng.random() ** 2, config,
+                                spec=spec, scheduling="dynamic")
+        assert result.virtual_time == 25.33373333333331
+        assert result.per_rank_volumes == {0: 76, 1: 25, 2: 25}
+        assert result.total_volume == result.session_volume == 126
+        savepoint = json.loads(
+            (tmp_path / "parmonc_data" / "savepoint.json").read_text())
+        assert savepoint["payload"]["snapshot"] == {
+            "sum1": [[41.482141291514345]],
+            "sum2": [[25.743100670817917]],
+            "volume": 126, "compute_time": 0.0}
+        assert savepoint["payload"]["used_seqnums"] == [0]
+        assert savepoint["payload"]["sessions"] == 1

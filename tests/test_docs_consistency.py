@@ -120,3 +120,13 @@ class TestApiDocIntegrity:
         for module in modules:
             assert f"`{module}`" in api, \
                 f"docs/api.md apps table misses {module}"
+
+
+class TestOneRunLoop:
+    def test_exactly_one_function_polls_the_backend(self):
+        # docs/architecture.md: step() is the only loop body.  A second
+        # driver calling backend.poll( must not quietly come back.
+        functions = re.split(r"\n    def ", read(
+            "src/repro/runtime/scheduler.py"))[1:]
+        assert [body.split("(")[0] for body in functions
+                if "backend.poll(" in body] == ["step"]

@@ -335,7 +335,6 @@ class TestTeardownAndLateTraffic:
         host, port = server.start()
         backend = DistributedBackend(connect=f"{host}:{port}")
         scheduler = Scheduler(backend, workers=2)
-        scheduler.streaming = True
         try:
             first = scheduler.submit(_streaming_spec("first", tmp_path))
             _drive(scheduler, lambda: first.status is JobStatus.DONE)
@@ -363,7 +362,6 @@ class TestTeardownAndLateTraffic:
         host, port = server.start()
         backend = DistributedBackend(connect=f"{host}:{port}")
         scheduler = Scheduler(backend, workers=2)
-        scheduler.streaming = True
 
         def settle():
             """Let every ready callback and task on the loop run."""

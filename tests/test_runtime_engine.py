@@ -1,17 +1,20 @@
-"""Tests for the unified engine: registry, parity, fault recovery.
+"""Tests for the single-run path: registry, parity, fault recovery.
 
-The engine owns the session lifecycle for every backend, so the
-headline properties are (a) the registry is the single source of
-backend names, (b) all three backends stay bit-identical through the
-shared driver, and (c) ``on_worker_death="reassign"`` completes a run
-whose worker died mid-flight, with the estimate intact.
+One run loop drives every backend, so the headline properties are
+(a) the registry is the single source of backend names, (b) all
+backends stay bit-identical through the shared loop, and (c)
+``on_worker_death="reassign"`` completes a run whose worker died
+mid-flight, with the estimate intact.
 """
 
 from __future__ import annotations
 
 import os
 import queue
+import re
+import threading
 from collections import deque
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,6 +28,7 @@ from repro.runtime import engine as engine_module
 from repro.runtime.collector import Collector
 from repro.runtime.config import RunConfig
 from repro.runtime.engine import (
+    Engine,
     EngineBackend,
     WorkerAssignment,
     WorkerDeath,
@@ -247,6 +251,31 @@ class TestMultiprocessReassignment:
                     processors=2, backend="multiprocess",
                     start_method="fork", workdir=tmp_path)
 
+    def test_solo_death_raises_from_the_calling_thread(self, tmp_path):
+        # The loop contains failures per job; the single-run facade
+        # must still fail where its caller stands: same error text, no
+        # service thread, backend shut down exactly once.
+        class CountingBackend(MultiprocessBackend):
+            shutdowns = 0
+
+            def shutdown(self):
+                self.shutdowns += 1
+                super().shutdown()
+
+        backend = CountingBackend(start_method="fork")
+        # perpass far beyond the run: only final passes cross the queue.
+        config = RunConfig(maxsv=40, processors=2, perpass=3600.0,
+                           peraver=0.0, workdir=tmp_path)
+        threads_before = set(threading.enumerate())
+        with pytest.raises(BackendError) as caught:
+            Engine(backend, config).run(
+                make_crasher(tmp_path / "crashed.flag"))
+        assert re.fullmatch(
+            r"worker process\(es\) died before delivering a final "
+            r"message: rank [01] \(exitcode 5\)", str(caught.value))
+        assert backend.shutdowns == 1
+        assert set(threading.enumerate()) <= threads_before
+
     def test_clean_exit_without_final_honours_death_grace(self, tmp_path):
         routine = make_clean_quitter(tmp_path / "quit.flag")
         with pytest.raises(BackendError, match="exitcode 0"):
@@ -323,8 +352,12 @@ class TestDeadWorkerDetection:
         backend = MultiprocessBackend()
         backend.config = config
         backend.collector = Collector(config, _snapshot(0), data=None)
+        # Stands in for the bound scheduler: one anonymous job whose
+        # config and collector are the backend's own.
+        backend.engine = SimpleNamespace(
+            telemetry=None, job_context=lambda job: backend)
         backend._outbox = _FakeOutbox(queued)
-        backend._live = {0: _FakeProcess()}
+        backend._live = {(None, 0): _FakeProcess()}
         return backend
 
     def test_reap_drains_queued_messages_before_verdict(self):

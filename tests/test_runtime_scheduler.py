@@ -15,6 +15,7 @@ Invariants under test:
 from __future__ import annotations
 
 import json
+import threading
 import time
 
 import pytest
@@ -194,15 +195,6 @@ class TestAdmission:
             scheduler.submit(spec(seqnum=1, name="b", workdir=tmp_path,
                                   use_files=True))
 
-    def test_submit_after_run_rejected(self):
-        scheduler = Scheduler(SequentialBackend())
-        scheduler.submit(spec(seqnum=0, name="a"))
-        scheduler.run()
-        with pytest.raises(ConfigurationError, match="before"):
-            scheduler.submit(spec(seqnum=1, name="b"))
-        with pytest.raises(ConfigurationError, match="once"):
-            scheduler.run()
-
     def test_invalid_knobs(self):
         with pytest.raises(ConfigurationError):
             Scheduler(SequentialBackend(), workers=0)
@@ -272,21 +264,71 @@ def _normalized_artifacts(workdir):
     return artifacts
 
 
-class TestConcurrentIdentity:
-    def test_eight_jobs_match_single_runs_bit_for_bit(self, tmp_path):
-        # The acceptance scenario: 8 experiments multiplexed over one
-        # 4-slot multiprocess pool vs. the same 8 configs run one at a
-        # time on the reference sequential path.  Estimates and result
-        # artifacts must agree byte for byte (wall-clock fields aside).
-        jobs = [{"realization": square, "name": f"exp{i}",
+@pytest.fixture
+def shared_backend(request):
+    """``(name, options)`` for one shared-capable backend; the
+    distributed case brings up a loopback pool for the test."""
+    name = request.param
+    if name == "sequential":
+        yield name, {}
+    elif name == "multiprocess":
+        yield name, {"start_method": "fork"}
+    else:
+        from repro.runtime.pool import PoolServer
+        server = PoolServer(port=0, workers=4, start_method="fork")
+        host, port = server.start()
+        try:
+            yield name, {"connect": f"{host}:{port}"}
+        finally:
+            server.stop()
+
+
+class TestSubmissionScheduleIdentity:
+    """However jobs reach the loop — all up front through the batch
+    API, or staggered while earlier ones are mid-run — each produces
+    exactly the estimates and save-point artifacts of the same job run
+    solo through ``parmonc()``, on every shared-capable backend."""
+
+    JOBS = 4
+
+    def _items(self, tmp_path):
+        return [{"realization": square, "name": f"exp{i}",
                  "maxsv": 40, "processors": 3, "seqnum": i,
                  "perpass": 0.0, "peraver": 0.0,
                  "workdir": tmp_path / "shared" / f"exp{i}",
                  "priority": float(1 + i % 3)}
-                for i in range(8)]
-        results = parmonc(jobs=jobs, backend="multiprocess", workers=4,
-                          start_method="fork")
-        assert len(results) == 8
+                for i in range(self.JOBS)]
+
+    def _staggered(self, items, backend):
+        # Synchronously stepped, so "mid-run" is exact: the later jobs
+        # are submitted only once the first has workers in flight.
+        from repro.core.parmonc import build_job_spec
+        scheduler = Scheduler(backend, workers=4)
+        specs = [build_job_spec(item, index)
+                 for index, item in enumerate(items)]
+        jobs = [scheduler.submit(specs[0])]
+        _drive(scheduler, lambda: jobs[0].dispatched > 0)
+        assert jobs[0].status is JobStatus.RUNNING
+        jobs += [scheduler.submit(spec) for spec in specs[1:]]
+        assert scheduler.shutdown(timeout=120.0) is True
+        assert all(job.status is JobStatus.DONE for job in jobs)
+        return [job.result for job in jobs]
+
+    @pytest.mark.parametrize("schedule", ["upfront", "staggered"])
+    @pytest.mark.parametrize(
+        "shared_backend", ["sequential", "multiprocess", "distributed"],
+        indirect=True)
+    def test_jobs_match_solo_runs_byte_for_byte(self, tmp_path,
+                                                shared_backend, schedule):
+        name, options = shared_backend
+        items = self._items(tmp_path)
+        if schedule == "upfront":
+            results = parmonc(jobs=items, backend=name, workers=4,
+                              **options)
+        else:
+            results = self._staggered(items,
+                                      create_backend(name, **options))
+        assert len(results) == self.JOBS
         for i, shared in enumerate(results):
             solo = parmonc(square, maxsv=40, seqnum=i, perpass=0.0,
                            peraver=0.0, processors=3,
@@ -431,13 +473,6 @@ def slow_square(rng):
     return rng.random() ** 2
 
 
-def _streaming(backend, **kwargs):
-    """A scheduler in streaming mode, driven synchronously via step()."""
-    scheduler = Scheduler(backend, **kwargs)
-    scheduler.streaming = True
-    return scheduler
-
-
 def _drive(scheduler, predicate, limit=10_000):
     """Step the service loop until ``predicate()`` holds."""
     for _ in range(limit):
@@ -451,7 +486,7 @@ class TestStreamingLifecycle:
     """Live-queue semantics: cancel, mid-stream admission, drain."""
 
     def test_cancel_queued_job_is_withdrawn_immediately(self):
-        scheduler = _streaming(SequentialBackend())
+        scheduler = Scheduler(SequentialBackend())
         job = scheduler.submit(spec(name="queued-victim"))
         assert job.status is JobStatus.QUEUED
         assert scheduler.cancel(job) is True
@@ -465,7 +500,7 @@ class TestStreamingLifecycle:
 
     def test_cancel_running_job_tears_down_pending_work(self):
         backend = SequentialBackend()
-        scheduler = _streaming(backend)
+        scheduler = Scheduler(backend)
         job = scheduler.submit(spec(name="victim", maxsv=40,
                                     processors=40))
         # Admit, dispatch, and run a few of the 40 one-realization
@@ -482,19 +517,19 @@ class TestStreamingLifecycle:
         assert scheduler.drain(timeout=5.0) is True
 
     def test_cancel_finished_job_returns_false(self):
-        scheduler = _streaming(SequentialBackend())
+        scheduler = Scheduler(SequentialBackend())
         job = scheduler.submit(spec(name="fast", maxsv=4, processors=2))
         _drive(scheduler, lambda: job.status is JobStatus.DONE)
         assert scheduler.cancel(job) is False
         assert scheduler.cancel("fast") is False
 
     def test_cancel_unknown_job_raises(self):
-        scheduler = _streaming(SequentialBackend())
+        scheduler = Scheduler(SequentialBackend())
         with pytest.raises(ConfigurationError, match="unknown job"):
             scheduler.cancel("never-submitted")
 
     def test_admission_error_mid_stream_and_slot_reuse(self):
-        scheduler = _streaming(SequentialBackend(), max_jobs=1)
+        scheduler = Scheduler(SequentialBackend(), max_jobs=1)
         first = scheduler.submit(spec(name="first", maxsv=4,
                                       processors=2))
         with pytest.raises(AdmissionError):
@@ -508,7 +543,7 @@ class TestStreamingLifecycle:
         assert scheduler.sla_report()["rejected"] == 1
 
     def test_cancelling_running_job_frees_admission_slot(self):
-        scheduler = _streaming(SequentialBackend(), max_jobs=1)
+        scheduler = Scheduler(SequentialBackend(), max_jobs=1)
         victim = scheduler.submit(spec(name="victim", maxsv=40,
                                        processors=40))
         scheduler.step(poll_timeout=0.0)
@@ -521,20 +556,61 @@ class TestStreamingLifecycle:
         _drive(scheduler, lambda: replacement.status is JobStatus.DONE)
 
     def test_drain_with_empty_queue_returns_immediately(self):
-        scheduler = _streaming(SequentialBackend())
+        scheduler = Scheduler(SequentialBackend())
         before = time.monotonic()
         assert scheduler.drain(timeout=5.0) is True
         assert time.monotonic() - before < 0.5
 
-    def test_submit_after_shutdown_is_rejected(self):
+    @pytest.mark.parametrize("stopped_by", ["shutdown", "run"])
+    def test_submit_after_shutdown_is_rejected(self, stopped_by):
+        # A batch run() and a service shutdown() end the same way: the
+        # loop stops admitting, whichever client drove it.
         scheduler = Scheduler(SequentialBackend())
-        scheduler.start()
-        scheduler.shutdown(timeout=10.0)
+        if stopped_by == "run":
+            scheduler.submit(spec(name="only", maxsv=4, processors=2))
+            scheduler.run()
+        else:
+            scheduler.start()
+            assert scheduler.shutdown(timeout=10.0) is True
         with pytest.raises(ConfigurationError, match="shutting down"):
             scheduler.submit(spec(name="late"))
 
+    def test_shutdown_timeout_keeps_the_running_service(self):
+        # Regression: a timed-out shutdown() used to return None and
+        # forget a service thread that still owned the backend.
+        class GatedBackend(SequentialBackend):
+            def __init__(self):
+                super().__init__()
+                self.entered = threading.Event()
+                self.gate = threading.Event()
+                self.shutdowns = 0
+
+            def poll(self, timeout):
+                self.entered.set()
+                self.gate.wait(60.0)   # hold the loop mid-turn
+                return super().poll(timeout)
+
+            def shutdown(self):
+                self.shutdowns += 1
+                super().shutdown()
+
+        backend = GatedBackend()
+        scheduler = Scheduler(backend)
+        thread = scheduler.start()
+        job = scheduler.submit(spec(name="held", maxsv=4, processors=2))
+        assert backend.entered.wait(60.0)
+        assert scheduler.shutdown(timeout=0.01) is False
+        assert thread.is_alive()
+        assert backend.shutdowns == 0
+        backend.gate.set()
+        # The handle survived, so a second call can finish the job.
+        assert scheduler.shutdown(timeout=60.0) is True
+        assert not thread.is_alive()
+        assert backend.shutdowns == 1
+        assert job.status is JobStatus.DONE
+
     def test_prune_drops_finished_jobs_but_keeps_counters(self):
-        scheduler = _streaming(SequentialBackend())
+        scheduler = Scheduler(SequentialBackend())
         done = scheduler.submit(spec(name="done", maxsv=4, processors=2))
         _drive(scheduler, lambda: done.status is JobStatus.DONE)
         live = scheduler.submit(spec(name="live", seqnum=1))
@@ -545,80 +621,6 @@ class TestStreamingLifecycle:
         _drive(scheduler, lambda: live.status is JobStatus.DONE)
 
 
-class TestStreamingParity:
-    """ISSUE acceptance: a job submitted while the scheduler is mid-run
-    produces byte-identical save-points and estimates to the same job
-    run solo — on sequential, multiprocess, and distributed backends."""
-
-    def _late_spec(self, tmp_path):
-        config = RunConfig(maxsv=40, processors=4, perpass=0.0,
-                           peraver=0.0, seqnum=7,
-                           workdir=tmp_path / "late")
-        return JobSpec(routine=square, config=config, name="late",
-                       use_files=True)
-
-    def _run_streaming(self, backend, tmp_path, workers=None):
-        scheduler = Scheduler(backend, workers=workers)
-        scheduler.start()
-        try:
-            filler = scheduler.submit(spec(slow_square, name="filler",
-                                           maxsv=60, processors=12))
-            # Wait until the pool is genuinely mid-run before the late
-            # job arrives.
-            deadline = time.monotonic() + 30.0
-            while not (filler.status is JobStatus.RUNNING
-                       and filler.dispatched > 0):
-                if time.monotonic() > deadline:
-                    raise AssertionError("filler job never started")
-                time.sleep(0.005)
-            late = scheduler.submit(self._late_spec(tmp_path))
-        finally:
-            scheduler.shutdown(timeout=120.0)
-        assert filler.status is JobStatus.DONE
-        assert late.status is JobStatus.DONE
-        assert filler.result.total_volume == 60
-        return late
-
-    def _assert_parity(self, tmp_path, late):
-        solo = parmonc(square, maxsv=40, seqnum=7, perpass=0.0,
-                       peraver=0.0, processors=4, backend="sequential",
-                       workdir=tmp_path / "solo")
-        streamed = late.result
-        assert streamed.total_volume == solo.total_volume == 40
-        assert (streamed.estimates.mean.tobytes()
-                == solo.estimates.mean.tobytes())
-        assert (streamed.estimates.variance.tobytes()
-                == solo.estimates.variance.tobytes())
-        assert (streamed.estimates.abs_error.tobytes()
-                == solo.estimates.abs_error.tobytes())
-        assert (_normalized_artifacts(tmp_path / "late")
-                == _normalized_artifacts(tmp_path / "solo"))
-
-    def test_sequential_mid_run_submission_is_bit_identical(
-            self, tmp_path):
-        late = self._run_streaming(SequentialBackend(), tmp_path)
-        self._assert_parity(tmp_path, late)
-
-    def test_multiprocess_mid_run_submission_is_bit_identical(
-            self, tmp_path):
-        backend = create_backend("multiprocess", start_method="fork")
-        late = self._run_streaming(backend, tmp_path, workers=4)
-        self._assert_parity(tmp_path, late)
-
-    def test_distributed_mid_run_submission_is_bit_identical(
-            self, tmp_path):
-        from repro.runtime.pool import PoolServer
-        server = PoolServer(port=0, workers=4, start_method="fork")
-        host, port = server.start()
-        try:
-            backend = create_backend("distributed",
-                                     connect=f"{host}:{port}")
-            late = self._run_streaming(backend, tmp_path)
-        finally:
-            server.stop()
-        self._assert_parity(tmp_path, late)
-
-
 class TestStreamingJobScopedReduction:
     def test_fanout_job_admitted_mid_stream_matches_solo(self, tmp_path):
         # A reduction-fanout job rides the streaming service next to a
@@ -626,7 +628,7 @@ class TestStreamingJobScopedReduction:
         # the job, torn down at completion — and the estimate stays
         # bit-identical to the solo sequential run.
         backend = create_backend("multiprocess", start_method="fork")
-        scheduler = _streaming(backend, workers=8)
+        scheduler = Scheduler(backend, workers=8)
         flat = scheduler.submit(spec(slow_square, name="flat",
                                      maxsv=24, processors=6))
         config = RunConfig(maxsv=36, processors=9, perpass=0.0,
