@@ -3,24 +3,15 @@
 The paper's Fig. 2 regime dies at the collector: under per-realization
 passes rank 0 serves O(M) workers, so once ``M * service_time``
 approaches ``tau`` the exchange queue grows without bound and T_comp
-decouples from ``tau * L / M``.  Two figures quantify what the k-ary
-tree buys back:
-
-* **Saturation boundary** — on the deterministic simulated cluster,
-  the largest M whose exchange overhead stays under 50% of ideal
-  compute time.  Interior reducers coalesce their subtree into one
-  combined message per busy period, so the collector's load stops
-  growing with M and the boundary moves by well over an order of
-  magnitude (the asserted floor is 10x).  A full-hierarchy tree point
-  at M = 10**5 simulated workers certifies the cost model at the
-  paper's "practically infinite" processor count.
-* **Same-host transport** — realizations/s of the real multiprocess
-  backend shipping paper-sized (1000x2) per-realization passes over
-  pickle-on-``mp.Queue`` versus the shared-memory ring, at M = 1, 2
-  and 4 workers with repeats.  Which transport wins depends on M (the
-  ring loses below the core count: ROADMAP item 2), so the assertions
-  are correctness only — bit-identical estimates, full volume — and
-  the JSON artifact records every repeat.
+decouples from ``tau * L / M``.  One figure quantifies what the k-ary
+tree buys back: the **saturation boundary** — on the deterministic
+simulated cluster, the largest M whose exchange overhead stays under
+50% of ideal compute time.  Interior reducers coalesce their subtree
+into one combined message per busy period, so the collector's load
+stops growing with M and the boundary moves by well over an order of
+magnitude (the asserted floor is 10x).  A full-hierarchy tree point at
+M = 10**5 simulated workers certifies the cost model at the paper's
+"practically infinite" processor count.
 """
 
 from __future__ import annotations
@@ -28,14 +19,11 @@ from __future__ import annotations
 import os
 import time
 
-import numpy as np
-
 from repro.cluster import ClusterSimulation, ClusterSpec
 from repro.cluster.machine import DurationModel
 from repro.runtime.collector import Collector
 from repro.runtime.config import RunConfig
 from repro.runtime.messages import message_bytes
-from repro.runtime.multiprocess import run_multiprocess
 from repro.stats.accumulator import MomentSnapshot
 
 SMOKE = bool(os.environ.get("PARMONC_BENCH_SMOKE"))
@@ -55,10 +43,6 @@ FULL_TREE_M = 20_000 if SMOKE else 100_000
 #: subtree-sized combined transfers is a fixed cost that honest
 #: accounting amortizes over more compute.
 FULL_TREE_QUOTA = 4 if SMOKE else 8
-
-MP_MAXSV = 512 if SMOKE else 8192
-MP_PROCESSORS = (1, 2, 4)
-MP_REPEATS = 3
 
 
 def _spec() -> ClusterSpec:
@@ -171,42 +155,3 @@ def test_full_hierarchy_tree_point(reporter):
     # The coalescing claim at scale: rank 0 sees orders of magnitude
     # fewer messages than the workers sent.
     assert result.collector_served * 10 <= result.messages_sent
-
-
-def paper_sized(rng):
-    return np.full((1000, 2), rng.random())
-
-
-def test_multiprocess_transport_queue_vs_shm(reporter):
-    reporter.line(f"{MP_MAXSV} paper-sized (1000x2) per-realization "
-                  f"passes, {MP_REPEATS} repeats, realizations/s "
-                  f"(median [min .. max])")
-    for processors in MP_PROCESSORS:
-        estimates = {}
-        medians = {}
-        for transport in ("queue", "shm"):
-            config = RunConfig(maxsv=MP_MAXSV, processors=processors,
-                               nrow=1000, ncol=2, perpass=0.0,
-                               peraver=0.0, transport=transport)
-            rates = []
-            for _ in range(MP_REPEATS):
-                started = time.perf_counter()
-                result = run_multiprocess(paper_sized, config,
-                                          use_files=False)
-                rates.append(MP_MAXSV / (time.perf_counter() - started))
-                assert result.total_volume == MP_MAXSV
-                estimates.setdefault(transport, set()).add(
-                    (result.estimates.mean.tobytes(),
-                     result.estimates.variance.tobytes()))
-                reporter.metric(f"m{processors}_{transport}_per_s",
-                                rates[-1])
-            rates.sort()
-            medians[transport] = rates[len(rates) // 2]
-            reporter.line(f"M={processors} {transport:5s}: "
-                          f"{medians[transport]:8.0f} "
-                          f"[{rates[0]:.0f} .. {rates[-1]:.0f}]")
-        reporter.line(f"M={processors} shm/queue rate ratio: "
-                      f"{medians['shm'] / medians['queue']:.2f}")
-        # One value per transport across repeats, and the same one.
-        assert estimates["shm"] == estimates["queue"]
-        assert len(estimates["queue"]) == 1

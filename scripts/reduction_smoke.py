@@ -1,13 +1,12 @@
 #!/usr/bin/env python
-"""End-to-end tree-reduction + shm-transport smoke test (CI gate).
+"""End-to-end tree-reduction smoke test (CI gate).
 
-Runs the multiprocess backend with ``reduction_fanout=4`` and
-``transport="shm"`` — interior reducer processes draining per-worker
-shared-memory rings — and proves the exchange redesign's two headline
-promises on real OS processes:
+Runs the multiprocess backend with ``reduction_fanout=4`` — interior
+reducer processes coalescing their subtree's passes — and proves the
+tree's two headline promises on real OS processes:
 
-1. **Parity** — the tree + ring run is bit-identical to the sequential
-   backend, and every ``/dev/shm`` segment is reclaimed afterwards.
+1. **Parity** — the tree run is bit-identical to the sequential
+   backend.
 2. **Fault tolerance** — with the rank-4 subtree's reducer killed
    deterministically the moment it absorbs its worker's final message
    (``PARMONC_REDUCER_CRASH``), the run still completes the full
@@ -27,7 +26,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import glob
 import os
 import shutil
 import sys
@@ -66,22 +64,20 @@ def main() -> int:
     args = parser.parse_args()
     base = Path(tempfile.mkdtemp(prefix="parmonc-reduction-smoke-"))
 
-    # -- Part 1: tree + shm parity against sequential ------------------
+    # -- Part 1: tree parity against sequential ------------------------
     sequential = parmonc(square, maxsv=400, perpass=0.0, peraver=0.0,
                          processors=8, backend="sequential",
                          workdir=base / "seq")
     tree = parmonc(square, maxsv=400, perpass=0.0, peraver=0.0,
                    processors=8, backend="multiprocess",
                    start_method="fork", reduction_fanout=4,
-                   transport="shm", workdir=base / "tree")
+                   workdir=base / "tree")
     check(tree.total_volume == sequential.total_volume == 400,
-          "tree+shm run completed the full sample")
+          "tree run completed the full sample")
     check(tree.estimates.mean[0, 0] == sequential.estimates.mean[0, 0]
           and tree.estimates.variance[0, 0]
           == sequential.estimates.variance[0, 0],
-          "tree+shm estimates bit-identical to sequential")
-    check(glob.glob("/dev/shm/parmonc_*") == [],
-          "every shared-memory segment reclaimed after the run")
+          "tree estimates bit-identical to sequential")
 
     # -- Part 2: reducer killed on a final, subtree reassigned ---------
     # processors=5, fanout=4: r1.0 serves ranks 0-3, r1.1 serves rank 4
@@ -94,7 +90,7 @@ def main() -> int:
         result = parmonc(square, maxsv=25, perpass=1000.0, peraver=0.0,
                          processors=5, backend="multiprocess",
                          start_method="fork", reduction_fanout=4,
-                         transport="shm", on_worker_death="reassign",
+                         on_worker_death="reassign",
                          death_grace=0.3, telemetry=True,
                          workdir=base / "elastic")
     finally:
@@ -103,8 +99,6 @@ def main() -> int:
           "recovered run completed the full 25-realization sample")
     check(result.recovered_ranks == (4,),
           "rank 4's eaten quota was reassigned")
-    check(glob.glob("/dev/shm/parmonc_*") == [],
-          "no segment leaked across the reducer crash")
 
     # Reference: ranks 0-3 at full quota plus replacement rank 5 at
     # rank 4's quota, merged in rank order by a local worker loop.

@@ -115,13 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "workers (estimates stay bit-identical; "
                              "default: flat worker-to-collector "
                              "exchange)")
-    parser.add_argument("--transport", choices=("queue", "shm"),
-                        default="queue",
-                        help="multiprocess message transport: 'queue' "
-                             "(pickle over mp.Queue) or 'shm' "
-                             "(zero-copy shared-memory ring buffers "
-                             "with queue fallback for oversized "
-                             "payloads)")
     return parser
 
 
@@ -154,7 +147,6 @@ def main(argv: list[str] | None = None) -> int:
             death_grace=args.death_grace,
             statistics=args.statistics,
             reduction_fanout=args.reduction_fanout,
-            transport=args.transport,
             connect=args.connect,
             # Pools import the routine by name instead of unpickling it.
             backend_options={"routine_spec": args.routine})

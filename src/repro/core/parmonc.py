@@ -81,7 +81,6 @@ def parmonc(realization: RealizationRoutine | None = None,
             death_grace: float = 1.0,
             statistics: Sequence[str] | str | None = None,
             reduction_fanout: int | None = None,
-            transport: str = "queue",
             jobs: Sequence | None = None,
             workers: int | None = None,
             max_jobs: int | None = None
@@ -173,11 +172,6 @@ def parmonc(realization: RealizationRoutine | None = None,
             of O(M) workers — estimates stay bit-identical.  Honoured
             by ``multiprocess`` and ``simcluster``; see
             ``docs/reduction.md``.
-        transport: ``multiprocess`` only — ``"queue"`` (default,
-            pickle over ``mp.Queue``) or ``"shm"`` (zero-copy
-            ``multiprocessing.shared_memory`` ring buffers for the
-            fixed-layout moment payload, queue fallback for oversized
-            payloads).
         jobs: Batch mode — a sequence of experiments to multiplex over
             *one* shared worker pool through a
             :class:`~repro.runtime.scheduler.Scheduler` instead of
@@ -220,22 +214,14 @@ def parmonc(realization: RealizationRoutine | None = None,
         raise ConfigurationError(
             "workers= and max_jobs= apply to jobs=[...] batch mode "
             "only; a single run sizes its pool with processors=")
-    if batch_size is not None:
-        if getattr(realization, "batch_size", None) is not None:
-            raise ConfigurationError(
-                "realization routine already declares its own batch_size; "
-                "drop the batch_size argument")
-        realization = make_batched(realization, batch_size)
-    resolved_workdir = Path(workdir) if workdir is not None else Path.cwd()
-    config = RunConfig(
+    spec = _job_spec(realization, dict(
         nrow=nrow, ncol=ncol, maxsv=maxsv, res=res, seqnum=seqnum,
         perpass=perpass, peraver=peraver, processors=processors,
-        workdir=resolved_workdir,
-        leaps=_resolve_leaps(resolved_workdir, leaps),
-        time_limit=time_limit, telemetry=telemetry,
+        workdir=workdir, leaps=leaps, time_limit=time_limit,
+        telemetry=telemetry, batch_size=batch_size,
         on_worker_death=on_worker_death, death_grace=death_grace,
-        statistics=normalize_statistics(statistics),
-        reduction_fanout=reduction_fanout, transport=transport)
+        statistics=statistics, reduction_fanout=reduction_fanout,
+        use_files=use_files), "the run")
     # create_backend keeps only the options the chosen backend's factory
     # accepts, so simcluster-only knobs are silently ignored elsewhere.
     options = dict(backend_options) if backend_options else {}
@@ -244,14 +230,19 @@ def parmonc(realization: RealizationRoutine | None = None,
     options.setdefault("execute_realizations", execute_realizations)
     options.setdefault("connect", connect)
     backend_impl = create_backend(backend, **options)
-    return Engine(backend_impl, config, use_files=use_files).run(realization)
+    return Engine(backend_impl, spec.config,
+                  use_files=spec.use_files).run(spec.routine)
 
 
 #: Mapping keys of a ``jobs=[...]`` item that flow into its RunConfig.
 _JOB_CONFIG_KEYS = frozenset((
     "nrow", "ncol", "maxsv", "res", "seqnum", "perpass", "peraver",
     "processors", "time_limit", "telemetry", "on_worker_death",
-    "death_grace"))
+    "death_grace", "reduction_fanout"))
+
+#: ... and those that are :class:`JobSpec` fields of their own.
+_JOB_KNOB_KEYS = frozenset((
+    "name", "priority", "max_workers", "deadline", "use_files"))
 
 
 def build_job_spec(item, index: int = 0) -> JobSpec:
@@ -273,36 +264,40 @@ def build_job_spec(item, index: int = 0) -> JobSpec:
     if not callable(routine):
         raise ConfigurationError(
             f"job #{index} needs a callable 'routine'")
+    return _job_spec(routine, spec, f"job #{index}")
+
+
+def _job_spec(routine, spec: dict, label: str) -> JobSpec:
+    """The one place run arguments become a :class:`JobSpec`.
+
+    ``spec`` holds per-run ``parmonc()`` arguments and job knobs and is
+    consumed; ``label`` names the run in error messages.
+    """
     batch_size = spec.pop("batch_size", None)
     if batch_size is not None:
         if getattr(routine, "batch_size", None) is not None:
             raise ConfigurationError(
-                f"job #{index}: routine already declares its own "
-                f"batch_size; drop the batch_size key")
+                f"{label}: routine already declares its own "
+                f"batch_size; drop the batch_size argument")
         routine = make_batched(routine, batch_size)
     workdir = spec.pop("workdir", None)
     resolved_workdir = (Path(workdir) if workdir is not None
                         else Path.cwd())
     leaps = spec.pop("leaps", None)
     statistics = spec.pop("statistics", None)
-    name = spec.pop("name", None)
-    priority = spec.pop("priority", 1.0)
-    max_workers = spec.pop("max_workers", None)
-    deadline = spec.pop("deadline", None)
-    use_files = spec.pop("use_files", True)
+    job_kwargs = {key: spec.pop(key) for key in tuple(spec)
+                  if key in _JOB_KNOB_KEYS}
     config_kwargs = {key: spec.pop(key) for key in tuple(spec)
                      if key in _JOB_CONFIG_KEYS}
     if spec:
         raise ConfigurationError(
-            f"job #{index} has unknown keys {sorted(spec)}")
+            f"{label} has unknown keys {sorted(spec)}")
     config = RunConfig(
         workdir=resolved_workdir,
         leaps=_resolve_leaps(resolved_workdir, leaps),
         statistics=normalize_statistics(statistics),
         **config_kwargs)
-    return JobSpec(routine=routine, config=config, name=name,
-                   priority=priority, max_workers=max_workers,
-                   deadline=deadline, use_files=use_files)
+    return JobSpec(routine=routine, config=config, **job_kwargs)
 
 
 def _run_jobs(jobs: Sequence, *, backend: str, workers: int | None,

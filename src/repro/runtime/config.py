@@ -85,14 +85,6 @@ class RunConfig:
             estimates stay bit-identical to the flat exchange.
             Honoured by the ``multiprocess`` and ``simcluster``
             backends; other backends run flat.
-        transport: Same-host message transport of the ``multiprocess``
-            backend.  ``"queue"`` (default) is pickle over
-            ``mp.Queue``; ``"shm"`` ships the fixed-layout moment
-            payload through a per-worker ``multiprocessing
-            .shared_memory`` ring buffer (zero-copy ndarray views, a
-            seqnum/commit protocol), falling back to the queue for
-            payloads that do not fit a slot.  Other backends ignore
-            the knob.
     """
 
     nrow: int = 1
@@ -111,7 +103,6 @@ class RunConfig:
     death_grace: float = 1.0
     statistics: tuple[str, ...] = DEFAULT_STATISTICS
     reduction_fanout: int | None = None
-    transport: str = "queue"
 
     def __post_init__(self) -> None:
         if self.nrow < 1 or self.ncol < 1:
@@ -157,10 +148,6 @@ class RunConfig:
             raise ConfigurationError(
                 f"reduction_fanout must be >= 2 (or None for the flat "
                 f"exchange), got {self.reduction_fanout}")
-        if self.transport not in ("queue", "shm"):
-            raise ConfigurationError(
-                f"transport must be 'queue' or 'shm', "
-                f"got {self.transport!r}")
         # Normalize workdir to a Path without touching the filesystem.
         object.__setattr__(self, "workdir", Path(self.workdir))
         # Canonicalize the statistics selection (moments first, known

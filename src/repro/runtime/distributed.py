@@ -45,6 +45,7 @@ from repro.exceptions import BackendError, ConfigurationError, WireError
 from repro.runtime.engine import (
     DrainBuffer,
     EngineBackend,
+    ExitVerdicts,
     WorkerDeath,
     register_backend,
 )
@@ -183,8 +184,7 @@ class DistributedBackend(EngineBackend):
         self._exits: queue_module.Queue = queue_module.Queue()
         self._notices: queue_module.Queue = queue_module.Queue()
         self._drainbuf = DrainBuffer(self._inbox.get_nowait)
-        # Suspect timers keyed ``(job, rank)``.
-        self._suspects: dict[tuple[str | None, int], float] = {}
+        self._verdicts = ExitVerdicts()
         self._exit_backlog: list[_ExitRecord] = []
         # Engine-thread -> network-thread work queue.
         self._pending: deque = deque()
@@ -271,10 +271,10 @@ class DistributedBackend(EngineBackend):
         Pools send a worker's EXIT frame only after flushing its queued
         data (and TCP preserves that order), so draining the inbox
         first guarantees every delivered message reaches the collector
-        before its sender can be declared dead.  Verdicts then mirror
-        the multiprocess backend: nonzero exit codes are dead on sight,
-        a clean exit without a final message gets ``config.death_grace``
-        seconds, and a lost pool kills all its unfinished ranks.
+        before its sender can be declared dead.  Verdicts are the
+        shared :class:`~repro.runtime.engine.ExitVerdicts`: nonzero
+        exit codes and lost pools are dead on sight, a clean exit
+        without a final message gets ``config.death_grace`` seconds.
         """
         self._flush_notices()
         if self._drainbuf.drain():
@@ -298,27 +298,21 @@ class DistributedBackend(EngineBackend):
                     raise  # a single run has no jobs to prune
                 # The scheduler pruned the job after DONE; its workers'
                 # late EXIT frames are stray traffic, like late DATA.
-                self._suspects.pop(key, None)
+                self._verdicts.forget(key)
                 self.engine.stray_messages += 1
                 continue
-            if record.rank in context.collector.final_ranks:
-                self._suspects.pop(key, None)
-                continue  # finished before exiting: a normal completion
-            if record.lost or record.exitcode:
+            verdict = self._verdicts.judge(
+                key, final=record.rank in context.collector.final_ranks,
+                crashed=bool(record.lost or record.exitcode), now=now,
+                grace=context.config.death_grace)
+            if verdict is None:
+                waiting.append(record)
+            elif verdict:
                 dead.append(WorkerDeath(record.rank, record.exitcode,
                                         detail=record.detail,
                                         job=record.job))
-            else:
-                first_seen = self._suspects.setdefault(key, now)
-                if now - first_seen >= context.config.death_grace:
-                    dead.append(WorkerDeath(record.rank, record.exitcode,
-                                            detail=record.detail,
-                                            job=record.job))
-                else:
-                    waiting.append(record)
+            # else finished before exiting: a normal completion
         self._exit_backlog = waiting
-        for death in dead:
-            self._suspects.pop((death.job, death.rank), None)
         if not dead:
             self._check_pool_starvation()
         return dead

@@ -58,6 +58,7 @@ __all__ = [
     "DrainBuffer",
     "EngineBackend",
     "Engine",
+    "ExitVerdicts",
     "WorkerAssignment",
     "WorkerDeath",
     "available_backends",
@@ -185,7 +186,8 @@ class Backend(Protocol):
         the worker finished, and a queued non-final message must reach
         the collector (advancing the rank's watermark) before any
         reassignment is sized.  The contract, shared by the
-        multiprocess and distributed backends via :class:`DrainBuffer`:
+        multiprocess and distributed backends via :class:`DrainBuffer`
+        and :class:`ExitVerdicts`:
 
         1. Drain the message channel completely.  If anything was
            drained, return ``[]`` — the engine ingests the buffered
@@ -314,19 +316,10 @@ class DrainBuffer:
             message, raising :class:`queue.Empty` when there is none.
             Evaluated at call time, so a backend may rebind its
             underlying channel (tests do).
-        rings: Optional zero-argument callable yielding the shared-
-            memory rings the collector consumes directly (the
-            ``transport="shm"`` path); each must expose
-            ``receive() -> message | None``.  Rings drain before the
-            queue so the zero-copy path cannot starve behind pickled
-            traffic, and the drain-before-verdict guarantee covers
-            both channels.
     """
 
-    def __init__(self, fetch_nowait: Callable[[], MomentMessage],
-                 rings: Callable[[], Sequence] | None = None) -> None:
+    def __init__(self, fetch_nowait: Callable[[], MomentMessage]) -> None:
         self._fetch = fetch_nowait
-        self._rings = rings
         self._buffer: deque[MomentMessage | CombinedMessage] = deque()
 
     def __len__(self) -> int:
@@ -341,14 +334,6 @@ class DrainBuffer:
     def drain(self) -> bool:
         """Move every pending message into the buffer; True if any were."""
         drained = False
-        if self._rings is not None:
-            for ring in self._rings():
-                while True:
-                    message = ring.receive()
-                    if message is None:
-                        break
-                    self._buffer.append(message)
-                    drained = True
         while True:
             try:
                 self._buffer.append(self._fetch())
@@ -356,6 +341,47 @@ class DrainBuffer:
                 break
             drained = True
         return drained
+
+
+class ExitVerdicts:
+    """Step 2 of the :meth:`Backend.reap` contract, for exited workers.
+
+    One instance per backend judges every worker the backend has seen
+    exit (or lose its pool), keyed ``(job, rank)``, and remembers when
+    a clean exit without a final message was first noticed so its
+    grace period runs across ``reap`` calls.
+    """
+
+    def __init__(self) -> None:
+        self._suspects: dict[tuple, float] = {}
+
+    def judge(self, key: tuple, *, final: bool, crashed: bool,
+              now: float, grace: float) -> bool | None:
+        """Whether the exited worker ``key`` is dead.
+
+        Args:
+            key: ``(job, rank)`` of the exited worker.
+            final: The rank is in its collector's ``final_ranks``.
+            crashed: Nonzero exit code, signal, or lost pool.
+            now: The backend clock.
+            grace: The owning job's ``config.death_grace``.
+
+        Returns:
+            False for a finalized rank (never dead); True for a crash,
+            or for a clean exit still silent ``grace`` seconds after it
+            was first judged; None while that grace is running.
+        """
+        if final:
+            self._suspects.pop(key, None)
+            return False
+        if crashed or now - self._suspects.setdefault(key, now) >= grace:
+            self._suspects.pop(key, None)
+            return True
+        return None
+
+    def forget(self, key: tuple) -> None:
+        """Drop a worker whose job was cancelled or pruned."""
+        self._suspects.pop(key, None)
 
 
 # ---------------------------------------------------------------------------

@@ -55,8 +55,7 @@ __all__ = [
 _HEADER_BYTES = 64
 
 #: Binary body header: flags, nrow, ncol, rank, volume, sent_at,
-#: compute_time, tail length — the fields of ``shm._SLOT`` (minus its
-#: ring sequence word) plus the shape, little-endian, 48 bytes.
+#: compute_time, tail length — little-endian, 48 bytes.
 _BODY = struct.Struct("<4IQ2dQ")
 
 _FLAG_FINAL = 1
@@ -140,7 +139,7 @@ class CombinedMessage:
             rank, in ascending rank order.
         sent_at: Forward time in run seconds.
         metrics: Optional reducer-side telemetry (level, messages
-            drained/forwarded, shm reads) aggregated by the collector.
+            drained since the last forward) aggregated by the collector.
         job: Identifier of the owning job when the reducer serves a
             job-scoped tree (every entry then carries the same job);
             ``None`` for a run-wide tree, keeping the classic combined

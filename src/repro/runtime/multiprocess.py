@@ -6,17 +6,12 @@ the collector (this process) receives them asynchronously — slower
 workers simply deliver fewer realizations by the time any given
 averaging happens, exercising the unequal-``l_m`` branch of formula (5).
 
-Two scaling knobs reshape the exchange without changing a single
-estimate bit (see ``docs/reduction.md``):
-
-* ``config.reduction_fanout`` inserts interior **reducer processes**
-  (:mod:`repro.runtime.reduction`): workers report to their subtree's
-  reducer, reducers coalesce and forward combined messages upstream,
-  and rank 0 serves O(fanout) peers instead of O(M) workers.
-* ``config.transport == "shm"`` moves same-host passes off
-  pickle-over-``mp.Queue`` onto per-worker shared-memory ring buffers
-  (:mod:`repro.runtime.shm`): zero-copy fixed-layout payloads with a
-  queue fallback for anything that does not fit a slot.
+``config.reduction_fanout`` reshapes the exchange without changing a
+single estimate bit (see ``docs/reduction.md``): it inserts interior
+**reducer processes** (:mod:`repro.runtime.reduction`) — workers report
+to their subtree's reducer, reducers coalesce and forward combined
+messages upstream, and rank 0 serves O(fanout) peers instead of O(M)
+workers.
 
 Worker telemetry (when enabled) piggybacks on the moment messages, so
 rank 0 needs no extra IPC channel to know every worker's realization
@@ -28,8 +23,7 @@ applies the run's :attr:`~repro.runtime.config.RunConfig
 quota to a replacement process on a fresh subsequence.  Dead *reducers*
 are handled in place: a reducer holds no state that is not cumulative
 in its children's next passes, so under ``"reassign"`` the backend
-respawns the node on the same queues and rings and the subtree simply
-reattaches.
+respawns the node on the same queues and the subtree simply reattaches.
 """
 
 from __future__ import annotations
@@ -45,14 +39,13 @@ from repro.runtime.engine import (
     DrainBuffer,
     Engine,
     EngineBackend,
+    ExitVerdicts,
     WorkerDeath,
     register_backend,
 )
 from repro.runtime.messages import CombinedMessage, MomentMessage
 from repro.runtime.reduction import ReducerNode, plan_reduction, run_reducer
 from repro.runtime.result import RunResult
-from repro.runtime.shm import ShmRing, ShmSender, attach_ring, segment_name, \
-    sweep_orphans
 from repro.runtime.worker import RealizationRoutine, run_worker
 
 __all__ = ["MultiprocessBackend", "run_multiprocess"]
@@ -69,17 +62,15 @@ _REDUCER_RESPAWN_FACTOR = 4
 
 def _worker_entry(routine: RealizationRoutine, config: RunConfig,
                   rank: int, quota: int, outbox, deadline: float | None,
-                  ring_name: str | None = None,
                   job: str | None = None) -> None:
     """Worker process body: run the loop, shipping messages upstream.
 
     ``outbox`` is wherever this worker's messages go — the backend's
-    queue (flat plan) or its reducer's inbox (tree plan).  With a ring
-    name the worker writes the shared-memory fast path and uses the
-    queue only as overflow.  A job id tags every message on the child
-    side, so the scheduler can route interleaved traffic from several
-    jobs sharing one queue; ``job=None`` (the classic path) leaves the
-    messages byte-identical to the historical format.
+    queue (flat plan) or its reducer's inbox (tree plan).  A job id
+    tags every message on the child side, so the scheduler can route
+    interleaved traffic from several jobs sharing one queue;
+    ``job=None`` (the classic path) leaves the messages byte-identical
+    to the historical format.
     """
     telemetry = WorkerTelemetry(rank) if config.telemetry else None
     if job is None:
@@ -87,28 +78,8 @@ def _worker_entry(routine: RealizationRoutine, config: RunConfig,
     else:
         def send(message, _put=outbox.put, _job=job):
             _put(replace(message, job=_job))
-    if ring_name is None:
-        run_worker(routine, config, rank, quota, send=send,
-                   deadline=deadline, telemetry=telemetry)
-        return
-    ring = attach_ring(ring_name)
-    try:
-        run_worker(routine, config, rank, quota,
-                   send=ShmSender(ring, send),
-                   deadline=deadline, telemetry=telemetry)
-    finally:
-        ring.close()
-
-
-def _reducer_entry(node: ReducerNode, inbox, upstream,
-                   ring_names: tuple[str, ...]) -> None:
-    """Reducer process body: attach the subtree's rings and run the loop."""
-    rings = [attach_ring(name) for name in ring_names]
-    try:
-        run_reducer(node, inbox, upstream, rings)
-    finally:
-        for ring in rings:
-            ring.close()
+    run_worker(routine, config, rank, quota, send=send,
+               deadline=deadline, telemetry=telemetry)
 
 
 @register_backend("multiprocess")
@@ -137,32 +108,21 @@ class MultiprocessBackend(EngineBackend):
         self._processes: list = []
         # Keyed (job, rank); job is None for a single run's anonymous job.
         self._live: dict = {}
-        self._suspects: dict = {}
+        self._verdicts = ExitVerdicts()
         # Reduction topology, one entry per job that runs a tree, under
         # its job id (None for a single run's anonymous job).  Reducer
         # inboxes/processes are keyed (owner, node_id).
         self._plans: dict = {}
         self._leaf_parents: dict = {}
-        self._rings: dict[int, ShmRing] = {}
-        self._root_rings: dict[int, ShmRing] = {}
         self._reducer_inboxes: dict[tuple, object] = {}
         self._reducers: dict[tuple, object] = {}
         self._reducer_respawns = 0
         self._respawn_budget = 0
-        # The fetch closures read self._outbox / self._root_rings at
-        # call time (both are created lazily on first spawn; tests swap
-        # the queue out).  Rings drain ahead of the queue inside the
-        # shared buffer, keeping the drain-before-verdict contract over
-        # both channels.
-        self._drained = DrainBuffer(
-            lambda: self._outbox.get_nowait(),
-            rings=lambda: self._root_rings.values())
+        # The fetch closure reads self._outbox at call time (it is
+        # created lazily on first spawn; tests swap it out).
+        self._drained = DrainBuffer(lambda: self._outbox.get_nowait())
 
     # -- topology ---------------------------------------------------------
-
-    @property
-    def _shm(self) -> bool:
-        return self.config.transport == "shm"
 
     def _ensure_context(self) -> None:
         """Create the multiprocessing context and outbox once."""
@@ -172,9 +132,6 @@ class MultiprocessBackend(EngineBackend):
             multiprocessing.get_context(self._start_method)
             if self._start_method else multiprocessing.get_context())
         self._outbox = self._context.Queue()
-        if self._shm:
-            # Reclaim segments a SIGKILLed earlier run left behind.
-            sweep_orphans()
 
     def _upstream_of(self, owner, node: ReducerNode):
         """Where a reducer forwards to: its parent's inbox or rank 0."""
@@ -183,13 +140,10 @@ class MultiprocessBackend(EngineBackend):
         return self._outbox
 
     def _start_reducer(self, owner, node: ReducerNode) -> int:
-        ring_names = (tuple(self._rings[rank].name
-                            for rank in node.worker_ranks)
-                      if self._shm else ())
         process = self._context.Process(
-            target=_reducer_entry,
+            target=run_reducer,
             args=(node, self._reducer_inboxes[(owner, node.node_id)],
-                  self._upstream_of(owner, node), ring_names),
+                  self._upstream_of(owner, node)),
             daemon=True)
         process.start()
         self._reducers[(owner, node.node_id)] = process
@@ -198,20 +152,15 @@ class MultiprocessBackend(EngineBackend):
     # -- job-scoped trees -------------------------------------------------
 
     def prepare_job(self, job) -> None:
-        """Set up one job's exchange: its rings and its reduction tree.
+        """Set up one job's reduction tree.
 
-        Called by the scheduler at admission.  Rings exist only under
-        ``transport="shm"`` (a single run; shared-pool jobs are
-        queue-only).  A job whose ``reduction_fanout`` is None — or
-        already covers its worker count — keeps the flat exchange.
+        Called by the scheduler at admission.  A job whose
+        ``reduction_fanout`` is None — or already covers its worker
+        count — keeps the flat exchange.
         """
         self._ensure_context()
-        ranks = range(job.config.processors)
-        if self._shm:
-            for rank in ranks:
-                self._rings[rank] = ShmRing.create(
-                    segment_name(f"r{rank}"), self.config.shape)
-        plan = plan_reduction(ranks, job.config.reduction_fanout)
+        plan = plan_reduction(range(job.config.processors),
+                              job.config.reduction_fanout)
         if plan.flat:
             return
         self._plans[job.id] = plan
@@ -259,7 +208,7 @@ class MultiprocessBackend(EngineBackend):
             if key[0] == job:
                 process.terminate()
                 self._live.pop(key, None)
-                self._suspects.pop(key, None)
+                self._verdicts.forget(key)
 
     def spawn(self, assignments) -> list[dict]:
         extras = []
@@ -267,24 +216,15 @@ class MultiprocessBackend(EngineBackend):
             rank = assignment.rank
             job = assignment.job
             context = self.engine.job_context(job)
-            if self._shm and rank not in self._rings:
-                # A recovery rank beyond the planned tree: it reports
-                # straight to rank 0 on a fresh ring.
-                self._rings[rank] = ShmRing.create(
-                    segment_name(f"r{rank}"), self.config.shape)
+            # A recovery rank beyond the planned tree has no parent and
+            # reports straight to rank 0.
             parent = self._leaf_parents.get(job, {}).get(rank)
             outbox = (self._reducer_inboxes[(job, parent)]
                       if parent is not None else self._outbox)
-            ring_name = None
-            if self._shm:
-                ring_name = self._rings[rank].name
-                if parent is None:
-                    self._root_rings[rank] = self._rings[rank]
             process = self._context.Process(
                 target=_worker_entry,
                 args=(context.routine, context.config, rank,
-                      assignment.quota, outbox, context.deadline,
-                      ring_name, job),
+                      assignment.quota, outbox, context.deadline, job),
                 daemon=True)
             process.start()
             self._processes.append(process)
@@ -299,14 +239,8 @@ class MultiprocessBackend(EngineBackend):
         message = self._drained.pop()
         if message is not None:
             return message
-        if self._root_rings and self._drained.drain():
-            return self._drained.pop()
         try:
-            # With live rings the blocking wait is capped so ring
-            # traffic is never starved behind an idle queue.
-            return self._outbox.get(
-                timeout=min(timeout, 0.005) if self._root_rings
-                else timeout)
+            return self._outbox.get(timeout=timeout)
         except queue_module.Empty:
             return None
 
@@ -316,9 +250,9 @@ class MultiprocessBackend(EngineBackend):
         """Respawn (or fail on) reducer processes that died.
 
         A reducer is a stateless relay over cumulative snapshots: the
-        respawned process reattaches to the same inbox, upstream queue
-        and rings, rebuilds its latest-per-rank view from its
-        children's next passes, and the subtree continues.  Anything
+        respawned process reattaches to the same inbox and upstream
+        queue, rebuilds its latest-per-rank view from its children's
+        next passes, and the subtree continues.  Anything
         the dead node absorbed but never forwarded is covered by the
         normal worker grace path (an eaten final leads to a quota
         reassignment; late subtree duplicates drop at the collector).
@@ -354,36 +288,21 @@ class MultiprocessBackend(EngineBackend):
                     exitcode=exitcode, pid=pid)
                 telemetry.events.flush()
 
-    def _sample_rings(self) -> None:
-        """Ring telemetry: occupancy high-water and queue fallbacks."""
-        telemetry = (self.engine.telemetry
-                     if self.engine is not None else None)
-        if telemetry is None or not self._rings:
-            return
-        registry = telemetry.registry
-        occupancy = max(ring.occupancy() for ring in self._rings.values())
-        gauge = registry.gauge("transport.ring_occupancy")
-        gauge.set(occupancy)
-        peak = registry.gauge("transport.ring_occupancy_peak")
-        peak.set(max(peak.value, occupancy))
-        registry.gauge("transport.ring_fallbacks").set(
-            sum(ring.fallbacks for ring in self._rings.values()))
-
     def reap(self) -> list[WorkerDeath]:
         """Report children that died short of their final message.
 
-        A worker that exited with a nonzero code (or a signal) is dead
-        on sight.  A worker that exited *cleanly* but whose final
-        message has not arrived gets ``config.death_grace`` seconds —
-        its last message may still be crossing the queue's feeder
-        thread (or sitting in a dead reducer's inbox) — and is declared
-        dead only if the silence persists.
+        Verdicts are the shared :class:`~repro.runtime.engine
+        .ExitVerdicts`: a nonzero exit (or a signal) is dead on sight;
+        a *clean* exit whose final message has not arrived gets
+        ``config.death_grace`` seconds — its last message may still be
+        crossing the queue's feeder thread (or sitting in a dead
+        reducer's inbox).
 
-        Before judging anyone, the rings and the outbox are drained
-        into the shared :class:`~repro.runtime.engine.DrainBuffer`: a
-        slow-but-delivered message must reach the collector before its
-        sender can be declared dead, and must never burn grace time
-        while it sits in the channel.  Dead reducers are respawned (or
+        Before judging anyone, the outbox is drained into the shared
+        :class:`~repro.runtime.engine.DrainBuffer`: a slow-but-delivered
+        message must reach the collector before its sender can be
+        declared dead, and must never burn grace time while it sits in
+        the channel.  Dead reducers are respawned (or
         fail the run) here too — before the worker verdicts, so a
         respawned subtree gets to deliver pending finals first.
         """
@@ -393,30 +312,22 @@ class MultiprocessBackend(EngineBackend):
             return []
         now = self.clock()
         self._check_reducers(now)
-        self._sample_rings()
         dead: list[WorkerDeath] = []
-        dead_keys: list = []
         for key, process in list(self._live.items()):
+            exitcode = process.exitcode
+            if exitcode is None:
+                continue
             job, rank = key
             context = self.engine.job_context(job)
-            if process.exitcode is None \
-                    or rank in context.collector.final_ranks:
-                self._suspects.pop(key, None)
-                if process.exitcode is not None:
-                    del self._live[key]  # finalized and exited: done
+            verdict = self._verdicts.judge(
+                key, final=rank in context.collector.final_ranks,
+                crashed=exitcode != 0, now=now,
+                grace=context.config.death_grace)
+            if verdict is None:
                 continue
-            if process.exitcode != 0:
-                dead.append(WorkerDeath(rank, process.exitcode, job=job))
-                dead_keys.append(key)
-            else:
-                first_seen = self._suspects.setdefault(key, now)
-                if now - first_seen >= context.config.death_grace:
-                    dead.append(WorkerDeath(rank, process.exitcode,
-                                            job=job))
-                    dead_keys.append(key)
-        for key in dead_keys:
-            self._live.pop(key, None)
-            self._suspects.pop(key, None)
+            del self._live[key]  # finalized and exited, or dead: done
+            if verdict:
+                dead.append(WorkerDeath(rank, exitcode, job=job))
         return dead
 
     # -- teardown ---------------------------------------------------------
@@ -439,14 +350,6 @@ class MultiprocessBackend(EngineBackend):
             self._outbox.close()
         for inbox in self._reducer_inboxes.values():
             inbox.close()
-        # The backend is the single owner of every segment: close the
-        # mapping and unlink so nothing survives in /dev/shm (a crash
-        # before this point is covered by the bootstrap sweep).
-        for ring in self._rings.values():
-            ring.close()
-            ring.unlink()
-        self._rings.clear()
-        self._root_rings.clear()
 
 
 def run_multiprocess(routine: RealizationRoutine, config: RunConfig,
@@ -458,10 +361,9 @@ def run_multiprocess(routine: RealizationRoutine, config: RunConfig,
         routine: User realization routine; must survive the chosen
             multiprocessing start method ("fork" keeps closures, "spawn"
             requires a picklable module-level routine).
-        config: The run configuration; ``config.reduction_fanout`` and
-            ``config.transport`` select the exchange topology and the
-            same-host transport (estimates are bit-identical across
-            all combinations).
+        config: The run configuration; ``config.reduction_fanout``
+            selects the exchange topology (estimates are bit-identical
+            across fanouts).
         use_files: Write result files and save-points.
         start_method: Optional multiprocessing start method override.
 

@@ -26,7 +26,7 @@ every fanout, which ``tests/test_statistics_parity.py`` pins.
 snapshots: a respawned reducer rebuilds its latest-per-rank view from
 the very next pass of each child, so a dead reducer's subtree
 reattaches without data loss (the multiprocess backend respawns the
-node on the same queues/rings under ``on_worker_death="reassign"``).
+node on the same queues under ``on_worker_death="reassign"``).
 A final message the dying reducer absorbed but never forwarded is
 caught by the engine's existing clean-exit grace path and the worker's
 remaining quota is reassigned — late duplicates from its subtree drop
@@ -214,8 +214,7 @@ def _crash_matches(node_id: str) -> tuple[str, int | None] | None:
         f"got {mode!r}")
 
 
-def run_reducer(node: ReducerNode, inbox, upstream,
-                rings: Sequence = (), *,
+def run_reducer(node: ReducerNode, inbox, upstream, *,
                 clock=time.monotonic, idle_wait: float = _IDLE_WAIT
                 ) -> None:
     """The reducer process body: drain, coalesce, forward, repeat.
@@ -223,13 +222,10 @@ def run_reducer(node: ReducerNode, inbox, upstream,
     Args:
         node: This reducer's place in the plan.
         inbox: Queue fed by this node's children — direct worker
-            passes (queue transport or shm overflow) and child
-            reducers' combined messages.  A ``None`` item is the
-            shutdown sentinel.
+            passes and child reducers' combined messages.  A ``None``
+            item is the shutdown sentinel.
         upstream: Queue towards the parent — the parent reducer's
             inbox, or the backend outbox when this node is a root.
-        rings: Shared-memory rings of the workers attached directly to
-            this node (shm transport); drained alongside the inbox.
         clock: Monotonic time source stamping the forwards.
         idle_wait: Blocking-poll granularity when nothing is pending.
 
@@ -248,7 +244,6 @@ def run_reducer(node: ReducerNode, inbox, upstream,
     crash = _crash_matches(node.node_id)
     forwards = 0
     drained_since_forward = 0
-    shm_since_forward = 0
     stopping = False
     while True:
         batch: list[MomentMessage | CombinedMessage] = []
@@ -263,13 +258,6 @@ def run_reducer(node: ReducerNode, inbox, upstream,
                 batch.append(item)
         except queue_module.Empty:
             pass
-        for ring in rings:
-            while True:
-                message = ring.receive()
-                if message is None:
-                    break
-                batch.append(message)
-                shm_since_forward += 1
         if not batch and not stopping:
             if expected <= finals and not dirty:
                 return
@@ -312,13 +300,11 @@ def run_reducer(node: ReducerNode, inbox, upstream,
             upstream.put(CombinedMessage(
                 node_id=node.node_id, entries=entries, sent_at=clock(),
                 metrics={"level": node.level,
-                         "drained": drained_since_forward,
-                         "shm_reads": shm_since_forward},
+                         "drained": drained_since_forward},
                 job=entries[0].job))
             dirty.clear()
             forwards += 1
             drained_since_forward = 0
-            shm_since_forward = 0
             if (crash is not None and crash[0] == "after-forward"
                     and forwards >= (crash[1] or 0)):
                 # "After forward" means after the forward *delivered*:

@@ -192,10 +192,6 @@ class Scheduler:
                 f"backend {getattr(self._backend, 'name', '?')!r} does "
                 f"not plan job-scoped reduction trees; drop "
                 f"reduction_fanout or use the multiprocess backend")
-        if config.transport != "queue":
-            raise ConfigurationError(
-                f"shared-pool jobs require transport='queue', got "
-                f"{config.transport!r}")
         if spec.use_files:
             new_dir = config.data_dir.resolve()
             for other in self._jobs:
@@ -478,7 +474,7 @@ class Scheduler:
             self.collector, self.telemetry = job.collector, job.telemetry
         else:
             self.config = job.config.with_updates(
-                time_limit=None, reduction_fanout=None, transport="queue")
+                time_limit=None, reduction_fanout=None)
         self._backend.bind(self)
         self._bound = True
 

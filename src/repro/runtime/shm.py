@@ -1,24 +1,23 @@
-"""Zero-copy shared-memory transport for same-host moment passes.
+"""Fixed-layout shared-memory moment ring — benchmark surface only.
 
-The queue transport pickles every pass — for the paper's 1000 x 2
-performance test that is a 128,064-byte serialize/deserialize round
-trip per message, paid once in the worker and once at rank 0.  But the
-moment payload has a *fixed layout*: two ``nrow x ncol`` float64
-matrices plus a handful of scalars.  This module ships it through a
-per-worker ``multiprocessing.shared_memory`` ring buffer instead: the
-producer writes the matrices as raw ndarray views (one memcpy, no
-serialization), the consumer reads them as views and copies them out,
-and only the optional variable-size tail (piggybacked telemetry
-metrics, extra statistics) is pickled — into a bounded per-slot area.
-Anything that does not fit a slot — an oversized statistics payload, a
-momentarily full ring — falls back to the queue path, so the transport
-is lossless by construction and ``transport="shm"`` never changes
-*what* arrives, only how fast.
+This was the ``transport="shm"`` same-host exchange of the multiprocess
+backend.  The transport and its option were removed (ISSUE 15,
+``docs/reduction.md`` "Why the ring was removed"): repeated
+measurement showed the queue ahead of it at every M <= cores, and one
+same-host hop is one less axis to pin bit-identity on.  **Nothing under
+``src/repro`` imports this module.**  What is left is exactly what the
+frozen benchmark harness (``benchmarks/perf/layers.py``, its three
+shm send/receive/slot-size rows) calls — :meth:`ShmRing.create`,
+:meth:`~ShmRing.try_send`, :meth:`~ShmRing.receive`,
+:meth:`~ShmRing.close`, :meth:`~ShmRing.unlink`, :func:`segment_name`
+and :data:`DEFAULT_EXTRA` — with unchanged behaviour.  It awaits a
+``benchmark`` PR that drops those rows; then this file goes too
+(ROADMAP item 2).
 
-Wire layout (all offsets 8-byte aligned, little-endian)::
+Layout (all offsets 8-byte aligned, little-endian)::
 
     ring header (64 B): magic, nrow, ncol, slots, extra_cap,
-                        head, tail, fallbacks
+                        head, tail, reserved
     slot (64 B + payload): seq, rank, volume, flags,
                            sent_at (f64), compute_time (f64),
                            extra_len, reserved,
@@ -30,18 +29,14 @@ payload, then writes ``seq = head + 1`` (the commit word), then
 publishes ``head + 1``; the consumer reads a slot only when ``head``
 has advanced past ``tail`` *and* the commit word matches ``tail + 1``,
 copies the payload out, and only then publishes the new ``tail``.  A
-torn or in-flight slot therefore never surfaces; a reader crash leaves
-the ring consistent.
+torn or in-flight slot therefore never surfaces.  The two matrices
+travel as raw ndarray views; only the optional variable-size tail
+(piggybacked metrics, extra statistics) is pickled, into a bounded
+per-slot area.
 
-**Resource-tracker hygiene.**  On Python < 3.13 merely *attaching* a
-``SharedMemory`` registers it with the process's resource tracker
-(cpython #82300), so a SIGKILLed worker leaves "leaked shared_memory"
-warnings and — worse — the tracker unlinks segments the parent still
-owns.  :func:`attach_ring` unregisters right after attaching (the
-``track=False`` keyword exists only on 3.13+); the creating backend is
-the single owner and unlinks every segment in ``shutdown``.  Segment
-names embed the creator's pid so :func:`sweep_orphans` can reclaim
-segments whose creator died before it could clean up.
+The creating process owns the segment: :meth:`ShmRing.create` takes it
+away from the ``multiprocessing`` resource tracker and
+:meth:`ShmRing.unlink` is the only place it is removed.
 """
 
 from __future__ import annotations
@@ -49,8 +44,7 @@ from __future__ import annotations
 import os
 import pickle
 import struct
-import time
-from pathlib import Path
+from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
@@ -58,30 +52,16 @@ from repro.exceptions import ConfigurationError
 from repro.runtime.messages import MomentMessage
 from repro.stats.accumulator import MomentSnapshot
 
-try:  # pragma: no cover - import guard for exotic platforms
-    from multiprocessing import resource_tracker, shared_memory
-except ImportError:  # pragma: no cover
-    resource_tracker = None
-    shared_memory = None
+__all__ = ["DEFAULT_EXTRA", "ShmRing", "segment_name"]
 
-__all__ = [
-    "ShmRing",
-    "ShmSender",
-    "attach_ring",
-    "segment_name",
-    "shm_available",
-    "sweep_orphans",
-]
-
-#: ``"PMNC"`` little-endian — guards against attaching a foreign segment.
+#: ``"PMNC"`` little-endian, the first header word.
 _MAGIC = 0x434E4D50
 
 #: Header fields: magic, nrow, ncol, slots, extra_cap, head, tail,
-#: fallbacks — eight 8-byte words.
+#: reserved — eight 8-byte words.
 _HEADER = struct.Struct("<8Q")
 _HEAD_OFFSET = 5 * 8
 _TAIL_OFFSET = 6 * 8
-_FALLBACK_OFFSET = 7 * 8
 
 #: Slot header: seq, rank, volume, flags, sent_at, compute_time,
 #: extra_len, reserved.
@@ -90,129 +70,35 @@ _SLOT = struct.Struct("<4Q2d2Q")
 _FLAG_FINAL = 1
 _FLAG_EXTRA = 2
 
-#: Default ring geometry: slots per worker and pickled-tail capacity.
+#: Default ring geometry: slots per ring and pickled-tail capacity.
 DEFAULT_SLOTS = 8
 DEFAULT_EXTRA = 8192
 
-#: Prefix of every segment this library creates (``/dev/shm/parmonc_*``).
-_PREFIX = "parmonc"
-
-
-def shm_available() -> bool:
-    """Whether ``multiprocessing.shared_memory`` works on this platform."""
-    return shared_memory is not None
-
 
 def segment_name(suffix: str) -> str:
-    """A fresh segment name encoding the creating pid.
+    """A fresh segment name, ``parmonc_<pid>_<token>_<suffix>``.
 
-    ``parmonc_<pid>_<token>_<suffix>`` — the pid lets
-    :func:`sweep_orphans` decide whether the creator is still alive,
-    the random token keeps concurrent runs of one process apart.
+    The random token keeps concurrent rings of one process apart.
     """
-    return (f"{_PREFIX}_{os.getpid()}_{os.urandom(3).hex()}_{suffix}")
-
-
-def _unregister(segment) -> None:
-    """Drop a segment from the resource tracker, if tracked.
-
-    The tracker is one process shared by the whole fork tree, so every
-    ``SharedMemory`` construction — create *and* attach — must be
-    balanced here or registrations interleave across processes and the
-    tracker logs spurious KeyErrors at unlink time.
-    """
-    if resource_tracker is None:
-        return
-    try:
-        resource_tracker.unregister(segment._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker internals vary
-        pass
-
-
-def _reregister(segment) -> None:
-    """Put a segment back under tracker control (just before unlink)."""
-    if resource_tracker is None:
-        return
-    try:
-        resource_tracker.register(segment._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker internals vary
-        pass
-
-
-def attach_ring(name: str) -> "ShmRing":
-    """Attach to an existing ring without adopting its lifetime.
-
-    The attachment is immediately unregistered from the resource
-    tracker (see the module docstring): the creating backend owns the
-    segment and is the only place that unlinks it.
-    """
-    if shared_memory is None:  # pragma: no cover
-        raise ConfigurationError(
-            "multiprocessing.shared_memory is unavailable on this "
-            "platform; use transport='queue'")
-    try:
-        segment = shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13: no track keyword
-        segment = shared_memory.SharedMemory(name=name)
-        _unregister(segment)
-    return ShmRing(segment, owner=False)
-
-
-def sweep_orphans() -> list[str]:
-    """Unlink segments whose creating process is gone; return their names.
-
-    Runs at backend bootstrap: a SIGKILLed run never reaches
-    ``shutdown``, so its segments survive in ``/dev/shm`` until the
-    next run sweeps them.  Only segments carrying this library's
-    ``parmonc_<pid>_`` prefix are touched, and only when the embedded
-    pid no longer names a live process.
-    """
-    shm_dir = Path("/dev/shm")
-    if shared_memory is None or not shm_dir.is_dir():
-        return []
-    removed = []
-    for path in shm_dir.glob(f"{_PREFIX}_*"):
-        parts = path.name.split("_")
-        try:
-            pid = int(parts[1])
-        except (IndexError, ValueError):
-            continue
-        try:
-            os.kill(pid, 0)
-            continue  # creator still alive: not an orphan
-        except ProcessLookupError:
-            pass
-        except PermissionError:  # pragma: no cover - pid reused by root
-            continue
-        try:
-            path.unlink()
-            removed.append(path.name)
-        except OSError:  # pragma: no cover - raced another sweeper
-            pass
-    return removed
+    return f"parmonc_{os.getpid()}_{os.urandom(3).hex()}_{suffix}"
 
 
 class ShmRing:
     """One single-producer/single-consumer moment ring buffer.
 
-    Create with :meth:`create` in the owning (collector-side) process,
-    attach everywhere else with :func:`attach_ring`.  ``try_send`` and
-    ``receive`` are lock-free and never block.
+    Create with :meth:`create`; ``try_send`` and ``receive`` are
+    lock-free and never block.
     """
 
-    def __init__(self, segment, owner: bool) -> None:
+    def __init__(self, segment, shape: tuple[int, int], slots: int,
+                 extra_capacity: int) -> None:
         self._segment = segment
-        self._owner = owner
-        header = _HEADER.unpack_from(segment.buf, 0)
-        if header[0] != _MAGIC:
-            raise ConfigurationError(
-                f"segment {segment.name!r} is not a parmonc ring")
-        self._nrow = header[1]
-        self._ncol = header[2]
-        self._slots = header[3]
-        self._extra_cap = header[4]
-        self._matrix = int(self._nrow * self._ncol)
-        self._slot_size = _SLOT.size + 16 * self._matrix + self._extra_cap
+        #: ``(nrow, ncol)`` of the payload matrices.
+        self.shape = shape
+        self._slots = slots
+        self._extra_cap = extra_capacity
+        self._matrix = shape[0] * shape[1]
+        self._slot_size = _SLOT.size + 16 * self._matrix + extra_capacity
         self._unlinked = False
 
     # -- lifecycle ------------------------------------------------------
@@ -222,36 +108,20 @@ class ShmRing:
                slots: int = DEFAULT_SLOTS,
                extra_capacity: int = DEFAULT_EXTRA) -> "ShmRing":
         """Create and own a fresh ring for one ``nrow x ncol`` stream."""
-        if shared_memory is None:  # pragma: no cover
-            raise ConfigurationError(
-                "multiprocessing.shared_memory is unavailable on this "
-                "platform; use transport='queue'")
         if slots < 2:
             raise ConfigurationError(
                 f"a ring needs at least 2 slots, got {slots}")
         nrow, ncol = shape
         slot_size = _SLOT.size + 16 * nrow * ncol + extra_capacity
-        size = _HEADER.size + slots * slot_size
-        segment = shared_memory.SharedMemory(name=name, create=True,
-                                             size=size)
-        # Lifetime is managed explicitly (shutdown unlinks, the
-        # bootstrap sweep reclaims crashes); take the segment away from
-        # the tracker so attach/detach churn in child processes cannot
-        # unbalance its bookkeeping.
-        _unregister(segment)
+        segment = shared_memory.SharedMemory(
+            name=name, create=True, size=_HEADER.size + slots * slot_size)
+        # Lifetime is managed explicitly (unlink below); take the
+        # segment away from the resource tracker so it neither warns
+        # about nor removes a segment its creator still owns.
+        _tracker(resource_tracker.unregister, segment)
         _HEADER.pack_into(segment.buf, 0, _MAGIC, nrow, ncol, slots,
                           extra_capacity, 0, 0, 0)
-        return cls(segment, owner=True)
-
-    @property
-    def name(self) -> str:
-        """The segment name (pass to :func:`attach_ring`)."""
-        return self._segment.name
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        """``(nrow, ncol)`` of the payload matrices."""
-        return (int(self._nrow), int(self._ncol))
+        return cls(segment, (nrow, ncol), slots, extra_capacity)
 
     def close(self) -> None:
         """Drop this process's mapping (the segment itself survives)."""
@@ -261,7 +131,7 @@ class ShmRing:
             pass
 
     def unlink(self) -> None:
-        """Remove the segment; owner-side, idempotent.
+        """Remove the segment; idempotent.
 
         ``SharedMemory.unlink`` unregisters from the resource tracker
         unconditionally; re-register first so the bookkeeping balances
@@ -270,13 +140,13 @@ class ShmRing:
         if self._unlinked:
             return
         self._unlinked = True
-        _reregister(self._segment)
+        _tracker(resource_tracker.register, self._segment)
         try:
             self._segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - already swept
+        except FileNotFoundError:  # pragma: no cover - already removed
             pass
 
-    # -- counters -------------------------------------------------------
+    # -- head/tail words---------------------------------------------------
 
     def _read_word(self, offset: int) -> int:
         return struct.unpack_from("<Q", self._segment.buf, offset)[0]
@@ -284,37 +154,15 @@ class ShmRing:
     def _write_word(self, offset: int, value: int) -> None:
         struct.pack_into("<Q", self._segment.buf, offset, value)
 
-    def occupancy(self) -> int:
-        """Committed-but-unread slots (0..slots)."""
-        return self._read_word(_HEAD_OFFSET) - self._read_word(_TAIL_OFFSET)
-
-    @property
-    def slots(self) -> int:
-        """Ring capacity in slots."""
-        return int(self._slots)
-
-    @property
-    def fallbacks(self) -> int:
-        """Messages the producer diverted to the queue path."""
-        return self._read_word(_FALLBACK_OFFSET)
-
-    def note_fallback(self) -> None:
-        """Producer-side: count one message that took the queue instead."""
-        self._write_word(_FALLBACK_OFFSET,
-                         self._read_word(_FALLBACK_OFFSET) + 1)
-
     # -- data path ------------------------------------------------------
 
     def _slot_offset(self, index: int) -> int:
         return _HEADER.size + (index % self._slots) * self._slot_size
 
     def try_send(self, message: MomentMessage) -> bool:
-        """Write one message; False when it must take the queue path.
-
-        Refuses (without side effects) when the ring is full or the
-        pickled tail exceeds the slot's bounded extra area — the caller
-        falls back to the queue, so nothing is ever dropped.
-        """
+        """Write one message; False (without side effects) when the
+        ring is full, the shape differs, or the pickled tail exceeds
+        the slot's bounded extra area."""
         if message.snapshot.shape != self.shape:
             return False
         extra = b""
@@ -346,16 +194,6 @@ class ShmRing:
         # slot visible to the consumer.
         self._write_word(_HEAD_OFFSET, head + 1)
         return True
-
-    def send(self, message: MomentMessage, timeout: float = 0.05) -> bool:
-        """``try_send`` with a brief bounded wait for a free slot."""
-        deadline = time.monotonic() + timeout
-        while True:
-            if self.try_send(message):
-                return True
-            if time.monotonic() >= deadline:
-                return False
-            time.sleep(0.0005)
 
     def receive(self) -> MomentMessage | None:
         """Read and pop one message; None when the ring is empty."""
@@ -393,22 +231,9 @@ class ShmRing:
             metrics=metrics, statistics=statistics)
 
 
-class ShmSender:
-    """The worker-side ``send`` callable: ring first, queue fallback.
-
-    Args:
-        ring: The worker's attached :class:`ShmRing`.
-        fallback: ``Queue.put``-shaped callable for messages the ring
-            cannot take (full past the bounded wait, oversized tail).
-        wait: Seconds to wait for a free slot before falling back.
-    """
-
-    def __init__(self, ring: ShmRing, fallback, wait: float = 0.05) -> None:
-        self._ring = ring
-        self._fallback = fallback
-        self._wait = wait
-
-    def __call__(self, message: MomentMessage) -> None:
-        if not self._ring.send(message, timeout=self._wait):
-            self._ring.note_fallback()
-            self._fallback(message)
+def _tracker(action, segment) -> None:
+    """Apply ``resource_tracker.register``/``unregister`` to a segment."""
+    try:
+        action(segment._name, "shared_memory")
+    except Exception:  # pragma: no cover - tracker internals vary
+        pass

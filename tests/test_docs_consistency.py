@@ -6,10 +6,14 @@ load-bearing claims of README, docs/ and pyproject to the actual code.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
+import inspect
 import re
 import tomllib
 from pathlib import Path
+
+import pytest
 
 
 ROOT = Path(__file__).parent.parent
@@ -130,3 +134,34 @@ class TestOneRunLoop:
             "src/repro/runtime/scheduler.py"))[1:]
         assert [body.split("(")[0] for body in functions
                 if "backend.poll(" in body] == ["step"]
+
+
+class TestOneSameHostPath:
+    # docs/reduction.md "Why the ring was removed": the same-host hop is
+    # mp.Queue alone, and no option selects anything else.
+
+    def test_no_transport_parameter_anywhere(self):
+        from repro import parmonc
+        from repro.cli.run import build_parser
+        from repro.runtime.config import RunConfig
+
+        assert "transport" not in inspect.signature(parmonc).parameters
+        assert "transport" not in {
+            field.name for field in dataclasses.fields(RunConfig)}
+        with pytest.raises(TypeError):
+            RunConfig(transport="shm")
+        with pytest.raises(TypeError):
+            parmonc(lambda rng: 0.0, transport="shm")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["mod:fn", "--maxsv", "1", "--transport", "shm"])
+
+    def test_nothing_under_src_imports_the_ring(self):
+        # runtime/shm.py survives only for the frozen benchmark harness;
+        # same check as `grep -rn "runtime.shm\|runtime import shm"`.
+        pattern = re.compile(r"runtime.shm|runtime import shm")
+        offenders = [
+            str(path.relative_to(ROOT))
+            for path in (ROOT / "src" / "repro").rglob("*.py")
+            if pattern.search(path.read_text())]
+        assert offenders == []

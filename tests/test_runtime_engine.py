@@ -327,11 +327,16 @@ class TestSimclusterReassignment:
 class _FakeOutbox:
     def __init__(self, items):
         self._items = deque(items)
+        self.timeouts = []
 
     def get_nowait(self):
         if not self._items:
             raise queue.Empty
         return self._items.popleft()
+
+    def get(self, timeout):
+        self.timeouts.append(timeout)
+        return self.get_nowait()
 
 
 class _FakeProcess:
@@ -374,6 +379,13 @@ class TestDeadWorkerDetection:
         deaths = backend.reap()
         assert [death.rank for death in deaths] == [0]
         assert deaths[0].exitcode == 0
+
+    def test_poll_blocks_on_the_queue_for_the_full_timeout(self):
+        # One same-host channel: nothing else needs servicing, so the
+        # caller's timeout reaches Queue.get uncapped.
+        backend = self._backend([])
+        assert backend.poll(0.75) is None
+        assert backend._outbox.timeouts == [0.75]
 
     def test_finalized_worker_is_never_a_suspect(self):
         message = MomentMessage(rank=0, snapshot=_snapshot(4),

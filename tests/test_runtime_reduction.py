@@ -106,8 +106,6 @@ class TestPlanReduction:
     def test_config_validates_reduction_fanout(self):
         with pytest.raises(ConfigurationError, match="reduction_fanout"):
             RunConfig(maxsv=1, reduction_fanout=1)
-        with pytest.raises(ConfigurationError, match="transport"):
-            RunConfig(maxsv=1, transport="carrier-pigeon")
 
 
 # ---------------------------------------------------------------------------

@@ -651,6 +651,26 @@ class TestStreamingJobScopedReduction:
         assert (_normalized_artifacts(tmp_path / "tree")
                 == _normalized_artifacts(tmp_path / "solo"))
 
+    def test_jobs_mapping_asks_for_a_tree(self, tmp_path):
+        # docs/scheduler.md: a jobs=[{...}] mapping (or queue-file
+        # entry) carries its own reduction_fanout, through the same
+        # spec builder the single-run path uses.
+        run = dict(maxsv=40, processors=4, seqnum=2, perpass=0.0,
+                   peraver=0.0, reduction_fanout=2)
+        [shared] = parmonc(
+            jobs=[{"routine": square, "name": "tree", **run,
+                   "workdir": tmp_path / "shared"}],
+            backend="multiprocess", start_method="fork", workers=4)
+        solo = parmonc(square, **run, backend="multiprocess",
+                       start_method="fork", workdir=tmp_path / "solo")
+        assert shared.total_volume == solo.total_volume == 40
+        assert (shared.estimates.mean.tobytes()
+                == solo.estimates.mean.tobytes())
+        assert (shared.estimates.abs_error.tobytes()
+                == solo.estimates.abs_error.tobytes())
+        assert (_normalized_artifacts(tmp_path / "shared")
+                == _normalized_artifacts(tmp_path / "solo"))
+
 
 class TestStreamingLoadStudy:
     """Scaled-down million-submission study (the full-scale run lives

@@ -1,37 +1,24 @@
-"""Tests for the zero-copy shared-memory ring transport.
+"""Tests for what is left of the shared-memory ring.
 
-Ring mechanics first (codec round-trips, the commit protocol's
-occupancy accounting, every fallback reason), then the lifetime story
-the resource tracker makes hard: a SIGKILLed worker must not leak a
-``/dev/shm`` segment — the owning backend unlinks on shutdown and the
-bootstrap sweep reclaims what a killed *owner* left behind.
+The ring is no longer a transport (``docs/reduction.md``); these pin
+the codec of the surface the frozen benchmark harness still measures
+(``ShmRing.create / try_send / receive / close / unlink``) until a
+benchmark PR drops the ``runtime.shm.*`` rows and the module with them.
 """
 
 from __future__ import annotations
 
 import glob
-import os
-import signal
 
 import numpy as np
 import pytest
 
-from repro.core.parmonc import parmonc
-from repro.exceptions import ConfigurationError
 from repro.runtime.messages import MomentMessage
-from repro.runtime.shm import (
-    ShmRing,
-    ShmSender,
-    attach_ring,
-    segment_name,
-    shm_available,
-    sweep_orphans,
-)
 from repro.stats.accumulator import MomentAccumulator
 from repro.stats.statistic import create_statistic
 
-pytestmark = pytest.mark.skipif(not shm_available(),
-                                reason="no multiprocessing.shared_memory")
+pytest.importorskip("multiprocessing.shared_memory")
+from repro.runtime.shm import ShmRing, segment_name  # noqa: E402
 
 
 def _message(rank=3, volume=7, *, shape=(2, 2), final=False,
@@ -44,9 +31,12 @@ def _message(rank=3, volume=7, *, shape=(2, 2), final=False,
                          statistics=statistics)
 
 
+SLOTS = 4
+
+
 @pytest.fixture
 def ring():
-    ring = ShmRing.create(segment_name("test"), (2, 2), slots=4)
+    ring = ShmRing.create(segment_name("test"), (2, 2), slots=SLOTS)
     yield ring
     ring.close()
     ring.unlink()
@@ -82,17 +72,15 @@ class TestRingCodec:
         assert (received.statistics["extrema"].to_payload()
                 == extras["extrema"].to_payload())
 
-    def test_fifo_order_and_occupancy(self, ring):
+    def test_fifo_order(self, ring):
         for volume in (1, 2, 3):
             assert ring.try_send(_message(volume=volume))
-        assert ring.occupancy() == 3
         volumes = [ring.receive().snapshot.volume for _ in range(3)]
         assert volumes == [1, 2, 3]  # send order preserved
-        assert ring.occupancy() == 0
         assert ring.receive() is None
 
     def test_full_ring_refuses_then_recovers(self, ring):
-        for _ in range(ring.slots):
+        for _ in range(SLOTS):
             assert ring.try_send(_message())
         assert not ring.try_send(_message())
         assert ring.receive() is not None
@@ -113,111 +101,10 @@ class TestRingCodec:
             small.close()
             small.unlink()
 
-
-class TestSender:
-    def test_fallback_diverts_to_queue_and_counts(self, ring):
-        spill = []
-        sender = ShmSender(ring, spill.append, wait=0.01)
-        for _ in range(ring.slots + 2):
-            sender(_message())
-        assert len(spill) == 2
-        assert ring.fallbacks == 2
-        assert ring.occupancy() == ring.slots
-
-
-class TestLifetime:
-    def test_attach_sees_the_owners_data(self, ring):
-        assert ring.try_send(_message(volume=5))
-        reader = attach_ring(ring.name)
-        try:
-            assert reader.shape == (2, 2)
-            assert reader.receive().snapshot.volume == 5
-        finally:
-            reader.close()
-
-    def test_foreign_segment_rejected(self):
-        from multiprocessing import shared_memory
-        segment = shared_memory.SharedMemory(
-            name=segment_name("alien"), create=True, size=1024)
-        try:
-            with pytest.raises(ConfigurationError, match="not a parmonc"):
-                attach_ring(segment.name)
-        finally:
-            segment.close()
-            segment.unlink()
-
-    def test_unlink_is_idempotent(self):
-        ring = ShmRing.create(segment_name("gone"), (1, 1))
+    def test_unlink_is_idempotent_and_removes_the_segment(self):
+        name = segment_name("gone")
+        ring = ShmRing.create(name, (1, 1))
         ring.close()
         ring.unlink()
         ring.unlink()
-        assert not glob.glob(f"/dev/shm/{ring.name}")
-
-    def test_sweep_reclaims_dead_owner_segments_only(self):
-        from multiprocessing import shared_memory
-        dead_pid = 99999
-        while True:
-            try:
-                os.kill(dead_pid, 0)
-                dead_pid += 1
-            except ProcessLookupError:
-                break
-            except PermissionError:
-                dead_pid += 1
-        orphan_name = f"parmonc_{dead_pid}_deadbe_r0"
-        orphan = shared_memory.SharedMemory(name=orphan_name, create=True,
-                                            size=256)
-        orphan.close()
-        live = ShmRing.create(segment_name("live"), (1, 1))
-        try:
-            removed = sweep_orphans()
-            assert orphan_name in removed
-            assert not glob.glob(f"/dev/shm/{orphan_name}")
-            assert glob.glob(f"/dev/shm/{live.name}")
-        finally:
-            live.close()
-            live.unlink()
-
-
-def make_sigkill_crasher(flag_path):
-    """A routine whose 5th call SIGKILLs its worker — once, run-wide.
-
-    SIGKILL skips every ``finally`` and atexit hook, so the worker's
-    attached ring never gets a clean close: the regression this guards
-    is the backend still unlinking every segment afterwards.
-    """
-    calls = {"n": 0}
-
-    def routine(rng):
-        calls["n"] += 1
-        if calls["n"] == 5:
-            try:
-                flag_path.touch(exist_ok=False)
-            except FileExistsError:
-                pass
-            else:
-                os.kill(os.getpid(), signal.SIGKILL)
-        return rng.random()
-
-    return routine
-
-
-class TestLeakRegression:
-    def test_sigkilled_worker_leaks_no_segment(self, tmp_path):
-        routine = make_sigkill_crasher(tmp_path / "killed.flag")
-        result = parmonc(routine, maxsv=40, perpass=0.0, peraver=0.0,
-                         processors=2, backend="multiprocess",
-                         start_method="fork", transport="shm",
-                         on_worker_death="reassign", workdir=tmp_path)
-        assert result.total_volume == 40
-        assert len(result.recovered_ranks) == 1
-        assert glob.glob("/dev/shm/parmonc_*") == []
-
-    def test_tree_run_with_shm_leaves_no_segment(self, tmp_path):
-        result = parmonc(lambda rng: rng.random(), maxsv=40, perpass=0.0,
-                         peraver=0.0, processors=4,
-                         backend="multiprocess", start_method="fork",
-                         transport="shm", reduction_fanout=2,
-                         workdir=tmp_path)
-        assert result.total_volume == 40
-        assert glob.glob("/dev/shm/parmonc_*") == []
+        assert not glob.glob(f"/dev/shm/{name}")

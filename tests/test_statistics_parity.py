@@ -91,11 +91,11 @@ class TestCrossBackendParity:
 
 
 class TestReductionTransportParity:
-    """The exchange topology and transport never touch a result bit.
+    """The exchange topology never touches a result bit.
 
     Reducers forward untouched per-rank snapshots and the collector
-    always folds in rank order, so every fanout x transport (x batched)
-    combination must reproduce the flat queue exchange exactly: same
+    always folds in rank order, so every fanout (x batched) must
+    reproduce the flat exchange exactly: same
     estimate bytes, same statistic payloads, same savepoint payload
     (modulo the wall-clock compute-time field).
     """
@@ -123,34 +123,29 @@ class TestReductionTransportParity:
         label = "batched" if batch_size else "scalar"
         fingerprints = {}
         for fanout in self.FANOUTS:
-            for transport in ("queue", "shm"):
-                workdir = (tmp_path / label
-                           / f"f{fanout or 0}-{transport}")
-                result = parmonc(pair, nrow=1, ncol=2, maxsv=60,
-                                 seqnum=1, processors=6, perpass=0.0,
-                                 peraver=0.0, backend="multiprocess",
-                                 start_method="fork",
-                                 batch_size=batch_size,
-                                 statistics=ALL_STATISTICS,
-                                 reduction_fanout=fanout,
-                                 transport=transport, workdir=workdir)
-                assert result.total_volume == 60, (fanout, transport)
-                fingerprints[(fanout, transport)] = \
-                    self._fingerprint(workdir, result)
+            workdir = tmp_path / label / f"f{fanout or 0}"
+            result = parmonc(pair, nrow=1, ncol=2, maxsv=60,
+                             seqnum=1, processors=6, perpass=0.0,
+                             peraver=0.0, backend="multiprocess",
+                             start_method="fork",
+                             batch_size=batch_size,
+                             statistics=ALL_STATISTICS,
+                             reduction_fanout=fanout, workdir=workdir)
+            assert result.total_volume == 60, fanout
+            fingerprints[fanout] = self._fingerprint(workdir, result)
         return fingerprints
 
-    def test_every_fanout_and_transport_is_bit_identical(self, tmp_path):
+    def test_every_fanout_is_bit_identical(self, tmp_path):
         fingerprints = self._run_matrix(tmp_path)
-        reference = fingerprints[(None, "queue")]
-        for combo, fingerprint in fingerprints.items():
-            assert fingerprint == reference, combo
+        reference = fingerprints[None]
+        for fanout, fingerprint in fingerprints.items():
+            assert fingerprint == reference, fanout
 
     def test_batched_matrix_matches_scalar_reference(self, tmp_path):
-        reference = self._run_matrix(
-            tmp_path / "ref")[(None, "queue")]
+        reference = self._run_matrix(tmp_path / "ref")[None]
         fingerprints = self._run_matrix(tmp_path, batch_size=16)
-        for combo, fingerprint in fingerprints.items():
-            assert fingerprint == reference, combo
+        for fanout, fingerprint in fingerprints.items():
+            assert fingerprint == reference, fanout
 
     def test_simcluster_tree_matches_flat(self, tmp_path):
         results = {}
@@ -169,7 +164,7 @@ class TestReductionTransportParity:
             "def one(rng):\n    return rng.random()\n")
         code = main(["model:one", "--maxsv", "40", "--processors", "4",
                      "--backend", "multiprocess",
-                     "--reduction-fanout", "2", "--transport", "shm",
+                     "--reduction-fanout", "2",
                      "--workdir", str(tmp_path)])
         assert code == 0
         assert "total sample volume: 40" in capsys.readouterr().out
