@@ -64,7 +64,7 @@ def main() -> int:
                       f"(exit {child.returncode}); raise maxsv",
                       file=sys.stderr)
                 return 1
-            if list(data.savepoints_dir.glob("processor_*.json")):
+            if list(data.savepoints_dir.glob("processor_*.bin")):
                 break
             time.sleep(0.1)
         else:

@@ -48,6 +48,7 @@ if REPO_SRC not in sys.path:
 
 from repro.cli.sched import status_path, submit_main  # noqa: E402
 from repro.runtime.config import RunConfig  # noqa: E402
+from repro.runtime.files import DataDirectory  # noqa: E402
 from repro.runtime.sequential import run_sequential  # noqa: E402
 
 LISTEN_TIMEOUT = 30.0
@@ -185,11 +186,11 @@ def normalized_artifacts(workdir: Path) -> dict:
                  if not line.startswith(("mean_time_per_realization_sec",
                                          "written_at", "elapsed_sec"))]
     artifacts["results/func_log.dat"] = "\n".join(log_lines)
-    savepoint = json.loads((root / "savepoint.json").read_text())
-    savepoint.pop("checksum", None)
-    savepoint.pop("written_at", None)
-    savepoint["payload"]["snapshot"].pop("compute_time", None)
-    artifacts["savepoint.json"] = savepoint
+    snapshot, meta = DataDirectory(workdir).load_savepoint()
+    # Everything the save-point holds except ``compute_time``.
+    artifacts["savepoint.bin"] = (
+        snapshot.sum1.tobytes(), snapshot.sum2.tobytes(), snapshot.volume,
+        meta.used_seqnums, meta.sessions, meta.manifest)
     return artifacts
 
 

@@ -48,8 +48,7 @@ def start_session(config: RunConfig, use_files: bool = True
     if config.res == 0:
         # "In case of a new simulation the parmonc creates brand new
         # files with results" — drop anything a previous run left behind.
-        if data.savepoint_path.exists():
-            data.savepoint_path.unlink()
+        data.clear_savepoint()
         data.clear_processor_snapshots()
     data.register_experiment(seqnum=config.seqnum,
                              processors=config.processors,

@@ -46,7 +46,7 @@ class Collector:
             discrete-event cluster simulation's fast path).
         sessions: Session index recorded in ``func_log.dat``.
         persist_subtotals: Whether to mirror each worker's latest
-            snapshot into ``savepoints/processor_<m>.json`` (the
+            snapshot into ``savepoints/processor_<m>.bin`` (the
             ``manaver`` recovery input).  Defaults to True whenever a
             data directory is given.
         telemetry: Optional :class:`~repro.obs.telemetry.RunTelemetry`
@@ -96,6 +96,12 @@ class Collector:
         self._combined_count = 0
         self._save_count = 0
         self._history: list[tuple[float, int, float]] = []
+        # The merged sample changes only when an ingest is accepted:
+        # computed once after it, reused by every save and by finalize,
+        # dropped by the next accepted ingest.
+        self._merged: MomentSnapshot | None = None
+        self._estimates: Estimates | None = None
+        self._matrices_on_disk = False
 
     # ------------------------------------------------------------------
 
@@ -341,6 +347,8 @@ class Collector:
                     kept_volume=previous.volume)
             return False
         self._latest[message.rank] = message.snapshot
+        self._merged = self._estimates = None
+        self._matrices_on_disk = False
         if message.statistics is not None:
             self._latest_extras[message.rank] = message.statistics
         self._last_seen[message.rank] = now
@@ -379,9 +387,11 @@ class Collector:
         estimates bit-identical across backends regardless of how the
         OS interleaved message delivery.
         """
-        return merge_snapshots(
-            [self._base,
-             *(snapshot for _, snapshot in sorted(self._latest.items()))])
+        if self._merged is None:
+            self._merged = merge_snapshots(
+                [self._base, *(snapshot for _, snapshot
+                               in sorted(self._latest.items()))])
+        return self._merged
 
     def merged_statistics(self) -> dict[str, Statistic]:
         """The extra statistics merged across base and workers.
@@ -404,10 +414,18 @@ class Collector:
         if merged.volume == 0:
             raise ConfigurationError(
                 "no realizations received yet; nothing to estimate")
-        return merged.estimates()
+        if self._estimates is None:
+            self._estimates = merged.estimates()
+        return self._estimates
 
     def save(self, now: float, elapsed: float | None = None) -> None:
-        """Average and write result files (a periodic PARMONC save-point)."""
+        """Average and write result files (a periodic PARMONC save-point).
+
+        ``func.dat`` and ``func_ci.dat`` are functions of the merged
+        sample alone, so a save with nothing ingested since the one
+        that last wrote them — ``Job.finalize`` right after the final
+        message's own save — rewrites only ``func_log.dat``.
+        """
         self._last_average_at = now
         self._save_count += 1
         if self._data is None and self._telemetry is None:
@@ -416,14 +434,16 @@ class Collector:
         merged = self.merged()
         if merged.volume == 0:
             return
-        estimates = merged.estimates()
+        estimates = self.estimates()
         if self._data is not None:
             self._history.append((now, merged.volume,
                                   estimates.abs_error_max))
-            self._data.write_results(
-                estimates, seqnum=self._config.seqnum,
-                processors=self._config.processors, sessions=self._sessions,
-                elapsed=elapsed)
+            write = (self._data.write_log if self._matrices_on_disk
+                     else self._data.write_results)
+            write(estimates, seqnum=self._config.seqnum,
+                  processors=self._config.processors,
+                  sessions=self._sessions, elapsed=elapsed)
+            self._matrices_on_disk = True
         if self._telemetry is not None:
             # The round is timed against the real clock even under
             # simulation: merging cost is a property of this machine,

@@ -8,33 +8,39 @@ Layout under the user's working directory::
         func_ci.dat      means + absolute/relative errors + variances
         func_log.dat     run log: volume, mean time, error upper bounds
       savepoints/
-        processor_<m>.json   latest subtotal snapshot of processor m
+        processor_<m>.bin    latest subtotal snapshot of processor m
       telemetry/
         events.jsonl     structured run record (telemetry-enabled runs)
         metrics.json     final metrics snapshot (see docs/observability.md)
-      savepoint.json     merged snapshot + session metadata (resume source)
+      savepoint.bin      merged snapshot + session metadata (resume source)
       parmonc_exp.dat    registry of stochastic experiments
 
 The per-processor save-points exist so that ``manaver`` can recover the
 full sample after an abrupt job termination, exactly as in §3.4.
 
+The result files are text, for people; the save-points are binary, for
+the next session: the moment block of
+:func:`repro.runtime.messages.pack_moments` — the bytes a worker ships
+on the wire — framed and sealed by
+:func:`repro.runtime.storage.write_sealed`.  Save-points of earlier
+versions (``savepoint.json``, ``processor_<m>.json``) are still *read*:
+the binary file wins when both exist, and the old one is removed right
+after the new one's rename.
+
 Every artifact is written through :mod:`repro.runtime.storage` — atomic
-write-temp → fsync → rename, with JSON payloads carried in a versioned,
-checksummed envelope — so a kill at any instruction leaves either the
-old or the new file, never a torn one.  A file that *does* fail its
-checksum (bit rot, manual tampering) is quarantined as ``*.corrupt``
-and skipped with a warning instead of aborting the whole recovery; see
-``docs/protocol.md``.
+write-temp → fsync → rename — so a kill at any instruction leaves
+either the old or the new file, never a torn one.  A file that *does*
+fail its digest (bit rot, manual tampering) is quarantined as
+``*.corrupt`` and skipped with a warning instead of aborting the whole
+recovery; see ``docs/protocol.md``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import os
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -44,8 +50,10 @@ from repro.exceptions import (
     ConfigurationError,
     CorruptArtifactError,
     ResumeError,
+    WireError,
 )
 from repro.runtime import storage
+from repro.runtime.messages import pack_moments, unpack_moments
 from repro.stats.accumulator import MomentSnapshot
 from repro.stats.estimators import Estimates
 from repro.stats.statistic import (
@@ -71,27 +79,28 @@ _logger = logging.getLogger(__name__)
 
 GENPARAM_FILENAME = "parmonc_genparam.dat"
 
-#: Current save-point envelope version.  Version 1 was the bare JSON
-#: document without checksum or manifest; version 2 moved to the
-#: checksummed :func:`repro.runtime.storage.write_artifact` envelope;
+#: Current save-point version.  Version 1 was the bare JSON document
+#: without checksum or manifest; version 2 moved to the checksummed
+#: JSON envelope of :func:`repro.runtime.storage.write_artifact`;
 #: version 3 added the optional ``statistics`` map of serialized
-#: :class:`~repro.stats.statistic.Statistic` payloads (moment-only
-#: version-2 artifacts still load).
-SAVEPOINT_VERSION = 3
+#: :class:`~repro.stats.statistic.Statistic` payloads; version 4 is the
+#: sealed binary moment block.  Versions 1-3 are read, never written.
+SAVEPOINT_VERSION = 4
+LAST_JSON_VERSION = 3
 SAVEPOINT_FORMAT = "parmonc/savepoint"
 PROCESSOR_FORMAT = "parmonc/processor-savepoint"
 
-
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+#: What a damaged save-point raises on its way to quarantine
+#: (``ConfigurationError`` is a ``ValueError``).
+_MALFORMED = (CorruptArtifactError, WireError, KeyError, TypeError,
+              ValueError, AttributeError)
 
 
 def render_mean_matrix(estimates: Estimates) -> str:
     """Render ``func.dat``: the matrix of sample means, one row per line."""
-    lines = []
-    for row in estimates.mean:
-        lines.append(" ".join(f"{value: .15e}" for value in row))
-    return "\n".join(lines) + "\n"
+    nrow, ncol = estimates.shape
+    row = " ".join(["% .15e"] * ncol) + "\n"
+    return (row * nrow) % tuple(estimates.mean.ravel().tolist())
 
 
 def render_ci_table(estimates: Estimates) -> str:
@@ -100,17 +109,17 @@ def render_ci_table(estimates: Estimates) -> str:
     Columns: row index, column index, sample mean, absolute error,
     relative error (percent), sample variance.
     """
-    lines = ["# i j mean abs_error rel_error_percent variance"]
     nrow, ncol = estimates.shape
-    for i in range(nrow):
-        for j in range(ncol):
-            lines.append(
-                f"{i + 1} {j + 1} "
-                f"{estimates.mean[i, j]: .15e} "
-                f"{estimates.abs_error[i, j]: .15e} "
-                f"{estimates.rel_error[i, j]: .6e} "
-                f"{estimates.variance[i, j]: .15e}")
-    return "\n".join(lines) + "\n"
+    table = np.empty((nrow * ncol, 6))
+    table[:, 0] = np.repeat(np.arange(1, nrow + 1), ncol)
+    table[:, 1] = np.tile(np.arange(1, ncol + 1), nrow)
+    for column, matrix in enumerate(
+            (estimates.mean, estimates.abs_error, estimates.rel_error,
+             estimates.variance), start=2):
+        table[:, column] = matrix.ravel()
+    row = "%d %d % .15e % .15e % .6e % .15e\n"
+    return ("# i j mean abs_error rel_error_percent variance\n"
+            + (row * len(table)) % tuple(table.ravel().tolist()))
 
 
 def render_log(estimates: Estimates, *, seqnum: int, processors: int,
@@ -126,7 +135,7 @@ def render_log(estimates: Estimates, *, seqnum: int, processors: int,
         f"seqnum: {seqnum}",
         f"processors: {processors}",
         f"sessions: {sessions}",
-        f"written_at: {_timestamp()}",
+        f"written_at: {storage.utc_timestamp()}",
     ]
     if elapsed is not None:
         lines.append(f"elapsed_sec: {elapsed:.6e}")
@@ -220,6 +229,24 @@ def _parse_statistics(payload: dict, path: Path
     return statistics, unknown_payloads
 
 
+def _read_snapshot(path: Path, kind: str) -> tuple[MomentSnapshot, dict]:
+    """``(snapshot, metadata)`` of a save-point of either era.
+
+    ``*.bin`` is the sealed moment block, its metadata the tail plus
+    the header's ``rank``; anything else is the JSON document versions
+    1-3 wrote, with the ``snapshot`` entry decoded and taken out — so
+    both eras hand back the same metadata keys.
+    """
+    if path.suffix == ".bin":
+        body, _version = storage.read_sealed(
+            path, kind, max_version=SAVEPOINT_VERSION)
+        _flags, rank, _sent_at, snapshot, tail = unpack_moments(body)
+        return snapshot, dict(tail, rank=rank)
+    payload, _version = storage.read_artifact(
+        path, kind, max_version=LAST_JSON_VERSION)
+    return MomentSnapshot.from_dict(payload.pop("snapshot")), payload
+
+
 class DataDirectory:
     """Handle on a ``parmonc_data`` directory.
 
@@ -298,7 +325,12 @@ class DataDirectory:
 
     @property
     def savepoint_path(self) -> Path:
-        """``parmonc_data/savepoint.json`` (merged snapshot)."""
+        """``parmonc_data/savepoint.bin`` (merged snapshot)."""
+        return self._root / "savepoint.bin"
+
+    @property
+    def legacy_savepoint_path(self) -> Path:
+        """``parmonc_data/savepoint.json``, as versions 1-3 wrote it."""
         return self._root / "savepoint.json"
 
     @property
@@ -343,6 +375,18 @@ class DataDirectory:
         storage.atomic_write_text(self.results_dir / "func_ci.dat",
                                   render_ci_table(estimates),
                                   label="results.func_ci")
+        self.write_log(estimates, seqnum=seqnum, processors=processors,
+                       sessions=sessions, elapsed=elapsed)
+
+    def write_log(self, estimates: Estimates, *, seqnum: int,
+                  processors: int, sessions: int,
+                  elapsed: float | None = None) -> None:
+        """Write ``func_log.dat`` alone.
+
+        The log is the one result file that changes between two saves
+        of the same sample (it carries ``written_at`` and ``elapsed``),
+        so a save that has nothing new to average rewrites only this.
+        """
         storage.atomic_write_text(
             self.results_dir / "func_log.dat",
             render_log(estimates, seqnum=seqnum, processors=processors,
@@ -380,11 +424,13 @@ class DataDirectory:
                        ) -> None:
         """Persist the merged snapshot and session metadata durably.
 
-        The save-point goes through the atomic, checksummed artifact
-        writer; ``manifest`` (see
+        The save-point is the snapshot's moment block, its tail holding
+        the metadata, sealed and written atomically; ``manifest`` (see
         :func:`repro.runtime.resume.build_manifest`) records the
         writing session's processor count and RNG leap parameters so a
-        later resume can refuse a mismatched generator hierarchy.
+        later resume can refuse a mismatched generator hierarchy.  A
+        ``savepoint.json`` left by an earlier version is removed once
+        the new file is in place.
 
         Args:
             snapshot: The merged moment snapshot.
@@ -398,27 +444,26 @@ class DataDirectory:
                 an older save-point survive a rewrite untouched.
         """
         self.ensure()
-        payload = {
-            "snapshot": snapshot.to_dict(),
-            "shape": list(snapshot.shape),
+        tail = {
             "used_seqnums": sorted(set(int(s) for s in used_seqnums)),
             "sessions": int(sessions),
         }
         if manifest is not None:
-            payload["manifest"] = manifest
+            tail["manifest"] = manifest
         serialized = dict(extra_payloads or {})
         serialized.update(payload_map(statistics or {}))
         if serialized:
-            payload["statistics"] = serialized
-        storage.write_artifact(self.savepoint_path, SAVEPOINT_FORMAT,
-                               payload, version=SAVEPOINT_VERSION,
-                               label="savepoint")
+            tail["statistics"] = serialized
+        storage.write_sealed(self.savepoint_path, SAVEPOINT_FORMAT,
+                             pack_moments(snapshot, tail),
+                             version=SAVEPOINT_VERSION, label="savepoint")
+        self.legacy_savepoint_path.unlink(missing_ok=True)
 
     def load_savepoint(self) -> tuple[MomentSnapshot, SavepointMeta]:
         """Load the merged snapshot saved by a previous session.
 
-        A save-point that fails its checksum (or cannot be parsed) is
-        quarantined as ``savepoint.json.corrupt`` before the error is
+        A save-point that fails its digest (or cannot be decoded) is
+        quarantined as ``savepoint.bin.corrupt`` before the error is
         raised, so the next attempt is not poisoned by the same file.
 
         Raises:
@@ -426,54 +471,52 @@ class DataDirectory:
                 quarantined), or it was written by a newer format
                 version.
         """
-        if not self.savepoint_path.exists():
+        path = self.savepoint_path
+        if not path.exists():
+            path = self.legacy_savepoint_path
+        if not path.exists():
             raise ResumeError(
                 f"no previous simulation found at {self.savepoint_path}; "
                 f"start with res=0")
         try:
-            payload, _version = storage.read_artifact(
-                self.savepoint_path, SAVEPOINT_FORMAT,
-                max_version=SAVEPOINT_VERSION)
-        except ArtifactVersionError as exc:
-            raise ResumeError(str(exc)) from exc
-        except CorruptArtifactError as exc:
-            target = self._quarantine(self.savepoint_path, str(exc))
-            raise ResumeError(
-                f"corrupted save-point at {self.savepoint_path}: {exc} "
-                f"(quarantined as {target.name}; recover the per-"
-                f"processor subtotals with manaver)") from exc
-        try:
-            snapshot = MomentSnapshot.from_dict(payload["snapshot"])
-            manifest = payload.get("manifest")
+            snapshot, fields = _read_snapshot(path, SAVEPOINT_FORMAT)
+            manifest = fields.get("manifest")
             if manifest is not None and not isinstance(manifest, dict):
                 raise ValueError("manifest is not an object")
-            statistics, unknown_payloads = _parse_statistics(
-                payload, self.savepoint_path)
+            statistics, unknown_payloads = _parse_statistics(fields, path)
             meta = SavepointMeta(
-                shape=tuple(payload["shape"]),
-                used_seqnums=tuple(payload["used_seqnums"]),
-                sessions=int(payload["sessions"]),
+                shape=snapshot.shape,
+                used_seqnums=tuple(int(s) for s in fields["used_seqnums"]),
+                sessions=int(fields["sessions"]),
                 manifest=manifest,
                 statistics=statistics,
                 unknown_payloads=unknown_payloads)
-        except (KeyError, TypeError, ValueError,
-                ConfigurationError) as exc:
-            target = self._quarantine(self.savepoint_path, str(exc))
+        except ArtifactVersionError as exc:
+            raise ResumeError(str(exc)) from exc
+        except _MALFORMED as exc:
+            target = self._quarantine(path, str(exc))
             raise ResumeError(
-                f"corrupted save-point at {self.savepoint_path}: {exc} "
-                f"(quarantined as {target.name})") from exc
+                f"corrupted save-point at {path}: {exc} (quarantined as "
+                f"{target.name}; recover the per-processor subtotals "
+                f"with manaver)") from exc
         return snapshot, meta
 
     def has_savepoint(self) -> bool:
         """Whether a previous simulation left a merged save-point."""
-        return self.savepoint_path.exists()
+        return (self.savepoint_path.exists()
+                or self.legacy_savepoint_path.exists())
+
+    def clear_savepoint(self) -> None:
+        """Remove the merged save-point (a ``res=0`` session starts over)."""
+        self.savepoint_path.unlink(missing_ok=True)
+        self.legacy_savepoint_path.unlink(missing_ok=True)
 
     # ------------------------------------------------------------------
     # Per-processor subtotals (manaver input)
 
     def processor_savepoint_path(self, rank: int) -> Path:
         """Path of processor ``rank``'s subtotal file."""
-        return self.savepoints_dir / f"processor_{rank:05d}.json"
+        return self.savepoints_dir / f"processor_{rank:05d}.bin"
 
     def save_processor_snapshot(self, rank: int, snapshot: MomentSnapshot,
                                 *, session: int | None = None,
@@ -493,20 +536,32 @@ class DataDirectory:
         declared statistic, not just the moments.
         """
         self.ensure()
-        payload: dict = {"rank": rank, "snapshot": snapshot.to_dict()}
+        tail: dict = {}
         if session is not None:
-            payload["session"] = int(session)
+            tail["session"] = int(session)
         if statistics:
-            payload["statistics"] = payload_map(statistics)
-        storage.write_artifact(
-            self.processor_savepoint_path(rank), PROCESSOR_FORMAT,
-            payload, version=SAVEPOINT_VERSION, label="processor")
+            tail["statistics"] = payload_map(statistics)
+        path = self.processor_savepoint_path(rank)
+        storage.write_sealed(path, PROCESSOR_FORMAT,
+                             pack_moments(snapshot, tail, rank=rank),
+                             version=SAVEPOINT_VERSION, label="processor")
+        path.with_suffix(".json").unlink(missing_ok=True)
+
+    def _processor_files(self) -> list[Path]:
+        """Subtotal files of both eras; of one rank's pair, the binary."""
+        if not self.savepoints_dir.exists():
+            return []
+        files = {path.stem: path for path
+                 in self.savepoints_dir.glob("processor_*.json")}
+        files.update((path.stem, path) for path
+                     in self.savepoints_dir.glob("processor_*.bin"))
+        return [files[stem] for stem in sorted(files)]
 
     def load_processor_subtotals(self, *, absorbed_sessions: int | None
                                  = None) -> dict[int, ProcessorSubtotal]:
         """Load every healthy per-processor subtotal present on disk.
 
-        A torn or checksum-failing subtotal is quarantined and *skipped*
+        A torn or digest-failing subtotal is quarantined and *skipped*
         with a warning — one bad processor file must not make the whole
         ``manaver`` recovery abort and lose every other processor's
         realizations.  Callers can inspect :meth:`quarantined_files`
@@ -521,30 +576,24 @@ class DataDirectory:
                 Untagged (legacy) subtotals are always returned.
         """
         subtotals: dict[int, ProcessorSubtotal] = {}
-        if not self.savepoints_dir.exists():
-            return subtotals
-        for path in sorted(self.savepoints_dir.glob("processor_*.json")):
+        for path in self._processor_files():
             try:
-                payload, _version = storage.read_artifact(
-                    path, PROCESSOR_FORMAT, max_version=SAVEPOINT_VERSION)
-                session = payload.get("session")
+                snapshot, fields = _read_snapshot(path, PROCESSOR_FORMAT)
+                session = fields.get("session")
                 if (absorbed_sessions is not None and session is not None
                         and int(session) <= absorbed_sessions):
                     _logger.debug(
                         "subtotal %s already absorbed by the merged "
                         "save-point (session %s)", path.name, session)
                     continue
-                statistics, _unknown = _parse_statistics(payload, path)
-                rank = int(payload["rank"])
+                statistics, _unknown = _parse_statistics(fields, path)
+                rank = int(fields["rank"])
                 subtotals[rank] = ProcessorSubtotal(
-                    rank=rank,
-                    snapshot=MomentSnapshot.from_dict(payload["snapshot"]),
-                    statistics=statistics,
+                    rank=rank, snapshot=snapshot, statistics=statistics,
                     session=int(session) if session is not None else None)
             except ArtifactVersionError:
                 raise
-            except (CorruptArtifactError, KeyError, TypeError, ValueError,
-                    ConfigurationError) as exc:
+            except _MALFORMED as exc:
                 self._quarantine(path, str(exc))
                 _logger.warning(
                     "skipping corrupt processor save-point %s: %s",
@@ -561,8 +610,9 @@ class DataDirectory:
     def clear_processor_snapshots(self) -> None:
         """Remove per-processor subtotals (on a clean run completion)."""
         if self.savepoints_dir.exists():
-            for path in self.savepoints_dir.glob("processor_*.json"):
-                path.unlink()
+            for path in self.savepoints_dir.glob("processor_*.*"):
+                if path.suffix in (".bin", ".json"):
+                    path.unlink()
 
     # ------------------------------------------------------------------
     # Experiment registry
@@ -578,7 +628,7 @@ class DataDirectory:
         survive a crash *before* the first save-point.
         """
         self.ensure()
-        line = (f"{_timestamp()} seqnum={seqnum} processors={processors} "
+        line = (f"{storage.utc_timestamp()} seqnum={seqnum} processors={processors} "
                 f"maxsv={maxsv} res={res}\n")
         with self.registry_path.open("a") as handle:
             handle.write(line)

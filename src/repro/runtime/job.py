@@ -444,7 +444,7 @@ class Job:
             finalize_session(self.data, self.state, merged,
                              statistics=merged_statistics)
             self.data.clear_processor_snapshots()
-        estimates = merged.estimates() if merged.volume > 0 else None
+        estimates = collector.estimates() if merged.volume > 0 else None
         sla = (self.sla_snapshot(scheduler_started)
                if self.id is not None else None)
         if sla is not None and self.telemetry is not None:

@@ -16,12 +16,15 @@ the paper's Fig. 2 accounting exactly (eight 8-byte words per matrix
 entry; 128,064 bytes for the 1000 x 2 performance test — the reported
 "approximately 120 Kbytes" per pass).
 
-The codec lives beside the message: :func:`message_to_payload` and
-:func:`message_from_payload` are the one binary layout of a data pass
-— a fixed little-endian header, ``sum1`` and ``sum2`` as raw float64,
-and a JSON tail only for the rare fields.  It is the body of every
-DATA frame of :mod:`repro.runtime.wire` (32,048 bytes for a 1000 x 2
-pass, where the cost model above counts the derived matrices too).
+The codec lives beside the message: :func:`pack_moments` and
+:func:`unpack_moments` are the one binary layout of a cumulative
+snapshot — a fixed little-endian header, ``sum1`` and ``sum2`` as raw
+float64, and a JSON tail only for the rare fields.  It is the body of
+every DATA frame of :mod:`repro.runtime.wire`
+(:func:`message_to_payload` / :func:`message_from_payload`; 32,048
+bytes for a 1000 x 2 pass, where the cost model above counts the
+derived matrices too) and of every save-point
+:mod:`repro.runtime.files` writes.
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ __all__ = [
     "message_bytes",
     "message_from_payload",
     "message_to_payload",
+    "pack_moments",
+    "unpack_moments",
 ]
 
 #: Fixed per-message framing overhead assumed by the cost model (rank,
@@ -60,7 +65,7 @@ _BODY = struct.Struct("<4IQ2dQ")
 
 _FLAG_FINAL = 1
 
-#: The rare fields, carried as a JSON object after the moment arrays.
+#: The rare fields of a data pass, carried in the block's JSON tail.
 _TAIL_KEYS = frozenset(("job", "metrics", "statistics"))
 
 
@@ -212,23 +217,85 @@ def message_bytes(nrow: int, ncol: int,
             + sum(statistic.nbytes for statistic in statistics))
 
 
-def message_to_payload(message: MomentMessage,
-                       job: str | None = None) -> bytes:
-    """Serialize a data pass to its one binary layout.
+def pack_moments(snapshot: MomentSnapshot, tail: Mapping, *, flags: int = 0,
+                 rank: int = 0, sent_at: float = 0.0) -> bytes:
+    """One cumulative snapshot in the binary moment layout.
 
     ``_BODY`` header, then ``sum1`` and ``sum2`` as raw little-endian
-    float64 in C order — every bit pattern survives — then, only when
-    the message carries a job tag, worker telemetry or extra
-    statistics, a UTF-8 JSON object holding them (statistics in the
-    versioned :func:`~repro.stats.statistic.payload_map` form the
-    save-points use).  ``job`` overrides the message's own tag, so a
-    pool worker stamps its passes without rebuilding the message.
+    float64 in C order — every bit pattern survives — then ``tail`` as
+    a compact UTF-8 JSON object, omitted when empty.  This is the body
+    of a DATA frame on the wire *and* of a save-point on disk (where
+    ``flags`` and ``sent_at`` stay zero): the one place in the library
+    that turns moment matrices into bytes.
     """
-    snapshot = message.snapshot
     if snapshot.sum1.ndim != 2:
         raise WireError(
-            f"a data pass carries nrow x ncol moments, got shape "
+            f"a moment block carries nrow x ncol moments, got shape "
             f"{snapshot.sum1.shape}")
+    tail_bytes = (json.dumps(tail, separators=(",", ":")).encode("utf-8")
+                  if tail else b"")
+    nrow, ncol = snapshot.sum1.shape
+    return b"".join((
+        _BODY.pack(flags, nrow, ncol, rank, snapshot.volume, sent_at,
+                   snapshot.compute_time, len(tail_bytes)),
+        np.ascontiguousarray(snapshot.sum1, dtype="<f8").tobytes(),
+        np.ascontiguousarray(snapshot.sum2, dtype="<f8").tobytes(),
+        tail_bytes))
+
+
+def unpack_moments(body: bytes
+                   ) -> tuple[int, int, float, MomentSnapshot, dict]:
+    """Inverse of :func:`pack_moments`.
+
+    Returns ``(flags, rank, sent_at, snapshot, tail)``.  The bytes come
+    from another host or from a disk that may have rotted: the length
+    is checked against the announced shape and tail length before
+    anything is allocated, and every way the block can be malformed
+    raises :class:`WireError`.  What the tail may *hold* is the
+    caller's to judge.
+    """
+    if len(body) < _BODY.size:
+        raise WireError(
+            f"moment block of {len(body)} bytes is shorter than its "
+            f"{_BODY.size}-byte header")
+    (flags, nrow, ncol, rank, volume, sent_at, compute_time,
+     tail_len) = _BODY.unpack_from(body)
+    if nrow < 1 or ncol < 1:
+        raise WireError(f"moment block announces a {nrow}x{ncol} matrix")
+    entries = nrow * ncol
+    tail_at = _BODY.size + 16 * entries
+    if len(body) != tail_at + tail_len:
+        raise WireError(
+            f"moment block announces {nrow}x{ncol} moments and a "
+            f"{tail_len}-byte tail ({tail_at + tail_len} bytes) but "
+            f"carries {len(body)}")
+    if not (math.isfinite(sent_at) and math.isfinite(compute_time)):
+        raise WireError("moment block carries a non-finite timestamp")
+    try:
+        tail = json.loads(bytes(body[tail_at:])) if tail_len else {}
+        if not isinstance(tail, dict):
+            raise WireError("moment block tail is not a JSON object")
+        moments = np.frombuffer(body, dtype="<f8", count=2 * entries,
+                                offset=_BODY.size).astype(np.float64)
+        snapshot = MomentSnapshot(
+            sum1=moments[:entries].reshape(nrow, ncol),
+            sum2=moments[entries:].reshape(nrow, ncol),
+            volume=volume, compute_time=compute_time)
+    except (ValueError, RecursionError, ConfigurationError) as exc:
+        raise WireError(f"malformed moment block: {exc}") from exc
+    return flags, rank, sent_at, snapshot, tail
+
+
+def message_to_payload(message: MomentMessage,
+                       job: str | None = None) -> bytes:
+    """Serialize a data pass: its snapshot through :func:`pack_moments`.
+
+    The tail exists only when the message carries a job tag, worker
+    telemetry or extra statistics (statistics in the versioned
+    :func:`~repro.stats.statistic.payload_map` form the save-points
+    use).  ``job`` overrides the message's own tag, so a pool worker
+    stamps its passes without rebuilding the message.
+    """
     tail = {}
     job = message.job if job is None else job
     if job is not None:
@@ -237,78 +304,49 @@ def message_to_payload(message: MomentMessage,
         tail["metrics"] = message.metrics
     if message.statistics is not None:
         tail["statistics"] = payload_map(message.statistics)
-    tail_bytes = (json.dumps(tail, separators=(",", ":")).encode("utf-8")
-                  if tail else b"")
-    nrow, ncol = snapshot.sum1.shape
-    return b"".join((
-        _BODY.pack(_FLAG_FINAL if message.final else 0, nrow, ncol,
-                   message.rank, snapshot.volume, message.sent_at,
-                   snapshot.compute_time, len(tail_bytes)),
-        np.ascontiguousarray(snapshot.sum1, dtype="<f8").tobytes(),
-        np.ascontiguousarray(snapshot.sum2, dtype="<f8").tobytes(),
-        tail_bytes))
+    return pack_moments(message.snapshot, tail,
+                        flags=_FLAG_FINAL if message.final else 0,
+                        rank=message.rank, sent_at=message.sent_at)
 
 
 def message_from_payload(body: bytes) -> MomentMessage:
     """Rebuild a :class:`MomentMessage` from its binary layout.
 
-    The body comes from another host: its length is checked against
-    the announced shape and tail length before anything is allocated,
-    and every way it can be malformed raises :class:`WireError`.
+    :func:`unpack_moments` vouches for the block's structure; this
+    adds what only a data pass promises — known flags, a tail of
+    ``job``/``metrics``/``statistics``, statistics of the pass's own
+    shape and of kinds registered here.
     """
-    if len(body) < _BODY.size:
-        raise WireError(
-            f"data pass of {len(body)} bytes is shorter than its "
-            f"{_BODY.size}-byte header")
-    (flags, nrow, ncol, rank, volume, sent_at, compute_time,
-     tail_len) = _BODY.unpack_from(body)
+    flags, rank, sent_at, snapshot, tail = unpack_moments(body)
     if flags & ~_FLAG_FINAL:
         raise WireError(f"data pass carries unknown flags {flags:#x}")
-    if nrow < 1 or ncol < 1:
-        raise WireError(f"data pass announces a {nrow}x{ncol} matrix")
-    entries = nrow * ncol
-    tail_at = _BODY.size + 16 * entries
-    if len(body) != tail_at + tail_len:
-        raise WireError(
-            f"data pass announces {nrow}x{ncol} moments and a "
-            f"{tail_len}-byte tail ({tail_at + tail_len} bytes) but "
-            f"carries {len(body)}")
-    if not (math.isfinite(sent_at) and math.isfinite(compute_time)):
-        raise WireError("data pass carries a non-finite timestamp")
+    if not _TAIL_KEYS.issuperset(tail):
+        raise WireError("data pass tail is not an object of "
+                        "job/metrics/statistics")
+    job, metrics = tail.get("job"), tail.get("metrics")
+    if not isinstance(job, (str, type(None))) \
+            or not isinstance(metrics, (dict, type(None))):
+        raise WireError("data pass tail has a mistyped job or metrics")
     try:
-        tail = json.loads(bytes(body[tail_at:])) if tail_len else {}
-        if not isinstance(tail, dict) or not _TAIL_KEYS.issuperset(tail):
-            raise WireError("data pass tail is not an object of "
-                            "job/metrics/statistics")
-        job, metrics = tail.get("job"), tail.get("metrics")
-        if not isinstance(job, (str, type(None))) \
-                or not isinstance(metrics, (dict, type(None))):
-            raise WireError("data pass tail has a mistyped job or metrics")
         statistics = None
         if "statistics" in tail:
             for kind, entry in tail["statistics"].items():
                 # A statistic allocates what its shape announces; only
                 # the pass's own, length-checked shape is believed.
-                if entry.get("shape") != [nrow, ncol]:
+                if entry.get("shape") != list(snapshot.shape):
                     raise WireError(
                         f"statistic {kind!r} does not share the pass's "
-                        f"{nrow}x{ncol} shape")
+                        f"{snapshot.shape[0]}x{snapshot.shape[1]} shape")
             statistics, unknown = statistics_from_payload_map(
                 tail["statistics"])
             if unknown:
                 raise WireError(
                     f"data frame carries unregistered statistic kinds "
                     f"{unknown}; register them on the collector side")
-        moments = np.frombuffer(body, dtype="<f8", count=2 * entries,
-                                offset=_BODY.size).astype(np.float64)
         return MomentMessage(
-            rank=rank,
-            snapshot=MomentSnapshot(
-                sum1=moments[:entries].reshape(nrow, ncol),
-                sum2=moments[entries:].reshape(nrow, ncol),
-                volume=volume, compute_time=compute_time),
-            sent_at=sent_at, final=bool(flags & _FLAG_FINAL),
-            metrics=metrics, statistics=statistics, job=job)
+            rank=rank, snapshot=snapshot, sent_at=sent_at,
+            final=bool(flags & _FLAG_FINAL), metrics=metrics,
+            statistics=statistics, job=job)
     except WireError:
         raise
     except (AttributeError, IndexError, KeyError, TypeError, ValueError,

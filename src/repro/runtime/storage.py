@@ -5,13 +5,20 @@ no realization the collector had merged — only holds if the on-disk
 artifacts are themselves crash-safe.  This module is the single place
 where the persistence layer touches the filesystem:
 
-* :func:`atomic_write_text` / :func:`write_artifact` implement the
-  write-temp → fsync → rename (+ directory fsync) discipline, so after
-  a crash at *any* instruction the target path holds either the
-  complete old content or the complete new content, never a torn mix.
-* :func:`write_artifact` wraps JSON payloads in a versioned envelope
-  carrying a SHA-256 payload checksum; :func:`read_artifact` verifies
-  it, so silent truncation or bit rot is detected, not loaded.
+* :func:`atomic_write_text`, :func:`write_sealed` and
+  :func:`write_artifact` share one write-temp → fsync → rename
+  (+ directory fsync) routine, so after a crash at *any* instruction
+  the target path holds either the complete old content or the
+  complete new content, never a torn mix.
+* :func:`write_sealed` frames a binary body with magic, version and
+  format name and seals it with a SHA-256 digest of every byte before
+  it; :func:`read_sealed` verifies the seal, so truncation or bit rot
+  anywhere in the file is detected, not loaded.  The save-points are
+  written this way.
+* :func:`write_artifact` / :func:`read_artifact` are the older JSON
+  envelope (format, version, payload checksum).  Nothing in the
+  library writes it any more; the reader is how save-points left by
+  earlier versions still resume.
 * :func:`quarantine` renames a torn/corrupt artifact to ``*.corrupt``
   (keeping the evidence) instead of letting one bad file abort a whole
   recovery; listeners registered via :func:`add_quarantine_listener`
@@ -47,6 +54,7 @@ import hashlib
 import json
 import logging
 import os
+import struct
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
@@ -69,11 +77,14 @@ __all__ = [
     "payload_checksum",
     "quarantine",
     "read_artifact",
+    "read_sealed",
     "remove_quarantine_listener",
     "sweep_temp_files",
     "trace_crashpoints",
     "uninstall_crashpoint",
+    "utc_timestamp",
     "write_artifact",
+    "write_sealed",
 ]
 
 _logger = logging.getLogger(__name__)
@@ -219,9 +230,33 @@ def _fsync_dir(directory: Path) -> None:
         os.close(fd)
 
 
+def utc_timestamp() -> str:
+    """The ``written_at`` stamp of result files, registry and envelopes."""
+    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
 def temp_path(path: Path) -> Path:
     """The temp-file sibling an atomic write of ``path`` goes through."""
     return path.with_name(path.name + _SUFFIX_TEMP)
+
+
+def _atomic_write(path: Path, data: bytes, label: str | None) -> None:
+    """Replace ``path`` with ``data`` via write-temp → fsync → rename."""
+    label = label if label is not None else path.name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    temp = temp_path(path)
+    crashpoint(f"{label}.before_write")
+    with temp.open("wb") as handle:
+        handle.write(data)
+        crashpoint(f"{label}.after_write")
+        handle.flush()
+        if _durable():
+            os.fsync(handle.fileno())
+    crashpoint(f"{label}.before_rename")
+    os.replace(temp, path)
+    crashpoint(f"{label}.after_rename")
+    if _durable():
+        _fsync_dir(path.parent)
 
 
 def atomic_write_text(path: Path, text: str, *,
@@ -237,29 +272,87 @@ def atomic_write_text(path: Path, text: str, *,
         text: Full new content.
         label: Crashpoint label; defaults to the file name.
     """
-    label = label if label is not None else path.name
-    path.parent.mkdir(parents=True, exist_ok=True)
-    temp = temp_path(path)
-    crashpoint(f"{label}.before_write")
-    with temp.open("w") as handle:
-        handle.write(text)
-        crashpoint(f"{label}.after_write")
-        handle.flush()
-        if _durable():
-            os.fsync(handle.fileno())
-    crashpoint(f"{label}.before_rename")
-    os.replace(temp, path)
-    crashpoint(f"{label}.after_rename")
-    if _durable():
-        _fsync_dir(path.parent)
+    _atomic_write(path, text.encode("utf-8"), label)
 
 
 # ---------------------------------------------------------------------------
-# Checksummed artifact envelope
+# Sealed binary artifacts
 
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+#: Magic, format version, length of the format name — little-endian.
+#: This prefix and the trailing digest are the same in every version;
+#: ``version`` speaks for the body alone, which is what lets an old
+#: reader tell "written by a newer library" from "damaged".
+_SEAL = struct.Struct("<8sHH")
+_SEAL_MAGIC = b"\x89PARMONC"
+_DIGEST_BYTES = hashlib.sha256().digest_size
 
+
+def write_sealed(path: Path, kind: str, body: bytes, *,
+                 version: int, label: str | None = None) -> None:
+    """Atomically write a binary artifact, framed and sealed.
+
+    On disk: ``_SEAL`` prefix, the UTF-8 format name ``kind``,
+    ``body`` untouched, then the SHA-256 digest of everything before
+    it.  Same crash-safety guarantees and crashpoints as
+    :func:`atomic_write_text`.
+    """
+    name = kind.encode("utf-8")
+    head = _SEAL.pack(_SEAL_MAGIC, int(version), len(name)) + name
+    digest = hashlib.sha256(head)
+    digest.update(body)
+    _atomic_write(path, b"".join((head, body, digest.digest())), label)
+
+
+def read_sealed(path: Path, kind: str, *,
+                max_version: int) -> tuple[memoryview, int]:
+    """Read and verify an artifact written by :func:`write_sealed`.
+
+    Returns:
+        ``(body, version)``.
+
+    Raises:
+        CorruptArtifactError: Wrong magic, a file shorter than its own
+            framing, a failed digest (truncation, bit rot — anywhere,
+            the version field included) or a different format name.
+        ArtifactVersionError: An intact file of a version newer than
+            ``max_version``; it must *not* be quarantined.
+    """
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise CorruptArtifactError(f"unreadable artifact {path}: {exc}") \
+            from exc
+    if len(raw) < _SEAL.size + _DIGEST_BYTES:
+        raise CorruptArtifactError(
+            f"artifact {path} is truncated: {len(raw)} bytes cannot hold "
+            f"its own framing")
+    magic, version, name_length = _SEAL.unpack_from(raw)
+    if magic != _SEAL_MAGIC:
+        raise CorruptArtifactError(
+            f"artifact {path} does not start with the sealed-artifact "
+            f"magic")
+    view = memoryview(raw)
+    sealed = len(raw) - _DIGEST_BYTES
+    if hashlib.sha256(view[:sealed]).digest() != raw[sealed:]:
+        raise CorruptArtifactError(
+            f"artifact {path} fails its digest; the file is torn or "
+            f"bit-rotten")
+    body_at = _SEAL.size + name_length
+    stored_kind = raw[_SEAL.size:min(body_at, sealed)]
+    if body_at > sealed or stored_kind != kind.encode("utf-8"):
+        raise CorruptArtifactError(
+            f"artifact {path} has format {stored_kind[:64]!r}, expected "
+            f"{kind!r}")
+    if version > max_version:
+        raise ArtifactVersionError(
+            f"artifact {path} has format version {version}, newer than "
+            f"the supported {max_version}; upgrade this installation "
+            f"instead of deleting the file")
+    return view[body_at:sealed], version
+
+
+# ---------------------------------------------------------------------------
+# JSON artifact envelope (how save-points were written up to version 3)
 
 def _canonical(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -287,7 +380,7 @@ def write_artifact(path: Path, kind: str, payload: dict, *,
         "format": kind,
         "version": int(version),
         "checksum": payload_checksum(payload),
-        "written_at": _timestamp(),
+        "written_at": utc_timestamp(),
         "payload": payload,
     }
     atomic_write_text(path, json.dumps(document), label=label)

@@ -11,6 +11,32 @@ from repro.rng.streams import StreamTree
 
 
 @pytest.fixture
+def savepoint_content():
+    """``content(workdir)``: a save-point minus its wall-clock field.
+
+    Version, header fields, moment bytes and tail of the sealed
+    ``savepoint.bin`` — everything except ``compute_time``, which
+    records how long the run took and legitimately differs between two
+    runs of the same experiment.
+    """
+    from repro.runtime import storage
+    from repro.runtime.files import (SAVEPOINT_FORMAT, SAVEPOINT_VERSION,
+                                     DataDirectory)
+    from repro.runtime.messages import unpack_moments
+
+    def content(workdir):
+        body, version = storage.read_sealed(
+            DataDirectory(workdir).savepoint_path, SAVEPOINT_FORMAT,
+            max_version=SAVEPOINT_VERSION)
+        flags, rank, sent_at, snapshot, tail = unpack_moments(body)
+        return {"version": version, "flags": flags, "rank": rank,
+                "sent_at": sent_at, "sum1": snapshot.sum1.tobytes(),
+                "sum2": snapshot.sum2.tobytes(), "shape": snapshot.shape,
+                "volume": snapshot.volume, "tail": tail}
+    return content
+
+
+@pytest.fixture
 def rng() -> Lcg128:
     """A fresh generator at the head of the general sequence."""
     return Lcg128()

@@ -104,7 +104,7 @@ class TestDynamicUnderTimeLimit:
     the single-run driver into ``Scheduler.step()``."""
 
     def test_run_is_pinned(self, tmp_path):
-        import json
+        from repro.runtime.files import DataDirectory
 
         config = RunConfig(maxsv=200, processors=3, perpass=0.0,
                            peraver=0.0, time_limit=25.0, workdir=tmp_path)
@@ -115,11 +115,10 @@ class TestDynamicUnderTimeLimit:
         assert result.virtual_time == 25.33373333333331
         assert result.per_rank_volumes == {0: 76, 1: 25, 2: 25}
         assert result.total_volume == result.session_volume == 126
-        savepoint = json.loads(
-            (tmp_path / "parmonc_data" / "savepoint.json").read_text())
-        assert savepoint["payload"]["snapshot"] == {
+        snapshot, meta = DataDirectory(tmp_path).load_savepoint()
+        assert snapshot.to_dict() == {
             "sum1": [[41.482141291514345]],
             "sum2": [[25.743100670817917]],
             "volume": 126, "compute_time": 0.0}
-        assert savepoint["payload"]["used_seqnums"] == [0]
-        assert savepoint["payload"]["sessions"] == 1
+        assert meta.used_seqnums == (0,)
+        assert meta.sessions == 1

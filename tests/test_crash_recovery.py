@@ -87,6 +87,9 @@ class TestCrashpointCoverage:
         with storage.trace_crashpoints() as trace:
             _drive_session(tmp_path)
         assert set(trace) == set(ALL_CRASHPOINTS)
+        # Binary save-points changed what is written, not where a
+        # write can die: the same 20 names as when they were JSON.
+        assert len(set(ALL_CRASHPOINTS)) == 20
 
 
 class TestCrashAtEveryPoint:
@@ -171,7 +174,7 @@ class TestQuarantineRecovery:
         # never the whole recovery.
         data = self._leave_unfinalized_job(tmp_path)
         path = data.processor_savepoint_path(1)
-        path.write_text(path.read_text()[:40])
+        path.write_bytes(path.read_bytes()[:40])
         summary = manual_average(tmp_path)
         lost = RunConfig(maxsv=MAXSV, processors=PROCESSORS,
                          workdir=tmp_path).worker_quota(1)
@@ -180,7 +183,7 @@ class TestQuarantineRecovery:
         assert summary["quarantined"] == 1
         assert summary["warnings"]
         assert [p.name for p in data.quarantined_files()] == [
-            "processor_00001.json.corrupt"]
+            "processor_00001.bin.corrupt"]
 
     def test_manaver_survives_corrupt_merged_base(self, tmp_path):
         data = self._leave_unfinalized_job(tmp_path)
@@ -191,13 +194,13 @@ class TestQuarantineRecovery:
         assert summary["quarantined"] == 1
         assert any("save-point" in w for w in summary["warnings"])
         assert [p.name for p in data.quarantined_files()] == [
-            "savepoint.json.corrupt"]
+            "savepoint.bin.corrupt"]
 
     def test_truncated_savepoint_flagged_and_quarantined(self, tmp_path):
         parmonc(_routine, maxsv=6, workdir=tmp_path)
         data = DataDirectory(tmp_path)
-        text = data.savepoint_path.read_text()
-        data.savepoint_path.write_text(text[:len(text) // 2])
+        sealed = data.savepoint_path.read_bytes()
+        data.savepoint_path.write_bytes(sealed[:len(sealed) // 2])
         with pytest.raises(ResumeError, match="quarantined"):
             data.load_savepoint()
         assert not data.has_savepoint()
@@ -225,13 +228,13 @@ class TestResumeCorrelationGuards:
     def test_stale_temp_files_swept_at_session_start(self, tmp_path):
         parmonc(_routine, maxsv=6, workdir=tmp_path)
         data = DataDirectory(tmp_path)
-        stale = data.savepoints_dir / "processor_00000.json.tmp"
+        stale = data.savepoints_dir / "processor_00000.bin.tmp"
         stale.write_text("{half a write")
-        (data.root / "savepoint.json.tmp").write_text("{torn")
+        (data.root / "savepoint.bin.tmp").write_text("{torn")
         with pytest.warns(Warning):
             parmonc(_routine, maxsv=6, workdir=tmp_path)
         assert not stale.exists()
-        assert not (data.root / "savepoint.json.tmp").exists()
+        assert not (data.root / "savepoint.bin.tmp").exists()
 
     def test_stale_temp_files_swept_by_manaver(self, tmp_path):
         config = RunConfig(maxsv=MAXSV, processors=1, workdir=tmp_path)
@@ -240,7 +243,7 @@ class TestResumeCorrelationGuards:
                               sessions=state.session_index)
         run_worker(_routine, config, 0, MAXSV,
                    send=lambda m: collector.receive(m, 0.0))
-        stale = data.savepoints_dir / "processor_00009.json.tmp"
+        stale = data.savepoints_dir / "processor_00009.bin.tmp"
         stale.write_text("{half a write")
         manual_average(tmp_path)
         assert not stale.exists()

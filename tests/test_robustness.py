@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
@@ -90,21 +88,26 @@ class TestCorruptionRecovery:
     def test_resume_from_truncated_savepoint(self, tmp_path):
         parmonc(lambda rng: rng.random(), maxsv=10, workdir=tmp_path)
         savepoint = DataDirectory(tmp_path).savepoint_path
-        savepoint.write_text(savepoint.read_text()[:40])
+        savepoint.write_bytes(savepoint.read_bytes()[:40])
         with pytest.raises(ResumeError):
             parmonc(lambda rng: rng.random(), maxsv=10, res=1, seqnum=1,
                     workdir=tmp_path)
 
     def test_resume_from_wrong_typed_savepoint(self, tmp_path):
-        from repro.runtime.storage import payload_checksum
+        from repro.runtime import storage
+        from repro.runtime.files import SAVEPOINT_FORMAT
 
         parmonc(lambda rng: rng.random(), maxsv=10, workdir=tmp_path)
-        savepoint = DataDirectory(tmp_path).savepoint_path
-        document = json.loads(savepoint.read_text())
-        # Valid JSON, valid checksum — but a field of the wrong type.
-        document["payload"]["snapshot"]["volume"] = "many"
-        document["checksum"] = payload_checksum(document["payload"])
-        savepoint.write_text(json.dumps(document))
+        data = DataDirectory(tmp_path)
+        snapshot, _meta = data.load_savepoint()
+        data.clear_savepoint()
+        # An older version's JSON save-point: valid JSON, valid
+        # checksum — but a field of the wrong type.
+        storage.write_artifact(
+            data.legacy_savepoint_path, SAVEPOINT_FORMAT,
+            {"snapshot": dict(snapshot.to_dict(), volume="many"),
+             "shape": [1, 1], "used_seqnums": [0], "sessions": 1},
+            version=3)
         with pytest.raises(ResumeError):
             parmonc(lambda rng: rng.random(), maxsv=10, res=1, seqnum=1,
                     workdir=tmp_path)

@@ -378,8 +378,13 @@ class TestTeardownAndLateTraffic:
             _drive(scheduler, lambda: early.status is JobStatus.DONE)
 
             def busy():
-                return [key for link in list(backend._links.values())
-                        for key in link.active]
+                # ``link.active`` belongs to the loop thread, which adds
+                # and discards keys as frames arrive: read it there.
+                async def keys():
+                    return [key for link in backend._links.values()
+                            for key in link.active]
+                return asyncio.run_coroutine_threadsafe(
+                    keys(), backend._loop).result(timeout=10.0)
 
             _drive(scheduler, lambda: not busy())  # early's EXITs are in
             held, retries = [], []

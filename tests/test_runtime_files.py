@@ -6,6 +6,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.exceptions import ConfigurationError, ResumeError
 from repro.rng.multiplier import DEFAULT_LEAPS
@@ -19,6 +22,7 @@ from repro.runtime.files import (
 )
 from repro.runtime.messages import MomentMessage, message_bytes
 from repro.stats.accumulator import MomentAccumulator, MomentSnapshot
+from repro.stats.estimators import Estimates
 
 
 @pytest.fixture
@@ -55,6 +59,74 @@ class TestRendering:
         assert "sessions: 2" in text
         assert "elapsed_sec" in text
         assert "mean_time_per_realization_sec: 6.0" in text
+
+
+def reference_mean_matrix(estimates):
+    """``func.dat`` as the entry-by-entry loop always wrote it."""
+    lines = []
+    for row in estimates.mean:
+        lines.append(" ".join(f"{value: .15e}" for value in row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_ci_table(estimates):
+    """``func_ci.dat`` as the entry-by-entry loop always wrote it."""
+    lines = ["# i j mean abs_error rel_error_percent variance"]
+    nrow, ncol = estimates.shape
+    for i in range(nrow):
+        for j in range(ncol):
+            lines.append(
+                f"{i + 1} {j + 1} "
+                f"{estimates.mean[i, j]: .15e} "
+                f"{estimates.abs_error[i, j]: .15e} "
+                f"{estimates.rel_error[i, j]: .6e} "
+                f"{estimates.variance[i, j]: .15e}")
+    return "\n".join(lines) + "\n"
+
+
+def _one_realization(value):
+    """Estimates at volume 1: zero variance, 0/0 and x/0 relative errors."""
+    accumulator = MomentAccumulator(2, 2)
+    accumulator.add(np.array([[value, 0.0], [-0.0, -value]]))
+    return accumulator.estimates()
+
+
+#: Any float64 — every magnitude from subnormal to 1e308, both zeros,
+#: both infinities, nan — with the awkward ones drawn often.
+_entries = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, width=64),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -1e300,
+                     5e-324, 9.999999999999999e-5, 0.1, 1e15]))
+
+
+@st.composite
+def _estimates(draw):
+    shape = (draw(st.integers(1, 40)), draw(st.integers(1, 7)))
+    matrices = [draw(hnp.arrays(np.float64, shape, elements=_entries))
+                for _ in range(4)]
+    return Estimates(*matrices, volume=draw(st.integers(1, 10 ** 12)))
+
+
+class TestRendererIdentity:
+    """One ``%``-format over the flattened matrices writes the bytes
+    the entry-by-entry loop wrote, for every shape and every float."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_estimates())
+    @example(_one_realization(3.0))
+    @example(_one_realization(1e-300))
+    def test_both_files_match_the_double_loop(self, estimates):
+        assert render_mean_matrix(estimates) \
+            == reference_mean_matrix(estimates)
+        assert render_ci_table(estimates) == reference_ci_table(estimates)
+
+    def test_fig2_shape(self):
+        values = np.random.default_rng(5).standard_normal((4, 1000, 2))
+        estimates = Estimates(*(values * 10.0 ** np.arange(-6, 2, 2)
+                                .reshape(4, 1, 1)), volume=9)
+        assert render_mean_matrix(estimates) \
+            == reference_mean_matrix(estimates)
+        assert render_ci_table(estimates) == reference_ci_table(estimates)
 
 
 class TestResultsRoundtrip:
@@ -138,7 +210,7 @@ class TestSavepoint:
         legacy = {"version": 1,
                   "snapshot": accumulator.snapshot().to_dict(),
                   "shape": [1, 1], "used_seqnums": [0, 2], "sessions": 2}
-        data.savepoint_path.write_text(json.dumps(legacy))
+        data.legacy_savepoint_path.write_text(json.dumps(legacy))
         snapshot, meta = data.load_savepoint()
         assert snapshot.volume == 1
         assert meta.used_seqnums == (0, 2)
@@ -180,7 +252,7 @@ class TestProcessorSnapshots:
         assert not data.processor_savepoint_path(0).exists()
         quarantined = data.quarantined_files()
         assert len(quarantined) == 1
-        assert quarantined[0].name == "processor_00000.json.corrupt"
+        assert quarantined[0].name == "processor_00000.bin.corrupt"
 
     def test_overwrite_keeps_latest(self, tmp_path):
         data = DataDirectory(tmp_path)

@@ -14,7 +14,6 @@ Invariants under test:
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 
@@ -238,8 +237,9 @@ class TestSlaTracking:
                 >= result_sla["states"]["draining"]
 
 
-def _normalized_artifacts(workdir):
-    """Read a job's result artifacts with wall-clock fields removed.
+@pytest.fixture
+def normalized_artifacts(savepoint_content):
+    """``read(workdir)``: a job's artifacts with wall-clock fields removed.
 
     Estimates and save-points depend only on the RNG hierarchy, never on
     scheduling — but a handful of fields record wall time (how long the
@@ -247,21 +247,19 @@ def _normalized_artifacts(workdir):
     pool and a solo run.  Strip exactly those and require everything
     else byte-identical.
     """
-    root = workdir / "parmonc_data"
-    artifacts = {}
-    for name in ("results/func.dat", "results/func_ci.dat"):
-        artifacts[name] = (root / name).read_bytes()
-    log_lines = [line for line
-                 in (root / "results/func_log.dat").read_text().splitlines()
-                 if not line.startswith(("mean_time_per_realization_sec",
-                                         "written_at", "elapsed_sec"))]
-    artifacts["results/func_log.dat"] = "\n".join(log_lines)
-    savepoint = json.loads((root / "savepoint.json").read_text())
-    savepoint.pop("checksum", None)
-    savepoint.pop("written_at", None)
-    savepoint["payload"]["snapshot"].pop("compute_time", None)
-    artifacts["savepoint.json"] = savepoint
-    return artifacts
+    def read(workdir):
+        root = workdir / "parmonc_data"
+        artifacts = {}
+        for name in ("results/func.dat", "results/func_ci.dat"):
+            artifacts[name] = (root / name).read_bytes()
+        log = (root / "results/func_log.dat").read_text().splitlines()
+        artifacts["results/func_log.dat"] = "\n".join(
+            line for line in log
+            if not line.startswith(("mean_time_per_realization_sec",
+                                    "written_at", "elapsed_sec")))
+        artifacts["savepoint.bin"] = savepoint_content(workdir)
+        return artifacts
+    return read
 
 
 @pytest.fixture
@@ -318,8 +316,8 @@ class TestSubmissionScheduleIdentity:
     @pytest.mark.parametrize(
         "shared_backend", ["sequential", "multiprocess", "distributed"],
         indirect=True)
-    def test_jobs_match_solo_runs_byte_for_byte(self, tmp_path,
-                                                shared_backend, schedule):
+    def test_jobs_match_solo_runs_byte_for_byte(
+            self, tmp_path, shared_backend, schedule, normalized_artifacts):
         name, options = shared_backend
         items = self._items(tmp_path)
         if schedule == "upfront":
@@ -341,8 +339,8 @@ class TestSubmissionScheduleIdentity:
                     == solo.estimates.variance.tobytes())
             assert (shared.estimates.abs_error.tobytes()
                     == solo.estimates.abs_error.tobytes())
-            assert (_normalized_artifacts(tmp_path / "shared" / f"exp{i}")
-                    == _normalized_artifacts(tmp_path / "solo" / f"exp{i}"))
+            assert (normalized_artifacts(tmp_path / "shared" / f"exp{i}")
+                    == normalized_artifacts(tmp_path / "solo" / f"exp{i}"))
             assert shared.sla["job"] == f"exp{i}"
             assert shared.sla["completed"]
 
@@ -622,7 +620,8 @@ class TestStreamingLifecycle:
 
 
 class TestStreamingJobScopedReduction:
-    def test_fanout_job_admitted_mid_stream_matches_solo(self, tmp_path):
+    def test_fanout_job_admitted_mid_stream_matches_solo(
+            self, tmp_path, normalized_artifacts):
         # A reduction-fanout job rides the streaming service next to a
         # flat job: its k-ary tree is planned at admission, scoped to
         # the job, torn down at completion — and the estimate stays
@@ -648,10 +647,11 @@ class TestStreamingJobScopedReduction:
                 == solo.estimates.mean.tobytes())
         assert (tree.result.estimates.abs_error.tobytes()
                 == solo.estimates.abs_error.tobytes())
-        assert (_normalized_artifacts(tmp_path / "tree")
-                == _normalized_artifacts(tmp_path / "solo"))
+        assert (normalized_artifacts(tmp_path / "tree")
+                == normalized_artifacts(tmp_path / "solo"))
 
-    def test_jobs_mapping_asks_for_a_tree(self, tmp_path):
+    def test_jobs_mapping_asks_for_a_tree(self, tmp_path,
+                                          normalized_artifacts):
         # docs/scheduler.md: a jobs=[{...}] mapping (or queue-file
         # entry) carries its own reduction_fanout, through the same
         # spec builder the single-run path uses.
@@ -668,8 +668,8 @@ class TestStreamingJobScopedReduction:
                 == solo.estimates.mean.tobytes())
         assert (shared.estimates.abs_error.tobytes()
                 == solo.estimates.abs_error.tobytes())
-        assert (_normalized_artifacts(tmp_path / "shared")
-                == _normalized_artifacts(tmp_path / "solo"))
+        assert (normalized_artifacts(tmp_path / "shared")
+                == normalized_artifacts(tmp_path / "solo"))
 
 
 class TestStreamingLoadStudy:

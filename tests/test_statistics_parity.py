@@ -18,11 +18,7 @@ from repro.cli.report import render_report
 from repro.core.parmonc import parmonc
 from repro.runtime import storage
 from repro.runtime.config import RunConfig
-from repro.runtime.files import (
-    SAVEPOINT_FORMAT,
-    SAVEPOINT_VERSION,
-    DataDirectory,
-)
+from repro.runtime.files import SAVEPOINT_FORMAT, DataDirectory
 from repro.runtime.messages import MomentMessage, message_bytes
 from repro.stats.statistic import create_statistic
 
@@ -41,6 +37,15 @@ def _run(backend, workdir, *, batch_size=None, maxsv=240, processors=3,
                    seqnum=seqnum, processors=processors, backend=backend,
                    workdir=workdir, batch_size=batch_size,
                    statistics=statistics, **kwargs)
+
+
+def _add_unknown_payload(data, kind, payload):
+    """Rewrite the save-point with one more, unregistered, statistic."""
+    snapshot, meta = data.load_savepoint()
+    data.save_savepoint(
+        snapshot, used_seqnums=meta.used_seqnums, sessions=meta.sessions,
+        manifest=meta.manifest, statistics=meta.statistics,
+        extra_payloads=dict(meta.unknown_payloads, **{kind: payload}))
 
 
 class TestCrossBackendParity:
@@ -96,17 +101,17 @@ class TestReductionTransportParity:
     Reducers forward untouched per-rank snapshots and the collector
     always folds in rank order, so every fanout (x batched) must
     reproduce the flat exchange exactly: same
-    estimate bytes, same statistic payloads, same savepoint payload
+    estimate bytes, same statistic payloads, same savepoint content
     (modulo the wall-clock compute-time field).
     """
 
     FANOUTS = (None, 2, 4, 8)
 
+    @pytest.fixture(autouse=True)
+    def _savepoint_reader(self, savepoint_content):
+        self._savepoint_content = savepoint_content
+
     def _fingerprint(self, workdir, result):
-        payload, _version = storage.read_artifact(
-            DataDirectory(workdir).savepoint_path, SAVEPOINT_FORMAT,
-            max_version=SAVEPOINT_VERSION)
-        payload["snapshot"].pop("compute_time")
         estimates = result.estimates
         return {
             "mean": estimates.mean.tobytes(),
@@ -116,7 +121,7 @@ class TestReductionTransportParity:
             "statistics": {kind: statistic.to_payload()
                            for kind, statistic
                            in result.statistics.items()},
-            "savepoint": payload,
+            "savepoint": self._savepoint_content(workdir),
         }
 
     def _run_matrix(self, tmp_path, *, batch_size=None):
@@ -200,26 +205,24 @@ class TestSavepointRoundTrip:
             assert (resumed.statistics[kind].to_payload()
                     == statistic.to_payload())
 
-    def test_moments_only_savepoint_has_no_statistics_block(self, tmp_path):
+    def test_moments_only_savepoint_has_no_statistics_block(
+            self, tmp_path, savepoint_content):
         _run("sequential", tmp_path, statistics=None)
-        data = DataDirectory(tmp_path)
-        payload, version = storage.read_artifact(
-            data.savepoint_path, SAVEPOINT_FORMAT,
-            max_version=SAVEPOINT_VERSION)
-        assert version == SAVEPOINT_VERSION
-        assert "statistics" not in payload
+        assert "statistics" not in savepoint_content(tmp_path)["tail"]
 
 
 class TestLegacyArtifacts:
     def _downgrade_savepoint(self, workdir):
-        """Rewrite the save-point as a v2 (pre-statistics) artifact."""
+        """Replace the save-point by its v2 (JSON, pre-statistics) form."""
         data = DataDirectory(workdir)
-        payload, _version = storage.read_artifact(
-            data.savepoint_path, SAVEPOINT_FORMAT,
-            max_version=SAVEPOINT_VERSION)
-        payload.pop("statistics", None)
-        storage.write_artifact(data.savepoint_path, SAVEPOINT_FORMAT,
-                               payload, version=2, label="savepoint")
+        snapshot, meta = data.load_savepoint()
+        data.clear_savepoint()
+        storage.write_artifact(
+            data.legacy_savepoint_path, SAVEPOINT_FORMAT,
+            {"snapshot": snapshot.to_dict(), "shape": list(meta.shape),
+             "used_seqnums": list(meta.used_seqnums),
+             "sessions": meta.sessions, "manifest": meta.manifest},
+            version=2)
         return data
 
     def test_v2_moment_only_savepoint_loads(self, tmp_path):
@@ -243,23 +246,15 @@ class TestLegacyArtifacts:
     def test_unknown_kind_payload_survives_resume(self, tmp_path):
         _run("sequential", tmp_path, maxsv=100, seqnum=1)
         data = DataDirectory(tmp_path)
-        payload, _version = storage.read_artifact(
-            data.savepoint_path, SAVEPOINT_FORMAT,
-            max_version=SAVEPOINT_VERSION)
         alien = {"kind": "alien-statistic", "shape": [1, 2],
                  "volume": 5, "secret": [1, 2, 3]}
-        payload.setdefault("statistics", {})["alien-statistic"] = alien
-        storage.write_artifact(data.savepoint_path, SAVEPOINT_FORMAT,
-                               payload, version=SAVEPOINT_VERSION,
-                               label="savepoint")
+        _add_unknown_payload(data, "alien-statistic", alien)
         _snapshot, meta = data.load_savepoint()
         assert meta.unknown_statistics == ("alien-statistic",)
         resumed = _run("sequential", tmp_path, maxsv=100, seqnum=2, res=1)
         assert resumed.total_volume == 200
-        rewritten, _version = storage.read_artifact(
-            data.savepoint_path, SAVEPOINT_FORMAT,
-            max_version=SAVEPOINT_VERSION)
-        assert rewritten["statistics"]["alien-statistic"] == alien
+        _snapshot, rewritten = data.load_savepoint()
+        assert rewritten.unknown_payloads == {"alien-statistic": alien}
 
 
 class TestManaverRecovery:
@@ -329,14 +324,8 @@ class TestReportRendering:
 
     def test_report_flags_unknown_statistics(self, tmp_path):
         _run("sequential", tmp_path)
-        data = DataDirectory(tmp_path)
-        payload, _version = storage.read_artifact(
-            data.savepoint_path, SAVEPOINT_FORMAT,
-            max_version=SAVEPOINT_VERSION)
-        payload["statistics"]["mystery"] = {"kind": "mystery"}
-        storage.write_artifact(data.savepoint_path, SAVEPOINT_FORMAT,
-                               payload, version=SAVEPOINT_VERSION,
-                               label="savepoint")
+        _add_unknown_payload(DataDirectory(tmp_path), "mystery",
+                             {"kind": "mystery"})
         text = render_report(tmp_path)
         assert "unregistered" in text
         assert "mystery" in text
