@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from repro.exceptions import ConfigurationError
 from repro.rng.batch import BatchStreams
@@ -52,14 +51,15 @@ class EuropeanOption:
                 f"volatility must be > 0, got {self.volatility}")
 
     def black_scholes_call(self) -> float:
-        """Closed-form call price — the Monte Carlo oracle."""
+        """Closed-form call price — the Monte Carlo oracle (needs scipy)."""
+        from scipy.stats import norm
         d1 = (math.log(self.spot / self.strike)
               + (self.rate + 0.5 * self.volatility ** 2) * self.maturity) \
             / (self.volatility * math.sqrt(self.maturity))
         d2 = d1 - self.volatility * math.sqrt(self.maturity)
         discount = math.exp(-self.rate * self.maturity)
-        return float(self.spot * _scipy_stats.norm.cdf(d1)
-                     - self.strike * discount * _scipy_stats.norm.cdf(d2))
+        return float(self.spot * norm.cdf(d1)
+                     - self.strike * discount * norm.cdf(d2))
 
     def black_scholes_put(self) -> float:
         """Closed-form put price via put-call parity."""

@@ -23,7 +23,6 @@ from repro.exceptions import ReproError
 from repro.rng.multiplier import BASE_MULTIPLIER, MODULUS, LeapSet
 from repro.rng.spectral import spectral_report
 from repro.rng.streams import StreamTree
-from repro.rng.testing import run_battery, two_level_substream_test
 from repro.rng.vectorized import VectorLcg128
 from repro.runtime.files import read_genparam_file
 
@@ -34,6 +33,10 @@ def certify(draws: int = 100_000, substreams: int = 32,
             workdir: Path | str = ".",
             alpha: float = 0.01) -> tuple[bool, str]:
     """Run the full certification; return ``(all_passed, report_text)``."""
+    # The battery needs scipy; importing it here keeps the other
+    # commands of this package (parmonc-run, parmonc-submit, ...) off it.
+    from repro.rng.testing import run_battery, two_level_substream_test
+
     stored = read_genparam_file(workdir)
     if stored is not None:
         leaps = LeapSet(experiment_exponent=stored["ne_exponent"],

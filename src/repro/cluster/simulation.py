@@ -35,7 +35,7 @@ from repro.runtime.messages import (
     MomentMessage,
     message_bytes,
 )
-from repro.runtime.reduction import ReducerNode, plan_reduction
+from repro.runtime.reduction import Coalescer, ReducerNode, plan_reduction
 from repro.runtime.worker import RealizationRoutine, adapt_realization
 from repro.rng.streams import StreamTree
 from repro.stats.statistic import StatisticSet
@@ -187,11 +187,13 @@ class ClusterResult:
 class _ReducerStation:
     """One interior reducer node of the simulated reduction tree.
 
-    A FIFO single-server (like the collector's model) that ingests its
-    children's passes into a latest-per-rank pending map and flushes
-    one combined message upstream whenever it goes idle — the
-    coalescing that keeps upstream load bounded: under saturation a
-    busy period absorbs many child passes and emits a single forward.
+    A FIFO single-server (like the collector's model) around the same
+    :class:`~repro.runtime.reduction.Coalescer` the real reducer
+    process runs: child passes are absorbed as they are admitted, and
+    one combined message is flushed upstream whenever the server goes
+    idle — the coalescing that keeps upstream load bounded: under
+    saturation a busy period absorbs many child passes and emits a
+    single forward.
     """
 
     def __init__(self, simulation: "ClusterSimulation", node: ReducerNode,
@@ -199,24 +201,14 @@ class _ReducerStation:
         self._simulation = simulation
         self.node = node
         self.service = CollectorService(service_time)
-        self._pending: dict[int, MomentMessage] = {}
-        self._drained = 0
+        self._coalescer = Coalescer(node)
 
     def admit(self, item: MomentMessage | CombinedMessage,
               arrival: float) -> None:
         """Queue one child message; schedules the flush at completion."""
         completion = self.service.admit(arrival)
-        entries = (item.entries if isinstance(item, CombinedMessage)
-                   else (item,))
-        for entry in entries:
-            self._drained += 1
-            previous = self._pending.get(entry.rank)
-            if (previous is not None
-                    and entry.snapshot.volume < previous.snapshot.volume):
-                continue
-            self._pending[entry.rank] = entry
-        self._simulation._events.schedule(
-            completion, lambda when: self.flush(when))
+        self._coalescer.admit(item)
+        self._simulation._events.schedule(completion, self.flush)
 
     def flush(self, now: float) -> None:
         """Forward the pending batch if the server just went idle.
@@ -224,16 +216,11 @@ class _ReducerStation:
         While more child messages are in service the flush defers to
         their completion events — that is the coalescing window.
         """
-        if not self._pending or self.service.busy_until > now + 1e-15:
+        if self.service.busy_until > now + 1e-15:
             return
-        entries = tuple(self._pending[rank]
-                        for rank in sorted(self._pending))
-        combined = CombinedMessage(
-            node_id=self.node.node_id, entries=entries, sent_at=now,
-            metrics={"level": self.node.level, "drained": self._drained})
-        self._pending.clear()
-        self._drained = 0
-        self._simulation._forward(self.node, combined, now)
+        combined = self._coalescer.take(now)
+        if combined is not None:
+            self._simulation._forward(self.node, combined, now)
 
 
 class ClusterSimulation:

@@ -194,18 +194,21 @@ def parmonc(realization: RealizationRoutine | None = None,
         The session's :class:`~repro.runtime.result.RunResult`, or the
         per-job list of results in ``jobs=[...]`` batch mode.
     """
-    if backend not in available_backends():
-        raise ConfigurationError(
-            f"unknown backend {backend!r}; choose from "
-            f"{available_backends()}")
+    # create_backend rejects an unknown name and keeps only the options
+    # the chosen factory accepts (simcluster-only knobs drop elsewhere).
+    options = dict(backend_options) if backend_options else {}
+    options.setdefault("start_method", start_method)
+    options.setdefault("cluster_spec", cluster_spec)
+    options.setdefault("execute_realizations", execute_realizations)
+    options.setdefault("connect", connect)
+    backend_impl = create_backend(backend, **options)
     if jobs is not None:
         if realization is not None:
             raise ConfigurationError(
                 "pass either a single realization routine or "
                 "jobs=[...], not both")
-        return _run_jobs(jobs, backend=backend, workers=workers,
-                         max_jobs=max_jobs, start_method=start_method,
-                         connect=connect, backend_options=backend_options)
+        return _run_jobs(jobs, backend_impl, workers=workers,
+                         max_jobs=max_jobs)
     if realization is None and execute_realizations:
         raise ConfigurationError(
             "a realization routine is required (or pass jobs=[...] "
@@ -222,14 +225,6 @@ def parmonc(realization: RealizationRoutine | None = None,
         on_worker_death=on_worker_death, death_grace=death_grace,
         statistics=statistics, reduction_fanout=reduction_fanout,
         use_files=use_files), "the run")
-    # create_backend keeps only the options the chosen backend's factory
-    # accepts, so simcluster-only knobs are silently ignored elsewhere.
-    options = dict(backend_options) if backend_options else {}
-    options.setdefault("start_method", start_method)
-    options.setdefault("cluster_spec", cluster_spec)
-    options.setdefault("execute_realizations", execute_realizations)
-    options.setdefault("connect", connect)
-    backend_impl = create_backend(backend, **options)
     return Engine(backend_impl, spec.config,
                   use_files=spec.use_files).run(spec.routine)
 
@@ -300,21 +295,14 @@ def _job_spec(routine, spec: dict, label: str) -> JobSpec:
     return JobSpec(routine=routine, config=config, **job_kwargs)
 
 
-def _run_jobs(jobs: Sequence, *, backend: str, workers: int | None,
-              max_jobs: int | None, start_method: str | None,
-              connect: str | Sequence | None,
-              backend_options: Mapping | None) -> list[RunResult]:
+def _run_jobs(jobs: Sequence, backend, *, workers: int | None,
+              max_jobs: int | None) -> list[RunResult]:
     """The ``jobs=[...]`` batch path: one scheduler, one shared pool."""
     specs = [build_job_spec(item, index)
              for index, item in enumerate(jobs)]
     if not specs:
         raise ConfigurationError("jobs=[...] needs at least one job")
-    options = dict(backend_options) if backend_options else {}
-    options.setdefault("start_method", start_method)
-    options.setdefault("connect", connect)
-    backend_impl = create_backend(backend, **options)
-    scheduler = Scheduler(backend_impl, workers=workers,
-                          max_jobs=max_jobs)
+    scheduler = Scheduler(backend, workers=workers, max_jobs=max_jobs)
     submitted = [scheduler.submit(spec) for spec in specs]
     scheduler.run()
     failed = [job for job in submitted if job.error is not None]

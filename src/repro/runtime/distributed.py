@@ -190,6 +190,8 @@ class DistributedBackend(EngineBackend):
         self._pending: deque = deque()
         # Network-thread state.
         self._links: dict[tuple[str, int], _PoolLink] = {}
+        #: The anonymous job of a solo run; None in a live session.
+        self._solo = None
         self._hello: dict | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
@@ -204,36 +206,37 @@ class DistributedBackend(EngineBackend):
     # -- Backend protocol --------------------------------------------------
 
     def bind(self, engine) -> None:
+        """Go online; the one place that knows a solo run's shape.
+
+        A job table holding the anonymous job opens the classic
+        ``HELLO {config, routine}``; any other a streaming session.
+        """
         super().bind(engine)
-        if self.routine is not None:
-            # A single run's anonymous job: the classic HELLO shape.
+        self._solo = next(
+            (job for job in engine.jobs if job.id is None), None)
+        if self._solo is not None:
+            routine = self._solo.routine
             self._hello = {
-                "config": config_to_payload(self.config),
-                "routine": routine_to_payload(self.routine,
+                "config": config_to_payload(self._solo.config),
+                "routine": routine_to_payload(routine,
                                               spec=self._routine_spec),
             }
-            batch_size = getattr(self.routine, "batch_size", None)
+            batch_size = getattr(routine, "batch_size", None)
             if self._routine_spec is not None and batch_size is not None:
                 # The spec names the *scalar* routine; the pool re-wraps
                 # it with make_batched so the batched fast path still
                 # runs.
                 self._hello["batch_size"] = batch_size
         else:
-            # Named jobs: a live session.  Ship the context of every
-            # job submitted so far, so a pool can start a worker for
-            # any of them straight from the handshake; later admissions
-            # reach connected pools as SUBMIT frames and late-joining
-            # pools through the (mutated) HELLO snapshot.  Routines
-            # travel as pickles — a per-job ``module:function`` spec
-            # has no CLI path yet.
+            # Ship the context of every job submitted so far, so a pool
+            # can start a worker for any of them straight from the
+            # handshake; later admissions reach connected pools as
+            # SUBMIT frames and late-joining pools through the
+            # (mutated) HELLO snapshot.  Routines travel as pickles — a
+            # per-job ``module:function`` spec has no CLI path yet.
             self._hello = {
-                "jobs": {
-                    job.id: {
-                        "config": config_to_payload(job.config),
-                        "routine": routine_to_payload(job.routine),
-                    }
-                    for job in engine.jobs
-                },
+                "jobs": {job.id: self._job_entry(job)
+                         for job in engine.jobs},
                 "streaming": True,
             }
         self._last_pool_seen = time.monotonic()
@@ -294,7 +297,7 @@ class DistributedBackend(EngineBackend):
             try:
                 context = self.engine.job_context(record.job)
             except BackendError:
-                if self.routine is not None:
+                if self._solo is not None:
                     raise  # a single run has no jobs to prune
                 # The scheduler pruned the job after DONE; its workers'
                 # late EXIT frames are stray traffic, like late DATA.
@@ -338,12 +341,12 @@ class DistributedBackend(EngineBackend):
         every mutation of that map happens on the loop, so handshakes
         always serialize a consistent snapshot — and the dispatcher
         sends a SUBMIT frame to each already-connected pool before
-        that pool's first ASSIGN of this job.
+        that pool's first ASSIGN of this job.  The anonymous job
+        rides in the classic HELLO instead.
         """
-        entry = {
-            "config": config_to_payload(job.config),
-            "routine": routine_to_payload(job.routine),
-        }
+        if job.id is None:
+            return
+        entry = self._job_entry(job)
         loop = self._loop
 
         def apply() -> None:
@@ -358,6 +361,12 @@ class DistributedBackend(EngineBackend):
             loop.call_soon_threadsafe(apply)
         except RuntimeError:
             apply()
+
+    @staticmethod
+    def _job_entry(job) -> dict:
+        """One named job's context as the HELLO/SUBMIT wire entry."""
+        return {"config": config_to_payload(job.config),
+                "routine": routine_to_payload(job.routine)}
 
     def cancel_job(self, job: str | None) -> None:
         """Tell every connected pool to drop the job's workers.
@@ -403,8 +412,8 @@ class DistributedBackend(EngineBackend):
         the network thread only queues notices; they land in telemetry
         here, on the engine thread, during poll/reap.
         """
-        telemetry = self.engine.telemetry if self.engine is not None \
-            else None
+        telemetry = (self._solo.telemetry if self._solo is not None
+                     else None)
         while True:
             try:
                 item = self._notices.get_nowait()
@@ -526,14 +535,10 @@ class DistributedBackend(EngineBackend):
             await asyncio.sleep(self._retry_interval)
 
     async def _handshake(self, link: _PoolLink) -> None:
-        payload = dict(self._hello)
-        if self.deadline is not None:
-            payload["time_limit"] = max(
-                self.deadline - time.monotonic(), 0.0)
-        write_frame(link.writer, FrameKind.HELLO, payload)
+        write_frame(link.writer, FrameKind.HELLO, self._hello)
         # Snapshot before the first await: the jobs map is mutated
         # only on this loop, so this matches what was just serialized.
-        link.announced = set(payload.get("jobs") or ())
+        link.announced = set(self._hello.get("jobs") or ())
         await link.writer.drain()
         kind, welcome = await asyncio.wait_for(
             read_frame(link.reader), timeout=self._heartbeat_timeout)

@@ -144,8 +144,9 @@ class Backend(Protocol):
     workers, surfaces their messages, and reports their deaths.  The
     :class:`~repro.runtime.scheduler.Scheduler` binds itself before the
     first ``spawn`` via :meth:`bind`, giving the backend access to
-    ``ingest``, ``job_context`` and — on a single run — the anonymous
-    job's routine, config, collector and telemetry.
+    ``ingest`` and to ``job_context(job_id)`` — the one source of an
+    assignment's routine, config, collector, telemetry and deadline,
+    for the anonymous job of a single run and for named jobs alike.
     """
 
     name: str
@@ -237,22 +238,13 @@ class EngineBackend:
     def __init__(self) -> None:
         #: The bound scheduler (None until :meth:`bind`).
         self.engine = None
-        self.routine = None
-        self.config: RunConfig | None = None
-        self.collector: Collector | None = None
-        self.deadline: float | None = None
         self._done = False
 
     # -- context ---------------------------------------------------------
 
     def bind(self, engine) -> None:
-        """Adopt the scheduler context (routine, config, collector, ...)."""
+        """Remember the scheduler; job context is read through it."""
         self.engine = engine
-        self.routine = engine.routine
-        self.config = engine.config
-        self.collector = engine.collector
-        if engine.config.time_limit is not None:
-            self.deadline = engine.started + engine.config.time_limit
 
     def clock(self) -> float:
         """The run clock; virtual backends override this."""

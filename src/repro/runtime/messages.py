@@ -286,20 +286,17 @@ def unpack_moments(body: bytes
     return flags, rank, sent_at, snapshot, tail
 
 
-def message_to_payload(message: MomentMessage,
-                       job: str | None = None) -> bytes:
+def message_to_payload(message: MomentMessage) -> bytes:
     """Serialize a data pass: its snapshot through :func:`pack_moments`.
 
     The tail exists only when the message carries a job tag, worker
     telemetry or extra statistics (statistics in the versioned
     :func:`~repro.stats.statistic.payload_map` form the save-points
-    use).  ``job`` overrides the message's own tag, so a pool worker
-    stamps its passes without rebuilding the message.
+    use).
     """
     tail = {}
-    job = message.job if job is None else job
-    if job is not None:
-        tail["job"] = job
+    if message.job is not None:
+        tail["job"] = message.job
     if message.metrics is not None:
         tail["metrics"] = message.metrics
     if message.statistics is not None:

@@ -30,10 +30,8 @@ from __future__ import annotations
 
 import multiprocessing
 import queue as queue_module
-from dataclasses import replace
 
 from repro.exceptions import BackendError
-from repro.obs.telemetry import WorkerTelemetry
 from repro.runtime.config import RunConfig
 from repro.runtime.engine import (
     DrainBuffer,
@@ -46,7 +44,7 @@ from repro.runtime.engine import (
 from repro.runtime.messages import CombinedMessage, MomentMessage
 from repro.runtime.reduction import ReducerNode, plan_reduction, run_reducer
 from repro.runtime.result import RunResult
-from repro.runtime.worker import RealizationRoutine, run_worker
+from repro.runtime.worker import RealizationRoutine, worker_process
 
 __all__ = ["MultiprocessBackend", "run_multiprocess"]
 
@@ -58,28 +56,6 @@ _REDUCER_JOIN_SECONDS = 2.0
 
 #: Respawn budget per reducer node (mirrors the engine's worker budget).
 _REDUCER_RESPAWN_FACTOR = 4
-
-
-def _worker_entry(routine: RealizationRoutine, config: RunConfig,
-                  rank: int, quota: int, outbox, deadline: float | None,
-                  job: str | None = None) -> None:
-    """Worker process body: run the loop, shipping messages upstream.
-
-    ``outbox`` is wherever this worker's messages go — the backend's
-    queue (flat plan) or its reducer's inbox (tree plan).  A job id
-    tags every message on the child side, so the scheduler can route
-    interleaved traffic from several jobs sharing one queue;
-    ``job=None`` (the classic path) leaves the messages byte-identical
-    to the historical format.
-    """
-    telemetry = WorkerTelemetry(rank) if config.telemetry else None
-    if job is None:
-        send = outbox.put
-    else:
-        def send(message, _put=outbox.put, _job=job):
-            _put(replace(message, job=_job))
-    run_worker(routine, config, rank, quota, send=send,
-               deadline=deadline, telemetry=telemetry)
 
 
 @register_backend("multiprocess")
@@ -187,7 +163,7 @@ class MultiprocessBackend(EngineBackend):
             inbox = self._reducer_inboxes.get((job, node.node_id))
             if inbox is not None:
                 try:
-                    inbox.put_nowait(None)
+                    inbox.put_nowait(None)  # the reducer stop sentinel
                 except (queue_module.Full, ValueError):  # pragma: no cover
                     pass
         for node in plan.nodes:
@@ -222,9 +198,9 @@ class MultiprocessBackend(EngineBackend):
             outbox = (self._reducer_inboxes[(job, parent)]
                       if parent is not None else self._outbox)
             process = self._context.Process(
-                target=_worker_entry,
+                target=worker_process,
                 args=(context.routine, context.config, rank,
-                      assignment.quota, outbox, context.deadline, job),
+                      assignment.quota, outbox, job, context.deadline),
                 daemon=True)
             process.start()
             self._processes.append(process)
@@ -337,19 +313,10 @@ class MultiprocessBackend(EngineBackend):
             process.join(timeout=_JOIN_SECONDS)
             if process.is_alive():
                 process.terminate()
-        for inbox in self._reducer_inboxes.values():
-            try:
-                inbox.put_nowait(None)  # the reducer stop sentinel
-            except (queue_module.Full, ValueError):  # pragma: no cover
-                pass
-        for process in self._reducers.values():
-            process.join(timeout=_REDUCER_JOIN_SECONDS)
-            if process.is_alive():
-                process.terminate()
+        for job in list(self._plans):
+            self.release_job(job)
         if self._outbox is not None:
             self._outbox.close()
-        for inbox in self._reducer_inboxes.values():
-            inbox.close()
 
 
 def run_multiprocess(routine: RealizationRoutine, config: RunConfig,

@@ -50,9 +50,6 @@ import time
 from multiprocessing.connection import wait
 
 from repro.exceptions import WireError
-from repro.obs.telemetry import WorkerTelemetry
-from repro.runtime.config import RunConfig
-from repro.runtime.messages import message_to_payload
 from repro.runtime.wire import (
     FrameKind,
     config_from_payload,
@@ -60,7 +57,7 @@ from repro.runtime.wire import (
     routine_from_payload,
     write_frame,
 )
-from repro.runtime.worker import make_batched, run_worker
+from repro.runtime.worker import make_batched, worker_process
 
 __all__ = ["PoolServer", "DEFAULT_POOL_PORT"]
 
@@ -72,28 +69,6 @@ DEFAULT_POOL_PORT = 9737
 
 #: How long a worker process gets to die politely at session teardown.
 _TERMINATE_SECONDS = 2.0
-
-
-def _pool_worker_entry(routine, config: RunConfig, rank: int, quota: int,
-                       outbox, deadline_in: float | None,
-                       job: str | None = None) -> None:
-    """Worker process body: the standard loop, piping DATA bodies home.
-
-    ``deadline_in`` is the run's remaining time budget in seconds —
-    shipped as a duration because absolute monotonic clocks do not
-    travel between hosts.  ``job`` tags every pass with the owning job
-    id (multi-job scheduler sessions).  Each message is encoded here,
-    once, straight to the bytes a DATA frame carries, so the daemon's
-    forwarding path is a pure byte relay; ``outbox`` is the write end
-    of the pipe the daemon's watcher reads.
-    """
-    deadline = (time.monotonic() + deadline_in
-                if deadline_in is not None else None)
-    telemetry = WorkerTelemetry(rank) if config.telemetry else None
-    run_worker(routine, config, rank, quota,
-               send=lambda message: outbox.send_bytes(
-                   message_to_payload(message, job=job)),
-               deadline=deadline, telemetry=telemetry)
 
 
 def _import_routine(spec: str):
@@ -205,7 +180,6 @@ class _Session:
                     raise WireError(
                         f"hello job {job_id!r} entry must be an object")
                 self._contexts[str(job_id)] = self._adopt_context(entry)
-        self._time_limit = payload.get("time_limit")
 
     def _submit_job(self, payload: dict) -> None:
         """Adopt one job declared mid-session (streaming only)."""
@@ -279,9 +253,9 @@ class _Session:
         context = self._server.context
         inbox, outbox = context.Pipe(duplex=False)
         process = context.Process(
-            target=_pool_worker_entry,
-            args=(routine, config, rank, quota, outbox,
-                  payload.get("deadline_in"), job),
+            target=worker_process,
+            args=(routine, config, rank, quota, outbox, job),
+            kwargs={"deadline_in": payload.get("deadline_in")},
             daemon=True)
         process.start()
         outbox.close()  # the child holds the only write end now

@@ -6,7 +6,7 @@ scaling wall: its cost is a *fixed per-message overhead* times O(M)
 worker passes.  This module replaces the flat worker->rank-0 topology
 with a configurable k-ary tree.  Interior **reducer nodes** drain
 everything their subtree delivered since their last forward, keep the
-latest cumulative snapshot per rank (the same latest-per-rank
+latest cumulative snapshot per rank (:class:`Coalescer`, the same
 discipline the collector itself applies), and forward one
 :class:`~repro.runtime.messages.CombinedMessage` upstream.  Under load
 a reducer coalesces many worker passes into one upstream message, so
@@ -52,6 +52,7 @@ from repro.exceptions import ConfigurationError
 from repro.runtime.messages import CombinedMessage, MomentMessage
 
 __all__ = [
+    "Coalescer",
     "ReducerNode",
     "ReductionPlan",
     "plan_reduction",
@@ -214,6 +215,75 @@ def _crash_matches(node_id: str) -> tuple[str, int | None] | None:
         f"got {mode!r}")
 
 
+class Coalescer:
+    """The latest-per-rank rule, for anything relaying towards rank 0.
+
+    Passes are *cumulative*, so a relay owes its parent only each
+    rank's newest one: :meth:`admit` worker passes or child forwards,
+    :meth:`take` what changed since the last take, rank-ordered and
+    untouched.  The real reducer (:func:`run_reducer`) and the
+    simulated one (``cluster.simulation._ReducerStation``) differ only
+    in what surrounds this class.
+    """
+
+    def __init__(self, node: ReducerNode) -> None:
+        self._node = node
+        # Volumes outlive the forwarded passes: a reorder is recognised
+        # however long ago its successor left.
+        self._volumes: dict[int, int] = {}
+        self._pending: dict[int, MomentMessage] = {}
+        self._finals: set[int] = set()
+        self._drained = 0
+
+    def admit(self, item: MomentMessage | CombinedMessage) -> bool:
+        """Absorb one child message; True if it carried a final pass."""
+        entries = (item.entries if isinstance(item, CombinedMessage)
+                   else (item,))
+        saw_final = False
+        for entry in entries:
+            self._drained += 1
+            volume = entry.snapshot.volume
+            if volume < self._volumes.get(entry.rank, 0) or (
+                    entry.rank in self._finals and not entry.final):
+                # Stale reorder: cumulative volume only grows, and a
+                # final pass is its rank's last word.
+                continue
+            self._volumes[entry.rank] = volume
+            self._pending[entry.rank] = entry
+            if entry.final:
+                self._finals.add(entry.rank)
+                saw_final = True
+        return saw_final
+
+    @property
+    def pending(self) -> bool:
+        """True while some rank changed since the last :meth:`take`."""
+        return bool(self._pending)
+
+    @property
+    def complete(self) -> bool:
+        """Every subtree rank's final pass was admitted and taken."""
+        return (not self._pending
+                and self._finals.issuperset(self._node.subtree_ranks))
+
+    def take(self, now: float) -> CombinedMessage | None:
+        """The changed ranks' latest passes as one message, or None."""
+        if not self._pending:
+            return None
+        entries = tuple(self._pending[rank]
+                        for rank in sorted(self._pending))
+        # A job-scoped tree serves exactly one job, so the combined
+        # message inherits its entries' tag (None on the classic
+        # run-wide tree, keeping those messages byte-identical).
+        combined = CombinedMessage(
+            node_id=self._node.node_id, entries=entries, sent_at=now,
+            metrics={"level": self._node.level, "drained": self._drained},
+            job=entries[0].job)
+        self._pending.clear()
+        self._drained = 0
+        return combined
+
+
 def run_reducer(node: ReducerNode, inbox, upstream, *,
                 clock=time.monotonic, idle_wait: float = _IDLE_WAIT
                 ) -> None:
@@ -230,23 +300,19 @@ def run_reducer(node: ReducerNode, inbox, upstream, *,
         idle_wait: Blocking-poll granularity when nothing is pending.
 
     One drain cycle moves *everything* currently available from the
-    children into the latest-per-rank map, then forwards at most one
+    children into the :class:`Coalescer`, then forwards at most one
     combined message carrying the ranks that changed — so a burst of
     k child passes costs the parent one message, the coalescing that
     keeps upstream load O(fanout).  The loop exits when every subtree
     rank has delivered (and the reducer has forwarded) its final pass,
     or on the sentinel.
     """
-    latest: dict[int, MomentMessage] = {}
-    dirty: set[int] = set()
-    finals: set[int] = set()
-    expected = set(node.subtree_ranks)
+    coalescer = Coalescer(node)
     crash = _crash_matches(node.node_id)
     forwards = 0
-    drained_since_forward = 0
     stopping = False
     while True:
-        batch: list[MomentMessage | CombinedMessage] = []
+        saw_final = False
         try:
             while not stopping:
                 item = inbox.get_nowait()
@@ -254,12 +320,12 @@ def run_reducer(node: ReducerNode, inbox, upstream, *,
                     # Sentinel: finish this drain cycle (forwarding
                     # whatever it collected) and then stop.
                     stopping = True
-                    break
-                batch.append(item)
+                else:
+                    saw_final |= coalescer.admit(item)
         except queue_module.Empty:
             pass
-        if not batch and not stopping:
-            if expected <= finals and not dirty:
+        if not coalescer.pending and not stopping:
+            if coalescer.complete:
                 return
             try:
                 item = inbox.get(timeout=idle_wait)
@@ -268,43 +334,15 @@ def run_reducer(node: ReducerNode, inbox, upstream, *,
             if item is None:
                 stopping = True
             else:
-                batch.append(item)
-        saw_final = False
-        for item in batch:
-            entries = (item.entries if isinstance(item, CombinedMessage)
-                       else (item,))
-            for entry in entries:
-                drained_since_forward += 1
-                previous = latest.get(entry.rank)
-                if (previous is not None
-                        and entry.snapshot.volume
-                        < previous.snapshot.volume):
-                    # Stale reorder: cumulative volume only grows, and
-                    # the collector would drop it anyway — coalescing
-                    # it away here keeps upstream bytes honest.
-                    continue
-                latest[entry.rank] = entry
-                dirty.add(entry.rank)
-                if entry.final:
-                    finals.add(entry.rank)
-                    saw_final = True
+                saw_final = coalescer.admit(item)
         if crash is not None and crash[0] == "on-final" and saw_final:
             # Die with the final absorbed but unforwarded: the worst
             # case the engine's grace path must cover.
             os._exit(_CRASH_EXITCODE)
-        if dirty:
-            entries = tuple(latest[rank] for rank in sorted(dirty))
-            # A job-scoped tree serves exactly one job, so the combined
-            # message inherits its entries' tag (None on the classic
-            # run-wide tree, keeping those messages byte-identical).
-            upstream.put(CombinedMessage(
-                node_id=node.node_id, entries=entries, sent_at=clock(),
-                metrics={"level": node.level,
-                         "drained": drained_since_forward},
-                job=entries[0].job))
-            dirty.clear()
+        combined = coalescer.take(clock())
+        if combined is not None:
+            upstream.put(combined)
             forwards += 1
-            drained_since_forward = 0
             if (crash is not None and crash[0] == "after-forward"
                     and forwards >= (crash[1] or 0)):
                 # "After forward" means after the forward *delivered*:
@@ -316,5 +354,5 @@ def run_reducer(node: ReducerNode, inbox, upstream, *,
                     upstream.close()
                     upstream.join_thread()
                 os._exit(_CRASH_EXITCODE)
-        if stopping or (expected <= finals and not dirty):
+        if stopping or coalescer.complete:
             return

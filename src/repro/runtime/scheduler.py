@@ -120,14 +120,6 @@ class Scheduler:
         #: Monotonic submission counter; unlike ``len(self._jobs)`` it
         #: survives :meth:`prune`, keeping ids and indices unique.
         self._submitted = 0
-        # What backends read off their bind target.  ``config`` carries
-        # the backend-level knobs; a single run's anonymous job also
-        # lends its routine, collector and telemetry (see
-        # _ensure_bound).  Per-job context flows through job_context().
-        self.routine = None
-        self.config = None
-        self.collector = None
-        self.telemetry = None
 
     # -- submission -----------------------------------------------------
 
@@ -457,27 +449,6 @@ class Scheduler:
                 self._finalize(job)
         return self._active > 0
 
-    def _ensure_bound(self, job: Job) -> None:
-        """Bind the backend lazily, at the first admission.
-
-        The loop can start with an empty queue, so what the backend
-        reads at bind time comes from the first admitted job.  A single
-        run's anonymous job lends its whole context; a named job only a
-        representative config for backend-level knobs (start method,
-        processors for pool sizing) — its own settings are read through
-        job_context() at spawn time.
-        """
-        if self._bound:
-            return
-        if job.id is None:
-            self.routine, self.config = job.routine, job.config
-            self.collector, self.telemetry = job.collector, job.telemetry
-        else:
-            self.config = job.config.with_updates(
-                time_limit=None, reduction_fanout=None)
-        self._backend.bind(self)
-        self._bound = True
-
     def _admit_pending(self) -> None:
         """Open queued jobs and put their work plans in contention."""
         backend = self._backend
@@ -487,11 +458,14 @@ class Scheduler:
                 continue  # cancelled while queued
             try:
                 job.open(backend, time.monotonic())
-                self._ensure_bound(job)
+                if not self._bound:
+                    # At the first admission: the loop can start with
+                    # an empty queue, and bind() may read the job table.
+                    backend.bind(self)
+                    self._bound = True
                 job.collector.mark_epoch(backend.clock())
                 announce = getattr(backend, "announce_job", None)
-                if announce is not None and job.id is not None:
-                    # The anonymous job rides in the classic HELLO.
+                if announce is not None:
                     announce(job)
                 prepare = getattr(backend, "prepare_job", None)
                 if prepare is not None:

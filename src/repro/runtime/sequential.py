@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import replace
 
 from repro.obs.telemetry import WorkerTelemetry
 from repro.runtime.config import RunConfig
@@ -60,8 +59,7 @@ class SequentialBackend(EngineBackend):
             return None
         assignment = self._pending.popleft()
         engine = self.engine
-        job = assignment.job
-        context = engine.job_context(job)
+        context = engine.job_context(assignment.job)
         telemetry = context.telemetry
         # A worker whose turn comes after its job's time limit honours
         # the limit like any dispatched worker does: it simulates
@@ -70,8 +68,7 @@ class SequentialBackend(EngineBackend):
                    and time.monotonic() >= context.deadline)
 
         def send(message: MomentMessage) -> None:
-            engine.ingest(message if job is None
-                          else replace(message, job=job), time.monotonic())
+            engine.ingest(message, time.monotonic())
 
         worker_telemetry = (WorkerTelemetry(assignment.rank)
                             if telemetry is not None else None)
@@ -79,7 +76,8 @@ class SequentialBackend(EngineBackend):
         accumulator = run_worker(
             context.routine, context.config, assignment.rank,
             0 if expired else assignment.quota, send=send,
-            deadline=context.deadline, telemetry=worker_telemetry)
+            deadline=context.deadline, telemetry=worker_telemetry,
+            job=assignment.job)
         if telemetry is not None:
             telemetry.tracer.record("worker.run", worker_started,
                                     time.monotonic(), rank=assignment.rank,

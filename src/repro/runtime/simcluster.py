@@ -71,6 +71,7 @@ class SimclusterBackend(EngineBackend):
         self._quotas = quotas
         self._scheduling = scheduling
         self._simulation: ClusterSimulation | None = None
+        self._reassign = False
         self._idle = False
         self._reported: set[int] = set()
 
@@ -94,11 +95,14 @@ class SimclusterBackend(EngineBackend):
 
     def spawn(self, assignments) -> None:
         if self._simulation is None:
+            # The simulation runs one job: the first plan's owner.
+            context = self.engine.job_context(assignments[0].job)
+            self._reassign = context.config.on_worker_death == "reassign"
             self._simulation = ClusterSimulation(
-                self.config, self._spec, self.collector,
-                routine=self.routine if self._execute else None,
+                context.config, self._spec, context.collector,
+                routine=context.routine if self._execute else None,
                 quotas=self._quotas, scheduling=self._scheduling,
-                telemetry=self.engine.telemetry)
+                telemetry=context.telemetry)
             self._simulation.start()
         else:
             for assignment in assignments:
@@ -122,7 +126,7 @@ class SimclusterBackend(EngineBackend):
         is simply lost, the run completes with a smaller sample, and
         nothing raises.
         """
-        if self.config.on_worker_death != "reassign":
+        if not self._reassign:
             return []
         deaths = [WorkerDeath(rank, None, detail="injected node failure")
                   for rank in self._simulation.dead_ranks()

@@ -38,13 +38,17 @@ from repro.rng.batch import BatchStreams
 from repro.rng.lcg128 import Lcg128
 from repro.rng.streams import StreamTree
 from repro.runtime.config import RunConfig
-from repro.runtime.messages import MomentMessage, message_bytes
+from repro.runtime.messages import (
+    MomentMessage,
+    message_bytes,
+    message_to_payload,
+)
 from repro.stats.accumulator import MomentAccumulator
 from repro.stats.statistic import StatisticSet
 
 __all__ = ["RealizationRoutine", "BatchRealizationRoutine",
            "adapt_realization", "batch_routine", "make_batched",
-           "run_worker"]
+           "run_worker", "worker_process"]
 
 #: A realization routine: either ``fn(rng) -> matrix`` or, PARMONC-style,
 #: ``fn() -> matrix`` drawing from the global :func:`repro.rng.rnd128`.
@@ -206,8 +210,8 @@ def run_worker(routine: RealizationRoutine, config: RunConfig, rank: int,
                quota: int, send: Callable[[MomentMessage], None],
                clock: Callable[[], float] = time.monotonic,
                deadline: float | None = None,
-               telemetry: WorkerTelemetry | None = None
-               ) -> MomentAccumulator:
+               telemetry: WorkerTelemetry | None = None,
+               job: str | None = None) -> MomentAccumulator:
     """Simulate ``quota`` realizations on processor ``rank``.
 
     Args:
@@ -226,6 +230,9 @@ def run_worker(routine: RealizationRoutine, config: RunConfig, rank: int,
             pass carries its cumulative dict to rank 0 on the message's
             ``metrics`` field.  None (the default) leaves the loop
             untouched.
+        job: Owning job id, stamped on every pass so a scheduler can
+            route several jobs' traffic over one channel; None (a
+            single run) keeps the historical bytes.
 
     Returns:
         The worker's final accumulator (also shipped via ``send`` with
@@ -248,7 +255,8 @@ def run_worker(routine: RealizationRoutine, config: RunConfig, rank: int,
             metrics = telemetry.as_dict(now=sent_at)
         send(MomentMessage(rank=rank, snapshot=accumulator.snapshot(),
                            sent_at=sent_at, final=final, metrics=metrics,
-                           statistics=statistics.extras_snapshot()))
+                           statistics=statistics.extras_snapshot(),
+                           job=job))
 
     batch_size = getattr(adapted, "batch_size", None)
     last_send = clock()
@@ -312,3 +320,28 @@ def run_worker(routine: RealizationRoutine, config: RunConfig, rank: int,
             break
     ship(clock(), final=True)
     return accumulator
+
+
+def worker_process(routine: RealizationRoutine, config: RunConfig,
+                   rank: int, quota: int, outbox, job: str | None = None,
+                   deadline: float | None = None,
+                   deadline_in: float | None = None) -> None:
+    """The worker process target of every backend that forks one.
+
+    A queue ``outbox`` (the multiprocess backend's, or a reducer's
+    inbox) takes each message itself; the write end of a pipe (the
+    pool daemon's) takes it encoded here, once, to the bytes a DATA
+    frame carries, so the daemon only relays.  The time limit is
+    ``deadline`` on this host's monotonic clock, or ``deadline_in``
+    seconds from now — what crosses the wire, where clocks do not.
+    """
+    if deadline_in is not None:
+        deadline = time.monotonic() + deadline_in
+    if hasattr(outbox, "send_bytes"):
+        def send(message: MomentMessage) -> None:
+            outbox.send_bytes(message_to_payload(message))
+    else:
+        send = outbox.put
+    run_worker(routine, config, rank, quota, send=send, deadline=deadline,
+               telemetry=WorkerTelemetry(rank) if config.telemetry else None,
+               job=job)

@@ -5,14 +5,15 @@ more than eyeballing two numbers.  These helpers work directly on the
 summary statistics PARMONC already computes (means, variances, sample
 volumes per matrix entry), so two finished runs can be compared without
 re-simulating.
+
+The two tests need scipy (``t.sf``, ``f.cdf``); it is imported inside
+them so that importing the package does not.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy import stats as _scipy_stats
 
 from repro.exceptions import ConfigurationError
 from repro.stats.estimators import Estimates
@@ -87,7 +88,8 @@ def compare_means(a: Estimates, b: Estimates, row: int = 0, col: int = 0,
     denominator = ((var_a / n_a) ** 2 / max(n_a - 1, 1)
                    + (var_b / n_b) ** 2 / max(n_b - 1, 1))
     df = numerator / denominator if denominator > 0 else n_a + n_b - 2
-    p_value = float(2.0 * _scipy_stats.t.sf(abs(statistic), df))
+    from scipy.stats import t
+    p_value = float(2.0 * t.sf(abs(statistic), df))
     return ComparisonResult(
         statistic=float(statistic), p_value=p_value, alpha=alpha,
         detail=f"means {mean_a:.6g} vs {mean_b:.6g}, "
@@ -110,7 +112,8 @@ def compare_variances(a: Estimates, b: Estimates, row: int = 0,
         raise ConfigurationError(
             "comparator variance is zero; nothing can beat it")
     ratio = var_a / var_b
-    p_value = float(_scipy_stats.f.cdf(ratio, n_a - 1, n_b - 1))
+    from scipy.stats import f
+    p_value = float(f.cdf(ratio, n_a - 1, n_b - 1))
     return ComparisonResult(
         statistic=float(ratio), p_value=p_value, alpha=alpha,
         detail=f"variance ratio a/b = {ratio:.4g}")

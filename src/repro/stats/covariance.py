@@ -100,6 +100,16 @@ class CovarianceAccumulator:
         accumulator._volume = int(volume)
         return accumulator
 
+    def __copy__(self) -> "CovarianceAccumulator":
+        """A frozen copy (what a ``Covariance`` snapshot carries): the
+        folded totals, no staging block, nothing shared."""
+        total, outer = self._effective()
+        frozen = object.__new__(type(self))
+        frozen.__dict__.update(
+            self.__dict__, _sum=total.copy(), _outer=outer.copy(),
+            _fill=0, _buffer=None, _scratch=None)
+        return frozen
+
     @property
     def shape(self) -> tuple[int, int]:
         """``(nrow, ncol)`` of the realization matrix."""

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from repro.exceptions import ConfigurationError
 
@@ -45,11 +44,14 @@ def confidence_factor(level: float) -> float:
     """Return ``gamma(level)``: the two-sided normal quantile for ``level``.
 
     ``confidence_factor(0.997)`` is approximately 3, the paper's choice.
+    Needs scipy, imported here so that ``import repro`` and a plain
+    run (which uses the fixed factor 3) do not.
     """
     if not 0.0 < level < 1.0:
         raise ConfigurationError(
             f"confidence level must be in (0, 1), got {level}")
-    return float(_scipy_stats.norm.ppf(0.5 + level / 2.0))
+    from scipy.stats import norm
+    return float(norm.ppf(0.5 + level / 2.0))
 
 
 @dataclass(frozen=True)

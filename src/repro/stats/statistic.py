@@ -42,6 +42,7 @@ whatever block widths their schedulers happen to pick.
 
 from __future__ import annotations
 
+import copy
 from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
@@ -95,6 +96,10 @@ class Statistic:
 
     #: Registry key and payload ``"kind"`` tag; subclasses override.
     kind: ClassVar[str] = "abstract"
+
+    #: Names of reusable batch-scratch attributes (each an ndarray or
+    #: None); :meth:`snapshot` leaves them behind.
+    _scratch_names: ClassVar[frozenset[str]] = frozenset()
 
     def __init__(self, nrow: int, ncol: int) -> None:
         if nrow < 1 or ncol < 1:
@@ -158,9 +163,18 @@ class Statistic:
         self._volume += other.volume
 
     def snapshot(self) -> "Statistic":
-        """An independent copy of the current cumulative state."""
-        clone = type(self)(*self._shape)
-        clone.merge(self)
+        """An independent copy of the cumulative state, minus scratch.
+
+        ``_scratch_names`` come out as None; everything else through
+        :func:`copy.copy` — arrays by value, an accumulator by its own
+        ``__copy__`` — so a snapshot is as small as its payload.  A
+        subclass with state in nested containers overrides this.
+        """
+        clone = object.__new__(type(self))
+        scratch = self._scratch_names
+        clone.__dict__.update(
+            (name, None if name in scratch else copy.copy(value))
+            for name, value in self.__dict__.items())
         return clone
 
     def to_payload(self) -> dict:
@@ -502,25 +516,6 @@ class Covariance(Statistic):
             np.asarray(payload["outer"], dtype=np.float64),
             int(payload["volume"]))
 
-    def snapshot(self) -> "Covariance":
-        # Trusted clone of already-validated state; leaves the staging
-        # buffer behind so snapshots stay as small as their payloads.
-        clone = self.__class__.__new__(self.__class__)
-        clone.__dict__.update(self.__dict__)
-        source = self._accumulator
-        total, outer = source._effective()
-        frozen = CovarianceAccumulator.__new__(CovarianceAccumulator)
-        frozen._shape = source._shape
-        frozen._sum = total.copy()
-        frozen._outer = outer.copy()
-        frozen._volume = source._volume
-        frozen._block = source._block
-        frozen._fill = 0
-        frozen._buffer = None
-        frozen._scratch = None
-        clone._accumulator = frozen
-        return clone
-
     def _words(self) -> int:
         return self._size + self._size * self._size + 1
 
@@ -558,6 +553,8 @@ class Histogram(Statistic):
     """
 
     kind = "histogram"
+
+    _scratch_names = frozenset(("_scaled", "_codes", "_tiled_base"))
 
     #: Default binning; subclasses override for custom ranges.
     DEFAULT_BINS = 64
@@ -689,15 +686,6 @@ class Histogram(Statistic):
         rebuilt._counts[:, -1] = overflow
         self.__dict__.update(rebuilt.__dict__)
 
-    def snapshot(self) -> "Histogram":
-        clone = self.__class__.__new__(self.__class__)
-        clone.__dict__.update(self.__dict__)
-        clone._counts = self._counts.copy()
-        clone._scaled = None
-        clone._codes = None
-        clone._tiled_base = None
-        return clone
-
     def _words(self) -> int:
         return self._size * (self._bins + 2) + 3
 
@@ -716,6 +704,7 @@ class Extrema(Statistic):
     """
 
     kind = "extrema"
+    _scratch_names = frozenset(("_scratch",))
 
     def __init__(self, nrow: int, ncol: int) -> None:
         super().__init__(nrow, ncol)
@@ -769,14 +758,6 @@ class Extrema(Statistic):
         self._min = minimum
         self._max = maximum
 
-    def snapshot(self) -> "Extrema":
-        clone = self.__class__.__new__(self.__class__)
-        clone.__dict__.update(self.__dict__)
-        clone._min = self._min.copy()
-        clone._max = self._max.copy()
-        clone._scratch = None
-        return clone
-
     def _words(self) -> int:
         return 2 * self._size + 1
 
@@ -798,6 +779,7 @@ class Counter(Statistic):
     """
 
     kind = "counter"
+    _scratch_names = frozenset(("_scratch", "_flags"))
 
     def __init__(self, nrow: int, ncol: int) -> None:
         super().__init__(nrow, ncol)
@@ -862,16 +844,6 @@ class Counter(Statistic):
             if (counts < 0).any():
                 raise ValueError("counter counts must be >= 0")
             setattr(self, f"_{name}", counts)
-
-    def snapshot(self) -> "Counter":
-        clone = self.__class__.__new__(self.__class__)
-        clone.__dict__.update(self.__dict__)
-        clone._negative = self._negative.copy()
-        clone._zero = self._zero.copy()
-        clone._positive = self._positive.copy()
-        clone._scratch = None
-        clone._flags = None
-        return clone
 
     def _words(self) -> int:
         return 3 * self._size + 1

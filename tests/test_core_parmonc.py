@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -136,3 +141,22 @@ class TestCrossBackendEquivalence:
         slow = parmonc(half, maxsv=200, processors=2, perpass=100.0,
                        workdir=tmp_path / "b")
         assert np.array_equal(fast.estimates.mean, slow.estimates.mean)
+
+
+def test_import_and_a_plain_run_need_no_scipy():
+    # pyproject.toml declares numpy alone.  scipy serves three features
+    # (confidence_interval(level), stats.compare, the Black-Scholes
+    # oracle) and the RNG test battery, each importing it on use.
+    source = str(Path(__file__).parent.parent / "src")
+    code = (
+        "import sys, repro, repro.cli.sched\n"
+        "assert 'scipy' not in sys.modules, 'import repro pulled scipy'\n"
+        "result = repro.parmonc(lambda rng: rng.random(), maxsv=64,\n"
+        "                       processors=2, use_files=False)\n"
+        "assert result.total_volume == 64\n"
+        "assert 'scipy' not in sys.modules, 'a plain run pulled scipy'\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [source, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr[-2000:]

@@ -165,3 +165,56 @@ class TestOneSameHostPath:
             for path in (ROOT / "src" / "repro").rglob("*.py")
             if pattern.search(path.read_text())]
         assert offenders == []
+
+
+class TestOneContextSource:
+    # docs/architecture.md "One context source": backends read a job's
+    # routine, config, collector, telemetry and deadline through
+    # job_context() alone, a pass is tagged where it is built, and one
+    # function is the body of every worker process.
+
+    def test_scheduler_and_backends_impersonate_no_job(self):
+        from repro.runtime.engine import EngineBackend, create_backend
+        from repro.runtime.scheduler import Scheduler
+
+        backend = create_backend("sequential")
+        scheduler = Scheduler(backend)
+        backend.bind(scheduler)
+        assert isinstance(backend, EngineBackend)
+        assert vars(backend).keys() >= {"engine"}
+        for name in ("routine", "config", "collector", "deadline"):
+            assert not hasattr(backend, name), name
+            assert not hasattr(scheduler, name), name
+        assert not hasattr(scheduler, "telemetry")
+
+    def test_only_the_distributed_backend_knows_the_solo_shape(self):
+        # The scheduler's one remaining look at the anonymous id is
+        # sla_report's named-jobs filter.
+        scheduler = read("src/repro/runtime/scheduler.py")
+        assert len(re.findall(r"id is (?:not )?None", scheduler)) == 1
+        assert not re.search(r"engine\.(routine|config|collector)\b",
+                             read("src/repro/runtime/engine.py"))
+
+    def test_passes_are_tagged_only_where_they_are_built(self):
+        from repro.runtime.messages import message_to_payload
+
+        for module in ("multiprocess", "sequential", "pool"):
+            source = read(f"src/repro/runtime/{module}.py")
+            assert not re.search(r"import.*\breplace\b|replace\(",
+                                 source), module
+        assert list(inspect.signature(message_to_payload).parameters) \
+            == ["message"]
+
+    def test_exactly_one_worker_process_target(self):
+        targets = [
+            match
+            for path in (ROOT / "src" / "repro").rglob("*.py")
+            for match in re.findall(r"\.Process\(\s*target=(\w+)",
+                                    path.read_text())]
+        assert sorted(set(targets)) == ["run_reducer", "worker_process"]
+        assert targets.count("worker_process") == 2  # queue and pool
+        definitions = [
+            str(path.relative_to(ROOT))
+            for path in (ROOT / "src" / "repro").rglob("*.py")
+            if re.search(r"^def worker_process\(", path.read_text(), re.M)]
+        assert definitions == ["src/repro/runtime/worker.py"]

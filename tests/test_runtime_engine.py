@@ -355,12 +355,12 @@ class TestDeadWorkerDetection:
         config = RunConfig(maxsv=4, processors=1,
                            death_grace=death_grace)
         backend = MultiprocessBackend()
-        backend.config = config
-        backend.collector = Collector(config, _snapshot(0), data=None)
-        # Stands in for the bound scheduler: one anonymous job whose
-        # config and collector are the backend's own.
-        backend.engine = SimpleNamespace(
-            telemetry=None, job_context=lambda job: backend)
+        # Stands in for the bound scheduler: one anonymous job, read
+        # like every job through job_context().
+        context = SimpleNamespace(
+            config=config, telemetry=None,
+            collector=Collector(config, _snapshot(0), data=None))
+        backend.bind(SimpleNamespace(job_context=lambda job: context))
         backend._outbox = _FakeOutbox(queued)
         backend._live = {(None, 0): _FakeProcess()}
         return backend
@@ -392,7 +392,8 @@ class TestDeadWorkerDetection:
                                 sent_at=0.0, final=True)
         backend = self._backend([message])
         backend.reap()
-        backend.collector.receive(backend.poll(0.0), now=0.0)
+        backend.engine.job_context(None).collector.receive(
+            backend.poll(0.0), now=0.0)
         assert backend.reap() == []
 
 

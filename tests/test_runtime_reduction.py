@@ -11,10 +11,16 @@ estimate stays the canonical rank-ordered merge.
 from __future__ import annotations
 
 import queue
+from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cluster.events import EventQueue
+from repro.cluster.simulation import _ReducerStation
 from repro.core.parmonc import parmonc
 from repro.exceptions import BackendError, ConfigurationError
 from repro.obs.events import read_events
@@ -23,10 +29,11 @@ from repro.runtime.config import RunConfig
 from repro.runtime.messages import CombinedMessage, MomentMessage
 from repro.runtime.reduction import (
     CRASH_ENV,
+    Coalescer,
     plan_reduction,
     run_reducer,
 )
-from repro.stats.accumulator import MomentAccumulator
+from repro.stats.accumulator import MomentAccumulator, MomentSnapshot
 from repro.stats.merging import merge_snapshots
 
 
@@ -198,6 +205,155 @@ class TestRunReducer:
         run_reducer(node, inbox, upstream)  # returns instead of hanging
         # The non-final batch drained before the sentinel still went out.
         assert upstream.get_nowait().ranks == (0,)
+
+
+# ---------------------------------------------------------------------------
+# The coalescing rule, written once
+
+
+def _pass(rank, volume, final=False, job=None):
+    """A 1x1 pass that is all bookkeeping: only rank/volume/final vary."""
+    snapshot = MomentSnapshot(sum1=np.zeros((1, 1)), sum2=np.zeros((1, 1)),
+                              volume=volume)
+    return MomentMessage(rank=rank, snapshot=snapshot, sent_at=0.0,
+                         final=final, job=job)
+
+
+def _shape(combined):
+    return [(entry.rank, entry.snapshot.volume, entry.final)
+            for entry in combined.entries], combined.metrics["drained"]
+
+
+_NODE = plan_reduction(range(8), 4).node("r1.0")  # ranks 0..3
+
+_passes = st.builds(_pass, st.integers(0, 3), st.integers(0, 12),
+                    st.booleans())
+_combined = st.lists(_passes, min_size=1, max_size=4,
+                     unique_by=lambda entry: entry.rank).map(
+    lambda entries: CombinedMessage(
+        node_id="child", sent_at=0.0,
+        entries=tuple(sorted(entries, key=lambda entry: entry.rank))))
+#: Any interleaving of worker passes, child forwards and takes; volumes
+#: are drawn freely, so stale reorders come up by themselves.
+_schedules = st.lists(st.one_of(_passes, _combined, st.just("take")),
+                      max_size=40)
+
+
+class TestCoalescer:
+    @settings(max_examples=200, deadline=None)
+    @given(_schedules)
+    def test_any_interleaving_forwards_exactly_what_changed(self, steps):
+        coalescer = Coalescer(_NODE)
+        watermark: dict[int, int] = {}   # rank -> highest volume admitted
+        changed: dict[int, MomentMessage] = {}
+        finals: set[int] = set()
+        forwarded_finals: set[int] = set()
+        drained = 0
+        for step in steps + ["take"]:
+            if step != "take":
+                entries = getattr(step, "entries", (step,))
+                fresh_final = False
+                for entry in entries:
+                    drained += 1
+                    if entry.snapshot.volume < watermark.get(entry.rank, 0) \
+                            or (entry.rank in finals and not entry.final):
+                        continue  # went backwards, or trails its final
+                    watermark[entry.rank] = entry.snapshot.volume
+                    changed[entry.rank] = entry
+                    if entry.final:
+                        finals.add(entry.rank)
+                        fresh_final = True
+                assert coalescer.admit(step) is fresh_final
+                assert coalescer.pending is bool(changed)
+                continue
+            combined = coalescer.take(7.5)
+            if not changed:
+                assert combined is None
+                continue
+            # Rank-ordered (CombinedMessage enforces it too), exactly
+            # the changed set, each rank at the highest volume admitted,
+            # the very message objects — nothing rebuilt or pre-summed.
+            assert combined.ranks == tuple(sorted(changed))
+            assert all(entry is changed[entry.rank]
+                       and entry.snapshot.volume == watermark[entry.rank]
+                       for entry in combined.entries)
+            assert combined.node_id == _NODE.node_id
+            assert combined.sent_at == 7.5 and combined.job is None
+            assert combined.metrics == {"level": _NODE.level,
+                                        "drained": drained}
+            forwarded_finals.update(entry.rank for entry in combined.entries
+                                    if entry.final)
+            changed.clear()
+            drained = 0
+            assert not coalescer.pending
+        # Finals are never lost, and completion means all of them left.
+        assert forwarded_finals == finals
+        assert coalescer.complete is (finals >= set(_NODE.subtree_ranks))
+
+    def test_forward_inherits_its_entries_job_tag(self):
+        coalescer = Coalescer(_NODE)
+        coalescer.admit(_pass(1, 3, job="exp-a"))
+        assert coalescer.take(0.0).job == "exp-a"
+
+    def test_real_and_simulated_reducer_forward_the_same_entries(self):
+        # One schedule of bursts — coalescing, a child forward, a
+        # reorder inside a burst and one arriving after its successor
+        # already left (where the two implementations used to differ:
+        # the simulated station forgot what it had forwarded).
+        bursts = [
+            [_pass(0, 1), _pass(0, 2), _pass(1, 1)],
+            [_pass(0, 1), _pass(2, 4), _pass(2, 3)],
+            [CombinedMessage(node_id="child", sent_at=0.0,
+                             entries=(_pass(1, 5), _pass(3, 2)))],
+            [_pass(3, 1)],
+            [_pass(rank, 9, final=True) for rank in range(4)],
+        ]
+        expected = [
+            ([(0, 2, False), (1, 1, False)], 3),
+            ([(2, 4, False)], 3),
+            ([(1, 5, False), (3, 2, False)], 2),
+            # burst 4 is all stale: nothing goes out, its drain count
+            # rides on the next forward
+            ([(rank, 9, True) for rank in range(4)], 5),
+        ]
+
+        class BurstInbox:
+            """Each idle wait of the reducer lets the next burst in."""
+
+            def __init__(self):
+                self._bursts = deque(deque(burst) for burst in bursts)
+
+            def get_nowait(self):
+                if not self._bursts or not self._bursts[0]:
+                    raise queue.Empty
+                return self._bursts[0].popleft()
+
+            def get(self, timeout):
+                self._bursts.popleft()
+                if not self._bursts:
+                    return None
+                raise queue.Empty
+
+        upstream = queue.Queue()
+        run_reducer(_NODE, BurstInbox(), upstream)
+        real = []
+        while not upstream.empty():
+            real.append(_shape(upstream.get_nowait()))
+
+        simulated = []
+        events = EventQueue()
+        station = _ReducerStation(
+            SimpleNamespace(
+                _events=events,
+                _forward=lambda node, combined, now:
+                    simulated.append(_shape(combined))),
+            _NODE, service_time=1.0)
+        for index, burst in enumerate(bursts):
+            for item in burst:
+                station.admit(item, arrival=100.0 * index)
+            events.run()
+
+        assert real == simulated == expected
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+import multiprocessing
+import pickle
+import queue
+import time
+
 import numpy as np
 import pytest
 
@@ -9,7 +15,17 @@ from repro.exceptions import ConfigurationError, RealizationError
 from repro.rng import current_rnd128, rnd128
 from repro.rng.streams import StreamTree
 from repro.runtime.config import RunConfig
-from repro.runtime.worker import adapt_realization, run_worker
+from repro.runtime.messages import (
+    message_from_payload,
+    message_to_payload,
+    pack_moments,
+    unpack_moments,
+)
+from repro.runtime.worker import (
+    adapt_realization,
+    run_worker,
+    worker_process,
+)
 
 
 class FakeClock:
@@ -171,3 +187,89 @@ class TestRunWorker:
                             send=lambda m: None)
         assert np.array_equal(first.snapshot().sum1,
                               second.snapshot().sum1)
+
+
+def _uniform(rng):
+    return rng.random()
+
+
+class TestJobTagAtTheSource:
+    """``run_worker(job=)`` stamps the pass when it builds it — the one
+    place a pass gets its tag — and the bytes on either channel are
+    what the two downstream re-taggers used to produce."""
+
+    def _passes(self, job, **config_kwargs):
+        config = RunConfig(maxsv=3, perpass=0.0, **config_kwargs)
+        sent = []
+        run_worker(_uniform, config, rank=2, quota=3, send=sent.append,
+                   clock=FakeClock(), job=job)
+        return sent
+
+    @pytest.mark.parametrize("config_kwargs", [
+        {}, {"statistics": ("moments", "extrema")}])
+    def test_tagged_bytes_are_the_old_retagged_bytes(self, config_kwargs):
+        plain = self._passes(None, **config_kwargs)
+        tagged = self._passes("j", **config_kwargs)
+        assert len(plain) == len(tagged) == 4  # three passes + the final
+        assert all(message.job is None for message in plain)
+        assert all(message.job == "j" for message in tagged)
+        for before, after in zip(plain, tagged):
+            # The queue path used dataclasses.replace on the child side.
+            assert pickle.dumps(after) \
+                == pickle.dumps(dataclasses.replace(before, job="j"))
+            # The pool path overrode the tag while encoding: "job" leads
+            # the tail, everything else is the untagged pass.
+            body = message_to_payload(after)
+            flags, rank, sent_at, snapshot, tail = \
+                unpack_moments(message_to_payload(before))
+            assert body == pack_moments(snapshot, {"job": "j", **tail},
+                                        flags=flags, rank=rank,
+                                        sent_at=sent_at)
+            assert message_from_payload(body).job == "j"
+
+    def test_untagged_pass_has_no_tail(self):
+        body = message_to_payload(self._passes(None)[0])
+        assert len(body) == 48 + 16  # header + one sum1 + one sum2 entry
+        assert message_from_payload(body).job is None
+
+
+class TestWorkerProcess:
+    """One process body for every backend that forks workers: a queue
+    takes the message, a pipe takes its DATA body."""
+
+    CONFIG = RunConfig(maxsv=4, perpass=0.0)
+
+    def _through_queue(self, **kwargs):
+        outbox = queue.Queue()
+        worker_process(_uniform, self.CONFIG, 1, 4, outbox, **kwargs)
+        return [outbox.get_nowait() for _ in range(outbox.qsize())]
+
+    def _through_pipe(self, **kwargs):
+        inbox, outbox = multiprocessing.Pipe(duplex=False)
+        with inbox, outbox:
+            worker_process(_uniform, self.CONFIG, 1, 4, outbox, **kwargs)
+            received = []
+            while inbox.poll():
+                received.append(message_from_payload(inbox.recv_bytes()))
+        return received
+
+    @pytest.mark.parametrize("job", [None, "exp-a"])
+    def test_queue_and_pipe_carry_the_same_passes(self, job):
+        queued = self._through_queue(job=job)
+        piped = self._through_pipe(job=job)
+        assert [(m.rank, m.snapshot.volume, m.final, m.job)
+                for m in queued] \
+            == [(m.rank, m.snapshot.volume, m.final, m.job)
+                for m in piped] \
+            == [(1, 1, False, job), (1, 2, False, job), (1, 3, False, job),
+                (1, 4, False, job), (1, 4, True, job)]
+        assert all(np.array_equal(a.snapshot.sum1, b.snapshot.sum1)
+                   for a, b in zip(queued, piped))
+
+    def test_deadline_arrives_absolute_or_as_remaining_seconds(self):
+        # Already past either way: the worker stops after the
+        # realization in flight and ships its final pass.
+        absolute = self._through_queue(deadline=time.monotonic())
+        remaining = self._through_pipe(deadline_in=0.0)
+        for passes in (absolute, remaining):
+            assert passes[-1].final and passes[-1].snapshot.volume == 1

@@ -312,6 +312,37 @@ class TestImplementations:
         assert Extrema(2, 2).nbytes == 8 * (2 * 4 + 1)
         assert Counter(2, 2).nbytes == 8 * (3 * 4 + 1)
 
+    @pytest.mark.parametrize("kind", EXTRA_KINDS)
+    def test_snapshot_is_frozen_independent_and_scratch_free(self, kind):
+        statistic = create_statistic(kind, 2, 3)
+        statistic.update(_sample(7), count=7)   # batched: scratch in use
+        frozen = statistic.snapshot()
+        before = statistic.to_payload()
+        assert type(frozen) is type(statistic)
+        assert frozen.to_payload() == before
+        assert frozen.nbytes == statistic.nbytes
+
+        def arrays(obj):
+            return [value for value in vars(obj).values()
+                    if isinstance(value, np.ndarray)]
+
+        # As small as its payload (no batch scratch, no staging block)
+        # and sharing no array with the live statistic.
+        holders = [(frozen, statistic)]
+        assert all(getattr(frozen, name) is None
+                   for name in type(statistic)._scratch_names)
+        if kind == "covariance":
+            holders.append((frozen.accumulator, statistic.accumulator))
+            assert statistic.accumulator._buffer is not None
+            assert frozen.accumulator._buffer is None
+        for copy, live in holders:
+            assert not any(np.shares_memory(a, b)
+                           for a in arrays(copy) for b in arrays(live))
+        statistic.update(_sample(5, seed=11), count=5)
+        assert frozen.to_payload() == before
+        frozen.merge(statistic.snapshot())       # still a working statistic
+        assert frozen.volume == 7 + 12
+
     def test_moments_wraps_accumulator_bitwise(self):
         matrices = _sample(25, 1, 1)
         statistic = Moments(1, 1)
