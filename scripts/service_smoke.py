@@ -14,12 +14,17 @@ operator would — through ``parmonc-submit`` against the queue file:
 3. **Chaos** — one worker of the telemetry-enabled job is SIGKILLed
    mid-run; the job must recover via ``on_worker_death="reassign"``
    and still finish.
-4. **Bit-identity** — the steady job's result artifacts must be
-   byte-identical (wall-clock fields aside) to a solo sequential run.
-5. **Validation** — a malformed submission must exit 2 and never touch
+4. **Failure containment** — a job under the default
+   ``on_worker_death="fail"`` loses one of its two workers to
+   ``os._exit(3)``; it must end ``failed``, and its *other* worker —
+   which would otherwise sit in its routine forever — must be gone
+   from the pool within 2 s (``release_job`` -> ``CANCEL``).
+5. **Bit-identity** — the steady and late jobs' result artifacts must
+   be byte-identical (wall-clock fields aside) to solo sequential runs.
+6. **Validation** — a malformed submission must exit 2 and never touch
    the queue.
-6. **SLA artifact** — the shutdown directive drains the service and
-   leaves an SLA report covering all three jobs, copied (with the
+7. **SLA artifact** — the shutdown directive drains the service and
+   leaves an SLA report covering every job, copied (with the
    status file and the victim's telemetry) to ``--artifacts``.
 
 Usage::
@@ -92,6 +97,25 @@ def hang_on_sixth(rng):
                 os.close(fd)
                 while True:
                     time.sleep(3600)
+    return rng.random() ** 2
+
+
+def exit_or_linger(rng):
+    """Of a job's two workers one lingers for good, the other exits 3
+    once the lingerer has recorded its pid (O_EXCL picks who is who)."""
+    directory = os.environ.get("PARMONC_SERVICE_SMOKE_HANG_DIR")
+    if directory:
+        path = os.path.join(directory, "linger.pid")
+        try:
+            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            while not os.path.getsize(path):
+                time.sleep(0.01)
+            os._exit(3)
+        os.write(fd, str(os.getpid()).encode("ascii"))
+        os.close(fd)
+        while True:
+            time.sleep(3600)
     return rng.random() ** 2
 '''
 
@@ -173,6 +197,18 @@ def wait_status(queue: Path, job: str, states: tuple[str, ...],
             return state
         time.sleep(0.1)
     raise RuntimeError(f"{job} never reached {states}")
+
+
+def process_gone(pid: int, within: float) -> bool:
+    """Whether ``pid`` ends (and is reaped) inside ``within`` seconds."""
+    deadline = time.monotonic() + within
+    while time.monotonic() < deadline:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        time.sleep(0.02)
+    return False
 
 
 def normalized_artifacts(workdir: Path) -> dict:
@@ -259,6 +295,18 @@ def main() -> int:
                           SERVE_TIMEOUT) == "cancelled",
               "status file shows doomed cancelled")
 
+        # A job that fails must not leave its other worker computing
+        # in a slot the scheduler already counts free.
+        check(submit(["smokeroutines:exit_or_linger", "--maxsv", "20",
+                      "--name", "faulty", "--seqnum", "4",
+                      "--processors", "2", "--perpass", "0",
+                      "--peraver", "0"]) == 0, "submitted faulty")
+        check(wait_status(queue, "faulty", ("failed", "done"),
+                          SERVE_TIMEOUT) == "failed",
+              "a worker's os._exit(3) fails its job")
+        check(process_gone(int((base / "linger.pid").read_text()), 2.0),
+              "the failed job's surviving worker is gone within 2 s")
+
         # The survivors drain to completion.
         check(submit(["--wait", "--wait-timeout", str(SERVE_TIMEOUT),
                       "smokeroutines:square", "--maxsv", "40",
@@ -270,14 +318,15 @@ def main() -> int:
         wait_status(queue, "victim", ("done",), SERVE_TIMEOUT)
         check(True, "steady and victim both finished")
 
-        # Shutdown directive: drain, write the SLA report, exit 0.
+        # Shutdown directive: drain, write the SLA report, exit.
         check(submit(["--shutdown"]) == 0, "shutdown directive queued")
         try:
             returncode = service.wait(timeout=SERVE_TIMEOUT)
         except subprocess.TimeoutExpired:
             service.kill()
             check(False, "service did not exit after shutdown")
-        check(returncode == 0, "service exited 0")
+        check(returncode == 1, "service drained and exited 1 (one job "
+                               "failed, by design)")
         status = read_status(queue)
         check(status.get("serving") is False,
               "final status file records the service as stopped")
@@ -294,11 +343,21 @@ def main() -> int:
         check(normalized_artifacts(base / "steady")
               == normalized_artifacts(base / "ref-steady"),
               "steady artifacts bit-identical to the solo reference")
+        run_sequential(smokeroutines.square,
+                       RunConfig(maxsv=40, processors=2, perpass=0.0,
+                                 peraver=0.0, seqnum=3,
+                                 workdir=base / "ref-late"))
+        check(normalized_artifacts(base / "late")
+              == normalized_artifacts(base / "ref-late"),
+              "late artifacts (admitted after the failure) bit-identical "
+              "to the solo reference")
 
         report = json.loads((base / "sla.json").read_text())
         by_id = {record["job"]: record for record in report["jobs"]}
-        check({"steady", "doomed", "victim", "late"} <= set(by_id),
-              "SLA report covers all submitted jobs")
+        check({"steady", "doomed", "victim", "faulty", "late"}
+              <= set(by_id), "SLA report covers all submitted jobs")
+        check(by_id["faulty"]["status"] == "failed",
+              "SLA report records the faulty job as failed")
         check(by_id["victim"]["recovered"] == 1,
               "SLA report records the victim's recovery")
         check(report["deadline_misses"] == 0, "no deadline misses")

@@ -118,18 +118,17 @@ class LoadStudyResult:
     mean_wait: float
 
 
-def run_load_study(queue: GGcKQueue, rng: Lcg128, *,
-                   prune_every: int = 1) -> LoadStudyResult:
+def run_load_study(queue: GGcKQueue, rng: Lcg128) -> LoadStudyResult:
     """Replay a G/G/c/K arrival stream against the live admission loop.
 
     Event discipline mirrors :func:`simulate_ggck` step for step: draw
     the interarrival, absorb every completion up to the arrival (one
     ``step`` to finalize the finished job, one to hand the freed slot
     to the queue head at the freed instant), then submit at the arrival
-    time.  ``prune_every`` bounds the live job table so a million
-    submissions run in constant memory — and, since every service-loop
-    pass scans the live table, in constant time per arrival (pruning
-    each arrival is measurably *faster* than batching it up).
+    time.  Pruning after every arrival bounds the live job table so a
+    million submissions run in constant memory — and, since every
+    service-loop pass scans the live table, in constant time per
+    arrival (measurably *faster* than batching the prunes up).
     """
     backend = LoadStudyBackend(queue.service, rng)
     scheduler = Scheduler(backend, workers=queue.servers,
@@ -159,8 +158,7 @@ def run_load_study(queue: GGcKQueue, rng: Lcg128, *,
             del backend.arrivals[name]
             continue
         scheduler.step(poll_timeout=0.0)
-        if index % prune_every == 0:
-            scheduler.prune()
+        scheduler.prune()
     flush(float("inf"))
     scheduler.shutdown()
     admitted = len(backend.waits)

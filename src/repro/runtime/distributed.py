@@ -5,8 +5,8 @@ backend forks workers locally, this backend connects to one or more
 ``parmonc-pool`` daemons (:mod:`repro.runtime.pool`) and dispatches the
 work plan over the wire protocol of :mod:`repro.runtime.wire`.  From the
 :class:`~repro.runtime.engine.Engine`'s point of view it is just another
-:class:`~repro.runtime.engine.Backend` — same ``spawn/poll/reap``
-contract, same collector, bit-identical estimates — which is the
+:class:`~repro.runtime.engine.EngineBackend` — same
+``spawn/poll/reap`` contract, same collector, bit-identical estimates — which is the
 ParaMonte-style promise: serial, multicore and multi-node runs share one
 user-facing API.
 
@@ -49,6 +49,7 @@ from repro.runtime.engine import (
     WorkerDeath,
     register_backend,
 )
+from repro.runtime.job import JobStatus
 from repro.runtime.messages import MomentMessage
 from repro.runtime.wire import (
     FrameKind,
@@ -118,11 +119,18 @@ class _PoolLink:
     capacity: int = 1
     label: str = ""
     active: set = field(default_factory=set)
-    #: Job ids this pool already has context for — seeded from the
-    #: HELLO snapshot, extended by SUBMIT frames.
+    #: Job ids this pool holds context for: a SUBMIT went out and no
+    #: CANCEL has followed it.
     announced: set = field(default_factory=set)
     #: Monotonic time of the pool's last frame (the silence watchdog).
     last_seen: float = field(default_factory=time.monotonic)
+
+
+def _tagged(job: str | None, **fields) -> dict:
+    """A control-frame body; the anonymous job's carries no ``job`` key."""
+    if job is not None:
+        fields["job"] = job
+    return fields
 
 
 def _sorted_keys(keys) -> list[tuple[str | None, int]]:
@@ -186,13 +194,13 @@ class DistributedBackend(EngineBackend):
         self._drainbuf = DrainBuffer(self._inbox.get_nowait)
         self._verdicts = ExitVerdicts()
         self._exit_backlog: list[_ExitRecord] = []
-        # Engine-thread -> network-thread work queue.
+        # Network-thread state; the engine thread changes it only
+        # through _on_loop, so its changes land in the order it made
+        # them.  Undispatched assignments, and per running job the
+        # ``(SUBMIT body, deadline)`` the dispatcher ships them with.
         self._pending: deque = deque()
-        # Network-thread state.
+        self._entries: dict[str | None, tuple[dict, float | None]] = {}
         self._links: dict[tuple[str, int], _PoolLink] = {}
-        #: The anonymous job of a solo run; None in a live session.
-        self._solo = None
-        self._hello: dict | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
         self._loop_ready = threading.Event()
@@ -206,45 +214,14 @@ class DistributedBackend(EngineBackend):
     # -- Backend protocol --------------------------------------------------
 
     def bind(self, engine) -> None:
-        """Go online; the one place that knows a solo run's shape.
-
-        A job table holding the anonymous job opens the classic
-        ``HELLO {config, routine}``; any other a streaming session.
-        """
+        """Go online: start dialling the pools."""
         super().bind(engine)
-        self._solo = next(
-            (job for job in engine.jobs if job.id is None), None)
-        if self._solo is not None:
-            routine = self._solo.routine
-            self._hello = {
-                "config": config_to_payload(self._solo.config),
-                "routine": routine_to_payload(routine,
-                                              spec=self._routine_spec),
-            }
-            batch_size = getattr(routine, "batch_size", None)
-            if self._routine_spec is not None and batch_size is not None:
-                # The spec names the *scalar* routine; the pool re-wraps
-                # it with make_batched so the batched fast path still
-                # runs.
-                self._hello["batch_size"] = batch_size
-        else:
-            # Ship the context of every job submitted so far, so a pool
-            # can start a worker for any of them straight from the
-            # handshake; later admissions reach connected pools as
-            # SUBMIT frames and late-joining pools through the
-            # (mutated) HELLO snapshot.  Routines travel as pickles — a
-            # per-job ``module:function`` spec has no CLI path yet.
-            self._hello = {
-                "jobs": {job.id: self._job_entry(job)
-                         for job in engine.jobs},
-                "streaming": True,
-            }
         self._last_pool_seen = time.monotonic()
         self._thread = threading.Thread(
             target=self._network_main, daemon=True,
             name="parmonc-distributed")
         self._thread.start()
-        if not self._loop_ready.wait(timeout=10.0):
+        if not self._loop_ready.wait(timeout=10.0) or self._loop is None:
             raise BackendError(
                 "the distributed backend's network thread failed to start")
 
@@ -254,8 +231,7 @@ class DistributedBackend(EngineBackend):
                 raise BackendError(
                     "the distributed backend needs a static quota per "
                     "assignment")
-            self._pending.append(assignment)
-        self._wake_dispatcher()
+        self._on_loop(self._enqueue, assignments)
         return None
 
     def poll(self, timeout: float) -> MomentMessage | None:
@@ -297,8 +273,6 @@ class DistributedBackend(EngineBackend):
             try:
                 context = self.engine.job_context(record.job)
             except BackendError:
-                if self._solo is not None:
-                    raise  # a single run has no jobs to prune
                 # The scheduler pruned the job after DONE; its workers'
                 # late EXIT frames are stray traffic, like late DATA.
                 self._verdicts.forget(key)
@@ -321,87 +295,37 @@ class DistributedBackend(EngineBackend):
         return dead
 
     def shutdown(self) -> None:
-        loop = self._loop
-        if loop is not None and self._stop_event is not None:
-            try:
-                loop.call_soon_threadsafe(self._stop_event.set)
-            except RuntimeError:
-                pass
+        if self._loop is not None:
+            self._on_loop(self._stop_event.set)
         if self._thread is not None:
             self._thread.join(timeout=10.0)
             self._thread = None
         self._flush_notices()
         self._done = True
 
-    def announce_job(self, job) -> None:
-        """Publish a newly admitted job's context to the pools.
+    def open_job(self, job) -> None:
+        """Register the job's wire entry.
 
-        Called by the scheduler (engine thread) right after admission.
-        The entry lands in the HELLO jobs map on the network thread —
-        every mutation of that map happens on the loop, so handshakes
-        always serialize a consistent snapshot — and the dispatcher
-        sends a SUBMIT frame to each already-connected pool before
-        that pool's first ASSIGN of this job.  The anonymous job
-        rides in the classic HELLO instead.
+        The dispatcher ships it as a SUBMIT ahead of the job's first
+        ASSIGN on each link — the one way a pool learns a job.  Named
+        jobs travel as pickles; ``routine_spec`` names the anonymous
+        job's routine (a per-job ``module:function`` spec has no CLI
+        path yet).
         """
-        if job.id is None:
-            return
-        entry = self._job_entry(job)
-        loop = self._loop
+        routine = job.routine
+        spec = self._routine_spec if job.id is None else None
+        entry = _tagged(job.id, config=config_to_payload(job.config),
+                        routine=routine_to_payload(routine, spec=spec))
+        batch_size = getattr(routine, "batch_size", None)
+        if spec is not None and batch_size is not None:
+            # The spec names the *scalar* routine; the pool re-wraps
+            # it with make_batched so the batched fast path still runs.
+            entry["batch_size"] = batch_size
+        self._on_loop(self._register, job.id, entry, job.deadline)
 
-        def apply() -> None:
-            self._hello["jobs"][job.id] = entry
-            if self._dispatch_event is not None:
-                self._dispatch_event.set()
-
-        if loop is None:
-            apply()
-            return
-        try:
-            loop.call_soon_threadsafe(apply)
-        except RuntimeError:
-            apply()
-
-    @staticmethod
-    def _job_entry(job) -> dict:
-        """One named job's context as the HELLO/SUBMIT wire entry."""
-        return {"config": config_to_payload(job.config),
-                "routine": routine_to_payload(job.routine)}
-
-    def cancel_job(self, job: str | None) -> None:
-        """Tell every connected pool to drop the job's workers.
-
-        The run side's queued assignments for the job are purged on
-        the loop thread *before* the CANCEL frames go out, so no
-        ASSIGN of the cancelled job can be sent after its CANCEL on
-        any one link (TCP preserves the per-link order; the pool
-        drops stragglers anyway).
-        """
-        if job is None:
-            return
-        loop = self._loop
-
-        def purge_and_send() -> None:
-            # Rotate the deque in place: concurrent appends from the
-            # engine thread land at the tail and survive the sweep.
-            for _ in range(len(self._pending)):
-                assignment = self._pending.popleft()
-                if assignment.job != job:
-                    self._pending.append(assignment)
-            for link in self._links.values():
-                try:
-                    write_frame(link.writer, FrameKind.CANCEL,
-                                {"job": job})
-                except (ConnectionError, RuntimeError):
-                    continue
-
-        if loop is None:
-            purge_and_send()
-            return
-        try:
-            loop.call_soon_threadsafe(purge_and_send)
-        except RuntimeError:
-            pass
+    def release_job(self, job_id: str | None) -> None:
+        """Forget the job here and on every pool that heard of it."""
+        self._on_loop(self._forget, job_id)
 
     # -- engine-thread helpers ---------------------------------------------
 
@@ -412,20 +336,21 @@ class DistributedBackend(EngineBackend):
         the network thread only queues notices; they land in telemetry
         here, on the engine thread, during poll/reap.
         """
-        telemetry = (self._solo.telemetry if self._solo is not None
-                     else None)
         while True:
             try:
                 item = self._notices.get_nowait()
             except queue_module.Empty:
                 return
-            if telemetry is None:
-                continue
-            if item[0] == "gauge":
-                telemetry.registry.gauge("pool.workers").set(item[1])
-            else:
-                _, name, fields = item
-                telemetry.events.append(name, ts=self.clock(), **fields)
+            for job in self.engine.jobs:
+                telemetry = job.telemetry
+                if job.status is not JobStatus.RUNNING or telemetry is None:
+                    continue
+                if item[0] == "gauge":
+                    telemetry.registry.gauge("pool.workers").set(item[1])
+                else:
+                    _, name, fields = item
+                    telemetry.events.append(name, ts=self.clock(),
+                                            **fields)
 
     def _check_pool_starvation(self) -> None:
         if self._connected_pools > 0:
@@ -443,13 +368,11 @@ class DistributedBackend(EngineBackend):
                 f"{silent:.1f}s with work outstanding (connect_timeout="
                 f"{self._connect_timeout}s); are the pools running?")
 
-    def _wake_dispatcher(self) -> None:
-        loop, event = self._loop, self._dispatch_event
-        if loop is None or event is None:
-            return
+    def _on_loop(self, callback, *args) -> None:
+        """Run ``callback`` on the network thread, in call order."""
         try:
-            loop.call_soon_threadsafe(event.set)
-        except RuntimeError:
+            self._loop.call_soon_threadsafe(callback, *args)
+        except RuntimeError:  # the loop is closed: the session is over
             pass
 
     def _notice(self, name: str, **fields) -> None:
@@ -458,6 +381,33 @@ class DistributedBackend(EngineBackend):
             ("gauge", sum(link.capacity for link in self._links.values())))
 
     # -- network thread ----------------------------------------------------
+
+    def _register(self, job, entry: dict, deadline: float | None) -> None:
+        self._entries[job] = (entry, deadline)
+        self._dispatch_event.set()
+
+    def _enqueue(self, assignments) -> None:
+        self._pending.extend(assignments)
+        self._dispatch_event.set()
+
+    def _forget(self, job) -> None:
+        """Drop the job's entry and pending work, then CANCEL it.
+
+        Purge and frames happen in one loop turn and the dispatcher
+        writes a job's SUBMIT and ASSIGN without yielding in between,
+        so on any one link CANCEL is the last frame of the job.
+        """
+        self._entries.pop(job, None)
+        self._pending = deque(assignment for assignment in self._pending
+                              if assignment.job != job)
+        for link in self._links.values():
+            if job not in link.announced:
+                continue
+            link.announced.discard(job)
+            try:
+                write_frame(link.writer, FrameKind.CANCEL, _tagged(job))
+            except (ConnectionError, RuntimeError):
+                continue
 
     def _network_main(self) -> None:
         try:
@@ -535,10 +485,7 @@ class DistributedBackend(EngineBackend):
             await asyncio.sleep(self._retry_interval)
 
     async def _handshake(self, link: _PoolLink) -> None:
-        write_frame(link.writer, FrameKind.HELLO, self._hello)
-        # Snapshot before the first await: the jobs map is mutated
-        # only on this loop, so this matches what was just serialized.
-        link.announced = set(self._hello.get("jobs") or ())
+        write_frame(link.writer, FrameKind.HELLO, {})
         await link.writer.drain()
         kind, welcome = await asyncio.wait_for(
             read_frame(link.reader), timeout=self._heartbeat_timeout)
@@ -595,44 +542,37 @@ class DistributedBackend(EngineBackend):
             await self._dispatch_event.wait()
             self._dispatch_event.clear()
             while self._pending:
+                assignment = self._pending[0]
+                job = assignment.job
+                known = self._entries.get(job)
+                if known is None:
+                    break  # its open_job has not landed; landing wakes us
                 link = self._pick_pool()
                 if link is None:
                     break  # every slot busy; an EXIT will wake us
-                assignment = self._pending.popleft()
-                job = assignment.job
-                if job is not None and job not in link.announced:
-                    # Ship the job's context ahead of its first ASSIGN
-                    # on this link.
-                    entry = self._hello["jobs"].get(job)
-                    if entry is None:
-                        # The announce callback has not landed yet;
-                        # requeue — landing sets the dispatch event.
-                        self._pending.appendleft(assignment)
-                        break
-                    try:
-                        write_frame(link.writer, FrameKind.SUBMIT,
-                                    dict(entry, job=job))
-                        await link.writer.drain()
-                    except (ConnectionError, RuntimeError):
-                        self._pending.appendleft(assignment)
-                        break
-                    link.announced.add(job)
-                payload = {"rank": assignment.rank,
-                           "quota": assignment.quota}
-                if assignment.job is not None:
-                    payload["job"] = assignment.job
-                deadline = self.engine.job_context(assignment.job).deadline
+                self._pending.popleft()
+                entry, deadline = known
+                payload = _tagged(job, rank=assignment.rank,
+                                  quota=assignment.quota)
                 if deadline is not None:
                     payload["deadline_in"] = max(
                         deadline - time.monotonic(), 0.0)
-                key = (assignment.job, assignment.rank)
-                link.active.add(key)
+                key = (job, assignment.rank)
                 try:
+                    # No await between the two frames and the
+                    # bookkeeping: _forget sees the link either before
+                    # both or after both.
+                    if job not in link.announced:
+                        write_frame(link.writer, FrameKind.SUBMIT, entry)
+                        link.announced.add(job)
                     write_frame(link.writer, FrameKind.ASSIGN, payload)
+                    link.active.add(key)
                     await link.writer.drain()
                 except (ConnectionError, RuntimeError):
                     link.active.discard(key)
-                    self._pending.appendleft(assignment)
+                    if self._entries.get(job) is known:
+                        # Not released while the drain was pending.
+                        self._pending.appendleft(assignment)
                     break
 
     def _pick_pool(self) -> _PoolLink | None:

@@ -10,8 +10,9 @@ simulation.  The script itself lives in two places: per-run state in
 :meth:`Scheduler.step() <repro.runtime.scheduler.Scheduler.step>`.
 This module holds what the loop drives:
 
-* :class:`Backend` is the strategy protocol — ``spawn(plan)`` /
-  ``poll(timeout)`` / ``reap()`` / ``shutdown()`` — implemented by
+* :class:`EngineBackend` is the strategy contract — ``open_job(job)`` /
+  ``spawn(plan)`` / ``poll(timeout)`` / ``reap()`` /
+  ``release_job(job_id)`` / ``shutdown()`` — implemented by
   :class:`~repro.runtime.sequential.SequentialBackend`,
   :class:`~repro.runtime.multiprocess.MultiprocessBackend`,
   :class:`~repro.runtime.distributed.DistributedBackend` and
@@ -24,7 +25,7 @@ This module holds what the loop drives:
   return its result.
 
 **Fault-tolerant quota reassignment.**  When a backend reports a dead
-worker (:meth:`Backend.reap`) and the run's
+worker (:meth:`EngineBackend.reap`) and the run's
 :attr:`~repro.runtime.config.RunConfig.on_worker_death` policy is
 ``"reassign"``, the job keeps the dead worker's moments at its last
 collected watermark, retires its rank, and reissues the undelivered
@@ -45,7 +46,7 @@ import queue as queue_module
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence, runtime_checkable
+from typing import Callable, Sequence
 
 from repro.exceptions import ConfigurationError
 from repro.runtime.collector import Collector
@@ -136,87 +137,25 @@ class WorkerDeath:
         return f"{prefix}rank {self.rank} ({cause})"
 
 
-@runtime_checkable
-class Backend(Protocol):
-    """Execution strategy driven by the scheduler's run loop.
-
-    A backend never touches the session lifecycle: it only starts
-    workers, surfaces their messages, and reports their deaths.  The
-    :class:`~repro.runtime.scheduler.Scheduler` binds itself before the
-    first ``spawn`` via :meth:`bind`, giving the backend access to
-    ``ingest`` and to ``job_context(job_id)`` — the one source of an
-    assignment's routine, config, collector, telemetry and deadline,
-    for the anonymous job of a single run and for named jobs alike.
-    """
-
-    name: str
-
-    def bind(self, engine) -> None:
-        """Receive the scheduler context before any other call."""
-        ...
-
-    def spawn(self, plan: Sequence[WorkerAssignment]
-              ) -> list[dict] | None:
-        """Start one worker per assignment.
-
-        May be called again mid-run with recovery assignments.  The
-        optional return value supplies per-assignment extra fields for
-        the ``worker_start`` telemetry event (e.g. the OS pid).
-        """
-        ...
-
-    def poll(self, timeout: float
-             ) -> MomentMessage | CombinedMessage | None:
-        """Return the next worker or reducer message, or None.
-
-        Backends that deliver messages out-of-band (straight into the
-        scheduler's ``ingest``, or into the collector itself) always
-        return None and make progress inside the call instead.  A backend running a
-        reduction tree (see :mod:`repro.runtime.reduction`) surfaces
-        the interior nodes' :class:`~repro.runtime.messages
-        .CombinedMessage` forwards through the same channel.
-        """
-        ...
-
-    def reap(self) -> list[WorkerDeath]:
-        """Report workers that died short of their final message.
-
-        Called when :meth:`poll` comes back empty.  Implementations must
-        drain any messages still in flight from a suspect worker before
-        declaring it dead — a delivered-but-queued final message means
-        the worker finished, and a queued non-final message must reach
-        the collector (advancing the rank's watermark) before any
-        reassignment is sized.  The contract, shared by the
-        multiprocess and distributed backends via :class:`DrainBuffer`
-        and :class:`ExitVerdicts`:
-
-        1. Drain the message channel completely.  If anything was
-           drained, return ``[]`` — the engine ingests the buffered
-           messages first and calls ``reap`` again on the next empty
-           poll.
-        2. Only on an empty drain, judge the suspects: a nonzero exit
-           is dead on sight; a clean exit whose final message has not
-           arrived gets ``config.death_grace`` seconds before the
-           verdict; a rank in ``collector.final_ranks`` is never dead.
-        """
-        ...
-
-    def shutdown(self) -> None:
-        """Release resources; called exactly once, error or not."""
-        ...
-
-    @property
-    def done(self) -> bool:
-        """True when the backend can produce no further messages."""
-        ...
-
-
 class EngineBackend:
-    """Convenience base class with the defaults shared by all backends.
+    """An execution strategy: everything the run loop touches, once.
 
-    Subclasses implement :meth:`spawn`, :meth:`poll`, :meth:`reap` and
-    :meth:`shutdown`; everything else — the run clock, the work plan,
-    result accounting — has a sensible real-time default here.
+    A backend never touches the session lifecycle: it starts workers,
+    surfaces their messages and reports their deaths.  The
+    :class:`~repro.runtime.scheduler.Scheduler` calls, in this order:
+    :meth:`bind` once, before anything else; per admitted job
+    :meth:`open_job`, :meth:`plan`, then :meth:`spawn` / :meth:`poll` /
+    :meth:`reap` for as long as the job is RUNNING, :meth:`release_job`
+    exactly once when it leaves RUNNING — however it leaves — and
+    :meth:`finish` plus the result hooks if it drained; finally
+    :meth:`shutdown`, once, error or not.  ``engine.job_context(job_id)``
+    is the one source of an assignment's routine, config, collector,
+    telemetry and deadline, for the anonymous job of a single run and
+    for named jobs alike.
+
+    Subclasses implement :meth:`spawn` and :meth:`poll`; everything
+    else — the run clock, the work plan, the two job hooks, result
+    accounting — has a real-time, hold-no-state default here.
     """
 
     name = "abstract"
@@ -229,11 +168,12 @@ class EngineBackend:
     #: asynchronously; the sequential loop and the virtual cluster opt out.
     monitors_staleness = False
     #: Whether the backend can interleave assignments from different jobs
-    #: of one :class:`~repro.runtime.scheduler.Scheduler`.  Every backend
-    #: reads an assignment's context (routine, config, deadline,
-    #: telemetry) through ``engine.job_context(job)``; one that opts in
-    #: also tags every message and death with the owning job id.
+    #: of one :class:`~repro.runtime.scheduler.Scheduler`; one that opts
+    #: in tags every message and death with the owning job id.
     supports_shared_jobs = False
+    #: Whether a shared-pool job may carry its own ``reduction_fanout``
+    #: (the backend plans a job-scoped tree in :meth:`open_job`).
+    supports_job_reduction = False
 
     def __init__(self) -> None:
         #: The bound scheduler (None until :meth:`bind`).
@@ -253,6 +193,27 @@ class EngineBackend:
     def telemetry_epoch(self, started: float) -> float:
         """Clock value subtracted from telemetry timestamps."""
         return started
+
+    # -- job lifecycle ---------------------------------------------------
+
+    def open_job(self, job) -> None:
+        """A job enters the backend: set up what is scoped to it.
+
+        Called once per job at admission, after :meth:`bind` and before
+        the job's first :meth:`spawn`.  Raising a
+        :class:`~repro.exceptions.ReproError` fails the job, which then
+        counts as never opened.
+        """
+
+    def release_job(self, job_id: str | None) -> None:
+        """A job leaves the backend: it takes no more messages.
+
+        Called exactly once, on the loop thread, for every opened job
+        on every exit from RUNNING (drained, failed, cancelled, past
+        its time limit): stop whatever still runs for the job and
+        forget everything keyed by it.  Idempotent, so a
+        :meth:`shutdown` that sweeps up after an error may repeat it.
+        """
 
     # -- work plan and results -------------------------------------------
 
@@ -275,17 +236,67 @@ class EngineBackend:
     def finish(self) -> None:
         """Success-path accounting hook, before the final save."""
 
-    # -- protocol stubs ----------------------------------------------------
+    # -- workers and messages --------------------------------------------
+
+    def spawn(self, plan: Sequence[WorkerAssignment]
+              ) -> list[dict] | None:
+        """Start one worker per assignment.
+
+        May be called again mid-run with recovery assignments.  The
+        optional return value supplies per-assignment extra fields for
+        the ``worker_start`` telemetry event (e.g. the OS pid).
+        """
+        raise NotImplementedError
+
+    def poll(self, timeout: float
+             ) -> MomentMessage | CombinedMessage | None:
+        """Return the next worker or reducer message, or None.
+
+        Backends that deliver messages out-of-band (straight into the
+        scheduler's ``ingest``, or into the collector itself) always
+        return None and make progress inside the call instead.  A
+        backend running a reduction tree (see
+        :mod:`repro.runtime.reduction`) surfaces the interior nodes'
+        :class:`~repro.runtime.messages.CombinedMessage` forwards
+        through the same channel.
+        """
+        raise NotImplementedError
 
     def reap(self) -> list[WorkerDeath]:
+        """Report workers that died short of their final message.
+
+        Called when :meth:`poll` comes back empty.  Implementations must
+        drain any messages still in flight from a suspect worker before
+        declaring it dead — a delivered-but-queued final message means
+        the worker finished, and a queued non-final message must reach
+        the collector (advancing the rank's watermark) before any
+        reassignment is sized.  The contract, shared by the
+        multiprocess and distributed backends via :class:`DrainBuffer`
+        and :class:`ExitVerdicts`:
+
+        1. Drain the message channel completely.  If anything was
+           drained, return ``[]`` — the engine ingests the buffered
+           messages first and calls ``reap`` again on the next empty
+           poll.
+        2. Only on an empty drain, judge the suspects: a nonzero exit
+           is dead on sight; a clean exit whose final message has not
+           arrived gets ``config.death_grace`` seconds before the
+           verdict; a rank in ``collector.final_ranks`` is never dead.
+        """
         return []
 
     def shutdown(self) -> None:
-        pass
+        """Release resources; called exactly once, error or not."""
 
     @property
     def done(self) -> bool:
+        """True when the backend can produce no further messages."""
         return self._done
+
+
+#: The annotation name of the contract; :class:`EngineBackend` is its
+#: one declaration.
+Backend = EngineBackend
 
 
 class DrainBuffer:
@@ -336,7 +347,7 @@ class DrainBuffer:
 
 
 class ExitVerdicts:
-    """Step 2 of the :meth:`Backend.reap` contract, for exited workers.
+    """Step 2 of the :meth:`EngineBackend.reap` contract (exited workers).
 
     One instance per backend judges every worker the backend has seen
     exit (or lose its pool), keyed ``(job, rank)``, and remembers when
@@ -372,7 +383,7 @@ class ExitVerdicts:
         return None
 
     def forget(self, key: tuple) -> None:
-        """Drop a worker whose job was cancelled or pruned."""
+        """Drop a worker whose job was released or pruned."""
         self._suspects.pop(key, None)
 
 
@@ -513,8 +524,7 @@ class Engine:
     so a single run fails exactly where its caller stands.
 
     Args:
-        backend: The execution strategy (an object satisfying
-            :class:`Backend`, usually an :class:`EngineBackend`).
+        backend: The execution strategy (an :class:`EngineBackend`).
         config: The run configuration.
         use_files: Write ``parmonc_data`` result files and save-points;
             disable for throwaway in-memory estimation.

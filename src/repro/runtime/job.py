@@ -249,7 +249,7 @@ class Job:
                              if config.perpass > 0 else None)
         self._flag_stale_enabled = (
             telemetry is not None and self._stale_after is not None
-            and getattr(backend, "monitors_staleness", False))
+            and backend.monitors_staleness)
 
     # -- message path ---------------------------------------------------
 
@@ -417,8 +417,8 @@ class Job:
     def cancel(self) -> None:
         """Withdraw the job: drop its work and mark it CANCELLED.
 
-        The scheduler tears down any backend-side workers first (via
-        the backend's ``cancel_job`` hook); messages that were already
+        The scheduler releases the job from the backend first
+        (``release_job`` stops its workers); messages that were already
         in flight land as stray traffic and are counted, not applied.
         """
         self.finished_wall = time.monotonic()

@@ -48,8 +48,6 @@ from repro.runtime.worker import RealizationRoutine, worker_process
 
 __all__ = ["MultiprocessBackend", "run_multiprocess"]
 
-_JOIN_SECONDS = 10.0
-
 #: Reducers exit within one idle-wait of the shutdown sentinel; anything
 #: slower is wedged and gets terminated.
 _REDUCER_JOIN_SECONDS = 2.0
@@ -73,7 +71,7 @@ class MultiprocessBackend(EngineBackend):
     supports_shared_jobs = True
     #: Shared-pool jobs may carry their own ``reduction_fanout``: the
     #: backend plans a private k-ary tree per job at admission and
-    #: tears it down at completion (``prepare_job``/``release_job``).
+    #: tears it down at release (``open_job``/``release_job``).
     supports_job_reduction = True
 
     def __init__(self, start_method: str | None = None) -> None:
@@ -81,8 +79,8 @@ class MultiprocessBackend(EngineBackend):
         self._start_method = start_method
         self._context = None
         self._outbox = None
-        self._processes: list = []
-        # Keyed (job, rank); job is None for a single run's anonymous job.
+        # Workers of running jobs, keyed (job, rank); job is None for a
+        # single run's anonymous job.
         self._live: dict = {}
         self._verdicts = ExitVerdicts()
         # Reduction topology, one entry per job that runs a tree, under
@@ -127,12 +125,11 @@ class MultiprocessBackend(EngineBackend):
 
     # -- job-scoped trees -------------------------------------------------
 
-    def prepare_job(self, job) -> None:
+    def open_job(self, job) -> None:
         """Set up one job's reduction tree.
 
-        Called by the scheduler at admission.  A job whose
-        ``reduction_fanout`` is None — or already covers its worker
-        count — keeps the flat exchange.
+        A job whose ``reduction_fanout`` is None — or already covers
+        its worker count — keeps the flat exchange.
         """
         self._ensure_context()
         plan = plan_reduction(range(job.config.processors),
@@ -148,43 +145,47 @@ class MultiprocessBackend(EngineBackend):
         for node in plan.nodes:
             self._start_reducer(job.id, node)
 
-    def release_job(self, job: str | None) -> None:
-        """Tear down a finished/cancelled job's reduction tree.
+    def release_job(self, job_id: str | None) -> None:
+        """Stop the job's workers, tear down its tree, forget both.
 
-        The reducers normally retire themselves once every subtree
-        rank's final pass is forwarded; the sentinel covers cancelled
-        jobs and the join puts a bound on wedged nodes.
+        A worker whose final pass is in is left to exit on its own —
+        its queue feeder may still hold the shared outbox's write lock,
+        which a signal would leave locked for every other job's
+        workers — and so are reducers, which retire themselves once
+        every subtree rank's final pass is forwarded; the sentinel
+        covers jobs that did not drain and the join puts a bound on
+        wedged nodes.
         """
-        plan = self._plans.pop(job, None)
-        self._leaf_parents.pop(job, None)
+        keys = [key for key in self._live if key[0] == job_id]
+        if keys:
+            finals = self.engine.job_context(job_id).collector.final_ranks
+            for key in keys:
+                process = self._live.pop(key)
+                self._verdicts.forget(key)
+                if key[1] not in finals:
+                    process.terminate()
+        plan = self._plans.pop(job_id, None)
+        self._leaf_parents.pop(job_id, None)
         if plan is None:
             return
         for node in plan.nodes:
-            inbox = self._reducer_inboxes.get((job, node.node_id))
+            inbox = self._reducer_inboxes.get((job_id, node.node_id))
             if inbox is not None:
                 try:
                     inbox.put_nowait(None)  # the reducer stop sentinel
                 except (queue_module.Full, ValueError):  # pragma: no cover
                     pass
         for node in plan.nodes:
-            process = self._reducers.pop((job, node.node_id), None)
+            process = self._reducers.pop((job_id, node.node_id), None)
             if process is None:
                 continue
             process.join(timeout=_REDUCER_JOIN_SECONDS)
             if process.is_alive():
                 process.terminate()
         for node in plan.nodes:
-            inbox = self._reducer_inboxes.pop((job, node.node_id), None)
+            inbox = self._reducer_inboxes.pop((job_id, node.node_id), None)
             if inbox is not None:
                 inbox.close()
-
-    def cancel_job(self, job: str | None) -> None:
-        """Terminate a cancelled job's live workers immediately."""
-        for key, process in list(self._live.items()):
-            if key[0] == job:
-                process.terminate()
-                self._live.pop(key, None)
-                self._verdicts.forget(key)
 
     def spawn(self, assignments) -> list[dict]:
         extras = []
@@ -203,7 +204,6 @@ class MultiprocessBackend(EngineBackend):
                       assignment.quota, outbox, job, context.deadline),
                 daemon=True)
             process.start()
-            self._processes.append(process)
             self._live[(job, rank)] = process
             extras.append({"pid": process.pid})
         return extras
@@ -309,11 +309,9 @@ class MultiprocessBackend(EngineBackend):
     # -- teardown ---------------------------------------------------------
 
     def shutdown(self) -> None:
-        for process in self._processes:
-            process.join(timeout=_JOIN_SECONDS)
-            if process.is_alive():
-                process.terminate()
-        for job in list(self._plans):
+        # Every job that left RUNNING was released by the loop; what is
+        # left belongs to jobs an error cut short.
+        for job in {key[0] for key in self._live} | set(self._plans):
             self.release_job(job)
         if self._outbox is not None:
             self._outbox.close()

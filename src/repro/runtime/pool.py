@@ -9,20 +9,23 @@ during sessions, so back-to-back runs (and overlapping runs from
 different clients) need no restart::
 
     run                                pool
-     | -- HELLO {config, routine} ----> |   import/unpickle the routine
+     | -- HELLO {} -------------------> |   a session opens, empty
      | <---- WELCOME {workers: N} ----- |   advertise capacity
+     | -- SUBMIT {config, routine} ---> |   import/unpickle the routine
      | -- ASSIGN {rank, quota} -------> |   fork a worker process
      | <-------- DATA {message} ------- |   every data pass, forwarded
      | <---- EXIT {rank, exitcode} ---- |   after the worker's queue is
      |                                  |   drained (drain-before-verdict)
+     | -- CANCEL {} ------------------> |   job over: stop and forget it
      | <-> HEARTBEAT <->                |   liveness, both directions
      | -- BYE ------------------------> |   session over, workers freed
 
-A multi-job scheduler run sends ``HELLO {jobs: {id: {config,
-routine}}}`` instead, then tags each ASSIGN with the owning job id;
-the pool runs every job's workers side by side, tags their DATA
-passes and echoes the job on EXIT, so the run can route messages and
-deaths back to the right experiment.
+A session carries any number of jobs, each declared by its own SUBMIT
+before its first ASSIGN and forgotten at its CANCEL.  A named job's
+frames carry its id in a ``job`` field (the anonymous job of
+``parmonc()`` simply omits it); the pool runs every job's workers side
+by side, tags their DATA passes and echoes the job on EXIT, so the run
+can route messages and deaths back to the right experiment.
 
 Every ASSIGN runs in its own OS process (so a stuck or ``kill -9``-ed
 realization routine never takes the daemon down) with a private pipe
@@ -72,9 +75,15 @@ _TERMINATE_SECONDS = 2.0
 
 
 def _import_routine(spec: str):
-    """``module:function`` resolver for HELLO spec payloads."""
+    """``module:function`` resolver for SUBMIT spec payloads."""
     from repro.cli.run import load_routine
     return load_routine(spec)
+
+
+def _job_of(payload: dict) -> str | None:
+    """The job a frame belongs to; the anonymous job's name no ``job``."""
+    job = payload.get("job")
+    return None if job is None else str(job)
 
 
 class _Worker:
@@ -97,30 +106,24 @@ class _Session:
         self._reader = reader
         self._writer = writer
         self._loop = asyncio.get_running_loop()
-        # Running assignments keyed ``(job, rank)``; job is None for a
-        # classic single-run session, so two jobs of one scheduler can
-        # both field a rank 0 here without colliding.
+        # Running assignments keyed ``(job, rank)`` (job is None for
+        # the anonymous job of a single run), so two jobs of one
+        # scheduler can both field a rank 0 here without colliding.
         self._workers: dict[tuple[str | None, int], _Worker] = {}
         self._closed = False
         self._last_run_heartbeat = time.monotonic()
         self._peer = writer.get_extra_info("peername")
-        # Per-job ``(routine, config)`` contexts; a classic single-run
-        # HELLO lands under the None key.
+        # ``(routine, config)`` per declared job: SUBMIT adds an
+        # entry, CANCEL drops it.
         self._contexts: dict[str | None, tuple] = {}
-        # Streaming sessions declare jobs mid-session (SUBMIT frames)
-        # and may withdraw them (CANCEL); a late ASSIGN racing its
-        # job's cancellation is dropped, not fatal.
-        self._streaming = False
-        self._cancelled: set[str | None] = set()
 
     async def run(self) -> None:
         heartbeat_task = None
         try:
-            kind, payload = await read_frame(self._reader)
+            kind, _ = await read_frame(self._reader)
             if kind is not FrameKind.HELLO:
                 raise WireError(
                     f"expected a HELLO frame, got {kind.name}")
-            self._adopt_hello(payload)
             write_frame(self._writer, FrameKind.WELCOME, {
                 "workers": self._server.workers,
                 "pid": os.getpid(),
@@ -160,64 +163,33 @@ class _Session:
                 heartbeat_task.cancel()
             self._shutdown()
 
-    # -- handshake ---------------------------------------------------------
-
-    def _adopt_hello(self, payload: dict) -> None:
-        jobs = payload.get("jobs")
-        self._streaming = bool(payload.get("streaming"))
-        if jobs is None:
-            # Classic single-run HELLO: {config, routine[, batch_size]}.
-            self._contexts[None] = self._adopt_context(payload)
-        else:
-            if not isinstance(jobs, dict) or (not jobs
-                                              and not self._streaming):
-                # Only a streaming session may open empty-handed: its
-                # jobs arrive later as SUBMIT frames.
-                raise WireError(
-                    "hello jobs payload must be a non-empty object")
-            for job_id, entry in jobs.items():
-                if not isinstance(entry, dict):
-                    raise WireError(
-                        f"hello job {job_id!r} entry must be an object")
-                self._contexts[str(job_id)] = self._adopt_context(entry)
+    # -- job lifecycle -----------------------------------------------------
 
     def _submit_job(self, payload: dict) -> None:
-        """Adopt one job declared mid-session (streaming only)."""
-        if not self._streaming:
-            raise WireError(
-                "submit frames are only valid in a streaming session")
-        job = payload.get("job")
-        if job is None:
-            raise WireError("submit frame misses its job id")
-        job = str(job)
-        if job in self._contexts:
-            return  # idempotent re-announcement
+        """Adopt one job: the only way the session learns a context."""
+        job = _job_of(payload)
         self._contexts[job] = self._adopt_context(payload)
         _logger.info("session from %s: job %s submitted", self._peer, job)
 
     def _cancel_job(self, payload: dict) -> None:
-        """Terminate a withdrawn job's workers (streaming only)."""
-        if not self._streaming:
-            raise WireError(
-                "cancel frames are only valid in a streaming session")
-        job = payload.get("job")
-        job = None if job is None else str(job)
-        self._cancelled.add(job)
+        """A job is over: terminate its live workers, forget it."""
+        job = _job_of(payload)
+        self._contexts.pop(job, None)
         terminated = 0
         for (owner, _rank), worker in list(self._workers.items()):
             if owner == job and worker.process.exitcode is None:
                 worker.process.terminate()
                 terminated += 1
-        _logger.info("session from %s: job %s cancelled (%d workers "
+        _logger.info("session from %s: job %s released (%d workers "
                      "terminated)", self._peer, job, terminated)
 
     def _adopt_context(self, payload: dict) -> tuple:
-        """One ``(routine, config)`` context from a HELLO (sub)payload."""
+        """One ``(routine, config)`` context from a SUBMIT body."""
         try:
             config_payload = payload["config"]
             routine_payload = payload["routine"]
         except KeyError as exc:
-            raise WireError(f"hello frame misses {exc}") from exc
+            raise WireError(f"submit frame misses {exc}") from exc
         config = config_from_payload(config_payload)
         routine = routine_from_payload(routine_payload, _import_routine)
         batch_size = payload.get("batch_size")
@@ -233,23 +205,17 @@ class _Session:
             quota = int(payload["quota"])
         except (KeyError, TypeError, ValueError) as exc:
             raise WireError(f"malformed assign frame: {exc}") from exc
-        job = payload.get("job")
-        job = None if job is None else str(job)
+        job = _job_of(payload)
         label = f"rank {rank}" if job is None else f"job {job} rank {rank}"
-        if job in self._cancelled:
-            # The run cancelled this job; an ASSIGN that raced the
-            # CANCEL is dropped rather than poisoning the session.
-            _logger.info("session from %s: dropping %s of a cancelled "
-                         "job", self._peer, label)
-            return
         if (job, rank) in self._workers:
             raise WireError(f"{label} is already assigned on this pool")
         try:
             routine, config = self._contexts[job]
         except KeyError:
             raise WireError(
-                f"assign frame names job {job!r}, which the session's "
-                f"hello did not declare") from None
+                f"assign frame names job {job!r}, which no submit "
+                f"frame declared (or a cancel already released)"
+            ) from None
         context = self._server.context
         inbox, outbox = context.Pipe(duplex=False)
         process = context.Process(

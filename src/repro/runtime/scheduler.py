@@ -37,6 +37,11 @@ Policies the loop applies:
 * **Fault containment.**  A job whose prologue, death policy or
   epilogue raises is marked FAILED and the loop carries on; backend
   and programming errors propagate to whoever drives the loop.
+* **One way in, one way out.**  The backend hears of a job through
+  ``open_job`` at admission and is told to forget it through
+  ``release_job`` exactly once, whichever way the job leaves RUNNING —
+  drained, failed, cancelled or out of time — and always before the job
+  reaches a finished state, so nobody can have pruned it yet.
 
 Backends that can interleave assignments from different jobs declare
 ``supports_shared_jobs = True`` (sequential, multiprocess,
@@ -169,21 +174,20 @@ class Scheduler:
             return job
 
     def _validate_shared(self, spec: JobSpec) -> None:
-        if not getattr(self._backend, "supports_shared_jobs", False):
+        backend = self._backend
+        if not backend.supports_shared_jobs:
             supported = ", ".join(shared_job_backends()) or "none"
             raise ConfigurationError(
-                f"backend {getattr(self._backend, 'name', '?')!r} cannot "
-                f"multiplex concurrent jobs (backends that can: "
-                f"{supported}); run them one at a time through "
-                f"parmonc()")
+                f"backend {backend.name!r} cannot multiplex concurrent "
+                f"jobs (backends that can: {supported}); run them one "
+                f"at a time through parmonc()")
         config = spec.config
         if (config.reduction_fanout is not None
-                and not getattr(self._backend, "supports_job_reduction",
-                                False)):
+                and not backend.supports_job_reduction):
             raise ConfigurationError(
-                f"backend {getattr(self._backend, 'name', '?')!r} does "
-                f"not plan job-scoped reduction trees; drop "
-                f"reduction_fanout or use the multiprocess backend")
+                f"backend {backend.name!r} does not plan job-scoped "
+                f"reduction trees; drop reduction_fanout or use the "
+                f"multiprocess backend")
         if spec.use_files:
             new_dir = config.data_dir.resolve()
             for other in self._jobs:
@@ -322,6 +326,7 @@ class Scheduler:
             try:
                 job.handle_deaths(by_job[job_id], now, self._spawn_for)
             except BackendError as error:
+                self._backend.release_job(job.id)
                 job.fail(error)
 
     # -- the loop -------------------------------------------------------
@@ -459,17 +464,12 @@ class Scheduler:
             try:
                 job.open(backend, time.monotonic())
                 if not self._bound:
-                    # At the first admission: the loop can start with
-                    # an empty queue, and bind() may read the job table.
+                    # At the first admission: a service that never
+                    # admits a job never takes the backend online.
                     backend.bind(self)
                     self._bound = True
                 job.collector.mark_epoch(backend.clock())
-                announce = getattr(backend, "announce_job", None)
-                if announce is not None:
-                    announce(job)
-                prepare = getattr(backend, "prepare_job", None)
-                if prepare is not None:
-                    prepare(job)
+                backend.open_job(job)
             except ReproError as error:
                 job.fail(error)
                 continue
@@ -485,18 +485,12 @@ class Scheduler:
             job.drain_started = backend.clock()
 
     def _apply_cancels(self) -> None:
-        """Tear down backend workers of jobs cancelled while RUNNING."""
-        backend = self._backend
+        """Release the jobs cancelled while RUNNING."""
         while self._cancels:
             job = self._cancels.popleft()
             if job.status is not JobStatus.RUNNING:
                 continue
-            cancel_job = getattr(backend, "cancel_job", None)
-            if cancel_job is not None:
-                cancel_job(job.id)
-            release = getattr(backend, "release_job", None)
-            if release is not None:
-                release(job.id)
+            self._backend.release_job(job.id)
             job.cancel()
 
     def _finalize(self, job: Job) -> None:
@@ -513,9 +507,7 @@ class Scheduler:
             job.telemetry.tracer.record(
                 "collector.drain", job.drain_started, backend.clock(),
                 messages=job.collector.receive_count)
-        release = getattr(backend, "release_job", None)
-        if release is not None:
-            release(job.id)
+        backend.release_job(job.id)
         try:
             backend.finish()
             job.finalize(backend, self.started)

@@ -48,10 +48,10 @@ class SequentialBackend(EngineBackend):
         self._pending.extend(assignments)
         return None
 
-    def cancel_job(self, job: str | None) -> None:
-        """Drop a cancelled job's not-yet-run assignments."""
+    def release_job(self, job_id: str | None) -> None:
+        """Drop the job's not-yet-run assignments."""
         self._pending = deque(assignment for assignment in self._pending
-                              if assignment.job != job)
+                              if assignment.job != job_id)
 
     def poll(self, timeout: float) -> MomentMessage | None:
         """Run the next queued worker to completion; always returns None."""

@@ -30,7 +30,7 @@ bit-identical to the other backends'.
 Frame kinds (:class:`FrameKind`):
 
 ==============  =======================================================
-``HELLO``       run -> pool: run configuration + realization routine
+``HELLO``       run -> pool: open a session (no job context)
 ``WELCOME``     pool -> run: worker capacity, pool identity
 ``ASSIGN``      run -> pool: one :class:`WorkerAssignment` (rank/quota)
 ``DATA``        pool -> run: one ``MomentMessage`` data pass (binary)
@@ -39,18 +39,18 @@ Frame kinds (:class:`FrameKind`):
 ``HEARTBEAT``   both ways: liveness + pool occupancy
 ``BYE``         run -> pool: session over, release the workers
 ``ERROR``       either way: human-readable fatal protocol error
-``SUBMIT``      run -> pool: declare one job (config + routine)
-                mid-session — streaming-scheduler sessions only
-``CANCEL``      run -> pool: terminate a job's workers mid-session —
-                streaming-scheduler sessions only
+``SUBMIT``      run -> pool: declare one job (config + routine), ahead
+                of the job's first ``ASSIGN`` on the link
+``CANCEL``      run -> pool: the job is over — terminate its workers,
+                forget its context
 ==============  =======================================================
 
-Version 2 replaced version 1's JSON ``DATA`` body with the binary one;
-nothing else changed.  A classic single-job or sealed-batch session
-never emits ``SUBMIT`` or ``CANCEL`` (its jobs all travel in the
-HELLO); only a streaming scheduler (``parmonc-sched --serve``) opens a
-session that declares ``"streaming": true`` in its HELLO and then
-announces jobs as they are admitted.
+Version 2 replaced version 1's JSON ``DATA`` body with the binary one.
+Version 3 changed no frame and no body but the session: ``HELLO``
+stopped carrying job context, so ``SUBMIT`` is the one way a pool
+learns a job — the anonymous job of ``parmonc()`` included, its
+``job`` key simply absent.  A version-2 run would send its jobs in a
+``HELLO`` a version-3 pool no longer reads, so the header refuses it.
 """
 
 from __future__ import annotations
@@ -90,8 +90,9 @@ __all__ = [
 MAGIC = b"PMNC"
 
 #: Current protocol version.  Bump on any incompatible change to the
-#: header, the frame kinds or the payload schemas.  2: binary DATA body.
-WIRE_VERSION = 2
+#: header, the frame kinds, the payload schemas or the session shape.
+#: 2: binary DATA body.  3: HELLO carries no jobs, SUBMIT declares all.
+WIRE_VERSION = 3
 
 #: Upper bound on a single frame's payload, so a corrupt length field
 #: can never make a peer buffer an absurd allocation.
@@ -111,10 +112,9 @@ class FrameKind(enum.IntEnum):
     HEARTBEAT = 6
     BYE = 7
     ERROR = 8
-    #: Mid-session job declaration (streaming sessions only; a sealed
-    #: session's jobs all travel in the HELLO).
+    #: Job declaration, ahead of the job's first ASSIGN on a link.
     SUBMIT = 9
-    #: Mid-session job withdrawal (streaming sessions only).
+    #: Job release: stop its workers, forget its context.
     CANCEL = 10
 
 
@@ -272,7 +272,7 @@ def config_to_payload(config: RunConfig) -> dict:
 
 
 def config_from_payload(payload: dict) -> RunConfig:
-    """Rebuild the worker-side :class:`RunConfig` from a HELLO frame."""
+    """Rebuild the worker-side :class:`RunConfig` from a SUBMIT frame."""
     try:
         leaps = payload["leaps"]
         return RunConfig(
@@ -288,11 +288,11 @@ def config_from_payload(payload: dict) -> RunConfig:
                 processor_exponent=int(leaps["processor_exponent"]),
                 realization_exponent=int(leaps["realization_exponent"])))
     except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
-        raise WireError(f"malformed hello configuration: {exc}") from exc
+        raise WireError(f"malformed job configuration: {exc}") from exc
 
 
 def routine_to_payload(routine, spec: str | None = None) -> dict:
-    """Serialize the realization routine for a HELLO frame.
+    """Serialize the realization routine for a SUBMIT frame.
 
     With ``spec`` (a ``module:function`` string, the CLI path) the pool
     imports the routine itself — nothing executable crosses the wire.
@@ -315,15 +315,15 @@ def routine_to_payload(routine, spec: str | None = None) -> dict:
 
 def routine_from_payload(payload: dict,
                          importer: Callable[[str], object]):
-    """Resolve a HELLO routine payload on the pool side.
+    """Resolve a SUBMIT routine payload on the pool side.
 
     Args:
-        payload: The ``routine`` object of a HELLO frame.
+        payload: The ``routine`` object of a SUBMIT frame.
         importer: ``module:function`` resolver used for spec payloads
             (the pool passes :func:`repro.cli.run.load_routine`).
     """
     if not isinstance(payload, dict):
-        raise WireError("hello frame carries no routine object")
+        raise WireError("submit frame carries no routine object")
     if "spec" in payload:
         try:
             return importer(payload["spec"])
@@ -338,4 +338,4 @@ def routine_from_payload(payload: dict,
             raise WireError(
                 f"pool cannot unpickle the realization routine: {exc}; "
                 f"is its module importable on this host?") from exc
-    raise WireError("hello routine payload carries neither spec nor pickle")
+    raise WireError("routine payload carries neither spec nor pickle")

@@ -105,7 +105,7 @@ class _BatchedRoutine:
 
     A class, not a closure, so a batched wrapper built on one host can
     cross a multiprocessing "spawn" boundary or the distributed
-    backend's HELLO pickle — only the wrapped routine itself must be
+    backend's SUBMIT pickle — only the wrapped routine itself must be
     picklable (a module-level function is).
     """
 

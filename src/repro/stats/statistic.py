@@ -519,22 +519,6 @@ class Covariance(Statistic):
     def _words(self) -> int:
         return self._size + self._size * self._size + 1
 
-    @property
-    def volume(self) -> int:
-        return self._accumulator.volume
-
-    def update(self, values, count: int = 1) -> None:
-        matrices = self._normalize(values, count)
-        if matrices.shape[0]:
-            self._accumulator.add_batch(matrices)
-
-    def merge(self, other: "Statistic") -> None:
-        if other.kind != self.kind:
-            raise ConfigurationError(
-                f"cannot merge statistic kind {other.kind!r} into "
-                f"{self.kind!r}")
-        self._merge(other)
-
     def describe(self) -> str:
         return (f"covariance: volume={self.volume}, "
                 f"{self._size}x{self._size} cross-moment matrix")

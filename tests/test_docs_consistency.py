@@ -187,13 +187,18 @@ class TestOneContextSource:
             assert not hasattr(scheduler, name), name
         assert not hasattr(scheduler, "telemetry")
 
-    def test_only_the_distributed_backend_knows_the_solo_shape(self):
-        # The scheduler's one remaining look at the anonymous id is
-        # sla_report's named-jobs filter.
+    def test_nobody_knows_a_solo_session_shape(self):
+        # docs/architecture.md "One way in, one way out".  The
+        # scheduler's one remaining look at the anonymous id is
+        # sla_report's named-jobs filter; no module gives a solo run
+        # its own wire session.
         scheduler = read("src/repro/runtime/scheduler.py")
         assert len(re.findall(r"id is (?:not )?None", scheduler)) == 1
         assert not re.search(r"engine\.(routine|config|collector)\b",
                              read("src/repro/runtime/engine.py"))
+        for module in ("distributed", "pool"):
+            source = read(f"src/repro/runtime/{module}.py")
+            assert not re.search(r"_solo|streaming", source), module
 
     def test_passes_are_tagged_only_where_they_are_built(self):
         from repro.runtime.messages import message_to_payload
@@ -218,3 +223,118 @@ class TestOneContextSource:
             for path in (ROOT / "src" / "repro").rglob("*.py")
             if re.search(r"^def worker_process\(", path.read_text(), re.M)]
         assert definitions == ["src/repro/runtime/worker.py"]
+
+
+def _square(rng):
+    return rng.random() ** 2
+
+
+class TestOneWayInOneWayOut:
+    # docs/architecture.md "The backend contract": a job enters a
+    # backend through open_job and leaves it through release_job,
+    # exactly once each, however it ends; EngineBackend is the one
+    # declaration of both and the loop probes for neither.
+
+    def test_the_loop_reads_declared_attributes_only(self):
+        from repro.runtime import engine
+
+        for module in ("scheduler", "job"):
+            source = read(f"src/repro/runtime/{module}.py")
+            assert not re.search(r"getattr\(\s*(self\._)?backend", source), \
+                module
+        assert engine.Backend is engine.EngineBackend
+        declared = vars(engine.EngineBackend)
+        assert {"open_job", "release_job", "supports_shared_jobs",
+                "supports_job_reduction", "monitors_staleness"} <= set(
+                    declared)
+
+    def test_the_four_probed_hooks_are_gone(self):
+        retired = re.compile(r"\b(announce_job|prepare_job|cancel_job)\b")
+        offenders = [
+            str(path.relative_to(ROOT))
+            for path in (ROOT / "src" / "repro").rglob("*.py")
+            if retired.search(path.read_text())]
+        assert offenders == []
+
+    @staticmethod
+    def _service(workers=None):
+        from repro.runtime.engine import WorkerDeath
+        from repro.runtime.scheduler import Scheduler
+        from repro.runtime.sequential import SequentialBackend
+
+        class Recording(SequentialBackend):
+            def __init__(self):
+                super().__init__()
+                self.opened, self.released, self.deaths = [], [], []
+
+            def open_job(self, job):
+                self.opened.append((job.id, job.status))
+                super().open_job(job)
+
+            def release_job(self, job_id):
+                status = self.engine.job_context(job_id).status
+                self.released.append((job_id, status))
+                super().release_job(job_id)
+
+            def reap(self):
+                deaths, self.deaths = self.deaths, []
+                return deaths
+
+        backend = Recording()
+        return backend, Scheduler(backend, workers=workers), WorkerDeath
+
+    @staticmethod
+    def _spec(name, processors=2, **config):
+        from repro.runtime.config import RunConfig
+        from repro.runtime.job import JobSpec
+
+        return JobSpec(routine=_square, name=name, use_files=False,
+                       config=RunConfig(maxsv=4 * processors,
+                                        processors=processors, perpass=0.0,
+                                        peraver=0.0, **config))
+
+    @staticmethod
+    def _finish(scheduler, job):
+        for _ in range(1000):
+            if job.finished.is_set():
+                return
+            scheduler.step(poll_timeout=0.0)
+        raise AssertionError(f"{job.id} never finished")
+
+    @pytest.mark.parametrize("ending", [
+        "done", "failed", "cancelled-queued", "cancelled-running",
+        "deadline"])
+    def test_opened_once_released_once_however_the_job_ends(self, ending):
+        backend, scheduler, WorkerDeath = self._service(
+            workers=1 if ending == "deadline" else None)
+        config = {"time_limit": 1e-6} if ending == "deadline" else {}
+        job = scheduler.submit(self._spec("j", processors=3, **config))
+        if ending == "cancelled-queued":
+            assert scheduler.cancel(job) is True
+        elif ending == "failed":
+            # Rank 0 runs in the first turn's poll; rank 2 "dies" before
+            # its turn, and the default policy fails the job.
+            backend.deaths = [WorkerDeath(2, 3, job="j")]
+        elif ending == "cancelled-running":
+            scheduler.step(poll_timeout=0.0)
+            assert job.status == "running"
+            assert scheduler.cancel(job) is True
+        self._finish(scheduler, job)
+        assert job.status == {
+            "done": "done", "failed": "failed", "deadline": "done",
+            "cancelled-queued": "cancelled",
+            "cancelled-running": "cancelled"}[ending]
+        if ending == "cancelled-queued":
+            # Never opened, so never released.
+            assert backend.opened == backend.released == []
+        else:
+            assert backend.opened == [("j", "queued")]
+            assert [job_id for job_id, _ in backend.released] == ["j"]
+            # Released on the way out of RUNNING, before the terminal
+            # state wakes anyone who might prune the job.
+            assert backend.released[0][1] in ("running", "draining")
+            assert not backend._pending
+        if ending == "deadline":
+            assert job.completed is False
+        scheduler.shutdown()
+        assert len(backend.released) <= 1

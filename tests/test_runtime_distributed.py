@@ -280,6 +280,96 @@ class TestPoolReuse:
                     == reference.estimates.abs_error.tobytes())
 
 
+class TestOneSessionShape:
+    """A solo run, a named job of a batch and a job whose pool joins
+    after admission all travel ``HELLO {}`` -> ``SUBMIT`` -> ``ASSIGN``:
+    same estimates, and the same DATA bodies the workers always built
+    (the named job's differing only by its tag in the tail)."""
+
+    RUN = dict(maxsv=12, processors=2, perpass=0.0, peraver=0.0, seqnum=3)
+
+    @staticmethod
+    def _masked(body: bytes) -> bytes:
+        """A DATA body without its two clock fields (sent_at, compute)."""
+        return body[:24] + bytes(16) + body[40:]
+
+    def _reference_bodies(self, job):
+        """What ``run_worker`` builds for each pass, encoded locally."""
+        from repro.runtime.messages import message_to_payload
+        config = RunConfig(**self.RUN)
+        bodies = []
+        for rank in range(config.processors):
+            run_worker(square, config, rank, config.worker_quota(rank),
+                       send=lambda message: bodies.append(
+                           self._masked(message_to_payload(message))),
+                       job=job)
+        return sorted(bodies)
+
+    @pytest.fixture
+    def bodies(self, monkeypatch):
+        """Every DATA body the run side decodes, as it arrived."""
+        from repro.runtime import distributed
+        seen = []
+        decode = distributed.message_from_payload
+
+        def recording(payload):
+            seen.append(payload)
+            return decode(payload)
+
+        monkeypatch.setattr(distributed, "message_from_payload", recording)
+        return seen
+
+    def test_solo_named_and_late_pool_agree_byte_for_byte(self, tmp_path,
+                                                          bodies):
+        sequential = parmonc(square, **self.RUN, backend="sequential",
+                             use_files=False)
+        server = PoolServer(port=0, workers=2, start_method="fork")
+        address = "%s:%d" % server.start()
+        try:
+            solo = parmonc(square, **self.RUN, backend="distributed",
+                           connect=address, use_files=False)
+            solo_bodies = sorted(map(self._masked, bodies))
+            del bodies[:]
+            [named] = parmonc(
+                jobs=[{"routine": square, "name": "named", **self.RUN,
+                       "workdir": tmp_path / "named"}],
+                backend="distributed", connect=address, workers=2)
+            named_bodies = sorted(map(self._masked, bodies))
+            del bodies[:]
+        finally:
+            server.stop()
+        # The pool comes up only after the job was admitted and its
+        # assignments queued: SUBMIT reaches it ahead of their ASSIGNs
+        # like it reaches any other link.
+        late_port = free_port()
+        backend = DistributedBackend(connect=f"127.0.0.1:{late_port}",
+                                     retry_interval=0.05)
+        scheduler = Scheduler(backend, workers=2)
+        late_server = PoolServer(port=late_port, workers=2,
+                                 start_method="fork")
+        try:
+            late = scheduler.submit(JobSpec(
+                routine=square, name="named", use_files=False,
+                config=RunConfig(**self.RUN)))
+            _drive(scheduler, lambda: late.dispatched == 2)
+            assert late_server.sessions_served == 0
+            late_server.start()
+            _drive(scheduler, lambda: late.status is JobStatus.DONE)
+        finally:
+            scheduler.shutdown()
+            late_server.stop()
+        late_bodies = sorted(map(self._masked, bodies))
+        for result in (solo, named, late.result):
+            assert result.total_volume == 12
+            for field in ("mean", "variance", "abs_error", "rel_error"):
+                assert (getattr(result.estimates, field).tobytes()
+                        == getattr(sequential.estimates, field).tobytes())
+        assert solo_bodies == self._reference_bodies(None)
+        assert named_bodies == late_bodies == self._reference_bodies(
+            "named")
+        assert len(solo_bodies) == 12 + 2  # one per realization + finals
+
+
 def _drive(scheduler, predicate, seconds=60.0):
     """Step a synchronously driven service until ``predicate()`` holds."""
     deadline = time.monotonic() + seconds
@@ -355,9 +445,9 @@ class TestTeardownAndLateTraffic:
 
     def test_assign_ahead_of_its_announcement_waits_for_it(self, tmp_path,
                                                            monkeypatch):
-        """An ASSIGN whose job the pools have not heard of is requeued
-        until ``announce_job`` lands — which itself wakes the
-        dispatcher; no wall-clock retry is armed in between."""
+        """An assignment whose job has no wire entry yet stays queued
+        until ``open_job`` lands — which itself wakes the dispatcher;
+        no wall-clock retry is armed in between."""
         server = PoolServer(port=0, workers=2, start_method="fork")
         host, port = server.start()
         backend = DistributedBackend(connect=f"{host}:{port}")
@@ -372,8 +462,8 @@ class TestTeardownAndLateTraffic:
                 turns(), backend._loop).result(timeout=10.0)
 
         try:
-            # The first job binds the backend and rides in the HELLO;
-            # only later admissions depend on announcements.
+            # The first job binds the backend and brings the link up,
+            # so the late one meets a connected, idle pool.
             early = scheduler.submit(_streaming_spec("early", tmp_path))
             _drive(scheduler, lambda: early.status is JobStatus.DONE)
 
@@ -388,7 +478,7 @@ class TestTeardownAndLateTraffic:
 
             _drive(scheduler, lambda: not busy())  # early's EXITs are in
             held, retries = [], []
-            announce, call_later = (backend.announce_job,
+            open_job, call_later = (backend.open_job,
                                     backend._loop.call_later)
 
             def spy(delay, callback, *args, **kwargs):
@@ -396,19 +486,19 @@ class TestTeardownAndLateTraffic:
                     retries.append(delay)
                 return call_later(delay, callback, *args, **kwargs)
 
-            monkeypatch.setattr(backend, "announce_job", held.append)
+            monkeypatch.setattr(backend, "open_job", held.append)
             monkeypatch.setattr(backend._loop, "call_later", spy)
             late = scheduler.submit(
                 _streaming_spec("late", tmp_path, seqnum=1))
             scheduler.step(poll_timeout=0.0)  # admit, spawn: ASSIGNs queued
             assert held == [late]
             settle()
-            # The dispatcher ran, found no announcement and parked.
+            # The dispatcher ran, found no entry and parked.
             assert len(backend._pending) == 2
             assert not busy()
-            announce(late)
+            open_job(late)
             settle()
-            assert not backend._pending  # dispatched by the announcement
+            assert not backend._pending  # dispatched by the registration
             _drive(scheduler, lambda: late.status is JobStatus.DONE)
         finally:
             scheduler.shutdown()

@@ -619,6 +619,155 @@ class TestStreamingLifecycle:
         _drive(scheduler, lambda: live.status is JobStatus.DONE)
 
 
+#: Directory (via environment, so it crosses the fork) in which
+#: ``exit_or_linger`` decides who dies; unset = benign.
+_FATE_DIR_ENV = "PARMONC_TEST_FATE_DIR"
+
+
+def exit_or_linger(rng):
+    """Exactly one worker process ``os._exit(3)``s; the others linger.
+
+    ``O_EXCL`` picks the one; everyone else sits in the routine far
+    longer than the test runs, so only a release can end them.
+    """
+    import os
+    directory = os.environ.get(_FATE_DIR_ENV)
+    if directory:
+        try:
+            os.close(os.open(os.path.join(directory, "doomed"),
+                             os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            time.sleep(600.0)
+        else:
+            os._exit(3)
+    return rng.random() ** 2
+
+
+class TestJobRelease:
+    """``release_job`` on every way out of RUNNING: a finished job
+    leaves nothing behind in the backend, whichever way it finished."""
+
+    @staticmethod
+    def _multiprocess(workers=2):
+        backend = create_backend("multiprocess", start_method="fork")
+        return backend, Scheduler(backend, workers=workers)
+
+    def test_prune_after_done_leaves_the_multiprocess_service_alive(self):
+        # Regression: the backend kept ('a', rank) process entries
+        # after DONE, and the next reap looked the pruned job up again:
+        # BackendError("unknown job 'a'") killed the loop thread.
+        import multiprocessing
+        backend, scheduler = self._multiprocess()
+        try:
+            first = scheduler.submit(spec(name="a", maxsv=8, processors=2))
+            _drive(scheduler, lambda: first.status is JobStatus.DONE)
+            assert backend._live == {}
+            assert scheduler.prune() == 1
+            # a's workers have exited by the time they are joined, so
+            # the reap below meets their exit codes, not a race.
+            for child in multiprocessing.active_children():
+                child.join(timeout=30.0)
+            assert backend.reap() == []
+            second = scheduler.submit(
+                spec(slow_square, name="b", maxsv=8, processors=2,
+                     seqnum=1))
+            _drive(scheduler, lambda: second.status is JobStatus.DONE)
+        finally:
+            scheduler.shutdown(timeout=30.0)
+        assert second.result.total_volume == 8
+
+    @pytest.mark.parametrize("fanout", [None, 2])
+    def test_failed_job_keeps_no_process_running(self, tmp_path,
+                                                 monkeypatch, fanout):
+        # Regression: FAILED released nothing, so the surviving workers
+        # (and, with a tree, the reducers) ran on in slots the
+        # scheduler had already handed to someone else.
+        monkeypatch.setenv(_FATE_DIR_ENV, str(tmp_path))
+        backend, scheduler = self._multiprocess(workers=3)
+        config = RunConfig(maxsv=3, processors=3, perpass=1000.0,
+                           peraver=0.0, reduction_fanout=fanout)
+        children = []
+        open_job, spawn = backend.open_job, backend.spawn
+
+        def opened(job):
+            open_job(job)
+            children.extend(backend._reducers.values())
+
+        def spawned(assignments):
+            extras = spawn(assignments)
+            children.extend(backend._live.values())
+            return extras
+
+        monkeypatch.setattr(backend, "open_job", opened)
+        monkeypatch.setattr(backend, "spawn", spawned)
+        try:
+            job = scheduler.submit(JobSpec(
+                routine=exit_or_linger, config=config, name="doomed",
+                use_files=False))
+            scheduler.drain(timeout=60.0)
+            assert len(children) == (3 if fanout is None else 5)
+            assert job.status is JobStatus.FAILED
+            assert "rank" in str(job.error)
+            for child in children:
+                child.join(timeout=10.0)
+                assert not child.is_alive()
+            assert backend._live == {} and backend._reducers == {}
+            assert backend._plans == {} and backend._reducer_inboxes == {}
+            # The slots are free in fact, not only on the books.
+            monkeypatch.delenv(_FATE_DIR_ENV)
+            healthy = scheduler.submit(spec(name="healthy", maxsv=6,
+                                            processors=3, seqnum=1))
+            _drive(scheduler, lambda: healthy.status is JobStatus.DONE)
+        finally:
+            scheduler.shutdown(timeout=30.0)
+        assert healthy.result.total_volume == 6
+
+    @pytest.mark.parametrize(
+        "name", ["sequential", "multiprocess", "distributed"])
+    def test_fifty_jobs_leave_no_trace(self, name):
+        # A long-lived service holds O(running jobs), and a name freed
+        # by prune() can be submitted again.
+        from repro.runtime.pool import PoolServer
+        server = None
+        options = {"start_method": "fork"}
+        if name == "distributed":
+            server = PoolServer(port=0, workers=2, start_method="fork")
+            options = {"connect": "%s:%d" % server.start()}
+        backend = create_backend(name, **options)
+        scheduler = Scheduler(backend, workers=2)
+        scheduler.start()
+        try:
+            for index in range(50):
+                job = scheduler.submit(spec(
+                    name=f"tiny{index % 5}", maxsv=2, processors=1,
+                    seqnum=index))
+                assert scheduler.wait(job, timeout=60.0)
+                assert job.status is JobStatus.DONE, job.error
+                assert job.result.total_volume == 2
+                assert scheduler.prune() == 1
+            last = scheduler.submit(spec(name="last", maxsv=2,
+                                         processors=1, seqnum=50))
+            assert scheduler.wait(last, timeout=60.0)
+            if name == "sequential":
+                assert not backend._pending
+            elif name == "multiprocess":
+                assert backend._live == {} and backend._plans == {}
+                assert backend._verdicts._suspects == {}
+            else:
+                # Frames on a link keep their order, so with ``last``'s
+                # passes back every earlier release has been served.
+                assert set(backend._entries) <= {"last"}
+                assert not backend._pending
+                [link] = backend._links.values()
+                assert link.announced <= {"last"}
+                [session] = server._sessions
+                assert set(session._contexts) <= {"last"}
+        finally:
+            assert scheduler.shutdown(timeout=60.0) is True
+            if server is not None:
+                server.stop()
+
+
 class TestStreamingJobScopedReduction:
     def test_fanout_job_admitted_mid_stream_matches_solo(
             self, tmp_path, normalized_artifacts):

@@ -12,6 +12,7 @@ are JSON; a DATA frame's body is the one binary layout of
 from __future__ import annotations
 
 import json
+import socket
 import struct
 import tracemalloc
 import zlib
@@ -25,6 +26,7 @@ from repro.exceptions import ConfigurationError, WireError
 from repro.runtime import wire
 from repro.runtime.config import RunConfig
 from repro.runtime.messages import MomentMessage
+from repro.runtime.pool import PoolServer
 from repro.runtime.wire import (
     MAX_FRAME_BYTES,
     WIRE_VERSION,
@@ -187,9 +189,10 @@ class TestFraming:
 
 
 class TestVersionSkew:
-    """Version 2 moved DATA bodies from JSON to binary: a mixed
-    deployment must fail at the first frame header with the "upgrade
-    the older side" error, never inside a body parser."""
+    """Version 2 moved DATA bodies from JSON to binary and version 3
+    moved every job's context out of HELLO: a mixed deployment must
+    fail at the first frame header with the "upgrade the older side"
+    error, never inside a body parser or on a missing key."""
 
     @staticmethod
     def v1_data_frame() -> bytes:
@@ -199,18 +202,29 @@ class TestVersionSkew:
         return FRAME.pack(b"PMNC", 1, int(FrameKind.DATA), len(body),
                           zlib.crc32(body)) + body
 
-    def test_v1_frame_to_v2_peer(self):
+    def test_v1_frame_to_current_peer(self):
         with pytest.raises(WireError, match=r"version 1, this library "
-                                            r"speaks 2; upgrade the older"):
+                                            r"speaks 3; upgrade the older"):
             decode_frame(self.v1_data_frame())
         with pytest.raises(WireError, match="upgrade the older side"):
             list(FrameDecoder().feed(self.v1_data_frame()))
 
-    def test_v2_frame_to_v1_peer(self, monkeypatch):
+    def test_v2_hello_with_its_jobs_is_refused_by_the_header(self):
+        # What a version-2 run opened a session with; a version-3 pool
+        # would otherwise welcome it and then know none of its jobs.
+        body = json.dumps({"jobs": {"a": {}}, "streaming": True}
+                          ).encode("utf-8")
+        frame = FRAME.pack(b"PMNC", 2, int(FrameKind.HELLO), len(body),
+                           zlib.crc32(body)) + body
+        with pytest.raises(WireError, match=r"version 2, this library "
+                                            r"speaks 3; upgrade the older"):
+            decode_frame(frame)
+
+    def test_current_frame_to_v1_peer(self, monkeypatch):
         frame = encode_frame(FrameKind.DATA,
                              message_to_payload(sample_message()))
         monkeypatch.setattr(wire, "WIRE_VERSION", 1)
-        with pytest.raises(WireError, match=r"version 2, this library "
+        with pytest.raises(WireError, match=r"version 3, this library "
                                             r"speaks 1; upgrade the older"):
             decode_frame(frame)
 
@@ -481,7 +495,7 @@ class TestConfigCodec:
         assert rebuilt.leaps == config.leaps
 
     def test_malformed_config_raises_wire_error(self):
-        with pytest.raises(WireError, match="hello"):
+        with pytest.raises(WireError, match="malformed job configuration"):
             config_from_payload({"nrow": 1})
 
 
@@ -514,35 +528,107 @@ class TestRoutineCodec:
             routine_from_payload({}, lambda s: None)
 
 
-class TestStreamingFrames:
+class TestSessionFrames:
     """Frame-kind values are frozen; the version is pinned once, here.
 
-    PR 10's SUBMIT and CANCEL were additive (a sealed session never
-    emits them), so they left the version at 1.  It moved to 2 when the
-    DATA body went from JSON text to the binary moment layout: a v1
-    peer cannot parse a v2 DATA frame, so the header must say so."""
+    PR 10's SUBMIT and CANCEL were additive, so they left the version
+    at 1.  It moved to 2 when the DATA body went from JSON text to the
+    binary moment layout (a v1 peer cannot parse a v2 DATA frame), and
+    to 3 when HELLO stopped carrying job context: a v2 run ships its
+    jobs in a HELLO that a v3 pool no longer reads, so the header must
+    say so.  No frame kind and no ASSIGN/DATA/EXIT/CANCEL body moved."""
 
     def test_frame_kind_values_are_frozen(self):
-        assert WIRE_VERSION == 2
+        assert WIRE_VERSION == 3
         assert [int(kind) for kind in FrameKind] == list(range(1, 11))
         assert int(FrameKind.SUBMIT) == 9
         assert int(FrameKind.CANCEL) == 10
 
-    def test_submit_frame_round_trips_job_context(self):
+    @pytest.mark.parametrize("extra", [
+        {"job": "late"},
+        {},                                     # the anonymous job
+        {"batch_size": 512},                    # ... of a batched CLI run
+    ])
+    def test_submit_frame_round_trips_job_context(self, extra):
         payload = {
-            "job": "late",
             "config": config_to_payload(RunConfig(maxsv=8, processors=2,
                                                   perpass=0.0,
                                                   peraver=0.0)),
             "routine": routine_to_payload(module_level_routine),
+            **extra,
         }
         kind, decoded = decode_frame(
             encode_frame(FrameKind.SUBMIT, payload))
         assert kind is FrameKind.SUBMIT
         assert decoded == payload
 
-    def test_cancel_frame_round_trips(self):
+    @pytest.mark.parametrize("payload", [{"job": "victim"}, {}])
+    def test_cancel_frame_round_trips(self, payload):
         kind, decoded = decode_frame(
-            encode_frame(FrameKind.CANCEL, {"job": "victim"}))
+            encode_frame(FrameKind.CANCEL, payload))
         assert kind is FrameKind.CANCEL
-        assert decoded == {"job": "victim"}
+        assert decoded == payload
+
+
+class TestPoolTrustBoundary:
+    """SUBMIT is the one way a pool learns a job, so an ASSIGN for a
+    job nothing declared — what a version-2-shaped session (context in
+    the HELLO, then straight to ASSIGN) amounts to — is refused with a
+    ``WireError`` that names the cause, never a ``KeyError``."""
+
+    @staticmethod
+    def converse(address, *frames):
+        """Send ``frames`` after a HELLO; return the pool's replies."""
+        decoder, replies = FrameDecoder(), []
+        with socket.create_connection(address, timeout=10.0) as link:
+            link.sendall(b"".join(
+                encode_frame(kind, payload) for kind, payload in
+                ((FrameKind.HELLO, {}),) + frames))
+            while True:
+                chunk = link.recv(65536)
+                if not chunk:
+                    return replies
+                replies.extend(decoder.feed(chunk))
+
+    @pytest.mark.parametrize("assign", [
+        {"rank": 0, "quota": 1},                 # the anonymous job
+        {"rank": 0, "quota": 1, "job": "ghost"},
+    ])
+    def test_assign_without_a_submit_is_refused_by_name(self, assign):
+        server = PoolServer(port=0, workers=1, start_method="fork")
+        address = server.start()
+        try:
+            replies = self.converse(address, (FrameKind.ASSIGN, assign))
+        finally:
+            server.stop()
+        assert [kind for kind, _ in replies] == [FrameKind.WELCOME,
+                                                 FrameKind.ERROR]
+        detail = replies[-1][1]["detail"]
+        assert "no submit frame declared" in detail
+        assert repr(assign.get("job")) in detail
+
+    def test_cancel_forgets_the_job_and_a_new_submit_revives_the_name(self):
+        config = config_to_payload(RunConfig(maxsv=1, processors=1,
+                                             perpass=0.0, peraver=0.0))
+        submit = {"job": "a", "config": config,
+                  "routine": routine_to_payload(module_level_routine)}
+        assign = {"job": "a", "rank": 0, "quota": 1}
+        server = PoolServer(port=0, workers=1, start_method="fork")
+        address = server.start()
+        try:
+            replies = self.converse(
+                address,
+                (FrameKind.SUBMIT, submit), (FrameKind.CANCEL, {"job": "a"}),
+                (FrameKind.SUBMIT, submit), (FrameKind.ASSIGN, assign),
+                (FrameKind.CANCEL, {"job": "a"}),
+                (FrameKind.ASSIGN, dict(assign, rank=1)))
+        finally:
+            server.stop()
+        kinds = [kind for kind, _ in replies
+                 if kind is not FrameKind.HEARTBEAT]
+        # The revived name ran its worker; the ASSIGN after the second
+        # CANCEL found the name forgotten again and ended the session.
+        assert kinds[0] is FrameKind.WELCOME
+        assert kinds[-1] is FrameKind.ERROR
+        assert FrameKind.ERROR not in kinds[:-1]
+        assert "no submit frame declared" in replies[-1][1]["detail"]

@@ -380,6 +380,26 @@ class TestStatisticSet:
         assert snapshot["counter"].volume == 3
         assert snapshot["extrema"].maximum[0, 0] == 2.5
 
+    @pytest.mark.parametrize("kind", EXTRA_KINDS)
+    def test_one_volume_however_the_realizations_arrived(self, kind):
+        # Scalar update, raw batched fold, merge and payload restore
+        # all keep the base's count; Covariance used to keep its own
+        # beside it and the two drifted apart.
+        statistics = StatisticSet.for_run(("moments", kind), 2, 3)
+        statistics.update(_sample(1)[0])
+        statistics.update_batch(_sample(4, seed=8))
+        [statistic] = statistics.extras
+        other = create_statistic(kind, 2, 3)
+        other.update(_sample(2, seed=9), count=2)
+        statistic.merge(other)
+        restored = statistic_from_payload(statistic.to_payload())
+        for item in (statistic, statistic.snapshot(), restored):
+            assert item.volume == 7
+            assert "volume=7" in repr(item) and "volume=7" in item.describe()
+        if kind == "covariance":
+            assert statistic.accumulator.volume == 7
+            assert restored.accumulator.volume == 7
+
     def test_invalid_update_leaves_extras_untouched(self):
         statistics = StatisticSet.for_run(("moments", "counter"), 1, 1)
         with pytest.raises(Exception):
