@@ -9,10 +9,15 @@ collector.  ``T_comp`` — the figure's y-axis — is the virtual time at
 which the collector has received, averaged and saved the complete
 sample.
 
-Realizations can be *executed* (the user routine actually runs, with its
-RNG substream, so the run produces genuine estimates) or merely
-*accounted* (zero-matrix placeholders; only timing matters, which is how
-the 512-processor sweeps stay cheap).
+Every simulated processor *is* the real worker
+(:class:`~repro.runtime.worker.WorkerBody`, the object
+:func:`~repro.runtime.worker.run_worker` drives on the real clock),
+stepped from the event queue; what is modelled here is everything
+around it — durations, the network, the collector's service, failures,
+scheduling and accelerators.  Realizations can be *executed* (the user
+routine actually runs, with its RNG substream, so the run produces
+genuine estimates) or merely *accounted* (zero-matrix placeholders;
+only timing matters, which is how the 512-processor sweeps stay cheap).
 """
 
 from __future__ import annotations
@@ -33,12 +38,9 @@ from repro.runtime.messages import (
     _HEADER_BYTES,
     CombinedMessage,
     MomentMessage,
-    message_bytes,
 )
 from repro.runtime.reduction import Coalescer, ReducerNode, plan_reduction
-from repro.runtime.worker import RealizationRoutine, adapt_realization
-from repro.rng.streams import StreamTree
-from repro.stats.statistic import StatisticSet
+from repro.runtime.worker import RealizationRoutine, WorkerBody
 
 __all__ = ["ClusterSpec", "ClusterResult", "ClusterSimulation",
            "proportional_quotas"]
@@ -277,30 +279,19 @@ class ClusterSimulation:
         self._config = config
         self._spec = spec
         self._collector = collector
-        self._adapted = (adapt_realization(routine)
-                         if routine is not None else None)
-        self._batch_size = getattr(self._adapted, "batch_size", None)
+        self._routine = routine
         self._events = EventQueue()
         self._duration_rng = np.random.default_rng(spec.seed)
         self._processors = spec.processors_for(config.processors)
         self._service = CollectorService(spec.collector_service_time)
-        tree = StreamTree(config.leaps)
-        self._experiment = tree.experiment(config.seqnum)
-        self._streams = [self._experiment.processor(rank)
+        self._telemetry = telemetry
+        self._workers = [self._worker(rank)
                          for rank in range(config.processors)]
-        self._statistics = [
-            StatisticSet.for_run(config.statistics, config.nrow,
-                                 config.ncol)
-            for _ in range(config.processors)]
-        self._accumulators = [statistics.moments
-                              for statistics in self._statistics]
-        # The cost model charges what a pass actually carries: the
-        # moment payload plus every declared extra statistic.  For the
-        # default moments-only run this is exactly the paper's Fig. 2
-        # accounting.
-        self._nbytes = (spec.message_bytes if spec.message_bytes is not None
-                        else message_bytes(config.nrow, config.ncol,
-                                           self._statistics[0].extras))
+        # The cost model charges what a pass actually carries (unless
+        # the spec fixes a size): the moment payload plus every
+        # declared extra statistic.  For the default moments-only run
+        # this is exactly the paper's Fig. 2 accounting.
+        self._nbytes = self._workers[0].nbytes
         # The reduction topology (flat unless config.reduction_fanout):
         # worker passes route through simulated reducer stations that
         # coalesce before the collector's server ever sees them.
@@ -314,10 +305,8 @@ class ClusterSimulation:
             for node in plan.nodes}
         self._leaf_parents = dict(plan.leaf_parents)
         self._combined_delivered = 0
-        self._next_index = [0] * config.processors
         self._scheduling = scheduling
         self._total_started = 0
-        self._last_send = [0.0] * config.processors
         self._failures = dict(spec.failures or {})
         if 0 in self._failures:
             raise ConfigurationError(
@@ -352,16 +341,10 @@ class ClusterSimulation:
             list(job_labels) if job_labels is not None
             else [None] * config.processors)
         self._rank_messages = [0] * config.processors
-        self._zero = np.zeros(config.shape)
         self._messages_sent = 0
         self._queue_delay_total = 0.0
         self._last_completion = 0.0
         self._last_compute = 0.0
-        self._telemetry = telemetry
-        self._worker_stats = (
-            [WorkerTelemetry(rank, clock=lambda: self._events.now)
-             for rank in range(config.processors)]
-            if telemetry is not None else None)
         self._failures_logged: set[int] = set()
         self._result: ClusterResult | None = None
 
@@ -369,6 +352,16 @@ class ClusterSimulation:
     def now(self) -> float:
         """Current virtual time (drives the telemetry clock)."""
         return self._events.now
+
+    def _worker(self, rank: int) -> WorkerBody:
+        """The real worker body for ``rank``, on the virtual clock."""
+        def clock() -> float:
+            return self._events.now
+        return WorkerBody(
+            self._routine, self._config, rank, clock=clock,
+            telemetry=(WorkerTelemetry(rank, clock=clock)
+                       if self._telemetry is not None else None),
+            nbytes=self._spec.message_bytes)
 
     # ------------------------------------------------------------------
 
@@ -385,7 +378,8 @@ class ClusterSimulation:
         if self._scheduling == "dynamic":
             remaining = self._config.maxsv - self._total_started
         else:
-            remaining = self._quotas[rank] - self._next_index[rank]
+            remaining = (self._quotas[rank]
+                         - self._workers[rank].accumulator.volume)
         if remaining <= 0:
             self._send(rank, now, final=True)
             return
@@ -415,49 +409,28 @@ class ClusterSimulation:
         self._telemetry.events.append(
             "node_failed", ts=fail_time, rank=rank,
             delivered_volume=self._collector.worker_volume(rank),
-            computed_volume=self._accumulators[rank].volume)
+            computed_volume=self._workers[rank].accumulator.volume)
 
     def _complete_chunk(self, rank: int, chunk: int, now: float,
-                        started: float | None = None) -> None:
-        """A chunk finished: accumulate, maybe pass data, go on."""
+                        started: float) -> None:
+        """A chunk finished: step the worker through it, maybe pass data."""
         if self._dead(rank, now):
             # The node died while computing: the in-flight chunk (and
             # everything since its last pass) is lost.
             return
-        widths: list[int] = []
-        if self._batch_size is not None:
-            start = self._next_index[rank]
-            self._next_index[rank] = start + chunk
-            done = 0
-            while done < chunk:
-                width = min(self._batch_size, chunk - done)
-                streams = self._streams[rank].realization_block(
-                    start + done, width)
-                self._statistics[rank].update_batch(self._adapted(streams))
-                widths.append(width)
-                done += width
-        else:
-            for _ in range(chunk):
-                index = self._next_index[rank]
-                self._next_index[rank] = index + 1
-                if self._adapted is not None:
-                    rng = self._streams[rank].realization(index)
-                    result = self._adapted(rng)
-                else:
-                    result = self._zero
-                self._statistics[rank].update(result)
+        worker = self._workers[rank]
+        done = 0
+        while done < chunk:
+            done += worker.step(chunk - done)[0]
         self._last_compute = max(self._last_compute, now)
-        if self._worker_stats is not None:
-            begun = started if started is not None else now
-            stats = self._worker_stats[rank]
-            stats.add_realizations(chunk, now - begun)
-            if widths:
-                stats.batches += len(widths)
-                stats.max_batch = max(stats.max_batch, max(widths))
-            self._telemetry.tracer.record("worker.chunk", begun, now,
+        if self._telemetry is not None:
+            # The virtual clock stands still while a routine runs, so
+            # the worker counted its steps at zero seconds: the chunk's
+            # modelled duration is charged here.
+            worker.telemetry.add_realizations(0, now - started)
+            self._telemetry.tracer.record("worker.chunk", started, now,
                                           rank=rank, chunk=chunk)
-        if (self._config.perpass == 0.0
-                or now - self._last_send[rank] >= self._config.perpass):
+        if worker.pass_due(now):
             self._send(rank, now, final=False)
         self._start_realization(rank, now)
 
@@ -467,18 +440,10 @@ class ClusterSimulation:
             return
         if final:
             self._finaled.add(rank)
-        metrics = None
-        if self._worker_stats is not None:
-            stats = self._worker_stats[rank]
-            stats.message(self._nbytes)
-            metrics = stats.as_dict(now=now)
-        message = MomentMessage(
-            rank=rank, snapshot=self._accumulators[rank].snapshot(),
-            sent_at=now, final=final, metrics=metrics,
-            statistics=self._statistics[rank].extras_snapshot())
+        worker = self._workers[rank]
+        message = worker.message(now, final)
         self._messages_sent += 1
         self._rank_messages[rank] += 1
-        self._last_send[rank] = now
         node_id = self._leaf_parents.get(rank)
         if node_id is not None:
             # Tree topology: the pass crosses the wire to the subtree's
@@ -493,9 +458,9 @@ class ClusterSimulation:
                 if final:
                     self._telemetry.events.append(
                         "worker_final", ts=now, rank=rank,
-                        volume=self._accumulators[rank].volume,
-                        messages=self._worker_stats[rank].messages,
-                        bytes=self._worker_stats[rank].bytes_sent)
+                        volume=worker.accumulator.volume,
+                        messages=worker.telemetry.messages,
+                        bytes=worker.telemetry.bytes_sent)
             return
         arrival = now + self._spec.network.transfer_time(
             self._nbytes, local=(rank == 0))
@@ -511,9 +476,9 @@ class ClusterSimulation:
             if final:
                 self._telemetry.events.append(
                     "worker_final", ts=now, rank=rank,
-                    volume=self._accumulators[rank].volume,
-                    messages=self._worker_stats[rank].messages,
-                    bytes=self._worker_stats[rank].bytes_sent)
+                    volume=worker.accumulator.volume,
+                    messages=worker.telemetry.messages,
+                    bytes=worker.telemetry.bytes_sent)
         self._events.schedule(
             completion,
             lambda when, m=message: self._deliver(m, when))
@@ -596,23 +561,13 @@ class ClusterSimulation:
             raise ConfigurationError(
                 f"worker ranks must stay contiguous: expected "
                 f"{len(self._processors)}, got {rank}")
-        now = self._events.now
         self._processors.append(Processor(rank, 1.0, None))
-        self._streams.append(self._experiment.processor(rank))
-        self._statistics.append(
-            StatisticSet.for_run(self._config.statistics,
-                                 self._config.nrow, self._config.ncol))
-        self._accumulators.append(self._statistics[-1].moments)
-        self._next_index.append(0)
-        self._last_send.append(now)
+        self._workers.append(self._worker(rank))
         self._quotas.append(quota)
         self._job_labels.append(job)
         self._rank_messages.append(0)
-        if self._worker_stats is not None:
-            self._worker_stats.append(
-                WorkerTelemetry(rank, clock=lambda: self._events.now))
         self._result = None
-        self._start_realization(rank, now)
+        self._start_realization(rank, self._events.now)
 
     def dead_ranks(self) -> tuple[int, ...]:
         """Injected failures that kept their node from finalizing."""
@@ -638,11 +593,10 @@ class ClusterSimulation:
                 "surviving worker finalized — this indicates an "
                 "internal protocol bug")
         t_comp = self._last_completion
-        per_rank = {rank: self._accumulators[rank].volume
-                    for rank in range(len(self._processors))}
+        per_rank = {rank: worker.accumulator.volume
+                    for rank, worker in enumerate(self._workers)}
         total = sum(per_rank.values())
-        lost = sum(self._accumulators[rank].volume
-                   - self._collector.worker_volume(rank)
+        lost = sum(per_rank[rank] - self._collector.worker_volume(rank)
                    for rank in self._failures)
         mean_delay = (self._queue_delay_total / self._messages_sent
                       if self._messages_sent else 0.0)
@@ -676,13 +630,13 @@ class ClusterSimulation:
 
     def run(self) -> ClusterResult:
         """Execute the session; return virtual-time accounting."""
-        for rank in range(self._config.processors):
-            if self._telemetry is not None:
+        if self._telemetry is not None:
+            for rank in range(self._config.processors):
                 self._telemetry.events.append(
                     "worker_start", ts=0.0, rank=rank,
                     quota=(self._quotas[rank]
                            if self._scheduling == "static" else None))
-            self._start_realization(rank, 0.0)
+        self.start()
         self._events.run()
         result = self.finish()
         # The final averaging-and-saving sweep the paper times.

@@ -37,6 +37,7 @@ from repro.runtime.result import RunResult
 from repro.runtime.resume import ResumeState, finalize_session, prepare_resume
 from repro.runtime.worker import (
     BatchRealizationRoutine,
+    WorkerBody,
     adapt_realization,
     batch_routine,
     make_batched,
@@ -62,6 +63,7 @@ __all__ = [
     "BatchRealizationRoutine",
     "batch_routine",
     "make_batched",
+    "WorkerBody",
     "run_worker",
     "Backend",
     "Engine",

@@ -21,6 +21,9 @@ places a whole block of realization substreams at once
 the routine once per block, and folds the returned ``(B, nrow, ncol)``
 stack with one :meth:`~repro.stats.accumulator.MomentAccumulator
 .add_batch`.  Estimates are bit-identical to the scalar loop's.
+
+All of that is :class:`WorkerBody`; :func:`run_worker` is its driver on
+the real clock and the simulated cluster its driver on a virtual one.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from repro.stats.statistic import StatisticSet
 
 __all__ = ["RealizationRoutine", "BatchRealizationRoutine",
            "adapt_realization", "batch_routine", "make_batched",
-           "run_worker", "worker_process"]
+           "WorkerBody", "run_worker", "worker_process"]
 
 #: A realization routine: either ``fn(rng) -> matrix`` or, PARMONC-style,
 #: ``fn() -> matrix`` drawing from the global :func:`repro.rng.rnd128`.
@@ -206,6 +209,162 @@ def adapt_realization(routine: RealizationRoutine) -> Callable:
         f"{getattr(routine, '__name__', routine)!r} requires {n_required}")
 
 
+class WorkerBody:
+    """One processor's share of the sample, advanced a step at a time.
+
+    The single implementation of what a PARMONC worker does between two
+    looks at the clock: place the next realization's substream (or a
+    block of them, for a routine with a ``batch_size``), call the
+    routine, fold the result into the run's
+    :class:`~repro.stats.statistic.StatisticSet`, count it on the
+    worker's telemetry, say whether a data pass is due under
+    ``config.perpass``, and build that pass.  Its *driver* owns
+    everything else — when to step, how far, the deadline, where a pass
+    goes: :func:`run_worker` is the driver on the real clock, the
+    simulated cluster (:class:`~repro.cluster.simulation
+    .ClusterSimulation`) drives the same object from its event queue.
+
+    ``step``, ``pass_due`` and ``message`` are closures bound once here,
+    not methods: :func:`run_worker` calls them per realization, where a
+    method looking its state up on ``self`` measured +0.9 us per step
+    and the closures +0.3 us (on a 13.5 us loop).
+
+    Args:
+        routine: The user realization routine; None keeps the books
+            with zero matrices and places no substream (a simulated
+            cluster's accounting-only runs).
+        config: Run configuration (seqnum, perpass, shape, leaps).
+        rank: The processor index — which "processors" subsequence.
+        clock: The driver's time source, read around each routine call.
+        telemetry: Optional per-worker counters; when given, every pass
+            carries their cumulative dict on its ``metrics`` field.
+        job: Owning job id, stamped on every pass; None (a single run)
+            keeps the historical bytes.
+        nbytes: Wire size accounted per pass; None derives it from the
+            shape and the declared statistics (a simulated cluster
+            charges its model's size instead).
+
+    Attributes:
+        accumulator: The moment accumulator; its ``volume`` is also the
+            index of the next realization.
+        telemetry: The ``telemetry`` argument.
+        nbytes: The wire size accounted per pass.
+        step: ``step(limit) -> (width, finished)`` — simulate the next
+            realization, or the next block of at most ``limit``, and
+            return how many were folded and the clock when the routine
+            returned.
+        pass_due: ``pass_due(now) -> bool`` — the ``perpass`` rule.
+        message: ``message(sent_at, final) -> MomentMessage`` — the
+            cumulative pass; building it restarts the ``perpass``
+            period.
+    """
+
+    def __init__(self, routine: RealizationRoutine | None,
+                 config: RunConfig, rank: int,
+                 clock: Callable[[], float] = time.monotonic,
+                 telemetry: WorkerTelemetry | None = None,
+                 job: str | None = None,
+                 nbytes: int | None = None) -> None:
+        statistics = StatisticSet.for_run(config.statistics, config.nrow,
+                                          config.ncol)
+        accumulator = statistics.moments
+        if nbytes is None:
+            nbytes = message_bytes(config.nrow, config.ncol,
+                                   statistics.extras)
+        if routine is None:
+            zero = np.zeros(config.shape)
+            adapted, batch_size = (lambda rng: zero), None
+            place = (lambda index: None)
+        else:
+            adapted = adapt_realization(routine)
+            batch_size = getattr(adapted, "batch_size", None)
+            stream = StreamTree(config.leaps).experiment(config.seqnum) \
+                                             .processor(rank)
+            place = (stream.realization if batch_size is None
+                     else stream.realization_block)
+        if batch_size is None:
+            update = statistics.update
+            account = telemetry.realization if telemetry is not None \
+                else None
+        else:
+            update = statistics.update_batch
+            account = telemetry.batch if telemetry is not None else None
+        seqnum, perpass = config.seqnum, config.perpass
+        index = 0
+        last_send = clock()
+
+        def step_one(limit: int) -> tuple[int, float]:
+            nonlocal index
+            rng = place(index)
+            started = clock()
+            try:
+                result = adapted(rng)
+            except Exception as exc:
+                raise RealizationError(
+                    f"realization routine failed at experiment="
+                    f"{seqnum} processor={rank} realization={index}: "
+                    f"{exc}", experiment=seqnum, processor=rank,
+                    realization=index) from exc
+            finished = clock()
+            update(result, compute_time=finished - started)
+            if account is not None:
+                account(finished - started)
+            index += 1
+            return 1, finished
+
+        def step_block(limit: int) -> tuple[int, float]:
+            nonlocal index
+            width = min(batch_size, limit)
+            streams = place(index, width)
+            started = clock()
+            try:
+                results = adapted(streams)
+            except Exception as exc:
+                raise RealizationError(
+                    f"batch realization routine failed at experiment="
+                    f"{seqnum} processor={rank} realizations="
+                    f"{index}..{index + width - 1}: {exc}",
+                    experiment=seqnum, processor=rank,
+                    realization=index) from exc
+            finished = clock()
+            shape = np.shape(results)
+            if not shape or shape[0] != width:
+                returned = f"shape {shape}" if shape else "a scalar"
+                raise RealizationError(
+                    f"batch realization routine returned {returned} "
+                    f"for a block of {width} streams at "
+                    f"experiment={seqnum} processor={rank}",
+                    experiment=seqnum, processor=rank,
+                    realization=index)
+            update(results, compute_time=finished - started)
+            if account is not None:
+                account(width, finished - started)
+            index += width
+            return width, finished
+
+        def pass_due(now: float) -> bool:
+            return perpass == 0.0 or now - last_send >= perpass
+
+        def message(sent_at: float, final: bool) -> MomentMessage:
+            nonlocal last_send
+            metrics = None
+            if telemetry is not None:
+                telemetry.message(nbytes)
+                metrics = telemetry.as_dict(now=sent_at)
+            last_send = sent_at
+            return MomentMessage(
+                rank=rank, snapshot=accumulator.snapshot(),
+                sent_at=sent_at, final=final, metrics=metrics,
+                statistics=statistics.extras_snapshot(), job=job)
+
+        self.accumulator = accumulator
+        self.telemetry = telemetry
+        self.nbytes = nbytes
+        self.step = step_one if batch_size is None else step_block
+        self.pass_due = pass_due
+        self.message = message
+
+
 def run_worker(routine: RealizationRoutine, config: RunConfig, rank: int,
                quota: int, send: Callable[[MomentMessage], None],
                clock: Callable[[], float] = time.monotonic,
@@ -213,6 +372,10 @@ def run_worker(routine: RealizationRoutine, config: RunConfig, rank: int,
                telemetry: WorkerTelemetry | None = None,
                job: str | None = None) -> MomentAccumulator:
     """Simulate ``quota`` realizations on processor ``rank``.
+
+    The real-clock driver of a :class:`WorkerBody`: step until the
+    quota is simulated or the deadline has passed, ship a pass whenever
+    one is due, ship the final one.
 
     Args:
         routine: The user realization routine; one with a ``batch_size``
@@ -222,10 +385,10 @@ def run_worker(routine: RealizationRoutine, config: RunConfig, rank: int,
         quota: Number of realizations to simulate.
         send: Callback delivering a :class:`MomentMessage` to the
             collector (a queue put, an in-process call, ...).
-        clock: Monotonic time source in seconds; swapped for a virtual
-            clock under simulation.
+        clock: Monotonic time source in seconds.
         deadline: Optional absolute clock value after which the worker
-            stops early (the job time limit).
+            stops early (the job time limit): it finishes the
+            realization (or block) in flight and simulates no more.
         telemetry: Optional per-worker stats; when given, every data
             pass carries its cumulative dict to rank 0 on the message's
             ``metrics`` field.  None (the default) leaves the loop
@@ -240,86 +403,23 @@ def run_worker(routine: RealizationRoutine, config: RunConfig, rank: int,
     """
     if quota < 0:
         raise ConfigurationError(f"quota must be >= 0, got {quota}")
-    adapted = adapt_realization(routine)
-    stream = StreamTree(config.leaps).experiment(config.seqnum) \
-                                     .processor(rank)
-    statistics = StatisticSet.for_run(config.statistics, config.nrow,
-                                      config.ncol)
-    accumulator = statistics.moments
-    nbytes = message_bytes(config.nrow, config.ncol, statistics.extras)
-
-    def ship(sent_at: float, final: bool) -> None:
-        metrics = None
-        if telemetry is not None:
-            telemetry.message(nbytes)
-            metrics = telemetry.as_dict(now=sent_at)
-        send(MomentMessage(rank=rank, snapshot=accumulator.snapshot(),
-                           sent_at=sent_at, final=final, metrics=metrics,
-                           statistics=statistics.extras_snapshot(),
-                           job=job))
-
-    batch_size = getattr(adapted, "batch_size", None)
-    last_send = clock()
-    if batch_size is not None:
-        index = 0
-        while index < quota:
-            width = min(batch_size, quota - index)
-            streams = stream.realization_block(index, width)
-            started = clock()
-            try:
-                results = adapted(streams)
-            except Exception as exc:
-                raise RealizationError(
-                    f"batch realization routine failed at experiment="
-                    f"{config.seqnum} processor={rank} realizations="
-                    f"{index}..{index + width - 1}: {exc}",
-                    experiment=config.seqnum, processor=rank,
-                    realization=index) from exc
-            finished = clock()
-            shape = np.shape(results)
-            if not shape or shape[0] != width:
-                returned = f"shape {shape}" if shape else "a scalar"
-                raise RealizationError(
-                    f"batch realization routine returned {returned} "
-                    f"for a block of {width} streams at "
-                    f"experiment={config.seqnum} processor={rank}",
-                    experiment=config.seqnum, processor=rank,
-                    realization=index)
-            statistics.update_batch(results,
-                                    compute_time=finished - started)
-            if telemetry is not None:
-                telemetry.batch(width, finished - started)
-            index += width
-            if config.perpass == 0.0 \
-                    or finished - last_send >= config.perpass:
-                ship(finished, final=False)
-                last_send = finished
-            if deadline is not None and finished >= deadline:
-                break
-        ship(clock(), final=True)
-        return accumulator
-    for index in range(quota):
-        rng = stream.realization(index)
-        started = clock()
-        try:
-            result = adapted(rng)
-        except Exception as exc:
-            raise RealizationError(
-                f"realization routine failed at experiment="
-                f"{config.seqnum} processor={rank} realization={index}: "
-                f"{exc}", experiment=config.seqnum, processor=rank,
-                realization=index) from exc
-        finished = clock()
-        statistics.update(result, compute_time=finished - started)
-        if telemetry is not None:
-            telemetry.realization(finished - started)
-        if config.perpass == 0.0 or finished - last_send >= config.perpass:
-            ship(finished, final=False)
-            last_send = finished
+    if routine is None:
+        # Only a simulated cluster keeps books without a routine.
+        raise ConfigurationError(
+            "realization routine must be callable, got NoneType")
+    body = WorkerBody(routine, config, rank, clock=clock,
+                      telemetry=telemetry, job=job)
+    step, pass_due, message = body.step, body.pass_due, body.message
+    done = 0
+    while done < quota:
+        width, finished = step(quota - done)
+        done += width
+        if pass_due(finished):
+            send(message(finished, False))
         if deadline is not None and finished >= deadline:
             break
-    ship(clock(), final=True)
-    return accumulator
+    send(message(clock(), True))
+    return body.accumulator
 
 
 def worker_process(routine: RealizationRoutine, config: RunConfig,

@@ -225,6 +225,50 @@ class TestOneContextSource:
         assert definitions == ["src/repro/runtime/worker.py"]
 
 
+class TestOneWorkerBody:
+    # docs/architecture.md "One worker body, two clocks": WorkerBody is
+    # the only code that places a realization's substream, instantiates
+    # a worker's statistics, applies the perpass rule or builds a pass;
+    # run_worker and the simulated cluster are drivers.
+
+    SOURCES = {
+        str(path.relative_to(ROOT / "src" / "repro")): path.read_text()
+        for package in ("runtime", "cluster")
+        for path in (ROOT / "src" / "repro" / package).glob("*.py")
+        if path.name != "shm.py"}  # frozen, for the benchmark harness
+
+    def _sites(self, pattern):
+        return {name: len(re.findall(pattern, source))
+                for name, source in self.SOURCES.items()
+                if re.search(pattern, source)}
+
+    def test_stepping_rule_and_pass_are_written_once(self):
+        # Placement: ProcessorStream.realization / .realization_block,
+        # called or bound (WorkerTelemetry.realization is a counter).
+        assert self._sites(r"stream\w*\.realization(?:_block)?\b"
+                           r"|(?<!telemetry)\.realization(?:_block)?\(") \
+            == {"runtime/worker.py": 2}
+        assert self._sites(r"StatisticSet\.for_run\(") \
+            == {"runtime/worker.py": 1}
+        assert self._sites(r">=\s*(?:\w+\.)*perpass\b") \
+            == {"runtime/worker.py": 1}
+        # The decoder in messages.py rebuilds a pass from its bytes;
+        # nothing else constructs one.
+        assert self._sites(r"(?<![\w`])MomentMessage\(") \
+            == {"runtime/worker.py": 1, "runtime/messages.py": 1}
+
+    def test_run_worker_is_one_loop_over_the_body(self):
+        from repro.runtime.worker import run_worker
+
+        source = inspect.getsource(run_worker)
+        assert len(re.findall(r"^\s+(?:while|for)\b", source, re.M)) == 1
+        assert "WorkerBody(" in source
+        simulation = self.SOURCES["cluster/simulation.py"]
+        assert "WorkerBody(" in simulation
+        for name in ("StreamTree", "StatisticSet", "adapt_realization"):
+            assert name not in simulation, name
+
+
 def _square(rng):
     return rng.random() ** 2
 

@@ -22,7 +22,10 @@ from repro.runtime.messages import (
     unpack_moments,
 )
 from repro.runtime.worker import (
+    WorkerBody,
     adapt_realization,
+    batch_routine,
+    make_batched,
     run_worker,
     worker_process,
 )
@@ -273,3 +276,108 @@ class TestWorkerProcess:
         remaining = self._through_pipe(deadline_in=0.0)
         for passes in (absolute, remaining):
             assert passes[-1].final and passes[-1].snapshot.volume == 1
+
+
+@batch_routine(4)
+def _one_row_short(streams):
+    return streams.uniforms(1)[:-1, 0]
+
+
+@batch_routine(4)
+def _raising_block(streams):
+    raise ValueError("boom")
+
+
+def _raising(rng):
+    raise ValueError("boom")
+
+
+class TestRealizationErrorOnEveryClock:
+    """The simulated cluster steps the real worker body, so a routine
+    that fails fails the same way on the virtual clock as on the real
+    one (the simulation's private loop let a short block through with
+    volume 0 and a raising routine out as a bare ValueError)."""
+
+    @pytest.mark.parametrize("routine", [_one_row_short, _raising_block,
+                                         _raising])
+    @pytest.mark.parametrize("backend", ["sequential", "simcluster"])
+    def test_failing_routine_carries_its_coordinates(self, backend, routine):
+        from repro import parmonc
+
+        with pytest.raises(RealizationError) as info:
+            parmonc(routine, maxsv=8, processors=2, seqnum=5,
+                    backend=backend, use_files=False)
+        assert (info.value.experiment, info.value.processor,
+                info.value.realization) == (5, 0, 0)
+
+
+def _pair(rng):
+    return np.array([[rng.random(), rng.random() * 2.0 - 1.0]])
+
+
+class TestSteppedInAnyOrderIsStraightThrough:
+    """The worker-side seed of the reproducibility audit (ROADMAP item
+    6): worker bodies stepped in any interleaving across ranks, in any
+    batch segmentation, passing data at any points, end on the bytes
+    ``run_worker`` produces straight through, and their merge is the
+    sequential backend's result."""
+
+    def test_any_interleaving_any_segmentation_any_pass_points(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        from repro.runtime.collector import Collector
+        from repro.runtime.sequential import run_sequential
+        from repro.stats.accumulator import MomentSnapshot
+
+        @hypothesis.settings(derandomize=True, print_blob=True,
+                             deadline=None)
+        @hypothesis.given(
+            processors=st.integers(1, 4), maxsv=st.integers(1, 48),
+            batch=st.sampled_from([None, 1, 3, 8, 16]),
+            extras=st.sampled_from([(), ("extrema",), ("covariance",)]),
+            job=st.sampled_from([None, "j"]),
+            schedule=st.lists(st.tuples(st.integers(0, 3),
+                                        st.integers(1, 20), st.booleans()),
+                              max_size=80))
+        def check(processors, maxsv, batch, extras, job, schedule):
+            config = RunConfig(nrow=1, ncol=2, maxsv=maxsv, seqnum=2,
+                               processors=processors, perpass=0.0,
+                               statistics=("moments", *extras))
+            routine = _pair if batch is None else make_batched(_pair, batch)
+            clock = FakeClock()
+            bodies = [WorkerBody(routine, config, rank, clock=clock, job=job)
+                      for rank in range(processors)]
+            left = [config.worker_quota(rank) for rank in range(processors)]
+            collector = Collector(config, MomentSnapshot.zero(1, 2), None)
+            for pick, limit, passing in schedule:
+                live = [rank for rank in range(processors) if left[rank]]
+                if not live:
+                    break
+                rank = live[pick % len(live)]
+                width, _ = bodies[rank].step(min(limit, left[rank]))
+                assert 1 <= width <= min(limit, left[rank], batch or 1)
+                left[rank] -= width
+                if passing:
+                    collector.receive(bodies[rank].message(0.0, False), 0.0)
+            for rank in reversed(range(processors)):
+                while left[rank]:
+                    left[rank] -= bodies[rank].step(left[rank])[0]
+                final = bodies[rank].message(0.0, True)
+                straight = []
+                run_worker(routine, config, rank, config.worker_quota(rank),
+                           send=straight.append, clock=clock, job=job)
+                assert message_to_payload(final) \
+                    == message_to_payload(straight[-1])
+                collector.receive(final, 0.0)
+            reference = run_sequential(_pair, config, use_files=False)
+            merged = collector.merged().estimates()
+            for name in ("mean", "variance", "abs_error", "rel_error"):
+                assert getattr(merged, name).tobytes() \
+                    == getattr(reference.estimates, name).tobytes(), name
+            assert merged.volume == reference.total_volume == maxsv
+            assert {kind: statistic.to_payload() for kind, statistic
+                    in collector.merged_statistics().items()} \
+                == {kind: statistic.to_payload() for kind, statistic
+                    in reference.statistics.items()}
+
+        check()
