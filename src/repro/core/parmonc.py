@@ -17,7 +17,7 @@ generator) or as the paper's argument-less style calling the global
 
 Backend dispatch goes through the engine registry
 (:func:`~repro.runtime.engine.register_backend`): each name maps to a
-:class:`~repro.runtime.engine.Backend` factory, and the shared
+:class:`~repro.runtime.engine.EngineBackend` factory, and the shared
 :class:`~repro.runtime.engine.Engine` drives the session lifecycle the
 same way for all of them.
 """

@@ -13,7 +13,6 @@ from __future__ import annotations
 from repro.runtime.collector import Collector
 from repro.runtime.config import RunConfig, minutes
 from repro.runtime.engine import (
-    Backend,
     Engine,
     EngineBackend,
     WorkerAssignment,
@@ -32,7 +31,7 @@ from repro.runtime.scheduler import Scheduler
 # (and therefore ``BACKENDS`` / the CLI choices) keeps its historical
 # order: sequential, multiprocess, simcluster, distributed.
 from repro.runtime.sequential import SequentialBackend, run_sequential
-from repro.runtime.multiprocess import MultiprocessBackend, run_multiprocess
+from repro.runtime.multiprocess import MultiprocessBackend
 from repro.runtime.result import RunResult
 from repro.runtime.resume import ResumeState, finalize_session, prepare_resume
 from repro.runtime.worker import (
@@ -65,7 +64,6 @@ __all__ = [
     "make_batched",
     "WorkerBody",
     "run_worker",
-    "Backend",
     "Engine",
     "EngineBackend",
     "Job",
@@ -81,5 +79,4 @@ __all__ = [
     "SequentialBackend",
     "MultiprocessBackend",
     "run_sequential",
-    "run_multiprocess",
 ]

@@ -55,7 +55,6 @@ from repro.runtime.messages import CombinedMessage, MomentMessage
 from repro.runtime.result import RunResult
 
 __all__ = [
-    "Backend",
     "DrainBuffer",
     "EngineBackend",
     "Engine",
@@ -265,23 +264,18 @@ class EngineBackend:
     def reap(self) -> list[WorkerDeath]:
         """Report workers that died short of their final message.
 
-        Called when :meth:`poll` comes back empty.  Implementations must
-        drain any messages still in flight from a suspect worker before
-        declaring it dead — a delivered-but-queued final message means
-        the worker finished, and a queued non-final message must reach
-        the collector (advancing the rank's watermark) before any
-        reassignment is sized.  The contract, shared by the
-        multiprocess and distributed backends via :class:`DrainBuffer`
-        and :class:`ExitVerdicts`:
-
-        1. Drain the message channel completely.  If anything was
-           drained, return ``[]`` — the engine ingests the buffered
-           messages first and calls ``reap`` again on the next empty
-           poll.
-        2. Only on an empty drain, judge the suspects: a nonzero exit
-           is dead on sight; a clean exit whose final message has not
-           arrived gets ``config.death_grace`` seconds before the
-           verdict; a rank in ``collector.final_ranks`` is never dead.
+        Called when :meth:`poll` comes back empty.  Whatever a suspect
+        worker delivered must reach the collector before it is judged —
+        a delivered final means it finished, a non-final pass moves the
+        watermark that sizes a reassignment: the multiprocess backend's
+        :class:`~repro.runtime.host.WorkerHost` reports an exit only
+        after the child's pipe is drained, the distributed backend
+        drains its inbox into a :class:`DrainBuffer` and judges nobody
+        on a round that buffered anything.  Then, by
+        :class:`ExitVerdicts`: a nonzero exit is dead on sight; a clean
+        exit whose final message has not arrived gets
+        ``config.death_grace`` seconds; a rank in
+        ``collector.final_ranks`` is never dead.
         """
         return []
 
@@ -294,39 +288,23 @@ class EngineBackend:
         return self._done
 
 
-#: The annotation name of the contract; :class:`EngineBackend` is its
-#: one declaration.
-Backend = EngineBackend
-
-
 class DrainBuffer:
-    """Drain-before-verdict buffer shared by asynchronous backends.
+    """Drain-before-verdict buffer for a backend fed by a queue.
 
-    Backends whose workers report through a queue (multiprocess) or a
-    socket thread (distributed) must never declare a worker dead while
-    its messages sit undelivered in the channel: a queued *final*
-    message means the worker actually finished, and a queued non-final
-    message moves the watermark that sizes any reassignment.  This
-    helper centralizes the pattern:
-
-    * ``poll`` returns :meth:`pop` results before reading the channel,
-      so drained messages reach the engine in order;
-    * ``reap`` calls :meth:`drain` first and returns no deaths when it
-      buffered anything — verdicts wait for a provably empty channel.
+    A worker whose passes still sit in a thread-fed queue (the
+    distributed backend's socket thread) must not be judged yet:
+    ``reap`` calls :meth:`drain` first and returns no deaths when it
+    buffered anything, and ``poll`` hands out :meth:`pop` results
+    before reading the queue, so drained messages keep their order.
 
     Args:
-        fetch_nowait: Zero-argument callable returning the next queued
-            message, raising :class:`queue.Empty` when there is none.
-            Evaluated at call time, so a backend may rebind its
-            underlying channel (tests do).
+        fetch_nowait: Returns the next queued message, raising
+            :class:`queue.Empty` when there is none.
     """
 
     def __init__(self, fetch_nowait: Callable[[], MomentMessage]) -> None:
         self._fetch = fetch_nowait
         self._buffer: deque[MomentMessage | CombinedMessage] = deque()
-
-    def __len__(self) -> int:
-        return len(self._buffer)
 
     def pop(self) -> MomentMessage | None:
         """The oldest buffered message, or None when empty."""
@@ -390,7 +368,7 @@ class ExitVerdicts:
 # ---------------------------------------------------------------------------
 # Backend registry
 
-_FACTORIES: dict[str, Callable[..., Backend]] = {}
+_FACTORIES: dict[str, Callable[..., EngineBackend]] = {}
 _LAZY: dict[str, str] = {}
 #: Names in first-registration order.  Kept separately so resolving a
 #: lazy entry (which eagerly registers the factory) cannot reshuffle
@@ -398,7 +376,8 @@ _LAZY: dict[str, str] = {}
 _ORDER: list[str] = []
 
 
-def register_backend(name: str, factory: Callable[..., Backend] | None = None):
+def register_backend(name: str,
+                     factory: Callable[..., EngineBackend] | None = None):
     """Register a backend factory under ``name``; usable as a decorator.
 
     The registry is the single source of backend names: ``parmonc()``
@@ -412,7 +391,7 @@ def register_backend(name: str, factory: Callable[..., Backend] | None = None):
         ... class NullBackend(EngineBackend): ...
     """
 
-    def register(factory: Callable[..., Backend]):
+    def register(factory: Callable[..., EngineBackend]):
         existing = _FACTORIES.get(name)
         if existing is not None and existing is not factory:
             raise ConfigurationError(
@@ -473,7 +452,7 @@ def shared_job_backends() -> tuple[str, ...]:
     return tuple(names)
 
 
-def _resolve_factory(name: str) -> Callable[..., Backend]:
+def _resolve_factory(name: str) -> Callable[..., EngineBackend]:
     factory = _FACTORIES.get(name)
     if factory is not None:
         return factory
@@ -489,7 +468,7 @@ def _resolve_factory(name: str) -> Callable[..., Backend]:
         f"unknown backend {name!r}; choose from {available_backends()}")
 
 
-def create_backend(name: str, **options) -> Backend:
+def create_backend(name: str, **options) -> EngineBackend:
     """Instantiate a registered backend by name.
 
     ``options`` is the union of every backend-specific knob the caller
@@ -530,7 +509,7 @@ class Engine:
             disable for throwaway in-memory estimation.
     """
 
-    def __init__(self, backend: Backend, config: RunConfig,
+    def __init__(self, backend: EngineBackend, config: RunConfig,
                  use_files: bool = True) -> None:
         self._backend = backend
         self.config = config

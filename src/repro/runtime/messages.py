@@ -20,11 +20,11 @@ The codec lives beside the message: :func:`pack_moments` and
 :func:`unpack_moments` are the one binary layout of a cumulative
 snapshot — a fixed little-endian header, ``sum1`` and ``sum2`` as raw
 float64, and a JSON tail only for the rare fields.  It is the body of
-every DATA frame of :mod:`repro.runtime.wire`
-(:func:`message_to_payload` / :func:`message_from_payload`; 32,048
-bytes for a 1000 x 2 pass, where the cost model above counts the
-derived matrices too) and of every save-point
-:mod:`repro.runtime.files` writes.
+every pass on every hop — pipe, tree edge (:func:`combined_to_payload`)
+or DATA frame of :mod:`repro.runtime.wire` — (:func:`message_to_payload`;
+32,048 bytes for a 1000 x 2 pass, where the cost model above counts the
+derived matrices too) and of every save-point :mod:`repro.runtime.files`
+writes.
 """
 
 from __future__ import annotations
@@ -48,6 +48,8 @@ from repro.stats.statistic import (
 __all__ = [
     "CombinedMessage",
     "MomentMessage",
+    "combined_from_payload",
+    "combined_to_payload",
     "message_bytes",
     "message_from_payload",
     "message_to_payload",
@@ -64,6 +66,9 @@ _HEADER_BYTES = 64
 _BODY = struct.Struct("<4IQ2dQ")
 
 _FLAG_FINAL = 1
+
+#: Combined (reducer) body header: entry count, sent_at, head length.
+_COMBINED = struct.Struct("<IdI")
 
 #: The rare fields of a data pass, carried in the block's JSON tail.
 _TAIL_KEYS = frozenset(("job", "metrics", "statistics"))
@@ -349,3 +354,46 @@ def message_from_payload(body: bytes) -> MomentMessage:
     except (AttributeError, IndexError, KeyError, TypeError, ValueError,
             OverflowError, RecursionError, ConfigurationError) as exc:
         raise WireError(f"malformed data pass: {exc}") from exc
+
+
+def combined_to_payload(combined: CombinedMessage) -> bytes:
+    """A reducer's forward: ``_COMBINED`` header, the JSON head (node
+    id, metrics, job), then each entry's :func:`message_to_payload`
+    body untouched — a moment block announces its own length."""
+    head = json.dumps({"node": combined.node_id, "metrics": combined.metrics,
+                       "job": combined.job},
+                      separators=(",", ":")).encode("utf-8")
+    return b"".join((
+        _COMBINED.pack(len(combined.entries), combined.sent_at, len(head)),
+        head, *map(message_to_payload, combined.entries)))
+
+
+def combined_from_payload(body: bytes) -> CombinedMessage:
+    """Inverse of :func:`combined_to_payload`; every entry is vouched
+    for by :func:`message_from_payload`, and any way the bytes can be
+    malformed raises :class:`WireError`."""
+    try:
+        count, sent_at, head_len = _COMBINED.unpack_from(body)
+        offset = _COMBINED.size + head_len
+        head = json.loads(bytes(body[_COMBINED.size:offset]))
+        entries = []
+        for _ in range(count):
+            _, nrow, ncol, *_, tail_len = _BODY.unpack_from(body, offset)
+            end = offset + _BODY.size + 16 * nrow * ncol + tail_len
+            entries.append(message_from_payload(body[offset:end]))
+            offset = end
+        if offset != len(body) or not math.isfinite(sent_at) \
+                or head.keys() != {"node", "metrics", "job"} \
+                or not isinstance(head["node"], str) \
+                or not isinstance(head["metrics"], (dict, type(None))) \
+                or not isinstance(head["job"], (str, type(None))):
+            raise WireError("combined pass carries a malformed head, "
+                            "timestamp or trailing bytes")
+        return CombinedMessage(node_id=head["node"], entries=tuple(entries),
+                               sent_at=sent_at, metrics=head["metrics"],
+                               job=head["job"])
+    except WireError:
+        raise
+    except (struct.error, AttributeError, ValueError, RecursionError,
+            ConfigurationError) as exc:
+        raise WireError(f"malformed combined pass: {exc}") from exc

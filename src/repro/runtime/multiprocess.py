@@ -1,56 +1,46 @@
 """Multiprocess backend: real OS processes and asynchronous messaging.
 
 The moral equivalent of the paper's MPI deployment on one machine: every
-worker is a separate process, messages travel through an OS queue, and
-the collector (this process) receives them asynchronously — slower
+worker is a process started by the one
+:class:`~repro.runtime.host.WorkerHost`, writing each pass's DATA body
+into its own pipe for the collector (this process) to read — slower
 workers simply deliver fewer realizations by the time any given
-averaging happens, exercising the unequal-``l_m`` branch of formula (5).
+averaging happens, exercising the unequal-``l_m`` branch of formula
+(5).  ``config.reduction_fanout`` inserts interior **reducer
+processes** (:mod:`repro.runtime.reduction`, ``docs/reduction.md``) on
+edge pipes without changing a single estimate bit, so rank 0 serves
+O(fanout) peers instead of O(M).
 
-``config.reduction_fanout`` reshapes the exchange without changing a
-single estimate bit (see ``docs/reduction.md``): it inserts interior
-**reducer processes** (:mod:`repro.runtime.reduction`) — workers report
-to their subtree's reducer, reducers coalesce and forward combined
-messages upstream, and rank 0 serves O(fanout) peers instead of O(M)
-workers.
-
-Worker telemetry (when enabled) piggybacks on the moment messages, so
-rank 0 needs no extra IPC channel to know every worker's realization
-rate, message count and bytes shipped.
-
-Dead children are detected here and *reported* to the engine, which
-applies the run's :attr:`~repro.runtime.config.RunConfig
-.on_worker_death` policy — abort (default) or reassign the undelivered
-quota to a replacement process on a fresh subsequence.  Dead *reducers*
-are handled in place: a reducer holds no state that is not cumulative
-in its children's next passes, so under ``"reassign"`` the backend
-respawns the node on the same queues and the subtree simply reattaches.
+Dead children are *reported* to the engine, which applies the run's
+:attr:`~repro.runtime.config.RunConfig.on_worker_death` policy — abort
+(default) or reassign the undelivered quota to a replacement on a fresh
+subsequence.  Dead *reducers* hold nothing that is not cumulative in
+their children's next passes, so under ``"reassign"`` they are
+respawned in place, on the same edges.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import queue as queue_module
 
 from repro.exceptions import BackendError
-from repro.runtime.config import RunConfig
 from repro.runtime.engine import (
-    DrainBuffer,
-    Engine,
     EngineBackend,
     ExitVerdicts,
     WorkerDeath,
     register_backend,
 )
-from repro.runtime.messages import CombinedMessage, MomentMessage
+from repro.runtime.host import WorkerHost
+from repro.runtime.messages import (
+    CombinedMessage,
+    MomentMessage,
+    combined_from_payload,
+    message_from_payload,
+)
 from repro.runtime.reduction import ReducerNode, plan_reduction, run_reducer
-from repro.runtime.result import RunResult
-from repro.runtime.worker import RealizationRoutine, worker_process
+from repro.runtime.worker import worker_process
 
-__all__ = ["MultiprocessBackend", "run_multiprocess"]
-
-#: Reducers exit within one idle-wait of the shutdown sentinel; anything
-#: slower is wedged and gets terminated.
-_REDUCER_JOIN_SECONDS = 2.0
+__all__ = ["MultiprocessBackend"]
 
 #: Respawn budget per reducer node (mirrors the engine's worker budget).
 _REDUCER_RESPAWN_FACTOR = 4
@@ -58,7 +48,10 @@ _REDUCER_RESPAWN_FACTOR = 4
 
 @register_backend("multiprocess")
 class MultiprocessBackend(EngineBackend):
-    """One OS process per worker, a shared queue back to the collector.
+    """One OS process per worker, one pipe from each to the collector.
+
+    Host keys are ``(job, rank)`` for workers and ``(job, node_id)``
+    for reducers; job is None for a single run's anonymous job.
 
     Args:
         start_method: Optional multiprocessing start method override
@@ -77,266 +70,145 @@ class MultiprocessBackend(EngineBackend):
     def __init__(self, start_method: str | None = None) -> None:
         super().__init__()
         self._start_method = start_method
-        self._context = None
-        self._outbox = None
-        # Workers of running jobs, keyed (job, rank); job is None for a
-        # single run's anonymous job.
-        self._live: dict = {}
+        self._host: WorkerHost | None = None
+        self._exits: dict[tuple, int] = {}  # awaiting a verdict
         self._verdicts = ExitVerdicts()
-        # Reduction topology, one entry per job that runs a tree, under
-        # its job id (None for a single run's anonymous job).  Reducer
-        # inboxes/processes are keyed (owner, node_id).
+        # Per job running a tree: its plan, and one edge pipe per
+        # planned child, keyed by worker rank or child node id.
         self._plans: dict = {}
-        self._leaf_parents: dict = {}
-        self._reducer_inboxes: dict[tuple, object] = {}
-        self._reducers: dict[tuple, object] = {}
-        self._reducer_respawns = 0
+        self._edges: dict = {}
         self._respawn_budget = 0
-        # The fetch closure reads self._outbox at call time (it is
-        # created lazily on first spawn; tests swap it out).
-        self._drained = DrainBuffer(lambda: self._outbox.get_nowait())
-
-    # -- topology ---------------------------------------------------------
-
-    def _ensure_context(self) -> None:
-        """Create the multiprocessing context and outbox once."""
-        if self._context is not None:
-            return
-        self._context = (
-            multiprocessing.get_context(self._start_method)
-            if self._start_method else multiprocessing.get_context())
-        self._outbox = self._context.Queue()
-
-    def _upstream_of(self, owner, node: ReducerNode):
-        """Where a reducer forwards to: its parent's inbox or rank 0."""
-        if node.parent is not None:
-            return self._reducer_inboxes[(owner, node.parent)]
-        return self._outbox
-
-    def _start_reducer(self, owner, node: ReducerNode) -> int:
-        process = self._context.Process(
-            target=run_reducer,
-            args=(node, self._reducer_inboxes[(owner, node.node_id)],
-                  self._upstream_of(owner, node)),
-            daemon=True)
-        process.start()
-        self._reducers[(owner, node.node_id)] = process
-        return process.pid
 
     # -- job-scoped trees -------------------------------------------------
 
-    def open_job(self, job) -> None:
-        """Set up one job's reduction tree.
+    def _start_reducer(self, owner, node: ReducerNode) -> int:
+        edges = self._edges[owner]
+        return self._host.start(
+            (owner, node.node_id), run_reducer, node,
+            [edges[child][0] for child in node.worker_ranks + node.children],
+            outbox=edges[node.node_id][1] if node.parent is not None
+            else None)
 
-        A job whose ``reduction_fanout`` is None — or already covers
-        its worker count — keeps the flat exchange.
-        """
-        self._ensure_context()
+    def open_job(self, job) -> None:
+        """Plan the job's reduction tree: every edge, then every node
+        (none when ``reduction_fanout`` keeps the flat exchange)."""
+        if self._host is None:
+            self._host = WorkerHost(
+                multiprocessing.get_context(self._start_method))
         plan = plan_reduction(range(job.config.processors),
                               job.config.reduction_fanout)
         if plan.flat:
             return
         self._plans[job.id] = plan
-        self._leaf_parents[job.id] = dict(plan.leaf_parents)
+        self._edges[job.id] = {
+            child: self._host.pipe() for node in plan.nodes
+            for child in node.worker_ranks + node.children}
         self._respawn_budget += _REDUCER_RESPAWN_FACTOR * len(plan.nodes)
-        for node in plan.nodes:
-            self._reducer_inboxes[(job.id, node.node_id)] = \
-                self._context.Queue()
         for node in plan.nodes:
             self._start_reducer(job.id, node)
 
     def release_job(self, job_id: str | None) -> None:
-        """Stop the job's workers, tear down its tree, forget both.
-
-        A worker whose final pass is in is left to exit on its own —
-        its queue feeder may still hold the shared outbox's write lock,
-        which a signal would leave locked for every other job's
-        workers — and so are reducers, which retire themselves once
-        every subtree rank's final pass is forwarded; the sentinel
-        covers jobs that did not drain and the join puts a bound on
-        wedged nodes.
-        """
-        keys = [key for key in self._live if key[0] == job_id]
-        if keys:
-            finals = self.engine.job_context(job_id).collector.final_ranks
-            for key in keys:
-                process = self._live.pop(key)
-                self._verdicts.forget(key)
-                if key[1] not in finals:
-                    process.terminate()
-        plan = self._plans.pop(job_id, None)
-        self._leaf_parents.pop(job_id, None)
-        if plan is None:
+        """Stop every worker and reducer of the job, reap them, forget it."""
+        if self._host is None:
             return
-        for node in plan.nodes:
-            inbox = self._reducer_inboxes.get((job_id, node.node_id))
-            if inbox is not None:
-                try:
-                    inbox.put_nowait(None)  # the reducer stop sentinel
-                except (queue_module.Full, ValueError):  # pragma: no cover
-                    pass
-        for node in plan.nodes:
-            process = self._reducers.pop((job_id, node.node_id), None)
-            if process is None:
-                continue
-            process.join(timeout=_REDUCER_JOIN_SECONDS)
-            if process.is_alive():
-                process.terminate()
-        for node in plan.nodes:
-            inbox = self._reducer_inboxes.pop((job_id, node.node_id), None)
-            if inbox is not None:
-                inbox.close()
+        self._host.stop([key for key in self._host.keys()
+                         if key[0] == job_id])
+        for key in [key for key in self._exits if key[0] == job_id]:
+            del self._exits[key]
+            self._verdicts.forget(key)
+        self._plans.pop(job_id, None)
+        for edge in self._edges.pop(job_id, {}).values():
+            self._host.release(*edge)
 
     def spawn(self, assignments) -> list[dict]:
         extras = []
         for assignment in assignments:
-            rank = assignment.rank
-            job = assignment.job
+            rank, job = assignment.rank, assignment.job
             context = self.engine.job_context(job)
-            # A recovery rank beyond the planned tree has no parent and
-            # reports straight to rank 0.
-            parent = self._leaf_parents.get(job, {}).get(rank)
-            outbox = (self._reducer_inboxes[(job, parent)]
-                      if parent is not None else self._outbox)
-            process = self._context.Process(
-                target=worker_process,
-                args=(context.routine, context.config, rank,
-                      assignment.quota, outbox, job, context.deadline),
-                daemon=True)
-            process.start()
-            self._live[(job, rank)] = process
-            extras.append({"pid": process.pid})
+            # A planned rank writes into its reducer's edge; a recovery
+            # rank beyond the plan reports straight to rank 0.
+            edge = self._edges.get(job, {}).get(rank)
+            pid = self._host.start(
+                (job, rank), worker_process, context.routine,
+                context.config, rank, assignment.quota,
+                outbox=None if edge is None else edge[1], job=job,
+                deadline=context.deadline)
+            if edge is not None:
+                self._host.release(edge[1])  # the worker's alone now
+            extras.append({"pid": pid})
         return extras
 
     # -- message path -----------------------------------------------------
 
     def poll(self, timeout: float
              ) -> MomentMessage | CombinedMessage | None:
-        message = self._drained.pop()
-        if message is not None:
-            return message
-        try:
-            return self._outbox.get(timeout=timeout)
-        except queue_module.Empty:
+        event = self._host.read(timeout)
+        if event is None:
             return None
+        key, item = event
+        if isinstance(item, int):
+            self._exits[key] = item
+            return None
+        if isinstance(key[1], str):  # a root reducer's forward
+            return combined_from_payload(item)
+        return message_from_payload(item)
 
     # -- health -----------------------------------------------------------
 
-    def _check_reducers(self, now: float) -> None:
-        """Respawn (or fail on) reducer processes that died.
+    def _respawn_reducer(self, owner, node_id: str, exitcode: int,
+                         now: float) -> None:
+        """Respawn a dead reducer on the same edges, or fail the run.
 
-        A reducer is a stateless relay over cumulative snapshots: the
-        respawned process reattaches to the same inbox and upstream
-        queue, rebuilds its latest-per-rank view from its children's
-        next passes, and the subtree continues.  Anything
-        the dead node absorbed but never forwarded is covered by the
-        normal worker grace path (an eaten final leads to a quota
-        reassignment; late subtree duplicates drop at the collector).
-        """
-        for key, process in list(self._reducers.items()):
-            owner, node_id = key
-            exitcode = process.exitcode
-            if exitcode is None:
-                continue
-            del self._reducers[key]
-            if exitcode == 0:
-                continue  # subtree complete; the node retired itself
-            plan = self._plans.get(owner)
-            if plan is None:
-                continue  # the owning job's tree was already released
-            context = self.engine.job_context(owner)
-            if context.config.on_worker_death != "reassign":
-                raise BackendError(
-                    f"reducer {node_id} died (exitcode {exitcode}) "
-                    f"before its subtree finished")
-            if self._respawn_budget <= 0:
-                raise BackendError(
-                    f"reducer {node_id} died but the respawn budget is "
-                    f"exhausted")
-            self._respawn_budget -= 1
-            self._reducer_respawns += 1
-            pid = self._start_reducer(owner, plan.node(node_id))
-            telemetry = context.telemetry
-            if telemetry is not None:
-                telemetry.registry.counter("reduction.respawns").inc()
-                telemetry.events.append(
-                    "reducer_respawned", ts=now, node=node_id,
-                    exitcode=exitcode, pid=pid)
-                telemetry.events.flush()
+        What it absorbed but never forwarded is the worker grace path's
+        (an eaten final leads to a quota reassignment)."""
+        if exitcode == 0:
+            return  # subtree complete; the node retired itself
+        context = self.engine.job_context(owner)
+        if context.config.on_worker_death != "reassign":
+            raise BackendError(
+                f"reducer {node_id} died (exitcode {exitcode}) "
+                f"before its subtree finished")
+        if self._respawn_budget <= 0:
+            raise BackendError(
+                f"reducer {node_id} died but the respawn budget is "
+                f"exhausted")
+        self._respawn_budget -= 1
+        pid = self._start_reducer(owner, self._plans[owner].node(node_id))
+        telemetry = context.telemetry
+        if telemetry is not None:
+            telemetry.registry.counter("reduction.respawns").inc()
+            telemetry.events.append(
+                "reducer_respawned", ts=now, node=node_id,
+                exitcode=exitcode, pid=pid)
+            telemetry.events.flush()
 
     def reap(self) -> list[WorkerDeath]:
-        """Report children that died short of their final message.
-
-        Verdicts are the shared :class:`~repro.runtime.engine
-        .ExitVerdicts`: a nonzero exit (or a signal) is dead on sight;
-        a *clean* exit whose final message has not arrived gets
-        ``config.death_grace`` seconds — its last message may still be
-        crossing the queue's feeder thread (or sitting in a dead
-        reducer's inbox).
-
-        Before judging anyone, the outbox is drained into the shared
-        :class:`~repro.runtime.engine.DrainBuffer`: a slow-but-delivered
-        message must reach the collector before its sender can be
-        declared dead, and must never burn grace time while it sits in
-        the channel.  Dead reducers are respawned (or
-        fail the run) here too — before the worker verdicts, so a
-        respawned subtree gets to deliver pending finals first.
-        """
-        if self._drained.drain():
-            # Let the engine ingest the buffered messages first; death
-            # verdicts resume on the next empty poll.
-            return []
+        """Judge the exits the host reported — each after its pipe was
+        drained — with the shared :class:`~repro.runtime.engine
+        .ExitVerdicts`: a nonzero exit is dead on sight, a clean one
+        without its final pass gets ``config.death_grace`` seconds (in a
+        tree that pass may still sit in a reducer).  Dead reducers go
+        first, so a respawned subtree can deliver pending finals."""
         now = self.clock()
-        self._check_reducers(now)
         dead: list[WorkerDeath] = []
-        for key, process in list(self._live.items()):
-            exitcode = process.exitcode
-            if exitcode is None:
+        for key in sorted(self._exits, key=lambda k: isinstance(k[1], int)):
+            job, who = key
+            if isinstance(who, str):  # a reducer's node id
+                self._respawn_reducer(job, who, self._exits.pop(key), now)
                 continue
-            job, rank = key
             context = self.engine.job_context(job)
             verdict = self._verdicts.judge(
-                key, final=rank in context.collector.final_ranks,
-                crashed=exitcode != 0, now=now,
+                key, final=who in context.collector.final_ranks,
+                crashed=self._exits[key] != 0, now=now,
                 grace=context.config.death_grace)
-            if verdict is None:
-                continue
-            del self._live[key]  # finalized and exited, or dead: done
-            if verdict:
-                dead.append(WorkerDeath(rank, exitcode, job=job))
+            if verdict is not None:
+                exitcode = self._exits.pop(key)
+                if verdict:
+                    dead.append(WorkerDeath(who, exitcode, job=job))
         return dead
 
-    # -- teardown ---------------------------------------------------------
-
     def shutdown(self) -> None:
-        # Every job that left RUNNING was released by the loop; what is
-        # left belongs to jobs an error cut short.
-        for job in {key[0] for key in self._live} | set(self._plans):
-            self.release_job(job)
-        if self._outbox is not None:
-            self._outbox.close()
-
-
-def run_multiprocess(routine: RealizationRoutine, config: RunConfig,
-                     use_files: bool = True,
-                     start_method: str | None = None) -> RunResult:
-    """Run one session with one OS process per simulated processor.
-
-    Args:
-        routine: User realization routine; must survive the chosen
-            multiprocessing start method ("fork" keeps closures, "spawn"
-            requires a picklable module-level routine).
-        config: The run configuration; ``config.reduction_fanout``
-            selects the exchange topology (estimates are bit-identical
-            across fanouts).
-        use_files: Write result files and save-points.
-        start_method: Optional multiprocessing start method override.
-
-    Raises:
-        BackendError: If a worker dies without delivering its final
-            message and ``config.on_worker_death`` is ``"fail"`` —
-            whether it crashed (nonzero exit, signal) or exited cleanly
-            without finishing its quota.
-    """
-    return Engine(MultiprocessBackend(start_method=start_method), config,
-                  use_files=use_files).run(routine)
+        # Every job that left RUNNING was released by the loop; the host
+        # stops what belongs to jobs an error cut short.
+        if self._host is not None:
+            self._host.close()

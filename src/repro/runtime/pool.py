@@ -14,7 +14,7 @@ different clients) need no restart::
      | -- SUBMIT {config, routine} ---> |   import/unpickle the routine
      | -- ASSIGN {rank, quota} -------> |   fork a worker process
      | <-------- DATA {message} ------- |   every data pass, forwarded
-     | <---- EXIT {rank, exitcode} ---- |   after the worker's queue is
+     | <---- EXIT {rank, exitcode} ---- |   after the worker's pipe is
      |                                  |   drained (drain-before-verdict)
      | -- CANCEL {} ------------------> |   job over: stop and forget it
      | <-> HEARTBEAT <->                |   liveness, both directions
@@ -28,14 +28,15 @@ by side, tags their DATA passes and echoes the job on EXIT, so the run
 can route messages and deaths back to the right experiment.
 
 Every ASSIGN runs in its own OS process (so a stuck or ``kill -9``-ed
-realization routine never takes the daemon down) with a private pipe
-back to the daemon.  The worker encodes each
+realization routine never takes the daemon down), started by the
+:class:`~repro.runtime.host.WorkerHost` the ``multiprocess`` backend
+uses.  The worker encodes each
 :class:`~repro.runtime.messages.MomentMessage` once, to the binary
 DATA body; a watcher thread frames those bytes as they are — the
-daemon never unpickles or re-encodes a pass — and, only after the pipe
-is fully drained, reports the process's exit.  The run side therefore
-never sees an EXIT overtake the data that preceded it, which is what
-lets the engine's reassignment keep estimates bit-identical.
+daemon never decodes or re-encodes a pass — and the host reports the
+process's exit only after its pipe is fully drained.  The run side
+therefore never sees an EXIT overtake the data that preceded it, which
+is what lets the engine's reassignment keep estimates bit-identical.
 
 A pool whose run stops heartbeating (crashed, unplugged) terminates
 the session's workers and returns to listening; a run whose pool
@@ -50,9 +51,9 @@ import multiprocessing
 import os
 import threading
 import time
-from multiprocessing.connection import wait
 
 from repro.exceptions import WireError
+from repro.runtime.host import WorkerHost
 from repro.runtime.wire import (
     FrameKind,
     config_from_payload,
@@ -70,9 +71,6 @@ _logger = logging.getLogger(__name__)
 #: registered services; override with ``--port``).
 DEFAULT_POOL_PORT = 9737
 
-#: How long a worker process gets to die politely at session teardown.
-_TERMINATE_SECONDS = 2.0
-
 
 def _import_routine(spec: str):
     """``module:function`` resolver for SUBMIT spec payloads."""
@@ -84,17 +82,6 @@ def _job_of(payload: dict) -> str | None:
     """The job a frame belongs to; the anonymous job's name no ``job``."""
     job = payload.get("job")
     return None if job is None else str(job)
-
-
-class _Worker:
-    """One running assignment: process + pipe + forwarding thread."""
-
-    def __init__(self, rank: int, process, inbox,
-                 job: str | None = None) -> None:
-        self.rank = rank
-        self.process = process
-        self.inbox = inbox
-        self.job = job
 
 
 class _Session:
@@ -109,7 +96,7 @@ class _Session:
         # Running assignments keyed ``(job, rank)`` (job is None for
         # the anonymous job of a single run), so two jobs of one
         # scheduler can both field a rank 0 here without colliding.
-        self._workers: dict[tuple[str | None, int], _Worker] = {}
+        self._host = WorkerHost(server.context)
         self._closed = False
         self._last_run_heartbeat = time.monotonic()
         self._peer = writer.get_extra_info("peername")
@@ -119,6 +106,7 @@ class _Session:
 
     async def run(self) -> None:
         heartbeat_task = None
+        threading.Thread(target=self._watch, daemon=True).start()
         try:
             kind, _ = await read_frame(self._reader)
             if kind is not FrameKind.HELLO:
@@ -175,13 +163,10 @@ class _Session:
         """A job is over: terminate its live workers, forget it."""
         job = _job_of(payload)
         self._contexts.pop(job, None)
-        terminated = 0
-        for (owner, _rank), worker in list(self._workers.items()):
-            if owner == job and worker.process.exitcode is None:
-                worker.process.terminate()
-                terminated += 1
+        keys = [key for key in self._host.keys() if key[0] == job]
+        self._host.terminate(keys)
         _logger.info("session from %s: job %s released (%d workers "
-                     "terminated)", self._peer, job, terminated)
+                     "terminated)", self._peer, job, len(keys))
 
     def _adopt_context(self, payload: dict) -> tuple:
         """One ``(routine, config)`` context from a SUBMIT body."""
@@ -207,7 +192,7 @@ class _Session:
             raise WireError(f"malformed assign frame: {exc}") from exc
         job = _job_of(payload)
         label = f"rank {rank}" if job is None else f"job {job} rank {rank}"
-        if (job, rank) in self._workers:
+        if (job, rank) in self._host.keys():
             raise WireError(f"{label} is already assigned on this pool")
         try:
             routine, config = self._contexts[job]
@@ -216,49 +201,30 @@ class _Session:
                 f"assign frame names job {job!r}, which no submit "
                 f"frame declared (or a cancel already released)"
             ) from None
-        context = self._server.context
-        inbox, outbox = context.Pipe(duplex=False)
-        process = context.Process(
-            target=worker_process,
-            args=(routine, config, rank, quota, outbox, job),
-            kwargs={"deadline_in": payload.get("deadline_in")},
-            daemon=True)
-        process.start()
-        outbox.close()  # the child holds the only write end now
-        worker = _Worker(rank, process, inbox, job=job)
-        self._workers[(job, rank)] = worker
+        pid = self._host.start(
+            (job, rank), worker_process, routine, config, rank, quota,
+            job=job, deadline_in=payload.get("deadline_in"))
         _logger.info("session from %s: %s started (quota=%d, pid=%s)",
-                     self._peer, label, quota, process.pid)
-        threading.Thread(target=self._watch, args=(worker,),
-                         daemon=True).start()
+                     self._peer, label, quota, pid)
 
-    def _watch(self, worker: _Worker) -> None:
-        """Forward a worker's passes; report its exit only once drained.
-
-        Runs in a plain thread (pipe reads block).  The wait wakes on a
-        pass or on the process's exit, and a readable pipe always goes
-        first, so the EXIT frame is sent strictly after every pass the
-        worker managed to write and the run's drain-before-verdict
-        logic sees all delivered data before judging the death.
+    def _watch(self) -> None:
+        """Frame what the host reads — DATA as it is, EXIT once the
+        worker's pipe is drained — until the session ends; then stop
+        every worker.  One plain thread per session (pipe reads block).
         """
-        process, inbox = worker.process, worker.inbox
-        with inbox:
-            while inbox in wait([inbox, process.sentinel]):
-                try:
-                    body = inbox.recv_bytes()
-                except (EOFError, OSError):  # closed, or torn by kill -9
-                    break
-                self._send_threadsafe(FrameKind.DATA, body)
-        process.join()
-        exit_payload = {"rank": worker.rank, "exitcode": process.exitcode}
-        if worker.job is not None:
-            exit_payload["job"] = worker.job
-        self._send_threadsafe(FrameKind.EXIT, exit_payload)
+        host = self._host
         try:
-            self._loop.call_soon_threadsafe(
-                self._workers.pop, (worker.job, worker.rank), None)
-        except RuntimeError:  # pool already shut down
-            pass
+            while (event := host.read()) is not None:
+                (job, rank), item = event
+                if isinstance(item, bytes):
+                    self._send_threadsafe(FrameKind.DATA, item)
+                    continue
+                exit_payload = {"rank": rank, "exitcode": item}
+                if job is not None:
+                    exit_payload["job"] = job
+                self._send_threadsafe(FrameKind.EXIT, exit_payload)
+        finally:
+            host.close()
 
     # -- frame plumbing ----------------------------------------------------
 
@@ -280,7 +246,7 @@ class _Session:
     @property
     def busy(self) -> int:
         """Worker processes this session is currently running."""
-        return len(self._workers)
+        return len(self._host.keys())
 
     async def _heartbeats(self) -> None:
         interval = self._server.heartbeat_interval
@@ -290,7 +256,7 @@ class _Session:
                 # Server-wide occupancy: concurrent sessions share one
                 # physical worker budget, so each run sees the true load.
                 "busy": self._server.busy_workers,
-                "session_busy": len(self._workers),
+                "session_busy": len(self._host.keys()),
                 "workers": self._server.workers,
             })
             silent = time.monotonic() - self._last_run_heartbeat
@@ -303,14 +269,7 @@ class _Session:
 
     def _shutdown(self) -> None:
         self._closed = True
-        for worker in list(self._workers.values()):
-            process = worker.process
-            if process.exitcode is None:
-                process.terminate()
-                process.join(timeout=_TERMINATE_SECONDS)
-                if process.is_alive():
-                    process.kill()
-        self._workers.clear()
+        self._host.interrupt()  # the watcher stops every worker
         if not self._writer.is_closing():
             self._writer.close()
 

@@ -8,9 +8,10 @@ with a configurable k-ary tree.  Interior **reducer nodes** drain
 everything their subtree delivered since their last forward, keep the
 latest cumulative snapshot per rank (:class:`Coalescer`, the same
 discipline the collector itself applies), and forward one
-:class:`~repro.runtime.messages.CombinedMessage` upstream.  Under load
-a reducer coalesces many worker passes into one upstream message, so
-the collector serves O(fanout) peers instead of O(M) workers.
+:class:`~repro.runtime.messages.CombinedMessage` upstream over a pipe
+(:mod:`repro.runtime.host`).  Under load a reducer coalesces many
+worker passes into one upstream message, so the collector serves
+O(fanout) peers instead of O(M) workers.
 
 **Bit-identity.**  Lubachevsky's warning ("Why The Results of Parallel
 and Serial Monte Carlo Simulations May Differ") is honoured
@@ -26,7 +27,7 @@ every fanout, which ``tests/test_statistics_parity.py`` pins.
 snapshots: a respawned reducer rebuilds its latest-per-rank view from
 the very next pass of each child, so a dead reducer's subtree
 reattaches without data loss (the multiprocess backend respawns the
-node on the same queues under ``on_worker_death="reassign"``).
+node on the same edge pipes under ``on_worker_death="reassign"``).
 A final message the dying reducer absorbed but never forwarded is
 caught by the engine's existing clean-exit grace path and the worker's
 remaining quota is reassigned — late duplicates from its subtree drop
@@ -43,13 +44,19 @@ n-th forward.  ``"*"`` matches every node.
 from __future__ import annotations
 
 import os
-import queue as queue_module
 import time
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from typing import Mapping, Sequence
 
 from repro.exceptions import ConfigurationError
-from repro.runtime.messages import CombinedMessage, MomentMessage
+from repro.runtime.messages import (
+    CombinedMessage,
+    MomentMessage,
+    combined_from_payload,
+    combined_to_payload,
+    message_from_payload,
+)
 
 __all__ = [
     "Coalescer",
@@ -58,9 +65,6 @@ __all__ = [
     "plan_reduction",
     "run_reducer",
 ]
-
-#: Seconds a reducer blocks on its inbox when nothing is pending.
-_IDLE_WAIT = 0.005
 
 #: Exit code of an injected reducer crash (mirrors SIGKILL's 128+9).
 _CRASH_EXITCODE = 137
@@ -256,11 +260,6 @@ class Coalescer:
         return saw_final
 
     @property
-    def pending(self) -> bool:
-        """True while some rank changed since the last :meth:`take`."""
-        return bool(self._pending)
-
-    @property
     def complete(self) -> bool:
         """Every subtree rank's final pass was admitted and taken."""
         return (not self._pending
@@ -284,75 +283,50 @@ class Coalescer:
         return combined
 
 
-def run_reducer(node: ReducerNode, inbox, upstream, *,
-                clock=time.monotonic, idle_wait: float = _IDLE_WAIT
-                ) -> None:
+def run_reducer(node: ReducerNode, inboxes, upstream, *,
+                clock=time.monotonic, wait=wait) -> None:
     """The reducer process body: drain, coalesce, forward, repeat.
 
-    Args:
-        node: This reducer's place in the plan.
-        inbox: Queue fed by this node's children — direct worker
-            passes and child reducers' combined messages.  A ``None``
-            item is the shutdown sentinel.
-        upstream: Queue towards the parent — the parent reducer's
-            inbox, or the backend outbox when this node is a root.
-        clock: Monotonic time source stamping the forwards.
-        idle_wait: Blocking-poll granularity when nothing is pending.
-
-    One drain cycle moves *everything* currently available from the
-    children into the :class:`Coalescer`, then forwards at most one
-    combined message carrying the ranks that changed — so a burst of
-    k child passes costs the parent one message, the coalescing that
-    keeps upstream load O(fanout).  The loop exits when every subtree
-    rank has delivered (and the reducer has forwarded) its final pass,
-    or on the sentinel.
+    ``inboxes`` are the read ends of this node's child edges (worker
+    bodies at level 1, child reducers' combined bodies above), and
+    ``upstream`` the write end towards the parent — the host's pipe at
+    a root.  One cycle reads everything available into the
+    :class:`Coalescer` and forwards at most one combined body with the
+    ranks that changed, so a burst of k child passes costs the parent
+    one message.  An edge at end-of-file (its writer exited, or died
+    mid-body) is dropped; the loop ends once every subtree final is
+    forwarded or every edge is closed, and a released job's reducer is
+    terminated.  ``wait`` may be replaced to script which edges are
+    readable.
     """
+    decode = message_from_payload if node.level == 1 \
+        else combined_from_payload
+    inboxes = list(inboxes)
     coalescer = Coalescer(node)
     crash = _crash_matches(node.node_id)
     forwards = 0
-    stopping = False
-    while True:
+    while inboxes and not coalescer.complete:
         saw_final = False
-        try:
-            while not stopping:
-                item = inbox.get_nowait()
-                if item is None:
-                    # Sentinel: finish this drain cycle (forwarding
-                    # whatever it collected) and then stop.
-                    stopping = True
+        ready = wait(inboxes)
+        while ready:
+            for inbox in ready:
+                try:
+                    body = inbox.recv_bytes()
+                except (EOFError, OSError):
+                    inboxes.remove(inbox)
                 else:
-                    saw_final |= coalescer.admit(item)
-        except queue_module.Empty:
-            pass
-        if not coalescer.pending and not stopping:
-            if coalescer.complete:
-                return
-            try:
-                item = inbox.get(timeout=idle_wait)
-            except queue_module.Empty:
-                continue
-            if item is None:
-                stopping = True
-            else:
-                saw_final = coalescer.admit(item)
+                    saw_final |= coalescer.admit(decode(body))
+            ready = wait(inboxes, 0)
         if crash is not None and crash[0] == "on-final" and saw_final:
             # Die with the final absorbed but unforwarded: the worst
             # case the engine's grace path must cover.
             os._exit(_CRASH_EXITCODE)
         combined = coalescer.take(clock())
         if combined is not None:
-            upstream.put(combined)
+            # A pipe write is done when it returns: dying right after
+            # cannot eat the forward.
+            upstream.send_bytes(combined_to_payload(combined))
             forwards += 1
             if (crash is not None and crash[0] == "after-forward"
                     and forwards >= (crash[1] or 0)):
-                # "After forward" means after the forward *delivered*:
-                # flush the mp.Queue feeder thread before dying, or
-                # os._exit would silently eat the message just sent
-                # and turn this into a different failure mode.
-                if hasattr(upstream, "close") \
-                        and hasattr(upstream, "join_thread"):
-                    upstream.close()
-                    upstream.join_thread()
                 os._exit(_CRASH_EXITCODE)
-        if stopping or coalescer.complete:
-            return

@@ -64,7 +64,7 @@ from repro.exceptions import (
 )
 from repro.runtime.engine import (
     _POLL_SECONDS,
-    Backend,
+    EngineBackend,
     WorkerAssignment,
     shared_job_backends,
 )
@@ -92,7 +92,7 @@ class Scheduler:
         results = [job.result for job in jobs]
     """
 
-    def __init__(self, backend: Backend, *, workers: int | None = None,
+    def __init__(self, backend: EngineBackend, *, workers: int | None = None,
                  max_jobs: int | None = None) -> None:
         if workers is not None and workers < 1:
             raise ConfigurationError(

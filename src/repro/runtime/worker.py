@@ -23,7 +23,8 @@ stack with one :meth:`~repro.stats.accumulator.MomentAccumulator
 .add_batch`.  Estimates are bit-identical to the scalar loop's.
 
 All of that is :class:`WorkerBody`; :func:`run_worker` is its driver on
-the real clock and the simulated cluster its driver on a virtual one.
+the real clock and the simulated cluster its driver on a virtual one;
+:func:`worker_process` runs it in every forked worker.
 """
 
 from __future__ import annotations
@@ -428,20 +429,16 @@ def worker_process(routine: RealizationRoutine, config: RunConfig,
                    deadline_in: float | None = None) -> None:
     """The worker process target of every backend that forks one.
 
-    A queue ``outbox`` (the multiprocess backend's, or a reducer's
-    inbox) takes each message itself; the write end of a pipe (the
-    pool daemon's) takes it encoded here, once, to the bytes a DATA
-    frame carries, so the daemon only relays.  The time limit is
-    ``deadline`` on this host's monotonic clock, or ``deadline_in``
-    seconds from now — what crosses the wire, where clocks do not.
+    Each pass is encoded here, once, to the bytes a DATA frame carries
+    and written into ``outbox``, the write end of the worker's pipe
+    (see :mod:`repro.runtime.host`).  The time limit is ``deadline`` on
+    this host's monotonic clock, or ``deadline_in`` seconds from now —
+    what crosses the wire, where clocks do not.
     """
     if deadline_in is not None:
         deadline = time.monotonic() + deadline_in
-    if hasattr(outbox, "send_bytes"):
-        def send(message: MomentMessage) -> None:
-            outbox.send_bytes(message_to_payload(message))
-    else:
-        send = outbox.put
-    run_worker(routine, config, rank, quota, send=send, deadline=deadline,
+    send_bytes = outbox.send_bytes
+    run_worker(routine, config, rank, quota, deadline=deadline,
+               send=lambda message: send_bytes(message_to_payload(message)),
                telemetry=WorkerTelemetry(rank) if config.telemetry else None,
                job=job)

@@ -138,7 +138,8 @@ class TestOneRunLoop:
 
 class TestOneSameHostPath:
     # docs/reduction.md "Why the ring was removed": the same-host hop is
-    # mp.Queue alone, and no option selects anything else.
+    # one pipe per worker (TestOneWorkerHost), and no option selects
+    # anything else.
 
     def test_no_transport_parameter_anywhere(self):
         from repro import parmonc
@@ -211,18 +212,59 @@ class TestOneContextSource:
             == ["message"]
 
     def test_exactly_one_worker_process_target(self):
+        # Every forked child goes through WorkerHost.start, and its
+        # targets are the worker body and the reducer body alone.
         targets = [
             match
             for path in (ROOT / "src" / "repro").rglob("*.py")
-            for match in re.findall(r"\.Process\(\s*target=(\w+)",
-                                    path.read_text())]
+            for match in re.findall(
+                r"host\.start\(\s*(?:\([^)]*\)|[^,(]+),\s*(\w+)",
+                path.read_text())]
         assert sorted(set(targets)) == ["run_reducer", "worker_process"]
-        assert targets.count("worker_process") == 2  # queue and pool
+        assert targets.count("worker_process") == 2  # multiprocess, pool
         definitions = [
             str(path.relative_to(ROOT))
             for path in (ROOT / "src" / "repro").rglob("*.py")
             if re.search(r"^def worker_process\(", path.read_text(), re.M)]
         assert definitions == ["src/repro/runtime/worker.py"]
+
+
+class TestOneWorkerHost:
+    # docs/architecture.md "One worker host": every forked worker and
+    # reducer writes DATA bodies into its own pipe, started and read
+    # by runtime/host.py; no pass is pickled or queued on the way.
+
+    MODULES = ("multiprocess", "pool", "reduction", "worker")
+
+    def test_no_pickle_and_no_queue_on_the_run_path(self):
+        for module in self.MODULES:
+            source = read(f"src/repro/runtime/{module}.py")
+            assert not re.search(
+                r"^\s*(?:import|from)\s+(?:pickle|queue)\b"
+                r"|\bpickle\.|Queue\(", source, re.M), module
+
+    def test_worker_process_has_one_sink(self):
+        from repro.runtime.worker import worker_process
+
+        source = inspect.getsource(worker_process)
+        assert "outbox.send_bytes" in source
+        assert not re.search(r"hasattr|\.put\b", source)
+
+    def test_one_spawn_with_pipe_site_serves_backend_and_pool(self):
+        pattern = re.compile(r"\.(?:Process|Pipe)\(")
+        sites = {str(path.relative_to(ROOT)): len(pattern.findall(source))
+                 for path in (ROOT / "src" / "repro").rglob("*.py")
+                 for source in [path.read_text()] if pattern.search(source)}
+        # One Process; a Pipe each for the wake-up, an edge, a child.
+        assert sites == {"src/repro/runtime/host.py": 4}
+        for module in ("multiprocess", "pool"):
+            source = read(f"src/repro/runtime/{module}.py")
+            assert "WorkerHost(" in source, module
+            assert re.search(r"host\.start\(\s*\([^)]*\),\s*worker_process",
+                             source), module
+
+    def test_multiprocess_backend_needs_no_drain_buffer(self):
+        assert "DrainBuffer" not in read("src/repro/runtime/multiprocess.py")
 
 
 class TestOneWorkerBody:
@@ -286,7 +328,7 @@ class TestOneWayInOneWayOut:
             source = read(f"src/repro/runtime/{module}.py")
             assert not re.search(r"getattr\(\s*(self\._)?backend", source), \
                 module
-        assert engine.Backend is engine.EngineBackend
+        assert not hasattr(engine, "Backend")  # EngineBackend only
         declared = vars(engine.EngineBackend)
         assert {"open_job", "release_job", "supports_shared_jobs",
                 "supports_job_reduction", "monitors_staleness"} <= set(

@@ -14,8 +14,9 @@ from repro.cluster.simulation import ClusterSpec
 from repro.cluster.machine import DurationModel
 from repro.exceptions import BackendError
 from repro.runtime.config import RunConfig
+from repro.runtime.engine import Engine
 from repro.runtime.files import DataDirectory
-from repro.runtime.multiprocess import run_multiprocess
+from repro.runtime.multiprocess import MultiprocessBackend
 from repro.runtime.sequential import run_sequential
 from repro.runtime.simcluster import run_simcluster
 from repro.stats.accumulator import MomentAccumulator
@@ -111,8 +112,8 @@ class TestMultiprocess:
     def test_matches_sequential_bit_for_bit(self, tmp_path):
         config = RunConfig(maxsv=60, processors=3, workdir=tmp_path / "a")
         sequential = run_sequential(square, config)
-        parallel = run_multiprocess(
-            square, config.with_updates(workdir=tmp_path / "b"))
+        parallel = Engine(MultiprocessBackend(), config.with_updates(
+            workdir=tmp_path / "b")).run(square)
         assert np.array_equal(sequential.estimates.mean,
                               parallel.estimates.mean)
         assert np.array_equal(sequential.estimates.variance,
@@ -122,11 +123,11 @@ class TestMultiprocess:
     def test_worker_crash_raises_backend_error(self, tmp_path):
         config = RunConfig(maxsv=4, processors=2, workdir=tmp_path)
         with pytest.raises(BackendError):
-            run_multiprocess(_crash, config)
+            Engine(MultiprocessBackend(), config).run(_crash)
 
     def test_result_files(self, tmp_path):
         config = RunConfig(maxsv=20, processors=2, workdir=tmp_path)
-        run_multiprocess(square, config)
+        Engine(MultiprocessBackend(), config).run(square)
         assert DataDirectory(tmp_path).read_log()[
             "total_sample_volume"] == "20"
 

@@ -9,11 +9,12 @@ mid-flight, with the estimate intact.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
-import queue
 import re
+import struct
 import threading
-from collections import deque
+from multiprocessing.connection import wait
 from types import SimpleNamespace
 
 import pytest
@@ -25,6 +26,7 @@ from repro.exceptions import BackendError, ConfigurationError
 from repro.obs.events import read_events
 from repro.obs.telemetry import RunTelemetry
 from repro.runtime import engine as engine_module
+from repro.runtime import multiprocess as multiprocess_module
 from repro.runtime.collector import Collector
 from repro.runtime.config import RunConfig
 from repro.runtime.engine import (
@@ -37,9 +39,11 @@ from repro.runtime.engine import (
     register_backend,
     register_lazy_backend,
 )
-from repro.runtime.messages import MomentMessage
+from repro.runtime.host import WorkerHost
+from repro.runtime.messages import MomentMessage, message_to_payload
 from repro.runtime.multiprocess import MultiprocessBackend
 from repro.runtime.sequential import SequentialBackend
+from repro.runtime.worker import worker_process
 from repro.stats.accumulator import MomentAccumulator, MomentSnapshot
 
 
@@ -263,7 +267,7 @@ class TestMultiprocessReassignment:
                 super().shutdown()
 
         backend = CountingBackend(start_method="fork")
-        # perpass far beyond the run: only final passes cross the queue.
+        # perpass far beyond the run: only final passes cross the pipes.
         config = RunConfig(maxsv=40, processors=2, perpass=3600.0,
                            peraver=0.0, workdir=tmp_path)
         threads_before = set(threading.enumerate())
@@ -283,6 +287,47 @@ class TestMultiprocessReassignment:
                     processors=2, backend="multiprocess",
                     start_method="fork", death_grace=0.2,
                     workdir=tmp_path)
+
+
+def _tear_rank_one(routine, config, rank, quota, outbox, **kwargs):
+    """Host target: rank 1 dies half-way through writing its first body."""
+    if rank != 1:
+        return worker_process(routine, config, rank, quota, outbox,
+                              **kwargs)
+    os.write(outbox.fileno(), struct.pack("!i", 32_048) + b"\0" * 1000)
+    os._exit(9)
+
+
+class TestTornWrite:
+    def test_a_worker_torn_mid_write_costs_only_itself(self, tmp_path,
+                                                        monkeypatch):
+        # A length prefix announcing a 1000x2 pass, 1000 bytes of it,
+        # SIGKILL's exit code: the torn pipe is that worker's alone.
+        monkeypatch.setattr(multiprocess_module, "worker_process",
+                            _tear_rank_one)
+        result = parmonc(square, maxsv=30, perpass=0.0, peraver=0.0,
+                         processors=3, seqnum=1, backend="multiprocess",
+                         start_method="fork", telemetry=True,
+                         on_worker_death="reassign", workdir=tmp_path)
+        assert result.recovered_ranks == (1,)
+        assert result.total_volume == 30
+        # Ranks 0 and 2 delivered every pass; rank 1's quota ran on the
+        # first fresh rank.
+        assert result.per_rank_volumes == {0: 10, 1: 0, 2: 10, 3: 10}
+        reference = parmonc(square, maxsv=30, perpass=0.0, peraver=0.0,
+                            processors=3, seqnum=1, backend="simcluster",
+                            on_worker_death="reassign",
+                            cluster_spec=ClusterSpec(
+                                duration_model=DurationModel(mean=1.0),
+                                failures={1: 0.5}),
+                            workdir=tmp_path / "reference")
+        assert reference.recovered_ranks == (1,)
+        assert result.estimates.mean.tobytes() \
+            == reference.estimates.mean.tobytes()
+        events = list(read_events(tmp_path / "parmonc_data" / "telemetry"
+                                  / "events.jsonl"))
+        assert [(e.fields["rank"], e.fields["exitcode"]) for e in events
+                if e.kind == "worker_died"] == [(1, 9)]
 
 
 class TestSimclusterReassignment:
@@ -324,23 +369,22 @@ class TestSimclusterReassignment:
 # Dead-worker detection details
 
 
-class _FakeOutbox:
-    def __init__(self, items):
-        self._items = deque(items)
+def _write_then_exit(bodies, exitcode, outbox):
+    """Host target: write some DATA bodies, then exit with ``exitcode``."""
+    for body in bodies:
+        outbox.send_bytes(body)
+    os._exit(exitcode)
+
+
+class _ScriptedHost:
+    """Stands in for the worker host: records ``read`` timeouts."""
+
+    def __init__(self):
         self.timeouts = []
 
-    def get_nowait(self):
-        if not self._items:
-            raise queue.Empty
-        return self._items.popleft()
-
-    def get(self, timeout):
+    def read(self, timeout):
         self.timeouts.append(timeout)
-        return self.get_nowait()
-
-
-class _FakeProcess:
-    exitcode = 0
+        return None
 
 
 def _snapshot(volume: int) -> MomentSnapshot:
@@ -351,50 +395,65 @@ def _snapshot(volume: int) -> MomentSnapshot:
 
 
 class TestDeadWorkerDetection:
-    def _backend(self, queued, death_grace=0.0):
+    FINAL = MomentMessage(rank=0, snapshot=_snapshot(4), sent_at=0.0,
+                          final=True)
+
+    def _backend(self, bodies=(), exitcode=0, death_grace=0.0):
+        """A backend whose one worker wrote ``bodies`` and has exited."""
         config = RunConfig(maxsv=4, processors=1,
                            death_grace=death_grace)
-        backend = MultiprocessBackend()
+        backend = MultiprocessBackend(start_method="fork")
         # Stands in for the bound scheduler: one anonymous job, read
         # like every job through job_context().
         context = SimpleNamespace(
             config=config, telemetry=None,
             collector=Collector(config, _snapshot(0), data=None))
         backend.bind(SimpleNamespace(job_context=lambda job: context))
-        backend._outbox = _FakeOutbox(queued)
-        backend._live = {(None, 0): _FakeProcess()}
+        backend._host = host = WorkerHost(multiprocessing.get_context("fork"))
+        host.start((None, 0), _write_then_exit, list(bodies), exitcode)
+        [(process, _)] = host._children.values()
+        wait([process.sentinel])
         return backend
 
     def test_reap_drains_queued_messages_before_verdict(self):
-        message = MomentMessage(rank=0, snapshot=_snapshot(4),
-                                sent_at=0.0, final=True)
-        backend = self._backend([message])
-        # First reap only drains: the exited process gets no verdict
-        # while its delivered message is still in flight.
-        assert backend.reap() == []
-        assert backend.poll(0.0) is message
+        backend = self._backend([message_to_payload(self.FINAL)])
+        try:
+            # The worker is gone, but its exit cannot overtake its
+            # pass: nothing to judge until the pipe is drained.
+            assert backend.reap() == []
+            message = backend.poll(5.0)
+            assert message_to_payload(message) \
+                == message_to_payload(self.FINAL)
+        finally:
+            backend.shutdown()
 
     def test_reap_declares_silent_exited_worker_dead(self):
-        backend = self._backend([])
-        deaths = backend.reap()
-        assert [death.rank for death in deaths] == [0]
-        assert deaths[0].exitcode == 0
+        backend = self._backend()
+        try:
+            assert backend.poll(5.0) is None  # the exit, drained
+            deaths = backend.reap()
+            assert [death.rank for death in deaths] == [0]
+            assert deaths[0].exitcode == 0
+        finally:
+            backend.shutdown()
 
     def test_poll_blocks_on_the_queue_for_the_full_timeout(self):
-        # One same-host channel: nothing else needs servicing, so the
-        # caller's timeout reaches Queue.get uncapped.
-        backend = self._backend([])
+        # One same-host channel, the host's pipes: the caller's timeout
+        # reaches the host's wait uncapped.
+        backend = MultiprocessBackend()
+        backend._host = _ScriptedHost()
         assert backend.poll(0.75) is None
-        assert backend._outbox.timeouts == [0.75]
+        assert backend._host.timeouts == [0.75]
 
     def test_finalized_worker_is_never_a_suspect(self):
-        message = MomentMessage(rank=0, snapshot=_snapshot(4),
-                                sent_at=0.0, final=True)
-        backend = self._backend([message])
-        backend.reap()
-        backend.engine.job_context(None).collector.receive(
-            backend.poll(0.0), now=0.0)
-        assert backend.reap() == []
+        backend = self._backend([message_to_payload(self.FINAL)])
+        try:
+            backend.engine.job_context(None).collector.receive(
+                backend.poll(5.0), now=0.0)
+            assert backend.poll(5.0) is None  # the exit
+            assert backend.reap() == []
+        finally:
+            backend.shutdown()
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,18 @@ from __future__ import annotations
 import time
 
 import numpy as np
+import pytest
 
 from repro import parmonc
 from repro.runtime.config import RunConfig
-from repro.runtime.multiprocess import run_multiprocess
+from repro.runtime.engine import Engine
+from repro.runtime.multiprocess import MultiprocessBackend
 from repro.runtime.sequential import run_sequential
+
+
+def run_multiprocess(routine, config, use_files=True, start_method=None):
+    return Engine(MultiprocessBackend(start_method), config,
+                  use_files=use_files).run(routine)
 
 
 def module_level_square(rng):
@@ -38,6 +45,21 @@ class TestStartMethods:
             config.with_updates(workdir=tmp_path / "ref"))
         assert np.array_equal(result.estimates.mean,
                               reference.estimates.mean)
+
+    @pytest.mark.parametrize("fanout", [None, 2])
+    def test_spawn_edges_survive_as_process_args(self, tmp_path, fanout):
+        # Under spawn a child gets only the pipe ends passed to it: the
+        # host's private pipe, or (fanout 2 over 4 workers) the tree
+        # edges handed to workers and reducers as Process arguments.
+        config = RunConfig(maxsv=40, processors=4, perpass=0.0,
+                           peraver=0.0, seqnum=2, reduction_fanout=fanout)
+        result = run_multiprocess(module_level_square, config,
+                                  use_files=False, start_method="spawn")
+        reference = run_sequential(module_level_square, config,
+                                   use_files=False)
+        for name in ("mean", "variance", "abs_error"):
+            assert getattr(result.estimates, name).tobytes() \
+                == getattr(reference.estimates, name).tobytes(), name
 
     def test_fork_keeps_closures(self, tmp_path):
         scale = 3.0

@@ -1,7 +1,7 @@
 """Tests for the hierarchical tree reduction of the moment exchange.
 
 Three layers: the planner (pure topology), the reducer loop driven
-in-process with plain queues (coalescing, staleness, shutdown), and
+in-process over real pipes (coalescing, staleness, shutdown), and
 full multiprocess runs with deterministic reducer crashes injected via
 ``PARMONC_REDUCER_CRASH`` — the fault-tolerance story: a dead interior
 node's subtree reattaches under ``on_worker_death="reassign"`` and the
@@ -10,7 +10,9 @@ estimate stays the canonical rank-ordered merge.
 
 from __future__ import annotations
 
-import queue
+import multiprocessing
+import os
+import struct
 from collections import deque
 from types import SimpleNamespace
 
@@ -26,7 +28,13 @@ from repro.exceptions import BackendError, ConfigurationError
 from repro.obs.events import read_events
 from repro.rng.streams import StreamTree
 from repro.runtime.config import RunConfig
-from repro.runtime.messages import CombinedMessage, MomentMessage
+from repro.runtime.messages import (
+    CombinedMessage,
+    MomentMessage,
+    combined_from_payload,
+    combined_to_payload,
+    message_to_payload,
+)
 from repro.runtime.reduction import (
     CRASH_ENV,
     Coalescer,
@@ -141,23 +149,45 @@ class TestCombinedMessage:
 
 
 # ---------------------------------------------------------------------------
-# Reducer loop (in-process, plain queues)
+# Reducer loop (in-process, real pipes)
+
+
+def _edges(count):
+    """``count`` edge pipes as ``(readers, writers)``."""
+    pairs = [multiprocessing.Pipe(duplex=False) for _ in range(count)]
+    return [r for r, _ in pairs], [w for _, w in pairs]
+
+
+def _forwards(upstream_reader):
+    forwards = []
+    while upstream_reader.poll():
+        forwards.append(combined_from_payload(upstream_reader.recv_bytes()))
+    return forwards
 
 
 class TestRunReducer:
     def _node(self):
         return plan_reduction(range(4), 2).node("r1.0")  # workers 0, 1
 
+    def _run(self, node, per_edge, close=True):
+        """Write each edge's bodies, then run the reducer to its exit."""
+        readers, writers = _edges(len(per_edge))
+        up_reader, up_writer = multiprocessing.Pipe(duplex=False)
+        encode = message_to_payload if node.level == 1 \
+            else combined_to_payload
+        for writer, items in zip(writers, per_edge):
+            for item in items:
+                writer.send_bytes(encode(item))
+            if close:
+                writer.close()
+        run_reducer(node, readers, up_writer)
+        return _forwards(up_reader)
+
     def test_burst_coalesces_into_one_forward(self):
-        node = self._node()
-        inbox, upstream = queue.Queue(), queue.Queue()
-        for volume in (1, 2, 3):
-            inbox.put(_message(0, volume))
-        inbox.put(_message(0, 4, final=True))
-        inbox.put(_message(1, 4, final=True))
-        run_reducer(node, inbox, upstream)
-        combined = upstream.get_nowait()
-        assert upstream.empty()
+        [combined] = self._run(self._node(), [
+            [_message(0, volume) for volume in (1, 2, 3)]
+            + [_message(0, 4, final=True)],
+            [_message(1, 4, final=True)]])
         # One combined message, latest snapshot per rank, rank order.
         assert combined.node_id == "r1.0"
         assert combined.ranks == (0, 1)
@@ -167,44 +197,45 @@ class TestRunReducer:
         assert combined.metrics["drained"] == 5
 
     def test_stale_reorder_is_dropped(self):
-        node = self._node()
-        inbox, upstream = queue.Queue(), queue.Queue()
-        inbox.put(_message(0, 5))
-        inbox.put(_message(0, 2))  # late, lower volume: superseded
-        inbox.put(_message(0, 5, final=True))
-        inbox.put(_message(1, 1, final=True))
-        run_reducer(node, inbox, upstream)
-        combined = upstream.get_nowait()
+        [combined] = self._run(self._node(), [
+            [_message(0, 5), _message(0, 2),  # late, lower volume
+             _message(0, 5, final=True)],
+            [_message(1, 1, final=True)]])
         assert combined.entries[0].snapshot.volume == 5
         assert combined.entries[0].final
 
     def test_flattens_child_combined_messages(self):
         plan = plan_reduction(range(8), 2)
         parent = plan.node("r2.0")  # children r1.0, r1.1 -> ranks 0..3
-        inbox, upstream = queue.Queue(), queue.Queue()
-        inbox.put(CombinedMessage(
-            node_id="r1.0",
-            entries=(_message(0, 3, final=True),
-                     _message(1, 3, final=True)),
-            sent_at=0.0))
-        inbox.put(CombinedMessage(
-            node_id="r1.1",
-            entries=(_message(2, 3, final=True),
-                     _message(3, 3, final=True)),
-            sent_at=0.0))
-        run_reducer(parent, inbox, upstream)
-        combined = upstream.get_nowait()
+        [combined] = self._run(parent, [
+            [CombinedMessage(node_id="r1.0", sent_at=0.0, entries=(
+                _message(0, 3, final=True), _message(1, 3, final=True)))],
+            [CombinedMessage(node_id="r1.1", sent_at=0.0, entries=(
+                _message(2, 3, final=True), _message(3, 3, final=True)))]])
         assert combined.ranks == (0, 1, 2, 3)
         assert combined.final
 
-    def test_sentinel_stops_an_unfinished_reducer(self):
-        node = self._node()
-        inbox, upstream = queue.Queue(), queue.Queue()
-        inbox.put(_message(0, 1))
-        inbox.put(None)
-        run_reducer(node, inbox, upstream)  # returns instead of hanging
-        # The non-final batch drained before the sentinel still went out.
-        assert upstream.get_nowait().ranks == (0,)
+    def test_closed_edges_stop_an_unfinished_reducer(self):
+        # No sentinel: once every child's write end is gone the reducer
+        # forwards what it drained and returns instead of hanging.
+        [combined] = self._run(self._node(), [[_message(0, 1)], []])
+        assert combined.ranks == (0,)
+
+    def test_torn_body_drops_only_its_edge(self):
+        # A child killed mid-write leaves a length prefix and half a
+        # body: that edge reads as end-of-file, the sibling's passes
+        # still go out.
+        readers, writers = _edges(2)
+        up_reader, up_writer = multiprocessing.Pipe(duplex=False)
+        body = message_to_payload(_message(0, 2))
+        os.write(writers[0].fileno(),
+                 struct.pack("!i", len(body)) + body[:len(body) // 2])
+        writers[1].send_bytes(message_to_payload(_message(1, 3, final=True)))
+        for writer in writers:
+            writer.close()
+        run_reducer(self._node(), readers, up_writer)
+        [combined] = _forwards(up_reader)
+        assert combined.ranks == (1,) and combined.final
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +295,6 @@ class TestCoalescer:
                         finals.add(entry.rank)
                         fresh_final = True
                 assert coalescer.admit(step) is fresh_final
-                assert coalescer.pending is bool(changed)
                 continue
             combined = coalescer.take(7.5)
             if not changed:
@@ -285,7 +315,6 @@ class TestCoalescer:
                                     if entry.final)
             changed.clear()
             drained = 0
-            assert not coalescer.pending
         # Finals are never lost, and completion means all of them left.
         assert forwarded_finals == finals
         assert coalescer.complete is (finals >= set(_NODE.subtree_ranks))
@@ -317,28 +346,36 @@ class TestCoalescer:
             ([(rank, 9, True) for rank in range(4)], 5),
         ]
 
-        class BurstInbox:
-            """Each idle wait of the reducer lets the next burst in."""
+        class BurstEdge:
+            """Each blocking wait of the reducer lets the next burst in."""
 
             def __init__(self):
-                self._bursts = deque(deque(burst) for burst in bursts)
+                # A level-1 edge carries worker bodies: a child forward
+                # arrives as its entries (admitted entry by entry alike).
+                self.bursts = deque(
+                    deque(message_to_payload(entry) for item in burst
+                          for entry in getattr(item, "entries", (item,)))
+                    for burst in bursts)
+                self.current = deque()
 
-            def get_nowait(self):
-                if not self._bursts or not self._bursts[0]:
-                    raise queue.Empty
-                return self._bursts[0].popleft()
+            def recv_bytes(self):
+                if not self.current:
+                    raise EOFError  # every burst delivered
+                return self.current.popleft()
 
-            def get(self, timeout):
-                self._bursts.popleft()
-                if not self._bursts:
-                    return None
-                raise queue.Empty
+        def burst_wait(edges, timeout=None):
+            if not edges:
+                return []
+            [edge] = edges
+            if timeout is None and not edge.current:
+                if not edge.bursts:
+                    return [edge]
+                edge.current = edge.bursts.popleft()
+            return [edge] if edge.current else []
 
-        upstream = queue.Queue()
-        run_reducer(_NODE, BurstInbox(), upstream)
-        real = []
-        while not upstream.empty():
-            real.append(_shape(upstream.get_nowait()))
+        up_reader, up_writer = multiprocessing.Pipe(duplex=False)
+        run_reducer(_NODE, [BurstEdge()], up_writer, wait=burst_wait)
+        real = [_shape(combined) for combined in _forwards(up_reader)]
 
         simulated = []
         events = EventQueue()

@@ -14,6 +14,7 @@ Invariants under test:
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
@@ -643,6 +644,26 @@ def exit_or_linger(rng):
     return rng.random() ** 2
 
 
+def linger(rng):
+    """A realization that outlives any test: only a release ends it."""
+    time.sleep(600.0)
+    return rng.random()
+
+
+def _child_pids(backend):
+    """Pids of every child the multiprocess backend's host holds now."""
+    return {process.pid for process, _ in backend._host._children.values()}
+
+
+def _reaped(pid):
+    """True once ``pid`` is gone — exited *and* waited for, no zombie."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
 class TestJobRelease:
     """``release_job`` on every way out of RUNNING: a finished job
     leaves nothing behind in the backend, whichever way it finished."""
@@ -661,7 +682,7 @@ class TestJobRelease:
         try:
             first = scheduler.submit(spec(name="a", maxsv=8, processors=2))
             _drive(scheduler, lambda: first.status is JobStatus.DONE)
-            assert backend._live == {}
+            assert backend._host.keys() == []
             assert scheduler.prune() == 1
             # a's workers have exited by the time they are joined, so
             # the reap below meets their exit codes, not a race.
@@ -686,16 +707,16 @@ class TestJobRelease:
         backend, scheduler = self._multiprocess(workers=3)
         config = RunConfig(maxsv=3, processors=3, perpass=1000.0,
                            peraver=0.0, reduction_fanout=fanout)
-        children = []
+        pids = set()
         open_job, spawn = backend.open_job, backend.spawn
 
         def opened(job):
             open_job(job)
-            children.extend(backend._reducers.values())
+            pids.update(_child_pids(backend))
 
         def spawned(assignments):
             extras = spawn(assignments)
-            children.extend(backend._live.values())
+            pids.update(extra["pid"] for extra in extras)
             return extras
 
         monkeypatch.setattr(backend, "open_job", opened)
@@ -705,14 +726,12 @@ class TestJobRelease:
                 routine=exit_or_linger, config=config, name="doomed",
                 use_files=False))
             scheduler.drain(timeout=60.0)
-            assert len(children) == (3 if fanout is None else 5)
+            assert len(pids) == (3 if fanout is None else 5)
             assert job.status is JobStatus.FAILED
             assert "rank" in str(job.error)
-            for child in children:
-                child.join(timeout=10.0)
-                assert not child.is_alive()
-            assert backend._live == {} and backend._reducers == {}
-            assert backend._plans == {} and backend._reducer_inboxes == {}
+            assert all(_reaped(pid) for pid in pids)
+            assert backend._host.keys() == [] and backend._exits == {}
+            assert backend._plans == {} and backend._edges == {}
             # The slots are free in fact, not only on the books.
             monkeypatch.delenv(_FATE_DIR_ENV)
             healthy = scheduler.submit(spec(name="healthy", maxsv=6,
@@ -721,6 +740,36 @@ class TestJobRelease:
         finally:
             scheduler.shutdown(timeout=30.0)
         assert healthy.result.total_volume == 6
+
+    def test_cancelled_tree_job_reaps_every_child(self):
+        # Released means gone: cancelling a RUNNING fanout-2 job stops
+        # and reaps every worker and reducer it has — with no shared
+        # queue whose write lock a signal could strand, none of them is
+        # left to exit on its own — and a job beside it is untouched.
+        backend, scheduler = self._multiprocess(workers=8)
+        try:
+            doomed = scheduler.submit(JobSpec(
+                routine=linger, name="doomed", use_files=False,
+                config=RunConfig(maxsv=8, processors=4, perpass=0.0,
+                                 peraver=0.0, reduction_fanout=2)))
+            beside = scheduler.submit(spec(name="beside", maxsv=24,
+                                           processors=2, seqnum=3))
+            _drive(scheduler, lambda: len(doomed.in_flight) == 4)
+            pids = {backend._host._children[key][0].pid
+                    for key in backend._host.keys() if key[0] == "doomed"}
+            assert len(pids) == 6  # four workers, two reducers
+            assert scheduler.cancel(doomed) is True
+            scheduler.step(poll_timeout=0.0)  # the loop releases it
+            assert doomed.status is JobStatus.CANCELLED
+            assert all(_reaped(pid) for pid in pids)
+            assert all(key[0] != "doomed" for key in backend._host.keys())
+            _drive(scheduler, lambda: beside.status is JobStatus.DONE)
+        finally:
+            scheduler.shutdown(timeout=30.0)
+        solo = run_sequential(square, beside.spec.config, use_files=False)
+        for name in ("mean", "variance", "abs_error"):
+            assert getattr(beside.result.estimates, name).tobytes() \
+                == getattr(solo.estimates, name).tobytes(), name
 
     @pytest.mark.parametrize(
         "name", ["sequential", "multiprocess", "distributed"])
@@ -751,7 +800,7 @@ class TestJobRelease:
             if name == "sequential":
                 assert not backend._pending
             elif name == "multiprocess":
-                assert backend._live == {} and backend._plans == {}
+                assert backend._host.keys() == [] and backend._plans == {}
                 assert backend._verdicts._suspects == {}
             else:
                 # Frames on a link keep their order, so with ``last``'s

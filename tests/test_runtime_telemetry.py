@@ -12,7 +12,8 @@ from repro.exceptions import BackendError
 from repro.obs.events import read_events
 from repro.obs.render import load_metrics
 from repro.runtime.config import RunConfig
-from repro.runtime.multiprocess import run_multiprocess
+from repro.runtime.engine import Engine
+from repro.runtime.multiprocess import MultiprocessBackend
 from repro.runtime.simcluster import run_simcluster
 
 
@@ -87,7 +88,7 @@ class TestMultiprocessTelemetry:
     def test_full_record(self, tmp_path):
         config = RunConfig(maxsv=60, processors=3, workdir=tmp_path,
                            perpass=0.0, telemetry=True)
-        result = run_multiprocess(tiny, config)
+        result = Engine(MultiprocessBackend(), config).run(tiny)
         events_path, directory = artifacts(tmp_path)
         payload = load_metrics(directory)
         workers = payload["workers"]
@@ -106,7 +107,7 @@ class TestMultiprocessTelemetry:
     def test_timestamps_are_run_relative(self, tmp_path):
         config = RunConfig(maxsv=20, processors=2, workdir=tmp_path,
                            telemetry=True)
-        result = run_multiprocess(tiny, config)
+        result = Engine(MultiprocessBackend(), config).run(tiny)
         events_path, _ = artifacts(tmp_path)
         stamps = [e.ts for e in read_events(events_path)]
         assert min(stamps) >= 0.0
@@ -116,7 +117,7 @@ class TestMultiprocessTelemetry:
         config = RunConfig(maxsv=10, processors=2, workdir=tmp_path,
                            telemetry=True)
         with pytest.raises(BackendError, match="rank"):
-            run_multiprocess(exits_cleanly_midway, config)
+            Engine(MultiprocessBackend(), config).run(exits_cleanly_midway)
         events_path, _ = artifacts(tmp_path)
         died = list(read_events(events_path, kind="worker_died"))
         assert {e.fields["rank"] for e in died} == {0, 1}
@@ -125,7 +126,7 @@ class TestMultiprocessTelemetry:
     def test_nonzero_exit_raises_quickly(self, tmp_path):
         config = RunConfig(maxsv=10, processors=1, workdir=tmp_path)
         with pytest.raises(BackendError, match="exitcode 3"):
-            run_multiprocess(crashes_hard, config)
+            Engine(MultiprocessBackend(), config).run(crashes_hard)
 
 
 class TestSimclusterTelemetry:

@@ -25,7 +25,12 @@ from hypothesis import strategies as st
 from repro.exceptions import ConfigurationError, WireError
 from repro.runtime import wire
 from repro.runtime.config import RunConfig
-from repro.runtime.messages import MomentMessage
+from repro.runtime.messages import (
+    CombinedMessage,
+    MomentMessage,
+    combined_from_payload,
+    combined_to_payload,
+)
 from repro.runtime.pool import PoolServer
 from repro.runtime.wire import (
     MAX_FRAME_BYTES,
@@ -479,6 +484,84 @@ class TestHostileDataBodies:
             return
         assert bits(message.snapshot.sum1) + bits(message.snapshot.sum2) \
             == arrays
+
+
+def sample_combined(job=None) -> CombinedMessage:
+    return CombinedMessage(
+        node_id="r2.0", sent_at=3.25, metrics={"level": 2, "drained": 7},
+        job=job, entries=tuple(
+            sample_message(rank=rank, final=rank == 4, statistics=True,
+                           job=job) for rank in (1, 4)))
+
+
+#: The combined header, pinned here independently of the library:
+#: entry count, sent_at, head length.
+COMBINED = struct.Struct("<IdI")
+
+
+class TestCombinedCodec:
+    """A reducer's forward on a pipe: entries as data-pass bodies."""
+
+    @pytest.mark.parametrize("job", [None, "exp-a"])
+    def test_round_trip_keeps_every_entry_byte(self, job):
+        combined = sample_combined(job)
+        body = combined_to_payload(combined)
+        decoded = combined_from_payload(body)
+        assert (decoded.node_id, decoded.sent_at, decoded.metrics,
+                decoded.job) == ("r2.0", 3.25, combined.metrics, job)
+        assert [message_to_payload(entry) for entry in decoded.entries] \
+            == [message_to_payload(entry) for entry in combined.entries]
+        assert combined_to_payload(decoded) == body
+
+    def test_layout(self):
+        body = combined_to_payload(sample_combined())
+        count, sent_at, head_len = COMBINED.unpack_from(body)
+        assert (count, sent_at) == (2, 3.25)
+        head = json.loads(body[COMBINED.size:COMBINED.size + head_len])
+        assert head == {"node": "r2.0", "metrics": {"level": 2,
+                                                    "drained": 7},
+                        "job": None}
+        assert body[COMBINED.size + head_len:] == b"".join(
+            message_to_payload(entry)
+            for entry in sample_combined().entries)
+
+    def test_truncation_at_every_byte_boundary(self):
+        body = combined_to_payload(sample_combined(job="j"))
+        for cut in range(len(body)):
+            with pytest.raises(WireError):
+                combined_from_payload(body[:cut])
+
+    @pytest.mark.parametrize("lie", [
+        dict(count=3), dict(count=2**32 - 1), dict(count=0),
+        dict(sent_at=float("nan")), dict(sent_at=-1.0),
+        dict(head=b"[]"), dict(head=b"{"),
+        dict(head=b'{"node":7,"metrics":null,"job":null}'),
+        dict(head=b'{"node":"r","metrics":null}'),
+        dict(head=b'{"node":"r","metrics":[],"job":null}'),
+        dict(trailer=b"\0"),
+        dict(entries=(4, 1)),              # misordered ranks
+    ], ids=lambda lie: repr(lie)[:48])
+    def test_lying_fields_raise_wire_error(self, lie):
+        ranks = lie.get("entries", (1, 4))
+        bodies = [message_to_payload(sample_message(rank=rank))
+                  for rank in ranks]
+        head = lie.get("head", b'{"node":"r","metrics":null,"job":null}')
+        body = COMBINED.pack(lie.get("count", len(bodies)),
+                             lie.get("sent_at", 1.0), len(head)) + head
+        body += b"".join(bodies) + lie.get("trailer", b"")
+        with pytest.raises(WireError):
+            combined_from_payload(body)
+
+    @given(position=st.integers(min_value=0), bit=st.integers(0, 7))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_flips_decode_or_raise_wire_error(self, position, bit):
+        body = bytearray(combined_to_payload(sample_combined(job="j")))
+        body[position % len(body)] ^= 1 << bit
+        try:
+            decoded = combined_from_payload(bytes(body))
+        except WireError:
+            return
+        assert len(decoded.entries) == 2
 
 
 class TestConfigCodec:

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import multiprocessing
 import pickle
-import queue
 import time
 
 import numpy as np
@@ -236,16 +236,55 @@ class TestJobTagAtTheSource:
         assert message_from_payload(body).job is None
 
 
+def _uniform_and_square(rng):
+    return [[rng.random(), rng.random() ** 2]]
+
+
+class TestDataBodiesPinned:
+    """The bytes every hop now carries are the bytes ``run_worker``
+    built before the worker host existed (sha256 over all passes,
+    recorded on the parent commit of that change)."""
+
+    DIGESTS = {
+        (None, False, False): "634bdb6a77ac0e4fb456a5caae21990769517f21"
+                              "9fab014fc3423d95e803d9db",
+        (None, False, True): "8797fa77deb4dc152ba20566f123857c276bc3cd"
+                             "2daeab9d41f1b86a72742db0",
+        (None, True, False): "7a337e5ab18f0b215e07af4db47db4f86639cfe4"
+                             "505b727f4db84a4d161ba648",
+        (None, True, True): "69331f91393523a4c34c7ca95cb75eb71a75ee49"
+                            "c6367908bd21579a3568eba5",
+        ("exp-a", False, False): "066b32bacd83507e611d1901db37b2bcd3b03fff"
+                                 "1b014a0fa33571d47a976c27",
+        ("exp-a", False, True): "660c4a3a77acd57a7bfa3700a98156006cb06887"
+                                "1d39d3a7b2aac26da2425f77",
+        ("exp-a", True, False): "8bf7268587576006905057e21c4984f330b36762"
+                                "89b64ae500cec5ad2b60d4b8",
+        ("exp-a", True, True): "748d4abb1b254b8fef959e51bd3d0f3433acb04c"
+                               "a6edf6d4355d24f736b17f04",
+    }
+
+    @pytest.mark.parametrize("job, extras, batched", sorted(
+        DIGESTS, key=repr))
+    def test_bodies_are_byte_identical(self, job, extras, batched):
+        ticks = iter(np.arange(1, 1000) * 0.25)  # every read: +0.25 s
+        statistics = ("moments", "extrema") if extras else ("moments",)
+        config = RunConfig(maxsv=40, nrow=1, ncol=2, perpass=0.0, seqnum=3,
+                           statistics=statistics)
+        bodies = []
+        routine = _uniform_and_square
+        run_worker(make_batched(routine, 8) if batched else routine, config,
+                   2, 40, send=lambda m: bodies.append(message_to_payload(m)),
+                   clock=lambda: float(next(ticks)), job=job)
+        assert hashlib.sha256(b"".join(bodies)).hexdigest() \
+            == self.DIGESTS[job, extras, batched]
+
+
 class TestWorkerProcess:
-    """One process body for every backend that forks workers: a queue
-    takes the message, a pipe takes its DATA body."""
+    """One process body and one sink for every backend that forks
+    workers: the DATA body of each pass, written into a pipe."""
 
     CONFIG = RunConfig(maxsv=4, perpass=0.0)
-
-    def _through_queue(self, **kwargs):
-        outbox = queue.Queue()
-        worker_process(_uniform, self.CONFIG, 1, 4, outbox, **kwargs)
-        return [outbox.get_nowait() for _ in range(outbox.qsize())]
 
     def _through_pipe(self, **kwargs):
         inbox, outbox = multiprocessing.Pipe(duplex=False)
@@ -257,22 +296,24 @@ class TestWorkerProcess:
         return received
 
     @pytest.mark.parametrize("job", [None, "exp-a"])
-    def test_queue_and_pipe_carry_the_same_passes(self, job):
-        queued = self._through_queue(job=job)
+    def test_pipe_carries_the_run_worker_passes(self, job):
+        sent = []
+        run_worker(_uniform, self.CONFIG, 1, 4, send=sent.append, job=job)
         piped = self._through_pipe(job=job)
         assert [(m.rank, m.snapshot.volume, m.final, m.job)
-                for m in queued] \
-            == [(m.rank, m.snapshot.volume, m.final, m.job)
                 for m in piped] \
+            == [(m.rank, m.snapshot.volume, m.final, m.job)
+                for m in sent] \
             == [(1, 1, False, job), (1, 2, False, job), (1, 3, False, job),
                 (1, 4, False, job), (1, 4, True, job)]
         assert all(np.array_equal(a.snapshot.sum1, b.snapshot.sum1)
-                   for a, b in zip(queued, piped))
+                   and np.array_equal(a.snapshot.sum2, b.snapshot.sum2)
+                   for a, b in zip(sent, piped))
 
     def test_deadline_arrives_absolute_or_as_remaining_seconds(self):
         # Already past either way: the worker stops after the
         # realization in flight and ships its final pass.
-        absolute = self._through_queue(deadline=time.monotonic())
+        absolute = self._through_pipe(deadline=time.monotonic())
         remaining = self._through_pipe(deadline_in=0.0)
         for passes in (absolute, remaining):
             assert passes[-1].final and passes[-1].snapshot.volume == 1
