@@ -82,16 +82,16 @@ def main() -> int:
     # -- Part 2: reducer killed on a final, subtree reassigned ---------
     # processors=5, fanout=4: r1.0 serves ranks 0-3, r1.1 serves rank 4
     # alone.  perpass is huge, so rank 4's *only* message is its final —
-    # r1.1 dies the moment it absorbs it, the worst case the grace path
-    # must cover: worker 4 exited cleanly, nothing of it ever reached
-    # the collector, so its full 5-realization quota moves to rank 5.
+    # r1.1 dies the moment it absorbs it, the worst case: worker 4
+    # exited cleanly, its respawned reducer reads end-of-file and exits,
+    # nothing of rank 4 ever reached the collector, so its full
+    # 5-realization quota moves to rank 5.
     os.environ[CRASH_ENV] = "r1.1:on-final"
     try:
         result = parmonc(square, maxsv=25, perpass=1000.0, peraver=0.0,
                          processors=5, backend="multiprocess",
                          start_method="fork", reduction_fanout=4,
-                         on_worker_death="reassign",
-                         death_grace=0.3, telemetry=True,
+                         on_worker_death="reassign", telemetry=True,
                          workdir=base / "elastic")
     finally:
         del os.environ[CRASH_ENV]

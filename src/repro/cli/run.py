@@ -99,9 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "final message: fail aborts the run "
                              "(default), reassign reissues the remaining "
                              "quota to a fresh worker")
-    parser.add_argument("--death-grace", type=float, default=1.0,
-                        help="seconds a cleanly-exited worker may stay "
-                             "silent before being declared dead")
     parser.add_argument("--statistics", default=None,
                         help="comma-separated extra statistics to "
                              "accumulate alongside the moments "
@@ -144,7 +141,6 @@ def main(argv: list[str] | None = None) -> int:
             time_limit=args.time_limit, telemetry=args.telemetry,
             batch_size=args.batch_size,
             on_worker_death=args.on_worker_death,
-            death_grace=args.death_grace,
             statistics=args.statistics,
             reduction_fanout=args.reduction_fanout,
             connect=args.connect,

@@ -151,7 +151,6 @@ def build_submit_parser() -> argparse.ArgumentParser:
                         help="comma-separated extra statistics")
     parser.add_argument("--on-worker-death",
                         choices=("fail", "reassign"), default="fail")
-    parser.add_argument("--death-grace", type=float, default=1.0)
     parser.add_argument("--cancel", metavar="JOB", default=None,
                         help="append a cancel directive for the named "
                              "job instead of submitting one (needs a "
@@ -237,7 +236,6 @@ def submit_main(argv: list[str] | None = None) -> int:
         "perpass": args.perpass, "peraver": args.peraver,
         "processors": args.processors,
         "on_worker_death": args.on_worker_death,
-        "death_grace": args.death_grace,
         "telemetry": args.telemetry,
     }
     if args.max_workers is not None:

@@ -78,7 +78,6 @@ def parmonc(realization: RealizationRoutine | None = None,
             telemetry: bool = False,
             batch_size: int | None = None,
             on_worker_death: str = "fail",
-            death_grace: float = 1.0,
             statistics: Sequence[str] | str | None = None,
             reduction_fanout: int | None = None,
             jobs: Sequence | None = None,
@@ -150,10 +149,9 @@ def parmonc(realization: RealizationRoutine | None = None,
             worker dies short of its final message; ``"reassign"``
             retires the dead rank at its last delivered watermark and
             reissues the remaining quota to a fresh worker on a fresh
-            RNG subsequence.  See ``docs/architecture.md``.
-        death_grace: Seconds a cleanly-exited worker may stay silent
-            before being declared dead (its final message may still be
-            crossing the queue).
+            RNG subsequence.  A worker is judged once everything it
+            wrote has arrived, never by a timer.  See
+            ``docs/architecture.md``.
         statistics: Mergeable statistics to accumulate alongside the
             moments — a sequence of registered kinds or a
             comma-separated string (``"moments"`` is always included
@@ -222,9 +220,8 @@ def parmonc(realization: RealizationRoutine | None = None,
         perpass=perpass, peraver=peraver, processors=processors,
         workdir=workdir, leaps=leaps, time_limit=time_limit,
         telemetry=telemetry, batch_size=batch_size,
-        on_worker_death=on_worker_death, death_grace=death_grace,
-        statistics=statistics, reduction_fanout=reduction_fanout,
-        use_files=use_files), "the run")
+        on_worker_death=on_worker_death, statistics=statistics,
+        reduction_fanout=reduction_fanout, use_files=use_files), "the run")
     return Engine(backend_impl, spec.config,
                   use_files=spec.use_files).run(spec.routine)
 
@@ -233,7 +230,7 @@ def parmonc(realization: RealizationRoutine | None = None,
 _JOB_CONFIG_KEYS = frozenset((
     "nrow", "ncol", "maxsv", "res", "seqnum", "perpass", "peraver",
     "processors", "time_limit", "telemetry", "on_worker_death",
-    "death_grace", "reduction_fanout"))
+    "reduction_fanout"))
 
 #: ... and those that are :class:`JobSpec` fields of their own.
 _JOB_KNOB_KEYS = frozenset((

@@ -64,9 +64,6 @@ class RunConfig:
             watermark and reissues the undelivered remainder of its
             quota to a replacement worker on a fresh leaped
             subsequence.
-        death_grace: Seconds a cleanly-exited worker may leave its
-            final message in flight before it is declared dead (the
-            multiprocess backend's dead-child grace period).
         statistics: Registered statistic kinds every worker accumulates
             and ships (see :mod:`repro.stats.statistic`).  Accepts a
             sequence or a comma-separated string; normalized so
@@ -100,7 +97,6 @@ class RunConfig:
     time_limit: float | None = None
     telemetry: bool = False
     on_worker_death: str = "fail"
-    death_grace: float = 1.0
     statistics: tuple[str, ...] = DEFAULT_STATISTICS
     reduction_fanout: int | None = None
 
@@ -140,10 +136,6 @@ class RunConfig:
             raise ConfigurationError(
                 f"on_worker_death must be 'fail' or 'reassign', "
                 f"got {self.on_worker_death!r}")
-        if self.death_grace < 0:
-            raise ConfigurationError(
-                f"death_grace must be >= 0 seconds, "
-                f"got {self.death_grace}")
         if self.reduction_fanout is not None and self.reduction_fanout < 2:
             raise ConfigurationError(
                 f"reduction_fanout must be >= 2 (or None for the flat "

@@ -25,10 +25,12 @@ Elasticity falls out of two existing mechanisms:
 
 All socket work happens on an asyncio loop in a private daemon thread;
 the engine-facing methods communicate with it through thread-safe
-queues, and dead-worker verdicts reuse the engine's shared
-:class:`~repro.runtime.engine.DrainBuffer` drain-before-verdict helper
-and ``config.death_grace`` window, so the semantics cannot diverge from
-the multiprocess backend's.
+queues.  DATA, EXIT and lost-pool records share one ordered inbox, and
+a pool sends a worker's EXIT only after draining its pipe, so by the
+time :meth:`~DistributedBackend.poll` meets an exit every pass of that
+worker has been handed to the collector: the verdict is the multiprocess
+backend's — dead exactly when the rank's final is not in — with no
+clock.
 """
 
 from __future__ import annotations
@@ -43,9 +45,7 @@ from dataclasses import dataclass, field
 
 from repro.exceptions import BackendError, ConfigurationError, WireError
 from repro.runtime.engine import (
-    DrainBuffer,
     EngineBackend,
-    ExitVerdicts,
     WorkerDeath,
     register_backend,
 )
@@ -141,12 +141,11 @@ def _sorted_keys(keys) -> list[tuple[str | None, int]]:
 
 @dataclass(frozen=True)
 class _ExitRecord:
-    """An EXIT frame or a lost connection, queued for the reap thread."""
+    """An EXIT frame or a lost connection, queued behind its DATA."""
 
     rank: int
     exitcode: int | None
     detail: str
-    lost: bool = False
     job: str | None = None
 
 
@@ -187,13 +186,11 @@ class DistributedBackend(EngineBackend):
         self._heartbeat_timeout = heartbeat_timeout
         self._connect_timeout = connect_timeout
         self._retry_interval = retry_interval
-        # Engine-thread <- network-thread channels.
+        # Engine-thread <- network-thread channels: messages and exit
+        # records in arrival order, and telemetry notices.
         self._inbox: queue_module.Queue = queue_module.Queue()
-        self._exits: queue_module.Queue = queue_module.Queue()
         self._notices: queue_module.Queue = queue_module.Queue()
-        self._drainbuf = DrainBuffer(self._inbox.get_nowait)
-        self._verdicts = ExitVerdicts()
-        self._exit_backlog: list[_ExitRecord] = []
+        self._exited: list[_ExitRecord] = []  # awaiting a verdict
         # Network-thread state; the engine thread changes it only
         # through _on_loop, so its changes land in the order it made
         # them.  Undispatched assignments, and per running job the
@@ -236,60 +233,37 @@ class DistributedBackend(EngineBackend):
 
     def poll(self, timeout: float) -> MomentMessage | None:
         self._flush_notices()
-        message = self._drainbuf.pop()
-        if message is not None:
-            return message
         try:
-            return self._inbox.get(timeout=timeout)
+            item = self._inbox.get(timeout=timeout)
         except queue_module.Empty:
             return None
+        if isinstance(item, _ExitRecord):
+            self._exited.append(item)
+            return None
+        return item
 
     def reap(self) -> list[WorkerDeath]:
-        """Judge exits and lost pools — after draining queued frames.
+        """Judge the exits and lost pools :meth:`poll` met.
 
-        Pools send a worker's EXIT frame only after flushing its queued
-        data (and TCP preserves that order), so draining the inbox
-        first guarantees every delivered message reaches the collector
-        before its sender can be declared dead.  Verdicts are the
-        shared :class:`~repro.runtime.engine.ExitVerdicts`: nonzero
-        exit codes and lost pools are dead on sight, a clean exit
-        without a final message gets ``config.death_grace`` seconds.
+        Each came off the inbox behind everything its worker wrote, so
+        a rank is dead exactly when its final is not in; a lost pool's
+        ranks that finished are not re-killed.
         """
         self._flush_notices()
-        if self._drainbuf.drain():
-            # Let the engine ingest the buffered messages first; death
-            # verdicts resume on the next empty poll.
-            return []
-        now = self.clock()
-        while True:
-            try:
-                self._exit_backlog.append(self._exits.get_nowait())
-            except queue_module.Empty:
-                break
         dead: list[WorkerDeath] = []
-        waiting: list[_ExitRecord] = []
-        for record in self._exit_backlog:
-            key = (record.job, record.rank)
+        for record in self._exited:
             try:
                 context = self.engine.job_context(record.job)
             except BackendError:
                 # The scheduler pruned the job after DONE; its workers'
                 # late EXIT frames are stray traffic, like late DATA.
-                self._verdicts.forget(key)
                 self.engine.stray_messages += 1
                 continue
-            verdict = self._verdicts.judge(
-                key, final=record.rank in context.collector.final_ranks,
-                crashed=bool(record.lost or record.exitcode), now=now,
-                grace=context.config.death_grace)
-            if verdict is None:
-                waiting.append(record)
-            elif verdict:
+            if record.rank not in context.collector.final_ranks:
                 dead.append(WorkerDeath(record.rank, record.exitcode,
                                         detail=record.detail,
                                         job=record.job))
-            # else finished before exiting: a normal completion
-        self._exit_backlog = waiting
+        self._exited.clear()
         if not dead:
             self._check_pool_starvation()
         return dead
@@ -355,9 +329,7 @@ class DistributedBackend(EngineBackend):
     def _check_pool_starvation(self) -> None:
         if self._connected_pools > 0:
             return
-        outstanding = bool(self._pending) or bool(self._exit_backlog) \
-            or not self.engine.all_complete
-        if not outstanding:
+        if not self._pending and self.engine.all_complete:
             return
         silent = time.monotonic() - self._last_pool_seen
         if silent > self._connect_timeout:
@@ -508,7 +480,7 @@ class DistributedBackend(EngineBackend):
                 job = payload.get("job")
                 job = None if job is None else str(job)
                 link.active.discard((job, rank))
-                self._exits.put(_ExitRecord(
+                self._inbox.put(_ExitRecord(
                     rank=rank, exitcode=payload.get("exitcode"),
                     detail=f"on pool {link.label}", job=job))
                 self._dispatch_event.set()
@@ -595,9 +567,8 @@ class DistributedBackend(EngineBackend):
         if self._stop_event.is_set():
             return
         for job, rank in _sorted_keys(link.active):
-            self._exits.put(_ExitRecord(
+            self._inbox.put(_ExitRecord(
                 rank=rank, exitcode=None,
-                detail=f"pool {link.label} connection lost", lost=True,
-                job=job))
+                detail=f"pool {link.label} connection lost", job=job))
         link.active.clear()
         self._notice("pool_disconnected", pool=link.label)

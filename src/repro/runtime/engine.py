@@ -42,9 +42,7 @@ from __future__ import annotations
 
 import importlib
 import inspect
-import queue as queue_module
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -55,10 +53,8 @@ from repro.runtime.messages import CombinedMessage, MomentMessage
 from repro.runtime.result import RunResult
 
 __all__ = [
-    "DrainBuffer",
     "EngineBackend",
     "Engine",
-    "ExitVerdicts",
     "WorkerAssignment",
     "WorkerDeath",
     "available_backends",
@@ -264,18 +260,15 @@ class EngineBackend:
     def reap(self) -> list[WorkerDeath]:
         """Report workers that died short of their final message.
 
-        Called when :meth:`poll` comes back empty.  Whatever a suspect
-        worker delivered must reach the collector before it is judged —
-        a delivered final means it finished, a non-final pass moves the
-        watermark that sizes a reassignment: the multiprocess backend's
-        :class:`~repro.runtime.host.WorkerHost` reports an exit only
-        after the child's pipe is drained, the distributed backend
-        drains its inbox into a :class:`DrainBuffer` and judges nobody
-        on a round that buffered anything.  Then, by
-        :class:`ExitVerdicts`: a nonzero exit is dead on sight; a clean
-        exit whose final message has not arrived gets
-        ``config.death_grace`` seconds; a rank in
-        ``collector.final_ranks`` is never dead.
+        Called when :meth:`poll` comes back empty.  No verdict reads a
+        clock: a worker is judged only once everything it wrote has
+        reached the collector, and it is then dead exactly when its
+        rank is not in ``collector.final_ranks``.  The multiprocess
+        backend's :class:`~repro.runtime.host.WorkerHost` reports an
+        exit only after the child's pipe is drained, and a tree rank's
+        clean exit waits until the root reducer above it has exited;
+        the distributed backend reads a pool's DATA and EXIT frames off
+        one ordered inbox.  A nonzero exit is judged on sight.
         """
         return []
 
@@ -286,83 +279,6 @@ class EngineBackend:
     def done(self) -> bool:
         """True when the backend can produce no further messages."""
         return self._done
-
-
-class DrainBuffer:
-    """Drain-before-verdict buffer for a backend fed by a queue.
-
-    A worker whose passes still sit in a thread-fed queue (the
-    distributed backend's socket thread) must not be judged yet:
-    ``reap`` calls :meth:`drain` first and returns no deaths when it
-    buffered anything, and ``poll`` hands out :meth:`pop` results
-    before reading the queue, so drained messages keep their order.
-
-    Args:
-        fetch_nowait: Returns the next queued message, raising
-            :class:`queue.Empty` when there is none.
-    """
-
-    def __init__(self, fetch_nowait: Callable[[], MomentMessage]) -> None:
-        self._fetch = fetch_nowait
-        self._buffer: deque[MomentMessage | CombinedMessage] = deque()
-
-    def pop(self) -> MomentMessage | None:
-        """The oldest buffered message, or None when empty."""
-        if self._buffer:
-            return self._buffer.popleft()
-        return None
-
-    def drain(self) -> bool:
-        """Move every pending message into the buffer; True if any were."""
-        drained = False
-        while True:
-            try:
-                self._buffer.append(self._fetch())
-            except queue_module.Empty:
-                break
-            drained = True
-        return drained
-
-
-class ExitVerdicts:
-    """Step 2 of the :meth:`EngineBackend.reap` contract (exited workers).
-
-    One instance per backend judges every worker the backend has seen
-    exit (or lose its pool), keyed ``(job, rank)``, and remembers when
-    a clean exit without a final message was first noticed so its
-    grace period runs across ``reap`` calls.
-    """
-
-    def __init__(self) -> None:
-        self._suspects: dict[tuple, float] = {}
-
-    def judge(self, key: tuple, *, final: bool, crashed: bool,
-              now: float, grace: float) -> bool | None:
-        """Whether the exited worker ``key`` is dead.
-
-        Args:
-            key: ``(job, rank)`` of the exited worker.
-            final: The rank is in its collector's ``final_ranks``.
-            crashed: Nonzero exit code, signal, or lost pool.
-            now: The backend clock.
-            grace: The owning job's ``config.death_grace``.
-
-        Returns:
-            False for a finalized rank (never dead); True for a crash,
-            or for a clean exit still silent ``grace`` seconds after it
-            was first judged; None while that grace is running.
-        """
-        if final:
-            self._suspects.pop(key, None)
-            return False
-        if crashed or now - self._suspects.setdefault(key, now) >= grace:
-            self._suspects.pop(key, None)
-            return True
-        return None
-
-    def forget(self, key: tuple) -> None:
-        """Drop a worker whose job was released or pruned."""
-        self._suspects.pop(key, None)
 
 
 # ---------------------------------------------------------------------------

@@ -90,10 +90,13 @@ class WorkerHost:
             process.start()
             if reader is not None:
                 outbox.close()  # the child holds the only write end now
+        # Read before it is published: a reader on another thread may
+        # report a quick child's exit, and close it, at once.
+        pid = process.pid
         with self._lock:
             self._children[key] = (process, reader)
         self._wake_writer.send_bytes(b"")  # a read in progress waits on it
-        return process.pid
+        return pid
 
     def read(self, timeout: float | None = None):
         """``(key, body)``, or ``(key, exitcode)`` once a child exited

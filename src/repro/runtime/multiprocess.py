@@ -14,9 +14,12 @@ O(fanout) peers instead of O(M).
 Dead children are *reported* to the engine, which applies the run's
 :attr:`~repro.runtime.config.RunConfig.on_worker_death` policy — abort
 (default) or reassign the undelivered quota to a replacement on a fresh
-subsequence.  Dead *reducers* hold nothing that is not cumulative in
-their children's next passes, so under ``"reassign"`` they are
-respawned in place, on the same edges.
+subsequence.  A worker is judged once everything it wrote is in: its
+own pipe drained, or — for a clean exit in a tree — the root reducer
+above it exited.  Crashed *reducers* hold nothing that is not
+cumulative in their children's next passes, so under ``"reassign"``
+they are respawned in place, on the same edges; one that exited 0 has
+retired, and the backend lets go of its upstream edge.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import multiprocessing
 from repro.exceptions import BackendError
 from repro.runtime.engine import (
     EngineBackend,
-    ExitVerdicts,
     WorkerDeath,
     register_backend,
 )
@@ -72,7 +74,6 @@ class MultiprocessBackend(EngineBackend):
         self._start_method = start_method
         self._host: WorkerHost | None = None
         self._exits: dict[tuple, int] = {}  # awaiting a verdict
-        self._verdicts = ExitVerdicts()
         # Per job running a tree: its plan, and one edge pipe per
         # planned child, keyed by worker rank or child node id.
         self._plans: dict = {}
@@ -115,7 +116,6 @@ class MultiprocessBackend(EngineBackend):
                          if key[0] == job_id])
         for key in [key for key in self._exits if key[0] == job_id]:
             del self._exits[key]
-            self._verdicts.forget(key)
         self._plans.pop(job_id, None)
         for edge in self._edges.pop(job_id, {}).values():
             self._host.release(*edge)
@@ -155,14 +155,19 @@ class MultiprocessBackend(EngineBackend):
 
     # -- health -----------------------------------------------------------
 
-    def _respawn_reducer(self, owner, node_id: str, exitcode: int,
-                         now: float) -> None:
-        """Respawn a dead reducer on the same edges, or fail the run.
+    def _reducer_exited(self, owner, node_id: str, exitcode: int) -> None:
+        """Retire a reducer that exited 0, respawn a crashed one on the
+        same edges, or fail the run.
 
-        What it absorbed but never forwarded is the worker grace path's
-        (an eaten final leads to a quota reassignment)."""
+        A retired non-root reducer's upstream edge is closed here too,
+        so its parent reads end-of-file and can retire in turn.  What a
+        crashed one absorbed but never forwarded is judged with the
+        workers it came from, once the root above them exited."""
+        node = self._plans[owner].node(node_id)
         if exitcode == 0:
-            return  # subtree complete; the node retired itself
+            if node.parent is not None:
+                self._host.release(self._edges[owner][node_id][1])
+            return
         context = self.engine.job_context(owner)
         if context.config.on_worker_death != "reassign":
             raise BackendError(
@@ -173,38 +178,41 @@ class MultiprocessBackend(EngineBackend):
                 f"reducer {node_id} died but the respawn budget is "
                 f"exhausted")
         self._respawn_budget -= 1
-        pid = self._start_reducer(owner, self._plans[owner].node(node_id))
+        pid = self._start_reducer(owner, node)
         telemetry = context.telemetry
         if telemetry is not None:
             telemetry.registry.counter("reduction.respawns").inc()
             telemetry.events.append(
-                "reducer_respawned", ts=now, node=node_id,
+                "reducer_respawned", ts=self.clock(), node=node_id,
                 exitcode=exitcode, pid=pid)
             telemetry.events.flush()
 
+    def _root_runs_above(self, job, rank: int) -> bool:
+        """Whether a root reducer whose subtree holds ``rank`` still
+        runs (its last passes may still be in the tree)."""
+        plan = self._plans.get(job)
+        running = self._host.keys()
+        return plan is not None and any(
+            rank in root.subtree_ranks and (job, root.node_id) in running
+            for root in plan.roots)
+
     def reap(self) -> list[WorkerDeath]:
-        """Judge the exits the host reported — each after its pipe was
-        drained — with the shared :class:`~repro.runtime.engine
-        .ExitVerdicts`: a nonzero exit is dead on sight, a clean one
-        without its final pass gets ``config.death_grace`` seconds (in a
-        tree that pass may still sit in a reducer).  Dead reducers go
-        first, so a respawned subtree can deliver pending finals."""
-        now = self.clock()
+        """Judge the exits the host reported, each after its pipe was
+        drained.  Reducers go first, so a respawned one is running again
+        before the workers below it are looked at.  A worker's clean
+        exit in a tree waits for the root reducer above it; then the
+        worker is dead exactly when its final pass is not in."""
         dead: list[WorkerDeath] = []
         for key in sorted(self._exits, key=lambda k: isinstance(k[1], int)):
             job, who = key
             if isinstance(who, str):  # a reducer's node id
-                self._respawn_reducer(job, who, self._exits.pop(key), now)
+                self._reducer_exited(job, who, self._exits.pop(key))
                 continue
-            context = self.engine.job_context(job)
-            verdict = self._verdicts.judge(
-                key, final=who in context.collector.final_ranks,
-                crashed=self._exits[key] != 0, now=now,
-                grace=context.config.death_grace)
-            if verdict is not None:
-                exitcode = self._exits.pop(key)
-                if verdict:
-                    dead.append(WorkerDeath(who, exitcode, job=job))
+            if self._exits[key] == 0 and self._root_runs_above(job, who):
+                continue
+            exitcode = self._exits.pop(key)
+            if who not in self.engine.job_context(job).collector.final_ranks:
+                dead.append(WorkerDeath(who, exitcode, job=job))
         return dead
 
     def shutdown(self) -> None:

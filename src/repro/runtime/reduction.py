@@ -29,9 +29,11 @@ the very next pass of each child, so a dead reducer's subtree
 reattaches without data loss (the multiprocess backend respawns the
 node on the same edge pipes under ``on_worker_death="reassign"``).
 A final message the dying reducer absorbed but never forwarded is
-caught by the engine's existing clean-exit grace path and the worker's
-remaining quota is reassigned — late duplicates from its subtree drop
-harmlessly at the collector.
+judged by message order, not by a timer: the respawned reducer reads
+end-of-file on the exited worker's edge, the root above it exits, and
+only then is the worker judged — its final is not in, so its remaining
+quota is reassigned.  Late duplicates from its subtree drop harmlessly
+at the collector.
 
 The ``PARMONC_REDUCER_CRASH`` environment knob injects deterministic
 reducer deaths for the fault-tolerance tests (same spirit as the
@@ -319,7 +321,7 @@ def run_reducer(node: ReducerNode, inboxes, upstream, *,
             ready = wait(inboxes, 0)
         if crash is not None and crash[0] == "on-final" and saw_final:
             # Die with the final absorbed but unforwarded: the worst
-            # case the engine's grace path must cover.
+            # case, judged once the root above this node has exited.
             os._exit(_CRASH_EXITCODE)
         combined = coalescer.take(clock())
         if combined is not None:

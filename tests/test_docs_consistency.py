@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import inspect
+import json
 import re
 import tomllib
 from pathlib import Path
@@ -166,6 +167,67 @@ class TestOneSameHostPath:
             for path in (ROOT / "src" / "repro").rglob("*.py")
             if pattern.search(path.read_text())]
         assert offenders == []
+
+
+class TestVerdictsReadNoClock:
+    # docs/architecture.md "Judged once everything is in": a worker's
+    # death is a function of message order, so the grace timer and every
+    # surface that set it are gone, and no reap reads a clock.
+
+    def test_the_grace_knob_is_gone_from_every_surface(self):
+        from repro import parmonc
+        from repro.cli.run import build_parser
+        from repro.cli.sched import build_sched_parser, build_submit_parser
+        from repro.runtime import engine
+        from repro.runtime.config import RunConfig
+
+        assert "death_grace" not in inspect.signature(parmonc).parameters
+        assert "death_grace" not in {
+            field.name for field in dataclasses.fields(RunConfig)}
+        with pytest.raises(TypeError):
+            RunConfig(death_grace=1.0)
+        with pytest.raises(TypeError):
+            parmonc(lambda rng: 0.0, death_grace=1.0)
+        for parser, argv in (
+                (build_parser(), ["mod:fn", "--maxsv", "1"]),
+                (build_submit_parser(), ["mod:fn", "--maxsv", "1"]),
+                (build_sched_parser(), [])):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv + ["--death-grace", "1"])
+        for name in ("DrainBuffer", "ExitVerdicts"):
+            assert not hasattr(engine, name), name
+
+    def test_a_job_entry_naming_it_is_an_unknown_key(self, tmp_path,
+                                                      capsys):
+        from repro import parmonc
+        from repro.cli.sched import sched_main, submit_main, validate_entry
+        from repro.exceptions import ConfigurationError
+
+        entry = {"routine": "random:random", "maxsv": 1, "death_grace": 1}
+        with pytest.raises(ConfigurationError, match="death_grace"):
+            validate_entry(entry)
+        with pytest.raises(ConfigurationError, match="death_grace"):
+            parmonc(jobs=[dict(entry, routine=_square)])
+        queue = tmp_path / "queue.jsonl"
+        with pytest.raises(SystemExit) as caught:
+            submit_main(["random:random", "--queue", str(queue),
+                         "--maxsv", "1", "--death-grace", "1"])
+        assert caught.value.code == 2
+        assert "--death-grace" in capsys.readouterr().err
+        assert not queue.exists()
+        queue.write_text(json.dumps(entry) + "\n")
+        assert sched_main(["--queue", str(queue),
+                           "--backend", "sequential"]) == 2
+        assert "death_grace" in capsys.readouterr().err
+
+    def test_no_death_verdict_reads_a_clock(self):
+        from repro.runtime.distributed import DistributedBackend
+        from repro.runtime.multiprocess import MultiprocessBackend
+
+        for backend in (MultiprocessBackend, DistributedBackend):
+            source = inspect.getsource(backend.reap)
+            assert not re.search(r"clock\(|time\.|monotonic", source), \
+                backend.__name__
 
 
 class TestOneContextSource:

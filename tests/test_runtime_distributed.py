@@ -17,6 +17,7 @@ import signal
 import socket
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,16 +25,21 @@ import pytest
 from repro.core.parmonc import parmonc
 from repro.exceptions import ConfigurationError
 from repro.obs.events import read_events
+from repro.runtime.collector import Collector
 from repro.runtime.config import RunConfig
 from repro.runtime.distributed import (
     DistributedBackend,
     _ExitRecord,
+    _PoolLink,
     parse_connect,
 )
 from repro.runtime.job import JobSpec, JobStatus
+from repro.runtime.messages import MomentMessage, message_to_payload
 from repro.runtime.pool import PoolServer
 from repro.runtime.scheduler import Scheduler
+from repro.runtime.wire import FrameKind, encode_frame
 from repro.runtime.worker import run_worker
+from repro.stats.accumulator import MomentAccumulator
 from repro.stats.merging import merge_snapshots
 from repro.stats.statistic import payload_map
 
@@ -431,7 +437,7 @@ class TestTeardownAndLateTraffic:
             assert scheduler.prune() == 1
             second = scheduler.submit(
                 _streaming_spec("second", tmp_path, seqnum=1))
-            backend._exits.put(_ExitRecord(
+            backend._inbox.put(_ExitRecord(
                 rank=0, exitcode=0, detail="delivered late", job="first"))
             # Admits and dispatches ``second``; its workers cannot have
             # answered yet, so the empty poll falls through to the reap.
@@ -505,6 +511,65 @@ class TestTeardownAndLateTraffic:
             server.stop()
         assert retries == []
         assert late.result.total_volume == 16
+
+
+class TestOneOrderedInbox:
+    """DATA, EXIT and lost-pool records share one inbox, so an exit
+    comes off it only behind every pass its worker wrote: ``reap``
+    judges with no drain and no clock."""
+
+    @staticmethod
+    def _pass(rank, volume, final):
+        accumulator = MomentAccumulator(1, 1)
+        for _ in range(volume):
+            accumulator.add(0.5)
+        return MomentMessage(rank=rank, snapshot=accumulator.snapshot(),
+                             sent_at=0.0, final=final)
+
+    def test_an_exit_is_judged_behind_its_worker_data(self):
+        frames = [
+            (FrameKind.DATA, message_to_payload(self._pass(0, 4, True))),
+            (FrameKind.EXIT, {"rank": 0, "exitcode": 0}),
+            (FrameKind.DATA, message_to_payload(self._pass(1, 2, False))),
+            (FrameKind.EXIT, {"rank": 1, "exitcode": 0}),
+        ]
+        backend = DistributedBackend(connect="127.0.0.1:1")
+
+        async def read_link():
+            backend._stop_event = asyncio.Event()
+            backend._dispatch_event = asyncio.Event()
+            reader = asyncio.StreamReader()
+            for kind, payload in frames:
+                reader.feed_data(encode_frame(kind, payload))
+            reader.feed_eof()
+            link = _PoolLink(("pool", 1), reader, None, label="pool")
+            link.active.update({(None, 0), (None, 1)})
+            with pytest.raises(asyncio.IncompleteReadError):
+                await backend._read_loop(link)
+            assert link.active == set()
+
+        asyncio.run(read_link())
+        config = RunConfig(maxsv=8, processors=2)
+        collector = Collector(config, MomentAccumulator(1, 1).snapshot(),
+                              data=None)
+        backend.engine = SimpleNamespace(
+            job_context=lambda job: SimpleNamespace(collector=collector),
+            all_complete=False)
+        # The scheduler's turn: ingest a message, or reap on an empty poll.
+        order, deaths = [], []
+        for _ in frames:
+            message = backend.poll(0.0)
+            if message is None:
+                order.append("exit")
+                deaths.append([(death.rank, death.exitcode)
+                               for death in backend.reap()])
+            else:
+                order.append((message.rank, message.final))
+                collector.receive(message, now=0.0)
+        assert order == [(0, True), "exit", (1, False), "exit"]
+        assert deaths == [[], [(1, 0)]]
+        assert collector.worker_volume(1) == 2  # the watermark it leaves
+        assert backend.poll(0.0) is None and backend.reap() == []
 
 
 class TestCli:

@@ -280,13 +280,14 @@ class TestMultiprocessReassignment:
         assert backend.shutdowns == 1
         assert set(threading.enumerate()) <= threads_before
 
-    def test_clean_exit_without_final_honours_death_grace(self, tmp_path):
+    def test_clean_exit_without_final_is_dead(self, tmp_path):
+        # Flat host pipe: the exit is reported once the pipe is drained,
+        # so a clean exit whose final is not in is judged dead at once.
         routine = make_clean_quitter(tmp_path / "quit.flag")
         with pytest.raises(BackendError, match="exitcode 0"):
             parmonc(routine, maxsv=4000, perpass=0.5, peraver=0.0,
                     processors=2, backend="multiprocess",
-                    start_method="fork", death_grace=0.2,
-                    workdir=tmp_path)
+                    start_method="fork", workdir=tmp_path)
 
 
 def _tear_rank_one(routine, config, rank, quota, outbox, **kwargs):
@@ -398,10 +399,9 @@ class TestDeadWorkerDetection:
     FINAL = MomentMessage(rank=0, snapshot=_snapshot(4), sent_at=0.0,
                           final=True)
 
-    def _backend(self, bodies=(), exitcode=0, death_grace=0.0):
+    def _backend(self, bodies=(), exitcode=0):
         """A backend whose one worker wrote ``bodies`` and has exited."""
-        config = RunConfig(maxsv=4, processors=1,
-                           death_grace=death_grace)
+        config = RunConfig(maxsv=4, processors=1)
         backend = MultiprocessBackend(start_method="fork")
         # Stands in for the bound scheduler: one anonymous job, read
         # like every job through job_context().
@@ -445,6 +445,30 @@ class TestDeadWorkerDetection:
         assert backend.poll(0.75) is None
         assert backend._host.timeouts == [0.75]
 
+    def test_start_survives_a_reader_forgetting_the_child_at_once(self):
+        # A pool session starts workers on its loop thread while its
+        # watcher reads: a child that exits at once may be reported,
+        # and closed, before start() returns.  Play the watcher inside
+        # start()'s wake-up so that happens every time.
+        host = WorkerHost(multiprocessing.get_context("fork"))
+        reported = []
+
+        class WatcherWakeUp:
+            def send_bytes(self, _):
+                while not reported:
+                    event = host.read(5.0)
+                    if event is not None and isinstance(event[1], int):
+                        reported.append(event)
+
+        host._wake_writer, wake = WatcherWakeUp(), host._wake_writer
+        try:
+            pid = host.start("quick", _write_then_exit, [], 0)
+            assert reported == [("quick", 0)]
+            assert isinstance(pid, int) and host.keys() == []
+        finally:
+            host._wake_writer = wake
+            host.close()
+
     def test_finalized_worker_is_never_a_suspect(self):
         backend = self._backend([message_to_payload(self.FINAL)])
         try:
@@ -465,17 +489,11 @@ class TestPolicyConfiguration:
         with pytest.raises(ConfigurationError, match="on_worker_death"):
             RunConfig(maxsv=1, on_worker_death="retry")
 
-    def test_negative_death_grace_rejected(self):
-        with pytest.raises(ConfigurationError, match="death_grace"):
-            RunConfig(maxsv=1, death_grace=-0.1)
-
     def test_cli_accepts_fault_flags(self):
         from repro.cli.run import build_parser
         args = build_parser().parse_args(
-            ["mod:fn", "--maxsv", "10", "--on-worker-death", "reassign",
-             "--death-grace", "0.5"])
+            ["mod:fn", "--maxsv", "10", "--on-worker-death", "reassign"])
         assert args.on_worker_death == "reassign"
-        assert args.death_grace == 0.5
 
     def test_cli_rejects_unknown_policy(self, capsys):
         from repro.cli.run import build_parser

@@ -27,7 +27,9 @@ from repro.core.parmonc import parmonc
 from repro.exceptions import BackendError, ConfigurationError
 from repro.obs.events import read_events
 from repro.rng.streams import StreamTree
+from repro.runtime import multiprocess as multiprocess_module
 from repro.runtime.config import RunConfig
+from repro.runtime.engine import Engine
 from repro.runtime.messages import (
     CombinedMessage,
     MomentMessage,
@@ -35,12 +37,14 @@ from repro.runtime.messages import (
     combined_to_payload,
     message_to_payload,
 )
+from repro.runtime.multiprocess import MultiprocessBackend
 from repro.runtime.reduction import (
     CRASH_ENV,
     Coalescer,
     plan_reduction,
     run_reducer,
 )
+from repro.runtime.worker import worker_process
 from repro.stats.accumulator import MomentAccumulator, MomentSnapshot
 from repro.stats.merging import merge_snapshots
 
@@ -414,14 +418,15 @@ class TestReducerFaultTolerance:
             self, tmp_path, monkeypatch):
         # fanout=2 over 3 workers: r1.0 serves {0, 1}, r1.1 serves {2}.
         # r1.1 dies the moment it absorbs rank 2's final (perpass is
-        # huge, so that final is rank 2's only message): the engine's
-        # grace path must reassign rank 2's full quota to a fresh rank.
+        # huge, so that final is rank 2's only message).  Its respawn
+        # reads end-of-file and exits, so rank 2 is judged with nothing
+        # delivered: its full quota moves to a fresh rank.
         monkeypatch.setenv(CRASH_ENV, "r1.1:on-final")
         result = parmonc(square, maxsv=30, perpass=1000.0, peraver=0.0,
                          processors=3, seqnum=1, backend="multiprocess",
                          start_method="fork", reduction_fanout=2,
-                         on_worker_death="reassign", death_grace=0.3,
-                         telemetry=True, workdir=tmp_path)
+                         on_worker_death="reassign", telemetry=True,
+                         workdir=tmp_path)
         assert result.total_volume == 30
         assert result.recovered_ranks == (2,)
         reference = self._reference_estimates({0: 10, 1: 10, 3: 10})
@@ -439,14 +444,13 @@ class TestReducerFaultTolerance:
         baseline = parmonc(square, maxsv=50, perpass=1000.0, peraver=0.0,
                            processors=5, seqnum=1, backend="multiprocess",
                            start_method="fork", workdir=tmp_path / "flat")
-        # Every reducer dies right after its first forward; generous
-        # grace so in-flight finals never trigger a false reassignment.
+        # Every reducer dies right after its first forward.
         monkeypatch.setenv(CRASH_ENV, "*:after-forward-1")
         result = parmonc(square, maxsv=50, perpass=1000.0, peraver=0.0,
                          processors=5, seqnum=1, backend="multiprocess",
                          start_method="fork", reduction_fanout=2,
-                         on_worker_death="reassign", death_grace=5.0,
-                         telemetry=True, workdir=tmp_path / "tree")
+                         on_worker_death="reassign", telemetry=True,
+                         workdir=tmp_path / "tree")
         assert result.total_volume == 50
         assert result.recovered_ranks == ()
         assert np.array_equal(result.estimates.mean,
@@ -466,3 +470,108 @@ class TestReducerFaultTolerance:
                     processors=3, seqnum=1, backend="multiprocess",
                     start_method="fork", reduction_fanout=2,
                     workdir=tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# Verdicts by message order: a tree rank is judged once its root exited
+
+
+class _GatedReducers(MultiprocessBackend):
+    """Reducers wait at a gate this backend opens only once the host has
+    reported every planned worker's exit: each worker's final is then
+    still in the tree, however long it stays there."""
+
+    def __init__(self, gate, workers):
+        super().__init__(start_method="fork")
+        self._gate, self._workers, self._seen = gate, set(workers), set()
+
+    def poll(self, timeout):
+        message = super().poll(timeout)
+        self._seen.update(who for _, who in self._exits
+                          if isinstance(who, int))
+        if self._seen >= self._workers:
+            self._gate.set()
+        return message
+
+
+class _SilentAtThirdPass:
+    """Rank 3's outbox: two passes go out, then the worker exits 0."""
+
+    def __init__(self, outbox):
+        self._outbox, self._sent = outbox, 0
+
+    def send_bytes(self, body):
+        if self._sent == 2:
+            os._exit(0)
+        self._outbox.send_bytes(body)
+        self._sent += 1
+
+
+def _rank_three_goes_silent(routine, config, rank, quota, outbox, **kwargs):
+    """Host target: rank 3 exits cleanly before its final pass."""
+    if rank == 3:
+        outbox = _SilentAtThirdPass(outbox)
+    worker_process(routine, config, rank, quota, outbox, **kwargs)
+
+
+class TestVerdictsByMessageOrder:
+    RUN = dict(maxsv=25, perpass=0.0, peraver=0.0, processors=5,
+               seqnum=1, reduction_fanout=2)
+
+    def test_healthy_tree_held_past_every_exit_is_not_reassigned(
+            self, tmp_path, monkeypatch):
+        # fanout 2 over 4 workers: roots r1.0 {0, 1} and r1.1 {2, 3}.
+        # Every worker has exited, its final unread in an edge, before
+        # any reducer reads a byte; no timer may call that a death.
+        gate = multiprocessing.get_context("fork").Event()
+
+        def gated(*args, **kwargs):
+            gate.wait()
+            run_reducer(*args, **kwargs)
+
+        monkeypatch.setattr(multiprocess_module, "run_reducer", gated)
+        run = dict(maxsv=40, perpass=0.0, peraver=0.0, processors=4,
+                   seqnum=1)
+        flat = parmonc(square, **run, backend="multiprocess",
+                       start_method="fork", workdir=tmp_path / "flat")
+        config = RunConfig(**run, reduction_fanout=2,
+                           on_worker_death="reassign",
+                           workdir=tmp_path / "tree")
+        result = Engine(_GatedReducers(gate, range(4)), config).run(square)
+        assert gate.is_set()
+        assert result.recovered_ranks == ()
+        assert result.total_volume == 40
+        for name in ("mean", "variance", "abs_error", "rel_error"):
+            assert getattr(result.estimates, name).tobytes() \
+                == getattr(flat.estimates, name).tobytes(), name
+
+    def test_silent_rank_fails_the_job_under_fail(self, tmp_path,
+                                                  monkeypatch):
+        # fanout 2 over 5 workers: r1.1 {2, 3} reports to r2.0, a second
+        # level.  r2.0 reads end-of-file on r1.1's edge only once the
+        # backend let go of it, so rank 3 is judged when r2.0 exits.
+        monkeypatch.setattr(multiprocess_module, "worker_process",
+                            _rank_three_goes_silent)
+        assert plan_reduction(range(5), 2).levels == 2
+        with pytest.raises(BackendError, match=r"rank 3 \(exitcode 0\)"):
+            parmonc(square, **self.RUN, backend="multiprocess",
+                    start_method="fork", workdir=tmp_path)
+
+    def test_silent_rank_is_reassigned_at_its_watermark(self, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.setattr(multiprocess_module, "worker_process",
+                            _rank_three_goes_silent)
+        result = parmonc(square, **self.RUN, backend="multiprocess",
+                         start_method="fork", on_worker_death="reassign",
+                         workdir=tmp_path)
+        assert result.recovered_ranks == (3,)
+        assert result.total_volume == 25
+        # Both passes rank 3 wrote crossed two reducer levels before the
+        # verdict; the remaining three realizations ran on rank 5.
+        assert result.per_rank_volumes[3] == 2
+        assert result.per_rank_volumes[5] == 3
+        reference = TestReducerFaultTolerance()._reference_estimates(
+            {0: 5, 1: 5, 2: 5, 3: 2, 4: 5, 5: 3})
+        assert result.estimates.mean.tobytes() == reference.mean.tobytes()
+        assert result.estimates.variance.tobytes() \
+            == reference.variance.tobytes()

@@ -801,7 +801,7 @@ class TestJobRelease:
                 assert not backend._pending
             elif name == "multiprocess":
                 assert backend._host.keys() == [] and backend._plans == {}
-                assert backend._verdicts._suspects == {}
+                assert backend._exits == {}
             else:
                 # Frames on a link keep their order, so with ``last``'s
                 # passes back every earlier release has been served.
