@@ -118,6 +118,22 @@ class MomentMessage:
             raise ConfigurationError(
                 f"message send time must be >= 0, got {self.sent_at}")
 
+    def _restamp(self, snapshot: MomentSnapshot, sent_at: float,
+                 final: bool, metrics: dict | None,
+                 statistics: Mapping[str, Statistic] | None
+                 ) -> "MomentMessage":
+        """This message's rank and job on a new pass, built unchecked.
+
+        Only for :class:`~repro.runtime.worker.WorkerBody`, whose
+        template message went through ``__post_init__`` once (its rank)
+        and which checks each pass's ``sent_at`` itself.
+        """
+        message = object.__new__(MomentMessage)
+        message.__dict__.update(
+            rank=self.rank, snapshot=snapshot, sent_at=sent_at, final=final,
+            metrics=metrics, statistics=statistics, job=self.job)
+        return message
+
     @property
     def nbytes(self) -> int:
         """Modelled wire size, derived from the payloads on board."""

@@ -229,10 +229,13 @@ class Scheduler:
                 # Late traffic from an already-finished or failed job.
                 self.stray_messages += 1
                 return
-            for rank in job.ingest(message, now):
-                job.in_flight.discard(rank)
-            if job.collector.complete:
-                job.mark_complete(completed=True)
+            finals = job.ingest(message, now)
+            # Completion changes only when a final arrives (or the
+            # expected set shrinks: see _handle_deaths).
+            if finals:
+                job.in_flight.difference_update(finals)
+                if job.collector.complete:
+                    job.mark_complete(completed=True)
 
     # -- deadlines ------------------------------------------------------
 
@@ -328,6 +331,11 @@ class Scheduler:
             except BackendError as error:
                 self._backend.release_job(job.id)
                 job.fail(error)
+                continue
+            # A rank that died with its whole quota delivered is retired
+            # with no replacement; it may have been the last one owed.
+            if job.collector.complete:
+                job.mark_complete(completed=True)
 
     # -- the loop -------------------------------------------------------
 

@@ -291,6 +291,10 @@ class WorkerBody:
             update = statistics.update_batch
             account = telemetry.batch if telemetry is not None else None
         seqnum, perpass = config.seqnum, config.perpass
+        # Checked once here (rank >= 0); every pass is this template
+        # restamped, with its sent_at checked in message().
+        template = MomentMessage(rank=rank, snapshot=accumulator.snapshot(),
+                                 sent_at=0.0, job=job)
         index = 0
         last_send = clock()
 
@@ -348,15 +352,17 @@ class WorkerBody:
 
         def message(sent_at: float, final: bool) -> MomentMessage:
             nonlocal last_send
+            if sent_at < 0.0:
+                raise ConfigurationError(
+                    f"message send time must be >= 0, got {sent_at}")
             metrics = None
             if telemetry is not None:
                 telemetry.message(nbytes)
                 metrics = telemetry.as_dict(now=sent_at)
             last_send = sent_at
-            return MomentMessage(
-                rank=rank, snapshot=accumulator.snapshot(),
-                sent_at=sent_at, final=final, metrics=metrics,
-                statistics=statistics.extras_snapshot(), job=job)
+            return template._restamp(
+                accumulator.snapshot(), sent_at, final, metrics,
+                statistics.extras_snapshot())
 
         self.accumulator = accumulator
         self.telemetry = telemetry

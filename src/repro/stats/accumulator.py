@@ -56,6 +56,20 @@ class MomentSnapshot:
                 f"snapshot compute_time must be >= 0, got "
                 f"{self.compute_time}")
 
+    @classmethod
+    def _trusted(cls, sum1: np.ndarray, sum2: np.ndarray, volume: int,
+                 compute_time: float) -> "MomentSnapshot":
+        """Build a snapshot without re-running ``__post_init__``.
+
+        Only for :meth:`MomentAccumulator.snapshot`: an accumulator
+        already holds what the checks prove (sums of one shape, volume
+        and compute time never negative).
+        """
+        snapshot = object.__new__(cls)
+        snapshot.__dict__.update(sum1=sum1, sum2=sum2, volume=volume,
+                                 compute_time=compute_time)
+        return snapshot
+
     @property
     def shape(self) -> tuple[int, int]:
         """``(nrow, ncol)`` of the realization matrix."""
@@ -130,6 +144,10 @@ class MomentAccumulator:
         self._sum2 = np.zeros(self._shape, dtype=np.float64)
         self._volume = 0
         self._compute_time = 0.0
+        # Scratch of add(): the zeros of the finiteness check and the
+        # squared realization.
+        self._zeros = np.zeros(self._shape, dtype=np.float64)
+        self._square = np.empty(self._shape, dtype=np.float64)
         self._fold_stack: np.ndarray | None = None
 
     @property
@@ -150,6 +168,16 @@ class MomentAccumulator:
     def add(self, realization, compute_time: float = 0.0) -> None:
         """Accumulate one realization of the random matrix.
 
+        Every check runs before the sums are touched, so a rejected
+        realization leaves the accumulator unchanged.
+
+        The finiteness check is one exact call, ``vdot(matrix, zeros)``:
+        a finite entry times zero is ±0 and a sum of zeros cannot
+        overflow, while ±inf or NaN times zero is NaN, so the dot product
+        is nonzero (NaN) exactly when some entry is not finite.  A finite
+        entry whose square overflows is accepted, and ``sum2`` becomes
+        inf, as before.
+
         Args:
             realization: ``nrow x ncol`` array-like (a scalar is accepted
                 for 1x1 problems).  Non-finite entries are rejected: a
@@ -157,20 +185,23 @@ class MomentAccumulator:
             compute_time: Seconds spent simulating this realization.
         """
         matrix = np.asarray(realization, dtype=np.float64)
-        if matrix.shape == () and self._shape == (1, 1):
-            matrix = matrix.reshape(1, 1)
         if matrix.shape != self._shape:
-            raise ConfigurationError(
-                f"realization shape {matrix.shape} does not match the "
-                f"declared {self._shape}")
-        if not np.all(np.isfinite(matrix)):
+            if matrix.shape == () and self._shape == (1, 1):
+                matrix = matrix.reshape(1, 1)
+            else:
+                raise ConfigurationError(
+                    f"realization shape {matrix.shape} does not match the "
+                    f"declared {self._shape}")
+        if np.vdot(matrix, self._zeros) != 0.0:
             raise ConfigurationError(
                 "realization contains non-finite values")
         if compute_time < 0.0:
             raise ConfigurationError(
                 f"compute_time must be >= 0, got {compute_time}")
+        square = self._square
+        np.multiply(matrix, matrix, out=square)
         self._sum1 += matrix
-        self._sum2 += matrix * matrix
+        self._sum2 += square
         self._volume += 1
         self._compute_time += compute_time
 
@@ -276,9 +307,9 @@ class MomentAccumulator:
 
     def snapshot(self) -> MomentSnapshot:
         """Return an immutable copy of the current moments."""
-        return MomentSnapshot(
-            sum1=self._sum1.copy(), sum2=self._sum2.copy(),
-            volume=self._volume, compute_time=self._compute_time)
+        return MomentSnapshot._trusted(
+            self._sum1.copy(), self._sum2.copy(), self._volume,
+            self._compute_time)
 
     def reset(self) -> None:
         """Zero the accumulator (used after shipping a delta snapshot)."""

@@ -27,6 +27,7 @@ from repro.obs.events import read_events
 from repro.obs.telemetry import RunTelemetry
 from repro.runtime import engine as engine_module
 from repro.runtime import multiprocess as multiprocess_module
+from repro.runtime import worker as worker_module
 from repro.runtime.collector import Collector
 from repro.runtime.config import RunConfig
 from repro.runtime.engine import (
@@ -288,6 +289,52 @@ class TestMultiprocessReassignment:
             parmonc(routine, maxsv=4000, perpass=0.5, peraver=0.0,
                     processors=2, backend="multiprocess",
                     start_method="fork", workdir=tmp_path)
+
+
+def pair(rng):
+    return [[rng.random(), rng.random()]]
+
+
+def _exit_on_rank_one_final(message):
+    """Pass encoder for forked workers: rank 1 exits instead of its final."""
+    if message.rank == 1 and message.final:
+        os._exit(0)
+    return message_to_payload(message)
+
+
+class TestDeathAfterTheWholeQuota:
+    def test_rank_dying_before_its_final_still_completes(self, monkeypatch):
+        # perpass=0: rank 1's last non-final pass already carries its
+        # whole quota, so reassignment retires it and spawns nobody.
+        # The job is complete then and must not wait for another pass.
+        monkeypatch.setattr(worker_module, "message_to_payload",
+                            _exit_on_rank_one_final)
+        options = dict(nrow=1, ncol=2, maxsv=8, perpass=0.0, peraver=0.0,
+                       processors=2, use_files=False)
+        outcome = {}
+
+        def run():
+            try:
+                outcome["result"] = parmonc(
+                    pair, backend="multiprocess", start_method="fork",
+                    on_worker_death="reassign", **options)
+            except BaseException as error:  # re-raised on the test thread
+                outcome["error"] = error
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(60)
+        assert not runner.is_alive(), "the job never completed"
+        if "error" in outcome:
+            raise outcome["error"]
+        result = outcome["result"]
+        assert result.recovered_ranks == (1,)
+        assert result.total_volume == 8
+        reference = parmonc(pair, backend="sequential", **options)
+        assert result.estimates.mean.tobytes() \
+            == reference.estimates.mean.tobytes()
+        assert result.estimates.variance.tobytes() \
+            == reference.estimates.variance.tobytes()
 
 
 def _tear_rank_one(routine, config, rank, quota, outbox, **kwargs):

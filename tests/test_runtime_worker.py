@@ -280,6 +280,55 @@ class TestDataBodiesPinned:
             == self.DIGESTS[job, extras, batched]
 
 
+class TestPassesShareNothing:
+    """A pass is built without re-running the message and snapshot
+    checks; it must still be a private copy, and the body must still
+    refuse what those checks refused.  (The public constructors keep
+    their checks: tests/test_runtime_files.py and
+    tests/test_stats_accumulator.py pin them.)"""
+
+    def _body(self, **kwargs):
+        config = RunConfig(maxsv=40, nrow=1, ncol=2, perpass=0.0, seqnum=3)
+        return WorkerBody(_uniform_and_square, config, 2, clock=FakeClock(),
+                          **kwargs)
+
+    def test_an_earlier_pass_keeps_its_bytes(self):
+        body = self._body(job="j")
+        body.step(1)
+        early = body.message(0.5, False)
+        kept = message_to_payload(early)
+        for _ in range(5):
+            body.step(1)
+            body.message(1.0, False)
+        assert message_to_payload(early) == kept
+        assert (early.rank, early.job, early.snapshot.volume) == (2, "j", 1)
+
+    def test_no_buffer_is_shared(self):
+        body = self._body()
+        body.step(1)
+        first, second = body.message(0.5, False), body.message(0.5, True)
+        accumulator = body.accumulator
+        live = [accumulator._sum1, accumulator._sum2, accumulator._square]
+        arrays = [first.snapshot.sum1, first.snapshot.sum2,
+                  second.snapshot.sum1, second.snapshot.sum2]
+        for index, array in enumerate(arrays):
+            for other in arrays[index + 1:] + live:
+                assert not np.shares_memory(array, other)
+
+    def test_negative_send_time_is_still_rejected(self):
+        body = self._body()
+        body.step(1)
+        with pytest.raises(ConfigurationError, match="send time"):
+            body.message(-0.5, False)
+
+    def test_negative_rank_is_still_rejected(self):
+        config = RunConfig(maxsv=4, nrow=1, ncol=2)
+        # No routine: the body places no substream, so only the pass
+        # template's check stands between a negative rank and a pass.
+        with pytest.raises(ConfigurationError, match="rank"):
+            WorkerBody(None, config, -1)
+
+
 class TestWorkerProcess:
     """One process body and one sink for every backend that forks
     workers: the DATA body of each pass, written into a pipe."""

@@ -4,14 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
 from repro.stats.accumulator import MomentAccumulator, MomentSnapshot
-
-finite_floats = st.floats(min_value=-1e6, max_value=1e6,
-                          allow_nan=False, allow_infinity=False)
 
 
 class TestAccumulation:
@@ -151,18 +146,207 @@ class TestMergeSnapshot:
         with pytest.raises(ConfigurationError):
             accumulator.merge_snapshot(MomentSnapshot.zero(2, 2))
 
-    @given(values=st.lists(finite_floats, min_size=1, max_size=30),
-           split=st.integers(0, 30))
-    @settings(max_examples=50)
-    def test_merge_any_split_is_exact(self, values, split):
-        split = min(split, len(values))
-        joint = MomentAccumulator(1, 1)
-        left = MomentAccumulator(1, 1)
-        right = MomentAccumulator(1, 1)
-        for index, value in enumerate(values):
-            joint.add(value)
-            (left if index < split else right).add(value)
-        left.merge_snapshot(right.snapshot())
-        assert left.snapshot().sum1 == pytest.approx(joint.snapshot().sum1)
-        assert left.snapshot().sum2 == pytest.approx(joint.snapshot().sum2)
-        assert left.volume == joint.volume
+    def test_merge_any_split_is_exact(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        finite_floats = st.floats(min_value=-1e6, max_value=1e6,
+                                  allow_nan=False, allow_infinity=False)
+
+        @hypothesis.settings(max_examples=50)
+        @hypothesis.given(
+            values=st.lists(finite_floats, min_size=1, max_size=30),
+            split=st.integers(0, 30))
+        def check(values, split):
+            split = min(split, len(values))
+            joint = MomentAccumulator(1, 1)
+            left = MomentAccumulator(1, 1)
+            right = MomentAccumulator(1, 1)
+            for index, value in enumerate(values):
+                joint.add(value)
+                (left if index < split else right).add(value)
+            left.merge_snapshot(right.snapshot())
+            assert left.snapshot().sum1 \
+                == pytest.approx(joint.snapshot().sum1)
+            assert left.snapshot().sum2 \
+                == pytest.approx(joint.snapshot().sum2)
+            assert left.volume == joint.volume
+
+        check()
+
+
+# Values at the edges of float64: signed zeros, subnormals, the largest
+# magnitudes, and 1e200, whose square overflows.
+EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+               1.7e308, -1.7e308, 1e200, -1e200, 1.0, -2.5)
+
+INPUT_FORMS = ("float64", "list", "float32", "int", "fortran", "strided",
+               "bare")
+
+
+def _as_input(matrix: np.ndarray, form: str):
+    """``matrix`` in one of the forms :meth:`MomentAccumulator.add` takes."""
+    if form == "bare":
+        return float(matrix[0, 0])
+    if form == "list":
+        return matrix.tolist()
+    if form == "float32":
+        return matrix.astype(np.float32)
+    if form == "int":
+        return matrix.astype(np.int64)
+    if form == "fortran":
+        return np.asfortranarray(matrix)
+    if form == "strided":
+        wide = np.zeros((matrix.shape[0], 2 * matrix.shape[1]))
+        wide[:, ::2] = matrix
+        return wide[:, ::2]
+    return matrix.copy()
+
+
+def _reference_fold(sums, realization, shape):
+    """The fold add() has always done, written out: asarray, reshape a
+    bare float, reject any non-finite entry, add the matrix and its
+    square.  Returns the new sums, or None for a rejection."""
+    matrix = np.asarray(realization, dtype=np.float64)
+    if matrix.shape == () and shape == (1, 1):
+        matrix = matrix.reshape(1, 1)
+    assert matrix.shape == shape
+    if not np.all(np.isfinite(matrix)):
+        return None
+    sum1, sum2 = sums
+    return sum1 + matrix, sum2 + matrix * matrix
+
+
+def _state(accumulator):
+    snapshot = accumulator.snapshot()
+    return (snapshot.sum1.tobytes(), snapshot.sum2.tobytes(),
+            snapshot.volume, np.float64(snapshot.compute_time).tobytes())
+
+
+class TestAddRejectionContract:
+    def test_accepts_like_the_asarray_fold_and_rejects_unchanged(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def realizations(draw, shape):
+            form = draw(st.sampled_from(
+                INPUT_FORMS if shape == (1, 1) else INPUT_FORMS[:-1]))
+            size = shape[0] * shape[1]
+            if form == "int":
+                values = draw(st.lists(st.integers(-2 ** 53, 2 ** 53),
+                                       min_size=size, max_size=size))
+            elif form == "float32":
+                values = draw(st.lists(
+                    st.floats(width=32, allow_nan=False,
+                              allow_infinity=False),
+                    min_size=size, max_size=size))
+            else:
+                values = draw(st.lists(
+                    st.one_of(st.sampled_from(EDGE_VALUES),
+                              st.floats(allow_nan=False,
+                                        allow_infinity=False)),
+                    min_size=size, max_size=size))
+            matrix = np.array(values, dtype=np.float64).reshape(shape)
+            realization = _as_input(matrix, form)
+            if form != "int" and draw(st.booleans()):
+                # Poison one entry, anywhere, after the conversion.
+                bad = draw(st.sampled_from((np.nan, np.inf, -np.inf)))
+                row = draw(st.integers(0, shape[0] - 1))
+                col = draw(st.integers(0, shape[1] - 1))
+                if form == "bare":
+                    realization = float(bad)
+                elif form == "list":
+                    realization[row][col] = float(bad)
+                else:
+                    realization[row, col] = bad
+            return realization
+
+        @st.composite
+        def runs(draw):
+            shape = draw(st.sampled_from([(1, 1), (1, 3), (2, 2), (3, 2)]))
+            steps = draw(st.lists(
+                st.tuples(realizations(shape),
+                          st.sampled_from((0.0, 0.25, 1e-6))),
+                min_size=1, max_size=12))
+            return shape, steps
+
+        @hypothesis.settings(derandomize=True, print_blob=True,
+                             deadline=None, max_examples=300)
+        @hypothesis.given(run=runs())
+        def check(run):
+            shape, steps = run
+            accumulator = MomentAccumulator(*shape)
+            sums = (np.zeros(shape), np.zeros(shape))
+            volume, compute_time = 0, 0.0
+            for realization, seconds in steps:
+                before = _state(accumulator)
+                expected = _reference_fold(sums, realization, shape)
+                if expected is None:
+                    with pytest.raises(ConfigurationError,
+                                       match="non-finite"):
+                        accumulator.add(realization, seconds)
+                    assert _state(accumulator) == before
+                    continue
+                accumulator.add(realization, seconds)
+                sums = expected
+                volume += 1
+                compute_time += seconds
+                assert _state(accumulator) == (
+                    sums[0].tobytes(), sums[1].tobytes(), volume,
+                    np.float64(compute_time).tobytes())
+
+        with np.errstate(over="ignore"):
+            check()
+
+    @pytest.mark.parametrize("form",
+                             ["float64", "list", "fortran", "strided"])
+    def test_square_overflow_is_accepted(self, form):
+        # 1e200 is finite; only its square overflows, as it always has.
+        accumulator = MomentAccumulator(2, 2)
+        matrix = np.array([[1e200, 1.0], [-1e200, 0.5]])
+        with np.errstate(over="ignore"):
+            accumulator.add(_as_input(matrix, form))
+        snapshot = accumulator.snapshot()
+        assert accumulator.volume == 1
+        assert np.array_equal(snapshot.sum1, matrix)
+        assert snapshot.sum2[0, 0] == snapshot.sum2[1, 0] == np.inf
+        assert snapshot.sum2[0, 1] == 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejection_leaves_every_field_unchanged(self, bad):
+        # The Fig. 2 shape: long enough for the BLAS dot product to run
+        # its unrolled blocks, which the property's small shapes do not.
+        accumulator = MomentAccumulator(1000, 2)
+        accumulator.add(np.linspace(-1.0, 1.0, 2000).reshape(1000, 2), 0.5)
+        before = _state(accumulator)
+        for index in (0, 777, 1999):
+            matrix = np.ones((1000, 2))
+            matrix.flat[index] = bad
+            with pytest.raises(ConfigurationError, match="non-finite"):
+                accumulator.add(matrix, 0.25)
+        assert _state(accumulator) == before
+
+
+class TestSnapshotsShareNothing:
+    def test_an_earlier_snapshot_keeps_its_bytes(self):
+        accumulator = MomentAccumulator(3, 2)
+        accumulator.add(np.arange(6.0).reshape(3, 2), 0.5)
+        snapshot = accumulator.snapshot()
+        kept = (snapshot.sum1.tobytes(), snapshot.sum2.tobytes(),
+                snapshot.volume, snapshot.compute_time)
+        for step in range(5):
+            accumulator.add(np.full((3, 2), float(step + 1)), 0.25)
+        accumulator.add_batch(np.ones((40, 3, 2)))
+        assert (snapshot.sum1.tobytes(), snapshot.sum2.tobytes(),
+                snapshot.volume, snapshot.compute_time) == kept
+
+    def test_no_buffer_is_shared(self):
+        accumulator = MomentAccumulator(3, 2)
+        accumulator.add(np.arange(6.0).reshape(3, 2))
+        first, second = accumulator.snapshot(), accumulator.snapshot()
+        live = [accumulator._sum1, accumulator._sum2, accumulator._square,
+                accumulator._zeros]
+        arrays = [first.sum1, first.sum2, second.sum1, second.sum2]
+        for index, array in enumerate(arrays):
+            for other in arrays[index + 1:] + live:
+                assert not np.shares_memory(array, other)

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
 from repro.stats import MomentAccumulator
@@ -20,8 +18,13 @@ from repro.stats import MomentAccumulator
 SIZES = [1, 2, 31, 32, 33, 64, 65, 100]
 SHAPES = [(1, 1), (2, 1), (1, 3), (5, 4)]
 
-finite = st.floats(min_value=-1e12, max_value=1e12,
-                   allow_nan=False, allow_infinity=False)
+
+def finite_floats():
+    """Hypothesis, imported inside the property tests that use it."""
+    hypothesis = pytest.importorskip("hypothesis")
+    return hypothesis, hypothesis.strategies.floats(
+        min_value=-1e12, max_value=1e12, allow_nan=False,
+        allow_infinity=False)
 
 
 def assert_same(left: MomentAccumulator, right: MomentAccumulator):
@@ -50,27 +53,40 @@ class TestEquivalence:
         batched.add_batch(batch)
         assert_same(scalar, batched)
 
-    @given(values=st.lists(finite, min_size=1, max_size=80))
-    @settings(max_examples=60, deadline=None)
-    def test_scalar_problem_property(self, values):
-        scalar = MomentAccumulator(1, 1)
-        batched = MomentAccumulator(1, 1)
-        for value in values:
-            scalar.add(value)
-        batched.add_batch(np.asarray(values))
-        assert_same(scalar, batched)
+    def test_scalar_problem_property(self):
+        hypothesis, finite = finite_floats()
+        st = hypothesis.strategies
 
-    @given(rows=st.lists(
-        st.lists(finite, min_size=3, max_size=3), min_size=1, max_size=70))
-    @settings(max_examples=40, deadline=None)
-    def test_matrix_problem_property(self, rows):
-        batch = np.asarray(rows, dtype=np.float64).reshape(-1, 1, 3)
-        scalar = MomentAccumulator(1, 3)
-        batched = MomentAccumulator(1, 3)
-        for row in batch:
-            scalar.add(row)
-        batched.add_batch(batch)
-        assert_same(scalar, batched)
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(values=st.lists(finite, min_size=1, max_size=80))
+        def check(values):
+            scalar = MomentAccumulator(1, 1)
+            batched = MomentAccumulator(1, 1)
+            for value in values:
+                scalar.add(value)
+            batched.add_batch(np.asarray(values))
+            assert_same(scalar, batched)
+
+        check()
+
+    def test_matrix_problem_property(self):
+        hypothesis, finite = finite_floats()
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=40, deadline=None)
+        @hypothesis.given(rows=st.lists(
+            st.lists(finite, min_size=3, max_size=3),
+            min_size=1, max_size=70))
+        def check(rows):
+            batch = np.asarray(rows, dtype=np.float64).reshape(-1, 1, 3)
+            scalar = MomentAccumulator(1, 3)
+            batched = MomentAccumulator(1, 3)
+            for row in batch:
+                scalar.add(row)
+            batched.add_batch(batch)
+            assert_same(scalar, batched)
+
+        check()
 
     def test_flat_vector_convenience_for_1x1(self):
         acc = MomentAccumulator(1, 1)
