@@ -31,8 +31,9 @@ from repro.cli.manaver import main as manaver_main  # noqa: E402
 from repro.runtime.files import DataDirectory  # noqa: E402
 
 #: The victim: a deliberately slow run that cannot finish before the
-#: kill.  perpass=0 makes every realization pass its subtotal, so there
-#: is always recent recoverable state on disk.
+#: kill.  perpass=0 makes a pass due after every realization (one is
+#: skipped only while the previous is still unread), so there is always
+#: recent recoverable state on disk.
 CHILD_PROGRAM = """
 import sys, time
 sys.path.insert(0, {src!r})

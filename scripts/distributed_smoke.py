@@ -7,10 +7,11 @@ distributed backend's two headline promises over actual TCP:
 1. **Parity** — a run dispatched to a pool is bit-identical to the
    sequential backend.
 2. **Elastic recovery** — with a second pool joining mid-run and a
-   worker SIGKILLed after delivering exactly 5 of its 10 realizations,
-   the run still completes the full sample, and the merged estimate is
+   worker SIGKILLed after simulating 5 of its 10 realizations, the run
+   still completes the full sample, and the merged estimate is
    bit-identical to the rank-ordered merge of the three pieces the run
-   actually kept (computed locally as the reference).
+   reports it kept (``per_rank_volumes``, computed locally as the
+   reference).
 
 Usage::
 
@@ -65,8 +66,9 @@ def hang_on_sixth(rng):
     """One worker process hangs forever on its 6th call (O_EXCL race).
 
     The winner records its pid in ``hang.pid`` for the harness to
-    SIGKILL after having delivered exactly 5 realizations
-    (``perpass=0`` ships one message per realization).
+    SIGKILL after having simulated 5 realizations.  ``perpass=0`` makes
+    a pass due after each one, but the latest-wins outbox skips a pass
+    while the previous one is unread, so the run may keep fewer than 5.
     """
     directory = os.environ.get(_HANG_DIR_ENV)
     if directory:
@@ -225,16 +227,20 @@ def main() -> int:
         check(result.recovered_ranks == (0,),
               "rank 0's remainder was reassigned")
 
-        # Reference: the pieces the run kept — rank 0's 5 delivered,
-        # rank 1's full 10, the replacement rank 2's 5 — merged in rank
-        # order by a local worker loop (env unset -> routine benign).
+        # Reference: the pieces the run kept — what rank 0 delivered,
+        # rank 1's full 10, the replacement rank 2's remainder — merged
+        # in rank order by a local worker loop (env unset -> benign).
+        volumes = result.per_rank_volumes
+        check(sorted(volumes) == [0, 1, 2] and 1 <= volumes[0] <= 5
+              and volumes[1] == 10,
+              f"the run kept {volumes} (rank 0 at most its 5 simulated)")
         del os.environ[_HANG_DIR_ENV]
         config = RunConfig(nrow=1, ncol=1, maxsv=20, perpass=0.0,
                            peraver=0.0, processors=2,
                            workdir=base / "ref")
-        pieces = [run_worker(hang_on_sixth, config, rank, quota,
+        pieces = [run_worker(hang_on_sixth, config, rank, volume,
                              send=lambda message: None).snapshot()
-                  for rank, quota in ((0, 5), (1, 10), (2, 5))]
+                  for rank, volume in sorted(volumes.items())]
         reference = merge_snapshots(pieces).estimates()
         check(result.estimates.mean[0, 0] == reference.mean[0, 0]
               and result.estimates.variance[0, 0]

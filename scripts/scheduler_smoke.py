@@ -73,8 +73,9 @@ def hang_on_sixth(rng):
     """One worker process hangs forever on its 6th call (O_EXCL race).
 
     The winner records its pid in ``hang.pid`` for the harness to
-    SIGKILL after having delivered exactly 5 realizations
-    (``perpass=0`` ships one message per realization).
+    SIGKILL after having simulated 5 realizations.  ``perpass=0`` makes
+    a pass due after each one, but the latest-wins outbox skips a pass
+    while the previous one is unread, so the run may keep fewer than 5.
     """
     directory = os.environ.get(_HANG_DIR_ENV)
     if directory:
@@ -201,8 +202,8 @@ def main() -> int:
 
         # Per-job identity: the steady jobs vs. their solo sequential
         # references, the victim vs. the rank-ordered merge of the
-        # pieces the run kept (the hung rank's 5 delivered, its
-        # sibling's full 10, the replacement rank 2's 5).
+        # pieces the run kept (what the hung rank delivered, its
+        # sibling's full 10, the replacement rank 2's remainder).
         del os.environ[_HANG_DIR_ENV]
         for job, routine in ((steady0, mod.square), (steady1, mod.cube)):
             reference = run_sequential(
@@ -223,12 +224,16 @@ def main() -> int:
         check(recovered in ((0,), (1,)),
               f"victim's dead rank was reassigned (rank {recovered})")
         hung = recovered[0]
+        volumes = victim.result.per_rank_volumes
+        check(sorted(volumes) == [0, 1, 2] and 1 <= volumes[hung] <= 5
+              and volumes[1 - hung] == 10,
+              f"the victim kept {volumes} (rank {hung} at most its 5 "
+              f"simulated)")
         config = RunConfig(maxsv=20, perpass=0.0, peraver=0.0,
                            processors=2, seqnum=2, workdir=base / "ref")
-        pieces = [run_worker(mod.hang_on_sixth, config, rank, quota,
+        pieces = [run_worker(mod.hang_on_sixth, config, rank, volume,
                              send=lambda message: None).snapshot()
-                  for rank, quota in sorted(
-                      ((hung, 5), (1 - hung, 10), (2, 5)))]
+                  for rank, volume in sorted(volumes.items())]
         reference = merge_snapshots(pieces).estimates()
         check(victim.result.estimates.mean[0, 0] == reference.mean[0, 0]
               and victim.result.estimates.variance[0, 0]

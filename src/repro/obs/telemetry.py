@@ -57,6 +57,9 @@ class WorkerTelemetry:
         self._started = clock()
         self.realizations = 0
         self.messages = 0
+        #: Due passes not built because the previous one was still
+        #: unread (a forked worker's latest-wins outbox).
+        self.superseded = 0
         self.bytes_sent = 0
         self.compute_seconds = 0.0
         self.send_seconds = 0.0
@@ -96,6 +99,7 @@ class WorkerTelemetry:
             "rank": self.rank,
             "realizations": self.realizations,
             "messages": self.messages,
+            "superseded": self.superseded,
             "bytes": self.bytes_sent,
             "compute_seconds": self.compute_seconds,
             "send_seconds": self.send_seconds,
@@ -221,6 +225,8 @@ class RunTelemetry:
         workers = self.worker_stats()
         total_realizations = sum(w["realizations"] for w in workers.values())
         total_messages = sum(w["messages"] for w in workers.values())
+        superseded = sum(int(w.get("superseded", 0))
+                         for w in workers.values())
         total_bytes = sum(w["bytes"] for w in workers.values())
         compute = sum(w["compute_seconds"] for w in workers.values())
         idle = sum(w["idle_seconds"] for w in workers.values())
@@ -229,6 +235,7 @@ class RunTelemetry:
             "workers": len(workers),
             "realizations": total_realizations,
             "messages": total_messages,
+            "superseded": superseded,
             "bytes": total_bytes,
             "compute_seconds": compute,
             "idle_seconds": idle,

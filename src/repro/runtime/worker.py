@@ -24,12 +24,15 @@ stack with one :meth:`~repro.stats.accumulator.MomentAccumulator
 
 All of that is :class:`WorkerBody`; :func:`run_worker` is its driver on
 the real clock and the simulated cluster its driver on a virtual one;
-:func:`worker_process` runs it in every forked worker.
+:func:`worker_process` runs it in every forked worker, behind a
+latest-wins outbox.
 """
 
 from __future__ import annotations
 
+import fcntl
 import inspect
+import termios
 import time
 from typing import Callable, Protocol, runtime_checkable
 
@@ -377,12 +380,13 @@ def run_worker(routine: RealizationRoutine, config: RunConfig, rank: int,
                clock: Callable[[], float] = time.monotonic,
                deadline: float | None = None,
                telemetry: WorkerTelemetry | None = None,
-               job: str | None = None) -> MomentAccumulator:
+               job: str | None = None,
+               ready: Callable[[], bool] | None = None) -> MomentAccumulator:
     """Simulate ``quota`` realizations on processor ``rank``.
 
     The real-clock driver of a :class:`WorkerBody`: step until the
     quota is simulated or the deadline has passed, ship a pass whenever
-    one is due, ship the final one.
+    one is due and the sink is ready for it, ship the final one.
 
     Args:
         routine: The user realization routine; one with a ``batch_size``
@@ -403,6 +407,10 @@ def run_worker(routine: RealizationRoutine, config: RunConfig, rank: int,
         job: Owning job id, stamped on every pass so a scheduler can
             route several jobs' traffic over one channel; None (a
             single run) keeps the historical bytes.
+        ready: Optional sink test, asked when a non-final pass is due;
+            a pass it refuses is neither built nor sent, stays due, and
+            counts as ``superseded`` on ``telemetry``.  Never asked for
+            the final pass.  None ships every due pass.
 
     Returns:
         The worker's final accumulator (also shipped via ``send`` with
@@ -422,11 +430,32 @@ def run_worker(routine: RealizationRoutine, config: RunConfig, rank: int,
         width, finished = step(quota - done)
         done += width
         if pass_due(finished):
-            send(message(finished, False))
+            if ready is None or ready():
+                send(message(finished, False))
+            elif telemetry is not None:
+                telemetry.superseded += 1
         if deadline is not None and finished >= deadline:
             break
     send(message(clock(), True))
     return body.accumulator
+
+
+#: What ``FIONREAD`` writes back for a pipe holding no unread bytes.
+_NO_BYTES = bytes(4)
+
+
+def _outbox_drained(outbox) -> bool:
+    """Whether ``outbox``'s pipe holds no unread bytes.
+
+    Asked on the write end: on Linux a pipe's ``FIONREAD`` counts the
+    bytes in flight from either end.  A descriptor that cannot say
+    counts as drained, so the pass goes out.
+    """
+    try:
+        return fcntl.ioctl(outbox.fileno(), termios.FIONREAD,
+                           _NO_BYTES) == _NO_BYTES
+    except OSError:
+        return True
 
 
 def worker_process(routine: RealizationRoutine, config: RunConfig,
@@ -437,9 +466,13 @@ def worker_process(routine: RealizationRoutine, config: RunConfig,
 
     Each pass is encoded here, once, to the bytes a DATA frame carries
     and written into ``outbox``, the write end of the worker's pipe
-    (see :mod:`repro.runtime.host`).  The time limit is ``deadline`` on
-    this host's monotonic clock, or ``deadline_in`` seconds from now —
-    what crosses the wire, where clocks do not.
+    (see :mod:`repro.runtime.host`).  The outbox is latest-wins: a due
+    pass is skipped while the previous one is still unread — passes are
+    cumulative and the collector keeps only the latest per rank — so at
+    most one non-final pass per worker is in flight.  The final is
+    always written.  The time limit is ``deadline`` on this host's
+    monotonic clock, or ``deadline_in`` seconds from now — what crosses
+    the wire, where clocks do not.
     """
     if deadline_in is not None:
         deadline = time.monotonic() + deadline_in
@@ -447,4 +480,4 @@ def worker_process(routine: RealizationRoutine, config: RunConfig,
     run_worker(routine, config, rank, quota, deadline=deadline,
                send=lambda message: send_bytes(message_to_payload(message)),
                telemetry=WorkerTelemetry(rank) if config.telemetry else None,
-               job=job)
+               job=job, ready=lambda: _outbox_drained(outbox))

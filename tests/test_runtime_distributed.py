@@ -34,7 +34,11 @@ from repro.runtime.distributed import (
     parse_connect,
 )
 from repro.runtime.job import JobSpec, JobStatus
-from repro.runtime.messages import MomentMessage, message_to_payload
+from repro.runtime.messages import (
+    MomentMessage,
+    message_from_payload,
+    message_to_payload,
+)
 from repro.runtime.pool import PoolServer
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.wire import FrameKind, encode_frame
@@ -60,8 +64,9 @@ def hang_on_sixth(rng):
 
     The pid file is created ``O_EXCL``, so across every worker process
     exactly one wins the race, records its pid for the test to SIGKILL,
-    and sleeps forever — after having delivered exactly 5 realizations
-    (``perpass=0`` ships after every one).  Everyone else computes on.
+    and sleeps forever — after having simulated 5 realizations, of which
+    it delivered as many as its last pass out of the latest-wins outbox
+    carried.  Everyone else computes on.
     """
     directory = os.environ.get(_HANG_DIR_ENV)
     if directory:
@@ -144,13 +149,15 @@ class TestDistributedRuns:
         """The acceptance scenario, made deterministic.
 
         M=2, quota 10 each, one single-slot pool up front: rank 0
-        hangs after delivering exactly 5 realizations; rank 1 waits,
-        pending.  A second pool then joins late (takes rank 1), the
-        hung worker is SIGKILLed (its EXIT arrives after its 5 queued
-        passes — drain-before-verdict), and the engine reissues the
-        remaining 5 realizations as rank 2 on a fresh subsequence.
-        The merged estimate must equal the rank-ordered merge of the
-        three pieces, computed locally, bit for bit.
+        hangs after simulating 5 realizations; rank 1 waits, pending.
+        A second pool then joins late (takes rank 1), the hung worker
+        is SIGKILLed (its EXIT arrives after the passes left in its
+        pipe — drain-before-verdict), and the engine reissues what
+        rank 0 did not deliver as rank 2 on a fresh subsequence.  How
+        much that is depends on which passes the latest-wins outbox
+        let through, so the run reports it: the merged estimate must
+        equal the rank-ordered merge of the volumes in
+        ``per_rank_volumes``, computed locally, bit for bit.
         """
         monkeypatch.setenv(_HANG_DIR_ENV, str(tmp_path))
         late_port = free_port()
@@ -182,6 +189,9 @@ class TestDistributedRuns:
             late.stop()
         assert result.total_volume == 20
         assert result.recovered_ranks == (0,)
+        volumes = result.per_rank_volumes
+        assert sorted(volumes) == [0, 1, 2]
+        assert 1 <= volumes[0] <= 5 and volumes[1] == 10
         # Reference: the three pieces the run actually kept, merged in
         # rank order on a local worker loop (no environment -> benign).
         monkeypatch.delenv(_HANG_DIR_ENV)
@@ -189,9 +199,9 @@ class TestDistributedRuns:
                            peraver=0.0, processors=2,
                            workdir=tmp_path / "ref")
         pieces = [
-            run_worker(hang_on_sixth, config, rank, quota,
+            run_worker(hang_on_sixth, config, rank, volume,
                        send=lambda message: None).snapshot()
-            for rank, quota in ((0, 5), (1, 10), (2, 5))]
+            for rank, volume in sorted(volumes.items())]
         reference = merge_snapshots(pieces).estimates()
         assert result.estimates.mean[0, 0] == reference.mean[0, 0]
         assert (result.estimates.variance[0, 0]
@@ -289,8 +299,10 @@ class TestPoolReuse:
 class TestOneSessionShape:
     """A solo run, a named job of a batch and a job whose pool joins
     after admission all travel ``HELLO {}`` -> ``SUBMIT`` -> ``ASSIGN``:
-    same estimates, and the same DATA bodies the workers always built
-    (the named job's differing only by its tag in the tail)."""
+    same estimates, and DATA bodies the workers always built (the named
+    job's differing only by its tag in the tail) — of each rank, the
+    passes its latest-wins outbox let through, in order, then its
+    final."""
 
     RUN = dict(maxsv=12, processors=2, perpass=0.0, peraver=0.0, seqnum=3)
 
@@ -301,15 +313,29 @@ class TestOneSessionShape:
 
     def _reference_bodies(self, job):
         """What ``run_worker`` builds for each pass, encoded locally."""
-        from repro.runtime.messages import message_to_payload
         config = RunConfig(**self.RUN)
-        bodies = []
+        bodies = {}
         for rank in range(config.processors):
             run_worker(square, config, rank, config.worker_quota(rank),
-                       send=lambda message: bodies.append(
-                           self._masked(message_to_payload(message))),
+                       send=lambda message: bodies.setdefault(
+                           message.rank, []).append(
+                               self._masked(message_to_payload(message))),
                        job=job)
-        return sorted(bodies)
+        return bodies
+
+    def _assert_built_by_run_worker(self, received, job):
+        """Each rank's bodies are an in-order subsequence of what
+        ``run_worker`` builds, ending with the byte-equal final."""
+        by_rank = {}
+        for body in received:
+            by_rank.setdefault(message_from_payload(body).rank, []).append(
+                self._masked(body))
+        reference = self._reference_bodies(job)
+        assert sorted(by_rank) == sorted(reference)
+        for rank, bodies in by_rank.items():
+            built = iter(reference[rank])
+            assert all(body in built for body in bodies), rank
+            assert bodies[-1] == reference[rank][-1], rank
 
     @pytest.fixture
     def bodies(self, monkeypatch):
@@ -334,13 +360,13 @@ class TestOneSessionShape:
         try:
             solo = parmonc(square, **self.RUN, backend="distributed",
                            connect=address, use_files=False)
-            solo_bodies = sorted(map(self._masked, bodies))
+            solo_bodies = list(bodies)
             del bodies[:]
             [named] = parmonc(
                 jobs=[{"routine": square, "name": "named", **self.RUN,
                        "workdir": tmp_path / "named"}],
                 backend="distributed", connect=address, workers=2)
-            named_bodies = sorted(map(self._masked, bodies))
+            named_bodies = list(bodies)
             del bodies[:]
         finally:
             server.stop()
@@ -364,16 +390,14 @@ class TestOneSessionShape:
         finally:
             scheduler.shutdown()
             late_server.stop()
-        late_bodies = sorted(map(self._masked, bodies))
         for result in (solo, named, late.result):
             assert result.total_volume == 12
             for field in ("mean", "variance", "abs_error", "rel_error"):
                 assert (getattr(result.estimates, field).tobytes()
                         == getattr(sequential.estimates, field).tobytes())
-        assert solo_bodies == self._reference_bodies(None)
-        assert named_bodies == late_bodies == self._reference_bodies(
-            "named")
-        assert len(solo_bodies) == 12 + 2  # one per realization + finals
+        self._assert_built_by_run_worker(solo_bodies, None)
+        self._assert_built_by_run_worker(named_bodies, "named")
+        self._assert_built_by_run_worker(bodies, "named")
 
 
 def _drive(scheduler, predicate, seconds=60.0):

@@ -28,6 +28,7 @@ from repro.exceptions import BackendError, ConfigurationError
 from repro.obs.events import read_events
 from repro.rng.streams import StreamTree
 from repro.runtime import multiprocess as multiprocess_module
+from repro.runtime import worker as worker_module
 from repro.runtime.config import RunConfig
 from repro.runtime.engine import Engine
 from repro.runtime.messages import (
@@ -545,8 +546,16 @@ class TestVerdictsByMessageOrder:
             assert getattr(result.estimates, name).tobytes() \
                 == getattr(flat.estimates, name).tobytes(), name
 
+    @pytest.fixture
+    def every_pass_out(self, monkeypatch):
+        """Rank 3's passes are counted at its outbox: none may be
+        superseded by the latest-wins rule."""
+        monkeypatch.setattr(worker_module, "_outbox_drained",
+                            lambda outbox: True)
+
     def test_silent_rank_fails_the_job_under_fail(self, tmp_path,
-                                                  monkeypatch):
+                                                  monkeypatch,
+                                                  every_pass_out):
         # fanout 2 over 5 workers: r1.1 {2, 3} reports to r2.0, a second
         # level.  r2.0 reads end-of-file on r1.1's edge only once the
         # backend let go of it, so rank 3 is judged when r2.0 exits.
@@ -558,7 +567,8 @@ class TestVerdictsByMessageOrder:
                     start_method="fork", workdir=tmp_path)
 
     def test_silent_rank_is_reassigned_at_its_watermark(self, tmp_path,
-                                                        monkeypatch):
+                                                        monkeypatch,
+                                                        every_pass_out):
         monkeypatch.setattr(multiprocess_module, "worker_process",
                             _rank_three_goes_silent)
         result = parmonc(square, **self.RUN, backend="multiprocess",

@@ -104,6 +104,21 @@ class TestMultiprocessTelemetry:
         assert payload["metrics"]["counters"]["collector.messages"] \
             == result.messages_received
 
+    def test_every_due_pass_is_sent_or_superseded(self, tmp_path):
+        # perpass=0 makes a pass due after each realization: the
+        # latest-wins outbox sends it or counts it superseded, and the
+        # final always goes out — whatever the timing.
+        config = RunConfig(maxsv=400, processors=2, workdir=tmp_path,
+                           perpass=0.0, peraver=0.0, telemetry=True)
+        result = Engine(MultiprocessBackend(), config).run(tiny)
+        workers = load_metrics(artifacts(tmp_path)[1])["workers"]
+        assert len(workers) == 2
+        for stats in workers.values():
+            assert stats["messages"] + stats["superseded"] \
+                == stats["realizations"] + 1
+        assert result.telemetry["superseded"] \
+            == sum(w["superseded"] for w in workers.values())
+
     def test_timestamps_are_run_relative(self, tmp_path):
         config = RunConfig(maxsv=20, processors=2, workdir=tmp_path,
                            telemetry=True)

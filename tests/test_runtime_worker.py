@@ -329,9 +329,15 @@ class TestPassesShareNothing:
             WorkerBody(None, config, -1)
 
 
+def _unclocked(body: bytes) -> bytes:
+    """A DATA body without its two clock fields (sent_at, compute)."""
+    return body[:24] + bytes(16) + body[40:]
+
+
 class TestWorkerProcess:
     """One process body and one sink for every backend that forks
-    workers: the DATA body of each pass, written into a pipe."""
+    workers: the DATA body of each pass, written into a pipe whose
+    outbox is latest-wins."""
 
     CONFIG = RunConfig(maxsv=4, perpass=0.0)
 
@@ -341,23 +347,25 @@ class TestWorkerProcess:
             worker_process(_uniform, self.CONFIG, 1, 4, outbox, **kwargs)
             received = []
             while inbox.poll():
-                received.append(message_from_payload(inbox.recv_bytes()))
+                received.append(inbox.recv_bytes())
         return received
 
     @pytest.mark.parametrize("job", [None, "exp-a"])
     def test_pipe_carries_the_run_worker_passes(self, job):
+        # Nobody reads until the worker returns: the first pass finds
+        # the pipe empty, the next three find it unread and are
+        # superseded, and the final goes out regardless.
         sent = []
         run_worker(_uniform, self.CONFIG, 1, 4, send=sent.append, job=job)
         piped = self._through_pipe(job=job)
+        messages = [message_from_payload(body) for body in piped]
         assert [(m.rank, m.snapshot.volume, m.final, m.job)
-                for m in piped] \
-            == [(m.rank, m.snapshot.volume, m.final, m.job)
-                for m in sent] \
-            == [(1, 1, False, job), (1, 2, False, job), (1, 3, False, job),
-                (1, 4, False, job), (1, 4, True, job)]
-        assert all(np.array_equal(a.snapshot.sum1, b.snapshot.sum1)
-                   and np.array_equal(a.snapshot.sum2, b.snapshot.sum2)
-                   for a, b in zip(sent, piped))
+                for m in messages] \
+            == [(1, 1, False, job), (1, 4, True, job)]
+        built = {(m.snapshot.volume, m.final):
+                 _unclocked(message_to_payload(m)) for m in sent}
+        assert [_unclocked(body) for body in piped] \
+            == [built[1, False], built[4, True]]
 
     def test_deadline_arrives_absolute_or_as_remaining_seconds(self):
         # Already past either way: the worker stops after the
@@ -365,7 +373,100 @@ class TestWorkerProcess:
         absolute = self._through_pipe(deadline=time.monotonic())
         remaining = self._through_pipe(deadline_in=0.0)
         for passes in (absolute, remaining):
-            assert passes[-1].final and passes[-1].snapshot.volume == 1
+            final = message_from_payload(passes[-1])
+            assert final.final and final.snapshot.volume == 1
+
+
+class _Ticks:
+    """A clock advancing 0.25 s on every read."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        self.now += 0.25
+        return self.now
+
+
+class TestLatestWinsOutbox:
+    """``run_worker(ready=)``: a due pass is built and sent only when
+    the sink says it is ready; a skipped one stays due, and the final
+    is never asked about.  Which passes get through changes no bit of
+    what the collector ends on."""
+
+    def test_ready_steps_ship_run_worker_bodies_and_the_final(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        from repro.runtime.collector import Collector
+        from repro.stats.accumulator import MomentSnapshot
+
+        @hypothesis.settings(derandomize=True, print_blob=True,
+                             deadline=None)
+        @hypothesis.given(
+            quota=st.integers(1, 24),
+            batch=st.sampled_from([None, 1, 3, 8]),
+            extras=st.sampled_from([(), ("extrema",), ("covariance",)]),
+            job=st.sampled_from([None, "j"]),
+            perpass=st.sampled_from([0.0, 0.5, 1.25]),
+            answers=st.lists(st.booleans(), max_size=30))
+        def check(quota, batch, extras, job, perpass, answers):
+            routine = _pair if batch is None else make_batched(_pair, batch)
+
+            def drive(perpass, clock, ready=None):
+                config = RunConfig(nrow=1, ncol=2, maxsv=quota, seqnum=4,
+                                   perpass=perpass,
+                                   statistics=("moments", *extras))
+                sent = []
+                run_worker(routine, config, 0, quota, send=sent.append,
+                           clock=clock, job=job, ready=ready)
+                return config, sent
+
+            # The reference ships a pass after every step.  The clock is
+            # read the same number of times either way, so a step's
+            # pass has the same bytes whichever passes were sent.
+            config, every = drive(0.0, _Ticks())
+            at_step = {m.sent_at: message_to_payload(m)
+                       for m in every if not m.final}
+            clock, left, granted = _Ticks(), iter(answers), []
+
+            def ready():
+                answer = next(left, True)
+                if answer:
+                    granted.append(clock.now)  # the step's finish time
+                return answer
+
+            _, shipped = drive(perpass, clock, ready)
+            # Due steps under the perpass rule: a skipped pass stays
+            # due, and the period restarts where a pass was built.
+            expected, left = [], iter(answers)
+            last_send = 0.25  # the body's first clock read
+            for step in sorted(at_step):
+                if perpass == 0.0 or step - last_send >= perpass:
+                    if next(left, True):
+                        expected.append(step)
+                        last_send = step
+            assert [m.sent_at for m in shipped[:-1]] == granted == expected
+            assert [message_to_payload(m) for m in shipped[:-1]] \
+                == [at_step[step] for step in expected]
+            assert shipped[-1].final \
+                and shipped[-1].snapshot.volume == quota
+            assert message_to_payload(shipped[-1]) \
+                == message_to_payload(every[-1])
+            merged = []
+            for messages in (every, shipped):
+                collector = Collector(config, MomentSnapshot.zero(1, 2),
+                                      None)
+                for message in messages:
+                    collector.receive(message, 0.0)
+                estimates = collector.merged().estimates()
+                merged.append((
+                    [getattr(estimates, name).tobytes() for name in
+                     ("mean", "variance", "abs_error", "rel_error")],
+                    {kind: statistic.to_payload() for kind, statistic
+                     in collector.merged_statistics().items()}))
+            assert merged[0] == merged[1]
+
+        check()
 
 
 @batch_routine(4)
