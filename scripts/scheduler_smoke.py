@@ -72,8 +72,10 @@ def cube(rng):
 def hang_on_sixth(rng):
     """One worker process hangs forever on its 6th call (O_EXCL race).
 
-    The winner records its pid in ``hang.pid`` for the harness to
-    SIGKILL after having simulated 5 realizations.  ``perpass=0`` makes
+    ``_CALLS`` counts per process: on a pool that is per slot, across
+    every assignment the slot has run.  The winner records its pid in
+    ``hang.pid`` for the harness to SIGKILL after having simulated 5
+    realizations.  ``perpass=0`` makes
     a pass due after each one, but the latest-wins outbox skips a pass
     while the previous one is unread, so the run may keep fewer than 5.
     """

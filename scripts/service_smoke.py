@@ -82,7 +82,11 @@ def crawl(rng):
 
 
 def hang_on_sixth(rng):
-    """One worker hangs forever on its 6th call (O_EXCL race)."""
+    """One worker hangs forever on its 6th call (O_EXCL race).
+
+    ``_CALLS`` counts per process: on a pool that is per slot, across
+    every assignment the slot has run.
+    """
     directory = os.environ.get("PARMONC_SERVICE_SMOKE_HANG_DIR")
     if directory:
         _CALLS["n"] += 1

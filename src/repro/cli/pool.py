@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"TCP port (default {DEFAULT_POOL_PORT}; "
                              f"0 picks a free one)")
     parser.add_argument("--workers", type=int, default=None,
-                        help="worker-process slots to offer "
+                        help="worker processes (slots) a session keeps "
                              "(default: CPU count)")
     parser.add_argument("--start-method", default=None,
                         choices=("fork", "spawn", "forkserver"),

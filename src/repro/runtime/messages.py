@@ -54,6 +54,7 @@ __all__ = [
     "message_from_payload",
     "message_to_payload",
     "pack_moments",
+    "payload_is_final",
     "unpack_moments",
 ]
 
@@ -325,6 +326,12 @@ def message_to_payload(message: MomentMessage) -> bytes:
     return pack_moments(message.snapshot, tail,
                         flags=_FLAG_FINAL if message.final else 0,
                         rank=message.rank, sent_at=message.sent_at)
+
+
+def payload_is_final(body: bytes) -> bool:
+    """Whether a :func:`message_to_payload` body is its rank's final
+    pass, read off the flags word alone — nothing else is decoded."""
+    return bool(body[0] & _FLAG_FINAL)
 
 
 def message_from_payload(body: bytes) -> MomentMessage:

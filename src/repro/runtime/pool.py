@@ -12,13 +12,14 @@ different clients) need no restart::
      | -- HELLO {} -------------------> |   a session opens, empty
      | <---- WELCOME {workers: N} ----- |   advertise capacity
      | -- SUBMIT {config, routine} ---> |   import/unpickle the routine
-     | -- ASSIGN {rank, quota} -------> |   fork a worker process
+     | -- ASSIGN {rank, quota} -------> |   an idle slot, or fork one
      | <-------- DATA {message} ------- |   every data pass, forwarded
-     | <---- EXIT {rank, exitcode} ---- |   after the worker's pipe is
-     |                                  |   drained (drain-before-verdict)
+     | <---- EXIT {rank, exitcode} ---- |   after the rank's final pass
+     |                                  |   (0), or after a dead slot's
+     |                                  |   pipe is drained
      | -- CANCEL {} ------------------> |   job over: stop and forget it
      | <-> HEARTBEAT <->                |   liveness, both directions
-     | -- BYE ------------------------> |   session over, workers freed
+     | -- BYE ------------------------> |   session over, slots stopped
 
 A session carries any number of jobs, each declared by its own SUBMIT
 before its first ASSIGN and forgotten at its CANCEL.  A named job's
@@ -27,25 +28,37 @@ frames carry its id in a ``job`` field (the anonymous job of
 by side, tags their DATA passes and echoes the job on EXIT, so the run
 can route messages and deaths back to the right experiment.
 
-Every ASSIGN runs in its own OS process (so a stuck or ``kill -9``-ed
-realization routine never takes the daemon down), started by the
+A session keeps *slots*: child processes started once, through the
 :class:`~repro.runtime.host.WorkerHost` the ``multiprocess`` backend
-uses.  The worker encodes each
+uses, at the first ASSIGN no idle slot can take — the run never keeps
+more than ``workers`` assignments active on a link, so that is as many
+slots as a session ever holds.  A slot loops over assignments read
+from its own control pipe: the ASSIGN body as JSON, carrying the job's
+SUBMIT body too unless that is the one the slot decoded last, and
+runs each through :func:`~repro.runtime.worker.worker_process`.  So
+every ASSIGN runs outside the daemon (a stuck or ``kill -9``-ed
+realization routine never takes the daemon down), in a slot that is
+replaced when it dies.  The worker encodes each
 :class:`~repro.runtime.messages.MomentMessage` once, to the binary
 DATA body; a watcher thread frames those bytes as they are — the
-daemon never decodes or re-encodes a pass — and the host reports the
-process's exit only after its pipe is fully drained.  The run side
-therefore never sees an EXIT overtake the data that preceded it, which
-is what lets the engine's reassignment keep estimates bit-identical.
+daemon never decodes or re-encodes a pass, it only reads whether a
+body is its rank's final.  The final ends the assignment: the watcher
+marks the slot idle, then sends EXIT 0.  A slot that dies instead is
+reported by the host only after its pipe is fully drained, and its
+EXIT carries the real exit code.  The run side therefore never sees an
+EXIT overtake the data that preceded it, which is what lets the
+engine's reassignment keep estimates bit-identical.
 
 A pool whose run stops heartbeating (crashed, unplugged) terminates
-the session's workers and returns to listening; a run whose pool
+the session's slots and returns to listening; a run whose pool
 vanishes routes the loss through ``on_worker_death``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import itertools
+import json
 import logging
 import multiprocessing
 import os
@@ -54,6 +67,7 @@ import time
 
 from repro.exceptions import WireError
 from repro.runtime.host import WorkerHost
+from repro.runtime.messages import payload_is_final
 from repro.runtime.wire import (
     FrameKind,
     config_from_payload,
@@ -84,6 +98,59 @@ def _job_of(payload: dict) -> str | None:
     return None if job is None else str(job)
 
 
+def _decode_context(payload: dict) -> tuple:
+    """One ``(routine, config)`` context from a SUBMIT body."""
+    try:
+        config_payload = payload["config"]
+        routine_payload = payload["routine"]
+    except KeyError as exc:
+        raise WireError(f"submit frame misses {exc}") from exc
+    config = config_from_payload(config_payload)
+    routine = routine_from_payload(routine_payload, _import_routine)
+    batch_size = payload.get("batch_size")
+    if batch_size and getattr(routine, "batch_size", None) is None:
+        routine = make_batched(routine, int(batch_size))
+    return routine, config
+
+
+def _slot_main(control, outbox) -> None:
+    """A slot: run every assignment ``control`` delivers into ``outbox``.
+
+    Keeps the context it decoded last.  The session terminates it at
+    its end; if the daemon dies instead, the pipe closes and the slot
+    returns — a copy of the write end outside the daemon is held only
+    by a slot of another session forked later, whose own pipe closes
+    first.
+    """
+    context = None
+    while True:
+        try:
+            assignment = json.loads(control.recv_bytes())
+        except EOFError:
+            return
+        if "submit" in assignment:
+            context = _decode_context(assignment["submit"])
+        routine, config = context
+        worker_process(routine, config, int(assignment["rank"]),
+                       int(assignment["quota"]), outbox,
+                       job=_job_of(assignment),
+                       deadline_in=assignment.get("deadline_in"))
+
+
+class _Slot:
+    """One slot's books, kept under its session's lock."""
+
+    __slots__ = ("control", "assignment", "submit")
+
+    def __init__(self, control) -> None:
+        #: Write end of the slot's control pipe; None once it is stopped.
+        self.control = control
+        #: ``(job, rank)`` it runs, None while idle.
+        self.assignment = None
+        #: The SUBMIT body it decoded last.
+        self.submit = None
+
+
 class _Session:
     """One connected run, from HELLO to BYE (or connection loss)."""
 
@@ -93,16 +160,19 @@ class _Session:
         self._reader = reader
         self._writer = writer
         self._loop = asyncio.get_running_loop()
-        # Running assignments keyed ``(job, rank)`` (job is None for
-        # the anonymous job of a single run), so two jobs of one
-        # scheduler can both field a rank 0 here without colliding.
         self._host = WorkerHost(server.context)
+        # Slots by host key.  The loop thread hands them assignments,
+        # the watcher takes them back; the books and the host's pipe
+        # ends change only under this lock.
+        self._slots: dict[int, _Slot] = {}
+        self._lock = threading.Lock()
+        self._slot_keys = itertools.count()
         self._closed = False
         self._last_run_heartbeat = time.monotonic()
         self._peer = writer.get_extra_info("peername")
-        # ``(routine, config)`` per declared job: SUBMIT adds an
-        # entry, CANCEL drops it.
-        self._contexts: dict[str | None, tuple] = {}
+        # The SUBMIT body per declared job: SUBMIT adds an entry,
+        # CANCEL drops it.
+        self._contexts: dict[str | None, dict] = {}
 
     async def run(self) -> None:
         heartbeat_task = None
@@ -124,7 +194,7 @@ class _Session:
             while True:
                 kind, payload = await read_frame(self._reader)
                 if kind is FrameKind.ASSIGN:
-                    self._start_worker(payload)
+                    self._assign(payload)
                 elif kind is FrameKind.SUBMIT:
                     self._submit_job(payload)
                 elif kind is FrameKind.CANCEL:
@@ -154,37 +224,38 @@ class _Session:
     # -- job lifecycle -----------------------------------------------------
 
     def _submit_job(self, payload: dict) -> None:
-        """Adopt one job: the only way the session learns a context."""
+        """Adopt one job: the only way the session learns a context.
+
+        Decoded here once, so a routine this host cannot resolve fails
+        the SUBMIT rather than a slot.
+        """
         job = _job_of(payload)
-        self._contexts[job] = self._adopt_context(payload)
+        _decode_context(payload)
+        self._contexts[job] = payload
         _logger.info("session from %s: job %s submitted", self._peer, job)
 
     def _cancel_job(self, payload: dict) -> None:
-        """A job is over: terminate its live workers, forget it."""
+        """A job is over: stop the slots still running it, forget it.
+
+        A rank whose final is in left its slot idle, so a job that
+        drained stops nothing; a stopped slot gets no more work.
+        """
         job = _job_of(payload)
         self._contexts.pop(job, None)
-        keys = [key for key in self._host.keys() if key[0] == job]
-        self._host.terminate(keys)
-        _logger.info("session from %s: job %s released (%d workers "
+        with self._lock:
+            keys = [key for key, slot in self._slots.items()
+                    if slot.assignment is not None
+                    and slot.assignment[0] == job]
+            for key in keys:
+                self._retire(self._slots[key])
+            self._host.terminate(keys)
+        _logger.info("session from %s: job %s released (%d slots "
                      "terminated)", self._peer, job, len(keys))
 
-    def _adopt_context(self, payload: dict) -> tuple:
-        """One ``(routine, config)`` context from a SUBMIT body."""
-        try:
-            config_payload = payload["config"]
-            routine_payload = payload["routine"]
-        except KeyError as exc:
-            raise WireError(f"submit frame misses {exc}") from exc
-        config = config_from_payload(config_payload)
-        routine = routine_from_payload(routine_payload, _import_routine)
-        batch_size = payload.get("batch_size")
-        if batch_size and getattr(routine, "batch_size", None) is None:
-            routine = make_batched(routine, int(batch_size))
-        return routine, config
+    # -- slot lifecycle ----------------------------------------------------
 
-    # -- worker lifecycle --------------------------------------------------
-
-    def _start_worker(self, payload: dict) -> None:
+    def _assign(self, payload: dict) -> None:
+        """Hand one ASSIGN to an idle slot, forking one if none is."""
         try:
             rank = int(payload["rank"])
             quota = int(payload["quota"])
@@ -192,34 +263,82 @@ class _Session:
             raise WireError(f"malformed assign frame: {exc}") from exc
         job = _job_of(payload)
         label = f"rank {rank}" if job is None else f"job {job} rank {rank}"
-        if (job, rank) in self._host.keys():
-            raise WireError(f"{label} is already assigned on this pool")
-        try:
-            routine, config = self._contexts[job]
-        except KeyError:
-            raise WireError(
-                f"assign frame names job {job!r}, which no submit "
-                f"frame declared (or a cancel already released)"
-            ) from None
-        pid = self._host.start(
-            (job, rank), worker_process, routine, config, rank, quota,
-            job=job, deadline_in=payload.get("deadline_in"))
-        _logger.info("session from %s: %s started (quota=%d, pid=%s)",
-                     self._peer, label, quota, pid)
+        with self._lock:
+            if any(slot.assignment == (job, rank)
+                   for slot in self._slots.values()):
+                raise WireError(f"{label} is already assigned on this pool")
+            try:
+                submit = self._contexts[job]
+            except KeyError:
+                raise WireError(
+                    f"assign frame names job {job!r}, which no submit "
+                    f"frame declared (or a cancel already released)"
+                ) from None
+            slot = next((slot for slot in self._slots.values()
+                         if slot.assignment is None
+                         and slot.control is not None), None)
+            if slot is None:
+                slot = self._start_slot()
+            body = (payload if slot.submit is submit
+                    else {**payload, "submit": submit})
+            slot.submit, slot.assignment = submit, (job, rank)
+            try:
+                slot.control.send_bytes(json.dumps(body).encode("utf-8"))
+            except OSError:
+                pass  # the slot just died: its exit reports the rank
+        self._server.assignments_served += 1
+        _logger.info("session from %s: %s assigned (quota=%d)",
+                     self._peer, label, quota)
+
+    def _start_slot(self) -> _Slot:
+        """Fork one slot reading its own control pipe (lock held)."""
+        reader, control = self._host.pipe()
+        key = next(self._slot_keys)
+        slot = self._slots[key] = _Slot(control)
+        pid = self._host.start(key, _slot_main, reader)
+        self._host.release(reader)  # the slot holds the read end now
+        self._server.slots_started += 1
+        _logger.info("session from %s: slot %d started (pid=%s)",
+                     self._peer, key, pid)
+        return slot
+
+    def _retire(self, slot: _Slot) -> None:
+        """Close a slot's control pipe: it takes no assignment again."""
+        if slot.control is not None:
+            self._host.release(slot.control)
+            slot.control = None
 
     def _watch(self) -> None:
-        """Frame what the host reads — DATA as it is, EXIT once the
-        worker's pipe is drained — until the session ends; then stop
-        every worker.  One plain thread per session (pipe reads block).
+        """Frame what the host reads until the session ends; then stop
+        every slot.  One plain thread per session (pipe reads block).
+
+        DATA goes out as it is.  An assignment is over at its rank's
+        final pass — the slot is idle before the run can answer that
+        pass, with a CANCEL or the next ASSIGN, and EXIT 0 follows it —
+        or when its slot died and the host drained the slot's pipe:
+        then EXIT carries the real code.
         """
         host = self._host
         try:
             while (event := host.read()) is not None:
-                (job, rank), item = event
+                key, item = event
                 if isinstance(item, bytes):
+                    over = None
+                    if payload_is_final(item):
+                        with self._lock:
+                            slot = self._slots[key]
+                            over, slot.assignment = slot.assignment, None
                     self._send_threadsafe(FrameKind.DATA, item)
-                    continue
-                exit_payload = {"rank": rank, "exitcode": item}
+                    exitcode = 0
+                else:
+                    with self._lock:
+                        slot = self._slots.pop(key)
+                        self._retire(slot)
+                    over, exitcode = slot.assignment, item
+                if over is None:
+                    continue  # a slot that died idle reports nothing
+                job, rank = over
+                exit_payload = {"rank": rank, "exitcode": exitcode}
                 if job is not None:
                     exit_payload["job"] = job
                 self._send_threadsafe(FrameKind.EXIT, exit_payload)
@@ -245,8 +364,10 @@ class _Session:
 
     @property
     def busy(self) -> int:
-        """Worker processes this session is currently running."""
-        return len(self._host.keys())
+        """Slots of this session running an assignment."""
+        with self._lock:
+            return sum(slot.assignment is not None
+                       for slot in self._slots.values())
 
     async def _heartbeats(self) -> None:
         interval = self._server.heartbeat_interval
@@ -256,7 +377,7 @@ class _Session:
                 # Server-wide occupancy: concurrent sessions share one
                 # physical worker budget, so each run sees the true load.
                 "busy": self._server.busy_workers,
-                "session_busy": len(self._host.keys()),
+                "session_busy": self.busy,
                 "workers": self._server.workers,
             })
             silent = time.monotonic() - self._last_run_heartbeat
@@ -269,7 +390,7 @@ class _Session:
 
     def _shutdown(self) -> None:
         self._closed = True
-        self._host.interrupt()  # the watcher stops every worker
+        self._host.interrupt()  # the watcher stops every slot
         if not self._writer.is_closing():
             self._writer.close()
 
@@ -282,13 +403,13 @@ class PoolServer:
             explicitly to serve other hosts — the protocol executes
             user routines, so expose it to trusted networks only).
         port: TCP port (0 picks a free one; see :attr:`address`).
-        workers: Worker-process slots to advertise (default: CPU count).
-        start_method: ``multiprocessing`` start method for worker
-            processes (None = platform default; ``fork`` keeps
-            unpickled closures usable).
+        workers: Slots a session keeps, advertised to every run
+            (default: CPU count).
+        start_method: ``multiprocessing`` start method for slot
+            processes (None = platform default).
         heartbeat_interval: Seconds between pool heartbeats to the run.
         session_timeout: Seconds of run silence before the session is
-            dropped and its workers reclaimed.
+            dropped and its slots reclaimed.
     """
 
     def __init__(self, host: str = "127.0.0.1",
@@ -311,10 +432,14 @@ class PoolServer:
         self._startup_error: BaseException | None = None
         self._sessions: set[_Session] = set()
         self.sessions_served = 0
+        #: Slot processes forked, and ASSIGN frames handed to slots,
+        #: across every session: a slot is forked only when none idles.
+        self.slots_started = 0
+        self.assignments_served = 0
 
     @property
     def context(self):
-        """The multiprocessing context worker processes spawn from."""
+        """The multiprocessing context slot processes start from."""
         if self._context is None:
             self._context = multiprocessing.get_context(self._start_method)
         return self._context
@@ -348,11 +473,12 @@ class PoolServer:
 
     @property
     def busy_workers(self) -> int:
-        """Worker processes running across *all* live sessions.
+        """Slots running an assignment across *all* live sessions.
 
         Sessions share the daemon's one physical worker budget; this
         server-wide count is what heartbeats advertise, so concurrent
         runs see each other's load instead of believing the pool idle.
+        An idle slot is no load.
         """
         return sum(session.busy for session in self._sessions)
 

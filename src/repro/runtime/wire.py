@@ -34,8 +34,9 @@ Frame kinds (:class:`FrameKind`):
 ``WELCOME``     pool -> run: worker capacity, pool identity
 ``ASSIGN``      run -> pool: one :class:`WorkerAssignment` (rank/quota)
 ``DATA``        pool -> run: one ``MomentMessage`` data pass (binary)
-``EXIT``        pool -> run: a worker process exited (after its queued
-                data frames were flushed — drain-before-verdict)
+``EXIT``        pool -> run: an assignment is over — code 0 after its
+                final pass, or its slot's exit code once the slot's
+                queued data frames were flushed (drain-before-verdict)
 ``HEARTBEAT``   both ways: liveness + pool occupancy
 ``BYE``         run -> pool: session over, release the workers
 ``ERROR``       either way: human-readable fatal protocol error

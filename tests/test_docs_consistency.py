@@ -275,15 +275,16 @@ class TestOneContextSource:
 
     def test_exactly_one_worker_process_target(self):
         # Every forked child goes through WorkerHost.start, and its
-        # targets are the worker body and the reducer body alone.
+        # targets are the worker body, the reducer body and the pool
+        # slot, which runs the worker body once per assignment.
         targets = [
             match
             for path in (ROOT / "src" / "repro").rglob("*.py")
             for match in re.findall(
                 r"host\.start\(\s*(?:\([^)]*\)|[^,(]+),\s*(\w+)",
                 path.read_text())]
-        assert sorted(set(targets)) == ["run_reducer", "worker_process"]
-        assert targets.count("worker_process") == 2  # multiprocess, pool
+        assert sorted(targets) == ["_slot_main", "run_reducer",
+                                   "worker_process"]
         definitions = [
             str(path.relative_to(ROOT))
             for path in (ROOT / "src" / "repro").rglob("*.py")
@@ -320,10 +321,15 @@ class TestOneWorkerHost:
         # One Process; a Pipe each for the wake-up, an edge, a child.
         assert sites == {"src/repro/runtime/host.py": 4}
         for module in ("multiprocess", "pool"):
-            source = read(f"src/repro/runtime/{module}.py")
-            assert "WorkerHost(" in source, module
-            assert re.search(r"host\.start\(\s*\([^)]*\),\s*worker_process",
-                             source), module
+            assert "WorkerHost(" in read(f"src/repro/runtime/{module}.py")
+        # The backend forks a worker per rank; a pool session forks
+        # slots that run worker_process once per assignment.
+        assert re.search(r"host\.start\(\s*\([^)]*\),\s*worker_process",
+                         read("src/repro/runtime/multiprocess.py"))
+        from repro.runtime import pool
+        assert re.search(r"host\.start\(\s*\w+,\s*_slot_main\b",
+                         inspect.getsource(pool._Session._start_slot))
+        assert "worker_process(" in inspect.getsource(pool._slot_main)
 
     def test_multiprocess_backend_needs_no_drain_buffer(self):
         assert "DrainBuffer" not in read("src/repro/runtime/multiprocess.py")

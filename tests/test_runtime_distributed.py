@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import asyncio
 import os
+import select
 import signal
 import socket
+import sys
 import threading
 import time
 from types import SimpleNamespace
@@ -22,7 +24,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.core.parmonc import parmonc
+from repro.core.parmonc import build_job_spec, parmonc
 from repro.exceptions import ConfigurationError
 from repro.obs.events import read_events
 from repro.runtime.collector import Collector
@@ -62,11 +64,13 @@ _CALLS = {"n": 0}
 def hang_on_sixth(rng):
     """Uniform squares, except one worker process hangs on its 6th call.
 
-    The pid file is created ``O_EXCL``, so across every worker process
-    exactly one wins the race, records its pid for the test to SIGKILL,
-    and sleeps forever — after having simulated 5 realizations, of which
-    it delivered as many as its last pass out of the latest-wins outbox
-    carried.  Everyone else computes on.
+    The count is per *process*: on a pool that is per slot, across
+    every assignment the slot has run.  The pid file is created
+    ``O_EXCL``, so across every worker process exactly one wins the
+    race, records its pid for the test to SIGKILL, and sleeps forever —
+    after having simulated 5 realizations, of which it delivered as
+    many as its last pass out of the latest-wins outbox carried.
+    Everyone else computes on.
     """
     directory = os.environ.get(_HANG_DIR_ENV)
     if directory:
@@ -92,6 +96,93 @@ def wide(rng):
     """The Fig. 2 overhead shape: one draw, a 32 KB moment pass."""
     rng.random()
     return _WIDE
+
+
+#: Directory (via environment) where the ``noted_*`` routines, and the
+#: ones below that use it, leave a file named after the pid of every
+#: process that runs them; unset = benign.
+_PID_DIR_ENV = "PARMONC_TEST_PID_DIR"
+
+_SLOT_CALLS = {"n": 0}
+
+
+def _note_pid() -> str | None:
+    directory = os.environ.get(_PID_DIR_ENV)
+    if directory:
+        open(os.path.join(directory, str(os.getpid())), "a").close()
+    return directory
+
+
+def _pids(directory) -> set[int]:
+    return {int(name) for name in os.listdir(directory)
+            if name.isdigit()}
+
+
+def noted_square(rng):
+    _note_pid()
+    return rng.random() ** 2
+
+
+def noted_wide(rng):
+    _note_pid()
+    return wide(rng)
+
+
+def noted_grid(rng):
+    """A 3x4 realization."""
+    _note_pid()
+    return np.array([[rng.random() for _ in range(4)] for _ in range(3)])
+
+
+def broken(rng):
+    _note_pid()
+    raise ValueError("this routine always fails")
+
+
+def exit_on_thirteenth(rng):
+    """``os._exit(0)`` on the 13th call of one process, once (O_EXCL).
+
+    With quota 10 per rank on a one-slot pool, the 13th call of the
+    slot is the 3rd realization of its second assignment.
+    """
+    directory = _note_pid()
+    if directory:
+        _SLOT_CALLS["n"] += 1
+        if _SLOT_CALLS["n"] == 13:
+            try:
+                os.close(os.open(os.path.join(directory, "exited"),
+                                 os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            except FileExistsError:
+                pass
+            else:
+                os._exit(0)
+    return rng.random() ** 2
+
+
+def block_until_killed(rng):
+    """Publish this process's pid in ``busy.pid`` and block on signals."""
+    directory = _note_pid()
+    if directory:
+        staged = os.path.join(directory, "busy.tmp")
+        with open(staged, "w") as handle:
+            handle.write(str(os.getpid()))
+        os.rename(staged, os.path.join(directory, "busy.pid"))
+        while True:
+            signal.pause()
+    return rng.random()
+
+
+def wait_dead(pid: int, timeout: float = 30.0) -> bool:
+    """Whether process ``pid`` is gone within ``timeout`` (a pidfd, no
+    polling); a pid already reaped counts as gone."""
+    try:
+        fd = os.pidfd_open(pid)
+    except ProcessLookupError:
+        return True
+    try:
+        return bool(select.select([fd], [], [], timeout)[0])
+    finally:
+        os.close(fd)
 
 
 def free_port() -> int:
@@ -294,6 +385,199 @@ class TestPoolReuse:
                     == reference.estimates.mean.tobytes())
             assert (job.result.estimates.abs_error.tobytes()
                     == reference.estimates.abs_error.tobytes())
+
+
+class TestPoolSlots:
+    """A pool session keeps its slots: forked once, handed every ASSIGN
+    that finds one idle, replaced only when one dies.  Gated by pid
+    files and pidfds, never by a sleep."""
+
+    RUN = dict(perpass=0.0, peraver=0.0)
+
+    SHAPES = (
+        dict(routine=noted_square, maxsv=3, seqnum=1),
+        dict(routine=noted_wide, nrow=1000, ncol=2, maxsv=24, processors=2,
+             seqnum=2, batch_size=5, statistics="extrema", telemetry=True),
+        dict(routine=noted_grid, nrow=3, ncol=4, maxsv=30, processors=2,
+             seqnum=3, statistics="histogram,covariance"),
+    )
+
+    @staticmethod
+    def _assert_same(result, reference):
+        for field in ("mean", "variance", "abs_error", "rel_error"):
+            assert (getattr(result.estimates, field).tobytes()
+                    == getattr(reference.estimates, field).tobytes()), field
+        assert (payload_map(result.statistics)
+                == payload_map(reference.statistics))
+
+    def _service(self, workers):
+        server = PoolServer(port=0, workers=workers, start_method="fork")
+        backend = DistributedBackend(connect="%s:%d" % server.start())
+        return server, Scheduler(backend, workers=workers)
+
+    def _submit(self, scheduler, name, routine, **run):
+        return scheduler.submit(build_job_spec(dict(
+            routine=routine, name=name, use_files=False, **self.RUN,
+            **run)))
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_twenty_jobs_through_one_session_fork_workers_slots(
+            self, tmp_path, workers):
+        # The watcher and the loop thread share the slot books; with
+        # threads switching every microsecond, a lost update, or a
+        # CANCEL that stops a slot whose rank is done, forks another.
+        interval = sys.getswitchinterval()
+        server, scheduler = self._service(workers)
+        sys.setswitchinterval(1e-6)
+        scheduler.start()
+        try:
+            for index in range(20):
+                job = self._submit(scheduler, f"job{index}", square,
+                                   maxsv=4 * workers, processors=workers,
+                                   seqnum=index)
+                assert scheduler.wait(job, timeout=60.0)
+                assert job.status is JobStatus.DONE, job.error
+                assert job.result.total_volume == 4 * workers
+        finally:
+            sys.setswitchinterval(interval)
+            assert scheduler.shutdown(timeout=60.0) is True
+            server.stop()
+        assert server.sessions_served == 1
+        assert server.slots_started == workers
+        assert server.assignments_served == 20 * workers
+
+    def test_jobs_of_changing_shape_share_one_slot(self, tmp_path,
+                                                   monkeypatch):
+        references = [
+            parmonc(shape["routine"], backend="sequential", **self.RUN,
+                    **{key: value for key, value in shape.items()
+                       if key != "routine"},
+                    workdir=tmp_path / f"ref{index}")
+            for index, shape in enumerate(self.SHAPES)]
+        monkeypatch.setenv(_PID_DIR_ENV, str(tmp_path))
+        server = PoolServer(port=0, workers=1, start_method="fork")
+        address = "%s:%d" % server.start()
+        try:
+            results = parmonc(
+                jobs=[{**shape, **self.RUN, "name": f"shape{index}",
+                       "workdir": tmp_path / f"job{index}"}
+                      for index, shape in enumerate(self.SHAPES)],
+                backend="distributed", connect=address, workers=1)
+        finally:
+            server.stop()
+        for result, reference in zip(results, references):
+            self._assert_same(result, reference)
+        # One slot ran all five assignments, its context changing
+        # between jobs as the fair share interleaved them.
+        assert len(_pids(tmp_path)) == 1
+        assert (server.slots_started, server.assignments_served) == (1, 5)
+
+    def test_a_raising_routine_costs_its_slot_and_only_its_job(
+            self, tmp_path, monkeypatch):
+        reference = parmonc(square, maxsv=16, processors=2, seqnum=1,
+                            backend="sequential", use_files=False,
+                            **self.RUN)
+        monkeypatch.setenv(_PID_DIR_ENV, str(tmp_path))
+        server, scheduler = self._service(workers=1)
+        try:
+            bad = scheduler.submit(build_job_spec(dict(
+                routine=broken, name="bad", maxsv=4, telemetry=True,
+                workdir=tmp_path / "bad", **self.RUN)))
+            _drive(scheduler, lambda: bad.status == JobStatus.FAILED)
+            [bad_slot] = _pids(tmp_path)
+            good = self._submit(scheduler, "good", noted_square, maxsv=16,
+                                processors=2, seqnum=1)
+            _drive(scheduler, lambda: good.status == JobStatus.DONE)
+        finally:
+            scheduler.shutdown()
+            server.stop()
+        died = read_events(tmp_path / "bad" / "parmonc_data" / "telemetry"
+                           / "events.jsonl", kind="worker_died")
+        assert [event.fields["exitcode"] for event in died] == [1]
+        self._assert_same(good.result, reference)
+        # A fresh slot ran both of the good job's ranks.
+        assert len(_pids(tmp_path) - {bad_slot}) == 1
+        assert server.slots_started == 2
+
+    def test_exit_mid_assignment_on_a_reused_slot_is_a_death(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setenv(_PID_DIR_ENV, str(tmp_path))
+        server = PoolServer(port=0, workers=1, start_method="fork")
+        address = "%s:%d" % server.start()
+        try:
+            result = parmonc(exit_on_thirteenth, maxsv=20, processors=2,
+                             backend="distributed", connect=address,
+                             on_worker_death="reassign", telemetry=True,
+                             workdir=tmp_path / "run", **self.RUN)
+        finally:
+            server.stop()
+        # Rank 0 ran whole on the slot; rank 1 exited 0 on the same slot
+        # without its final; a fresh slot ran the remainder as rank 2.
+        assert result.total_volume == 20
+        assert result.recovered_ranks == (1,)
+        volumes = result.per_rank_volumes
+        assert sorted(volumes) == [0, 1, 2]
+        assert volumes[0] == 10 and 1 <= volumes[1] <= 2
+        assert server.slots_started == 2
+        died = read_events(tmp_path / "run" / "parmonc_data" / "telemetry"
+                           / "events.jsonl", kind="worker_died")
+        assert [(event.fields["rank"], event.fields["exitcode"])
+                for event in died] == [(1, 0)]
+        monkeypatch.delenv(_PID_DIR_ENV)
+        config = RunConfig(maxsv=20, processors=2, workdir=tmp_path / "ref",
+                           **self.RUN)
+        reference = merge_snapshots([
+            run_worker(exit_on_thirteenth, config, rank, volume,
+                       send=lambda message: None).snapshot()
+            for rank, volume in sorted(volumes.items())]).estimates()
+        assert result.estimates.mean[0, 0] == reference.mean[0, 0]
+        assert (result.estimates.variance[0, 0]
+                == reference.variance[0, 0])
+
+    def test_cancel_terminates_only_the_busy_slot(self, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.setenv(_PID_DIR_ENV, str(tmp_path))
+        server, scheduler = self._service(workers=2)
+        published = tmp_path / "busy.pid"
+        try:
+            first = self._submit(scheduler, "first", noted_square, maxsv=8,
+                                 processors=2)
+            _drive(scheduler, lambda: first.status == JobStatus.DONE)
+            slots = _pids(tmp_path)
+            # Heartbeats advertise busy slots: two idle ones are no load.
+            assert server.busy_workers == 0
+            stuck = self._submit(scheduler, "stuck", block_until_killed,
+                                 maxsv=8)
+            _drive(scheduler, published.exists)
+            busy = int(published.read_text())
+            assert server.busy_workers == 1
+            assert scheduler.cancel(stuck)
+            _drive(scheduler, lambda: stuck.status == JobStatus.CANCELLED)
+            assert wait_dead(busy)
+            last = self._submit(scheduler, "last", noted_square, maxsv=8)
+            _drive(scheduler, lambda: last.status == JobStatus.DONE)
+        finally:
+            scheduler.shutdown()
+            server.stop()
+        assert len(slots) == 2 and busy in slots
+        # The last job ran on the slot that idled through the cancel.
+        assert _pids(tmp_path) == slots
+        assert server.slots_started == 2
+
+    def test_spawned_slots_decode_their_routine_from_the_wire(self):
+        sequential = parmonc(square, maxsv=12, processors=2,
+                             backend="sequential", use_files=False,
+                             **self.RUN)
+        server = PoolServer(port=0, workers=2, start_method="spawn")
+        address = "%s:%d" % server.start()
+        try:
+            distributed = parmonc(square, maxsv=12, processors=2,
+                                  backend="distributed", connect=address,
+                                  use_files=False, **self.RUN)
+        finally:
+            server.stop()
+        self._assert_same(distributed, sequential)
+        assert server.slots_started == 2
 
 
 class TestOneSessionShape:
