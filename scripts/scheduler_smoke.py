@@ -72,7 +72,7 @@ def cube(rng):
 def hang_on_sixth(rng):
     """One worker process hangs forever on its 6th call (O_EXCL race).
 
-    ``_CALLS`` counts per process: on a pool that is per slot, across
+    ``_CALLS`` counts per process: per slot on either backend, across
     every assignment the slot has run.  The winner records its pid in
     ``hang.pid`` for the harness to SIGKILL after having simulated 5
     realizations.  ``perpass=0`` makes

@@ -84,7 +84,7 @@ def crawl(rng):
 def hang_on_sixth(rng):
     """One worker hangs forever on its 6th call (O_EXCL race).
 
-    ``_CALLS`` counts per process: on a pool that is per slot, across
+    ``_CALLS`` counts per process: per slot on either backend, across
     every assignment the slot has run.
     """
     directory = os.environ.get("PARMONC_SERVICE_SMOKE_HANG_DIR")

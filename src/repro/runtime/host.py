@@ -1,26 +1,34 @@
-"""The one worker host: child processes that write DATA bodies into pipes.
+"""The one worker host: the slots and reducers of both forking backends.
 
-``multiprocess`` (workers and reducers) and the ``parmonc-pool`` daemon
-start every child here, with the write end of a private
-``Pipe(duplex=False)`` whose parent copy is closed after the fork.
-:meth:`WorkerHost.read` waits on every reader and sentinel at once and
-returns a child's bodies in order, then — once its pipe is drained —
-its exit: drain-before-verdict is structural, and a child killed
-mid-body tears only its own pipe.  A child may instead write into a
-tree edge (:meth:`WorkerHost.pipe`) that another child reads; the
-parent keeps edge write ends for respawns, so under ``fork`` every
-child closes the ones it inherited.  One thread reads (:meth:`read`,
-:meth:`stop`, :meth:`close`); any may :meth:`start`, :meth:`terminate`
-or :meth:`interrupt`.
+``multiprocess`` and ``parmonc-pool`` run every rank on a *slot*, forked
+once and looping over assignments from a control pipe, each run through
+:func:`~repro.runtime.worker.worker_process`: PARMONC's ranks start
+once, then only compute and send.  A job reaches a slot as a SUBMIT
+body, sent unless the slot decoded it last; a closure, or a tree rank
+writing into its reducer's edge, runs on a *pinned* slot, forked with
+``(routine, config)`` for that one rank.  Every child writes DATA bodies
+into a private ``Pipe(duplex=False)`` or a tree edge, and under ``fork``
+closes the write ends the parent keeps.  :meth:`WorkerHost.read` returns
+a child's bodies in order (a slot's as its rank's, the final making it
+idle), then, once its pipe is drained, its exit.  One thread reads
+(``read``, ``stop``, ``close``); any may start, assign or signal.
 """
 
 from __future__ import annotations
 
+import itertools
+import json
 import threading
 import time
+from contextlib import suppress
 from multiprocessing.connection import wait
 
-__all__ = ["WorkerHost"]
+from repro.exceptions import WireError
+from repro.runtime.messages import payload_is_final
+from repro.runtime.wire import config_from_payload, routine_from_payload
+from repro.runtime.worker import make_batched, worker_process
+
+__all__ = ["WorkerHost", "decode_context"]
 
 #: How long a terminated child gets to die before it is killed.
 _TERMINATE_SECONDS = 2.0
@@ -31,14 +39,60 @@ _TERMINATE_SECONDS = 2.0
 _REAP = threading.Lock()
 
 
+def _import_routine(spec: str):
+    """``module:function`` resolver for SUBMIT spec payloads."""
+    from repro.cli.run import load_routine
+    return load_routine(spec)
+
+
+def decode_context(submit: dict) -> tuple:
+    """One ``(routine, config)`` context from a SUBMIT body."""
+    try:
+        config = config_from_payload(submit["config"])
+        routine = routine_from_payload(submit["routine"], _import_routine)
+    except KeyError as exc:
+        raise WireError(f"submit frame misses {exc}") from exc
+    batch_size = submit.get("batch_size")
+    if batch_size and getattr(routine, "batch_size", None) is None:
+        routine = make_batched(routine, int(batch_size))
+    return routine, config
+
+
 def _child_main(target, inherited, args, kwargs) -> None:
     for connection in inherited:
         connection.close()
     target(*args, **kwargs)
 
 
+def _slot_main(control, outbox, context=None) -> None:
+    """A slot: run every assignment ``control`` delivers into ``outbox``,
+    with the context it inherited or decoded last, until the control
+    pipe closes (a pinned slot's after one, or the parent died)."""
+    while True:
+        try:
+            assignment = json.loads(control.recv_bytes())
+        except EOFError:
+            return
+        if "submit" in assignment:
+            context = decode_context(assignment.pop("submit"))
+        worker_process(*context, outbox=outbox, **assignment)
+
+
+class _Slot:
+    """One slot's books, kept under its host's lock."""
+
+    __slots__ = ("control", "context", "pid", "assignment")
+
+    def __init__(self, control, context) -> None:
+        self.control = control  # None once retired: it takes no more work
+        self.context = context  # SUBMIT body decoded last, or pinned pair
+        self.pid = None
+        self.assignment = None  # (job, rank) it runs; None while idle
+
+
 class WorkerHost:
-    """Child processes keyed by the caller, each read through one pipe.
+    """Children read through one pipe each: the caller's, by its keys,
+    and slots, keyed ``(job, serial)`` with job None unless pinned.
 
     Args:
         context: The ``multiprocessing`` context children start from.
@@ -47,18 +101,29 @@ class WorkerHost:
     def __init__(self, context) -> None:
         self._context = context
         self._children: dict = {}  # key -> (process, reader or None)
-        self._lock = threading.Lock()
-        self._edges: set = set()   # edge write ends the parent keeps
+        self._slots: dict = {}     # slot key -> _Slot
+        self._serials = itertools.count()
+        self._lock = threading.RLock()
+        self._edges: set = set()   # edge and control write ends it keeps
         self._wake_reader, self._wake_writer = context.Pipe(duplex=False)
         self._interrupted = False
+        #: Slots forked (only when none idles), and ranks handed to them.
+        self.slots_started = 0
+        self.assignments_served = 0
 
     def keys(self) -> list:
         """Every child not yet reported exited."""
         with self._lock:
             return list(self._children)
 
+    def running(self) -> list:
+        """``(job, rank)`` of every busy slot."""
+        with self._lock:
+            return [slot.assignment for slot in self._slots.values()
+                    if slot.assignment is not None]
+
     def pipe(self) -> tuple:
-        """A tree edge ``(reader, writer)`` for one child to write into."""
+        """A tree edge or control pipe ``(reader, writer)`` to hand out."""
         reader, writer = self._context.Pipe(duplex=False)
         self._edges.add(writer)
         return reader, writer
@@ -70,11 +135,8 @@ class WorkerHost:
             connection.close()
 
     def start(self, key, target, *args, outbox=None, **kwargs) -> int:
-        """Fork ``target(*args, outbox, **kwargs)``; return its pid.
-
-        ``outbox`` defaults to a private pipe :meth:`read` drains; an
-        edge write end (:meth:`pipe`) is read by another child.
-        """
+        """Fork ``target(*args, outbox, **kwargs)``, ``outbox`` a private
+        pipe :meth:`read` drains or an edge's write end; return its pid."""
         inherited = ([edge for edge in self._edges if edge is not outbox]
                      if self._context.get_start_method() == "fork" else [])
         # Under the lock, no fork on another thread inherits this
@@ -98,10 +160,62 @@ class WorkerHost:
         self._wake_writer.send_bytes(b"")  # a read in progress waits on it
         return pid
 
+    def assign(self, job, rank: int, quota: int, context, *, outbox=None,
+               **limit) -> int:
+        """Run ``rank`` of ``job`` on a slot; return the slot's pid.
+
+        A SUBMIT body ``context`` goes to an idle slot, or a forked one;
+        a ``(routine, config)`` pair — with an edge ``outbox``, if any —
+        to a pinned slot forked with it.  ``limit`` is the ``deadline``
+        or ``deadline_in`` :func:`worker_process` takes.
+        """
+        pinned = isinstance(context, tuple)
+        body = {"rank": rank, "quota": quota, "job": job, **limit}
+        with self._lock:
+            slot = None if pinned else next(
+                (slot for slot in self._slots.values()
+                 if slot.assignment is None and slot.control is not None),
+                None)
+            if slot is None:
+                reader, control = self.pipe()
+                key = (job if pinned else None, next(self._serials))
+                slot = self._slots[key] = _Slot(control,
+                                                context if pinned else None)
+                slot.pid = self.start(key, _slot_main, reader,
+                                      outbox=outbox, context=slot.context)
+                self.release(reader)  # the slot holds the read end now
+                if outbox is not None:
+                    self.release(outbox)  # and the edge's write end
+                self.slots_started += 1
+            if slot.context is not context:
+                body["submit"] = slot.context = context
+            slot.assignment = (job, rank)
+            with suppress(OSError):  # a dead slot's exit reports the rank
+                slot.control.send_bytes(json.dumps(body).encode("utf-8"))
+            if pinned:
+                self._retire(slot)  # this rank is its last
+            self.assignments_served += 1
+            return slot.pid
+
+    def cancel(self, job) -> list:
+        """Retire and signal the slots running ``job`` and its pinned
+        ones; return their keys.  An idle slot serves on."""
+        with self._lock:
+            keys = [key for key, slot in self._slots.items()
+                    if slot.assignment is not None
+                    and slot.assignment[0] == job
+                    or key[0] == job and slot.control is None]
+            for key in keys:
+                self._retire(self._slots[key])
+            self.terminate(keys)
+        return keys
+
     def read(self, timeout: float | None = None):
         """``(key, body)``, or ``(key, exitcode)`` once a child exited
-        and its pipe is drained (it is then forgotten); None on timeout
-        or after :meth:`interrupt`.  Children take turns."""
+        and its pipe is drained (it is then forgotten); for a slot, key
+        is its ``(job, rank)``, and an idle one's exit goes unreported.
+        None on timeout or after :meth:`interrupt`.  Children take
+        turns."""
         deadline = None if timeout is None else time.monotonic() + timeout
         while not self._interrupted:
             with self._lock:
@@ -132,9 +246,16 @@ class WorkerHost:
                     else:
                         with self._lock:  # take a turn: go to the back
                             self._children[key] = self._children.pop(key)
+                            slot = self._slots.get(key)
+                            if slot is not None:
+                                key = slot.assignment
+                                if payload_is_final(body):
+                                    slot.assignment = None
                         return key, body
                 if exited:  # dead, and nothing of it is left to read
-                    return key, self._forget(key)
+                    exitcode, who = self._forget(key)
+                    if who is not None:
+                        return who, exitcode
         return None
 
     def interrupt(self) -> None:
@@ -160,9 +281,20 @@ class WorkerHost:
         self.stop(self.keys())
         self.release(*self._edges, self._wake_reader, self._wake_writer)
 
-    def _forget(self, key) -> int:
+    def _retire(self, slot: _Slot) -> None:
+        """Close a slot's control pipe: it takes no assignment again."""
+        if slot.control is not None:
+            self.release(slot.control)
+            slot.control = None
+
+    def _forget(self, key) -> tuple:
+        """Reap a child: ``(exitcode, key)``, a slot's key its rank or None."""
         with self._lock:
             process, reader = self._children.pop(key)
+            slot = self._slots.pop(key, None)
+            if slot is not None:
+                self._retire(slot)
+                key = slot.assignment
         with _REAP:
             process.join(_TERMINATE_SECONDS)
             if process.exitcode is None:  # deaf to SIGTERM
@@ -172,4 +304,4 @@ class WorkerHost:
             process.close()
         if reader is not None:
             reader.close()
-        return exitcode
+        return exitcode, key

@@ -1,32 +1,34 @@
 """Multiprocess backend: real OS processes and asynchronous messaging.
 
-The moral equivalent of the paper's MPI deployment on one machine: every
-worker is a process started by the one
-:class:`~repro.runtime.host.WorkerHost`, writing each pass's DATA body
-into its own pipe for the collector (this process) to read — slower
-workers simply deliver fewer realizations by the time any given
-averaging happens, exercising the unequal-``l_m`` branch of formula
-(5).  ``config.reduction_fanout`` inserts interior **reducer
-processes** (:mod:`repro.runtime.reduction`, ``docs/reduction.md``) on
-edge pipes without changing a single estimate bit, so rank 0 serves
-O(fanout) peers instead of O(M).
+The moral equivalent of the paper's MPI deployment on one machine:
+every rank runs on a slot of the :class:`~repro.runtime.host.WorkerHost`
+and writes each pass's DATA body into its own pipe for the collector
+(this process) to read — slower workers simply deliver fewer
+realizations by the time any given averaging happens, exercising the
+unequal-``l_m`` branch of formula (5).  A job reaches the slots as the
+SUBMIT body the distributed backend sends, built once per job; a
+closure runs on pinned slots.  ``config.reduction_fanout`` inserts
+**reducer processes** (:mod:`repro.runtime.reduction`) on edge pipes
+without changing a single estimate bit, so rank 0 serves O(fanout)
+peers instead of O(M).
 
 Dead children are *reported* to the engine, which applies the run's
 :attr:`~repro.runtime.config.RunConfig.on_worker_death` policy — abort
 (default) or reassign the undelivered quota to a replacement on a fresh
 subsequence.  A worker is judged once everything it wrote is in: its
-own pipe drained, or — for a clean exit in a tree — the root reducer
+slot's pipe drained, or — for a clean exit in a tree — the root reducer
 above it exited.  Crashed *reducers* hold nothing that is not
 cumulative in their children's next passes, so under ``"reassign"``
-they are respawned in place, on the same edges; one that exited 0 has
-retired, and the backend lets go of its upstream edge.
+they are respawned in place, on the same edges, within their job's
+budget; one that exited 0 has retired, and the backend lets go of its
+upstream edge.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 
-from repro.exceptions import BackendError
+from repro.exceptions import BackendError, ConfigurationError
 from repro.runtime.engine import (
     EngineBackend,
     WorkerDeath,
@@ -40,7 +42,7 @@ from repro.runtime.messages import (
     message_from_payload,
 )
 from repro.runtime.reduction import ReducerNode, plan_reduction, run_reducer
-from repro.runtime.worker import worker_process
+from repro.runtime.wire import config_to_payload, routine_to_payload
 
 __all__ = ["MultiprocessBackend"]
 
@@ -50,10 +52,10 @@ _REDUCER_RESPAWN_FACTOR = 4
 
 @register_backend("multiprocess")
 class MultiprocessBackend(EngineBackend):
-    """One OS process per worker, one pipe from each to the collector.
+    """Every rank on a slot of one worker host, read through its pipe.
 
-    Host keys are ``(job, rank)`` for workers and ``(job, node_id)``
-    for reducers; job is None for a single run's anonymous job.
+    Host events are keyed ``(job, rank)`` or ``(job, node_id)`` (a
+    reducer's); job is None for a single run's anonymous job.
 
     Args:
         start_method: Optional multiprocessing start method override
@@ -64,21 +66,31 @@ class MultiprocessBackend(EngineBackend):
     name = "multiprocess"
     monitors_staleness = True
     supports_shared_jobs = True
-    #: Shared-pool jobs may carry their own ``reduction_fanout``: the
-    #: backend plans a private k-ary tree per job at admission and
-    #: tears it down at release (``open_job``/``release_job``).
+    #: Jobs may carry their own ``reduction_fanout``: a private k-ary
+    #: tree per job, planned at ``open_job``, torn down at release.
     supports_job_reduction = True
 
     def __init__(self, start_method: str | None = None) -> None:
         super().__init__()
-        self._start_method = start_method
-        self._host: WorkerHost | None = None
+        self._host = WorkerHost(multiprocessing.get_context(start_method))
         self._exits: dict[tuple, int] = {}  # awaiting a verdict
-        # Per job running a tree: its plan, and one edge pipe per
-        # planned child, keyed by worker rank or child node id.
+        # Per job: its SUBMIT body, or the pair pinned slots inherit.
+        self._contexts: dict = {}
+        # Per tree job: its plan, an edge pipe per planned child (by
+        # rank or node id), what is left of its reducers' respawns.
         self._plans: dict = {}
         self._edges: dict = {}
-        self._respawn_budget = 0
+        self._respawn_budget: dict = {}
+
+    @property
+    def slots_started(self) -> int:
+        """Slot processes forked so far."""
+        return self._host.slots_started
+
+    @property
+    def assignments_served(self) -> int:
+        """Ranks handed to slots so far."""
+        return self._host.assignments_served
 
     # -- job-scoped trees -------------------------------------------------
 
@@ -91,11 +103,15 @@ class MultiprocessBackend(EngineBackend):
             else None)
 
     def open_job(self, job) -> None:
-        """Plan the job's reduction tree: every edge, then every node
-        (none when ``reduction_fanout`` keeps the flat exchange)."""
-        if self._host is None:
-            self._host = WorkerHost(
-                multiprocessing.get_context(self._start_method))
+        """Encode the job for its slots, once; plan its reduction tree:
+        every edge, then every node (none when ``reduction_fanout``
+        keeps the flat exchange)."""
+        try:
+            self._contexts[job.id] = {
+                "config": config_to_payload(job.config),
+                "routine": routine_to_payload(job.routine)}
+        except ConfigurationError:  # a closure: pinned slots inherit it
+            self._contexts[job.id] = (job.routine, job.config)
         plan = plan_reduction(range(job.config.processors),
                               job.config.reduction_fanout)
         if plan.flat:
@@ -104,19 +120,21 @@ class MultiprocessBackend(EngineBackend):
         self._edges[job.id] = {
             child: self._host.pipe() for node in plan.nodes
             for child in node.worker_ranks + node.children}
-        self._respawn_budget += _REDUCER_RESPAWN_FACTOR * len(plan.nodes)
+        self._respawn_budget[job.id] = \
+            _REDUCER_RESPAWN_FACTOR * len(plan.nodes)
         for node in plan.nodes:
             self._start_reducer(job.id, node)
 
     def release_job(self, job_id: str | None) -> None:
-        """Stop every worker and reducer of the job, reap them, forget it."""
-        if self._host is None:
-            return
-        self._host.stop([key for key in self._host.keys()
-                         if key[0] == job_id])
+        """Stop the job's busy and pinned slots and its reducers, reap
+        them, forget the job; its idle slots serve the next one."""
+        self._host.stop(self._host.cancel(job_id) + [
+            key for key in self._host.keys()
+            if key[0] == job_id and isinstance(key[1], str)])
         for key in [key for key in self._exits if key[0] == job_id]:
             del self._exits[key]
-        self._plans.pop(job_id, None)
+        for books in (self._contexts, self._plans, self._respawn_budget):
+            books.pop(job_id, None)
         for edge in self._edges.pop(job_id, {}).values():
             self._host.release(*edge)
 
@@ -128,13 +146,12 @@ class MultiprocessBackend(EngineBackend):
             # A planned rank writes into its reducer's edge; a recovery
             # rank beyond the plan reports straight to rank 0.
             edge = self._edges.get(job, {}).get(rank)
-            pid = self._host.start(
-                (job, rank), worker_process, context.routine,
-                context.config, rank, assignment.quota,
-                outbox=None if edge is None else edge[1], job=job,
+            pid = self._host.assign(
+                job, rank, assignment.quota,
+                self._contexts[job] if edge is None
+                else (context.routine, context.config),
+                outbox=None if edge is None else edge[1],
                 deadline=context.deadline)
-            if edge is not None:
-                self._host.release(edge[1])  # the worker's alone now
             extras.append({"pid": pid})
         return extras
 
@@ -156,13 +173,11 @@ class MultiprocessBackend(EngineBackend):
     # -- health -----------------------------------------------------------
 
     def _reducer_exited(self, owner, node_id: str, exitcode: int) -> None:
-        """Retire a reducer that exited 0, respawn a crashed one on the
-        same edges, or fail the run.
-
-        A retired non-root reducer's upstream edge is closed here too,
-        so its parent reads end-of-file and can retire in turn.  What a
-        crashed one absorbed but never forwarded is judged with the
-        workers it came from, once the root above them exited."""
+        """Retire a reducer that exited 0 — closing a non-root's upstream
+        edge, so its parent can retire in turn — respawn a crashed one
+        on the same edges, or fail the run.  What a crashed one absorbed
+        but never forwarded is judged with the workers it came from,
+        once the root above them exited."""
         node = self._plans[owner].node(node_id)
         if exitcode == 0:
             if node.parent is not None:
@@ -173,11 +188,11 @@ class MultiprocessBackend(EngineBackend):
             raise BackendError(
                 f"reducer {node_id} died (exitcode {exitcode}) "
                 f"before its subtree finished")
-        if self._respawn_budget <= 0:
+        if self._respawn_budget[owner] <= 0:
             raise BackendError(
                 f"reducer {node_id} died but the respawn budget is "
                 f"exhausted")
-        self._respawn_budget -= 1
+        self._respawn_budget[owner] -= 1
         pid = self._start_reducer(owner, node)
         telemetry = context.telemetry
         if telemetry is not None:
@@ -217,6 +232,5 @@ class MultiprocessBackend(EngineBackend):
 
     def shutdown(self) -> None:
         # Every job that left RUNNING was released by the loop; the host
-        # stops what belongs to jobs an error cut short.
-        if self._host is not None:
-            self._host.close()
+        # stops the idle slots and what jobs an error cut short left.
+        self._host.close()

@@ -28,26 +28,15 @@ frames carry its id in a ``job`` field (the anonymous job of
 by side, tags their DATA passes and echoes the job on EXIT, so the run
 can route messages and deaths back to the right experiment.
 
-A session keeps *slots*: child processes started once, through the
-:class:`~repro.runtime.host.WorkerHost` the ``multiprocess`` backend
-uses, at the first ASSIGN no idle slot can take — the run never keeps
-more than ``workers`` assignments active on a link, so that is as many
-slots as a session ever holds.  A slot loops over assignments read
-from its own control pipe: the ASSIGN body as JSON, carrying the job's
-SUBMIT body too unless that is the one the slot decoded last, and
-runs each through :func:`~repro.runtime.worker.worker_process`.  So
-every ASSIGN runs outside the daemon (a stuck or ``kill -9``-ed
-realization routine never takes the daemon down), in a slot that is
-replaced when it dies.  The worker encodes each
-:class:`~repro.runtime.messages.MomentMessage` once, to the binary
-DATA body; a watcher thread frames those bytes as they are — the
-daemon never decodes or re-encodes a pass, it only reads whether a
-body is its rank's final.  The final ends the assignment: the watcher
-marks the slot idle, then sends EXIT 0.  A slot that dies instead is
-reported by the host only after its pipe is fully drained, and its
-EXIT carries the real exit code.  The run side therefore never sees an
-EXIT overtake the data that preceded it, which is what lets the
-engine's reassignment keep estimates bit-identical.
+Each session runs its ASSIGNs on the slots of its own
+:class:`~repro.runtime.host.WorkerHost`, the slot layer ``multiprocess``
+runs on too — at most ``workers`` of them, since the run never keeps
+more assignments active on a link — so a stuck or ``kill -9``-ed
+routine never takes the daemon down.  A watcher thread frames each
+DATA body as the worker encoded it (the daemon never decodes a pass)
+and sends EXIT 0 after a rank's final; a dead slot's EXIT carries the
+real exit code and follows its drained pipe, so no EXIT overtakes the
+data before it and reassignment keeps estimates bit-identical.
 
 A pool whose run stops heartbeating (crashed, unplugged) terminates
 the session's slots and returns to listening; a run whose pool
@@ -57,8 +46,6 @@ vanishes routes the loss through ``on_worker_death``.
 from __future__ import annotations
 
 import asyncio
-import itertools
-import json
 import logging
 import multiprocessing
 import os
@@ -66,16 +53,9 @@ import threading
 import time
 
 from repro.exceptions import WireError
-from repro.runtime.host import WorkerHost
+from repro.runtime.host import WorkerHost, decode_context
 from repro.runtime.messages import payload_is_final
-from repro.runtime.wire import (
-    FrameKind,
-    config_from_payload,
-    read_frame,
-    routine_from_payload,
-    write_frame,
-)
-from repro.runtime.worker import make_batched, worker_process
+from repro.runtime.wire import FrameKind, read_frame, write_frame
 
 __all__ = ["PoolServer", "DEFAULT_POOL_PORT"]
 
@@ -86,69 +66,10 @@ _logger = logging.getLogger(__name__)
 DEFAULT_POOL_PORT = 9737
 
 
-def _import_routine(spec: str):
-    """``module:function`` resolver for SUBMIT spec payloads."""
-    from repro.cli.run import load_routine
-    return load_routine(spec)
-
-
 def _job_of(payload: dict) -> str | None:
     """The job a frame belongs to; the anonymous job's name no ``job``."""
     job = payload.get("job")
     return None if job is None else str(job)
-
-
-def _decode_context(payload: dict) -> tuple:
-    """One ``(routine, config)`` context from a SUBMIT body."""
-    try:
-        config_payload = payload["config"]
-        routine_payload = payload["routine"]
-    except KeyError as exc:
-        raise WireError(f"submit frame misses {exc}") from exc
-    config = config_from_payload(config_payload)
-    routine = routine_from_payload(routine_payload, _import_routine)
-    batch_size = payload.get("batch_size")
-    if batch_size and getattr(routine, "batch_size", None) is None:
-        routine = make_batched(routine, int(batch_size))
-    return routine, config
-
-
-def _slot_main(control, outbox) -> None:
-    """A slot: run every assignment ``control`` delivers into ``outbox``.
-
-    Keeps the context it decoded last.  The session terminates it at
-    its end; if the daemon dies instead, the pipe closes and the slot
-    returns — a copy of the write end outside the daemon is held only
-    by a slot of another session forked later, whose own pipe closes
-    first.
-    """
-    context = None
-    while True:
-        try:
-            assignment = json.loads(control.recv_bytes())
-        except EOFError:
-            return
-        if "submit" in assignment:
-            context = _decode_context(assignment["submit"])
-        routine, config = context
-        worker_process(routine, config, int(assignment["rank"]),
-                       int(assignment["quota"]), outbox,
-                       job=_job_of(assignment),
-                       deadline_in=assignment.get("deadline_in"))
-
-
-class _Slot:
-    """One slot's books, kept under its session's lock."""
-
-    __slots__ = ("control", "assignment", "submit")
-
-    def __init__(self, control) -> None:
-        #: Write end of the slot's control pipe; None once it is stopped.
-        self.control = control
-        #: ``(job, rank)`` it runs, None while idle.
-        self.assignment = None
-        #: The SUBMIT body it decoded last.
-        self.submit = None
 
 
 class _Session:
@@ -160,18 +81,12 @@ class _Session:
         self._reader = reader
         self._writer = writer
         self._loop = asyncio.get_running_loop()
-        self._host = WorkerHost(server.context)
-        # Slots by host key.  The loop thread hands them assignments,
-        # the watcher takes them back; the books and the host's pipe
-        # ends change only under this lock.
-        self._slots: dict[int, _Slot] = {}
-        self._lock = threading.Lock()
-        self._slot_keys = itertools.count()
+        #: The session's slots: the loop thread assigns, the watcher reads.
+        self.host = WorkerHost(server.context)
         self._closed = False
         self._last_run_heartbeat = time.monotonic()
         self._peer = writer.get_extra_info("peername")
-        # The SUBMIT body per declared job: SUBMIT adds an entry,
-        # CANCEL drops it.
+        # The SUBMIT body per declared job, from SUBMIT to CANCEL.
         self._contexts: dict[str | None, dict] = {}
 
     async def run(self) -> None:
@@ -224,35 +139,21 @@ class _Session:
     # -- job lifecycle -----------------------------------------------------
 
     def _submit_job(self, payload: dict) -> None:
-        """Adopt one job: the only way the session learns a context.
-
-        Decoded here once, so a routine this host cannot resolve fails
-        the SUBMIT rather than a slot.
-        """
+        """Adopt one job — the only way the session learns a context —
+        decoded once here, so a bad routine fails the SUBMIT, not a slot."""
         job = _job_of(payload)
-        _decode_context(payload)
+        decode_context(payload)
         self._contexts[job] = payload
         _logger.info("session from %s: job %s submitted", self._peer, job)
 
     def _cancel_job(self, payload: dict) -> None:
-        """A job is over: stop the slots still running it, forget it.
-
-        A rank whose final is in left its slot idle, so a job that
-        drained stops nothing; a stopped slot gets no more work.
-        """
+        """A job is over: stop the slots still running it, forget it
+        (a rank whose final is in left its slot idle)."""
         job = _job_of(payload)
         self._contexts.pop(job, None)
-        with self._lock:
-            keys = [key for key, slot in self._slots.items()
-                    if slot.assignment is not None
-                    and slot.assignment[0] == job]
-            for key in keys:
-                self._retire(self._slots[key])
-            self._host.terminate(keys)
+        keys = self.host.cancel(job)
         _logger.info("session from %s: job %s released (%d slots "
                      "terminated)", self._peer, job, len(keys))
-
-    # -- slot lifecycle ----------------------------------------------------
 
     def _assign(self, payload: dict) -> None:
         """Hand one ASSIGN to an idle slot, forking one if none is."""
@@ -263,82 +164,32 @@ class _Session:
             raise WireError(f"malformed assign frame: {exc}") from exc
         job = _job_of(payload)
         label = f"rank {rank}" if job is None else f"job {job} rank {rank}"
-        with self._lock:
-            if any(slot.assignment == (job, rank)
-                   for slot in self._slots.values()):
-                raise WireError(f"{label} is already assigned on this pool")
-            try:
-                submit = self._contexts[job]
-            except KeyError:
-                raise WireError(
-                    f"assign frame names job {job!r}, which no submit "
-                    f"frame declared (or a cancel already released)"
-                ) from None
-            slot = next((slot for slot in self._slots.values()
-                         if slot.assignment is None
-                         and slot.control is not None), None)
-            if slot is None:
-                slot = self._start_slot()
-            body = (payload if slot.submit is submit
-                    else {**payload, "submit": submit})
-            slot.submit, slot.assignment = submit, (job, rank)
-            try:
-                slot.control.send_bytes(json.dumps(body).encode("utf-8"))
-            except OSError:
-                pass  # the slot just died: its exit reports the rank
-        self._server.assignments_served += 1
-        _logger.info("session from %s: %s assigned (quota=%d)",
-                     self._peer, label, quota)
-
-    def _start_slot(self) -> _Slot:
-        """Fork one slot reading its own control pipe (lock held)."""
-        reader, control = self._host.pipe()
-        key = next(self._slot_keys)
-        slot = self._slots[key] = _Slot(control)
-        pid = self._host.start(key, _slot_main, reader)
-        self._host.release(reader)  # the slot holds the read end now
-        self._server.slots_started += 1
-        _logger.info("session from %s: slot %d started (pid=%s)",
-                     self._peer, key, pid)
-        return slot
-
-    def _retire(self, slot: _Slot) -> None:
-        """Close a slot's control pipe: it takes no assignment again."""
-        if slot.control is not None:
-            self._host.release(slot.control)
-            slot.control = None
+        if (job, rank) in self.host.running():
+            raise WireError(f"{label} is already assigned on this pool")
+        submit = self._contexts.get(job)
+        if submit is None:
+            raise WireError(
+                f"assign frame names job {job!r}, which no submit "
+                f"frame declared (or a cancel already released)")
+        pid = self.host.assign(job, rank, quota, submit,
+                               deadline_in=payload.get("deadline_in"))
+        _logger.info("session from %s: %s assigned (quota=%d, pid=%s)",
+                     self._peer, label, quota, pid)
 
     def _watch(self) -> None:
         """Frame what the host reads until the session ends; then stop
         every slot.  One plain thread per session (pipe reads block).
-
-        DATA goes out as it is.  An assignment is over at its rank's
-        final pass — the slot is idle before the run can answer that
-        pass, with a CANCEL or the next ASSIGN, and EXIT 0 follows it —
-        or when its slot died and the host drained the slot's pipe:
-        then EXIT carries the real code.
-        """
-        host = self._host
+        A slot is idle before its rank's final goes out to the run."""
+        host = self.host
         try:
             while (event := host.read()) is not None:
-                key, item = event
+                (job, rank), item = event
                 if isinstance(item, bytes):
-                    over = None
-                    if payload_is_final(item):
-                        with self._lock:
-                            slot = self._slots[key]
-                            over, slot.assignment = slot.assignment, None
                     self._send_threadsafe(FrameKind.DATA, item)
-                    exitcode = 0
-                else:
-                    with self._lock:
-                        slot = self._slots.pop(key)
-                        self._retire(slot)
-                    over, exitcode = slot.assignment, item
-                if over is None:
-                    continue  # a slot that died idle reports nothing
-                job, rank = over
-                exit_payload = {"rank": rank, "exitcode": exitcode}
+                    if not payload_is_final(item):
+                        continue
+                    item = 0
+                exit_payload = {"rank": rank, "exitcode": item}
                 if job is not None:
                     exit_payload["job"] = job
                 self._send_threadsafe(FrameKind.EXIT, exit_payload)
@@ -362,13 +213,6 @@ class _Session:
         except RuntimeError:  # loop already closed at teardown
             pass
 
-    @property
-    def busy(self) -> int:
-        """Slots of this session running an assignment."""
-        with self._lock:
-            return sum(slot.assignment is not None
-                       for slot in self._slots.values())
-
     async def _heartbeats(self) -> None:
         interval = self._server.heartbeat_interval
         while True:
@@ -377,7 +221,7 @@ class _Session:
                 # Server-wide occupancy: concurrent sessions share one
                 # physical worker budget, so each run sees the true load.
                 "busy": self._server.busy_workers,
-                "session_busy": self.busy,
+                "session_busy": len(self.host.running()),
                 "workers": self._server.workers,
             })
             silent = time.monotonic() - self._last_run_heartbeat
@@ -390,7 +234,7 @@ class _Session:
 
     def _shutdown(self) -> None:
         self._closed = True
-        self._host.interrupt()  # the watcher stops every slot
+        self.host.interrupt()  # the watcher stops every slot
         if not self._writer.is_closing():
             self._writer.close()
 
@@ -432,10 +276,19 @@ class PoolServer:
         self._startup_error: BaseException | None = None
         self._sessions: set[_Session] = set()
         self.sessions_served = 0
-        #: Slot processes forked, and ASSIGN frames handed to slots,
-        #: across every session: a slot is forked only when none idles.
-        self.slots_started = 0
-        self.assignments_served = 0
+        self._ended = [0, 0]  # the slot counters of ended sessions
+
+    @property
+    def slots_started(self) -> int:
+        """Slot processes forked, across every session."""
+        return self._ended[0] + sum(
+            session.host.slots_started for session in tuple(self._sessions))
+
+    @property
+    def assignments_served(self) -> int:
+        """ASSIGN frames handed to slots, across every session."""
+        return self._ended[1] + sum(session.host.assignments_served
+                                    for session in tuple(self._sessions))
 
     @property
     def context(self):
@@ -473,14 +326,11 @@ class PoolServer:
 
     @property
     def busy_workers(self) -> int:
-        """Slots running an assignment across *all* live sessions.
-
-        Sessions share the daemon's one physical worker budget; this
-        server-wide count is what heartbeats advertise, so concurrent
-        runs see each other's load instead of believing the pool idle.
-        An idle slot is no load.
-        """
-        return sum(session.busy for session in self._sessions)
+        """Slots running an assignment across *all* live sessions: the
+        one physical budget concurrent runs share, so heartbeats show
+        each run the others' load (an idle slot is none)."""
+        return sum(len(session.host.running())
+                   for session in self._sessions)
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
@@ -490,6 +340,8 @@ class PoolServer:
         try:
             await session.run()
         finally:
+            self._ended[0] += session.host.slots_started
+            self._ended[1] += session.host.assignments_served
             self._sessions.discard(session)
 
     # -- thread facade (tests, embedded pools) -----------------------------

@@ -275,16 +275,15 @@ class TestOneContextSource:
 
     def test_exactly_one_worker_process_target(self):
         # Every forked child goes through WorkerHost.start, and its
-        # targets are the worker body, the reducer body and the pool
-        # slot, which runs the worker body once per assignment.
+        # targets are the reducer body and the slot loop, which runs the
+        # worker body once per assignment, for both forking backends.
         targets = [
             match
             for path in (ROOT / "src" / "repro").rglob("*.py")
             for match in re.findall(
-                r"host\.start\(\s*(?:\([^)]*\)|[^,(]+),\s*(\w+)",
+                r"(?:host|self)\.start\(\s*(?:\([^)]*\)|[^,(]+),\s*(\w+)",
                 path.read_text())]
-        assert sorted(targets) == ["_slot_main", "run_reducer",
-                                   "worker_process"]
+        assert sorted(targets) == ["_slot_main", "run_reducer"]
         definitions = [
             str(path.relative_to(ROOT))
             for path in (ROOT / "src" / "repro").rglob("*.py")
@@ -322,14 +321,18 @@ class TestOneWorkerHost:
         assert sites == {"src/repro/runtime/host.py": 4}
         for module in ("multiprocess", "pool"):
             assert "WorkerHost(" in read(f"src/repro/runtime/{module}.py")
-        # The backend forks a worker per rank; a pool session forks
-        # slots that run worker_process once per assignment.
-        assert re.search(r"host\.start\(\s*\([^)]*\),\s*worker_process",
-                         read("src/repro/runtime/multiprocess.py"))
-        from repro.runtime import pool
-        assert re.search(r"host\.start\(\s*\w+,\s*_slot_main\b",
-                         inspect.getsource(pool._Session._start_slot))
-        assert "worker_process(" in inspect.getsource(pool._slot_main)
+        # The backend and a pool session hand every rank to the host's
+        # slots, which run worker_process once per assignment; the slot
+        # loop, its books and the idle-slot choice live in host.py alone.
+        for module in ("multiprocess", "pool"):
+            source = read(f"src/repro/runtime/{module}.py")
+            assert re.search(r"host\.assign\(", source), module
+            assert not re.search(r"_slot_main|_Slot\b|worker_process\(",
+                                 source), module
+        from repro.runtime import host
+        assert re.search(r"self\.start\(\s*\w+,\s*_slot_main\b",
+                         inspect.getsource(host.WorkerHost.assign))
+        assert "worker_process(" in inspect.getsource(host._slot_main)
 
     def test_multiprocess_backend_needs_no_drain_buffer(self):
         assert "DrainBuffer" not in read("src/repro/runtime/multiprocess.py")

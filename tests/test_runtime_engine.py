@@ -26,7 +26,7 @@ from repro.exceptions import BackendError, ConfigurationError
 from repro.obs.events import read_events
 from repro.obs.telemetry import RunTelemetry
 from repro.runtime import engine as engine_module
-from repro.runtime import multiprocess as multiprocess_module
+from repro.runtime import host as host_module
 from repro.runtime import worker as worker_module
 from repro.runtime.collector import Collector
 from repro.runtime.config import RunConfig
@@ -371,7 +371,7 @@ class TestDeathAfterTheWholeQuota:
 
 
 def _tear_rank_one(routine, config, rank, quota, outbox, **kwargs):
-    """Host target: rank 1 dies half-way through writing its first body."""
+    """Slot body: rank 1 dies half-way through writing its first body."""
     if rank != 1:
         return worker_process(routine, config, rank, quota, outbox,
                               **kwargs)
@@ -384,8 +384,7 @@ class TestTornWrite:
                                                         monkeypatch):
         # A length prefix announcing a 1000x2 pass, 1000 bytes of it,
         # SIGKILL's exit code: the torn pipe is that worker's alone.
-        monkeypatch.setattr(multiprocess_module, "worker_process",
-                            _tear_rank_one)
+        monkeypatch.setattr(host_module, "worker_process", _tear_rank_one)
         result = parmonc(square, maxsv=30, perpass=0.0, peraver=0.0,
                          processors=3, seqnum=1, backend="multiprocess",
                          start_method="fork", telemetry=True,

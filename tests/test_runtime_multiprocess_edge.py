@@ -1,17 +1,38 @@
-"""Edge cases of the multiprocess backend: start methods, limits, IPC."""
+"""Edge cases of the multiprocess backend: start methods, limits, IPC,
+and the slots every rank runs on."""
 
 from __future__ import annotations
 
+import os
 import time
 
 import numpy as np
 import pytest
 
 from repro import parmonc
+from repro.core.parmonc import build_job_spec
+from repro.obs.events import read_events
 from repro.runtime.config import RunConfig
 from repro.runtime.engine import Engine
+from repro.runtime.job import JobSpec, JobStatus
 from repro.runtime.multiprocess import MultiprocessBackend
+from repro.runtime.scheduler import Scheduler
 from repro.runtime.sequential import run_sequential
+from repro.runtime.worker import run_worker
+from repro.stats.merging import merge_snapshots
+from repro.stats.statistic import payload_map
+
+# The pool's slot tests note pids the same way; these run on both hosts.
+from test_runtime_distributed import (
+    _PID_DIR_ENV,
+    _drive,
+    _pids,
+    block_until_killed,
+    exit_on_thirteenth,
+    noted_grid,
+    noted_square,
+    noted_wide,
+)
 
 
 def run_multiprocess(routine, config, use_files=True, start_method=None):
@@ -116,3 +137,199 @@ class TestIpcBehaviour:
         config = RunConfig(maxsv=10, processors=1, workdir=tmp_path)
         result = run_multiprocess(module_level_square, config)
         assert result.total_volume == 10
+
+
+# ---------------------------------------------------------------------------
+# Slots
+
+
+def _reaped(pid: int) -> bool:
+    """True once ``pid`` is gone — exited *and* waited for, no zombie."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+class TestMultiprocessSlots:
+    """Every rank runs on a slot: forked once, handed rank after rank and
+    job after job, replaced only when it dies; a routine that cannot
+    travel as bytes runs on slots pinned to its job.  Gated by pid files,
+    never by a sleep."""
+
+    RUN = dict(perpass=0.0, peraver=0.0)
+
+    SHAPES = (
+        dict(routine=noted_square, maxsv=3, seqnum=1),
+        dict(routine=noted_wide, nrow=1000, ncol=2, maxsv=24, processors=2,
+             seqnum=2, batch_size=5, statistics="extrema", telemetry=True),
+        dict(routine=noted_grid, nrow=3, ncol=4, maxsv=30, processors=2,
+             seqnum=3, statistics="histogram,covariance"),
+    )
+
+    @staticmethod
+    def _assert_same(result, reference):
+        for field in ("mean", "variance", "abs_error", "rel_error"):
+            assert (getattr(result.estimates, field).tobytes()
+                    == getattr(reference.estimates, field).tobytes()), field
+        assert (payload_map(result.statistics)
+                == payload_map(reference.statistics))
+
+    @staticmethod
+    def _service(workers=2, start_method="fork"):
+        backend = MultiprocessBackend(start_method=start_method)
+        return backend, Scheduler(backend, workers=workers)
+
+    def _spec(self, routine, name, **run):
+        return build_job_spec(dict(routine=routine, name=name,
+                                   use_files=False, **self.RUN, **run))
+
+    def test_jobs_of_changing_shape_share_the_slots(self, tmp_path,
+                                                    monkeypatch):
+        references = [
+            parmonc(shape["routine"], backend="sequential", **self.RUN,
+                    **{key: value for key, value in shape.items()
+                       if key != "routine"},
+                    workdir=tmp_path / f"ref{index}")
+            for index, shape in enumerate(self.SHAPES)]
+        monkeypatch.setenv(_PID_DIR_ENV, str(tmp_path))
+        backend, scheduler = self._service()
+        jobs = [scheduler.submit(build_job_spec(dict(
+                    shape, **self.RUN, name=f"shape{index}",
+                    workdir=tmp_path / f"job{index}")))
+                for index, shape in enumerate(self.SHAPES)]
+        scheduler.run()
+        for job, reference in zip(jobs, references):
+            assert job.status is JobStatus.DONE, job.error
+            self._assert_same(job.result, reference)
+        # Five ranks ran on two slots, whose context changed between
+        # jobs as the fair share interleaved them.
+        assert len(_pids(tmp_path)) == 2
+        assert (backend.slots_started, backend.assignments_served) == (2, 5)
+
+    def test_a_closure_runs_on_a_slot_pinned_to_its_job(self, tmp_path,
+                                                        monkeypatch):
+        noted, pinned_dir = tmp_path / "noted", tmp_path / "pinned"
+        noted.mkdir()
+        pinned_dir.mkdir()
+        monkeypatch.setenv(_PID_DIR_ENV, str(noted))
+        scale = 3.0
+
+        def closure(rng):
+            open(pinned_dir / str(os.getpid()), "a").close()
+            return scale * rng.random()
+
+        backend, scheduler = self._service()
+        try:
+            first = scheduler.submit(self._spec(noted_square, "first",
+                                                maxsv=8))
+            _drive(scheduler, lambda: first.status is JobStatus.DONE)
+            [slot] = _pids(noted)
+            job = scheduler.submit(self._spec(closure, "closure", maxsv=8))
+            _drive(scheduler, lambda: job.status is JobStatus.DONE)
+            # Released means gone: the pinned slot was stopped and
+            # reaped; the one that serves any job idles on.
+            [pinned] = _pids(pinned_dir)
+            assert pinned != slot
+            assert _reaped(pinned) and not _reaped(slot)
+            assert backend.slots_started == 2
+        finally:
+            scheduler.shutdown(timeout=30.0)
+        self._assert_same(job.result, parmonc(
+            closure, maxsv=8, backend="sequential", use_files=False,
+            **self.RUN))
+
+    def test_exit_mid_assignment_on_a_reused_slot_is_a_death(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setenv(_PID_DIR_ENV, str(tmp_path))
+        backend, scheduler = self._service(workers=1)
+        job = scheduler.submit(JobSpec(
+            routine=exit_on_thirteenth, name="run", config=RunConfig(
+                maxsv=20, processors=2, on_worker_death="reassign",
+                telemetry=True, workdir=tmp_path / "run", **self.RUN)))
+        scheduler.run()
+        assert job.status is JobStatus.DONE, job.error
+        # Rank 0 ran whole on the slot; rank 1 exited 0 on the same slot
+        # without its final; a fresh slot ran the remainder as rank 2.
+        result = job.result
+        assert result.total_volume == 20
+        assert result.recovered_ranks == (1,)
+        volumes = result.per_rank_volumes
+        assert sorted(volumes) == [0, 1, 2]
+        assert volumes[0] == 10 and 1 <= volumes[1] <= 2
+        assert backend.slots_started == 2
+        died = read_events(tmp_path / "run" / "parmonc_data" / "telemetry"
+                           / "events.jsonl", kind="worker_died")
+        assert [(event.fields["rank"], event.fields["exitcode"])
+                for event in died] == [(1, 0)]
+        monkeypatch.delenv(_PID_DIR_ENV)
+        config = RunConfig(maxsv=20, processors=2, **self.RUN)
+        reference = merge_snapshots([
+            run_worker(exit_on_thirteenth, config, rank, volume,
+                       send=lambda message: None).snapshot()
+            for rank, volume in sorted(volumes.items())]).estimates()
+        assert result.estimates.mean.tobytes() == reference.mean.tobytes()
+        assert (result.estimates.variance.tobytes()
+                == reference.variance.tobytes())
+
+    def test_cancel_stops_only_the_busy_slot(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(_PID_DIR_ENV, str(tmp_path))
+        backend, scheduler = self._service()
+        published = tmp_path / "busy.pid"
+        try:
+            first = scheduler.submit(self._spec(noted_square, "first",
+                                                maxsv=8, processors=2))
+            _drive(scheduler, lambda: first.status is JobStatus.DONE)
+            slots = _pids(tmp_path)
+            stuck = scheduler.submit(self._spec(block_until_killed, "stuck",
+                                                maxsv=8))
+            _drive(scheduler, published.exists)
+            busy = int(published.read_text())
+            assert backend._host.running() == [("stuck", 0)]
+            assert scheduler.cancel(stuck)
+            _drive(scheduler, lambda: stuck.status is JobStatus.CANCELLED)
+            [idle] = slots - {busy}
+            assert _reaped(busy) and not _reaped(idle)
+            last = scheduler.submit(self._spec(noted_square, "last",
+                                               maxsv=8))
+            _drive(scheduler, lambda: last.status is JobStatus.DONE)
+        finally:
+            scheduler.shutdown(timeout=30.0)
+        assert len(slots) == 2 and busy in slots
+        # The last job ran on the slot that idled through the cancel.
+        assert _pids(tmp_path) == slots
+        assert backend.slots_started == 2
+
+    def test_time_limit_is_honoured_on_a_reused_slot(self):
+        backend, scheduler = self._service()
+        try:
+            first = scheduler.submit(self._spec(
+                module_level_square, "first", maxsv=8, processors=2))
+            _drive(scheduler, lambda: first.status is JobStatus.DONE)
+            # Over before the ranks start: each finishes the realization
+            # in flight and ships its final, on the slots already there.
+            limited = scheduler.submit(self._spec(
+                module_level_square, "limited", maxsv=10_000, processors=2,
+                seqnum=1, time_limit=1e-9))
+            _drive(scheduler, lambda: limited.status is JobStatus.DONE)
+        finally:
+            scheduler.shutdown(timeout=30.0)
+        assert limited.result.per_rank_volumes == {0: 1, 1: 1}
+        assert backend.slots_started == 2
+
+    def test_spawned_slots_decode_each_job_from_its_payload(self):
+        backend, scheduler = self._service(start_method="spawn")
+        jobs = [scheduler.submit(self._spec(
+                    module_level_square, f"job{index}", maxsv=12,
+                    processors=2, seqnum=index))
+                for index in range(2)]
+        scheduler.run()
+        for index, job in enumerate(jobs):
+            assert job.status is JobStatus.DONE, job.error
+            self._assert_same(job.result, parmonc(
+                module_level_square, maxsv=12, processors=2, seqnum=index,
+                backend="sequential", use_files=False, **self.RUN))
+        # A spawned slot inherits nothing: both jobs reached the two
+        # slots as bytes.
+        assert (backend.slots_started, backend.assignments_served) == (2, 4)

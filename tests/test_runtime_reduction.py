@@ -27,10 +27,12 @@ from repro.core.parmonc import parmonc
 from repro.exceptions import BackendError, ConfigurationError
 from repro.obs.events import read_events
 from repro.rng.streams import StreamTree
+from repro.runtime import host as host_module
 from repro.runtime import multiprocess as multiprocess_module
 from repro.runtime import worker as worker_module
 from repro.runtime.config import RunConfig
 from repro.runtime.engine import Engine
+from repro.runtime.job import JobSpec, JobStatus
 from repro.runtime.messages import (
     CombinedMessage,
     MomentMessage,
@@ -45,6 +47,7 @@ from repro.runtime.reduction import (
     plan_reduction,
     run_reducer,
 )
+from repro.runtime.scheduler import Scheduler
 from repro.runtime.worker import worker_process
 from repro.stats.accumulator import MomentAccumulator, MomentSnapshot
 from repro.stats.merging import merge_snapshots
@@ -463,6 +466,41 @@ class TestReducerFaultTolerance:
         respawns = [e for e in events if e.kind == "reducer_respawned"]
         assert respawns and respawns[0].fields["exitcode"] == 137
 
+    def test_respawn_budget_is_per_job(self, monkeypatch):
+        # Three tree jobs come and go; a fourth whose reducers die after
+        # every forward gets 4 respawns per node of its own, not the
+        # budget the released jobs were granted.
+        backend = MultiprocessBackend(start_method="fork")
+        starts = []
+        start_reducer = backend._start_reducer
+
+        def counted(owner, node):
+            starts.append(owner)
+            return start_reducer(owner, node)
+
+        monkeypatch.setattr(backend, "_start_reducer", counted)
+        scheduler = Scheduler(backend, workers=3)
+
+        def tree(name, seqnum, maxsv):
+            return JobSpec(routine=square, name=name, use_files=False,
+                           config=RunConfig(
+                               maxsv=maxsv, processors=3, perpass=0.0,
+                               peraver=0.0, seqnum=seqnum,
+                               reduction_fanout=2,
+                               on_worker_death="reassign"))
+
+        released = [scheduler.submit(tree(f"ok{index}", index, 30))
+                    for index in range(3)]
+        while any(job.status is not JobStatus.DONE for job in released):
+            scheduler.step()
+        assert backend._respawn_budget == {}
+        monkeypatch.setenv(CRASH_ENV, "*:after-forward-1")
+        scheduler.submit(tree("doomed", 3, 3_000_000))
+        with pytest.raises(BackendError, match="respawn budget"):
+            scheduler.run()
+        nodes = len(plan_reduction(range(3), 2).nodes)
+        assert starts.count("doomed") == nodes + 4 * nodes
+
     def test_default_policy_fails_on_reducer_death(
             self, tmp_path, monkeypatch):
         monkeypatch.setenv(CRASH_ENV, "r1.0:on-final")
@@ -509,7 +547,7 @@ class _SilentAtThirdPass:
 
 
 def _rank_three_goes_silent(routine, config, rank, quota, outbox, **kwargs):
-    """Host target: rank 3 exits cleanly before its final pass."""
+    """Slot body: rank 3 exits cleanly before its final pass."""
     if rank == 3:
         outbox = _SilentAtThirdPass(outbox)
     worker_process(routine, config, rank, quota, outbox, **kwargs)
@@ -559,7 +597,7 @@ class TestVerdictsByMessageOrder:
         # fanout 2 over 5 workers: r1.1 {2, 3} reports to r2.0, a second
         # level.  r2.0 reads end-of-file on r1.1's edge only once the
         # backend let go of it, so rank 3 is judged when r2.0 exits.
-        monkeypatch.setattr(multiprocess_module, "worker_process",
+        monkeypatch.setattr(host_module, "worker_process",
                             _rank_three_goes_silent)
         assert plan_reduction(range(5), 2).levels == 2
         with pytest.raises(BackendError, match=r"rank 3 \(exitcode 0\)"):
@@ -569,7 +607,7 @@ class TestVerdictsByMessageOrder:
     def test_silent_rank_is_reassigned_at_its_watermark(self, tmp_path,
                                                         monkeypatch,
                                                         every_pass_out):
-        monkeypatch.setattr(multiprocess_module, "worker_process",
+        monkeypatch.setattr(host_module, "worker_process",
                             _rank_three_goes_silent)
         result = parmonc(square, **self.RUN, backend="multiprocess",
                          start_method="fork", on_worker_death="reassign",

@@ -655,6 +655,17 @@ def _child_pids(backend):
     return {process.pid for process, _ in backend._host._children.values()}
 
 
+def _assert_forgotten(backend, job):
+    """Nothing in the multiprocess backend names ``job`` any more: no
+    slot runs it or is pinned to it, and no book is keyed by it."""
+    assert all(running[0] != job for running in backend._host.running())
+    assert all(key[0] != job for key in backend._host.keys())
+    assert all(key[0] != job for key in backend._exits)
+    for books in (backend._contexts, backend._plans, backend._edges,
+                  backend._respawn_budget):
+        assert job not in books
+
+
 def _reaped(pid):
     """True once ``pid`` is gone — exited *and* waited for, no zombie."""
     try:
@@ -676,18 +687,14 @@ class TestJobRelease:
     def test_prune_after_done_leaves_the_multiprocess_service_alive(self):
         # Regression: the backend kept ('a', rank) process entries
         # after DONE, and the next reap looked the pruned job up again:
-        # BackendError("unknown job 'a'") killed the loop thread.
-        import multiprocessing
+        # BackendError("unknown job 'a'") killed the loop thread.  Now
+        # a's slots outlive it, idle, and nothing names it any more.
         backend, scheduler = self._multiprocess()
         try:
             first = scheduler.submit(spec(name="a", maxsv=8, processors=2))
             _drive(scheduler, lambda: first.status is JobStatus.DONE)
-            assert backend._host.keys() == []
+            _assert_forgotten(backend, "a")
             assert scheduler.prune() == 1
-            # a's workers have exited by the time they are joined, so
-            # the reap below meets their exit codes, not a race.
-            for child in multiprocessing.active_children():
-                child.join(timeout=30.0)
             assert backend.reap() == []
             second = scheduler.submit(
                 spec(slow_square, name="b", maxsv=8, processors=2,
@@ -696,6 +703,7 @@ class TestJobRelease:
         finally:
             scheduler.shutdown(timeout=30.0)
         assert second.result.total_volume == 8
+        assert backend.slots_started == 2  # b ran on a's slots
 
     @pytest.mark.parametrize("fanout", [None, 2])
     def test_failed_job_keeps_no_process_running(self, tmp_path,
@@ -800,8 +808,11 @@ class TestJobRelease:
             if name == "sequential":
                 assert not backend._pending
             elif name == "multiprocess":
-                assert backend._host.keys() == [] and backend._plans == {}
-                assert backend._exits == {}
+                # The slots outlive the jobs, idle, and never more of
+                # them than the scheduler's cap.
+                for job in [f"tiny{index}" for index in range(5)] + ["last"]:
+                    _assert_forgotten(backend, job)
+                assert backend.slots_started <= 2
             else:
                 # Frames on a link keep their order, so with ``last``'s
                 # passes back every earlier release has been served.
