@@ -2,9 +2,9 @@
 
 The million-submission load study: drive the live admission loop of
 :class:`~repro.runtime.scheduler.Scheduler` with a synthetic arrival
-stream on a *virtual* clock, and compare its measured admission
-behaviour against the analytic/Monte-Carlo reference in
-:mod:`repro.apps.queueing`.
+stream on the simulated cluster's *virtual* clock, and compare its
+measured admission behaviour against the analytic/Monte-Carlo
+reference in :mod:`repro.apps.queueing`.
 
 The mapping is exact, not approximate:
 
@@ -12,10 +12,13 @@ The mapping is exact, not approximate:
 * the scheduler's global ``workers`` cap is the ``c`` servers;
 * ``max_jobs`` is the capacity bound ``K`` — an
   :class:`~repro.exceptions.AdmissionError` is a blocked arrival;
-* a job's service demand is drawn from ``service`` at the moment its
-  single assignment is dispatched (start of service), exactly where
-  :func:`~repro.apps.queueing.simulate_ggck` draws it;
-* submit-to-dispatch delay on the virtual clock is the waiting time.
+* a job is one routine-less worker owing one realization on
+  :class:`~repro.runtime.simcluster.SimclusterBackend`, whose duration
+  is drawn from ``service`` when the worker is dispatched (start of
+  service), exactly where :func:`~repro.apps.queueing.simulate_ggck`
+  draws it; the network and the collector server cost nothing;
+* a job's submit-to-start SLA wait, in virtual seconds, is the waiting
+  time.
 
 Because both sides draw from one shared generator in the same event
 order, the study's rejection count matches ``simulate_ggck``'s blocked
@@ -25,79 +28,22 @@ the test suite and the streaming benchmark assert both.
 
 from __future__ import annotations
 
-import heapq
+import math
+from collections import deque
 from dataclasses import dataclass
-
-import numpy as np
+from types import SimpleNamespace
 
 from repro.apps.queueing import GGcKQueue
+from repro.cluster.network import NetworkModel
+from repro.cluster.simulation import ClusterSpec
 from repro.exceptions import AdmissionError
 from repro.rng.lcg128 import Lcg128
 from repro.runtime.config import RunConfig
-from repro.runtime.engine import EngineBackend
 from repro.runtime.job import JobSpec
-from repro.runtime.messages import MomentMessage
 from repro.runtime.scheduler import Scheduler
-from repro.stats.accumulator import MomentSnapshot
+from repro.runtime.simcluster import SimclusterBackend
 
-__all__ = ["LoadStudyBackend", "LoadStudyResult", "run_load_study",
-           "synthetic_job"]
-
-
-def synthetic_job(rng):
-    """Placeholder realization; the load backend never executes it."""
-    return 0.0
-
-
-class LoadStudyBackend(EngineBackend):
-    """Virtual-clock backend: service demands are sampled, not run.
-
-    ``spawn`` draws one service demand per assignment from the shared
-    generator — the same draw the G/G/c/K reference makes at the start
-    of service — records the job's virtual wait, and schedules a
-    synthetic final message at ``now + demand`` on a min-heap.
-    ``poll`` delivers the head completion once the driver has advanced
-    the virtual clock to it.
-    """
-
-    name = "loadstudy"
-    supports_shared_jobs = True
-
-    def __init__(self, service, rng: Lcg128) -> None:
-        super().__init__()
-        self._service = service
-        self._rng = rng
-        #: The virtual clock, advanced only by the driver.
-        self.now = 0.0
-        #: Virtual arrival time per job id, set by the driver at submit.
-        self.arrivals: dict[str, float] = {}
-        #: Virtual submit-to-dispatch waits, one per admitted job.
-        self.waits: list[float] = []
-        self._seq = 0
-        self.completions: list[tuple] = []  # (finish, seq, job, rank)
-
-    def clock(self) -> float:
-        return self.now
-
-    def spawn(self, assignments) -> None:
-        for assignment in assignments:
-            demand = self._service(self._rng)
-            arrival = self.arrivals.pop(assignment.job)
-            self.waits.append(self.now - arrival)
-            heapq.heappush(self.completions,
-                           (self.now + demand, self._seq,
-                            assignment.job, assignment.rank))
-            self._seq += 1
-        return None
-
-    def poll(self, timeout: float) -> MomentMessage | None:
-        if self.completions and self.completions[0][0] <= self.now:
-            finish, _, job, rank = heapq.heappop(self.completions)
-            snapshot = MomentSnapshot(sum1=np.zeros((1, 1)),
-                                      sum2=np.zeros((1, 1)), volume=1)
-            return MomentMessage(rank, snapshot, sent_at=finish,
-                                 final=True, job=job)
-        return None
+__all__ = ["LoadStudyResult", "run_load_study"]
 
 
 @dataclass(frozen=True)
@@ -122,46 +68,54 @@ def run_load_study(queue: GGcKQueue, rng: Lcg128) -> LoadStudyResult:
     """Replay a G/G/c/K arrival stream against the live admission loop.
 
     Event discipline mirrors :func:`simulate_ggck` step for step: draw
-    the interarrival, absorb every completion up to the arrival (one
-    ``step`` to finalize the finished job, one to hand the freed slot
-    to the queue head at the freed instant), then submit at the arrival
-    time.  Pruning after every arrival bounds the live job table so a
-    million submissions run in constant memory — and, since every
-    service-loop pass scans the live table, in constant time per
-    arrival (measurably *faster* than batching the prunes up).
+    the interarrival, step the loop until the virtual clock reaches the
+    arrival — each finished job is absorbed, and its freed slot handed
+    to the queue head, at the instant it finished — then submit.
+    Service starts in submission order, so waits are summed in the
+    reference's order as each job starts.  Pruning after every arrival
+    bounds the live job table so a million submissions run in constant
+    memory — and, since every loop turn scans the live table, in
+    constant time per arrival.
     """
-    backend = LoadStudyBackend(queue.service, rng)
+    # Every modelled duration is the queue's next service demand, drawn
+    # from the study's shared generator.
+    demand = SimpleNamespace(sample=lambda _: queue.service(rng))
+    backend = SimclusterBackend(
+        ClusterSpec(duration_model=demand,
+                    network=NetworkModel(latency=0.0),
+                    collector_service_time=0.0),
+        execute_realizations=False)
     scheduler = Scheduler(backend, workers=queue.servers,
                           max_jobs=queue.capacity)
-    config = RunConfig(maxsv=1, processors=1, perpass=0.0, peraver=0.0)
-    rejected = 0
-    now = 0.0
-
-    def flush(until: float) -> None:
-        while backend.completions and backend.completions[0][0] <= until:
-            backend.now = backend.completions[0][0]
-            scheduler.step(poll_timeout=0.0)   # absorb + finalize
-            scheduler.step(poll_timeout=0.0)   # freed slot refills
-
+    # One realization and its final pass: no pass is ever due before it.
+    config = RunConfig(maxsv=1, processors=1, perpass=math.inf,
+                       peraver=0.0)
+    rejected = admitted = 0
+    total_wait = 0.0
+    waiting: deque = deque()
+    arrival = 0.0
     for index in range(queue.customers):
-        now += queue.interarrival(rng)
-        flush(now)
-        backend.now = now
-        name = f"c{index}"
-        backend.arrivals[name] = now
+        arrival += queue.interarrival(rng)
+        while backend.clock() < arrival:
+            scheduler.step(poll_timeout=arrival - backend.clock())
         try:
-            scheduler.submit(JobSpec(routine=synthetic_job,
-                                     config=config, name=name,
-                                     use_files=False))
+            waiting.append(scheduler.submit(JobSpec(
+                routine=None, config=config, name=f"c{index}",
+                use_files=False)))
         except AdmissionError:
             rejected += 1
-            del backend.arrivals[name]
             continue
+        admitted += 1
         scheduler.step(poll_timeout=0.0)
         scheduler.prune()
-    flush(float("inf"))
+        while waiting and waiting[0].started_wall is not None:
+            job = waiting.popleft()
+            total_wait += job.started_wall - job.submitted_wall
+    while scheduler.step(poll_timeout=math.inf):
+        pass
+    for job in waiting:
+        total_wait += job.started_wall - job.submitted_wall
     scheduler.shutdown()
-    admitted = len(backend.waits)
-    mean_wait = sum(backend.waits) / admitted if admitted else 0.0
+    mean_wait = total_wait / admitted if admitted else 0.0
     return LoadStudyResult(submitted=queue.customers, admitted=admitted,
                            rejected=rejected, mean_wait=mean_wait)

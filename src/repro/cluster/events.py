@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import math
 from itertools import count
 from typing import Callable
 
@@ -21,12 +22,8 @@ class EventQueue:
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, Callable[[float], None]]] = []
         self._sequence = count()
-        self._now = 0.0
-
-    @property
-    def now(self) -> float:
-        """Current simulation time (last dispatched event's time)."""
-        return self._now
+        #: Current simulation time (last dispatched event's time).
+        self.now = 0.0
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -34,31 +31,34 @@ class EventQueue:
     def schedule(self, when: float,
                  callback: Callable[[float], None]) -> None:
         """Schedule ``callback(when)`` to run at simulation time ``when``."""
-        if when < self._now:
+        if when < self.now:
             raise ConfigurationError(
                 f"cannot schedule an event at {when} before the current "
-                f"simulation time {self._now}")
+                f"simulation time {self.now}")
         heapq.heappush(self._heap, (when, next(self._sequence), callback))
 
-    def step(self) -> bool:
-        """Dispatch the earliest event; return False when the queue is empty."""
-        if not self._heap:
+    def step(self, until: float = math.inf) -> bool:
+        """Dispatch the earliest event if it is due by ``until``.
+
+        Returns False, dispatching nothing, when the queue is empty or
+        its earliest event lies beyond ``until``.
+        """
+        heap = self._heap
+        if not heap or heap[0][0] > until:
             return False
-        when, _, callback = heapq.heappop(self._heap)
-        self._now = when
+        when, _, callback = heapq.heappop(heap)
+        self.now = when
         callback(when)
         return True
 
-    def run(self, until: float | None = None) -> float:
+    def run(self, until: float = math.inf) -> float:
         """Dispatch events until the queue drains or ``until`` is reached.
 
-        Returns the final simulation time.  Events scheduled beyond
-        ``until`` stay queued.
+        Returns the final simulation time, which is ``until`` when that
+        is finite.  Events scheduled beyond ``until`` stay queued.
         """
-        while self._heap:
-            when = self._heap[0][0]
-            if until is not None and when > until:
-                self._now = until
-                break
-            self.step()
-        return self._now
+        while self.step(until):
+            pass
+        if until < math.inf:
+            self.now = max(self.now, until)
+        return self.now

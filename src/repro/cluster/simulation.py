@@ -18,12 +18,20 @@ scheduling and accelerators.  Realizations can be *executed* (the user
 routine actually runs, with its RNG substream, so the run produces
 genuine estimates) or merely *accounted* (zero-matrix placeholders;
 only timing matters, which is how the 512-processor sweeps stay cheap).
+
+Any number of jobs can share one simulated cluster: one event queue —
+the virtual clock — one modelled collector server and one duration
+sampler.  A job's workers start when they are dispatched; its time
+limit, injected failures and ``T_comp`` count from the job's own start.
+:class:`ClusterSimulation` is one job alone on a cluster of its own;
+the ``simcluster`` backend (:mod:`repro.runtime.simcluster`) runs every
+job of a scheduler on one.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -97,11 +105,13 @@ class ClusterSpec:
         message_bytes: Wire size per pass; None derives it from the
             matrix shape via :func:`repro.runtime.messages.message_bytes`
             (the paper's 1000 x 2 problem gives ~125 KB).
-        failures: Optional fault injection — ``{rank: fail_time}``.  A
-            failed node stops silently: no further computation, passes
-            or final message.  Work it completed after its last data
-            pass is lost; everything already passed survives at the
-            collector (the §2.2 motivation for periodic passes).
+        failures: Optional fault injection — ``{rank: fail_time}``,
+            applied to every job: its rank ``rank`` fails ``fail_time``
+            seconds after the job starts.  A failed node stops
+            silently: no further computation, passes or final message.
+            Work it completed after its last data pass is lost;
+            everything already passed survives at the collector (the
+            §2.2 motivation for periodic passes).
         seed: Seed of the simulator's own duration sampler — *not* part
             of the Monte Carlo sample.
     """
@@ -140,7 +150,9 @@ class ClusterSpec:
 
 @dataclass(frozen=True)
 class ClusterResult:
-    """Timing and accounting of one simulated run.
+    """Timing and accounting of one simulated job.
+
+    Times count from the job's start (0 for a job alone on its cluster).
 
     Attributes:
         t_comp: Virtual seconds until the collector finished receiving,
@@ -162,14 +174,9 @@ class ClusterResult:
             reduction tree.
         combined_messages: Reducer forwards delivered to the collector
             (0 on the flat exchange).
-        per_job: Per-job accounting when the simulation labelled its
-            workers (``job_labels`` / ``add_worker(job=...)``): for
-            each label, the ranks it owned, the realizations they
-            computed (``volume``), the realizations that reached the
-            collector (``delivered``) and the data passes they sent —
-            the observables a scheduling-policy study at 10^5 simulated
-            workers compares across tenants.  Empty when no worker was
-            labelled.
+
+    The collector server is the cluster's, so when jobs share a cluster
+    ``collector_utilization`` and ``collector_served`` count all of them.
     """
 
     t_comp: float
@@ -183,7 +190,23 @@ class ClusterResult:
     lost_realizations: int = 0
     collector_served: int = 0
     combined_messages: int = 0
-    per_job: dict[str, dict] = field(default_factory=dict)
+
+
+class _Cluster:
+    """What every job on one simulated cluster shares.
+
+    The event queue (the virtual clock), the 0-th processor's collector
+    server, the duration sampler, and ``outbox``: every pass and reducer
+    forward the collector server has finished, in that order, for the
+    driver of the queue to hand on.
+    """
+
+    def __init__(self, spec: ClusterSpec) -> None:
+        self.spec = spec
+        self.events = EventQueue()
+        self.service = CollectorService(spec.collector_service_time)
+        self.durations = np.random.default_rng(spec.seed)
+        self.outbox: deque[MomentMessage | CombinedMessage] = deque()
 
 
 class _ReducerStation:
@@ -198,7 +221,7 @@ class _ReducerStation:
     single forward.
     """
 
-    def __init__(self, simulation: "ClusterSimulation", node: ReducerNode,
+    def __init__(self, simulation: "_SimulatedJob", node: ReducerNode,
                  service_time: float) -> None:
         self._simulation = simulation
         self.node = node
@@ -225,49 +248,22 @@ class _ReducerStation:
             self._simulation._forward(self.node, combined, now)
 
 
-class ClusterSimulation:
-    """Discrete-event execution of one PARMONC session.
+class _SimulatedJob:
+    """One job's workers on a :class:`_Cluster`, stamping ``job`` on
+    every pass; the other arguments are :class:`ClusterSimulation`'s.
 
-    Args:
-        config: Run configuration (processors, maxsv quotas, perpass,
-            seqnum, shape, optional time_limit in *virtual* seconds).
-        spec: Cluster hardware model.
-        collector: The collector to feed; construct it with ``data=None``
-            for pure timing studies or with a data directory for full
-            runs.
-        routine: Optional realization routine.  When given, every
-            realization executes with its proper RNG substream and the
-            collector accumulates genuine moments; when None, zero
-            placeholder matrices keep the books.
-        quotas: Optional per-rank realization quotas overriding the
-            config's even split — use :func:`proportional_quotas` for
-            heterogeneous/hybrid clusters.  Must sum to ``maxsv``.
-        scheduling: ``"static"`` (default) deals fixed quotas;
-            ``"dynamic"`` is self-scheduling — every worker keeps
-            simulating until ``maxsv`` realizations have been *started*
-            cluster-wide, so faster nodes naturally contribute more.
-            This is the paper's actual §2.2 argument for needing no
-            load balancer; quotas must not be given in this mode.
-        telemetry: Optional :class:`~repro.obs.telemetry.RunTelemetry`
-            stamped in *virtual* time: every realization chunk and
-            message transfer becomes a span, worker stats piggyback on
-            the simulated messages, and fault injections land in the
-            event log — the Fig. 2 scaling study yields a full trace
-            for free.
-        job_labels: Optional per-rank job names (length must equal the
-            processor count); labelled ranks are accounted per job on
-            :attr:`ClusterResult.per_job`, so multi-tenant scheduling
-            policies can be studied in virtual time.  The labels are
-            bookkeeping only — they do not change execution.
+    The job starts when it is built: its time limit, injected failures
+    and ``T_comp`` count from there.  Its passes land on the cluster's
+    ``outbox``; its collector is only read, for the failure accounting.
     """
 
-    def __init__(self, config: RunConfig, spec: ClusterSpec,
+    def __init__(self, cluster: _Cluster, config: RunConfig,
                  collector: Collector,
                  routine: RealizationRoutine | None = None,
                  quotas: list[int] | None = None,
                  scheduling: str = "static",
                  telemetry: RunTelemetry | None = None,
-                 job_labels: Sequence[str | None] | None = None) -> None:
+                 job: str | None = None) -> None:
         if scheduling not in ("static", "dynamic"):
             raise ConfigurationError(
                 f"scheduling must be 'static' or 'dynamic', "
@@ -276,53 +272,63 @@ class ClusterSimulation:
             raise ConfigurationError(
                 "dynamic scheduling and explicit quotas are mutually "
                 "exclusive")
+        spec = cluster.spec
         self._config = config
         self._spec = spec
         self._collector = collector
         self._routine = routine
-        self._events = EventQueue()
-        self._duration_rng = np.random.default_rng(spec.seed)
-        self._processors = spec.processors_for(config.processors)
-        self._service = CollectorService(spec.collector_service_time)
+        self._job = job
+        self._events = events = cluster.events
+        self._service = cluster.service
+        self._durations = cluster.durations
+        self._outbox = cluster.outbox
+        self._clock = lambda: events.now
         self._telemetry = telemetry
-        self._workers = [self._worker(rank)
-                         for rank in range(config.processors)]
+        self._start = start = events.now
+        self._deadline = (start + config.time_limit
+                          if config.time_limit is not None else None)
+        self._processors = spec.processors_for(config.processors)
+        self._workers: dict[int, WorkerBody] = {}
         # The cost model charges what a pass actually carries (unless
-        # the spec fixes a size): the moment payload plus every
-        # declared extra statistic.  For the default moments-only run
-        # this is exactly the paper's Fig. 2 accounting.
-        self._nbytes = self._workers[0].nbytes
+        # the spec fixes a size), as the first worker built reports it:
+        # for a moments-only run exactly the paper's Fig. 2 accounting.
+        self._nbytes = 0
         # The reduction topology (flat unless config.reduction_fanout):
         # worker passes route through simulated reducer stations that
         # coalesce before the collector's server ever sees them.
-        plan = plan_reduction(range(config.processors),
-                              config.reduction_fanout)
-        reducer_service = (spec.reducer_service_time
-                           if spec.reducer_service_time is not None
-                           else spec.collector_service_time)
-        self._reducers = {
-            node.node_id: _ReducerStation(self, node, reducer_service)
-            for node in plan.nodes}
-        self._leaf_parents = dict(plan.leaf_parents)
+        self._reducers: dict[str, _ReducerStation] = {}
+        self._leaf_parents: dict[int, str] = {}
+        if config.reduction_fanout is not None:
+            plan = plan_reduction(range(config.processors),
+                                  config.reduction_fanout)
+            reducer_service = (spec.reducer_service_time
+                               if spec.reducer_service_time is not None
+                               else spec.collector_service_time)
+            self._reducers = {
+                node.node_id: _ReducerStation(self, node, reducer_service)
+                for node in plan.nodes}
+            self._leaf_parents = dict(plan.leaf_parents)
         self._combined_delivered = 0
         self._scheduling = scheduling
         self._total_started = 0
-        self._failures = dict(spec.failures or {})
-        if 0 in self._failures:
+        failures = spec.failures or {}
+        if 0 in failures:
             raise ConfigurationError(
                 "failing the 0-th processor kills the collector; model "
                 "collector-side crashes with manaver recovery instead")
-        for rank, fail_time in self._failures.items():
+        for rank, fail_time in failures.items():
             if not 0 <= rank < config.processors:
                 raise ConfigurationError(
                     f"failure injected for unknown rank {rank}")
             if fail_time < 0.0:
                 raise ConfigurationError(
                     f"failure time must be >= 0, got {fail_time}")
+        self._failures = {rank: start + fail_time
+                          for rank, fail_time in failures.items()}
         self._finaled: set[int] = set()
         if quotas is None:
-            self._quotas = [config.worker_quota(rank)
-                            for rank in range(config.processors)]
+            quotas = [config.worker_quota(rank)
+                      for rank in range(config.processors)]
         else:
             if len(quotas) != config.processors:
                 raise ConfigurationError(
@@ -332,38 +338,14 @@ class ClusterSimulation:
                 raise ConfigurationError(
                     f"quotas must be non-negative and sum to maxsv="
                     f"{config.maxsv}, got sum {sum(quotas)}")
-            self._quotas = list(quotas)
-        if job_labels is not None and len(job_labels) != config.processors:
-            raise ConfigurationError(
-                f"job_labels has {len(job_labels)} entries for "
-                f"{config.processors} processors")
-        self._job_labels: list[str | None] = (
-            list(job_labels) if job_labels is not None
-            else [None] * config.processors)
-        self._rank_messages = [0] * config.processors
+        self._quotas: dict[int, int | None] = dict(enumerate(quotas))
         self._messages_sent = 0
         self._queue_delay_total = 0.0
-        self._last_completion = 0.0
-        self._last_compute = 0.0
+        self._last_completion = start
+        self._last_compute = start
         self._failures_logged: set[int] = set()
+        self._stopped = False
         self._result: ClusterResult | None = None
-
-    @property
-    def now(self) -> float:
-        """Current virtual time (drives the telemetry clock)."""
-        return self._events.now
-
-    def _worker(self, rank: int) -> WorkerBody:
-        """The real worker body for ``rank``, on the virtual clock."""
-        def clock() -> float:
-            return self._events.now
-        return WorkerBody(
-            self._routine, self._config, rank, clock=clock,
-            telemetry=(WorkerTelemetry(rank, clock=clock)
-                       if self._telemetry is not None else None),
-            nbytes=self._spec.message_bytes)
-
-    # ------------------------------------------------------------------
 
     def _start_realization(self, rank: int, now: float) -> None:
         """Schedule the completion of rank's next realization chunk.
@@ -371,7 +353,7 @@ class ClusterSimulation:
         CPU nodes complete one realization per event; accelerated nodes
         complete up to their batch width per kernel launch.
         """
-        deadline = self._config.time_limit
+        deadline = self._deadline
         if deadline is not None and now >= deadline:
             self._send(rank, now, final=True)
             return
@@ -387,7 +369,7 @@ class ClusterSimulation:
         chunk = min(processor.batch, remaining)
         self._total_started += chunk
         duration = processor.chunk_duration(
-            chunk, self._spec.duration_model, self._duration_rng)
+            chunk, self._spec.duration_model, self._durations)
         self._events.schedule(
             now + duration,
             lambda when, r=rank, c=chunk, s=now:
@@ -414,9 +396,10 @@ class ClusterSimulation:
     def _complete_chunk(self, rank: int, chunk: int, now: float,
                         started: float) -> None:
         """A chunk finished: step the worker through it, maybe pass data."""
-        if self._dead(rank, now):
-            # The node died while computing: the in-flight chunk (and
-            # everything since its last pass) is lost.
+        if self._stopped or self._dead(rank, now):
+            # The job was released, or the node died while computing:
+            # the in-flight chunk (and everything since its last pass)
+            # is lost.
             return
         worker = self._workers[rank]
         done = 0
@@ -443,7 +426,6 @@ class ClusterSimulation:
         worker = self._workers[rank]
         message = worker.message(now, final)
         self._messages_sent += 1
-        self._rank_messages[rank] += 1
         node_id = self._leaf_parents.get(rank)
         if node_id is not None:
             # Tree topology: the pass crosses the wire to the subtree's
@@ -484,8 +466,8 @@ class ClusterSimulation:
             lambda when, m=message: self._deliver(m, when))
 
     def _deliver(self, message: MomentMessage, now: float) -> None:
-        """Collector finished ingesting a message."""
-        self._collector.receive(message, now)
+        """The collector server finished a pass: hand it on."""
+        self._outbox.append(message)
         self._last_completion = max(self._last_completion, now)
 
     def _forward(self, node: ReducerNode, combined: CombinedMessage,
@@ -520,62 +502,60 @@ class ClusterSimulation:
 
     def _deliver_combined(self, combined: CombinedMessage,
                           now: float) -> None:
-        """Collector finished ingesting a reducer forward."""
+        """The collector server finished a reducer forward: hand it on."""
         self._combined_delivered += 1
-        self._collector.receive_combined(combined, now)
+        self._outbox.append(combined)
         self._last_completion = max(self._last_completion, now)
 
     # ------------------------------------------------------------------
 
-    def start(self) -> None:
-        """Seed every configured worker's first realization at t = 0.
+    def add_worker(self, rank: int, quota: int | None) -> None:
+        """Start ``rank``'s worker at the current virtual time.
 
-        The incremental half of :meth:`run`, used by the engine-driven
-        backend (which owns the ``worker_start`` telemetry events
-        itself): after seeding, drive the clock with
-        :meth:`run_until_idle` and settle accounts with :meth:`finish`.
+        A rank past the configured processors replaces a failed one
+        (quota reassignment, static scheduling only): a plain unit-speed
+        node drawing from the ``rank``-th "processors" subsequence — a
+        substream no failed node ever touched.
         """
-        for rank in range(self._config.processors):
-            self._start_realization(rank, 0.0)
-
-    def run_until_idle(self) -> float:
-        """Dispatch events until the queue drains; return virtual now."""
-        return self._events.run()
-
-    def add_worker(self, rank: int, quota: int,
-                   job: str | None = None) -> None:
-        """Attach a fresh worker mid-simulation (quota reassignment).
-
-        The new node is a plain unit-speed processor drawing from the
-        ``rank``-th "processors" subsequence — a substream no failed
-        node ever touched — and starts computing at the current virtual
-        time.  ``job`` labels the worker for the
-        :attr:`ClusterResult.per_job` breakdown (e.g. the failed
-        worker's job, so the recovery volume is charged to the right
-        tenant).
-        """
-        if self._scheduling != "static":
-            raise ConfigurationError(
-                "workers can only be added under static scheduling")
-        if rank != len(self._processors):
-            raise ConfigurationError(
-                f"worker ranks must stay contiguous: expected "
-                f"{len(self._processors)}, got {rank}")
-        self._processors.append(Processor(rank, 1.0, None))
-        self._workers.append(self._worker(rank))
-        self._quotas.append(quota)
-        self._job_labels.append(job)
-        self._rank_messages.append(0)
+        if rank >= len(self._processors):
+            if self._scheduling != "static":
+                raise ConfigurationError(
+                    "workers can only be added under static scheduling")
+            if rank != len(self._processors):
+                raise ConfigurationError(
+                    f"worker ranks must stay contiguous: expected "
+                    f"{len(self._processors)}, got {rank}")
+            self._processors.append(Processor(rank, 1.0, None))
+        clock = self._clock
+        worker = WorkerBody(
+            self._routine, self._config, rank, clock=clock,
+            telemetry=(WorkerTelemetry(rank, clock=clock)
+                       if self._telemetry is not None else None),
+            job=self._job, nbytes=self._spec.message_bytes)
+        self._workers[rank] = worker
+        self._nbytes = worker.nbytes
+        self._quotas[rank] = quota
         self._result = None
         self._start_realization(rank, self._events.now)
 
-    def dead_ranks(self) -> tuple[int, ...]:
-        """Injected failures that kept their node from finalizing."""
-        return tuple(sorted(rank for rank in self._failures
-                            if rank not in self._finaled))
+    def dead_ranks(self) -> list[int]:
+        """Started ranks an injected failure kept from finalizing that
+        the collector still expects (a reassigned one is retired).
+
+        Ask when the cluster is idle: every live worker has finalized,
+        and everything a dead one sent has landed.
+        """
+        expected = self._collector.expected_ranks
+        return sorted(rank for rank in self._failures
+                      if rank in self._workers and rank in expected
+                      and rank not in self._finaled)
+
+    def stop(self) -> None:
+        """Compute nothing further; passes already sent still land."""
+        self._stopped = True
 
     def finish(self) -> ClusterResult:
-        """Settle the books once the event queue has drained.
+        """Settle the books once every started worker is done.
 
         Idempotent between topology changes: calling it twice returns
         the same (cached) result; :meth:`add_worker` invalidates the
@@ -583,62 +563,99 @@ class ClusterSimulation:
         """
         if self._result is not None:
             return self._result
+        per_rank = {rank: worker.accumulator.volume
+                    for rank, worker in self._workers.items()}
         for rank, fail_time in self._failures.items():
-            self._note_failure(rank, fail_time)
-        survivors = [rank for rank in range(len(self._processors))
-                     if rank not in self._failures]
-        if not all(rank in self._finaled for rank in survivors):
+            if rank in per_rank:
+                self._note_failure(rank, fail_time)
+        if not all(rank in self._finaled for rank in per_rank
+                   if rank not in self._failures):
             raise ConfigurationError(
                 "simulation drained its event queue before every "
                 "surviving worker finalized — this indicates an "
                 "internal protocol bug")
-        t_comp = self._last_completion
-        per_rank = {rank: worker.accumulator.volume
-                    for rank, worker in enumerate(self._workers)}
-        total = sum(per_rank.values())
+        t_comp = self._last_completion - self._start
         lost = sum(per_rank[rank] - self._collector.worker_volume(rank)
-                   for rank in self._failures)
+                   for rank in self._failures if rank in per_rank)
         mean_delay = (self._queue_delay_total / self._messages_sent
                       if self._messages_sent else 0.0)
-        per_job: dict[str, dict] = {}
-        for rank, label in enumerate(self._job_labels):
-            if label is None:
-                continue
-            entry = per_job.setdefault(
-                label, {"ranks": [], "volume": 0, "delivered": 0,
-                        "messages": 0})
-            entry["ranks"].append(rank)
-            entry["volume"] += per_rank[rank]
-            entry["delivered"] += self._collector.worker_volume(rank)
-            entry["messages"] += self._rank_messages[rank]
-        for entry in per_job.values():
-            entry["ranks"] = tuple(entry["ranks"])
         self._result = ClusterResult(
             t_comp=t_comp,
-            total_volume=total,
+            total_volume=sum(per_rank.values()),
             per_rank_volumes=per_rank,
             messages_sent=self._messages_sent,
             collector_utilization=self._service.utilization(t_comp),
             mean_queue_delay=mean_delay,
-            compute_span=self._last_compute,
+            compute_span=self._last_compute - self._start,
             failed_ranks=tuple(sorted(self._failures)),
             lost_realizations=lost,
             collector_served=self._service.served,
-            combined_messages=self._combined_delivered,
-            per_job=per_job)
+            combined_messages=self._combined_delivered)
         return self._result
+
+
+class ClusterSimulation(_SimulatedJob):
+    """Discrete-event execution of one PARMONC session, alone on a
+    simulated cluster of its own.
+
+    Args:
+        config: Run configuration (processors, maxsv quotas, perpass,
+            seqnum, shape, optional time_limit in *virtual* seconds).
+        spec: Cluster hardware model.
+        collector: The collector to feed; construct it with ``data=None``
+            for pure timing studies or with a data directory for full
+            runs.
+        routine: Optional realization routine.  When given, every
+            realization executes with its proper RNG substream and the
+            collector accumulates genuine moments; when None, zero
+            placeholder matrices keep the books.
+        quotas: Optional per-rank realization quotas overriding the
+            config's even split — use :func:`proportional_quotas` for
+            heterogeneous/hybrid clusters.  Must sum to ``maxsv``.
+        scheduling: ``"static"`` (default) deals fixed quotas;
+            ``"dynamic"`` is self-scheduling — every worker keeps
+            simulating until ``maxsv`` realizations have been *started*
+            cluster-wide, so faster nodes naturally contribute more.
+            This is the paper's actual §2.2 argument for needing no
+            load balancer; quotas must not be given in this mode.
+        telemetry: Optional :class:`~repro.obs.telemetry.RunTelemetry`
+            stamped in *virtual* time: every realization chunk and
+            message transfer becomes a span, worker stats piggyback on
+            the simulated messages, and fault injections land in the
+            event log — the Fig. 2 scaling study yields a full trace
+            for free.
+    """
+
+    def __init__(self, config: RunConfig, spec: ClusterSpec,
+                 collector: Collector,
+                 routine: RealizationRoutine | None = None,
+                 quotas: list[int] | None = None,
+                 scheduling: str = "static",
+                 telemetry: RunTelemetry | None = None) -> None:
+        super().__init__(_Cluster(spec), config, collector, routine,
+                         quotas, scheduling, telemetry)
 
     def run(self) -> ClusterResult:
         """Execute the session; return virtual-time accounting."""
+        ranks = range(self._config.processors)
         if self._telemetry is not None:
-            for rank in range(self._config.processors):
+            for rank in ranks:
                 self._telemetry.events.append(
                     "worker_start", ts=0.0, rank=rank,
                     quota=(self._quotas[rank]
                            if self._scheduling == "static" else None))
-        self.start()
-        self._events.run()
+        for rank in ranks:
+            self.add_worker(rank, self._quotas[rank])
+        events, outbox, collector = self._events, self._outbox, \
+            self._collector
+        while events.step():
+            while outbox:
+                item = outbox.popleft()
+                if isinstance(item, CombinedMessage):
+                    collector.receive_combined(item, events.now)
+                else:
+                    collector.receive(item, events.now)
         result = self.finish()
         # The final averaging-and-saving sweep the paper times.
-        self._collector.save(result.t_comp)
+        collector.save(result.t_comp)
         return result

@@ -5,8 +5,9 @@ values — absorption coefficients, temperatures, strikes.  The
 PARMONC-idiomatic way to do this is to give every point its **own
 "experiments" subsequence** (`seqnum`), so the per-point estimates are
 mutually independent and the whole study remains exactly reproducible.
-:func:`parameter_sweep` packages that pattern, collecting the per-point
-estimates into a renderable table.
+:func:`parameter_sweep` packages that pattern — every point a job of one
+``parmonc(jobs=[...])`` batch over a shared backend — collecting the
+per-point estimates into a renderable table.
 """
 
 from __future__ import annotations
@@ -80,6 +81,12 @@ class SweepResult:
         return "\n".join(lines)
 
 
+#: ``parmonc()`` arguments that choose the shared backend; every other
+#: keyword goes into each point's job.
+_BACKEND_KEYS = ("backend", "cluster_spec", "start_method", "connect",
+                 "backend_options", "execute_realizations")
+
+
 def parameter_sweep(realization_factory: Callable[[Any],
                                                   RealizationRoutine],
                     values: Sequence[Any], maxsv: int, *,
@@ -87,6 +94,9 @@ def parameter_sweep(realization_factory: Callable[[Any],
                     seqnum_start: int = 0,
                     **parmonc_kwargs) -> SweepResult:
     """Run one independent experiment per parameter value.
+
+    The points run as one ``parmonc(jobs=[...])`` batch, each with the
+    estimates of a solo ``parmonc(..., seqnum=seqnum_start + k)``.
 
     Args:
         realization_factory: Maps a parameter value to a realization
@@ -98,27 +108,31 @@ def parameter_sweep(realization_factory: Callable[[Any],
         ncol: Realization matrix columns.
         seqnum_start: First experiments subsequence to use; point ``k``
             consumes ``seqnum_start + k``.
-        **parmonc_kwargs: Forwarded to :func:`repro.parmonc`
-            (``processors``, ``backend``, ...).  ``use_files`` defaults
-            to False — a sweep is an in-memory study; pass distinct
-            ``workdir`` values yourself if you want per-point result
-            files.
+        **parmonc_kwargs: The backend's (``backend``, ``cluster_spec``,
+            ...; see ``_BACKEND_KEYS``) go to :func:`repro.parmonc`,
+            every other one into each point's job.  ``use_files``
+            defaults to False — a sweep is an in-memory study.
 
     Returns:
         A :class:`SweepResult` with one point per value, in order.
+
+    Raises:
+        ReproError: A point failed — its routine's ``RealizationError``,
+            or a ``BackendError`` naming every failed point.
     """
     if not values:
         raise ConfigurationError("parameter sweep needs at least one value")
     if "seqnum" in parmonc_kwargs or "res" in parmonc_kwargs:
         raise ConfigurationError(
             "seqnum/res are managed by the sweep; use seqnum_start")
+    backend = {key: parmonc_kwargs.pop(key) for key in _BACKEND_KEYS
+               if key in parmonc_kwargs}
     parmonc_kwargs.setdefault("use_files", False)
-    points = []
-    for offset, value in enumerate(values):
-        seqnum = seqnum_start + offset
-        routine = realization_factory(value)
-        result = parmonc(routine, nrow=nrow, ncol=ncol, maxsv=maxsv,
-                         seqnum=seqnum, **parmonc_kwargs)
-        points.append(SweepPoint(value=value, seqnum=seqnum,
-                                 result=result))
-    return SweepResult(points=tuple(points))
+    seqnums = range(seqnum_start, seqnum_start + len(values))
+    results = parmonc(jobs=[
+        dict(parmonc_kwargs, routine=realization_factory(value),
+             nrow=nrow, ncol=ncol, maxsv=maxsv, seqnum=seqnum)
+        for value, seqnum in zip(values, seqnums)], **backend)
+    return SweepResult(points=tuple(
+        SweepPoint(value=value, seqnum=seqnum, result=result)
+        for value, seqnum, result in zip(values, seqnums, results)))

@@ -172,7 +172,6 @@ class DistributedBackend(EngineBackend):
 
     name = "distributed"
     monitors_staleness = True
-    supports_shared_jobs = True
 
     def __init__(self, connect=None, routine_spec: str | None = None,
                  heartbeat_interval: float = 1.0,
@@ -275,7 +274,6 @@ class DistributedBackend(EngineBackend):
             self._thread.join(timeout=10.0)
             self._thread = None
         self._flush_notices()
-        self._done = True
 
     def open_job(self, job) -> None:
         """Register the job's wire entry.

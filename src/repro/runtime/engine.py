@@ -16,7 +16,9 @@ This module holds what the loop drives:
   :class:`~repro.runtime.sequential.SequentialBackend`,
   :class:`~repro.runtime.multiprocess.MultiprocessBackend`,
   :class:`~repro.runtime.distributed.DistributedBackend` and
-  :class:`~repro.runtime.simcluster.SimclusterBackend`.
+  :class:`~repro.runtime.simcluster.SimclusterBackend`.  Every one of
+  them carries any number of jobs at once; ``clock()`` is the run clock
+  the loop stamps with, virtual on the simulated cluster alone.
 * The **registry** (:func:`register_backend`) is the single source of
   backend names: ``parmonc()`` and ``parmonc-run`` both resolve names
   through it, and new backends plug in without touching the core.
@@ -59,7 +61,6 @@ __all__ = [
     "WorkerDeath",
     "available_backends",
     "create_backend",
-    "shared_job_backends",
     "register_backend",
     "register_lazy_backend",
 ]
@@ -141,12 +142,13 @@ class EngineBackend:
     :meth:`bind` once, before anything else; per admitted job
     :meth:`open_job`, :meth:`plan`, then :meth:`spawn` / :meth:`poll` /
     :meth:`reap` for as long as the job is RUNNING, :meth:`release_job`
-    exactly once when it leaves RUNNING — however it leaves — and
-    :meth:`finish` plus the result hooks if it drained; finally
+    exactly once when it leaves RUNNING — however it leaves — and the
+    result hooks right after it if the job drained; finally
     :meth:`shutdown`, once, error or not.  ``engine.job_context(job_id)``
     is the one source of an assignment's routine, config, collector,
     telemetry and deadline, for the anonymous job of a single run and
-    for named jobs alike.
+    for named jobs alike.  Every message and death carries its owning
+    job's id, so any number of jobs share one backend.
 
     Subclasses implement :meth:`spawn` and :meth:`poll`; everything
     else — the run clock, the work plan, the two job hooks, result
@@ -162,10 +164,6 @@ class EngineBackend:
     #: telemetry events.  Meaningful only for backends whose workers report
     #: asynchronously; the sequential loop and the virtual cluster opt out.
     monitors_staleness = False
-    #: Whether the backend can interleave assignments from different jobs
-    #: of one :class:`~repro.runtime.scheduler.Scheduler`; one that opts
-    #: in tags every message and death with the owning job id.
-    supports_shared_jobs = False
     #: Whether a shared-pool job may carry its own ``reduction_fanout``
     #: (the backend plans a job-scoped tree in :meth:`open_job`).
     supports_job_reduction = False
@@ -173,7 +171,6 @@ class EngineBackend:
     def __init__(self) -> None:
         #: The bound scheduler (None until :meth:`bind`).
         self.engine = None
-        self._done = False
 
     # -- context ---------------------------------------------------------
 
@@ -182,12 +179,8 @@ class EngineBackend:
         self.engine = engine
 
     def clock(self) -> float:
-        """The run clock; virtual backends override this."""
+        """The run clock; the simulated cluster's is virtual."""
         return time.monotonic()
-
-    def telemetry_epoch(self, started: float) -> float:
-        """Clock value subtracted from telemetry timestamps."""
-        return started
 
     # -- job lifecycle ---------------------------------------------------
 
@@ -227,9 +220,6 @@ class EngineBackend:
     def session_volume(self, collector: Collector) -> int:
         """Realizations this session contributed to the estimate."""
         return collector.session_volume
-
-    def finish(self) -> None:
-        """Success-path accounting hook, before the final save."""
 
     # -- workers and messages --------------------------------------------
 
@@ -277,8 +267,10 @@ class EngineBackend:
 
     @property
     def done(self) -> bool:
-        """True when the backend can produce no further messages."""
-        return self._done
+        """True when the backend can produce no further messages for
+        any running job: the simulated cluster went idle with a failed
+        node's tail lost."""
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -347,25 +339,6 @@ def available_backends() -> tuple[str, ...]:
     """
     return tuple(name for name in _ORDER
                  if name in _FACTORIES or name in _LAZY)
-
-
-def shared_job_backends() -> tuple[str, ...]:
-    """Backend names whose class declares ``supports_shared_jobs``.
-
-    Used by the scheduler's submit-time rejection message so the caller
-    learns which backends *can* multiplex concurrent jobs.  Resolving
-    the answer for a lazy entry imports its module (the class attribute
-    cannot be read otherwise); the registration order is unaffected.
-    """
-    names = []
-    for name in available_backends():
-        try:
-            factory = _resolve_factory(name)
-        except ConfigurationError:
-            continue
-        if getattr(factory, "supports_shared_jobs", False):
-            names.append(name)
-    return tuple(names)
 
 
 def _resolve_factory(name: str) -> Callable[..., EngineBackend]:

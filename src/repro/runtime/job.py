@@ -135,17 +135,20 @@ class Job:
         spec: The submitted :class:`JobSpec`.
         job_id: Stable identifier, or None for the anonymous job of a
             single run (its messages and assignments then carry no job
-            tag, keeping a solo run's traffic byte-identical whether or
-            not the backend can multiplex jobs).
+            tag, keeping a solo run's traffic byte-identical to a named
+            job's).
         index: Submission order, used for deterministic tie-breaking.
     """
+
+    #: The SLA clock; the scheduler sets its backend's run clock.
+    clock = time.monotonic
 
     def __init__(self, spec: JobSpec, job_id: str | None,
                  index: int) -> None:
         self.spec = spec
         self.id = job_id
         self.index = index
-        #: Per-state SLA stamps (monotonic seconds at each transition).
+        #: Per-state SLA stamps (:attr:`clock` seconds at each transition).
         self.state_times: dict[str, float] = {}
         #: Set once the job reaches DONE/FAILED/CANCELLED.
         self.finished = threading.Event()
@@ -161,7 +164,7 @@ class Job:
         self.in_flight: set[int] = set()
         self.dispatched = 0
         self.peak_workers = 0
-        # -- SLA clock stamps (wall monotonic seconds) -----------------
+        # -- SLA clock stamps (run-clock seconds) ----------------------
         self.submitted_wall: float | None = None
         self.started_wall: float | None = None
         self.finished_wall: float | None = None
@@ -173,6 +176,7 @@ class Job:
         self.telemetry = None
         self.deadline: float | None = None
         self.run_started = 0.0
+        self._wall_started = 0.0
         self.drain_started: float | None = None
         # -- recovery bookkeeping --------------------------------------
         self._quotas: dict[int, int | None] = {}
@@ -194,7 +198,7 @@ class Job:
     @status.setter
     def status(self, value: str) -> None:
         self._status = value
-        self.state_times[value] = time.monotonic()
+        self.state_times[value] = self.clock()
         if value in JobStatus.FINISHED:
             self.finished.set()
             if self.on_terminal is not None:
@@ -223,14 +227,16 @@ class Job:
         """Resume the session and wire collector + telemetry.
 
         In order: session resume, telemetry epoch, collector
-        construction, deadline and staleness thresholds.
+        construction, deadline and staleness thresholds.  ``run_started``
+        is the backend clock's now: every run-clock stamp counts from it.
         """
         config = self.spec.config
         self.run_started = run_started
+        self._wall_started = time.monotonic()
         data, state = start_session(config, self.spec.use_files)
         telemetry = open_run_telemetry(
             config, data, backend=backend.name, clock=backend.clock,
-            epoch=backend.telemetry_epoch(run_started))
+            epoch=run_started)
         if data is not None and telemetry is not None:
             # Quarantined artifacts surface as storage.quarantined events.
             data.attach_events(telemetry.events)
@@ -395,7 +401,7 @@ class Job:
         """Stop taking messages; the loop's next turn finalizes the job."""
         self.status = JobStatus.DRAINING
         self.completed = completed
-        self.finished_wall = time.monotonic()
+        self.finished_wall = self.clock()
         self.pending.clear()
         self.in_flight.clear()
 
@@ -406,7 +412,7 @@ class Job:
         by :attr:`finished` always observes it.
         """
         self.error = error
-        self.finished_wall = time.monotonic()
+        self.finished_wall = self.clock()
         self.pending.clear()
         self.in_flight.clear()
         if self.telemetry is not None:
@@ -421,7 +427,7 @@ class Job:
         (``release_job`` stops its workers); messages that were already
         in flight land as stray traffic and are counted, not applied.
         """
-        self.finished_wall = time.monotonic()
+        self.finished_wall = self.clock()
         self.pending.clear()
         self.in_flight.clear()
         if self.telemetry is not None:
@@ -434,9 +440,11 @@ class Job:
 
         The statement order (clock samples, event order) is what the
         byte-identity pins on single-job artifacts hold fixed.
+        ``elapsed`` is wall-clock seconds since the job was opened,
+        whatever the run clock.
         """
         collector = self.collector
-        elapsed = time.monotonic() - scheduler_started
+        elapsed = time.monotonic() - self._wall_started
         collector.save(backend.clock(), elapsed=elapsed)
         merged = collector.merged()
         merged_statistics = collector.merged_statistics()

@@ -65,7 +65,6 @@ class MultiprocessBackend(EngineBackend):
 
     name = "multiprocess"
     monitors_staleness = True
-    supports_shared_jobs = True
     #: Jobs may carry their own ``reduction_fanout``: a private k-ary
     #: tree per job, planned at ``open_job``, torn down at release.
     supports_job_reduction = True

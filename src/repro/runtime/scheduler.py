@@ -42,11 +42,10 @@ Policies the loop applies:
   ``release_job`` exactly once, whichever way the job leaves RUNNING —
   drained, failed, cancelled or out of time — and always before the job
   reaches a finished state, so nobody can have pruned it yet.
-
-Backends that can interleave assignments from different jobs declare
-``supports_shared_jobs = True`` (sequential, multiprocess,
-distributed); the discrete-event cluster simulation runs one job at a
-time and is rejected at :meth:`submit` (``Engine`` still runs it).
+* **One clock.**  Every stamp the loop takes — submission, dispatch,
+  state transitions, time limits — reads ``backend.clock()``: the host's
+  monotonic clock on the real backends, virtual seconds on the
+  simulated cluster, which shares jobs like any other backend.
 """
 
 from __future__ import annotations
@@ -66,7 +65,6 @@ from repro.runtime.engine import (
     _POLL_SECONDS,
     EngineBackend,
     WorkerAssignment,
-    shared_job_backends,
 )
 from repro.runtime.job import Job, JobSpec, JobStatus
 
@@ -164,7 +162,9 @@ class Scheduler:
         """Register a job and hand it to the loop for admission."""
         with self._state_cond:
             job.on_terminal = self._on_job_terminal
-            job.submitted_wall = time.monotonic()
+            job.clock = self._backend.clock
+            job.submitted_wall = job.state_times[JobStatus.QUEUED] = \
+                job.clock()
             self._jobs.append(job)
             self._by_id[job.id] = job
             self._submitted += 1
@@ -175,12 +175,6 @@ class Scheduler:
 
     def _validate_shared(self, spec: JobSpec) -> None:
         backend = self._backend
-        if not backend.supports_shared_jobs:
-            supported = ", ".join(shared_job_backends()) or "none"
-            raise ConfigurationError(
-                f"backend {backend.name!r} cannot multiplex concurrent "
-                f"jobs (backends that can: {supported}); run them one "
-                f"at a time through parmonc()")
         config = spec.config
         if (config.reduction_fanout is not None
                 and not backend.supports_job_reduction):
@@ -207,6 +201,11 @@ class Scheduler:
         if job is None:
             raise BackendError(f"unknown job {job_id!r}")
         return job
+
+    @property
+    def admitting(self) -> bool:
+        """Whether :meth:`submit` still takes jobs."""
+        return not self._stop
 
     @property
     def all_complete(self) -> bool:
@@ -249,7 +248,7 @@ class Scheduler:
         for job in running:
             if job.deadline is None or job.status is not JobStatus.RUNNING:
                 continue
-            if time.monotonic() < job.deadline:
+            if self._backend.clock() < job.deadline:
                 continue
             job.pending.clear()
             if not job.in_flight:
@@ -310,7 +309,7 @@ class Scheduler:
     def _spawn_for(self, job: Job, batch: list[WorkerAssignment]) -> None:
         extras = self._backend.spawn(batch)
         if job.started_wall is None:
-            job.started_wall = time.monotonic()
+            job.started_wall = self._backend.clock()
         job.record_spawn(batch, extras)
 
     # -- fault handling -------------------------------------------------
@@ -389,10 +388,11 @@ class Scheduler:
                     "the scheduler service is already running")
             self._thread = threading.current_thread()
             if not self.started:
-                self.started = time.monotonic()
+                self.started = self._backend.clock()
         try:
             while True:
-                busy = self.step()
+                # Idle, wait on the condition below, not in the backend.
+                busy = self.step(_POLL_SECONDS if self._active else 0.0)
                 if on_idle is not None and on_idle() is False:
                     with self._state_cond:
                         self._stop = True
@@ -419,11 +419,19 @@ class Scheduler:
 
         In order: admit, apply cancellations, dispatch, expire
         deadlines, poll/ingest, reap deaths, flag stale workers,
-        finalize whatever drained.  Public so synchronous harnesses
-        (the load study, tests) can drive the loop without a thread.
+        finalize whatever drained.  With nothing running the poll only
+        lets ``poll_timeout`` pass on the backend's clock — the one way
+        a synchronous driver moves an idle virtual clock — so a zero
+        timeout skips it.  Public so synchronous harnesses (the load
+        study, tests) can drive the loop without a thread.
         """
         backend = self._backend
         with self._lock:
+            if not self._bound:
+                # The loop's first turn takes the backend online; a
+                # scheduler nobody steps never does.
+                backend.bind(self)
+                self._bound = True
             if self._admissions:
                 self._admit_pending()
             if self._cancels:
@@ -437,14 +445,14 @@ class Scheduler:
                 exhausted = backend.done
                 if exhausted:
                     # The backend can produce nothing further (the
-                    # cluster simulation ran its event queue dry);
-                    # whatever is incomplete stays incomplete.
+                    # simulated cluster went idle with a failed node's
+                    # tail lost); whatever is incomplete stays so.
                     for job in running:
                         if job.status is JobStatus.RUNNING \
                                 and not job.pending:
                             job.mark_complete(
                                 completed=job.collector.complete)
-        if running and not exhausted:
+        if (running or poll_timeout > 0.0) and not exhausted:
             message = backend.poll(poll_timeout)
             if message is not None:
                 self.ingest(message, backend.clock())
@@ -470,12 +478,7 @@ class Scheduler:
             if job.status is not JobStatus.QUEUED:
                 continue  # cancelled while queued
             try:
-                job.open(backend, time.monotonic())
-                if not self._bound:
-                    # At the first admission: a service that never
-                    # admits a job never takes the backend online.
-                    backend.bind(self)
-                    self._bound = True
+                job.open(backend, backend.clock())
                 job.collector.mark_epoch(backend.clock())
                 backend.open_job(job)
             except ReproError as error:
@@ -506,9 +509,8 @@ class Scheduler:
 
         A service never shuts the pool down between jobs, so each job's
         epilogue (save, merge, result assembly) runs in the turn it
-        drains.  ``backend.finish()`` closes the cluster simulation's
-        books before its one job's final save and is a no-op on every
-        backend that shares its pool.
+        drains, right after ``release_job`` — whose books the result
+        hooks then read.
         """
         backend = self._backend
         if job.telemetry is not None and job.drain_started is not None:
@@ -517,7 +519,6 @@ class Scheduler:
                 messages=job.collector.receive_count)
         backend.release_job(job.id)
         try:
-            backend.finish()
             job.finalize(backend, self.started)
         except ReproError as error:
             job.fail(error)

@@ -38,7 +38,6 @@ class SequentialBackend(EngineBackend):
     """
 
     name = "sequential"
-    supports_shared_jobs = True
 
     def __init__(self) -> None:
         super().__init__()

@@ -1,26 +1,30 @@
-"""Simulated-cluster backend: the full protocol in virtual time.
+"""Simulated-cluster backend: every job of a scheduler in virtual time.
 
-Wraps :class:`repro.cluster.simulation.ClusterSimulation` in the same
-session lifecycle as the other backends (resume, result files,
-save-points), so a run "on 512 processors" is one function call on a
-laptop.  The returned :class:`RunResult` carries the virtual
-``T_comp`` in :attr:`~repro.runtime.result.RunResult.virtual_time`.
-
-With telemetry enabled the whole record — spans, events, metrics — is
-stamped in virtual seconds: the simulation's event queue *is* the
-telemetry clock.
+One simulated cluster — one event queue, one modelled collector server
+— carries any number of jobs under the real
+:meth:`Scheduler.step() <repro.runtime.scheduler.Scheduler.step>`, so a
+run "on 512 processors", a batch of them or a million-submission load
+study is a function call on a laptop.  A job's workers are real
+:class:`~repro.runtime.worker.WorkerBody` objects built from
+``engine.job_context(job)``, started at the virtual instant they are
+dispatched; its time limit, injected failures and ``T_comp``
+(:attr:`~repro.runtime.result.RunResult.virtual_time`) count from its
+own start, so a job alone computes exactly what it always did.  The
+cluster's clock is the run clock: telemetry, SLA stamps and time limits
+read virtual seconds.
 
 Injected node failures (:attr:`~repro.cluster.simulation.ClusterSpec
-.failures`) flow through the same engine fault path as real dead
-processes: under ``on_worker_death="fail"`` the run tolerates the loss
-exactly as §2.2 models it, under ``"reassign"`` the engine reissues the
-undelivered quota to a fresh simulated node — a deterministic rehearsal
-of the multiprocess recovery path.
+.failures`) take the engine's fault path: ``"reassign"`` reissues the
+undelivered quota to a fresh simulated node, a deterministic rehearsal
+of the multiprocess recovery path; ``"fail"`` loses the tail, as §2.2
+models.
 """
 
 from __future__ import annotations
 
-from repro.cluster.simulation import ClusterSimulation, ClusterSpec
+import math
+
+from repro.cluster.simulation import ClusterSpec, _Cluster, _SimulatedJob
 from repro.runtime.collector import Collector
 from repro.runtime.config import RunConfig
 from repro.runtime.engine import (
@@ -30,7 +34,7 @@ from repro.runtime.engine import (
     WorkerDeath,
     register_backend,
 )
-from repro.runtime.messages import MomentMessage
+from repro.runtime.messages import CombinedMessage, MomentMessage
 from repro.runtime.result import RunResult
 from repro.runtime.worker import RealizationRoutine
 
@@ -39,7 +43,7 @@ __all__ = ["SimclusterBackend", "run_simcluster"]
 
 @register_backend("simcluster")
 class SimclusterBackend(EngineBackend):
-    """Drive one :class:`ClusterSimulation` through the run loop.
+    """Run every job on one simulated cluster.
 
     Args:
         cluster_spec: Cluster hardware model; defaults to the paper's
@@ -49,39 +53,39 @@ class SimclusterBackend(EngineBackend):
             estimates would be meaningless zeros anyway.
         quotas: Optional per-rank realization quotas (see
             :func:`repro.cluster.simulation.proportional_quotas`);
-            defaults to the config's even split.
+            defaults to each job's even split.
         scheduling: ``"static"`` quotas or ``"dynamic"``
-            self-scheduling (workers draw work until ``maxsv`` is
-            started cluster-wide).
+            self-scheduling (a job's workers draw work until its
+            ``maxsv`` is started).
     """
 
     name = "simcluster"
     # Per-message subtotal persistence would dominate a timing study;
     # the merged save-point at session end still supports resumption.
     persist_subtotals = False
+    #: Every job's workers run on their own simulated reduction tree.
+    supports_job_reduction = True
 
     def __init__(self, cluster_spec: ClusterSpec | None = None,
                  execute_realizations: bool = True,
                  quotas: list[int] | None = None,
                  scheduling: str = "static") -> None:
         super().__init__()
-        self._spec = (cluster_spec if cluster_spec is not None
-                      else ClusterSpec())
+        self._cluster = _Cluster(cluster_spec if cluster_spec is not None
+                                 else ClusterSpec())
+        self._events = self._cluster.events
         self._execute = execute_realizations
         self._quotas = quotas
         self._scheduling = scheduling
-        self._simulation: ClusterSimulation | None = None
-        self._reassign = False
+        self._jobs: dict[str | None, _SimulatedJob] = {}
+        #: The job the loop released last: its result hooks follow.
+        self._released: _SimulatedJob | None = None
+        #: The last poll found the cluster idle and nothing started since.
         self._idle = False
-        self._reported: set[int] = set()
 
     def clock(self) -> float:
-        """The simulation's virtual time (0 until the cluster exists)."""
-        simulation = self._simulation
-        return simulation.now if simulation is not None else 0.0
-
-    def telemetry_epoch(self, started: float) -> float:
-        return 0.0
+        """The cluster's virtual time."""
+        return self._events.now
 
     def plan(self, job) -> list[WorkerAssignment]:
         if self._scheduling == "dynamic":
@@ -93,63 +97,85 @@ class SimclusterBackend(EngineBackend):
                     for rank, quota in enumerate(self._quotas)]
         return super().plan(job)
 
+    def open_job(self, job) -> None:
+        """The job starts on the cluster now."""
+        self._jobs[job.id] = _SimulatedJob(
+            self._cluster, job.config, job.collector,
+            routine=job.routine if self._execute else None,
+            quotas=self._quotas, scheduling=self._scheduling,
+            telemetry=job.telemetry, job=job.id)
+
     def spawn(self, assignments) -> None:
-        if self._simulation is None:
-            # The simulation runs one job: the first plan's owner.
-            context = self.engine.job_context(assignments[0].job)
-            self._reassign = context.config.on_worker_death == "reassign"
-            self._simulation = ClusterSimulation(
-                context.config, self._spec, context.collector,
-                routine=context.routine if self._execute else None,
-                quotas=self._quotas, scheduling=self._scheduling,
-                telemetry=context.telemetry)
-            self._simulation.start()
-        else:
-            for assignment in assignments:
-                self._simulation.add_worker(assignment.rank,
-                                            assignment.quota)
+        for assignment in assignments:
+            self._jobs[assignment.job].add_worker(assignment.rank,
+                                                  assignment.quota)
         self._idle = False
         return None
 
-    def poll(self, timeout: float) -> MomentMessage | None:
-        """Drain the event queue; messages reach the collector in-sim."""
-        if not self._idle:
-            self._simulation.run_until_idle()
-            self._idle = True
+    def poll(self, timeout: float
+             ) -> MomentMessage | CombinedMessage | None:
+        """Run events up to ``timeout`` virtual seconds from now, handing
+        each pass the collector server finishes to ``Scheduler.ingest``
+        and returning the first final: only a final frees a slot or
+        completes a job.
+
+        While the scheduler admits jobs the clock stops at that horizon,
+        so a submission lands at the instant its driver chose; once it
+        admits nothing further the clock runs to the next final.
+        """
+        events, outbox = self._events, self._cluster.outbox
+        engine = self.engine
+        horizon = events.now + timeout if engine.admitting else math.inf
+        while events.step(horizon):
+            if outbox:
+                delivered = outbox.popleft()
+                if delivered.final:
+                    return delivered
+                engine.ingest(delivered, events.now)
+        self._idle = not events
+        if horizon < math.inf:
+            events.run(until=horizon)
         return None
 
     def reap(self) -> list[WorkerDeath]:
-        """Report injected node failures — only under ``"reassign"``.
-
-        Under the default ``"fail"`` policy the simulated cluster keeps
-        its historical §2.2 semantics: a failed node's undelivered work
-        is simply lost, the run completes with a smaller sample, and
-        nothing raises.
+        """Report injected node failures once the cluster is idle, under
+        ``"reassign"`` only: under ``"fail"`` the job keeps its
+        historical §2.2 semantics and completes with a smaller sample
+        (:attr:`done`), raising nothing.
         """
-        if not self._reassign:
+        if not self._idle:
             return []
-        deaths = [WorkerDeath(rank, None, detail="injected node failure")
-                  for rank in self._simulation.dead_ranks()
-                  if rank not in self._reported]
-        self._reported.update(death.rank for death in deaths)
-        return deaths
+        engine = self.engine
+        return [WorkerDeath(rank, None, detail="injected node failure",
+                            job=job_id)
+                for job_id, simulation in self._jobs.items()
+                if engine.job_context(job_id).config.on_worker_death
+                == "reassign"
+                for rank in simulation.dead_ranks()]
 
     @property
     def done(self) -> bool:
+        """The cluster went idle and reaping started nothing."""
         return self._idle
 
-    def finish(self) -> None:
-        result = self._simulation.finish()
-        self._cluster_result = result
-        self.virtual_time = result.t_comp
+    def release_job(self, job_id: str | None) -> None:
+        """Stop the job's workers; its result hooks read it next."""
+        simulation = self._jobs.pop(job_id, None)
+        if simulation is not None:
+            simulation.stop()
+            self._released = simulation
+
+    @property
+    def virtual_time(self) -> float:
+        return self._released.finish().t_comp
 
     def per_rank_volumes(self, collector: Collector, ranks) -> dict:
         # The simulator's own accounting: computed volumes, including
         # work a failed node computed but never delivered.
-        return self._cluster_result.per_rank_volumes
+        return self._released.finish().per_rank_volumes
 
     def session_volume(self, collector: Collector) -> int:
-        return self._cluster_result.total_volume
+        return self._released.finish().total_volume
 
 
 def run_simcluster(routine: RealizationRoutine | None, config: RunConfig,

@@ -8,7 +8,6 @@ whenever the session writes files.
 
 from __future__ import annotations
 
-import time
 from typing import Callable
 
 from repro.obs.telemetry import RunTelemetry
@@ -19,10 +18,8 @@ __all__ = ["open_run_telemetry"]
 
 
 def open_run_telemetry(config: RunConfig, data: DataDirectory | None,
-                       *, backend: str,
-                       clock: Callable[[], float] = time.monotonic,
-                       epoch: float | None = None
-                       ) -> RunTelemetry | None:
+                       *, backend: str, clock: Callable[[], float],
+                       epoch: float) -> RunTelemetry | None:
     """Create the session's telemetry aggregator, or None when disabled.
 
     A fresh (``res=0``) file-backed session clears the previous run's
@@ -35,17 +32,14 @@ def open_run_telemetry(config: RunConfig, data: DataDirectory | None,
         data: The session's data directory, if it writes files.
         backend: Backend name stamped on the ``session_start`` event.
         clock: Run time source (virtual under simulation).
-        epoch: Run-start clock value to subtract from every timestamp;
-            defaults to ``clock()`` now for real clocks.  Virtual
-            backends pass 0.0 explicitly.
+        epoch: Run-start clock value to subtract from every timestamp.
     """
     if not config.telemetry:
         return None
     directory = data.telemetry_dir if data is not None else None
     if data is not None and config.res == 0:
         data.clear_telemetry()
-    telemetry = RunTelemetry(clock=clock, directory=directory,
-                             epoch=clock() if epoch is None else epoch)
+    telemetry = RunTelemetry(clock=clock, directory=directory, epoch=epoch)
     telemetry.events.append(
         "session_start", backend=backend, processors=config.processors,
         maxsv=config.maxsv, seqnum=config.seqnum, res=config.res,

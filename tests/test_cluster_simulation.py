@@ -6,10 +6,17 @@ import numpy as np
 import pytest
 
 from repro.cluster.machine import DurationModel
+from repro.cluster.network import NetworkModel
 from repro.cluster.simulation import ClusterSimulation, ClusterSpec
 from repro.exceptions import ConfigurationError
 from repro.runtime.collector import Collector
 from repro.runtime.config import RunConfig
+from repro.runtime.engine import Engine
+from repro.runtime.job import JobSpec
+from repro.runtime.messages import message_bytes
+from repro.runtime.scheduler import Scheduler
+from repro.runtime.sequential import run_sequential
+from repro.runtime.simcluster import SimclusterBackend, run_simcluster
 from repro.stats.accumulator import MomentSnapshot
 
 
@@ -143,52 +150,111 @@ class TestSpecValidation:
         assert all(p.speed_factor == 1.0 for p in processors)
 
 
-class TestPerJobBreakdown:
-    def test_labelled_ranks_are_accounted_per_job(self):
-        spec = ClusterSpec(duration_model=DurationModel(mean=1.0))
-        config = RunConfig(maxsv=12, processors=4, perpass=0.0,
-                           peraver=3600.0)
-        collector = Collector(config, MomentSnapshot.zero(1, 1), None)
-        simulation = ClusterSimulation(
-            config, spec, collector,
-            job_labels=["ising", "ising", "sde", None])
-        result = simulation.run()
-        assert set(result.per_job) == {"ising", "sde"}
-        ising = result.per_job["ising"]
-        assert ising["ranks"] == (0, 1)
-        assert ising["volume"] == (config.worker_quota(0)
-                                   + config.worker_quota(1))
-        assert ising["delivered"] == ising["volume"]
-        assert ising["messages"] >= 2
-        sde = result.per_job["sde"]
-        assert sde["ranks"] == (2,)
-        assert sde["volume"] == config.worker_quota(2)
-        # Per-job volumes plus the unlabelled rank cover the whole run.
-        labelled = ising["volume"] + sde["volume"]
-        assert labelled + config.worker_quota(3) == result.total_volume
+def _square(rng):
+    return rng.random() ** 2
 
-    def test_unlabelled_simulation_reports_empty_breakdown(self):
-        result, _ = simulate(10, 2, tau=1.0)
-        assert result.per_job == {}
 
-    def test_job_labels_length_must_match_processors(self):
-        spec = ClusterSpec(duration_model=DurationModel(mean=1.0))
-        config = RunConfig(maxsv=10, processors=3, perpass=0.0,
-                           peraver=3600.0)
-        collector = Collector(config, MomentSnapshot.zero(1, 1), None)
-        with pytest.raises(ConfigurationError):
-            ClusterSimulation(config, spec, collector,
-                              job_labels=["a", "b"])
+def _config(maxsv, processors, seqnum, **extras):
+    return RunConfig(maxsv=maxsv, processors=processors, perpass=0.0,
+                     peraver=0.0, seqnum=seqnum, **extras)
 
-    def test_added_worker_charged_to_its_job(self):
-        spec = ClusterSpec(duration_model=DurationModel(mean=1.0))
-        config = RunConfig(maxsv=8, processors=2, perpass=0.0,
-                           peraver=3600.0)
-        collector = Collector(config, MomentSnapshot.zero(1, 1), None)
-        simulation = ClusterSimulation(config, spec, collector,
-                                       job_labels=["a", "a"])
-        collector.expect_rank(2)
-        simulation.add_worker(2, 4, job="b")
-        result = simulation.run()
-        assert result.per_job["b"]["ranks"] == (2,)
-        assert result.per_job["b"]["volume"] == 4
+
+def _shared(spec, jobs, workers=None, **backend):
+    """Run ``{name: config}`` on one simulated cluster under the real
+    scheduler; returns each job's result by name."""
+    scheduler = Scheduler(SimclusterBackend(spec, **backend),
+                          workers=workers)
+    for name, config in jobs.items():
+        scheduler.submit(JobSpec(routine=_square, config=config,
+                                 name=name, use_files=False))
+    return {job.id: job.result for job in scheduler.run()}
+
+
+def _same_estimates(result, reference):
+    return all(getattr(result.estimates, field).tobytes()
+               == getattr(reference.estimates, field).tobytes()
+               for field in ("mean", "variance", "abs_error"))
+
+
+class TestSharedCluster:
+    """Jobs share one simulated cluster — one event queue, one collector
+    server — under the real scheduler, each keeping its own books."""
+
+    TAU, SERVICE = 1.0, 200e-6
+
+    def test_two_jobs_take_turns_on_one_worker_slot(self):
+        jobs = {"a": _config(4, 2, 0), "b": _config(2, 1, 1)}
+        results = _shared(
+            ClusterSpec(duration_model=DurationModel(mean=self.TAU)),
+            jobs, workers=1)
+        a, b = results["a"], results["b"]
+        assert a.per_rank_volumes == {0: 2, 1: 2}
+        assert b.per_rank_volumes == {0: 2}
+        assert (a.total_volume, b.total_volume) == (4, 2)
+        # a's rank 0 runs first on rank 0's own node (no wire): two
+        # realizations, then its last pass and its final, served one
+        # after the other.  The auction then favours b, which has not
+        # been dispatched yet: b waited exactly that long, in virtual
+        # seconds, and its own rank 0 takes as long again.
+        assert a.sla["wait_seconds"] == 0.0
+        assert b.sla["wait_seconds"] == pytest.approx(
+            2 * self.TAU + 2 * self.SERVICE)
+        assert b.virtual_time == pytest.approx(
+            4 * self.TAU + 4 * self.SERVICE)
+        # a's rank 1 goes last and crosses the wire.
+        wire = NetworkModel().transfer_time(message_bytes(1, 1))
+        assert a.virtual_time == pytest.approx(
+            6 * self.TAU + 6 * self.SERVICE + wire)
+        for name, config in jobs.items():
+            assert _same_estimates(results[name], run_sequential(
+                _square, config, use_files=False))
+
+    def test_a_recovering_job_leaves_its_neighbour_untouched(self):
+        # Rank 1 of every job fails 2.5 s after its job starts: a's rank
+        # 1 dies with 2 of its 10 delivered and is reassigned, b's rank
+        # 1 finished its 2 at t = 2 s.
+        spec = ClusterSpec(duration_model=DurationModel(mean=self.TAU),
+                           failures={1: 2.5})
+        jobs = {"a": _config(30, 3, 0, on_worker_death="reassign"),
+                "b": _config(6, 3, 1)}
+        results = _shared(spec, jobs)
+        a, b = results["a"], results["b"]
+        assert a.recovered_ranks == (1,)
+        assert a.per_rank_volumes[1] == 2 and a.per_rank_volumes[3] == 8
+        assert a.total_volume == 30
+        assert _same_estimates(a, run_simcluster(
+            _square, jobs["a"], spec=spec, use_files=False))
+        assert b.recovered_ranks == ()
+        assert b.total_volume == 6
+        assert _same_estimates(b, run_sequential(_square, jobs["b"],
+                                                 use_files=False))
+
+    def test_a_solo_run_turns_the_loop_once_per_final(self):
+        # Engine.run drives serve(), whose poll timeout is 0.05 s: a
+        # batch admits nothing further, so the virtual clock runs from
+        # final to final instead of 0.05 s per empty turn.
+        polls = []
+
+        class Counting(SimclusterBackend):
+            def poll(self, timeout):
+                polls.append(timeout)
+                return super().poll(timeout)
+
+        result = Engine(Counting(), _config(50, 2, 0),
+                        use_files=False).run(_square)
+        assert result.virtual_time > 25 * 7.7  # the paper's default tau
+        assert len(polls) == 2
+
+    def test_self_scheduled_jobs_each_start_their_own_sample(self):
+        # The dynamic-scheduling counter is each job's: a shared one
+        # would stop both jobs at 60 realizations between them.
+        spec = ClusterSpec(duration_model=DurationModel(mean=self.TAU),
+                           speed_factors=(3.0, 1.0, 1.0))
+        jobs = {"a": _config(60, 3, 0), "b": _config(40, 3, 1)}
+        results = _shared(spec, jobs, scheduling="dynamic")
+        for name, config in jobs.items():
+            solo = run_simcluster(_square, config, spec=spec,
+                                  use_files=False, scheduling="dynamic")
+            assert results[name].total_volume == config.maxsv
+            assert results[name].per_rank_volumes == solo.per_rank_volumes
+            assert _same_estimates(results[name], solo)

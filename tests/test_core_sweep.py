@@ -6,9 +6,10 @@ import math
 
 import pytest
 
+from repro import parmonc
 from repro.apps.transport import SlabProblem, make_realization
 from repro.core import parameter_sweep
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, RealizationError
 
 
 def power_factory(exponent):
@@ -66,6 +67,33 @@ class TestParameterSweep:
         table = sweep.table(value_label="exponent")
         assert "exponent" in table
         assert len(table.splitlines()) == 3
+
+    @pytest.mark.parametrize("backend", ["sequential", "simcluster"])
+    def test_points_match_solo_runs_byte_for_byte(self, backend):
+        # One jobs=[...] batch over a shared backend; every point is the
+        # solo run of its own experiments subsequence.
+        sweep = parameter_sweep(power_factory, [1, 2, 3], maxsv=60,
+                                seqnum_start=4, processors=3,
+                                perpass=0.0, peraver=0.0, backend=backend)
+        for offset, point in enumerate(sweep):
+            solo = parmonc(power_factory(point.value), maxsv=60,
+                           seqnum=4 + offset, processors=3, perpass=0.0,
+                           peraver=0.0, backend=backend, use_files=False)
+            assert point.result.total_volume == solo.total_volume == 60
+            for field in ("mean", "variance", "abs_error"):
+                assert (getattr(point.result.estimates, field).tobytes()
+                        == getattr(solo.estimates, field).tobytes())
+
+    def test_a_failing_point_raises(self):
+        def factory(value):
+            def routine(rng):
+                if value == 2:
+                    raise ValueError("point two")
+                return rng.random()
+            return routine
+
+        with pytest.raises(RealizationError, match="point two"):
+            parameter_sweep(factory, [1, 2, 3], maxsv=10)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -386,6 +386,28 @@ def _square(rng):
     return rng.random() ** 2
 
 
+class TestOneVirtualClock:
+    # docs/simulator.md "Many jobs, one cluster": the simulated cluster
+    # is the one virtual-clock backend, it shares jobs under the real
+    # scheduler, and nothing keeps a second job table beside it.
+
+    def test_only_the_simulated_cluster_keeps_its_own_clock(self):
+        overrides = sorted(
+            str(path.relative_to(ROOT / "src" / "repro"))
+            for path in (ROOT / "src" / "repro").rglob("*.py")
+            if re.search(r"^    def clock\(", path.read_text(), re.M))
+        assert overrides == ["runtime/engine.py", "runtime/simcluster.py"]
+
+    def test_the_single_job_machinery_is_gone(self):
+        retired = re.compile(r"LoadStudyBackend|supports_shared_jobs"
+                             r"|shared_job_backends|job_labels|per_job")
+        offenders = [
+            str(path.relative_to(ROOT))
+            for path in (ROOT / "src" / "repro").rglob("*.py")
+            if retired.search(path.read_text())]
+        assert offenders == []
+
+
 class TestOneWayInOneWayOut:
     # docs/architecture.md "The backend contract": a job enters a
     # backend through open_job and leaves it through release_job,
@@ -401,9 +423,8 @@ class TestOneWayInOneWayOut:
                 module
         assert not hasattr(engine, "Backend")  # EngineBackend only
         declared = vars(engine.EngineBackend)
-        assert {"open_job", "release_job", "supports_shared_jobs",
-                "supports_job_reduction", "monitors_staleness"} <= set(
-                    declared)
+        assert {"open_job", "release_job", "supports_job_reduction",
+                "monitors_staleness"} <= set(declared)
 
     def test_the_four_probed_hooks_are_gone(self):
         retired = re.compile(r"\b(announce_job|prepare_job|cancel_job)\b")

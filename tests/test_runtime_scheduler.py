@@ -182,11 +182,6 @@ class TestAdmission:
         with pytest.raises(ConfigurationError, match="duplicate"):
             scheduler.submit(spec(seqnum=1, name="twin"))
 
-    def test_single_job_backends_rejected(self):
-        scheduler = Scheduler(create_backend("simcluster"))
-        with pytest.raises(ConfigurationError, match="multiplex"):
-            scheduler.submit(spec(seqnum=0, name="a"))
-
     def test_colliding_workdirs_rejected(self, tmp_path):
         scheduler = Scheduler(SequentialBackend())
         scheduler.submit(spec(seqnum=0, name="a", workdir=tmp_path,
@@ -268,7 +263,7 @@ def shared_backend(request):
     """``(name, options)`` for one shared-capable backend; the
     distributed case brings up a loopback pool for the test."""
     name = request.param
-    if name == "sequential":
+    if name in ("sequential", "simcluster"):
         yield name, {}
     elif name == "multiprocess":
         yield name, {"start_method": "fork"}
@@ -286,7 +281,9 @@ class TestSubmissionScheduleIdentity:
     """However jobs reach the loop — all up front through the batch
     API, or staggered while earlier ones are mid-run — each produces
     exactly the estimates and save-point artifacts of the same job run
-    solo through ``parmonc()``, on every shared-capable backend."""
+    solo through ``parmonc()``, on every backend.  The simulated
+    cluster's artifacts match a solo simulated run: its clock, and so
+    its save cadence, is virtual."""
 
     JOBS = 4
 
@@ -315,7 +312,8 @@ class TestSubmissionScheduleIdentity:
 
     @pytest.mark.parametrize("schedule", ["upfront", "staggered"])
     @pytest.mark.parametrize(
-        "shared_backend", ["sequential", "multiprocess", "distributed"],
+        "shared_backend",
+        ["sequential", "multiprocess", "distributed", "simcluster"],
         indirect=True)
     def test_jobs_match_solo_runs_byte_for_byte(
             self, tmp_path, shared_backend, schedule, normalized_artifacts):
@@ -340,8 +338,15 @@ class TestSubmissionScheduleIdentity:
                     == solo.estimates.variance.tobytes())
             assert (shared.estimates.abs_error.tobytes()
                     == solo.estimates.abs_error.tobytes())
+            if name == "simcluster":
+                parmonc(square, maxsv=40, seqnum=i, perpass=0.0,
+                        peraver=0.0, processors=3, backend=name,
+                        workdir=tmp_path / "solo-sim" / f"exp{i}")
+                reference = tmp_path / "solo-sim" / f"exp{i}"
+            else:
+                reference = tmp_path / "solo" / f"exp{i}"
             assert (normalized_artifacts(tmp_path / "shared" / f"exp{i}")
-                    == normalized_artifacts(tmp_path / "solo" / f"exp{i}"))
+                    == normalized_artifacts(reference))
             assert shared.sla["job"] == f"exp{i}"
             assert shared.sla["completed"]
 
