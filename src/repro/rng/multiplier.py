@@ -24,6 +24,7 @@ from the paper's capacity arithmetic (section 2.4):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.exceptions import ConfigurationError
@@ -97,11 +98,15 @@ def jump_multiplier(leap_length: int, base: int = BASE_MULTIPLIER) -> int:
     return pow(base, leap_length, MODULUS)
 
 
+@functools.lru_cache(maxsize=256)
 def jump_multiplier_pow2(exponent: int, base: int = BASE_MULTIPLIER) -> int:
     """Return ``A(2**exponent)``, the jump multiplier for a power-of-two leap.
 
     This is the quantity the ``genparam`` utility computes (section 3.5):
-    its command-line arguments are exponents of two.
+    its command-line arguments are exponents of two.  A pure function of
+    its arguments, computed once per ``(exponent, base)``: every
+    :class:`~repro.rng.streams.StreamTree` (one per worker assignment)
+    would otherwise pay three 128-bit modular powers.
     """
     if exponent < 0:
         raise ConfigurationError(

@@ -49,7 +49,6 @@ from repro.runtime.engine import (
     WorkerDeath,
     register_backend,
 )
-from repro.runtime.job import JobStatus
 from repro.runtime.messages import MomentMessage
 from repro.runtime.wire import (
     FrameKind,
@@ -313,9 +312,9 @@ class DistributedBackend(EngineBackend):
                 item = self._notices.get_nowait()
             except queue_module.Empty:
                 return
-            for job in self.engine.jobs:
+            for job in self.engine.running():
                 telemetry = job.telemetry
-                if job.status is not JobStatus.RUNNING or telemetry is None:
+                if telemetry is None:
                     continue
                 if item[0] == "gauge":
                     telemetry.registry.gauge("pool.workers").set(item[1])

@@ -13,7 +13,7 @@ different clients) need no restart::
      | <---- WELCOME {workers: N} ----- |   advertise capacity
      | -- SUBMIT {config, routine} ---> |   import/unpickle the routine
      | -- ASSIGN {rank, quota} -------> |   an idle slot, or fork one
-     | <-------- DATA {message} ------- |   every data pass, forwarded
+     | <-------- DATA {message} ------- |   each rank's latest data pass
      | <---- EXIT {rank, exitcode} ---- |   after the rank's final pass
      |                                  |   (0), or after a dead slot's
      |                                  |   pipe is drained
@@ -32,11 +32,16 @@ Each session runs its ASSIGNs on the slots of its own
 :class:`~repro.runtime.host.WorkerHost`, the slot layer ``multiprocess``
 runs on too — at most ``workers`` of them, since the run never keeps
 more assignments active on a link — so a stuck or ``kill -9``-ed
-routine never takes the daemon down.  A watcher thread frames each
-DATA body as the worker encoded it (the daemon never decodes a pass)
-and sends EXIT 0 after a rank's final; a dead slot's EXIT carries the
-real exit code and follows its drained pipe, so no EXIT overtakes the
-data before it and reassignment keeps estimates bit-identical.
+routine never takes the daemon down.  A watcher thread hands each DATA
+body, as the worker encoded it (the daemon never decodes a pass), to
+the session's :class:`_Relay`, and EXIT 0 after a rank's final; a dead
+slot's EXIT carries the real exit code and follows its drained pipe.
+The relay keeps the worker's latest-wins rule one hop further: at most
+one unsent pass per rank waits for the event loop, a newer one takes
+its place, and a final never waits behind or gives way to anything.
+DATA and EXIT leave in the order the watcher read them, so no EXIT
+overtakes the data before it and reassignment keeps estimates
+bit-identical.
 
 A pool whose run stops heartbeating (crashed, unplugged) terminates
 the session's slots and returns to listening; a run whose pool
@@ -72,6 +77,67 @@ def _job_of(payload: dict) -> str | None:
     return None if job is None else str(job)
 
 
+class _Relay:
+    """The frames a session's watcher read, on their way to its loop.
+
+    :meth:`forward` runs on the watcher thread, once per
+    ``WorkerHost.read`` event, and queues the event's frames in read
+    order; ``call_soon`` hands :meth:`_drain` to the loop thread, which
+    writes them with ``send``.  A rank has at most one *unsent*
+    non-final pass in the queue: passes are cumulative, so a newer one
+    takes its place, and a final drops it — either way it is counted in
+    :attr:`superseded`.  A final is never held for replacement, and a
+    rank's EXIT is queued behind everything read before it.
+    """
+
+    def __init__(self, send, call_soon) -> None:
+        self._send = send
+        self._call_soon = call_soon
+        self._lock = threading.Lock()
+        self._queue: list = []   # [kind, payload] in read order
+        self._unsent: dict = {}  # (job, rank) -> its queued non-final pass
+        #: Passes dropped unsent because a newer one of their rank came.
+        self.superseded = 0
+
+    def forward(self, key, item) -> None:
+        """Queue a rank's DATA body, or its slot's exit code, as frames."""
+        job, rank = key
+        with self._lock:
+            # Whatever comes, it is the rank's last entry in the queue.
+            waiting = self._unsent.pop(key, None)
+            if isinstance(item, bytes):
+                if waiting is not None:  # never sent, and stale now
+                    self.superseded += 1
+                    waiting[1] = None
+                if not payload_is_final(item):
+                    if waiting is None:
+                        waiting = [FrameKind.DATA, None]
+                        self._push(waiting)
+                    waiting[1] = item
+                    self._unsent[key] = waiting
+                    return
+                self._push([FrameKind.DATA, item])
+                item = 0
+            exit_payload = {"rank": rank, "exitcode": item}
+            if job is not None:
+                exit_payload["job"] = job
+            self._push([FrameKind.EXIT, exit_payload])
+
+    def _push(self, entry: list) -> None:
+        if not self._queue:
+            self._call_soon(self._drain)
+        self._queue.append(entry)
+
+    def _drain(self) -> None:
+        """Loop side: write every queued frame still owed, in order."""
+        with self._lock:
+            queue, self._queue = self._queue, []
+            self._unsent.clear()  # every unsent pass is in ``queue``
+        for kind, payload in queue:
+            if payload is not None:
+                self._send(kind, payload)
+
+
 class _Session:
     """One connected run, from HELLO to BYE (or connection loss)."""
 
@@ -83,6 +149,8 @@ class _Session:
         self._loop = asyncio.get_running_loop()
         #: The session's slots: the loop thread assigns, the watcher reads.
         self.host = WorkerHost(server.context)
+        #: What the watcher read, on its way to the run.
+        self.relay = _Relay(self._send, self._call_soon)
         self._closed = False
         self._last_run_heartbeat = time.monotonic()
         self._peer = writer.get_extra_info("peername")
@@ -177,22 +245,13 @@ class _Session:
                      self._peer, label, quota, pid)
 
     def _watch(self) -> None:
-        """Frame what the host reads until the session ends; then stop
+        """Relay what the host reads until the session ends; then stop
         every slot.  One plain thread per session (pipe reads block).
         A slot is idle before its rank's final goes out to the run."""
         host = self.host
         try:
             while (event := host.read()) is not None:
-                (job, rank), item = event
-                if isinstance(item, bytes):
-                    self._send_threadsafe(FrameKind.DATA, item)
-                    if not payload_is_final(item):
-                        continue
-                    item = 0
-                exit_payload = {"rank": rank, "exitcode": item}
-                if job is not None:
-                    exit_payload["job"] = job
-                self._send_threadsafe(FrameKind.EXIT, exit_payload)
+                self.relay.forward(*event)
         finally:
             host.close()
 
@@ -206,10 +265,9 @@ class _Session:
         except (ConnectionError, RuntimeError):
             pass
 
-    def _send_threadsafe(self, kind: FrameKind,
-                         payload: dict | bytes) -> None:
+    def _call_soon(self, callback) -> None:
         try:
-            self._loop.call_soon_threadsafe(self._send, kind, payload)
+            self._loop.call_soon_threadsafe(callback)
         except RuntimeError:  # loop already closed at teardown
             pass
 
@@ -276,7 +334,7 @@ class PoolServer:
         self._startup_error: BaseException | None = None
         self._sessions: set[_Session] = set()
         self.sessions_served = 0
-        self._ended = [0, 0]  # the slot counters of ended sessions
+        self._ended = [0, 0, 0]  # the counters below, of ended sessions
 
     @property
     def slots_started(self) -> int:
@@ -288,6 +346,13 @@ class PoolServer:
     def assignments_served(self) -> int:
         """ASSIGN frames handed to slots, across every session."""
         return self._ended[1] + sum(session.host.assignments_served
+                                    for session in tuple(self._sessions))
+
+    @property
+    def passes_superseded(self) -> int:
+        """Passes a session dropped unsent because a newer one of their
+        rank came first, across every session."""
+        return self._ended[2] + sum(session.relay.superseded
                                     for session in tuple(self._sessions))
 
     @property
@@ -342,6 +407,7 @@ class PoolServer:
         finally:
             self._ended[0] += session.host.slots_started
             self._ended[1] += session.host.assignments_served
+            self._ended[2] += session.relay.superseded
             self._sessions.discard(session)
 
     # -- thread facade (tests, embedded pools) -----------------------------

@@ -101,8 +101,14 @@ class Scheduler:
         self._backend = backend
         self._workers = workers
         self._max_jobs = max_jobs
+        #: Every job in submission order, and by id, until pruned.
         self._jobs: list[Job] = []
         self._by_id: dict[str | None, Job] = {}
+        #: Jobs not yet DONE/FAILED/CANCELLED, by index (submission
+        #: order): what every turn walks, and the admission bound.
+        self._live: dict[int, Job] = {}
+        #: Resolved session directory -> the unpruned job writing it.
+        self._data_dirs: dict = {}
         self.started = 0.0
         self.rejected = 0
         self.stray_messages = 0
@@ -118,8 +124,6 @@ class Scheduler:
         self._admissions: deque[Job] = deque()
         #: RUNNING jobs with a cancellation pending loop-side teardown.
         self._cancels: deque[Job] = deque()
-        #: Jobs not yet DONE/FAILED/CANCELLED (the admission bound).
-        self._active = 0
         #: Monotonic submission counter; unlike ``len(self._jobs)`` it
         #: survives :meth:`prune`, keeping ids and indices unique.
         self._submitted = 0
@@ -146,16 +150,19 @@ class Scheduler:
                 raise ConfigurationError(
                     "the scheduler service is shutting down and no "
                     "longer admits jobs")
-            if self._max_jobs is not None and self._active >= self._max_jobs:
+            if (self._max_jobs is not None
+                    and len(self._live) >= self._max_jobs):
                 self.rejected += 1
                 raise AdmissionError(
                     f"job queue is at capacity ({self._max_jobs} jobs); "
                     f"retry after a job finishes or raise max_jobs")
-            self._validate_shared(spec)
+            data_dir = self._validate_shared(spec)
             job_id = spec.name or f"job-{self._submitted}"
             if job_id in self._by_id:
                 raise ConfigurationError(
                     f"duplicate job name {job_id!r}")
+            if data_dir is not None:
+                self._data_dirs[data_dir] = job_id
             return self._enqueue(Job(spec, job_id, self._submitted))
 
     def _enqueue(self, job: Job) -> Job:
@@ -167,13 +174,15 @@ class Scheduler:
                 job.clock()
             self._jobs.append(job)
             self._by_id[job.id] = job
+            self._live[job.index] = job
             self._submitted += 1
-            self._active += 1
             self._admissions.append(job)
             self._state_cond.notify_all()
             return job
 
-    def _validate_shared(self, spec: JobSpec) -> None:
+    def _validate_shared(self, spec: JobSpec):
+        """Refuse a spec this backend or an unpruned job rules out;
+        return its resolved session directory, if it writes one."""
         backend = self._backend
         config = spec.config
         if (config.reduction_fanout is not None
@@ -182,16 +191,16 @@ class Scheduler:
                 f"backend {backend.name!r} does not plan job-scoped "
                 f"reduction trees; drop reduction_fanout or use the "
                 f"multiprocess backend")
-        if spec.use_files:
-            new_dir = config.data_dir.resolve()
-            for other in self._jobs:
-                if not other.spec.use_files:
-                    continue
-                if other.spec.config.data_dir.resolve() == new_dir:
-                    raise ConfigurationError(
-                        f"jobs {other.id!r} and {spec.name!r} would "
-                        f"share the session directory {new_dir}; give "
-                        f"each job its own workdir")
+        if not spec.use_files:
+            return None
+        new_dir = config.data_dir.resolve()
+        other = self._data_dirs.get(new_dir)
+        if other is not None:
+            raise ConfigurationError(
+                f"jobs {other!r} and {spec.name!r} would share the "
+                f"session directory {new_dir}; give each job its own "
+                f"workdir")
+        return new_dir
 
     # -- backend-facing context ----------------------------------------
 
@@ -210,8 +219,15 @@ class Scheduler:
     @property
     def all_complete(self) -> bool:
         """True once no job expects further worker messages."""
-        return all(job.status in JobStatus.TERMINAL
-                   for job in self._jobs)
+        with self._lock:
+            return all(job.status in JobStatus.TERMINAL
+                       for job in self._live.values())
+
+    def running(self) -> list[Job]:
+        """RUNNING jobs in submission order."""
+        with self._lock:
+            return [job for job in self._live.values()
+                    if job.status is JobStatus.RUNNING]
 
     @property
     def jobs(self) -> tuple[Job, ...]:
@@ -264,8 +280,7 @@ class Scheduler:
         the deficit auction: highest deficit wins, each dispatch
         charges ``1 / priority``.
         """
-        contenders = [job for job in self._jobs
-                      if job.status is JobStatus.RUNNING and job.pending]
+        contenders = [job for job in self.running() if job.pending]
         if not contenders:
             return
         batches: dict[int, list[WorkerAssignment]] = {}
@@ -286,7 +301,7 @@ class Scheduler:
                     batches.setdefault(job.index, []).append(
                         job.pending.popleft())
         else:
-            busy = sum(len(job.in_flight) for job in self._jobs)
+            busy = sum(len(job.in_flight) for job in self._live.values())
             free = self._workers - busy
             while free > 0:
                 candidates = [job for job in contenders
@@ -392,7 +407,7 @@ class Scheduler:
         try:
             while True:
                 # Idle, wait on the condition below, not in the backend.
-                busy = self.step(_POLL_SECONDS if self._active else 0.0)
+                busy = self.step(_POLL_SECONDS if self._live else 0.0)
                 if on_idle is not None and on_idle() is False:
                     with self._state_cond:
                         self._stop = True
@@ -436,8 +451,7 @@ class Scheduler:
                 self._admit_pending()
             if self._cancels:
                 self._apply_cancels()
-            running = [job for job in self._jobs
-                       if job.status is JobStatus.RUNNING]
+            running = self.running()
             exhausted = False
             if running:
                 self._dispatch()
@@ -462,13 +476,13 @@ class Scheduler:
                 with self._lock:
                     if deaths:
                         self._handle_deaths(deaths, now)
-                    for job in self._jobs:
+                    for job in running:
                         if job.status is JobStatus.RUNNING:
                             job.flag_stale(now)
         for job in running:
             if job.status is JobStatus.DRAINING:
                 self._finalize(job)
-        return self._active > 0
+        return bool(self._live)
 
     def _admit_pending(self) -> None:
         """Open queued jobs and put their work plans in contention."""
@@ -489,8 +503,7 @@ class Scheduler:
             # newcomer competes on equal terms from now on instead of
             # replaying dispatches it never contended for.
             job.deficit = max(
-                (other.deficit for other in self._jobs
-                 if other.status is JobStatus.RUNNING), default=0.0)
+                (other.deficit for other in self.running()), default=0.0)
             job.status = JobStatus.RUNNING
             job.pending.extend(backend.plan(job))
             job.drain_started = backend.clock()
@@ -561,8 +574,7 @@ class Scheduler:
 
         def drained() -> bool:
             return (not self._admissions and not self._cancels
-                    and all(job.status in JobStatus.FINISHED
-                            for job in self._jobs))
+                    and not self._live)
 
         with self._state_cond:
             if self._driven_elsewhere():
@@ -620,16 +632,19 @@ class Scheduler:
         kept; per-job results must be read before pruning.
         """
         with self._lock:
-            keep = [job for job in self._jobs
-                    if job.status not in JobStatus.FINISHED]
+            keep = list(self._live.values())
             removed = len(self._jobs) - len(keep)
             self._jobs = keep
             self._by_id = {job.id: job for job in keep}
+            self._data_dirs = {
+                data_dir: job_id
+                for data_dir, job_id in self._data_dirs.items()
+                if job_id in self._by_id}
             return removed
 
     def _on_job_terminal(self, job: Job) -> None:
         with self._state_cond:
-            self._active -= 1
+            self._live.pop(job.index, None)
             self._state_cond.notify_all()
 
     # -- reporting ------------------------------------------------------

@@ -55,8 +55,9 @@ def merge_snapshots(snapshots: Iterable[MomentSnapshot]) -> MomentSnapshot:
     for snapshot in snapshots:
         count += 1
         if merged_sum1 is None:
-            merged_sum1 = snapshot.sum1.astype(np.float64).copy()
-            merged_sum2 = snapshot.sum2.astype(np.float64).copy()
+            # One fresh float64 copy each: the merge never aliases an input.
+            merged_sum1 = np.array(snapshot.sum1, dtype=np.float64)
+            merged_sum2 = np.array(snapshot.sum2, dtype=np.float64)
         else:
             if snapshot.shape != merged_sum1.shape:
                 raise ConfigurationError(

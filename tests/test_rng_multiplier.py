@@ -113,6 +113,28 @@ class TestJumpMultiplier:
         with pytest.raises(ConfigurationError):
             jump_multiplier_pow2(4 * MODULUS_BITS)
 
+    def test_pow2_is_computed_once_per_leap(self, monkeypatch):
+        # Every worker assignment builds a StreamTree: its three 128-bit
+        # modular powers are paid once per (exponent, base), not per tree.
+        from repro.rng import multiplier
+        from repro.rng.streams import StreamTree
+
+        expected = tuple(pow(BASE_MULTIPLIER, 1 << exponent, MODULUS)
+                         for exponent in (115, 98, 43))
+        powers = []
+        original = multiplier.jump_multiplier
+        monkeypatch.setattr(multiplier, "jump_multiplier",
+                            lambda n, base: powers.append(n)
+                            or original(n, base))
+        jump_multiplier_pow2.cache_clear()
+        try:
+            for _ in range(3):
+                assert StreamTree().jump_multipliers == expected
+            assert DEFAULT_LEAPS.multipliers() == expected
+        finally:
+            jump_multiplier_pow2.cache_clear()
+        assert powers == [1 << 115, 1 << 98, 1 << 43]
+
 
 class TestLeapSet:
     def test_paper_defaults(self):

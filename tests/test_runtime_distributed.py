@@ -40,8 +40,9 @@ from repro.runtime.messages import (
     MomentMessage,
     message_from_payload,
     message_to_payload,
+    payload_is_final,
 )
-from repro.runtime.pool import PoolServer
+from repro.runtime.pool import PoolServer, _Relay
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.wire import FrameKind, encode_frame
 from repro.runtime.worker import run_worker
@@ -578,6 +579,141 @@ class TestPoolSlots:
             server.stop()
         self._assert_same(distributed, sequential)
         assert server.slots_started == 2
+
+
+class TestLatestWinsRelay:
+    """A session's relay keeps at most one unsent pass per rank between
+    the watcher thread and the event loop; finals and EXITs always go
+    out, in read order."""
+
+    KEYS = ((None, 0), ("a", 1), ("a", 2))
+
+    @staticmethod
+    def _body(index: int, final: bool) -> bytes:
+        """A distinct pass body; only its final flag matters here."""
+        return message_to_payload(MomentMessage(
+            rank=0, snapshot=MomentAccumulator(1, 1).snapshot(),
+            sent_at=float(index), final=final))
+
+    def _assert_relayed(self, reads, frames, superseded):
+        """Each key's frames follow its reads in order: every final as
+        DATA then EXIT 0, every death as EXIT, every pass that no body of
+        its rank followed, and nothing else than superseded passes."""
+        per_key = {key: [] for key in reads}
+        for kind, payload in frames:
+            if kind is FrameKind.DATA:
+                key = next(key for key, items in reads.items()
+                           if any(item == payload for item in items))
+                per_key[key].append(payload)
+            else:
+                assert kind is FrameKind.EXIT
+                per_key[(payload.get("job"), payload["rank"])].append(
+                    payload["exitcode"])
+        bodies = 0
+        for key, items in reads.items():
+            sent = iter(per_key[key])
+            pending = next(sent, None)
+            for index, item in enumerate(items):
+                if isinstance(item, int):  # a death's exit code
+                    assert pending == item, (key, index)
+                    pending = next(sent, None)
+                    continue
+                bodies += 1
+                if payload_is_final(item):
+                    assert pending == item, (key, index)
+                    assert next(sent, None) == 0, (key, index)
+                    pending = next(sent, None)
+                elif pending == item:
+                    pending = next(sent, None)
+                else:  # dropped: only for a body of its rank right behind
+                    following = items[index + 1:index + 2]
+                    assert following and isinstance(following[0], bytes), \
+                        (key, index)
+            assert pending is None, key
+        data = sum(kind is FrameKind.DATA for kind, _ in frames)
+        assert data + superseded == bodies
+
+    def test_generated_schedules_deliver_in_order_and_count(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        steps = st.lists(st.one_of(
+            st.tuples(st.just("read"), st.integers(0, 2),
+                      st.sampled_from(["pass", "pass", "final", -9, 1])),
+            st.tuples(st.just("flush"), st.integers(1, 3))), max_size=40)
+
+        @hypothesis.settings(derandomize=True, print_blob=True,
+                             deadline=None, max_examples=400)
+        @hypothesis.given(ranks=st.integers(1, 3), schedule=steps)
+        def check(ranks, schedule):
+            frames, loop = [], []
+            relay = _Relay(lambda kind, payload: frames.append(
+                (kind, payload)), loop.append)
+            reads = {key: [] for key in self.KEYS[:ranks]}
+            count = 0
+            for step in schedule:
+                if step[0] == "flush":  # the loop runs what it was handed
+                    for _ in range(min(step[1], len(loop))):
+                        loop.pop(0)()
+                    continue
+                _, which, what = step
+                key = self.KEYS[which % ranks]
+                if isinstance(what, str):
+                    what = self._body(count, what == "final")
+                    count += 1
+                reads[key].append(what)
+                relay.forward(key, what)
+            while loop:
+                loop.pop(0)()
+            self._assert_relayed(reads, frames, relay.superseded)
+
+        check()
+
+    def test_a_live_loop_and_watcher_lose_no_update(self):
+        # The watcher and the loop thread share the unsent passes; with
+        # threads switching every microsecond, a lost update drops a
+        # final, reorders a rank or miscounts what was superseded.
+        loop = asyncio.new_event_loop()
+        runner = threading.Thread(target=loop.run_forever, daemon=True)
+        frames = []
+        relay = _Relay(lambda kind, payload: frames.append((kind, payload)),
+                       loop.call_soon_threadsafe)
+        reads = {key: [] for key in self.KEYS}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        runner.start()
+        try:
+            for index in range(3000):
+                key = self.KEYS[index % 3]
+                body = self._body(index, index >= 2997)
+                reads[key].append(body)
+                relay.forward(key, body)
+            done = threading.Event()
+            loop.call_soon_threadsafe(done.set)
+            assert done.wait(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+            loop.call_soon_threadsafe(loop.stop)
+            runner.join(30.0)
+        assert not runner.is_alive()
+        loop.close()
+        self._assert_relayed(reads, frames, relay.superseded)
+
+    def test_every_pass_a_slot_wrote_is_sent_or_superseded(self, tmp_path):
+        server = PoolServer(port=0, workers=2, start_method="fork")
+        address = "%s:%d" % server.start()
+        try:
+            result = parmonc(wide, nrow=1000, ncol=2, maxsv=64,
+                             processors=2, backend="distributed",
+                             connect=address, telemetry=True,
+                             workdir=tmp_path, perpass=0.0, peraver=0.0)
+        finally:
+            server.stop()
+        finals = list(read_events(tmp_path / "parmonc_data" / "telemetry"
+                                  / "events.jsonl", kind="worker_final"))
+        written = sum(event.fields["messages"] for event in finals)
+        assert len(finals) == 2
+        assert (result.messages_received + server.passes_superseded
+                == written)
 
 
 class TestOneSessionShape:

@@ -30,7 +30,7 @@ from repro.exceptions import AdmissionError, ConfigurationError
 from repro.rng.lcg128 import Lcg128
 from repro.runtime.config import RunConfig
 from repro.runtime.engine import create_backend
-from repro.runtime.job import JobSpec, JobStatus
+from repro.runtime.job import Job, JobSpec, JobStatus
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.sequential import SequentialBackend, run_sequential
 
@@ -197,6 +197,58 @@ class TestAdmission:
             Scheduler(SequentialBackend(), max_jobs=0)
         with pytest.raises(ConfigurationError):
             Scheduler(SequentialBackend()).run()
+
+
+class TestLiveJobsOnly:
+    """A turn costs the jobs still live, not the history a service that
+    never prunes keeps.  Counted, not timed."""
+
+    def _status_reads_per_turn(self, monkeypatch, finished: int) -> list:
+        scheduler = Scheduler(SequentialBackend(), workers=1)
+        for index in range(finished):
+            scheduler.submit(spec(seqnum=index, maxsv=1, processors=1))
+        assert scheduler.drain() is True
+        live = scheduler.submit(spec(seqnum=1000, maxsv=3, processors=3,
+                                     name="live"))
+        original = Job.status
+        reads = []
+        with monkeypatch.context() as patch:
+            patch.setattr(Job, "status", property(
+                lambda job: reads.append(job) or original.fget(job),
+                original.fset))
+            counts = []
+            while scheduler.step(poll_timeout=0.0):
+                counts.append(len(reads))
+                del reads[:]
+        assert live.status is JobStatus.DONE
+        assert len(scheduler.jobs) == finished + 1  # nothing was pruned
+        return counts
+
+    def test_status_reads_per_turn_do_not_grow_with_history(
+            self, monkeypatch):
+        short = self._status_reads_per_turn(monkeypatch, 10)
+        long = self._status_reads_per_turn(monkeypatch, 1000)
+        assert short and min(short) > 0
+        assert long == short
+
+    def test_a_directory_is_taken_until_its_job_is_pruned(self, tmp_path):
+        scheduler = Scheduler(SequentialBackend())
+        first = scheduler.submit(spec(name="first", maxsv=2, processors=1,
+                                      workdir=tmp_path, use_files=True))
+        assert scheduler.drain() is True
+        assert first.status is JobStatus.DONE
+        with pytest.raises(ConfigurationError, match="first"):
+            scheduler.submit(spec(name="second", seqnum=1,
+                                  workdir=tmp_path / "sub" / "..",
+                                  use_files=True))
+        assert scheduler.prune() == 1
+        second = scheduler.submit(spec(name="second", seqnum=1,
+                                       workdir=tmp_path, use_files=True))
+        assert second.status is JobStatus.QUEUED
+        # The directory is taken again, by the job now writing it.
+        with pytest.raises(ConfigurationError, match="second"):
+            scheduler.submit(spec(name="third", seqnum=2,
+                                  workdir=tmp_path, use_files=True))
 
 
 class TestSlaTracking:

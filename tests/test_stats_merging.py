@@ -65,6 +65,22 @@ class TestMergeSnapshots:
         assert a.sum1[0, 0] == 1.0
         assert b.sum1[0, 0] == 2.0
 
+    def test_merged_arrays_alias_no_input(self):
+        inputs = [snapshot_of([np.full((2, 3), 1.5 * k), np.eye(2, 3)],
+                              shape=(2, 3))
+                  for k in range(1, 4)]
+        inputs.append(MomentSnapshot(
+            sum1=np.arange(6, dtype=np.float32).reshape(2, 3),
+            sum2=np.ones((2, 3), dtype=np.float32), volume=1))
+        before = [(s.sum1.tobytes(), s.sum2.tobytes()) for s in inputs]
+        for group in ([inputs[0]], [inputs[-1]], inputs):
+            merged = merge_snapshots(group)
+            assert merged.sum1.dtype == merged.sum2.dtype == np.float64
+            merged.sum1[...] += 1e6
+            merged.sum2[...] *= -1.0
+            assert [(s.sum1.tobytes(), s.sum2.tobytes())
+                    for s in inputs] == before
+
     @given(chunks=st.lists(
         st.lists(st.floats(-100, 100, allow_nan=False), min_size=0,
                  max_size=10),
