@@ -12,6 +12,11 @@ closes the write ends the parent keeps.  :meth:`WorkerHost.read` returns
 a child's bodies in order (a slot's as its rank's, the final making it
 idle), then, once its pipe is drained, its exit.  One thread reads
 (``read``, ``stop``, ``close``); any may start, assign or signal.
+
+Both ends of every pipe the host makes share one pair of counts, bodies
+written and bodies read (:class:`CountedEnd`), so a writer learns that
+its last body was taken by comparing two integers: the latest-wins
+outbox of :func:`~repro.runtime.worker.worker_process` asks nothing else.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from repro.runtime.messages import payload_is_final
 from repro.runtime.wire import config_from_payload, routine_from_payload
 from repro.runtime.worker import make_batched, worker_process
 
-__all__ = ["WorkerHost", "decode_context"]
+__all__ = ["CountedEnd", "WorkerHost", "decode_context"]
 
 #: How long a terminated child gets to die before it is killed.
 _TERMINATE_SECONDS = 2.0
@@ -56,6 +61,51 @@ def decode_context(submit: dict) -> tuple:
     if batch_size and getattr(routine, "batch_size", None) is None:
         routine = make_batched(routine, int(batch_size))
     return routine, config
+
+
+class CountedEnd:
+    """One end of a host pipe and the pipe's shared ``counts``: bodies
+    written (``counts[0]``, bumped once ``send_bytes`` returns) and bodies
+    read (``counts[1]``, bumped once ``recv_bytes`` returns).
+
+    Each count has one writing process at a time — the pipe's writer,
+    the pipe's reader — and a torn body counts on neither side, so to
+    the writer the counts agree exactly when every body it wrote has
+    been read.  (The read count may run ahead until the writer's own
+    bump lands; only the writer asks, after it.)  The counts are a
+    ``RawArray`` handed to the child with its end, so they cross a
+    ``fork``, ``spawn`` or ``forkserver`` start alike.
+    """
+
+    __slots__ = ("connection", "counts")
+
+    def __init__(self, connection, counts) -> None:
+        self.connection = connection
+        self.counts = counts
+
+    def send_bytes(self, body) -> None:
+        self.connection.send_bytes(body)
+        self.counts[0] += 1
+
+    def recv_bytes(self) -> bytes:
+        body = self.connection.recv_bytes()
+        self.counts[1] += 1
+        return body
+
+    def poll(self) -> bool:
+        return self.connection.poll()
+
+    def fileno(self) -> int:
+        return self.connection.fileno()
+
+    def close(self) -> None:
+        self.connection.close()
+
+    def __enter__(self) -> "CountedEnd":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 def _child_main(target, inherited, args, kwargs) -> None:
@@ -124,9 +174,14 @@ class WorkerHost:
 
     def pipe(self) -> tuple:
         """A tree edge or control pipe ``(reader, writer)`` to hand out."""
-        reader, writer = self._context.Pipe(duplex=False)
+        reader, writer = self._counted(self._context.Pipe(duplex=False))
         self._edges.add(writer)
         return reader, writer
+
+    def _counted(self, pipe) -> tuple:
+        """``pipe``'s two ends, sharing one fresh pair of counts."""
+        counts = self._context.RawArray("q", 2)
+        return tuple(CountedEnd(end, counts) for end in pipe)
 
     def release(self, *connections) -> None:
         """Close pipe ends the parent no longer needs."""
@@ -144,7 +199,8 @@ class WorkerHost:
         with _REAP:
             reader = None
             if outbox is None:
-                reader, outbox = self._context.Pipe(duplex=False)
+                reader, outbox = self._counted(
+                    self._context.Pipe(duplex=False))
             process = self._context.Process(
                 target=_child_main,
                 args=(target, inherited, (*args, outbox), kwargs),

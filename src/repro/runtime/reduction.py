@@ -300,6 +300,11 @@ def run_reducer(node: ReducerNode, inboxes, upstream, *,
     forwarded or every edge is closed, and a released job's reducer is
     terminated.  ``wait`` may be replaced to script which edges are
     readable.
+
+    The host's pipe ends are counted
+    (:class:`~repro.runtime.host.CountedEnd`): each body read here
+    counts on its edge, so a worker writing into one sees its
+    latest-wins outbox drained, and each forward counts on ``upstream``.
     """
     decode = message_from_payload if node.level == 1 \
         else combined_from_payload

@@ -30,9 +30,7 @@ latest-wins outbox.
 
 from __future__ import annotations
 
-import fcntl
 import inspect
-import termios
 import time
 from typing import Callable, Protocol, runtime_checkable
 
@@ -440,22 +438,12 @@ def run_worker(routine: RealizationRoutine, config: RunConfig, rank: int,
     return body.accumulator
 
 
-#: What ``FIONREAD`` writes back for a pipe holding no unread bytes.
-_NO_BYTES = bytes(4)
-
-
 def _outbox_drained(outbox) -> bool:
-    """Whether ``outbox``'s pipe holds no unread bytes.
-
-    Asked on the write end: on Linux a pipe's ``FIONREAD`` counts the
-    bytes in flight from either end.  A descriptor that cannot say
-    counts as drained, so the pass goes out.
-    """
-    try:
-        return fcntl.ioctl(outbox.fileno(), termios.FIONREAD,
-                           _NO_BYTES) == _NO_BYTES
-    except OSError:
-        return True
+    """Whether every body written into ``outbox`` has been read: its
+    pipe's shared counts (:class:`~repro.runtime.host.CountedEnd`)
+    agree.  Two integer loads, no syscall and no lock."""
+    counts = outbox.counts
+    return counts[0] == counts[1]
 
 
 def worker_process(routine: RealizationRoutine, config: RunConfig,
@@ -465,10 +453,10 @@ def worker_process(routine: RealizationRoutine, config: RunConfig,
     """The worker process target of every backend that forks one.
 
     Each pass is encoded here, once, to the bytes a DATA frame carries
-    and written into ``outbox``, the write end of the worker's pipe
-    (see :mod:`repro.runtime.host`).  The outbox is latest-wins: a due
-    pass is skipped while the previous one is still unread — passes are
-    cumulative and the collector keeps only the latest per rank — so at
+    and written into ``outbox``, the counted write end of the worker's
+    pipe (see :mod:`repro.runtime.host`).  The outbox is latest-wins: a
+    due pass is skipped while the previous one is still unread — passes
+    are cumulative and the collector keeps only the latest per rank — so at
     most one non-final pass per worker is in flight.  The final is
     always written.  The time limit is ``deadline`` on this host's
     monotonic clock, or ``deadline_in`` seconds from now — what crosses

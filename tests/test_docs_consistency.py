@@ -338,6 +338,33 @@ class TestOneWorkerHost:
         assert "DrainBuffer" not in read("src/repro/runtime/multiprocess.py")
 
 
+class TestCountedOutbox:
+    # docs/architecture.md "One worker host": the latest-wins outbox
+    # compares its pipe's shared written/read counts; no ioctl asks the
+    # kernel, on any platform.
+
+    SOURCES = {str(path.relative_to(ROOT)): path.read_text()
+               for path in (ROOT / "src" / "repro").rglob("*.py")}
+
+    def test_no_ioctl_under_src(self):
+        for name, source in self.SOURCES.items():
+            assert not re.search(r"\b(?:fcntl|termios|FIONREAD)\b",
+                                 source), name
+
+    def test_one_readiness_seam(self):
+        sites = [name for name, source in self.SOURCES.items()
+                 for _ in re.finditer(r"^def _outbox_drained\(", source,
+                                      re.M)]
+        assert sites == ["src/repro/runtime/worker.py"]
+
+    def test_worker_process_pipe_comes_from_the_host(self):
+        from test_runtime_worker import TestWorkerProcess
+
+        source = inspect.getsource(TestWorkerProcess._through_pipe)
+        assert "host.pipe()" in source
+        assert "multiprocessing.Pipe" not in source
+
+
 class TestOneWorkerBody:
     # docs/architecture.md "One worker body, two clocks": WorkerBody is
     # the only code that places a realization's substream, instantiates

@@ -15,6 +15,7 @@ from repro.exceptions import ConfigurationError, RealizationError
 from repro.rng import current_rnd128, rnd128
 from repro.rng.streams import StreamTree
 from repro.runtime.config import RunConfig
+from repro.runtime.host import WorkerHost
 from repro.runtime.messages import (
     message_from_payload,
     message_to_payload,
@@ -342,12 +343,14 @@ class TestWorkerProcess:
     CONFIG = RunConfig(maxsv=4, perpass=0.0)
 
     def _through_pipe(self, **kwargs):
-        inbox, outbox = multiprocessing.Pipe(duplex=False)
+        host = WorkerHost(multiprocessing.get_context())
+        inbox, outbox = host.pipe()
         with inbox, outbox:
             worker_process(_uniform, self.CONFIG, 1, 4, outbox, **kwargs)
             received = []
             while inbox.poll():
                 received.append(inbox.recv_bytes())
+        host.close()
         return received
 
     @pytest.mark.parametrize("job", [None, "exp-a"])
