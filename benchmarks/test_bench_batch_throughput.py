@@ -35,7 +35,8 @@ import time
 import numpy as np
 
 from repro.runtime.config import RunConfig
-from repro.runtime.sequential import run_sequential
+from repro.runtime.engine import Engine
+from repro.runtime.sequential import SequentialBackend
 from repro.runtime.worker import batch_routine
 
 SMOKE = bool(os.environ.get("PARMONC_BENCH_SMOKE"))
@@ -68,7 +69,8 @@ def _timed_run(routine):
     result = None
     for _ in range(REPEATS):
         started = time.perf_counter()
-        result = run_sequential(routine, _config(), use_files=False)
+        result = Engine(SequentialBackend(), _config(),
+                        use_files=False).run(routine)
         elapsed = time.perf_counter() - started
         best = elapsed if best is None else min(best, elapsed)
     return result, best

@@ -101,17 +101,19 @@ def test_full_capacity_cluster_run(benchmark, reporter):
     """
     from repro.cluster import ClusterSpec, DurationModel
     from repro.runtime.config import RunConfig
-    from repro.runtime.simcluster import run_simcluster
+    from repro.runtime.engine import Engine
+    from repro.runtime.simcluster import SimclusterBackend
 
     processors = 2 ** 17
 
     def run():
-        return run_simcluster(
-            None,
+        return Engine(
+            SimclusterBackend(
+                ClusterSpec(duration_model=DurationModel(mean=7.7)),
+                execute_realizations=False),
             RunConfig(maxsv=processors, processors=processors,
                       perpass=0.0, peraver=3600.0),
-            spec=ClusterSpec(duration_model=DurationModel(mean=7.7)),
-            use_files=False, execute_realizations=False)
+            use_files=False).run(None)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     reporter.line(f"one session on the full hierarchy width: "

@@ -14,10 +14,9 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import ClusterSpec, DurationModel
-from repro.cluster.simulation import ClusterSimulation
-from repro.runtime.collector import Collector
 from repro.runtime.config import RunConfig
-from repro.stats.accumulator import MomentSnapshot
+from repro.runtime.engine import Engine
+from repro.runtime.simcluster import SimclusterBackend
 
 TAU = 7.7
 
@@ -30,10 +29,9 @@ def run_with_failures(perpass: float):
     spec = ClusterSpec(
         duration_model=DurationModel(mean=TAU, distribution="fixed"),
         failures=failures)
-    collector = Collector(config, MomentSnapshot.zero(1, 1), None)
-    simulation = ClusterSimulation(config, spec, collector)
-    result = simulation.run()
-    return result, collector
+    backend = SimclusterBackend(spec, execute_realizations=False)
+    result = Engine(backend, config, use_files=False).run(None).cluster
+    return result, backend.engine.job_context(None).collector
 
 
 def test_lost_work_bounded_by_pass_period(benchmark, reporter):
@@ -69,10 +67,8 @@ def test_estimates_survive_failures_unbiased(benchmark, reporter):
         spec = ClusterSpec(
             duration_model=DurationModel(mean=1.0),
             failures={5: 100.5, 6: 150.5})
-        collector = Collector(config, MomentSnapshot.zero(1, 1), None)
-        ClusterSimulation(config, spec, collector,
-                          routine=lambda rng: rng.random()).run()
-        return collector.estimates()
+        return Engine(SimclusterBackend(spec), config, use_files=False) \
+            .run(lambda rng: rng.random()).estimates
 
     estimates = benchmark.pedantic(run, rounds=1, iterations=1)
     reporter.line("estimate quality after two node failures "

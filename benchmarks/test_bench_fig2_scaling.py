@@ -23,8 +23,9 @@ import pytest
 from repro.cluster.machine import DurationModel
 from repro.cluster.simulation import ClusterSpec
 from repro.runtime.config import RunConfig
+from repro.runtime.engine import Engine
 from repro.runtime.messages import message_bytes
-from repro.runtime.simcluster import run_simcluster
+from repro.runtime.simcluster import SimclusterBackend
 
 TAU = 7.7
 #: The four panels of Fig. 2: processor sets and total sample volumes.
@@ -46,11 +47,11 @@ def paper_spec() -> ClusterSpec:
 
 def t_comp(processors: int, volume: int) -> float:
     """One Fig. 2 data point: virtual seconds to complete the sample."""
-    result = run_simcluster(
-        None,
+    result = Engine(
+        SimclusterBackend(paper_spec(), execute_realizations=False),
         RunConfig(maxsv=volume, processors=processors, perpass=0.0,
                   peraver=600.0),
-        spec=paper_spec(), use_files=False, execute_realizations=False)
+        use_files=False).run(None)
     return result.virtual_time
 
 

@@ -22,16 +22,11 @@ import numpy as np
 import pytest
 
 from repro.cluster.machine import DurationModel
-from repro.cluster.simulation import (
-    ClusterSimulation,
-    ClusterSpec,
-    proportional_quotas,
-)
-from repro.runtime.collector import Collector
+from repro.cluster.simulation import ClusterSpec, proportional_quotas
 from repro.runtime.config import RunConfig
+from repro.runtime.engine import Engine
 from repro.runtime.messages import message_bytes
-from repro.runtime.simcluster import run_simcluster
-from repro.stats.accumulator import MomentSnapshot
+from repro.runtime.simcluster import SimclusterBackend
 
 TAU = 7.7
 
@@ -48,11 +43,11 @@ def test_cost_reduction_by_m(benchmark, reporter):
     def sweep():
         costs = {}
         for m in (1, 4, 16, 64):
-            result = run_simcluster(
-                None, RunConfig(maxsv=1024, processors=m, perpass=0.0,
-                                peraver=600.0),
-                spec=spec(), use_files=False,
-                execute_realizations=False)
+            result = Engine(
+                SimclusterBackend(spec(), execute_realizations=False),
+                RunConfig(maxsv=1024, processors=m, perpass=0.0,
+                          peraver=600.0),
+                use_files=False).run(None)
             # Effective per-realization wall time of the ensemble: the
             # variance is workload-fixed, so cost ∝ T_comp / L.
             costs[m] = result.virtual_time / result.session_volume
@@ -78,12 +73,10 @@ def test_no_load_balancing_needed(benchmark, reporter):
                            peraver=600.0)
         quotas = proportional_quotas(120, speed_factors)
         cluster_spec = spec(speed_factors=speed_factors)
-        collector = Collector(config, MomentSnapshot.zero(1, 1), None)
-        simulation = ClusterSimulation(config, cluster_spec, collector,
-                                       routine=lambda rng: rng.random(),
-                                       quotas=quotas)
-        result = simulation.run()
-        return result, collector, quotas
+        backend = SimclusterBackend(cluster_spec, quotas=quotas)
+        result = Engine(backend, config, use_files=False).run(
+            lambda rng: rng.random()).cluster
+        return result, backend.engine.job_context(None).collector, quotas
 
     result, collector, quotas = benchmark.pedantic(run, rounds=1,
                                                    iterations=1)
@@ -112,11 +105,11 @@ def test_exchange_period_ablation(benchmark, reporter):
     def sweep():
         rows = {}
         for perpass in (0.0, 60.0, 600.0):
-            result = run_simcluster(
-                None, RunConfig(maxsv=2048, processors=32,
-                                perpass=perpass, peraver=600.0),
-                spec=spec(), use_files=False,
-                execute_realizations=False)
+            result = Engine(
+                SimclusterBackend(spec(), execute_realizations=False),
+                RunConfig(maxsv=2048, processors=32,
+                          perpass=perpass, peraver=600.0),
+                use_files=False).run(None)
             rows[perpass] = result
         return rows
 
@@ -149,11 +142,13 @@ def test_network_sensitivity(benchmark, reporter):
     def sweep():
         rows = {}
         for bandwidth in (1e9, 1e7, 1e6):
-            result = run_simcluster(
-                None, RunConfig(maxsv=512, processors=16, perpass=0.0,
-                                peraver=600.0),
-                spec=spec(network=NetworkModel(bandwidth=bandwidth)),
-                use_files=False, execute_realizations=False)
+            result = Engine(
+                SimclusterBackend(
+                    spec(network=NetworkModel(bandwidth=bandwidth)),
+                    execute_realizations=False),
+                RunConfig(maxsv=512, processors=16, perpass=0.0,
+                          peraver=600.0),
+                use_files=False).run(None)
             rows[bandwidth] = result.virtual_time
         return rows
 
@@ -183,11 +178,12 @@ def test_collector_saturation_boundary(benchmark, reporter):
     def sweep():
         results = {}
         for service in (200e-6, 0.1, 1.0):
-            result = run_simcluster(
-                None, RunConfig(maxsv=512, processors=64, perpass=0.0,
-                                peraver=600.0),
-                spec=spec(collector_service_time=service),
-                use_files=False, execute_realizations=False)
+            result = Engine(
+                SimclusterBackend(spec(collector_service_time=service),
+                                  execute_realizations=False),
+                RunConfig(maxsv=512, processors=64, perpass=0.0,
+                          peraver=600.0),
+                use_files=False).run(None)
             results[service] = result
         return results
 

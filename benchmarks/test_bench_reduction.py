@@ -19,12 +19,12 @@ from __future__ import annotations
 import os
 import time
 
-from repro.cluster import ClusterSimulation, ClusterSpec
+from repro.cluster import ClusterSpec
 from repro.cluster.machine import DurationModel
-from repro.runtime.collector import Collector
 from repro.runtime.config import RunConfig
+from repro.runtime.engine import Engine
 from repro.runtime.messages import message_bytes
-from repro.stats.accumulator import MomentSnapshot
+from repro.runtime.simcluster import SimclusterBackend
 
 SMOKE = bool(os.environ.get("PARMONC_BENCH_SMOKE"))
 
@@ -56,9 +56,8 @@ def _simulate(processors: int, fanout: int | None, quota: int = QUOTA):
     config = RunConfig(maxsv=processors * quota, processors=processors,
                        perpass=0.0, peraver=3600.0,
                        reduction_fanout=fanout)
-    collector = Collector(config, MomentSnapshot.zero(1, 1), None)
-    simulation = ClusterSimulation(config, _spec(), collector)
-    return simulation.run()
+    backend = SimclusterBackend(_spec(), execute_realizations=False)
+    return Engine(backend, config, use_files=False).run(None).cluster
 
 
 def _overhead(processors: int, fanout: int | None,
@@ -112,12 +111,10 @@ def test_equal_estimate_bits_at_the_boundary(reporter):
         config = RunConfig(maxsv=processors * QUOTA,
                            processors=processors, perpass=0.0,
                            peraver=3600.0, reduction_fanout=fanout)
-        collector = Collector(config, MomentSnapshot.zero(1, 1), None)
-        simulation = ClusterSimulation(
-            config, _spec(), collector,
-            routine=lambda rng: rng.random())
-        result = simulation.run()
-        merged = collector.merged()
+        backend = SimclusterBackend(_spec())
+        result = Engine(backend, config, use_files=False).run(
+            lambda rng: rng.random()).cluster
+        merged = backend.engine.job_context(None).collector.merged()
         return result, merged.sum1.tobytes(), merged.sum2.tobytes()
 
     flat_result, flat_sum1, flat_sum2 = run(None)

@@ -13,7 +13,8 @@ import pytest
 
 from repro import batched_realization, parmonc
 from repro.runtime.config import RunConfig
-from repro.runtime.sequential import run_sequential
+from repro.runtime.engine import Engine
+from repro.runtime.sequential import SequentialBackend
 
 
 def trivial(rng):
@@ -23,7 +24,12 @@ def trivial(rng):
 def test_sequential_overhead(benchmark, reporter):
     config = RunConfig(maxsv=5_000, processors=1, perpass=1e9,
                        peraver=1e9)
-    result = benchmark(run_sequential, trivial, config, False)
+
+    def run():
+        return Engine(SequentialBackend(), config,
+                      use_files=False).run(trivial)
+
+    result = benchmark(run)
     assert result.total_volume == 5_000
     reporter.line("sequential backend, 5000 trivial realizations per "
                   "round (see timing table; ~15-30 us/realization)")
@@ -33,7 +39,7 @@ def test_sequential_with_files_overhead(benchmark, reporter, tmp_path):
     def run():
         config = RunConfig(maxsv=5_000, processors=1, perpass=1e9,
                            peraver=1e9, workdir=tmp_path)
-        return run_sequential(trivial, config, True)
+        return Engine(SequentialBackend(), config).run(trivial)
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result.total_volume == 5_000
@@ -58,7 +64,8 @@ def test_batching_amortizes_overhead(benchmark, reporter):
         wrapped = batched_realization(trivial, 100)
         config = RunConfig(maxsv=50, processors=1, perpass=1e9,
                            peraver=1e9)
-        return run_sequential(wrapped, config, False)
+        return Engine(SequentialBackend(), config,
+                      use_files=False).run(wrapped)
 
     result = benchmark.pedantic(run, rounds=5, iterations=1)
     assert result.total_volume == 50
@@ -73,7 +80,8 @@ def test_telemetry_overhead(benchmark, reporter, tmp_path):
     def run(telemetry: bool):
         config = RunConfig(maxsv=5_000, processors=1, perpass=1e9,
                            peraver=1e9, telemetry=telemetry)
-        return run_sequential(trivial, config, False)
+        return Engine(SequentialBackend(), config,
+                      use_files=False).run(trivial)
 
     samples = {True: [], False: []}
     for _ in range(5):

@@ -35,7 +35,8 @@ import time
 import numpy as np
 
 from repro.runtime.config import RunConfig
-from repro.runtime.sequential import run_sequential
+from repro.runtime.engine import Engine
+from repro.runtime.sequential import SequentialBackend
 from repro.runtime.worker import batch_routine
 from repro.stats.statistic import (
     Counter,
@@ -121,8 +122,8 @@ def _measured_run(statistics):
     """One run: (result, wall seconds, in-situ extras seconds)."""
     with _ExtrasTimer() as timer:
         started = time.perf_counter()
-        result = run_sequential(affine_pair, _config(statistics),
-                                use_files=False)
+        result = Engine(SequentialBackend(), _config(statistics),
+                        use_files=False).run(affine_pair)
         wall = time.perf_counter() - started
     return result, wall, timer.seconds
 

@@ -16,7 +16,8 @@ from repro.cluster import (
     proportional_quotas,
 )
 from repro.runtime.config import RunConfig
-from repro.runtime.simcluster import run_simcluster
+from repro.runtime.engine import Engine
+from repro.runtime.simcluster import SimclusterBackend
 
 TAU = 7.7
 GPU = Accelerator(batch=256, speedup=50.0, launch_overhead=5e-3)
@@ -25,11 +26,11 @@ GPU = Accelerator(batch=256, speedup=50.0, launch_overhead=5e-3)
 def run(maxsv, processors, accelerators=None, quotas=None):
     spec = ClusterSpec(duration_model=DurationModel(mean=TAU),
                        accelerators=accelerators)
-    return run_simcluster(
-        None, RunConfig(maxsv=maxsv, processors=processors,
-                        perpass=0.0, peraver=600.0),
-        spec=spec, use_files=False, execute_realizations=False,
-        quotas=quotas)
+    return Engine(
+        SimclusterBackend(spec, execute_realizations=False, quotas=quotas),
+        RunConfig(maxsv=maxsv, processors=processors, perpass=0.0,
+                  peraver=600.0),
+        use_files=False).run(None)
 
 
 def main():

@@ -42,10 +42,10 @@ for entry in (REPO_SRC, str(SCRIPTS_DIR)):
 
 from repro.obs.events import read_events  # noqa: E402
 from repro.runtime.config import RunConfig  # noqa: E402
-from repro.runtime.engine import create_backend  # noqa: E402
+from repro.runtime.engine import Engine, create_backend  # noqa: E402
 from repro.runtime.job import JobSpec, JobStatus  # noqa: E402
 from repro.runtime.scheduler import Scheduler  # noqa: E402
-from repro.runtime.sequential import run_sequential  # noqa: E402
+from repro.runtime.sequential import SequentialBackend  # noqa: E402
 from repro.runtime.worker import run_worker  # noqa: E402
 from repro.stats.merging import merge_snapshots  # noqa: E402
 
@@ -208,11 +208,12 @@ def main() -> int:
         # sibling's full 10, the replacement rank 2's remainder).
         del os.environ[_HANG_DIR_ENV]
         for job, routine in ((steady0, mod.square), (steady1, mod.cube)):
-            reference = run_sequential(
-                routine, RunConfig(maxsv=200, perpass=0.0, peraver=0.0,
-                                   processors=1, seqnum=job.index,
-                                   workdir=base / f"ref-{job.id}"),
-                use_files=False)
+            reference = Engine(
+                SequentialBackend(),
+                RunConfig(maxsv=200, perpass=0.0, peraver=0.0,
+                          processors=1, seqnum=job.index,
+                          workdir=base / f"ref-{job.id}"),
+                use_files=False).run(routine)
             check(job.result.estimates.mean[0, 0]
                   == reference.estimates.mean[0, 0]
                   and job.result.estimates.variance[0, 0]

@@ -54,7 +54,8 @@ if REPO_SRC not in sys.path:
 from repro.cli.sched import status_path, submit_main  # noqa: E402
 from repro.runtime.config import RunConfig  # noqa: E402
 from repro.runtime.files import DataDirectory  # noqa: E402
-from repro.runtime.sequential import run_sequential  # noqa: E402
+from repro.runtime.engine import Engine  # noqa: E402
+from repro.runtime.sequential import SequentialBackend  # noqa: E402
 
 LISTEN_TIMEOUT = 30.0
 SERVE_TIMEOUT = 60.0
@@ -340,17 +341,19 @@ def main() -> int:
         os.environ.pop("PARMONC_SERVICE_SMOKE_HANG_DIR", None)
         sys.path.insert(0, str(base))
         import smokeroutines
-        run_sequential(smokeroutines.square,
-                       RunConfig(maxsv=200, processors=1, perpass=0.0,
-                                 peraver=0.0, seqnum=0,
-                                 workdir=base / "ref-steady"))
+        Engine(SequentialBackend(),
+               RunConfig(maxsv=200, processors=1, perpass=0.0,
+                         peraver=0.0, seqnum=0,
+                         workdir=base / "ref-steady")).run(
+                             smokeroutines.square)
         check(normalized_artifacts(base / "steady")
               == normalized_artifacts(base / "ref-steady"),
               "steady artifacts bit-identical to the solo reference")
-        run_sequential(smokeroutines.square,
-                       RunConfig(maxsv=40, processors=2, perpass=0.0,
-                                 peraver=0.0, seqnum=3,
-                                 workdir=base / "ref-late"))
+        Engine(SequentialBackend(),
+               RunConfig(maxsv=40, processors=2, perpass=0.0,
+                         peraver=0.0, seqnum=3,
+                         workdir=base / "ref-late")).run(
+                             smokeroutines.square)
         check(normalized_artifacts(base / "late")
               == normalized_artifacts(base / "ref-late"),
               "late artifacts (admitted after the failure) bit-identical "

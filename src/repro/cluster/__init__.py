@@ -14,7 +14,6 @@ from repro.cluster.machine import Accelerator, DurationModel, Processor
 from repro.cluster.network import CollectorService, NetworkModel
 from repro.cluster.simulation import (
     ClusterResult,
-    ClusterSimulation,
     ClusterSpec,
     proportional_quotas,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "NetworkModel",
     "CollectorService",
     "ClusterSpec",
-    "ClusterSimulation",
     "ClusterResult",
     "proportional_quotas",
 ]

@@ -23,9 +23,10 @@ Any number of jobs can share one simulated cluster: one event queue —
 the virtual clock — one modelled collector server and one duration
 sampler.  A job's workers start when they are dispatched; its time
 limit, injected failures and ``T_comp`` count from the job's own start.
-:class:`ClusterSimulation` is one job alone on a cluster of its own;
-the ``simcluster`` backend (:mod:`repro.runtime.simcluster`) runs every
-job of a scheduler on one.
+This module holds the model only: the ``simcluster`` backend
+(:mod:`repro.runtime.simcluster`) steps the event queue under the real
+scheduler's loop, for one job alone as for many, and a job's
+:class:`ClusterResult` reaches its ``RunResult.cluster``.
 """
 
 from __future__ import annotations
@@ -50,8 +51,7 @@ from repro.runtime.messages import (
 from repro.runtime.reduction import Coalescer, ReducerNode, plan_reduction
 from repro.runtime.worker import RealizationRoutine, WorkerBody
 
-__all__ = ["ClusterSpec", "ClusterResult", "ClusterSimulation",
-           "proportional_quotas"]
+__all__ = ["ClusterSpec", "ClusterResult", "proportional_quotas"]
 
 
 def proportional_quotas(total: int, weights: list[float] | tuple[float, ...]
@@ -250,7 +250,9 @@ class _ReducerStation:
 
 class _SimulatedJob:
     """One job's workers on a :class:`_Cluster`, stamping ``job`` on
-    every pass; the other arguments are :class:`ClusterSimulation`'s.
+    every pass; ``routine``, ``quotas`` and ``scheduling`` are
+    :class:`~repro.runtime.simcluster.SimclusterBackend`'s (a None
+    routine only accounts), and ``telemetry`` is stamped in virtual time.
 
     The job starts when it is built: its time limit, injected failures
     and ``T_comp`` count from there.  Its passes land on the cluster's
@@ -592,70 +594,3 @@ class _SimulatedJob:
             collector_served=self._service.served,
             combined_messages=self._combined_delivered)
         return self._result
-
-
-class ClusterSimulation(_SimulatedJob):
-    """Discrete-event execution of one PARMONC session, alone on a
-    simulated cluster of its own.
-
-    Args:
-        config: Run configuration (processors, maxsv quotas, perpass,
-            seqnum, shape, optional time_limit in *virtual* seconds).
-        spec: Cluster hardware model.
-        collector: The collector to feed; construct it with ``data=None``
-            for pure timing studies or with a data directory for full
-            runs.
-        routine: Optional realization routine.  When given, every
-            realization executes with its proper RNG substream and the
-            collector accumulates genuine moments; when None, zero
-            placeholder matrices keep the books.
-        quotas: Optional per-rank realization quotas overriding the
-            config's even split — use :func:`proportional_quotas` for
-            heterogeneous/hybrid clusters.  Must sum to ``maxsv``.
-        scheduling: ``"static"`` (default) deals fixed quotas;
-            ``"dynamic"`` is self-scheduling — every worker keeps
-            simulating until ``maxsv`` realizations have been *started*
-            cluster-wide, so faster nodes naturally contribute more.
-            This is the paper's actual §2.2 argument for needing no
-            load balancer; quotas must not be given in this mode.
-        telemetry: Optional :class:`~repro.obs.telemetry.RunTelemetry`
-            stamped in *virtual* time: every realization chunk and
-            message transfer becomes a span, worker stats piggyback on
-            the simulated messages, and fault injections land in the
-            event log — the Fig. 2 scaling study yields a full trace
-            for free.
-    """
-
-    def __init__(self, config: RunConfig, spec: ClusterSpec,
-                 collector: Collector,
-                 routine: RealizationRoutine | None = None,
-                 quotas: list[int] | None = None,
-                 scheduling: str = "static",
-                 telemetry: RunTelemetry | None = None) -> None:
-        super().__init__(_Cluster(spec), config, collector, routine,
-                         quotas, scheduling, telemetry)
-
-    def run(self) -> ClusterResult:
-        """Execute the session; return virtual-time accounting."""
-        ranks = range(self._config.processors)
-        if self._telemetry is not None:
-            for rank in ranks:
-                self._telemetry.events.append(
-                    "worker_start", ts=0.0, rank=rank,
-                    quota=(self._quotas[rank]
-                           if self._scheduling == "static" else None))
-        for rank in ranks:
-            self.add_worker(rank, self._quotas[rank])
-        events, outbox, collector = self._events, self._outbox, \
-            self._collector
-        while events.step():
-            while outbox:
-                item = outbox.popleft()
-                if isinstance(item, CombinedMessage):
-                    collector.receive_combined(item, events.now)
-                else:
-                    collector.receive(item, events.now)
-        result = self.finish()
-        # The final averaging-and-saving sweep the paper times.
-        collector.save(result.t_comp)
-        return result

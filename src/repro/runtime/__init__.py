@@ -30,7 +30,7 @@ from repro.runtime.scheduler import Scheduler
 # Backend modules register themselves; sequential first so the registry
 # (and therefore ``BACKENDS`` / the CLI choices) keeps its historical
 # order: sequential, multiprocess, simcluster, distributed.
-from repro.runtime.sequential import SequentialBackend, run_sequential
+from repro.runtime.sequential import SequentialBackend
 from repro.runtime.multiprocess import MultiprocessBackend
 from repro.runtime.result import RunResult
 from repro.runtime.resume import ResumeState, finalize_session, prepare_resume
@@ -78,5 +78,4 @@ __all__ = [
     "register_lazy_backend",
     "SequentialBackend",
     "MultiprocessBackend",
-    "run_sequential",
 ]

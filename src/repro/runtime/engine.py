@@ -22,9 +22,9 @@ This module holds what the loop drives:
 * The **registry** (:func:`register_backend`) is the single source of
   backend names: ``parmonc()`` and ``parmonc-run`` both resolve names
   through it, and new backends plug in without touching the core.
-* :class:`Engine` is the single-run facade: submit one anonymous job to
-  a scheduler, drain it on the calling thread, re-raise its error or
-  return its result.
+* :class:`Engine` is the one single-run facade, on every clock: submit
+  one anonymous job to a scheduler, drain it on the calling thread,
+  re-raise its error or return its result.
 
 **Fault-tolerant quota reassignment.**  When a backend reports a dead
 worker (:meth:`EngineBackend.reap`) and the run's
@@ -46,13 +46,15 @@ import importlib
 import inspect
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.exceptions import ConfigurationError
-from repro.runtime.collector import Collector
 from repro.runtime.config import RunConfig
 from repro.runtime.messages import CombinedMessage, MomentMessage
 from repro.runtime.result import RunResult
+
+if TYPE_CHECKING:
+    from repro.cluster.simulation import ClusterResult
 
 __all__ = [
     "EngineBackend",
@@ -142,8 +144,8 @@ class EngineBackend:
     :meth:`bind` once, before anything else; per admitted job
     :meth:`open_job`, :meth:`plan`, then :meth:`spawn` / :meth:`poll` /
     :meth:`reap` for as long as the job is RUNNING, :meth:`release_job`
-    exactly once when it leaves RUNNING — however it leaves — and the
-    result hooks right after it if the job drained; finally
+    exactly once when it leaves RUNNING — however it leaves — and
+    :meth:`cluster_result` right after it if the job drained; finally
     :meth:`shutdown`, once, error or not.  ``engine.job_context(job_id)``
     is the one source of an assignment's routine, config, collector,
     telemetry and deadline, for the anonymous job of a single run and
@@ -158,8 +160,6 @@ class EngineBackend:
     name = "abstract"
     #: Collector ``persist_subtotals`` override (None = collector default).
     persist_subtotals: bool | None = None
-    #: Virtual run seconds (``T_comp``); stays None on real-time backends.
-    virtual_time: float | None = None
     #: Whether the engine should flag silent workers with ``stale_worker``
     #: telemetry events.  Meaningful only for backends whose workers report
     #: asynchronously; the sequential loop and the virtual cluster opt out.
@@ -212,14 +212,11 @@ class EngineBackend:
                                  job=job.id)
                 for rank in range(config.processors)]
 
-    def per_rank_volumes(self, collector: Collector,
-                         ranks: Sequence[int]) -> dict[int, int]:
-        """Final per-worker volumes for the result (collector's view)."""
-        return {rank: collector.worker_volume(rank) for rank in ranks}
-
-    def session_volume(self, collector: Collector) -> int:
-        """Realizations this session contributed to the estimate."""
-        return collector.session_volume
+    def cluster_result(self) -> ClusterResult | None:
+        """The simulator's accounting of the job :meth:`release_job` last
+        released, or None: a real backend keeps no books of its own, and
+        the result is the collector's view."""
+        return None
 
     # -- workers and messages --------------------------------------------
 

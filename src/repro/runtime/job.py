@@ -457,19 +457,28 @@ class Job:
                if self.id is not None else None)
         if sla is not None and self.telemetry is not None:
             self.telemetry.events.append("job_sla", **sla)
+        # The simulator counts what its nodes computed, including work a
+        # failed node never delivered; elsewhere the collector's view.
+        cluster = backend.cluster_result()
+        if cluster is None:
+            per_rank = {rank: collector.worker_volume(rank)
+                        for rank in self._assigned}
+            session_volume, virtual_time = collector.session_volume, None
+        else:
+            per_rank = cluster.per_rank_volumes
+            session_volume, virtual_time = cluster.total_volume, cluster.t_comp
         summary = (self.telemetry.finalize(
                        elapsed=elapsed, volume=collector.total_volume,
-                       virtual_time=backend.virtual_time)
+                       virtual_time=virtual_time)
                    if self.telemetry is not None else None)
         self.result = RunResult(
             estimates=estimates,
             config=self.spec.config,
-            per_rank_volumes=backend.per_rank_volumes(
-                collector, tuple(self._assigned)),
-            session_volume=backend.session_volume(collector),
+            per_rank_volumes=per_rank,
+            session_volume=session_volume,
             total_volume=collector.total_volume,
             elapsed=elapsed,
-            virtual_time=backend.virtual_time,
+            cluster=cluster,
             sessions=self.state.session_index,
             data_dir=self.data.root if self.data is not None else None,
             messages_received=collector.receive_count,

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.runtime.config import RunConfig
 from repro.stats.estimators import Estimates
 from repro.stats.statistic import Statistic
+
+if TYPE_CHECKING:
+    from repro.cluster.simulation import ClusterResult
 
 __all__ = ["RunResult"]
 
@@ -26,8 +30,9 @@ class RunResult:
         session_volume: Realizations simulated in this session.
         total_volume: Merged sample volume, ``base + session``.
         elapsed: Wall-clock seconds the session took.
-        virtual_time: Simulated cluster seconds (``T_comp``) when the
-            run used the discrete-event backend, else None.
+        cluster: The simulator's accounting of the job
+            (:class:`~repro.cluster.simulation.ClusterResult`) on the
+            ``simcluster`` backend, else None.
         sessions: 1 for a fresh simulation, higher when resumed.
         data_dir: Where result files were written (None for in-memory
             runs).
@@ -60,7 +65,7 @@ class RunResult:
     session_volume: int = 0
     total_volume: int = 0
     elapsed: float = 0.0
-    virtual_time: float | None = None
+    cluster: ClusterResult | None = None
     sessions: int = 1
     data_dir: Path | None = None
     messages_received: int = 0
@@ -70,6 +75,11 @@ class RunResult:
     recovered_ranks: tuple[int, ...] = ()
     statistics: dict[str, Statistic] = field(default_factory=dict)
     sla: dict | None = None
+
+    @property
+    def virtual_time(self) -> float | None:
+        """``T_comp``, the simulated cluster's seconds, or None."""
+        return self.cluster.t_comp if self.cluster is not None else None
 
     def __str__(self) -> str:
         timing = (f"T_comp={self.virtual_time:.3f}s (virtual)"

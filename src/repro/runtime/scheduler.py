@@ -522,8 +522,8 @@ class Scheduler:
 
         A service never shuts the pool down between jobs, so each job's
         epilogue (save, merge, result assembly) runs in the turn it
-        drains, right after ``release_job`` — whose books the result
-        hooks then read.
+        drains, right after ``release_job`` — whose books
+        ``cluster_result`` then reads.
         """
         backend = self._backend
         if job.telemetry is not None and job.drain_started is not None:

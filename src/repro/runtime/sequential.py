@@ -1,10 +1,11 @@
 """Sequential backend: M logical processors multiplexed on one thread.
 
 The reference backend — bit-for-bit deterministic, no IPC, useful for
-tests and for single-machine production runs.  Workers run one after
-another; because every worker draws from its own RNG subsequence, the
-merged estimate is *identical* to what the parallel backends produce for
-the same configuration.
+tests and for single-machine production runs: a single run is
+``Engine(SequentialBackend(), config).run(routine)``.  Workers run one
+after another; because every worker draws from its own RNG
+subsequence, the merged estimate is *identical* to what the parallel
+backends produce for the same configuration.
 """
 
 from __future__ import annotations
@@ -13,18 +14,15 @@ import time
 from collections import deque
 
 from repro.obs.telemetry import WorkerTelemetry
-from repro.runtime.config import RunConfig
 from repro.runtime.engine import (
-    Engine,
     EngineBackend,
     WorkerAssignment,
     register_backend,
 )
 from repro.runtime.messages import MomentMessage
-from repro.runtime.result import RunResult
-from repro.runtime.worker import RealizationRoutine, run_worker
+from repro.runtime.worker import run_worker
 
-__all__ = ["SequentialBackend", "run_sequential"]
+__all__ = ["SequentialBackend"]
 
 
 @register_backend("sequential")
@@ -83,19 +81,3 @@ class SequentialBackend(EngineBackend):
                                     volume=accumulator.volume)
         return None
 
-
-def run_sequential(routine: RealizationRoutine, config: RunConfig,
-                   use_files: bool = True) -> RunResult:
-    """Run one session on the sequential backend.
-
-    Args:
-        routine: User realization routine (``fn(rng)`` or ``fn()``).
-        config: The run configuration.
-        use_files: Write ``parmonc_data`` result files and save-points;
-            disable for throwaway in-memory estimation.
-
-    Returns:
-        The session's :class:`~repro.runtime.result.RunResult`.
-    """
-    return Engine(SequentialBackend(), config, use_files=use_files) \
-        .run(routine)

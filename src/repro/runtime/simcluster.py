@@ -4,14 +4,17 @@ One simulated cluster — one event queue, one modelled collector server
 — carries any number of jobs under the real
 :meth:`Scheduler.step() <repro.runtime.scheduler.Scheduler.step>`, so a
 run "on 512 processors", a batch of them or a million-submission load
-study is a function call on a laptop.  A job's workers are real
+study is a function call on a laptop; a single run,
+``Engine(SimclusterBackend(...), config).run(routine)``, is one job on
+that loop.  A job's workers are real
 :class:`~repro.runtime.worker.WorkerBody` objects built from
 ``engine.job_context(job)``, started at the virtual instant they are
-dispatched; its time limit, injected failures and ``T_comp``
-(:attr:`~repro.runtime.result.RunResult.virtual_time`) count from its
-own start, so a job alone computes exactly what it always did.  The
-cluster's clock is the run clock: telemetry, SLA stamps and time limits
-read virtual seconds.
+dispatched; its time limit, injected failures and ``T_comp`` count from
+its own start, so a job alone computes exactly what it always did.  Its
+:class:`~repro.cluster.simulation.ClusterResult` becomes
+:attr:`RunResult.cluster <repro.runtime.result.RunResult.cluster>`.
+The cluster's clock is the run clock: telemetry, SLA stamps and time
+limits read virtual seconds.
 
 Injected node failures (:attr:`~repro.cluster.simulation.ClusterSpec
 .failures`) take the engine's fault path: ``"reassign"`` reissues the
@@ -24,21 +27,21 @@ from __future__ import annotations
 
 import math
 
-from repro.cluster.simulation import ClusterSpec, _Cluster, _SimulatedJob
-from repro.runtime.collector import Collector
-from repro.runtime.config import RunConfig
+from repro.cluster.simulation import (
+    ClusterResult,
+    ClusterSpec,
+    _Cluster,
+    _SimulatedJob,
+)
 from repro.runtime.engine import (
-    Engine,
     EngineBackend,
     WorkerAssignment,
     WorkerDeath,
     register_backend,
 )
 from repro.runtime.messages import CombinedMessage, MomentMessage
-from repro.runtime.result import RunResult
-from repro.runtime.worker import RealizationRoutine
 
-__all__ = ["SimclusterBackend", "run_simcluster"]
+__all__ = ["SimclusterBackend"]
 
 
 @register_backend("simcluster")
@@ -49,14 +52,21 @@ class SimclusterBackend(EngineBackend):
         cluster_spec: Cluster hardware model; defaults to the paper's
             test rig (``tau = 7.7 s``, ~1 GB/s interconnect).
         execute_realizations: When False, realizations are only
-            accounted for in time — used by pure scaling studies, where
-            estimates would be meaningless zeros anyway.
-        quotas: Optional per-rank realization quotas (see
-            :func:`repro.cluster.simulation.proportional_quotas`);
-            defaults to each job's even split.
-        scheduling: ``"static"`` quotas or ``"dynamic"``
-            self-scheduling (a job's workers draw work until its
-            ``maxsv`` is started).
+            accounted for in time: zero placeholder matrices keep the
+            books, and the routine may be None — used by pure scaling
+            studies, where estimates would be meaningless zeros anyway.
+            When True every realization executes with its proper RNG
+            substream and the collector accumulates genuine moments.
+        quotas: Optional per-rank realization quotas overriding each
+            job's even split; they must sum to its ``maxsv``.  Use
+            :func:`repro.cluster.simulation.proportional_quotas` for
+            heterogeneous or hybrid clusters.
+        scheduling: ``"static"`` (default) deals fixed quotas;
+            ``"dynamic"`` is self-scheduling — a job's workers keep
+            simulating until its ``maxsv`` realizations have been
+            *started*, so faster nodes naturally contribute more.  This
+            is the paper's §2.2 argument for needing no load balancer;
+            ``quotas`` must not be given in this mode.
     """
 
     name = "simcluster"
@@ -78,7 +88,7 @@ class SimclusterBackend(EngineBackend):
         self._quotas = quotas
         self._scheduling = scheduling
         self._jobs: dict[str | None, _SimulatedJob] = {}
-        #: The job the loop released last: its result hooks follow.
+        #: The job the loop released last: :meth:`cluster_result` reads it.
         self._released: _SimulatedJob | None = None
         #: The last poll found the cluster idle and nothing started since.
         self._idle = False
@@ -159,55 +169,14 @@ class SimclusterBackend(EngineBackend):
         return self._idle
 
     def release_job(self, job_id: str | None) -> None:
-        """Stop the job's workers; its result hooks read it next."""
-        simulation = self._jobs.pop(job_id, None)
-        if simulation is not None:
-            simulation.stop()
-            self._released = simulation
+        """Stop the job's workers; :meth:`cluster_result` reads it next."""
+        self._released = self._jobs.pop(job_id, None)
+        if self._released is not None:
+            self._released.stop()
 
-    @property
-    def virtual_time(self) -> float:
-        return self._released.finish().t_comp
-
-    def per_rank_volumes(self, collector: Collector, ranks) -> dict:
-        # The simulator's own accounting: computed volumes, including
-        # work a failed node computed but never delivered.
-        return self._released.finish().per_rank_volumes
-
-    def session_volume(self, collector: Collector) -> int:
-        return self._released.finish().total_volume
-
-
-def run_simcluster(routine: RealizationRoutine | None, config: RunConfig,
-                   spec: ClusterSpec | None = None,
-                   use_files: bool = True,
-                   execute_realizations: bool = True,
-                   quotas: list[int] | None = None,
-                   scheduling: str = "static") -> RunResult:
-    """Run one session on the discrete-event cluster backend.
-
-    Args:
-        routine: User realization routine; required when
-            ``execute_realizations`` is True.
-        config: Run configuration; ``time_limit`` is interpreted in
-            *virtual* seconds (the cluster job limit).
-        spec: Cluster hardware model; defaults to the paper's test rig
-            (``tau = 7.7 s``, ~1 GB/s interconnect).
-        use_files: Write result files and save-points.
-        execute_realizations: When False, realizations are only
-            accounted for in time — used by pure scaling studies, where
-            estimates would be meaningless zeros anyway.
-        quotas: Optional per-rank realization quotas (see
-            :func:`repro.cluster.simulation.proportional_quotas`);
-            defaults to the config's even split.
-        scheduling: ``"static"`` quotas or ``"dynamic"``
-            self-scheduling (workers draw work until ``maxsv`` is
-            started cluster-wide).
-
-    Returns:
-        A :class:`RunResult` with ``virtual_time`` set to ``T_comp``.
-    """
-    backend = SimclusterBackend(cluster_spec=spec,
-                                execute_realizations=execute_realizations,
-                                quotas=quotas, scheduling=scheduling)
-    return Engine(backend, config, use_files=use_files).run(routine)
+    def cluster_result(self) -> ClusterResult | None:
+        """The released job's accounting: computed volumes, including
+        work a failed node computed but never delivered."""
+        if self._released is None:
+            return None
+        return self._released.finish()

@@ -223,8 +223,8 @@ class WorkerBody:
     ``config.perpass``, and build that pass.  Its *driver* owns
     everything else — when to step, how far, the deadline, where a pass
     goes: :func:`run_worker` is the driver on the real clock, the
-    simulated cluster (:class:`~repro.cluster.simulation
-    .ClusterSimulation`) drives the same object from its event queue.
+    simulated cluster (:class:`~repro.runtime.simcluster
+    .SimclusterBackend`) drives the same object from its event queue.
 
     ``step``, ``pass_due`` and ``message`` are closures bound once here,
     not methods: :func:`run_worker` calls them per realization, where a

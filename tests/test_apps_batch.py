@@ -14,7 +14,8 @@ import pytest
 from repro.apps import finance, integration
 from repro.rng.streams import StreamTree
 from repro.runtime.config import RunConfig
-from repro.runtime.sequential import run_sequential
+from repro.runtime.engine import Engine
+from repro.runtime.sequential import SequentialBackend
 
 PROBLEMS = {
     "quarter_circle": integration.unit_square_quarter_circle,
@@ -27,7 +28,7 @@ PROBLEMS = {
 def run(routine, nrow=1, ncol=1, maxsv=200):
     config = RunConfig(maxsv=maxsv, nrow=nrow, ncol=ncol, seqnum=1,
                        perpass=0.0)
-    return run_sequential(routine, config, use_files=False)
+    return Engine(SequentialBackend(), config, use_files=False).run(routine)
 
 
 def assert_identical(left, right):

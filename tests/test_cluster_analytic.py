@@ -11,10 +11,9 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import ClusterSpec, DurationModel, NetworkModel
-from repro.cluster.simulation import ClusterSimulation
-from repro.runtime.collector import Collector
 from repro.runtime.config import RunConfig
-from repro.stats.accumulator import MomentSnapshot
+from repro.runtime.engine import Engine
+from repro.runtime.simcluster import SimclusterBackend
 
 
 def run(maxsv, processors, *, tau, latency, bandwidth, service,
@@ -26,8 +25,8 @@ def run(maxsv, processors, *, tau, latency, bandwidth, service,
         network=NetworkModel(latency=latency, bandwidth=bandwidth),
         collector_service_time=service,
         message_bytes=nbytes)
-    collector = Collector(config, MomentSnapshot.zero(1, 1), None)
-    return ClusterSimulation(config, spec, collector).run()
+    backend = SimclusterBackend(spec, execute_realizations=False)
+    return Engine(backend, config, use_files=False).run(None).cluster
 
 
 class TestClosedForms:

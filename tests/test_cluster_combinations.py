@@ -9,10 +9,9 @@ from repro.cluster import (
     DurationModel,
     proportional_quotas,
 )
-from repro.cluster.simulation import ClusterSimulation
-from repro.runtime.collector import Collector
 from repro.runtime.config import RunConfig
-from repro.stats.accumulator import MomentSnapshot
+from repro.runtime.engine import Engine
+from repro.runtime.simcluster import SimclusterBackend
 
 
 def simulate(config_kwargs, spec_kwargs, **sim_kwargs):
@@ -20,11 +19,11 @@ def simulate(config_kwargs, spec_kwargs, **sim_kwargs):
                           **config_kwargs})
     spec_kwargs.setdefault("duration_model", DurationModel(mean=1.0))
     spec = ClusterSpec(**spec_kwargs)
-    collector = Collector(config, MomentSnapshot.zero(config.nrow,
-                                                      config.ncol),
-                          None)
-    simulation = ClusterSimulation(config, spec, collector, **sim_kwargs)
-    return simulation.run(), collector
+    routine = sim_kwargs.pop("routine", None)
+    backend = SimclusterBackend(
+        spec, execute_realizations=routine is not None, **sim_kwargs)
+    result = Engine(backend, config, use_files=False).run(routine)
+    return result.cluster, backend.engine.job_context(None).collector
 
 
 class TestFeatureCombinations:

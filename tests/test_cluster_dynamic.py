@@ -7,22 +7,20 @@ import pytest
 
 from repro.cluster import ClusterSpec, DurationModel
 from repro.exceptions import ConfigurationError
-from repro.runtime.collector import Collector
 from repro.runtime.config import RunConfig
-from repro.runtime.simcluster import run_simcluster
-from repro.cluster.simulation import ClusterSimulation
-from repro.stats.accumulator import MomentSnapshot
+from repro.runtime.engine import Engine
+from repro.runtime.simcluster import SimclusterBackend
 
 
 def run_dynamic(maxsv, processors, *, speed_factors=None, tau=1.0,
                 routine=None, execute=False, scheduling="dynamic"):
     spec = ClusterSpec(duration_model=DurationModel(mean=tau),
                        speed_factors=speed_factors)
-    return run_simcluster(
-        routine, RunConfig(maxsv=maxsv, processors=processors,
-                           perpass=0.0, peraver=600.0),
-        spec=spec, use_files=False, execute_realizations=execute,
-        scheduling=scheduling)
+    backend = SimclusterBackend(spec, execute_realizations=execute,
+                                scheduling=scheduling)
+    return Engine(backend, RunConfig(maxsv=maxsv, processors=processors,
+                                     perpass=0.0, peraver=600.0),
+                  use_files=False).run(routine)
 
 
 class TestDynamicScheduling:
@@ -63,26 +61,25 @@ class TestDynamicScheduling:
     def test_stochastic_durations_still_exact_volume(self):
         spec = ClusterSpec(duration_model=DurationModel(
             mean=1.0, distribution="exponential"), seed=5)
-        result = run_simcluster(
-            None, RunConfig(maxsv=150, processors=3, perpass=0.0,
-                            peraver=600.0),
-            spec=spec, use_files=False, execute_realizations=False,
-            scheduling="dynamic")
+        result = Engine(
+            SimclusterBackend(spec, execute_realizations=False,
+                              scheduling="dynamic"),
+            RunConfig(maxsv=150, processors=3, perpass=0.0, peraver=600.0),
+            use_files=False).run(None)
         assert result.session_volume == 150
 
     def test_invalid_scheduling_rejected(self):
         config = RunConfig(maxsv=10, processors=1)
-        collector = Collector(config, MomentSnapshot.zero(1, 1), None)
+        backend = SimclusterBackend(ClusterSpec(), scheduling="magic")
         with pytest.raises(ConfigurationError):
-            ClusterSimulation(config, ClusterSpec(), collector,
-                              scheduling="magic")
+            Engine(backend, config, use_files=False).run(None)
 
     def test_dynamic_with_quotas_rejected(self):
         config = RunConfig(maxsv=10, processors=2)
-        collector = Collector(config, MomentSnapshot.zero(1, 1), None)
+        backend = SimclusterBackend(ClusterSpec(), quotas=[5, 5],
+                                    scheduling="dynamic")
         with pytest.raises(ConfigurationError):
-            ClusterSimulation(config, ClusterSpec(), collector,
-                              quotas=[5, 5], scheduling="dynamic")
+            Engine(backend, config, use_files=False).run(None)
 
     def test_dynamic_streams_stay_disjoint(self):
         # Every rank uses its own realization substream indices, so two
@@ -110,8 +107,8 @@ class TestDynamicUnderTimeLimit:
                            peraver=0.0, time_limit=25.0, workdir=tmp_path)
         spec = ClusterSpec(duration_model=DurationModel(mean=1.0),
                            speed_factors=(3.0, 1.0, 1.0))
-        result = run_simcluster(lambda rng: rng.random() ** 2, config,
-                                spec=spec, scheduling="dynamic")
+        result = Engine(SimclusterBackend(spec, scheduling="dynamic"),
+                        config).run(lambda rng: rng.random() ** 2)
         assert result.virtual_time == 25.33373333333331
         assert result.per_rank_volumes == {0: 76, 1: 25, 2: 25}
         assert result.total_volume == result.session_volume == 126

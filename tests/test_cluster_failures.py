@@ -5,11 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import ClusterSpec, DurationModel
-from repro.cluster.simulation import ClusterSimulation
 from repro.exceptions import ConfigurationError
-from repro.runtime.collector import Collector
 from repro.runtime.config import RunConfig
-from repro.stats.accumulator import MomentSnapshot
+from repro.runtime.engine import Engine
+from repro.runtime.simcluster import SimclusterBackend
 
 
 def run_with_failures(maxsv, processors, failures, *, perpass=0.0,
@@ -18,10 +17,10 @@ def run_with_failures(maxsv, processors, failures, *, perpass=0.0,
                        failures=failures)
     config = RunConfig(maxsv=maxsv, processors=processors,
                        perpass=perpass, peraver=3600.0)
-    collector = Collector(config, MomentSnapshot.zero(1, 1), None)
-    simulation = ClusterSimulation(config, spec, collector,
-                                   routine=lambda rng: rng.random())
-    return simulation.run(), collector
+    backend = SimclusterBackend(spec)
+    result = Engine(backend, config, use_files=False).run(
+        lambda rng: rng.random())
+    return result.cluster, backend.engine.job_context(None).collector
 
 
 class TestFailureInjection:

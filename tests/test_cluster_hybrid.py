@@ -14,18 +14,19 @@ from repro.cluster import (
 )
 from repro.exceptions import ConfigurationError
 from repro.runtime.config import RunConfig
-from repro.runtime.simcluster import run_simcluster
+from repro.runtime.engine import Engine
+from repro.runtime.simcluster import SimclusterBackend
 
 
 def simulate(maxsv, processors, *, accelerators=None, quotas=None,
              tau=1.0, routine=None, execute=False):
     spec = ClusterSpec(duration_model=DurationModel(mean=tau),
                        accelerators=accelerators)
-    return run_simcluster(
-        routine, RunConfig(maxsv=maxsv, processors=processors,
-                           perpass=0.0, peraver=600.0),
-        spec=spec, use_files=False,
-        execute_realizations=execute, quotas=quotas)
+    backend = SimclusterBackend(spec, execute_realizations=execute,
+                                quotas=quotas)
+    return Engine(backend, RunConfig(maxsv=maxsv, processors=processors,
+                                     perpass=0.0, peraver=600.0),
+                  use_files=False).run(routine)
 
 
 class TestAccelerator:

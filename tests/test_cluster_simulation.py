@@ -2,22 +2,23 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.cluster.machine import DurationModel
 from repro.cluster.network import NetworkModel
-from repro.cluster.simulation import ClusterSimulation, ClusterSpec
+from repro.cluster.simulation import ClusterSpec, proportional_quotas
 from repro.exceptions import ConfigurationError
-from repro.runtime.collector import Collector
 from repro.runtime.config import RunConfig
 from repro.runtime.engine import Engine
 from repro.runtime.job import JobSpec
 from repro.runtime.messages import message_bytes
 from repro.runtime.scheduler import Scheduler
-from repro.runtime.sequential import run_sequential
-from repro.runtime.simcluster import SimclusterBackend, run_simcluster
-from repro.stats.accumulator import MomentSnapshot
+from repro.runtime.sequential import SequentialBackend
+from repro.runtime.simcluster import SimclusterBackend
 
 
 def simulate(maxsv, processors, *, tau=1.0, perpass=0.0, spec_kwargs=None,
@@ -28,10 +29,10 @@ def simulate(maxsv, processors, *, tau=1.0, perpass=0.0, spec_kwargs=None,
     config = RunConfig(maxsv=maxsv, processors=processors,
                        perpass=perpass, peraver=3600.0,
                        **(config_kwargs or {}))
-    collector = Collector(config, MomentSnapshot.zero(config.nrow,
-                                                      config.ncol), None)
-    simulation = ClusterSimulation(config, spec, collector, routine=routine)
-    return simulation.run(), collector
+    backend = SimclusterBackend(spec, execute_realizations=routine is not None)
+    result = Engine(backend, config, use_files=False).run(routine)
+    return result.cluster, backend.engine.job_context(None).collector
+
 
 
 class TestTimingModel:
@@ -108,10 +109,9 @@ class TestProtocolFidelity:
         assert 0.2 < estimates.mean[0, 0] < 0.8
 
     def test_executed_realizations_match_sequential(self):
-        from repro.runtime.sequential import run_sequential
         config = RunConfig(maxsv=40, processors=4)
-        reference = run_sequential(lambda rng: rng.random() ** 2, config,
-                                   use_files=False)
+        reference = Engine(SequentialBackend(), config, use_files=False) \
+            .run(lambda rng: rng.random() ** 2)
         _, collector = simulate(40, 4, tau=1.0,
                                 routine=lambda rng: rng.random() ** 2)
         assert np.array_equal(collector.estimates().mean,
@@ -206,8 +206,8 @@ class TestSharedCluster:
         assert a.virtual_time == pytest.approx(
             6 * self.TAU + 6 * self.SERVICE + wire)
         for name, config in jobs.items():
-            assert _same_estimates(results[name], run_sequential(
-                _square, config, use_files=False))
+            assert _same_estimates(results[name], Engine(
+                SequentialBackend(), config, use_files=False).run(_square))
 
     def test_a_recovering_job_leaves_its_neighbour_untouched(self):
         # Rank 1 of every job fails 2.5 s after its job starts: a's rank
@@ -222,12 +222,12 @@ class TestSharedCluster:
         assert a.recovered_ranks == (1,)
         assert a.per_rank_volumes[1] == 2 and a.per_rank_volumes[3] == 8
         assert a.total_volume == 30
-        assert _same_estimates(a, run_simcluster(
-            _square, jobs["a"], spec=spec, use_files=False))
+        assert _same_estimates(a, Engine(
+            SimclusterBackend(spec), jobs["a"], use_files=False).run(_square))
         assert b.recovered_ranks == ()
         assert b.total_volume == 6
-        assert _same_estimates(b, run_sequential(_square, jobs["b"],
-                                                 use_files=False))
+        assert _same_estimates(b, Engine(
+            SequentialBackend(), jobs["b"], use_files=False).run(_square))
 
     def test_a_solo_run_turns_the_loop_once_per_final(self):
         # Engine.run drives serve(), whose poll timeout is 0.05 s: a
@@ -253,8 +253,229 @@ class TestSharedCluster:
         jobs = {"a": _config(60, 3, 0), "b": _config(40, 3, 1)}
         results = _shared(spec, jobs, scheduling="dynamic")
         for name, config in jobs.items():
-            solo = run_simcluster(_square, config, spec=spec,
-                                  use_files=False, scheduling="dynamic")
+            solo = Engine(SimclusterBackend(spec, scheduling="dynamic"),
+                          config, use_files=False).run(_square)
             assert results[name].total_volume == config.maxsv
             assert results[name].per_rank_volumes == solo.per_rank_volumes
             assert _same_estimates(results[name], solo)
+
+
+_SPEEDS = (2.0, 1.0, 1.0, 0.5)
+
+
+def _one_loop(fanout, perpass, routine, scheduling, failures, distribution,
+              maxsv=40, speeds=_SPEEDS, on_worker_death="fail"):
+    """One job on a simulated cluster of its own, through the one loop."""
+    spec = ClusterSpec(
+        duration_model=DurationModel(mean=1.0, distribution=distribution),
+        speed_factors=speeds, failures=failures or None)
+    config = RunConfig(maxsv=maxsv, processors=4, perpass=perpass,
+                       peraver=3600.0, reduction_fanout=fanout,
+                       on_worker_death=on_worker_death)
+    quotas = (proportional_quotas(maxsv, speeds)
+              if scheduling == "proportional" else None)
+    routine = _square if routine == "square" else None
+    backend = SimclusterBackend(
+        spec, execute_realizations=routine is not None, quotas=quotas,
+        scheduling="dynamic" if scheduling == "dynamic" else "static")
+    return Engine(backend, config, use_files=False).run(routine)
+
+
+def _hexed(value):
+    """``value`` with every float spelled exactly, as ``float.hex``."""
+    if isinstance(value, float):
+        return float.hex(value)
+    if isinstance(value, dict):
+        return {key: _hexed(item) for key, item in value.items()}
+    if isinstance(value, tuple):
+        return tuple(_hexed(item) for item in value)
+    return value
+
+
+def _digest(estimates):
+    return hashlib.sha256(b"".join(
+        getattr(estimates, field).tobytes()
+        for field in ("mean", "variance", "abs_error", "rel_error"))
+    ).hexdigest()
+
+
+#: ``(fanout, perpass, routine, scheduling, failures, distribution)``,
+#: then the job's accounting and its estimates' digest, as the
+#: simulator's former private event loop produced them.
+_ACCOUNTING = [
+    pytest.param(
+        (None, 0.0, None, "static", {}, "fixed"),
+        {"t_comp": "0x1.4001d7fe509fdp+4", "total_volume": 40,
+         "per_rank_volumes": {0: 10, 1: 10, 2: 10, 3: 10}, "messages_sent": 44,
+         "collector_utilization": "0x1.cd5cf143484b8p-12",
+         "mean_queue_delay": "0x1.a83bb6e301dd1p-13",
+         "compute_span": "0x1.4000000000000p+4", "failed_ranks": (),
+         "lost_realizations": 0, "collector_served": 44,
+         "combined_messages": 0},
+        "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925",
+        id="flat-p0-accounted-static-healthy-fixed"),
+    pytest.param(
+        (None, 0.0, "square", "static", {}, "exponential"),
+        {"t_comp": "0x1.bf03ccd36a9e2p+4", "total_volume": 40,
+         "per_rank_volumes": {0: 10, 1: 10, 2: 10, 3: 10}, "messages_sent": 44,
+         "collector_utilization": "0x1.4a475bb287de9p-12",
+         "mean_queue_delay": "0x1.310a508148000p-16",
+         "compute_span": "0x1.bf01f4d519fe5p+4", "failed_ranks": (),
+         "lost_realizations": 0, "collector_served": 44,
+         "combined_messages": 0},
+        "3e45b4def034b38e361a0d03c13707175325b9b6c9e7f49e37b8345cd76db510",
+        id="flat-p0-square-static-healthy-exponential"),
+    pytest.param(
+        (None, 3.0, "square", "static", {1: 5.5}, "fixed"),
+        {"t_comp": "0x1.4001d7fe509fdp+4", "total_volume": 35,
+         "per_rank_volumes": {0: 10, 1: 5, 2: 10, 3: 10}, "messages_sent": 13,
+         "collector_utilization": "0x1.109fa5d64da13p-13",
+         "mean_queue_delay": "0x1.1248c4b6a1d8ap-14",
+         "compute_span": "0x1.4000000000000p+4", "failed_ranks": (1,),
+         "lost_realizations": 2, "collector_served": 13,
+         "combined_messages": 0},
+        "8d601d115b970ac81016c5946c445fc369ecf6a016245881563c2857e826ae84",
+        id="flat-p3-square-static-failing-fixed"),
+    pytest.param(
+        (None, 3.0, None, "dynamic", {}, "exponential"),
+        {"t_comp": "0x1.4b80363d2cb4dp+3", "total_volume": 40,
+         "per_rank_volumes": {0: 16, 1: 8, 2: 13, 3: 3}, "messages_sent": 12,
+         "collector_utilization": "0x1.e5dad538499eap-13",
+         "mean_queue_delay": "0x1.a36e2eb1c0000p-15",
+         "compute_span": "0x1.4b7c86408b754p+3", "failed_ranks": (),
+         "lost_realizations": 0, "collector_served": 12,
+         "combined_messages": 0},
+        "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925",
+        id="flat-p3-accounted-dynamic-healthy-exponential"),
+    pytest.param(
+        (None, 0.0, "square", "dynamic", {1: 5.5}, "exponential"),
+        {"t_comp": "0x1.4b80363d2cb4dp+3", "total_volume": 39,
+         "per_rank_volumes": {0: 17, 1: 6, 2: 13, 3: 3}, "messages_sent": 42,
+         "collector_utilization": "0x1.a91f7a91406a7p-11",
+         "mean_queue_delay": "0x1.4809ae95e30c3p-16",
+         "compute_span": "0x1.4b7c86408b754p+3", "failed_ranks": (1,),
+         "lost_realizations": 0, "collector_served": 42,
+         "combined_messages": 0},
+        "15a2110a14bc7365ea3a7084933bc4437880ef92ea32768390c165d1855ee0ce",
+        id="flat-p0-square-dynamic-failing-exponential"),
+    pytest.param(
+        (None, 0.0, "square", "proportional", {}, "fixed"),
+        {"t_comp": "0x1.200a3db55c069p+3", "total_volume": 40,
+         "per_rank_volumes": {0: 18, 1: 9, 2: 9, 3: 4}, "messages_sent": 44,
+         "collector_utilization": "0x1.0048715469fd3p-10",
+         "mean_queue_delay": "0x1.12171370d6346p-12",
+         "compute_span": "0x1.2000000000000p+3", "failed_ranks": (),
+         "lost_realizations": 0, "collector_served": 44,
+         "combined_messages": 0},
+        "837b5c48b4f7ea9acb45d8425edd0e27a6947dcdd2174cdcc77765771da56c17",
+        id="flat-p0-square-proportional-healthy-fixed"),
+    pytest.param(
+        (None, 3.0, None, "proportional", {1: 5.5}, "exponential"),
+        {"t_comp": "0x1.65842c56801e4p+3", "total_volume": 38,
+         "per_rank_volumes": {0: 18, 1: 7, 2: 9, 3: 4}, "messages_sent": 9,
+         "collector_utilization": "0x1.51e018b68b190p-13",
+         "mean_queue_delay": "0x0.0p+0",
+         "compute_span": "0x1.658288e8516c8p+3", "failed_ranks": (1,),
+         "lost_realizations": 1, "collector_served": 9,
+         "combined_messages": 0},
+        "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925",
+        id="flat-p3-accounted-proportional-failing-exponential"),
+    pytest.param(
+        (2, 0.0, "square", "static", {}, "fixed"),
+        {"t_comp": "0x1.4002de4589e6cp+4", "total_volume": 40,
+         "per_rank_volumes": {0: 10, 1: 10, 2: 10, 3: 10}, "messages_sent": 44,
+         "collector_utilization": "0x1.3a8fd13a4976cp-12",
+         "mean_queue_delay": "0x1.310a508149746p-16",
+         "compute_span": "0x1.4000000000000p+4", "failed_ranks": (),
+         "lost_realizations": 0, "collector_served": 30,
+         "combined_messages": 30},
+        "3e45b4def034b38e361a0d03c13707175325b9b6c9e7f49e37b8345cd76db510",
+        id="tree2-p0-square-static-healthy-fixed"),
+    pytest.param(
+        (2, 3.0, None, "static", {1: 5.5}, "exponential"),
+        {"t_comp": "0x1.f0ea48c309c6dp+4", "total_volume": 37,
+         "per_rank_volumes": {0: 10, 1: 7, 2: 10, 3: 10}, "messages_sent": 11,
+         "collector_utilization": "0x1.0e1a158d1ad9fp-14",
+         "mean_queue_delay": "0x0.0p+0",
+         "compute_span": "0x1.f0e76a7d7fe01p+4", "failed_ranks": (1,),
+         "lost_realizations": 1, "collector_served": 10,
+         "combined_messages": 10},
+        "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925",
+        id="tree2-p3-accounted-static-failing-exponential"),
+    pytest.param(
+        (2, 0.0, None, "dynamic", {}, "fixed"),
+        {"t_comp": "0x1.4005bc8b13cd6p+3", "total_volume": 40,
+         "per_rank_volumes": {0: 17, 1: 9, 2: 9, 3: 5}, "messages_sent": 44,
+         "collector_utilization": "0x1.2594aa2fa4442p-11",
+         "mean_queue_delay": "0x1.7d4ce4a19ae8cp-16",
+         "compute_span": "0x1.4000000000000p+3", "failed_ranks": (),
+         "lost_realizations": 0, "collector_served": 28,
+         "combined_messages": 28},
+        "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925",
+        id="tree2-p0-accounted-dynamic-healthy-fixed"),
+    pytest.param(
+        (2, 3.0, "square", "dynamic", {1: 5.5}, "fixed"),
+        {"t_comp": "0x1.4005bcad6fe53p+3", "total_volume": 39,
+         "per_rank_volumes": {0: 19, 1: 5, 2: 10, 3: 5}, "messages_sent": 12,
+         "collector_utilization": "0x1.a366a9cde3110p-13",
+         "mean_queue_delay": "0x1.179ec9cbd8000p-15",
+         "compute_span": "0x1.4000000000000p+3", "failed_ranks": (1,),
+         "lost_realizations": 2, "collector_served": 10,
+         "combined_messages": 10},
+        "80fd35f6bf3f7cc24a67ca8c7cfdf6906d1e52c9e5faf8ff74da7da7d97ea5bf",
+        id="tree2-p3-square-dynamic-failing-fixed"),
+    pytest.param(
+        (2, 0.0, "square", "proportional", {1: 5.5}, "exponential"),
+        {"t_comp": "0x1.658845736539ep+3", "total_volume": 38,
+         "per_rank_volumes": {0: 18, 1: 7, 2: 9, 3: 4}, "messages_sent": 41,
+         "collector_utilization": "0x1.64a158e810aa3p-11",
+         "mean_queue_delay": "0x0.0p+0",
+         "compute_span": "0x1.658288e8516c8p+3", "failed_ranks": (1,),
+         "lost_realizations": 0, "collector_served": 38,
+         "combined_messages": 38},
+        "f654bc81ab516c84c62e542a3c9c9bd05a0eee6149dc13aa7c3ca014b3aa749c",
+        id="tree2-p0-square-proportional-failing-exponential"),
+    pytest.param(
+        (2, 3.0, "square", "proportional", {}, "exponential"),
+        {"t_comp": "0x1.57633bb518a78p+3", "total_volume": 40,
+         "per_rank_volumes": {0: 18, 1: 9, 2: 9, 3: 4}, "messages_sent": 11,
+         "collector_utilization": "0x1.5fc6f9af2fabcp-13",
+         "mean_queue_delay": "0x0.0p+0",
+         "compute_span": "0x1.575d7f2a04da2p+3", "failed_ranks": (),
+         "lost_realizations": 0, "collector_served": 9,
+         "combined_messages": 9},
+        "837b5c48b4f7ea9acb45d8425edd0e27a6947dcdd2174cdcc77765771da56c17",
+        id="tree2-p3-square-proportional-healthy-exponential"),
+]
+
+
+class TestOneLoopAccounting:
+    """A job alone on its cluster is accounted for, field for field and
+    float for float, as it was when the simulator ran its own loop."""
+
+    @pytest.mark.parametrize("setup, expected, digest", _ACCOUNTING)
+    def test_accounting_is_unchanged(self, setup, expected, digest):
+        result = _one_loop(*setup)
+        assert _hexed(dataclasses.asdict(result.cluster)) == expected
+        assert _digest(result.estimates) == digest
+
+    def test_reassign_recovers_the_whole_sample(self):
+        # The former loop ignored the policy and kept 68 of the 120;
+        # the scheduler reissues both lost tails, to ranks 4 and 5.
+        result = _one_loop(None, 0.0, "square", "static", {1: 3.0, 2: 7.0},
+                           "fixed", maxsv=120, speeds=None,
+                           on_worker_death="reassign")
+        assert _hexed(dataclasses.asdict(result.cluster)) == {
+            "t_comp": "0x1.d0028f6d5701ap+5", "total_volume": 120,
+            "per_rank_volumes": {0: 30, 1: 2, 2: 6, 3: 30, 4: 28, 5: 24},
+            "messages_sent": 124,
+            "collector_utilization": "0x1.c058d314c7a58p-12",
+            "mean_queue_delay": "0x1.db12a635c24a5p-14",
+            "compute_span": "0x1.d001a36e2eb1cp+5", "failed_ranks": (1, 2),
+            "lost_realizations": 0, "collector_served": 124,
+            "combined_messages": 0}
+        assert _digest(result.estimates) == (
+            "f6e0d69c3094998d235596d9260e18dbb84c68f926dc933ad9e5cb1f8325c4c8")
+        assert result.cluster.total_volume == result.config.maxsv
+        assert result.recovered_ranks == (1, 2)
+        assert sorted(result.cluster.per_rank_volumes) == [0, 1, 2, 3, 4, 5]

@@ -435,6 +435,36 @@ class TestOneVirtualClock:
         assert offenders == []
 
 
+class TestOneSessionPath:
+    # docs/architecture.md "One session path": a single run is
+    # Engine(backend, config).run(routine) on every clock, the event
+    # queue is stepped only under Scheduler.step(), and the simulator's
+    # accounting reaches RunResult.cluster through one hook.
+
+    def test_the_second_drivers_are_gone(self):
+        retired = re.compile(
+            r"\b(ClusterSimulation|run_simcluster|run_sequential)\b")
+        offenders = [
+            str(path.relative_to(ROOT))
+            for path in (ROOT / "src" / "repro").rglob("*.py")
+            if retired.search(path.read_text())]
+        assert offenders == []
+
+    def test_only_the_backend_steps_the_event_queue(self):
+        steppers = sorted(
+            str(path.relative_to(ROOT / "src" / "repro"))
+            for path in (ROOT / "src" / "repro").rglob("*.py")
+            if "events.step(" in path.read_text())
+        assert steppers == ["runtime/simcluster.py"]
+
+    def test_one_result_hook(self):
+        from repro.runtime.engine import EngineBackend
+
+        assert not {"virtual_time", "per_rank_volumes",
+                    "session_volume"} & set(vars(EngineBackend))
+        assert EngineBackend().cluster_result() is None
+
+
 class TestOneWayInOneWayOut:
     # docs/architecture.md "The backend contract": a job enters a
     # backend through open_job and leaves it through release_job,

@@ -17,8 +17,8 @@ from repro.runtime.config import RunConfig
 from repro.runtime.engine import Engine
 from repro.runtime.files import DataDirectory
 from repro.runtime.multiprocess import MultiprocessBackend
-from repro.runtime.sequential import run_sequential
-from repro.runtime.simcluster import run_simcluster
+from repro.runtime.sequential import SequentialBackend
+from repro.runtime.simcluster import SimclusterBackend
 from repro.stats.accumulator import MomentAccumulator
 
 
@@ -33,7 +33,7 @@ def _crash(rng):
 class TestSequential:
     def test_estimates_match_direct_accumulation(self, tmp_path):
         config = RunConfig(maxsv=100, processors=4, workdir=tmp_path)
-        result = run_sequential(square, config)
+        result = Engine(SequentialBackend(), config).run(square)
         # Recompute by hand from the stream hierarchy.
         from repro.rng.streams import StreamTree
         tree = StreamTree()
@@ -47,7 +47,7 @@ class TestSequential:
 
     def test_result_files_written(self, tmp_path):
         config = RunConfig(maxsv=50, processors=2, workdir=tmp_path)
-        result = run_sequential(square, config)
+        result = Engine(SequentialBackend(), config).run(square)
         data = DataDirectory(tmp_path)
         assert data.read_mean_matrix().shape == (1, 1)
         log = data.read_log()
@@ -56,15 +56,16 @@ class TestSequential:
 
     def test_in_memory_run(self, tmp_path):
         config = RunConfig(maxsv=50, processors=2, workdir=tmp_path)
-        result = run_sequential(square, config, use_files=False)
+        result = Engine(SequentialBackend(), config,
+                        use_files=False).run(square)
         assert result.data_dir is None
         assert not (tmp_path / "parmonc_data").exists()
 
     def test_processor_count_does_not_change_total(self, tmp_path):
         results = [
-            run_sequential(square,
-                           RunConfig(maxsv=60, processors=m,
-                                     workdir=tmp_path / str(m)))
+            Engine(SequentialBackend(),
+                   RunConfig(maxsv=60, processors=m,
+                             workdir=tmp_path / str(m))).run(square)
             for m in (1, 2, 3, 5)]
         volumes = {r.total_volume for r in results}
         assert volumes == {60}
@@ -74,9 +75,9 @@ class TestSequential:
         # exactly the union of the two experiment samples.
         config1 = RunConfig(maxsv=50, processors=2,
                             workdir=tmp_path / "split")
-        run_sequential(square, config1)
+        Engine(SequentialBackend(), config1).run(square)
         config2 = config1.with_updates(res=1, seqnum=1)
-        resumed = run_sequential(square, config2)
+        resumed = Engine(SequentialBackend(), config2).run(square)
         assert resumed.total_volume == 100
         assert resumed.sessions == 2
         # Monolithic reference: same realizations, summed by hand.
@@ -92,7 +93,7 @@ class TestSequential:
 
     def test_per_rank_volumes(self, tmp_path):
         config = RunConfig(maxsv=10, processors=4, workdir=tmp_path)
-        result = run_sequential(square, config)
+        result = Engine(SequentialBackend(), config).run(square)
         assert result.per_rank_volumes == {0: 3, 1: 3, 2: 2, 3: 2}
 
     def test_time_limit_caps_run(self, tmp_path):
@@ -104,14 +105,14 @@ class TestSequential:
 
         config = RunConfig(maxsv=10_000, processors=2, workdir=tmp_path,
                            time_limit=0.3)
-        result = run_sequential(slow, config)
+        result = Engine(SequentialBackend(), config).run(slow)
         assert 0 < result.total_volume < 10_000
 
 
 class TestMultiprocess:
     def test_matches_sequential_bit_for_bit(self, tmp_path):
         config = RunConfig(maxsv=60, processors=3, workdir=tmp_path / "a")
-        sequential = run_sequential(square, config)
+        sequential = Engine(SequentialBackend(), config).run(square)
         parallel = Engine(MultiprocessBackend(), config.with_updates(
             workdir=tmp_path / "b")).run(square)
         assert np.array_equal(sequential.estimates.mean,
@@ -135,10 +136,11 @@ class TestMultiprocess:
 class TestSimclusterBackend:
     def test_matches_sequential_estimates(self, tmp_path):
         config = RunConfig(maxsv=40, processors=4, workdir=tmp_path / "a")
-        sequential = run_sequential(square, config)
-        simulated = run_simcluster(
-            square, config.with_updates(workdir=tmp_path / "b"),
-            spec=ClusterSpec(duration_model=DurationModel(mean=1.0)))
+        sequential = Engine(SequentialBackend(), config).run(square)
+        simulated = Engine(
+            SimclusterBackend(
+                ClusterSpec(duration_model=DurationModel(mean=1.0))),
+            config.with_updates(workdir=tmp_path / "b")).run(square)
         assert np.array_equal(sequential.estimates.mean,
                               simulated.estimates.mean)
         assert simulated.virtual_time is not None
@@ -147,18 +149,17 @@ class TestSimclusterBackend:
         spec = ClusterSpec(duration_model=DurationModel(mean=2.0))
         times = {}
         for m in (1, 4):
-            result = run_simcluster(
-                square,
+            result = Engine(
+                SimclusterBackend(spec),
                 RunConfig(maxsv=40, processors=m,
-                          workdir=tmp_path / str(m)),
-                spec=spec)
+                          workdir=tmp_path / str(m))).run(square)
             times[m] = result.virtual_time
         assert times[1] == pytest.approx(4 * times[4], rel=0.05)
 
     def test_accounting_only_mode(self, tmp_path):
-        result = run_simcluster(
-            None, RunConfig(maxsv=100, processors=8, workdir=tmp_path),
-            execute_realizations=False)
+        result = Engine(
+            SimclusterBackend(execute_realizations=False),
+            RunConfig(maxsv=100, processors=8, workdir=tmp_path)).run(None)
         assert result.estimates is None or result.estimates.volume == 100
         assert result.session_volume == 100
         assert result.virtual_time > 0
@@ -166,8 +167,8 @@ class TestSimclusterBackend:
     def test_resume_on_simcluster(self, tmp_path):
         config = RunConfig(maxsv=30, processors=3, workdir=tmp_path)
         spec = ClusterSpec(duration_model=DurationModel(mean=1.0))
-        run_simcluster(square, config, spec=spec)
-        resumed = run_simcluster(
-            square, config.with_updates(res=1, seqnum=1), spec=spec)
+        Engine(SimclusterBackend(spec), config).run(square)
+        resumed = Engine(SimclusterBackend(spec), config.with_updates(
+            res=1, seqnum=1)).run(square)
         assert resumed.total_volume == 60
         assert resumed.sessions == 2

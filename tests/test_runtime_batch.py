@@ -17,7 +17,8 @@ from repro import parmonc
 from repro.exceptions import ConfigurationError, RealizationError
 from repro.obs.telemetry import WorkerTelemetry
 from repro.runtime.config import RunConfig
-from repro.runtime.sequential import run_sequential
+from repro.runtime.engine import Engine
+from repro.runtime.sequential import SequentialBackend
 from repro.runtime.worker import (
     adapt_realization,
     batch_routine,
@@ -45,6 +46,10 @@ def config(**overrides):
     defaults = dict(maxsv=100, nrow=3, ncol=2, perpass=0.0, seqnum=1)
     defaults.update(overrides)
     return RunConfig(**defaults)
+
+
+def solo_run(routine, config):
+    return Engine(SequentialBackend(), config, use_files=False).run(routine)
 
 
 def assert_identical(left, right):
@@ -93,9 +98,9 @@ class TestAdaptRealization:
 
 class TestMakeBatched:
     def test_equivalent_to_scalar_run(self):
-        scalar = run_sequential(scalar_routine, config(), use_files=False)
+        scalar = solo_run(scalar_routine, config())
         wrapped = make_batched(scalar_routine, 16)
-        batched = run_sequential(wrapped, config(), use_files=False)
+        batched = solo_run(wrapped, config())
         assert_identical(scalar, batched)
 
     def test_rejects_already_batched(self):
@@ -108,9 +113,8 @@ class TestMakeBatched:
         def legacy():
             return _BASE * rnd128()
 
-        scalar = run_sequential(legacy, config(), use_files=False)
-        batched = run_sequential(make_batched(legacy, 8), config(),
-                                 use_files=False)
+        scalar = solo_run(legacy, config())
+        batched = solo_run(make_batched(legacy, 8), config())
         assert_identical(scalar, batched)
 
 
@@ -118,16 +122,13 @@ class TestBatchedWorkerLoop:
     @pytest.mark.parametrize("batch_size", [1, 7, 32, 100, 256])
     def test_identical_estimates_incl_partial_final_block(self,
                                                           batch_size):
-        scalar = run_sequential(scalar_routine, config(), use_files=False)
-        batched = run_sequential(make_batched_kernel(batch_size),
-                                 config(), use_files=False)
+        scalar = solo_run(scalar_routine, config())
+        batched = solo_run(make_batched_kernel(batch_size), config())
         assert_identical(scalar, batched)
 
     def test_identical_across_processors(self):
-        scalar = run_sequential(scalar_routine, config(processors=3),
-                                use_files=False)
-        batched = run_sequential(make_batched_kernel(16),
-                                 config(processors=3), use_files=False)
+        scalar = solo_run(scalar_routine, config(processors=3))
+        batched = solo_run(make_batched_kernel(16), config(processors=3))
         assert_identical(scalar, batched)
 
     def test_perpass_zero_ships_per_batch(self):

@@ -351,10 +351,10 @@ class TestPoolReuse:
                 != second.estimates.mean[0, 0])
 
     def test_scheduler_multiplexes_jobs_over_one_session(self, tmp_path):
-        from repro.runtime.engine import create_backend
+        from repro.runtime.engine import Engine, create_backend
         from repro.runtime.job import JobSpec
         from repro.runtime.scheduler import Scheduler
-        from repro.runtime.sequential import run_sequential
+        from repro.runtime.sequential import SequentialBackend
 
         server = PoolServer(port=0, workers=4, start_method="fork")
         host, port = server.start()
@@ -377,11 +377,12 @@ class TestPoolReuse:
         assert server.sessions_served == 1
         # ... and each matches its solo sequential reference bit for bit.
         for i, job in enumerate(jobs):
-            reference = run_sequential(
-                square, RunConfig(maxsv=30, processors=2, perpass=0.0,
-                                  peraver=0.0, seqnum=i,
-                                  workdir=tmp_path / f"ref{i}"),
-                use_files=False)
+            reference = Engine(
+                SequentialBackend(),
+                RunConfig(maxsv=30, processors=2, perpass=0.0,
+                          peraver=0.0, seqnum=i,
+                          workdir=tmp_path / f"ref{i}"),
+                use_files=False).run(square)
             assert (job.result.estimates.mean.tobytes()
                     == reference.estimates.mean.tobytes())
             assert (job.result.estimates.abs_error.tobytes()

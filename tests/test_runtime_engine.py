@@ -436,13 +436,13 @@ class TestSimclusterReassignment:
         assert result.total_volume < 30
 
     def test_dynamic_scheduling_cannot_reassign(self, tmp_path):
-        from repro.runtime.simcluster import run_simcluster
+        from repro.runtime.simcluster import SimclusterBackend
         config = RunConfig(maxsv=30, processors=3, perpass=0.0,
                            peraver=0.0, workdir=tmp_path,
                            on_worker_death="reassign")
         with pytest.raises(BackendError, match="dynamically scheduled"):
-            run_simcluster(square, config, spec=self._spec(),
-                           scheduling="dynamic")
+            Engine(SimclusterBackend(self._spec(), scheduling="dynamic"),
+                   config).run(square)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from repro.runtime.engine import Engine
 from repro.runtime.job import JobSpec, JobStatus
 from repro.runtime.multiprocess import MultiprocessBackend
 from repro.runtime.scheduler import Scheduler
-from repro.runtime.sequential import run_sequential
+from repro.runtime.sequential import SequentialBackend
 from repro.runtime.worker import run_worker
 from repro.stats.merging import merge_snapshots
 from repro.stats.statistic import payload_map
@@ -61,9 +61,10 @@ class TestStartMethods:
         config = RunConfig(maxsv=20, processors=2, workdir=tmp_path)
         result = run_multiprocess(module_level_square, config,
                                   start_method="spawn")
-        reference = run_sequential(
-            module_level_square,
-            config.with_updates(workdir=tmp_path / "ref"))
+        reference = Engine(
+            SequentialBackend(),
+            config.with_updates(workdir=tmp_path / "ref")).run(
+                module_level_square)
         assert np.array_equal(result.estimates.mean,
                               reference.estimates.mean)
 
@@ -76,8 +77,8 @@ class TestStartMethods:
                            peraver=0.0, seqnum=2, reduction_fanout=fanout)
         result = run_multiprocess(module_level_square, config,
                                   use_files=False, start_method="spawn")
-        reference = run_sequential(module_level_square, config,
-                                   use_files=False)
+        reference = Engine(SequentialBackend(), config,
+                           use_files=False).run(module_level_square)
         for name in ("mean", "variance", "abs_error"):
             assert getattr(result.estimates, name).tobytes() \
                 == getattr(reference.estimates, name).tobytes(), name
@@ -117,9 +118,10 @@ class TestIpcBehaviour:
         config = RunConfig(nrow=1, ncol=2, maxsv=40, processors=2,
                            workdir=tmp_path)
         result = run_multiprocess(module_level_matrix, config)
-        reference = run_sequential(
-            module_level_matrix,
-            config.with_updates(workdir=tmp_path / "ref"))
+        reference = Engine(
+            SequentialBackend(),
+            config.with_updates(workdir=tmp_path / "ref")).run(
+                module_level_matrix)
         assert np.array_equal(result.estimates.mean,
                               reference.estimates.mean)
         assert np.array_equal(result.estimates.variance,

@@ -29,10 +29,10 @@ from repro.apps.queueing import (
 from repro.exceptions import AdmissionError, ConfigurationError
 from repro.rng.lcg128 import Lcg128
 from repro.runtime.config import RunConfig
-from repro.runtime.engine import create_backend
+from repro.runtime.engine import Engine, create_backend
 from repro.runtime.job import Job, JobSpec, JobStatus
 from repro.runtime.scheduler import Scheduler
-from repro.runtime.sequential import SequentialBackend, run_sequential
+from repro.runtime.sequential import SequentialBackend
 
 
 def square(rng):
@@ -111,11 +111,12 @@ class TestFairShare:
                 for i in range(3)]
         scheduler.run()
         for i, job in enumerate(jobs):
-            reference = run_sequential(
-                square, RunConfig(maxsv=12, processors=12, perpass=0.0,
-                                  peraver=0.0, seqnum=i,
-                                  workdir=tmp_path / f"ref{i}"),
-                use_files=False)
+            reference = Engine(
+                SequentialBackend(),
+                RunConfig(maxsv=12, processors=12, perpass=0.0,
+                          peraver=0.0, seqnum=i,
+                          workdir=tmp_path / f"ref{i}"),
+                use_files=False).run(square)
             assert (job.result.estimates.mean.tobytes()
                     == reference.estimates.mean.tobytes())
             assert (job.result.estimates.abs_error.tobytes()
@@ -831,7 +832,8 @@ class TestJobRelease:
             _drive(scheduler, lambda: beside.status is JobStatus.DONE)
         finally:
             scheduler.shutdown(timeout=30.0)
-        solo = run_sequential(square, beside.spec.config, use_files=False)
+        solo = Engine(SequentialBackend(), beside.spec.config,
+                      use_files=False).run(square)
         for name in ("mean", "variance", "abs_error"):
             assert getattr(beside.result.estimates, name).tobytes() \
                 == getattr(solo.estimates, name).tobytes(), name

@@ -14,7 +14,7 @@ from repro.obs.render import load_metrics
 from repro.runtime.config import RunConfig
 from repro.runtime.engine import Engine
 from repro.runtime.multiprocess import MultiprocessBackend
-from repro.runtime.simcluster import run_simcluster
+from repro.runtime.simcluster import SimclusterBackend
 
 
 def tiny(rng):
@@ -153,7 +153,7 @@ class TestSimclusterTelemetry:
     def test_virtual_clock_stamps(self, tmp_path):
         config = RunConfig(maxsv=40, processors=4, workdir=tmp_path,
                            perpass=0.0, telemetry=True)
-        result = run_simcluster(tiny, config)
+        result = Engine(SimclusterBackend(), config).run(tiny)
         assert result.virtual_time > result.elapsed  # tau ~ seconds each
         events_path, directory = artifacts(tmp_path)
         payload = load_metrics(directory)
@@ -169,7 +169,7 @@ class TestSimclusterTelemetry:
     def test_worker_stats_cover_every_rank(self, tmp_path):
         config = RunConfig(maxsv=40, processors=4, workdir=tmp_path,
                            telemetry=True)
-        result = run_simcluster(tiny, config)
+        result = Engine(SimclusterBackend(), config).run(tiny)
         payload = load_metrics(artifacts(tmp_path)[1])
         workers = payload["workers"]
         assert len(workers) == 4

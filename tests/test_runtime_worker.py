@@ -520,7 +520,8 @@ class TestSteppedInAnyOrderIsStraightThrough:
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         from repro.runtime.collector import Collector
-        from repro.runtime.sequential import run_sequential
+        from repro.runtime.engine import Engine
+        from repro.runtime.sequential import SequentialBackend
         from repro.stats.accumulator import MomentSnapshot
 
         @hypothesis.settings(derandomize=True, print_blob=True,
@@ -563,7 +564,8 @@ class TestSteppedInAnyOrderIsStraightThrough:
                 assert message_to_payload(final) \
                     == message_to_payload(straight[-1])
                 collector.receive(final, 0.0)
-            reference = run_sequential(_pair, config, use_files=False)
+            reference = Engine(SequentialBackend(), config,
+                               use_files=False).run(_pair)
             merged = collector.merged().estimates()
             for name in ("mean", "variance", "abs_error", "rel_error"):
                 assert getattr(merged, name).tobytes() \
