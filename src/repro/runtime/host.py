@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
+import struct
 import threading
 import time
 from contextlib import suppress
@@ -37,6 +39,10 @@ __all__ = ["CountedEnd", "WorkerHost", "decode_context"]
 
 #: How long a terminated child gets to die before it is killed.
 _TERMINATE_SECONDS = 2.0
+
+#: The length prefix ``multiprocessing.connection.Connection`` frames a
+#: body under 2 GiB with.
+_LENGTH = struct.Struct("!i")
 
 #: ``Process.start`` reaps every finished child of the interpreter, so
 #: a start on one thread would race a join on another for the same
@@ -68,6 +74,11 @@ class CountedEnd:
     written (``counts[0]``, bumped once ``send_bytes`` returns) and bodies
     read (``counts[1]``, bumped once ``recv_bytes`` returns).
 
+    ``send_bytes`` puts the connection's frame — the ``"!i"`` length,
+    then the body — on the pipe in one ``writev``, where ``Connection``
+    writes a body over 16 KiB as two; ``recv_bytes`` is the
+    connection's own.
+
     Each count has one writing process at a time — the pipe's writer,
     the pipe's reader — and a torn body counts on neither side, so to
     the writer the counts agree exactly when every body it wrote has
@@ -84,7 +95,19 @@ class CountedEnd:
         self.counts = counts
 
     def send_bytes(self, body) -> None:
-        self.connection.send_bytes(body)
+        size = len(body)
+        if size > 0x7FFFFFFF:  # a longer length prefix: not ours to write
+            self.connection.send_bytes(body)
+        else:
+            # fileno() raises on a closed handle, as send_bytes would.
+            fd, header = self.connection.fileno(), _LENGTH.pack(size)
+            left = _LENGTH.size + size - os.writev(fd, (header, body))
+            while left:  # the pipe took part of the frame: write the rest
+                if left > size:
+                    parts = (header[-(left - size):], body)
+                else:
+                    parts = (memoryview(body)[size - left:],)
+                left -= os.writev(fd, parts)
         self.counts[0] += 1
 
     def recv_bytes(self) -> bytes:

@@ -16,7 +16,7 @@ the paper's Fig. 2 accounting exactly (eight 8-byte words per matrix
 entry; 128,064 bytes for the 1000 x 2 performance test — the reported
 "approximately 120 Kbytes" per pass).
 
-The codec lives beside the message: :func:`pack_moments` and
+The codec lives beside the message: :func:`write_moments` and
 :func:`unpack_moments` are the one binary layout of a cumulative
 snapshot — a fixed little-endian header, ``sum1`` and ``sum2`` as raw
 float64, and a JSON tail only for the rare fields.  It is the body of
@@ -24,7 +24,9 @@ every pass on every hop — pipe, tree edge (:func:`combined_to_payload`)
 or DATA frame of :mod:`repro.runtime.wire` — (:func:`message_to_payload`;
 32,048 bytes for a 1000 x 2 pass, where the cost model above counts the
 derived matrices too) and of every save-point :mod:`repro.runtime.files`
-writes.
+writes (:func:`pack_moments`).  A forked worker writes its passes with
+:func:`pass_encoder`: the same bytes, straight from its live sums into
+one reused buffer.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ from __future__ import annotations
 import json
 import math
 import struct
+import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -54,8 +57,10 @@ __all__ = [
     "message_from_payload",
     "message_to_payload",
     "pack_moments",
+    "pass_encoder",
     "payload_is_final",
     "unpack_moments",
+    "write_moments",
 ]
 
 #: Fixed per-message framing overhead assumed by the cost model (rank,
@@ -67,6 +72,20 @@ _HEADER_BYTES = 64
 _BODY = struct.Struct("<4IQ2dQ")
 
 _FLAG_FINAL = 1
+
+#: The moments' dtype on the wire: little-endian float64.
+_MOMENT = np.dtype("<f8")
+
+
+if sys.byteorder == "little":
+    def _raw(matrix: np.ndarray):
+        """``matrix`` as the flat bytes of its C-order ``_MOMENT``
+        values — itself, unless it is stored otherwise."""
+        return memoryview(np.ascontiguousarray(matrix, _MOMENT)).cast("B")
+else:  # a memoryview casts from a native format only
+    def _raw(matrix: np.ndarray):
+        return np.ascontiguousarray(matrix, _MOMENT).view(np.uint8) \
+                 .reshape(-1)
 
 #: Combined (reducer) body header: entry count, sent_at, head length.
 _COMBINED = struct.Struct("<IdI")
@@ -239,30 +258,56 @@ def message_bytes(nrow: int, ncol: int,
             + sum(statistic.nbytes for statistic in statistics))
 
 
-def pack_moments(snapshot: MomentSnapshot, tail: Mapping, *, flags: int = 0,
-                 rank: int = 0, sent_at: float = 0.0) -> bytes:
-    """One cumulative snapshot in the binary moment layout.
+def _tail_json(tail: Mapping) -> bytes:
+    """A block's tail: compact UTF-8 JSON, or nothing when empty."""
+    return (json.dumps(tail, separators=(",", ":")).encode("utf-8")
+            if tail else b"")
+
+
+def write_moments(buffer, sum1: np.ndarray, sum2: np.ndarray, volume: int,
+                  compute_time: float, tail: bytes = b"", *, flags: int = 0,
+                  rank: int = 0, sent_at: float = 0.0) -> int:
+    """Write one cumulative snapshot's binary moment layout into
+    ``buffer``, from its start; return the layout's length.
 
     ``_BODY`` header, then ``sum1`` and ``sum2`` as raw little-endian
-    float64 in C order — every bit pattern survives — then ``tail`` as
-    a compact UTF-8 JSON object, omitted when empty.  This is the body
-    of a DATA frame on the wire *and* of a save-point on disk (where
+    float64 in C order — every bit pattern survives — then ``tail``,
+    the already-encoded JSON (empty for none).  This is the body of a
+    DATA frame on the wire *and* of a save-point on disk (where
     ``flags`` and ``sent_at`` stay zero): the one place in the library
-    that turns moment matrices into bytes.
+    that turns moment matrices into bytes.  ``buffer`` is any writable
+    buffer at least that long: :func:`pack_moments` allocates one per
+    call, a forked worker's :func:`pass_encoder` reuses one.
     """
+    nrow, ncol = sum1.shape
+    middle = _BODY.size + 8 * nrow * ncol
+    tail_at = 2 * middle - _BODY.size
+    end = tail_at + len(tail)
+    _BODY.pack_into(buffer, 0, flags, nrow, ncol, rank, volume, sent_at,
+                    compute_time, len(tail))
+    # One memcpy a matrix: cheaper than a numpy view of the buffer.
+    view = memoryview(buffer)
+    view[_BODY.size:middle] = _raw(sum1)
+    view[middle:tail_at] = _raw(sum2)
+    view[tail_at:end] = tail
+    return end
+
+
+def pack_moments(snapshot: MomentSnapshot, tail: Mapping, *, flags: int = 0,
+                 rank: int = 0, sent_at: float = 0.0) -> bytes:
+    """One cumulative snapshot in the binary moment layout
+    (:func:`write_moments`), ``tail`` a JSON object omitted when empty."""
     if snapshot.sum1.ndim != 2:
         raise WireError(
             f"a moment block carries nrow x ncol moments, got shape "
             f"{snapshot.sum1.shape}")
-    tail_bytes = (json.dumps(tail, separators=(",", ":")).encode("utf-8")
-                  if tail else b"")
-    nrow, ncol = snapshot.sum1.shape
-    return b"".join((
-        _BODY.pack(flags, nrow, ncol, rank, snapshot.volume, sent_at,
-                   snapshot.compute_time, len(tail_bytes)),
-        np.ascontiguousarray(snapshot.sum1, dtype="<f8").tobytes(),
-        np.ascontiguousarray(snapshot.sum2, dtype="<f8").tobytes(),
-        tail_bytes))
+    tail_bytes = _tail_json(tail)
+    buffer = bytearray(_BODY.size + 16 * snapshot.sum1.size
+                       + len(tail_bytes))
+    write_moments(buffer, snapshot.sum1, snapshot.sum2, snapshot.volume,
+                  snapshot.compute_time, tail_bytes, flags=flags, rank=rank,
+                  sent_at=sent_at)
+    return bytes(buffer)
 
 
 def unpack_moments(body: bytes
@@ -308,24 +353,62 @@ def unpack_moments(body: bytes
     return flags, rank, sent_at, snapshot, tail
 
 
-def message_to_payload(message: MomentMessage) -> bytes:
-    """Serialize a data pass: its snapshot through :func:`pack_moments`.
-
-    The tail exists only when the message carries a job tag, worker
-    telemetry or extra statistics (statistics in the versioned
+def _pass_tail(job: str | None = None, metrics: dict | None = None,
+              statistics: Mapping[str, Statistic] | None = None) -> dict:
+    """The tail of a data pass: what it carries of a job tag, worker
+    telemetry and extra statistics (in the versioned
     :func:`~repro.stats.statistic.payload_map` form the save-points
-    use).
-    """
+    use), in that order; empty — no tail at all — for none."""
     tail = {}
-    if message.job is not None:
-        tail["job"] = message.job
-    if message.metrics is not None:
-        tail["metrics"] = message.metrics
-    if message.statistics is not None:
-        tail["statistics"] = payload_map(message.statistics)
-    return pack_moments(message.snapshot, tail,
+    if job is not None:
+        tail["job"] = job
+    if metrics is not None:
+        tail["metrics"] = metrics
+    if statistics is not None:
+        tail["statistics"] = payload_map(statistics)
+    return tail
+
+
+def message_to_payload(message: MomentMessage) -> bytes:
+    """Serialize a data pass: its snapshot through :func:`pack_moments`,
+    its rare fields in the :func:`_pass_tail`."""
+    return pack_moments(message.snapshot,
+                        _pass_tail(message.job, message.metrics,
+                                  message.statistics),
                         flags=_FLAG_FINAL if message.final else 0,
                         rank=message.rank, sent_at=message.sent_at)
+
+
+def pass_encoder(rank: int, job: str | None = None
+                 ) -> Callable[..., bytearray]:
+    """The encoder of one rank's data passes into one reused buffer.
+
+    ``encode(sum1, sum2, volume, compute_time, sent_at, final, metrics,
+    statistics)`` writes the bytes :func:`message_to_payload` makes of
+    the pass those fields describe — from the live sums, one copy — and
+    returns the buffer, valid until its next call.  The job tag's JSON
+    is encoded once, here; the tail is rebuilt only for a pass that
+    carries metrics or statistics.
+    """
+    job_tail = _tail_json(_pass_tail(job))
+    buffer = bytearray()
+
+    def encode(sum1: np.ndarray, sum2: np.ndarray, volume: int,
+               compute_time: float, sent_at: float, final: bool,
+               metrics: dict | None,
+               statistics: Mapping[str, Statistic] | None) -> bytearray:
+        nonlocal buffer
+        tail = (job_tail if metrics is None and statistics is None
+                else _tail_json(_pass_tail(job, metrics, statistics)))
+        size = _BODY.size + 16 * sum1.size + len(tail)
+        if len(buffer) != size:
+            buffer = bytearray(size)
+        write_moments(buffer, sum1, sum2, volume, compute_time, tail,
+                      flags=_FLAG_FINAL if final else 0, rank=rank,
+                      sent_at=sent_at)
+        return buffer
+
+    return encode
 
 
 def payload_is_final(body: bytes) -> bool:

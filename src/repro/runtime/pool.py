@@ -56,6 +56,7 @@ import multiprocessing
 import os
 import threading
 import time
+from contextlib import suppress
 
 from repro.exceptions import WireError
 from repro.runtime.host import WorkerHost, decode_context
@@ -156,10 +157,12 @@ class _Session:
         self._peer = writer.get_extra_info("peername")
         # The SUBMIT body per declared job, from SUBMIT to CANCEL.
         self._contexts: dict[str | None, dict] = {}
+        #: Relays what the host reads; it ends once every slot is stopped.
+        self.watcher = threading.Thread(target=self._watch, daemon=True)
+        self.watcher.start()
 
     async def run(self) -> None:
         heartbeat_task = None
-        threading.Thread(target=self._watch, daemon=True).start()
         try:
             kind, _ = await read_frame(self._reader)
             if kind is not FrameKind.HELLO:
@@ -203,6 +206,13 @@ class _Session:
             if heartbeat_task is not None:
                 heartbeat_task.cancel()
             self._shutdown()
+            # The session ends once its slots are stopped, off the loop
+            # and even when cancelled: a pool that stops (asyncio.run
+            # cancelling every task) must not leave a slot behind.
+            stopped = self._loop.run_in_executor(None, self.watcher.join)
+            while not stopped.done():
+                with suppress(asyncio.CancelledError):
+                    await asyncio.shield(stopped)
 
     # -- job lifecycle -----------------------------------------------------
 
@@ -333,6 +343,7 @@ class PoolServer:
         self._thread: threading.Thread | None = None
         self._startup_error: BaseException | None = None
         self._sessions: set[_Session] = set()
+        self._watchers: set[threading.Thread] = set()  # not seen to end
         self.sessions_served = 0
         self._ended = [0, 0, 0]  # the counters below, of ended sessions
 
@@ -401,6 +412,7 @@ class PoolServer:
                       writer: asyncio.StreamWriter) -> None:
         session = _Session(self, reader, writer)
         self._sessions.add(session)
+        self._watchers.add(session.watcher)
         self.sessions_served += 1
         try:
             await session.run()
@@ -409,6 +421,8 @@ class PoolServer:
             self._ended[1] += session.host.assignments_served
             self._ended[2] += session.relay.superseded
             self._sessions.discard(session)
+            if not session.watcher.is_alive():
+                self._watchers.discard(session.watcher)
 
     # -- thread facade (tests, embedded pools) -----------------------------
 
@@ -434,7 +448,8 @@ class PoolServer:
                 raise
 
     def stop(self) -> None:
-        """Stop serving and join the background thread, if any."""
+        """Stop serving and join the background thread, if any, and
+        every session's watcher: on return, no slot of the pool runs."""
         if self._loop is not None and self._stop_event is not None:
             try:
                 self._loop.call_soon_threadsafe(self._stop_event.set)
@@ -443,3 +458,5 @@ class PoolServer:
         if self._thread is not None:
             self._thread.join(timeout=10.0)
             self._thread = None
+        for watcher in tuple(self._watchers):
+            watcher.join(timeout=10.0)

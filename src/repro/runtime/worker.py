@@ -43,11 +43,7 @@ from repro.rng.batch import BatchStreams
 from repro.rng.lcg128 import Lcg128
 from repro.rng.streams import StreamTree
 from repro.runtime.config import RunConfig
-from repro.runtime.messages import (
-    MomentMessage,
-    message_bytes,
-    message_to_payload,
-)
+from repro.runtime.messages import MomentMessage, message_bytes, pass_encoder
 from repro.stats.accumulator import MomentAccumulator
 from repro.stats.statistic import StatisticSet
 
@@ -226,10 +222,11 @@ class WorkerBody:
     simulated cluster (:class:`~repro.runtime.simcluster
     .SimclusterBackend`) drives the same object from its event queue.
 
-    ``step``, ``pass_due`` and ``message`` are closures bound once here,
-    not methods: :func:`run_worker` calls them per realization, where a
-    method looking its state up on ``self`` measured +0.9 us per step
-    and the closures +0.3 us (on a 13.5 us loop).
+    ``step``, ``pass_due``, ``message`` and ``encode`` are closures bound
+    once here, not methods: :func:`run_worker` calls them per
+    realization, where a method looking its state up on ``self``
+    measured +0.9 us per step and the closures +0.3 us (on a 13.5 us
+    loop).
 
     Args:
         routine: The user realization routine; None keeps the books
@@ -259,6 +256,11 @@ class WorkerBody:
         message: ``message(sent_at, final) -> MomentMessage`` — the
             cumulative pass; building it restarts the ``perpass``
             period.
+        encode: ``encode(sent_at, final) -> bytearray`` — the same pass
+            and bookkeeping, as the bytes
+            :func:`~repro.runtime.messages.message_to_payload` makes of
+            ``message(sent_at, final)``, written from the live sums into
+            one buffer reused for every pass (valid until the next).
     """
 
     def __init__(self, routine: RealizationRoutine | None,
@@ -351,7 +353,9 @@ class WorkerBody:
         def pass_due(now: float) -> bool:
             return perpass == 0.0 or now - last_send >= perpass
 
-        def message(sent_at: float, final: bool) -> MomentMessage:
+        def book(sent_at: float) -> dict | None:
+            """A pass's bookkeeping: check its time, count it, restart
+            the perpass period; return the metrics riding along."""
             nonlocal last_send
             if sent_at < 0.0:
                 raise ConfigurationError(
@@ -361,9 +365,22 @@ class WorkerBody:
                 telemetry.message(nbytes)
                 metrics = telemetry.as_dict(now=sent_at)
             last_send = sent_at
+            return metrics
+
+        def message(sent_at: float, final: bool) -> MomentMessage:
+            metrics = book(sent_at)
             return template._restamp(
                 accumulator.snapshot(), sent_at, final, metrics,
                 statistics.extras_snapshot())
+
+        write = pass_encoder(rank, job)
+
+        def encode(sent_at: float, final: bool) -> bytearray:
+            metrics = book(sent_at)
+            sum1, sum2 = accumulator.sums()
+            return write(sum1, sum2, accumulator.volume,
+                         accumulator.compute_time, sent_at, final, metrics,
+                         statistics.extras_snapshot())
 
         self.accumulator = accumulator
         self.telemetry = telemetry
@@ -371,6 +388,7 @@ class WorkerBody:
         self.step = step_one if batch_size is None else step_block
         self.pass_due = pass_due
         self.message = message
+        self.encode = encode
 
 
 def run_worker(routine: RealizationRoutine, config: RunConfig, rank: int,
@@ -379,7 +397,8 @@ def run_worker(routine: RealizationRoutine, config: RunConfig, rank: int,
                deadline: float | None = None,
                telemetry: WorkerTelemetry | None = None,
                job: str | None = None,
-               ready: Callable[[], bool] | None = None) -> MomentAccumulator:
+               ready: Callable[[], bool] | None = None, *,
+               encoded: bool = False) -> MomentAccumulator:
     """Simulate ``quota`` realizations on processor ``rank``.
 
     The real-clock driver of a :class:`WorkerBody`: step until the
@@ -409,6 +428,9 @@ def run_worker(routine: RealizationRoutine, config: RunConfig, rank: int,
             a pass it refuses is neither built nor sent, stays due, and
             counts as ``superseded`` on ``telemetry``.  Never asked for
             the final pass.  None ships every due pass.
+        encoded: Hand ``send`` each pass as its DATA body
+            (:attr:`WorkerBody.encode`: one reused buffer, valid until
+            the next pass) instead of a :class:`MomentMessage`.
 
     Returns:
         The worker's final accumulator (also shipped via ``send`` with
@@ -422,7 +444,8 @@ def run_worker(routine: RealizationRoutine, config: RunConfig, rank: int,
             "realization routine must be callable, got NoneType")
     body = WorkerBody(routine, config, rank, clock=clock,
                       telemetry=telemetry, job=job)
-    step, pass_due, message = body.step, body.pass_due, body.message
+    step, pass_due = body.step, body.pass_due
+    message = body.encode if encoded else body.message
     done = 0
     while done < quota:
         width, finished = step(quota - done)
@@ -452,20 +475,21 @@ def worker_process(routine: RealizationRoutine, config: RunConfig,
                    deadline_in: float | None = None) -> None:
     """The worker process target of every backend that forks one.
 
-    Each pass is encoded here, once, to the bytes a DATA frame carries
-    and written into ``outbox``, the counted write end of the worker's
-    pipe (see :mod:`repro.runtime.host`).  The outbox is latest-wins: a
-    due pass is skipped while the previous one is still unread — passes
-    are cumulative and the collector keeps only the latest per rank — so at
-    most one non-final pass per worker is in flight.  The final is
+    Each pass is encoded from the accumulator's sums into one reused
+    buffer, the bytes a DATA frame carries, and written into ``outbox``,
+    the counted write end of the worker's pipe (see
+    :mod:`repro.runtime.host`), in one ``writev``.  The outbox is
+    latest-wins: a due pass is skipped while the previous one is still
+    unread — passes are cumulative and the collector keeps only the
+    latest per rank — so at most one non-final pass per worker is in
+    flight.  The final is
     always written.  The time limit is ``deadline`` on this host's
     monotonic clock, or ``deadline_in`` seconds from now — what crosses
     the wire, where clocks do not.
     """
     if deadline_in is not None:
         deadline = time.monotonic() + deadline_in
-    send_bytes = outbox.send_bytes
     run_worker(routine, config, rank, quota, deadline=deadline,
-               send=lambda message: send_bytes(message_to_payload(message)),
+               send=outbox.send_bytes, encoded=True,
                telemetry=WorkerTelemetry(rank) if config.telemetry else None,
                job=job, ready=lambda: _outbox_drained(outbox))

@@ -305,6 +305,11 @@ class MomentAccumulator:
         self._volume += snapshot.volume
         self._compute_time += snapshot.compute_time
 
+    def sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """The live ``(sum1, sum2)`` — not copies: read them before the
+        next fold (an encoder writing a pass; :meth:`snapshot` copies)."""
+        return self._sum1, self._sum2
+
     def snapshot(self) -> MomentSnapshot:
         """Return an immutable copy of the current moments."""
         return MomentSnapshot._trusted(

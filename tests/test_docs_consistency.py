@@ -409,6 +409,39 @@ class TestOneWorkerBody:
             assert name not in simulation, name
 
 
+class TestOneCopyPass:
+    # docs/architecture.md "One worker host": a forked worker's pass is
+    # one copy — its accumulator's sums into a reused buffer, through
+    # the one function that writes the moment layout.  (Its one writev
+    # is TestCountedPipes::test_a_frame_is_one_writev.)
+
+    def test_the_moment_layout_is_packed_in_one_function(self):
+        pattern = re.compile(r"_BODY\.pack(?:_into)?\(")
+        sites = {str(path.relative_to(ROOT)): len(pattern.findall(source))
+                 for path in (ROOT / "src" / "repro").rglob("*.py")
+                 for source in [path.read_text()] if pattern.search(source)}
+        assert sites == {"src/repro/runtime/messages.py": 1}
+        from repro.runtime import messages
+
+        assert pattern.search(inspect.getsource(messages.write_moments))
+        for caller in (messages.pack_moments, messages.pass_encoder):
+            assert "write_moments(" in inspect.getsource(caller)
+
+    def test_worker_process_neither_snapshots_nor_reencodes(self):
+        from repro.runtime.config import RunConfig
+        from repro.runtime.worker import WorkerBody, worker_process
+
+        source = inspect.getsource(worker_process)
+        assert "encoded=True" in source
+        encode = inspect.getsource(
+            WorkerBody(None, RunConfig(maxsv=1), 0).encode)
+        for path in (source, encode):
+            assert "message_to_payload" not in path
+            assert not re.search(r"\.snapshot\(", path)
+        assert "message_to_payload(" not in read(
+            "src/repro/runtime/worker.py")
+
+
 def _square(rng):
     return rng.random() ** 2
 

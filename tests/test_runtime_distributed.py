@@ -12,6 +12,7 @@ in ``test_runtime_engine.py::TestBackendParity``.)
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
 import os
 import select
 import signal
@@ -447,6 +448,32 @@ class TestPoolSlots:
         assert server.sessions_served == 1
         assert server.slots_started == workers
         assert server.assignments_served == 20 * workers
+
+    def test_stop_returns_once_every_slot_is_stopped(self):
+        # A session's watcher stops its slots after the run said BYE;
+        # stop() must not return before it has, or a process exiting
+        # then leaves slots behind and the dying watcher's traceback.
+        before = {child.pid for child in multiprocessing.active_children()}
+        threads = set(threading.enumerate())
+        server, scheduler = self._service(2)
+        scheduler.start()
+        try:
+            for index in range(3):
+                job = self._submit(scheduler, f"job{index}", square,
+                                   maxsv=8, processors=2, seqnum=index)
+                assert scheduler.wait(job, timeout=60.0)
+                assert job.status is JobStatus.DONE, job.error
+            # The session's idle slots, alive until it ends.
+            slots = {child.pid for child
+                     in multiprocessing.active_children()} - before
+        finally:
+            assert scheduler.shutdown(timeout=60.0) is True
+            server.stop()
+        assert len(slots) == 2
+        assert not [thread.name for thread in threading.enumerate()
+                    if thread not in threads and "_watch" in thread.name]
+        assert not slots & {child.pid for child
+                            in multiprocessing.active_children()}
 
     def test_jobs_of_changing_shape_share_one_slot(self, tmp_path,
                                                    monkeypatch):

@@ -41,7 +41,11 @@ from repro.runtime.engine import (
     register_lazy_backend,
 )
 from repro.runtime.host import WorkerHost
-from repro.runtime.messages import MomentMessage, message_to_payload
+from repro.runtime.messages import (
+    MomentMessage,
+    message_to_payload,
+    payload_is_final,
+)
 from repro.runtime.multiprocess import MultiprocessBackend
 from repro.runtime.sequential import SequentialBackend
 from repro.runtime.worker import run_worker, worker_process
@@ -325,11 +329,23 @@ def pair(rng):
     return [[rng.random(), rng.random()]]
 
 
-def _exit_on_rank_one_final(message):
-    """Pass encoder for forked workers: rank 1 exits instead of its final."""
-    if message.rank == 1 and message.final:
-        os._exit(0)
-    return message_to_payload(message)
+class _ExitAtTheFinal:
+    """An outbox whose worker exits instead of writing its final pass."""
+
+    def __init__(self, outbox):
+        self._outbox = outbox
+
+    def send_bytes(self, body):
+        if payload_is_final(body):
+            os._exit(0)
+        self._outbox.send_bytes(body)
+
+
+def _exit_on_rank_one_final(routine, config, rank, quota, outbox, **kwargs):
+    """Slot body: rank 1 exits instead of writing its final pass."""
+    if rank == 1:
+        outbox = _ExitAtTheFinal(outbox)
+    worker_process(routine, config, rank, quota, outbox, **kwargs)
 
 
 class TestDeathAfterTheWholeQuota:
@@ -338,7 +354,7 @@ class TestDeathAfterTheWholeQuota:
         # outbox: rank 1's last non-final pass already carries its
         # whole quota, so reassignment retires it and spawns nobody.
         # The job is complete then and must not wait for another pass.
-        monkeypatch.setattr(worker_module, "message_to_payload",
+        monkeypatch.setattr(host_module, "worker_process",
                             _exit_on_rank_one_final)
         monkeypatch.setattr(worker_module, "_outbox_drained",
                             lambda outbox: True)

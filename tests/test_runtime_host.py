@@ -17,6 +17,7 @@ from multiprocessing.connection import wait
 import numpy as np
 import pytest
 
+from repro.runtime import host as host_module
 from repro.runtime.config import RunConfig
 from repro.runtime.host import WorkerHost
 from repro.runtime.messages import (
@@ -50,6 +51,19 @@ def _write_then_tear(bodies, outbox):
         outbox.send_bytes(body)
     os.write(outbox.fileno(), struct.pack("!i", 64) + bytes(32))
     os._exit(9)
+
+
+def _in_the_pipe(fd):
+    """Every raw byte waiting in a pipe, read without blocking."""
+    chunks = []
+    os.set_blocking(fd, False)
+    try:
+        while True:
+            chunks.append(os.read(fd, 1 << 16))
+    except BlockingIOError:
+        return b"".join(chunks)
+    finally:
+        os.set_blocking(fd, True)
 
 
 def _until_exit(host):
@@ -142,6 +156,61 @@ class TestCountedPipes:
         [(_, reader)] = host._children.values()
         assert _until_exit(host) == [("torn", whole), ("torn", 9)]
         assert list(reader.counts) == [1, 1]
+
+    @pytest.mark.parametrize("take", [1, 3, 4096])
+    @pytest.mark.parametrize("size", [0, 64, 16_385, 32_048])
+    def test_a_frame_written_in_pieces_is_the_connection_frame(
+            self, host, monkeypatch, take, size):
+        # A pipe may take part of a writev; the rest follows, and the
+        # body counts once, when its whole frame is in.
+        body = bytes(index % 251 for index in range(size))
+        plain_reader, plain_writer = multiprocessing.Pipe(duplex=False)
+        with plain_reader, plain_writer:
+            plain_writer.send_bytes(body)
+            frame = _in_the_pipe(plain_reader.fileno())
+        calls = []  # the written count at each writev
+
+        def in_pieces(fd, parts):
+            calls.append(writer.counts[0])
+            return os.write(fd, bytes(memoryview(parts[0])[:take]))
+
+        monkeypatch.setattr(host_module.os, "writev", in_pieces)
+        reader, writer = host.pipe()
+        with reader:
+            writer.send_bytes(body)
+            assert list(writer.counts) == [1, 0]
+            assert _in_the_pipe(reader.fileno()) == frame
+            assert len(calls) == 1 if take >= 4 and size == 0 \
+                else len(calls) > 1
+            assert set(calls) == {0}
+            writer.send_bytes(bytearray(body))
+            assert reader.recv_bytes() == body
+            assert list(writer.counts) == [2, 1]
+
+    def test_a_frame_is_one_writev(self, host, monkeypatch):
+        calls = []
+        writev = os.writev
+
+        def counted(fd, parts):
+            calls.append(len(parts))
+            return writev(fd, parts)
+
+        monkeypatch.setattr(host_module.os, "writev", counted)
+        body = message_to_payload(MomentMessage(
+            rank=0, snapshot=MomentAccumulator(1000, 2).snapshot(),
+            sent_at=0.0))
+        reader, writer = host.pipe()
+        with reader:
+            writer.send_bytes(body)
+            assert reader.recv_bytes() == body
+        assert calls == [2]
+
+    def test_a_closed_end_raises_and_counts_nothing(self, host):
+        reader, writer = host.pipe()
+        host.release(writer)
+        with reader, pytest.raises(OSError, match="handle is closed"):
+            writer.send_bytes(b"body")
+        assert list(reader.counts) == [0, 0]
 
     def test_run_reducer_counts_each_edge_body_it_admits(self, host):
         node = plan_reduction(range(4), 2).node("r1.0")  # ranks 0, 1

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
+import itertools
 import multiprocessing
 import pickle
 import time
@@ -12,8 +14,10 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, RealizationError
+from repro.obs.telemetry import WorkerTelemetry
 from repro.rng import current_rnd128, rnd128
 from repro.rng.streams import StreamTree
+from repro.runtime import worker as worker_module
 from repro.runtime.config import RunConfig
 from repro.runtime.host import WorkerHost
 from repro.runtime.messages import (
@@ -378,6 +382,124 @@ class TestWorkerProcess:
         for passes in (absolute, remaining):
             final = message_from_payload(passes[-1])
             assert final.final and final.snapshot.volume == 1
+
+
+class _KeptOutbox:
+    """A write end that keeps a copy of every body written into it."""
+
+    def __init__(self) -> None:
+        self.bodies = []
+
+    def send_bytes(self, body) -> None:
+        self.bodies.append(bytes(body))
+
+
+def _wide(rng):
+    return np.full((1000, 2), rng.random())
+
+
+class TestOneCopyPass:
+    """A forked worker encodes each pass from its accumulator's sums
+    into one buffer it reuses; what it writes is, byte for byte, what
+    ``message_to_payload`` makes of the in-process pass at the same
+    state.  No case reads a clock."""
+
+    def test_worker_process_writes_the_message_payloads(self, monkeypatch):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(derandomize=True, print_blob=True,
+                             deadline=None, max_examples=60)
+        @hypothesis.given(
+            shape=st.sampled_from([(1, 1), (1, 2), (3, 4), (1000, 2)]),
+            quota=st.integers(0, 10),
+            # Clock increments (each below 0.5 s, so a telemetry wall
+            # time against the real start clamps to 0 on both sides):
+            # they make the compute times and the send times.
+            steps=st.lists(st.floats(0.0, 0.5), min_size=1, max_size=6),
+            job=st.sampled_from([None, "exp-a", "ü \"q\""]),
+            telemetry=st.booleans(),
+            extras=st.sampled_from([(), ("extrema",), ("histogram",),
+                                    ("covariance",)]),
+            batch=st.sampled_from([None, 3]),
+            answers=st.lists(st.booleans(), max_size=12))
+        def check(shape, quota, steps, job, telemetry, extras, batch,
+                  answers):
+            hypothesis.assume("covariance" not in extras
+                              or shape[0] * shape[1] <= 12)
+
+            def routine(rng):
+                return np.full(shape, rng.random())
+
+            if batch is not None:
+                routine = make_batched(routine, batch)
+            config = RunConfig(nrow=shape[0], ncol=shape[1],
+                               maxsv=max(quota, 1), seqnum=5, perpass=0.0,
+                               telemetry=telemetry,
+                               statistics=("moments", *extras))
+
+            def clock():
+                return itertools.accumulate(itertools.cycle(steps),
+                                            initial=0.0).__next__
+
+            sent = []
+            answer = iter(answers)
+            run_worker(routine, config, 2, quota, send=sent.append,
+                       clock=clock(), job=job,
+                       telemetry=WorkerTelemetry(2) if telemetry else None,
+                       ready=lambda: next(answer, True))
+            outbox, answer = _KeptOutbox(), iter(answers)
+            monkeypatch.setattr(worker_module, "run_worker",
+                                functools.partial(run_worker, clock=clock()))
+            monkeypatch.setattr(worker_module, "_outbox_drained",
+                                lambda outbox: next(answer, True))
+            worker_process(routine, config, 2, quota, outbox, job=job)
+            assert outbox.bodies == [message_to_payload(m) for m in sent]
+            assert sent[-1].final and sent[-1].snapshot.volume == quota
+
+        check()
+
+    @pytest.mark.parametrize("job, extras, batched", sorted(
+        TestDataBodiesPinned.DIGESTS, key=repr))
+    def test_encoded_bodies_are_the_pinned_bytes(self, job, extras,
+                                                 batched):
+        # TestDataBodiesPinned's run, its passes shipped encoded.
+        ticks = iter(np.arange(1, 1000) * 0.25)
+        statistics = ("moments", "extrema") if extras else ("moments",)
+        config = RunConfig(maxsv=40, nrow=1, ncol=2, perpass=0.0, seqnum=3,
+                           statistics=statistics)
+        bodies = []
+        routine = _uniform_and_square
+        run_worker(make_batched(routine, 8) if batched else routine, config,
+                   2, 40, send=lambda body: bodies.append(bytes(body)),
+                   clock=lambda: float(next(ticks)), job=job, encoded=True)
+        assert hashlib.sha256(b"".join(bodies)).hexdigest() \
+            == TestDataBodiesPinned.DIGESTS[job, extras, batched]
+
+    def test_a_read_body_outlives_the_next_pass(self):
+        # The worker rewrites one buffer for every pass; the parent's
+        # copy of an earlier one must not follow it.
+        config = RunConfig(maxsv=40, nrow=1000, ncol=2, perpass=0.0)
+        host = WorkerHost(multiprocessing.get_context("fork"))
+        try:
+            host.start("w", worker_process, _wide, config, 0, 40)
+            events, kept = [], []
+            while not events or not isinstance(events[-1][1], int):
+                event = host.read(60.0)
+                assert event is not None, "no event within a minute"
+                events.append(event)
+                kept.append(bytes(bytearray(event[1]))
+                            if isinstance(event[1], bytes) else event[1])
+        finally:
+            host.close()
+        assert events[-1] == ("w", 0)
+        bodies = [body for _, body in events[:-1]]
+        volumes = [message_from_payload(body).snapshot.volume
+                   for body in bodies]
+        assert volumes[0] == 1 and volumes[-1] == 40
+        assert volumes == sorted(volumes)
+        # Read on the way, compared once the worker wrote every pass.
+        assert [body for _, body in events] == kept
 
 
 class _Ticks:
