@@ -1,46 +1,46 @@
 """Distributed backend: quota dispatched to TCP worker pools.
 
-The run side of the distributed deployment.  Where the multiprocess
-backend forks workers locally, this backend connects to one or more
-``parmonc-pool`` daemons (:mod:`repro.runtime.pool`) and dispatches the
-work plan over the wire protocol of :mod:`repro.runtime.wire`.  From the
-:class:`~repro.runtime.engine.Engine`'s point of view it is just another
-:class:`~repro.runtime.engine.EngineBackend` — same
-``spawn/poll/reap`` contract, same collector, bit-identical estimates — which is the
-ParaMonte-style promise: serial, multicore and multi-node runs share one
-user-facing API.
+Where the multiprocess backend forks workers locally, this backend
+connects to one or more ``parmonc-pool`` daemons
+(:mod:`repro.runtime.pool`) and dispatches the work plan over the wire
+protocol of :mod:`repro.runtime.wire`.  To the
+:class:`~repro.runtime.engine.Engine` it is just another
+:class:`~repro.runtime.engine.EngineBackend` — same ``spawn/poll/reap``
+contract, same collector, bit-identical estimates: serial, multicore
+and multi-node runs share one user-facing API.
 
-Elasticity falls out of two existing mechanisms:
+Elasticity: every address is redialled every ``retry_interval``, so a
+pool that comes up mid-run gets whatever is still pending, recovery
+assignments included.  A worker crash (an EXIT with a nonzero code) or
+a vanished pool (socket close, missed heartbeats, ``kill -9``) marks
+its unfinished ranks dead, and the engine's ``on_worker_death`` policy
+decides: ``"reassign"`` reissues the quota on fresh subsequences,
+possibly on another pool.
 
-* **late joiners** — every configured address is retried in the
-  background, so a pool that comes up mid-run starts a session and
-  immediately receives whatever assignments are still pending
-  (including recovery assignments for other pools' dead workers);
-* **departures** — a worker crash surfaces as an EXIT frame with a
-  nonzero code, and a vanished pool (socket close, missed heartbeats,
-  ``kill -9`` of the daemon) marks all its unfinished ranks dead.  Both
-  route through the engine's ``on_worker_death`` policy, so with
-  ``"reassign"`` the undelivered quota is reissued on fresh
-  subsequences — possibly to a different pool.
-
-All socket work happens on an asyncio loop in a private daemon thread;
-the engine-facing methods communicate with it through thread-safe
-queues.  DATA, EXIT and lost-pool records share one ordered inbox, and
-a pool sends a worker's EXIT only after draining its pipe, so by the
-time :meth:`~DistributedBackend.poll` meets an exit every pass of that
-worker has been handed to the collector: the verdict is the multiprocess
-backend's — dead exactly when the rank's final is not in — with no
-clock.
+The run side is one thread, the scheduler's, like rank 0's loop in the
+paper.  With its inbox empty, :meth:`~DistributedBackend.poll` waits on
+the pool sockets itself (one :mod:`selectors` wait, a bounded
+``recv_into``, each link's :class:`~repro.runtime.wire.FrameDecoder`);
+connects, handshakes, redials and the silence watchdog run in the same
+call, and ``spawn``/``release_job`` write with ``sendall``.  DATA, EXIT
+and lost-pool records share one ordered inbox, and a pool sends a
+worker's EXIT only after draining its pipe, so when ``poll`` meets an
+exit every pass of that worker is in the collector: the rank is dead
+exactly when its final is not in, with no clock.  Heartbeats and name
+lookups, which may block, have the one other thread (``_beat``).
 """
 
 from __future__ import annotations
 
-import asyncio
+import errno
 import logging
-import queue as queue_module
+import selectors
+import socket
+import struct
 import threading
 import time
 from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 from repro.exceptions import BackendError, ConfigurationError, WireError
@@ -51,17 +51,21 @@ from repro.runtime.engine import (
 )
 from repro.runtime.messages import MomentMessage
 from repro.runtime.wire import (
+    FrameDecoder,
     FrameKind,
     config_to_payload,
+    encode_frame,
     message_from_payload,
-    read_frame,
     routine_to_payload,
-    write_frame,
 )
 
 __all__ = ["DistributedBackend", "parse_connect"]
 
 _logger = logging.getLogger(__name__)
+
+#: Bytes one ``recv_into`` may take off a pool socket: a 32 KB moment
+#: pass and its header fit, and a bigger buffer only costs memory.
+_RECV_BYTES = 64 * 1024
 
 
 def parse_connect(connect) -> tuple[tuple[str, int], ...]:
@@ -103,26 +107,36 @@ def parse_connect(connect) -> tuple[tuple[str, int], ...]:
     return tuple(dict.fromkeys(addresses))
 
 
-@dataclass
+@dataclass(eq=False)
 class _PoolLink:
-    """One live pool connection (asyncio-thread state only).
+    """One pool connection, from its connect to its loss.
 
-    ``active`` holds ``(job, rank)`` keys — ``job`` is None for a
-    single run's anonymous job — so two jobs of one scheduler can both
-    run a rank 0 on the same pool without colliding.
+    The loop thread owns it; the heartbeat thread only writes through
+    :meth:`send`.  It takes work once ``welcomed`` (the HELLO/WELCOME
+    handshake is done).  ``active`` holds ``(job, rank)`` keys, ``job``
+    None for a single run's anonymous job, so two jobs can both run a
+    rank 0 on one pool.
     """
 
     address: tuple[str, int]
-    reader: asyncio.StreamReader
-    writer: asyncio.StreamWriter
+    sock: socket.socket
     capacity: int = 1
     label: str = ""
+    welcomed: bool = False
     active: set = field(default_factory=set)
     #: Job ids this pool holds context for: a SUBMIT went out and no
     #: CANCEL has followed it.
     announced: set = field(default_factory=set)
-    #: Monotonic time of the pool's last frame (the silence watchdog).
+    #: Monotonic time of the pool's last bytes (the silence watchdog).
     last_seen: float = field(default_factory=time.monotonic)
+    decoder: FrameDecoder = field(default_factory=FrameDecoder)
+    target: int = 0  # the index of its address in the name's lookup
+    lock: threading.Lock = field(default_factory=threading.Lock)
+
+    def send(self, data: bytes) -> None:
+        """Write whole frames, one writer at a time (raises OSError)."""
+        with self.lock:
+            self.sock.sendall(data)
 
 
 def _tagged(job: str | None, **fields) -> dict:
@@ -130,12 +144,6 @@ def _tagged(job: str | None, **fields) -> dict:
     if job is not None:
         fields["job"] = job
     return fields
-
-
-def _sorted_keys(keys) -> list[tuple[str | None, int]]:
-    """``(job, rank)`` keys in a stable order (None jobs first)."""
-    return sorted(keys, key=lambda key: (key[0] is not None,
-                                         key[0] or "", key[1]))
 
 
 @dataclass(frozen=True)
@@ -155,7 +163,7 @@ class DistributedBackend(EngineBackend):
     Args:
         connect: Pool address(es) — ``"host:port"``, a comma-separated
             list, or an iterable of addresses.  Unreachable pools are
-            retried in the background, so an address may name a pool
+            retried while the run polls, so an address may name a pool
             that only comes up mid-run.
         routine_spec: Optional ``module:function`` string shipped
             instead of a pickle, letting pools import the routine by
@@ -163,7 +171,8 @@ class DistributedBackend(EngineBackend):
         heartbeat_interval: Seconds between run-side heartbeats.
         heartbeat_timeout: Seconds of pool silence before its
             connection is declared lost (pools heartbeat every second
-            by default, so this tolerates several missed beats).
+            by default, so this tolerates several missed beats); also
+            how long a pool may take to accept a frame.
         connect_timeout: Seconds the run tolerates having *no* pool
             connected while work is outstanding before failing.
         retry_interval: Seconds between reconnection attempts.
@@ -184,70 +193,65 @@ class DistributedBackend(EngineBackend):
         self._heartbeat_timeout = heartbeat_timeout
         self._connect_timeout = connect_timeout
         self._retry_interval = retry_interval
-        # Engine-thread <- network-thread channels: messages and exit
-        # records in arrival order, and telemetry notices.
-        self._inbox: queue_module.Queue = queue_module.Queue()
-        self._notices: queue_module.Queue = queue_module.Queue()
-        self._exited: list[_ExitRecord] = []  # awaiting a verdict
-        # Network-thread state; the engine thread changes it only
-        # through _on_loop, so its changes land in the order it made
-        # them.  Undispatched assignments, and per running job the
+        # Messages and exit records in arrival order, and the exits
+        # poll() met, awaiting a verdict.
+        self._inbox: deque = deque()
+        self._exited: list[_ExitRecord] = []
+        # Undispatched assignments, and per running job the
         # ``(SUBMIT body, deadline)`` the dispatcher ships them with.
         self._pending: deque = deque()
         self._entries: dict[str | None, tuple[dict, float | None]] = {}
+        # Connecting and connected pools; the other addresses, with
+        # the monotonic time of their next connect.
         self._links: dict[tuple[str, int], _PoolLink] = {}
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._loop_ready = threading.Event()
-        self._dispatch_event: asyncio.Event | None = None
-        self._stop_event: asyncio.Event | None = None
-        # Crude cross-thread mirrors for the no-pool guard (single
-        # writer each; reads tolerate slight staleness).
-        self._connected_pools = 0
+        self._redial: dict[tuple[str, int], float] = {}
+        # What each address resolved to, and the addresses to look up
+        # again (never resolved, or every target failed its connect).
+        self._targets: dict[tuple[str, int], list] = {}
+        self._unresolved = set(self._addresses)
+        self._welcomed_once: set[tuple[str, int]] = set()
+        self._selector = selectors.DefaultSelector()
+        self._buffer = memoryview(bytearray(_RECV_BYTES))
+        self._stopping = threading.Event()
+        self._beats: threading.Thread | None = None
         self._last_pool_seen = time.monotonic()
 
     # -- Backend protocol --------------------------------------------------
 
     def bind(self, engine) -> None:
-        """Go online: start dialling the pools."""
+        """Go online: start dialling the pools and beating."""
         super().bind(engine)
         self._last_pool_seen = time.monotonic()
-        self._thread = threading.Thread(
-            target=self._network_main, daemon=True,
-            name="parmonc-distributed")
-        self._thread.start()
-        if not self._loop_ready.wait(timeout=10.0) or self._loop is None:
-            raise BackendError(
-                "the distributed backend's network thread failed to start")
+        self._resolve()
+        for address in self._addresses:
+            self._dial(address)
+        self._beats = threading.Thread(
+            target=self._beat, daemon=True, name="parmonc-heartbeats")
+        self._beats.start()
 
     def spawn(self, assignments) -> None:
-        for assignment in assignments:
-            if assignment.quota is None:
-                raise BackendError(
-                    "the distributed backend needs a static quota per "
-                    "assignment")
-        self._on_loop(self._enqueue, assignments)
-        return None
+        if any(assignment.quota is None for assignment in assignments):
+            raise BackendError(
+                "the distributed backend needs a static quota per assignment")
+        self._pump(0.0)  # hear of pools lost or back while nothing polled
+        self._pending.extend(assignments)
+        self._dispatch()
 
     def poll(self, timeout: float) -> MomentMessage | None:
-        self._flush_notices()
-        try:
-            item = self._inbox.get(timeout=timeout)
-        except queue_module.Empty:
-            return None
+        if not self._inbox:
+            self._pump(timeout)
+            if not self._inbox:
+                return None
+        item = self._inbox.popleft()
         if isinstance(item, _ExitRecord):
             self._exited.append(item)
             return None
         return item
 
     def reap(self) -> list[WorkerDeath]:
-        """Judge the exits and lost pools :meth:`poll` met.
-
-        Each came off the inbox behind everything its worker wrote, so
-        a rank is dead exactly when its final is not in; a lost pool's
-        ranks that finished are not re-killed.
-        """
-        self._flush_notices()
+        """Judge the exits and lost pools :meth:`poll` met: each came
+        off the inbox behind everything its worker wrote, so a rank is
+        dead exactly when its final is not in."""
         dead: list[WorkerDeath] = []
         for record in self._exited:
             try:
@@ -267,22 +271,25 @@ class DistributedBackend(EngineBackend):
         return dead
 
     def shutdown(self) -> None:
-        if self._loop is not None:
-            self._on_loop(self._stop_event.set)
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
-        self._flush_notices()
+        """Stop beating, say BYE to every pool and hang up."""
+        self._stopping.set()
+        if self._beats is not None:
+            self._beats.join()
+            self._beats = None
+        bye = encode_frame(FrameKind.BYE, {})
+        for link in list(self._links.values()):
+            if link.welcomed:
+                with suppress(OSError):
+                    link.send(bye)
+            self._close(link)
+        self._redial.clear()
+        self._selector.close()
 
     def open_job(self, job) -> None:
-        """Register the job's wire entry.
-
-        The dispatcher ships it as a SUBMIT ahead of the job's first
-        ASSIGN on each link — the one way a pool learns a job.  Named
-        jobs travel as pickles; ``routine_spec`` names the anonymous
-        job's routine (a per-job ``module:function`` spec has no CLI
-        path yet).
-        """
+        """Register the job's wire entry, shipped as a SUBMIT ahead of
+        the job's first ASSIGN on each link.  Named jobs travel as
+        pickles; ``routine_spec`` names the anonymous job's routine (a
+        per-job ``module:function`` spec has no CLI path yet)."""
         routine = job.routine
         spec = self._routine_spec if job.id is None else None
         entry = _tagged(job.id, config=config_to_payload(job.config),
@@ -292,280 +299,273 @@ class DistributedBackend(EngineBackend):
             # The spec names the *scalar* routine; the pool re-wraps
             # it with make_batched so the batched fast path still runs.
             entry["batch_size"] = batch_size
-        self._on_loop(self._register, job.id, entry, job.deadline)
+        self._entries[job.id] = (entry, job.deadline)
+        self._dispatch()
 
     def release_job(self, job_id: str | None) -> None:
-        """Forget the job here and on every pool that heard of it."""
-        self._on_loop(self._forget, job_id)
+        """Forget the job here and on every pool that heard of it.  A
+        job's SUBMIT and ASSIGN frames go out in one write, so on any one
+        link CANCEL is the last frame of the job."""
+        self._entries.pop(job_id, None)
+        self._pending = deque(assignment for assignment in self._pending
+                              if assignment.job != job_id)
+        cancel = encode_frame(FrameKind.CANCEL, _tagged(job_id))
+        for link in list(self._links.values()):
+            if job_id in link.announced:
+                link.announced.discard(job_id)
+                self._send(link, cancel)
 
-    # -- engine-thread helpers ---------------------------------------------
+    # -- telemetry, the no-pool guard, reads ------------------------------
 
-    def _flush_notices(self) -> None:
-        """Replay network-thread observability into run telemetry.
-
-        The :class:`~repro.obs.events.EventLog` is not thread-safe, so
-        the network thread only queues notices; they land in telemetry
-        here, on the engine thread, during poll/reap.
-        """
-        while True:
-            try:
-                item = self._notices.get_nowait()
-            except queue_module.Empty:
-                return
-            for job in self.engine.running():
-                telemetry = job.telemetry
-                if telemetry is None:
-                    continue
-                if item[0] == "gauge":
-                    telemetry.registry.gauge("pool.workers").set(item[1])
-                else:
-                    _, name, fields = item
-                    telemetry.events.append(name, ts=self.clock(),
-                                            **fields)
+    def _notice(self, name: str, **fields) -> None:
+        """Record a pool event in every running job's telemetry."""
+        workers = sum(link.capacity for link in self._links.values()
+                      if link.welcomed)
+        for job in self.engine.running():
+            telemetry = job.telemetry
+            if telemetry is not None:
+                telemetry.events.append(name, ts=self.clock(), **fields)
+                telemetry.registry.gauge("pool.workers").set(workers)
 
     def _check_pool_starvation(self) -> None:
-        if self._connected_pools > 0:
-            return
-        if not self._pending and self.engine.all_complete:
+        if (any(link.welcomed for link in self._links.values())
+                or not self._pending and self.engine.all_complete):
             return
         silent = time.monotonic() - self._last_pool_seen
         if silent > self._connect_timeout:
-            addresses = ", ".join("%s:%d" % addr
-                                  for addr in self._addresses)
+            addresses = ", ".join("%s:%d" % addr for addr in self._addresses)
             raise BackendError(
                 f"no parmonc-pool reachable at [{addresses}] for "
                 f"{silent:.1f}s with work outstanding (connect_timeout="
                 f"{self._connect_timeout}s); are the pools running?")
 
-    def _on_loop(self, callback, *args) -> None:
-        """Run ``callback`` on the network thread, in call order."""
+    def _pump(self, timeout: float) -> None:
+        """Serve the pool sockets until the inbox holds something or
+        ``timeout`` seconds have passed: dial the addresses that are
+        due, read what is readable, drop the pools gone silent."""
+        deadline = time.monotonic() + timeout
+        while True:
+            now = time.monotonic()
+            for address, due in list(self._redial.items()):
+                if due <= now:
+                    self._dial(address)
+            wait = min([deadline, *self._redial.values()]) - now
+            for key, _ in self._selector.select(max(wait, 0.0)):
+                link = key.data
+                if self._links.get(link.address) is not link:
+                    continue  # lost while an earlier one was served
+                if key.events == selectors.EVENT_WRITE:  # connecting
+                    self._connected(link)
+                else:
+                    self._receive(link)
+            now = time.monotonic()
+            for link in list(self._links.values()):
+                silent = now - link.last_seen
+                if silent > self._heartbeat_timeout:
+                    self._lose(link, f"silent for {silent:.1f}s")
+            if self._inbox or now >= deadline:
+                return
+
+    def _receive(self, link: _PoolLink) -> None:
+        """Take what one read brings from a pool, frame by frame."""
         try:
-            self._loop.call_soon_threadsafe(callback, *args)
-        except RuntimeError:  # the loop is closed: the session is over
-            pass
-
-    def _notice(self, name: str, **fields) -> None:
-        self._notices.put(("event", name, fields))
-        self._notices.put(
-            ("gauge", sum(link.capacity for link in self._links.values())))
-
-    # -- network thread ----------------------------------------------------
-
-    def _register(self, job, entry: dict, deadline: float | None) -> None:
-        self._entries[job] = (entry, deadline)
-        self._dispatch_event.set()
-
-    def _enqueue(self, assignments) -> None:
-        self._pending.extend(assignments)
-        self._dispatch_event.set()
-
-    def _forget(self, job) -> None:
-        """Drop the job's entry and pending work, then CANCEL it.
-
-        Purge and frames happen in one loop turn and the dispatcher
-        writes a job's SUBMIT and ASSIGN without yielding in between,
-        so on any one link CANCEL is the last frame of the job.
-        """
-        self._entries.pop(job, None)
-        self._pending = deque(assignment for assignment in self._pending
-                              if assignment.job != job)
-        for link in self._links.values():
-            if job not in link.announced:
-                continue
-            link.announced.discard(job)
-            try:
-                write_frame(link.writer, FrameKind.CANCEL, _tagged(job))
-            except (ConnectionError, RuntimeError):
-                continue
-
-    def _network_main(self) -> None:
+            size = link.sock.recv_into(self._buffer)
+        except OSError as exc:
+            self._lose(link, exc)
+            return
+        if not size:
+            self._lose(link, "connection closed")
+            return
+        self._last_pool_seen = link.last_seen = time.monotonic()
+        freed = False
         try:
-            asyncio.run(self._network())
-        except Exception:
-            _logger.exception("distributed network thread crashed")
-            self._loop_ready.set()
+            for kind, payload in link.decoder.feed(self._buffer[:size]):
+                if kind is FrameKind.DATA and link.welcomed:
+                    self._inbox.append(message_from_payload(payload))
+                elif kind is FrameKind.EXIT and link.welcomed:
+                    rank = int(payload["rank"])
+                    job = payload.get("job")
+                    job = None if job is None else str(job)
+                    link.active.discard((job, rank))
+                    self._inbox.append(_ExitRecord(
+                        rank=rank, exitcode=payload.get("exitcode"),
+                        detail=f"on pool {link.label}", job=job))
+                    freed = True
+                elif kind is FrameKind.ERROR:
+                    raise WireError(payload.get("detail", "pool error"))
+                elif not link.welcomed:
+                    self._welcome(link, kind, payload)
+                    freed = True  # a new pool: its slots are all free
+                elif kind is not FrameKind.HEARTBEAT:
+                    raise WireError(f"unexpected {kind.name} frame from "
+                                    f"pool {link.label}")
+        except (WireError, KeyError, TypeError, ValueError) as exc:
+            self._lose(link, exc)  # a malformed frame loses the pool
+        if freed:
+            self._dispatch()
 
-    async def _network(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._dispatch_event = asyncio.Event()
-        self._stop_event = asyncio.Event()
-        self._loop_ready.set()
-        tasks = [self._loop.create_task(self._maintain(address))
-                 for address in self._addresses]
-        tasks.append(self._loop.create_task(self._dispatch()))
-        await self._stop_event.wait()
-        # BYE and close first: every read loop then ends on its own
-        # (stop flag, or end of stream), so teardown never depends on
-        # a cancellation landing at the right await.
-        for link in list(self._links.values()):
-            try:
-                write_frame(link.writer, FrameKind.BYE, {})
-                await link.writer.drain()
-            except (ConnectionError, RuntimeError):
-                pass
-            link.writer.close()
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
-        self._links.clear()
-        self._connected_pools = 0
+    # -- links and frames --------------------------------------------------
 
-    async def _maintain(self, address: tuple[str, int]) -> None:
-        """Keep one pool address connected; retry forever in background."""
-        host, port = address
-        connected_before = False
-        while not self._stop_event.is_set():
-            try:
-                reader, writer = await asyncio.open_connection(host, port)
-            except OSError:
-                await asyncio.sleep(self._retry_interval)
-                continue
-            link = _PoolLink(address, reader, writer)
-            try:
-                await self._handshake(link)
-            except (WireError, ConnectionError, OSError,
-                    asyncio.IncompleteReadError, asyncio.TimeoutError) as exc:
-                _logger.warning("pool %s:%d rejected the handshake: %s",
-                                host, port, exc)
-                writer.close()
-                await asyncio.sleep(self._retry_interval)
-                continue
-            self._links[address] = link
-            self._connected_pools = len(self._links)
-            self._last_pool_seen = time.monotonic()
-            self._notice(
-                "pool_reconnected" if connected_before else "pool_connected",
-                pool=link.label, workers=link.capacity)
-            connected_before = True
-            self._dispatch_event.set()
-            heartbeats = self._loop.create_task(self._send_heartbeats(link))
-            try:
-                await self._read_loop(link)
-            except (WireError, OSError,
-                    asyncio.IncompleteReadError) as exc:
-                if not self._stop_event.is_set():
-                    _logger.warning("pool %s lost: %s", link.label, exc)
-            finally:
-                heartbeats.cancel()
-                self._links.pop(address, None)
-                self._connected_pools = len(self._links)
-                self._abandon(link)
-                writer.close()
-            await asyncio.sleep(self._retry_interval)
+    def _resolve(self) -> None:
+        """Look up the pool names due for it, at bind and then on the
+        heartbeat thread: a slow resolver never stalls :meth:`poll`."""
+        for address in list(self._unresolved):
+            with suppress(OSError):
+                self._targets[address] = socket.getaddrinfo(
+                    *address, type=socket.SOCK_STREAM)
+                self._unresolved.discard(address)
 
-    async def _handshake(self, link: _PoolLink) -> None:
-        write_frame(link.writer, FrameKind.HELLO, {})
-        await link.writer.drain()
-        kind, welcome = await asyncio.wait_for(
-            read_frame(link.reader), timeout=self._heartbeat_timeout)
-        if kind is FrameKind.ERROR:
-            raise WireError(welcome.get("detail", "pool refused the run"))
+    def _dial(self, address: tuple[str, int], target: int = 0) -> None:
+        """Start a non-blocking connect to one of the address's resolved
+        targets; :meth:`_pump` sees it finish.  A failed connect goes on
+        to the next target, and past the last one waits for a redial."""
+        self._redial.pop(address, None)
+        targets = self._targets.get(address, [])
+        if target >= len(targets):
+            self._unresolved.add(address)  # the heartbeat thread looks
+            self._redial[address] = time.monotonic() + self._retry_interval
+            return
+        family, kind, proto, _, sockaddr = targets[target]
+        try:
+            sock = socket.socket(family, kind, proto)
+        except OSError:
+            self._dial(address, target + 1)
+            return
+        sock.setblocking(False)
+        link = self._links[address] = _PoolLink(address, sock,
+                                                target=target)
+        self._selector.register(sock, selectors.EVENT_WRITE, link)
+        if sock.connect_ex(sockaddr) not in (0, errno.EINPROGRESS):
+            self._lose(link)
+
+    def _connected(self, link: _PoolLink) -> None:
+        """The connect finished: say HELLO, or try the next target."""
+        sock = link.sock
+        if sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR):
+            self._lose(link)
+            return
+        # Blocking, so a send is one syscall, with a kernel send timeout:
+        # a pool that takes no frame in heartbeat_timeout raises EAGAIN.
+        sock.setblocking(True)
+        seconds = self._heartbeat_timeout
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, struct.pack(
+            "ll", int(seconds), int(seconds % 1 * 1e6)))
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._selector.modify(sock, selectors.EVENT_READ, link)
+        self._send(link, encode_frame(FrameKind.HELLO, {}))
+
+    def _welcome(self, link: _PoolLink, kind: FrameKind, payload) -> None:
+        """The handshake's answer; the link takes work from now on."""
         if kind is not FrameKind.WELCOME:
             raise WireError(f"expected WELCOME, pool sent {kind.name}")
-        link.capacity = max(int(welcome.get("workers", 1)), 1)
-        link.label = str(welcome.get("pool")
-                         or "%s:%d" % link.address)
+        link.capacity = max(int(payload.get("workers", 1)), 1)
+        link.label = str(payload.get("pool") or "%s:%d" % link.address)
+        link.welcomed = True
+        again = link.address in self._welcomed_once
+        self._welcomed_once.add(link.address)
+        self._notice("pool_reconnected" if again else "pool_connected",
+                     pool=link.label, workers=link.capacity)
 
-    async def _read_loop(self, link: _PoolLink) -> None:
-        while not self._stop_event.is_set():
-            kind, payload = await read_frame(link.reader)
-            self._last_pool_seen = link.last_seen = time.monotonic()
-            if kind is FrameKind.DATA:
-                self._inbox.put(message_from_payload(payload))
-            elif kind is FrameKind.EXIT:
-                rank = int(payload["rank"])
-                job = payload.get("job")
-                job = None if job is None else str(job)
-                link.active.discard((job, rank))
-                self._inbox.put(_ExitRecord(
-                    rank=rank, exitcode=payload.get("exitcode"),
-                    detail=f"on pool {link.label}", job=job))
-                self._dispatch_event.set()
-            elif kind is FrameKind.HEARTBEAT:
-                continue
-            elif kind is FrameKind.ERROR:
-                raise WireError(payload.get("detail", "pool error"))
-            else:
-                raise WireError(
-                    f"unexpected {kind.name} frame from pool {link.label}")
+    def _send(self, link: _PoolLink, data: bytes) -> None:
+        """Write frames to a pool; one that will not take them is lost."""
+        try:
+            link.send(data)
+        except OSError as exc:
+            self._lose(link, exc)
 
-    async def _send_heartbeats(self, link: _PoolLink) -> None:
-        """Beat towards the pool; hang up on one that has gone silent."""
-        while True:
-            await asyncio.sleep(self._heartbeat_interval)
-            silent = time.monotonic() - link.last_seen
-            if silent > self._heartbeat_timeout:
-                _logger.warning("pool %s silent for %.1fs, dropping it",
-                                link.label, silent)
-                link.writer.close()  # ends the read loop: pool lost
-                return
-            try:
-                write_frame(link.writer, FrameKind.HEARTBEAT, {})
-                await link.writer.drain()
-            except (ConnectionError, RuntimeError):
-                return
+    def _close(self, link: _PoolLink) -> None:
+        del self._links[link.address]
+        self._selector.unregister(link.sock)
+        with link.lock:
+            link.sock.close()
 
-    async def _dispatch(self) -> None:
-        """Feed pending assignments to pools with free worker slots."""
-        while True:
-            await self._dispatch_event.wait()
-            self._dispatch_event.clear()
-            while self._pending:
-                assignment = self._pending[0]
-                job = assignment.job
-                known = self._entries.get(job)
-                if known is None:
-                    break  # its open_job has not landed; landing wakes us
-                link = self._pick_pool()
-                if link is None:
-                    break  # every slot busy; an EXIT will wake us
-                self._pending.popleft()
-                entry, deadline = known
-                payload = _tagged(job, rank=assignment.rank,
-                                  quota=assignment.quota)
-                if deadline is not None:
-                    payload["deadline_in"] = max(
-                        deadline - time.monotonic(), 0.0)
-                key = (job, assignment.rank)
+    def _lose(self, link: _PoolLink, reason=None) -> None:
+        """Hang up.  A link never welcomed (a failed connect, unlogged,
+        or a refused handshake) dials the name's next target.  A
+        welcomed pool is dialled again ``retry_interval`` after its last
+        bytes, and its unfinished ranks are queued dead behind everything
+        it sent (:meth:`reap` spares the ones whose final is in)."""
+        self._close(link)
+        if not link.welcomed:
+            if reason is not None:
+                _logger.warning("pool %s:%d rejected the handshake: %s",
+                                *link.address, reason)
+            self._dial(link.address, link.target + 1)
+            return
+        self._redial[link.address] = link.last_seen + self._retry_interval
+        _logger.warning("pool %s lost: %s", link.label, reason)
+        for job, rank in sorted(link.active, key=lambda key: (
+                key[0] is not None, key[0] or "", key[1])):
+            self._inbox.append(_ExitRecord(
+                rank=rank, exitcode=None,
+                detail=f"pool {link.label} connection lost", job=job))
+        link.active.clear()
+        self._notice("pool_disconnected", pool=link.label)
+
+    def _beat(self) -> None:
+        """Heartbeat every welcomed pool until :meth:`shutdown`.
+
+        The scheduler stops polling while no job is live, yet an idle
+        service's sessions must outlive the pools' ``session_timeout``:
+        heartbeats are timers, so they get the one thread besides the
+        loop's.  It reads no socket and never touches job state.  A pool
+        that will not take a beat has its socket shut down, for the
+        loop's next read to report lost.  After the beats it looks up
+        the names :meth:`_dial` asks for, the other call that may block.
+        """
+        beat = encode_frame(FrameKind.HEARTBEAT, {})
+        while not self._stopping.wait(self._heartbeat_interval):
+            for link in list(self._links.values()):  # the loop edits it
                 try:
-                    # No await between the two frames and the
-                    # bookkeeping: _forget sees the link either before
-                    # both or after both.
-                    if job not in link.announced:
-                        write_frame(link.writer, FrameKind.SUBMIT, entry)
-                        link.announced.add(job)
-                    write_frame(link.writer, FrameKind.ASSIGN, payload)
-                    link.active.add(key)
-                    await link.writer.drain()
-                except (ConnectionError, RuntimeError):
-                    link.active.discard(key)
-                    if self._entries.get(job) is known:
-                        # Not released while the drain was pending.
-                        self._pending.appendleft(assignment)
-                    break
+                    if link.welcomed:
+                        link.send(beat)
+                except OSError:
+                    with link.lock, suppress(OSError):
+                        link.sock.shutdown(socket.SHUT_RDWR)
+            self._resolve()
+
+    def _dispatch(self) -> None:
+        """Feed pending assignments to pools with free worker slots, in
+        one write per pool."""
+        writes: dict[_PoolLink, tuple[list, list]] = {}
+        while self._pending:
+            assignment = self._pending[0]
+            job = assignment.job
+            known = self._entries.get(job)
+            if known is None:
+                break  # its open_job has not landed; landing dispatches
+            link = self._pick_pool()
+            if link is None:
+                break  # every slot busy; an EXIT or a WELCOME dispatches
+            self._pending.popleft()
+            entry, deadline = known
+            payload = _tagged(job, rank=assignment.rank,
+                              quota=assignment.quota)
+            if deadline is not None:
+                payload["deadline_in"] = max(
+                    deadline - time.monotonic(), 0.0)
+            frames, sent = writes.setdefault(link, ([], []))
+            if job not in link.announced:
+                link.announced.add(job)
+                frames.append(encode_frame(FrameKind.SUBMIT, entry))
+            frames.append(encode_frame(FrameKind.ASSIGN, payload))
+            link.active.add((job, assignment.rank))
+            sent.append(assignment)
+        for link, (frames, sent) in writes.items():
+            try:
+                link.send(b"".join(frames))
+            except OSError as exc:
+                # Never delivered: the assignments go back, not dead.
+                link.active -= {(each.job, each.rank) for each in sent}
+                self._pending.extendleft(reversed(sent))
+                self._lose(link, exc)
 
     def _pick_pool(self) -> _PoolLink | None:
         """The least-loaded connected pool with a free slot, if any."""
         best: _PoolLink | None = None
         best_load = 1.0
         for link in self._links.values():
-            load = len(link.active) / link.capacity
+            load = len(link.active) / link.capacity if link.welcomed else 1
             if load < 1.0 and (best is None or load < best_load):
                 best, best_load = link, load
         return best
-
-    def _abandon(self, link: _PoolLink) -> None:
-        """A pool vanished: mark its unfinished ranks dead, requeue none.
-
-        The collector may already hold final messages for some of these
-        ranks; :meth:`reap` checks ``final_ranks`` before judging, so
-        completed workers are not re-killed.
-        """
-        if self._stop_event.is_set():
-            return
-        for job, rank in _sorted_keys(link.active):
-            self._inbox.put(_ExitRecord(
-                rank=rank, exitcode=None,
-                detail=f"pool {link.label} connection lost", job=job))
-        link.active.clear()
-        self._notice("pool_disconnected", pool=link.label)

@@ -285,13 +285,17 @@ class _Session:
         interval = self._server.heartbeat_interval
         while True:
             await asyncio.sleep(interval)
-            self._send(FrameKind.HEARTBEAT, {
-                # Server-wide occupancy: concurrent sessions share one
-                # physical worker budget, so each run sees the true load.
-                "busy": self._server.busy_workers,
-                "session_busy": len(self.host.running()),
-                "workers": self._server.workers,
-            })
+            # An idle service reads nothing between jobs: queue no beat
+            # behind an unsent one, so the buffer stays one beat long.
+            if not self._writer.transport.get_write_buffer_size():
+                self._send(FrameKind.HEARTBEAT, {
+                    # Server-wide occupancy: concurrent sessions share
+                    # one physical worker budget, so each run sees the
+                    # true load.
+                    "busy": self._server.busy_workers,
+                    "session_busy": len(self.host.running()),
+                    "workers": self._server.workers,
+                })
             silent = time.monotonic() - self._last_run_heartbeat
             if silent > self._server.session_timeout:
                 _logger.warning(
@@ -416,6 +420,11 @@ class PoolServer:
         self.sessions_served += 1
         try:
             await session.run()
+        except asyncio.CancelledError:
+            # The pool is stopping, and run() absorbed its cancel only
+            # once its slots were stopped; end normally, or asyncio logs
+            # the cancelled task as an unhandled callback error.
+            pass
         finally:
             self._ended[0] += session.host.slots_started
             self._ended[1] += session.host.assignments_served

@@ -442,6 +442,30 @@ class TestOneCopyPass:
             "src/repro/runtime/worker.py")
 
 
+class TestOneRunThread:
+    # docs/architecture.md "The distributed backend": the run side of
+    # the TCP exchange is the scheduler's thread.  poll() reads the pool
+    # sockets itself; the one other thread is the heartbeat timer.
+
+    SOURCE = "src/repro/runtime/distributed.py"
+
+    def test_no_event_loop_no_queue_no_sleep(self):
+        source = read(self.SOURCE)
+        assert not re.search(r"^\s*(?:import|from)\s+(?:asyncio|queue)\b",
+                             source, re.M)
+        assert "sleep(" not in source
+
+    def test_the_one_thread_is_the_heartbeat_timer(self):
+        source = read(self.SOURCE)
+        assert source.count("threading.Thread(") == 1
+        assert re.search(r"threading\.Thread\(\s*target=self\._beat\b",
+                         source)
+
+    def test_it_sets_tcp_nodelay(self):
+        assert re.search(r"setsockopt\(\s*socket\.IPPROTO_TCP,\s*"
+                         r"socket\.TCP_NODELAY,\s*1\)", read(self.SOURCE))
+
+
 def _square(rng):
     return rng.random() ** 2
 

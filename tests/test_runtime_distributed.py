@@ -12,9 +12,11 @@ in ``test_runtime_engine.py::TestBackendParity``.)
 from __future__ import annotations
 
 import asyncio
+import logging
 import multiprocessing
 import os
 import select
+import selectors
 import signal
 import socket
 import sys
@@ -45,7 +47,7 @@ from repro.runtime.messages import (
 )
 from repro.runtime.pool import PoolServer, _Relay
 from repro.runtime.scheduler import Scheduler
-from repro.runtime.wire import FrameKind, encode_frame
+from repro.runtime.wire import FrameDecoder, FrameKind, encode_frame
 from repro.runtime.worker import run_worker
 from repro.stats.accumulator import MomentAccumulator
 from repro.stats.merging import merge_snapshots
@@ -909,7 +911,7 @@ class TestTeardownAndLateTraffic:
             assert scheduler.prune() == 1
             second = scheduler.submit(
                 _streaming_spec("second", tmp_path, seqnum=1))
-            backend._inbox.put(_ExitRecord(
+            backend._inbox.append(_ExitRecord(
                 rank=0, exitcode=0, detail="delivered late", job="first"))
             # Admits and dispatches ``second``; its workers cannot have
             # answered yet, so the empty poll falls through to the reap.
@@ -932,12 +934,8 @@ class TestTeardownAndLateTraffic:
         scheduler = Scheduler(backend, workers=2)
 
         def settle():
-            """Let every ready callback and task on the loop run."""
-            async def turns():
-                for _ in range(10):
-                    await asyncio.sleep(0)
-            asyncio.run_coroutine_threadsafe(
-                turns(), backend._loop).result(timeout=10.0)
+            """Serve the pool sockets once, as a poll with no wait."""
+            backend.poll(0.0)
 
         try:
             # The first job binds the backend and brings the link up,
@@ -946,26 +944,25 @@ class TestTeardownAndLateTraffic:
             _drive(scheduler, lambda: early.status is JobStatus.DONE)
 
             def busy():
-                # ``link.active`` belongs to the loop thread, which adds
-                # and discards keys as frames arrive: read it there.
-                async def keys():
-                    return [key for link in backend._links.values()
-                            for key in link.active]
-                return asyncio.run_coroutine_threadsafe(
-                    keys(), backend._loop).result(timeout=10.0)
+                return [key for link in backend._links.values()
+                        for key in link.active]
 
             _drive(scheduler, lambda: not busy())  # early's EXITs are in
             held, retries = [], []
-            open_job, call_later = (backend.open_job,
-                                    backend._loop.call_later)
+            open_job = backend.open_job
 
-            def spy(delay, callback, *args, **kwargs):
-                if callback == backend._dispatch_event.set:
-                    retries.append(delay)
-                return call_later(delay, callback, *args, **kwargs)
+            class Deadlines(dict):
+                """The backend's one wall-clock retry is a redial time,
+                set only when a pool is lost or a dial fails: the
+                dispatcher arms none."""
+
+                def __setitem__(self, address, due):
+                    retries.append(due - time.monotonic())
+                    super().__setitem__(address, due)
 
             monkeypatch.setattr(backend, "open_job", held.append)
-            monkeypatch.setattr(backend._loop, "call_later", spy)
+            monkeypatch.setattr(backend, "_redial",
+                                Deadlines(backend._redial))
             late = scheduler.submit(
                 _streaming_spec("late", tmp_path, seqnum=1))
             scheduler.step(poll_timeout=0.0)  # admit, spawn: ASSIGNs queued
@@ -984,6 +981,155 @@ class TestTeardownAndLateTraffic:
         assert retries == []
         assert late.result.total_volume == 16
 
+    def test_stopping_a_pool_mid_session_logs_no_error(self, caplog):
+        # PoolServer.stop() cancels the open session's task; it must end
+        # normally once its slots are stopped, not as a cancelled task
+        # asyncio reports through "Unhandled exception in
+        # client_connected_cb" or "Exception in callback".
+        server = PoolServer(port=0, workers=1, start_method="fork")
+        with caplog.at_level(logging.DEBUG, logger="asyncio"), \
+                socket.create_connection(server.start()) as run:
+            run.sendall(encode_frame(FrameKind.HELLO, {}))
+            decoder, frames = FrameDecoder(), []
+            while not frames:
+                frames = list(decoder.feed(run.recv(65536)))
+            assert frames[0][0] is FrameKind.WELCOME
+            server.stop()
+        assert [record.getMessage() for record in caplog.records
+                if record.name == "asyncio"
+                and record.levelno >= logging.ERROR] == []
+
+    def test_a_run_that_reads_nothing_gets_no_heartbeat_backlog(self):
+        # An idle service reads nothing between jobs.  Once the kernel
+        # buffers are full the pool queues no beat behind an unsent
+        # one, so its write buffer stays one beat long however long
+        # the idle lasts.
+        server = PoolServer(port=0, workers=1, start_method="fork",
+                            heartbeat_interval=0.001)
+        run = socket.socket()
+        run.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        try:
+            run.connect(server.start())
+            run.sendall(encode_frame(FrameKind.HELLO, {}))
+            decoder, frames = FrameDecoder(), []
+            while not frames:
+                frames = list(decoder.feed(run.recv(64)))
+            assert frames[0][0] is FrameKind.WELCOME
+            (session,) = server._sessions
+            # Small kernel buffers on both ends, so they fill in moments.
+            session._writer.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            beat = len(encode_frame(FrameKind.HEARTBEAT, {
+                "busy": 0, "session_busy": 0, "workers": 1}))
+            threading.Event().wait(1.0)  # ~1000 beats, none read
+            assert session._writer.transport.get_write_buffer_size() \
+                <= beat
+        finally:
+            run.close()
+            server.stop()
+
+
+class TestOneRunThread:
+    """The run side of the exchange reads its sockets only when the
+    scheduler polls; what must happen between polls happens on the
+    heartbeat timer."""
+
+    def test_an_idle_service_keeps_its_session(self):
+        # The pool drops a run silent for session_timeout; with no job
+        # live the scheduler polls nothing, so only the heartbeat
+        # thread keeps the session across the gap.
+        server = PoolServer(port=0, workers=2, start_method="fork",
+                            heartbeat_interval=0.05, session_timeout=0.5)
+        backend = DistributedBackend(connect="%s:%d" % server.start(),
+                                     heartbeat_interval=0.05)
+        scheduler = Scheduler(backend, workers=2)
+        scheduler.start()
+        try:
+            for index in range(2):
+                job = scheduler.submit(build_job_spec(dict(
+                    routine=square, name=f"job{index}", maxsv=4,
+                    processors=2, seqnum=index, perpass=0.0, peraver=0.0,
+                    use_files=False)))
+                assert scheduler.wait(job, timeout=60.0)
+                assert job.status is JobStatus.DONE, job.error
+                if index == 0:
+                    # The gap is the subject here, not a synchronisation:
+                    # three session timeouts with nothing live.
+                    threading.Event().wait(1.5)
+        finally:
+            assert scheduler.shutdown(timeout=60.0) is True
+            server.stop()
+        assert server.sessions_served == 1
+        assert server.slots_started == 2
+
+    def test_a_pool_restarted_between_jobs_serves_the_next(self):
+        # The pool goes away and a new one takes its port while nothing
+        # is live.  The next job's spawn reads the old session's end
+        # before it picks a pool, so no assignment is written into the
+        # dead session and counted lost (on_worker_death is "fail").
+        first = PoolServer(port=0, workers=2, start_method="fork")
+        host, port = first.start()
+        second = PoolServer(port=port, workers=2, start_method="fork")
+        backend = DistributedBackend(connect=f"{host}:{port}",
+                                     heartbeat_interval=0.05)
+        scheduler = Scheduler(backend, workers=2)
+        scheduler.start()
+        try:
+            for index in range(2):
+                job = scheduler.submit(build_job_spec(dict(
+                    routine=square, name=f"job{index}", maxsv=4,
+                    processors=2, seqnum=index, perpass=0.0, peraver=0.0,
+                    use_files=False)))
+                assert scheduler.wait(job, timeout=60.0)
+                assert job.status is JobStatus.DONE, job.error
+                if index == 0:
+                    first.stop()
+                    second.start()
+                    # Heartbeats meet the closed session during the gap.
+                    threading.Event().wait(0.3)
+        finally:
+            assert scheduler.shutdown(timeout=60.0) is True
+            first.stop()
+            second.stop()
+        assert (first.sessions_served, second.sessions_served) == (1, 1)
+
+    def test_every_resolved_target_is_tried_on_each_attempt(
+            self, monkeypatch):
+        # Two names each resolve to a refusing address ahead of their
+        # pool's, like localhost's [::1, 127.0.0.1] against a pool bound
+        # to 127.0.0.1.  A refused connect goes on to the next target at
+        # once, so both pools join long before any redial is due.
+        pools = [PoolServer(port=0, workers=1, start_method="fork")
+                 for _ in range(2)]
+        refusing = socket.socket()
+        refusing.bind(("127.0.0.1", 0))  # bound, never listening
+        targets = {}
+        for name, pool in zip(("pool-a", "pool-b"), pools):
+            targets[name] = [
+                (socket.AF_INET, socket.SOCK_STREAM, 0, "",
+                 refusing.getsockname()),
+                (socket.AF_INET, socket.SOCK_STREAM, 0, "", pool.start())]
+        lookup = socket.getaddrinfo
+        monkeypatch.setattr(socket, "getaddrinfo", lambda host, *args,
+                            **kwargs: targets.get(host)
+                            or lookup(host, *args, **kwargs))
+        backend = DistributedBackend(connect="pool-a:1,pool-b:2",
+                                     retry_interval=60.0)
+        backend.bind(SimpleNamespace(running=lambda: []))
+        try:
+            deadline = time.monotonic() + 10.0
+            while not (len(backend._links) == 2 and all(
+                    link.welcomed for link in backend._links.values())):
+                assert time.monotonic() < deadline, backend._links
+                backend.poll(0.05)
+            assert backend._redial == {}
+        finally:
+            backend.shutdown()
+            refusing.close()
+            for pool in pools:
+                pool.stop()
+        assert [pool.sessions_served for pool in pools] == [1, 1]
+
 
 class TestOneOrderedInbox:
     """DATA, EXIT and lost-pool records share one inbox, so an exit
@@ -999,6 +1145,9 @@ class TestOneOrderedInbox:
                              sent_at=0.0, final=final)
 
     def test_an_exit_is_judged_behind_its_worker_data(self):
+        # The end of the pool's stream, and the ranks it leaves dead,
+        # are pinned by
+        # test_a_lost_pool_queues_its_unfinished_ranks_behind_its_data.
         frames = [
             (FrameKind.DATA, message_to_payload(self._pass(0, 4, True))),
             (FrameKind.EXIT, {"rank": 0, "exitcode": 0}),
@@ -1006,21 +1155,15 @@ class TestOneOrderedInbox:
             (FrameKind.EXIT, {"rank": 1, "exitcode": 0}),
         ]
         backend = DistributedBackend(connect="127.0.0.1:1")
-
-        async def read_link():
-            backend._stop_event = asyncio.Event()
-            backend._dispatch_event = asyncio.Event()
-            reader = asyncio.StreamReader()
-            for kind, payload in frames:
-                reader.feed_data(encode_frame(kind, payload))
-            reader.feed_eof()
-            link = _PoolLink(("pool", 1), reader, None, label="pool")
-            link.active.update({(None, 0), (None, 1)})
-            with pytest.raises(asyncio.IncompleteReadError):
-                await backend._read_loop(link)
-            assert link.active == set()
-
-        asyncio.run(read_link())
+        ours, pools = socket.socketpair()
+        pools.sendall(b"".join(encode_frame(*frame) for frame in frames))
+        link = _PoolLink(("pool", 1), ours, label="pool", welcomed=True)
+        link.active.update({(None, 0), (None, 1)})
+        while len(backend._inbox) < len(frames):
+            backend._receive(link)
+        ours.close()
+        pools.close()
+        assert link.active == set()
         config = RunConfig(maxsv=8, processors=2)
         collector = Collector(config, MomentAccumulator(1, 1).snapshot(),
                               data=None)
@@ -1042,6 +1185,49 @@ class TestOneOrderedInbox:
         assert deaths == [[], [(1, 0)]]
         assert collector.worker_volume(1) == 2  # the watermark it leaves
         assert backend.poll(0.0) is None and backend.reap() == []
+
+    @pytest.mark.parametrize("ending", [
+        b"", encode_frame(FrameKind.EXIT, {"exitcode": 0})],
+        ids=["closed", "malformed-exit"])
+    def test_a_lost_pool_queues_its_unfinished_ranks_behind_its_data(
+            self, ending):
+        # The pool closes, or sends an EXIT naming no rank, after rank
+        # 0's final and EXIT and one pass of rank 1: the loss reports
+        # rank 1 dead behind that pass, rank 0 not at all, and the link
+        # is dropped and due for a redial.
+        backend = DistributedBackend(connect="127.0.0.1:1")
+        events, gauges = [], []
+        telemetry = SimpleNamespace(
+            events=SimpleNamespace(
+                append=lambda name, **fields: events.append(name)),
+            registry=SimpleNamespace(
+                gauge=lambda name: SimpleNamespace(set=gauges.append)))
+        backend.engine = SimpleNamespace(
+            running=lambda: [SimpleNamespace(telemetry=telemetry)])
+        ours, pools = socket.socketpair()
+        pools.sendall(b"".join(encode_frame(*frame) for frame in [
+            (FrameKind.DATA, message_to_payload(self._pass(0, 4, True))),
+            (FrameKind.EXIT, {"rank": 0, "exitcode": 0}),
+            (FrameKind.DATA, message_to_payload(self._pass(1, 2, False))),
+        ]) + ending)
+        pools.close()
+        link = _PoolLink(("127.0.0.1", 1), ours, label="p", welcomed=True)
+        link.active.update({(None, 0), (None, 1)})
+        backend._links[link.address] = link
+        backend._selector.register(ours, selectors.EVENT_READ, link)
+        while link.address in backend._links:
+            backend._receive(link)
+        assert ours.fileno() == -1 and link.active == set()
+        assert list(backend._redial) == [link.address]
+        assert [(type(item).__name__, item.rank)
+                for item in backend._inbox] == [
+            ("MomentMessage", 0), ("_ExitRecord", 0),
+            ("MomentMessage", 1), ("_ExitRecord", 1)]
+        lost = backend._inbox[-1]
+        assert (lost.exitcode, lost.detail) == (
+            None, "pool p connection lost")
+        assert events == ["pool_disconnected"] and gauges == [0]
+        backend.shutdown()
 
 
 class TestCli:
