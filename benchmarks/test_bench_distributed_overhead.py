@@ -5,7 +5,7 @@
 is tiny) on the multiprocess backend and on the distributed backend
 against one local ``parmonc-pool``.  The estimates must stay
 bit-identical; the wall-clock delta is the price of TCP framing,
-heartbeats and the asyncio hop.  (Framing throughput itself is
+heartbeats and the socket hop.  (Framing throughput itself is
 ``runtime.wire.mb_per_s`` of ``benchmarks/perf/run.py --trace 1``.)
 
 Wall-clock ratios of separate runs on a shared container are noisy, so

@@ -11,15 +11,16 @@ then point a run at it (from any host that can reach the port)::
           --on-worker-death reassign
 
 Pools may start before or *after* the run — a late pool joins mid-run
-and receives whatever assignments are still pending.  See
-``docs/protocol.md`` for the wire format and ``docs/user-guide.md`` for
-a two-host walkthrough.
+and receives whatever assignments are still pending.  The command
+serves on its main thread (``PoolServer.serve``, a plain blocking
+call); Ctrl-C stops it, and it exits once every worker process it
+started is stopped.  See ``docs/protocol.md`` for the wire format and
+``docs/user-guide.md`` for a two-host walkthrough.
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
 import logging
 import sys
 
@@ -76,14 +77,11 @@ def main(argv: list[str] | None = None) -> int:
         """Print the bound address the moment the socket is up."""
 
         def set(self) -> None:
-            try:
-                host, port = server.address
-            except RuntimeError:
-                return  # bind failed; the OSError surfaces below
-            print(f"parmonc-pool listening on {host}:{port}", flush=True)
+            print("parmonc-pool listening on %s:%d" % server.address,
+                  flush=True)
 
     try:
-        asyncio.run(server.serve(_Announcer()))
+        server.serve(_Announcer())
     except KeyboardInterrupt:
         print("parmonc-pool: interrupted, shutting down", file=sys.stderr)
     except OSError as exc:

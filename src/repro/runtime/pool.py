@@ -1,9 +1,9 @@
 """The ``parmonc-pool`` worker daemon: remote muscle for a run.
 
-A pool listens on TCP (asyncio) and contributes local worker processes
-to any run that connects — the distributed analogue of the paper's MPI
-ranks, except that pools may come and go while the run is in flight.
-Each connection is a *session* that follows the wire protocol of
+A pool listens on TCP and contributes local worker processes to any
+run that connects — the distributed analogue of the paper's MPI ranks,
+except that pools may come and go while the run is in flight.  Each
+connection is a *session* that follows the wire protocol of
 :mod:`repro.runtime.wire`; the daemon keeps listening between and
 during sessions, so back-to-back runs (and overlapping runs from
 different clients) need no restart::
@@ -21,47 +21,30 @@ different clients) need no restart::
      | <-> HEARTBEAT <->                |   liveness, both directions
      | -- BYE ------------------------> |   session over, slots stopped
 
-A session carries any number of jobs, each declared by its own SUBMIT
-before its first ASSIGN and forgotten at its CANCEL.  A named job's
-frames carry its id in a ``job`` field (the anonymous job of
-``parmonc()`` simply omits it); the pool runs every job's workers side
-by side, tags their DATA passes and echoes the job on EXIT, so the run
-can route messages and deaths back to the right experiment.
-
-Each session runs its ASSIGNs on the slots of its own
-:class:`~repro.runtime.host.WorkerHost`, the slot layer ``multiprocess``
-runs on too — at most ``workers`` of them, since the run never keeps
-more assignments active on a link — so a stuck or ``kill -9``-ed
-routine never takes the daemon down.  A watcher thread hands each DATA
-body, as the worker encoded it (the daemon never decodes a pass), to
-the session's :class:`_Relay`, and EXIT 0 after a rank's final; a dead
-slot's EXIT carries the real exit code and follows its drained pipe.
-The relay keeps the worker's latest-wins rule one hop further: at most
-one unsent pass per rank waits for the event loop, a newer one takes
-its place, and a final never waits behind or gives way to anything.
-DATA and EXIT leave in the order the watcher read them, so no EXIT
-overtakes the data before it and reassignment keeps estimates
-bit-identical.
-
-A pool whose run stops heartbeating (crashed, unplugged) terminates
-the session's slots and returns to listening; a run whose pool
-vanishes routes the loss through ``on_worker_death``.
+A session carries any number of jobs, each declared by a SUBMIT before
+its first ASSIGN and forgotten at its CANCEL.  One serving thread does
+every socket's work, as ``DistributedBackend.poll`` does on the run
+side: a :mod:`selectors` wait, each session's ``FrameDecoder``, and on
+a timer the heartbeats and the silence watchdog.  Each session's
+watcher thread reads its ``WorkerHost``'s slot pipes into its
+:class:`_Relay`, which keeps the latest-wins rule one hop further.
 """
 
 from __future__ import annotations
 
-import asyncio
 import logging
 import multiprocessing
 import os
+import selectors
+import socket
 import threading
 import time
-from contextlib import suppress
+from contextlib import ExitStack, suppress
 
 from repro.exceptions import WireError
 from repro.runtime.host import WorkerHost, decode_context
 from repro.runtime.messages import payload_is_final
-from repro.runtime.wire import FrameKind, read_frame, write_frame
+from repro.runtime.wire import FrameDecoder, FrameKind, encode_frame
 
 __all__ = ["PoolServer", "DEFAULT_POOL_PORT"]
 
@@ -71,6 +54,12 @@ _logger = logging.getLogger(__name__)
 #: registered services; override with ``--port``).
 DEFAULT_POOL_PORT = 9737
 
+#: Bytes one ``recv_into`` may take off a session socket.
+_RECV_BYTES = 64 * 1024
+
+#: A session socket's selector events, with nothing / something unsent.
+_EVENTS = (selectors.EVENT_READ, selectors.EVENT_READ | selectors.EVENT_WRITE)
+
 
 def _job_of(payload: dict) -> str | None:
     """The job a frame belongs to; the anonymous job's name no ``job``."""
@@ -79,21 +68,20 @@ def _job_of(payload: dict) -> str | None:
 
 
 class _Relay:
-    """The frames a session's watcher read, on their way to its loop.
+    """The frames a session's watcher read, on their way to the run.
 
-    :meth:`forward` runs on the watcher thread, once per
-    ``WorkerHost.read`` event, and queues the event's frames in read
-    order; ``call_soon`` hands :meth:`_drain` to the loop thread, which
-    writes them with ``send``.  A rank has at most one *unsent*
-    non-final pass in the queue: passes are cumulative, so a newer one
-    takes its place, and a final drops it — either way it is counted in
-    :attr:`superseded`.  A final is never held for replacement, and a
-    rank's EXIT is queued behind everything read before it.
+    :meth:`forward` (the watcher thread) queues each ``WorkerHost.read``
+    event's frames in read order and calls ``wake`` when the queue stops
+    being empty; :meth:`drain` (the serving thread, once the socket took
+    all it was given) writes them with ``send``.  A rank has at most
+    one *unsent* non-final pass queued: a newer one takes its place, a
+    final drops it (both counted in :attr:`superseded`), and a final or
+    an EXIT is never held or dropped.
     """
 
-    def __init__(self, send, call_soon) -> None:
+    def __init__(self, send, wake) -> None:
         self._send = send
-        self._call_soon = call_soon
+        self._wake = wake
         self._lock = threading.Lock()
         self._queue: list = []   # [kind, payload] in read order
         self._unsent: dict = {}  # (job, rank) -> its queued non-final pass
@@ -126,11 +114,11 @@ class _Relay:
 
     def _push(self, entry: list) -> None:
         if not self._queue:
-            self._call_soon(self._drain)
+            self._wake()
         self._queue.append(entry)
 
-    def _drain(self) -> None:
-        """Loop side: write every queued frame still owed, in order."""
+    def drain(self) -> None:
+        """Write every queued frame still owed, in order."""
         with self._lock:
             queue, self._queue = self._queue, []
             self._unsent.clear()  # every unsent pass is in ``queue``
@@ -140,81 +128,49 @@ class _Relay:
 
 
 class _Session:
-    """One connected run, from HELLO to BYE (or connection loss)."""
+    """One connected run, from its accept to BYE or connection loss."""
 
-    def __init__(self, server: "PoolServer", reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter) -> None:
+    def __init__(self, server: "PoolServer", sock: socket.socket,
+                 peer) -> None:
         self._server = server
-        self._reader = reader
-        self._writer = writer
-        self._loop = asyncio.get_running_loop()
-        #: The session's slots: the loop thread assigns, the watcher reads.
+        self.sock = sock
+        self._peer = peer
+        self.decoder = FrameDecoder()
+        self.out = bytearray()  # what the socket has not taken yet
+        self.welcomed = False
+        self.last_heard = time.monotonic()  # the run's last bytes
         self.host = WorkerHost(server.context)
-        #: What the watcher read, on its way to the run.
-        self.relay = _Relay(self._send, self._call_soon)
-        self._closed = False
-        self._last_run_heartbeat = time.monotonic()
-        self._peer = writer.get_extra_info("peername")
+        self.relay = _Relay(self._send, server._wake)
         # The SUBMIT body per declared job, from SUBMIT to CANCEL.
         self._contexts: dict[str | None, dict] = {}
-        #: Relays what the host reads; it ends once every slot is stopped.
         self.watcher = threading.Thread(target=self._watch, daemon=True)
         self.watcher.start()
 
-    async def run(self) -> None:
-        heartbeat_task = None
-        try:
-            kind, _ = await read_frame(self._reader)
+    def handle(self, kind: FrameKind, payload) -> str | None:
+        """Act on one frame from the run; say why if it ends the session."""
+        if not self.welcomed:
             if kind is not FrameKind.HELLO:
-                raise WireError(
-                    f"expected a HELLO frame, got {kind.name}")
-            write_frame(self._writer, FrameKind.WELCOME, {
-                "workers": self._server.workers,
-                "pid": os.getpid(),
-                "pool": "%s:%d" % self._server.address,
-            })
-            await self._writer.drain()
+                raise WireError(f"expected a HELLO frame, got {kind.name}")
+            self.welcomed = True
+            self._send(FrameKind.WELCOME, {
+                "workers": self._server.workers, "pid": os.getpid(),
+                "pool": "%s:%d" % self._server.address})
             _logger.info("session from %s: %d workers offered",
                          self._peer, self._server.workers)
-            heartbeat_task = self._loop.create_task(self._heartbeats())
-            while True:
-                kind, payload = await read_frame(self._reader)
-                if kind is FrameKind.ASSIGN:
-                    self._assign(payload)
-                elif kind is FrameKind.SUBMIT:
-                    self._submit_job(payload)
-                elif kind is FrameKind.CANCEL:
-                    self._cancel_job(payload)
-                elif kind is FrameKind.HEARTBEAT:
-                    self._last_run_heartbeat = time.monotonic()
-                elif kind is FrameKind.BYE:
-                    _logger.info("session from %s: bye", self._peer)
-                    break
-                elif kind is FrameKind.ERROR:
-                    _logger.warning("session from %s: run error: %s",
-                                    self._peer, payload.get("detail"))
-                    break
-                else:
-                    raise WireError(
-                        f"unexpected {kind.name} frame from the run")
-        except (asyncio.IncompleteReadError, ConnectionError):
-            _logger.info("session from %s: connection lost", self._peer)
-        except WireError as exc:
-            _logger.warning("session from %s: %s", self._peer, exc)
-            self._send(FrameKind.ERROR, {"detail": str(exc)})
-        finally:
-            if heartbeat_task is not None:
-                heartbeat_task.cancel()
-            self._shutdown()
-            # The session ends once its slots are stopped, off the loop
-            # and even when cancelled: a pool that stops (asyncio.run
-            # cancelling every task) must not leave a slot behind.
-            stopped = self._loop.run_in_executor(None, self.watcher.join)
-            while not stopped.done():
-                with suppress(asyncio.CancelledError):
-                    await asyncio.shield(stopped)
-
-    # -- job lifecycle -----------------------------------------------------
+        elif kind is FrameKind.ASSIGN:
+            self._assign(payload)
+        elif kind is FrameKind.SUBMIT:
+            self._submit_job(payload)
+        elif kind is FrameKind.CANCEL:
+            self._cancel_job(payload)
+        elif kind is FrameKind.BYE:
+            return "bye"
+        elif kind is FrameKind.ERROR:
+            _logger.warning("session from %s: run error: %s",
+                            self._peer, payload.get("detail"))
+            return "run error"
+        elif kind is not FrameKind.HEARTBEAT:
+            raise WireError(f"unexpected {kind.name} frame from the run")
 
     def _submit_job(self, payload: dict) -> None:
         """Adopt one job — the only way the session learns a context —
@@ -256,8 +212,7 @@ class _Session:
 
     def _watch(self) -> None:
         """Relay what the host reads until the session ends; then stop
-        every slot.  One plain thread per session (pipe reads block).
-        A slot is idle before its rank's final goes out to the run."""
+        every slot.  A slot is idle before its rank's final goes out."""
         host = self.host
         try:
             while (event := host.read()) is not None:
@@ -265,50 +220,23 @@ class _Session:
         finally:
             host.close()
 
-    # -- frame plumbing ----------------------------------------------------
-
     def _send(self, kind: FrameKind, payload: dict | bytes) -> None:
-        if self._closed or self._writer.is_closing():
+        """Queue one frame; :meth:`flush` writes it."""
+        self.out += encode_frame(kind, payload)
+
+    def flush(self) -> None:
+        """Write what the socket takes now; the rest waits for
+        EVENT_WRITE.  A broken connection ends the session."""
+        try:
+            if self.out:
+                with suppress(BlockingIOError):
+                    del self.out[:self.sock.send(self.out)]
+        except OSError:
+            self._server._end(self, "connection lost")
             return
-        try:
-            write_frame(self._writer, kind, payload)
-        except (ConnectionError, RuntimeError):
-            pass
-
-    def _call_soon(self, callback) -> None:
-        try:
-            self._loop.call_soon_threadsafe(callback)
-        except RuntimeError:  # loop already closed at teardown
-            pass
-
-    async def _heartbeats(self) -> None:
-        interval = self._server.heartbeat_interval
-        while True:
-            await asyncio.sleep(interval)
-            # An idle service reads nothing between jobs: queue no beat
-            # behind an unsent one, so the buffer stays one beat long.
-            if not self._writer.transport.get_write_buffer_size():
-                self._send(FrameKind.HEARTBEAT, {
-                    # Server-wide occupancy: concurrent sessions share
-                    # one physical worker budget, so each run sees the
-                    # true load.
-                    "busy": self._server.busy_workers,
-                    "session_busy": len(self.host.running()),
-                    "workers": self._server.workers,
-                })
-            silent = time.monotonic() - self._last_run_heartbeat
-            if silent > self._server.session_timeout:
-                _logger.warning(
-                    "session from %s: run silent for %.1fs, dropping it",
-                    self._peer, silent)
-                self._writer.close()
-                return
-
-    def _shutdown(self) -> None:
-        self._closed = True
-        self.host.interrupt()  # the watcher stops every slot
-        if not self._writer.is_closing():
-            self._writer.close()
+        selector, events = self._server._selector, _EVENTS[bool(self.out)]
+        if selector.get_key(self.sock).events != events:
+            selector.modify(self.sock, events, self)
 
 
 class PoolServer:
@@ -337,17 +265,19 @@ class PoolServer:
         self._host = host
         self._port = port
         self.workers = workers if workers else (os.cpu_count() or 1)
-        self._start_method = start_method
         self.heartbeat_interval = heartbeat_interval
         self.session_timeout = session_timeout
-        self._context = None
+        #: The multiprocessing context slot processes start from.
+        self.context = multiprocessing.get_context(start_method)
         self._address: tuple[str, int] | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop_event: asyncio.Event | None = None
-        self._thread: threading.Thread | None = None
-        self._startup_error: BaseException | None = None
+        self._selector = selectors.DefaultSelector()
+        # A relay wakes only once drained since, so the pair never fills.
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._buffer = memoryview(bytearray(_RECV_BYTES))
+        self._stopping = False
+        self._served = threading.Event()  # the serving loop has ended
         self._sessions: set[_Session] = set()
-        self._watchers: set[threading.Thread] = set()  # not seen to end
+        self._watchers: list[threading.Thread] = []  # not seen to end
         self.sessions_served = 0
         self._ended = [0, 0, 0]  # the counters below, of ended sessions
 
@@ -371,38 +301,16 @@ class PoolServer:
                                     for session in tuple(self._sessions))
 
     @property
-    def context(self):
-        """The multiprocessing context slot processes start from."""
-        if self._context is None:
-            self._context = multiprocessing.get_context(self._start_method)
-        return self._context
-
-    @property
     def address(self) -> tuple[str, int]:
         """``(host, port)`` actually bound (resolves ``port=0``)."""
         if self._address is None:
             raise RuntimeError("the pool is not serving yet")
         return self._address
 
-    async def serve(self, ready: threading.Event | None = None) -> None:
-        """Bind and serve sessions until :meth:`stop` is called."""
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        try:
-            server = await asyncio.start_server(
-                self._handle, self._host, self._port)
-        except BaseException as exc:
-            self._startup_error = exc
-            if ready is not None:
-                ready.set()
-            raise
-        self._address = server.sockets[0].getsockname()[:2]
-        _logger.info("parmonc-pool listening on %s:%d with %d workers",
-                     self._address[0], self._address[1], self.workers)
-        if ready is not None:
-            ready.set()
-        async with server:
-            await self._stop_event.wait()
+    def serve(self, ready=None) -> None:
+        """Bind, ``ready.set()``, serve until :meth:`stop`; no slot runs
+        after.  Blocks: :meth:`start` runs it on a thread instead."""
+        self._serve(self._bind(), ready)
 
     @property
     def busy_workers(self) -> int:
@@ -412,60 +320,152 @@ class PoolServer:
         return sum(len(session.host.running())
                    for session in self._sessions)
 
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        session = _Session(self, reader, writer)
-        self._sessions.add(session)
-        self._watchers.add(session.watcher)
-        self.sessions_served += 1
-        try:
-            await session.run()
-        except asyncio.CancelledError:
-            # The pool is stopping, and run() absorbed its cancel only
-            # once its slots were stopped; end normally, or asyncio logs
-            # the cancelled task as an unhandled callback error.
-            pass
-        finally:
-            self._ended[0] += session.host.slots_started
-            self._ended[1] += session.host.assignments_served
-            self._ended[2] += session.relay.superseded
-            self._sessions.discard(session)
-            if not session.watcher.is_alive():
-                self._watchers.discard(session.watcher)
+    def _bind(self) -> list[socket.socket]:
+        """One listener per address the host resolves to (``""``: every
+        interface); with port 0, all on the port the first one got."""
+        listeners, port = [], self._port
+        with ExitStack() as opened:  # all of them, or none
+            for family, *_, address in dict.fromkeys(socket.getaddrinfo(
+                    self._host or None, self._port, type=socket.SOCK_STREAM,
+                    flags=socket.AI_PASSIVE)):
+                listeners.append(opened.enter_context(socket.create_server(
+                    (address[0], port, *address[2:]), family=family)))
+                listeners[-1].setblocking(False)
+                port = listeners[0].getsockname()[1]
+            opened.pop_all()
+        self._address = listeners[0].getsockname()[:2]
+        _logger.info("parmonc-pool listening on %s:%d with %d workers",
+                     self._address[0], self._address[1], self.workers)
+        return listeners
 
-    # -- thread facade (tests, embedded pools) -----------------------------
+    def _serve(self, listeners: list, ready=None) -> None:
+        """The serving thread: accept, read, write, beat, watch."""
+        for listener in listeners:
+            self._selector.register(listener, selectors.EVENT_READ)
+        self._selector.register(self._wake_r, selectors.EVENT_READ)
+        if ready is not None:
+            ready.set()
+        beat = time.monotonic() + self.heartbeat_interval
+        try:
+            while not self._stopping:
+                for key, events in self._selector.select(
+                        max(beat - time.monotonic(), 0.0)):
+                    if key.fileobj is self._wake_r:
+                        self._wake_r.recv(4096)  # readable: no wait
+                    elif key.data is None:  # a listener
+                        self._accept(key.fileobj)
+                    elif key.data in self._sessions:  # not ended meanwhile
+                        if events & selectors.EVENT_WRITE:
+                            key.data.flush()
+                        if events & selectors.EVENT_READ:
+                            self._receive(key.data)
+                if time.monotonic() >= beat:
+                    beat = time.monotonic() + self.heartbeat_interval
+                    self._heartbeats()
+                for session in tuple(self._sessions):
+                    if not session.out:  # else its relay keeps superseding
+                        session.relay.drain()
+                        session.flush()
+        finally:
+            for session in tuple(self._sessions):
+                self._end(session, "pool stopping")
+            for resource in (*listeners, self._selector, self._wake_r,
+                             self._wake_w):
+                resource.close()
+            for watcher in self._watchers:
+                watcher.join()
+            self._served.set()
+
+    def _accept(self, listener: socket.socket) -> None:
+        try:
+            sock, peer = listener.accept()
+        except OSError:  # the peer gave up first, or no descriptor is free
+            return
+        sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        session = _Session(self, sock, peer)
+        self._selector.register(sock, selectors.EVENT_READ, session)
+        self._sessions.add(session)
+        self._watchers = [watcher for watcher in self._watchers
+                          if watcher.is_alive()] + [session.watcher]
+        self.sessions_served += 1
+
+    def _receive(self, session: _Session) -> None:
+        """Take what one read brings from a run, frame by frame."""
+        size = 0
+        with suppress(OSError):  # a reset ends the stream, as a close does
+            size = session.sock.recv_into(self._buffer)
+        if not size:
+            self._end(session, "connection lost")
+            return
+        session.last_heard = time.monotonic()
+        try:
+            for kind, payload in session.decoder.feed(self._buffer[:size]):
+                if (ended := session.handle(kind, payload)) is not None:
+                    self._end(session, ended)
+                    return
+            session.flush()
+        except Exception as exc:  # it ends the session, not the daemon
+            _logger.warning("session from %s: %s", session._peer, exc,
+                            exc_info=not isinstance(exc, WireError))
+            session._send(FrameKind.ERROR, {"detail": str(exc)})
+            with suppress(OSError):  # say why, waiting a second at most
+                session.sock.settimeout(1.0)
+                session.sock.sendall(session.out)
+            self._end(session, "protocol error")
+
+    def _heartbeats(self) -> None:
+        """Beat the welcomed sessions; drop the ones silent too long."""
+        for session in tuple(self._sessions):
+            silent = time.monotonic() - session.last_heard
+            if silent > self.session_timeout:
+                _logger.warning(
+                    "session from %s: run silent for %.1fs, dropping it",
+                    session._peer, silent)
+                self._end(session, "dropped")
+            elif session.welcomed and not session.out:
+                # No beat queues behind an unsent one; "busy" is server-
+                # wide, as sessions share one physical worker budget.
+                session._send(FrameKind.HEARTBEAT, {
+                    "busy": self.busy_workers,
+                    "session_busy": len(session.host.running()),
+                    "workers": self.workers})
+                session.flush()
+
+    def _end(self, session: _Session, reason: str) -> None:
+        """Hang up; the session's watcher stops every slot."""
+        if session not in self._sessions:
+            return
+        _logger.info("session from %s: %s", session._peer, reason)
+        self._sessions.discard(session)
+        self._ended[0] += session.host.slots_started
+        self._ended[1] += session.host.assignments_served
+        self._ended[2] += session.relay.superseded
+        self._selector.unregister(session.sock)
+        session.sock.close()
+        session.host.interrupt()
+
+    def _wake(self) -> None:
+        """Break the serving thread's wait: a relay has frames, or stop."""
+        with suppress(OSError):  # the serving thread is gone
+            self._wake_w.send(b"\0")
 
     def start(self) -> tuple[str, int]:
         """Serve from a daemon thread; return the bound address."""
-        ready = threading.Event()
-        self._thread = threading.Thread(
-            target=lambda: asyncio.run(self._serve_quietly(ready)),
-            daemon=True, name="parmonc-pool")
-        self._thread.start()
-        ready.wait(timeout=10.0)
-        if self._startup_error is not None:
+        try:
+            listeners = self._bind()
+        except OSError as exc:
             raise RuntimeError(
                 f"parmonc-pool failed to bind {self._host}:{self._port}"
-            ) from self._startup_error
+            ) from exc
+        threading.Thread(target=self._serve, args=(listeners,), daemon=True,
+                         name="parmonc-pool").start()
         return self.address
 
-    async def _serve_quietly(self, ready: threading.Event) -> None:
-        try:
-            await self.serve(ready)
-        except BaseException:
-            if self._startup_error is None:
-                raise
-
     def stop(self) -> None:
-        """Stop serving and join the background thread, if any, and
-        every session's watcher: on return, no slot of the pool runs."""
-        if self._loop is not None and self._stop_event is not None:
-            try:
-                self._loop.call_soon_threadsafe(self._stop_event.set)
-            except RuntimeError:
-                pass
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
-        for watcher in tuple(self._watchers):
-            watcher.join(timeout=10.0)
+        """Stop serving and wait, 10 s at most, for the serving loop to
+        end: it joins every watcher, so no slot runs after."""
+        self._stopping = True
+        self._wake()
+        if self._address is not None:  # serve() or start() bound
+            self._served.wait(10.0)

@@ -56,7 +56,6 @@ learns a job — the anonymous job of ``parmonc()`` included, its
 
 from __future__ import annotations
 
-import asyncio
 import base64
 import enum
 import json
@@ -81,10 +80,8 @@ __all__ = [
     "encode_frame",
     "message_from_payload",
     "message_to_payload",
-    "read_frame",
     "routine_from_payload",
     "routine_to_payload",
-    "write_frame",
 ]
 
 #: Protocol magic; the first four bytes of every frame.
@@ -213,35 +210,13 @@ class FrameDecoder:
         """Absorb ``data``; yield every frame it completes, in order."""
         self._buffer.extend(data)
         while len(self._buffer) >= _HEADER.size:
-            kind, length, crc = _parse_header(
-                bytes(self._buffer[:_HEADER.size]))
+            kind, length, crc = _parse_header(self._buffer[:_HEADER.size])
             end = _HEADER.size + length
             if len(self._buffer) < end:
                 return
             body = bytes(self._buffer[_HEADER.size:end])
             del self._buffer[:end]
             yield kind, _parse_body(kind, body, crc)
-
-
-async def read_frame(reader: asyncio.StreamReader
-                     ) -> tuple[FrameKind, dict | bytes]:
-    """Read one complete frame from an asyncio stream.
-
-    Raises:
-        WireError: On a malformed header, checksum failure or version
-            mismatch.
-        asyncio.IncompleteReadError: When the peer closes mid-frame.
-    """
-    header = await reader.readexactly(_HEADER.size)
-    kind, length, crc = _parse_header(header)
-    body = await reader.readexactly(length) if length else b""
-    return kind, _parse_body(kind, body, crc)
-
-
-def write_frame(writer: asyncio.StreamWriter, kind: FrameKind,
-                payload: dict | bytes) -> None:
-    """Queue one frame on an asyncio stream (transport-buffered)."""
-    writer.write(encode_frame(kind, payload))
 
 
 # ---------------------------------------------------------------------------

@@ -466,6 +466,39 @@ class TestOneRunThread:
                          r"socket\.TCP_NODELAY,\s*1\)", read(self.SOURCE))
 
 
+class TestOnePoolThread:
+    # docs/architecture.md "The distributed backend": both ends of the
+    # wire have one I/O model.  A parmonc-pool serves from one selectors
+    # thread that reads frames through the FrameDecoder the run uses;
+    # the one other thread is a session's watcher over its slot pipes.
+
+    SOURCE = "src/repro/runtime/pool.py"
+
+    def test_no_asyncio_anywhere_in_the_package(self):
+        offenders = [str(path.relative_to(ROOT))
+                     for path in (ROOT / "src" / "repro").rglob("*.py")
+                     if "asyncio" in path.read_text()]
+        assert offenders == []
+
+    def test_the_wire_has_no_stream_reader_or_writer(self):
+        source = read("src/repro/runtime/wire.py")
+        assert not re.search(r"^(?:async\s+)?def\s+(?:read|write)_frame\b",
+                             source, re.M)
+
+    def test_the_two_threads_are_the_server_and_the_watcher(self):
+        source = read(self.SOURCE)
+        assert source.count("threading.Thread(") == 2
+        for target in ("_serve", "_watch"):
+            assert re.search(r"threading\.Thread\(\s*target=self\."
+                             + target + r"\b", source), target
+
+    def test_frames_are_read_through_the_frame_decoder(self):
+        source = read(self.SOURCE)
+        assert "FrameDecoder()" in source
+        assert re.search(r"\.decoder\.feed\(", source)
+        assert "recv_into(" in source
+
+
 def _square(rng):
     return rng.random() ** 2
 

@@ -11,14 +11,15 @@ in ``test_runtime_engine.py::TestBackendParity``.)
 
 from __future__ import annotations
 
-import asyncio
 import logging
 import multiprocessing
 import os
+import queue
 import select
 import selectors
 import signal
 import socket
+import subprocess
 import sys
 import threading
 import time
@@ -27,6 +28,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import repro
 from repro.core.parmonc import build_job_spec, parmonc
 from repro.exceptions import ConfigurationError
 from repro.obs.events import read_events
@@ -47,7 +49,13 @@ from repro.runtime.messages import (
 )
 from repro.runtime.pool import PoolServer, _Relay
 from repro.runtime.scheduler import Scheduler
-from repro.runtime.wire import FrameDecoder, FrameKind, encode_frame
+from repro.runtime.wire import (
+    FrameDecoder,
+    FrameKind,
+    config_to_payload,
+    encode_frame,
+    routine_to_payload,
+)
 from repro.runtime.worker import run_worker
 from repro.stats.accumulator import MomentAccumulator
 from repro.stats.merging import merge_snapshots
@@ -677,7 +685,7 @@ class TestLatestWinsRelay:
         def check(ranks, schedule):
             frames, loop = [], []
             relay = _Relay(lambda kind, payload: frames.append(
-                (kind, payload)), loop.append)
+                (kind, payload)), lambda: loop.append(relay.drain))
             reads = {key: [] for key in self.KEYS[:ranks]}
             count = 0
             for step in schedule:
@@ -702,11 +710,12 @@ class TestLatestWinsRelay:
         # The watcher and the loop thread share the unsent passes; with
         # threads switching every microsecond, a lost update drops a
         # final, reorders a rank or miscounts what was superseded.
-        loop = asyncio.new_event_loop()
-        runner = threading.Thread(target=loop.run_forever, daemon=True)
+        handed = queue.SimpleQueue()  # drains, then None to stop
+        runner = threading.Thread(target=lambda: [
+            drain() for drain in iter(handed.get, None)], daemon=True)
         frames = []
         relay = _Relay(lambda kind, payload: frames.append((kind, payload)),
-                       loop.call_soon_threadsafe)
+                       lambda: handed.put(relay.drain))
         reads = {key: [] for key in self.KEYS}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -718,14 +727,13 @@ class TestLatestWinsRelay:
                 reads[key].append(body)
                 relay.forward(key, body)
             done = threading.Event()
-            loop.call_soon_threadsafe(done.set)
+            handed.put(done.set)
             assert done.wait(30.0)
         finally:
             sys.setswitchinterval(interval)
-            loop.call_soon_threadsafe(loop.stop)
+            handed.put(None)
             runner.join(30.0)
         assert not runner.is_alive()
-        loop.close()
         self._assert_relayed(reads, frames, relay.superseded)
 
     def test_every_pass_a_slot_wrote_is_sent_or_superseded(self, tmp_path):
@@ -981,13 +989,15 @@ class TestTeardownAndLateTraffic:
         assert retries == []
         assert late.result.total_volume == 16
 
-    def test_stopping_a_pool_mid_session_logs_no_error(self, caplog):
-        # PoolServer.stop() cancels the open session's task; it must end
-        # normally once its slots are stopped, not as a cancelled task
-        # asyncio reports through "Unhandled exception in
-        # client_connected_cb" or "Exception in callback".
+    def test_stopping_a_pool_mid_session_logs_no_error(self, caplog,
+                                                        monkeypatch):
+        # PoolServer.stop() ends the open session; it must end normally
+        # once its slots are stopped: no error logged by the pool, no
+        # exception escaping the serving thread or a watcher.
+        uncaught = []
+        monkeypatch.setattr(threading, "excepthook", uncaught.append)
         server = PoolServer(port=0, workers=1, start_method="fork")
-        with caplog.at_level(logging.DEBUG, logger="asyncio"), \
+        with caplog.at_level(logging.DEBUG, logger="repro.runtime.pool"), \
                 socket.create_connection(server.start()) as run:
             run.sendall(encode_frame(FrameKind.HELLO, {}))
             decoder, frames = FrameDecoder(), []
@@ -996,8 +1006,9 @@ class TestTeardownAndLateTraffic:
             assert frames[0][0] is FrameKind.WELCOME
             server.stop()
         assert [record.getMessage() for record in caplog.records
-                if record.name == "asyncio"
+                if record.name == "repro.runtime.pool"
                 and record.levelno >= logging.ERROR] == []
+        assert uncaught == []
 
     def test_a_run_that_reads_nothing_gets_no_heartbeat_backlog(self):
         # An idle service reads nothing between jobs.  Once the kernel
@@ -1017,13 +1028,11 @@ class TestTeardownAndLateTraffic:
             assert frames[0][0] is FrameKind.WELCOME
             (session,) = server._sessions
             # Small kernel buffers on both ends, so they fill in moments.
-            session._writer.get_extra_info("socket").setsockopt(
-                socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            session.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
             beat = len(encode_frame(FrameKind.HEARTBEAT, {
                 "busy": 0, "session_busy": 0, "workers": 1}))
             threading.Event().wait(1.0)  # ~1000 beats, none read
-            assert session._writer.transport.get_write_buffer_size() \
-                <= beat
+            assert len(session.out) <= beat
         finally:
             run.close()
             server.stop()
@@ -1129,6 +1138,204 @@ class TestOneRunThread:
             for pool in pools:
                 pool.stop()
         assert [pool.sessions_served for pool in pools] == [1, 1]
+
+
+class TestOnePoolThread:
+    """A pool serves every session from one thread over non-blocking
+    sockets: a run that says nothing, or reads nothing, costs only its
+    own session, and stopping the pool stops every slot."""
+
+    @staticmethod
+    def _hello(run: socket.socket) -> None:
+        run.sendall(encode_frame(FrameKind.HELLO, {}))
+        decoder, frames = FrameDecoder(), []
+        while not frames:
+            frames = list(decoder.feed(run.recv(64)))
+        assert frames[0][0] is FrameKind.WELCOME
+
+    def test_a_connection_that_never_says_hello_is_dropped(self):
+        # The silence watchdog counts from the accept, so a connection
+        # that never says HELLO gives back its socket, watcher and host.
+        threads = set(threading.enumerate())
+        server = PoolServer(port=0, workers=1, start_method="fork",
+                            heartbeat_interval=0.05, session_timeout=0.3)
+        try:
+            with socket.create_connection(server.start()) as silent:
+                silent.settimeout(10.0)  # never dropped: fail, not hang
+                assert silent.recv(64) == b""
+            assert len(server._sessions) == 0
+            watchers = [thread for thread in threading.enumerate()
+                        if thread not in threads and "_watch" in thread.name]
+            for watcher in watchers:
+                watcher.join(10.0)
+            assert not [watcher for watcher in watchers
+                        if watcher.is_alive()]
+        finally:
+            server.stop()
+        assert server.sessions_served == 1
+
+    def test_passes_leave_on_the_relays_wake_not_on_a_timer(self):
+        # Neither end beats during the test, so only the relay's wake
+        # moves what the watcher read onto the socket; a wake lost to a
+        # race would hold a job's final until the next beat.
+        server = PoolServer(port=0, workers=2, start_method="fork",
+                            heartbeat_interval=3600.0)
+        backend = DistributedBackend(connect="%s:%d" % server.start(),
+                                     heartbeat_interval=3600.0,
+                                     heartbeat_timeout=3600.0)
+        scheduler = Scheduler(backend, workers=2)
+        scheduler.start()
+        try:
+            for index in range(20):
+                job = scheduler.submit(build_job_spec(dict(
+                    routine=wide, nrow=1000, ncol=2, name=f"job{index}",
+                    maxsv=32, processors=2, seqnum=index, perpass=0.0,
+                    peraver=0.0, use_files=False)))
+                assert scheduler.wait(job, timeout=10.0)
+                assert job.status is JobStatus.DONE, job.error
+        finally:
+            assert scheduler.shutdown(timeout=60.0) is True
+            server.stop()
+
+    def test_a_stalled_run_does_not_stall_another_session(self):
+        # Session A says HELLO and then reads nothing, with small kernel
+        # buffers on both ends, so the pool's beats to it fill them and
+        # wait in its unsent buffer.  Session B's job runs to DONE.
+        server = PoolServer(port=0, workers=2, start_method="fork",
+                            heartbeat_interval=0.001)
+        stalled = socket.socket()
+        stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        try:
+            host, port = server.start()
+            stalled.connect((host, port))
+            self._hello(stalled)
+            (session,) = server._sessions
+            session.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF,
+                                    4096)
+            deadline = time.monotonic() + 30.0
+            while not session.out:  # the kernel took all it will
+                assert time.monotonic() < deadline, "A's buffers never filled"
+                threading.Event().wait(0.01)
+            result = parmonc(square, maxsv=16, processors=2,
+                             backend="distributed", connect=f"{host}:{port}",
+                             use_files=False, perpass=0.0, peraver=0.0)
+            assert result.total_volume == 16
+            assert session in server._sessions  # A is still connected
+        finally:
+            stalled.close()
+            server.stop()
+        assert server.sessions_served == 2
+
+    def test_a_name_is_served_on_every_address_it_resolves_to(
+            self, monkeypatch):
+        # As asyncio.start_server did: one listener per address, so a
+        # run that dials either address of a dual-stack name finds the
+        # pool, on the one port a port-0 pool picked.
+        with socket.socket(socket.AF_INET6) as probe:
+            try:
+                probe.bind(("::1", 0))
+            except OSError:
+                pytest.skip("no IPv6 loopback")
+        resolve = socket.getaddrinfo
+
+        def dual_stack(host, *args, **kwargs):
+            if host != "pool.test":
+                return resolve(host, *args, **kwargs)
+            return [*resolve("127.0.0.1", *args, **kwargs),
+                    *resolve("::1", *args, **kwargs)]
+
+        monkeypatch.setattr(socket, "getaddrinfo", dual_stack)
+        server = PoolServer(host="pool.test", port=0, workers=1,
+                            start_method="fork")
+        try:
+            port = server.start()[1]
+            for address in ("127.0.0.1", "::1"):
+                with socket.create_connection((address, port),
+                                              timeout=10.0) as run:
+                    self._hello(run)
+        finally:
+            server.stop()
+        assert server.address == ("127.0.0.1", port)
+        assert server.sessions_served == 2
+
+    def test_a_malformed_frame_gets_an_error_frame_before_the_hangup(self):
+        server = PoolServer(port=0, workers=1, start_method="fork",
+                            heartbeat_interval=3600.0)
+        try:
+            with socket.create_connection(server.start()) as run:
+                run.settimeout(10.0)
+                self._hello(run)
+                frame = bytearray(encode_frame(FrameKind.HEARTBEAT, {}))
+                frame[-1] ^= 0xFF  # the body no longer matches its CRC
+                run.sendall(frame)
+                received = bytearray()
+                while chunk := run.recv(4096):
+                    received += chunk
+        finally:
+            server.stop()
+        (kind, payload), = FrameDecoder().feed(bytes(received))
+        assert kind is FrameKind.ERROR
+        assert "checksum" in payload["detail"]
+
+    def test_stop_waits_for_a_serve_on_another_thread(self):
+        # serve() is the blocking call parmonc-pool makes; stop() from
+        # another thread returns once no watcher, and so no slot, runs.
+        server = PoolServer(port=0, workers=1, start_method="fork")
+        ready = threading.Event()
+        serving = threading.Thread(target=server.serve, args=(ready,),
+                                   daemon=True)
+        serving.start()
+        assert ready.wait(10.0)
+        with socket.create_connection(server.address) as run:
+            self._hello(run)
+            (session,) = server._sessions
+            server.stop()
+            assert not session.watcher.is_alive()
+        serving.join(10.0)
+        assert not serving.is_alive()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="pidfds and POSIX signals (Linux only)")
+    def test_sigint_leaves_no_slot_alive(self, tmp_path):
+        # parmonc-pool, interrupted with a session open and one slot
+        # busy in a routine that never returns, exits 0 and leaves no
+        # worker process behind.
+        source = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([
+            source, os.path.dirname(os.path.abspath(__file__))]))
+        env[_PID_DIR_ENV] = str(tmp_path)
+        pool = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli.pool", "--port", "0",
+             "--workers", "2", "--start-method", "fork"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env)
+        published = tmp_path / "busy.pid"
+        try:
+            host, _, port = pool.stdout.readline().split()[-1].rpartition(
+                ":")
+            with socket.create_connection((host, int(port))) as run:
+                self._hello(run)
+                run.sendall(encode_frame(FrameKind.SUBMIT, {
+                    "config": config_to_payload(RunConfig(maxsv=8)),
+                    "routine": routine_to_payload(block_until_killed)})
+                    + encode_frame(FrameKind.ASSIGN,
+                                   {"rank": 0, "quota": 8}))
+                deadline = time.monotonic() + 30.0
+                while not published.exists():
+                    assert time.monotonic() < deadline, "no slot got busy"
+                    threading.Event().wait(0.01)
+                pool.send_signal(signal.SIGINT)
+                _, errors = pool.communicate(timeout=60.0)
+        finally:
+            if pool.poll() is None:
+                pool.kill()
+                pool.communicate()
+        assert pool.returncode == 0, errors
+        assert "interrupted" in errors
+        slots = _pids(tmp_path)
+        assert int(published.read_text()) in slots
+        assert [pid for pid in slots if not wait_dead(pid, 5.0)] == []
 
 
 class TestOneOrderedInbox:
