@@ -11,9 +11,8 @@ tree's two headline promises on real OS processes:
    deterministically the moment it absorbs its worker's final message
    (``PARMONC_REDUCER_CRASH``), the run still completes the full
    sample under ``on_worker_death="reassign"``: the reducer respawns,
-   the eaten final's quota moves to a fresh rank, and the merged
-   estimate is bit-identical to the rank-ordered merge of the pieces
-   the run actually kept (computed locally as the reference).
+   the rank whose final it ate reruns on its own stream, and the
+   merged estimate is bit-identical to the fault-free sequential run.
 
 Usage::
 
@@ -39,10 +38,7 @@ if REPO_SRC not in sys.path:
 
 from repro.core.parmonc import parmonc  # noqa: E402
 from repro.obs.events import read_events  # noqa: E402
-from repro.runtime.config import RunConfig  # noqa: E402
 from repro.runtime.reduction import CRASH_ENV  # noqa: E402
-from repro.runtime.worker import run_worker  # noqa: E402
-from repro.stats.merging import merge_snapshots  # noqa: E402
 
 
 def square(rng):
@@ -79,13 +75,13 @@ def main() -> int:
           == sequential.estimates.variance[0, 0],
           "tree estimates bit-identical to sequential")
 
-    # -- Part 2: reducer killed on a final, subtree reassigned ---------
+    # -- Part 2: reducer killed on a final, its worker rerun -----------
     # processors=5, fanout=4: r1.0 serves ranks 0-3, r1.1 serves rank 4
     # alone.  perpass is huge, so rank 4's *only* message is its final —
     # r1.1 dies the moment it absorbs it, the worst case: worker 4
     # exited cleanly, its respawned reducer reads end-of-file and exits,
-    # nothing of rank 4 ever reached the collector, so its full
-    # 5-realization quota moves to rank 5.
+    # nothing of rank 4 ever reached the collector, so rank 4 reruns
+    # its full 5-realization quota, straight to rank 0.
     os.environ[CRASH_ENV] = "r1.1:on-final"
     try:
         result = parmonc(square, maxsv=25, perpass=1000.0, peraver=0.0,
@@ -98,20 +94,15 @@ def main() -> int:
     check(result.total_volume == 25,
           "recovered run completed the full 25-realization sample")
     check(result.recovered_ranks == (4,),
-          "rank 4's eaten quota was reassigned")
+          "rank 4 reran on its own stream")
 
-    # Reference: ranks 0-3 at full quota plus replacement rank 5 at
-    # rank 4's quota, merged in rank order by a local worker loop.
-    config = RunConfig(nrow=1, ncol=1, maxsv=25, perpass=0.0,
-                       peraver=0.0, processors=5, workdir=base / "ref")
-    pieces = [run_worker(square, config, rank, quota,
-                         send=lambda message: None).snapshot()
-              for rank, quota in ((0, 5), (1, 5), (2, 5), (3, 5), (5, 5))]
-    reference = merge_snapshots(pieces).estimates()
-    check(result.estimates.mean[0, 0] == reference.mean[0, 0]
-          and result.estimates.variance[0, 0] == reference.variance[0, 0],
-          "recovered estimate bit-identical to the rank-ordered "
-          "reference merge")
+    reference = parmonc(square, maxsv=25, perpass=1000.0, peraver=0.0,
+                        processors=5, backend="sequential",
+                        use_files=False).estimates
+    check(all(getattr(result.estimates, field).tobytes()
+              == getattr(reference, field).tobytes()
+              for field in ("mean", "variance", "abs_error")),
+          "recovered estimate bit-identical to the fault-free run")
 
     telemetry_dir = base / "elastic" / "parmonc_data" / "telemetry"
     kinds = [event.kind for event in

@@ -13,14 +13,15 @@ operator would — through ``parmonc-submit`` against the queue file:
    status file must show ``cancelled``.
 3. **Chaos** — one worker of the telemetry-enabled job is SIGKILLed
    mid-run; the job must recover via ``on_worker_death="reassign"``
-   and still finish.
+   and still finish, on the bytes of a fault-free run.
 4. **Failure containment** — a job under the default
    ``on_worker_death="fail"`` loses one of its two workers to
    ``os._exit(3)``; it must end ``failed``, and its *other* worker —
    which would otherwise sit in its routine forever — must be gone
    from the pool within 2 s (``release_job`` -> ``CANCEL``).
-5. **Bit-identity** — the steady and late jobs' result artifacts must
-   be byte-identical (wall-clock fields aside) to solo sequential runs.
+5. **Bit-identity** — the steady, late and victim jobs' result
+   artifacts must be byte-identical (wall-clock fields aside) to solo
+   sequential runs.
 6. **Validation** — a malformed submission must exit 2 and never touch
    the queue.
 7. **SLA artifact** — the shutdown directive drains the service and
@@ -358,6 +359,15 @@ def main() -> int:
               == normalized_artifacts(base / "ref-late"),
               "late artifacts (admitted after the failure) bit-identical "
               "to the solo reference")
+        Engine(SequentialBackend(),
+               RunConfig(maxsv=20, processors=2, perpass=0.0,
+                         peraver=0.0, seqnum=2,
+                         workdir=base / "ref-victim")).run(
+                             smokeroutines.hang_on_sixth)
+        check(normalized_artifacts(base / "victim")
+              == normalized_artifacts(base / "ref-victim"),
+              "victim artifacts (a worker SIGKILLed) bit-identical to "
+              "the fault-free solo reference")
 
         report = json.loads((base / "sla.json").read_text())
         by_id = {record["job"]: record for record in report["jobs"]}

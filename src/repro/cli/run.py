@@ -97,8 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
                         default="fail",
                         help="policy when a worker dies short of its "
                              "final message: fail aborts the run "
-                             "(default), reassign reissues the remaining "
-                             "quota to a fresh worker")
+                             "(default), reassign reruns the dead rank "
+                             "on its own stream")
     parser.add_argument("--statistics", default=None,
                         help="comma-separated extra statistics to "
                              "accumulate alongside the moments "

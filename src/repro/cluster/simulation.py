@@ -106,12 +106,14 @@ class ClusterSpec:
             matrix shape via :func:`repro.runtime.messages.message_bytes`
             (the paper's 1000 x 2 problem gives ~125 KB).
         failures: Optional fault injection — ``{rank: fail_time}``,
-            applied to every job: its rank ``rank`` fails ``fail_time``
-            seconds after the job starts.  A failed node stops
-            silently: no further computation, passes or final message.
-            Work it completed after its last data pass is lost;
-            everything already passed survives at the collector (the
-            §2.2 motivation for periodic passes).
+            applied to every job: the node running its rank ``rank``
+            fails ``fail_time`` seconds after the job starts.  A failed
+            node stops silently: no further computation, passes or
+            final message.  Work it completed after its last data pass
+            is lost; everything already passed survives at the
+            collector (the §2.2 motivation for periodic passes).  A
+            rank rerun after its failure (``"reassign"``) runs on a
+            fresh unit-speed node that does not fail.
         seed: Seed of the simulator's own duration sampler — *not* part
             of the Monte Carlo sample.
     """
@@ -158,7 +160,8 @@ class ClusterResult:
         t_comp: Virtual seconds until the collector finished receiving,
             averaging and saving the full sample (Fig. 2's ``T_comp``).
         total_volume: Realizations delivered in this session.
-        per_rank_volumes: Final volume per worker.
+        per_rank_volumes: Final volume per rank (of its rerun, for a
+            rank rerun after its node failed).
         messages_sent: Worker data passes (including finals).
         collector_utilization: Busy fraction of the collector server
             over ``[0, t_comp]``.
@@ -166,8 +169,8 @@ class ClusterResult:
         compute_span: Virtual time the last worker finished computing
             (``t_comp`` minus trailing exchange overhead).
         failed_ranks: Nodes that died mid-run (fault injection).
-        lost_realizations: Realizations computed but never delivered to
-            the collector before their node failed.
+        lost_realizations: Realizations a failed node computed but never
+            delivered to the collector.
         collector_served: Messages the 0-th processor's server actually
             ingested — equals ``messages_sent`` on the flat exchange,
             and the (much smaller) combined-message count under a
@@ -325,8 +328,11 @@ class _SimulatedJob:
             if fail_time < 0.0:
                 raise ConfigurationError(
                     f"failure time must be >= 0, got {fail_time}")
+        # Injected failures, until their rank reruns: each kills the
+        # rank's first node only.
         self._failures = {rank: start + fail_time
                           for rank, fail_time in failures.items()}
+        self._lost = 0
         self._finaled: set[int] = set()
         if quotas is None:
             quotas = [config.worker_quota(rank)
@@ -514,20 +520,16 @@ class _SimulatedJob:
     def add_worker(self, rank: int, quota: int | None) -> None:
         """Start ``rank``'s worker at the current virtual time.
 
-        A rank past the configured processors replaces a failed one
-        (quota reassignment, static scheduling only): a plain unit-speed
-        node drawing from the ``rank``-th "processors" subsequence — a
-        substream no failed node ever touched.
+        A rank that already ran reruns after its node failed: from
+        realization 0 of its own stream, on a fresh unit-speed node.
+        What the failed node computed past its last pass is lost.
         """
-        if rank >= len(self._processors):
-            if self._scheduling != "static":
-                raise ConfigurationError(
-                    "workers can only be added under static scheduling")
-            if rank != len(self._processors):
-                raise ConfigurationError(
-                    f"worker ranks must stay contiguous: expected "
-                    f"{len(self._processors)}, got {rank}")
-            self._processors.append(Processor(rank, 1.0, None))
+        failed = self._workers.get(rank)
+        if failed is not None:
+            self._note_failure(rank, self._failures.pop(rank))
+            self._lost += (failed.accumulator.volume
+                           - self._collector.worker_volume(rank))
+            self._processors[rank] = Processor(rank, 1.0, None)
         clock = self._clock
         worker = WorkerBody(
             self._routine, self._config, rank, clock=clock,
@@ -541,15 +543,14 @@ class _SimulatedJob:
         self._start_realization(rank, self._events.now)
 
     def dead_ranks(self) -> list[int]:
-        """Started ranks an injected failure kept from finalizing that
-        the collector still expects (a reassigned one is retired).
+        """Started ranks an injected failure kept from finalizing and
+        that have not been rerun.
 
         Ask when the cluster is idle: every live worker has finalized,
         and everything a dead one sent has landed.
         """
-        expected = self._collector.expected_ranks
         return sorted(rank for rank in self._failures
-                      if rank in self._workers and rank in expected
+                      if rank in self._workers
                       and rank not in self._finaled)
 
     def stop(self) -> None:
@@ -577,8 +578,9 @@ class _SimulatedJob:
                 "surviving worker finalized — this indicates an "
                 "internal protocol bug")
         t_comp = self._last_completion - self._start
-        lost = sum(per_rank[rank] - self._collector.worker_volume(rank)
-                   for rank in self._failures if rank in per_rank)
+        lost = self._lost + sum(
+            per_rank[rank] - self._collector.worker_volume(rank)
+            for rank in self._failures if rank in per_rank)
         mean_delay = (self._queue_delay_total / self._messages_sent
                       if self._messages_sent else 0.0)
         self._result = ClusterResult(
@@ -589,7 +591,7 @@ class _SimulatedJob:
             collector_utilization=self._service.utilization(t_comp),
             mean_queue_delay=mean_delay,
             compute_span=self._last_compute - self._start,
-            failed_ranks=tuple(sorted(self._failures)),
+            failed_ranks=tuple(sorted(self._spec.failures or ())),
             lost_realizations=lost,
             collector_served=self._service.served,
             combined_messages=self._combined_delivered)

@@ -147,10 +147,10 @@ def parmonc(realization: RealizationRoutine | None = None,
             bit-identical to the scalar path; see ``docs/performance.md``.
         on_worker_death: ``"fail"`` (default) aborts the run when a
             worker dies short of its final message; ``"reassign"``
-            retires the dead rank at its last delivered watermark and
-            reissues the remaining quota to a fresh worker on a fresh
-            RNG subsequence.  A worker is judged once everything it
-            wrote has arrived, never by a timer.  See
+            reruns the dead rank, whole quota, on its own RNG
+            subsequence, which ends on the fault-free estimate.  A
+            worker is judged once everything it wrote has arrived,
+            never by a timer.  See
             ``docs/architecture.md``.
         statistics: Mergeable statistics to accumulate alongside the
             moments — a sequence of registered kinds or a

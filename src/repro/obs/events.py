@@ -5,15 +5,15 @@ under simulation) and ``kind``; remaining keys are the event's payload.
 Kinds emitted by the runtime:
 
 ``session_start``   config echo: backend, processors, maxsv, seqnum
-``worker_start``    rank, quota (+ ``recovery`` for replacement workers)
+``worker_start``    rank, quota (+ ``recovery`` for a dead rank's rerun)
 ``worker_final``    rank, volume, messages, bytes
 ``worker_died``     rank, exitcode, volume (dead-worker detection)
-``worker_recovered`` rank, replacement, reassigned, delivered
-                    (``on_worker_death="reassign"`` fault recovery)
+``worker_recovered`` rank, reassigned, delivered
+                    (``on_worker_death="reassign"``: the rank reruns)
 ``node_failed``     rank, fail_time (simcluster fault injection)
 ``message``         rank, volume, final (one per collector ingest)
-``stale_message``   rank, volume, kept_volume (out-of-order drop)
-``late_message``    rank, volume, kept_volume (retired-rank drop)
+``stale_message``   rank, volume, kept_volume (out-of-order or rerun
+                    catch-up drop)
 ``stale_worker``    rank, last_seen (silent-worker health flag)
 ``storage.quarantined``  path, quarantined, reason (a torn/corrupt
                     artifact renamed ``*.corrupt`` and skipped)

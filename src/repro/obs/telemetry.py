@@ -187,19 +187,17 @@ class RunTelemetry:
                            duration=duration, save_index=save_index)
         self.events.flush()
 
-    def worker_recovered(self, *, rank: int, replacement: int | None,
-                         reassigned: int, delivered: int,
-                         now: float | None = None) -> None:
-        """Account one fault-recovery: a dead rank's quota was reissued.
+    def worker_recovered(self, *, rank: int, reassigned: int,
+                         delivered: int, now: float | None = None) -> None:
+        """Account one fault-recovery: a dead rank reruns on its stream.
 
         Args:
-            rank: The dead worker's processor index.
-            replacement: The fresh worker that inherited the quota, or
-                None when no replacement was needed.
-            reassigned: Realizations reissued to the replacement (0 when
-                the dead worker had already delivered its full quota).
+            rank: The dead worker's processor index, which reruns.
+            reassigned: Realizations reissued to the rerun: the rank's
+                whole quota.
             delivered: Realizations the dead worker delivered before
-                dying (the collector keeps them — nothing re-runs).
+                dying (the collector keeps them until the rerun
+                passes them).
             now: Run-clock timestamp of the recovery decision.
         """
         self._recoveries += 1
@@ -208,8 +206,7 @@ class RunTelemetry:
             self.registry.counter("engine.reassigned_realizations").inc(
                 reassigned)
         self.events.append("worker_recovered", ts=now, rank=rank,
-                           replacement=replacement, reassigned=reassigned,
-                           delivered=delivered)
+                           reassigned=reassigned, delivered=delivered)
         self.events.flush()
 
     # ------------------------------------------------------------------

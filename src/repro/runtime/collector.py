@@ -85,14 +85,11 @@ class Collector:
         self._latest_extras: dict[int, Mapping[str, Statistic]] = {}
         self._finals: set[int] = set()
         self._expected: set[int] = set(range(config.processors))
-        self._retired: set[int] = set()
-        self._expected_since: dict[int, float] = {}
         self._last_seen: dict[int, float] = {}
         self._epoch: float | None = None
         self._last_average_at: float | None = None
         self._receive_count = 0
         self._stale_count = 0
-        self._late_count = 0
         self._combined_count = 0
         self._save_count = 0
         self._history: list[tuple[float, int, float]] = []
@@ -114,11 +111,6 @@ class Collector:
     def stale_count(self) -> int:
         """Out-of-order messages dropped because a newer snapshot won."""
         return self._stale_count
-
-    @property
-    def late_count(self) -> int:
-        """Messages dropped because their rank had already been retired."""
-        return self._late_count
 
     @property
     def combined_count(self) -> int:
@@ -158,54 +150,22 @@ class Collector:
 
     @property
     def complete(self) -> bool:
-        """True when every expected worker has sent a final message.
-
-        The expected set starts as the configured ranks; the engine may
-        shrink it (:meth:`retire_rank`, a dead worker whose quota was
-        reassigned) or grow it (:meth:`expect_rank`, the replacement).
-        """
+        """True when every configured worker has sent a final message."""
         return self._expected.issubset(self._finals)
 
-    @property
-    def expected_ranks(self) -> frozenset[int]:
-        """Ranks the collector currently expects a final message from."""
-        return frozenset(self._expected)
+    def rerun_rank(self, rank: int, now: float) -> None:
+        """``rank`` reruns from realization 0 on its own stream.
 
-    def retire_rank(self, rank: int) -> None:
-        """Stop expecting ``rank`` while keeping everything it delivered.
-
-        Used when a dead worker's remaining quota is reassigned: its
-        latest cumulative snapshot stays in the merge (the watermark the
-        replacement's quota was computed against), but late messages
-        from it are dropped and it no longer gates completion.
+        Its kept snapshot stays in the merge: the rerun's passes below
+        it are dropped as stale, and from the kept volume on they carry
+        the same bytes.  Its staleness counts from ``now``.
         """
-        if rank not in self._expected:
-            raise ConfigurationError(
-                f"cannot retire rank {rank}: not an expected rank")
-        self._expected.discard(rank)
-        self._finals.discard(rank)
-        self._retired.add(rank)
-
-    def expect_rank(self, rank: int, now: float | None = None) -> None:
-        """Start expecting a final message from ``rank``.
-
-        Args:
-            rank: The new worker's processor index; must not collide
-                with a live or retired rank.
-            now: Run-clock time the worker was spawned; anchors the
-                staleness judgement for a rank that has not reported
-                yet (see :meth:`stale_workers`).
-        """
-        if rank in self._expected or rank in self._retired:
-            raise ConfigurationError(
-                f"rank {rank} is already tracked by the collector")
-        self._expected.add(rank)
-        if now is not None:
-            self._expected_since[rank] = now
+        self._last_seen[rank] = now
 
     @property
     def last_seen(self) -> dict[int, float]:
-        """Per-rank watermark: arrival time of the last accepted message."""
+        """Per-rank watermark: arrival time of the rank's last message,
+        kept or stale, or of its rerun."""
         return dict(self._last_seen)
 
     def mark_epoch(self, now: float) -> None:
@@ -237,8 +197,7 @@ class Collector:
         for rank in sorted(self._expected):
             if rank in self._finals:
                 continue
-            watermark = self._last_seen.get(
-                rank, self._expected_since.get(rank, epoch))
+            watermark = self._last_seen.get(rank, epoch)
             if now - watermark > threshold:
                 stale.append(rank)
         return tuple(stale)
@@ -277,7 +236,7 @@ class Collector:
         """Ingest one reducer forward; return True if a save was triggered.
 
         Every entry goes through the same latest-per-rank bookkeeping
-        as a direct worker pass — same stale/late drops, same
+        as a direct worker pass — same stale drops, same
         subtotal persistence — but the batch pays for a *single*
         save-due check, which is precisely the fixed per-message
         collector cost the reduction tree amortizes over its subtree.
@@ -312,19 +271,6 @@ class Collector:
 
     def _ingest(self, message: MomentMessage, now: float) -> bool:
         """Latest-per-rank bookkeeping for one entry; True if accepted."""
-        if message.rank in self._retired:
-            # A retired (dead) worker's message surfaced after its quota
-            # was reassigned; folding it in would double-count the
-            # realizations the replacement re-simulated.
-            self._late_count += 1
-            if self._telemetry is not None:
-                self._telemetry.registry.counter(
-                    "collector.late_messages").inc()
-                self._telemetry.events.append(
-                    "late_message", ts=now, rank=message.rank,
-                    volume=message.snapshot.volume,
-                    kept_volume=self.worker_volume(message.rank))
-            return False
         if message.rank not in self._expected:
             raise ConfigurationError(
                 f"message from unknown rank {message.rank} "
@@ -336,7 +282,12 @@ class Collector:
                 f"not match the configured {self._config.shape}")
         previous = self._latest.get(message.rank)
         if previous is not None and message.snapshot.volume < previous.volume:
-            # Stale out-of-order message: cumulative volume can only grow.
+            # Stale: an out-of-order pass, or a rerun rank catching
+            # up.  Cumulative volume can only grow, but the rank is alive,
+            # and a final (a rerun cut short by the deadline) still ends it.
+            self._last_seen[message.rank] = now
+            if message.final:
+                self._finals.add(message.rank)
             self._stale_count += 1
             if self._telemetry is not None:
                 self._telemetry.registry.counter(

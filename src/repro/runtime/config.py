@@ -60,10 +60,9 @@ class RunConfig:
             worker that died short of its final message.  ``"fail"``
             (default) aborts the run with a
             :class:`~repro.exceptions.BackendError`; ``"reassign"``
-            keeps the dead worker's moments at its last collected
-            watermark and reissues the undelivered remainder of its
-            quota to a replacement worker on a fresh leaped
-            subsequence.
+            reruns the dead worker's rank, whole quota, on its own
+            subsequence, which ends the run with the fault-free
+            estimate.
         statistics: Registered statistic kinds every worker accumulates
             and ships (see :mod:`repro.stats.statistic`).  Accepts a
             sequence or a comma-separated string; normalized so

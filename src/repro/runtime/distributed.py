@@ -14,7 +14,7 @@ pool that comes up mid-run gets whatever is still pending, recovery
 assignments included.  A worker crash (an EXIT with a nonzero code) or
 a vanished pool (socket close, missed heartbeats, ``kill -9``) marks
 its unfinished ranks dead, and the engine's ``on_worker_death`` policy
-decides: ``"reassign"`` reissues the quota on fresh subsequences,
+decides: ``"reassign"`` reruns each dead rank on its own subsequence,
 possibly on another pool.
 
 The run side is one thread, the scheduler's, like rank 0's loop in the

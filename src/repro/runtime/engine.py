@@ -29,15 +29,14 @@ This module holds what the loop drives:
 **Fault-tolerant quota reassignment.**  When a backend reports a dead
 worker (:meth:`EngineBackend.reap`) and the run's
 :attr:`~repro.runtime.config.RunConfig.on_worker_death` policy is
-``"reassign"``, the job keeps the dead worker's moments at its last
-collected watermark, retires its rank, and reissues the undelivered
-remainder of its quota to a replacement worker on a *fresh* processor
-subsequence of the RNG hierarchy (an index beyond ``M``), so the
-recovered estimate stays uncorrelated with everything the dead worker
-consumed.  The default policy, ``"fail"``, fails the job with a
-:class:`~repro.exceptions.BackendError` on the multiprocess and
-distributed backends; the simulated cluster loses the tail of the
-failed node's work, as §2.2 models.
+``"reassign"``, the job reruns the dead rank with its whole quota from
+realization 0 of its own "processors" subsequence.  The rank's k-th
+realization is a pure function of (experiment, rank, k), so the rerun
+repeats what the dead worker delivered, and the recovered estimate is
+byte for byte the fault-free one.  The default policy, ``"fail"``,
+fails the job with a :class:`~repro.exceptions.BackendError` on the
+multiprocess and distributed backends; the simulated cluster loses the
+tail of the failed node's work, as §2.2 models.
 """
 
 from __future__ import annotations
@@ -71,8 +70,8 @@ __all__ = [
 _POLL_SECONDS = 0.05
 
 #: Reassignment budget: at most this many recoveries per initial worker.
-#: A routine that kills every worker it is given would otherwise respawn
-#: replacements forever; past the budget the engine fails the run.
+#: A routine that kills every worker it is given would otherwise rerun
+#: its ranks forever; past the budget the engine fails the run.
 _RECOVERY_FACTOR = 4
 
 
@@ -87,8 +86,8 @@ class WorkerAssignment:
         quota: Realizations assigned to the rank, or None when the
             backend self-schedules (the simulated cluster's ``dynamic``
             mode); reassignment needs a known quota.
-        recovery: True when this assignment re-issues a dead worker's
-            remaining quota on a fresh subsequence.
+        recovery: True when this assignment reruns a dead worker's
+            rank; it reports straight to rank 0, past any reducer.
         job: Identifier of the owning :class:`~repro.runtime.job.Job`;
             ``None`` for the anonymous job of a single run.  Backends
             route the worker's messages (and its death) back to this

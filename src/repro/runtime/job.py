@@ -16,7 +16,7 @@ A job owns:
 * its telemetry (:func:`~repro.runtime.telemetry_support
   .open_run_telemetry`) and staleness flags,
 * its work plan, in-flight ranks, quotas, and the fault-tolerant
-  reassignment bookkeeping (recovery budget, fresh replacement ranks),
+  reassignment bookkeeping (recovery budget, rerun ranks),
 * its :class:`~repro.runtime.result.RunResult` and SLA record
   (submit-to-start wait, makespan, deadline misses).
 
@@ -183,7 +183,6 @@ class Job:
         self._assigned: list[int] = []
         self._recovered: list[int] = []
         self._stale_flagged: set[int] = set()
-        self._next_rank = spec.config.processors
         self._recovery_budget = _RECOVERY_FACTOR * spec.config.processors
         self._stale_after: float | None = None
         self._flag_stale_enabled = False
@@ -329,8 +328,8 @@ class Job:
             deaths: The :class:`WorkerDeath` records routed to this job.
             now: Backend clock at the reap.
             spawn: ``spawn(job, assignments)`` callback that starts
-                replacement workers immediately (the scheduler's
-                dispatch path, bypassing the fair-share queue).
+                reruns immediately (the scheduler's dispatch path,
+                bypassing the fair-share queue).
         """
         deaths = sorted(deaths, key=lambda death: death.rank)
         for death in deaths:
@@ -351,13 +350,14 @@ class Job:
             self.reassign(death, now, spawn)
 
     def reassign(self, death: WorkerDeath, now: float, spawn) -> None:
-        """Reissue a dead worker's undelivered quota on a fresh stream.
+        """Rerun a dead worker's rank, whole quota, on its own stream.
 
-        The collector keeps everything the worker delivered up to its
-        last watermark; only the remainder is re-simulated, by a
-        replacement worker on the next unused "processors" subsequence,
-        so the recovered sample never overlaps the substreams the dead
-        worker consumed.
+        Rank r's k-th realization is a pure function of (experiment, r,
+        k), so the rerun repeats the dead worker's passes byte for byte:
+        the collector keeps the dead worker's last snapshot until the
+        rerun passes it, and the final is the fault-free one.  A rank
+        that died with everything delivered reruns too: only a final
+        ends it.
         """
         quota = self._quotas.get(death.rank)
         if quota is None:
@@ -365,35 +365,23 @@ class Job:
                 f"cannot reassign the quota of dead worker "
                 f"{death.describe()}: its assignment is dynamically "
                 f"scheduled")
+        if self._recovery_budget <= 0:
+            raise BackendError(
+                f"worker {death.describe()} died but the recovery "
+                f"budget ({_RECOVERY_FACTOR} per worker) is "
+                f"exhausted; the routine appears to kill every "
+                f"worker it is given")
+        self._recovery_budget -= 1
         delivered = self.collector.worker_volume(death.rank)
-        remaining = max(quota - delivered, 0)
-        self.collector.retire_rank(death.rank)
         self._recovered.append(death.rank)
-        replacement: int | None = None
-        if remaining > 0:
-            if self._recovery_budget <= 0:
-                raise BackendError(
-                    f"worker {death.describe()} died but the recovery "
-                    f"budget ({_RECOVERY_FACTOR} per worker) is "
-                    f"exhausted; the routine appears to kill every "
-                    f"worker it is given")
-            self._recovery_budget -= 1
-            replacement = self._next_rank
-            self._next_rank += 1
-            if replacement >= self.spec.config.leaps.processor_capacity:
-                raise BackendError(
-                    f"no fresh processor subsequence left for recovery "
-                    f"(hierarchy capacity "
-                    f"{self.spec.config.leaps.processor_capacity})")
-            self.collector.expect_rank(replacement, now=now)
-            spawn(self, [WorkerAssignment(rank=replacement,
-                                          quota=remaining,
-                                          recovery=True,
-                                          job=self.id)])
+        self.collector.rerun_rank(death.rank, now)
+        self._stale_flagged.discard(death.rank)
+        spawn(self, [WorkerAssignment(rank=death.rank, quota=quota,
+                                      recovery=True, job=self.id)])
         if self.telemetry is not None:
             self.telemetry.worker_recovered(
-                rank=death.rank, replacement=replacement,
-                reassigned=remaining, delivered=delivered, now=now)
+                rank=death.rank, reassigned=quota, delivered=delivered,
+                now=now)
 
     # -- completion -----------------------------------------------------
 

@@ -14,9 +14,9 @@ peers instead of O(M).
 
 Dead children are *reported* to the engine, which applies the run's
 :attr:`~repro.runtime.config.RunConfig.on_worker_death` policy — abort
-(default) or reassign the undelivered quota to a replacement on a fresh
-subsequence.  A worker is judged once everything it wrote is in: its
-slot's pipe drained, or — for a clean exit in a tree — the root reducer
+(default) or rerun the dead rank, whole quota, on its own subsequence.
+A worker is judged once everything it wrote is in: its slot's pipe
+drained, or — for a clean exit in a tree — the root reducer
 above it exited.  Crashed *reducers* hold nothing that is not
 cumulative in their children's next passes, so under ``"reassign"``
 they are respawned in place, on the same edges, within their job's
@@ -142,9 +142,11 @@ class MultiprocessBackend(EngineBackend):
         for assignment in assignments:
             rank, job = assignment.rank, assignment.job
             context = self.engine.job_context(job)
-            # A planned rank writes into its reducer's edge; a recovery
-            # rank beyond the plan reports straight to rank 0.
-            edge = self._edges.get(job, {}).get(rank)
+            # A planned rank writes into its reducer's edge; a rerun
+            # reports straight to rank 0 (the dead worker's edge has no
+            # write end left).
+            edge = (None if assignment.recovery
+                    else self._edges.get(job, {}).get(rank))
             pid = self._host.assign(
                 job, rank, assignment.quota,
                 self._contexts[job] if edge is None

@@ -44,8 +44,8 @@ class RunResult:
             messages, bytes, compute vs idle seconds, artifact
             directory); None unless the run enabled telemetry.  The full
             record lives under ``parmonc_data/telemetry/``.
-        recovered_ranks: Ranks that died mid-run and had their remaining
-            quota reassigned to a replacement worker (empty unless
+        recovered_ranks: Ranks that died mid-run and were rerun on their
+            own stream, once per death (empty unless
             ``config.on_worker_death == "reassign"`` kicked in).
         statistics: The extra merged statistics of the run, keyed by
             kind — covariance, histogram, ... as declared via

@@ -245,8 +245,7 @@ class Scheduler:
                 self.stray_messages += 1
                 return
             finals = job.ingest(message, now)
-            # Completion changes only when a final arrives (or the
-            # expected set shrinks: see _handle_deaths).
+            # Completion changes only when a final arrives.
             if finals:
                 job.in_flight.difference_update(finals)
                 if job.collector.complete:
@@ -345,11 +344,6 @@ class Scheduler:
             except BackendError as error:
                 self._backend.release_job(job.id)
                 job.fail(error)
-                continue
-            # A rank that died with its whole quota delivered is retired
-            # with no replacement; it may have been the last one owed.
-            if job.collector.complete:
-                job.mark_complete(completed=True)
 
     # -- the loop -------------------------------------------------------
 

@@ -17,10 +17,10 @@ The cluster's clock is the run clock: telemetry, SLA stamps and time
 limits read virtual seconds.
 
 Injected node failures (:attr:`~repro.cluster.simulation.ClusterSpec
-.failures`) take the engine's fault path: ``"reassign"`` reissues the
-undelivered quota to a fresh simulated node, a deterministic rehearsal
-of the multiprocess recovery path; ``"fail"`` loses the tail, as §2.2
-models.
+.failures`) take the engine's fault path: ``"reassign"`` reruns the
+failed rank on its own stream on a fresh simulated node, a
+deterministic rehearsal of the multiprocess recovery path; ``"fail"``
+loses the tail, as §2.2 models.
 """
 
 from __future__ import annotations

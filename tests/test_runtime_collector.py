@@ -207,11 +207,13 @@ class TestOutOfOrderInstrumentation:
         assert collector.stale_count == 0
         assert telemetry.events.by_kind("stale_message") == ()
 
-    def test_stale_message_does_not_advance_watermark(self):
+    def test_stale_message_advances_watermark(self):
+        # Dropped, yet its rank is alive (a rerun catching up).
         collector, _ = make_instrumented_collector()
         collector.receive(message(0, [1.0, 2.0]), now=1.0)
         collector.receive(message(0, [1.0]), now=5.0)  # stale
-        assert collector.last_seen[0] == 1.0
+        assert collector.last_seen[0] == 5.0
+        assert collector.worker_volume(0) == 2
 
     def test_piggybacked_worker_stats_ingested(self):
         collector, telemetry = make_instrumented_collector(processors=1)

@@ -3,10 +3,10 @@
 The headline property is the issue's acceptance criterion: a run
 dispatched to local pools over real TCP — including a pool that joins
 late and a worker SIGKILLed mid-run — completes with estimates
-bit-identical to the sequential backend, because reassignment re-issues
-the undelivered remainder on fresh subsequences and merges in rank
-order.  (Cross-backend happy-path parity, resume and batched parity run
-in ``test_runtime_engine.py::TestBackendParity``.)
+bit-identical to the sequential backend, because reassignment reruns a
+dead rank on its own subsequence and merges in rank order.
+(Cross-backend happy-path parity, resume and batched parity run in
+``test_runtime_engine.py::TestBackendParity``.)
 """
 
 from __future__ import annotations
@@ -58,8 +58,9 @@ from repro.runtime.wire import (
 )
 from repro.runtime.worker import run_worker
 from repro.stats.accumulator import MomentAccumulator
-from repro.stats.merging import merge_snapshots
 from repro.stats.statistic import payload_map
+
+from test_runtime_engine import assert_same_bytes
 
 
 def square(rng):
@@ -255,12 +256,11 @@ class TestDistributedRuns:
         hangs after simulating 5 realizations; rank 1 waits, pending.
         A second pool then joins late (takes rank 1), the hung worker
         is SIGKILLed (its EXIT arrives after the passes left in its
-        pipe — drain-before-verdict), and the engine reissues what
-        rank 0 did not deliver as rank 2 on a fresh subsequence.  How
-        much that is depends on which passes the latest-wins outbox
-        let through, so the run reports it: the merged estimate must
-        equal the rank-ordered merge of the volumes in
-        ``per_rank_volumes``, computed locally, bit for bit.
+        pipe — drain-before-verdict), and the engine reruns rank 0
+        whole on its own subsequence.  How much the dead worker
+        delivered depends on which passes the latest-wins outbox let
+        through; the rerun repeats those bytes, so the merged estimate
+        must equal the fault-free sequential one, bit for bit.
         """
         monkeypatch.setenv(_HANG_DIR_ENV, str(tmp_path))
         late_port = free_port()
@@ -292,23 +292,12 @@ class TestDistributedRuns:
             late.stop()
         assert result.total_volume == 20
         assert result.recovered_ranks == (0,)
-        volumes = result.per_rank_volumes
-        assert sorted(volumes) == [0, 1, 2]
-        assert 1 <= volumes[0] <= 5 and volumes[1] == 10
-        # Reference: the three pieces the run actually kept, merged in
-        # rank order on a local worker loop (no environment -> benign).
+        assert result.per_rank_volumes == {0: 10, 1: 10}
+        # Reference: the fault-free run (no environment -> benign).
         monkeypatch.delenv(_HANG_DIR_ENV)
-        config = RunConfig(nrow=1, ncol=1, maxsv=20, perpass=0.0,
-                           peraver=0.0, processors=2,
-                           workdir=tmp_path / "ref")
-        pieces = [
-            run_worker(hang_on_sixth, config, rank, volume,
-                       send=lambda message: None).snapshot()
-            for rank, volume in sorted(volumes.items())]
-        reference = merge_snapshots(pieces).estimates()
-        assert result.estimates.mean[0, 0] == reference.mean[0, 0]
-        assert (result.estimates.variance[0, 0]
-                == reference.variance[0, 0])
+        assert_same_bytes(result, parmonc(
+            hang_on_sixth, maxsv=20, perpass=0.0, peraver=0.0,
+            processors=2, backend="sequential", use_files=False))
         events = list(read_events(
             tmp_path / "run" / "parmonc_data" / "telemetry"
             / "events.jsonl"))
@@ -415,14 +404,6 @@ class TestPoolSlots:
              seqnum=3, statistics="histogram,covariance"),
     )
 
-    @staticmethod
-    def _assert_same(result, reference):
-        for field in ("mean", "variance", "abs_error", "rel_error"):
-            assert (getattr(result.estimates, field).tobytes()
-                    == getattr(reference.estimates, field).tobytes()), field
-        assert (payload_map(result.statistics)
-                == payload_map(reference.statistics))
-
     def _service(self, workers):
         server = PoolServer(port=0, workers=workers, start_method="fork")
         backend = DistributedBackend(connect="%s:%d" % server.start())
@@ -505,7 +486,7 @@ class TestPoolSlots:
         finally:
             server.stop()
         for result, reference in zip(results, references):
-            self._assert_same(result, reference)
+            assert_same_bytes(result, reference)
         # One slot ran all five assignments, its context changing
         # between jobs as the fair share interleaved them.
         assert len(_pids(tmp_path)) == 1
@@ -533,7 +514,7 @@ class TestPoolSlots:
         died = read_events(tmp_path / "bad" / "parmonc_data" / "telemetry"
                            / "events.jsonl", kind="worker_died")
         assert [event.fields["exitcode"] for event in died] == [1]
-        self._assert_same(good.result, reference)
+        assert_same_bytes(good.result, reference)
         # A fresh slot ran both of the good job's ranks.
         assert len(_pids(tmp_path) - {bad_slot}) == 1
         assert server.slots_started == 2
@@ -551,27 +532,19 @@ class TestPoolSlots:
         finally:
             server.stop()
         # Rank 0 ran whole on the slot; rank 1 exited 0 on the same slot
-        # without its final; a fresh slot ran the remainder as rank 2.
+        # without its final; a fresh slot reran rank 1 whole.
         assert result.total_volume == 20
         assert result.recovered_ranks == (1,)
-        volumes = result.per_rank_volumes
-        assert sorted(volumes) == [0, 1, 2]
-        assert volumes[0] == 10 and 1 <= volumes[1] <= 2
+        assert result.per_rank_volumes == {0: 10, 1: 10}
         assert server.slots_started == 2
         died = read_events(tmp_path / "run" / "parmonc_data" / "telemetry"
                            / "events.jsonl", kind="worker_died")
         assert [(event.fields["rank"], event.fields["exitcode"])
                 for event in died] == [(1, 0)]
         monkeypatch.delenv(_PID_DIR_ENV)
-        config = RunConfig(maxsv=20, processors=2, workdir=tmp_path / "ref",
-                           **self.RUN)
-        reference = merge_snapshots([
-            run_worker(exit_on_thirteenth, config, rank, volume,
-                       send=lambda message: None).snapshot()
-            for rank, volume in sorted(volumes.items())]).estimates()
-        assert result.estimates.mean[0, 0] == reference.mean[0, 0]
-        assert (result.estimates.variance[0, 0]
-                == reference.variance[0, 0])
+        assert_same_bytes(result, parmonc(
+            exit_on_thirteenth, maxsv=20, processors=2,
+            backend="sequential", use_files=False, **self.RUN))
 
     def test_cancel_terminates_only_the_busy_slot(self, tmp_path,
                                                   monkeypatch):
@@ -615,7 +588,7 @@ class TestPoolSlots:
                                   use_files=False, **self.RUN)
         finally:
             server.stop()
-        self._assert_same(distributed, sequential)
+        assert_same_bytes(distributed, sequential)
         assert server.slots_started == 2
 
 
@@ -850,9 +823,7 @@ class TestOneSessionShape:
             late_server.stop()
         for result in (solo, named, late.result):
             assert result.total_volume == 12
-            for field in ("mean", "variance", "abs_error", "rel_error"):
-                assert (getattr(result.estimates, field).tobytes()
-                        == getattr(sequential.estimates, field).tobytes())
+            assert_same_bytes(result, sequential)
         self._assert_built_by_run_worker(solo_bodies, None)
         self._assert_built_by_run_worker(named_bodies, "named")
         self._assert_built_by_run_worker(bodies, "named")

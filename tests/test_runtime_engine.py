@@ -4,7 +4,7 @@ One run loop drives every backend, so the headline properties are
 (a) the registry is the single source of backend names, (b) all
 backends stay bit-identical through the shared loop, and (c)
 ``on_worker_death="reassign"`` completes a run whose worker died
-mid-flight, with the estimate intact.
+mid-flight, with the fault-free estimate byte for byte.
 """
 
 from __future__ import annotations
@@ -48,9 +48,9 @@ from repro.runtime.messages import (
 )
 from repro.runtime.multiprocess import MultiprocessBackend
 from repro.runtime.sequential import SequentialBackend
-from repro.runtime.worker import run_worker, worker_process
+from repro.runtime.worker import worker_process
 from repro.stats.accumulator import MomentAccumulator, MomentSnapshot
-from repro.stats.merging import merge_snapshots
+from repro.stats.statistic import payload_map
 
 
 def square(rng):
@@ -61,11 +61,34 @@ def _uniform(rng):
     return rng.random()
 
 
-def make_crasher(flag_path):
-    """A routine whose 5th call hard-kills its process — once, run-wide.
+def assert_same_bytes(result, reference) -> None:
+    """Two runs' estimates and extra statistics are equal, byte for
+    byte."""
+    for name in ("mean", "variance", "abs_error", "rel_error"):
+        assert getattr(result.estimates, name).tobytes() \
+            == getattr(reference.estimates, name).tobytes(), name
+    assert payload_map(result.statistics) \
+        == payload_map(reference.statistics)
+
+
+def _claim(flag_path) -> bool:
+    """Whether this process creates ``flag_path`` (``O_EXCL``) first;
+    always True for None."""
+    if flag_path is None:
+        return True
+    try:
+        os.close(os.open(flag_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    except FileExistsError:
+        return False
+    return True
+
+
+def make_crasher(flag_path, at=5, exitcode=5, draw=_uniform):
+    """``draw``, except that the ``at``-th call in a process exits it
+    with ``exitcode`` — once, run-wide.
 
     The flag file is created with ``O_EXCL``, so across every worker
-    process exactly one wins the race and dies; replacements (and the
+    process exactly one wins the race and dies; reruns (and the
     surviving workers) see the flag and keep computing.  Requires the
     ``fork`` start method (closure over the path).
     """
@@ -73,32 +96,9 @@ def make_crasher(flag_path):
 
     def routine(rng):
         calls["n"] += 1
-        if calls["n"] == 5:
-            try:
-                flag_path.touch(exist_ok=False)
-            except FileExistsError:
-                pass
-            else:
-                os._exit(5)
-        return rng.random()
-
-    return routine
-
-
-def make_clean_quitter(flag_path):
-    """Like :func:`make_crasher` but exits with code 0 (no final message)."""
-    calls = {"n": 0}
-
-    def routine(rng):
-        calls["n"] += 1
-        if calls["n"] == 3:
-            try:
-                flag_path.touch(exist_ok=False)
-            except FileExistsError:
-                pass
-            else:
-                os._exit(0)
-        return rng.random()
+        if calls["n"] == at and _claim(flag_path):
+            os._exit(exitcode)
+        return draw(rng)
 
     return routine
 
@@ -252,36 +252,31 @@ class TestMultiprocessReassignment:
         assert {"worker_died", "worker_recovered"} <= kinds
         recovered = [e for e in events if e.kind == "worker_recovered"]
         assert recovered[0].fields["rank"] == result.recovered_ranks[0]
-        assert recovered[0].fields["reassigned"] > 0
-        # The replacement runs on a rank beyond the configured M.
+        assert recovered[0].fields["reassigned"] == 20
+        # The rerun is the dead rank itself, on its own stream.
         starts = [e for e in events if e.kind == "worker_start"
                   and e.fields.get("recovery")]
-        assert starts and starts[0].fields["rank"] >= 2
+        assert [e.fields["rank"] for e in starts] \
+            == list(result.recovered_ranks)
 
     def test_kept_volumes_merged_in_rank_order_under_a_real_race(
             self, tmp_path):
         # No seam: the dying rank's latest-wins outbox dropped whatever
         # passes the collector had not read yet, so the volume it kept
-        # depends on timing.  The estimate is still, bit for bit, the
-        # rank-ordered merge of the volumes the run reports it kept.
+        # depends on timing.  Its rerun on its own stream passes that
+        # volume with the same bytes: the estimate is, bit for bit, the
+        # fault-free one.
         routine = make_crasher(tmp_path / "crashed.flag")
         result = parmonc(routine, maxsv=40, perpass=0.0, peraver=0.0,
                          processors=2, backend="multiprocess",
                          start_method="fork", on_worker_death="reassign",
                          use_files=False)
         assert result.total_volume == 40
-        [dead] = result.recovered_ranks
-        volumes = result.per_rank_volumes
-        assert volumes[dead] <= 4 and sum(volumes.values()) == 40
-        config = RunConfig(maxsv=40, processors=2, perpass=0.0)
-        pieces = [
-            run_worker(_uniform, config, rank, volume,
-                       send=lambda message: None).snapshot()
-            for rank, volume in sorted(volumes.items())]
-        reference = merge_snapshots(pieces).estimates()
-        for name in ("mean", "variance", "abs_error", "rel_error"):
-            assert getattr(result.estimates, name).tobytes() \
-                == getattr(reference, name).tobytes(), name
+        assert len(result.recovered_ranks) == 1
+        assert result.per_rank_volumes == {0: 20, 1: 20}
+        assert_same_bytes(result, parmonc(
+            _uniform, maxsv=40, perpass=0.0, peraver=0.0, processors=2,
+            backend="sequential", use_files=False))
 
     def test_default_policy_still_fails(self, tmp_path):
         routine = make_crasher(tmp_path / "crashed.flag")
@@ -315,10 +310,25 @@ class TestMultiprocessReassignment:
         assert backend.shutdowns == 1
         assert set(threading.enumerate()) <= threads_before
 
+    def test_a_rank_dying_on_every_run_exhausts_the_budget(
+            self, monkeypatch):
+        # Each rerun repeats the dead run's stream, so a death keyed to
+        # a realization repeats too: 4 reruns per worker, then a clean
+        # failure naming the rank.
+        monkeypatch.setattr(host_module, "worker_process",
+                            _kill_rank_one_every_time)
+        with pytest.raises(BackendError, match=(
+                r"^worker rank 1 \(exitcode 7\) died but the recovery "
+                r"budget \(4 per worker\) is exhausted")):
+            _bounded(lambda: parmonc(
+                square, maxsv=40, perpass=0.0, peraver=0.0, processors=2,
+                backend="multiprocess", start_method="fork",
+                on_worker_death="reassign", use_files=False))
+
     def test_clean_exit_without_final_is_dead(self, tmp_path):
         # Flat host pipe: the exit is reported once the pipe is drained,
         # so a clean exit whose final is not in is judged dead at once.
-        routine = make_clean_quitter(tmp_path / "quit.flag")
+        routine = make_crasher(tmp_path / "quit.flag", at=3, exitcode=0)
         with pytest.raises(BackendError, match="exitcode 0"):
             parmonc(routine, maxsv=4000, perpass=0.5, peraver=0.0,
                     processors=2, backend="multiprocess",
@@ -341,54 +351,73 @@ class _ExitAtTheFinal:
         self._outbox.send_bytes(body)
 
 
+#: The flag the slot bodies below claim, so that their fault hits the
+#: first run of a rank only; each test using one sets it.
+_FAULT_FLAG = {"path": None}
+
+
 def _exit_on_rank_one_final(routine, config, rank, quota, outbox, **kwargs):
-    """Slot body: rank 1 exits instead of writing its final pass."""
-    if rank == 1:
+    """Slot body: rank 1 exits instead of writing its final pass, once."""
+    if rank == 1 and _claim(_FAULT_FLAG["path"]):
         outbox = _ExitAtTheFinal(outbox)
     worker_process(routine, config, rank, quota, outbox, **kwargs)
 
 
+def _kill_rank_one_every_time(routine, config, rank, quota, outbox,
+                              **kwargs):
+    """Slot body: every run of rank 1 dies at its third realization."""
+    if rank == 1:
+        routine = make_crasher(None, at=3, exitcode=7)
+    worker_process(routine, config, rank, quota, outbox, **kwargs)
+
+
+def _bounded(call, seconds=60):
+    """``call()``'s return value, raised error, or a failure past
+    ``seconds``: a hang fails the test instead of the suite."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["result"] = call()
+        except BaseException as error:  # re-raised on the test thread
+            outcome["error"] = error
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(seconds)
+    assert not runner.is_alive(), "the job never completed"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["result"]
+
+
 class TestDeathAfterTheWholeQuota:
-    def test_rank_dying_before_its_final_still_completes(self, monkeypatch):
+    def test_rank_dying_before_its_final_still_completes(self, tmp_path,
+                                                         monkeypatch):
         # perpass=0 with every pass forced out of the latest-wins
         # outbox: rank 1's last non-final pass already carries its
-        # whole quota, so reassignment retires it and spawns nobody.
-        # The job is complete then and must not wait for another pass.
+        # whole quota.  Its rerun's passes are the same bytes, and the
+        # rerun's final completes the job.
+        monkeypatch.setitem(_FAULT_FLAG, "path", str(tmp_path / "fault"))
         monkeypatch.setattr(host_module, "worker_process",
                             _exit_on_rank_one_final)
         monkeypatch.setattr(worker_module, "_outbox_drained",
                             lambda outbox: True)
         options = dict(nrow=1, ncol=2, maxsv=8, perpass=0.0, peraver=0.0,
                        processors=2, use_files=False)
-        outcome = {}
-
-        def run():
-            try:
-                outcome["result"] = parmonc(
-                    pair, backend="multiprocess", start_method="fork",
-                    on_worker_death="reassign", **options)
-            except BaseException as error:  # re-raised on the test thread
-                outcome["error"] = error
-
-        runner = threading.Thread(target=run, daemon=True)
-        runner.start()
-        runner.join(60)
-        assert not runner.is_alive(), "the job never completed"
-        if "error" in outcome:
-            raise outcome["error"]
-        result = outcome["result"]
+        result = _bounded(lambda: parmonc(
+            pair, backend="multiprocess", start_method="fork",
+            on_worker_death="reassign", **options))
         assert result.recovered_ranks == (1,)
         assert result.total_volume == 8
-        reference = parmonc(pair, backend="sequential", **options)
-        assert result.estimates.mean.tobytes() \
-            == reference.estimates.mean.tobytes()
-        assert result.estimates.variance.tobytes() \
-            == reference.estimates.variance.tobytes()
+        assert_same_bytes(
+            result, parmonc(pair, backend="sequential", **options))
 
 
 def _tear_rank_one(routine, config, rank, quota, outbox, **kwargs):
-    """Slot body: rank 1 dies half-way through writing its first body."""
-    if rank != 1:
+    """Slot body: rank 1 dies half-way through writing its first body,
+    once."""
+    if rank != 1 or not _claim(_FAULT_FLAG["path"]):
         return worker_process(routine, config, rank, quota, outbox,
                               **kwargs)
     os.write(outbox.fileno(), struct.pack("!i", 32_048) + b"\0" * 1000)
@@ -400,6 +429,7 @@ class TestTornWrite:
                                                         monkeypatch):
         # A length prefix announcing a 1000x2 pass, 1000 bytes of it,
         # SIGKILL's exit code: the torn pipe is that worker's alone.
+        monkeypatch.setitem(_FAULT_FLAG, "path", str(tmp_path / "fault"))
         monkeypatch.setattr(host_module, "worker_process", _tear_rank_one)
         result = parmonc(square, maxsv=30, perpass=0.0, peraver=0.0,
                          processors=3, seqnum=1, backend="multiprocess",
@@ -407,19 +437,11 @@ class TestTornWrite:
                          on_worker_death="reassign", workdir=tmp_path)
         assert result.recovered_ranks == (1,)
         assert result.total_volume == 30
-        # Ranks 0 and 2 delivered every pass; rank 1's quota ran on the
-        # first fresh rank.
-        assert result.per_rank_volumes == {0: 10, 1: 0, 2: 10, 3: 10}
-        reference = parmonc(square, maxsv=30, perpass=0.0, peraver=0.0,
-                            processors=3, seqnum=1, backend="simcluster",
-                            on_worker_death="reassign",
-                            cluster_spec=ClusterSpec(
-                                duration_model=DurationModel(mean=1.0),
-                                failures={1: 0.5}),
-                            workdir=tmp_path / "reference")
-        assert reference.recovered_ranks == (1,)
-        assert result.estimates.mean.tobytes() \
-            == reference.estimates.mean.tobytes()
+        # Ranks 0 and 2 delivered every pass; rank 1 reran whole.
+        assert result.per_rank_volumes == {0: 10, 1: 10, 2: 10}
+        assert_same_bytes(result, parmonc(
+            square, maxsv=30, perpass=0.0, peraver=0.0, processors=3,
+            seqnum=1, backend="sequential", use_files=False))
         events = list(read_events(tmp_path / "parmonc_data" / "telemetry"
                                   / "events.jsonl"))
         assert [(e.fields["rank"], e.fields["exitcode"]) for e in events
@@ -437,11 +459,16 @@ class TestSimclusterReassignment:
                          cluster_spec=self._spec(),
                          on_worker_death="reassign", workdir=tmp_path)
         assert result.recovered_ranks == (1,)
-        # Rank 1 delivered 2 realizations before t=2.5; the remaining 8
-        # of its 10-realization quota ran on replacement rank 3.
+        # Rank 1 delivered 2 realizations before t=2.5, then reran its
+        # whole 10-realization quota on its own stream: the estimate is
+        # the fault-free one.  A rerun on a fresh stream, or of only
+        # the undelivered 8, fails here.
+        assert_same_bytes(result, parmonc(
+            square, maxsv=30, perpass=0.0, peraver=0.0, processors=3,
+            backend="sequential", use_files=False))
         assert result.total_volume == 30
-        assert result.per_rank_volumes[1] == 2
-        assert result.per_rank_volumes[3] == 8
+        assert result.per_rank_volumes == {0: 10, 1: 10, 2: 10}
+        assert result.cluster.lost_realizations == 0
         assert result.virtual_time > 2.5
 
     def test_default_policy_loses_the_tail(self, tmp_path):
@@ -598,7 +625,12 @@ class TestPolicyConfiguration:
 
 
 # ---------------------------------------------------------------------------
-# Collector retire/expect semantics
+# Collector semantics of a rerun rank
+
+
+def _pass(rank: int, volume: int, now: float, final=False) -> MomentMessage:
+    return MomentMessage(rank=rank, snapshot=_snapshot(volume), sent_at=now,
+                         final=final)
 
 
 class TestCollectorRetirement:
@@ -606,67 +638,48 @@ class TestCollectorRetirement:
         config = RunConfig(maxsv=8, processors=processors)
         return Collector(config, _snapshot(0), data=None)
 
-    def test_retire_unknown_rank_rejected(self):
-        with pytest.raises(ConfigurationError, match="retire"):
-            self._collector().retire_rank(7)
-
-    def test_late_message_from_retired_rank_dropped(self):
-        collector = self._collector()
-        collector.receive(MomentMessage(rank=1, snapshot=_snapshot(2),
-                                        sent_at=0.0, final=False), now=0.0)
-        collector.retire_rank(1)
-        kept = collector.worker_volume(1)
-        accepted = collector.receive(
-            MomentMessage(rank=1, snapshot=_snapshot(3), sent_at=1.0,
-                          final=True), now=1.0)
-        assert accepted is False
-        assert collector.late_count == 1
-        # The pre-death watermark survives; the late update does not.
-        assert collector.worker_volume(1) == kept == 2
-
     def test_completion_follows_expected_set(self):
+        # Every configured rank owes a final, and a rerun cut short
+        # below its rank's kept volume (a deadline) still pays it.
         collector = self._collector()
-        collector.receive(MomentMessage(rank=0, snapshot=_snapshot(4),
-                                        sent_at=0.0, final=True), now=0.0)
+        collector.receive(_pass(0, 4, 0.0, final=True), now=0.0)
+        collector.receive(_pass(1, 3, 0.0), now=0.0)
         assert not collector.complete
-        collector.retire_rank(1)
-        collector.expect_rank(5, now=0.0)
-        assert not collector.complete
-        collector.receive(MomentMessage(rank=5, snapshot=_snapshot(4),
-                                        sent_at=1.0, final=True), now=1.0)
+        collector.rerun_rank(1, now=1.0)
+        assert collector.receive(_pass(1, 1, 2.0, final=True),
+                                 now=2.0) is False
         assert collector.complete
-        assert collector.expected_ranks == frozenset({0, 5})
-
-    def test_expect_duplicate_rank_rejected(self):
-        collector = self._collector()
-        with pytest.raises(ConfigurationError, match="already tracked"):
-            collector.expect_rank(0)
-        collector.retire_rank(1)
-        with pytest.raises(ConfigurationError, match="already tracked"):
-            collector.expect_rank(1)
+        assert collector.worker_volume(1) == 3
 
     def test_replacement_staleness_anchored_at_spawn_time(self):
         collector = self._collector()
         collector.mark_epoch(0.0)
-        collector.retire_rank(1)
-        collector.expect_rank(5, now=100.0)
-        # Judged from its spawn time, not the session epoch.
-        assert 5 not in collector.stale_workers(now=100.5, threshold=1.0)
-        assert 5 in collector.stale_workers(now=102.0, threshold=1.0)
+        collector.receive(_pass(1, 3, 0.0), now=0.0)
+        collector.rerun_rank(1, now=100.0)
+        # Judged from its rerun, not the dead worker's last pass.
+        assert 1 not in collector.stale_workers(now=100.5, threshold=1.0)
+        # Its catch-up passes are dropped as stale, yet each one shows
+        # the rank is alive.
+        for volume, now in ((1, 101.0), (2, 102.0)):
+            assert collector.receive(_pass(1, volume, now),
+                                     now=now) is False
+        assert 1 not in collector.stale_workers(now=102.5, threshold=1.0)
+        assert 1 in collector.stale_workers(now=103.5, threshold=1.0)
+        assert collector.worker_volume(1) == 3
 
 
 class TestRecoveryTelemetry:
     def test_worker_recovered_event_and_counters(self):
         telemetry = RunTelemetry(clock=lambda: 3.0)
-        telemetry.worker_recovered(rank=1, replacement=4, reassigned=8,
-                                   delivered=2, now=3.0)
+        telemetry.worker_recovered(rank=1, reassigned=10, delivered=2,
+                                   now=3.0)
         events = [e for e in telemetry.events.events
                   if e.kind == "worker_recovered"]
-        assert events[0].fields == {"rank": 1, "replacement": 4,
-                                    "reassigned": 8, "delivered": 2}
+        assert events[0].fields == {"rank": 1, "reassigned": 10,
+                                    "delivered": 2}
         snapshot = telemetry.registry.snapshot().to_dict()
         assert snapshot["counters"]["engine.worker_recoveries"] == 1
-        assert snapshot["counters"]["engine.reassigned_realizations"] == 8
+        assert snapshot["counters"]["engine.reassigned_realizations"] == 10
         summary = telemetry.finalize(elapsed=1.0, volume=10)
         assert summary is not None
         assert (telemetry.registry.snapshot().to_dict()["gauges"]

@@ -5,7 +5,8 @@ stream hierarchy every backend — sequential, multiprocess, simulated
 cluster — produces *payload-identical* extra statistics, batched or
 not.  Plus: savepoint round-trips, legacy moment-only artifacts,
 unknown-kind preservation, manaver recovery, the wire-size model and
-report rendering.
+report rendering; and a worker that dies under ``"reassign"`` changes no
+byte of any kind.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from repro.runtime import storage
 from repro.runtime.config import RunConfig
 from repro.runtime.files import SAVEPOINT_FORMAT, DataDirectory
 from repro.runtime.messages import MomentMessage, message_bytes
-from repro.stats.statistic import create_statistic
+from repro.stats.statistic import create_statistic, statistic_kinds
+
+from test_runtime_engine import assert_same_bytes, make_crasher
 
 ALL_STATISTICS = ["covariance", "histogram", "extrema", "counter"]
 BACKENDS = ("sequential", "multiprocess", "simcluster")
@@ -93,6 +96,25 @@ class TestCrossBackendParity:
         for kind in ALL_STATISTICS:
             assert (result.statistics[kind].to_payload()
                     == reference[kind].to_payload())
+
+
+class TestRecoveredParity:
+    """A dead rank reruns on its own stream, so a recovered run ends on
+    the fault-free bytes for every registered kind — covariance too,
+    whose 1024-row blocks the death lands past."""
+
+    @pytest.mark.parametrize("kind", statistic_kinds())
+    def test_a_death_changes_no_byte(self, tmp_path, kind):
+        run = dict(nrow=1, ncol=2, maxsv=2400, seqnum=1, processors=2,
+                   perpass=0.0, peraver=0.0, statistics=[kind],
+                   use_files=False)
+        recovered = parmonc(make_crasher(tmp_path / "died", at=1100,
+                                         draw=pair),
+                            backend="multiprocess", start_method="fork",
+                            on_worker_death="reassign", **run)
+        reference = parmonc(pair, backend="sequential", **run)
+        assert len(recovered.recovered_ranks) == 1
+        assert_same_bytes(recovered, reference)
 
 
 class TestReductionTransportParity:
