@@ -351,7 +351,8 @@ class _SimulatedJob:
         self._queue_delay_total = 0.0
         self._last_completion = start
         self._last_compute = start
-        self._failures_logged: set[int] = set()
+        #: Ranks whose injected failure fired.
+        self._failed: set[int] = set()
         self._stopped = False
         self._result: ClusterResult | None = None
 
@@ -392,14 +393,16 @@ class _SimulatedJob:
         return False
 
     def _note_failure(self, rank: int, fail_time: float) -> None:
-        """Log an injected node failure once, stamped at its fail time."""
-        if self._telemetry is None or rank in self._failures_logged:
+        """Record an injected node failure once; log it stamped at its
+        fail time."""
+        if rank in self._failed:
             return
-        self._failures_logged.add(rank)
-        self._telemetry.events.append(
-            "node_failed", ts=fail_time, rank=rank,
-            delivered_volume=self._collector.worker_volume(rank),
-            computed_volume=self._workers[rank].accumulator.volume)
+        self._failed.add(rank)
+        if self._telemetry is not None:
+            self._telemetry.events.append(
+                "node_failed", ts=fail_time, rank=rank,
+                delivered_volume=self._collector.worker_volume(rank),
+                computed_volume=self._workers[rank].accumulator.volume)
 
     def _complete_chunk(self, rank: int, chunk: int, now: float,
                         started: float) -> None:
@@ -569,7 +572,7 @@ class _SimulatedJob:
         per_rank = {rank: worker.accumulator.volume
                     for rank, worker in self._workers.items()}
         for rank, fail_time in self._failures.items():
-            if rank in per_rank:
+            if rank in per_rank and rank not in self._finaled:
                 self._note_failure(rank, fail_time)
         if not all(rank in self._finaled for rank in per_rank
                    if rank not in self._failures):
@@ -591,7 +594,7 @@ class _SimulatedJob:
             collector_utilization=self._service.utilization(t_comp),
             mean_queue_delay=mean_delay,
             compute_span=self._last_compute - self._start,
-            failed_ranks=tuple(sorted(self._spec.failures or ())),
+            failed_ranks=tuple(sorted(self._failed)),
             lost_realizations=lost,
             collector_served=self._service.served,
             combined_messages=self._combined_delivered)

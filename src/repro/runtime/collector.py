@@ -280,6 +280,7 @@ class Collector:
             raise ConfigurationError(
                 f"message snapshot shape {message.snapshot.shape} does "
                 f"not match the configured {self._config.shape}")
+        self._receive_count += 1
         previous = self._latest.get(message.rank)
         if previous is not None and message.snapshot.volume < previous.volume:
             # Stale: an out-of-order pass, or a rerun rank catching
@@ -303,7 +304,6 @@ class Collector:
         if message.statistics is not None:
             self._latest_extras[message.rank] = message.statistics
         self._last_seen[message.rank] = now
-        self._receive_count += 1
         if message.final:
             self._finals.add(message.rank)
         if self._telemetry is not None:

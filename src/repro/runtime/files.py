@@ -96,11 +96,197 @@ _MALFORMED = (CorruptArtifactError, WireError, KeyError, TypeError,
               ValueError, AttributeError)
 
 
+# ---------------------------------------------------------------------------
+# Result files
+#
+# ``func.dat`` and ``func_ci.dat`` hold CPython's ``'% .15e'`` (and, for
+# the relative error, ``'% .6e'``) of every entry.  :func:`_scientific`
+# writes those exact bytes from numpy: it scales each |x| to a
+# (p+1)-digit integer in long double, rounds it, and reads the digits
+# off a table.  Two long-double roundings leave the scaled value within
+# 2**-63 relative — at most 1.1e-3 at 16 digits — of the exact one, so
+# rounding it can differ from CPython's only within that distance of a
+# tie: every entry within _MARGIN of a tie, or rounded onto a decade
+# edge, is formatted by ``%`` itself.  Whatever the fast path cannot
+# take — a non-finite entry, a three-digit exponent, a long double
+# with fewer than 64 mantissa bits — is rendered by ``%`` whole.
+
+_MARGIN = 2.0 ** -8
+
+#: Decimal exponents covered by the power table, ``10**_POWER_LOW`` up.
+_POWER_LOW, _POWER_HIGH = -120, 130
+
+
+class _Tables:
+    """Correctly rounded long-double powers of ten, and the four ASCII
+    digits of each of 0…9999 as one uint32."""
+
+    def __init__(self) -> None:
+        self.powers = np.array(
+            [np.longdouble(f"1e{n}")
+             for n in range(_POWER_LOW, _POWER_HIGH)])
+        numbers = np.arange(10_000, dtype=np.int16)
+        digits = np.empty((10_000, 4), np.uint8)
+        for place, scale in enumerate((1000, 100, 10, 1)):
+            digits[:, place] = numbers // scale % 10 + ord("0")
+        self.quads = digits.view(np.uint32).ravel()
+
+
+#: Built on first use; False where the long double is too narrow.
+_tables: _Tables | bool | None = None
+
+
+def _format_tables() -> _Tables | None:
+    global _tables
+    if _tables is None:
+        one = np.longdouble(1)
+        wide = one + np.longdouble(2) ** -63 != one
+        _tables = _Tables() if wide else False
+    return _tables or None
+
+
+def _ascii_digits(numbers: np.ndarray, width: int) -> np.ndarray:
+    """The decimal digits of non-negative ints, zero-padded to
+    ``width``: one row of ASCII bytes per number."""
+    quads = np.empty((len(numbers), (width + 3) // 4), np.intp)
+    for column in range(quads.shape[1] - 1, 0, -1):
+        high = numbers // 10_000
+        quads[:, column] = numbers - high * 10_000
+        numbers = high
+    quads[:, 0] = numbers
+    return np.take(_tables.quads, quads).view(np.uint8)[:, -width:]
+
+
+def _scientific(values: np.ndarray, precision: int) -> np.ndarray | None:
+    """``'% .{precision}e' % x`` of every float64 entry, as a row of
+    ASCII bytes each; None when the fast path cannot take ``values``."""
+    tables = _format_tables()
+    flat = values.ravel()
+    if tables is None or not np.isfinite(flat).all():
+        return None
+    magnitude = np.abs(flat)
+    nonzero = magnitude != 0.0
+    if nonzero.any() and (magnitude[nonzero].min() < 1e-100
+                          or magnitude.max() >= 1e100):
+        return None
+    magnitude = np.where(nonzero, magnitude, 1.0)
+    exponent = np.floor(np.log10(magnitude)).astype(np.int64)
+    scaled = np.multiply(magnitude,
+                         tables.powers[precision - exponent - _POWER_LOW])
+    # Rounded half up, not to even: a tie is slow either way.  So is a
+    # mantissa on a decade edge, a carry into the next decade, and an
+    # entry whose log10 missed by one.
+    mantissa = (scaled + 0.5).astype(np.int64)
+    fraction = scaled - mantissa
+    slow = nonzero & ((fraction < _MARGIN - 0.5) | (fraction > 0.5 - _MARGIN)
+                      | (mantissa <= 10 ** precision)
+                      | (mantissa >= 10 ** (precision + 1)))
+    mantissa[~nonzero] = 0
+    exponent[~nonzero] = 0
+    if np.abs(exponent[~slow]).max(initial=0) > 99:
+        return None
+
+    width = precision + 7
+    rows = np.empty((len(flat), width), np.uint8)
+    rows[:, 0] = np.where(np.signbit(flat), ord("-"), ord(" "))
+    chars = _ascii_digits(mantissa, precision + 1)
+    rows[:, 1] = chars[:, 0]
+    rows[:, 2] = ord(".")
+    rows[:, 3:precision + 3] = chars[:, 1:]
+    rows[:, -4] = ord("e")
+    rows[:, -3] = np.where(exponent < 0, ord("-"), ord("+"))
+    rows[:, -2:] = _ascii_digits(np.abs(exponent), 2)
+    if slow.any():
+        values = flat[slow].tolist()
+        text = ((f"% .{precision}e" * len(values)) % tuple(values)).encode(
+            "ascii")
+        if len(text) != width * len(values):
+            return None
+        rows[slow] = np.frombuffer(text, np.uint8).reshape(-1, width)
+    return rows
+
+
+def _cells(estimates: Estimates) -> list[np.ndarray] | None:
+    """The cells of ``func_ci.dat``'s mean, abs_error, rel_error and
+    variance columns (``func.dat`` is the first); None when the fast
+    path cannot take one of them."""
+    cells = [_scientific(matrix, precision) for matrix, precision in (
+        (estimates.mean, 15), (estimates.abs_error, 15),
+        (estimates.rel_error, 6), (estimates.variance, 15))]
+    return None if any(cell is None for cell in cells) else cells
+
+
+def _render_mean_matrix(estimates: Estimates,
+                        cells: list[np.ndarray] | None) -> str:
+    nrow, ncol = estimates.shape
+    if cells is None:
+        row = " ".join(["% .15e"] * ncol) + "\n"
+        return (row * nrow) % tuple(estimates.mean.ravel().tolist())
+    means = cells[0]
+    out = np.empty((nrow, ncol, means.shape[1] + 1), np.uint8)
+    out[:, :, :-1] = means.reshape(nrow, ncol, -1)
+    out[:, :, -1] = ord(" ")
+    out[:, -1, -1] = ord("\n")
+    return out.tobytes().decode("ascii")
+
+
+def _decimal_runs(n: int):
+    """``(first, stop, width)`` of each run of 1..n with equal width."""
+    first, width = 1, 1
+    while first <= n:
+        stop = min(first * 10, n + 1)
+        yield first, stop, width
+        first, width = stop, width + 1
+
+
+def _render_ci_table(estimates: Estimates,
+                     cells: list[np.ndarray] | None) -> str:
+    nrow, ncol = estimates.shape
+    header = b"# i j mean abs_error rel_error_percent variance\n"
+    if cells is None:
+        table = np.empty((nrow * ncol, 6))
+        table[:, 0] = np.repeat(np.arange(1, nrow + 1), ncol)
+        table[:, 1] = np.tile(np.arange(1, ncol + 1), nrow)
+        for column, matrix in enumerate(
+                (estimates.mean, estimates.abs_error, estimates.rel_error,
+                 estimates.variance), start=2):
+            table[:, column] = matrix.ravel()
+        row = "%d %d % .15e % .15e % .6e % .15e\n"
+        return (header.decode("ascii")
+                + (row * len(table)) % tuple(table.ravel().tolist()))
+    # A line is "i j" and the four cells, each after a space, and the
+    # newline.  Lines whose row and column indices have the same widths
+    # are one block of equal-length lines.
+    body = sum(cell.shape[1] + 1 for cell in cells) + 1
+    cells = [cell.reshape(nrow, ncol, -1) for cell in cells]
+    j_runs = [(first, stop, width,
+               _ascii_digits(np.arange(first, stop), width))
+              for first, stop, width in _decimal_runs(ncol)]
+    parts = [header]
+    for i_first, i_stop, i_width in _decimal_runs(nrow):
+        i_digits = _ascii_digits(np.arange(i_first, i_stop), i_width)
+        rows = []
+        for j_first, j_stop, j_width, j_digits in j_runs:
+            lines = np.empty((i_stop - i_first, j_stop - j_first,
+                              i_width + 1 + j_width + body), np.uint8)
+            lines[:, :, :i_width] = i_digits[:, None]
+            lines[:, :, i_width] = ord(" ")
+            start = i_width + 1 + j_width
+            lines[:, :, i_width + 1:start] = j_digits
+            for cell in cells:
+                lines[:, :, start] = ord(" ")
+                start += 1 + cell.shape[2]
+                lines[:, :, start - cell.shape[2]:start] = cell[
+                    i_first - 1:i_stop - 1, j_first - 1:j_stop - 1]
+            lines[:, :, -1] = ord("\n")
+            rows.append(lines.reshape(i_stop - i_first, -1))
+        parts.append(np.concatenate(rows, axis=1))
+    return b"".join(parts).decode("ascii")
+
+
 def render_mean_matrix(estimates: Estimates) -> str:
     """Render ``func.dat``: the matrix of sample means, one row per line."""
-    nrow, ncol = estimates.shape
-    row = " ".join(["% .15e"] * ncol) + "\n"
-    return (row * nrow) % tuple(estimates.mean.ravel().tolist())
+    return _render_mean_matrix(estimates, _cells(estimates))
 
 
 def render_ci_table(estimates: Estimates) -> str:
@@ -109,17 +295,7 @@ def render_ci_table(estimates: Estimates) -> str:
     Columns: row index, column index, sample mean, absolute error,
     relative error (percent), sample variance.
     """
-    nrow, ncol = estimates.shape
-    table = np.empty((nrow * ncol, 6))
-    table[:, 0] = np.repeat(np.arange(1, nrow + 1), ncol)
-    table[:, 1] = np.tile(np.arange(1, ncol + 1), nrow)
-    for column, matrix in enumerate(
-            (estimates.mean, estimates.abs_error, estimates.rel_error,
-             estimates.variance), start=2):
-        table[:, column] = matrix.ravel()
-    row = "%d %d % .15e % .15e % .6e % .15e\n"
-    return ("# i j mean abs_error rel_error_percent variance\n"
-            + (row * len(table)) % tuple(table.ravel().tolist()))
+    return _render_ci_table(estimates, _cells(estimates))
 
 
 def render_log(estimates: Estimates, *, seqnum: int, processors: int,
@@ -369,11 +545,12 @@ class DataDirectory:
         leave a torn matrix for :meth:`read_mean_matrix` to load.
         """
         self.ensure()
+        cells = _cells(estimates)
         storage.atomic_write_text(self.results_dir / "func.dat",
-                                  render_mean_matrix(estimates),
+                                  _render_mean_matrix(estimates, cells),
                                   label="results.func")
         storage.atomic_write_text(self.results_dir / "func_ci.dat",
-                                  render_ci_table(estimates),
+                                  _render_ci_table(estimates, cells),
                                   label="results.func_ci")
         self.write_log(estimates, seqnum=seqnum, processors=processors,
                        sessions=sessions, elapsed=elapsed)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cluster import ClusterSpec, DurationModel
 from repro.exceptions import ConfigurationError
+from repro.obs.events import read_events
 from repro.runtime.config import RunConfig
 from repro.runtime.engine import Engine
 from repro.runtime.simcluster import SimclusterBackend
@@ -79,6 +80,22 @@ class TestFailureInjection:
     def test_negative_failure_time_rejected(self):
         with pytest.raises(ConfigurationError):
             run_with_failures(10, 2, {1: -1.0})
+
+    def test_failure_after_the_node_finished_never_fires(self, tmp_path):
+        # Rank 1 finishes its 10 realizations at t = 10, long before
+        # its failure time: nothing failed.
+        spec = ClusterSpec(duration_model=DurationModel(mean=1.0),
+                           failures={1: 100.0})
+        config = RunConfig(maxsv=40, processors=4, perpass=0.0,
+                           peraver=3600.0, workdir=tmp_path, telemetry=True)
+        result = Engine(SimclusterBackend(spec), config).run(
+            lambda rng: rng.random())
+        clean, _ = run_with_failures(40, 4, {})
+        assert result.cluster.t_comp == clean.t_comp
+        assert result.cluster.failed_ranks == ()
+        assert result.cluster.lost_realizations == 0
+        events = tmp_path / "parmonc_data" / "telemetry" / "events.jsonl"
+        assert list(read_events(events, kind="node_failed")) == []
 
     def test_no_failures_unchanged(self):
         clean, _ = run_with_failures(40, 4, {})

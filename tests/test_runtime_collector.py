@@ -200,6 +200,13 @@ class TestOutOfOrderInstrumentation:
         (stale,) = telemetry.events.by_kind("stale_message")
         assert stale.fields == {"rank": 0, "volume": 2, "kept_volume": 3}
 
+    def test_stale_message_is_received(self):
+        collector, _ = make_collector(processors=1)
+        collector.receive(message(0, [1.0, 2.0]), now=1.0)
+        collector.receive(message(0, [1.0]), now=2.0)  # stale
+        assert collector.receive_count == 2
+        assert collector.stale_count == 1
+
     def test_equal_volume_resend_is_not_stale(self):
         collector, telemetry = make_instrumented_collector()
         collector.receive(message(0, [1.0]), now=1.0)
