@@ -15,15 +15,15 @@ over the same worker pool, fair-shared by priority::
 
 The queue file is a plain spool, not a daemon: ``submit`` only writes
 the description (the routine travels as its ``module:function`` name),
-and ``sched`` imports the routines, submits every job and blocks until
-the batch drains.  The SLA report is the scheduler's
+and ``sched`` reads it, imports the routines, submits the jobs and
+blocks until they drain.  The SLA report is the scheduler's
 :meth:`~repro.runtime.scheduler.Scheduler.sla_report` as JSON — per-job
 submit-to-start wait, makespan, deadline misses and dispatch counts.
 
-**Streaming service.**  ``parmonc-sched --serve`` turns the spool into
-a live queue: the command keeps the scheduler's admission loop running,
-tails the queue file, and admits every appended entry mid-run.  The
-service mirrors job states into ``<queue>.status.json`` (written
+**Streaming service.**  ``parmonc-sched --serve`` keeps reading: the
+one queue reader runs on every turn of the scheduler's loop and admits
+each appended entry mid-run, where a batch stops reading at the end of
+the file.  Both mirror job states into ``<queue>.status.json`` (written
 atomically), which is what ``parmonc-submit --wait`` polls::
 
     $ parmonc-sched --serve --queue jobs.jsonl --workers 8 &
@@ -33,8 +33,8 @@ atomically), which is what ``parmonc-submit --wait`` polls::
 
 Besides job entries the queue accepts two directives:
 ``{"cancel": "<job>"}`` withdraws a queued or running job, and
-``{"shutdown": true}`` drains the admitted jobs and stops the service
-(SIGTERM does the same).  Every entry is validated *before* it is
+``{"shutdown": true}`` stops the reading there and drains the admitted
+jobs (SIGTERM does the same).  Every entry is validated *before* it is
 appended — a bad field fails ``parmonc-submit`` with exit code 2 and
 never reaches the queue.
 """
@@ -54,7 +54,7 @@ from repro.cli.run import load_routine
 from repro.core.parmonc import build_job_spec
 from repro.exceptions import ConfigurationError, ReproError
 from repro.runtime.engine import available_backends, create_backend
-from repro.runtime.job import JobStatus
+from repro.runtime.job import Job, JobStatus
 from repro.runtime.scheduler import Scheduler
 
 __all__ = ["submit_main", "sched_main", "status_path", "validate_entry"]
@@ -153,14 +153,14 @@ def build_submit_parser() -> argparse.ArgumentParser:
                         choices=("fail", "reassign"), default="fail")
     parser.add_argument("--cancel", metavar="JOB", default=None,
                         help="append a cancel directive for the named "
-                             "job instead of submitting one (needs a "
-                             "parmonc-sched --serve watching the queue)")
+                             "job instead of submitting one; parmonc-sched "
+                             "applies it when it reads the line")
     parser.add_argument("--shutdown", action="store_true",
                         help="append a shutdown directive: the serving "
                              "parmonc-sched drains its jobs and exits")
     parser.add_argument("--wait", action="store_true",
                         help="block until the job finishes, polling "
-                             "the --serve status file; exit 0 when "
+                             "the parmonc-sched status file; exit 0 when "
                              "done, 1 when failed/cancelled/rejected")
     parser.add_argument("--wait-timeout", type=float, default=None,
                         help="give up --wait after this many seconds "
@@ -199,7 +199,7 @@ def _wait_for(queue: Path, name: str, timeout: float | None) -> int:
                 return 1
         if deadline is not None and time.monotonic() >= deadline:
             print(f"parmonc-submit: timed out waiting for {name} "
-                  f"(is parmonc-sched --serve running?)",
+                  f"(is parmonc-sched running?)",
                   file=sys.stderr)
             return 1
         time.sleep(_WAIT_POLL_SECONDS)
@@ -224,8 +224,8 @@ def submit_main(argv: list[str] | None = None) -> int:
                      "(unless --cancel/--shutdown)")
     position = 0
     if args.queue.exists():
-        position = sum(1 for line in
-                       args.queue.read_text().splitlines() if line.strip())
+        position = sum(1 for line in args.queue.read_bytes().splitlines()
+                       if line.strip() and _is_job_entry(_decode(line)))
     name = args.name or f"job-{position}"
     entry = {
         "routine": args.routine,
@@ -307,252 +307,238 @@ def build_sched_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_queue(path: Path) -> list[dict]:
-    if not path.exists():
-        raise FileNotFoundError(
-            f"queue file {path} does not exist; create it with "
-            f"parmonc-submit")
-    entries = []
-    for number, line in enumerate(path.read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"{path}:{number}: malformed job entry: {exc}") from exc
-        if not isinstance(entry, dict):
-            raise ValueError(
-                f"{path}:{number}: job entry must be an object")
-        entries.append(entry)
-    return entries
-
-
-def _make_scheduler(args) -> Scheduler:
-    return Scheduler(
-        create_backend(args.backend, start_method=args.start_method,
-                       connect=args.connect),
-        workers=args.workers, max_jobs=args.max_jobs)
-
-
-def _admit(scheduler: Scheduler, queue: Path, entry: dict, position: int):
-    """Submit one queue entry; returns ``(name, job, reason)``.
-
-    ``job`` is None when the entry was rejected — no routine, one that
-    does not import, a spec the scheduler refuses, or admission
-    back-pressure — and ``reason`` says why (also reported on stderr).
-    Routines travel by name; a missing ``workdir`` defaults to a
-    directory named after the job, next to the queue file.
-    """
-    entry = dict(entry)
-    name = str(entry.get("name") or f"job-{position}")
+def _decode(line: bytes | str) -> dict | str:
+    """A queue line's entry, or why the line is not one."""
     try:
-        spec = entry.pop("routine", None)
-        if not isinstance(spec, str):
-            raise ConfigurationError(
-                "entry misses its module:function routine")
-        entry["routine"] = load_routine(spec)
-        entry.setdefault("name", name)
-        entry.setdefault("workdir", str(queue.parent / name))
-        return name, scheduler.submit(build_job_spec(entry, position)), None
-    except ReproError as exc:
-        print(f"parmonc-sched: rejected {name}: {exc}", file=sys.stderr)
-        return name, None, str(exc)
+        entry = json.loads(line)
+    except ValueError as exc:
+        return f"malformed entry: {exc}"
+    return entry if isinstance(entry, dict) else "non-object entry"
 
 
-def _finish_report(scheduler: Scheduler, args, headline: str,
-                   **extra) -> None:
-    """Print the closing summary and write the SLA report, if asked."""
-    report = dict(scheduler.sla_report(), **extra)
-    print(f"{headline}, {report['deadline_misses']} deadline misses")
-    if args.sla_report is not None:
-        args.sla_report.parent.mkdir(parents=True, exist_ok=True)
-        args.sla_report.write_text(json.dumps(report, indent=2) + "\n")
-        print(f"SLA report written to {args.sla_report}")
+def _is_job_entry(entry: dict | str) -> bool:
+    """Whether a decoded line is a job (default names count these)."""
+    return (isinstance(entry, dict) and not entry.get("shutdown")
+            and entry.get("cancel") is None)
 
 
-def _write_status(path: Path, payload: dict,
-                  last: str | None) -> str | None:
-    """Atomically mirror the service state; skip unchanged rewrites."""
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if text == last:
-        return last
+def _write_status(path: Path, payload: dict) -> None:
+    """Atomically mirror the consumer's job records."""
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text)
+        tmp.write_text(json.dumps(payload, sort_keys=True) + "\n")
         os.replace(tmp, path)
     except OSError as exc:  # pragma: no cover - disk trouble
         print(f"parmonc-sched: cannot write {path}: {exc}",
               file=sys.stderr)
-        return last
-    return text
 
 
-def _serve_queue(args) -> int:
-    """The ``--serve`` path: a live scheduler tailing the queue file."""
-    queue: Path = args.queue
-    queue.parent.mkdir(parents=True, exist_ok=True)
-    queue.touch(exist_ok=True)
-    sys.path.insert(0, str(queue.parent.resolve()))
-    status_file = status_path(queue)
-    scheduler = _make_scheduler(args)
-    records: dict[str, dict] = {}
-    jobs: dict[str, object] = {}
-    state = {"offset": 0, "count": 0, "stop": False, "written": None}
+class _QueueConsumer:
+    """The one reader of a queue file, run as the scheduler's tick.
 
-    def admit(entry: dict, position: int) -> None:
-        name, job, reason = _admit(scheduler, queue, entry, position)
-        if job is None:
-            records[name] = {"status": "rejected", "error": reason}
-            return
-        jobs[job.id] = job
-        print(f"parmonc-sched: admitted {job.id}", flush=True)
+    Each :meth:`turn` reads only the bytes appended since the last one
+    through a handle kept open, and hands every complete line to
+    :meth:`process`; ``offset`` counts the bytes consumed.  Batch mode
+    is the same consumer with ``follow=False``: the end of the file —
+    a last line without its newline included — ends the reading, and
+    the loop drains what was admitted.  The status file is rewritten
+    only in a turn that changed a record; a finished job's record is
+    frozen, so an idle turn costs O(live jobs).
+    """
 
-    def process(line: str) -> None:
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError as exc:
-            print(f"parmonc-sched: skipping malformed entry: {exc}",
-                  file=sys.stderr)
+    def __init__(self, scheduler: Scheduler, queue: Path, handle,
+                 follow: bool) -> None:
+        self.scheduler = scheduler
+        self.queue = queue
+        self.follow = follow
+        self.stopping = False
+        self.offset = 0
+        self.admitted: list[Job] = []
+        self.rejected: list[str] = []
+        self._handle = handle
+        self._tail = b""
+        self._lines = 0
+        self._entries = 0
+        self._records: dict[str, dict] = {}
+        self._live: dict[str, Job] = {}
+        self._changed = True
+
+    def turn(self) -> bool:
+        """Consume what was appended and mirror what changed; False
+        once nothing further is to be read."""
+        if not self.stopping:
+            data = self._tail + self._handle.read()
+            cut = data.rfind(b"\n") + 1 if self.follow else len(data)
+            self._tail = data[cut:]
+            for line in data[:cut].splitlines(keepends=True):
+                if self.stopping:
+                    break
+                self.offset += len(line)
+                self._lines += 1
+                self.process(line)
+            if not self.follow:
+                self.stopping = True
+        self.mirror()
+        return not self.stopping
+
+    def process(self, line: bytes) -> None:
+        """Consume one line: a directive, a job entry, or a skip."""
+        if not line.strip():
             return
-        if not isinstance(entry, dict):
-            print("parmonc-sched: skipping non-object entry",
-                  file=sys.stderr)
-            return
-        if entry.get("shutdown"):
-            state["stop"] = True
-            return
-        target = entry.get("cancel")
-        if target is not None:
+        entry = _decode(line)
+        if isinstance(entry, str):
+            print(f"parmonc-sched: {self.queue}:{self._lines}: skipping "
+                  f"{entry}", file=sys.stderr)
+        elif _is_job_entry(entry):
+            self._admit(entry, self._entries)
+            self._entries += 1
+        elif entry.get("shutdown"):
+            self.stopping = True
+        else:
+            target = str(entry["cancel"])
             try:
-                accepted = scheduler.cancel(str(target))
+                accepted = self.scheduler.cancel(target)
             except ConfigurationError as exc:
                 print(f"parmonc-sched: cancel: {exc}", file=sys.stderr)
                 return
             print(f"parmonc-sched: cancel {target}: "
                   f"{'accepted' if accepted else 'already finished'}",
                   flush=True)
-            return
-        position = state["count"]
-        state["count"] += 1
-        admit(entry, position)
 
-    def snapshot(serving: bool = True) -> dict:
-        for job in jobs.values():
-            record = records.setdefault(job.id, {})
-            status = job.status
-            if record.get("status") != status:
-                record["status"] = status
-                record["error"] = (str(job.error)
-                                   if job.error is not None else None)
-                if status in JobStatus.FINISHED:
-                    print(f"parmonc-sched: {job.id}: {status}"
-                          + (f" — {job.error}" if job.error else ""),
-                          flush=True)
-        return {"queue": str(queue), "serving": serving,
-                "jobs": records}
+    def _admit(self, entry: dict, position: int) -> None:
+        """Submit one job entry, or record why it was rejected.
 
-    def watcher() -> bool:
+        Routines travel by name; a missing ``workdir`` defaults to a
+        directory named after the job, next to the queue file.
+        """
+        name = str(entry.get("name") or f"job-{position}")
+        self._changed = True
         try:
-            text = queue.read_text()
-        except OSError:
-            text = ""
-        chunk = text[state["offset"]:]
-        cut = chunk.rfind("\n")
-        if cut >= 0:
-            # Consume only complete lines; a submit racing this read
-            # keeps its partial line for the next tick.
-            state["offset"] += cut + 1
-            for line in chunk[:cut].splitlines():
-                if line.strip():
-                    process(line.strip())
-        state["written"] = _write_status(status_file, snapshot(),
-                                         state["written"])
-        return not state["stop"]
+            spec = entry.pop("routine", None)
+            if not isinstance(spec, str):
+                raise ConfigurationError(
+                    "entry misses its module:function routine")
+            entry["routine"] = load_routine(spec)
+            entry.setdefault("name", name)
+            entry.setdefault("workdir", str(self.queue.parent / name))
+            job = self.scheduler.submit(build_job_spec(entry, position))
+        except ReproError as exc:
+            print(f"parmonc-sched: rejected {name}: {exc}", file=sys.stderr)
+            self.rejected.append(name)
+            self._records[name] = {"status": "rejected",
+                                   "error": str(exc)}
+            return
+        self.admitted.append(job)
+        self._live[job.id] = job
+        self._records[job.id] = {"status": None, "error": None}
+        print(f"parmonc-sched: admitted {job.id}", flush=True)
 
-    def request_stop(signum, frame):
-        state["stop"] = True
+    def mirror(self, serving: bool = True) -> None:
+        """Bring the live jobs' records up to date; rewrite the status
+        file if one changed, and once more when the loop is over."""
+        for job in list(self._live.values()):
+            record = self._records[job.id]
+            if record["status"] == job.status:
+                continue
+            self._changed = True
+            record["status"] = job.status
+            record["error"] = (str(job.error)
+                               if job.error is not None else None)
+            if job.status in JobStatus.FINISHED:
+                del self._live[job.id]
+                print(f"parmonc-sched: {job.id}: {job.status}"
+                      + (f" — {job.error}" if job.error else ""),
+                      flush=True)
+        if self._changed or not serving:
+            _write_status(status_path(self.queue),
+                          {"queue": str(self.queue), "serving": serving,
+                           "jobs": self._records})
+            self._changed = False
 
-    on_main = threading.current_thread() is threading.main_thread()
-    previous = {}
-    if on_main:
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            previous[signum] = signal.signal(signum, request_stop)
-    print(f"parmonc-sched: serving {queue} on the {args.backend} "
-          f"backend (status file: {status_file})", flush=True)
-    try:
-        scheduler.serve(on_idle=watcher)
-    except ReproError as exc:
-        print(f"parmonc-sched: error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
-        state["written"] = _write_status(status_file, snapshot(False),
-                                         state["written"])
-    failed = sum(1 for job in jobs.values() if job.error is not None)
-    cancelled = sum(1 for job in jobs.values()
-                    if job.status is JobStatus.CANCELLED)
-    _finish_report(scheduler, args,
-                   f"service: {len(jobs)} jobs admitted, {failed} failed, "
-                   f"{cancelled} cancelled")
+
+def _report(consumer: _QueueConsumer, args) -> int:
+    """Print the closing lines, write the SLA report; the exit code."""
+    failed = cancelled = 0
+    for job in consumer.admitted:
+        if job.error is not None:
+            failed += 1
+            print(f"{job.id}: FAILED — {job.error}")
+            continue
+        if job.result is None:
+            cancelled += 1
+            print(f"{job.id}: {job.status}")
+            continue
+        sla = job.result.sla or {}
+        print(f"{job.id}: L={job.result.total_volume} "
+              f"wait={sla.get('wait_seconds', 0.0):.3f}s "
+              f"makespan={sla.get('makespan_seconds', 0.0):.3f}s"
+              + (" DEADLINE MISSED" if sla.get("deadline_missed")
+                 else ""))
+        if job.result.data_dir is not None:
+            print(f"  results under {job.result.data_dir}")
+    report = dict(consumer.scheduler.sla_report(),
+                  rejected_jobs=consumer.rejected)
+    print(f"{'service' if args.serve else 'batch'}: "
+          f"{len(consumer.admitted)} jobs, {failed} failed, "
+          f"{len(consumer.rejected)} rejected, {cancelled} cancelled, "
+          f"{report['deadline_misses']} deadline misses")
+    if args.sla_report is not None:
+        args.sla_report.parent.mkdir(parents=True, exist_ok=True)
+        args.sla_report.write_text(json.dumps(report, indent=2) + "\n")
+        print(f"SLA report written to {args.sla_report}")
     return 1 if failed else 0
 
 
 def sched_main(argv: list[str] | None = None) -> int:
     """Entry point of ``parmonc-sched``; returns a process exit code."""
     args = build_sched_parser().parse_args(argv)
+    queue: Path = args.queue
     if args.serve:
-        return _serve_queue(args)
+        queue.parent.mkdir(parents=True, exist_ok=True)
+        queue.touch(exist_ok=True)
     try:
-        entries = _load_queue(args.queue)
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"parmonc-sched: error: {exc}", file=sys.stderr)
-        return 2
-    if not entries:
-        print(f"parmonc-sched: {args.queue} holds no jobs",
-              file=sys.stderr)
+        handle = queue.open("rb")
+    except FileNotFoundError:
+        print(f"parmonc-sched: error: queue file {queue} does not exist; "
+              f"create it with parmonc-submit", file=sys.stderr)
         return 2
     # Routines travel by name; import relative to the queue directory,
     # the way parmonc-run resolves specs next to the model file.
-    sys.path.insert(0, str(args.queue.parent.resolve()))
+    sys.path.insert(0, str(queue.parent.resolve()))
+
+    def request_stop(signum, frame):
+        consumer.stopping = True
+
+    previous, consumer = {}, None
     try:
-        scheduler = _make_scheduler(args)
-        admitted = [_admit(scheduler, args.queue, entry, index)
-                    for index, entry in enumerate(entries)]
-        submitted = [job for _, job, _ in admitted if job is not None]
-        rejected = [name for name, job, _ in admitted if job is None]
-        if not submitted:
-            print("parmonc-sched: error: every job was rejected",
-                  file=sys.stderr)
-            return 2
-        scheduler.run()
+        backend = create_backend(args.backend, connect=args.connect,
+                                 start_method=args.start_method)
+        consumer = _QueueConsumer(
+            Scheduler(backend, workers=args.workers,
+                      max_jobs=args.max_jobs),
+            queue, handle, follow=args.serve)
+        if args.serve:
+            print(f"parmonc-sched: serving {queue} on the {args.backend} "
+                  f"backend (status file: {status_path(queue)})",
+                  flush=True)
+        if threading.current_thread() is threading.main_thread():
+            for signum in (signal.SIGTERM, signal.SIGINT):
+                previous[signum] = signal.signal(signum, request_stop)
+        consumer.scheduler.serve(on_idle=consumer.turn)
     except ReproError as exc:
         print(f"parmonc-sched: error: {exc}", file=sys.stderr)
         return 2
-    failed = 0
-    for job in submitted:
-        if job.error is not None:
-            failed += 1
-            print(f"{job.id}: FAILED — {job.error}")
-            continue
-        result = job.result
-        sla = result.sla or {}
-        print(f"{job.id}: L={result.total_volume} "
-              f"wait={sla.get('wait_seconds', 0.0):.3f}s "
-              f"makespan={sla.get('makespan_seconds', 0.0):.3f}s"
-              + (" DEADLINE MISSED" if sla.get("deadline_missed")
-                 else ""))
-        if result.data_dir is not None:
-            print(f"  results under {result.data_dir}")
-    _finish_report(scheduler, args,
-                   f"batch: {len(submitted)} jobs, {failed} failed, "
-                   f"{len(rejected)} rejected", rejected_jobs=rejected)
-    incomplete = sum(1 for job in submitted
-                     if job.error is None and job.status
-                     is not JobStatus.DONE)
-    return 1 if (failed or incomplete) else 0
+    finally:
+        handle.close()
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
+        if consumer is not None:
+            consumer.mirror(serving=False)
+    if not (args.serve or consumer.admitted):
+        print(f"parmonc-sched: error: {queue} holds no job that could be "
+              f"admitted", file=sys.stderr)
+        return 2
+    return _report(consumer, args)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via scripts

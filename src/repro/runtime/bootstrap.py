@@ -13,6 +13,7 @@ from repro.exceptions import ResumeError
 from repro.runtime.config import RunConfig
 from repro.runtime.files import DataDirectory
 from repro.runtime.resume import ResumeState, prepare_resume
+from repro.stats.accumulator import MomentSnapshot
 
 __all__ = ["start_session"]
 
@@ -25,9 +26,10 @@ def start_session(config: RunConfig, use_files: bool = True
 
     Args:
         config: The run configuration.
-        use_files: When False the session runs purely in memory; only
-            valid for fresh runs (``res=0``), since resuming needs the
-            previous session's save-point.
+        use_files: When False the session runs purely in memory and
+            opens nothing on disk; only valid for fresh runs
+            (``res=0``), since resuming needs the previous session's
+            save-point.
 
     Returns:
         ``(data, state)`` where ``data`` is None for in-memory runs.
@@ -37,8 +39,9 @@ def start_session(config: RunConfig, use_files: bool = True
             raise ResumeError(
                 "res=1 requires result files; in-memory sessions cannot "
                 "resume a previous simulation")
-        return None, prepare_resume(config, DataDirectory(config.workdir),
-                                    carry_history=False)
+        return None, ResumeState(
+            base=MomentSnapshot.zero(config.nrow, config.ncol),
+            used_seqnums=(config.seqnum,), session_index=1)
     data = DataDirectory(config.workdir).ensure()
     data.sweep_temp_files()
     # prepare_resume runs first even on res=0: it reads the burnt-seqnum

@@ -544,7 +544,6 @@ class DataDirectory:
         Each file is written atomically, so a kill mid-save can never
         leave a torn matrix for :meth:`read_mean_matrix` to load.
         """
-        self.ensure()
         cells = _cells(estimates)
         storage.atomic_write_text(self.results_dir / "func.dat",
                                   _render_mean_matrix(estimates, cells),
@@ -712,7 +711,6 @@ class DataDirectory:
         worker's latest message carried, so ``manaver`` recovers every
         declared statistic, not just the moments.
         """
-        self.ensure()
         tail: dict = {}
         if session is not None:
             tail["session"] = int(session)

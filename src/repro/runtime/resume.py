@@ -101,17 +101,16 @@ def _previous_seqnums(data: DataDirectory) -> tuple[int, ...]:
     return tuple(meta.used_seqnums)
 
 
-def prepare_resume(config: RunConfig, data: DataDirectory, *,
-                   carry_history: bool = True) -> ResumeState:
+def prepare_resume(config: RunConfig, data: DataDirectory) -> ResumeState:
     """Validate the resumption flag and load the inherited moments.
+
+    On ``res=0`` over an existing save-point the new session inherits
+    its burnt ``seqnum`` history, with a warning that the old sample is
+    being superseded.
 
     Args:
         config: The run configuration (``res`` and ``seqnum`` matter).
         data: The run's data directory.
-        carry_history: On ``res=0`` over an existing save-point, inherit
-            its burnt ``seqnum`` history (and warn that the old sample
-            is being superseded).  In-memory sessions pass False — they
-            discard nothing and never persist a save-point.
 
     Raises:
         ResumeError: When ``res=1`` without a previous simulation, when
@@ -121,7 +120,7 @@ def prepare_resume(config: RunConfig, data: DataDirectory, *,
     """
     manifest = build_manifest(config)
     if config.res == 0:
-        inherited = _previous_seqnums(data) if carry_history else ()
+        inherited = _previous_seqnums(data)
         if inherited:
             warnings.warn(
                 f"res=0 supersedes the existing sample under {data.root}; "

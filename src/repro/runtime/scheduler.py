@@ -11,11 +11,12 @@ stop:
 
 * ``parmonc()`` / :class:`~repro.runtime.engine.Engine` — one anonymous
   job, :meth:`Scheduler.run` on the calling thread, error re-raised;
-* :meth:`Scheduler.run` / ``parmonc(jobs=...)`` / ``parmonc-sched`` — a
-  batch: stop admitting, drain on the calling thread, shut down;
+* :meth:`Scheduler.run` / ``parmonc(jobs=...)`` — a batch: stop
+  admitting, drain on the calling thread, shut down;
 * :meth:`Scheduler.start` / :meth:`Scheduler.serve` /
-  ``parmonc-sched --serve`` — a live service that keeps admitting
-  until :meth:`Scheduler.shutdown`.
+  ``parmonc-sched`` — a live service that keeps admitting until
+  :meth:`Scheduler.shutdown` or its ``on_idle`` says stop (a
+  ``parmonc-sched`` batch does at the end of its queue file).
 
 Policies the loop applies:
 
@@ -385,11 +386,13 @@ class Scheduler:
         """Run the loop on this thread until the scheduler stops.
 
         Args:
-            on_idle: Optional tick callback invoked once per loop
-                iteration (at least every poll interval) — the CLI
-                hooks its queue-file watcher here.  Returning ``False``
-                requests shutdown: the loop finishes the jobs it has,
-                admits nothing further and returns.
+            on_idle: Optional callback invoked after every turn of
+                the loop, busy or idle (at least every poll interval),
+                so it runs once per message ingested and must cost
+                little when nothing changed — ``parmonc-sched`` hooks
+                its queue reader here.  Returning ``False`` requests
+                shutdown: the loop finishes the jobs it has, admits
+                nothing further and returns.
         """
         with self._state_cond:
             if self._driven_elsewhere():

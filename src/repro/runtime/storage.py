@@ -243,10 +243,15 @@ def temp_path(path: Path) -> Path:
 def _atomic_write(path: Path, data: bytes, label: str | None) -> None:
     """Replace ``path`` with ``data`` via write-temp → fsync → rename."""
     label = label if label is not None else path.name
-    path.parent.mkdir(parents=True, exist_ok=True)
     temp = temp_path(path)
     crashpoint(f"{label}.before_write")
-    with temp.open("wb") as handle:
+    try:
+        handle = temp.open("wb")
+    except FileNotFoundError:
+        # The parent exists on every write but a directory's first.
+        path.parent.mkdir(parents=True, exist_ok=True)
+        handle = temp.open("wb")
+    with handle:
         handle.write(data)
         crashpoint(f"{label}.after_write")
         handle.flush()

@@ -251,3 +251,162 @@ class TestSchedCli:
         out = capsys.readouterr().out
         assert "bad: FAILED" in out
         assert "good: L=10" in out
+
+
+class TestOneQueueReader:
+    # Batch mode and --serve consume the queue through one reader: the
+    # same file admits the same jobs under the same names either way.
+
+    def _setup(self, directory, lines):
+        directory.mkdir(exist_ok=True)
+        (directory / "batchmodel.py").write_text(
+            "def realization(rng):\n    return rng.random()\n")
+        queue = directory / "jobs.jsonl"
+        queue.write_text("".join(line + "\n" for line in lines))
+        return queue
+
+    def _job(self, seqnum, **fields):
+        import json as _json
+        return _json.dumps(dict({"routine": "batchmodel:realization",
+                                 "maxsv": 20, "processors": 2,
+                                 "seqnum": seqnum, "perpass": 0,
+                                 "peraver": 0}, **fields))
+
+    def test_directives_and_names_agree_across_modes(
+            self, tmp_path, capsys, savepoint_content):
+        import json as _json
+        from repro.cli.sched import sched_main
+
+        lines = [self._job(0), '{"cancel": "nothing"}', self._job(1),
+                 '{"shutdown": true}']
+        runs = {}
+        for mode, extra in (("batch", []), ("service", ["--serve"])):
+            queue = self._setup(tmp_path / mode, lines)
+            report = tmp_path / mode / "sla.json"
+            assert sched_main(["--queue", str(queue), "--backend",
+                               "sequential", "--sla-report", str(report)]
+                              + extra) == 0
+            out = capsys.readouterr().out
+            assert f"{mode}: 2 jobs, 0 failed, 0 rejected" in out
+            report = _json.loads(report.read_text())
+            assert report["rejected_jobs"] == []
+            runs[mode] = sorted(record["job"] for record in report["jobs"])
+        assert runs["batch"] == runs["service"] == ["job-0", "job-1"]
+        for name in ("job-0", "job-1"):
+            batch, served = (tmp_path / mode / name
+                             for mode in ("batch", "service"))
+            assert (DataDirectory(batch).results_dir / "func.dat")\
+                .read_bytes() == (DataDirectory(served).results_dir
+                                  / "func.dat").read_bytes()
+            # savepoint.bin also stamps the wall-clock compute time.
+            assert savepoint_content(batch) == savepoint_content(served)
+            assert savepoint_content(batch)["volume"] == 20
+
+    def test_idle_turns_read_and_serialize_nothing(self, tmp_path,
+                                                   monkeypatch):
+        import json as _json
+        import threading
+        import time
+        from pathlib import Path
+
+        from repro.cli import sched
+        from repro.runtime.scheduler import Scheduler
+
+        jobs = 1000
+        queue = self._setup(tmp_path, [
+            self._job(0, maxsv=1, processors=1, use_files=False)
+            for _ in range(jobs)])
+        codes = []
+        server = threading.Thread(target=lambda: codes.append(
+            sched.sched_main(["--serve", "--queue", str(queue),
+                              "--backend", "sequential"])))
+        server.start()
+        try:
+            deadline = time.monotonic() + 300.0
+            while True:
+                try:
+                    records = _json.loads(
+                        sched.status_path(queue).read_text())["jobs"]
+                except (OSError, ValueError, KeyError):
+                    records = {}
+                if sum(record["status"] == "done"
+                       for record in records.values()) == jobs:
+                    break
+                assert time.monotonic() < deadline, "queue never drained"
+                time.sleep(0.05)
+            calls = {"dumps": 0, "status": 0, "steps": 0}
+            turned = threading.Event()
+            dumps, write_status, step = (_json.dumps, sched._write_status,
+                                         Scheduler.step)
+
+            def counting(key, function):
+                def spy(*args, **kwargs):
+                    calls[key] += 1
+                    return function(*args, **kwargs)
+                return spy
+
+            def counted_step(self, *args, **kwargs):
+                # Each loop turn is one step, then the queue reader.
+                calls["steps"] += 1
+                if calls["steps"] > 5:
+                    turned.set()
+                return step(self, *args, **kwargs)
+
+            io = Path(f"/proc/self/task/{server.native_id}/io")
+
+            def rchar():
+                if not io.exists():
+                    return 0
+                for line in io.read_text().splitlines():
+                    if line.startswith("rchar:"):
+                        return int(line.split()[1])
+
+            monkeypatch.setattr(_json, "dumps", counting("dumps", dumps))
+            monkeypatch.setattr(sched, "_write_status",
+                                counting("status", write_status))
+            before = rchar()
+            monkeypatch.setattr(Scheduler, "step", counted_step)
+            assert turned.wait(60.0)
+            read = rchar() - before
+            monkeypatch.undo()
+            assert calls["dumps"] == 0 and calls["status"] == 0
+            assert read == 0
+        finally:
+            with queue.open("a") as stream:
+                stream.write('{"shutdown": true}\n')
+            server.join(120.0)
+        assert codes == [0]
+
+    def test_batch_admits_a_last_line_without_newline(self, tmp_path,
+                                                      capsys):
+        import json as _json
+        from repro.cli.sched import sched_main, status_path
+
+        queue = self._setup(tmp_path, [self._job(0)])
+        with queue.open("a") as stream:
+            stream.write(self._job(1))
+        assert sched_main(["--queue", str(queue),
+                           "--backend", "sequential"]) == 0
+        assert "batch: 2 jobs, 0 failed, 0 rejected" \
+            in capsys.readouterr().out
+        # The batch mirrors its records like the service does.
+        records = _json.loads(status_path(queue).read_text())["jobs"]
+        assert records == {"job-0": {"status": "done", "error": None},
+                           "job-1": {"status": "done", "error": None}}
+        assert DataDirectory(tmp_path / "job-1").read_mean_matrix() \
+            .shape == (1, 1)
+
+    def test_batch_skips_a_malformed_line_and_runs_the_rest(self, tmp_path,
+                                                            capsys):
+        from repro.cli.sched import sched_main
+
+        queue = self._setup(tmp_path, [self._job(0), "{torn",
+                                       self._job(1)])
+        assert sched_main(["--queue", str(queue),
+                           "--backend", "sequential"]) == 0
+        captured = capsys.readouterr()
+        assert f"{queue}:2: skipping malformed entry" in captured.err
+        assert "batch: 2 jobs, 0 failed, 0 rejected" in captured.out
+        for name in ("job-0", "job-1"):
+            assert DataDirectory(tmp_path / name).read_mean_matrix() \
+                .shape == (1, 1)

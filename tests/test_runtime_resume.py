@@ -165,3 +165,25 @@ class TestFinalize:
         assert snapshot.volume == 3
         assert snapshot.estimates().mean[0, 0] == pytest.approx(3.0)
         assert meta.sessions == 2
+
+
+class TestInMemorySession:
+    def test_opens_nothing_on_disk(self, tmp_path, monkeypatch):
+        from repro import parmonc
+        from repro.runtime import resume
+
+        def refuse(workdir):
+            raise AssertionError(f"fingerprinted {workdir}")
+
+        monkeypatch.setattr(resume, "genparam_fingerprint", refuse)
+        result = parmonc(lambda rng: rng.random(), maxsv=10, processors=2,
+                         workdir=tmp_path / "memory", use_files=False,
+                         backend="sequential")
+        assert result.total_volume == 10
+        assert not (tmp_path / "memory").exists()
+        monkeypatch.undo()
+        parmonc(lambda rng: rng.random(), maxsv=10, workdir=tmp_path,
+                backend="sequential")
+        _snapshot, meta = DataDirectory(tmp_path).load_savepoint()
+        assert meta.manifest["processors"] == 1
+        assert meta.manifest["genparam_sha256"] is None

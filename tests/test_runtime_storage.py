@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ArtifactVersionError, CorruptArtifactError
@@ -23,6 +24,7 @@ from repro.runtime.storage import (
     trace_crashpoints,
     write_artifact,
 )
+from repro.stats.accumulator import MomentAccumulator
 
 
 @pytest.fixture(autouse=True)
@@ -240,3 +242,41 @@ class TestSweep:
 
     def test_missing_root(self, tmp_path):
         assert sweep_temp_files(tmp_path / "absent") == []
+
+
+class TestDirectoriesOncePerSession:
+    def test_ingest_and_saves_make_no_directory(self, tmp_path,
+                                                monkeypatch):
+        from repro.runtime.bootstrap import start_session
+        from repro.runtime.collector import Collector
+        from repro.runtime.config import RunConfig
+        from repro.runtime.worker import run_worker
+
+        config = RunConfig(maxsv=12, processors=3, perpass=0.0,
+                           peraver=0.0, workdir=tmp_path)
+        data, state = start_session(config)
+        collector = Collector(config, state.base, data,
+                              sessions=state.session_index)
+        made = []
+        mkdir = os.mkdir
+        monkeypatch.setattr(os, "mkdir", lambda *args, **kwargs: (
+            made.append(args[0]), mkdir(*args, **kwargs))[1])
+        for rank in range(config.processors):
+            run_worker(lambda rng: rng.random(), config, rank,
+                       config.worker_quota(rank),
+                       send=lambda message: collector.receive(message, 0.0))
+        assert collector.save_count > 3
+        assert made == []
+        assert (data.results_dir / "func.dat").exists()
+        assert data.processor_savepoint_path(2).exists()
+
+    def test_a_write_into_a_missing_directory_lands(self, tmp_path):
+        from repro.runtime.files import DataDirectory
+
+        data = DataDirectory(tmp_path / "never" / "made")
+        snapshot = MomentAccumulator(1, 1)
+        snapshot.add(np.ones((1, 1)))
+        data.save_processor_snapshot(0, snapshot.snapshot())
+        assert data.load_processor_subtotals()[0].snapshot.volume == 1
+        atomic_write_text(tmp_path / "a" / "b" / "c.txt", "x")
+        assert (tmp_path / "a" / "b" / "c.txt").read_text() == "x"
