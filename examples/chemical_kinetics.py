@@ -8,10 +8,16 @@ coagulation (constant-kernel Smoluchowski solution as oracle).
 Run:  python examples/chemical_kinetics.py
 """
 
+import os
+
 import numpy as np
 
 from repro import parmonc
 from repro.apps import coagulation, kinetics
+
+# PARMONC_BENCH_SMOKE=1: the test suite's seconds-long smoke size.
+SSA_RUNS, COAGULATION_RUNS = (
+    (100, 20) if os.environ.get("PARMONC_BENCH_SMOKE") else (1_000, 200))
 
 
 def main():
@@ -19,7 +25,7 @@ def main():
     network = kinetics.isomerization(a0=200, rate=1.0,
                                      output_times=(0.25, 0.5, 1.0, 2.0))
     result = parmonc(kinetics.make_realization(network),
-                     nrow=4, ncol=2, maxsv=1_000, processors=2,
+                     nrow=4, ncol=2, maxsv=SSA_RUNS, processors=2,
                      use_files=False)
     exact = 200.0 * np.exp(-np.array(network.output_times))
     print(f"SSA, A -> B with A(0) = 200 ({result.total_volume} "
@@ -33,8 +39,8 @@ def main():
     problem = coagulation.CoagulationProblem(
         n0=400, output_times=(0.5, 1.0, 2.0, 4.0), max_size=4)
     result = parmonc(coagulation.make_realization(problem),
-                     nrow=4, ncol=5, maxsv=200, processors=2,
-                     use_files=False)
+                     nrow=4, ncol=5, maxsv=COAGULATION_RUNS,
+                     processors=2, use_files=False)
     exact_matrix = problem.exact_matrix()
     print("\nconstant-kernel coagulation, 400 monomers "
           f"({result.total_volume} Marcus-Lushnikov trajectories)\n")

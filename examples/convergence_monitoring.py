@@ -15,11 +15,17 @@ Run:  python examples/convergence_monitoring.py
 """
 
 import math
+import os
 import tempfile
 from pathlib import Path
 
 from repro import MonteCarloRun, parmonc
 from repro.obs import read_events
+
+# PARMONC_BENCH_SMOKE=1: the test suite's seconds-long smoke size.
+MAXSV, TARGET, SESSION_VOLUME = (
+    (300, 0.03, 150) if os.environ.get("PARMONC_BENCH_SMOKE")
+    else (20_000, 0.004, 5_000))
 
 
 def heavy_tailish(rng):
@@ -29,7 +35,7 @@ def heavy_tailish(rng):
 
 def main():
     with tempfile.TemporaryDirectory() as workdir:
-        result = parmonc(heavy_tailish, maxsv=20_000, processors=2,
+        result = parmonc(heavy_tailish, maxsv=MAXSV, processors=2,
                          peraver=0.0, perpass=0.0, workdir=workdir,
                          telemetry=True)
         events_path = (Path(workdir) / "parmonc_data" / "telemetry"
@@ -58,10 +64,9 @@ def main():
 
     with tempfile.TemporaryDirectory() as workdir:
         run = MonteCarloRun(heavy_tailish, workdir=workdir, processors=2)
-        target = 0.004
-        result = run.run_until(target_abs_error=target,
-                               session_volume=5_000)
-        print(f"run_until(eps <= {target}): stopped after "
+        result = run.run_until(target_abs_error=TARGET,
+                               session_volume=SESSION_VOLUME)
+        print(f"run_until(eps <= {TARGET}): stopped after "
               f"{result.sessions} session(s), L = {result.total_volume}, "
               f"eps_max = {result.estimates.abs_error_max:.6f}")
 

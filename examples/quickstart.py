@@ -10,9 +10,13 @@ The user-side recipe from the paper, in Python:
 Run:  python examples/quickstart.py
 """
 
+import os
 import tempfile
 
 from repro import parmonc
+
+# PARMONC_BENCH_SMOKE=1: the test suite's seconds-long smoke size.
+MAXSV = 2_000 if os.environ.get("PARMONC_BENCH_SMOKE") else 200_000
 
 
 def quarter_circle(rng):
@@ -26,7 +30,7 @@ def main():
     with tempfile.TemporaryDirectory() as workdir:
         result = parmonc(
             quarter_circle,
-            maxsv=200_000,      # total sample volume
+            maxsv=MAXSV,        # total sample volume
             processors=4,       # simulated processors
             workdir=workdir,    # parmonc_data/ is created here
         )

@@ -11,11 +11,14 @@ Run:  python examples/radiation_transport.py
 """
 
 import math
+import os
 
 from repro import parameter_sweep
 from repro.apps.transport import SlabProblem, make_realization
 
 DEPTH = 2.0
+# PARMONC_BENCH_SMOKE=1: the test suite's seconds-long smoke size.
+HISTORIES = 1_000 if os.environ.get("PARMONC_BENCH_SMOKE") else 20_000
 
 
 def factory(absorption):
@@ -24,13 +27,12 @@ def factory(absorption):
 
 
 def main():
-    histories = 20_000
     absorptions = (1.0, 0.8, 0.5, 0.2)
-    sweep = parameter_sweep(factory, absorptions, maxsv=histories,
+    sweep = parameter_sweep(factory, absorptions, maxsv=HISTORIES,
                             ncol=3, processors=2,
                             backend="multiprocess")
     print(f"slab depth {DEPTH} mean free paths, "
-          f"{histories} histories per setting\n")
+          f"{HISTORIES} histories per setting\n")
     print("absorption  P(transmit)  P(reflect)  P(absorb)   eps_max  seqnum")
     for point in sweep:
         mean = point.result.estimates.mean[0]

@@ -12,6 +12,7 @@ Demonstrates the paper's §3.2/§3.4 operational story end to end:
 Run:  python examples/resume_workflow.py
 """
 
+import os
 import tempfile
 
 import numpy as np
@@ -23,6 +24,11 @@ from repro.runtime.bootstrap import start_session
 from repro.runtime.config import RunConfig
 from repro.runtime.worker import run_worker
 
+# PARMONC_BENCH_SMOKE=1: the test suite's seconds-long smoke size.
+FIRST, KILLED, RESUMED = (
+    (600, 300, 300) if os.environ.get("PARMONC_BENCH_SMOKE")
+    else (30_000, 12_000, 18_000))
+
 
 def cubic(rng):
     """One realization of X**3 for X uniform: expectation 1/4."""
@@ -33,7 +39,7 @@ def main():
     with tempfile.TemporaryDirectory() as workdir:
         # --- session 1: a normal run ---------------------------------
         run = MonteCarloRun(cubic, workdir=workdir, processors=3)
-        first = run.run(maxsv=30_000)
+        first = run.run(maxsv=FIRST)
         print(f"session 1: L={first.total_volume}, "
               f"mean={first.estimates.mean[0, 0]:.5f} (exact 0.25)")
 
@@ -41,7 +47,7 @@ def main():
         # Simulate the crash by running workers manually and never
         # letting the session finalize: the collector has persisted
         # per-processor subtotals, but no final averaging happened.
-        config = RunConfig(maxsv=12_000, processors=3, res=1, seqnum=1,
+        config = RunConfig(maxsv=KILLED, processors=3, res=1, seqnum=1,
                            workdir=workdir)
         data, state = start_session(config)
         collector = Collector(config, state.base,
@@ -59,7 +65,7 @@ def main():
               f"{summary['processors_recovered']} processor save-points")
 
         # --- session 3: resume and compare with a monolithic run -----
-        third = run.resume(maxsv=18_000)
+        third = run.resume(maxsv=RESUMED)
         print(f"session 3: total L={third.total_volume}, "
               f"mean={third.estimates.mean[0, 0]:.6f}")
 

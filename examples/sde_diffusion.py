@@ -20,12 +20,16 @@ so it runs in seconds rather than cluster-hours.
 Run:  python examples/sde_diffusion.py
 """
 
+import os
 import tempfile
 
 import numpy as np
 
 from repro import parmonc
 from repro.apps.sde import EulerSpec, make_paper_realization, paper_system
+
+# PARMONC_BENCH_SMOKE=1: the test suite's seconds-long smoke size.
+MAXSV = 16 if os.environ.get("PARMONC_BENCH_SMOKE") else 400
 
 
 def main():
@@ -37,7 +41,7 @@ def main():
         result = parmonc(
             difftraj,
             nrow=spec.n_output, ncol=system.dimension,
-            maxsv=400, processors=4, workdir=workdir,
+            maxsv=MAXSV, processors=4, workdir=workdir,
         )
         estimates = result.estimates
         exact = system.exact_mean(spec.output_times)

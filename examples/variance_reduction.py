@@ -9,6 +9,7 @@ Run:  python examples/variance_reduction.py
 """
 
 import math
+import os
 
 from repro import parmonc
 from repro.vr import (
@@ -21,13 +22,15 @@ from repro.vr import (
 )
 
 EXACT = math.e - 1.0  # integral_0^1 exp(x) dx
+# PARMONC_BENCH_SMOKE=1: the test suite's seconds-long smoke size.
+MAXSV = 2_000 if os.environ.get("PARMONC_BENCH_SMOKE") else 20_000
 
 
 def smooth(rng):
     return math.exp(rng.random())
 
 
-def show(name, routine, maxsv=20_000):
+def show(name, routine, maxsv=MAXSV):
     estimates = parmonc(routine, maxsv=maxsv, processors=2,
                         use_files=False).estimates
     print(f"{name:<30s} mean={estimates.mean[0, 0]:.5f} "
@@ -40,7 +43,7 @@ def main():
     base_variance = show("plain Monte Carlo", smooth)
 
     variance = show("antithetic variates",
-                    antithetic_realization(smooth), maxsv=10_000)
+                    antithetic_realization(smooth), maxsv=MAXSV // 2)
     print(f"  -> {base_variance / variance:.0f}x variance reduction\n")
 
     control = lambda rng: rng.random()
@@ -61,10 +64,10 @@ def main():
     # so the reduction is large but finite (a rate-8 proposal matches
     # the integrand exactly and drives the variance to zero).
     decaying = lambda x: math.exp(-8.0 * x)
-    plain_var = parmonc(lambda rng: decaying(rng.random()), maxsv=20_000,
+    plain_var = parmonc(lambda rng: decaying(rng.random()), maxsv=MAXSV,
                         use_files=False).estimates.variance[0, 0]
     weighted = importance_realization(decaying, exponential_proposal(6.0))
-    importance_var = parmonc(weighted, maxsv=20_000,
+    importance_var = parmonc(weighted, maxsv=MAXSV,
                              use_files=False).estimates.variance[0, 0]
     print(f"importance sampling on exp(-8x): variance {plain_var:.2e} "
           f"-> {importance_var:.2e} "

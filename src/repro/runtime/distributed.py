@@ -39,7 +39,7 @@ import socket
 import struct
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
 from contextlib import suppress
 from dataclasses import dataclass, field
 
@@ -200,6 +200,7 @@ class DistributedBackend(EngineBackend):
         # Undispatched assignments, and per running job the
         # ``(SUBMIT body, deadline)`` the dispatcher ships them with.
         self._pending: deque = deque()
+        self._queued: Counter = Counter()  # per job, its share of _pending
         self._entries: dict[str | None, tuple[dict, float | None]] = {}
         # Connecting and connected pools; the other addresses, with
         # the monotonic time of their next connect.
@@ -235,6 +236,7 @@ class DistributedBackend(EngineBackend):
                 "the distributed backend needs a static quota per assignment")
         self._pump(0.0)  # hear of pools lost or back while nothing polled
         self._pending.extend(assignments)
+        self._queued.update(assignment.job for assignment in assignments)
         self._dispatch()
 
     def poll(self, timeout: float) -> MomentMessage | None:
@@ -307,8 +309,9 @@ class DistributedBackend(EngineBackend):
         job's SUBMIT and ASSIGN frames go out in one write, so on any one
         link CANCEL is the last frame of the job."""
         self._entries.pop(job_id, None)
-        self._pending = deque(assignment for assignment in self._pending
-                              if assignment.job != job_id)
+        if self._queued.pop(job_id, 0):
+            self._pending = deque(assignment for assignment in self._pending
+                                  if assignment.job != job_id)
         cancel = encode_frame(FrameKind.CANCEL, _tagged(job_id))
         for link in list(self._links.values()):
             if job_id in link.announced:
@@ -538,6 +541,7 @@ class DistributedBackend(EngineBackend):
             if link is None:
                 break  # every slot busy; an EXIT or a WELCOME dispatches
             self._pending.popleft()
+            self._queued[job] -= 1
             entry, deadline = known
             payload = _tagged(job, rank=assignment.rank,
                               quota=assignment.quota)
@@ -558,6 +562,7 @@ class DistributedBackend(EngineBackend):
                 # Never delivered: the assignments go back, not dead.
                 link.active -= {(each.job, each.rank) for each in sent}
                 self._pending.extendleft(reversed(sent))
+                self._queued.update(each.job for each in sent)
                 self._lose(link, exc)
 
     def _pick_pool(self) -> _PoolLink | None:

@@ -798,9 +798,9 @@ class DataDirectory:
 
         The registry is append-only (each line is self-contained, and
         readers tolerate a truncated final line), so it does not go
-        through the rename-based writer; the appended line is fsynced
-        because it is the one record of a burnt ``seqnum`` that must
-        survive a crash *before* the first save-point.
+        through the rename-based writer; the appended line is fsynced,
+        when writes are durable, because it is the one record of a burnt
+        ``seqnum`` that must survive a crash *before* the first save-point.
         """
         self.ensure()
         line = (f"{storage.utc_timestamp()} seqnum={seqnum} processors={processors} "
@@ -808,10 +808,11 @@ class DataDirectory:
         with self.registry_path.open("a") as handle:
             handle.write(line)
             handle.flush()
-            try:
-                os.fsync(handle.fileno())
-            except OSError:  # pragma: no cover - exotic filesystem
-                pass
+            if storage._durable():
+                try:
+                    os.fsync(handle.fileno())
+                except OSError:  # pragma: no cover - exotic filesystem
+                    pass
 
     def read_registry(self) -> list[str]:
         """Return the experiment registry lines (empty if none)."""

@@ -141,8 +141,9 @@ class _Session:
         self.last_heard = time.monotonic()  # the run's last bytes
         self.host = WorkerHost(server.context)
         self.relay = _Relay(self._send, server._wake)
-        # The SUBMIT body per declared job, from SUBMIT to CANCEL.
-        self._contexts: dict[str | None, dict] = {}
+        # The SUBMIT body per declared job, from SUBMIT to CANCEL, or
+        # why its routine cannot be rebuilt here.
+        self._contexts: dict[str | None, dict | Exception] = {}
         self.watcher = threading.Thread(target=self._watch, daemon=True)
         self.watcher.start()
 
@@ -174,10 +175,17 @@ class _Session:
 
     def _submit_job(self, payload: dict) -> None:
         """Adopt one job — the only way the session learns a context —
-        decoded once here, so a bad routine fails the SUBMIT, not a slot."""
+        decoded once here.  A routine the pool cannot rebuild is kept
+        as its error: it fails that job's ranks, not a slot or the
+        session."""
         job = _job_of(payload)
-        decode_context(payload)
-        self._contexts[job] = payload
+        try:
+            decode_context(payload)
+            self._contexts[job] = payload
+        except WireError as exc:  # its config or routine cannot be rebuilt
+            _logger.warning("session from %s: job %s cannot run here: %s",
+                            self._peer, job, exc)
+            self._contexts[job] = exc
         _logger.info("session from %s: job %s submitted", self._peer, job)
 
     def _cancel_job(self, payload: dict) -> None:
@@ -205,6 +213,9 @@ class _Session:
             raise WireError(
                 f"assign frame names job {job!r}, which no submit "
                 f"frame declared (or a cancel already released)")
+        if isinstance(submit, Exception):  # a dead rank, as a slot's would be
+            self.relay.forward((job, rank), 1)
+            return
         pid = self.host.assign(job, rank, quota, submit,
                                deadline_in=payload.get("deadline_in"))
         _logger.info("session from %s: %s assigned (quota=%d, pid=%s)",

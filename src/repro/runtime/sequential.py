@@ -11,7 +11,7 @@ backends produce for the same configuration.
 from __future__ import annotations
 
 import time
-from collections import deque
+from collections import Counter, deque
 
 from repro.obs.telemetry import WorkerTelemetry
 from repro.runtime.engine import (
@@ -40,21 +40,25 @@ class SequentialBackend(EngineBackend):
     def __init__(self) -> None:
         super().__init__()
         self._pending: deque[WorkerAssignment] = deque()
+        self._queued: Counter = Counter()  # per job, its share of _pending
 
     def spawn(self, assignments) -> None:
         self._pending.extend(assignments)
+        self._queued.update(assignment.job for assignment in assignments)
         return None
 
     def release_job(self, job_id: str | None) -> None:
-        """Drop the job's not-yet-run assignments."""
-        self._pending = deque(assignment for assignment in self._pending
-                              if assignment.job != job_id)
+        """Drop the job's not-yet-run assignments, if it has any."""
+        if self._queued.pop(job_id, 0):
+            self._pending = deque(assignment for assignment in self._pending
+                                  if assignment.job != job_id)
 
     def poll(self, timeout: float) -> MomentMessage | None:
         """Run the next queued worker to completion; always returns None."""
         if not self._pending:
             return None
         assignment = self._pending.popleft()
+        self._queued[assignment.job] -= 1
         engine = self.engine
         context = engine.job_context(assignment.job)
         telemetry = context.telemetry

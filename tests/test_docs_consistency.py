@@ -127,76 +127,255 @@ class TestApiDocIntegrity:
                 f"docs/api.md apps table misses {module}"
 
 
-class TestOneRunLoop:
-    def test_exactly_one_function_polls_the_backend(self):
-        # docs/architecture.md: step() is the only loop body.  A second
-        # driver calling backend.poll( must not quietly come back.
-        functions = re.split(r"\n    def ", read(
-            "src/repro/runtime/scheduler.py"))[1:]
-        assert [body.split("(")[0] for body in functions
-                if "backend.poll(" in body] == ["step"]
+SRC = ROOT / "src" / "repro"
+EVERYWHERE = "**/*.py"
+WORKER_PROCESS = "repro.runtime.worker:worker_process"
+RUN_WORKER = "repro.runtime.worker:run_worker"
+SCHEDULER = "runtime/scheduler.py"
+DISTRIBUTED = "runtime/distributed.py"
+POOL = "runtime/pool.py"
+MULTIPROCESS = "runtime/multiprocess.py"
+WORKER = "runtime/worker.py"
+# The frozen benchmark harness's same-host ring still builds passes.
+SHM = "runtime/shm.py"
 
 
-class TestOneSameHostPath:
-    # docs/reduction.md "Why the ring was removed": the same-host hop is
-    # one pipe per worker (TestOneWorkerHost), and no option selects
-    # anything else.
+def _sources(where) -> dict[str, str]:
+    """``{name: source}`` of each glob under src/repro (a path relative to
+    it) and of each ``module:qualname`` (that object's source)."""
+    sources = {}
+    for each in (where,) if isinstance(where, str) else where:
+        if ":" not in each:
+            sources.update((str(path.relative_to(SRC)), path.read_text())
+                           for path in sorted(SRC.glob(each)))
+            continue
+        module, _, qualname = each.partition(":")
+        target = importlib.import_module(module)
+        for part in qualname.split("."):
+            target = getattr(target, part)
+        sources[each] = inspect.getsource(target)
+    return sources
 
-    def test_no_transport_parameter_anywhere(self):
-        from repro import parmonc
-        from repro.cli.run import build_parser
-        from repro.runtime.config import RunConfig
 
-        assert "transport" not in inspect.signature(parmonc).parameters
-        assert "transport" not in {
-            field.name for field in dataclasses.fields(RunConfig)}
-        with pytest.raises(TypeError):
-            RunConfig(transport="shm")
-        with pytest.raises(TypeError):
-            parmonc(lambda rng: 0.0, transport="shm")
+# One row per source-shape guard: (id, pattern, where, expected, why).
+# ``expected`` maps every source the pattern matches to its number of
+# matches, so {} means "nowhere".  The sections named are in
+# docs/architecture.md unless another document is named.
+SOURCE_SHAPES = [
+    ("one-run-loop", r"backend\.poll\(",
+     (EVERYWHERE, "repro.runtime.scheduler:Scheduler.step"),
+     {SCHEDULER: 1, "repro.runtime.scheduler:Scheduler.step": 1},
+     "Scheduler.step() is the only loop body: no second driver polls"),
+    ("no-ring", r"runtime.shm|runtime import shm", EVERYWHERE, {},
+     "docs/reduction.md 'Why the ring was removed': the same-host hop is "
+     "one pipe per worker; runtime/shm.py is kept for the benchmark only"),
+    ("no-grace-timer", r"\b(?:DrainBuffer|ExitVerdicts)\b", EVERYWHERE, {},
+     "'Judged once everything is in': no grace timer, no drain buffer"),
+    ("no-death-verdict-reads-a-clock", r"clock\(|time\.|monotonic",
+     ("repro.runtime.multiprocess:MultiprocessBackend.reap",
+      "repro.runtime.distributed:DistributedBackend.reap"), {},
+     "'Judged once everything is in': a death follows message order"),
+    ("one-anonymous-id-check", r"id is (?:not )?None", SCHEDULER,
+     {SCHEDULER: 1},
+     "'One way in, one way out': sla_report's named-jobs filter is the "
+     "scheduler's one look at the anonymous job id"),
+    ("engine-impersonates-no-job", r"engine\.(?:routine|config|collector)\b",
+     "runtime/engine.py", {},
+     "'One context source': a job's context comes from job_context()"),
+    ("no-solo-wire-session", r"_solo|streaming", (DISTRIBUTED, POOL), {},
+     "'One way in, one way out': a solo run has no wire session of its own"),
+    ("passes-tagged-where-built", r"import.*\breplace\b|replace\(",
+     (MULTIPROCESS, "runtime/sequential.py", POOL), {},
+     "'One context source': nobody re-tags a pass on its way"),
+    ("payload-takes-the-message-only",
+     r"^def message_to_payload\(message\b[^,]*\)", "runtime/messages.py",
+     {"runtime/messages.py": 1},
+     "'One context source': a pass carries its own tags"),
+    ("two-child-targets", r"(?:host|self)\.start\(\s*(?:\([^)]*\)|[^,(]+),"
+     r"\s*(?:_slot_main|run_reducer)\b", EVERYWHERE,
+     {"runtime/host.py": 1, MULTIPROCESS: 1},
+     "'One worker host': a child runs the slot loop or a reducer"),
+    ("no-other-child-target", r"(?:host|self)\.start\(\s*(?:\([^)]*\)"
+     r"|[^,(]+),\s*(?!_slot_main\b|run_reducer\b)\w", EVERYWHERE, {},
+     "'One worker host': a child runs the slot loop or a reducer"),
+    ("one-worker-process", r"^def worker_process\(", EVERYWHERE, {WORKER: 1},
+     "'One context source': one function is every worker's body"),
+    ("no-pickle-no-queue",
+     r"^\s*(?:import|from)\s+(?:pickle|queue)\b|\bpickle\.|Queue\(",
+     (MULTIPROCESS, POOL, "runtime/reduction.py", WORKER), {},
+     "'One worker host': no pass is pickled or queued on the way"),
+    ("worker-process-writes-its-outbox", r"outbox\.send_bytes",
+     WORKER_PROCESS, {WORKER_PROCESS: 1},
+     "'One worker host': DATA bodies go into the worker's own pipe"),
+    ("worker-process-probes-no-sink", r"hasattr|\.put\b", WORKER_PROCESS, {},
+     "'One worker host': the pipe is the one sink"),
+    ("one-process-site", r"\.(?:Process|Pipe)\(", EVERYWHERE,
+     {"runtime/host.py": 4},
+     "'One worker host': one Process; a Pipe each for the wake-up, an "
+     "edge and a child"),
+    ("forking-backends-own-a-host", r"WorkerHost\(", (MULTIPROCESS, POOL),
+     {MULTIPROCESS: 1, POOL: 1},
+     "'One worker host': the backend and a pool session start children "
+     "through it"),
+    ("forking-backends-assign-to-slots", r"host\.assign\(",
+     (MULTIPROCESS, POOL), {MULTIPROCESS: 1, POOL: 1},
+     "'One worker host': every rank goes to the host's slots"),
+    ("slot-loop-lives-in-the-host", r"_slot_main|_Slot\b|worker_process\(",
+     (MULTIPROCESS, POOL), {},
+     "'One worker host': the slot loop and its books are host.py's"),
+    ("assign-starts-slots", r"self\.start\(\s*\w+,\s*_slot_main\b",
+     "repro.runtime.host:WorkerHost.assign",
+     {"repro.runtime.host:WorkerHost.assign": 1},
+     "'One worker host': an assignment forks a slot when none idles"),
+    ("slot-runs-the-worker-body", r"worker_process\(",
+     "repro.runtime.host:_slot_main", {"repro.runtime.host:_slot_main": 1},
+     "'One worker host': a slot runs worker_process per assignment"),
+    ("no-ioctl", r"\b(?:fcntl|termios|FIONREAD)\b", EVERYWHERE, {},
+     "'One worker host': the latest-wins outbox compares its pipe's "
+     "shared counts; no ioctl asks the kernel"),
+    ("one-readiness-seam", r"^def _outbox_drained\(", EVERYWHERE,
+     {WORKER: 1}, "'One worker host': one place decides a pass is due"),
+    ("placement-written-once", r"stream\w*\.realization(?:_block)?\b"
+     r"|(?<!telemetry)\.realization(?:_block)?\(",
+     ("runtime/*.py", "cluster/*.py"), {WORKER: 2},
+     "'One worker body, two clocks': WorkerBody alone places a "
+     "realization's substream"),
+    ("statistics-built-once", r"StatisticSet\.for_run\(", EVERYWHERE,
+     {WORKER: 1},
+     "'One worker body, two clocks': WorkerBody alone builds a worker's "
+     "statistics"),
+    ("perpass-rule-written-once", r">=\s*(?:\w+\.)*perpass\b", EVERYWHERE,
+     {WORKER: 1},
+     "'One worker body, two clocks': WorkerBody alone applies perpass"),
+    ("passes-built-once", r"(?<![\w`])MomentMessage\(", EVERYWHERE,
+     {WORKER: 1, "runtime/messages.py": 1, SHM: 1},
+     "'One worker body, two clocks': WorkerBody builds a pass and the "
+     "decoder rebuilds one from its bytes"),
+    ("run-worker-is-one-loop", r"^\s+(?:while|for)\b", RUN_WORKER,
+     {RUN_WORKER: 1},
+     "'One worker body, two clocks': run_worker only drives the body"),
+    ("drivers-step-the-body", r"WorkerBody\(",
+     (RUN_WORKER, "cluster/simulation.py"),
+     {RUN_WORKER: 1, "cluster/simulation.py": 1},
+     "'One worker body, two clocks': both clocks drive one WorkerBody"),
+    ("simulation-places-nothing", r"StreamTree|StatisticSet|adapt_realization",
+     "cluster/simulation.py", {},
+     "'One worker body, two clocks': the simulated cluster is a driver"),
+    ("moment-layout-packed-once", r"_BODY\.pack(?:_into)?\(",
+     (EVERYWHERE, "repro.runtime.messages:write_moments"),
+     {"runtime/messages.py": 1, "repro.runtime.messages:write_moments": 1},
+     "'One worker host': one function writes the moment layout"),
+    ("packers-share-the-layout", r"write_moments\(",
+     ("repro.runtime.messages:pack_moments",
+      "repro.runtime.messages:pass_encoder"),
+     {"repro.runtime.messages:pack_moments": 1,
+      "repro.runtime.messages:pass_encoder": 1},
+     "'One worker host': both encoders go through write_moments"),
+    ("forked-workers-ship-encoded", r"encoded=True", WORKER_PROCESS,
+     {WORKER_PROCESS: 1},
+     "'One worker host': a forked worker's pass is one copy"),
+    ("workers-never-reencode", r"message_to_payload\(", WORKER, {},
+     "'One worker host': a forked worker's pass is one copy"),
+    ("snapshots-stay-in-process", r"\.snapshot\(", (WORKER, WORKER_PROCESS),
+     {WORKER: 2},
+     "'One worker host': the template and the in-process pass snapshot; "
+     "the encoder copies the sums"),
+    ("run-side-no-queue-no-sleep", r"^\s*(?:import|from)\s+queue\b|sleep\(",
+     DISTRIBUTED, {},
+     "'The distributed backend': poll() reads the pool sockets itself"),
+    ("threads", r"threading\.Thread\(", EVERYWHERE,
+     {DISTRIBUTED: 1, POOL: 2, SCHEDULER: 1},
+     "'The distributed backend': the run side's heartbeat timer, a pool's "
+     "server and session watchers, and the scheduler service"),
+    ("thread-targets", r"threading\.Thread\(\s*target=self\."
+     r"(?:_beat|_serve|_watch|serve)\b", EVERYWHERE,
+     {DISTRIBUTED: 1, POOL: 2, SCHEDULER: 1},
+     "'The distributed backend': the run side's heartbeat timer, a pool's "
+     "server and session watchers, and the scheduler service"),
+    ("tcp-nodelay", r"setsockopt\(\s*socket\.IPPROTO_TCP,\s*"
+     r"socket\.TCP_NODELAY,\s*1\)", (DISTRIBUTED, POOL),
+     {DISTRIBUTED: 1, POOL: 1},
+     "'The distributed backend': small frames leave without waiting"),
+    ("no-asyncio", r"asyncio", EVERYWHERE, {},
+     "'The distributed backend': one selectors model on both ends"),
+    ("no-stream-frame-io", r"^(?:async\s+)?def\s+(?:read|write)_frame\b",
+     "runtime/wire.py", {},
+     "'The distributed backend': frames are read through FrameDecoder"),
+    ("pool-owns-a-frame-decoder", r"FrameDecoder\(\)", POOL, {POOL: 1},
+     "'The distributed backend': a session reads the run's decoder"),
+    ("pool-feeds-the-decoder", r"\.decoder\.feed\(", POOL, {POOL: 1},
+     "'The distributed backend': a session reads the run's decoder"),
+    ("pool-reads-into-one-buffer", r"recv_into\(", POOL, {POOL: 1},
+     "'The distributed backend': a session reads the run's decoder"),
+    ("one-virtual-clock", r"^    def clock\(", EVERYWHERE,
+     {"runtime/engine.py": 1, "runtime/simcluster.py": 1},
+     "docs/simulator.md 'Many jobs, one cluster': the simulated cluster "
+     "is the one backend with its own clock"),
+    ("no-single-job-machinery", r"LoadStudyBackend|supports_shared_jobs"
+     r"|shared_job_backends|job_labels|per_job", EVERYWHERE, {},
+     "docs/simulator.md 'Many jobs, one cluster': no second job table"),
+    ("no-second-drivers",
+     r"\b(?:ClusterSimulation|run_simcluster|run_sequential)\b",
+     EVERYWHERE, {},
+     "'One session path': a run is Engine(backend, config).run(routine)"),
+    ("only-the-backend-steps-events", r"events\.step\(", EVERYWHERE,
+     {"runtime/simcluster.py": 1},
+     "'One session path': the event queue steps under Scheduler.step()"),
+    ("loop-probes-no-backend", r"getattr\(\s*(?:self\._)?backend",
+     (SCHEDULER, "runtime/job.py"), {},
+     "'The backend contract': the loop reads declared attributes only"),
+    ("one-backend-declaration", r"^(?:class )?Backend\b", "runtime/engine.py",
+     {}, "'The backend contract': EngineBackend is the one declaration"),
+    ("declared-contract", r"^    (?:def )?(?:open_job|release_job"
+     r"|supports_job_reduction|monitors_staleness)\b",
+     "repro.runtime.engine:EngineBackend",
+     {"repro.runtime.engine:EngineBackend": 4},
+     "'The backend contract': EngineBackend declares every hook"),
+    ("no-probed-hooks", r"\b(?:announce_job|prepare_job|cancel_job)\b",
+     EVERYWHERE, {},
+     "'The backend contract': open_job and release_job replace them"),
+]
+
+
+@pytest.mark.parametrize("pattern,where,expected,why", [
+    pytest.param(*row, id=name) for name, *row in SOURCE_SHAPES])
+def test_source_shape(pattern, where, expected, why):
+    regex = re.compile(pattern, re.M)
+    sites = {name: count for name, source in _sources(where).items()
+             if (count := len(regex.findall(source)))}
+    assert sites == expected, why
+
+
+def _square(rng):
+    return rng.random() ** 2
+
+
+@pytest.mark.parametrize("knob", ["transport", "death_grace"])
+def test_retired_knob_is_gone_from_every_surface(knob):
+    # docs/reduction.md "Why the ring was removed" (transport) and
+    # docs/architecture.md "Judged once everything is in" (death_grace).
+    from repro import parmonc
+    from repro.cli.run import build_parser
+    from repro.cli.sched import build_sched_parser, build_submit_parser
+    from repro.runtime.config import RunConfig
+
+    assert knob not in inspect.signature(parmonc).parameters
+    assert knob not in {
+        field.name for field in dataclasses.fields(RunConfig)}
+    with pytest.raises(TypeError):
+        RunConfig(**{knob: 1})
+    with pytest.raises(TypeError):
+        parmonc(_square, **{knob: 1})
+    flag = "--" + knob.replace("_", "-")
+    for parser, argv in (
+            (build_parser(), ["mod:fn", "--maxsv", "1"]),
+            (build_submit_parser(), ["mod:fn", "--maxsv", "1"]),
+            (build_sched_parser(), [])):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["mod:fn", "--maxsv", "1", "--transport", "shm"])
-
-    def test_nothing_under_src_imports_the_ring(self):
-        # runtime/shm.py survives only for the frozen benchmark harness;
-        # same check as `grep -rn "runtime.shm\|runtime import shm"`.
-        pattern = re.compile(r"runtime.shm|runtime import shm")
-        offenders = [
-            str(path.relative_to(ROOT))
-            for path in (ROOT / "src" / "repro").rglob("*.py")
-            if pattern.search(path.read_text())]
-        assert offenders == []
+            parser.parse_args(argv + [flag, "1"])
 
 
 class TestVerdictsReadNoClock:
-    # docs/architecture.md "Judged once everything is in": a worker's
-    # death is a function of message order, so the grace timer and every
-    # surface that set it are gone, and no reap reads a clock.
-
-    def test_the_grace_knob_is_gone_from_every_surface(self):
-        from repro import parmonc
-        from repro.cli.run import build_parser
-        from repro.cli.sched import build_sched_parser, build_submit_parser
-        from repro.runtime import engine
-        from repro.runtime.config import RunConfig
-
-        assert "death_grace" not in inspect.signature(parmonc).parameters
-        assert "death_grace" not in {
-            field.name for field in dataclasses.fields(RunConfig)}
-        with pytest.raises(TypeError):
-            RunConfig(death_grace=1.0)
-        with pytest.raises(TypeError):
-            parmonc(lambda rng: 0.0, death_grace=1.0)
-        for parser, argv in (
-                (build_parser(), ["mod:fn", "--maxsv", "1"]),
-                (build_submit_parser(), ["mod:fn", "--maxsv", "1"]),
-                (build_sched_parser(), [])):
-            with pytest.raises(SystemExit):
-                parser.parse_args(argv + ["--death-grace", "1"])
-        for name in ("DrainBuffer", "ExitVerdicts"):
-            assert not hasattr(engine, name), name
-
     def test_a_job_entry_naming_it_is_an_unknown_key(self, tmp_path,
                                                       capsys):
         from repro import parmonc
@@ -220,21 +399,11 @@ class TestVerdictsReadNoClock:
                            "--backend", "sequential"]) == 2
         assert "death_grace" in capsys.readouterr().err
 
-    def test_no_death_verdict_reads_a_clock(self):
-        from repro.runtime.distributed import DistributedBackend
-        from repro.runtime.multiprocess import MultiprocessBackend
-
-        for backend in (MultiprocessBackend, DistributedBackend):
-            source = inspect.getsource(backend.reap)
-            assert not re.search(r"clock\(|time\.|monotonic", source), \
-                backend.__name__
-
 
 class TestOneContextSource:
     # docs/architecture.md "One context source": backends read a job's
     # routine, config, collector, telemetry and deadline through
-    # job_context() alone, a pass is tagged where it is built, and one
-    # function is the body of every worker process.
+    # job_context() alone.
 
     def test_scheduler_and_backends_impersonate_no_job(self):
         from repro.runtime.engine import EngineBackend, create_backend
@@ -250,302 +419,10 @@ class TestOneContextSource:
             assert not hasattr(scheduler, name), name
         assert not hasattr(scheduler, "telemetry")
 
-    def test_nobody_knows_a_solo_session_shape(self):
-        # docs/architecture.md "One way in, one way out".  The
-        # scheduler's one remaining look at the anonymous id is
-        # sla_report's named-jobs filter; no module gives a solo run
-        # its own wire session.
-        scheduler = read("src/repro/runtime/scheduler.py")
-        assert len(re.findall(r"id is (?:not )?None", scheduler)) == 1
-        assert not re.search(r"engine\.(routine|config|collector)\b",
-                             read("src/repro/runtime/engine.py"))
-        for module in ("distributed", "pool"):
-            source = read(f"src/repro/runtime/{module}.py")
-            assert not re.search(r"_solo|streaming", source), module
-
-    def test_passes_are_tagged_only_where_they_are_built(self):
-        from repro.runtime.messages import message_to_payload
-
-        for module in ("multiprocess", "sequential", "pool"):
-            source = read(f"src/repro/runtime/{module}.py")
-            assert not re.search(r"import.*\breplace\b|replace\(",
-                                 source), module
-        assert list(inspect.signature(message_to_payload).parameters) \
-            == ["message"]
-
-    def test_exactly_one_worker_process_target(self):
-        # Every forked child goes through WorkerHost.start, and its
-        # targets are the reducer body and the slot loop, which runs the
-        # worker body once per assignment, for both forking backends.
-        targets = [
-            match
-            for path in (ROOT / "src" / "repro").rglob("*.py")
-            for match in re.findall(
-                r"(?:host|self)\.start\(\s*(?:\([^)]*\)|[^,(]+),\s*(\w+)",
-                path.read_text())]
-        assert sorted(targets) == ["_slot_main", "run_reducer"]
-        definitions = [
-            str(path.relative_to(ROOT))
-            for path in (ROOT / "src" / "repro").rglob("*.py")
-            if re.search(r"^def worker_process\(", path.read_text(), re.M)]
-        assert definitions == ["src/repro/runtime/worker.py"]
-
-
-class TestOneWorkerHost:
-    # docs/architecture.md "One worker host": every forked worker and
-    # reducer writes DATA bodies into its own pipe, started and read
-    # by runtime/host.py; no pass is pickled or queued on the way.
-
-    MODULES = ("multiprocess", "pool", "reduction", "worker")
-
-    def test_no_pickle_and_no_queue_on_the_run_path(self):
-        for module in self.MODULES:
-            source = read(f"src/repro/runtime/{module}.py")
-            assert not re.search(
-                r"^\s*(?:import|from)\s+(?:pickle|queue)\b"
-                r"|\bpickle\.|Queue\(", source, re.M), module
-
-    def test_worker_process_has_one_sink(self):
-        from repro.runtime.worker import worker_process
-
-        source = inspect.getsource(worker_process)
-        assert "outbox.send_bytes" in source
-        assert not re.search(r"hasattr|\.put\b", source)
-
-    def test_one_spawn_with_pipe_site_serves_backend_and_pool(self):
-        pattern = re.compile(r"\.(?:Process|Pipe)\(")
-        sites = {str(path.relative_to(ROOT)): len(pattern.findall(source))
-                 for path in (ROOT / "src" / "repro").rglob("*.py")
-                 for source in [path.read_text()] if pattern.search(source)}
-        # One Process; a Pipe each for the wake-up, an edge, a child.
-        assert sites == {"src/repro/runtime/host.py": 4}
-        for module in ("multiprocess", "pool"):
-            assert "WorkerHost(" in read(f"src/repro/runtime/{module}.py")
-        # The backend and a pool session hand every rank to the host's
-        # slots, which run worker_process once per assignment; the slot
-        # loop, its books and the idle-slot choice live in host.py alone.
-        for module in ("multiprocess", "pool"):
-            source = read(f"src/repro/runtime/{module}.py")
-            assert re.search(r"host\.assign\(", source), module
-            assert not re.search(r"_slot_main|_Slot\b|worker_process\(",
-                                 source), module
-        from repro.runtime import host
-        assert re.search(r"self\.start\(\s*\w+,\s*_slot_main\b",
-                         inspect.getsource(host.WorkerHost.assign))
-        assert "worker_process(" in inspect.getsource(host._slot_main)
-
-    def test_multiprocess_backend_needs_no_drain_buffer(self):
-        assert "DrainBuffer" not in read("src/repro/runtime/multiprocess.py")
-
-
-class TestCountedOutbox:
-    # docs/architecture.md "One worker host": the latest-wins outbox
-    # compares its pipe's shared written/read counts; no ioctl asks the
-    # kernel, on any platform.
-
-    SOURCES = {str(path.relative_to(ROOT)): path.read_text()
-               for path in (ROOT / "src" / "repro").rglob("*.py")}
-
-    def test_no_ioctl_under_src(self):
-        for name, source in self.SOURCES.items():
-            assert not re.search(r"\b(?:fcntl|termios|FIONREAD)\b",
-                                 source), name
-
-    def test_one_readiness_seam(self):
-        sites = [name for name, source in self.SOURCES.items()
-                 for _ in re.finditer(r"^def _outbox_drained\(", source,
-                                      re.M)]
-        assert sites == ["src/repro/runtime/worker.py"]
-
-    def test_worker_process_pipe_comes_from_the_host(self):
-        from test_runtime_worker import TestWorkerProcess
-
-        source = inspect.getsource(TestWorkerProcess._through_pipe)
-        assert "host.pipe()" in source
-        assert "multiprocessing.Pipe" not in source
-
-
-class TestOneWorkerBody:
-    # docs/architecture.md "One worker body, two clocks": WorkerBody is
-    # the only code that places a realization's substream, instantiates
-    # a worker's statistics, applies the perpass rule or builds a pass;
-    # run_worker and the simulated cluster are drivers.
-
-    SOURCES = {
-        str(path.relative_to(ROOT / "src" / "repro")): path.read_text()
-        for package in ("runtime", "cluster")
-        for path in (ROOT / "src" / "repro" / package).glob("*.py")
-        if path.name != "shm.py"}  # frozen, for the benchmark harness
-
-    def _sites(self, pattern):
-        return {name: len(re.findall(pattern, source))
-                for name, source in self.SOURCES.items()
-                if re.search(pattern, source)}
-
-    def test_stepping_rule_and_pass_are_written_once(self):
-        # Placement: ProcessorStream.realization / .realization_block,
-        # called or bound (WorkerTelemetry.realization is a counter).
-        assert self._sites(r"stream\w*\.realization(?:_block)?\b"
-                           r"|(?<!telemetry)\.realization(?:_block)?\(") \
-            == {"runtime/worker.py": 2}
-        assert self._sites(r"StatisticSet\.for_run\(") \
-            == {"runtime/worker.py": 1}
-        assert self._sites(r">=\s*(?:\w+\.)*perpass\b") \
-            == {"runtime/worker.py": 1}
-        # The decoder in messages.py rebuilds a pass from its bytes;
-        # nothing else constructs one.
-        assert self._sites(r"(?<![\w`])MomentMessage\(") \
-            == {"runtime/worker.py": 1, "runtime/messages.py": 1}
-
-    def test_run_worker_is_one_loop_over_the_body(self):
-        from repro.runtime.worker import run_worker
-
-        source = inspect.getsource(run_worker)
-        assert len(re.findall(r"^\s+(?:while|for)\b", source, re.M)) == 1
-        assert "WorkerBody(" in source
-        simulation = self.SOURCES["cluster/simulation.py"]
-        assert "WorkerBody(" in simulation
-        for name in ("StreamTree", "StatisticSet", "adapt_realization"):
-            assert name not in simulation, name
-
-
-class TestOneCopyPass:
-    # docs/architecture.md "One worker host": a forked worker's pass is
-    # one copy — its accumulator's sums into a reused buffer, through
-    # the one function that writes the moment layout.  (Its one writev
-    # is TestCountedPipes::test_a_frame_is_one_writev.)
-
-    def test_the_moment_layout_is_packed_in_one_function(self):
-        pattern = re.compile(r"_BODY\.pack(?:_into)?\(")
-        sites = {str(path.relative_to(ROOT)): len(pattern.findall(source))
-                 for path in (ROOT / "src" / "repro").rglob("*.py")
-                 for source in [path.read_text()] if pattern.search(source)}
-        assert sites == {"src/repro/runtime/messages.py": 1}
-        from repro.runtime import messages
-
-        assert pattern.search(inspect.getsource(messages.write_moments))
-        for caller in (messages.pack_moments, messages.pass_encoder):
-            assert "write_moments(" in inspect.getsource(caller)
-
-    def test_worker_process_neither_snapshots_nor_reencodes(self):
-        from repro.runtime.config import RunConfig
-        from repro.runtime.worker import WorkerBody, worker_process
-
-        source = inspect.getsource(worker_process)
-        assert "encoded=True" in source
-        encode = inspect.getsource(
-            WorkerBody(None, RunConfig(maxsv=1), 0).encode)
-        for path in (source, encode):
-            assert "message_to_payload" not in path
-            assert not re.search(r"\.snapshot\(", path)
-        assert "message_to_payload(" not in read(
-            "src/repro/runtime/worker.py")
-
-
-class TestOneRunThread:
-    # docs/architecture.md "The distributed backend": the run side of
-    # the TCP exchange is the scheduler's thread.  poll() reads the pool
-    # sockets itself; the one other thread is the heartbeat timer.
-
-    SOURCE = "src/repro/runtime/distributed.py"
-
-    def test_no_event_loop_no_queue_no_sleep(self):
-        source = read(self.SOURCE)
-        assert not re.search(r"^\s*(?:import|from)\s+(?:asyncio|queue)\b",
-                             source, re.M)
-        assert "sleep(" not in source
-
-    def test_the_one_thread_is_the_heartbeat_timer(self):
-        source = read(self.SOURCE)
-        assert source.count("threading.Thread(") == 1
-        assert re.search(r"threading\.Thread\(\s*target=self\._beat\b",
-                         source)
-
-    def test_it_sets_tcp_nodelay(self):
-        assert re.search(r"setsockopt\(\s*socket\.IPPROTO_TCP,\s*"
-                         r"socket\.TCP_NODELAY,\s*1\)", read(self.SOURCE))
-
-
-class TestOnePoolThread:
-    # docs/architecture.md "The distributed backend": both ends of the
-    # wire have one I/O model.  A parmonc-pool serves from one selectors
-    # thread that reads frames through the FrameDecoder the run uses;
-    # the one other thread is a session's watcher over its slot pipes.
-
-    SOURCE = "src/repro/runtime/pool.py"
-
-    def test_no_asyncio_anywhere_in_the_package(self):
-        offenders = [str(path.relative_to(ROOT))
-                     for path in (ROOT / "src" / "repro").rglob("*.py")
-                     if "asyncio" in path.read_text()]
-        assert offenders == []
-
-    def test_the_wire_has_no_stream_reader_or_writer(self):
-        source = read("src/repro/runtime/wire.py")
-        assert not re.search(r"^(?:async\s+)?def\s+(?:read|write)_frame\b",
-                             source, re.M)
-
-    def test_the_two_threads_are_the_server_and_the_watcher(self):
-        source = read(self.SOURCE)
-        assert source.count("threading.Thread(") == 2
-        for target in ("_serve", "_watch"):
-            assert re.search(r"threading\.Thread\(\s*target=self\."
-                             + target + r"\b", source), target
-
-    def test_frames_are_read_through_the_frame_decoder(self):
-        source = read(self.SOURCE)
-        assert "FrameDecoder()" in source
-        assert re.search(r"\.decoder\.feed\(", source)
-        assert "recv_into(" in source
-
-
-def _square(rng):
-    return rng.random() ** 2
-
-
-class TestOneVirtualClock:
-    # docs/simulator.md "Many jobs, one cluster": the simulated cluster
-    # is the one virtual-clock backend, it shares jobs under the real
-    # scheduler, and nothing keeps a second job table beside it.
-
-    def test_only_the_simulated_cluster_keeps_its_own_clock(self):
-        overrides = sorted(
-            str(path.relative_to(ROOT / "src" / "repro"))
-            for path in (ROOT / "src" / "repro").rglob("*.py")
-            if re.search(r"^    def clock\(", path.read_text(), re.M))
-        assert overrides == ["runtime/engine.py", "runtime/simcluster.py"]
-
-    def test_the_single_job_machinery_is_gone(self):
-        retired = re.compile(r"LoadStudyBackend|supports_shared_jobs"
-                             r"|shared_job_backends|job_labels|per_job")
-        offenders = [
-            str(path.relative_to(ROOT))
-            for path in (ROOT / "src" / "repro").rglob("*.py")
-            if retired.search(path.read_text())]
-        assert offenders == []
-
 
 class TestOneSessionPath:
-    # docs/architecture.md "One session path": a single run is
-    # Engine(backend, config).run(routine) on every clock, the event
-    # queue is stepped only under Scheduler.step(), and the simulator's
+    # docs/architecture.md "One session path": the simulator's
     # accounting reaches RunResult.cluster through one hook.
-
-    def test_the_second_drivers_are_gone(self):
-        retired = re.compile(
-            r"\b(ClusterSimulation|run_simcluster|run_sequential)\b")
-        offenders = [
-            str(path.relative_to(ROOT))
-            for path in (ROOT / "src" / "repro").rglob("*.py")
-            if retired.search(path.read_text())]
-        assert offenders == []
-
-    def test_only_the_backend_steps_the_event_queue(self):
-        steppers = sorted(
-            str(path.relative_to(ROOT / "src" / "repro"))
-            for path in (ROOT / "src" / "repro").rglob("*.py")
-            if "events.step(" in path.read_text())
-        assert steppers == ["runtime/simcluster.py"]
 
     def test_one_result_hook(self):
         from repro.runtime.engine import EngineBackend
@@ -558,28 +435,7 @@ class TestOneSessionPath:
 class TestOneWayInOneWayOut:
     # docs/architecture.md "The backend contract": a job enters a
     # backend through open_job and leaves it through release_job,
-    # exactly once each, however it ends; EngineBackend is the one
-    # declaration of both and the loop probes for neither.
-
-    def test_the_loop_reads_declared_attributes_only(self):
-        from repro.runtime import engine
-
-        for module in ("scheduler", "job"):
-            source = read(f"src/repro/runtime/{module}.py")
-            assert not re.search(r"getattr\(\s*(self\._)?backend", source), \
-                module
-        assert not hasattr(engine, "Backend")  # EngineBackend only
-        declared = vars(engine.EngineBackend)
-        assert {"open_job", "release_job", "supports_job_reduction",
-                "monitors_staleness"} <= set(declared)
-
-    def test_the_four_probed_hooks_are_gone(self):
-        retired = re.compile(r"\b(announce_job|prepare_job|cancel_job)\b")
-        offenders = [
-            str(path.relative_to(ROOT))
-            for path in (ROOT / "src" / "repro").rglob("*.py")
-            if retired.search(path.read_text())]
-        assert offenders == []
+    # exactly once each, however it ends.
 
     @staticmethod
     def _service(workers=None):

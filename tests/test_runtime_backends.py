@@ -14,7 +14,8 @@ from repro.cluster.simulation import ClusterSpec
 from repro.cluster.machine import DurationModel
 from repro.exceptions import BackendError
 from repro.runtime.config import RunConfig
-from repro.runtime.engine import Engine
+from repro.runtime.distributed import DistributedBackend
+from repro.runtime.engine import Engine, WorkerAssignment
 from repro.runtime.files import DataDirectory
 from repro.runtime.multiprocess import MultiprocessBackend
 from repro.runtime.sequential import SequentialBackend
@@ -107,6 +108,26 @@ class TestSequential:
                            time_limit=0.3)
         result = Engine(SequentialBackend(), config).run(slow)
         assert 0 < result.total_volume < 10_000
+
+
+@pytest.mark.parametrize("backend", [
+    SequentialBackend, lambda: DistributedBackend(connect="127.0.0.1:9")])
+def test_release_rebuilds_the_queue_only_when_the_job_has_some(backend):
+    # Unbound, neither backend runs or dispatches anything: every
+    # assignment stays queued.
+    backend = backend()
+    backend.spawn([WorkerAssignment(rank, 1, job=job)
+                   for job in ("a", "b", "a") for rank in range(2)])
+    pending = backend._pending
+    for job_id in ("c", None):  # nothing queued
+        backend.release_job(job_id)
+        assert backend._pending is pending
+    backend.release_job("a")
+    assert [(each.job, each.rank) for each in backend._pending] \
+        == [("b", 0), ("b", 1)]
+    pending = backend._pending
+    backend.release_job("a")
+    assert backend._pending is pending
 
 
 class TestMultiprocess:

@@ -152,6 +152,20 @@ def broken(rng):
     raise ValueError("this routine always fails")
 
 
+def _refuse_to_load():
+    raise RuntimeError("this routine cannot be rebuilt here")
+
+
+class Unloadable:
+    """A routine that runs here but whose pickle raises on load."""
+
+    def __call__(self, rng):
+        return rng.random()
+
+    def __reduce__(self):
+        return _refuse_to_load, ()
+
+
 def exit_on_thirteenth(rng):
     """``os._exit(0)`` on the 13th call of one process, once (O_EXCL).
 
@@ -518,6 +532,32 @@ class TestPoolSlots:
         # A fresh slot ran both of the good job's ranks.
         assert len(_pids(tmp_path) - {bad_slot}) == 1
         assert server.slots_started == 2
+
+    def test_a_routine_the_pool_cannot_rebuild_fails_only_its_job(self):
+        reference = parmonc(square, maxsv=200, seqnum=1, backend="sequential",
+                            use_files=False, **self.RUN)
+        server, scheduler = self._service(workers=2)
+        try:
+            good = self._submit(scheduler, "good", square, maxsv=200,
+                                seqnum=1)
+            # Its ASSIGN is on the session before the bad job's SUBMIT.
+            _drive(scheduler, lambda: good.status == JobStatus.RUNNING)
+            bad = self._submit(scheduler, "bad", Unloadable(), maxsv=4,
+                               seqnum=2)
+            _drive(scheduler, lambda: good.finished.is_set()
+                   and bad.finished.is_set())
+            third = self._submit(scheduler, "third", square, maxsv=8,
+                                 seqnum=3)
+            _drive(scheduler, third.finished.is_set)
+        finally:
+            scheduler.shutdown()
+            server.stop()
+        assert good.status is JobStatus.DONE, good.error
+        assert_same_bytes(good.result, reference)
+        assert bad.status is JobStatus.FAILED
+        assert "job bad rank 0" in str(bad.error)
+        assert third.status is JobStatus.DONE, third.error
+        assert server.sessions_served == 1
 
     def test_exit_mid_assignment_on_a_reused_slot_is_a_death(
             self, tmp_path, monkeypatch):

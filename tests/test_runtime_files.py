@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.exceptions import ConfigurationError, ResumeError
 from repro.rng.multiplier import DEFAULT_LEAPS
+from repro.runtime import storage
 from repro.runtime.files import (
     DataDirectory,
     read_genparam_file,
@@ -277,6 +279,17 @@ class TestRegistry:
 
     def test_empty_registry(self, tmp_path):
         assert DataDirectory(tmp_path).read_registry() == []
+
+    @pytest.mark.parametrize("durable", [False, True])
+    def test_append_honours_the_durability_switch(self, tmp_path,
+                                                  monkeypatch, durable):
+        data = DataDirectory(tmp_path)
+        data.ensure()
+        synced = []
+        monkeypatch.setattr(os, "fsync", synced.append)
+        with storage.durable_writes(durable):
+            data.register_experiment(seqnum=0, processors=1, maxsv=1, res=0)
+        assert len(synced) == int(durable)
 
 
 class TestGenparamFile:
