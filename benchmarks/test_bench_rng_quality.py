@@ -22,6 +22,7 @@ from repro.rng.baseline import MiddleSquare, MinStd, SmallLcg, legacy40
 from repro.rng.streams import StreamTree
 from repro.rng.testing import (
     interstream_correlation_test,
+    realization_aligned_draws,
     run_battery,
     two_level_substream_test,
 )
@@ -80,6 +81,34 @@ def test_substream_independence(benchmark, reporter):
         assert result.passed, label
     reporter.line("processor substreams statistically independent  "
                   "[reproduced]")
+
+
+def test_realization_aligned_pairing(benchmark, reporter):
+    """The pairing the runtime consumes: draw j of realization r.
+
+    A report, not a verdict: the default hierarchy's aligned draws are
+    rotations of each other (ROADMAP item 14), and the line says so.
+    """
+    pairs = {"proc 0 vs 1": ((0, 0), (0, 1)),
+             "proc 0 vs 17": ((0, 0), (0, 17)),
+             "exp 0 vs 1": ((0, 0), (1, 0))}
+
+    def correlations():
+        tree = StreamTree()
+        return {label: interstream_correlation_test(
+                    *realization_aligned_draws(tree, *streams, 4000))
+                for label, streams in pairs.items()}
+
+    results = benchmark.pedantic(correlations, rounds=1, iterations=1)
+    reporter.line("realization-aligned correlation (first draw of "
+                  "4000 realizations)")
+    for label, result in results.items():
+        reporter.line(f"{label:<18s} r = {result.details['r']:+.5f}  "
+                      f"p = {result.p_value:.3g}  "
+                      f"{'pass' if result.passed else 'FAIL'}")
+    verdict = ("independent" if all(r.passed for r in results.values())
+               else "correlated: the default hierarchy fails this pairing")
+    reporter.line(f"aligned draws {verdict}  [reported]")
 
 
 def test_period_exhaustion_of_legacy_family(benchmark, reporter):

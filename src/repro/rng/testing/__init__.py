@@ -26,6 +26,7 @@ from repro.rng.testing.permutation import permutation_test
 from repro.rng.testing.interstream import (
     interstream_correlation_test,
     interstream_collision_check,
+    realization_aligned_draws,
 )
 from repro.rng.testing.twolevel import (
     two_level_substream_test,
@@ -49,6 +50,7 @@ __all__ = [
     "permutation_test",
     "interstream_correlation_test",
     "interstream_collision_check",
+    "realization_aligned_draws",
     "two_level_test",
     "two_level_substream_test",
     "BatteryReport",

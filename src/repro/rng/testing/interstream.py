@@ -5,6 +5,13 @@ converges to the expectation only when the per-processor subsequences
 are mutually independent.  We check the cross-correlation of paired
 streams and, separately, that the leap arithmetic keeps substreams
 disjoint over the lengths we actually consume.
+
+Two streams can be paired two ways.  The *consecutive* pairing takes
+draws ``0 .. n-1`` of one realization on each stream, as a serial
+test would.  The *realization-aligned* pairing
+(:func:`realization_aligned_draws`) takes draw ``j`` of realizations
+``0 .. n-1`` on each stream, as formula (4) combines them: rank ``p``'s
+realization ``r`` beside rank ``q``'s.
 """
 
 from __future__ import annotations
@@ -17,7 +24,35 @@ from scipy import stats
 from repro.exceptions import ConfigurationError
 from repro.rng.testing.result import TestResult, check_significance
 
-__all__ = ["interstream_correlation_test", "interstream_collision_check"]
+__all__ = ["interstream_correlation_test", "interstream_collision_check",
+           "realization_aligned_draws"]
+
+
+def realization_aligned_draws(tree, stream_a: tuple[int, int],
+                              stream_b: tuple[int, int], realizations: int,
+                              draw: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``draw`` of realizations ``0 .. realizations-1`` on two streams.
+
+    Args:
+        tree: A :class:`repro.rng.streams.StreamTree`.
+        stream_a: ``(experiment, processor)`` of the first stream.
+        stream_b: ``(experiment, processor)`` of the second.
+        realizations: Realizations paired, one draw each.
+        draw: The draw index ``j`` within every realization.
+
+    Returns:
+        Two 1-D samples of length ``realizations``; entry ``r`` of each
+        is draw ``j`` of realization ``r`` on its stream.
+    """
+    if realizations < 1 or draw < 0:
+        raise ConfigurationError(
+            "realizations must be >= 1 and draw >= 0")
+    samples = []
+    for experiment, processor in (stream_a, stream_b):
+        block = tree.experiment(experiment).processor(processor) \
+            .realization_block(0, realizations)
+        samples.append(block.uniforms(draw + 1)[:, draw])
+    return samples[0], samples[1]
 
 
 def interstream_correlation_test(stream_a, stream_b,

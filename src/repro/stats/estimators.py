@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -44,14 +45,11 @@ def confidence_factor(level: float) -> float:
     """Return ``gamma(level)``: the two-sided normal quantile for ``level``.
 
     ``confidence_factor(0.997)`` is approximately 3, the paper's choice.
-    Needs scipy, imported here so that ``import repro`` and a plain
-    run (which uses the fixed factor 3) do not.
     """
     if not 0.0 < level < 1.0:
         raise ConfigurationError(
             f"confidence level must be in (0, 1), got {level}")
-    from scipy.stats import norm
-    return float(norm.ppf(0.5 + level / 2.0))
+    return NormalDist().inv_cdf(0.5 + level / 2.0)
 
 
 @dataclass(frozen=True)

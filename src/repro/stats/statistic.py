@@ -32,12 +32,16 @@ sign counts).  User statistics register with
 
 Batched accumulation (``update`` with ``count > 1``) is bit-identical
 to repeated single updates for every shipped statistic: integer and
-min/max folds are associative exactly, and the floating-point folds
-(:class:`Moments`, :class:`Covariance`) use the same strictly
-sequential chunked reduction as
-:meth:`~repro.stats.accumulator.MomentAccumulator.add_batch`.  All
-backends therefore produce identical statistics for the same seed,
-whatever block widths their schedulers happen to pick.
+min/max folds are associative exactly, :class:`Moments` folds with the
+strictly sequential chunked reduction of
+:meth:`~repro.stats.accumulator.MomentAccumulator.add_batch`, and
+:class:`Covariance` stages rows in fixed blocks (1 024 rows, fewer for
+wide matrices) and reduces each full block pairwise, so its block
+boundaries depend only on the realization index.  All backends
+therefore produce identical statistics for the same seed, whatever
+block widths their schedulers happen to pick.  A covariance rebuilt
+from its persisted state starts a new block, so a resumed run does not
+reach the bits of an uninterrupted one.
 """
 
 from __future__ import annotations
@@ -479,9 +483,11 @@ class Covariance(Statistic):
 
     Promotes :class:`~repro.stats.covariance.CovarianceAccumulator`
     into the exchange: the state is ``(sum, outer, volume)`` — plain
-    sums, so merging is exact — and batched updates use the same
-    strictly sequential fold as the moment fast path, so batch widths
-    never change a single bit.
+    sums, so merging is exact.  Rows are staged in fixed blocks, each
+    reduced pairwise when full, so a batched update equals the same
+    rows added one by one, bit for bit.  An accumulator rebuilt from
+    its state does not resume to the same bits: its first block starts
+    at the rebuild, not at the uninterrupted run's block boundary.
     """
 
     kind = "covariance"

@@ -36,6 +36,23 @@ def savepoint_content():
     return content
 
 
+@pytest.fixture(scope="session")
+def default_certification(tmp_path_factory):
+    """``(exit_code, report)``: one ``parmonc-rngtest`` run on the
+    default generator (30 000 draws, 12 substreams), shared by every
+    test that reads the certificate."""
+    import contextlib
+    import io
+
+    from repro.cli.rngtest import main
+
+    report = io.StringIO()
+    with contextlib.redirect_stdout(report):
+        code = main(["--draws", "30000", "--substreams", "12", "--workdir",
+                     str(tmp_path_factory.mktemp("rngtest"))])
+    return code, report.getvalue()
+
+
 @pytest.fixture
 def rng() -> Lcg128:
     """A fresh generator at the head of the general sequence."""

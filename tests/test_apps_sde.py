@@ -123,24 +123,30 @@ class TestAdditiveTrajectory:
             simulate_additive_trajectory(paper_system(), spec,
                                          tree.rng(0, 0, 0))
 
-    def test_mean_converges_to_exact_line(self, small_spec, tree):
-        system = paper_system()
-        total = np.zeros((20, 2))
+    # A trajectory costs one block of draws per output interval, so the
+    # two statistical checks observe t = 1 and t = 2 only, on the same
+    # 0.01 mesh and with the same trajectory counts.
+    two_outputs = EulerSpec(mesh=0.01, t_max=2.0, n_output=2)
+
+    def test_mean_converges_to_exact_line(self, tree):
+        system, spec = paper_system(), self.two_outputs
+        total = np.zeros((2, 2))
         n = 300
         for index in range(n):
-            total += simulate_additive_trajectory(system, small_spec,
+            total += simulate_additive_trajectory(system, spec,
                                                   tree.rng(0, 0, index))
         mean = total / n
-        exact = system.exact_mean(small_spec.output_times)
-        sigma = np.sqrt(system.exact_variance(small_spec.output_times))
+        exact = system.exact_mean(spec.output_times)
+        sigma = np.sqrt(system.exact_variance(spec.output_times))
         # 4-sigma tolerance entrywise (3-sigma would flake ~2% of runs).
         assert np.all(np.abs(mean - exact) <= 4 * sigma / np.sqrt(n) + 1e-9)
 
-    def test_trajectory_variance_scale(self, small_spec, tree):
+    def test_trajectory_variance_scale(self, tree):
         # The noisy component's empirical variance at t=2 must be near
-        # D_11**2 * t = 2.0.
+        # D_11**2 * t = 2.0: rel=0.25 is 3.5 standard errors of a
+        # 400-sample variance (sqrt(2/399) = 0.071).
         system = paper_system()
-        finals = [simulate_additive_trajectory(system, small_spec,
+        finals = [simulate_additive_trajectory(system, self.two_outputs,
                                                tree.rng(0, 1, i))[-1, 0]
                   for i in range(400)]
         assert np.var(finals) == pytest.approx(2.0, rel=0.25)

@@ -306,34 +306,33 @@ class TestOneQueueReader:
                                                    monkeypatch):
         import json as _json
         import threading
-        import time
         from pathlib import Path
 
         from repro.cli import sched
         from repro.runtime.scheduler import Scheduler
 
-        jobs = 1000
+        # A finished history the idle turns must not revisit.
+        jobs = 50
         queue = self._setup(tmp_path, [
             self._job(0, maxsv=1, processors=1, use_files=False)
             for _ in range(jobs)])
+        drained = threading.Event()
+        mirror = sched._write_status
+
+        def watching(path, payload):
+            mirror(path, payload)
+            if sum(record["status"] == "done"
+                   for record in payload["jobs"].values()) == jobs:
+                drained.set()
+
+        monkeypatch.setattr(sched, "_write_status", watching)
         codes = []
         server = threading.Thread(target=lambda: codes.append(
             sched.sched_main(["--serve", "--queue", str(queue),
                               "--backend", "sequential"])))
         server.start()
         try:
-            deadline = time.monotonic() + 300.0
-            while True:
-                try:
-                    records = _json.loads(
-                        sched.status_path(queue).read_text())["jobs"]
-                except (OSError, ValueError, KeyError):
-                    records = {}
-                if sum(record["status"] == "done"
-                       for record in records.values()) == jobs:
-                    break
-                assert time.monotonic() < deadline, "queue never drained"
-                time.sleep(0.05)
+            assert drained.wait(60.0), "queue never drained"
             calls = {"dumps": 0, "status": 0, "steps": 0}
             turned = threading.Event()
             dumps, write_status, step = (_json.dumps, sched._write_status,

@@ -2,20 +2,20 @@
 
 from __future__ import annotations
 
-
 from repro.cli.rngtest import certify, main as rngtest_main
 from repro.rng.multiplier import LeapSet
 from repro.runtime.files import write_genparam_file
 
 
 class TestCertify:
-    def test_default_generator_passes(self, tmp_path):
-        passed, report = certify(draws=30_000, substreams=12,
-                                 workdir=tmp_path)
-        assert passed, report
-        assert "certification: PASSED" in report
-        assert "12/12 tests passed" in report
-        assert "spectral test" in report
+    def test_default_generator_passes(self, default_certification):
+        code, report = default_certification
+        assert code == 0, report
+        for section in ("defaults: leaps 2^115/2^98/2^43",
+                        "general sequence", "12/12 tests passed",
+                        "two-level chi-square", "spectral test",
+                        "worst merit", "certification: PASSED"):
+            assert section in report
 
     def test_honours_genparam_file(self, tmp_path):
         leaps = LeapSet(experiment_exponent=40, processor_exponent=30,
@@ -27,25 +27,14 @@ class TestCertify:
         assert "2^40/2^30/2^20" in report
         assert passed, report
 
-    def test_report_sections_present(self, tmp_path):
-        _, report = certify(draws=20_000, substreams=12,
-                            workdir=tmp_path)
-        assert "general sequence" in report
-        assert "two-level chi-square" in report
-        assert "worst merit" in report
-
 
 class TestCli:
-    def test_exit_code_zero_on_pass(self, tmp_path, capsys):
-        code = rngtest_main(["--draws", "20000", "--substreams", "12",
-                             "--workdir", str(tmp_path)])
-        assert code == 0
-        assert "PASSED" in capsys.readouterr().out
-
     def test_alpha_propagates(self, tmp_path, capsys):
-        # An absurdly lax alpha can only keep things passing; the point
-        # is the flag parses and runs end to end.
+        # An alpha outside (0, 1) reaches the battery and is refused
+        # there, before any test runs.
         code = rngtest_main(["--draws", "20000", "--substreams", "12",
-                             "--alpha", "0.001",
+                             "--alpha", "1.5",
                              "--workdir", str(tmp_path)])
-        assert code == 0
+        assert code == 2
+        assert "significance level must be in (0, 1), got 1.5" \
+            in capsys.readouterr().err

@@ -144,9 +144,9 @@ class TestCrossBackendEquivalence:
 
 
 def test_import_and_a_plain_run_need_no_scipy():
-    # pyproject.toml declares numpy alone.  scipy serves three features
-    # (confidence_interval(level), stats.compare, the Black-Scholes
-    # oracle) and the RNG test battery, each importing it on use.
+    # pyproject.toml declares numpy alone.  scipy serves two features
+    # (stats.compare, the Black-Scholes oracle) and the RNG test
+    # battery, each importing it on use.
     source = str(Path(__file__).parent.parent / "src")
     code = (
         "import sys, repro, repro.cli.sched\n"
@@ -154,6 +154,7 @@ def test_import_and_a_plain_run_need_no_scipy():
         "result = repro.parmonc(lambda rng: rng.random(), maxsv=64,\n"
         "                       processors=2, use_files=False)\n"
         "assert result.total_volume == 64\n"
+        "result.estimates.confidence_interval(0.95)\n"
         "assert 'scipy' not in sys.modules, 'a plain run pulled scipy'\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [source, os.environ.get("PYTHONPATH")])))

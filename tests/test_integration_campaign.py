@@ -17,7 +17,6 @@ from repro.apps.integration import make_realization, product_of_powers
 from repro.cli.genparam import main as genparam_main
 from repro.cli.manaver import manual_average
 from repro.cli.report import render_report
-from repro.cli.rngtest import certify
 from repro.rng.multiplier import LeapSet
 from repro.runtime.bootstrap import start_session
 from repro.runtime.collector import Collector
@@ -30,14 +29,15 @@ REALIZATION = make_realization(PROBLEM)
 
 
 @pytest.fixture(scope="module")
-def campaign(tmp_path_factory):
+def campaign(tmp_path_factory, default_certification):
     """Run the whole campaign once; tests assert on its artefacts."""
     workdir = tmp_path_factory.mktemp("campaign")
     log: dict = {"workdir": workdir}
 
-    # Act 0: certification (reduced size; the benches run it at scale).
-    log["certified"], _ = certify(draws=20_000, substreams=12,
-                                  workdir=workdir)
+    # Act 0: certification of the default generator, before any
+    # genparam file exists (reduced size, and the run the session
+    # shares; the benches run it at scale).
+    log["certified"] = default_certification[0] == 0
 
     # Act 1: custom hierarchy via genparam.
     genparam_main(["60", "40", "20", "--workdir", str(workdir)])

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.rng.streams import StreamTree
 from repro.rng.testing import (
     BatteryReport,
     autocorrelation_test,
@@ -21,6 +20,7 @@ from repro.rng.testing import (
     interstream_correlation_test,
     ks_uniformity,
     permutation_test,
+    realization_aligned_draws,
     run_battery,
     runs_above_below_test,
     runs_up_down_test,
@@ -199,11 +199,24 @@ class TestPermutation:
 
 
 class TestInterstream:
-    def test_disjoint_streams_uncorrelated(self):
-        tree = StreamTree()
-        a = VectorLcg128(tree.rng(0, 0, 0)).uniforms(20_000)
-        b = VectorLcg128(tree.rng(0, 1, 0)).uniforms(20_000)
-        assert interstream_correlation_test(a, b).passed
+    def test_consecutive_pairs_pass_and_aligned_pairs_rotate(self, tree):
+        # The default hierarchy as it is: rank 1's realization r is rank
+        # 0's rotated by one constant, for every r.  A consecutive
+        # (serial) pairing of the same streams cannot see it.
+        consecutive = (VectorLcg128(tree.rng(0, p, 0)).uniforms(20_000)
+                       for p in (0, 1))
+        assert interstream_correlation_test(*consecutive).passed
+        a, b = realization_aligned_draws(tree, (0, 0), (0, 1), 4000)
+        _, c = realization_aligned_draws(tree, (0, 0), (1, 0), 4000)
+        rotation = np.mod(b - a, 1.0)
+        assert np.all(rotation == rotation[0])
+        assert rotation[0] == pytest.approx(0.3134300, abs=1e-7)
+        aligned = interstream_correlation_test(a, b)
+        assert aligned.details["r"] == pytest.approx(-0.28, abs=0.01)
+        assert not aligned.passed
+        across = interstream_correlation_test(a, c)
+        assert across.details["r"] == pytest.approx(0.49, abs=0.01)
+        assert not across.passed
 
     def test_identical_streams_rejected(self, uniform_sample):
         result = interstream_correlation_test(uniform_sample,

@@ -541,7 +541,8 @@ class TestPoolSlots:
             good = self._submit(scheduler, "good", square, maxsv=200,
                                 seqnum=1)
             # Its ASSIGN is on the session before the bad job's SUBMIT.
-            _drive(scheduler, lambda: good.status == JobStatus.RUNNING)
+            # (Its one rank may also finish within that turn.)
+            _drive(scheduler, lambda: good.dispatched > 0)
             bad = self._submit(scheduler, "bad", Unloadable(), maxsv=4,
                                seqnum=2)
             _drive(scheduler, lambda: good.finished.is_set()

@@ -26,6 +26,8 @@ from repro.runtime.messages import MomentMessage, message_bytes
 from repro.stats.accumulator import MomentAccumulator, MomentSnapshot
 from repro.stats.estimators import Estimates
 
+from test_runtime_format import reference_ci_table, reference_mean_matrix
+
 
 @pytest.fixture
 def estimates():
@@ -63,29 +65,6 @@ class TestRendering:
         assert "mean_time_per_realization_sec: 6.0" in text
 
 
-def reference_mean_matrix(estimates):
-    """``func.dat`` as the entry-by-entry loop always wrote it."""
-    lines = []
-    for row in estimates.mean:
-        lines.append(" ".join(f"{value: .15e}" for value in row))
-    return "\n".join(lines) + "\n"
-
-
-def reference_ci_table(estimates):
-    """``func_ci.dat`` as the entry-by-entry loop always wrote it."""
-    lines = ["# i j mean abs_error rel_error_percent variance"]
-    nrow, ncol = estimates.shape
-    for i in range(nrow):
-        for j in range(ncol):
-            lines.append(
-                f"{i + 1} {j + 1} "
-                f"{estimates.mean[i, j]: .15e} "
-                f"{estimates.abs_error[i, j]: .15e} "
-                f"{estimates.rel_error[i, j]: .6e} "
-                f"{estimates.variance[i, j]: .15e}")
-    return "\n".join(lines) + "\n"
-
-
 def _one_realization(value):
     """Estimates at volume 1: zero variance, 0/0 and x/0 relative errors."""
     accumulator = MomentAccumulator(2, 2)
@@ -118,14 +97,6 @@ class TestRendererIdentity:
     @example(_one_realization(3.0))
     @example(_one_realization(1e-300))
     def test_both_files_match_the_double_loop(self, estimates):
-        assert render_mean_matrix(estimates) \
-            == reference_mean_matrix(estimates)
-        assert render_ci_table(estimates) == reference_ci_table(estimates)
-
-    def test_fig2_shape(self):
-        values = np.random.default_rng(5).standard_normal((4, 1000, 2))
-        estimates = Estimates(*(values * 10.0 ** np.arange(-6, 2, 2)
-                                .reshape(4, 1, 1)), volume=9)
         assert render_mean_matrix(estimates) \
             == reference_mean_matrix(estimates)
         assert render_ci_table(estimates) == reference_ci_table(estimates)

@@ -227,8 +227,9 @@ class TestLiveJobsOnly:
 
     def test_status_reads_per_turn_do_not_grow_with_history(
             self, monkeypatch):
+        # Counted, so any longer history shows a scan of it.
         short = self._status_reads_per_turn(monkeypatch, 10)
-        long = self._status_reads_per_turn(monkeypatch, 1000)
+        long = self._status_reads_per_turn(monkeypatch, 200)
         assert short and min(short) > 0
         assert long == short
 
@@ -339,10 +340,11 @@ class TestSubmissionScheduleIdentity:
     its save cadence, is virtual."""
 
     JOBS = 4
+    MAXSV = 12
 
     def _items(self, tmp_path):
         return [{"realization": square, "name": f"exp{i}",
-                 "maxsv": 40, "processors": 3, "seqnum": i,
+                 "maxsv": self.MAXSV, "processors": 3, "seqnum": i,
                  "perpass": 0.0, "peraver": 0.0,
                  "workdir": tmp_path / "shared" / f"exp{i}",
                  "priority": float(1 + i % 3)}
@@ -380,11 +382,11 @@ class TestSubmissionScheduleIdentity:
                                       create_backend(name, **options))
         assert len(results) == self.JOBS
         for i, shared in enumerate(results):
-            solo = parmonc(square, maxsv=40, seqnum=i, perpass=0.0,
+            solo = parmonc(square, maxsv=self.MAXSV, seqnum=i, perpass=0.0,
                            peraver=0.0, processors=3,
                            backend="sequential",
                            workdir=tmp_path / "solo" / f"exp{i}")
-            assert shared.total_volume == solo.total_volume == 40
+            assert shared.total_volume == solo.total_volume == self.MAXSV
             assert (shared.estimates.mean.tobytes()
                     == solo.estimates.mean.tobytes())
             assert (shared.estimates.variance.tobytes()
@@ -392,7 +394,7 @@ class TestSubmissionScheduleIdentity:
             assert (shared.estimates.abs_error.tobytes()
                     == solo.estimates.abs_error.tobytes())
             if name == "simcluster":
-                parmonc(square, maxsv=40, seqnum=i, perpass=0.0,
+                parmonc(square, maxsv=self.MAXSV, seqnum=i, perpass=0.0,
                         peraver=0.0, processors=3, backend=name,
                         workdir=tmp_path / "solo-sim" / f"exp{i}")
                 reference = tmp_path / "solo-sim" / f"exp{i}"
@@ -947,7 +949,9 @@ class TestStreamingLoadStudy:
 
     def test_rejections_exact_and_waits_match_reference(self):
         from repro.apps.loadstudy import run_load_study
-        queue = GGcKQueue(servers=4, capacity=8, customers=20_000,
+        # Equality holds at any length; 2 000 customers see 167
+        # rejections.
+        queue = GGcKQueue(servers=4, capacity=8, customers=2_000,
                           interarrival=lambda rng: _expo(rng, 3.5),
                           service=lambda rng: _expo(rng, 1.0))
         wait, blocked, _ = simulate_ggck(queue, Lcg128(43))
