@@ -6,7 +6,8 @@ SIGKILLs the whole group mid-run — the moral equivalent of a cluster
 scheduler cancelling the job — and then proves the §3.4 recovery
 promise: ``manaver`` exits 0 and recovers a non-zero sample volume from
 the per-processor save-points, and the recovered save-point passes its
-checksum.
+checksum.  The victim carries extra statistics, which ride inside every
+subtotal: each recovered extra must cover exactly the moments' sample.
 
 Usage::
 
@@ -34,6 +35,7 @@ from repro.runtime.files import DataDirectory  # noqa: E402
 #: kill.  perpass=0 makes a pass due after every realization (one is
 #: skipped only while the previous is still unread), so there is always
 #: recent recoverable state on disk.
+STATISTICS = ("covariance", "histogram")
 CHILD_PROGRAM = """
 import sys, time
 sys.path.insert(0, {src!r})
@@ -44,7 +46,8 @@ def slow(rng):
     return rng.random()
 
 parmonc(slow, maxsv=1_000_000, processors=2, backend="multiprocess",
-        perpass=0.0, peraver=0.0, workdir={workdir!r})
+        perpass=0.0, peraver=0.0, statistics={statistics!r},
+        workdir={workdir!r})
 """
 
 POLL_TIMEOUT = 60.0
@@ -52,8 +55,14 @@ EXTRA_RUNTIME = 0.5
 
 
 def main() -> int:
-    workdir = Path(tempfile.mkdtemp(prefix="parmonc-crash-smoke-"))
-    program = CHILD_PROGRAM.format(src=REPO_SRC, workdir=str(workdir))
+    with tempfile.TemporaryDirectory(prefix="parmonc-crash-smoke-") as tmp:
+        return smoke(Path(tmp))
+
+
+def smoke(workdir: Path) -> int:
+    """Kill a run under ``workdir`` and recover it; the exit code."""
+    program = CHILD_PROGRAM.format(src=REPO_SRC, workdir=str(workdir),
+                                   statistics=STATISTICS)
     child = subprocess.Popen([sys.executable, "-c", program],
                              start_new_session=True)
     data = DataDirectory(workdir)
@@ -96,8 +105,16 @@ def main() -> int:
         print("smoke: FAIL — recovery quarantined artifacts: "
               f"{data.quarantined_files()}", file=sys.stderr)
         return 1
+    volumes = {kind: statistic.volume
+               for kind, statistic in (snapshot.extras or {}).items()}
+    if volumes != dict.fromkeys(STATISTICS, snapshot.volume):
+        print(f"smoke: FAIL — recovered extras {volumes} do not cover "
+              f"the moments' {snapshot.volume} realizations",
+              file=sys.stderr)
+        return 1
     print(f"smoke: OK — recovered {snapshot.volume} realizations over "
-          f"{meta.sessions} session(s)")
+          f"{meta.sessions} session(s), extras {', '.join(volumes)} "
+          f"included")
     return 0
 
 

@@ -69,7 +69,6 @@ from repro.stats import (  # noqa: E402
     Histogram,
     MomentAccumulator,
     MomentSnapshot,
-    Moments,
     Statistic,
     StatisticSet,
     register_statistic,
@@ -102,7 +101,6 @@ __all__ = [
     "MomentSnapshot",
     "Statistic",
     "StatisticSet",
-    "Moments",
     "Covariance",
     "Histogram",
     "Extrema",

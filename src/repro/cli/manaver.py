@@ -25,7 +25,7 @@ from pathlib import Path
 
 from repro.exceptions import ReproError, ResumeError
 from repro.runtime.files import DataDirectory
-from repro.stats.merging import merge_snapshots, merge_statistic_maps
+from repro.stats.merging import merge_snapshots
 
 __all__ = ["main", "manual_average"]
 
@@ -79,18 +79,13 @@ def manual_average(workdir: Path) -> dict:
     # save-point rename and the subtotal cleanup) must not be merged a
     # second time — their session tag says who absorbed them.
     absorbed = meta.sessions if base_included else None
-    subtotals = data.load_processor_subtotals(absorbed_sessions=absorbed)
-    processor_snapshots = {rank: subtotal.snapshot
-                           for rank, subtotal in subtotals.items()}
+    processor_snapshots = data.load_processor_snapshots(
+        absorbed_sessions=absorbed)
+    # The previous sessions' base first, then each rank's latest
+    # subtotal in rank order — the same fixed fold the collector uses,
+    # extra statistics included.
     snapshots.extend(snapshot for _, snapshot
                      in sorted(processor_snapshots.items()))
-    # Extra statistics merge exactly like the moments: the previous
-    # sessions' merged map first, then each rank's latest subtotal in
-    # rank order — the same fixed fold the collector uses.
-    statistic_maps = [dict(meta.statistics)] if base_included else []
-    statistic_maps.extend(subtotal.statistics for _, subtotal
-                          in sorted(subtotals.items()))
-    statistics = merge_statistic_maps(statistic_maps)
     unknown_payloads = dict(meta.unknown_payloads) if base_included else {}
     if base_included and meta.unknown_statistics:
         warnings.append(
@@ -137,7 +132,6 @@ def manual_average(workdir: Path) -> dict:
     # protecting future resumes.
     data.save_savepoint(merged, used_seqnums=tuple(sorted(used)),
                         sessions=sessions, manifest=manifest,
-                        statistics=statistics,
                         extra_payloads=unknown_payloads)
     data.clear_processor_snapshots()
     return {
@@ -147,7 +141,7 @@ def manual_average(workdir: Path) -> dict:
         "quarantined": quarantined,
         "warnings": warnings,
         "results_dir": data.results_dir,
-        "statistics": statistics,
+        "statistics": dict(merged.extras or {}),
     }
 
 

@@ -144,12 +144,12 @@ def render_report(workdir: Path, rows: int = 5,
                 f"{snapshot.volume} realizations over {meta.sessions} "
                 f"session(s); next free seqnum is "
                 f"{max(meta.used_seqnums) + 1 if meta.used_seqnums else 0}")
-            if meta.statistics:
+            if snapshot.extras:
                 lines.append("")
                 lines.append("extra statistics (merged):")
-                for kind in sorted(meta.statistics):
+                for kind in sorted(snapshot.extras):
                     lines.extend(_render_statistic(kind,
-                                                   meta.statistics[kind]))
+                                                   snapshot.extras[kind]))
             if meta.unknown_statistics:
                 lines.append(
                     "NOTE: save-point carries statistics of unregistered "

@@ -23,6 +23,7 @@ same convention as Knuth vol. 2 and the Dyadkin–Hamilton tables.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -201,11 +202,14 @@ def spectral_nu(multiplier: int, modulus: int, dimension: int) -> float:
     return math.sqrt(shortest_vector_sq(reduced))
 
 
+@functools.cache
 def spectral_merit(multiplier: int, modulus: int, dimension: int) -> float:
     """Normalized figure of merit ``S_d`` in (0, 1]; 1 is optimal.
 
     ``S_d = nu_d / (gamma_d**0.5 * m**(1/d))`` with the Hermite
-    constant bound — the Knuth/Dyadkin–Hamilton convention.
+    constant bound — the Knuth/Dyadkin–Hamilton convention.  A pure
+    function of three ints, so it is cached: at 128 bits the lattice
+    reduction behind one call took up to 0.56 s (dimension 6, 2 vCPUs).
     """
     if dimension not in HERMITE_CONSTANTS:
         raise ConfigurationError(

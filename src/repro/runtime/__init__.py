@@ -22,7 +22,7 @@ from repro.runtime.engine import (
     register_backend,
     register_lazy_backend,
 )
-from repro.runtime.files import DataDirectory, ProcessorSubtotal
+from repro.runtime.files import DataDirectory
 from repro.runtime.job import Job, JobSpec, JobStatus
 from repro.runtime.messages import MomentMessage, message_bytes
 from repro.runtime.scheduler import Scheduler
@@ -52,7 +52,6 @@ __all__ = [
     "RunResult",
     "Collector",
     "DataDirectory",
-    "ProcessorSubtotal",
     "MomentMessage",
     "message_bytes",
     "ResumeState",

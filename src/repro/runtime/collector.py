@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import logging
 import time
-from typing import Mapping
 
 from repro.exceptions import ConfigurationError
 from repro.obs.telemetry import RunTelemetry
@@ -26,8 +25,7 @@ from repro.runtime.files import DataDirectory
 from repro.runtime.messages import CombinedMessage, MomentMessage
 from repro.stats.accumulator import MomentSnapshot
 from repro.stats.estimators import Estimates
-from repro.stats.merging import merge_snapshots, merge_statistic_maps
-from repro.stats.statistic import Statistic
+from repro.stats.merging import merge_snapshots
 
 __all__ = ["Collector"]
 
@@ -39,8 +37,8 @@ class Collector:
 
     Args:
         config: The run configuration (``peraver`` and shape matter).
-        base: Moments inherited from resumed sessions (zero snapshot for
-            a fresh run).
+        base: The sample inherited from resumed sessions, its extra
+            statistics inside (a zero snapshot for a fresh run).
         data: Data directory for result files and save-points; pass None
             to keep the collector purely in memory (used by the
             discrete-event cluster simulation's fast path).
@@ -52,37 +50,24 @@ class Collector:
         telemetry: Optional :class:`~repro.obs.telemetry.RunTelemetry`
             to instrument against; None (the default) keeps the hot
             path free of any telemetry work.
-        base_statistics: Extra statistics inherited from resumed
-            sessions, keyed by kind; they merge under the session's
-            incoming extras exactly like ``base`` merges under the
-            moments.
     """
 
     def __init__(self, config: RunConfig, base: MomentSnapshot,
                  data: DataDirectory | None = None, *, sessions: int = 1,
                  persist_subtotals: bool | None = None,
-                 telemetry: RunTelemetry | None = None,
-                 base_statistics: Mapping[str, Statistic] | None = None
-                 ) -> None:
+                 telemetry: RunTelemetry | None = None) -> None:
         if base.shape != config.shape:
             raise ConfigurationError(
                 f"resume base shape {base.shape} does not match the "
                 f"configured {config.shape}")
-        for kind, statistic in (base_statistics or {}).items():
-            if statistic.shape != config.shape:
-                raise ConfigurationError(
-                    f"resume base statistic {kind!r} has shape "
-                    f"{statistic.shape}, expected {config.shape}")
         self._config = config
         self._base = base
-        self._base_statistics = dict(base_statistics or {})
         self._data = data
         self._sessions = sessions
         self._persist = (persist_subtotals if persist_subtotals is not None
                          else data is not None)
         self._telemetry = telemetry
         self._latest: dict[int, MomentSnapshot] = {}
-        self._latest_extras: dict[int, Mapping[str, Statistic]] = {}
         self._finals: set[int] = set()
         self._expected: set[int] = set(range(config.processors))
         self._last_seen: dict[int, float] = {}
@@ -90,7 +75,6 @@ class Collector:
         self._last_average_at: float | None = None
         self._receive_count = 0
         self._stale_count = 0
-        self._combined_count = 0
         self._save_count = 0
         self._history: list[tuple[float, int, float]] = []
         # The merged sample changes only when an ingest is accepted:
@@ -111,17 +95,6 @@ class Collector:
     def stale_count(self) -> int:
         """Out-of-order messages dropped because a newer snapshot won."""
         return self._stale_count
-
-    @property
-    def combined_count(self) -> int:
-        """Combined (tree-reduced) messages ingested so far.
-
-        Each one carried a batch of per-rank entries — all counted in
-        :attr:`receive_count` — but cost the collector a single
-        ingest/save-due cycle, which is the saving the reduction tree
-        exists to make.
-        """
-        return self._combined_count
 
     @property
     def save_count(self) -> int:
@@ -245,7 +218,6 @@ class Collector:
         for entry in combined.entries:
             if self._ingest(entry, now):
                 accepted += 1
-        self._combined_count += 1
         if self._telemetry is not None:
             registry = self._telemetry.registry
             registry.counter("collector.combined_messages").inc()
@@ -301,8 +273,6 @@ class Collector:
         self._latest[message.rank] = message.snapshot
         self._merged = self._estimates = None
         self._matrices_on_disk = False
-        if message.statistics is not None:
-            self._latest_extras[message.rank] = message.statistics
         self._last_seen[message.rank] = now
         if message.final:
             self._finals.add(message.rank)
@@ -315,8 +285,7 @@ class Collector:
                 volume=message.snapshot.volume, final=message.final)
         if self._persist and self._data is not None:
             self._data.save_processor_snapshot(
-                message.rank, message.snapshot, session=self._sessions,
-                statistics=message.statistics)
+                message.rank, message.snapshot, session=self._sessions)
         return True
 
     def _save_if_due(self, now: float) -> bool:
@@ -331,33 +300,21 @@ class Collector:
         return False
 
     def merged(self) -> MomentSnapshot:
-        """Formula (5): resume base plus every worker's latest snapshot.
+        """Formula (5): resume base plus every worker's latest snapshot,
+        extra statistics included.
 
         Snapshots merge in rank order, not arrival order: float sums are
         not associative to the last ulp, and a fixed order is what makes
         estimates bit-identical across backends regardless of how the
-        OS interleaved message delivery.
+        OS interleaved message delivery.  The extras' kinds are the
+        union of what the base and the workers delivered, so a resumed
+        run never drops a statistic an earlier session collected.
         """
         if self._merged is None:
             self._merged = merge_snapshots(
                 [self._base, *(snapshot for _, snapshot
                                in sorted(self._latest.items()))])
         return self._merged
-
-    def merged_statistics(self) -> dict[str, Statistic]:
-        """The extra statistics merged across base and workers.
-
-        Same discipline as :meth:`merged`: the resume base first, then
-        every rank's latest extras in rank order — the fixed
-        association that keeps float-summed statistics bit-identical
-        across backends.  Kinds are the union of what the base and the
-        workers delivered, so a resumed run never drops a statistic an
-        earlier session collected.
-        """
-        return merge_statistic_maps(
-            [self._base_statistics,
-             *(extras for _, extras
-               in sorted(self._latest_extras.items()))])
 
     def estimates(self) -> Estimates:
         """Result matrices for the current merged sample."""

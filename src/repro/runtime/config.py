@@ -147,11 +147,6 @@ class RunConfig:
                            normalize_statistics(self.statistics))
 
     @property
-    def extra_statistics(self) -> tuple[str, ...]:
-        """The declared kinds beyond the mandatory moments."""
-        return self.statistics[1:]
-
-    @property
     def shape(self) -> tuple[int, int]:
         """``(nrow, ncol)`` of the realization matrix."""
         return (self.nrow, self.ncol)

@@ -40,7 +40,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,18 +53,16 @@ from repro.exceptions import (
     WireError,
 )
 from repro.runtime import storage
-from repro.runtime.messages import pack_moments, unpack_moments
+from repro.runtime.messages import (
+    pack_moments,
+    take_statistics,
+    unpack_moments,
+)
 from repro.stats.accumulator import MomentSnapshot
 from repro.stats.estimators import Estimates
-from repro.stats.statistic import (
-    Statistic,
-    payload_map,
-    statistics_from_payload_map,
-)
 
 __all__ = [
     "DataDirectory",
-    "ProcessorSubtotal",
     "SavepointMeta",
     "render_mean_matrix",
     "render_ci_table",
@@ -93,7 +91,7 @@ PROCESSOR_FORMAT = "parmonc/processor-savepoint"
 #: What a damaged save-point raises on its way to quarantine
 #: (``ConfigurationError`` is a ``ValueError``).
 _MALFORMED = (CorruptArtifactError, WireError, KeyError, TypeError,
-              ValueError, AttributeError)
+              ValueError, AttributeError, OverflowError)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +318,8 @@ def render_log(estimates: Estimates, *, seqnum: int, processors: int,
 
 @dataclass(frozen=True)
 class SavepointMeta:
-    """Metadata stored beside the merged snapshot.
+    """Metadata stored beside the merged snapshot (whose ``extras`` are
+    the stored statistics of registered kinds).
 
     Attributes:
         shape: Matrix shape of the stored sample.
@@ -330,9 +329,6 @@ class SavepointMeta:
         manifest: Session manifest of the writing session (processor
             count, leap exponents, ``parmonc_genparam.dat``
             fingerprint); None for pre-manifest save-points.
-        statistics: Extra cumulative statistics stored beside the
-            moment snapshot, keyed by kind (empty for legacy
-            moment-only save-points).
         unknown_payloads: Raw payloads whose kinds are not registered
             in this process — written by a newer version or an
             un-imported custom statistic.  Kept verbatim so a rewrite
@@ -345,7 +341,6 @@ class SavepointMeta:
     used_seqnums: tuple[int, ...]
     sessions: int
     manifest: dict | None = field(default=None)
-    statistics: dict[str, Statistic] = field(default_factory=dict)
     unknown_payloads: dict[str, dict] = field(default_factory=dict)
 
     @property
@@ -362,65 +357,33 @@ class SavepointMeta:
         return int(value) if value is not None else None
 
 
-@dataclass(frozen=True)
-class ProcessorSubtotal:
-    """One processor's persisted subtotal (the ``manaver`` input).
-
-    Attributes:
-        rank: The writing processor's index.
-        snapshot: Its latest cumulative moment snapshot.
-        statistics: The extra statistics that rode the same message,
-            keyed by kind (empty for moment-only runs and legacy
-            files).
-        session: Session tag, or None for untagged legacy files.
-    """
-
-    rank: int
-    snapshot: MomentSnapshot
-    statistics: dict[str, Statistic] = field(default_factory=dict)
-    session: int | None = None
-
-
-def _parse_statistics(payload: dict, path: Path
-                      ) -> tuple[dict[str, Statistic], dict[str, dict]]:
-    """Deserialize an artifact's optional ``statistics`` map.
-
-    Returns the registered statistics plus the raw payloads of
-    unregistered kinds.  A missing map (legacy moment-only artifact)
-    yields two empty dicts; a malformed one raises ``ValueError`` so
-    the caller's quarantine path handles it like any other corruption.
-    """
-    raw = payload.get("statistics")
-    if raw is None:
-        return {}, {}
-    if not isinstance(raw, dict):
-        raise ValueError("statistics map is not an object")
-    statistics, unknown = statistics_from_payload_map(raw)
-    unknown_payloads = {kind: raw[kind] for kind in unknown}
-    if unknown:
-        _logger.warning(
-            "%s carries unregistered statistic kind(s) %s; payloads "
-            "kept but not merged (import/register the statistic to "
-            "use them)", path.name, sorted(unknown))
-    return statistics, unknown_payloads
-
-
 def _read_snapshot(path: Path, kind: str) -> tuple[MomentSnapshot, dict]:
     """``(snapshot, metadata)`` of a save-point of either era.
 
     ``*.bin`` is the sealed moment block, its metadata the tail plus
     the header's ``rank``; anything else is the JSON document versions
     1-3 wrote, with the ``snapshot`` entry decoded and taken out — so
-    both eras hand back the same metadata keys.
+    both eras hand back the same metadata keys.  In both the extras are
+    read by :func:`~repro.runtime.messages.take_statistics`, which
+    leaves the payloads of unregistered kinds under ``statistics``.
     """
     if path.suffix == ".bin":
         body, _version = storage.read_sealed(
             path, kind, max_version=SAVEPOINT_VERSION)
-        _flags, rank, _sent_at, snapshot, tail = unpack_moments(body)
-        return snapshot, dict(tail, rank=rank)
-    payload, _version = storage.read_artifact(
-        path, kind, max_version=LAST_JSON_VERSION)
-    return MomentSnapshot.from_dict(payload.pop("snapshot")), payload
+        _flags, rank, _sent_at, snapshot, fields = unpack_moments(body)
+        fields["rank"] = rank
+    else:
+        fields, _version = storage.read_artifact(
+            path, kind, max_version=LAST_JSON_VERSION)
+        snapshot = MomentSnapshot.from_dict(fields.pop("snapshot"))
+        snapshot = replace(snapshot,
+                           extras=take_statistics(fields, snapshot.shape))
+    if "statistics" in fields:
+        _logger.warning(
+            "%s carries unregistered statistic kind(s) %s; payloads "
+            "kept but not merged (import/register the statistic to "
+            "use them)", path.name, sorted(fields["statistics"]))
+    return snapshot, fields
 
 
 class DataDirectory:
@@ -595,13 +558,13 @@ class DataDirectory:
                        used_seqnums: tuple[int, ...],
                        sessions: int,
                        manifest: dict | None = None,
-                       statistics: dict[str, Statistic] | None = None,
                        extra_payloads: dict[str, dict] | None = None
                        ) -> None:
         """Persist the merged snapshot and session metadata durably.
 
         The save-point is the snapshot's moment block, its tail holding
-        the metadata, sealed and written atomically; ``manifest`` (see
+        the metadata and the snapshot's extras, sealed and written
+        atomically; ``manifest`` (see
         :func:`repro.runtime.resume.build_manifest`) records the
         writing session's processor count and RNG leap parameters so a
         later resume can refuse a mismatched generator hierarchy.  A
@@ -609,12 +572,10 @@ class DataDirectory:
         the new file is in place.
 
         Args:
-            snapshot: The merged moment snapshot.
+            snapshot: The merged snapshot, extra statistics inside.
             used_seqnums: Every burnt experiments subsequence.
             sessions: Sessions folded into the snapshot.
             manifest: The writing session's manifest.
-            statistics: Extra merged statistics to store beside the
-                moments, keyed by kind.
             extra_payloads: Already-serialized statistic payloads to
                 carry forward verbatim — how unknown kinds loaded from
                 an older save-point survive a rewrite untouched.
@@ -626,10 +587,8 @@ class DataDirectory:
         }
         if manifest is not None:
             tail["manifest"] = manifest
-        serialized = dict(extra_payloads or {})
-        serialized.update(payload_map(statistics or {}))
-        if serialized:
-            tail["statistics"] = serialized
+        if extra_payloads:
+            tail["statistics"] = dict(extra_payloads)
         storage.write_sealed(self.savepoint_path, SAVEPOINT_FORMAT,
                              pack_moments(snapshot, tail),
                              version=SAVEPOINT_VERSION, label="savepoint")
@@ -638,7 +597,8 @@ class DataDirectory:
     def load_savepoint(self) -> tuple[MomentSnapshot, SavepointMeta]:
         """Load the merged snapshot saved by a previous session.
 
-        A save-point that fails its digest (or cannot be decoded) is
+        A save-point that fails its digest or cannot be decoded — a
+        statistic of another shape than the moments' included — is
         quarantined as ``savepoint.bin.corrupt`` before the error is
         raised, so the next attempt is not poisoned by the same file.
 
@@ -659,14 +619,12 @@ class DataDirectory:
             manifest = fields.get("manifest")
             if manifest is not None and not isinstance(manifest, dict):
                 raise ValueError("manifest is not an object")
-            statistics, unknown_payloads = _parse_statistics(fields, path)
             meta = SavepointMeta(
                 shape=snapshot.shape,
                 used_seqnums=tuple(int(s) for s in fields["used_seqnums"]),
                 sessions=int(fields["sessions"]),
                 manifest=manifest,
-                statistics=statistics,
-                unknown_payloads=unknown_payloads)
+                unknown_payloads=fields.get("statistics", {}))
         except ArtifactVersionError as exc:
             raise ResumeError(str(exc)) from exc
         except _MALFORMED as exc:
@@ -695,10 +653,10 @@ class DataDirectory:
         return self.savepoints_dir / f"processor_{rank:05d}.bin"
 
     def save_processor_snapshot(self, rank: int, snapshot: MomentSnapshot,
-                                *, session: int | None = None,
-                                statistics: dict[str, Statistic] | None
-                                = None) -> None:
-        """Persist one processor's latest subtotal snapshot durably.
+                                *, session: int | None = None) -> None:
+        """Persist one processor's latest subtotal snapshot durably,
+        extra statistics included, so ``manaver`` recovers every
+        declared statistic, not just the moments.
 
         ``session`` tags the subtotal with the session index that
         produced it.  The tag is what lets ``manaver`` tell a subtotal
@@ -706,16 +664,8 @@ class DataDirectory:
         hit between the save-point rename and the subtotal cleanup)
         from one that still needs recovering — without it, that crash
         window would double-count every realization of the session.
-
-        ``statistics`` mirrors the extra cumulative statistics the
-        worker's latest message carried, so ``manaver`` recovers every
-        declared statistic, not just the moments.
         """
-        tail: dict = {}
-        if session is not None:
-            tail["session"] = int(session)
-        if statistics:
-            tail["statistics"] = payload_map(statistics)
+        tail = {} if session is None else {"session": int(session)}
         path = self.processor_savepoint_path(rank)
         storage.write_sealed(path, PROCESSOR_FORMAT,
                              pack_moments(snapshot, tail, rank=rank),
@@ -732,15 +682,17 @@ class DataDirectory:
                      in self.savepoints_dir.glob("processor_*.bin"))
         return [files[stem] for stem in sorted(files)]
 
-    def load_processor_subtotals(self, *, absorbed_sessions: int | None
-                                 = None) -> dict[int, ProcessorSubtotal]:
-        """Load every healthy per-processor subtotal present on disk.
+    def load_processor_snapshots(self, *, absorbed_sessions: int | None
+                                 = None) -> dict[int, MomentSnapshot]:
+        """Load every healthy per-processor subtotal present on disk,
+        ``{rank: snapshot}``, extra statistics inside.
 
-        A torn or digest-failing subtotal is quarantined and *skipped*
-        with a warning — one bad processor file must not make the whole
-        ``manaver`` recovery abort and lose every other processor's
-        realizations.  Callers can inspect :meth:`quarantined_files`
-        afterwards.
+        A torn, digest-failing or undecodable subtotal (a statistic of
+        another shape than its moments' included) is quarantined and
+        *skipped* with a warning — one bad processor file must not make
+        the whole ``manaver`` recovery abort and lose every other
+        processor's realizations.  Callers can inspect
+        :meth:`quarantined_files` afterwards.
 
         Args:
             absorbed_sessions: When given, subtotals tagged with a
@@ -750,22 +702,19 @@ class DataDirectory:
                 but crashed before cleaning its subtotals up).
                 Untagged (legacy) subtotals are always returned.
         """
-        subtotals: dict[int, ProcessorSubtotal] = {}
+        snapshots: dict[int, MomentSnapshot] = {}
         for path in self._processor_files():
             try:
                 snapshot, fields = _read_snapshot(path, PROCESSOR_FORMAT)
                 session = fields.get("session")
+                session = None if session is None else int(session)
                 if (absorbed_sessions is not None and session is not None
-                        and int(session) <= absorbed_sessions):
+                        and session <= absorbed_sessions):
                     _logger.debug(
                         "subtotal %s already absorbed by the merged "
                         "save-point (session %s)", path.name, session)
                     continue
-                statistics, _unknown = _parse_statistics(fields, path)
-                rank = int(fields["rank"])
-                subtotals[rank] = ProcessorSubtotal(
-                    rank=rank, snapshot=snapshot, statistics=statistics,
-                    session=int(session) if session is not None else None)
+                snapshots[int(fields["rank"])] = snapshot
             except ArtifactVersionError:
                 raise
             except _MALFORMED as exc:
@@ -773,14 +722,7 @@ class DataDirectory:
                 _logger.warning(
                     "skipping corrupt processor save-point %s: %s",
                     path.name, exc)
-        return subtotals
-
-    def load_processor_snapshots(self, *, absorbed_sessions: int | None
-                                 = None) -> dict[int, MomentSnapshot]:
-        """Moment-snapshot view of :meth:`load_processor_subtotals`."""
-        return {rank: subtotal.snapshot for rank, subtotal
-                in self.load_processor_subtotals(
-                    absorbed_sessions=absorbed_sessions).items()}
+        return snapshots
 
     def clear_processor_snapshots(self) -> None:
         """Remove per-processor subtotals (on a clean run completion)."""

@@ -242,8 +242,7 @@ class Job:
         collector = Collector(config, state.base, data,
                               sessions=state.session_index,
                               persist_subtotals=backend.persist_subtotals,
-                              telemetry=telemetry,
-                              base_statistics=state.base_statistics)
+                              telemetry=telemetry)
         self.data = data
         self.state = state
         self.telemetry = telemetry
@@ -435,10 +434,8 @@ class Job:
         elapsed = time.monotonic() - self._wall_started
         collector.save(backend.clock(), elapsed=elapsed)
         merged = collector.merged()
-        merged_statistics = collector.merged_statistics()
         if self.data is not None:
-            finalize_session(self.data, self.state, merged,
-                             statistics=merged_statistics)
+            finalize_session(self.data, self.state, merged)
             self.data.clear_processor_snapshots()
         estimates = collector.estimates() if merged.volume > 0 else None
         sla = (self.sla_snapshot(scheduler_started)
@@ -474,7 +471,7 @@ class Job:
             history=collector.history,
             telemetry=summary,
             recovered_ranks=tuple(self._recovered),
-            statistics=merged_statistics,
+            statistics=dict(merged.extras or {}),
             sla=sla)
         self.status = JobStatus.DONE
         return self.result

@@ -1,12 +1,13 @@
 """Worker-to-collector messages and their cost model.
 
 Workers ship *cumulative* statistic snapshots: each message carries the
-entire summary the worker has accumulated so far — always the moment
-pair ``(sum1, sum2, l_m)``, plus whatever extra
-:class:`~repro.stats.statistic.Statistic` payloads the run declared.
-The collector keeps the latest snapshot per rank, so a lost or
-reordered message costs freshness but never correctness — the same
-robustness the asynchronous PARMONC exchange relies on.
+entire summary the worker has accumulated so far — one
+:class:`~repro.stats.accumulator.MomentSnapshot`, the moment pair
+``(sum1, sum2, l_m)`` with whatever extra
+:class:`~repro.stats.statistic.Statistic` payloads the run declared
+riding inside it.  The collector keeps the latest snapshot per rank, so
+a lost or reordered message costs freshness but never correctness — the
+same robustness the asynchronous PARMONC exchange relies on.
 
 The wire-size model is derived from the statistics actually on the
 message, not from an assumed moment-only shape: every statistic
@@ -19,9 +20,11 @@ entry; 128,064 bytes for the 1000 x 2 performance test — the reported
 The codec lives beside the message: :func:`write_moments` and
 :func:`unpack_moments` are the one binary layout of a cumulative
 snapshot — a fixed little-endian header, ``sum1`` and ``sum2`` as raw
-float64, and a JSON tail only for the rare fields.  It is the body of
-every pass on every hop — pipe, tree edge (:func:`combined_to_payload`)
-or DATA frame of :mod:`repro.runtime.wire` — (:func:`message_to_payload`;
+float64, and a JSON tail only for the rare fields, the extras' payloads
+among them (:func:`take_statistics` is their one reader).  It is the
+body of every pass on every hop — pipe, tree edge
+(:func:`combined_to_payload`) or DATA frame of :mod:`repro.runtime.wire`
+— (:func:`message_to_payload`;
 32,048 bytes for a 1000 x 2 pass, where the cost model above counts the
 derived matrices too) and of every save-point :mod:`repro.runtime.files`
 writes (:func:`pack_moments`).  A forked worker writes its passes with
@@ -35,7 +38,7 @@ import json
 import math
 import struct
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -59,6 +62,7 @@ __all__ = [
     "pack_moments",
     "pass_encoder",
     "payload_is_final",
+    "take_statistics",
     "unpack_moments",
     "write_moments",
 ]
@@ -90,8 +94,9 @@ else:  # a memoryview casts from a native format only
 #: Combined (reducer) body header: entry count, sent_at, head length.
 _COMBINED = struct.Struct("<IdI")
 
-#: The rare fields of a data pass, carried in the block's JSON tail.
-_TAIL_KEYS = frozenset(("job", "metrics", "statistics"))
+#: The rare fields of a data pass, carried in the block's JSON tail
+#: beside the extras' payloads.
+_TAIL_KEYS = frozenset(("job", "metrics"))
 
 
 @dataclass(frozen=True)
@@ -100,7 +105,8 @@ class MomentMessage:
 
     Attributes:
         rank: Sending processor index ``m``.
-        snapshot: Cumulative moments ``(sum1_m, sum2_m, l_m)``.
+        snapshot: Cumulative moments ``(sum1_m, sum2_m, l_m)``, the
+            run's extra statistics riding inside.
         sent_at: Send time in run seconds (virtual under simulation).
         final: True for the worker's last message; the collector uses
             this to detect run completion.
@@ -109,12 +115,6 @@ class MomentMessage:
             :meth:`repro.obs.telemetry.WorkerTelemetry.as_dict`.  Like
             the moment snapshot it is cumulative, so the collector
             keeps the latest per rank and loses nothing to reordering.
-        statistics: Extra cumulative statistics riding the pass, keyed
-            by kind (``None`` — not an empty mapping — for the default
-            moments-only run, keeping its messages byte-identical to
-            the historical format).  Each value is a frozen
-            :class:`~repro.stats.statistic.Statistic` snapshot with
-            the same latest-per-rank semantics as the moments.
         job: Identifier of the owning :class:`~repro.runtime.job.Job`
             when the message travels through a multi-job
             :class:`~repro.runtime.scheduler.Scheduler`; ``None`` on
@@ -127,7 +127,6 @@ class MomentMessage:
     sent_at: float
     final: bool = False
     metrics: dict | None = None
-    statistics: Mapping[str, Statistic] | None = field(default=None)
     job: str | None = None
 
     def __post_init__(self) -> None:
@@ -139,9 +138,7 @@ class MomentMessage:
                 f"message send time must be >= 0, got {self.sent_at}")
 
     def _restamp(self, snapshot: MomentSnapshot, sent_at: float,
-                 final: bool, metrics: dict | None,
-                 statistics: Mapping[str, Statistic] | None
-                 ) -> "MomentMessage":
+                 final: bool, metrics: dict | None) -> "MomentMessage":
         """This message's rank and job on a new pass, built unchecked.
 
         Only for :class:`~repro.runtime.worker.WorkerBody`, whose
@@ -151,16 +148,13 @@ class MomentMessage:
         message = object.__new__(MomentMessage)
         message.__dict__.update(
             rank=self.rank, snapshot=snapshot, sent_at=sent_at, final=final,
-            metrics=metrics, statistics=statistics, job=self.job)
+            metrics=metrics, job=self.job)
         return message
 
     @property
     def nbytes(self) -> int:
         """Modelled wire size, derived from the payloads on board."""
-        extras = (self.statistics.values()
-                  if self.statistics is not None else ())
-        return (_HEADER_BYTES + self.snapshot.nbytes
-                + sum(statistic.nbytes for statistic in extras))
+        return _HEADER_BYTES + self.snapshot.nbytes
 
 
 @dataclass(frozen=True)
@@ -258,8 +252,17 @@ def message_bytes(nrow: int, ncol: int,
             + sum(statistic.nbytes for statistic in statistics))
 
 
-def _tail_json(tail: Mapping) -> bytes:
-    """A block's tail: compact UTF-8 JSON, or nothing when empty."""
+def _tail_json(tail: Mapping,
+               extras: Mapping[str, Statistic] | None = None) -> bytes:
+    """A block's tail: compact UTF-8 JSON, or nothing when empty.
+
+    ``extras`` go last, under ``statistics``, in the versioned
+    :func:`~repro.stats.statistic.payload_map` form, after whatever the
+    tail already holds there (a save-point's unregistered payloads).
+    """
+    if extras:
+        tail = dict(tail, statistics={**tail.get("statistics", {}),
+                                      **payload_map(extras)})
     return (json.dumps(tail, separators=(",", ":")).encode("utf-8")
             if tail else b"")
 
@@ -296,12 +299,13 @@ def write_moments(buffer, sum1: np.ndarray, sum2: np.ndarray, volume: int,
 def pack_moments(snapshot: MomentSnapshot, tail: Mapping, *, flags: int = 0,
                  rank: int = 0, sent_at: float = 0.0) -> bytes:
     """One cumulative snapshot in the binary moment layout
-    (:func:`write_moments`), ``tail`` a JSON object omitted when empty."""
+    (:func:`write_moments`), ``tail`` a JSON object omitted when empty
+    and the snapshot's extras carried in it (:func:`_tail_json`)."""
     if snapshot.sum1.ndim != 2:
         raise WireError(
             f"a moment block carries nrow x ncol moments, got shape "
             f"{snapshot.sum1.shape}")
-    tail_bytes = _tail_json(tail)
+    tail_bytes = _tail_json(tail, snapshot.extras)
     buffer = bytearray(_BODY.size + 16 * snapshot.sum1.size
                        + len(tail_bytes))
     write_moments(buffer, snapshot.sum1, snapshot.sum2, snapshot.volume,
@@ -314,12 +318,13 @@ def unpack_moments(body: bytes
                    ) -> tuple[int, int, float, MomentSnapshot, dict]:
     """Inverse of :func:`pack_moments`.
 
-    Returns ``(flags, rank, sent_at, snapshot, tail)``.  The bytes come
-    from another host or from a disk that may have rotted: the length
-    is checked against the announced shape and tail length before
-    anything is allocated, and every way the block can be malformed
-    raises :class:`WireError`.  What the tail may *hold* is the
-    caller's to judge.
+    Returns ``(flags, rank, sent_at, snapshot, tail)``, the snapshot's
+    extras read out of the tail by :func:`take_statistics`.  The bytes
+    come from another host or from a disk that may have rotted: the
+    length is checked against the announced shape and tail length
+    before anything is allocated, and every way the block can be
+    malformed raises :class:`WireError`.  What else the tail may *hold*
+    is the caller's to judge.
     """
     if len(body) < _BODY.size:
         raise WireError(
@@ -342,30 +347,56 @@ def unpack_moments(body: bytes
         tail = json.loads(bytes(body[tail_at:])) if tail_len else {}
         if not isinstance(tail, dict):
             raise WireError("moment block tail is not a JSON object")
+        extras = take_statistics(tail, (nrow, ncol))
         moments = np.frombuffer(body, dtype="<f8", count=2 * entries,
                                 offset=_BODY.size).astype(np.float64)
         snapshot = MomentSnapshot(
             sum1=moments[:entries].reshape(nrow, ncol),
             sum2=moments[entries:].reshape(nrow, ncol),
-            volume=volume, compute_time=compute_time)
-    except (ValueError, RecursionError, ConfigurationError) as exc:
+            volume=volume, compute_time=compute_time, extras=extras)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError,
+            OverflowError, RecursionError, ConfigurationError) as exc:
         raise WireError(f"malformed moment block: {exc}") from exc
     return flags, rank, sent_at, snapshot, tail
 
 
-def _pass_tail(job: str | None = None, metrics: dict | None = None,
-              statistics: Mapping[str, Statistic] | None = None) -> dict:
-    """The tail of a data pass: what it carries of a job tag, worker
-    telemetry and extra statistics (in the versioned
-    :func:`~repro.stats.statistic.payload_map` form the save-points
-    use), in that order; empty — no tail at all — for none."""
+def take_statistics(tail: dict, shape: tuple[int, int]
+                    ) -> dict[str, Statistic] | None:
+    """Read a block's extras out of its decoded ``tail``.
+
+    The one parser of a tail's ``statistics`` map, on the wire and on
+    disk alike: each registered kind must announce the moments'
+    ``shape`` (see :func:`~repro.stats.statistic
+    .statistics_from_payload_map`).  Returns their statistics (None when
+    there are none); the raw payloads of unregistered kinds stay in
+    ``tail`` under ``statistics``, for the caller to refuse (a data
+    pass) or keep verbatim (a save-point).
+
+    Raises:
+        WireError: On a map that is not an object.
+        ConfigurationError: On a registered kind's payload of another
+            shape, or malformed.
+    """
+    if "statistics" not in tail:
+        return None
+    payloads = tail.pop("statistics")
+    if not isinstance(payloads, dict):
+        raise WireError("statistics map is not an object")
+    extras, unknown = statistics_from_payload_map(payloads, shape)
+    if unknown:
+        tail["statistics"] = {kind: payloads[kind] for kind in unknown}
+    return extras or None
+
+
+def _pass_tail(job: str | None = None, metrics: dict | None = None
+               ) -> dict:
+    """The tail of a data pass before its extras: what it carries of a
+    job tag and worker telemetry, in that order; empty for none."""
     tail = {}
     if job is not None:
         tail["job"] = job
     if metrics is not None:
         tail["metrics"] = metrics
-    if statistics is not None:
-        tail["statistics"] = payload_map(statistics)
     return tail
 
 
@@ -373,8 +404,7 @@ def message_to_payload(message: MomentMessage) -> bytes:
     """Serialize a data pass: its snapshot through :func:`pack_moments`,
     its rare fields in the :func:`_pass_tail`."""
     return pack_moments(message.snapshot,
-                        _pass_tail(message.job, message.metrics,
-                                  message.statistics),
+                        _pass_tail(message.job, message.metrics),
                         flags=_FLAG_FINAL if message.final else 0,
                         rank=message.rank, sent_at=message.sent_at)
 
@@ -384,11 +414,11 @@ def pass_encoder(rank: int, job: str | None = None
     """The encoder of one rank's data passes into one reused buffer.
 
     ``encode(sum1, sum2, volume, compute_time, sent_at, final, metrics,
-    statistics)`` writes the bytes :func:`message_to_payload` makes of
-    the pass those fields describe — from the live sums, one copy — and
+    extras)`` writes the bytes :func:`message_to_payload` makes of the
+    pass those fields describe — from the live sums, one copy — and
     returns the buffer, valid until its next call.  The job tag's JSON
     is encoded once, here; the tail is rebuilt only for a pass that
-    carries metrics or statistics.
+    carries metrics or extras.
     """
     job_tail = _tail_json(_pass_tail(job))
     buffer = bytearray()
@@ -396,10 +426,10 @@ def pass_encoder(rank: int, job: str | None = None
     def encode(sum1: np.ndarray, sum2: np.ndarray, volume: int,
                compute_time: float, sent_at: float, final: bool,
                metrics: dict | None,
-               statistics: Mapping[str, Statistic] | None) -> bytearray:
+               extras: Mapping[str, Statistic] | None) -> bytearray:
         nonlocal buffer
-        tail = (job_tail if metrics is None and statistics is None
-                else _tail_json(_pass_tail(job, metrics, statistics)))
+        tail = (job_tail if metrics is None and extras is None
+                else _tail_json(_pass_tail(job, metrics), extras))
         size = _BODY.size + 16 * sum1.size + len(tail)
         if len(buffer) != size:
             buffer = bytearray(size)
@@ -420,14 +450,19 @@ def payload_is_final(body: bytes) -> bool:
 def message_from_payload(body: bytes) -> MomentMessage:
     """Rebuild a :class:`MomentMessage` from its binary layout.
 
-    :func:`unpack_moments` vouches for the block's structure; this
-    adds what only a data pass promises — known flags, a tail of
-    ``job``/``metrics``/``statistics``, statistics of the pass's own
-    shape and of kinds registered here.
+    :func:`unpack_moments` vouches for the block's structure and its
+    extras' shapes; this adds what only a data pass promises — known
+    flags, a tail of ``job``/``metrics``, and statistics of kinds
+    registered here.
     """
     flags, rank, sent_at, snapshot, tail = unpack_moments(body)
     if flags & ~_FLAG_FINAL:
         raise WireError(f"data pass carries unknown flags {flags:#x}")
+    if "statistics" in tail:
+        raise WireError(
+            f"data frame carries unregistered statistic kinds "
+            f"{tuple(tail['statistics'])}; register them on the "
+            f"collector side")
     if not _TAIL_KEYS.issuperset(tail):
         raise WireError("data pass tail is not an object of "
                         "job/metrics/statistics")
@@ -436,29 +471,10 @@ def message_from_payload(body: bytes) -> MomentMessage:
             or not isinstance(metrics, (dict, type(None))):
         raise WireError("data pass tail has a mistyped job or metrics")
     try:
-        statistics = None
-        if "statistics" in tail:
-            for kind, entry in tail["statistics"].items():
-                # A statistic allocates what its shape announces; only
-                # the pass's own, length-checked shape is believed.
-                if entry.get("shape") != list(snapshot.shape):
-                    raise WireError(
-                        f"statistic {kind!r} does not share the pass's "
-                        f"{snapshot.shape[0]}x{snapshot.shape[1]} shape")
-            statistics, unknown = statistics_from_payload_map(
-                tail["statistics"])
-            if unknown:
-                raise WireError(
-                    f"data frame carries unregistered statistic kinds "
-                    f"{unknown}; register them on the collector side")
         return MomentMessage(
             rank=rank, snapshot=snapshot, sent_at=sent_at,
-            final=bool(flags & _FLAG_FINAL), metrics=metrics,
-            statistics=statistics, job=job)
-    except WireError:
-        raise
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError,
-            OverflowError, RecursionError, ConfigurationError) as exc:
+            final=bool(flags & _FLAG_FINAL), metrics=metrics, job=job)
+    except ConfigurationError as exc:
         raise WireError(f"malformed data pass: {exc}") from exc
 
 

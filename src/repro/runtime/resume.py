@@ -24,7 +24,6 @@ from repro.exceptions import ResumeError, SupersededSampleWarning
 from repro.runtime.config import RunConfig
 from repro.runtime.files import DataDirectory, genparam_fingerprint
 from repro.stats.accumulator import MomentSnapshot
-from repro.stats.statistic import Statistic
 
 __all__ = ["ResumeState", "build_manifest", "prepare_resume",
            "finalize_session"]
@@ -56,18 +55,14 @@ class ResumeState:
     """What a session starts from.
 
     Attributes:
-        base: Moments inherited from previous sessions (zero for a new
-            simulation).
+        base: The sample inherited from previous sessions, its extra
+            statistics inside (zero for a new simulation).
         used_seqnums: Every ``seqnum`` consumed so far, including the
             current session's and those of superseded samples.
         session_index: 1 for a fresh simulation, previous count + 1 when
             resuming.
         manifest: The current session's manifest, persisted with the
             save-point at finalize time.
-        base_statistics: Extra statistics inherited from previous
-            sessions, keyed by kind (empty for a new simulation) —
-            they merge under the new session's extras exactly like
-            ``base`` merges under the moments.
         unknown_payloads: Raw statistic payloads of unregistered kinds
             found in the loaded save-point; carried forward verbatim
             at finalize time so resuming never destroys them.
@@ -77,7 +72,6 @@ class ResumeState:
     used_seqnums: tuple[int, ...]
     session_index: int
     manifest: dict | None = field(default=None)
-    base_statistics: dict[str, Statistic] = field(default_factory=dict)
     unknown_payloads: dict[str, dict] = field(default_factory=dict)
 
 
@@ -155,20 +149,17 @@ def prepare_resume(config: RunConfig, data: DataDirectory) -> ResumeState:
         used_seqnums=tuple(meta.used_seqnums) + (config.seqnum,),
         session_index=meta.sessions + 1,
         manifest=manifest,
-        base_statistics=dict(meta.statistics),
         unknown_payloads=dict(meta.unknown_payloads))
 
 
 def finalize_session(data: DataDirectory, state: ResumeState,
-                     merged: MomentSnapshot,
-                     statistics: dict[str, Statistic] | None = None
-                     ) -> None:
+                     merged: MomentSnapshot) -> None:
     """Persist the merged result as the save-point for future sessions.
 
-    ``statistics`` is the session's merged extra-statistic map (the
-    collector's :meth:`~repro.runtime.collector.Collector
-    .merged_statistics`); unknown-kind payloads inherited from the
-    previous save-point are rewritten verbatim beside them.
+    ``merged`` carries the session's merged extra statistics (the
+    collector's :meth:`~repro.runtime.collector.Collector.merged`);
+    unknown-kind payloads inherited from the previous save-point are
+    rewritten verbatim beside them.
     """
     if merged.shape != state.base.shape:
         raise ResumeError(
@@ -177,5 +168,4 @@ def finalize_session(data: DataDirectory, state: ResumeState,
     data.save_savepoint(merged, used_seqnums=state.used_seqnums,
                         sessions=state.session_index,
                         manifest=state.manifest,
-                        statistics=statistics,
                         extra_payloads=state.unknown_payloads)

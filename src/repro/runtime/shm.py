@@ -167,8 +167,9 @@ class ShmRing:
             return False
         extra = b""
         flags = _FLAG_FINAL if message.final else 0
-        if message.metrics is not None or message.statistics is not None:
-            extra = pickle.dumps((message.metrics, message.statistics),
+        extras = message.snapshot.extras
+        if message.metrics is not None or extras is not None:
+            extra = pickle.dumps((message.metrics, extras),
                                  protocol=pickle.HIGHEST_PROTOCOL)
             if len(extra) > self._extra_cap:
                 return False
@@ -215,10 +216,10 @@ class ShmRing:
                              count=2 * self._matrix, offset=arrays)
         sum1 = view[:self._matrix].reshape(shape).copy()
         sum2 = view[self._matrix:].reshape(shape).copy()
-        metrics = statistics = None
+        metrics = extras = None
         if flags & _FLAG_EXTRA:
             extra_at = arrays + 16 * self._matrix
-            metrics, statistics = pickle.loads(
+            metrics, extras = pickle.loads(
                 bytes(buf[extra_at:extra_at + extra_len]))
         del view
         self._write_word(_TAIL_OFFSET, tail + 1)
@@ -226,9 +227,10 @@ class ShmRing:
             rank=int(rank),
             snapshot=MomentSnapshot(sum1=sum1, sum2=sum2,
                                     volume=int(volume),
-                                    compute_time=compute_time),
+                                    compute_time=compute_time,
+                                    extras=extras),
             sent_at=sent_at, final=bool(flags & _FLAG_FINAL),
-            metrics=metrics, statistics=statistics)
+            metrics=metrics)
 
 
 def _tracker(action, segment) -> None:

@@ -11,8 +11,8 @@ The worker accumulates the run's declared
 :class:`~repro.stats.statistic.StatisticSet`: always the moment pair,
 plus any extra mergeable statistics from ``config.statistics``
 (covariance, histogram, ...), whose frozen snapshots ride each data
-pass on the message's ``statistics`` field.  A moments-only run takes
-exactly the historical code path.
+pass inside its moment snapshot (``snapshot.extras``).  A moments-only
+run takes exactly the historical code path.
 
 Routines carrying a ``batch_size`` attribute (see :func:`batch_routine`
 and :func:`make_batched`) take the batched fast path instead: the worker
@@ -370,8 +370,8 @@ class WorkerBody:
         def message(sent_at: float, final: bool) -> MomentMessage:
             metrics = book(sent_at)
             return template._restamp(
-                accumulator.snapshot(), sent_at, final, metrics,
-                statistics.extras_snapshot())
+                accumulator.snapshot(statistics.extras_snapshot()), sent_at,
+                final, metrics)
 
         write = pass_encoder(rank, job)
 

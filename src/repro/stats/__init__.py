@@ -26,8 +26,6 @@ from repro.stats.estimators import (
 from repro.stats.merging import (
     combine_estimates,
     merge_snapshots,
-    merge_statistic_maps,
-    merge_statistics,
 )
 from repro.stats.statistic import (
     DEFAULT_STATISTICS,
@@ -35,7 +33,6 @@ from repro.stats.statistic import (
     Covariance,
     Extrema,
     Histogram,
-    Moments,
     Statistic,
     StatisticSet,
     create_statistic,
@@ -55,8 +52,6 @@ __all__ = [
     "Estimates",
     "estimates_from_moments",
     "merge_snapshots",
-    "merge_statistics",
-    "merge_statistic_maps",
     "combine_estimates",
     "computational_cost",
     "confidence_factor",
@@ -71,7 +66,6 @@ __all__ = [
     "DEFAULT_STATISTICS",
     "Statistic",
     "StatisticSet",
-    "Moments",
     "Covariance",
     "Histogram",
     "Extrema",

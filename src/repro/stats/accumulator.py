@@ -5,16 +5,23 @@ realization it adds the realization matrix, and on each ``perpass`` tick
 it ships a :class:`MomentSnapshot` to the collector.  Snapshots are plain
 data (sums, not means) precisely so that formula (5) averaging on the
 collector is an exact sum — no precision is lost by averaging averages.
+A run's extra statistics ride inside the snapshot (``extras``), so one
+value is what a worker ships, the collector keeps, save-points hold and
+:func:`~repro.stats.merging.merge_snapshots` folds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.stats.estimators import Estimates, estimates_from_moments
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.stats.statistic import Statistic
 
 __all__ = ["MOMENT_WORDS_PER_ENTRY", "MomentSnapshot", "MomentAccumulator"]
 
@@ -36,18 +43,28 @@ class MomentSnapshot:
         sum2: Elementwise squared-realization sums.
         volume: Number of realizations accumulated (``l_m``).
         compute_time: Seconds of simulation time behind this snapshot.
+        extras: Frozen copies of the run's extra statistics over the
+            same sample, keyed by kind; None (not an empty mapping) for
+            a moments-only run, whose bytes everywhere stay the
+            historical ones.
     """
 
     sum1: np.ndarray
     sum2: np.ndarray
     volume: int
     compute_time: float = 0.0
+    extras: Mapping[str, "Statistic"] | None = None
 
     def __post_init__(self) -> None:
         if self.sum1.shape != self.sum2.shape:
             raise ConfigurationError(
                 f"snapshot moment shapes differ: {self.sum1.shape} vs "
                 f"{self.sum2.shape}")
+        for kind, statistic in (self.extras or {}).items():
+            if statistic.shape != self.sum1.shape:
+                raise ConfigurationError(
+                    f"statistic {kind!r} has shape {statistic.shape}, "
+                    f"the moments {self.sum1.shape}")
         if self.volume < 0:
             raise ConfigurationError(
                 f"snapshot volume must be >= 0, got {self.volume}")
@@ -63,7 +80,8 @@ class MomentSnapshot:
 
         Only for :meth:`MomentAccumulator.snapshot`: an accumulator
         already holds what the checks prove (sums of one shape, volume
-        and compute time never negative).
+        and compute time never negative).  ``extras`` stays the class
+        default, None.
         """
         snapshot = object.__new__(cls)
         snapshot.__dict__.update(sum1=sum1, sum2=sum2, volume=volume,
@@ -77,8 +95,10 @@ class MomentSnapshot:
 
     @property
     def nbytes(self) -> int:
-        """Modelled wire size of the snapshot (cost-model bytes)."""
-        return 8 * MOMENT_WORDS_PER_ENTRY * self.sum1.size
+        """Modelled wire size of the snapshot (cost-model bytes): the
+        moments, plus each extra statistic's own ``nbytes``."""
+        return 8 * MOMENT_WORDS_PER_ENTRY * self.sum1.size + sum(
+            statistic.nbytes for statistic in (self.extras or {}).values())
 
     def estimates(self) -> Estimates:
         """Turn the snapshot into result matrices (requires volume > 0)."""
@@ -310,11 +330,17 @@ class MomentAccumulator:
         next fold (an encoder writing a pass; :meth:`snapshot` copies)."""
         return self._sum1, self._sum2
 
-    def snapshot(self) -> MomentSnapshot:
-        """Return an immutable copy of the current moments."""
-        return MomentSnapshot._trusted(
+    def snapshot(self, extras: Mapping[str, "Statistic"] | None = None
+                 ) -> MomentSnapshot:
+        """Return an immutable copy of the current moments, carrying
+        ``extras`` — frozen statistics over the same sample (see
+        :meth:`~repro.stats.statistic.StatisticSet.extras_snapshot`),
+        checked against the moments' shape."""
+        snapshot = MomentSnapshot._trusted(
             self._sum1.copy(), self._sum2.copy(), self._volume,
             self._compute_time)
+        return snapshot if extras is None else replace(snapshot,
+                                                       extras=extras)
 
     def reset(self) -> None:
         """Zero the accumulator (used after shipping a delta snapshot)."""

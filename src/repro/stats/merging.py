@@ -10,16 +10,14 @@ and likewise for the second moments.  Because snapshots carry *sums*,
 merging is exact and associative: merging two sessions of a resumed
 simulation is the same arithmetic as merging two processors.
 
-This module is the single source of truth for those pairwise folds —
-the collector, ``manaver`` recovery and session resumption all merge
-through it, for plain moment snapshots (:func:`merge_snapshots`) and
-for the generalized :class:`~repro.stats.statistic.Statistic` payloads
-(:func:`merge_statistics`, :func:`merge_statistic_maps`) alike.
+:func:`merge_snapshots` is the one fold: the collector, ``manaver``
+recovery and session resumption all merge through it, and the extra
+statistics riding inside each snapshot fold with the moments.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence, TYPE_CHECKING
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -27,33 +25,39 @@ from repro.exceptions import ConfigurationError
 from repro.stats.accumulator import MomentSnapshot
 from repro.stats.estimators import Estimates, estimates_from_moments
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.stats.statistic import Statistic
-
-__all__ = ["merge_snapshots", "merge_statistics", "merge_statistic_maps",
-           "combine_estimates"]
+__all__ = ["merge_snapshots", "combine_estimates"]
 
 
 def merge_snapshots(snapshots: Iterable[MomentSnapshot]) -> MomentSnapshot:
     """Merge snapshots from processors and/or sessions into one.
 
+    The extras fold in the same pass, strictly in iteration order: the
+    first statistic of each kind is snapshotted and the later ones are
+    merged into the copy.  Kinds form the union of every input's — a
+    statistic only some sources carry (a resumed run that dropped a
+    kind, a partially delivered subtotal) survives with whatever sample
+    it covers.  Callers pass rank- or session-ordered inputs, so float
+    sums come out bit-identical on every backend.  No input is mutated
+    or aliased.
+
     Args:
         snapshots: Any number of snapshots with identical shapes.
 
     Returns:
-        A snapshot whose moments are the elementwise sums and whose
-        volume is the total sample volume ``L``.
+        A snapshot whose moments are the elementwise sums, whose volume
+        is the total sample volume ``L``, and whose extras are the
+        merged statistics (None when no input carries any).
 
     Raises:
-        ConfigurationError: If no snapshot is supplied or shapes differ.
+        ConfigurationError: If no snapshot is supplied, or shapes, or
+            the kinds or binning of two statistics, differ.
     """
     merged_sum1: np.ndarray | None = None
     merged_sum2: np.ndarray | None = None
     volume = 0
     compute_time = 0.0
-    count = 0
+    extras = None
     for snapshot in snapshots:
-        count += 1
         if merged_sum1 is None:
             # One fresh float64 copy each: the merge never aliases an input.
             merged_sum1 = np.array(snapshot.sum1, dtype=np.float64)
@@ -67,55 +71,19 @@ def merge_snapshots(snapshots: Iterable[MomentSnapshot]) -> MomentSnapshot:
             merged_sum2 += snapshot.sum2
         volume += snapshot.volume
         compute_time += snapshot.compute_time
-    if count == 0 or merged_sum1 is None:
+        if snapshot.extras:
+            if extras is None:
+                extras = {}
+            for kind, statistic in snapshot.extras.items():
+                if kind in extras:
+                    extras[kind].merge(statistic)
+                else:
+                    extras[kind] = statistic.snapshot()
+    if merged_sum1 is None:
         raise ConfigurationError("merge_snapshots needs at least one snapshot")
     return MomentSnapshot(sum1=merged_sum1, sum2=merged_sum2,
-                          volume=volume, compute_time=compute_time)
-
-
-def merge_statistics(statistics: Iterable["Statistic"]) -> "Statistic":
-    """Merge statistics of one kind into a fresh cumulative total.
-
-    The inputs are never mutated: the first statistic is snapshotted
-    and the rest are folded into the copy, strictly in iteration
-    order — the generalized formula-(5) fold, so rank-ordered inputs
-    give bit-identical totals on every backend.
-
-    Raises:
-        ConfigurationError: If no statistic is supplied, or kinds or
-            shapes differ.
-    """
-    merged = None
-    for statistic in statistics:
-        if merged is None:
-            merged = statistic.snapshot()
-        else:
-            merged.merge(statistic)
-    if merged is None:
-        raise ConfigurationError(
-            "merge_statistics needs at least one statistic")
-    return merged
-
-
-def merge_statistic_maps(
-        maps: Sequence[Mapping[str, "Statistic"]]
-        ) -> dict[str, "Statistic"]:
-    """Merge ``{kind: statistic}`` maps from processors or sessions.
-
-    Kinds form the union of all maps — a statistic only some sources
-    carry (a resumed run that dropped a kind, a partially-delivered
-    subtotal) still survives with whatever sample it covers.  Within a
-    kind the merge order is the order of ``maps``, so callers pass
-    rank- or session-ordered sequences for reproducible totals.
-    """
-    merged: dict[str, "Statistic"] = {}
-    for statistics in maps:
-        for kind, statistic in statistics.items():
-            if kind in merged:
-                merged[kind].merge(statistic)
-            else:
-                merged[kind] = statistic.snapshot()
-    return merged
+                          volume=volume, compute_time=compute_time,
+                          extras=extras)
 
 
 def combine_estimates(snapshots: Sequence[MomentSnapshot]) -> Estimates:

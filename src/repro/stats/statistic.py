@@ -1,13 +1,15 @@
 """Mergeable statistics: the generalized worker-to-collector payload.
 
-PARMONC's exchange historically shipped exactly one summary — the
-cumulative moment pair ``(sum1, sum2, l_m)``.  This module generalizes
-that into a :class:`Statistic` protocol: a mergeable, serializable
-cumulative summary of a sample of realization matrices.  Anything that
-satisfies the protocol can ride the existing exchange end-to-end —
+PARMONC's exchange ships one summary — the cumulative moment pair
+``(sum1, sum2, l_m)`` of a :class:`~repro.stats.accumulator
+.MomentSnapshot`.  This module adds a :class:`Statistic` protocol: a
+mergeable, serializable cumulative summary of a sample of realization
+matrices.  A run's extra statistics ride *inside* the moment snapshot
+(its ``extras``), so they travel the existing exchange end-to-end —
 worker accumulation, message payloads, collector merging, save-points,
-``manaver`` recovery and ``parmonc-report`` rendering — because every
-layer of the runtime talks to the protocol, not to moments.
+``manaver`` recovery and ``parmonc-report`` rendering — as one value
+with the moments.  ``"moments"`` itself is the reserved kind every
+selection starts with; it is the snapshot, not a :class:`Statistic`.
 
 A statistic must be
 
@@ -22,7 +24,7 @@ A statistic must be
 * **costed** — ``nbytes`` models the statistic's wire size, feeding
   the simulated cluster's exchange cost model.
 
-Four implementations ship besides the default :class:`Moments`:
+Four implementations ship beside the moments:
 :class:`Covariance` (full cross-moments of the flattened entries),
 :class:`Histogram` (fixed-bin counts with underflow/overflow),
 :class:`Extrema` (per-entry min/max) and :class:`Counter` (per-entry
@@ -32,9 +34,9 @@ sign counts).  User statistics register with
 
 Batched accumulation (``update`` with ``count > 1``) is bit-identical
 to repeated single updates for every shipped statistic: integer and
-min/max folds are associative exactly, :class:`Moments` folds with the
+min/max folds are associative exactly (the moments fold with the
 strictly sequential chunked reduction of
-:meth:`~repro.stats.accumulator.MomentAccumulator.add_batch`, and
+:meth:`~repro.stats.accumulator.MomentAccumulator.add_batch`), and
 :class:`Covariance` stages rows in fixed blocks (1 024 rows, fewer for
 wide matrices) and reduces each full block pairwise, so its block
 boundaries depend only on the realization index.  All backends
@@ -52,11 +54,7 @@ from typing import ClassVar, Mapping, Sequence
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.stats.accumulator import (
-    MOMENT_WORDS_PER_ENTRY,
-    MomentAccumulator,
-    MomentSnapshot,
-)
+from repro.stats.accumulator import MomentAccumulator
 from repro.stats.covariance import CovarianceAccumulator
 
 __all__ = [
@@ -65,7 +63,6 @@ __all__ = [
     "Covariance",
     "Extrema",
     "Histogram",
-    "Moments",
     "Statistic",
     "StatisticSet",
     "create_statistic",
@@ -78,8 +75,11 @@ __all__ = [
     "statistics_from_payload_map",
 ]
 
+#: The reserved kind of the moment pair, first in every selection.
+MOMENTS = "moments"
+
 #: The statistics every run tracks unless told otherwise.
-DEFAULT_STATISTICS: tuple[str, ...] = ("moments",)
+DEFAULT_STATISTICS: tuple[str, ...] = (MOMENTS,)
 
 
 class Statistic:
@@ -286,7 +286,8 @@ def register_statistic(cls: type[Statistic]) -> type[Statistic]:
     Usable as a decorator.  Registered kinds are what
     ``parmonc(statistics=[...])`` and ``--statistics`` accept, and what
     save-point payloads deserialize through.  Re-registering the same
-    class is a no-op; claiming another class's kind is an error.
+    class is a no-op; claiming another class's kind, or the reserved
+    ``"moments"``, is an error.
 
     Example:
         >>> @register_statistic                         # doctest: +SKIP
@@ -298,6 +299,10 @@ def register_statistic(cls: type[Statistic]) -> type[Statistic]:
         raise ConfigurationError(
             f"statistic class {cls.__name__} must define a non-empty "
             f"'kind' attribute")
+    if kind == MOMENTS:
+        raise ConfigurationError(
+            f"statistic kind {MOMENTS!r} is reserved for the moment "
+            f"pair every run carries")
     existing = _REGISTRY.get(kind)
     if existing is not None and existing is not cls:
         raise ConfigurationError(
@@ -308,8 +313,9 @@ def register_statistic(cls: type[Statistic]) -> type[Statistic]:
 
 
 def statistic_kinds() -> tuple[str, ...]:
-    """Every registered statistic kind, in registration order."""
-    return tuple(_REGISTRY)
+    """Every selectable kind: ``"moments"``, then the registered
+    statistics in registration order."""
+    return (MOMENTS, *_REGISTRY)
 
 
 def statistic_class(kind: str) -> type[Statistic]:
@@ -318,7 +324,7 @@ def statistic_class(kind: str) -> type[Statistic]:
     if cls is None:
         raise ConfigurationError(
             f"unknown statistic kind {kind!r}; registered kinds: "
-            f"{statistic_kinds()}")
+            f"{tuple(_REGISTRY)}")
     return cls
 
 
@@ -351,10 +357,11 @@ def normalize_statistics(spec) -> tuple[str, ...]:
         if not isinstance(part, str):
             raise ConfigurationError(
                 f"statistic kinds must be strings, got {part!r}")
-        statistic_class(part)
-        if part != Moments.kind and part not in extras:
-            extras.append(part)
-    return (Moments.kind, *extras)
+        if part != MOMENTS:
+            statistic_class(part)
+            if part not in extras:
+                extras.append(part)
+    return (MOMENTS, *extras)
 
 
 def statistic_from_payload(payload: dict) -> Statistic:
@@ -370,7 +377,7 @@ def statistic_from_payload(payload: dict) -> Statistic:
 
 
 def statistics_from_payload_map(
-        payloads: Mapping[str, dict]
+        payloads: Mapping[str, dict], shape: tuple[int, int] | None = None
         ) -> tuple[dict[str, Statistic], tuple[str, ...]]:
     """Deserialize a ``{kind: payload}`` map from a save-point.
 
@@ -379,6 +386,14 @@ def statistics_from_payload_map(
     version or by a custom statistic that is not imported here.  The
     caller decides how loudly to surface the unknowns; they are never
     silently invented or destroyed (the artifact keeps them).
+
+    ``shape``, when given, is the moments' ``(nrow, ncol)``: every
+    registered kind's payload must announce it before it is built — a
+    statistic allocates what its shape announces.
+
+    Raises:
+        ConfigurationError: On a payload filed under another kind's
+            name, of another shape, or malformed.
     """
     statistics: dict[str, Statistic] = {}
     unknown: list[str] = []
@@ -386,7 +401,16 @@ def statistics_from_payload_map(
         if kind not in _REGISTRY:
             unknown.append(kind)
             continue
-        statistics[kind] = statistic_from_payload(payload)
+        if not isinstance(payload, dict):
+            raise ConfigurationError(
+                f"statistic {kind!r} payload is not an object")
+        if shape is not None and payload.get("shape") != list(shape):
+            raise ConfigurationError(
+                f"statistic {kind!r} does not share the moments' "
+                f"{shape[0]}x{shape[1]} shape")
+        # The class filed under this name: a payload tagged with
+        # another kind is malformed, not silently kept under this one.
+        statistics[kind] = statistic_class(kind).from_payload(payload)
     return statistics, tuple(unknown)
 
 
@@ -398,83 +422,6 @@ def payload_map(statistics: Mapping[str, Statistic]) -> dict[str, dict]:
 
 # ---------------------------------------------------------------------------
 # Implementations
-
-
-@register_statistic
-class Moments(Statistic):
-    """The default statistic: cumulative first and second moments.
-
-    A thin protocol adapter over
-    :class:`~repro.stats.accumulator.MomentAccumulator` — same
-    arithmetic, same batched fast path, bit-identical to the
-    historical pipeline.  The wire/persistence format is exactly the
-    :class:`~repro.stats.accumulator.MomentSnapshot` dictionary plus
-    the protocol envelope.
-    """
-
-    kind = "moments"
-
-    def __init__(self, nrow: int, ncol: int) -> None:
-        super().__init__(nrow, ncol)
-        self._accumulator = MomentAccumulator(nrow, ncol)
-
-    @property
-    def accumulator(self) -> MomentAccumulator:
-        """The wrapped accumulator (the worker hot loop's view)."""
-        return self._accumulator
-
-    @property
-    def volume(self) -> int:
-        return self._accumulator.volume
-
-    def update(self, values, count: int = 1,
-               compute_time: float = 0.0) -> None:
-        if count == 1:
-            self._accumulator.add(values, compute_time=compute_time)
-        else:
-            self._accumulator.add_batch(values, compute_time=compute_time)
-
-    def merge(self, other: "Statistic") -> None:
-        if other.kind != self.kind:
-            raise ConfigurationError(
-                f"cannot merge statistic kind {other.kind!r} into "
-                f"{self.kind!r}")
-        self._accumulator.merge_snapshot(other.moment_snapshot())
-
-    def moment_snapshot(self) -> MomentSnapshot:
-        """The plain :class:`MomentSnapshot` view of the state."""
-        return self._accumulator.snapshot()
-
-    @classmethod
-    def from_snapshot(cls, snapshot: MomentSnapshot) -> "Moments":
-        """Adapt an existing snapshot into the protocol."""
-        moments = cls(*snapshot.shape)
-        moments._accumulator.merge_snapshot(snapshot)
-        return moments
-
-    def snapshot(self) -> "Moments":
-        return Moments.from_snapshot(self.moment_snapshot())
-
-    def to_payload(self) -> dict:
-        payload = {"kind": self.kind, "shape": list(self._shape)}
-        payload.update(self._accumulator.snapshot().to_dict())
-        return payload
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Moments":
-        if payload.get("kind") != cls.kind:
-            raise ConfigurationError(
-                f"payload kind {payload.get('kind')!r} is not "
-                f"{cls.kind!r}")
-        return cls.from_snapshot(MomentSnapshot.from_dict(payload))
-
-    def describe(self) -> str:
-        return (f"moments: volume={self.volume} "
-                f"(mean/variance source, shape "
-                f"{self._shape[0]}x{self._shape[1]})")
-
-    def _words(self) -> int:
-        return MOMENT_WORDS_PER_ENTRY * self._size
 
 
 @register_statistic
@@ -852,45 +799,40 @@ class Counter(Statistic):
 class StatisticSet:
     """The statistics one worker accumulates and ships.
 
-    Owns the run's declared statistics — the mandatory
-    :class:`Moments` first, then the extras — and presents the two
-    operations the worker loops need: fold a realization (or batch)
+    Owns the run's moment accumulator and its extras, and presents the
+    two operations the worker loops need: fold a realization (or batch)
     into everything, and snapshot the extras for a data pass.  With no
     extras declared, both collapse to exactly the historical
     moment-only code path.
     """
 
-    def __init__(self, statistics: Sequence[Statistic]) -> None:
-        if not statistics or not isinstance(statistics[0], Moments):
-            raise ConfigurationError(
-                "a StatisticSet starts with the mandatory Moments "
-                "statistic")
-        shape = statistics[0].shape
-        for statistic in statistics[1:]:
-            if statistic.shape != shape:
+    def __init__(self, moments: MomentAccumulator,
+                 extras: Sequence[Statistic] = ()) -> None:
+        for statistic in extras:
+            if statistic.shape != moments.shape:
                 raise ConfigurationError(
                     f"statistic {statistic.kind!r} has shape "
-                    f"{statistic.shape}, expected {shape}")
-        self._moments = statistics[0]
-        self._extras = tuple(statistics[1:])
-        self._shape = shape
+                    f"{statistic.shape}, expected {moments.shape}")
+        self._moments = moments
+        self._extras = tuple(extras)
 
     @classmethod
     def for_run(cls, kinds: Sequence[str], nrow: int,
                 ncol: int) -> "StatisticSet":
         """Instantiate the declared kinds for an ``nrow x ncol`` run."""
         kinds = normalize_statistics(kinds)
-        return cls([create_statistic(kind, nrow, ncol) for kind in kinds])
+        return cls(MomentAccumulator(nrow, ncol),
+                   [create_statistic(kind, nrow, ncol) for kind in kinds[1:]])
 
     @property
     def shape(self) -> tuple[int, int]:
         """``(nrow, ncol)`` of the realization matrix."""
-        return self._shape
+        return self._moments.shape
 
     @property
     def moments(self) -> MomentAccumulator:
         """The moment accumulator (the worker hot loop's handle)."""
-        return self._moments.accumulator
+        return self._moments
 
     @property
     def extras(self) -> tuple[Statistic, ...]:
@@ -900,8 +842,7 @@ class StatisticSet:
     @property
     def kinds(self) -> tuple[str, ...]:
         """Every kind in this set, moments first."""
-        return (self._moments.kind,
-                *(statistic.kind for statistic in self._extras))
+        return (MOMENTS, *(statistic.kind for statistic in self._extras))
 
     def update(self, values, compute_time: float = 0.0) -> None:
         """Fold one realization into every statistic.
@@ -910,7 +851,7 @@ class StatisticSet:
         raises before any statistic is touched, so a rejected
         realization never leaves the set half-updated.
         """
-        self._moments.accumulator.add(values, compute_time=compute_time)
+        self._moments.add(values, compute_time=compute_time)
         for statistic in self._extras:
             statistic.update(values)
 
@@ -924,8 +865,7 @@ class StatisticSet:
         is what keeps piggybacked statistics cheap on the batched fast
         path (see ``benchmarks/test_bench_statistics_overhead.py``).
         """
-        self._moments.accumulator.add_batch(values,
-                                            compute_time=compute_time)
+        self._moments.add_batch(values, compute_time=compute_time)
         if not self._extras:
             return
         matrices = np.asarray(values, dtype=np.float64)
@@ -939,13 +879,12 @@ class StatisticSet:
             statistic._volume += count
 
     def extras_snapshot(self) -> dict[str, Statistic] | None:
-        """Frozen copies of the extras for a message, or None if none.
+        """Frozen copies of the extras for a pass's snapshot, or None.
 
-        None — not an empty dict — so the default moments-only message
+        None — not an empty dict — so the default moments-only snapshot
         is byte-for-byte the historical one.
         """
         if not self._extras:
             return None
         return {statistic.kind: statistic.snapshot()
                 for statistic in self._extras}
-

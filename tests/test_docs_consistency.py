@@ -334,6 +334,13 @@ SOURCE_SHAPES = [
     ("no-probed-hooks", r"\b(?:announce_job|prepare_job|cancel_job)\b",
      EVERYWHERE, {},
      "'The backend contract': open_job and release_job replace them"),
+    ("one-fold", r"\bmerge_\w+\(|\.merge\(",
+     ("runtime/collector.py", "cli/manaver.py", "runtime/resume.py",
+      "runtime/job.py"),
+     {"runtime/collector.py": 1, "cli/manaver.py": 1},
+     "docs/protocol.md 'Pluggable statistics': the extras ride inside the "
+     "snapshot, so merge_snapshots is the one fold the collector, "
+     "manaver and resume call"),
 ]
 
 

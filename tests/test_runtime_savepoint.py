@@ -17,6 +17,7 @@ import json
 import shutil
 import struct
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ from repro.runtime.messages import pack_moments
 from repro.runtime.resume import finalize_session
 from repro.runtime.storage import CrashInjected
 from repro.runtime.worker import run_worker
-from repro.stats.accumulator import MomentSnapshot
+from repro.stats.accumulator import MomentAccumulator, MomentSnapshot
 from repro.stats.statistic import create_statistic
 
 FIXTURES = Path(__file__).parent / "fixtures" / "legacy_savepoints"
@@ -69,11 +70,11 @@ def _snapshot():
         volume=7, compute_time=0.125)
 
 
-def _saved(tmp_path, **kwargs):
+def _saved(tmp_path, extras=None, **kwargs):
     """A data directory holding one small save-point; returns both."""
     data = DataDirectory(tmp_path)
-    data.save_savepoint(_snapshot(), used_seqnums=(0, 3), sessions=2,
-                        **kwargs)
+    data.save_savepoint(replace(_snapshot(), extras=extras),
+                        used_seqnums=(0, 3), sessions=2, **kwargs)
     return data, data.savepoint_path.read_bytes()
 
 
@@ -96,7 +97,7 @@ class TestRoundTrip:
                     "leaps": {"ne_exponent": 115}, "genparam_sha256": None}
         alien = {"kind": "alien", "shape": [2, 3], "secret": [1, [2]]}
         data, _raw = _saved(tmp_path, manifest=manifest,
-                            statistics=statistics,
+                            extras=statistics,
                             extra_payloads={"alien": alien})
         snapshot, meta = data.load_savepoint()
         assert snapshot.sum1.tobytes() == _snapshot().sum1.tobytes()
@@ -108,7 +109,7 @@ class TestRoundTrip:
         assert meta.manifest == manifest
         assert meta.processors == 5
         assert {kind: statistic.to_payload()
-                for kind, statistic in meta.statistics.items()} \
+                for kind, statistic in snapshot.extras.items()} \
             == {kind: statistic.to_payload()
                 for kind, statistic in statistics.items()}
         assert meta.unknown_payloads == {"alien": alien}
@@ -116,18 +117,20 @@ class TestRoundTrip:
     def test_processor_subtotal_round_trip(self, tmp_path):
         data = DataDirectory(tmp_path)
         extras = {"extrema": create_statistic("extrema", 2, 3)}
-        data.save_processor_snapshot(4, _snapshot(), session=3,
-                                     statistics=extras)
+        data.save_processor_snapshot(
+            4, replace(_snapshot(), extras=extras), session=3)
         data.save_processor_snapshot(9, _snapshot())
-        subtotals = data.load_processor_subtotals()
+        subtotals = data.load_processor_snapshots()
         assert sorted(subtotals) == [4, 9]
-        assert subtotals[4].snapshot.sum2.tobytes() \
-            == _snapshot().sum2.tobytes()
-        assert subtotals[4].session == 3
-        assert subtotals[4].statistics["extrema"].to_payload() \
+        assert subtotals[4].sum2.tobytes() == _snapshot().sum2.tobytes()
+        # Rank 4 is tagged with session 3; rank 9 is untagged.
+        assert sorted(data.load_processor_snapshots(
+            absorbed_sessions=2)) == [4, 9]
+        assert sorted(data.load_processor_snapshots(
+            absorbed_sessions=3)) == [9]
+        assert subtotals[4].extras["extrema"].to_payload() \
             == extras["extrema"].to_payload()
-        assert subtotals[9].session is None
-        assert subtotals[9].statistics == {}
+        assert subtotals[9].extras is None
 
     def test_savepoint_is_the_wire_block_sealed(self, tmp_path):
         # One codec: the bytes between the seal's prefix and digest are
@@ -238,7 +241,7 @@ class TestDamagedSavepoint:
                              PROCESSOR_FORMAT, block,
                              version=SAVEPOINT_VERSION + 1)
         with pytest.raises(ArtifactVersionError):
-            data.load_processor_subtotals()
+            data.load_processor_snapshots()
         assert data.quarantined_files() == []
 
     @settings(max_examples=200, deadline=None)
@@ -274,10 +277,54 @@ class TestDamagedSubtotals:
         raw = data.processor_savepoint_path(1).read_bytes()
         for damaged in (raw[:60], raw[:-1], raw[:70] + b"\xff" + raw[71:]):
             data.processor_savepoint_path(1).write_bytes(damaged)
-            assert sorted(data.load_processor_subtotals()) == [0, 2]
+            assert sorted(data.load_processor_snapshots()) == [0, 2]
             [corrupt] = data.quarantined_files()
             assert corrupt.name == "processor_00001.bin.corrupt"
             corrupt.unlink()
+
+
+def _block_with_extrema(tail, extrema_shape, rank=0):
+    """Ten 1x2 realizations' moments, and an ``extrema`` statistic of
+    ``extrema_shape`` over the same sample in the block's tail."""
+    moments = MomentAccumulator(1, 2)
+    extrema = create_statistic("extrema", *extrema_shape)
+    for index in range(10):
+        moments.add(np.array([[index, -index]], dtype=float))
+        extrema.update(np.full(extrema_shape, float(index)))
+    return pack_moments(moments.snapshot(),
+                        dict(tail, statistics={"extrema":
+                                               extrema.to_payload()}),
+                        rank=rank)
+
+
+class TestExtrasOfAnotherShape:
+    """A statistic whose shape disagrees with its moment block is damage:
+    the one tail parser refuses it, so the file is quarantined."""
+
+    def test_manaver_quarantines_the_subtotal_and_recovers_the_rest(
+            self, tmp_path):
+        data = DataDirectory(tmp_path).ensure()
+        for rank, shape in ((0, (1, 2)), (1, (2, 2))):
+            storage.write_sealed(
+                data.processor_savepoint_path(rank), PROCESSOR_FORMAT,
+                _block_with_extrema({"session": 1}, shape, rank=rank),
+                version=SAVEPOINT_VERSION)
+        summary = manual_average(tmp_path)
+        assert summary["volume"] == 10
+        assert summary["processors_recovered"] == 1
+        assert summary["quarantined"] == 1
+        assert summary["statistics"]["extrema"].volume == 10
+        assert [path.name for path in data.quarantined_files()] == [
+            "processor_00001.bin.corrupt"]
+
+    def test_a_savepoint_is_quarantined(self, tmp_path):
+        data = DataDirectory(tmp_path).ensure()
+        storage.write_sealed(
+            data.savepoint_path, SAVEPOINT_FORMAT,
+            _block_with_extrema({"used_seqnums": [0], "sessions": 1},
+                                (2, 2)),
+            version=SAVEPOINT_VERSION)
+        _assert_quarantined(data)
 
 
 def _expected(era, flow):
@@ -347,8 +394,7 @@ class TestLegacyJsonSavepoints:
         snapshot, meta = data.load_savepoint()
         data.save_savepoint(
             snapshot, used_seqnums=meta.used_seqnums,
-            sessions=meta.sessions, manifest=meta.manifest,
-            statistics=meta.statistics)
+            sessions=meta.sessions, manifest=meta.manifest)
         assert not data.legacy_savepoint_path.exists()
         result = _resume(tmp_path, era)
         _assert_matches(tmp_path, era, "resume", result.statistics)
@@ -372,7 +418,7 @@ class TestLegacyJsonSavepoints:
         data.save_processor_snapshot(1, MomentSnapshot.zero(1, 2),
                                      session=9)
         assert not (data.savepoints_dir / "processor_00001.json").exists()
-        assert sorted(data.load_processor_subtotals()) == [1]
+        assert sorted(data.load_processor_snapshots()) == [1]
         assert [path.name for path in data.quarantined_files()] == [
             "processor_00000.bin.corrupt"]
         data.clear_processor_snapshots()

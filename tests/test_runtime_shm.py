@@ -22,13 +22,12 @@ from repro.runtime.shm import ShmRing, segment_name  # noqa: E402
 
 
 def _message(rank=3, volume=7, *, shape=(2, 2), final=False,
-             metrics=None, statistics=None):
+             metrics=None, extras=None):
     accumulator = MomentAccumulator(*shape)
     for index in range(volume):
         accumulator.add(np.full(shape, float(index + 1)))
-    return MomentMessage(rank=rank, snapshot=accumulator.snapshot(),
-                         sent_at=1.25, final=final, metrics=metrics,
-                         statistics=statistics)
+    return MomentMessage(rank=rank, snapshot=accumulator.snapshot(extras),
+                         sent_at=1.25, final=final, metrics=metrics)
 
 
 SLOTS = 4
@@ -58,18 +57,18 @@ class TestRingCodec:
         assert received.snapshot.compute_time \
             == message.snapshot.compute_time
         assert received.metrics is None
-        assert received.statistics is None
+        assert received.snapshot.extras is None
 
     def test_final_flag_and_extras_roundtrip(self, ring):
         extras = {"extrema": create_statistic("extrema", 2, 2)}
         extras["extrema"].update(np.full((2, 2), 0.5))
         message = _message(final=True, metrics={"rate": 12.5},
-                           statistics=extras)
+                           extras=extras)
         assert ring.try_send(message)
         received = ring.receive()
         assert received.final is True
         assert received.metrics == {"rate": 12.5}
-        assert (received.statistics["extrema"].to_payload()
+        assert (received.snapshot.extras["extrema"].to_payload()
                 == extras["extrema"].to_payload())
 
     def test_fifo_order(self, ring):

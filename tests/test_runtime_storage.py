@@ -277,6 +277,6 @@ class TestDirectoriesOncePerSession:
         snapshot = MomentAccumulator(1, 1)
         snapshot.add(np.ones((1, 1)))
         data.save_processor_snapshot(0, snapshot.snapshot())
-        assert data.load_processor_subtotals()[0].snapshot.volume == 1
+        assert data.load_processor_snapshots()[0].volume == 1
         atomic_write_text(tmp_path / "a" / "b" / "c.txt", "x")
         assert (tmp_path / "a" / "b" / "c.txt").read_text() == "x"

@@ -63,9 +63,9 @@ def sample_message(rank=3, final=True, statistics=False,
     for _ in range(5):
         stats.update(rng.random((2, 2)), compute_time=0.01)
     return MomentMessage(
-        rank=rank, snapshot=stats.moments.snapshot(), sent_at=12.5,
-        final=final, metrics={"messages": 5, "bytes": 640},
-        statistics=stats.extras_snapshot(), job=job)
+        rank=rank, snapshot=stats.moments.snapshot(stats.extras_snapshot()),
+        sent_at=12.5, final=final, metrics={"messages": 5, "bytes": 640},
+        job=job)
 
 
 def bare_message(sum1, sum2=None, **fields) -> MomentMessage:
@@ -261,7 +261,7 @@ class TestMessageCodec:
         body = message_to_payload(message)
         tail = json.dumps(
             {"job": "exp-a", "metrics": message.metrics,
-             "statistics": payload_map(message.statistics)},
+             "statistics": payload_map(message.snapshot.extras)},
             separators=(",", ":")).encode("utf-8")
         assert body == (
             BODY.pack(1, 2, 2, 3, 5, 12.5, message.snapshot.compute_time,
@@ -289,8 +289,8 @@ class TestMessageCodec:
         assert rebuilt.snapshot.volume == message.snapshot.volume
         assert (rebuilt.snapshot.compute_time
                 == message.snapshot.compute_time)
-        assert (payload_map(rebuilt.statistics)
-                == payload_map(message.statistics))
+        assert (payload_map(rebuilt.snapshot.extras)
+                == payload_map(message.snapshot.extras))
 
     def test_moments_only_message_has_no_tail(self):
         message = MomentMessage(rank=0,
@@ -299,7 +299,7 @@ class TestMessageCodec:
         body = message_to_payload(message)
         assert len(body) == BODY.size + 16
         rebuilt = message_from_payload(body)
-        assert rebuilt.statistics is None and rebuilt.metrics is None
+        assert rebuilt.snapshot.extras is None and rebuilt.metrics is None
         assert rebuilt.job is None and rebuilt.final is False
 
     def test_the_messages_own_tag_is_what_travels(self):
@@ -391,6 +391,10 @@ class TestHostileDataBodies:
         dict(tail=b'{"statistics":[]}'),
         dict(tail=b'{"statistics":{"extrema":{"kind":"extrema"}}}'),
         dict(tail=b'{"statistics":{"extrema":7}}'),
+        # a payload filed under another kind's name
+        dict(tail=b'{"statistics":{"extrema":{"kind":"counter","shape":'
+                  b'[2,2],"volume":0,"negative":[[0,0],[0,0]],"zero":'
+                  b'[[0,0],[0,0]],"positive":[[0,0],[0,0]]}}}'),
         # a statistic allocates from its own shape/bins: neither may
         # exceed what the length-checked pass bears out
         dict(tail=b'{"statistics":{"extrema":{"kind":"extrema","shape":'

@@ -588,7 +588,7 @@ class TestLatestWinsOutbox:
                     [getattr(estimates, name).tobytes() for name in
                      ("mean", "variance", "abs_error", "rel_error")],
                     {kind: statistic.to_payload() for kind, statistic
-                     in collector.merged_statistics().items()}))
+                     in (collector.merged().extras or {}).items()}))
             assert merged[0] == merged[1]
 
         check()
@@ -694,7 +694,7 @@ class TestSteppedInAnyOrderIsStraightThrough:
                     == getattr(reference.estimates, name).tobytes(), name
             assert merged.volume == reference.total_volume == maxsv
             assert {kind: statistic.to_payload() for kind, statistic
-                    in collector.merged_statistics().items()} \
+                    in (collector.merged().extras or {}).items()} \
                 == {kind: statistic.to_payload() for kind, statistic
                     in reference.statistics.items()}
 

@@ -47,7 +47,7 @@ def _add_unknown_payload(data, kind, payload):
     snapshot, meta = data.load_savepoint()
     data.save_savepoint(
         snapshot, used_seqnums=meta.used_seqnums, sessions=meta.sessions,
-        manifest=meta.manifest, statistics=meta.statistics,
+        manifest=meta.manifest,
         extra_payloads=dict(meta.unknown_payloads, **{kind: payload}))
 
 
@@ -252,7 +252,7 @@ class TestLegacyArtifacts:
         data = self._downgrade_savepoint(tmp_path)
         snapshot, meta = data.load_savepoint()
         assert snapshot.volume == 240
-        assert meta.statistics == {}
+        assert snapshot.extras is None
         assert meta.unknown_payloads == {}
 
     def test_resume_from_v2_savepoint(self, tmp_path):
@@ -293,16 +293,15 @@ class TestManaverRecovery:
         moments.add(matrix)
         for statistic in extra.values():
             statistic.update(matrix)
-        data.save_processor_snapshot(0, moments.snapshot(), session=2,
-                                     statistics=extra)
+        data.save_processor_snapshot(0, moments.snapshot(extra), session=2)
         summary = manual_average(tmp_path)
         assert summary["volume"] == 121
         for kind in ALL_STATISTICS:
             assert summary["statistics"][kind].volume == 121
         # The recovered statistics persist for the next resume.
-        _snapshot, meta = data.load_savepoint()
+        snapshot, _meta = data.load_savepoint()
         for kind in ALL_STATISTICS:
-            assert meta.statistics[kind].volume == 121
+            assert snapshot.extras[kind].volume == 121
         assert result.statistics["extrema"].volume == 120
 
     def test_moments_only_recovery_reports_no_statistics(self, tmp_path):
@@ -330,8 +329,8 @@ class TestWireSizeModel:
                               sent_at=0.0)
         assert plain.nbytes == message_bytes(1, 2)
         extras = {"extrema": create_statistic("extrema", 1, 2)}
-        loaded = MomentMessage(rank=0, snapshot=moments.snapshot(),
-                               sent_at=0.0, statistics=extras)
+        loaded = MomentMessage(rank=0, snapshot=moments.snapshot(extras),
+                               sent_at=0.0)
         assert loaded.nbytes == plain.nbytes + extras["extrema"].nbytes
 
 

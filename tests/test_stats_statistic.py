@@ -11,15 +11,18 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.stats.accumulator import MOMENT_WORDS_PER_ENTRY, MomentAccumulator
-from repro.stats.merging import merge_statistic_maps, merge_statistics
+from repro.stats.accumulator import (
+    MOMENT_WORDS_PER_ENTRY,
+    MomentAccumulator,
+    MomentSnapshot,
+)
+from repro.stats.merging import merge_snapshots
 from repro.stats.statistic import (
     DEFAULT_STATISTICS,
     Counter,
     Covariance,
     Extrema,
     Histogram,
-    Moments,
     Statistic,
     StatisticSet,
     create_statistic,
@@ -41,6 +44,12 @@ def _sample(count: int, nrow: int = 2, ncol: int = 3,
     return rng.normal(scale=2.0, size=(count, nrow, ncol))
 
 
+def _moments(extras) -> MomentSnapshot:
+    """An empty 1x1 moment pair carrying ``extras``."""
+    return MomentSnapshot(sum1=np.zeros((1, 1)), sum2=np.zeros((1, 1)),
+                          volume=0, extras=extras)
+
+
 class TestRegistry:
     def test_builtins_registered(self):
         kinds = statistic_kinds()
@@ -49,7 +58,7 @@ class TestRegistry:
             assert kind in kinds
 
     def test_statistic_class_roundtrip(self):
-        for kind in ("moments",) + EXTRA_KINDS:
+        for kind in EXTRA_KINDS:
             cls = statistic_class(kind)
             assert cls.kind == kind
             statistic = create_statistic(kind, 2, 2)
@@ -65,6 +74,13 @@ class TestRegistry:
             @register_statistic
             class Impostor(Statistic):  # noqa: F811
                 kind = "histogram"
+
+    def test_moments_kind_is_reserved(self):
+        with pytest.raises(ConfigurationError, match="reserved"):
+            @register_statistic
+            class Impostor(Statistic):  # noqa: F811
+                kind = "moments"
+        assert statistic_kinds()[0] == "moments"
 
     def test_custom_kind_registers_and_runs(self):
         @register_statistic
@@ -149,7 +165,7 @@ class TestScalarBatchIdentity:
 
 
 class TestPayloadRoundTrip:
-    @pytest.mark.parametrize("kind", ("moments",) + EXTRA_KINDS)
+    @pytest.mark.parametrize("kind", EXTRA_KINDS)
     def test_roundtrip_preserves_payload(self, kind):
         statistic = create_statistic(kind, 2, 3)
         statistic.update(_sample(19), count=19)
@@ -247,28 +263,35 @@ class TestMerge:
         with pytest.raises(ConfigurationError):
             create_statistic("histogram", 1, 1).merge(Narrow(1, 1))
 
-    def test_merge_statistics_helper(self):
+    def test_merge_snapshots_folds_the_extras(self):
         parts = []
         for seed in (1, 2, 3):
             statistic = create_statistic("counter", 1, 1)
             statistic.update(_sample(5, 1, 1, seed=seed), count=5)
-            parts.append(statistic)
-        merged = merge_statistics(parts)
+            parts.append(_moments({"counter": statistic}))
+        merged = merge_snapshots(parts).extras["counter"]
         assert merged.volume == 15
-        assert parts[0].volume == 5  # inputs untouched
+        assert parts[0].extras["counter"].volume == 5  # inputs untouched
 
-    def test_merge_statistic_maps_union(self):
+    def test_merge_snapshots_extras_union(self):
         first = {"extrema": create_statistic("extrema", 1, 1)}
         first["extrema"].update(1.0)
         second = {"extrema": create_statistic("extrema", 1, 1),
                   "counter": create_statistic("counter", 1, 1)}
         second["extrema"].update(-3.0)
         second["counter"].update(-3.0)
-        merged = merge_statistic_maps([first, second])
+        merged = merge_snapshots(
+            [MomentSnapshot.zero(1, 1), _moments(first),
+             _moments(second)]).extras
         assert merged["extrema"].volume == 2
         assert merged["extrema"].minimum[0, 0] == -3.0
         assert merged["counter"].volume == 1
         assert first["extrema"].volume == 1  # inputs untouched
+
+    def test_snapshot_refuses_extras_of_another_shape(self):
+        with pytest.raises(ConfigurationError, match="shape"):
+            MomentAccumulator(1, 2).snapshot(
+                {"extrema": create_statistic("extrema", 2, 2)})
 
 
 class TestImplementations:
@@ -304,7 +327,7 @@ class TestImplementations:
             assert statistic.volume == 0
 
     def test_nbytes_model(self):
-        assert create_statistic("moments", 10, 2).nbytes == (
+        assert MomentSnapshot.zero(10, 2).nbytes == (
             8 * MOMENT_WORDS_PER_ENTRY * 20)
         histogram = Histogram(1, 1)
         assert histogram.nbytes == 8 * (histogram.bins + 2 + 3)
@@ -342,19 +365,6 @@ class TestImplementations:
         assert frozen.to_payload() == before
         frozen.merge(statistic.snapshot())       # still a working statistic
         assert frozen.volume == 7 + 12
-
-    def test_moments_wraps_accumulator_bitwise(self):
-        matrices = _sample(25, 1, 1)
-        statistic = Moments(1, 1)
-        reference = MomentAccumulator(1, 1)
-        for matrix in matrices:
-            statistic.update(matrix)
-            reference.add(matrix)
-        ours = statistic.moment_snapshot()
-        theirs = reference.snapshot()
-        assert np.array_equal(ours.sum1, theirs.sum1)
-        assert np.array_equal(ours.sum2, theirs.sum2)
-        assert ours.volume == theirs.volume
 
 
 class TestStatisticSet:
