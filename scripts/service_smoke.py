@@ -10,7 +10,7 @@ operator would — through ``parmonc-submit`` against the queue file:
    SUBMIT wire frame.
 2. **Cancellation** — one running job is withdrawn with
    ``parmonc-submit --cancel``; its ``--wait`` must exit 1 and the
-   status file must show ``cancelled``.
+   status log must show ``cancelled``.
 3. **Chaos** — one worker of the telemetry-enabled job is SIGKILLed
    mid-run; the job must recover via ``on_worker_death="reassign"``
    and still finish, on the bytes of a fault-free run.
@@ -26,7 +26,9 @@ operator would — through ``parmonc-submit`` against the queue file:
    the queue.
 7. **SLA artifact** — the shutdown directive drains the service and
    leaves an SLA report covering every job, copied (with the
-   status file and the victim's telemetry) to ``--artifacts``.
+   status log and the victim's telemetry) to ``--artifacts``.  The
+   status log ends with the service's closing record and holds
+   exactly one terminal record per admitted job.
 
 Usage::
 
@@ -53,8 +55,11 @@ if REPO_SRC not in sys.path:
     sys.path.insert(0, REPO_SRC)
 
 from repro.cli.sched import status_path, submit_main  # noqa: E402
+from repro.exceptions import ConfigurationError  # noqa: E402
+from repro.obs.events import read_events  # noqa: E402
 from repro.runtime.config import RunConfig  # noqa: E402
 from repro.runtime.files import DataDirectory  # noqa: E402
+from repro.runtime.job import JobStatus  # noqa: E402
 from repro.runtime.engine import Engine  # noqa: E402
 from repro.runtime.sequential import SequentialBackend  # noqa: E402
 
@@ -176,29 +181,31 @@ def launch_service(base: Path, queue: Path,
     threading.Thread(target=lambda: shutil.copyfileobj(
         child.stdout, sys.stdout), daemon=True).start()
     deadline = time.monotonic() + SERVE_TIMEOUT
-    status_file = status_path(queue)
-    while not status_file.exists():
+    while not any(event.kind == "service" for event in read_status(queue)):
         if child.poll() is not None or time.monotonic() > deadline:
             child.kill()
-            raise RuntimeError("service never wrote its status file")
+            raise RuntimeError("service never opened its status log")
         time.sleep(0.05)
     print(f"smoke: service up (pid {child.pid})")
     return child
 
 
-def read_status(queue: Path) -> dict:
+def read_status(queue: Path) -> list:
+    """The status log's records so far ([] before it exists)."""
     try:
-        return json.loads(status_path(queue).read_text())
-    except (OSError, ValueError):
-        return {}
+        return list(read_events(status_path(queue)))
+    except (OSError, ConfigurationError):
+        return []
 
 
 def wait_status(queue: Path, job: str, states: tuple[str, ...],
                 timeout: float) -> str:
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        record = (read_status(queue).get("jobs") or {}).get(job) or {}
-        state = record.get("status")
+        state = None
+        for event in read_status(queue):
+            if event.kind == "job" and event.fields["job"] == job:
+                state = event.fields["status"]
         if state in states:
             return state
         time.sleep(0.1)
@@ -239,7 +246,7 @@ def normalized_artifacts(workdir: Path) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--artifacts", type=Path, default=None,
-                        help="copy the SLA report, status file and the "
+                        help="copy the SLA report, status log and the "
                              "victim job's telemetry here")
     args = parser.parse_args()
 
@@ -299,7 +306,7 @@ def main() -> int:
                          "of a cancellation")
         check(wait_status(queue, "doomed", ("cancelled",),
                           SERVE_TIMEOUT) == "cancelled",
-              "status file shows doomed cancelled")
+              "status log shows doomed cancelled")
 
         # A job that fails must not leave its other worker computing
         # in a slot the scheduler already counts free.
@@ -334,8 +341,15 @@ def main() -> int:
         check(returncode == 1, "service drained and exited 1 (one job "
                                "failed, by design)")
         status = read_status(queue)
-        check(status.get("serving") is False,
-              "final status file records the service as stopped")
+        check(status[-1].kind == "service"
+              and status[-1].fields == {"serving": False},
+              "the status log ends with the service's closing record")
+        terminal = [event.fields["job"] for event in status
+                    if event.kind == "job"
+                    and event.fields["status"] in JobStatus.FINISHED]
+        check(sorted(terminal) == ["doomed", "faulty", "late", "steady",
+                                   "victim"],
+              "every admitted job has exactly one terminal record")
 
         # Bit-identity: the streamed steady job vs. a solo sequential
         # run of the same config.
@@ -383,7 +397,7 @@ def main() -> int:
             args.artifacts.mkdir(parents=True, exist_ok=True)
             shutil.copy2(base / "sla.json", args.artifacts / "sla.json")
             shutil.copy2(status_path(queue),
-                         args.artifacts / "status.json")
+                         args.artifacts / "status.jsonl")
             telemetry = (base / "victim" / "parmonc_data"
                          / "telemetry")
             for artifact in sorted(telemetry.glob("*.jsonl")):

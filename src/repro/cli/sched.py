@@ -23,8 +23,9 @@ submit-to-start wait, makespan, deadline misses and dispatch counts.
 **Streaming service.**  ``parmonc-sched --serve`` keeps reading: the
 one queue reader runs on every turn of the scheduler's loop and admits
 each appended entry mid-run, where a batch stops reading at the end of
-the file.  Both mirror job states into ``<queue>.status.json`` (written
-atomically), which is what ``parmonc-submit --wait`` polls::
+the file.  Both append to ``<queue>.status.jsonl``, a
+:mod:`repro.obs.events` log of one ``job`` record per state change
+between two ``service`` records, which ``parmonc-submit --wait`` polls::
 
     $ parmonc-sched --serve --queue jobs.jsonl --workers 8 &
     $ parmonc-submit mymodel:one_trajectory --queue jobs.jsonl \\
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import signal
 import sys
 import threading
@@ -53,6 +53,7 @@ from pathlib import Path
 from repro.cli.run import load_routine
 from repro.core.parmonc import build_job_spec
 from repro.exceptions import ConfigurationError, ReproError
+from repro.obs.events import EventLog, read_events
 from repro.runtime.engine import available_backends, create_backend
 from repro.runtime.job import Job, JobStatus
 from repro.runtime.scheduler import Scheduler
@@ -62,13 +63,13 @@ __all__ = ["submit_main", "sched_main", "status_path", "validate_entry"]
 #: Default queue file, relative to the working directory.
 DEFAULT_QUEUE = "parmonc_jobs.jsonl"
 
-#: Seconds between ``--wait`` polls of the service status file.
+#: Seconds between ``--wait`` polls of the service status log.
 _WAIT_POLL_SECONDS = 0.2
 
 
 def status_path(queue: Path) -> Path:
-    """The live service's status file for a queue."""
-    return queue.with_name(queue.name + ".status.json")
+    """The service's status log for a queue."""
+    return queue.with_name(queue.name + ".status.jsonl")
 
 
 def _placeholder_routine(rng):  # pragma: no cover - never executed
@@ -160,7 +161,7 @@ def build_submit_parser() -> argparse.ArgumentParser:
                              "parmonc-sched drains its jobs and exits")
     parser.add_argument("--wait", action="store_true",
                         help="block until the job finishes, polling "
-                             "the parmonc-sched status file; exit 0 when "
+                             "the parmonc-sched status log; exit 0 when "
                              "done, 1 when failed/cancelled/rejected")
     parser.add_argument("--wait-timeout", type=float, default=None,
                         help="give up --wait after this many seconds "
@@ -175,28 +176,27 @@ def _append_line(queue: Path, entry: dict) -> None:
 
 
 def _wait_for(queue: Path, name: str, timeout: float | None) -> int:
-    """Poll the service status file until ``name`` finishes."""
+    """Poll the service status log until ``name`` finishes."""
     path = status_path(queue)
     deadline = (time.monotonic() + timeout
                 if timeout is not None else None)
     while True:
+        record = {}
         try:
-            snapshot = json.loads(path.read_text())
-        except (OSError, ValueError):
-            snapshot = {}
-        record = (snapshot.get("jobs") or {}).get(name)
-        if record is not None:
-            state = record.get("status")
-            if state == JobStatus.DONE:
-                print(f"{name}: done")
-                return 0
-            if state in (JobStatus.FAILED, JobStatus.CANCELLED,
-                         "rejected"):
-                error = record.get("error")
-                print(f"{name}: {state}"
-                      + (f" — {error}" if error else ""),
-                      file=sys.stderr)
-                return 1
+            for event in read_events(path, kind="job"):
+                if event.fields.get("job") == name:
+                    record = event.fields
+        except (OSError, ConfigurationError):
+            record = {}  # no log yet, or a malformed line: not yet
+        state = record.get("status")
+        if state == JobStatus.DONE:
+            print(f"{name}: done")
+            return 0
+        if state in (JobStatus.FAILED, JobStatus.CANCELLED, "rejected"):
+            error = record.get("error")
+            print(f"{name}: {state}" + (f" — {error}" if error else ""),
+                  file=sys.stderr)
+            return 1
         if deadline is not None and time.monotonic() >= deadline:
             print(f"parmonc-submit: timed out waiting for {name} "
                   f"(is parmonc-sched running?)",
@@ -322,17 +322,6 @@ def _is_job_entry(entry: dict | str) -> bool:
             and entry.get("cancel") is None)
 
 
-def _write_status(path: Path, payload: dict) -> None:
-    """Atomically mirror the consumer's job records."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(json.dumps(payload, sort_keys=True) + "\n")
-        os.replace(tmp, path)
-    except OSError as exc:  # pragma: no cover - disk trouble
-        print(f"parmonc-sched: cannot write {path}: {exc}",
-              file=sys.stderr)
-
-
 class _QueueConsumer:
     """The one reader of a queue file, run as the scheduler's tick.
 
@@ -341,13 +330,14 @@ class _QueueConsumer:
     :meth:`process`; ``offset`` counts the bytes consumed.  Batch mode
     is the same consumer with ``follow=False``: the end of the file —
     a last line without its newline included — ends the reading, and
-    the loop drains what was admitted.  The status file is rewritten
-    only in a turn that changed a record; a finished job's record is
-    frozen, so an idle turn costs O(live jobs).
+    the loop drains what was admitted.  A turn appends one ``job``
+    record to the status log per state change it sees, stamped with the
+    transition's run-clock time; a finished job is no longer looked
+    at, so an idle turn costs O(live jobs) and writes nothing.
     """
 
     def __init__(self, scheduler: Scheduler, queue: Path, handle,
-                 follow: bool) -> None:
+                 follow: bool, clock) -> None:
         self.scheduler = scheduler
         self.queue = queue
         self.follow = follow
@@ -359,13 +349,14 @@ class _QueueConsumer:
         self._tail = b""
         self._lines = 0
         self._entries = 0
-        self._records: dict[str, dict] = {}
-        self._live: dict[str, Job] = {}
-        self._changed = True
+        self._live: dict[Job, str | None] = {}  # -> status last logged
+        status_path(queue).unlink(missing_ok=True)  # a fresh log per run
+        self.log = EventLog(clock, status_path(queue), epoch=clock())
+        self.log.append("service", serving=True)
 
     def turn(self) -> bool:
-        """Consume what was appended and mirror what changed; False
-        once nothing further is to be read."""
+        """Consume what was appended and log what changed; False once
+        nothing further is to be read."""
         if not self.stopping:
             data = self._tail + self._handle.read()
             cut = data.rfind(b"\n") + 1 if self.follow else len(data)
@@ -379,6 +370,7 @@ class _QueueConsumer:
             if not self.follow:
                 self.stopping = True
         self.mirror()
+        self._flush()
         return not self.stopping
 
     def process(self, line: bytes) -> None:
@@ -412,7 +404,6 @@ class _QueueConsumer:
         directory named after the job, next to the queue file.
         """
         name = str(entry.get("name") or f"job-{position}")
-        self._changed = True
         try:
             spec = entry.pop("routine", None)
             if not isinstance(spec, str):
@@ -425,35 +416,39 @@ class _QueueConsumer:
         except ReproError as exc:
             print(f"parmonc-sched: rejected {name}: {exc}", file=sys.stderr)
             self.rejected.append(name)
-            self._records[name] = {"status": "rejected",
-                                   "error": str(exc)}
+            self.log.append("job", job=name, status="rejected",
+                            error=str(exc))
             return
         self.admitted.append(job)
-        self._live[job.id] = job
-        self._records[job.id] = {"status": None, "error": None}
+        self._live[job] = None
         print(f"parmonc-sched: admitted {job.id}", flush=True)
 
-    def mirror(self, serving: bool = True) -> None:
-        """Bring the live jobs' records up to date; rewrite the status
-        file if one changed, and once more when the loop is over."""
-        for job in list(self._live.values()):
-            record = self._records[job.id]
-            if record["status"] == job.status:
+    def mirror(self) -> None:
+        """Log each live job's state change since the last look."""
+        for job, logged in list(self._live.items()):
+            status, error = job.status, job.error
+            if status == logged:
                 continue
-            self._changed = True
-            record["status"] = job.status
-            record["error"] = (str(job.error)
-                               if job.error is not None else None)
-            if job.status in JobStatus.FINISHED:
-                del self._live[job.id]
-                print(f"parmonc-sched: {job.id}: {job.status}"
-                      + (f" — {job.error}" if job.error else ""),
-                      flush=True)
-        if self._changed or not serving:
-            _write_status(status_path(self.queue),
-                          {"queue": str(self.queue), "serving": serving,
-                           "jobs": self._records})
-            self._changed = False
+            self._live[job] = status
+            self.log.append("job", ts=job.state_times[status], job=job.id,
+                            status=status, error=str(error) if error else None)
+            if status in JobStatus.FINISHED:
+                del self._live[job]
+                print(f"parmonc-sched: {job.id}: {status}"
+                      + (f" — {error}" if error else ""), flush=True)
+
+    def close(self) -> None:
+        """Log the last changes, then the service's end."""
+        self.mirror()
+        self.log.append("service", serving=False)
+        self._flush()
+
+    def _flush(self) -> None:
+        try:
+            self.log.flush()
+        except OSError as exc:  # pragma: no cover - disk trouble
+            print(f"parmonc-sched: cannot write {self.log.path}: {exc}",
+                  file=sys.stderr)
 
 
 def _report(consumer: _QueueConsumer, args) -> int:
@@ -516,10 +511,10 @@ def sched_main(argv: list[str] | None = None) -> int:
         consumer = _QueueConsumer(
             Scheduler(backend, workers=args.workers,
                       max_jobs=args.max_jobs),
-            queue, handle, follow=args.serve)
+            queue, handle, follow=args.serve, clock=backend.clock)
         if args.serve:
             print(f"parmonc-sched: serving {queue} on the {args.backend} "
-                  f"backend (status file: {status_path(queue)})",
+                  f"backend (status log: {status_path(queue)})",
                   flush=True)
         if threading.current_thread() is threading.main_thread():
             for signum in (signal.SIGTERM, signal.SIGINT):
@@ -533,7 +528,7 @@ def sched_main(argv: list[str] | None = None) -> int:
         for signum, handler in previous.items():
             signal.signal(signum, handler)
         if consumer is not None:
-            consumer.mirror(serving=False)
+            consumer.close()
     if not (args.serve or consumer.admitted):
         print(f"parmonc-sched: error: {queue} holds no job that could be "
               f"admitted", file=sys.stderr)

@@ -434,8 +434,7 @@ class _SimulatedJob:
             return
         if final:
             self._finaled.add(rank)
-        worker = self._workers[rank]
-        message = worker.message(now, final)
+        message = self._workers[rank].message(now, final)
         self._messages_sent += 1
         node_id = self._leaf_parents.get(rank)
         if node_id is not None:
@@ -448,12 +447,6 @@ class _SimulatedJob:
                 self._telemetry.tracer.record(
                     "message.transfer", now, arrival, rank=rank,
                     bytes=self._nbytes, final=final, via=node_id)
-                if final:
-                    self._telemetry.events.append(
-                        "worker_final", ts=now, rank=rank,
-                        volume=worker.accumulator.volume,
-                        messages=worker.telemetry.messages,
-                        bytes=worker.telemetry.bytes_sent)
             return
         arrival = now + self._spec.network.transfer_time(
             self._nbytes, local=(rank == 0))
@@ -466,12 +459,6 @@ class _SimulatedJob:
                 bytes=self._nbytes, final=final,
                 queue_delay=max(
                     completion - self._service.service_time - arrival, 0.0))
-            if final:
-                self._telemetry.events.append(
-                    "worker_final", ts=now, rank=rank,
-                    volume=worker.accumulator.volume,
-                    messages=worker.telemetry.messages,
-                    bytes=worker.telemetry.bytes_sent)
         self._events.schedule(
             completion,
             lambda when, m=message: self._deliver(m, when))

@@ -47,7 +47,7 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import BackendError, ConfigurationError
 from repro.runtime.config import RunConfig
 from repro.runtime.messages import CombinedMessage, MomentMessage
 from repro.runtime.result import RunResult
@@ -119,12 +119,16 @@ class WorkerDeath:
         job: Identifier of the job the dead worker was running for
             (``None`` for a single run's anonymous job); the scheduler
             routes the death to that job's recovery bookkeeping.
+        error: Set when the death ends its job under either death
+            policy — a reducer that cannot be respawned, filed under
+            the lowest rank below it; the job fails with this error.
     """
 
     rank: int
     exitcode: int | None = None
     detail: str = ""
     job: str | None = None
+    error: BackendError | None = None
 
     def describe(self) -> str:
         """The ``rank N (...)`` fragment used in error messages."""

@@ -330,6 +330,9 @@ class Job:
                 reruns immediately (the scheduler's dispatch path,
                 bypassing the fair-share queue).
         """
+        for death in deaths:
+            if death.error is not None:
+                raise death.error
         deaths = sorted(deaths, key=lambda death: death.rank)
         for death in deaths:
             self.in_flight.discard(death.rank)

@@ -20,8 +20,9 @@ drained, or — for a clean exit in a tree — the root reducer
 above it exited.  Crashed *reducers* hold nothing that is not
 cumulative in their children's next passes, so under ``"reassign"``
 they are respawned in place, on the same edges, within their job's
-budget; one that exited 0 has retired, and the backend lets go of its
-upstream edge.
+budget; otherwise the death is reported with the error that fails
+that job alone.  One that exited 0 has retired, and the backend lets
+go of its upstream edge.
 """
 
 from __future__ import annotations
@@ -176,9 +177,9 @@ class MultiprocessBackend(EngineBackend):
     def _reducer_exited(self, owner, node_id: str, exitcode: int) -> None:
         """Retire a reducer that exited 0 — closing a non-root's upstream
         edge, so its parent can retire in turn — respawn a crashed one
-        on the same edges, or fail the run.  What a crashed one absorbed
-        but never forwarded is judged with the workers it came from,
-        once the root above them exited."""
+        on the same edges, or raise why its job fails.  What a crashed
+        one absorbed but never forwarded is judged with the workers it
+        came from, once the root above them exited."""
         node = self._plans[owner].node(node_id)
         if exitcode == 0:
             if node.parent is not None:
@@ -215,14 +216,21 @@ class MultiprocessBackend(EngineBackend):
     def reap(self) -> list[WorkerDeath]:
         """Judge the exits the host reported, each after its pipe was
         drained.  Reducers go first, so a respawned one is running again
-        before the workers below it are looked at.  A worker's clean
+        before the workers below it are looked at; one that cannot be
+        is reported as a death carrying its job's error.  A worker's clean
         exit in a tree waits for the root reducer above it; then the
         worker is dead exactly when its final pass is not in."""
         dead: list[WorkerDeath] = []
         for key in sorted(self._exits, key=lambda k: isinstance(k[1], int)):
             job, who = key
             if isinstance(who, str):  # a reducer's node id
-                self._reducer_exited(job, who, self._exits.pop(key))
+                exitcode = self._exits.pop(key)
+                try:
+                    self._reducer_exited(job, who, exitcode)
+                except BackendError as error:  # fails its job alone
+                    ranks = self._plans[job].node(who).subtree_ranks
+                    dead.append(WorkerDeath(min(ranks), exitcode, job=job,
+                                            error=error))
                 continue
             if self._exits[key] == 0 and self._root_runs_above(job, who):
                 continue

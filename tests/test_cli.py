@@ -253,6 +253,27 @@ class TestSchedCli:
         assert "good: L=10" in out
 
 
+def _last_job_records(log):
+    """Each job's last record in a status log ({} before it exists)."""
+    from repro.obs.events import read_events
+
+    if not log.exists():
+        return {}
+    return {event.fields["job"]: event.fields
+            for event in read_events(log, kind="job")}
+
+
+def _thread_io(tid):
+    """A thread's (rchar, wchar) counters; zeros where /proc has none."""
+    from pathlib import Path
+
+    io = Path(f"/proc/self/task/{tid}/io")
+    if not io.exists():
+        return 0, 0
+    fields = dict(line.split(": ") for line in io.read_text().splitlines())
+    return int(fields["rchar"]), int(fields["wchar"])
+
+
 class TestOneQueueReader:
     # Batch mode and --serve consume the queue through one reader: the
     # same file admits the same jobs under the same names either way.
@@ -306,7 +327,7 @@ class TestOneQueueReader:
                                                    monkeypatch):
         import json as _json
         import threading
-        from pathlib import Path
+        import time
 
         from repro.cli import sched
         from repro.runtime.scheduler import Scheduler
@@ -316,27 +337,21 @@ class TestOneQueueReader:
         queue = self._setup(tmp_path, [
             self._job(0, maxsv=1, processors=1, use_files=False)
             for _ in range(jobs)])
-        drained = threading.Event()
-        mirror = sched._write_status
-
-        def watching(path, payload):
-            mirror(path, payload)
-            if sum(record["status"] == "done"
-                   for record in payload["jobs"].values()) == jobs:
-                drained.set()
-
-        monkeypatch.setattr(sched, "_write_status", watching)
+        log = sched.status_path(queue)
         codes = []
         server = threading.Thread(target=lambda: codes.append(
             sched.sched_main(["--serve", "--queue", str(queue),
                               "--backend", "sequential"])))
         server.start()
         try:
-            assert drained.wait(60.0), "queue never drained"
-            calls = {"dumps": 0, "status": 0, "steps": 0}
+            deadline = time.monotonic() + 60.0
+            while [record["status"] for record in _last_job_records(
+                    log).values()].count("done") < jobs:
+                assert time.monotonic() < deadline, "queue never drained"
+                time.sleep(0.01)
+            calls = {"dumps": 0, "steps": 0}
             turned = threading.Event()
-            dumps, write_status, step = (_json.dumps, sched._write_status,
-                                         Scheduler.step)
+            dumps, step = _json.dumps, Scheduler.step
 
             def counting(key, function):
                 def spy(*args, **kwargs):
@@ -351,25 +366,15 @@ class TestOneQueueReader:
                     turned.set()
                 return step(self, *args, **kwargs)
 
-            io = Path(f"/proc/self/task/{server.native_id}/io")
-
-            def rchar():
-                if not io.exists():
-                    return 0
-                for line in io.read_text().splitlines():
-                    if line.startswith("rchar:"):
-                        return int(line.split()[1])
-
             monkeypatch.setattr(_json, "dumps", counting("dumps", dumps))
-            monkeypatch.setattr(sched, "_write_status",
-                                counting("status", write_status))
-            before = rchar()
+            size, before = log.stat().st_size, _thread_io(server.native_id)
             monkeypatch.setattr(Scheduler, "step", counted_step)
             assert turned.wait(60.0)
-            read = rchar() - before
+            after = _thread_io(server.native_id)
             monkeypatch.undo()
-            assert calls["dumps"] == 0 and calls["status"] == 0
-            assert read == 0
+            assert calls["dumps"] == 0 and log.stat().st_size == size
+            # Neither the queue nor anything else is read or written.
+            assert after == before
         finally:
             with queue.open("a") as stream:
                 stream.write('{"shutdown": true}\n')
@@ -378,7 +383,6 @@ class TestOneQueueReader:
 
     def test_batch_admits_a_last_line_without_newline(self, tmp_path,
                                                       capsys):
-        import json as _json
         from repro.cli.sched import sched_main, status_path
 
         queue = self._setup(tmp_path, [self._job(0)])
@@ -388,10 +392,10 @@ class TestOneQueueReader:
                            "--backend", "sequential"]) == 0
         assert "batch: 2 jobs, 0 failed, 0 rejected" \
             in capsys.readouterr().out
-        # The batch mirrors its records like the service does.
-        records = _json.loads(status_path(queue).read_text())["jobs"]
-        assert records == {"job-0": {"status": "done", "error": None},
-                           "job-1": {"status": "done", "error": None}}
+        # The batch logs its records like the service does.
+        assert _last_job_records(status_path(queue)) == {
+            "job-0": {"job": "job-0", "status": "done", "error": None},
+            "job-1": {"job": "job-1", "status": "done", "error": None}}
         assert DataDirectory(tmp_path / "job-1").read_mean_matrix() \
             .shape == (1, 1)
 
@@ -409,3 +413,80 @@ class TestOneQueueReader:
         for name in ("job-0", "job-1"):
             assert DataDirectory(tmp_path / name).read_mean_matrix() \
                 .shape == (1, 1)
+
+    def test_status_log_records_each_state_change(self, tmp_path, capsys):
+        from repro.cli.sched import sched_main, status_path
+        from repro.obs.events import read_events
+
+        queue = self._setup(tmp_path, [self._job(0), self._job(1)])
+        assert sched_main(["--queue", str(queue), "--backend",
+                           "sequential", "--max-jobs", "1"]) == 0
+        events = list(read_events(status_path(queue)))
+        first, last = events[0], events[-1]
+        assert (first.kind, first.fields) == ("service", {"serving": True})
+        assert (last.kind, last.fields) == ("service", {"serving": False})
+        jobs = {}
+        for event in events[1:-1]:
+            assert event.kind == "job" and first.ts <= event.ts <= last.ts
+            jobs.setdefault(event.fields["job"], []).append(event)
+        [rejected] = jobs.pop("job-1")
+        assert rejected.fields["status"] == "rejected"
+        assert "capacity" in rejected.fields["error"]
+        # One record per observed change, stamped at the transition.
+        states = [event.fields["status"] for event in jobs.pop("job-0")]
+        assert states[0] == "queued" and states[-1] == "done"
+        assert states == [state for state in ("queued", "running",
+                                              "draining", "done")
+                          if state in states]
+        assert jobs == {}
+
+    def test_status_bytes_per_job_do_not_grow_with_the_queue(
+            self, tmp_path, capsys, monkeypatch):
+        # Status cost is linear in jobs: a 200-job batch writes as many
+        # bytes per job as a 20-job one (names and stamps a few digits
+        # longer).  A whole-file rewrite per change wrote ~9x as many.
+        import sys
+        import threading
+
+        from repro.cli.sched import sched_main
+
+        tid = threading.get_native_id()
+        if _thread_io(tid) == (0, 0):
+            pytest.skip("no per-thread I/O counters on this platform")
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        per_job = {}
+        for jobs in (20, 200):
+            queue = self._setup(tmp_path / str(jobs), [
+                self._job(0, maxsv=1, processors=1, use_files=False)
+                for _ in range(jobs)])
+            before = _thread_io(tid)[1]
+            assert sched_main(["--queue", str(queue),
+                               "--backend", "sequential"]) == 0
+            per_job[jobs] = (_thread_io(tid)[1] - before) / jobs
+        assert 0 < per_job[200] <= 1.1 * per_job[20]
+
+    def test_wait_reads_each_jobs_last_record(self, tmp_path, capsys):
+        from repro.cli.sched import _wait_for, status_path
+        from repro.obs.events import EventLog
+
+        queue = tmp_path / "jobs.jsonl"
+        log = EventLog(path=status_path(queue))
+        # No log yet: not yet, so a zero timeout gives up.
+        assert _wait_for(queue, "a", timeout=0.0) == 1
+        assert "timed out waiting for a" in capsys.readouterr().err
+        log.append("service", serving=True)
+        log.append("job", job="a", status="running", error=None)
+        log.append("job", job="b", status="rejected", error="bad field")
+        log.append("job", job="a", status="done", error=None)
+        log.flush()
+        assert _wait_for(queue, "a", timeout=0.0) == 0
+        assert capsys.readouterr().out == "a: done\n"
+        assert _wait_for(queue, "b", timeout=0.0) == 1
+        assert capsys.readouterr().err == "b: rejected — bad field\n"
+        # A malformed line before the end counts as not yet.
+        with status_path(queue).open("a") as stream:
+            stream.write("{torn\n")
+        log.append("job", job="c", status="failed", error="boom")
+        log.flush()
+        assert _wait_for(queue, "a", timeout=0.0) == 1
+        assert "timed out" in capsys.readouterr().err

@@ -482,11 +482,45 @@ class TestReducerFaultTolerance:
             scheduler.step()
         assert backend._respawn_budget == {}
         monkeypatch.setenv(CRASH_ENV, "*:after-forward-1")
-        scheduler.submit(tree("doomed", 3, 3_000_000))
-        with pytest.raises(BackendError, match="respawn budget"):
-            scheduler.run()
+        doomed = scheduler.submit(tree("doomed", 3, 3_000_000))
+        scheduler.run()
+        # The exhausted budget fails the doomed job, not the run.
+        assert doomed.status is JobStatus.FAILED
+        assert isinstance(doomed.error, BackendError)
+        assert "respawn budget" in str(doomed.error)
+        assert all(job.status is JobStatus.DONE for job in released)
         nodes = len(plan_reduction(range(3), 2).nodes)
         assert starts.count("doomed") == nodes + 4 * nodes
+
+    def test_reducer_death_fails_only_its_own_job(self, monkeypatch):
+        # Under the default "fail" policy a dead reducer fails the job
+        # that planned it; a flat job sharing the scheduler runs on.
+        monkeypatch.setenv(CRASH_ENV, "r1.0:on-final")
+        backend = MultiprocessBackend(start_method="fork")
+        releases = []
+        release_job = backend.release_job
+
+        def counted(job_id):
+            releases.append(job_id)
+            release_job(job_id)
+
+        monkeypatch.setattr(backend, "release_job", counted)
+        scheduler = Scheduler(backend)
+        config = dict(perpass=1000.0, peraver=0.0)
+        tree = scheduler.submit(JobSpec(
+            routine=square, name="tree", use_files=False,
+            config=RunConfig(maxsv=40, processors=4, seqnum=0,
+                             reduction_fanout=2, **config)))
+        flat = scheduler.submit(JobSpec(
+            routine=square, name="flat", use_files=False,
+            config=RunConfig(maxsv=40, processors=1, seqnum=1, **config)))
+        scheduler.run()
+        assert tree.status is JobStatus.FAILED
+        assert isinstance(tree.error, BackendError)
+        assert "reducer r1.0 died" in str(tree.error)
+        assert releases.count("tree") == 1
+        assert flat.status is JobStatus.DONE
+        assert flat.result.total_volume == 40
 
     def test_default_policy_fails_on_reducer_death(
             self, tmp_path, monkeypatch):

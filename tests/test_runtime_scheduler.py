@@ -26,6 +26,9 @@ from repro.apps.queueing import (
     make_ggck_realization,
     simulate_ggck,
 )
+from repro.cluster.machine import DurationModel
+from repro.cluster.network import NetworkModel
+from repro.cluster.simulation import ClusterSpec
 from repro.exceptions import AdmissionError, ConfigurationError
 from repro.rng.lcg128 import Lcg128
 from repro.runtime.config import RunConfig
@@ -37,12 +40,6 @@ from repro.runtime.sequential import SequentialBackend
 
 def square(rng):
     return rng.random() ** 2
-
-
-def nap(rng):
-    """A realization with a real wall-clock footprint (~0.3 s)."""
-    time.sleep(0.3)
-    return rng.random()
 
 
 def spec(routine=square, *, seqnum=0, maxsv=12, processors=12,
@@ -256,11 +253,16 @@ class TestLiveJobsOnly:
 class TestSlaTracking:
     def test_report_shape_and_deadline_miss(self):
         scheduler = Scheduler(SequentialBackend(), workers=1)
-        # nap() sleeps 0.3 s per realization; a 1 ms deadline on a job
+
+        def doze(rng):
+            time.sleep(0.005)
+            return rng.random()
+
+        # doze() sleeps 5 ms per realization; a 1 ms deadline on a job
         # with two realizations is guaranteed missed, a generous one
         # is guaranteed met.
         missed = scheduler.submit(
-            spec(nap, seqnum=0, name="tight", maxsv=2, processors=1,
+            spec(doze, seqnum=0, name="tight", maxsv=2, processors=1,
                  deadline=0.001))
         met = scheduler.submit(
             spec(square, seqnum=1, name="loose", maxsv=2, processors=1,
@@ -459,11 +461,11 @@ class TestSchedulerSlosMatchMonteCarlo:
         assert scheduler.sla_report()["rejected"] == rejected
 
     def test_measured_waits_match_predicted_waits(self, tmp_path):
-        # 6 jobs of ~0.6 s each over c=2 real worker processes.  The
+        # 6 jobs of 0.6 s each over c=2 simulated workers.  The
         # deterministic G/G/c/K prediction for the mean submit-to-start
-        # wait is (0+0+s+s+2s+2s)/6 = 0.6 s; the measured scheduler
-        # waits must land within 50% (process startup and poll
-        # granularity are the slack).
+        # wait is (0+0+s+s+2s+2s)/6 = 0.6 s; on a cluster whose
+        # realizations take exactly 0.3 virtual seconds and whose
+        # messages cost nothing, the scheduler's waits match it exactly.
         service = 0.6
         queue = GGcKQueue(servers=2, capacity=6, customers=6,
                           interarrival=lambda rng: 0.0,
@@ -475,15 +477,18 @@ class TestSchedulerSlosMatchMonteCarlo:
         predicted_wait = prediction.estimates.mean[0, 0]
         assert predicted_wait == pytest.approx(service)
 
-        jobs = [{"realization": nap, "name": f"j{i}", "maxsv": 2,
+        jobs = [{"realization": square, "name": f"j{i}", "maxsv": 2,
                  "processors": 1, "seqnum": i, "perpass": 0.0,
                  "peraver": 0.0, "use_files": False}
                 for i in range(6)]
-        results = parmonc(jobs=jobs, backend="multiprocess", workers=2,
-                          start_method="fork")
+        cluster = ClusterSpec(duration_model=DurationModel(mean=0.3),
+                              collector_service_time=0.0,
+                              network=NetworkModel(latency=0.0))
+        results = parmonc(jobs=jobs, backend="simcluster", workers=2,
+                          cluster_spec=cluster)
         waits = [result.sla["wait_seconds"] for result in results]
-        measured = sum(waits) / len(waits)
-        assert abs(measured - predicted_wait) <= 0.5 * predicted_wait
+        assert waits == pytest.approx([0.0, 0.0, 0.6, 0.6, 1.2, 1.2])
+        assert sum(waits) / len(waits) == pytest.approx(predicted_wait)
 
     def test_ggck_batch_case_is_exact(self):
         # The hand-computable case the analogy rests on: 8 batch

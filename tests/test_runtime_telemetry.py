@@ -166,6 +166,17 @@ class TestSimclusterTelemetry:
         for event in read_events(events_path):
             assert 0.0 <= event.ts <= result.virtual_time + 1e-9
 
+    @pytest.mark.parametrize("fanout", [None, 2])
+    def test_one_worker_final_per_rank(self, tmp_path, fanout):
+        # Job.ingest logs a rank's final as it is delivered, on every
+        # backend; the simulator logs no second one as it is sent.
+        config = RunConfig(maxsv=40, processors=4, workdir=tmp_path,
+                           perpass=0.0, telemetry=True,
+                           reduction_fanout=fanout)
+        Engine(SimclusterBackend(), config).run(tiny)
+        finals = read_events(artifacts(tmp_path)[0], kind="worker_final")
+        assert sorted(e.fields["rank"] for e in finals) == [0, 1, 2, 3]
+
     def test_worker_stats_cover_every_rank(self, tmp_path):
         config = RunConfig(maxsv=40, processors=4, workdir=tmp_path,
                            telemetry=True)
