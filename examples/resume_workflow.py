@@ -44,9 +44,11 @@ def main():
               f"mean={first.estimates.mean[0, 0]:.5f} (exact 0.25)")
 
         # --- a job that dies mid-flight ------------------------------
-        # Simulate the crash by running workers manually and never
-        # letting the session finalize: the collector has persisted
-        # per-processor subtotals, but no final averaging happened.
+        # Simulate the crash by running workers manually and killing
+        # the job before their final messages reach rank 0 (the last
+        # one would complete the run and commit it): the collector has
+        # persisted per-processor subtotals — at perpass=0 the final
+        # repeats a worker's last pass — but no final averaging happened.
         config = RunConfig(maxsv=KILLED, processors=3, res=1, seqnum=1,
                            workdir=workdir)
         data, state = start_session(config)
@@ -54,7 +56,7 @@ def main():
                               data, sessions=state.session_index)
         for rank in range(config.processors):
             run_worker(cubic, config, rank, config.worker_quota(rank),
-                       send=lambda m: collector.receive(m, 0.0))
+                       send=lambda m: m.final or collector.receive(m, 0.0))
         print(f"job killed after workers delivered "
               f"{collector.session_volume} realizations "
               f"(results not finalized)")

@@ -53,7 +53,7 @@ from pathlib import Path
 from repro.cli.run import load_routine
 from repro.core.parmonc import build_job_spec
 from repro.exceptions import ConfigurationError, ReproError
-from repro.obs.events import EventLog, read_events
+from repro.obs.events import EventLog, EventTail
 from repro.runtime.engine import available_backends, create_backend
 from repro.runtime.job import Job, JobStatus
 from repro.runtime.scheduler import Scheduler
@@ -176,18 +176,29 @@ def _append_line(queue: Path, entry: dict) -> None:
 
 
 def _wait_for(queue: Path, name: str, timeout: float | None) -> int:
-    """Poll the service status log until ``name`` finishes."""
-    path = status_path(queue)
+    """Poll the service status log until ``name`` finishes.
+
+    Each poll decodes only the records appended since the previous one
+    (:class:`~repro.obs.events.EventTail`); a new log (the service
+    restarted) is read from its start, and a malformed line leaves the
+    job "not yet" until the log is replaced.
+    """
+    tail = EventTail(status_path(queue))
     deadline = (time.monotonic() + timeout
                 if timeout is not None else None)
+    record: dict = {}
     while True:
-        record = {}
         try:
-            for event in read_events(path, kind="job"):
-                if event.fields.get("job") == name:
-                    record = event.fields
-        except (OSError, ConfigurationError):
-            record = {}  # no log yet, or a malformed line: not yet
+            events, restarted = tail.poll(kind="job")
+        except OSError:
+            events, restarted = [], False  # no log yet
+        except ConfigurationError:
+            events, restarted, record = [], False, {}  # malformed: not yet
+        if restarted:
+            record = {}
+        for event in events:
+            if event.fields.get("job") == name:
+                record = event.fields
         state = record.get("status")
         if state == JobStatus.DONE:
             print(f"{name}: done")

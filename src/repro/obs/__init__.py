@@ -25,7 +25,7 @@ artifacts back with :func:`read_events` / ``parmonc-report
 
 from __future__ import annotations
 
-from repro.obs.events import Event, EventLog, read_events
+from repro.obs.events import Event, EventLog, EventTail, read_events
 from repro.obs.log import configure_logging, install_null_handler
 from repro.obs.metrics import (
     Counter,
@@ -50,6 +50,7 @@ __all__ = [
     "Tracer",
     "Event",
     "EventLog",
+    "EventTail",
     "read_events",
     "RunTelemetry",
     "WorkerTelemetry",

@@ -29,6 +29,7 @@ record of everything up to its last averaging round.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,7 +37,7 @@ from typing import Callable, Iterator
 
 from repro.exceptions import ConfigurationError
 
-__all__ = ["Event", "EventLog", "read_events"]
+__all__ = ["Event", "EventLog", "EventTail", "read_events"]
 
 
 @dataclass(frozen=True)
@@ -122,6 +123,17 @@ class EventLog:
         self._flushed = len(self._events)
 
 
+def _decode(line: str | bytes) -> Event | None:
+    """One JSONL line's event; None when it is not one."""
+    try:
+        payload = json.loads(line)
+        ts = float(payload.pop("ts"))
+        kind = str(payload.pop("kind"))
+    except (AttributeError, KeyError, TypeError, ValueError):
+        return None
+    return Event(ts=ts, kind=kind, fields=payload)
+
+
 def read_events(path: Path | str, kind: str | None = None) -> Iterator[Event]:
     """Iterate the events of a ``telemetry/events.jsonl`` file.
 
@@ -141,11 +153,8 @@ def read_events(path: Path | str, kind: str | None = None) -> Iterator[Event]:
             line = line.strip()
             if not line:
                 continue
-            try:
-                payload = json.loads(line)
-                ts = float(payload.pop("ts"))
-                event_kind = str(payload.pop("kind"))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+            event = _decode(line)
+            if event is None:
                 # A crash mid-write can truncate the final line; tolerate
                 # exactly that, reject garbage anywhere else.
                 remainder = handle.read().strip()
@@ -153,5 +162,67 @@ def read_events(path: Path | str, kind: str | None = None) -> Iterator[Event]:
                     raise ConfigurationError(
                         f"malformed event at {path}:{number}")
                 continue
-            if kind is None or event_kind == kind:
-                yield Event(ts=ts, kind=event_kind, fields=payload)
+            if kind is None or event.kind == kind:
+                yield event
+
+
+class EventTail:
+    """Follows an event log that another process appends to.
+
+    Each :meth:`poll` decodes only the complete lines appended since the
+    previous one, so a reader polling a long log pays for what is new;
+    a torn last line (no newline yet) is read again by the next poll.
+    A log replaced since the previous poll — another file at the path,
+    one shorter than what was read, or one whose byte before the resume
+    offset does not end a line (an inode number can be reused) — is
+    read from its start.
+
+    Args:
+        path: The JSONL file.
+    """
+
+    def __init__(self, path: Path | str) -> None:
+        self.path = Path(path)
+        self._identity: tuple[int, int] | None = None
+        self._offset = 0
+
+    def poll(self, kind: str | None = None) -> tuple[list[Event], bool]:
+        """The events appended since the previous poll, and whether
+        they were read from the log's start: the first poll, or the log
+        was replaced since the previous one.
+
+        Args:
+            kind: Optional filter; return only events of this kind.
+
+        Raises:
+            OSError: No log at the path.
+            ConfigurationError: On a malformed complete line; the tail
+                stays where it was, so every poll raises again until
+                the log is replaced.
+        """
+        with self.path.open("rb") as handle:
+            status = os.fstat(handle.fileno())
+            identity = (status.st_dev, status.st_ino)
+            offset = self._offset
+            if offset:
+                handle.seek(offset - 1)
+            replaced = (identity != self._identity
+                        or status.st_size < offset
+                        or (offset > 0 and handle.read(1) != b"\n"))
+            if replaced:
+                offset = 0
+            handle.seek(offset)
+            data = handle.read()
+        complete = data[:data.rfind(b"\n") + 1]
+        events = []
+        for line in complete.splitlines():
+            if not line.strip():
+                continue
+            event = _decode(line)
+            if event is None:
+                raise ConfigurationError(
+                    f"malformed event in {self.path} after byte {offset}")
+            if kind is None or event.kind == kind:
+                events.append(event)
+        self._identity, self._offset = identity, offset + len(complete)
+        return events, replaced

@@ -32,7 +32,9 @@ def start_session(config: RunConfig, use_files: bool = True
             save-point.
 
     Returns:
-        ``(data, state)`` where ``data`` is None for in-memory runs.
+        ``(data, state)`` where ``data`` is None for in-memory runs;
+        ``data.session`` is ``state``, the tail of the save-point the
+        session's completion commit writes.
     """
     if not use_files:
         if config.res != 0:
@@ -53,6 +55,7 @@ def start_session(config: RunConfig, use_files: bool = True
         # files with results" — drop anything a previous run left behind.
         data.clear_savepoint()
         data.clear_processor_snapshots()
+    data.session = state
     data.register_experiment(seqnum=config.seqnum,
                              processors=config.processors,
                              maxsv=config.maxsv, res=config.res)

@@ -39,14 +39,19 @@ class Collector:
         config: The run configuration (``peraver`` and shape matter).
         base: The sample inherited from resumed sessions, its extra
             statistics inside (a zero snapshot for a fresh run).
-        data: Data directory for result files and save-points; pass None
-            to keep the collector purely in memory (used by the
-            discrete-event cluster simulation's fast path).
+        data: The session's data directory, as
+            :func:`~repro.runtime.bootstrap.start_session` returns it
+            (its ``session`` is the save-point tail the run's
+            completion commit writes); pass None to keep the collector
+            purely in memory (used by the discrete-event cluster
+            simulation's fast path).
         sessions: Session index recorded in ``func_log.dat``.
         persist_subtotals: Whether to mirror each worker's latest
             snapshot into ``savepoints/processor_<m>.bin`` (the
             ``manaver`` recovery input).  Defaults to True whenever a
-            data directory is given.
+            data directory is given.  A message that completes a
+            session's run writes no subtotal: the completion commit's
+            save-point holds it.
         telemetry: Optional :class:`~repro.obs.telemetry.RunTelemetry`
             to instrument against; None (the default) keeps the hot
             path free of any telemetry work.
@@ -60,9 +65,14 @@ class Collector:
             raise ConfigurationError(
                 f"resume base shape {base.shape} does not match the "
                 f"configured {config.shape}")
+        if data is not None and data.session is None:
+            raise ConfigurationError(
+                "a collector writes to a session's data directory; "
+                "open it with start_session")
         self._config = config
         self._base = base
         self._data = data
+        self._session = data.session if data is not None else None
         self._sessions = sessions
         self._persist = (persist_subtotals if persist_subtotals is not None
                          else data is not None)
@@ -83,6 +93,9 @@ class Collector:
         self._merged: MomentSnapshot | None = None
         self._estimates: Estimates | None = None
         self._matrices_on_disk = False
+        self._committed = False
+        #: ``func_log.dat``'s ``elapsed_sec`` counts from here.
+        self._opened = time.monotonic()
 
     # ------------------------------------------------------------------
 
@@ -125,6 +138,13 @@ class Collector:
     def complete(self) -> bool:
         """True when every configured worker has sent a final message."""
         return self._expected.issubset(self._finals)
+
+    @property
+    def committed(self) -> bool:
+        """Whether a final save covers every accepted message: the
+        completion commit ran, or ``save(final=True)``, and nothing
+        was accepted since."""
+        return self._committed
 
     def rerun_rank(self, rank: int, now: float) -> None:
         """``rank`` reruns from realization 0 on its own stream.
@@ -195,10 +215,10 @@ class Collector:
     def receive(self, message: MomentMessage, now: float) -> bool:
         """Ingest one worker message; return True if a save was triggered.
 
-        A save (average + write files + refresh save-points) happens when
-        ``peraver`` seconds have passed since the previous one, when
-        ``peraver`` is zero (save on every message), or when the message
-        completes the run.
+        A save (average + write result files) happens when ``peraver``
+        seconds have passed since the previous one, when ``peraver`` is
+        zero (save on every message), or when the message completes the
+        run — that save is final (see :meth:`save`).
         """
         if not self._ingest(message, now):
             return False
@@ -272,7 +292,7 @@ class Collector:
             return False
         self._latest[message.rank] = message.snapshot
         self._merged = self._estimates = None
-        self._matrices_on_disk = False
+        self._matrices_on_disk = self._committed = False
         self._last_seen[message.rank] = now
         if message.final:
             self._finals.add(message.rank)
@@ -283,7 +303,7 @@ class Collector:
             self._telemetry.events.append(
                 "message", ts=now, rank=message.rank,
                 volume=message.snapshot.volume, final=message.final)
-        if self._persist and self._data is not None:
+        if self._persist and self._data is not None and not self.complete:
             self._data.save_processor_snapshot(
                 message.rank, message.snapshot, session=self._sessions)
         return True
@@ -326,32 +346,49 @@ class Collector:
             self._estimates = merged.estimates()
         return self._estimates
 
-    def save(self, now: float, elapsed: float | None = None) -> None:
+    def save(self, now: float, *, final: bool = False) -> None:
         """Average and write result files (a periodic PARMONC save-point).
 
+        A save is *final* once the run is complete, or when
+        ``final=True`` (``Job.finalize`` of a run that ended without
+        completing): ``func_log.dat`` gets ``elapsed_sec``, counted from
+        the collector's construction, and the save is the session's
+        :meth:`~repro.runtime.files.DataDirectory.commit_session` —
+        save-point and result files in one commit.
         ``func.dat`` and ``func_ci.dat`` are functions of the merged
         sample alone, so a save with nothing ingested since the one
-        that last wrote them — ``Job.finalize`` right after the final
-        message's own save — rewrites only ``func_log.dat``.
+        that last wrote them writes only ``func_log.dat``.
         """
+        final = final or self.complete
         self._last_average_at = now
         self._save_count += 1
-        if self._data is None and self._telemetry is None:
-            return
+        if self._data is not None or self._telemetry is not None:
+            self._write(now, final)
+        self._committed = final
+
+    def _write(self, now: float, final: bool) -> None:
         round_started = time.perf_counter()
         merged = self.merged()
-        if merged.volume == 0:
+        estimates = self.estimates() if merged.volume else None
+        data = self._data
+        if data is not None:
+            if estimates is not None:
+                self._history.append((now, merged.volume,
+                                      estimates.abs_error_max))
+            fields = dict(seqnum=self._config.seqnum,
+                          processors=self._config.processors,
+                          sessions=self._sessions,
+                          elapsed=(time.monotonic() - self._opened
+                                   if final else None),
+                          matrices=not self._matrices_on_disk)
+            if final:
+                data.commit_session(self._session, merged, estimates,
+                                    **fields)
+            elif estimates is not None:
+                data.write_results(estimates, **fields)
+            self._matrices_on_disk = estimates is not None
+        if estimates is None:
             return
-        estimates = self.estimates()
-        if self._data is not None:
-            self._history.append((now, merged.volume,
-                                  estimates.abs_error_max))
-            write = (self._data.write_log if self._matrices_on_disk
-                     else self._data.write_results)
-            write(estimates, seqnum=self._config.seqnum,
-                  processors=self._config.processors,
-                  sessions=self._sessions, elapsed=elapsed)
-            self._matrices_on_disk = True
         if self._telemetry is not None:
             # The round is timed against the real clock even under
             # simulation: merging cost is a property of this machine,

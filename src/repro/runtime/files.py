@@ -27,12 +27,15 @@ versions (``savepoint.json``, ``processor_<m>.json``) are still *read*:
 the binary file wins when both exist, and the old one is removed right
 after the new one's rename.
 
-Every artifact is written through :mod:`repro.runtime.storage` — atomic
-write-temp → fsync → rename — so a kill at any instruction leaves
-either the old or the new file, never a torn one.  A file that *does*
-fail its digest (bit rot, manual tampering) is quarantined as
-``*.corrupt`` and skipped with a warning instead of aborting the whole
-recovery; see ``docs/protocol.md``.
+Every artifact is written through :func:`repro.runtime.storage.commit`
+— temps written and fsynced, then renamed — so a kill at any
+instruction leaves either the old or the new file, never a torn one.
+The end of a job is one such commit (:meth:`DataDirectory
+.commit_session`): the save-point and the three result files together,
+the save-point renamed first, and the subtotals it absorbed unlinked
+after.  A file that *does* fail its digest (bit rot, manual tampering)
+is quarantined as ``*.corrupt`` and skipped with a warning instead of
+aborting the whole recovery; see ``docs/protocol.md``.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ import logging
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -60,6 +64,9 @@ from repro.runtime.messages import (
 )
 from repro.stats.accumulator import MomentSnapshot
 from repro.stats.estimators import Estimates
+
+if TYPE_CHECKING:
+    from repro.runtime.resume import ResumeState
 
 __all__ = [
     "DataDirectory",
@@ -397,6 +404,12 @@ class DataDirectory:
     def __init__(self, workdir: Path | str) -> None:
         self._root = Path(workdir) / "parmonc_data"
         self._events = None
+        #: The :class:`~repro.runtime.resume.ResumeState` of the session
+        #: :func:`~repro.runtime.bootstrap.start_session` opened here
+        #: (None otherwise): the burnt seqnums, manifest and carried
+        #: payloads a collector hands :meth:`commit_session` for the
+        #: save-point's tail.
+        self.session: ResumeState | None = None
 
     def attach_events(self, events) -> None:
         """Forward quarantines to an :class:`~repro.obs.events.EventLog`.
@@ -499,38 +512,44 @@ class DataDirectory:
     # ------------------------------------------------------------------
     # Results
 
-    def write_results(self, estimates: Estimates, *, seqnum: int,
-                      processors: int, sessions: int,
-                      elapsed: float | None = None) -> None:
-        """Write ``func.dat``, ``func_ci.dat`` and ``func_log.dat``.
-
-        Each file is written atomically, so a kill mid-save can never
-        leave a torn matrix for :meth:`read_mean_matrix` to load.
-        """
-        cells = _cells(estimates)
-        storage.atomic_write_text(self.results_dir / "func.dat",
-                                  _render_mean_matrix(estimates, cells),
-                                  label="results.func")
-        storage.atomic_write_text(self.results_dir / "func_ci.dat",
-                                  _render_ci_table(estimates, cells),
-                                  label="results.func_ci")
-        self.write_log(estimates, seqnum=seqnum, processors=processors,
-                       sessions=sessions, elapsed=elapsed)
-
-    def write_log(self, estimates: Estimates, *, seqnum: int,
-                  processors: int, sessions: int,
-                  elapsed: float | None = None) -> None:
-        """Write ``func_log.dat`` alone.
-
-        The log is the one result file that changes between two saves
-        of the same sample (it carries ``written_at`` and ``elapsed``),
-        so a save that has nothing new to average rewrites only this.
-        """
-        storage.atomic_write_text(
+    def _result_artifacts(self, estimates: Estimates, *, seqnum: int,
+                          processors: int, sessions: int,
+                          elapsed: float | None, matrices: bool
+                          ) -> list[storage.Artifact]:
+        log = storage.Artifact(
             self.results_dir / "func_log.dat",
             render_log(estimates, seqnum=seqnum, processors=processors,
-                       sessions=sessions, elapsed=elapsed),
-            label="results.func_log")
+                       sessions=sessions, elapsed=elapsed).encode(),
+            "results.func_log")
+        if not matrices:
+            return [log]
+        cells = _cells(estimates)
+        return [
+            storage.Artifact(
+                self.results_dir / "func.dat",
+                _render_mean_matrix(estimates, cells).encode(),
+                "results.func"),
+            storage.Artifact(
+                self.results_dir / "func_ci.dat",
+                _render_ci_table(estimates, cells).encode(),
+                "results.func_ci"),
+            log]
+
+    def write_results(self, estimates: Estimates, *, seqnum: int,
+                      processors: int, sessions: int,
+                      elapsed: float | None = None,
+                      matrices: bool = True) -> None:
+        """Write ``func.dat``, ``func_ci.dat`` and ``func_log.dat`` as
+        one commit, so a kill mid-save can never leave a torn matrix
+        for :meth:`read_mean_matrix` to load.
+
+        ``matrices=False`` writes ``func_log.dat`` alone: it is the one
+        result file that changes between two saves of the same sample
+        (it carries ``written_at`` and ``elapsed``).
+        """
+        storage.commit(self._result_artifacts(
+            estimates, seqnum=seqnum, processors=processors,
+            sessions=sessions, elapsed=elapsed, matrices=matrices))
 
     def read_mean_matrix(self) -> np.ndarray:
         """Read back the matrix of sample means from ``func.dat``."""
@@ -580,7 +599,16 @@ class DataDirectory:
                 carry forward verbatim — how unknown kinds loaded from
                 an older save-point survive a rewrite untouched.
         """
-        self.ensure()
+        storage.commit([self._savepoint_artifact(
+            snapshot, used_seqnums=used_seqnums, sessions=sessions,
+            manifest=manifest, extra_payloads=extra_payloads)])
+        self.legacy_savepoint_path.unlink(missing_ok=True)
+
+    def _savepoint_artifact(self, snapshot: MomentSnapshot, *,
+                            used_seqnums: tuple[int, ...], sessions: int,
+                            manifest: dict | None,
+                            extra_payloads: dict[str, dict] | None
+                            ) -> storage.Artifact:
         tail = {
             "used_seqnums": sorted(set(int(s) for s in used_seqnums)),
             "sessions": int(sessions),
@@ -589,10 +617,40 @@ class DataDirectory:
             tail["manifest"] = manifest
         if extra_payloads:
             tail["statistics"] = dict(extra_payloads)
-        storage.write_sealed(self.savepoint_path, SAVEPOINT_FORMAT,
-                             pack_moments(snapshot, tail),
-                             version=SAVEPOINT_VERSION, label="savepoint")
+        return storage.Artifact(
+            self.savepoint_path,
+            storage.sealed(SAVEPOINT_FORMAT, pack_moments(snapshot, tail),
+                           version=SAVEPOINT_VERSION),
+            "savepoint")
+
+    def commit_session(self, session: ResumeState, merged: MomentSnapshot,
+                       estimates: Estimates | None, *, seqnum: int,
+                       processors: int, sessions: int,
+                       elapsed: float | None = None,
+                       matrices: bool = True) -> None:
+        """End a session in one durable commit.
+
+        The save-point of ``merged``, its tail from ``session`` (the
+        :class:`~repro.runtime.resume.ResumeState` the session started
+        from), and, when there are ``estimates``, the result files of
+        :meth:`write_results` are written as one
+        :func:`~repro.runtime.storage.commit`, the save-point renamed
+        first; then the subtotals it absorbed are unlinked.  A crash
+        before the save-point's rename leaves every file old; one after
+        it leaves subtotals whose session tag tells ``manaver`` they are
+        already absorbed.
+        """
+        artifacts = [self._savepoint_artifact(
+            merged, used_seqnums=session.used_seqnums,
+            sessions=session.session_index, manifest=session.manifest,
+            extra_payloads=session.unknown_payloads)]
+        if estimates is not None:
+            artifacts += self._result_artifacts(
+                estimates, seqnum=seqnum, processors=processors,
+                sessions=sessions, elapsed=elapsed, matrices=matrices)
+        storage.commit(artifacts)
         self.legacy_savepoint_path.unlink(missing_ok=True)
+        self.clear_processor_snapshots()
 
     def load_savepoint(self) -> tuple[MomentSnapshot, SavepointMeta]:
         """Load the merged snapshot saved by a previous session.

@@ -12,7 +12,8 @@ A job owns:
 * its experiment configuration (the ``seqnum`` subsequence of the RNG
   hierarchy keeps concurrent jobs statistically independent),
 * its :class:`~repro.runtime.collector.Collector`, resume state and
-  session directory (``start_session`` / ``finalize_session``),
+  session directory (``start_session``; the save that completes the
+  run commits the save-point and result files together),
 * its telemetry (:func:`~repro.runtime.telemetry_support
   .open_run_telemetry`) and staleness flags,
 * its work plan, in-flight ranks, quotas, and the fault-tolerant
@@ -42,7 +43,6 @@ from repro.runtime.engine import (
     WorkerDeath,
 )
 from repro.runtime.messages import CombinedMessage, MomentMessage
-from repro.runtime.resume import finalize_session
 from repro.runtime.result import RunResult
 from repro.runtime.telemetry_support import open_run_telemetry
 
@@ -426,20 +426,20 @@ class Job:
         self.status = JobStatus.CANCELLED
 
     def finalize(self, backend, scheduler_started: float) -> RunResult:
-        """Save, merge and assemble this job's :class:`RunResult`.
+        """Merge and assemble this job's :class:`RunResult`.
 
-        The statement order (clock samples, event order) is what the
-        byte-identity pins on single-job artifacts hold fixed.
-        ``elapsed`` is wall-clock seconds since the job was opened,
-        whatever the run clock.
+        A run that completed was committed by the save its last message
+        triggered; one that ended without completing (a deadline, a
+        partial sample) gets its final save here.  The statement order
+        (clock samples, event order) is what the byte-identity pins on
+        single-job artifacts hold fixed.  ``elapsed`` is wall-clock
+        seconds since the job was opened, whatever the run clock.
         """
         collector = self.collector
         elapsed = time.monotonic() - self._wall_started
-        collector.save(backend.clock(), elapsed=elapsed)
+        if not collector.committed:
+            collector.save(backend.clock(), final=True)
         merged = collector.merged()
-        if self.data is not None:
-            finalize_session(self.data, self.state, merged)
-            self.data.clear_processor_snapshots()
         estimates = collector.estimates() if merged.volume > 0 else None
         sla = (self.sla_snapshot(scheduler_started)
                if self.id is not None else None)

@@ -482,8 +482,16 @@ class Scheduler:
         return bool(self._live)
 
     def _admit_pending(self) -> None:
-        """Open queued jobs and put their work plans in contention."""
+        """Open queued jobs and put their work plans in contention.
+
+        Each newcomer joins the fair-share auction where the field
+        currently stands: matching the least-charged running job means
+        it competes on equal terms from now on instead of replaying
+        dispatches it never contended for.  A newcomer joins at that
+        maximum, so it stays the field's maximum for the whole turn.
+        """
         backend = self._backend
+        field = max((job.deficit for job in self.running()), default=0.0)
         while self._admissions:
             job = self._admissions.popleft()
             if job.status is not JobStatus.QUEUED:
@@ -495,12 +503,7 @@ class Scheduler:
             except ReproError as error:
                 job.fail(error)
                 continue
-            # Join the fair-share auction where the field currently
-            # stands: matching the least-charged running job means the
-            # newcomer competes on equal terms from now on instead of
-            # replaying dispatches it never contended for.
-            job.deficit = max(
-                (other.deficit for other in self.running()), default=0.0)
+            job.deficit = field
             job.status = JobStatus.RUNNING
             job.pending.extend(backend.plan(job))
             job.drain_started = backend.clock()

@@ -5,14 +5,17 @@ no realization the collector had merged — only holds if the on-disk
 artifacts are themselves crash-safe.  This module is the single place
 where the persistence layer touches the filesystem:
 
-* :func:`atomic_write_text`, :func:`write_sealed` and
-  :func:`write_artifact` share one write-temp → fsync → rename
-  (+ directory fsync) routine, so after a crash at *any* instruction
-  the target path holds either the complete old content or the
-  complete new content, never a torn mix.
-* :func:`write_sealed` frames a binary body with magic, version and
-  format name and seals it with a SHA-256 digest of every byte before
-  it; :func:`read_sealed` verifies the seal, so truncation or bit rot
+* :func:`commit` is the one write routine: it replaces N files as one
+  group — every temp written, the temps fsynced back to back, the
+  renames in the order given, then each directory fsynced once, after
+  its last rename — so after a crash at *any* instruction each target
+  path holds either its complete old content or its complete new
+  content, never a torn mix.  :func:`atomic_write_text`,
+  :func:`write_sealed` and :func:`write_artifact` are its one-file
+  case.
+* :func:`sealed` frames a binary body with magic, version and format
+  name and seals it with a SHA-256 digest of every byte before it;
+  :func:`read_sealed` verifies the seal, so truncation or bit rot
   anywhere in the file is detected, not loaded.  The save-points are
   written this way.
 * :func:`write_artifact` / :func:`read_artifact` are the older JSON
@@ -42,10 +45,24 @@ SIGKILL mid-write.  :func:`trace_crashpoints` records which points a
 scenario passes through, so a property test can kill a run at every
 one of them and assert the all-old-or-all-new invariant.
 
-Crashpoint names are ``<label>.<step>`` with steps ``before_write``,
-``after_write`` (temp written, not yet fsynced), ``before_rename``
-(temp durable, target still old) and ``after_rename`` (target new,
-directory entry not yet fsynced).
+Crashpoint names are ``<label>.<step>``, four per file.  In a commit
+of files ``a, b, ...`` they fall in this order::
+
+    a.before_write  a.after_write  b.before_write  b.after_write ...
+        (every temp written; none fsynced yet at its after_write)
+    fsync every temp, back to back
+    a.before_rename a.after_rename b.before_rename b.after_rename ...
+        (before_rename: every temp durable, this target still old;
+         after_rename: this target new, its directory not yet fsynced)
+    fsync each directory once
+
+A crash before the first rename leaves every target old and only
+``*.tmp`` debris; a crash between two renames leaves the earlier
+targets new and the later ones old — which is why a job's completion
+commit (:meth:`repro.runtime.files.DataDirectory.commit_session`)
+renames the save-point first: once it is in place, the result files
+are derivable from it (``manaver``), and the subtotals it absorbed are
+recognised by their session tag.
 """
 
 from __future__ import annotations
@@ -55,10 +72,10 @@ import json
 import logging
 import os
 import struct
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from repro.exceptions import (
     ArtifactVersionError,
@@ -66,10 +83,12 @@ from repro.exceptions import (
 )
 
 __all__ = [
+    "Artifact",
     "CrashInjected",
     "add_quarantine_listener",
     "atomic_write_text",
     "clear_crashpoints",
+    "commit",
     "crashpoint",
     "crashpoint_installed",
     "durable_writes",
@@ -79,6 +98,7 @@ __all__ = [
     "read_artifact",
     "read_sealed",
     "remove_quarantine_listener",
+    "sealed",
     "sweep_temp_files",
     "trace_crashpoints",
     "uninstall_crashpoint",
@@ -240,44 +260,70 @@ def temp_path(path: Path) -> Path:
     return path.with_name(path.name + _SUFFIX_TEMP)
 
 
-def _atomic_write(path: Path, data: bytes, label: str | None) -> None:
-    """Replace ``path`` with ``data`` via write-temp → fsync → rename."""
-    label = label if label is not None else path.name
+class Artifact(NamedTuple):
+    """One file of a :func:`commit`: its path, full new content and
+    crashpoint label."""
+
+    path: Path
+    data: bytes
+    label: str
+
+
+def _open_temp(path: Path):
     temp = temp_path(path)
-    crashpoint(f"{label}.before_write")
     try:
-        handle = temp.open("wb")
+        return temp.open("wb")
     except FileNotFoundError:
         # The parent exists on every write but a directory's first.
         path.parent.mkdir(parents=True, exist_ok=True)
-        handle = temp.open("wb")
-    with handle:
-        handle.write(data)
-        crashpoint(f"{label}.after_write")
-        handle.flush()
-        if _durable():
-            os.fsync(handle.fileno())
-    crashpoint(f"{label}.before_rename")
-    os.replace(temp, path)
-    crashpoint(f"{label}.after_rename")
-    if _durable():
-        _fsync_dir(path.parent)
+        return temp.open("wb")
+
+
+def commit(artifacts: Sequence[Artifact]) -> None:
+    """Replace every artifact's path with its data, as one group.
+
+    Every temp is written, then the temps are fsynced back to back,
+    then renamed over their targets in the order given, then each
+    directory is fsynced once.  After a crash at any point each target
+    holds either its previous content or exactly its new data; the
+    only possible debris is ``*.tmp`` siblings, swept by
+    :func:`sweep_temp_files`.  The crashpoints of each artifact fall
+    as the module docstring lays out.
+    """
+    durable = _durable()
+    with ExitStack() as handles:
+        written = []
+        for artifact in artifacts:
+            crashpoint(f"{artifact.label}.before_write")
+            handle = handles.enter_context(_open_temp(artifact.path))
+            handle.write(artifact.data)
+            crashpoint(f"{artifact.label}.after_write")
+            handle.flush()
+            written.append(handle)
+        if durable:
+            for handle in written:
+                os.fsync(handle.fileno())
+    for artifact in artifacts:
+        crashpoint(f"{artifact.label}.before_rename")
+        os.replace(temp_path(artifact.path), artifact.path)
+        crashpoint(f"{artifact.label}.after_rename")
+    if durable:
+        for directory in dict.fromkeys(artifact.path.parent
+                                       for artifact in artifacts):
+            _fsync_dir(directory)
 
 
 def atomic_write_text(path: Path, text: str, *,
                       label: str | None = None) -> None:
-    """Write ``text`` to ``path`` via write-temp → fsync → rename.
-
-    After a crash at any point the target holds either its previous
-    content or exactly ``text``; the only possible debris is a
-    ``*.tmp`` sibling, swept by :func:`sweep_temp_files`.
+    """Write ``text`` to ``path``: a :func:`commit` of one file.
 
     Args:
         path: Destination path (parent directories are created).
         text: Full new content.
         label: Crashpoint label; defaults to the file name.
     """
-    _atomic_write(path, text.encode("utf-8"), label)
+    commit([Artifact(path, text.encode("utf-8"),
+                     label if label is not None else path.name)])
 
 
 # ---------------------------------------------------------------------------
@@ -292,20 +338,25 @@ _SEAL_MAGIC = b"\x89PARMONC"
 _DIGEST_BYTES = hashlib.sha256().digest_size
 
 
-def write_sealed(path: Path, kind: str, body: bytes, *,
-                 version: int, label: str | None = None) -> None:
-    """Atomically write a binary artifact, framed and sealed.
+def sealed(kind: str, body: bytes, *, version: int) -> bytes:
+    """A binary artifact's bytes, framed and sealed.
 
-    On disk: ``_SEAL`` prefix, the UTF-8 format name ``kind``,
-    ``body`` untouched, then the SHA-256 digest of everything before
-    it.  Same crash-safety guarantees and crashpoints as
-    :func:`atomic_write_text`.
+    ``_SEAL`` prefix, the UTF-8 format name ``kind``, ``body``
+    untouched, then the SHA-256 digest of everything before it.
     """
     name = kind.encode("utf-8")
     head = _SEAL.pack(_SEAL_MAGIC, int(version), len(name)) + name
     digest = hashlib.sha256(head)
     digest.update(body)
-    _atomic_write(path, b"".join((head, body, digest.digest())), label)
+    return b"".join((head, body, digest.digest()))
+
+
+def write_sealed(path: Path, kind: str, body: bytes, *,
+                 version: int, label: str | None = None) -> None:
+    """Atomically write a :func:`sealed` binary artifact: a
+    :func:`commit` of one file."""
+    commit([Artifact(path, sealed(kind, body, version=version),
+                     label if label is not None else path.name)])
 
 
 def read_sealed(path: Path, kind: str, *,
@@ -378,8 +429,7 @@ def write_artifact(path: Path, kind: str, payload: dict, *,
         {"format": kind, "version": N, "checksum": "sha256:...",
          "written_at": "...", "payload": {...}}
 
-    and is produced with the same crash-safety guarantees as
-    :func:`atomic_write_text`.
+    and is written by a :func:`commit` of one file.
     """
     document = {
         "format": kind,

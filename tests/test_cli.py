@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,14 @@ class TestGenparamCli:
         assert "experiments" in output
 
 
+def _killed_before_finals(collector):
+    """A worker ``send`` for a job killed before any final pass reached
+    rank 0: the last final's ``receive`` would commit the run.  At
+    ``perpass=0`` each final repeats its rank's last pass, so every
+    realization is in a subtotal and none is committed."""
+    return lambda message: message.final or collector.receive(message, 0.0)
+
+
 class TestManaverCli:
     def _leave_unfinalized_job(self, tmp_path, volume=30, processors=3):
         config = RunConfig(maxsv=volume, processors=processors,
@@ -51,11 +61,12 @@ class TestManaverCli:
         for rank in range(processors):
             run_worker(lambda rng: rng.random(), config, rank,
                        config.worker_quota(rank),
-                       send=lambda m: collector.receive(m, 0.0))
+                       send=_killed_before_finals(collector))
         return collector
 
     def test_recovers_killed_job(self, tmp_path, capsys):
         self._leave_unfinalized_job(tmp_path)
+        assert not DataDirectory(tmp_path).has_savepoint()
         code = manaver_main(["--workdir", str(tmp_path)])
         assert code == 0
         assert "recovered 30 realizations" in capsys.readouterr().out
@@ -79,10 +90,11 @@ class TestManaverCli:
         collector = Collector(config, state.base, data,
                               sessions=state.session_index)
         run_worker(lambda rng: rng.random(), config, 0, 10,
-                   send=lambda m: collector.receive(m, 0.0))
+                   send=_killed_before_finals(collector))
         summary = manual_average(tmp_path)
         assert summary["volume"] == 30
         assert summary["base_included"]
+        assert summary["processors_recovered"] == 1
 
     def test_resume_after_manaver_counts_everything(self, tmp_path):
         self._leave_unfinalized_job(tmp_path, volume=30)
@@ -103,8 +115,8 @@ class TestManaverCli:
         collector = Collector(config, state.base, data,
                               sessions=state.session_index)
         run_worker(lambda rng: rng.random(), config, 0, 10,
-                   send=lambda m: collector.receive(m, 0.0))
-        manual_average(tmp_path)
+                   send=_killed_before_finals(collector))
+        assert manual_average(tmp_path)["processors_recovered"] == 1
         with pytest.raises(ResumeError):
             parmonc(lambda rng: rng.random(), maxsv=10, res=1,
                     seqnum=7, workdir=tmp_path)
@@ -490,3 +502,74 @@ class TestOneQueueReader:
         log.flush()
         assert _wait_for(queue, "a", timeout=0.0) == 1
         assert "timed out" in capsys.readouterr().err
+
+    def test_wait_decodes_each_record_once(self, tmp_path, monkeypatch,
+                                           capsys):
+        # 1 000 jobs' records, then three polls: the second sees one
+        # more record and a torn line, the third that line completed.
+        # Each record is decoded once, not once per poll.
+        import repro.cli.sched as sched
+        import repro.obs.events as events
+        from repro.obs.events import EventLog
+
+        queue = tmp_path / "jobs.jsonl"
+        log = EventLog(path=sched.status_path(queue))
+        for index in range(1000):
+            log.append("job", job=f"j{index}", status="running",
+                       error=None)
+        log.flush()
+        done = json.dumps({"ts": 1.0, "kind": "job", "job": "j7",
+                           "status": "done", "error": None}) + "\n"
+        appends = iter([
+            json.dumps({"ts": 1.0, "kind": "job", "job": "j8",
+                        "status": "done", "error": None}) + "\n"
+            + done[:20],
+            done[20:]])
+        polls = []
+
+        def sleep(seconds):
+            polls.append(seconds)
+            with sched.status_path(queue).open("a") as stream:
+                stream.write(next(appends))
+
+        decoded = []
+        loads = json.loads
+        monkeypatch.setattr(sched.time, "sleep", sleep)
+        monkeypatch.setattr(events.json, "loads", lambda text: (
+            decoded.append(text), loads(text))[1])
+        assert sched._wait_for(queue, "j7", timeout=None) == 0
+        assert capsys.readouterr().out == "j7: done\n"
+        assert len(polls) == 2
+        assert len(decoded) == len(set(decoded)) == 1002
+
+    def test_wait_follows_a_restarted_service(self, tmp_path, monkeypatch,
+                                              capsys):
+        # parmonc-sched unlinks its log and starts a new one when it
+        # restarts; the new log is read from its start, whether or not
+        # it is shorter than what the waiter had read of the old one.
+        import repro.cli.sched as sched
+
+        queue = tmp_path / "jobs.jsonl"
+        path = sched.status_path(queue)
+        old = "".join(json.dumps({"ts": 0.0, "kind": "job", "job": f"j{i}",
+                                  "status": "running", "error": None})
+                      + "\n" for i in range(50))
+        path.write_text(old)
+        new = (json.dumps({"ts": 0.0, "kind": "service", "serving": True})
+               + "\n" + json.dumps({"ts": 0.1, "kind": "job", "job": "j3",
+                                    "status": "done", "error": None})
+               + "\n")
+        assert len(new) < len(old)
+        polls = []
+
+        def sleep(seconds):
+            polls.append(seconds)
+            assert len(polls) < 5, "the new log was not read"
+            if len(polls) == 1:
+                path.unlink()
+                path.write_text(new)
+
+        monkeypatch.setattr(sched.time, "sleep", sleep)
+        assert sched._wait_for(queue, "j3", timeout=None) == 0
+        assert capsys.readouterr().out == "j3: done\n"
+        assert len(polls) == 1

@@ -1,13 +1,16 @@
 """Crash-injection property tests: §3.4's no-lost-realization promise.
 
 The harness drives a full session through the same bootstrap → collect
-→ finalize path the engine uses, with a named crashpoint armed, then
+path the engine uses — the message that completes the run commits the
+save-point and result files — with a named crashpoint armed, then
 asserts the crash-safety contract:
 
 * every artifact on disk is all-old-or-all-new (parses cleanly, no
   quarantine needed),
-* ``manaver`` recovers at least every realization whose collector
-  ingest completed (i.e. was persisted), and never double-counts, and
+* every realization whose collector ingest completed is on disk, in its
+  rank's subtotal or in the committed save-point,
+* ``manaver`` recovers at least all of them, and never double-counts,
+  and
 * a later ``res=1`` session resumes from the recovered total.
 """
 
@@ -30,7 +33,6 @@ from repro.runtime.bootstrap import start_session
 from repro.runtime.collector import Collector
 from repro.runtime.config import RunConfig
 from repro.runtime.files import DataDirectory, write_genparam_file
-from repro.runtime.resume import finalize_session
 from repro.runtime.storage import CrashInjected
 from repro.runtime.worker import run_worker
 
@@ -56,12 +58,14 @@ def _no_leaked_crashpoints():
 
 
 def _drive_session(workdir, *, res=0, seqnum=0, delivered=None):
-    """One full file-backed session on the engine's persistence path.
+    """One full file-backed session on the engine's persistence path:
+    the last final's ``receive`` is the completion commit.
 
     ``delivered`` (rank -> cumulative volume) records each message whose
-    ``collector.receive`` *completed* — meaning its subtotal reached
-    disk — which is exactly the set of realizations §3.4 promises to
-    recover after a kill.
+    ``collector.receive`` *completed* — meaning its realizations reached
+    disk, in the rank's subtotal or the committed save-point — which is
+    exactly the set of realizations §3.4 promises to recover after a
+    kill.
     """
     config = RunConfig(maxsv=MAXSV, processors=PROCESSORS, res=res,
                        seqnum=seqnum, workdir=workdir)
@@ -77,9 +81,14 @@ def _drive_session(workdir, *, res=0, seqnum=0, delivered=None):
     for rank in range(PROCESSORS):
         run_worker(_routine, config, rank, config.worker_quota(rank),
                    send=send)
-    finalize_session(data, state, collector.merged())
-    data.clear_processor_snapshots()
     return collector
+
+
+def _killed_before_finals(collector):
+    """A worker ``send`` for a job killed before any final pass reached
+    rank 0.  At ``perpass=0`` each final repeats its rank's last
+    pass, so every realization is in a subtotal and none committed."""
+    return lambda message: message.final or collector.receive(message, 0.0)
 
 
 class TestCrashpointCoverage:
@@ -106,19 +115,22 @@ class TestCrashAtEveryPoint:
         data = DataDirectory(tmp_path)
         # 1. No torn artifact anywhere: everything on disk parses and
         #    passes its checksum (all-old-or-all-new).
-        if data.has_savepoint():
-            data.load_savepoint()
+        savepoint = (data.load_savepoint()[0] if data.has_savepoint()
+                     else None)
         subtotals = data.load_processor_snapshots()
         assert data.quarantined_files() == []
         if (data.results_dir / "func.dat").exists():
             matrix = np.loadtxt(data.results_dir / "func.dat", ndmin=2)
             assert matrix.shape == (1, 1)
-        # 2. Per-rank durability: a rank's on-disk subtotal is never
-        #    behind a message whose ingest completed.
-        for rank, volume in delivered.items():
-            if rank in subtotals:
-                assert subtotals[rank].volume >= volume
+        # 2. Durability: every realization of a message whose ingest
+        #    completed is on disk — in its rank's subtotal, or in the
+        #    save-point once the completion commit renamed it.
         persisted = sum(delivered.values())
+        if savepoint is not None:
+            assert savepoint.volume >= persisted
+        else:
+            for rank, volume in delivered.items():
+                assert subtotals[rank].volume >= volume
         if not data.has_savepoint() and not subtotals:
             # Crash before the very first subtotal reached disk.
             assert persisted == 0
@@ -142,8 +154,9 @@ class TestCrashAtEveryPoint:
         assert resumed.total_volume == summary["volume"] + 4
 
     def test_crash_after_finalize_does_not_double_count(self, tmp_path):
-        # The nastiest window: the merged save-point already contains
-        # the session, but the subtotals were not yet cleaned up.
+        # The nastiest window: the completion commit's save-point
+        # already contains the session, but the subtotals were not yet
+        # cleaned up.
         storage.install_crashpoint("savepoint.after_rename")
         with pytest.raises(CrashInjected):
             _drive_session(tmp_path)
@@ -166,7 +179,7 @@ class TestQuarantineRecovery:
                               sessions=state.session_index)
         for rank in range(PROCESSORS):
             run_worker(_routine, config, rank, config.worker_quota(rank),
-                       send=lambda m: collector.receive(m, 0.0))
+                       send=_killed_before_finals(collector))
         return data
 
     def test_manaver_skips_quarantined_subtotal(self, tmp_path):
@@ -242,7 +255,7 @@ class TestResumeCorrelationGuards:
         collector = Collector(config, state.base, data,
                               sessions=state.session_index)
         run_worker(_routine, config, 0, MAXSV,
-                   send=lambda m: collector.receive(m, 0.0))
+                   send=_killed_before_finals(collector))
         stale = data.savepoints_dir / "processor_00009.bin.tmp"
         stale.write_text("{half a write")
         manual_average(tmp_path)
@@ -276,7 +289,7 @@ class TestManaverCounts:
                               sessions=state.session_index)
         for rank in range(PROCESSORS):
             run_worker(_routine, config, rank, config.worker_quota(rank),
-                       send=lambda m: collector.receive(m, 0.0))
+                       send=_killed_before_finals(collector))
         summary = manual_average(tmp_path)
         assert summary["volume"] == MAXSV
         assert not summary["base_included"]

@@ -51,7 +51,8 @@ def campaign(tmp_path_factory, default_certification):
                           processors=3, backend="multiprocess",
                           workdir=workdir)
 
-    # Act 4: session 3 crashes mid-flight...
+    # Act 4: session 3 crashes mid-flight, before its finals reach
+    # rank 0 (the last one would commit the run)...
     config = RunConfig(maxsv=90, processors=3, res=1, seqnum=2,
                        workdir=workdir,
                        leaps=LeapSet(60, 40, 20))
@@ -60,7 +61,7 @@ def campaign(tmp_path_factory, default_certification):
                           sessions=state.session_index)
     for rank in range(3):
         run_worker(REALIZATION, config, rank, 30,
-                   send=lambda m: collector.receive(m, 0.0))
+                   send=lambda m: m.final or collector.receive(m, 0.0))
     # ...and manaver recovers it.
     log["recovery"] = manual_average(workdir)
 
@@ -86,6 +87,7 @@ class TestCampaign:
         assert campaign["run1"].total_volume == 300
         assert campaign["run2"].total_volume == 600
         assert campaign["recovery"]["volume"] == 690
+        assert campaign["recovery"]["processors_recovered"] == 3
         assert campaign["run3"].total_volume == 900
 
     def test_sessions_counted(self, campaign):

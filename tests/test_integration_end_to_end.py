@@ -64,7 +64,8 @@ class TestPaperWorkflow:
 
         # Session 1 completes normally.
         parmonc(value, maxsv=30, processors=3, workdir=tmp_path)
-        # Session 2 "crashes" before finalizing.
+        # Session 2 is killed before its finals reach rank 0 (the last
+        # one would commit the run): every realization is in a subtotal.
         config = RunConfig(maxsv=30, processors=3, res=1, seqnum=1,
                            workdir=tmp_path)
         data, state = start_session(config)
@@ -72,9 +73,12 @@ class TestPaperWorkflow:
                               sessions=state.session_index)
         for rank in range(3):
             run_worker(value, config, rank, 10,
-                       send=lambda m: collector.receive(m, 0.0))
+                       send=lambda m: m.final or collector.receive(m, 0.0))
         # Recovery + session 3.
-        manual_average(tmp_path)
+        summary = manual_average(tmp_path)
+        assert summary["volume"] == 60
+        assert summary["base_included"]
+        assert summary["processors_recovered"] == 3
         final = parmonc(value, maxsv=30, res=1, seqnum=2, processors=3,
                         workdir=tmp_path)
         assert final.total_volume == 90

@@ -8,7 +8,7 @@ import logging
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.obs.events import EventLog, read_events
+from repro.obs.events import EventLog, EventTail, read_events
 from repro.obs.log import configure_logging, install_null_handler
 from repro.obs.tracing import Tracer
 
@@ -129,6 +129,60 @@ class TestEventLog:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
             list(read_events(tmp_path / "absent.jsonl"))
+
+
+
+def _job_line(job, **fields):
+    return json.dumps({"ts": 0.0, "kind": "job", "job": job, **fields}) + "\n"
+
+
+class TestEventTail:
+    def test_reads_each_complete_line_once(self, tmp_path):
+        path = tmp_path / "status.jsonl"
+        path.write_text(_job_line("a") + _job_line("b")[:10])
+        tail = EventTail(path)
+        events, fresh = tail.poll()
+        assert [e.fields["job"] for e in events] == ["a"] and fresh
+        # The torn line is read again once it is complete.
+        with path.open("a") as stream:
+            stream.write(_job_line("b")[10:])
+        events, fresh = tail.poll()
+        assert [e.fields["job"] for e in events] == ["b"] and not fresh
+        assert tail.poll() == ([], False)
+
+    @pytest.mark.parametrize("how", ["recreated", "rewritten"])
+    @pytest.mark.parametrize("size", ["shorter", "longer"])
+    def test_replaced_log_read_from_its_start(self, tmp_path, how, size):
+        # A recreated log may reuse the old inode number, and a log
+        # rewritten in place always keeps it: a shorter new log, or a
+        # longer one whose byte before the old offset is mid-line, is
+        # still told apart from the old one grown.
+        path = tmp_path / "status.jsonl"
+        path.write_text("".join(_job_line(f"old{i}") for i in range(20)))
+        tail = EventTail(path)
+        assert len(tail.poll()[0]) == 20
+        pad = "x" * (path.stat().st_size if size == "longer" else 0)
+        if how == "recreated":
+            path.unlink()
+        path.write_text(json.dumps({"ts": 0.0, "kind": "service",
+                                    "pad": pad}) + "\n" + _job_line("new"))
+        events, fresh = tail.poll(kind="job")
+        assert fresh and [e.fields["job"] for e in events] == ["new"]
+
+    def test_malformed_line_raises_until_replaced(self, tmp_path):
+        path = tmp_path / "status.jsonl"
+        path.write_text(_job_line("a") + "{torn\n" + _job_line("b"))
+        tail = EventTail(path)
+        for _ in range(2):
+            with pytest.raises(ConfigurationError):
+                tail.poll()
+        path.unlink()
+        path.write_text(_job_line("c"))
+        assert [e.fields["job"] for e in tail.poll()[0]] == ["c"]
+
+    def test_missing_log_raises_oserror(self, tmp_path):
+        with pytest.raises(OSError):
+            EventTail(tmp_path / "absent.jsonl").poll()
 
 
 class TestLoggingHygiene:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.obs.telemetry import RunTelemetry
+from repro.runtime.bootstrap import start_session
 from repro.runtime.collector import Collector
 from repro.runtime.config import RunConfig
 from repro.runtime.files import DataDirectory
@@ -25,10 +26,13 @@ def message(rank, values, sent_at=0.0, final=False, shape=(1, 1)):
 def make_collector(tmp_path=None, **config_kwargs):
     config_kwargs.setdefault("maxsv", 100)
     config_kwargs.setdefault("processors", 2)
-    config = RunConfig(**config_kwargs)
-    data = DataDirectory(tmp_path) if tmp_path is not None else None
-    base = MomentSnapshot.zero(config.nrow, config.ncol)
-    return Collector(config, base, data), config
+    if tmp_path is None:
+        config = RunConfig(**config_kwargs)
+        return Collector(config, MomentSnapshot.zero(config.nrow,
+                                                     config.ncol)), config
+    config = RunConfig(workdir=tmp_path, **config_kwargs)
+    data, state = start_session(config)
+    return Collector(config, state.base, data), config
 
 
 class TestReceive:
@@ -155,12 +159,20 @@ class TestPeriodicSaving:
         assert snapshots[1].volume == 2
 
     def test_subtotal_persistence_can_be_disabled(self, tmp_path):
-        config = RunConfig(maxsv=10, processors=1)
-        collector = Collector(config, MomentSnapshot.zero(1, 1),
-                              DataDirectory(tmp_path),
+        config = RunConfig(maxsv=10, processors=1, workdir=tmp_path)
+        data, state = start_session(config)
+        collector = Collector(config, state.base, data,
                               persist_subtotals=False)
         collector.receive(message(0, [1.0]), now=0.0)
         assert DataDirectory(tmp_path).load_processor_snapshots() == {}
+
+    def test_data_directory_must_be_a_sessions(self, tmp_path):
+        # The run's completion commit writes the save-point's tail from
+        # the session start_session opened; a bare directory has none.
+        config = RunConfig(maxsv=10, processors=1)
+        with pytest.raises(ConfigurationError):
+            Collector(config, MomentSnapshot.zero(1, 1),
+                      DataDirectory(tmp_path))
 
     def test_memory_only_collector_never_touches_disk(self, tmp_path):
         collector, _ = make_collector(None, peraver=0.0)

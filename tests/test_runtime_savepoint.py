@@ -39,7 +39,6 @@ from repro.runtime.files import (
     DataDirectory,
 )
 from repro.runtime.messages import pack_moments
-from repro.runtime.resume import finalize_session
 from repro.runtime.storage import CrashInjected
 from repro.runtime.worker import run_worker
 from repro.stats.accumulator import MomentAccumulator, MomentSnapshot
@@ -440,12 +439,13 @@ class TestLegacyJsonSavepoints:
         data, state = start_session(config)
         collector = Collector(config, state.base, data,
                               sessions=state.session_index)
-        for rank in range(2):
-            run_worker(pair, config, rank, config.worker_quota(rank),
-                       send=lambda m: collector.receive(m, 0.0))
+        # The last final's receive is the completion commit.
         with storage.crashpoint_installed("savepoint.after_rename"):
             with pytest.raises(CrashInjected):
-                finalize_session(data, state, collector.merged())
+                for rank in range(2):
+                    run_worker(pair, config, rank,
+                               config.worker_quota(rank),
+                               send=lambda m: collector.receive(m, 0.0))
         assert data.savepoint_path.exists()
         assert data.legacy_savepoint_path.exists()
         snapshot, meta = data.load_savepoint()
@@ -486,16 +486,16 @@ class TestWriteEconomy:
 
     def test_two_message_job(self, tmp_path):
         # Each worker ships only its final pass; peraver=0 saves on
-        # both, and finalize saves once more with nothing new to write.
+        # the first, and the second's save is the completion commit:
+        # one subtotal, the results twice, the save-point once.
         with storage.trace_crashpoints() as trace:
             result = parmonc(pair, nrow=1, ncol=2, maxsv=10, processors=2,
                              seqnum=3, perpass=1.0, peraver=0.0,
                              workdir=tmp_path)
         assert result.messages_received == 2
-        assert result.saves_performed == 3
+        assert result.saves_performed == 2
         assert [(volume, eps) for _, volume, eps in result.history] == [
-            (5, 0.6467806317597886), (10, 0.48036798096149536),
-            (10, 0.48036798096149536)]
+            (5, 0.6467806317597886), (10, 0.48036798096149536)]
         results = DataDirectory(tmp_path).results_dir
         assert (results / "func.dat").read_bytes() == self.FUNC_DAT
         assert (results / "func_ci.dat").read_bytes() == self.FUNC_CI_DAT
@@ -504,11 +504,11 @@ class TestWriteEconomy:
             line for line in log if not line.startswith(
                 ("written_at", "elapsed_sec",
                  "mean_time_per_realization_sec"))) == self.FUNC_LOG_DAT
-        assert log[-1].startswith("elapsed_sec: ")  # finalize's save
+        assert log[-1].startswith("elapsed_sec: ")  # the commit's
         passes = Counter(name.rsplit(".", 1)[0] for name in trace
                          if name.endswith(".after_rename"))
-        assert passes == {"processor": 2, "results.func": 2,
-                          "results.func_ci": 2, "results.func_log": 3,
+        assert passes == {"processor": 1, "results.func": 2,
+                          "results.func_ci": 2, "results.func_log": 2,
                           "savepoint": 1}
 
     def test_an_interrupted_write_is_repeated(self, tmp_path):

@@ -188,6 +188,24 @@ class TestAdmission:
             scheduler.submit(spec(seqnum=1, name="b", workdir=tmp_path,
                                   use_files=True))
 
+    def test_one_turn_admits_at_constant_cost(self):
+        # The field's deficit is read once per turn, not once per
+        # admitted job: admitting n jobs used to scan the running
+        # field n times.
+        def running_calls(queued):
+            scheduler = Scheduler(SequentialBackend(), workers=1)
+            jobs = [scheduler.submit(spec(seqnum=index, name=f"j{index}",
+                                          maxsv=1, processors=1))
+                    for index in range(queued)]
+            calls = []
+            running = scheduler.running
+            scheduler.running = lambda: calls.append(None) or running()
+            scheduler.step(0.0)
+            assert all(job.status is not JobStatus.QUEUED for job in jobs)
+            return len(calls)
+
+        assert running_calls(200) == running_calls(2)
+
     def test_invalid_knobs(self):
         with pytest.raises(ConfigurationError):
             Scheduler(SequentialBackend(), workers=0)

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -268,7 +270,7 @@ class TestDirectoriesOncePerSession:
         assert collector.save_count > 3
         assert made == []
         assert (data.results_dir / "func.dat").exists()
-        assert data.processor_savepoint_path(2).exists()
+        assert data.savepoint_path.exists()  # the completion commit
 
     def test_a_write_into_a_missing_directory_lands(self, tmp_path):
         from repro.runtime.files import DataDirectory
@@ -280,3 +282,143 @@ class TestDirectoriesOncePerSession:
         assert data.load_processor_snapshots()[0].volume == 1
         atomic_write_text(tmp_path / "a" / "b" / "c.txt", "x")
         assert (tmp_path / "a" / "b" / "c.txt").read_text() == "x"
+
+
+def _spy_syscalls(monkeypatch, trace):
+    """Append each ``os.fsync`` (as the fd's inode, and whether it is a
+    directory) and ``os.replace`` (as its target) to the crashpoint
+    ``trace``, so one list holds the whole order."""
+    fsync, replace = os.fsync, os.replace
+
+    def spy_fsync(fd):
+        status = os.fstat(fd)
+        trace.append(("fsync", status.st_ino, stat.S_ISDIR(status.st_mode)))
+        fsync(fd)
+
+    def spy_replace(source, target):
+        trace.append(("rename", os.path.basename(target)))
+        replace(source, target)
+
+    monkeypatch.setattr(os, "fsync", spy_fsync)
+    monkeypatch.setattr(os, "replace", spy_replace)
+
+
+def _tokens(trace, paths):
+    """The trace as strings: crashpoints by name, renames by target,
+    fsyncs by the file or directory (among ``paths``) they synced."""
+    names = {path.stat().st_ino: path.name for path in paths}
+    tokens = []
+    for event in trace:
+        if isinstance(event, str):
+            tokens.append(event)
+        elif event[0] == "rename":
+            tokens.append(f"rename {event[1]}")
+        else:
+            kind = "fsync-dir" if event[2] else "fsync"
+            tokens.append(f"{kind} {names[event[1]]}")
+    return tokens
+
+
+def _commit_order(files, directories):
+    """Every ``(label, name)`` temp written, then all fsynced, then
+    renamed in order, then each directory fsynced once."""
+    return ([f"{label}.{step}" for label, _ in files
+             for step in ("before_write", "after_write")]
+            + [f"fsync {name}" for _, name in files]
+            + [token for label, name in files for token in (
+                f"{label}.before_rename", f"rename {name}",
+                f"{label}.after_rename")]
+            + [f"fsync-dir {name}" for name in directories])
+
+
+RESULTS = [("results.func", "func.dat"), ("results.func_ci", "func_ci.dat"),
+           ("results.func_log", "func_log.dat")]
+
+
+class TestCommitOrder:
+    """One commit of N files, fsync on: temps written and fsynced back
+    to back before the first rename, renames in order (the save-point
+    first), each directory fsynced once, after its last rename."""
+
+    def test_write_results_is_one_commit(self, tmp_path, monkeypatch):
+        from repro.runtime.files import DataDirectory
+
+        accumulator = MomentAccumulator(2, 2)
+        accumulator.add(np.arange(4.0).reshape(2, 2))
+        data = DataDirectory(tmp_path).ensure()
+        with storage.durable_writes(True), trace_crashpoints() as trace:
+            _spy_syscalls(monkeypatch, trace)
+            data.write_results(accumulator.estimates(), seqnum=0,
+                               processors=1, sessions=1)
+        results = data.results_dir
+        assert _tokens(trace, [results, *results.iterdir()]) == \
+            _commit_order(RESULTS, ["results"])
+
+    def test_the_completing_receive_commits_the_session(self, tmp_path,
+                                                        monkeypatch):
+        from repro.runtime.bootstrap import start_session
+        from repro.runtime.collector import Collector
+        from repro.runtime.config import RunConfig
+        from repro.runtime.worker import run_worker
+
+        config = RunConfig(maxsv=6, processors=2, workdir=tmp_path)
+        data, state = start_session(config)
+        collector = Collector(config, state.base, data,
+                              sessions=state.session_index)
+        messages = []
+        for rank in range(2):
+            run_worker(lambda rng: rng.random(), config, rank, 3,
+                       send=messages.append)
+        *earlier, last = messages
+        for message in earlier:
+            collector.receive(message, 0.0)
+        assert data.processor_savepoint_path(1).exists()
+        with storage.durable_writes(True), trace_crashpoints() as trace:
+            _spy_syscalls(monkeypatch, trace)
+            assert collector.receive(last, 0.0)
+        results = data.results_dir
+        paths = [data.root, data.savepoint_path, results,
+                 *results.iterdir()]
+        # No subtotal for the completing message: the save-point holds it.
+        assert _tokens(trace, paths) == _commit_order(
+            [("savepoint", "savepoint.bin"), *RESULTS],
+            ["parmonc_data", "results"])
+        assert list(data.savepoints_dir.iterdir()) == []
+        assert collector.committed
+        assert data.load_savepoint()[0].volume == 6
+
+
+class TestCommitCounts:
+    """Durable operations of one job through the scheduler, as the
+    service runs them: multiprocess, ``perpass=1``, ``peraver=5``, so
+    each rank ships only its final pass."""
+
+    @pytest.mark.parametrize("maxsv, processors, fsyncs, renames", [
+        (64, 1, 7, 4),      # registry + the completion commit
+        (512, 2, 13, 8),    # + one subtotal and one results commit
+    ])
+    def test_one_job(self, tmp_path, monkeypatch, maxsv, processors,
+                     fsyncs, renames):
+        from repro.runtime.config import RunConfig
+        from repro.runtime.engine import create_backend
+        from repro.runtime.job import JobSpec, JobStatus
+        from repro.runtime.scheduler import Scheduler
+
+        calls = Counter()
+        fsync, replace = os.fsync, os.replace
+        monkeypatch.setattr(os, "fsync", lambda fd: (
+            calls.update(["fsync"]), fsync(fd)))
+        monkeypatch.setattr(os, "replace", lambda source, target: (
+            calls.update(["rename"]), replace(source, target)))
+        scheduler = Scheduler(
+            create_backend("multiprocess", start_method="fork"), workers=2)
+        config = RunConfig(maxsv=maxsv, processors=processors,
+                           perpass=1.0, peraver=5.0, workdir=tmp_path)
+        with storage.durable_writes(True):
+            job = scheduler.submit(JobSpec(
+                routine=lambda rng: rng.random(), config=config,
+                name="job"))
+            scheduler.run()
+        assert job.status is JobStatus.DONE
+        assert job.result.messages_received == processors
+        assert (calls["fsync"], calls["rename"]) == (fsyncs, renames)
