@@ -25,6 +25,7 @@ from pathlib import Path
 
 from repro.exceptions import ReproError, ResumeError
 from repro.runtime.files import DataDirectory
+from repro.runtime.resume import ResumeState
 from repro.stats.merging import merge_snapshots
 
 __all__ = ["main", "manual_average"]
@@ -123,17 +124,16 @@ def manual_average(workdir: Path) -> dict:
     processors = len(processor_snapshots)
     if processors == 0 and meta is not None and meta.processors:
         processors = meta.processors
-    data.write_results(merged.estimates(), seqnum=seqnum,
-                       processors=processors,
-                       sessions=sessions)
-    # Persist the recovered total so a later res=1 session resumes from
-    # the *full* sample, then drop the now-absorbed subtotals.  The
-    # previous manifest rides along so the leap-parameter guard keeps
-    # protecting future resumes.
-    data.save_savepoint(merged, used_seqnums=tuple(sorted(used)),
-                        sessions=sessions, manifest=manifest,
-                        extra_payloads=unknown_payloads)
-    data.clear_processor_snapshots()
+    # One commit, as a job's end: the save-point (so a later res=1
+    # session resumes from the *full* sample, the previous manifest
+    # riding along for the leap-parameter guard) is renamed first, then
+    # the result files; then the absorbed subtotals are unlinked.
+    data.commit_session(
+        ResumeState(base=merged, used_seqnums=tuple(sorted(used)),
+                    session_index=sessions, manifest=manifest,
+                    unknown_payloads=unknown_payloads),
+        merged, merged.estimates(), seqnum=seqnum, processors=processors,
+        sessions=sessions)
     return {
         "volume": merged.volume,
         "processors_recovered": len(processor_snapshots),

@@ -7,10 +7,11 @@ paper allows ("the sample volumes l_m ... may be different at the moment
 of passing data").
 
 When a run enables telemetry the collector doubles as rank 0's
-instrumentation point: it stamps a last-seen watermark per rank, counts
-stale (out-of-order) messages, times every averaging round, and feeds
-piggybacked worker stats to the :class:`~repro.obs.telemetry
-.RunTelemetry` aggregator.
+instrumentation point: it counts stale (out-of-order) messages, times
+every averaging round, and feeds piggybacked worker stats to the
+:class:`~repro.obs.telemetry.RunTelemetry` aggregator.  Whether a
+worker is alive is not its question: the owning
+:class:`~repro.runtime.job.Job` reads that off its in-flight ranks.
 """
 
 from __future__ import annotations
@@ -80,8 +81,6 @@ class Collector:
         self._latest: dict[int, MomentSnapshot] = {}
         self._finals: set[int] = set()
         self._expected: set[int] = set(range(config.processors))
-        self._last_seen: dict[int, float] = {}
-        self._epoch: float | None = None
         self._last_average_at: float | None = None
         self._receive_count = 0
         self._stale_count = 0
@@ -130,11 +129,6 @@ class Collector:
         return len(self._finals)
 
     @property
-    def final_ranks(self) -> frozenset[int]:
-        """Ranks whose final message has arrived."""
-        return frozenset(self._finals)
-
-    @property
     def complete(self) -> bool:
         """True when every configured worker has sent a final message."""
         return self._expected.issubset(self._finals)
@@ -145,55 +139,6 @@ class Collector:
         completion commit ran, or ``save(final=True)``, and nothing
         was accepted since."""
         return self._committed
-
-    def rerun_rank(self, rank: int, now: float) -> None:
-        """``rank`` reruns from realization 0 on its own stream.
-
-        Its kept snapshot stays in the merge: the rerun's passes below
-        it are dropped as stale, and from the kept volume on they carry
-        the same bytes.  Its staleness counts from ``now``.
-        """
-        self._last_seen[rank] = now
-
-    @property
-    def last_seen(self) -> dict[int, float]:
-        """Per-rank watermark: arrival time of the rank's last message,
-        kept or stale, or of its rerun."""
-        return dict(self._last_seen)
-
-    def mark_epoch(self, now: float) -> None:
-        """Anchor staleness checks: the run-clock time workers started.
-
-        Ranks never heard from are judged against this epoch; without
-        one, the first received message's time stands in for it.
-        """
-        self._epoch = now
-
-    def stale_workers(self, now: float, threshold: float) -> tuple[int, ...]:
-        """Ranks not heard from for over ``threshold`` seconds.
-
-        A rank counts as stale when it has not finalized and either has
-        never been heard from (watermark taken as the epoch, see
-        :meth:`mark_epoch`) or last reported more than ``threshold``
-        seconds before ``now``.  Drive this from the backend's poll loop
-        to flag unhealthy workers mid-run.
-        """
-        if threshold < 0:
-            raise ConfigurationError(
-                f"staleness threshold must be >= 0, got {threshold}")
-        epoch = self._epoch
-        if epoch is None:
-            if not self._last_seen:
-                return ()
-            epoch = min(self._last_seen.values())
-        stale = []
-        for rank in sorted(self._expected):
-            if rank in self._finals:
-                continue
-            watermark = self._last_seen.get(rank, epoch)
-            if now - watermark > threshold:
-                stale.append(rank)
-        return tuple(stale)
 
     @property
     def session_volume(self) -> int:
@@ -276,9 +221,8 @@ class Collector:
         previous = self._latest.get(message.rank)
         if previous is not None and message.snapshot.volume < previous.volume:
             # Stale: an out-of-order pass, or a rerun rank catching
-            # up.  Cumulative volume can only grow, but the rank is alive,
-            # and a final (a rerun cut short by the deadline) still ends it.
-            self._last_seen[message.rank] = now
+            # up.  Cumulative volume can only grow, but a final (a rerun
+            # cut short by the deadline) still ends the rank.
             if message.final:
                 self._finals.add(message.rank)
             self._stale_count += 1
@@ -293,7 +237,6 @@ class Collector:
         self._latest[message.rank] = message.snapshot
         self._merged = self._estimates = None
         self._matrices_on_disk = self._committed = False
-        self._last_seen[message.rank] = now
         if message.final:
             self._finals.add(message.rank)
         if self._telemetry is not None:

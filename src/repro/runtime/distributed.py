@@ -25,9 +25,10 @@ connects, handshakes, redials and the silence watchdog run in the same
 call, and ``spawn``/``release_job`` write with ``sendall``.  DATA, EXIT
 and lost-pool records share one ordered inbox, and a pool sends a
 worker's EXIT only after draining its pipe, so when ``poll`` meets an
-exit every pass of that worker is in the collector: the rank is dead
-exactly when its final is not in, with no clock.  Heartbeats and name
-lookups, which may block, have the one other thread (``_beat``).
+exit every pass of that worker is in the collector: its job judges the
+rank dead exactly when it is still in flight, with no clock.
+Heartbeats and name lookups, which may block, have the one other thread
+(``_beat``).
 """
 
 from __future__ import annotations
@@ -146,16 +147,6 @@ def _tagged(job: str | None, **fields) -> dict:
     return fields
 
 
-@dataclass(frozen=True)
-class _ExitRecord:
-    """An EXIT frame or a lost connection, queued behind its DATA."""
-
-    rank: int
-    exitcode: int | None
-    detail: str
-    job: str | None = None
-
-
 @register_backend("distributed")
 class DistributedBackend(EngineBackend):
     """Dispatch quota to remote ``parmonc-pool`` worker daemons.
@@ -193,10 +184,11 @@ class DistributedBackend(EngineBackend):
         self._heartbeat_timeout = heartbeat_timeout
         self._connect_timeout = connect_timeout
         self._retry_interval = retry_interval
-        # Messages and exit records in arrival order, and the exits
-        # poll() met, awaiting a verdict.
+        # Messages and exits (an EXIT frame or a lost connection, as a
+        # WorkerDeath) in arrival order, and the exits poll() met,
+        # awaiting reap().
         self._inbox: deque = deque()
-        self._exited: list[_ExitRecord] = []
+        self._exited: list[WorkerDeath] = []
         # Undispatched assignments, and per running job the
         # ``(SUBMIT body, deadline)`` the dispatcher ships them with.
         self._pending: deque = deque()
@@ -245,32 +237,19 @@ class DistributedBackend(EngineBackend):
             if not self._inbox:
                 return None
         item = self._inbox.popleft()
-        if isinstance(item, _ExitRecord):
+        if isinstance(item, WorkerDeath):
             self._exited.append(item)
             return None
         return item
 
     def reap(self) -> list[WorkerDeath]:
-        """Judge the exits and lost pools :meth:`poll` met: each came
-        off the inbox behind everything its worker wrote, so a rank is
-        dead exactly when its final is not in."""
-        dead: list[WorkerDeath] = []
-        for record in self._exited:
-            try:
-                context = self.engine.job_context(record.job)
-            except BackendError:
-                # The scheduler pruned the job after DONE; its workers'
-                # late EXIT frames are stray traffic, like late DATA.
-                self.engine.stray_messages += 1
-                continue
-            if record.rank not in context.collector.final_ranks:
-                dead.append(WorkerDeath(record.rank, record.exitcode,
-                                        detail=record.detail,
-                                        job=record.job))
-        self._exited.clear()
-        if not dead:
+        """Report the exits and lost pools :meth:`poll` met: each came
+        off the inbox behind everything its worker wrote, so its job
+        judges it with every pass of that worker in."""
+        exits, self._exited = self._exited, []
+        if not exits:
             self._check_pool_starvation()
-        return dead
+        return exits
 
     def shutdown(self) -> None:
         """Stop beating, say BYE to every pool and hang up."""
@@ -390,8 +369,8 @@ class DistributedBackend(EngineBackend):
                     job = payload.get("job")
                     job = None if job is None else str(job)
                     link.active.discard((job, rank))
-                    self._inbox.append(_ExitRecord(
-                        rank=rank, exitcode=payload.get("exitcode"),
+                    self._inbox.append(WorkerDeath(
+                        rank, payload.get("exitcode"),
                         detail=f"on pool {link.label}", job=job))
                     freed = True
                 elif kind is FrameKind.ERROR:
@@ -486,8 +465,9 @@ class DistributedBackend(EngineBackend):
         """Hang up.  A link never welcomed (a failed connect, unlogged,
         or a refused handshake) dials the name's next target.  A
         welcomed pool is dialled again ``retry_interval`` after its last
-        bytes, and its unfinished ranks are queued dead behind everything
-        it sent (:meth:`reap` spares the ones whose final is in)."""
+        bytes, and an exit of each rank it ran is queued behind
+        everything it sent (their jobs spare the ones whose final is
+        in)."""
         self._close(link)
         if not link.welcomed:
             if reason is not None:
@@ -499,9 +479,8 @@ class DistributedBackend(EngineBackend):
         _logger.warning("pool %s lost: %s", link.label, reason)
         for job, rank in sorted(link.active, key=lambda key: (
                 key[0] is not None, key[0] or "", key[1])):
-            self._inbox.append(_ExitRecord(
-                rank=rank, exitcode=None,
-                detail=f"pool {link.label} connection lost", job=job))
+            self._inbox.append(WorkerDeath(
+                rank, detail=f"pool {link.label} connection lost", job=job))
         link.active.clear()
         self._notice("pool_disconnected", pool=link.label)
 

@@ -26,14 +26,15 @@ This module holds what the loop drives:
   one anonymous job to a scheduler, drain it on the calling thread,
   re-raise its error or return its result.
 
-**Fault-tolerant quota reassignment.**  When a backend reports a dead
-worker (:meth:`EngineBackend.reap`) and the run's
-:attr:`~repro.runtime.config.RunConfig.on_worker_death` policy is
-``"reassign"``, the job reruns the dead rank with its whole quota from
-realization 0 of its own "processors" subsequence.  The rank's k-th
-realization is a pure function of (experiment, rank, k), so the rerun
-repeats what the dead worker delivered, and the recovered estimate is
-byte for byte the fault-free one.  The default policy, ``"fail"``,
+**Fault-tolerant quota reassignment.**  When a backend reports a
+worker's exit (:meth:`EngineBackend.reap`) while its rank is still in
+flight — dispatched, its final not in — the job judges it dead, and
+when the run's :attr:`~repro.runtime.config.RunConfig.on_worker_death`
+policy is ``"reassign"``, the job reruns the dead rank with its whole
+quota from realization 0 of its own "processors" subsequence.  The
+rank's k-th realization is a pure function of (experiment, rank, k),
+so the rerun repeats what the dead worker delivered, and the recovered
+estimate is byte for byte the fault-free one.  The default policy, ``"fail"``,
 fails the job with a :class:`~repro.exceptions.BackendError` on the
 multiprocess and distributed backends; the simulated cluster loses the
 tail of the failed node's work, as §2.2 models.
@@ -110,15 +111,20 @@ class WorkerAssignment:
 
 @dataclass(frozen=True)
 class WorkerDeath:
-    """A worker that will never deliver its final message.
+    """A drained exit: a worker that will write nothing more.
+
+    A backend reports one only once everything the worker wrote has
+    been delivered; the owning job judges it a death exactly when the
+    rank is still in flight (its final is not in).
 
     Attributes:
-        rank: The dead worker's rank.
-        exitcode: OS exit code when known (None for simulated nodes).
+        rank: The exited worker's rank.
+        exitcode: OS exit code when known (None for simulated nodes
+            and lost pools).
         detail: Human-readable cause, e.g. the injected failure time.
-        job: Identifier of the job the dead worker was running for
+        job: Identifier of the job the worker was running for
             (``None`` for a single run's anonymous job); the scheduler
-            routes the death to that job's recovery bookkeeping.
+            routes the exit to that job, which judges it.
         error: Set when the death ends its job under either death
             policy — a reducer that cannot be respawned, filed under
             the lowest rank below it; the job fails with this error.
@@ -142,7 +148,7 @@ class EngineBackend:
     """An execution strategy: everything the run loop touches, once.
 
     A backend never touches the session lifecycle: it starts workers,
-    surfaces their messages and reports their deaths.  The
+    surfaces their messages and reports their exits.  The
     :class:`~repro.runtime.scheduler.Scheduler` calls, in this order:
     :meth:`bind` once, before anything else; per admitted job
     :meth:`open_job`, :meth:`plan`, then :meth:`spawn` / :meth:`poll` /
@@ -152,7 +158,7 @@ class EngineBackend:
     :meth:`shutdown`, once, error or not.  ``engine.job_context(job_id)``
     is the one source of an assignment's routine, config, collector,
     telemetry and deadline, for the anonymous job of a single run and
-    for named jobs alike.  Every message and death carries its owning
+    for named jobs alike.  Every message and exit carries its owning
     job's id, so any number of jobs share one backend.
 
     Subclasses implement :meth:`spawn` and :meth:`poll`; everything
@@ -163,8 +169,8 @@ class EngineBackend:
     name = "abstract"
     #: Collector ``persist_subtotals`` override (None = collector default).
     persist_subtotals: bool | None = None
-    #: Whether the engine should flag silent workers with ``stale_worker``
-    #: telemetry events.  Meaningful only for backends whose workers report
+    #: Whether the scheduler should flag silent in-flight workers with
+    #: ``stale_worker`` telemetry events.  Meaningful only for backends whose workers report
     #: asynchronously; the sequential loop and the virtual cluster opt out.
     monitors_staleness = False
     #: Whether a shared-pool job may carry its own ``reduction_fanout``
@@ -248,17 +254,18 @@ class EngineBackend:
         raise NotImplementedError
 
     def reap(self) -> list[WorkerDeath]:
-        """Report workers that died short of their final message.
+        """Report the workers that exited, each once drained.
 
-        Called when :meth:`poll` comes back empty.  No verdict reads a
-        clock: a worker is judged only once everything it wrote has
-        reached the collector, and it is then dead exactly when its
-        rank is not in ``collector.final_ranks``.  The multiprocess
-        backend's :class:`~repro.runtime.host.WorkerHost` reports an
-        exit only after the child's pipe is drained, and a tree rank's
-        clean exit waits until the root reducer above it has exited;
-        the distributed backend reads a pool's DATA and EXIT frames off
-        one ordered inbox.  A nonzero exit is judged on sight.
+        Called when :meth:`poll` comes back empty.  The backend decides
+        *when* an exit may be reported: only once everything the worker
+        wrote has been delivered.  The owning job decides *whether* it
+        was a death: exactly when its rank is still in flight.  No
+        verdict reads a clock.  The multiprocess backend's
+        :class:`~repro.runtime.host.WorkerHost` reports an exit only
+        after the child's pipe is drained, and a tree rank's clean exit
+        waits until the root reducer above it has exited; the
+        distributed backend reads a pool's DATA and EXIT frames off one
+        ordered inbox.  A nonzero exit is reported on sight.
         """
         return []
 

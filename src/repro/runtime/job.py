@@ -14,10 +14,13 @@ A job owns:
 * its :class:`~repro.runtime.collector.Collector`, resume state and
   session directory (``start_session``; the save that completes the
   run commits the save-point and result files together),
-* its telemetry (:func:`~repro.runtime.telemetry_support
-  .open_run_telemetry`) and staleness flags,
-* its work plan, in-flight ranks, quotas, and the fault-tolerant
-  reassignment bookkeeping (recovery budget, rerun ranks),
+* its telemetry,
+* its work plan, quotas, and the fault-tolerant reassignment
+  bookkeeping (recovery budget, rerun ranks),
+* the liveness of its workers, read off its in-flight ranks: the ranks
+  dispatched whose final has not arrived and that were not judged.  An
+  exit a backend reports is a death exactly when its rank is in flight,
+  and only an in-flight rank can be flagged ``stale_worker``,
 * its :class:`~repro.runtime.result.RunResult` and SLA record
   (submit-to-start wait, makespan, deadline misses).
 
@@ -28,12 +31,14 @@ happened to me".
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
 
 from repro.exceptions import BackendError, ConfigurationError
+from repro.obs.telemetry import RunTelemetry
 from repro.runtime.bootstrap import start_session
 from repro.runtime.collector import Collector
 from repro.runtime.config import RunConfig
@@ -44,7 +49,6 @@ from repro.runtime.engine import (
 )
 from repro.runtime.messages import CombinedMessage, MomentMessage
 from repro.runtime.result import RunResult
-from repro.runtime.telemetry_support import open_run_telemetry
 
 __all__ = ["Job", "JobSpec", "JobStatus"]
 
@@ -161,6 +165,8 @@ class Job:
         # -- scheduling state ------------------------------------------
         self.deficit = 0.0
         self.pending: deque[WorkerAssignment] = deque()
+        #: Ranks dispatched whose final has not arrived and that were
+        #: not judged dead: the one set liveness is read off.
         self.in_flight: set[int] = set()
         self.dispatched = 0
         self.peak_workers = 0
@@ -182,10 +188,12 @@ class Job:
         self._quotas: dict[int, int | None] = {}
         self._assigned: list[int] = []
         self._recovered: list[int] = []
-        self._stale_flagged: set[int] = set()
         self._recovery_budget = _RECOVERY_FACTOR * spec.config.processors
-        self._stale_after: float | None = None
-        self._flag_stale_enabled = False
+        #: Per rank, the run-clock time it was dispatched or last heard
+        #: from; None when no ``stale_worker`` can be logged (telemetry
+        #: off, or ``perpass=0``).
+        self._seen: dict[int, float] | None = None
+        self._stale_after = 3.0 * spec.config.perpass + 1.0
 
     # -- lifecycle state ------------------------------------------------
 
@@ -225,20 +233,34 @@ class Job:
     def open(self, backend, run_started: float) -> None:
         """Resume the session and wire collector + telemetry.
 
-        In order: session resume, telemetry epoch, collector
-        construction, deadline and staleness thresholds.  ``run_started``
-        is the backend clock's now: every run-clock stamp counts from it.
+        In order: session resume, telemetry, collector construction,
+        deadline.  ``run_started`` is the backend clock's now: every
+        run-clock stamp counts from it.  With telemetry on, a fresh
+        (``res=0``) file-backed session clears the previous run's
+        telemetry artifacts, and a resumed one appends to its event log,
+        so the record spans the whole simulation.
         """
         config = self.spec.config
         self.run_started = run_started
         self._wall_started = time.monotonic()
         data, state = start_session(config, self.spec.use_files)
-        telemetry = open_run_telemetry(
-            config, data, backend=backend.name, clock=backend.clock,
-            epoch=run_started)
-        if data is not None and telemetry is not None:
-            # Quarantined artifacts surface as storage.quarantined events.
-            data.attach_events(telemetry.events)
+        telemetry = None
+        if config.telemetry:
+            if data is not None and config.res == 0:
+                data.clear_telemetry()
+            telemetry = RunTelemetry(
+                clock=backend.clock, epoch=run_started,
+                directory=data.telemetry_dir if data is not None else None)
+            telemetry.events.append(
+                "session_start", backend=backend.name,
+                processors=config.processors, maxsv=config.maxsv,
+                seqnum=config.seqnum, res=config.res,
+                perpass=config.perpass, peraver=config.peraver,
+                shape=list(config.shape))
+            if data is not None:
+                # Quarantined artifacts surface as storage.quarantined
+                # events.
+                data.attach_events(telemetry.events)
         collector = Collector(config, state.base, data,
                               sessions=state.session_index,
                               persist_subtotals=backend.persist_subtotals,
@@ -249,20 +271,17 @@ class Job:
         self.collector = collector
         if config.time_limit is not None:
             self.deadline = run_started + config.time_limit
-        self._stale_after = (3.0 * config.perpass + 1.0
-                             if config.perpass > 0 else None)
-        self._flag_stale_enabled = (
-            telemetry is not None and self._stale_after is not None
-            and backend.monitors_staleness)
+        if telemetry is not None and config.perpass > 0:
+            self._seen = {}
 
     # -- message path ---------------------------------------------------
 
     def ingest(self, message: MomentMessage | CombinedMessage,
-               now: float) -> list[int]:
+               now: float) -> bool:
         """Deliver one message to this job's collector.
 
-        Returns the ranks that delivered their final pass, so the
-        scheduler can release their worker slots.
+        A rank whose final arrives leaves :attr:`in_flight`.  Returns
+        whether a final arrived: only then can the job complete.
         """
         if isinstance(message, CombinedMessage):
             self.collector.receive_combined(message, now)
@@ -270,12 +289,13 @@ class Job:
         else:
             self.collector.receive(message, now)
             entries = (message,)
-        finals: list[int] = []
+        final = False
         for entry in entries:
-            if self._stale_flagged:
-                self._stale_flagged.discard(entry.rank)
+            if self._seen is not None:  # any entry, kept or stale
+                self._seen[entry.rank] = now
             if entry.final:
-                finals.append(entry.rank)
+                final = True
+                self.in_flight.discard(entry.rank)
                 if self.telemetry is not None:
                     stats = entry.metrics or {}
                     self.telemetry.events.append(
@@ -283,25 +303,27 @@ class Job:
                         volume=entry.snapshot.volume,
                         messages=stats.get("messages"),
                         bytes=stats.get("bytes"))
-        return finals
+        return final
 
     def flag_stale(self, now: float) -> None:
-        """Emit ``stale_worker`` events for silent ranks (once each)."""
-        if not self._flag_stale_enabled:
+        """Emit ``stale_worker`` for each in-flight rank not dispatched
+        or heard from for over ``3 * perpass + 1`` seconds, once per
+        silence: its next message or dispatch re-arms it."""
+        if self._seen is None:
             return
-        for rank in self.collector.stale_workers(now, self._stale_after):
-            if rank not in self._stale_flagged:
-                self._stale_flagged.add(rank)
-                seen = self.collector.last_seen.get(rank)
+        for rank in sorted(self.in_flight):
+            seen = self._seen[rank]
+            if now - seen > self._stale_after:
+                self._seen[rank] = math.inf  # flagged
                 self.telemetry.events.append(
                     "stale_worker", ts=now, rank=rank,
-                    last_seen=(seen - self.run_started
-                               if seen is not None else None))
+                    last_seen=seen - self.run_started)
 
     # -- work dispatch --------------------------------------------------
 
-    def record_spawn(self, plan, extras=None) -> None:
-        """Account for assignments the backend just started."""
+    def record_spawn(self, plan, extras, now: float) -> None:
+        """Account for assignments the backend started at ``now``; a
+        rerun's dispatch starts its rank's watermark afresh."""
         if extras is None:
             extras = [None] * len(plan)
         for assignment, extra in zip(plan, extras):
@@ -309,6 +331,8 @@ class Job:
             self._quotas[assignment.rank] = assignment.quota
             self.in_flight.add(assignment.rank)
             self.dispatched += 1
+            if self._seen is not None:
+                self._seen[assignment.rank] = now
             if self.telemetry is not None:
                 fields = dict(extra) if extra else {}
                 if assignment.recovery:
@@ -320,22 +344,31 @@ class Job:
 
     # -- fault handling -------------------------------------------------
 
-    def handle_deaths(self, deaths, now: float, spawn) -> None:
-        """Apply this job's death policy to a batch of worker deaths.
+    def handle_deaths(self, exits, now: float, spawn) -> None:
+        """Judge a batch of drained exits and apply the death policy.
+
+        An exit is a death exactly when its rank is still in flight: a
+        rank whose final arrived has retired.  An exit carrying an
+        ``error`` (a reducer that cannot be respawned) fails the job
+        whatever its ranks' state.
 
         Args:
-            deaths: The :class:`WorkerDeath` records routed to this job.
+            exits: The :class:`WorkerDeath` records routed to this job.
             now: Backend clock at the reap.
             spawn: ``spawn(job, assignments)`` callback that starts
                 reruns immediately (the scheduler's dispatch path,
                 bypassing the fair-share queue).
         """
-        for death in deaths:
+        for death in exits:
             if death.error is not None:
                 raise death.error
-        deaths = sorted(deaths, key=lambda death: death.rank)
-        for death in deaths:
-            self.in_flight.discard(death.rank)
+        deaths = []
+        for death in sorted(exits, key=lambda death: death.rank):
+            if death.rank in self.in_flight:
+                self.in_flight.discard(death.rank)
+                deaths.append(death)
+        if not deaths:
+            return
         if self.telemetry is not None:
             for death in deaths:
                 self.telemetry.events.append(
@@ -376,8 +409,6 @@ class Job:
         self._recovery_budget -= 1
         delivered = self.collector.worker_volume(death.rank)
         self._recovered.append(death.rank)
-        self.collector.rerun_rank(death.rank, now)
-        self._stale_flagged.discard(death.rank)
         spawn(self, [WorkerAssignment(rank=death.rank, quota=quota,
                                       recovery=True, job=self.id)])
         if self.telemetry is not None:

@@ -12,12 +12,13 @@ closure runs on pinned slots.  ``config.reduction_fanout`` inserts
 without changing a single estimate bit, so rank 0 serves O(fanout)
 peers instead of O(M).
 
-Dead children are *reported* to the engine, which applies the run's
+Exited children are *reported* to their job, which judges whether the
+exit was a death and applies the run's
 :attr:`~repro.runtime.config.RunConfig.on_worker_death` policy — abort
 (default) or rerun the dead rank, whole quota, on its own subsequence.
-A worker is judged once everything it wrote is in: its slot's pipe
-drained, or — for a clean exit in a tree — the root reducer
-above it exited.  Crashed *reducers* hold nothing that is not
+A worker's exit is reported once everything it wrote is in: its slot's
+pipe drained, or — for a clean exit in a tree — the root reducer above
+it exited.  Crashed *reducers* hold nothing that is not
 cumulative in their children's next passes, so under ``"reassign"``
 they are respawned in place, on the same edges, within their job's
 budget; otherwise the death is reported with the error that fails
@@ -214,13 +215,13 @@ class MultiprocessBackend(EngineBackend):
             for root in plan.roots)
 
     def reap(self) -> list[WorkerDeath]:
-        """Judge the exits the host reported, each after its pipe was
+        """Report the exits the host reported, each after its pipe was
         drained.  Reducers go first, so a respawned one is running again
         before the workers below it are looked at; one that cannot be
         is reported as a death carrying its job's error.  A worker's clean
-        exit in a tree waits for the root reducer above it; then the
-        worker is dead exactly when its final pass is not in."""
-        dead: list[WorkerDeath] = []
+        exit in a tree waits for the root reducer above it; its job then
+        judges it."""
+        reported: list[WorkerDeath] = []
         for key in sorted(self._exits, key=lambda k: isinstance(k[1], int)):
             job, who = key
             if isinstance(who, str):  # a reducer's node id
@@ -229,15 +230,13 @@ class MultiprocessBackend(EngineBackend):
                     self._reducer_exited(job, who, exitcode)
                 except BackendError as error:  # fails its job alone
                     ranks = self._plans[job].node(who).subtree_ranks
-                    dead.append(WorkerDeath(min(ranks), exitcode, job=job,
+                    reported.append(WorkerDeath(min(ranks), exitcode, job=job,
                                             error=error))
                 continue
             if self._exits[key] == 0 and self._root_runs_above(job, who):
                 continue
-            exitcode = self._exits.pop(key)
-            if who not in self.engine.job_context(job).collector.final_ranks:
-                dead.append(WorkerDeath(who, exitcode, job=job))
-        return dead
+            reported.append(WorkerDeath(who, self._exits.pop(key), job=job))
+        return reported
 
     def shutdown(self) -> None:
         # Every job that left RUNNING was released by the loop; the host

@@ -5,7 +5,7 @@ PARMONC's RNG hierarchy carves out 2**10 independent *experiments*
 :class:`~repro.runtime.job.Job` instances over one shared backend
 worker pool, and :meth:`Scheduler.step` is the only loop body in the
 runtime: admit queued jobs, apply cancellations, dispatch, expire
-deadlines, poll and ingest one message, reap deaths, finalize whatever
+deadlines, poll and ingest one message, reap exits, finalize whatever
 drained.  Its three clients differ only in who calls it and when they
 stop:
 
@@ -245,12 +245,9 @@ class Scheduler:
                 # Late traffic from an already-finished or failed job.
                 self.stray_messages += 1
                 return
-            finals = job.ingest(message, now)
             # Completion changes only when a final arrives.
-            if finals:
-                job.in_flight.difference_update(finals)
-                if job.collector.complete:
-                    job.mark_complete(completed=True)
+            if job.ingest(message, now) and job.collector.complete:
+                job.mark_complete(completed=True)
 
     # -- deadlines ------------------------------------------------------
 
@@ -272,15 +269,16 @@ class Scheduler:
 
     # -- dispatch -------------------------------------------------------
 
-    def _dispatch(self) -> None:
-        """Hand free worker slots to pending assignments, fairly.
+    def _dispatch(self, running: Sequence[Job]) -> None:
+        """Hand free worker slots to the pending assignments of the
+        ``running`` jobs, fairly.
 
         Unbounded slots dispatch everything at once — a single
         ``backend.spawn`` with a job's full plan.  Bounded slots run
         the deficit auction: highest deficit wins, each dispatch
         charges ``1 / priority``.
         """
-        contenders = [job for job in self.running() if job.pending]
+        contenders = [job for job in running if job.pending]
         if not contenders:
             return
         batches: dict[int, list[WorkerAssignment]] = {}
@@ -323,23 +321,30 @@ class Scheduler:
 
     def _spawn_for(self, job: Job, batch: list[WorkerAssignment]) -> None:
         extras = self._backend.spawn(batch)
+        now = self._backend.clock()
         if job.started_wall is None:
-            job.started_wall = self._backend.clock()
-        job.record_spawn(batch, extras)
+            job.started_wall = now
+        job.record_spawn(batch, extras, now)
 
     # -- fault handling -------------------------------------------------
 
-    def _handle_deaths(self, deaths, now: float) -> None:
+    def _handle_deaths(self, exits, now: float) -> None:
+        """Route drained exits to their jobs, which judge them.  The
+        exit of a pruned job's worker is stray traffic, like its late
+        DATA; a finished job's is ignored."""
         by_job: dict[str | None, list] = {}
-        for death in deaths:
+        for death in exits:
             by_job.setdefault(death.job, []).append(death)
         for job_id in sorted(
                 by_job,
                 key=lambda jid: self._by_id[jid].index
                 if jid in self._by_id else -1):
             job = self._by_id.get(job_id)
-            if job is None or job.status is not JobStatus.RUNNING:
-                continue  # stray deaths of finished jobs
+            if job is None:
+                self.stray_messages += len(by_job[job_id])
+                continue
+            if job.status is not JobStatus.RUNNING:
+                continue
             try:
                 job.handle_deaths(by_job[job_id], now, self._spawn_for)
             except BackendError as error:
@@ -430,7 +435,8 @@ class Scheduler:
         """One turn of the run loop; returns True while work remains.
 
         In order: admit, apply cancellations, dispatch, expire
-        deadlines, poll/ingest, reap deaths, flag stale workers,
+        deadlines, poll/ingest, reap exits (each job judges its own),
+        flag stale workers where the backend ``monitors_staleness``,
         finalize whatever drained.  With nothing running the poll only
         lets ``poll_timeout`` pass on the backend's clock — the one way
         a synchronous driver moves an idle virtual clock — so a zero
@@ -451,7 +457,7 @@ class Scheduler:
             running = self.running()
             exhausted = False
             if running:
-                self._dispatch()
+                self._dispatch(running)
                 self._expire_deadlines(running)
                 exhausted = backend.done
                 if exhausted:
@@ -469,13 +475,14 @@ class Scheduler:
                 self.ingest(message, backend.clock())
             else:
                 now = backend.clock()
-                deaths = backend.reap()
+                exits = backend.reap()
                 with self._lock:
-                    if deaths:
-                        self._handle_deaths(deaths, now)
-                    for job in running:
-                        if job.status is JobStatus.RUNNING:
-                            job.flag_stale(now)
+                    if exits:
+                        self._handle_deaths(exits, now)
+                    if backend.monitors_staleness:
+                        for job in running:
+                            if job.status is JobStatus.RUNNING:
+                                job.flag_stale(now)
         for job in running:
             if job.status is JobStatus.DRAINING:
                 self._finalize(job)
@@ -498,7 +505,6 @@ class Scheduler:
                 continue  # cancelled while queued
             try:
                 job.open(backend, backend.clock())
-                job.collector.mark_epoch(backend.clock())
                 backend.open_job(job)
             except ReproError as error:
                 job.fail(error)

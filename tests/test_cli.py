@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
 from repro import parmonc
@@ -16,6 +15,7 @@ from repro.rng.multiplier import LeapSet
 from repro.runtime.bootstrap import start_session
 from repro.runtime.collector import Collector
 from repro.runtime.config import RunConfig
+from repro.runtime import storage
 from repro.runtime.files import DataDirectory, read_genparam_file
 from repro.runtime.worker import run_worker
 
@@ -75,6 +75,20 @@ class TestManaverCli:
         # The recovered sample becomes resumable.
         snapshot, _ = data.load_savepoint()
         assert snapshot.volume == 30
+
+    def test_recovery_ends_in_one_commit_savepoint_first(self, tmp_path):
+        # As a job's end: every file is written before any is renamed,
+        # the save-point is renamed first, and the subtotals go last.
+        self._leave_unfinalized_job(tmp_path)
+        with storage.trace_crashpoints() as trace:
+            manual_average(tmp_path)
+        steps = [name for name in trace
+                 if name.endswith((".before_write", ".before_rename"))]
+        files = ["savepoint", "results.func", "results.func_ci",
+                 "results.func_log"]
+        assert steps == [f"{name}.before_write" for name in files] \
+            + [f"{name}.before_rename" for name in files]
+        assert DataDirectory(tmp_path).load_processor_snapshots() == {}
 
     def test_nothing_to_average(self, tmp_path, capsys):
         code = manaver_main(["--workdir", str(tmp_path)])

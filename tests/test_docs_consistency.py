@@ -175,6 +175,16 @@ SOURCE_SHAPES = [
      ("repro.runtime.multiprocess:MultiprocessBackend.reap",
       "repro.runtime.distributed:DistributedBackend.reap"), {},
      "'Judged once everything is in': a death follows message order"),
+    ("reap-reads-no-collector", r"final_ranks|\.collector\b",
+     ("repro.runtime.multiprocess:MultiprocessBackend.reap",
+      "repro.runtime.distributed:DistributedBackend.reap"), {},
+     "'Judged once everything is in': the backend decides when an exit "
+     "is reported, the job whether it was a death"),
+    ("collector-keeps-no-liveness",
+     r"last_seen|stale_workers|mark_epoch|rerun_rank|_epoch",
+     "runtime/collector.py", {},
+     "'Fault-tolerant quota reassignment': the job keeps the watermarks; "
+     "the collector collects, averages and saves"),
     ("one-anonymous-id-check", r"id is (?:not )?None", SCHEDULER,
      {SCHEDULER: 1},
      "'One way in, one way out': sla_report's named-jobs filter is the "

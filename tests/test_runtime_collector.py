@@ -14,6 +14,8 @@ from repro.runtime.files import DataDirectory
 from repro.runtime.messages import MomentMessage
 from repro.stats.accumulator import MomentAccumulator, MomentSnapshot
 
+from test_runtime_liveness import WATCHED, dispatch, opened_job, stale
+
 
 def message(rank, values, sent_at=0.0, final=False, shape=(1, 1)):
     accumulator = MomentAccumulator(*shape)
@@ -227,12 +229,18 @@ class TestOutOfOrderInstrumentation:
         assert telemetry.events.by_kind("stale_message") == ()
 
     def test_stale_message_advances_watermark(self):
-        # Dropped, yet its rank is alive (a rerun catching up).
-        collector, _ = make_instrumented_collector()
-        collector.receive(message(0, [1.0, 2.0]), now=1.0)
-        collector.receive(message(0, [1.0]), now=5.0)  # stale
-        assert collector.last_seen[0] == 5.0
-        assert collector.worker_volume(0) == 2
+        # Dropped by the collector, yet its rank is alive (a rerun
+        # catching up): the job's watermark moves.
+        job = opened_job(RunConfig(**WATCHED))
+        dispatch(job, 0.0, 0, 1)
+        job.ingest(message(0, [1.0, 2.0]), now=1.0)
+        job.ingest(message(0, [1.0]), now=5.0)  # stale
+        assert job.collector.stale_count == 1
+        assert job.collector.worker_volume(0) == 2
+        job.flag_stale(8.5)
+        assert stale(job) == [(1, 0.0)]
+        job.flag_stale(9.5)
+        assert stale(job) == [(1, 0.0), (0, 5.0)]
 
     def test_piggybacked_worker_stats_ingested(self):
         collector, telemetry = make_instrumented_collector(processors=1)
@@ -249,42 +257,34 @@ class TestOutOfOrderInstrumentation:
 
 
 class TestLastSeenWatermarks:
-    def test_watermarks_track_arrival_times(self):
-        collector, _ = make_instrumented_collector()
-        collector.receive(message(0, [1.0]), now=1.0)
-        collector.receive(message(1, [1.0]), now=4.0)
-        collector.receive(message(0, [1.0, 2.0]), now=7.0)
-        assert collector.last_seen == {0: 7.0, 1: 4.0}
+    """The job keeps a watermark per in-flight rank: its dispatch or its
+    last message, kept or stale; ``stale_worker`` reports it."""
 
-    def test_silent_rank_judged_against_epoch(self):
-        collector, _ = make_instrumented_collector()
-        collector.mark_epoch(0.0)
-        collector.receive(message(0, [1.0]), now=9.0)
-        assert collector.stale_workers(now=10.0, threshold=5.0) == (1, 2)
+    def test_watermarks_track_arrival_times(self):
+        job = opened_job(RunConfig(**WATCHED))
+        dispatch(job, 0.0, 0, 1)
+        job.ingest(message(0, [1.0]), now=1.0)
+        job.ingest(message(1, [1.0]), now=4.0)
+        job.ingest(message(0, [1.0, 2.0]), now=7.0)
+        job.flag_stale(10.0)
+        assert stale(job) == [(1, 4.0)]
+        job.flag_stale(12.0)
+        assert stale(job) == [(1, 4.0), (0, 7.0)]
+
+    def test_silent_rank_judged_from_its_dispatch(self):
+        job = opened_job(RunConfig(maxsv=100, processors=3, perpass=1.0,
+                                   telemetry=True))
+        dispatch(job, 0.0, 0, 1, 2)
+        job.ingest(message(0, [1.0]), now=9.0)
+        job.flag_stale(10.0)
+        assert stale(job) == [(1, 0.0), (2, 0.0)]
 
     def test_finalized_ranks_never_stale(self):
-        collector, _ = make_instrumented_collector(processors=2)
-        collector.mark_epoch(0.0)
-        collector.receive(message(0, [1.0], final=True), now=1.0)
-        assert collector.stale_workers(now=100.0, threshold=5.0) == (1,)
-
-    def test_no_epoch_no_messages_means_no_verdict(self):
-        collector, _ = make_instrumented_collector()
-        assert collector.stale_workers(now=100.0, threshold=5.0) == ()
-
-    def test_without_epoch_first_arrival_stands_in(self):
-        collector, _ = make_instrumented_collector()  # 3 processors
-        collector.receive(message(0, [1.0]), now=2.0)
-        collector.receive(message(1, [1.0]), now=8.0)
-        # No epoch marked: the earliest watermark (2.0) stands in for
-        # the never-heard-from rank 2.
-        assert collector.stale_workers(now=10.0, threshold=5.0) == (0, 2)
-        assert collector.stale_workers(now=10.0, threshold=9.0) == ()
-
-    def test_negative_threshold_rejected(self):
-        collector, _ = make_instrumented_collector()
-        with pytest.raises(ConfigurationError):
-            collector.stale_workers(now=0.0, threshold=-1.0)
+        job = opened_job(RunConfig(**WATCHED))
+        dispatch(job, 0.0, 0, 1)
+        job.ingest(message(0, [1.0], final=True), now=1.0)
+        job.flag_stale(100.0)
+        assert stale(job) == [(1, 0.0)]
 
 
 class TestAveragingRoundTelemetry:

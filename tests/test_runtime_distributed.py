@@ -30,16 +30,15 @@ import pytest
 
 import repro
 from repro.core.parmonc import build_job_spec, parmonc
-from repro.exceptions import ConfigurationError
+from repro.exceptions import BackendError, ConfigurationError
 from repro.obs.events import read_events
-from repro.runtime.collector import Collector
 from repro.runtime.config import RunConfig
 from repro.runtime.distributed import (
     DistributedBackend,
-    _ExitRecord,
     _PoolLink,
     parse_connect,
 )
+from repro.runtime.engine import WorkerDeath
 from repro.runtime.job import JobSpec, JobStatus
 from repro.runtime.messages import (
     MomentMessage,
@@ -61,6 +60,7 @@ from repro.stats.accumulator import MomentAccumulator
 from repro.stats.statistic import payload_map
 
 from test_runtime_engine import assert_same_bytes
+from test_runtime_liveness import opened_job
 
 
 def square(rng):
@@ -931,8 +931,8 @@ class TestTeardownAndLateTraffic:
             assert scheduler.prune() == 1
             second = scheduler.submit(
                 _streaming_spec("second", tmp_path, seqnum=1))
-            backend._inbox.append(_ExitRecord(
-                rank=0, exitcode=0, detail="delivered late", job="first"))
+            backend._inbox.append(WorkerDeath(
+                0, 0, detail="delivered late", job="first"))
             # Admits and dispatches ``second``; its workers cannot have
             # answered yet, so the empty poll falls through to the reap.
             scheduler.step(poll_timeout=0.0)
@@ -1353,7 +1353,7 @@ class TestOnePoolThread:
 class TestOneOrderedInbox:
     """DATA, EXIT and lost-pool records share one inbox, so an exit
     comes off it only behind every pass its worker wrote: ``reap``
-    judges with no drain and no clock."""
+    reports it with no drain and no clock, and the job judges it."""
 
     @staticmethod
     def _pass(rank, volume, final):
@@ -1383,26 +1383,33 @@ class TestOneOrderedInbox:
         ours.close()
         pools.close()
         assert link.active == set()
-        config = RunConfig(maxsv=8, processors=2)
-        collector = Collector(config, MomentAccumulator(1, 1).snapshot(),
-                              data=None)
-        backend.engine = SimpleNamespace(
-            job_context=lambda job: SimpleNamespace(collector=collector),
-            all_complete=False)
-        # The scheduler's turn: ingest a message, or reap on an empty poll.
-        order, deaths = [], []
+        backend.engine = SimpleNamespace(all_complete=False)
+        job = opened_job(RunConfig(maxsv=8, processors=2), backend)
+        job.record_spawn(backend.plan(job), None, 0.0)
+        # The scheduler's turn: ingest a message, or reap on an empty poll
+        # and let the job judge what was reaped.
+        order, verdicts = [], []
         for _ in frames:
             message = backend.poll(0.0)
             if message is None:
-                order.append("exit")
-                deaths.append([(death.rank, death.exitcode)
-                               for death in backend.reap()])
+                exits = backend.reap()
+                order.append([(death.rank, death.exitcode)
+                              for death in exits])
+                try:
+                    job.handle_deaths(exits, 0.0, spawn=None)
+                except BackendError as error:
+                    verdicts.append(str(error))
+                else:
+                    verdicts.append(None)
             else:
                 order.append((message.rank, message.final))
-                collector.receive(message, now=0.0)
-        assert order == [(0, True), "exit", (1, False), "exit"]
-        assert deaths == [[], [(1, 0)]]
-        assert collector.worker_volume(1) == 2  # the watermark it leaves
+                job.ingest(message, now=0.0)
+        assert order == [(0, True), [(0, 0)], (1, False), [(1, 0)]]
+        # Rank 0's exit came behind its final: retired, not dead.
+        assert verdicts[0] is None
+        assert "rank 1 (on pool pool)" in verdicts[1]
+        assert job.in_flight == set()
+        assert job.collector.worker_volume(1) == 2  # what it left
         assert backend.poll(0.0) is None and backend.reap() == []
 
     @pytest.mark.parametrize("ending", [
@@ -1440,8 +1447,8 @@ class TestOneOrderedInbox:
         assert list(backend._redial) == [link.address]
         assert [(type(item).__name__, item.rank)
                 for item in backend._inbox] == [
-            ("MomentMessage", 0), ("_ExitRecord", 0),
-            ("MomentMessage", 1), ("_ExitRecord", 1)]
+            ("MomentMessage", 0), ("WorkerDeath", 0),
+            ("MomentMessage", 1), ("WorkerDeath", 1)]
         lost = backend._inbox[-1]
         assert (lost.exitcode, lost.detail) == (
             None, "pool p connection lost")

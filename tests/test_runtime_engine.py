@@ -52,6 +52,8 @@ from repro.runtime.worker import worker_process
 from repro.stats.accumulator import MomentAccumulator, MomentSnapshot
 from repro.stats.statistic import payload_map
 
+from test_runtime_liveness import dispatch, opened_job, stale
+
 
 def square(rng):
     return rng.random() ** 2
@@ -527,9 +529,7 @@ class TestDeadWorkerDetection:
         backend = MultiprocessBackend(start_method="fork")
         # Stands in for the bound scheduler: one anonymous job, read
         # like every job through job_context().
-        context = SimpleNamespace(
-            config=config, telemetry=None,
-            collector=Collector(config, _snapshot(0), data=None))
+        context = SimpleNamespace(config=config, telemetry=None)
         backend.bind(SimpleNamespace(job_context=lambda job: context))
         backend._host = host = WorkerHost(multiprocessing.get_context("fork"))
         host.start((None, 0), _write_then_exit, list(bodies), exitcode)
@@ -593,13 +593,18 @@ class TestDeadWorkerDetection:
 
     def test_finalized_worker_is_never_a_suspect(self):
         backend = self._backend([message_to_payload(self.FINAL)])
+        job = opened_job(RunConfig(maxsv=4, processors=1))
+        dispatch(job, 0.0, 0)
         try:
-            backend.engine.job_context(None).collector.receive(
-                backend.poll(5.0), now=0.0)
-            assert backend.poll(5.0) is None  # the exit
-            assert backend.reap() == []
+            job.ingest(backend.poll(5.0), now=0.0)
+            assert backend.poll(5.0) is None  # the exit, behind the final
+            exits = backend.reap()
         finally:
             backend.shutdown()
+        assert [(death.rank, death.exitcode) for death in exits] == [(0, 0)]
+        # Retired by its final: under "fail", a death would raise.
+        job.handle_deaths(exits, 0.0, spawn=None)
+        assert job.in_flight == set()
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +630,7 @@ class TestPolicyConfiguration:
 
 
 # ---------------------------------------------------------------------------
-# Collector semantics of a rerun rank
+# A rerun rank: the collector's merge, the job's watermark
 
 
 def _pass(rank: int, volume: int, now: float, final=False) -> MomentMessage:
@@ -645,27 +650,36 @@ class TestCollectorRetirement:
         collector.receive(_pass(0, 4, 0.0, final=True), now=0.0)
         collector.receive(_pass(1, 3, 0.0), now=0.0)
         assert not collector.complete
-        collector.rerun_rank(1, now=1.0)
         assert collector.receive(_pass(1, 1, 2.0, final=True),
                                  now=2.0) is False
         assert collector.complete
         assert collector.worker_volume(1) == 3
 
     def test_replacement_staleness_anchored_at_spawn_time(self):
-        collector = self._collector()
-        collector.mark_epoch(0.0)
-        collector.receive(_pass(1, 3, 0.0), now=0.0)
-        collector.rerun_rank(1, now=100.0)
-        # Judged from its rerun, not the dead worker's last pass.
-        assert 1 not in collector.stale_workers(now=100.5, threshold=1.0)
+        # Stale after 3 * perpass + 1 = 4 silent seconds.
+        job = opened_job(RunConfig(maxsv=8, processors=2, perpass=1.0,
+                                   telemetry=True,
+                                   on_worker_death="reassign"))
+        dispatch(job, 0.0, 0, 1)
+        job.ingest(_pass(0, 4, 0.0, final=True), now=0.0)
+        job.ingest(_pass(1, 3, 0.0), now=0.0)
+        job.handle_deaths([WorkerDeath(1, 5)], 100.0,
+                          spawn=lambda owner, plan: owner.record_spawn(
+                              plan, None, 100.0))
+        # Judged from its rerun's dispatch, not the dead worker's last
+        # pass.
+        job.flag_stale(103.5)
+        assert stale(job) == []
         # Its catch-up passes are dropped as stale, yet each one shows
         # the rank is alive.
         for volume, now in ((1, 101.0), (2, 102.0)):
-            assert collector.receive(_pass(1, volume, now),
-                                     now=now) is False
-        assert 1 not in collector.stale_workers(now=102.5, threshold=1.0)
-        assert 1 in collector.stale_workers(now=103.5, threshold=1.0)
-        assert collector.worker_volume(1) == 3
+            job.ingest(_pass(1, volume, now), now=now)
+        assert job.collector.stale_count == 2
+        job.flag_stale(105.5)
+        assert stale(job) == []
+        job.flag_stale(106.5)
+        assert stale(job) == [(1, 102.0)]
+        assert job.collector.worker_volume(1) == 3
 
 
 class TestRecoveryTelemetry:
