@@ -30,8 +30,8 @@ def run_with_failures(perpass: float):
         duration_model=DurationModel(mean=TAU, distribution="fixed"),
         failures=failures)
     backend = SimclusterBackend(spec, execute_realizations=False)
-    result = Engine(backend, config, use_files=False).run(None).cluster
-    return result, backend.engine.job_context(None).collector
+    run = Engine(backend, config, use_files=False).run(None)
+    return run.cluster, run
 
 
 def test_lost_work_bounded_by_pass_period(benchmark, reporter):
@@ -44,12 +44,12 @@ def test_lost_work_bounded_by_pass_period(benchmark, reporter):
                   f"failures, tau = {TAU}s")
     reporter.line("perpass (s)        computed  delivered  lost  "
                   "bound (4*ceil(perpass/tau)+4)")
-    for perpass, (result, collector) in rows.items():
+    for perpass, (result, run) in rows.items():
         label = ("every realization" if perpass == 0.0
                  else f"{perpass:.0f}")
         bound = 4 * (int(perpass // TAU) + 1)
         reporter.line(f"{label:>17s}  {result.total_volume:9d}  "
-                      f"{collector.total_volume:9d}  "
+                      f"{run.total_volume:9d}  "
                       f"{result.lost_realizations:4d}  {bound:6d}")
         assert result.lost_realizations <= bound
     strict_loss = rows[0.0][0].lost_realizations

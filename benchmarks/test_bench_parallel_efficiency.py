@@ -74,12 +74,12 @@ def test_no_load_balancing_needed(benchmark, reporter):
         quotas = proportional_quotas(120, speed_factors)
         cluster_spec = spec(speed_factors=speed_factors)
         backend = SimclusterBackend(cluster_spec, quotas=quotas)
-        result = Engine(backend, config, use_files=False).run(
-            lambda rng: rng.random()).cluster
-        return result, backend.engine.job_context(None).collector, quotas
+        outcome = Engine(backend, config, use_files=False).run(
+            lambda rng: rng.random())
+        return outcome.cluster, outcome, quotas
 
-    result, collector, quotas = benchmark.pedantic(run, rounds=1,
-                                                   iterations=1)
+    result, outcome, quotas = benchmark.pedantic(run, rounds=1,
+                                                 iterations=1)
     reporter.line("heterogeneous cluster (speed factors 2.0/1.0/1.0/0.5), "
                   "work dealt proportionally")
     reporter.line("rank  speed  quota  finish-time share")
@@ -93,7 +93,7 @@ def test_no_load_balancing_needed(benchmark, reporter):
     # needed beyond proportional dealing.
     assert finish <= sum(quotas) * TAU / 4.5 * 1.10
     # The merged estimator used the unequal volumes exactly.
-    estimates = collector.estimates()
+    estimates = outcome.estimates
     assert estimates.volume == sum(quotas)
     assert abs(estimates.mean[0, 0] - 0.5) < 5 * estimates.abs_error[0, 0]
     reporter.line("unequal per-processor volumes merge exactly "

@@ -45,6 +45,17 @@ FULL_TREE_M = 20_000 if SMOKE else 100_000
 FULL_TREE_QUOTA = 4 if SMOKE else 8
 
 
+class _KeepsCollector(SimclusterBackend):
+    """Takes the job's collector at admission: a finished job lets go
+    of its run, so the bench keeps the merged moments it compares."""
+
+    collector = None
+
+    def open_job(self, job) -> None:
+        super().open_job(job)
+        self.collector = job.collector
+
+
 def _spec() -> ClusterSpec:
     return ClusterSpec(
         duration_model=DurationModel(mean=TAU, distribution="fixed"),
@@ -111,10 +122,10 @@ def test_equal_estimate_bits_at_the_boundary(reporter):
         config = RunConfig(maxsv=processors * QUOTA,
                            processors=processors, perpass=0.0,
                            peraver=3600.0, reduction_fanout=fanout)
-        backend = SimclusterBackend(_spec())
+        backend = _KeepsCollector(_spec())
         result = Engine(backend, config, use_files=False).run(
             lambda rng: rng.random()).cluster
-        merged = backend.engine.job_context(None).collector.merged()
+        merged = backend.collector.merged()
         return result, merged.sum1.tobytes(), merged.sum2.tobytes()
 
     flat_result, flat_sum1, flat_sum2 = run(None)

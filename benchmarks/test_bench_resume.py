@@ -70,14 +70,17 @@ def test_manaver_recovery_is_lossless(benchmark, reporter, tmp_path):
         workdir = tmp_path / "crash"
         parmonc(realization, maxsv=90, processors=3, workdir=workdir)
         config = RunConfig(maxsv=90, processors=3, res=1, seqnum=1,
-                           workdir=workdir)
+                           workdir=workdir, perpass=0.0)
         data, state = start_session(config)
         collector = Collector(config, state.base, data,
                               sessions=state.session_index)
+        # Killed before any final lands (at perpass=0 a final repeats its
+        # rank's last pass): the last final would commit the session.
         for rank in range(3):
             run_worker(realization, config, rank, 30,
-                       send=lambda m: collector.receive(m, 0.0))
-        # Job killed here: no finalize_session.  Recover:
+                       send=lambda m: m.final or collector.receive(m, 0.0))
+        assert len(list(data.savepoints_dir.glob("processor_*.bin"))) == 3
+        assert not collector.committed
         summary = manual_average(workdir)
         resumed = parmonc(realization, maxsv=30, res=1, seqnum=2,
                           processors=3, workdir=workdir)

@@ -24,6 +24,12 @@ A job owns:
 * its :class:`~repro.runtime.result.RunResult` and SLA record
   (submit-to-start wait, makespan, deadline misses).
 
+A finished job (DONE, FAILED or CANCELLED) keeps only what it reports
+— ``result``, ``error``, ``status``, ``state_times`` and the SLA
+fields: the transition drops the collector, resume state, session
+directory and telemetry, so a service that never prunes holds one
+result per job, not one run.
+
 The scheduling policy — fair share, admission, slots — lives in the
 scheduler; the job only answers "what do I still need" and "what
 happened to me".
@@ -207,6 +213,9 @@ class Job:
         self._status = value
         self.state_times[value] = self.clock()
         if value in JobStatus.FINISHED:
+            # A scheduler keeps its finished jobs until pruned, a
+            # service for good: each must cost its result, not its run.
+            self.collector = self.state = self.data = self.telemetry = None
             self.finished.set()
             if self.on_terminal is not None:
                 self.on_terminal(self)

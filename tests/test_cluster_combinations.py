@@ -14,16 +14,27 @@ from repro.runtime.engine import Engine
 from repro.runtime.simcluster import SimclusterBackend
 
 
+class _KeepsCollector(SimclusterBackend):
+    """Takes the job's collector at admission: a finished job lets go
+    of its run, so the helper keeps what the assertions read."""
+
+    collector = None
+
+    def open_job(self, job) -> None:
+        super().open_job(job)
+        self.collector = job.collector
+
+
 def simulate(config_kwargs, spec_kwargs, **sim_kwargs):
     config = RunConfig(**{"perpass": 0.0, "peraver": 3600.0,
                           **config_kwargs})
     spec_kwargs.setdefault("duration_model", DurationModel(mean=1.0))
     spec = ClusterSpec(**spec_kwargs)
     routine = sim_kwargs.pop("routine", None)
-    backend = SimclusterBackend(
+    backend = _KeepsCollector(
         spec, execute_realizations=routine is not None, **sim_kwargs)
     result = Engine(backend, config, use_files=False).run(routine)
-    return result.cluster, backend.engine.job_context(None).collector
+    return result.cluster, backend.collector
 
 
 class TestFeatureCombinations:

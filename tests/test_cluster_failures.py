@@ -12,16 +12,27 @@ from repro.runtime.engine import Engine
 from repro.runtime.simcluster import SimclusterBackend
 
 
+class _KeepsCollector(SimclusterBackend):
+    """Takes the job's collector at admission: a finished job lets go
+    of its run, so the helper keeps what the assertions read."""
+
+    collector = None
+
+    def open_job(self, job) -> None:
+        super().open_job(job)
+        self.collector = job.collector
+
+
 def run_with_failures(maxsv, processors, failures, *, perpass=0.0,
                       tau=1.0):
     spec = ClusterSpec(duration_model=DurationModel(mean=tau),
                        failures=failures)
     config = RunConfig(maxsv=maxsv, processors=processors,
                        perpass=perpass, peraver=3600.0)
-    backend = SimclusterBackend(spec)
+    backend = _KeepsCollector(spec)
     result = Engine(backend, config, use_files=False).run(
         lambda rng: rng.random())
-    return result.cluster, backend.engine.job_context(None).collector
+    return result.cluster, backend.collector
 
 
 class TestFailureInjection:

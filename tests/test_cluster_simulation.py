@@ -21,6 +21,17 @@ from repro.runtime.sequential import SequentialBackend
 from repro.runtime.simcluster import SimclusterBackend
 
 
+class _KeepsCollector(SimclusterBackend):
+    """Takes the job's collector at admission: a finished job lets go
+    of its run, so the helper keeps what the assertions read."""
+
+    collector = None
+
+    def open_job(self, job) -> None:
+        super().open_job(job)
+        self.collector = job.collector
+
+
 def simulate(maxsv, processors, *, tau=1.0, perpass=0.0, spec_kwargs=None,
              config_kwargs=None, routine=None):
     spec_kwargs = dict(spec_kwargs or {})
@@ -29,10 +40,10 @@ def simulate(maxsv, processors, *, tau=1.0, perpass=0.0, spec_kwargs=None,
     config = RunConfig(maxsv=maxsv, processors=processors,
                        perpass=perpass, peraver=3600.0,
                        **(config_kwargs or {}))
-    backend = SimclusterBackend(spec, execute_realizations=routine is not None)
+    backend = _KeepsCollector(spec,
+                              execute_realizations=routine is not None)
     result = Engine(backend, config, use_files=False).run(routine)
-    return result.cluster, backend.engine.job_context(None).collector
-
+    return result.cluster, backend.collector
 
 
 class TestTimingModel:
