@@ -544,8 +544,11 @@ class _SimulatedJob:
                       and rank not in self._finaled)
 
     def stop(self) -> None:
-        """Compute nothing further; passes already sent still land."""
+        """Compute nothing further and drop the job's collector, workers
+        and telemetry; passes already sent still land."""
         self._stopped = True
+        self._collector = self._telemetry = None
+        self._workers.clear()
 
     def finish(self) -> ClusterResult:
         """Settle the books once every started worker is done.

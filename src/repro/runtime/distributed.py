@@ -10,12 +10,13 @@ contract, same collector, bit-identical estimates: serial, multicore
 and multi-node runs share one user-facing API.
 
 Elasticity: every address is redialled every ``retry_interval``, so a
-pool that comes up mid-run gets whatever is still pending, recovery
-assignments included.  A worker crash (an EXIT with a nonzero code) or
-a vanished pool (socket close, missed heartbeats, ``kill -9``) marks
-its unfinished ranks dead, and the engine's ``on_worker_death`` policy
-decides: ``"reassign"`` reruns each dead rank on its own subsequence,
-possibly on another pool.
+pool that comes up mid-run adds its slots to ``free_slots()``, and gets
+whatever is still pending, recovery assignments included: the backend
+keeps no queue, so an ASSIGN is a rank's start.  A worker crash (an
+EXIT with a nonzero code) or a vanished pool (socket close, missed
+heartbeats, ``kill -9``) marks its unfinished ranks dead, and the
+engine's ``on_worker_death`` policy decides: ``"reassign"`` reruns each
+dead rank on its own subsequence, possibly on another pool.
 
 The run side is one thread, the scheduler's, like rank 0's loop in the
 paper.  With its inbox empty, :meth:`~DistributedBackend.poll` waits on
@@ -40,7 +41,7 @@ import socket
 import struct
 import threading
 import time
-from collections import Counter, deque
+from collections import deque
 from contextlib import suppress
 from dataclasses import dataclass, field
 
@@ -185,14 +186,13 @@ class DistributedBackend(EngineBackend):
         self._connect_timeout = connect_timeout
         self._retry_interval = retry_interval
         # Messages and exits (an EXIT frame or a lost connection, as a
-        # WorkerDeath) in arrival order, and the exits poll() met,
-        # awaiting reap().
+        # WorkerDeath) in arrival order, with a None for each welcome
+        # (it wakes the loop to the pool's slots), and the exits poll()
+        # met, awaiting reap().
         self._inbox: deque = deque()
         self._exited: list[WorkerDeath] = []
-        # Undispatched assignments, and per running job the
-        # ``(SUBMIT body, deadline)`` the dispatcher ships them with.
-        self._pending: deque = deque()
-        self._queued: Counter = Counter()  # per job, its share of _pending
+        # Per running job, the ``(SUBMIT body, deadline)`` its
+        # assignments are shipped with.
         self._entries: dict[str | None, tuple[dict, float | None]] = {}
         # Connecting and connected pools; the other addresses, with
         # the monotonic time of their next connect.
@@ -222,14 +222,34 @@ class DistributedBackend(EngineBackend):
             target=self._beat, daemon=True, name="parmonc-heartbeats")
         self._beats.start()
 
+    def free_slots(self) -> int:
+        """Free slots over the welcomed pools, once the sockets were
+        served (an idle service hears here of pools lost or back)."""
+        self._pump(0.0)
+        return sum(link.capacity - len(link.active)
+                   for link in self._links.values() if link.welcomed)
+
     def spawn(self, assignments) -> None:
-        if any(assignment.quota is None for assignment in assignments):
-            raise BackendError(
-                "the distributed backend needs a static quota per assignment")
-        self._pump(0.0)  # hear of pools lost or back while nothing polled
-        self._pending.extend(assignments)
-        self._queued.update(assignment.job for assignment in assignments)
-        self._dispatch()
+        """Write the ASSIGNs (and SUBMITs) in one write per pool: each
+        rank has a slot, as :meth:`free_slots` counted.  A pool that
+        will not take the write is lost with every rank it holds."""
+        writes: dict[_PoolLink, list[bytes]] = {}
+        for assignment in assignments:
+            link = self._pick_pool()
+            job = assignment.job
+            entry, deadline = self._entries[job]
+            payload = _tagged(job, rank=assignment.rank,
+                              quota=assignment.quota)
+            if deadline is not None:
+                payload["deadline_in"] = max(deadline - self.clock(), 0.0)
+            frames = writes.setdefault(link, [])
+            if job not in link.announced:
+                link.announced.add(job)
+                frames.append(encode_frame(FrameKind.SUBMIT, entry))
+            frames.append(encode_frame(FrameKind.ASSIGN, payload))
+            link.active.add((job, assignment.rank))
+        for link, frames in writes.items():
+            self._send(link, b"".join(frames))
 
     def poll(self, timeout: float) -> MomentMessage | None:
         if not self._inbox:
@@ -281,16 +301,12 @@ class DistributedBackend(EngineBackend):
             # it with make_batched so the batched fast path still runs.
             entry["batch_size"] = batch_size
         self._entries[job.id] = (entry, job.deadline)
-        self._dispatch()
 
     def release_job(self, job_id: str | None) -> None:
         """Forget the job here and on every pool that heard of it.  A
         job's SUBMIT and ASSIGN frames go out in one write, so on any one
         link CANCEL is the last frame of the job."""
         self._entries.pop(job_id, None)
-        if self._queued.pop(job_id, 0):
-            self._pending = deque(assignment for assignment in self._pending
-                                  if assignment.job != job_id)
         cancel = encode_frame(FrameKind.CANCEL, _tagged(job_id))
         for link in list(self._links.values()):
             if job_id in link.announced:
@@ -311,7 +327,7 @@ class DistributedBackend(EngineBackend):
 
     def _check_pool_starvation(self) -> None:
         if (any(link.welcomed for link in self._links.values())
-                or not self._pending and self.engine.all_complete):
+                or self.engine.all_complete):
             return
         silent = time.monotonic() - self._last_pool_seen
         if silent > self._connect_timeout:
@@ -359,7 +375,6 @@ class DistributedBackend(EngineBackend):
             self._lose(link, "connection closed")
             return
         self._last_pool_seen = link.last_seen = time.monotonic()
-        freed = False
         try:
             for kind, payload in link.decoder.feed(self._buffer[:size]):
                 if kind is FrameKind.DATA and link.welcomed:
@@ -372,19 +387,15 @@ class DistributedBackend(EngineBackend):
                     self._inbox.append(WorkerDeath(
                         rank, payload.get("exitcode"),
                         detail=f"on pool {link.label}", job=job))
-                    freed = True
                 elif kind is FrameKind.ERROR:
                     raise WireError(payload.get("detail", "pool error"))
                 elif not link.welcomed:
                     self._welcome(link, kind, payload)
-                    freed = True  # a new pool: its slots are all free
                 elif kind is not FrameKind.HEARTBEAT:
                     raise WireError(f"unexpected {kind.name} frame from "
                                     f"pool {link.label}")
         except (WireError, KeyError, TypeError, ValueError) as exc:
             self._lose(link, exc)  # a malformed frame loses the pool
-        if freed:
-            self._dispatch()
 
     # -- links and frames --------------------------------------------------
 
@@ -443,6 +454,7 @@ class DistributedBackend(EngineBackend):
         link.capacity = max(int(payload.get("workers", 1)), 1)
         link.label = str(payload.get("pool") or "%s:%d" % link.address)
         link.welcomed = True
+        self._inbox.append(None)
         again = link.address in self._welcomed_once
         self._welcomed_once.add(link.address)
         self._notice("pool_reconnected" if again else "pool_connected",
@@ -506,50 +518,7 @@ class DistributedBackend(EngineBackend):
                         link.sock.shutdown(socket.SHUT_RDWR)
             self._resolve()
 
-    def _dispatch(self) -> None:
-        """Feed pending assignments to pools with free worker slots, in
-        one write per pool."""
-        writes: dict[_PoolLink, tuple[list, list]] = {}
-        while self._pending:
-            assignment = self._pending[0]
-            job = assignment.job
-            known = self._entries.get(job)
-            if known is None:
-                break  # its open_job has not landed; landing dispatches
-            link = self._pick_pool()
-            if link is None:
-                break  # every slot busy; an EXIT or a WELCOME dispatches
-            self._pending.popleft()
-            self._queued[job] -= 1
-            entry, deadline = known
-            payload = _tagged(job, rank=assignment.rank,
-                              quota=assignment.quota)
-            if deadline is not None:
-                payload["deadline_in"] = max(
-                    deadline - time.monotonic(), 0.0)
-            frames, sent = writes.setdefault(link, ([], []))
-            if job not in link.announced:
-                link.announced.add(job)
-                frames.append(encode_frame(FrameKind.SUBMIT, entry))
-            frames.append(encode_frame(FrameKind.ASSIGN, payload))
-            link.active.add((job, assignment.rank))
-            sent.append(assignment)
-        for link, (frames, sent) in writes.items():
-            try:
-                link.send(b"".join(frames))
-            except OSError as exc:
-                # Never delivered: the assignments go back, not dead.
-                link.active -= {(each.job, each.rank) for each in sent}
-                self._pending.extendleft(reversed(sent))
-                self._queued.update(each.job for each in sent)
-                self._lose(link, exc)
-
-    def _pick_pool(self) -> _PoolLink | None:
-        """The least-loaded connected pool with a free slot, if any."""
-        best: _PoolLink | None = None
-        best_load = 1.0
-        for link in self._links.values():
-            load = len(link.active) / link.capacity if link.welcomed else 1
-            if load < 1.0 and (best is None or load < best_load):
-                best, best_load = link, load
-        return best
+    def _pick_pool(self) -> _PoolLink:
+        """The first least-loaded welcomed pool (one with a free slot)."""
+        return min((link for link in self._links.values() if link.welcomed),
+                   key=lambda link: len(link.active) / link.capacity)

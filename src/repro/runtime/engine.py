@@ -11,7 +11,7 @@ simulation.  The script itself lives in two places: per-run state in
 This module holds what the loop drives:
 
 * :class:`EngineBackend` is the strategy contract — ``open_job(job)`` /
-  ``spawn(plan)`` / ``poll(timeout)`` / ``reap()`` /
+  ``free_slots()`` / ``spawn(plan)`` / ``poll(timeout)`` / ``reap()`` /
   ``release_job(job_id)`` / ``shutdown()`` — implemented by
   :class:`~repro.runtime.sequential.SequentialBackend`,
   :class:`~repro.runtime.multiprocess.MultiprocessBackend`,
@@ -151,10 +151,11 @@ class EngineBackend:
     surfaces their messages and reports their exits.  The
     :class:`~repro.runtime.scheduler.Scheduler` calls, in this order:
     :meth:`bind` once, before anything else; per admitted job
-    :meth:`open_job`, :meth:`plan`, then :meth:`spawn` / :meth:`poll` /
-    :meth:`reap` for as long as the job is RUNNING, :meth:`release_job`
-    exactly once when it leaves RUNNING — however it leaves — and
-    :meth:`cluster_result` right after it if the job drained; finally
+    :meth:`open_job`, :meth:`plan`, then :meth:`free_slots` /
+    :meth:`spawn` / :meth:`poll` / :meth:`reap` while the job is
+    RUNNING, :meth:`release_job` exactly once when it leaves RUNNING —
+    however it leaves — and :meth:`cluster_result` right after it if
+    the job drained; finally
     :meth:`shutdown`, once, error or not.  ``engine.job_context(job_id)``
     is the one source of an assignment's routine, config, collector,
     telemetry and deadline, for the anonymous job of a single run and
@@ -229,13 +230,19 @@ class EngineBackend:
 
     # -- workers and messages --------------------------------------------
 
+    def free_slots(self) -> int | None:
+        """How many assignments :meth:`spawn` can start now (None: no
+        bound), asked on each turn with work pending and before a rerun."""
+        return None
+
     def spawn(self, plan: Sequence[WorkerAssignment]
               ) -> list[dict] | None:
         """Start one worker per assignment.
 
-        May be called again mid-run with recovery assignments.  The
-        optional return value supplies per-assignment extra fields for
-        the ``worker_start`` telemetry event (e.g. the OS pid).
+        Never more than :meth:`free_slots` allowed: the spawn is the
+        start.  Called again mid-run with recovery reruns; the optional
+        return value supplies per-assignment extra fields for the
+        ``worker_start`` telemetry event (e.g. the OS pid).
         """
         raise NotImplementedError
 

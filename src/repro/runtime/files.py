@@ -452,11 +452,6 @@ class DataDirectory:
         """
         return self._root / "telemetry"
 
-    def has_telemetry(self) -> bool:
-        """Whether a telemetry-enabled run left artifacts behind."""
-        return self.telemetry_dir.exists() and any(
-            self.telemetry_dir.iterdir())
-
     def clear_telemetry(self) -> None:
         """Remove telemetry artifacts (fresh runs start a fresh record).
 

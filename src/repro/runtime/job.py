@@ -365,8 +365,8 @@ class Job:
             exits: The :class:`WorkerDeath` records routed to this job.
             now: Backend clock at the reap.
             spawn: ``spawn(job, assignments)`` callback that starts
-                reruns immediately (the scheduler's dispatch path,
-                bypassing the fair-share queue).
+                reruns where a slot is free, else queues them first in
+                :attr:`pending` (bypassing the fair-share auction).
         """
         for death in exits:
             if death.error is not None:

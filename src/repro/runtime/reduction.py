@@ -237,7 +237,7 @@ class Coalescer:
         # Volumes outlive the forwarded passes: a reorder is recognised
         # however long ago its successor left.
         self._volumes: dict[int, int] = {}
-        self._pending: dict[int, MomentMessage] = {}
+        self._changed: dict[int, MomentMessage] = {}
         self._finals: set[int] = set()
         self._drained = 0
 
@@ -255,7 +255,7 @@ class Coalescer:
                 # final pass is its rank's last word.
                 continue
             self._volumes[entry.rank] = volume
-            self._pending[entry.rank] = entry
+            self._changed[entry.rank] = entry
             if entry.final:
                 self._finals.add(entry.rank)
                 saw_final = True
@@ -264,15 +264,15 @@ class Coalescer:
     @property
     def complete(self) -> bool:
         """Every subtree rank's final pass was admitted and taken."""
-        return (not self._pending
+        return (not self._changed
                 and self._finals.issuperset(self._node.subtree_ranks))
 
     def take(self, now: float) -> CombinedMessage | None:
         """The changed ranks' latest passes as one message, or None."""
-        if not self._pending:
+        if not self._changed:
             return None
-        entries = tuple(self._pending[rank]
-                        for rank in sorted(self._pending))
+        entries = tuple(self._changed[rank]
+                        for rank in sorted(self._changed))
         # A job-scoped tree serves exactly one job, so the combined
         # message inherits its entries' tag (None on the classic
         # run-wide tree, keeping those messages byte-identical).
@@ -280,7 +280,7 @@ class Coalescer:
             node_id=self._node.node_id, entries=entries, sent_at=now,
             metrics={"level": self._node.level, "drained": self._drained},
             job=entries[0].job)
-        self._pending.clear()
+        self._changed.clear()
         self._drained = 0
         return combined
 

@@ -24,8 +24,10 @@ Policies the loop applies:
   counters: every dispatch charges the job ``1 / priority``, and the
   job with the highest deficit (ties broken by submission order) wins
   the next free slot, so long-run dispatch rates are proportional to
-  priorities.  With unbounded slots every pending assignment is
-  dispatched at once.
+  priorities.  Free slots are the smaller of the ``workers=`` headroom
+  and the backend's ``free_slots()``: unbounded, every pending
+  assignment is dispatched at once; else only what a slot can start,
+  so a rank's spawn is its start and the rest wait in their job.
 * **Quotas.**  ``JobSpec.max_workers`` caps a job's concurrent
   workers; ``workers=`` caps the whole pool.
 * **Admission control.**  ``max_jobs=`` bounds the queue;
@@ -281,6 +283,7 @@ class Scheduler:
         contenders = [job for job in running if job.pending]
         if not contenders:
             return
+        free = self._free_slots()
         batches: dict[int, list[WorkerAssignment]] = {}
 
         def headroom(job: Job) -> int | None:
@@ -290,7 +293,7 @@ class Scheduler:
             used = len(job.in_flight) + len(batches.get(job.index, ()))
             return cap - used
 
-        if self._workers is None:
+        if free is None:
             for job in contenders:
                 while job.pending:
                     room = headroom(job)
@@ -299,8 +302,6 @@ class Scheduler:
                     batches.setdefault(job.index, []).append(
                         job.pending.popleft())
         else:
-            busy = sum(len(job.in_flight) for job in self._live.values())
-            free = self._workers - busy
             while free > 0:
                 candidates = [job for job in contenders
                               if job.pending
@@ -318,6 +319,25 @@ class Scheduler:
             batch = batches.get(job.index)
             if batch:
                 self._spawn_for(job, batch)
+
+    def _free_slots(self) -> int | None:
+        """The smaller of the ``workers`` headroom and the backend's
+        ``free_slots()``; None when neither is bounded."""
+        free = self._backend.free_slots()
+        if self._workers is None:
+            return free
+        room = self._workers - sum(len(job.in_flight)
+                                   for job in self._live.values())
+        return room if free is None else min(free, room)
+
+    def _rerun(self, job: Job, batch: list[WorkerAssignment]) -> None:
+        """Start a dead rank's rerun now if a slot is free; else it
+        waits at the head of its job's ``pending``."""
+        free = self._free_slots()
+        if free is None or free > 0:
+            self._spawn_for(job, batch)
+        else:
+            job.pending.extendleft(reversed(batch))
 
     def _spawn_for(self, job: Job, batch: list[WorkerAssignment]) -> None:
         extras = self._backend.spawn(batch)
@@ -346,7 +366,7 @@ class Scheduler:
             if job.status is not JobStatus.RUNNING:
                 continue
             try:
-                job.handle_deaths(by_job[job_id], now, self._spawn_for)
+                job.handle_deaths(by_job[job_id], now, self._rerun)
             except BackendError as error:
                 self._backend.release_job(job.id)
                 job.fail(error)

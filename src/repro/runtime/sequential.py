@@ -32,7 +32,8 @@ class SequentialBackend(EngineBackend):
     Messages bypass :meth:`poll` entirely: the worker's ``send`` feeds
     the scheduler's ``ingest`` directly, so the collector sees each
     data pass the instant it is shipped and the hot loop pays no
-    queueing.
+    queueing.  The one backend with a queue: its spawn is a rank's
+    start, and :meth:`poll` runs the queued ranks in turn.
     """
 
     name = "sequential"

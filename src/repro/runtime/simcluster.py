@@ -39,6 +39,7 @@ from repro.runtime.engine import (
     WorkerDeath,
     register_backend,
 )
+from repro.runtime.job import JobStatus
 from repro.runtime.messages import CombinedMessage, MomentMessage
 
 __all__ = ["SimclusterBackend"]
@@ -88,8 +89,8 @@ class SimclusterBackend(EngineBackend):
         self._quotas = quotas
         self._scheduling = scheduling
         self._jobs: dict[str | None, _SimulatedJob] = {}
-        #: The job the loop released last: :meth:`cluster_result` reads it.
-        self._released: _SimulatedJob | None = None
+        #: The drained job's books :meth:`cluster_result` returns.
+        self._released: ClusterResult | None = None
         #: The last poll found the cluster idle and nothing started since.
         self._idle = False
 
@@ -169,14 +170,17 @@ class SimclusterBackend(EngineBackend):
         return self._idle
 
     def release_job(self, job_id: str | None) -> None:
-        """Stop the job's workers; :meth:`cluster_result` reads it next."""
-        self._released = self._jobs.pop(job_id, None)
-        if self._released is not None:
-            self._released.stop()
+        """Stop the job's workers and let go of its sample.  A drained
+        job's books are settled first, for :meth:`cluster_result`; a
+        cancelled or failed job leaves nothing behind."""
+        simulation = self._jobs.pop(job_id, None)
+        if simulation is not None:
+            job = self.engine.job_context(job_id)
+            self._released = (simulation.finish() if job.status
+                              is JobStatus.DRAINING else None)
+            simulation.stop()
 
     def cluster_result(self) -> ClusterResult | None:
         """The released job's accounting: computed volumes, including
         work a failed node computed but never delivered."""
-        if self._released is None:
-            return None
-        return self._released.finish()
+        return self._released

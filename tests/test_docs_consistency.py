@@ -344,6 +344,16 @@ SOURCE_SHAPES = [
     ("no-probed-hooks", r"\b(?:announce_job|prepare_job|cancel_job)\b",
      EVERYWHERE, {},
      "'The backend contract': open_job and release_job replace them"),
+    ("worker-start-is-the-spawn", r'"worker_start"',
+     (EVERYWHERE, "repro.runtime.job:Job.record_spawn"),
+     {"runtime/job.py": 1, "repro.runtime.job:Job.record_spawn": 1},
+     "docs/scheduler.md 'One dispatch moment': a rank starts when the "
+     "scheduler spawns it, on every backend"),
+    ("one-backend-queue", r"self\._pending\b", "runtime/*.py",
+     {"runtime/sequential.py": 6},
+     "docs/scheduler.md 'One dispatch moment': undispatched work waits in "
+     "its job; only the sequential backend, which runs ranks in turn "
+     "inside poll, queues what it was spawned"),
     ("one-fold", r"\bmerge_\w+\(|\.merge\(",
      ("runtime/collector.py", "cli/manaver.py", "runtime/resume.py",
       "runtime/job.py"),

@@ -14,7 +14,6 @@ from repro.cluster.simulation import ClusterSpec
 from repro.cluster.machine import DurationModel
 from repro.exceptions import BackendError
 from repro.runtime.config import RunConfig
-from repro.runtime.distributed import DistributedBackend
 from repro.runtime.engine import Engine, WorkerAssignment
 from repro.runtime.files import DataDirectory
 from repro.runtime.multiprocess import MultiprocessBackend
@@ -110,11 +109,11 @@ class TestSequential:
         assert 0 < result.total_volume < 10_000
 
 
-@pytest.mark.parametrize("backend", [
-    SequentialBackend, lambda: DistributedBackend(connect="127.0.0.1:9")])
+@pytest.mark.parametrize("backend", [SequentialBackend])
 def test_release_rebuilds_the_queue_only_when_the_job_has_some(backend):
-    # Unbound, neither backend runs or dispatches anything: every
-    # assignment stays queued.
+    # Unbound, the backend runs nothing: every assignment stays queued.
+    # It is the one backend with a queue; the others are handed only
+    # what they can start.
     backend = backend()
     backend.spawn([WorkerAssignment(rank, 1, job=job)
                    for job in ("a", "b", "a") for rank in range(2)])

@@ -842,9 +842,10 @@ class TestOneSessionShape:
             del bodies[:]
         finally:
             server.stop()
-        # The pool comes up only after the job was admitted and its
-        # assignments queued: SUBMIT reaches it ahead of their ASSIGNs
-        # like it reaches any other link.
+        # The pool comes up only after the job was admitted: its ranks
+        # wait in the job's pending, never dispatched while no slot is
+        # free, and SUBMIT reaches the pool ahead of their ASSIGNs like
+        # it reaches any other link.
         late_port = free_port()
         backend = DistributedBackend(connect=f"127.0.0.1:{late_port}",
                                      retry_interval=0.05)
@@ -855,7 +856,9 @@ class TestOneSessionShape:
             late = scheduler.submit(JobSpec(
                 routine=square, name="named", use_files=False,
                 config=RunConfig(**self.RUN)))
-            _drive(scheduler, lambda: late.dispatched == 2)
+            _drive(scheduler, lambda: late.status is JobStatus.RUNNING)
+            scheduler.step(poll_timeout=0.05)
+            assert late.dispatched == 0 and len(late.pending) == 2
             assert late_server.sessions_served == 0
             late_server.start()
             _drive(scheduler, lambda: late.status is JobStatus.DONE)
@@ -942,64 +945,6 @@ class TestTeardownAndLateTraffic:
             scheduler.shutdown()
             server.stop()
         assert second.result.total_volume == 16
-
-    def test_assign_ahead_of_its_announcement_waits_for_it(self, tmp_path,
-                                                           monkeypatch):
-        """An assignment whose job has no wire entry yet stays queued
-        until ``open_job`` lands — which itself wakes the dispatcher;
-        no wall-clock retry is armed in between."""
-        server = PoolServer(port=0, workers=2, start_method="fork")
-        host, port = server.start()
-        backend = DistributedBackend(connect=f"{host}:{port}")
-        scheduler = Scheduler(backend, workers=2)
-
-        def settle():
-            """Serve the pool sockets once, as a poll with no wait."""
-            backend.poll(0.0)
-
-        try:
-            # The first job binds the backend and brings the link up,
-            # so the late one meets a connected, idle pool.
-            early = scheduler.submit(_streaming_spec("early", tmp_path))
-            _drive(scheduler, lambda: early.status is JobStatus.DONE)
-
-            def busy():
-                return [key for link in backend._links.values()
-                        for key in link.active]
-
-            _drive(scheduler, lambda: not busy())  # early's EXITs are in
-            held, retries = [], []
-            open_job = backend.open_job
-
-            class Deadlines(dict):
-                """The backend's one wall-clock retry is a redial time,
-                set only when a pool is lost or a dial fails: the
-                dispatcher arms none."""
-
-                def __setitem__(self, address, due):
-                    retries.append(due - time.monotonic())
-                    super().__setitem__(address, due)
-
-            monkeypatch.setattr(backend, "open_job", held.append)
-            monkeypatch.setattr(backend, "_redial",
-                                Deadlines(backend._redial))
-            late = scheduler.submit(
-                _streaming_spec("late", tmp_path, seqnum=1))
-            scheduler.step(poll_timeout=0.0)  # admit, spawn: ASSIGNs queued
-            assert held == [late]
-            settle()
-            # The dispatcher ran, found no entry and parked.
-            assert len(backend._pending) == 2
-            assert not busy()
-            open_job(late)
-            settle()
-            assert not backend._pending  # dispatched by the registration
-            _drive(scheduler, lambda: late.status is JobStatus.DONE)
-        finally:
-            scheduler.shutdown()
-            server.stop()
-        assert retries == []
-        assert late.result.total_volume == 16
 
     def test_stopping_a_pool_mid_session_logs_no_error(self, caplog,
                                                         monkeypatch):
@@ -1454,6 +1399,152 @@ class TestOneOrderedInbox:
             None, "pool p connection lost")
         assert events == ["pool_disconnected"] and gauges == [0]
         backend.shutdown()
+
+
+class _ScriptedPool:
+    """A pool on one end of a socket pair: it WELCOMEs with ``workers``
+    slots, notes the rank and ``deadline_in`` of each ASSIGN the run
+    side writes, and answers only with what the test feeds back."""
+
+    def __init__(self, backend, workers=1):
+        self.sock, ours = socket.socketpair()
+        self.sock.setblocking(False)
+        link = _PoolLink(("127.0.0.1", free_port()), ours)
+        backend._links[link.address] = link
+        backend._selector.register(ours, selectors.EVENT_READ, link)
+        self.sock.sendall(encode_frame(
+            FrameKind.WELCOME, {"pool": "scripted", "workers": workers}))
+        self._decoder = FrameDecoder()
+        self.assigned: list[int] = []
+        self.deadlines: list[float | None] = []
+
+    def read(self) -> list[int]:
+        """The ranks ASSIGNed so far, in order."""
+        while True:
+            try:
+                data = self.sock.recv(1 << 16)
+            except BlockingIOError:
+                return self.assigned
+            if not data:
+                return self.assigned
+            for kind, payload in self._decoder.feed(data):
+                if kind is FrameKind.ASSIGN:
+                    self.assigned.append(payload["rank"])
+                    self.deadlines.append(payload.get("deadline_in"))
+
+    def finish(self, job, rank, config):
+        """Send the rank's final pass, as its worker builds it, and its
+        EXIT."""
+        passes = []
+        run_worker(square, config, rank, config.worker_quota(rank),
+                   send=passes.append, job=job)
+        self.sock.sendall(
+            encode_frame(FrameKind.DATA, message_to_payload(passes[-1]))
+            + encode_frame(FrameKind.EXIT,
+                           {"rank": rank, "exitcode": 0, "job": job}))
+
+
+class TestOneDispatchMoment:
+    """The scheduler hands the distributed backend only ranks a pool has
+    a free slot for, so the ASSIGN is the rank's start: its
+    ``worker_start``, its staleness watermark and its place in flight
+    all count from there.  Time is scripted: the run clock moves only
+    when the test moves it."""
+
+    @pytest.fixture
+    def service(self):
+        backend = DistributedBackend(connect=f"127.0.0.1:{free_port()}")
+        now = [1000.0]
+        backend.clock = lambda: now[0]
+        scheduler = Scheduler(backend)
+        service = SimpleNamespace(backend=backend, scheduler=scheduler,
+                                  now=now, pools=[])
+        yield service
+        if not scheduler.shutdown(timeout=5.0):
+            backend.shutdown()
+        for pool in service.pools:
+            pool.sock.close()
+
+    @staticmethod
+    def _pool(service, workers=1):
+        pool = _ScriptedPool(service.backend, workers)
+        service.pools.append(pool)
+        return pool
+
+    @staticmethod
+    def _submit(service, **config):
+        config = RunConfig(**{"maxsv": 4, "processors": 2, "perpass": 0.0,
+                              "peraver": 0.0, **config})
+        job = service.scheduler.submit(JobSpec(
+            routine=square, config=config, name="j", use_files=False))
+        return job, config
+
+    def test_a_waiting_rank_is_not_in_flight_until_its_assign(self,
+                                                              service):
+        pool = self._pool(service)
+        job, config = self._submit(service, perpass=1.0, telemetry=True)
+        service.scheduler.step(0.0)  # admit; the pool's one slot: rank 0
+        telemetry = job.telemetry
+        assert pool.read() == [0]
+        assert [each.rank for each in job.pending] == [1]
+        service.now[0] += 5.0  # past 3 * perpass + 1 s of silence
+        service.scheduler.step(0.0)
+        assert pool.read() == [0]
+        assert job.in_flight == {0}
+        stale = telemetry.events.by_kind("stale_worker")
+        assert [(e.fields["rank"], e.fields["last_seen"])
+                for e in stale] == [(0, 0.0)]
+        service.now[0] += 1.0
+        pool.finish("j", 0, config)
+        service.scheduler.step(0.0)  # rank 0's EXIT frees the slot
+        assert pool.read() == [0, 1]
+        starts = telemetry.events.by_kind("worker_start")
+        assert [(e.fields["rank"], e.ts) for e in starts] == [
+            (0, 0.0), (1, 6.0)]
+        pool.finish("j", 1, config)
+        _drive(service.scheduler, job.finished.is_set)
+        assert job.status is JobStatus.DONE, job.error
+        assert job.result.per_rank_volumes == {0: 2, 1: 2}
+        assert job.dispatched == 2
+
+    def test_a_time_limit_drops_the_ranks_that_never_started(self,
+                                                             service):
+        pool = self._pool(service)
+        job, config = self._submit(service, time_limit=10.0)
+        service.scheduler.step(0.0)
+        assert pool.read() == [0] and pool.deadlines == [10.0]
+        service.now[0] += 11.0  # the limit passes while rank 1 waits
+        service.scheduler.step(0.0)
+        assert not job.pending and job.in_flight == {0}
+        pool.finish("j", 0, config)
+        _drive(service.scheduler, job.finished.is_set)
+        assert pool.read() == [0]
+        assert job.status is JobStatus.DONE, job.error
+        assert job.completed is False
+        assert job.result.per_rank_volumes == {0: 2}
+
+    def test_a_rerun_waits_at_the_head_until_a_slot_is_free(self,
+                                                            service):
+        first = self._pool(service)
+        job, config = self._submit(service, on_worker_death="reassign")
+        service.scheduler.step(0.0)
+        assert first.read() == [0]
+        first.sock.close()  # the pool is lost with rank 0 on it
+        service.scheduler.step(0.0)
+        assert job.in_flight == set()
+        assert [(each.rank, each.recovery) for each in job.pending] == [
+            (0, True), (1, False)]
+        second = self._pool(service)
+        service.scheduler.step(0.0)
+        assert second.read() == [0]
+        second.finish("j", 0, config)
+        service.scheduler.step(0.0)
+        assert second.read() == [0, 1]
+        second.finish("j", 1, config)
+        _drive(service.scheduler, job.finished.is_set)
+        assert job.status is JobStatus.DONE, job.error
+        assert job.result.recovered_ranks == (0,)
+        assert job.result.total_volume == 4
 
 
 class TestCli:

@@ -16,10 +16,11 @@ import weakref
 import numpy as np
 
 from repro.runtime.config import RunConfig
-from repro.runtime.engine import WorkerDeath
+from repro.runtime.engine import Engine, WorkerDeath
 from repro.runtime.job import JobSpec, JobStatus
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.sequential import SequentialBackend
+from repro.runtime.simcluster import SimclusterBackend
 
 NROW, NCOL = 1000, 2
 JOBS = 200
@@ -61,6 +62,19 @@ class _Watched(SequentialBackend):
     def reap(self) -> list[WorkerDeath]:
         exits, self.exits = self.exits, []
         return exits
+
+
+class _WatchedCluster(SimclusterBackend):
+    """The simulated cluster, taking a weak reference to each job's
+    collector at admission."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.collectors: list[weakref.ref] = []
+
+    def open_job(self, job) -> None:
+        super().open_job(job)
+        self.collectors.append(weakref.ref(job.collector))
 
 
 def _run_released(backend: _Watched, job) -> bool:
@@ -116,3 +130,29 @@ class TestFinishedJobFootprint:
         assert job.status == JobStatus.CANCELLED
         assert job.collector is None and job.state is None
         assert _run_released(backend, job)
+
+
+class TestSimulatedClusterFootprint:
+    """The simulated cluster keeps a released job's books, not its run."""
+
+    def test_a_finished_run_leaves_no_collector_behind(self):
+        backend = _WatchedCluster()
+        config = RunConfig(maxsv=8, processors=2, nrow=NROW, ncol=NCOL)
+        result = Engine(backend, config, use_files=False).run(_matrix)
+        assert result.cluster.total_volume == 8
+        assert backend.cluster_result() is result.cluster
+        gc.collect()
+        assert [ref() for ref in backend.collectors] == [None]
+
+    def test_a_cancelled_job_leaves_no_collector_behind(self):
+        backend = _WatchedCluster()
+        scheduler = Scheduler(backend)
+        job = scheduler.submit(_spec(0))
+        scheduler.step(0.0)  # admitted, both ranks on the cluster
+        assert job.status == JobStatus.RUNNING
+        assert scheduler.cancel(job)
+        scheduler.step(0.0)
+        assert job.status == JobStatus.CANCELLED
+        assert backend.cluster_result() is None
+        gc.collect()
+        assert [ref() for ref in backend.collectors] == [None]

@@ -901,7 +901,9 @@ class TestJobRelease:
                 # Frames on a link keep their order, so with ``last``'s
                 # passes back every earlier release has been served.
                 assert set(backend._entries) <= {"last"}
-                assert not backend._pending
+                # Nothing waits anywhere: the backend keeps no queue,
+                # and ``last``'s one rank went out exactly once.
+                assert last.dispatched == 1 and not last.pending
                 [link] = backend._links.values()
                 assert link.announced <= {"last"}
                 [session] = server._sessions
