@@ -43,6 +43,7 @@ from repro.cluster.network import CollectorService, NetworkModel
 from repro.obs.telemetry import RunTelemetry, WorkerTelemetry
 from repro.runtime.collector import Collector
 from repro.runtime.config import RunConfig
+from repro.runtime.engine import WorkerDeath
 from repro.runtime.messages import (
     _HEADER_BYTES,
     CombinedMessage,
@@ -107,13 +108,16 @@ class ClusterSpec:
             (the paper's 1000 x 2 problem gives ~125 KB).
         failures: Optional fault injection — ``{rank: fail_time}``,
             applied to every job: the node running its rank ``rank``
-            fails ``fail_time`` seconds after the job starts.  A failed
-            node stops silently: no further computation, passes or
-            final message.  Work it completed after its last data pass
-            is lost; everything already passed survives at the
-            collector (the §2.2 motivation for periodic passes).  A
-            rank rerun after its failure (``"reassign"``) runs on a
-            fresh unit-speed node that does not fail.
+            fails ``fail_time`` seconds after the job starts (or as it
+            starts, if later).  A failed node stops silently: no
+            further computation, passes or final message.  Work it
+            completed after its last data pass is lost; everything
+            already passed survives at the collector (the §2.2
+            motivation for periodic passes).  Once that last pass has
+            landed the node's exit is reported, and its job judges it
+            like any worker's: ``"reassign"`` reruns the rank on a
+            fresh unit-speed node that does not fail, ``"fail"``
+            retires it with what it delivered.
         seed: Seed of the simulator's own duration sampler — *not* part
             of the Monte Carlo sample.
     """
@@ -199,9 +203,10 @@ class _Cluster:
     """What every job on one simulated cluster shares.
 
     The event queue (the virtual clock), the 0-th processor's collector
-    server, the duration sampler, and ``outbox``: every pass and reducer
+    server, the duration sampler, ``outbox``: every pass and reducer
     forward the collector server has finished, in that order, for the
-    driver of the queue to hand on.
+    driver of the queue to hand on, and ``exits``: each failed node's
+    exit, once everything it sent has landed.
     """
 
     def __init__(self, spec: ClusterSpec) -> None:
@@ -210,6 +215,7 @@ class _Cluster:
         self.service = CollectorService(spec.collector_service_time)
         self.durations = np.random.default_rng(spec.seed)
         self.outbox: deque[MomentMessage | CombinedMessage] = deque()
+        self.exits: deque[WorkerDeath] = deque()
 
 
 class _ReducerStation:
@@ -259,7 +265,8 @@ class _SimulatedJob:
 
     The job starts when it is built: its time limit, injected failures
     and ``T_comp`` count from there.  Its passes land on the cluster's
-    ``outbox``; its collector is only read, for the failure accounting.
+    ``outbox`` and its failed nodes' exits on ``exits``; its collector
+    is only read, for the failure accounting.
     """
 
     def __init__(self, cluster: _Cluster, config: RunConfig,
@@ -287,6 +294,7 @@ class _SimulatedJob:
         self._service = cluster.service
         self._durations = cluster.durations
         self._outbox = cluster.outbox
+        self._exits = cluster.exits
         self._clock = lambda: events.now
         self._telemetry = telemetry
         self._start = start = events.now
@@ -332,6 +340,9 @@ class _SimulatedJob:
         # rank's first node only.
         self._failures = {rank: start + fail_time
                           for rank, fail_time in failures.items()}
+        # A failing node's latest pass, until it lands: the node's exit
+        # is reported behind it.
+        self._unlanded: dict[int, MomentMessage] = {}
         self._lost = 0
         self._finaled: set[int] = set()
         if quotas is None:
@@ -353,8 +364,6 @@ class _SimulatedJob:
         self._last_compute = start
         #: Ranks whose injected failure fired.
         self._failed: set[int] = set()
-        self._stopped = False
-        self._result: ClusterResult | None = None
 
     def _start_realization(self, rank: int, now: float) -> None:
         """Schedule the completion of rank's next realization chunk.
@@ -381,38 +390,49 @@ class _SimulatedJob:
             chunk, self._spec.duration_model, self._durations)
         self._events.schedule(
             now + duration,
-            lambda when, r=rank, c=chunk, s=now:
-                self._complete_chunk(r, c, when, started=s))
+            lambda when, r=rank, w=self._workers[rank], c=chunk, s=now:
+                self._complete_chunk(r, w, c, when, started=s))
 
     def _dead(self, rank: int, now: float) -> bool:
-        """Whether rank has failed by simulation time ``now``."""
+        """Whether rank's node has failed by simulation time ``now``."""
         fail_time = self._failures.get(rank)
-        if fail_time is not None and now >= fail_time:
-            self._note_failure(rank, fail_time)
-            return True
-        return False
+        return fail_time is not None and now >= fail_time
 
-    def _note_failure(self, rank: int, fail_time: float) -> None:
-        """Record an injected node failure once; log it stamped at its
-        fail time."""
-        if rank in self._failed:
+    def _fail(self, rank: int, worker: WorkerBody) -> None:
+        """The injected failure fires: unless the node already sent its
+        final, it stops, and its exit waits for its last pass to land."""
+        if self._workers.get(rank) is not worker or rank in self._finaled:
             return
         self._failed.add(rank)
         if self._telemetry is not None:
             self._telemetry.events.append(
-                "node_failed", ts=fail_time, rank=rank,
-                delivered_volume=self._collector.worker_volume(rank),
-                computed_volume=self._workers[rank].accumulator.volume)
+                "node_failed", rank=rank,
+                computed_volume=worker.accumulator.volume)
+        if rank not in self._unlanded:
+            self._exit(rank)
 
-    def _complete_chunk(self, rank: int, chunk: int, now: float,
-                        started: float) -> None:
+    def _landed(self, message: MomentMessage) -> None:
+        """A pass reached the collector: the last one of a failed node
+        lets its exit be reported."""
+        if self._unlanded.get(message.rank) is message:
+            del self._unlanded[message.rank]
+            if message.rank in self._failed:
+                self._exit(message.rank)
+
+    def _exit(self, rank: int) -> None:
+        """Report the failed node's exit: §2.2's silent stop."""
+        self._exits.append(WorkerDeath(
+            rank, None, detail="injected node failure", job=self._job,
+            silent=True))
+
+    def _complete_chunk(self, rank: int, worker: WorkerBody, chunk: int,
+                        now: float, started: float) -> None:
         """A chunk finished: step the worker through it, maybe pass data."""
-        if self._stopped or self._dead(rank, now):
-            # The job was released, or the node died while computing:
-            # the in-flight chunk (and everything since its last pass)
-            # is lost.
+        if self._workers.get(rank) is not worker or self._dead(rank, now):
+            # The job was released, the node died while computing (the
+            # chunk and everything since its last pass is lost), or a
+            # rerun replaced it.
             return
-        worker = self._workers[rank]
         done = 0
         while done < chunk:
             done += worker.step(chunk - done)[0]
@@ -436,6 +456,8 @@ class _SimulatedJob:
             self._finaled.add(rank)
         message = self._workers[rank].message(now, final)
         self._messages_sent += 1
+        if rank in self._failures:
+            self._unlanded[rank] = message
         node_id = self._leaf_parents.get(rank)
         if node_id is not None:
             # Tree topology: the pass crosses the wire to the subtree's
@@ -467,6 +489,8 @@ class _SimulatedJob:
         """The collector server finished a pass: hand it on."""
         self._outbox.append(message)
         self._last_completion = max(self._last_completion, now)
+        if self._unlanded:
+            self._landed(message)
 
     def _forward(self, node: ReducerNode, combined: CombinedMessage,
                  now: float) -> None:
@@ -504,6 +528,9 @@ class _SimulatedJob:
         self._combined_delivered += 1
         self._outbox.append(combined)
         self._last_completion = max(self._last_completion, now)
+        if self._unlanded:
+            for entry in combined.entries:
+                self._landed(entry)
 
     # ------------------------------------------------------------------
 
@@ -516,7 +543,7 @@ class _SimulatedJob:
         """
         failed = self._workers.get(rank)
         if failed is not None:
-            self._note_failure(rank, self._failures.pop(rank))
+            del self._failures[rank]
             self._lost += (failed.accumulator.volume
                            - self._collector.worker_volume(rank))
             self._processors[rank] = Processor(rank, 1.0, None)
@@ -529,54 +556,33 @@ class _SimulatedJob:
         self._workers[rank] = worker
         self._nbytes = worker.nbytes
         self._quotas[rank] = quota
-        self._result = None
-        self._start_realization(rank, self._events.now)
-
-    def dead_ranks(self) -> list[int]:
-        """Started ranks an injected failure kept from finalizing and
-        that have not been rerun.
-
-        Ask when the cluster is idle: every live worker has finalized,
-        and everything a dead one sent has landed.
-        """
-        return sorted(rank for rank in self._failures
-                      if rank in self._workers
-                      and rank not in self._finaled)
+        now = self._events.now
+        fail_time = self._failures.get(rank)
+        if fail_time is not None:
+            self._events.schedule(max(fail_time, now),
+                                  lambda when, w=worker: self._fail(rank, w))
+        self._start_realization(rank, now)
 
     def stop(self) -> None:
-        """Compute nothing further and drop the job's collector, workers
-        and telemetry; passes already sent still land."""
-        self._stopped = True
+        """Compute nothing further, report no exit, and drop the job's
+        collector, workers and telemetry; passes already sent still
+        land."""
         self._collector = self._telemetry = None
         self._workers.clear()
+        self._unlanded.clear()
 
     def finish(self) -> ClusterResult:
-        """Settle the books once every started worker is done.
-
-        Idempotent between topology changes: calling it twice returns
-        the same (cached) result; :meth:`add_worker` invalidates the
-        cache so a recovered run re-accounts.
-        """
-        if self._result is not None:
-            return self._result
+        """Settle the books of a job whose every rank finished or
+        retired."""
         per_rank = {rank: worker.accumulator.volume
                     for rank, worker in self._workers.items()}
-        for rank, fail_time in self._failures.items():
-            if rank in per_rank and rank not in self._finaled:
-                self._note_failure(rank, fail_time)
-        if not all(rank in self._finaled for rank in per_rank
-                   if rank not in self._failures):
-            raise ConfigurationError(
-                "simulation drained its event queue before every "
-                "surviving worker finalized — this indicates an "
-                "internal protocol bug")
         t_comp = self._last_completion - self._start
         lost = self._lost + sum(
             per_rank[rank] - self._collector.worker_volume(rank)
             for rank in self._failures if rank in per_rank)
         mean_delay = (self._queue_delay_total / self._messages_sent
                       if self._messages_sent else 0.0)
-        self._result = ClusterResult(
+        return ClusterResult(
             t_comp=t_comp,
             total_volume=sum(per_rank.values()),
             per_rank_volumes=per_rank,
@@ -588,4 +594,3 @@ class _SimulatedJob:
             lost_realizations=lost,
             collector_served=self._service.served,
             combined_messages=self._combined_delivered)
-        return self._result

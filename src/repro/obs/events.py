@@ -10,7 +10,8 @@ Kinds emitted by the runtime:
 ``worker_died``     rank, exitcode, volume (dead-worker detection)
 ``worker_recovered`` rank, reassigned, delivered
                     (``on_worker_death="reassign"``: the rank reruns)
-``node_failed``     rank, fail_time (simcluster fault injection)
+``node_failed``     rank, computed_volume (simcluster fault injection,
+                    at the failure's instant)
 ``message``         rank, volume, final (one per collector ingest)
 ``stale_message``   rank, volume, kept_volume (out-of-order or rerun
                     catch-up drop)

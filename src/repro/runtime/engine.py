@@ -35,9 +35,10 @@ quota from realization 0 of its own "processors" subsequence.  The
 rank's k-th realization is a pure function of (experiment, rank, k),
 so the rerun repeats what the dead worker delivered, and the recovered
 estimate is byte for byte the fault-free one.  The default policy, ``"fail"``,
-fails the job with a :class:`~repro.exceptions.BackendError` on the
-multiprocess and distributed backends; the simulated cluster loses the
-tail of the failed node's work, as §2.2 models.
+fails the job with a :class:`~repro.exceptions.BackendError`, except
+on a simulated node's silent stop (:attr:`WorkerDeath.silent`): that
+rank retires with what it delivered, and the job loses the tail of its
+work, as §2.2 models.
 """
 
 from __future__ import annotations
@@ -128,6 +129,9 @@ class WorkerDeath:
         error: Set when the death ends its job under either death
             policy — a reducer that cannot be respawned, filed under
             the lowest rank below it; the job fails with this error.
+        silent: §2.2's silent stop, set by the simulated cluster alone:
+            under ``"fail"`` the rank retires with what it delivered
+            instead of failing its job.
     """
 
     rank: int
@@ -135,6 +139,7 @@ class WorkerDeath:
     detail: str = ""
     job: str | None = None
     error: BackendError | None = None
+    silent: bool = False
 
     def describe(self) -> str:
         """The ``rank N (...)`` fragment used in error messages."""
@@ -272,19 +277,13 @@ class EngineBackend:
         after the child's pipe is drained, and a tree rank's clean exit
         waits until the root reducer above it has exited; the
         distributed backend reads a pool's DATA and EXIT frames off one
-        ordered inbox.  A nonzero exit is reported on sight.
+        ordered inbox; the simulated cluster reports a failed node once
+        its last pass has landed.  A nonzero exit is reported on sight.
         """
         return []
 
     def shutdown(self) -> None:
         """Release resources; called exactly once, error or not."""
-
-    @property
-    def done(self) -> bool:
-        """True when the backend can produce no further messages for
-        any running job: the simulated cluster went idle with a failed
-        node's tail lost."""
-        return False
 
 
 # ---------------------------------------------------------------------------

@@ -286,11 +286,11 @@ class Job:
     # -- message path ---------------------------------------------------
 
     def ingest(self, message: MomentMessage | CombinedMessage,
-               now: float) -> bool:
+               now: float) -> None:
         """Deliver one message to this job's collector.
 
-        A rank whose final arrives leaves :attr:`in_flight`.  Returns
-        whether a final arrived: only then can the job complete.
+        A rank whose final arrives leaves :attr:`in_flight`, and the
+        job may complete (:meth:`settle`).
         """
         if isinstance(message, CombinedMessage):
             self.collector.receive_combined(message, now)
@@ -312,7 +312,8 @@ class Job:
                         volume=entry.snapshot.volume,
                         messages=stats.get("messages"),
                         bytes=stats.get("bytes"))
-        return final
+        if final:
+            self.settle()
 
     def flag_stale(self, now: float) -> None:
         """Emit ``stale_worker`` for each in-flight rank not dispatched
@@ -359,7 +360,9 @@ class Job:
         An exit is a death exactly when its rank is still in flight: a
         rank whose final arrived has retired.  An exit carrying an
         ``error`` (a reducer that cannot be respawned) fails the job
-        whatever its ranks' state.
+        whatever its ranks' state.  Under ``"fail"`` a silent death
+        (a simulated node's, §2.2) retires its rank with what it
+        delivered; any other fails the job.
 
         Args:
             exits: The :class:`WorkerDeath` records routed to this job.
@@ -385,13 +388,17 @@ class Job:
                     exitcode=death.exitcode,
                     volume=self.collector.worker_volume(death.rank))
             self.telemetry.events.flush()
-        if self.spec.config.on_worker_death != "reassign":
-            described = ", ".join(death.describe() for death in deaths)
+        if self.spec.config.on_worker_death == "reassign":
+            for death in deaths:
+                self.reassign(death, now, spawn)
+            return
+        described = ", ".join(death.describe() for death in deaths
+                              if not death.silent)
+        if described:
             raise BackendError(
                 f"worker process(es) died before delivering a final "
                 f"message: {described}")
-        for death in deaths:
-            self.reassign(death, now, spawn)
+        self.settle()
 
     def reassign(self, death: WorkerDeath, now: float, spawn) -> None:
         """Rerun a dead worker's rank, whole quota, on its own stream.
@@ -427,13 +434,16 @@ class Job:
 
     # -- completion -----------------------------------------------------
 
-    def mark_complete(self, completed: bool) -> None:
-        """Stop taking messages; the loop's next turn finalizes the job."""
+    def settle(self) -> None:
+        """The one completion rule: a RUNNING job with nothing pending
+        and nothing in flight stops taking messages, complete when
+        every rank's final is in.  The loop's next turn finalizes it."""
+        if (self.status is not JobStatus.RUNNING or self.pending
+                or self.in_flight):
+            return
         self.status = JobStatus.DRAINING
-        self.completed = completed
+        self.completed = self.collector.complete
         self.finished_wall = self.clock()
-        self.pending.clear()
-        self.in_flight.clear()
 
     def fail(self, error: BaseException) -> None:
         """Contain a per-job failure: drop its work.

@@ -247,9 +247,7 @@ class Scheduler:
                 # Late traffic from an already-finished or failed job.
                 self.stray_messages += 1
                 return
-            # Completion changes only when a final arrives.
-            if job.ingest(message, now) and job.collector.complete:
-                job.mark_complete(completed=True)
+            job.ingest(message, now)
 
     # -- deadlines ------------------------------------------------------
 
@@ -266,8 +264,7 @@ class Scheduler:
             if self._backend.clock() < job.deadline:
                 continue
             job.pending.clear()
-            if not job.in_flight:
-                job.mark_complete(completed=job.collector.complete)
+            job.settle()
 
     # -- dispatch -------------------------------------------------------
 
@@ -475,21 +472,10 @@ class Scheduler:
             if self._cancels:
                 self._apply_cancels()
             running = self.running()
-            exhausted = False
             if running:
                 self._dispatch(running)
                 self._expire_deadlines(running)
-                exhausted = backend.done
-                if exhausted:
-                    # The backend can produce nothing further (the
-                    # simulated cluster went idle with a failed node's
-                    # tail lost); whatever is incomplete stays so.
-                    for job in running:
-                        if job.status is JobStatus.RUNNING \
-                                and not job.pending:
-                            job.mark_complete(
-                                completed=job.collector.complete)
-        if (running or poll_timeout > 0.0) and not exhausted:
+        if running or poll_timeout > 0.0:
             message = backend.poll(poll_timeout)
             if message is not None:
                 self.ingest(message, backend.clock())

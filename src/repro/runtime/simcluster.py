@@ -17,10 +17,13 @@ The cluster's clock is the run clock: telemetry, SLA stamps and time
 limits read virtual seconds.
 
 Injected node failures (:attr:`~repro.cluster.simulation.ClusterSpec
-.failures`) take the engine's fault path: ``"reassign"`` reruns the
-failed rank on its own stream on a fresh simulated node, a
+.failures`) take the engine's fault path: a failed node's exit is
+reported once everything it sent has landed, the drained rule every
+backend follows, and its job judges it.  ``"reassign"`` reruns the
+failed rank on its own stream on a fresh simulated node at once, a
 deterministic rehearsal of the multiprocess recovery path; ``"fail"``
-loses the tail, as §2.2 models.
+retires it with what it delivered, as §2.2 models.  A job's failures
+are judged alike alone and on a shared cluster.
 """
 
 from __future__ import annotations
@@ -91,8 +94,6 @@ class SimclusterBackend(EngineBackend):
         self._jobs: dict[str | None, _SimulatedJob] = {}
         #: The drained job's books :meth:`cluster_result` returns.
         self._released: ClusterResult | None = None
-        #: The last poll found the cluster idle and nothing started since.
-        self._idle = False
 
     def clock(self) -> float:
         """The cluster's virtual time."""
@@ -120,54 +121,39 @@ class SimclusterBackend(EngineBackend):
         for assignment in assignments:
             self._jobs[assignment.job].add_worker(assignment.rank,
                                                   assignment.quota)
-        self._idle = False
         return None
 
     def poll(self, timeout: float
              ) -> MomentMessage | CombinedMessage | None:
         """Run events up to ``timeout`` virtual seconds from now, handing
         each pass the collector server finishes to ``Scheduler.ingest``
-        and returning the first final: only a final frees a slot or
-        completes a job.
+        and returning the first final, or None at the first drained
+        exit: only a final or an exit frees a slot or completes a job.
 
         While the scheduler admits jobs the clock stops at that horizon,
         so a submission lands at the instant its driver chose; once it
-        admits nothing further the clock runs to the next final.
+        admits nothing further the clock runs to the next final or exit.
         """
         events, outbox = self._events, self._cluster.outbox
+        exits = self._cluster.exits
         engine = self.engine
         horizon = events.now + timeout if engine.admitting else math.inf
-        while events.step(horizon):
+        while not exits and events.step(horizon):
             if outbox:
                 delivered = outbox.popleft()
                 if delivered.final:
                     return delivered
                 engine.ingest(delivered, events.now)
-        self._idle = not events
-        if horizon < math.inf:
+        if horizon < math.inf and not exits:
             events.run(until=horizon)
         return None
 
     def reap(self) -> list[WorkerDeath]:
-        """Report injected node failures once the cluster is idle, under
-        ``"reassign"`` only: under ``"fail"`` the job keeps its
-        historical §2.2 semantics and completes with a smaller sample
-        (:attr:`done`), raising nothing.
-        """
-        if not self._idle:
-            return []
-        engine = self.engine
-        return [WorkerDeath(rank, None, detail="injected node failure",
-                            job=job_id)
-                for job_id, simulation in self._jobs.items()
-                if engine.job_context(job_id).config.on_worker_death
-                == "reassign"
-                for rank in simulation.dead_ranks()]
-
-    @property
-    def done(self) -> bool:
-        """The cluster went idle and reaping started nothing."""
-        return self._idle
+        """Report each failed node's exit, silent (§2.2), once every
+        pass the node sent has landed."""
+        exits = list(self._cluster.exits)
+        self._cluster.exits.clear()
+        return exits
 
     def release_job(self, job_id: str | None) -> None:
         """Stop the job's workers and let go of its sample.  A drained

@@ -5,10 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import ClusterSpec, DurationModel
+from repro.cluster.network import NetworkModel
 from repro.exceptions import ConfigurationError
 from repro.obs.events import read_events
 from repro.runtime.config import RunConfig
 from repro.runtime.engine import Engine
+from repro.runtime.messages import message_bytes
 from repro.runtime.simcluster import SimclusterBackend
 
 
@@ -113,3 +115,32 @@ class TestFailureInjection:
         assert clean.failed_ranks == ()
         assert clean.lost_realizations == 0
         assert clean.total_volume == 40
+
+
+class TestFailureTelemetry:
+    @pytest.mark.parametrize("policy", ["fail", "reassign"])
+    def test_a_failure_is_reported_when_its_last_pass_lands(self, tmp_path,
+                                                             policy):
+        # Rank 1's node passes its 2nd realization at t = 2 over a
+        # 0.75 s wire and fails at t = 2.5.  The simulator logs the
+        # failure at its instant; the exit is reported once that pass
+        # has landed, and the job logs it as it logs any exit.
+        network = NetworkModel(latency=0.75)
+        spec = ClusterSpec(duration_model=DurationModel(mean=1.0),
+                           network=network, failures={1: 2.5})
+        config = RunConfig(maxsv=20, processors=2, perpass=0.0,
+                           peraver=3600.0, workdir=tmp_path, telemetry=True,
+                           on_worker_death=policy)
+        result = Engine(SimclusterBackend(spec), config).run(
+            lambda rng: rng.random())
+        events = tmp_path / "parmonc_data" / "telemetry" / "events.jsonl"
+        [failed] = read_events(events, kind="node_failed")
+        [died] = read_events(events, kind="worker_died")
+        assert failed.ts == 2.5
+        assert failed.fields == {"rank": 1, "computed_volume": 2}
+        landed = 2.0 + network.transfer_time(message_bytes(1, 1)) \
+            + spec.collector_service_time
+        assert died.ts == pytest.approx(landed, abs=1e-9)
+        assert died.fields == {"rank": 1, "exitcode": None, "volume": 2}
+        assert result.recovered_ranks == (
+            (1,) if policy == "reassign" else ())

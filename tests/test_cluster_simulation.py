@@ -240,6 +240,35 @@ class TestSharedCluster:
         assert _same_estimates(b, Engine(
             SequentialBackend(), jobs["b"], use_files=False).run(_square))
 
+    @pytest.mark.parametrize("policy, makespan", [("reassign", 5.5),
+                                                  ("fail", 4.0)])
+    def test_a_failure_is_judged_alike_alone_and_shared(self, policy,
+                                                        makespan):
+        # Rank 1 of each job fails 1.5 s after its job starts.  The
+        # short job judges its failed node when the node's last pass
+        # lands, whatever the long job still runs: under "reassign"
+        # rank 1 reruns from 1.5 s and ends at 5.5 s, under "fail" it
+        # retires with its 1 realization and rank 0 ends the job at
+        # 4 s.  A verdict that waited for the cluster to go idle would
+        # hold the shared short job until the long one ends (104 s and
+        # 100 s).
+        spec = ClusterSpec(duration_model=DurationModel(mean=self.TAU),
+                           failures={1: 1.5})
+        short = _config(8, 2, 0, on_worker_death=policy)
+        long = _config(400, 4, 1, on_worker_death=policy)
+        shared = _shared(spec, {"short": short, "long": long})["short"]
+        solo = _shared(spec, {"short": short})["short"]
+        for result in (shared, solo):
+            assert result.sla["makespan_seconds"] \
+                == pytest.approx(makespan, abs=1e-3)
+            assert result.cluster.t_comp == result.sla["makespan_seconds"]
+        assert shared.sla["makespan_seconds"] == solo.sla["makespan_seconds"]
+        assert shared.cluster.t_comp == solo.cluster.t_comp
+        # The failed node's queued chunk never steps its rerun: a rerun
+        # rank ends on its quota.
+        assert shared.per_rank_volumes == solo.per_rank_volumes == (
+            {0: 4, 1: 4} if policy == "reassign" else {0: 4, 1: 1})
+
     def test_a_solo_run_turns_the_loop_once_per_final(self):
         # Engine.run drives serve(), whose poll timeout is 0.05 s: a
         # batch admits nothing further, so the virtual clock runs from
@@ -255,6 +284,26 @@ class TestSharedCluster:
                         use_files=False).run(_square)
         assert result.virtual_time > 25 * 7.7  # the paper's default tau
         assert len(polls) == 2
+
+    @pytest.mark.parametrize("policy, turns", [("fail", 2),
+                                               ("reassign", 3)])
+    def test_a_solo_failing_run_turns_the_loop_once_per_final_and_exit(
+            self, policy, turns):
+        # Rank 1's node fails at 10 s: the loop turns at rank 0's final,
+        # at rank 1's drained exit and, under "reassign", at its rerun's
+        # final, never once per empty virtual 0.05 s.
+        polls = []
+
+        class Counting(SimclusterBackend):
+            def poll(self, timeout):
+                polls.append(timeout)
+                return super().poll(timeout)
+
+        result = Engine(Counting(ClusterSpec(failures={1: 10.0})),
+                        _config(50, 2, 0, on_worker_death=policy),
+                        use_files=False).run(_square)
+        assert result.cluster.failed_ranks == (1,)
+        assert len(polls) == turns
 
     def test_self_scheduled_jobs_each_start_their_own_sample(self):
         # The dynamic-scheduling counter is each job's: a shared one
@@ -473,17 +522,19 @@ class TestOneLoopAccounting:
     def test_reassign_recovers_the_whole_sample(self):
         # The former loop ignored the policy and kept 68 of the 120;
         # the scheduler reruns ranks 1 and 2 whole on their own streams,
-        # which ends on the fault-free sample.
+        # which ends on the fault-free sample.  Each reruns as its
+        # failed node's exit drains, at 3 s and 7 s: rank 2 ends the
+        # run at 37 s.
         result = _one_loop(None, 0.0, "square", "static", {1: 3.0, 2: 7.0},
                            "fixed", maxsv=120, speeds=None,
                            on_worker_death="reassign")
         assert _hexed(dataclasses.asdict(result.cluster)) == {
-            "t_comp": "0x1.e00361246e5a8p+5", "total_volume": 120,
+            "t_comp": "0x1.2800ebff284fep+5", "total_volume": 120,
             "per_rank_volumes": {0: 30, 1: 30, 2: 30, 3: 30},
             "messages_sent": 132,
-            "collector_utilization": "0x1.cd5c5a376ee8ap-12",
-            "mean_queue_delay": "0x1.f11edfdb70b27p-14",
-            "compute_span": "0x1.e001a36e2eb1cp+5", "failed_ranks": (1, 2),
+            "collector_utilization": "0x1.7614ff655bba0p-11",
+            "mean_queue_delay": "0x1.343cf615bfdf0p-12",
+            "compute_span": "0x1.2800000000000p+5", "failed_ranks": (1, 2),
             "lost_realizations": 0, "collector_served": 132,
             "combined_messages": 0}
         assert _same_estimates(result, Engine(

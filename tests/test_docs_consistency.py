@@ -173,13 +173,25 @@ SOURCE_SHAPES = [
      "'Judged once everything is in': no grace timer, no drain buffer"),
     ("no-death-verdict-reads-a-clock", r"clock\(|time\.|monotonic",
      ("repro.runtime.multiprocess:MultiprocessBackend.reap",
-      "repro.runtime.distributed:DistributedBackend.reap"), {},
+      "repro.runtime.distributed:DistributedBackend.reap",
+      "repro.runtime.simcluster:SimclusterBackend.reap"), {},
      "'Judged once everything is in': a death follows message order"),
     ("reap-reads-no-collector", r"final_ranks|\.collector\b",
      ("repro.runtime.multiprocess:MultiprocessBackend.reap",
-      "repro.runtime.distributed:DistributedBackend.reap"), {},
+      "repro.runtime.distributed:DistributedBackend.reap",
+      "repro.runtime.simcluster:SimclusterBackend.reap"), {},
      "'Judged once everything is in': the backend decides when an exit "
      "is reported, the job whether it was a death"),
+    ("no-done-member", r"\bdef\s+done\b|\.done\b", EVERYWHERE,
+     {}, "'Judged once everything is in': a job completes when nothing "
+     "is pending or in flight; no backend says it is done"),
+    ("no-dead-ranks", r"\bdead_rank[s]\b", EVERYWHERE, {},
+     "'Judged once everything is in': the simulated cluster reports a "
+     "failed node's exit; the job judges it"),
+    ("simulator-reads-no-policy", r"on_worker_death",
+     ("runtime/simcluster.py", "cluster/simulation.py"), {},
+     "'Judged once everything is in': the death policy is the job's, on "
+     "the simulated cluster too"),
     ("collector-keeps-no-liveness",
      r"last_seen|stale_workers|mark_epoch|rerun_rank|_epoch",
      "runtime/collector.py", {},
