@@ -23,15 +23,16 @@ def main():
                      nrow=len(points), ncol=1,
                      maxsv=4_000, processors=2, use_files=False)
     estimates = result.estimates
+    # abs_error is computed on every read: bind it once.
+    abs_error = estimates.abs_error
     exact = problem.exact_for(harmonic_polynomial(2))
     print("Dirichlet problem on the unit disk, g = x^2 - y^2 "
           f"({result.total_volume} walks per point)\n")
     print("   r     u estimated   u exact    3-sigma")
     for row, r in enumerate(radii):
         print(f"{r:5.2f}   {estimates.mean[row, 0]:11.4f}   "
-              f"{exact[row, 0]:7.4f}   {estimates.abs_error[row, 0]:7.4f}")
-    inside = (abs(estimates.mean - exact)
-              <= estimates.abs_error + 5e-3).mean()
+              f"{exact[row, 0]:7.4f}   {abs_error[row, 0]:7.4f}")
+    inside = (abs(estimates.mean - exact) <= abs_error + 5e-3).mean()
     print(f"\nwithin 3-sigma + WoS bias at {inside * 100:.0f}% of points "
           "(mean walk cost ~ log(1/epsilon) jumps)")
 

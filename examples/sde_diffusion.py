@@ -44,10 +44,12 @@ def main():
             maxsv=MAXSV, processors=4, workdir=workdir,
         )
         estimates = result.estimates
+        # abs_error is computed on every read: bind it once.
+        abs_error = estimates.abs_error
         exact = system.exact_mean(spec.output_times)
         worst = np.max(np.abs(estimates.mean - exact))
         covered = np.mean(np.abs(estimates.mean - exact)
-                          <= estimates.abs_error + 1e-12)
+                          <= abs_error + 1e-12)
         print(f"trajectories simulated : {result.total_volume}")
         print(f"output grid            : {spec.n_output} times x "
               f"{system.dimension} components")
@@ -60,9 +62,9 @@ def main():
         for i in (9, 49, 99):
             t = spec.output_times[i]
             print(f"{t:5.1f}  {estimates.mean[i, 0]:10.4f}  "
-                  f"{exact[i, 0]:12.4f}  {estimates.abs_error[i, 0]:6.4f}  "
+                  f"{exact[i, 0]:12.4f}  {abs_error[i, 0]:6.4f}  "
                   f"{estimates.mean[i, 1]:10.4f}  {exact[i, 1]:12.4f}  "
-                  f"{estimates.abs_error[i, 1]:6.4f}")
+                  f"{abs_error[i, 1]:6.4f}")
 
 
 if __name__ == "__main__":

@@ -458,7 +458,11 @@ class _SimulatedJob:
         self._messages_sent += 1
         if rank in self._failures:
             self._unlanded[rank] = message
-        node_id = self._leaf_parents.get(rank)
+        # A rerun reports straight to rank 0, past the tree, as on the
+        # real backends: its reducer would drop the rerun's catch-up
+        # passes as stale reorders of the failed node's.
+        node_id = (self._leaf_parents.get(rank)
+                   if rank not in self._failed else None)
         if node_id is not None:
             # Tree topology: the pass crosses the wire to the subtree's
             # reducer, which coalesces before anything reaches rank 0.

@@ -312,18 +312,24 @@ class Collector:
     def _write(self, now: float, final: bool) -> None:
         round_started = time.perf_counter()
         merged = self.merged()
-        estimates = self.estimates() if merged.volume else None
+        estimates = errors = None
+        if merged.volume:
+            estimates = self.estimates()
+            # Derived once per save: the result files, the history and
+            # the telemetry read the same two matrices.
+            errors = estimates.errors()
+            eps_max = float(errors[0].max())
         data = self._data
         if data is not None:
             if estimates is not None:
-                self._history.append((now, merged.volume,
-                                      estimates.abs_error_max))
+                self._history.append((now, merged.volume, eps_max))
             fields = dict(seqnum=self._config.seqnum,
                           processors=self._config.processors,
                           sessions=self._sessions,
                           elapsed=(time.monotonic() - self._opened
                                    if final else None),
-                          matrices=not self._matrices_on_disk)
+                          matrices=not self._matrices_on_disk,
+                          errors=errors)
             if final:
                 data.commit_session(self._session, merged, estimates,
                                     **fields)
@@ -339,9 +345,9 @@ class Collector:
             self._telemetry.averaging_round(
                 duration=time.perf_counter() - round_started,
                 volume=merged.volume,
-                eps_max=float(estimates.abs_error_max),
+                eps_max=eps_max,
                 save_index=self._save_count, now=now)
         _logger.debug(
             "save-point %d: L=%d, eps_max=%.6g, finals=%d/%d",
-            self._save_count, merged.volume, estimates.abs_error_max,
+            self._save_count, merged.volume, eps_max,
             len(self._finals), self._config.processors)

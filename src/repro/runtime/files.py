@@ -211,25 +211,30 @@ def _scientific(values: np.ndarray, precision: int) -> np.ndarray | None:
     return rows
 
 
-def _cells(estimates: Estimates) -> list[np.ndarray] | None:
-    """The cells of ``func_ci.dat``'s mean, abs_error, rel_error and
-    variance columns (``func.dat`` is the first); None when the fast
-    path cannot take one of them."""
-    cells = [_scientific(matrix, precision) for matrix, precision in (
-        (estimates.mean, 15), (estimates.abs_error, 15),
-        (estimates.rel_error, 6), (estimates.variance, 15))]
+def _columns(estimates: Estimates,
+             errors: tuple[np.ndarray, np.ndarray] | None = None
+             ) -> tuple[np.ndarray, ...]:
+    """``func_ci.dat``'s mean, abs_error, rel_error and variance
+    columns, the errors derived once (or taken from ``errors``)."""
+    abs_error, rel_error = estimates.errors() if errors is None else errors
+    return estimates.mean, abs_error, rel_error, estimates.variance
+
+
+def _cells(columns: tuple[np.ndarray, ...]) -> list[np.ndarray] | None:
+    """The cells of the four :func:`_columns` (``func.dat`` is the
+    first); None when the fast path cannot take one of them."""
+    cells = [_scientific(matrix, precision) for matrix, precision
+             in zip(columns, (15, 15, 6, 15))]
     return None if any(cell is None for cell in cells) else cells
 
 
-def _render_mean_matrix(estimates: Estimates,
-                        cells: list[np.ndarray] | None) -> str:
-    nrow, ncol = estimates.shape
-    if cells is None:
+def _render_mean_matrix(mean: np.ndarray, cell: np.ndarray | None) -> str:
+    nrow, ncol = mean.shape
+    if cell is None:
         row = " ".join(["% .15e"] * ncol) + "\n"
-        return (row * nrow) % tuple(estimates.mean.ravel().tolist())
-    means = cells[0]
-    out = np.empty((nrow, ncol, means.shape[1] + 1), np.uint8)
-    out[:, :, :-1] = means.reshape(nrow, ncol, -1)
+        return (row * nrow) % tuple(mean.ravel().tolist())
+    out = np.empty((nrow, ncol, cell.shape[1] + 1), np.uint8)
+    out[:, :, :-1] = cell.reshape(nrow, ncol, -1)
     out[:, :, -1] = ord(" ")
     out[:, -1, -1] = ord("\n")
     return out.tobytes().decode("ascii")
@@ -244,17 +249,15 @@ def _decimal_runs(n: int):
         first, width = stop, width + 1
 
 
-def _render_ci_table(estimates: Estimates,
+def _render_ci_table(columns: tuple[np.ndarray, ...],
                      cells: list[np.ndarray] | None) -> str:
-    nrow, ncol = estimates.shape
+    nrow, ncol = columns[0].shape
     header = b"# i j mean abs_error rel_error_percent variance\n"
     if cells is None:
         table = np.empty((nrow * ncol, 6))
         table[:, 0] = np.repeat(np.arange(1, nrow + 1), ncol)
         table[:, 1] = np.tile(np.arange(1, ncol + 1), nrow)
-        for column, matrix in enumerate(
-                (estimates.mean, estimates.abs_error, estimates.rel_error,
-                 estimates.variance), start=2):
+        for column, matrix in enumerate(columns, start=2):
             table[:, column] = matrix.ravel()
         row = "%d %d % .15e % .15e % .6e % .15e\n"
         return (header.decode("ascii")
@@ -291,7 +294,8 @@ def _render_ci_table(estimates: Estimates,
 
 def render_mean_matrix(estimates: Estimates) -> str:
     """Render ``func.dat``: the matrix of sample means, one row per line."""
-    return _render_mean_matrix(estimates, _cells(estimates))
+    return _render_mean_matrix(estimates.mean,
+                               _scientific(estimates.mean, 15))
 
 
 def render_ci_table(estimates: Estimates) -> str:
@@ -300,18 +304,28 @@ def render_ci_table(estimates: Estimates) -> str:
     Columns: row index, column index, sample mean, absolute error,
     relative error (percent), sample variance.
     """
-    return _render_ci_table(estimates, _cells(estimates))
+    columns = _columns(estimates)
+    return _render_ci_table(columns, _cells(columns))
 
 
 def render_log(estimates: Estimates, *, seqnum: int, processors: int,
                sessions: int, elapsed: float | None = None) -> str:
     """Render ``func_log.dat``: summary information about the simulation."""
+    return _render_log(estimates, _columns(estimates), seqnum=seqnum,
+                       processors=processors, sessions=sessions,
+                       elapsed=elapsed)
+
+
+def _render_log(estimates: Estimates, columns: tuple[np.ndarray, ...], *,
+                seqnum: int, processors: int, sessions: int,
+                elapsed: float | None) -> str:
+    _, abs_error, rel_error, variance = columns
     lines = [
         f"total_sample_volume: {estimates.volume}",
         f"mean_time_per_realization_sec: {estimates.mean_time:.6e}",
-        f"abs_error_upper_bound: {estimates.abs_error_max:.6e}",
-        f"rel_error_upper_bound_percent: {estimates.rel_error_max:.6e}",
-        f"variance_upper_bound: {estimates.variance_max:.6e}",
+        f"abs_error_upper_bound: {float(np.max(abs_error)):.6e}",
+        f"rel_error_upper_bound_percent: {float(np.max(rel_error)):.6e}",
+        f"variance_upper_bound: {float(np.max(variance)):.6e}",
         f"matrix_shape: {estimates.shape[0]} {estimates.shape[1]}",
         f"seqnum: {seqnum}",
         f"processors: {processors}",
@@ -509,42 +523,51 @@ class DataDirectory:
 
     def _result_artifacts(self, estimates: Estimates, *, seqnum: int,
                           processors: int, sessions: int,
-                          elapsed: float | None, matrices: bool
+                          elapsed: float | None, matrices: bool,
+                          errors: tuple[np.ndarray, np.ndarray] | None
                           ) -> list[storage.Artifact]:
+        columns = _columns(estimates, errors)
         log = storage.Artifact(
             self.results_dir / "func_log.dat",
-            render_log(estimates, seqnum=seqnum, processors=processors,
-                       sessions=sessions, elapsed=elapsed).encode(),
+            _render_log(estimates, columns, seqnum=seqnum,
+                        processors=processors, sessions=sessions,
+                        elapsed=elapsed).encode(),
             "results.func_log")
         if not matrices:
             return [log]
-        cells = _cells(estimates)
+        cells = _cells(columns)
         return [
             storage.Artifact(
                 self.results_dir / "func.dat",
-                _render_mean_matrix(estimates, cells).encode(),
+                _render_mean_matrix(
+                    estimates.mean,
+                    cells[0] if cells is not None else None).encode(),
                 "results.func"),
             storage.Artifact(
                 self.results_dir / "func_ci.dat",
-                _render_ci_table(estimates, cells).encode(),
+                _render_ci_table(columns, cells).encode(),
                 "results.func_ci"),
             log]
 
     def write_results(self, estimates: Estimates, *, seqnum: int,
                       processors: int, sessions: int,
                       elapsed: float | None = None,
-                      matrices: bool = True) -> None:
+                      matrices: bool = True,
+                      errors: tuple[np.ndarray, np.ndarray] | None = None
+                      ) -> None:
         """Write ``func.dat``, ``func_ci.dat`` and ``func_log.dat`` as
         one commit, so a kill mid-save can never leave a torn matrix
         for :meth:`read_mean_matrix` to load.
 
         ``matrices=False`` writes ``func_log.dat`` alone: it is the one
         result file that changes between two saves of the same sample
-        (it carries ``written_at`` and ``elapsed``).
+        (it carries ``written_at`` and ``elapsed``).  ``errors`` is
+        ``estimates.errors()`` when the caller already derived it.
         """
         storage.commit(self._result_artifacts(
             estimates, seqnum=seqnum, processors=processors,
-            sessions=sessions, elapsed=elapsed, matrices=matrices))
+            sessions=sessions, elapsed=elapsed, matrices=matrices,
+            errors=errors))
 
     def read_mean_matrix(self) -> np.ndarray:
         """Read back the matrix of sample means from ``func.dat``."""
@@ -622,7 +645,9 @@ class DataDirectory:
                        estimates: Estimates | None, *, seqnum: int,
                        processors: int, sessions: int,
                        elapsed: float | None = None,
-                       matrices: bool = True) -> None:
+                       matrices: bool = True,
+                       errors: tuple[np.ndarray, np.ndarray] | None = None
+                       ) -> None:
         """End a session in one durable commit.
 
         The save-point of ``merged``, its tail from ``session`` (the
@@ -642,7 +667,8 @@ class DataDirectory:
         if estimates is not None:
             artifacts += self._result_artifacts(
                 estimates, seqnum=seqnum, processors=processors,
-                sessions=sessions, elapsed=elapsed, matrices=matrices)
+                sessions=sessions, elapsed=elapsed, matrices=matrices,
+                errors=errors)
         storage.commit(artifacts)
         self.legacy_savepoint_path.unlink(missing_ok=True)
         self.clear_processor_snapshots()

@@ -11,7 +11,9 @@ PARMONC reports
 * the relative errors ``rho_ij = eps_ij / mean_ij * 100%``,
 
 together with the upper bounds ``eps_max``, ``rho_max`` and
-``sigma2_max`` over all matrix entries.
+``sigma2_max`` over all matrix entries.  :class:`Estimates` stores the
+means and variances; the two error matrices follow from them and ``L``
+and are computed when read.
 """
 
 from __future__ import annotations
@@ -54,23 +56,23 @@ def confidence_factor(level: float) -> float:
 
 @dataclass(frozen=True)
 class Estimates:
-    """The four PARMONC result matrices plus their upper bounds.
+    """The means and variances a sample defines, and what follows from
+    them: the error matrices and the upper bounds.
 
     Attributes:
         mean: Matrix of sample means ``[mean_ij]``.
         variance: Matrix of sample variances ``[sigma2_ij]``.
-        abs_error: Matrix of absolute errors ``[eps_ij]``.
-        rel_error: Matrix of relative errors ``[rho_ij]`` in percent;
-            entries with zero sample mean are reported as ``inf``.
         volume: Total sample volume ``L``.
         mean_time: Mean computer time per realization in seconds
             (``tau_zeta``), 0.0 when timing was not collected.
+
+    ``abs_error`` and ``rel_error`` are computed from ``mean``,
+    ``variance`` and ``volume`` on every read, not stored: bind them
+    once (or call :meth:`errors`) before a loop over their entries.
     """
 
     mean: np.ndarray
     variance: np.ndarray
-    abs_error: np.ndarray
-    rel_error: np.ndarray
     volume: int
     mean_time: float = 0.0
 
@@ -78,6 +80,29 @@ class Estimates:
     def shape(self) -> tuple[int, int]:
         """``(nrow, ncol)`` of the realization matrix."""
         return self.mean.shape
+
+    @property
+    def abs_error(self) -> np.ndarray:
+        """Matrix of absolute errors ``[eps_ij]``."""
+        return CONFIDENCE_FACTOR * np.sqrt(self.variance / self.volume)
+
+    @property
+    def rel_error(self) -> np.ndarray:
+        """Matrix of relative errors ``[rho_ij]`` in percent; entries
+        with zero sample mean are reported as ``inf`` (0 when their
+        absolute error is 0 too)."""
+        return self.errors()[1]
+
+    def errors(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(abs_error, rel_error)`` from one derivation."""
+        abs_error = self.abs_error
+        mean = self.mean
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel_error = np.where(
+                mean != 0.0,
+                np.abs(abs_error / mean) * 100.0,
+                np.where(abs_error == 0.0, 0.0, np.inf))
+        return abs_error, rel_error
 
     @property
     def abs_error_max(self) -> float:
@@ -105,9 +130,10 @@ class Estimates:
         return self.mean - half_width, self.mean + half_width
 
     def __str__(self) -> str:
+        abs_error, rel_error = self.errors()
         return (f"Estimates(shape={self.shape}, L={self.volume}, "
-                f"eps_max={self.abs_error_max:.6g}, "
-                f"rho_max={self.rel_error_max:.4g}%)")
+                f"eps_max={float(np.max(abs_error)):.6g}, "
+                f"rho_max={float(np.max(rel_error)):.4g}%)")
 
 
 def estimates_from_moments(sum1: np.ndarray, sum2: np.ndarray,
@@ -136,15 +162,8 @@ def estimates_from_moments(sum1: np.ndarray, sum2: np.ndarray,
     mean = sum1 / volume
     second = sum2 / volume
     variance = np.maximum(second - mean ** 2, 0.0)
-    abs_error = CONFIDENCE_FACTOR * np.sqrt(variance / volume)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel_error = np.where(
-            mean != 0.0,
-            np.abs(abs_error / mean) * 100.0,
-            np.where(abs_error == 0.0, 0.0, np.inf))
     return Estimates(
-        mean=mean, variance=variance, abs_error=abs_error,
-        rel_error=rel_error, volume=int(volume),
+        mean=mean, variance=variance, volume=int(volume),
         mean_time=total_time / volume if volume else 0.0)
 
 

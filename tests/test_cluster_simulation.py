@@ -12,10 +12,12 @@ from repro.cluster.machine import DurationModel
 from repro.cluster.network import NetworkModel
 from repro.cluster.simulation import ClusterSpec, proportional_quotas
 from repro.exceptions import ConfigurationError
+from repro.runtime.collector import Collector
 from repro.runtime.config import RunConfig
 from repro.runtime.engine import Engine
 from repro.runtime.job import JobSpec
-from repro.runtime.messages import message_bytes
+from repro.runtime.messages import CombinedMessage, message_bytes
+from repro.runtime.reduction import Coalescer
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.sequential import SequentialBackend
 from repro.runtime.simcluster import SimclusterBackend
@@ -540,6 +542,47 @@ class TestOneLoopAccounting:
         assert _same_estimates(result, Engine(
             SequentialBackend(), result.config, use_files=False).run(_square))
         assert result.recovered_ranks == (1, 2)
+
+    def test_a_rerun_in_a_tree_reports_past_its_reducer(self, monkeypatch):
+        # Rank 1's node passes volumes 1 to 5 through its reducer and
+        # fails at 5.5 s.  Its rerun reports straight to rank 0, as on
+        # the real backends: through the reducer, whose coalescer holds
+        # the failed node's volume 5, the rerun's passes of volume 1 to 4
+        # were dropped as stale reorders and never reached rank 0.
+        coalesced, direct = [], []
+        admit, receive = Coalescer.admit, Collector.receive
+
+        def admitting(coalescer, item):
+            entries = (item.entries if isinstance(item, CombinedMessage)
+                       else (item,))
+            coalesced.extend(entry.snapshot.volume for entry in entries
+                             if entry.rank == 1)
+            return admit(coalescer, item)
+
+        def receiving(collector, message, now):
+            if message.rank == 1:
+                direct.append((message.snapshot.volume, message.final))
+            return receive(collector, message, now)
+
+        monkeypatch.setattr(Coalescer, "admit", admitting)
+        monkeypatch.setattr(Collector, "receive", receiving)
+        result = _one_loop(2, 0.0, "square", "static", {1: 5.5}, "fixed",
+                           on_worker_death="reassign")
+        assert coalesced == [1, 2, 3, 4, 5]
+        assert direct == [(volume, False) for volume in range(1, 11)] \
+            + [(10, True)]
+        assert _hexed(dataclasses.asdict(result.cluster)) == {
+            "t_comp": "0x1.4002de4589e6cp+4", "total_volume": 40,
+            "per_rank_volumes": {0: 10, 1: 10, 2: 10, 3: 10},
+            "messages_sent": 49,
+            "collector_utilization": "0x1.7979617924f4dp-12",
+            "mean_queue_delay": "0x1.9adedf5fc5398p-17",
+            "compute_span": "0x1.4000000000000p+4", "failed_ranks": (1,),
+            "lost_realizations": 0, "collector_served": 36,
+            "combined_messages": 25}
+        assert _same_estimates(result, Engine(
+            SequentialBackend(), result.config, use_files=False).run(_square))
+        assert result.recovered_ranks == (1,)
 
     def test_a_rerun_loses_what_the_failed_node_never_passed(self):
         # By t = 5.5 s rank 1's node computed 5 and passed 3 (perpass

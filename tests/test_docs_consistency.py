@@ -373,6 +373,17 @@ SOURCE_SHAPES = [
      "docs/protocol.md 'Pluggable statistics': the extras ride inside the "
      "snapshot, so merge_snapshots is the one fold the collector, "
      "manaver and resume call"),
+    # One match, the whole field block from the docstring to the first
+    # method; any other field line (``name: annotation``, maybe with a
+    # default) is one more match, and one the block then misses.
+    ("estimates-store-two-matrices",
+     r'(?<="""\n\n)    mean: np\.ndarray\n    variance: np\.ndarray\n'
+     r"    volume: int\n    mean_time: float = 0\.0\n(?=\n    @)"
+     r"|^    \w+: [\w.]+(?: = .+)?$",
+     "repro.stats.estimators:Estimates",
+     {"repro.stats.estimators:Estimates": 1},
+     "docs/api.md: the fields of Estimates are mean, variance, volume and "
+     "mean_time; abs_error and rel_error are computed when read"),
 ]
 
 

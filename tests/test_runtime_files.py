@@ -24,9 +24,12 @@ from repro.runtime.files import (
 )
 from repro.runtime.messages import MomentMessage, message_bytes
 from repro.stats.accumulator import MomentAccumulator, MomentSnapshot
-from repro.stats.estimators import Estimates
 
-from test_runtime_format import reference_ci_table, reference_mean_matrix
+from test_runtime_format import (
+    FourMatrices,
+    reference_ci_table,
+    reference_mean_matrix,
+)
 
 
 @pytest.fixture
@@ -85,7 +88,7 @@ def _estimates(draw):
     shape = (draw(st.integers(1, 40)), draw(st.integers(1, 7)))
     matrices = [draw(hnp.arrays(np.float64, shape, elements=_entries))
                 for _ in range(4)]
-    return Estimates(*matrices, volume=draw(st.integers(1, 10 ** 12)))
+    return FourMatrices(*matrices, volume=draw(st.integers(1, 10 ** 12)))
 
 
 class TestRendererIdentity:

@@ -2,8 +2,9 @@
 
 A scheduler outlives its jobs, and ``parmonc-sched --serve`` never
 prunes them, so every finished :class:`~repro.runtime.job.Job` stays
-reachable.  Each must cost about its result — four estimate matrices —
-and not the sample its run held: the collector's per-rank snapshots,
+reachable.  Each must cost about its result — two estimate matrices,
+the means and the variances, from which the errors are computed when
+read — and not the sample its run held: the collector's per-rank snapshots,
 its merged and estimates caches and the resume base.
 """
 
@@ -24,11 +25,11 @@ from repro.runtime.simcluster import SimclusterBackend
 
 NROW, NCOL = 1000, 2
 JOBS = 200
-#: Retained bytes per finished job.  The result's four (1000, 2)
-#: float64 estimate matrices are 62.5 KiB of it; a job that kept its
-#: run would add the sample held in the collector and the resume base
-#: and retain about 198 KB.
-CEILING = 75 * 1024
+#: Retained bytes per finished job.  The result's two (1000, 2)
+#: float64 estimate matrices are 31.25 KiB of it (about 38.4 KiB in
+#: all); a result that stored the two error matrices too would retain
+#: about 70 KiB, and a job that kept its run about 198 KB.
+CEILING = 45 * 1024
 
 
 def _matrix(rng):

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.exceptions import ConfigurationError
 from repro.stats.estimators import (
@@ -109,6 +112,71 @@ class TestEstimatesContainer:
     def test_zero_volume_rejected(self):
         with pytest.raises(ConfigurationError):
             estimates_from_moments(np.zeros((1, 1)), np.zeros((1, 1)), 0)
+
+
+def eager_errors(mean, variance, volume):
+    """The error matrices as ``estimates_from_moments`` once stored them."""
+    abs_error = CONFIDENCE_FACTOR * np.sqrt(variance / volume)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel_error = np.where(
+            mean != 0.0,
+            np.abs(abs_error / mean) * 100.0,
+            np.where(abs_error == 0.0, 0.0, np.inf))
+    return abs_error, rel_error
+
+
+def assert_errors_are_eager(estimates):
+    expected = [matrix.tobytes() for matrix in eager_errors(
+        estimates.mean, estimates.variance, estimates.volume)]
+    assert [estimates.abs_error.tobytes(),
+            estimates.rel_error.tobytes()] == expected
+    assert [matrix.tobytes() for matrix in estimates.errors()] == expected
+
+
+_SHAPE = (3, 2)
+#: Sums with zeros of both signs (zero means), and sums of squares up
+#: to an overflowed ``inf``.
+_sum1 = hnp.arrays(np.float64, _SHAPE, elements=st.one_of(
+    st.floats(-1e300, 1e300), st.sampled_from([0.0, -0.0, 1.0, -3.0])))
+_sum2 = hnp.arrays(np.float64, _SHAPE, elements=st.one_of(
+    st.floats(0.0, 1e300), st.sampled_from([0.0, 1.0, 9.0, np.inf])))
+_volume = st.one_of(st.sampled_from([1, 2, 2 ** 53 - 1]),
+                    st.integers(1, 2 ** 53 - 1))
+
+
+class TestErrorsWhenRead:
+    """``abs_error`` and ``rel_error`` are computed when read, from the
+    stored means and variances: the bits the eager formula stored."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_sum1, _sum2, _volume, _sum2)
+    # Zero means: rho = inf beside a nonzero variance, rho = 0 beside
+    # a zero one; a constant sample (zero variance) at L = 1 and L = 2;
+    # overflowed sums of squares; the largest exact L.
+    @example(np.array([[0.0, -0.0], [0.0, 1.0], [3.0, -3.0]]),
+             np.array([[4.0, 0.0], [0.0, 1.0], [9.0, 9.0]]), 1,
+             np.zeros(_SHAPE))
+    @example(np.full(_SHAPE, 6.0), np.full(_SHAPE, 18.0), 2,
+             np.full(_SHAPE, np.inf))
+    @example(np.full(_SHAPE, 1e300), np.full(_SHAPE, np.inf), 2 ** 53 - 1,
+             np.full(_SHAPE, 1e-300))
+    def test_errors_match_the_eager_formula(self, sum1, sum2, volume,
+                                            other_variance):
+        # Huge sums overflow ``mean ** 2`` and ``eps / mean`` to inf, as
+        # they did when the errors were stored.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.check(sum1, sum2, volume, other_variance)
+
+    def check(self, sum1, sum2, volume, other_variance):
+        estimates = estimates_from_moments(sum1, sum2, volume)
+        assert_errors_are_eager(estimates)
+        copy = pickle.loads(pickle.dumps(estimates))
+        assert_errors_are_eager(copy)
+        assert copy.abs_error.tobytes() == estimates.abs_error.tobytes()
+        replaced = dataclasses.replace(estimates, variance=other_variance)
+        assert_errors_are_eager(replaced)
+        assert replaced.abs_error.tobytes() == eager_errors(
+            estimates.mean, other_variance, volume)[0].tobytes()
 
 
 class TestConfidenceFactor:
