@@ -33,7 +33,7 @@ from repro.runtime.scheduler import Scheduler
 from repro.runtime.sequential import SequentialBackend
 from repro.runtime.multiprocess import MultiprocessBackend
 from repro.runtime.result import RunResult
-from repro.runtime.resume import ResumeState, finalize_session, prepare_resume
+from repro.runtime.resume import ResumeState, prepare_resume
 from repro.runtime.worker import (
     BatchRealizationRoutine,
     WorkerBody,
@@ -56,7 +56,6 @@ __all__ = [
     "message_bytes",
     "ResumeState",
     "prepare_resume",
-    "finalize_session",
     "adapt_realization",
     "BatchRealizationRoutine",
     "batch_routine",

@@ -22,10 +22,12 @@ The result files are text, for people; the save-points are binary, for
 the next session: the moment block of
 :func:`repro.runtime.messages.pack_moments` — the bytes a worker ships
 on the wire — framed and sealed by
-:func:`repro.runtime.storage.write_sealed`.  Save-points of earlier
-versions (``savepoint.json``, ``processor_<m>.json``) are still *read*:
-the binary file wins when both exist, and the old one is removed right
-after the new one's rename.
+:func:`repro.runtime.storage.write_sealed`.  They follow the wire's
+version rule: this module reads the one format it writes, and refuses
+every other by name.  The JSON save-points of versions 1-3
+(``savepoint.json``, ``processor_<m>.json``) are neither read nor
+converted, rewritten or deleted; a workdir holding only those fails a
+resume or ``manaver`` with a :class:`~repro.exceptions.ResumeError`.
 
 Every artifact is written through :func:`repro.runtime.storage.commit`
 — temps written and fsynced, then renamed — so a kill at any
@@ -43,7 +45,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -57,11 +59,7 @@ from repro.exceptions import (
     WireError,
 )
 from repro.runtime import storage
-from repro.runtime.messages import (
-    pack_moments,
-    take_statistics,
-    unpack_moments,
-)
+from repro.runtime.messages import pack_moments, unpack_moments
 from repro.stats.accumulator import MomentSnapshot
 from repro.stats.estimators import Estimates
 
@@ -84,14 +82,10 @@ _logger = logging.getLogger(__name__)
 
 GENPARAM_FILENAME = "parmonc_genparam.dat"
 
-#: Current save-point version.  Version 1 was the bare JSON document
-#: without checksum or manifest; version 2 moved to the checksummed
-#: JSON envelope of :func:`repro.runtime.storage.write_artifact`;
-#: version 3 added the optional ``statistics`` map of serialized
-#: :class:`~repro.stats.statistic.Statistic` payloads; version 4 is the
-#: sealed binary moment block.  Versions 1-3 are read, never written.
+#: Current save-point version: the sealed binary moment block.
+#: Versions 1-3 were JSON documents (``*.json``), refused by
+#: :meth:`DataDirectory._refuse_retired`.
 SAVEPOINT_VERSION = 4
-LAST_JSON_VERSION = 3
 SAVEPOINT_FORMAT = "parmonc/savepoint"
 PROCESSOR_FORMAT = "parmonc/processor-savepoint"
 
@@ -379,26 +373,16 @@ class SavepointMeta:
 
 
 def _read_snapshot(path: Path, kind: str) -> tuple[MomentSnapshot, dict]:
-    """``(snapshot, metadata)`` of a save-point of either era.
-
-    ``*.bin`` is the sealed moment block, its metadata the tail plus
-    the header's ``rank``; anything else is the JSON document versions
-    1-3 wrote, with the ``snapshot`` entry decoded and taken out — so
-    both eras hand back the same metadata keys.  In both the extras are
-    read by :func:`~repro.runtime.messages.take_statistics`, which
-    leaves the payloads of unregistered kinds under ``statistics``.
+    """``(snapshot, metadata)`` of a sealed save-point: the moment
+    block, its metadata the tail plus the header's ``rank``.  The
+    extras are read by :func:`~repro.runtime.messages.take_statistics`,
+    which leaves the payloads of unregistered kinds under
+    ``statistics``.
     """
-    if path.suffix == ".bin":
-        body, _version = storage.read_sealed(
-            path, kind, max_version=SAVEPOINT_VERSION)
-        _flags, rank, _sent_at, snapshot, fields = unpack_moments(body)
-        fields["rank"] = rank
-    else:
-        fields, _version = storage.read_artifact(
-            path, kind, max_version=LAST_JSON_VERSION)
-        snapshot = MomentSnapshot.from_dict(fields.pop("snapshot"))
-        snapshot = replace(snapshot,
-                           extras=take_statistics(fields, snapshot.shape))
+    body, _version = storage.read_sealed(
+        path, kind, max_version=SAVEPOINT_VERSION)
+    _flags, rank, _sent_at, snapshot, fields = unpack_moments(body)
+    fields["rank"] = rank
     if "statistics" in fields:
         _logger.warning(
             "%s carries unregistered statistic kind(s) %s; payloads "
@@ -488,11 +472,6 @@ class DataDirectory:
     def savepoint_path(self) -> Path:
         """``parmonc_data/savepoint.bin`` (merged snapshot)."""
         return self._root / "savepoint.bin"
-
-    @property
-    def legacy_savepoint_path(self) -> Path:
-        """``parmonc_data/savepoint.json``, as versions 1-3 wrote it."""
-        return self._root / "savepoint.json"
 
     @property
     def registry_path(self) -> Path:
@@ -604,9 +583,7 @@ class DataDirectory:
         atomically; ``manifest`` (see
         :func:`repro.runtime.resume.build_manifest`) records the
         writing session's processor count and RNG leap parameters so a
-        later resume can refuse a mismatched generator hierarchy.  A
-        ``savepoint.json`` left by an earlier version is removed once
-        the new file is in place.
+        later resume can refuse a mismatched generator hierarchy.
 
         Args:
             snapshot: The merged snapshot, extra statistics inside.
@@ -620,7 +597,6 @@ class DataDirectory:
         storage.commit([self._savepoint_artifact(
             snapshot, used_seqnums=used_seqnums, sessions=sessions,
             manifest=manifest, extra_payloads=extra_payloads)])
-        self.legacy_savepoint_path.unlink(missing_ok=True)
 
     def _savepoint_artifact(self, snapshot: MomentSnapshot, *,
                             used_seqnums: tuple[int, ...], sessions: int,
@@ -670,7 +646,6 @@ class DataDirectory:
                 sessions=sessions, elapsed=elapsed, matrices=matrices,
                 errors=errors)
         storage.commit(artifacts)
-        self.legacy_savepoint_path.unlink(missing_ok=True)
         self.clear_processor_snapshots()
 
     def load_savepoint(self) -> tuple[MomentSnapshot, SavepointMeta]:
@@ -682,14 +657,13 @@ class DataDirectory:
         raised, so the next attempt is not poisoned by the same file.
 
         Raises:
-            ResumeError: If no save-point exists, it is corrupt (now
-                quarantined), or it was written by a newer format
-                version.
+            ResumeError: If no save-point exists, only one of versions
+                1-3 does, it is corrupt (now quarantined), or it was
+                written by a newer format version.
         """
         path = self.savepoint_path
         if not path.exists():
-            path = self.legacy_savepoint_path
-        if not path.exists():
+            self._refuse_retired()
             raise ResumeError(
                 f"no previous simulation found at {self.savepoint_path}; "
                 f"start with res=0")
@@ -716,13 +690,23 @@ class DataDirectory:
 
     def has_savepoint(self) -> bool:
         """Whether a previous simulation left a merged save-point."""
-        return (self.savepoint_path.exists()
-                or self.legacy_savepoint_path.exists())
+        return self.savepoint_path.exists()
 
     def clear_savepoint(self) -> None:
         """Remove the merged save-point (a ``res=0`` session starts over)."""
         self.savepoint_path.unlink(missing_ok=True)
-        self.legacy_savepoint_path.unlink(missing_ok=True)
+
+    def _refuse_retired(self) -> None:
+        """Raise :class:`ResumeError` naming a JSON save-point or
+        subtotal of versions 1-3, when there is one: the caller found
+        nothing of this version to read.  The file stays where it is."""
+        for path in [self._root / "savepoint.json",
+                     *sorted(self.savepoints_dir.glob("processor_*.json"))]:
+            if path.exists():
+                raise ResumeError(
+                    f"{path} is a save-point of format 1-3, which this "
+                    f"version no longer reads; read it with a release "
+                    f"that wrote it, or start over with res=0")
 
     # ------------------------------------------------------------------
     # Per-processor subtotals (manaver input)
@@ -749,17 +733,6 @@ class DataDirectory:
         storage.write_sealed(path, PROCESSOR_FORMAT,
                              pack_moments(snapshot, tail, rank=rank),
                              version=SAVEPOINT_VERSION, label="processor")
-        path.with_suffix(".json").unlink(missing_ok=True)
-
-    def _processor_files(self) -> list[Path]:
-        """Subtotal files of both eras; of one rank's pair, the binary."""
-        if not self.savepoints_dir.exists():
-            return []
-        files = {path.stem: path for path
-                 in self.savepoints_dir.glob("processor_*.json")}
-        files.update((path.stem, path) for path
-                     in self.savepoints_dir.glob("processor_*.bin"))
-        return [files[stem] for stem in sorted(files)]
 
     def load_processor_snapshots(self, *, absorbed_sessions: int | None
                                  = None) -> dict[int, MomentSnapshot]:
@@ -779,10 +752,18 @@ class DataDirectory:
                 save-point with ``sessions == absorbed_sessions``
                 already contains them (the writing session finalized
                 but crashed before cleaning its subtotals up).
-                Untagged (legacy) subtotals are always returned.
+                Untagged subtotals are always returned.
+
+        Raises:
+            ResumeError: When neither a merged save-point nor a
+                subtotal of this version exists but one of versions 1-3
+                does.
         """
+        paths = sorted(self.savepoints_dir.glob("processor_*.bin"))
+        if not paths and not self.savepoint_path.exists():
+            self._refuse_retired()
         snapshots: dict[int, MomentSnapshot] = {}
-        for path in self._processor_files():
+        for path in paths:
             try:
                 snapshot, fields = _read_snapshot(path, PROCESSOR_FORMAT)
                 session = fields.get("session")
@@ -805,10 +786,8 @@ class DataDirectory:
 
     def clear_processor_snapshots(self) -> None:
         """Remove per-processor subtotals (on a clean run completion)."""
-        if self.savepoints_dir.exists():
-            for path in self.savepoints_dir.glob("processor_*.*"):
-                if path.suffix in (".bin", ".json"):
-                    path.unlink()
+        for path in self.savepoints_dir.glob("processor_*.bin"):
+            path.unlink()
 
     # ------------------------------------------------------------------
     # Experiment registry

@@ -25,8 +25,7 @@ from repro.runtime.config import RunConfig
 from repro.runtime.files import DataDirectory, genparam_fingerprint
 from repro.stats.accumulator import MomentSnapshot
 
-__all__ = ["ResumeState", "build_manifest", "prepare_resume",
-           "finalize_session"]
+__all__ = ["ResumeState", "build_manifest", "prepare_resume"]
 
 
 def build_manifest(config: RunConfig) -> dict:
@@ -62,10 +61,11 @@ class ResumeState:
         session_index: 1 for a fresh simulation, previous count + 1 when
             resuming.
         manifest: The current session's manifest, persisted with the
-            save-point at finalize time.
+            save-point by :meth:`~repro.runtime.files.DataDirectory
+            .commit_session`.
         unknown_payloads: Raw statistic payloads of unregistered kinds
             found in the loaded save-point; carried forward verbatim
-            at finalize time so resuming never destroys them.
+            by the same commit so resuming never destroys them.
     """
 
     base: MomentSnapshot
@@ -151,21 +151,3 @@ def prepare_resume(config: RunConfig, data: DataDirectory) -> ResumeState:
         manifest=manifest,
         unknown_payloads=dict(meta.unknown_payloads))
 
-
-def finalize_session(data: DataDirectory, state: ResumeState,
-                     merged: MomentSnapshot) -> None:
-    """Persist the merged result as the save-point for future sessions.
-
-    ``merged`` carries the session's merged extra statistics (the
-    collector's :meth:`~repro.runtime.collector.Collector.merged`);
-    unknown-kind payloads inherited from the previous save-point are
-    rewritten verbatim beside them.
-    """
-    if merged.shape != state.base.shape:
-        raise ResumeError(
-            f"merged snapshot shape {merged.shape} does not match the "
-            f"session base shape {state.base.shape}")
-    data.save_savepoint(merged, used_seqnums=state.used_seqnums,
-                        sessions=state.session_index,
-                        manifest=state.manifest,
-                        extra_payloads=state.unknown_payloads)

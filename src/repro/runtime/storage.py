@@ -18,10 +18,10 @@ where the persistence layer touches the filesystem:
   :func:`read_sealed` verifies the seal, so truncation or bit rot
   anywhere in the file is detected, not loaded.  The save-points are
   written this way.
-* :func:`write_artifact` / :func:`read_artifact` are the older JSON
-  envelope (format, version, payload checksum).  Nothing in the
-  library writes it any more; the reader is how save-points left by
-  earlier versions still resume.
+* :func:`write_artifact` is the older JSON envelope (format,
+  version, payload checksum).  Nothing in the library writes or reads
+  it; save-points of the versions that did are refused (see
+  :mod:`repro.runtime.files`).
 * :func:`quarantine` renames a torn/corrupt artifact to ``*.corrupt``
   (keeping the evidence) instead of letting one bad file abort a whole
   recovery; listeners registered via :func:`add_quarantine_listener`
@@ -95,7 +95,6 @@ __all__ = [
     "install_crashpoint",
     "payload_checksum",
     "quarantine",
-    "read_artifact",
     "read_sealed",
     "remove_quarantine_listener",
     "sealed",
@@ -420,6 +419,8 @@ def payload_checksum(payload: dict) -> str:
     return f"sha256:{digest}"
 
 
+# Nothing in the library calls it: it stays for the layer benchmark
+# (``benchmarks/perf/layers.py``), which times it, and goes with that row.
 def write_artifact(path: Path, kind: str, payload: dict, *,
                    version: int, label: str | None = None) -> None:
     """Atomically write a checksummed, versioned JSON artifact.
@@ -439,66 +440,6 @@ def write_artifact(path: Path, kind: str, payload: dict, *,
         "payload": payload,
     }
     atomic_write_text(path, json.dumps(document), label=label)
-
-
-def read_artifact(path: Path, kind: str, *,
-                  max_version: int) -> tuple[dict, int]:
-    """Read and verify an artifact written by :func:`write_artifact`.
-
-    Pre-envelope files (no ``checksum``/``payload`` keys) are returned
-    whole with version 0, so callers keep loading save-points written
-    before checksumming existed.
-
-    Returns:
-        ``(payload, version)``.
-
-    Raises:
-        CorruptArtifactError: Unparseable JSON (truncation), a payload
-            that fails its checksum, or a document of a different kind.
-        ArtifactVersionError: An envelope version newer than
-            ``max_version`` (the file is fine — the reader is too old —
-            so it must *not* be quarantined).
-    """
-    try:
-        raw = path.read_text()
-    except OSError as exc:
-        raise CorruptArtifactError(f"unreadable artifact {path}: {exc}") \
-            from exc
-    try:
-        document = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise CorruptArtifactError(
-            f"truncated or garbled artifact {path}: {exc}") from exc
-    if not isinstance(document, dict):
-        raise CorruptArtifactError(
-            f"artifact {path} is not a JSON object")
-    if "checksum" not in document or "payload" not in document:
-        # Legacy pre-envelope artifact: no integrity data to verify.
-        return document, 0
-    stored_kind = document.get("format")
-    if stored_kind != kind:
-        raise CorruptArtifactError(
-            f"artifact {path} has format {stored_kind!r}, expected "
-            f"{kind!r}")
-    try:
-        version = int(document["version"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptArtifactError(
-            f"artifact {path} carries no usable version") from exc
-    if version > max_version:
-        raise ArtifactVersionError(
-            f"artifact {path} has format version {version}, newer than "
-            f"the supported {max_version}; upgrade this installation "
-            f"instead of deleting the file")
-    payload = document["payload"]
-    if not isinstance(payload, dict):
-        raise CorruptArtifactError(
-            f"artifact {path} payload is not a JSON object")
-    if payload_checksum(payload) != document["checksum"]:
-        raise CorruptArtifactError(
-            f"artifact {path} fails its checksum; the file is torn or "
-            f"bit-rotten")
-    return payload, version
 
 
 # ---------------------------------------------------------------------------

@@ -105,28 +105,6 @@ class MomentSnapshot:
         return estimates_from_moments(self.sum1, self.sum2, self.volume,
                                       self.compute_time)
 
-    def to_dict(self) -> dict:
-        """Serialize to plain Python types (for JSON save-points)."""
-        return {
-            "sum1": self.sum1.tolist(),
-            "sum2": self.sum2.tolist(),
-            "volume": int(self.volume),
-            "compute_time": float(self.compute_time),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MomentSnapshot":
-        """Deserialize a snapshot produced by :meth:`to_dict`."""
-        try:
-            return cls(
-                sum1=np.asarray(data["sum1"], dtype=np.float64),
-                sum2=np.asarray(data["sum2"], dtype=np.float64),
-                volume=int(data["volume"]),
-                compute_time=float(data.get("compute_time", 0.0)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"malformed snapshot payload: {exc}") from exc
-
     @classmethod
     def zero(cls, nrow: int, ncol: int) -> "MomentSnapshot":
         """An empty snapshot of the given shape."""

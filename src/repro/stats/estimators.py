@@ -97,7 +97,7 @@ class Estimates:
         """``(abs_error, rel_error)`` from one derivation."""
         abs_error = self.abs_error
         mean = self.mean
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             rel_error = np.where(
                 mean != 0.0,
                 np.abs(abs_error / mean) * 100.0,
@@ -148,7 +148,8 @@ def estimates_from_moments(sum1: np.ndarray, sum2: np.ndarray,
 
     Variances are clipped at zero: rounding can push the difference
     ``xi - mean**2`` infinitesimally negative for (near-)deterministic
-    entries.
+    entries.  Sums too large to square give an ``inf`` or NaN variance
+    (and errors), without a numpy warning.
     """
     sum1 = np.asarray(sum1, dtype=np.float64)
     sum2 = np.asarray(sum2, dtype=np.float64)
@@ -161,7 +162,8 @@ def estimates_from_moments(sum1: np.ndarray, sum2: np.ndarray,
             f"sample volume must be positive, got {volume}")
     mean = sum1 / volume
     second = sum2 / volume
-    variance = np.maximum(second - mean ** 2, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        variance = np.maximum(second - mean ** 2, 0.0)
     return Estimates(
         mean=mean, variance=variance, volume=int(volume),
         mean_time=total_time / volume if volume else 0.0)

@@ -373,6 +373,15 @@ SOURCE_SHAPES = [
      "docs/protocol.md 'Pluggable statistics': the extras ride inside the "
      "snapshot, so merge_snapshots is the one fold the collector, "
      "manaver and resume call"),
+    ("one-savepoint-format",
+     r"\bread_artifact\b|\blegacy_savepoint|\bfrom_dict\b"
+     r"|[\"'][^\"'\s]*\.json[\"']",
+     ("runtime/**/*.py", "repro.runtime.files:DataDirectory._refuse_retired"),
+     {"runtime/files.py": 2,
+      "repro.runtime.files:DataDirectory._refuse_retired": 2},
+     "docs/protocol.md 'One format, refused by name': save-points are read "
+     "in the format they are written; a JSON one is only named, to refuse "
+     "it"),
     # One match, the whole field block from the docstring to the first
     # method; any other field line (``name: annotation``, maybe with a
     # default) is one more match, and one the block then misses.
@@ -394,6 +403,20 @@ def test_source_shape(pattern, where, expected, why):
     sites = {name: count for name, source in _sources(where).items()
              if (count := len(regex.findall(source)))}
     assert sites == expected, why
+
+
+def test_architecture_contract_block_names_every_backend_method():
+    # docs/architecture.md's EngineBackend block: one def per public
+    # method, and no method the class no longer has.
+    from repro.runtime.engine import EngineBackend
+
+    block = re.search(r"```python\n  class EngineBackend:\n(.*?)```",
+                      read("docs/architecture.md"), re.S)
+    assert block, "docs/architecture.md lost its EngineBackend block"
+    documented = re.findall(r"\bdef (\w+)\(", block.group(1))
+    public = {name for name, _ in inspect.getmembers(
+        EngineBackend, inspect.isfunction) if not name.startswith("_")}
+    assert sorted(documented) == sorted(public)
 
 
 def _square(rng):

@@ -95,20 +95,19 @@ class TestCorruptionRecovery:
 
     def test_resume_from_wrong_typed_savepoint(self, tmp_path):
         from repro.runtime import storage
-        from repro.runtime.files import SAVEPOINT_FORMAT
+        from repro.runtime.files import SAVEPOINT_FORMAT, SAVEPOINT_VERSION
+        from repro.runtime.messages import pack_moments
 
         parmonc(lambda rng: rng.random(), maxsv=10, workdir=tmp_path)
         data = DataDirectory(tmp_path)
         snapshot, _meta = data.load_savepoint()
-        data.clear_savepoint()
-        # An older version's JSON save-point: valid JSON, valid
-        # checksum — but a field of the wrong type.
-        storage.write_artifact(
-            data.legacy_savepoint_path, SAVEPOINT_FORMAT,
-            {"snapshot": dict(snapshot.to_dict(), volume="many"),
-             "shape": [1, 1], "used_seqnums": [0], "sessions": 1},
-            version=3)
-        with pytest.raises(ResumeError):
+        # A sound moment block under a valid seal — but a tail field of
+        # the wrong type.
+        storage.write_sealed(
+            data.savepoint_path, SAVEPOINT_FORMAT,
+            pack_moments(snapshot, {"used_seqnums": [0], "sessions": "many"}),
+            version=SAVEPOINT_VERSION)
+        with pytest.raises(ResumeError, match="quarantined"):
             parmonc(lambda rng: rng.random(), maxsv=10, res=1, seqnum=1,
                     workdir=tmp_path)
 

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import json
 import os
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,19 +179,16 @@ class TestSavepoint:
         assert meta.used_seqnums == (1, 3)
 
     def test_legacy_v1_savepoint_still_loads(self, tmp_path):
-        # Pre-envelope save-points (no format/checksum wrapper) must
-        # keep resuming: the bare document is treated as the payload.
+        # The sample version 1 left (converted to the sealed format) has
+        # no manifest: it loads, and says nothing of its processors.
         data = DataDirectory(tmp_path).ensure()
-        accumulator = MomentAccumulator(1, 1)
-        accumulator.add(5.0)
-        legacy = {"version": 1,
-                  "snapshot": accumulator.snapshot().to_dict(),
-                  "shape": [1, 1], "used_seqnums": [0, 2], "sessions": 2}
-        data.legacy_savepoint_path.write_text(json.dumps(legacy))
+        shutil.copy2(Path(__file__).parent / "fixtures" / "era_savepoints"
+                     / "v1" / "parmonc_data" / "savepoint.bin",
+                     data.savepoint_path)
         snapshot, meta = data.load_savepoint()
-        assert snapshot.volume == 1
-        assert meta.used_seqnums == (0, 2)
-        assert meta.sessions == 2
+        assert snapshot.volume == 24
+        assert meta.used_seqnums == (0,)
+        assert meta.sessions == 1
         assert meta.manifest is None
         assert meta.processors is None
 

@@ -8,8 +8,8 @@ import pytest
 from repro.exceptions import ResumeError, SupersededSampleWarning
 from repro.runtime.config import RunConfig
 from repro.runtime.files import DataDirectory
-from repro.runtime.resume import finalize_session, prepare_resume
-from repro.stats.accumulator import MomentAccumulator, MomentSnapshot
+from repro.runtime.resume import prepare_resume
+from repro.stats.accumulator import MomentAccumulator
 
 
 def saved_session(tmp_path, *, volume=5, shape=(1, 1), seqnums=(0,),
@@ -125,6 +125,12 @@ class TestResumedRun:
         assert state.used_seqnums == (0, 1, 2, 5)
 
 
+def commit(data, state, merged):
+    """End a session as a job does: one commit, no result files."""
+    data.commit_session(state, merged, None, seqnum=0, processors=1,
+                        sessions=state.session_index)
+
+
 class TestFinalize:
     def test_finalize_persists_merged_state(self, tmp_path):
         data = DataDirectory(tmp_path)
@@ -132,18 +138,11 @@ class TestFinalize:
         state = prepare_resume(config, data)
         accumulator = MomentAccumulator(1, 1)
         accumulator.add(4.0)
-        finalize_session(data, state, accumulator.snapshot())
+        commit(data, state, accumulator.snapshot())
         snapshot, meta = data.load_savepoint()
         assert snapshot.volume == 1
         assert meta.used_seqnums == (0,)
         assert meta.sessions == 1
-
-    def test_finalize_shape_guard(self, tmp_path):
-        data = DataDirectory(tmp_path)
-        config = RunConfig(maxsv=10, workdir=tmp_path)
-        state = prepare_resume(config, data)
-        with pytest.raises(ResumeError):
-            finalize_session(data, state, MomentSnapshot.zero(2, 2))
 
     def test_full_cycle_res0_then_res1(self, tmp_path):
         data = DataDirectory(tmp_path)
@@ -153,14 +152,14 @@ class TestFinalize:
         acc1 = MomentAccumulator(1, 1)
         acc1.add(1.0)
         acc1.add(3.0)
-        finalize_session(data, state1, acc1.snapshot())
+        commit(data, state1, acc1.snapshot())
         # Session 2 resumes and folds in more realizations.
         config2 = RunConfig(maxsv=10, res=1, seqnum=1, workdir=tmp_path)
         state2 = prepare_resume(config2, data)
         acc2 = MomentAccumulator(1, 1)
         acc2.merge_snapshot(state2.base)
         acc2.add(5.0)
-        finalize_session(data, state2, acc2.snapshot())
+        commit(data, state2, acc2.snapshot())
         snapshot, meta = data.load_savepoint()
         assert snapshot.volume == 3
         assert snapshot.estimates().mean[0, 0] == pytest.approx(3.0)

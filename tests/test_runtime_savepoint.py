@@ -1,19 +1,20 @@
-"""The binary save-point: trust boundary, legacy read path, write economy.
+"""The binary save-point: trust boundary, retired formats, write economy.
 
 Save-points are the moment block of :func:`repro.runtime.messages
 .pack_moments` sealed by :func:`repro.runtime.storage.write_sealed`.
 A file on disk is outside input: every way it can be damaged must end
 in quarantine-and-``ResumeError`` (or ``ArtifactVersionError`` for an
 intact file of a newer version), never in a crash or a partial load.
-Save-points written as JSON by versions 1-3 must still resume and
-``manaver`` to the bytes those versions produced — the fixtures under
-``fixtures/legacy_savepoints`` were generated at the last commit that
-wrote JSON (see ``make_legacy_fixtures.py`` there).
+The JSON save-points of versions 1-3 are refused by name.  The samples
+those versions left, converted once to the sealed format
+(``fixtures/era_savepoints``, see its README), must still resume and
+``manaver`` to the bytes those versions produced.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import shutil
 import struct
 from collections import Counter
@@ -26,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import parmonc
+from repro.cli.manaver import main as manaver_main
 from repro.cli.manaver import manual_average
 from repro.exceptions import ArtifactVersionError, ResumeError
 from repro.runtime import storage
@@ -44,14 +46,14 @@ from repro.runtime.worker import run_worker
 from repro.stats.accumulator import MomentAccumulator, MomentSnapshot
 from repro.stats.statistic import create_statistic
 
-FIXTURES = Path(__file__).parent / "fixtures" / "legacy_savepoints"
+FIXTURES = Path(__file__).parent / "fixtures" / "era_savepoints"
 ERAS = ("v1", "v2", "v3")
 STATISTICS = ["covariance", "histogram", "extrema", "counter"]
 COMMON = dict(nrow=1, ncol=2, processors=2, perpass=0.0, peraver=0.0)
 
 
 def pair(rng):
-    """The routine the legacy fixtures were generated with."""
+    """The routine the era fixtures were generated with."""
     return np.array([[rng.random(), rng.random() * 2.0 - 1.0]])
 
 
@@ -347,18 +349,7 @@ def _assert_matches(workdir, era, flow, statistics):
     assert {kind: statistic.to_payload()
             for kind, statistic in statistics.items()} \
         == expected["statistics"]
-    # Written anew in the binary layout; nothing of the JSON era stays.
-    assert data.savepoint_path.exists()
-    assert not data.legacy_savepoint_path.exists()
     assert list(data.savepoints_dir.glob("processor_*")) == []
-
-
-def _legacy_base(tmp_path, era):
-    """A workdir holding only the era's merged ``savepoint.json``."""
-    target = tmp_path / "parmonc_data"
-    target.mkdir(parents=True)
-    shutil.copy2(FIXTURES / era / "parmonc_data" / "savepoint.json", target)
-    return tmp_path
 
 
 def _resume(workdir, era):
@@ -368,6 +359,9 @@ def _resume(workdir, era):
 
 
 class TestLegacyJsonSavepoints:
+    """Samples the JSON eras left, converted once to the sealed format:
+    today's reader ends on the bytes those versions produced."""
+
     @pytest.mark.parametrize("era", ERAS)
     def test_manaver_recovers_the_same_bytes(self, tmp_path, era):
         shutil.copytree(FIXTURES / era / "parmonc_data",
@@ -380,90 +374,52 @@ class TestLegacyJsonSavepoints:
 
     @pytest.mark.parametrize("era", ERAS)
     def test_resume_continues_to_the_same_bytes(self, tmp_path, era):
-        result = _resume(_legacy_base(tmp_path, era), era)
+        (tmp_path / "parmonc_data").mkdir()
+        shutil.copy2(FIXTURES / era / "parmonc_data" / "savepoint.bin",
+                     tmp_path / "parmonc_data")
+        result = _resume(tmp_path, era)
         assert result.total_volume == 40
         _assert_matches(tmp_path, era, "resume", result.statistics)
 
-    @pytest.mark.parametrize("era", ERAS)
-    def test_binary_base_resumes_like_the_json_it_replaced(self, tmp_path,
-                                                          era):
-        # Same estimates whether the base is the legacy file or the
-        # binary save-point a load-and-save made of it.
-        data = DataDirectory(_legacy_base(tmp_path, era))
-        snapshot, meta = data.load_savepoint()
-        data.save_savepoint(
-            snapshot, used_seqnums=meta.used_seqnums,
-            sessions=meta.sessions, manifest=meta.manifest)
-        assert not data.legacy_savepoint_path.exists()
-        result = _resume(tmp_path, era)
-        _assert_matches(tmp_path, era, "resume", result.statistics)
 
-    def test_binary_wins_and_both_are_cleared(self, tmp_path):
-        data = DataDirectory(_legacy_base(tmp_path, "v3"))
-        shutil.copy2(
-            FIXTURES / "v3" / "parmonc_data" / "savepoints"
-            / "processor_00000.json", data.ensure().savepoints_dir)
-        storage.write_sealed(
-            data.savepoint_path, SAVEPOINT_FORMAT,
-            pack_moments(MomentSnapshot.zero(1, 2),
-                         {"used_seqnums": [7], "sessions": 9}),
-            version=SAVEPOINT_VERSION)
-        _snapshot, meta = data.load_savepoint()
-        assert (meta.sessions, meta.used_seqnums) == (9, (7,))
-        # One rank, both eras on disk: the binary subtotal is the one.
-        data.processor_savepoint_path(0).write_bytes(b"")
-        shutil.copy2(data.savepoints_dir / "processor_00000.json",
-                     data.savepoints_dir / "processor_00001.json")
-        data.save_processor_snapshot(1, MomentSnapshot.zero(1, 2),
-                                     session=9)
-        assert not (data.savepoints_dir / "processor_00001.json").exists()
-        assert sorted(data.load_processor_snapshots()) == [1]
-        assert [path.name for path in data.quarantined_files()] == [
-            "processor_00000.bin.corrupt"]
-        data.clear_processor_snapshots()
-        assert list(data.savepoints_dir.glob("processor_*")) == [
-            data.savepoints_dir / "processor_00000.bin.corrupt"]
-        # res=0 starts over whatever era left the sample behind.
-        with pytest.warns(Warning):
-            fresh = parmonc(pair, maxsv=8, seqnum=8, workdir=tmp_path,
-                            **COMMON)
-        assert fresh.total_volume == 8
-        assert not data.legacy_savepoint_path.exists()
+def _retired(path):
+    """A JSON save-point of versions 1-3 at ``path``; its bytes."""
+    raw = json.dumps({"version": 1, "snapshot": {"volume": 24}}).encode()
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(raw)
+    return raw
 
-    def test_crash_between_rename_and_legacy_cleanup(self, tmp_path):
-        # The new save-point is in place, the old savepoint.json still
-        # beside it, the subtotals not yet cleared: the worst instant.
-        _legacy_base(tmp_path, "v2")
-        config = RunConfig(maxsv=16, seqnum=2, res=1, workdir=tmp_path,
-                           **COMMON)
-        data, state = start_session(config)
-        collector = Collector(config, state.base, data,
-                              sessions=state.session_index)
-        # The last final's receive is the completion commit.
-        with storage.crashpoint_installed("savepoint.after_rename"):
-            with pytest.raises(CrashInjected):
-                for rank in range(2):
-                    run_worker(pair, config, rank,
-                               config.worker_quota(rank),
-                               send=lambda m: collector.receive(m, 0.0))
-        assert data.savepoint_path.exists()
-        assert data.legacy_savepoint_path.exists()
-        snapshot, meta = data.load_savepoint()
-        assert (snapshot.volume, meta.sessions) == (40, 2)
-        # The session's subtotals are already inside the new file.
-        summary = manual_average(tmp_path)
-        assert summary["volume"] == 40
-        assert summary["processors_recovered"] == 0
-        _root, expected = _expected("v2", "resume")
-        recovered, _meta = data.load_savepoint()
-        assert recovered.sum1.tobytes().hex() == expected["sum1"]
-        assert recovered.sum2.tobytes().hex() == expected["sum2"]
-        # ... and the old file is gone for good, not resurrected.
-        assert not data.legacy_savepoint_path.exists()
-        resumed = parmonc(pair, maxsv=4, seqnum=5, res=1,
-                          workdir=tmp_path, **COMMON)
-        assert resumed.total_volume == 44
-        assert not data.legacy_savepoint_path.exists()
+
+class TestRetiredFormats:
+    """The wire's version rule on disk: a JSON save-point is refused by
+    name, and never read, converted, rewritten or deleted."""
+
+    def test_resume_refuses_a_json_savepoint(self, tmp_path):
+        path = DataDirectory(tmp_path).root / "savepoint.json"
+        raw = _retired(path)
+        with pytest.raises(ResumeError, match=r"savepoint\.json is a "
+                           r"save-point of format 1-3"):
+            parmonc(pair, maxsv=4, seqnum=2, res=1, workdir=tmp_path,
+                    **COMMON)
+        assert path.read_bytes() == raw
+        # res=0 starts over beside it and leaves it where it is.
+        assert parmonc(pair, maxsv=4, seqnum=3, workdir=tmp_path,
+                       **COMMON).total_volume == 4
+        resumed = parmonc(pair, maxsv=4, seqnum=4, res=1, workdir=tmp_path,
+                          **COMMON)
+        assert resumed.total_volume == 8
+        assert path.read_bytes() == raw
+
+    def test_manaver_refuses_a_json_subtotal(self, tmp_path, capsys):
+        data = DataDirectory(tmp_path)
+        path = data.savepoints_dir / "processor_00001.json"
+        raw = _retired(path)
+        assert manaver_main(["--workdir", str(tmp_path)]) == 2
+        assert re.search(r"processor_00001\.json is a save-point of "
+                         r"format 1-3", capsys.readouterr().err)
+        assert sorted(p.name for p in data.root.rglob("*")) == [
+            "processor_00001.json", "savepoints"]
+        assert path.read_bytes() == raw
 
 
 class TestWriteEconomy:

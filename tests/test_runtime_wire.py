@@ -193,6 +193,11 @@ class TestFraming:
             decode_frame(header + body)
 
 
+#: An empty 1x1 snapshot as a version-1 DATA body carried it.
+V1_SNAPSHOT = {"sum1": [[0.0]], "sum2": [[0.0]], "volume": 0,
+               "compute_time": 0.0}
+
+
 class TestVersionSkew:
     """Version 2 moved DATA bodies from JSON to binary and version 3
     moved every job's context out of HELLO: a mixed deployment must
@@ -202,8 +207,7 @@ class TestVersionSkew:
     @staticmethod
     def v1_data_frame() -> bytes:
         body = json.dumps({"rank": 0, "sent_at": 0.0, "final": True,
-                           "snapshot": MomentAccumulator(1, 1).snapshot()
-                           .to_dict()}).encode("utf-8")
+                           "snapshot": V1_SNAPSHOT}).encode("utf-8")
         return FRAME.pack(b"PMNC", 1, int(FrameKind.DATA), len(body),
                           zlib.crc32(body)) + body
 
@@ -351,8 +355,7 @@ class TestMessageCodec:
 
     def test_json_payload_is_not_a_data_body(self):
         v1_body = json.dumps({"rank": 1, "sent_at": 0.0, "final": True,
-                              "snapshot": MomentAccumulator(1, 1).snapshot()
-                              .to_dict()}).encode("utf-8")
+                              "snapshot": V1_SNAPSHOT}).encode("utf-8")
         with pytest.raises(WireError):
             message_from_payload(v1_body)
 

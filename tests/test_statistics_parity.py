@@ -11,20 +11,23 @@ byte of any kind.
 
 from __future__ import annotations
 
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.cli.manaver import manual_average
 from repro.cli.report import render_report
 from repro.core.parmonc import parmonc
-from repro.runtime import storage
 from repro.runtime.config import RunConfig
-from repro.runtime.files import SAVEPOINT_FORMAT, DataDirectory
+from repro.runtime.files import DataDirectory
 from repro.runtime.messages import MomentMessage, message_bytes
 from repro.stats.statistic import create_statistic, statistic_kinds
 
 from test_runtime_engine import assert_same_bytes, make_crasher
 
+ERA_FIXTURES = Path(__file__).parent / "fixtures" / "era_savepoints"
 ALL_STATISTICS = ["covariance", "histogram", "extrema", "counter"]
 BACKENDS = ("sequential", "multiprocess", "simcluster")
 
@@ -233,34 +236,28 @@ class TestSavepointRoundTrip:
         assert "statistics" not in savepoint_content(tmp_path)["tail"]
 
 
-class TestLegacyArtifacts:
-    def _downgrade_savepoint(self, workdir):
-        """Replace the save-point by its v2 (JSON, pre-statistics) form."""
-        data = DataDirectory(workdir)
-        snapshot, meta = data.load_savepoint()
-        data.clear_savepoint()
-        storage.write_artifact(
-            data.legacy_savepoint_path, SAVEPOINT_FORMAT,
-            {"snapshot": snapshot.to_dict(), "shape": list(meta.shape),
-             "used_seqnums": list(meta.used_seqnums),
-             "sessions": meta.sessions, "manifest": meta.manifest},
-            version=2)
-        return data
+def _era_savepoint(workdir, era):
+    """A workdir holding the merged save-point the JSON era ``era`` left
+    (24 realizations of ``pair``, seqnum 0), converted to the sealed
+    format; its data directory."""
+    data = DataDirectory(workdir).ensure()
+    shutil.copy2(ERA_FIXTURES / era / "parmonc_data" / "savepoint.bin",
+                 data.savepoint_path)
+    return data
 
+
+class TestLegacyArtifacts:
     def test_v2_moment_only_savepoint_loads(self, tmp_path):
-        _run("sequential", tmp_path, statistics=None)
-        data = self._downgrade_savepoint(tmp_path)
-        snapshot, meta = data.load_savepoint()
-        assert snapshot.volume == 240
+        snapshot, meta = _era_savepoint(tmp_path, "v2").load_savepoint()
+        assert snapshot.volume == 24
         assert snapshot.extras is None
         assert meta.unknown_payloads == {}
 
     def test_resume_from_v2_savepoint(self, tmp_path):
-        _run("sequential", tmp_path, maxsv=100, seqnum=1)
-        self._downgrade_savepoint(tmp_path)
+        _era_savepoint(tmp_path, "v2")
         resumed = _run("sequential", tmp_path, maxsv=100, seqnum=2, res=1)
-        assert resumed.total_volume == 200
-        # The legacy base had no extra statistics, so only the new
+        assert resumed.total_volume == 124
+        # The v2 base had no extra statistics, so only the new
         # session's realizations feed them.
         for kind in ALL_STATISTICS:
             assert resumed.statistics[kind].volume == 100

@@ -96,21 +96,6 @@ class TestSnapshot:
         assert snapshot.volume == 0
         assert snapshot.shape == (2, 3)
 
-    def test_serialization_roundtrip(self):
-        accumulator = MomentAccumulator(2, 2)
-        accumulator.add(np.array([[1.0, 2.0], [3.0, 4.0]]),
-                        compute_time=0.25)
-        snapshot = accumulator.snapshot()
-        restored = MomentSnapshot.from_dict(snapshot.to_dict())
-        assert np.array_equal(restored.sum1, snapshot.sum1)
-        assert np.array_equal(restored.sum2, snapshot.sum2)
-        assert restored.volume == snapshot.volume
-        assert restored.compute_time == snapshot.compute_time
-
-    def test_from_dict_malformed(self):
-        with pytest.raises(ConfigurationError):
-            MomentSnapshot.from_dict({"sum1": [[1.0]]})
-
     def test_snapshot_validation(self):
         with pytest.raises(ConfigurationError):
             MomentSnapshot(sum1=np.zeros((1, 1)), sum2=np.zeros((2, 2)),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,27 @@ class TestErrorsWhenRead:
         # they did when the errors were stored.
         with np.errstate(over="ignore", invalid="ignore"):
             self.check(sum1, sum2, volume, other_variance)
+
+    def test_an_overflowed_sample_warns_nothing(self):
+        # mean ** 2 overflows, inf - inf is NaN and eps / mean overflows:
+        # no numpy warning, and the bits the warning-raising code gave.
+        sum1 = np.array([[1e200, -1e200, 1e160, 3.0, 1e-300]])
+        sum2 = np.array([[np.inf, 1e300, 1e308, 9.0, 1e300]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            estimates = estimates_from_moments(sum1, sum2, 3)
+            abs_error, rel_error = estimates.errors()
+            str(estimates)
+        assert [matrix.tobytes().hex() for matrix in (
+            estimates.mean, estimates.variance, abs_error, rel_error)] == [
+            "238374cacbde5b69238374cacbde5be9045195dc1a590e61"
+            "000000000000f03fcc99f603d5928c01",
+            "000000000000f8ff00000000000000000000000000000000"
+            "0000000000000040d09c0060fbda1f7e",
+            "000000000000f8ff00000000000000000000000000000000"
+            "2e2109148e980340b096502e358d135f",
+            "000000000000f87f00000000000000000000000000000000"
+            "d8434eff5d9e6e40000000000000f07f"]
 
     def check(self, sum1, sum2, volume, other_variance):
         estimates = estimates_from_moments(sum1, sum2, volume)
